@@ -153,8 +153,8 @@ func BenchmarkExtensionOperatorCombo(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheapNegatives measures the design choice DESIGN.md
-// calls out: routing negatives through the cheap neighborhood-mean
+// BenchmarkAblationCheapNegatives measures the design choice the README
+// calls out ("Departures from the paper"): routing negatives through the cheap neighborhood-mean
 // fallback is faster per epoch but lets the model separate aggregation
 // pathways instead of nodes (the reported F1 gap shows the cost).
 func BenchmarkAblationCheapNegatives(b *testing.B) {

@@ -157,9 +157,9 @@ func TestGradMeanRows(t *testing.T) {
 	})
 }
 
-func TestGradL2NormalizeRow(t *testing.T) {
-	checkGrad(t, "l2norm", []*tensor.Matrix{rnd(1, 5, 26), rnd(1, 5, 27)}, func(tp *Tape, l []*Node) *Node {
-		return tp.SumAll(tp.Mul(tp.L2NormalizeRow(l[0]), l[1]))
+func TestGradL2NormalizeRows(t *testing.T) {
+	checkGrad(t, "l2norm", []*tensor.Matrix{rnd(3, 5, 26), rnd(3, 5, 27)}, func(tp *Tape, l []*Node) *Node {
+		return tp.SumAll(tp.Mul(tp.L2NormalizeRows(l[0]), l[1]))
 	})
 }
 
@@ -179,7 +179,7 @@ func TestGradDeepComposite(t *testing.T) {
 		weighted := tp.RowScale(l[0], att)
 		mean := tp.MeanRows(weighted)
 		h := tp.Tanh(tp.MatMul(mean, l[2]))
-		z := tp.L2NormalizeRow(h)
+		z := tp.L2NormalizeRows(h)
 		return tp.SqDist(z, l[3])
 	})
 }
@@ -199,19 +199,127 @@ func TestLeafAccumulatesAcrossUses(t *testing.T) {
 	}
 }
 
-func TestLeafFuncDeliversGrad(t *testing.T) {
-	in := rnd(1, 3, 36)
-	var delivered *tensor.Matrix
-	tp := New()
-	x := tp.LeafFunc(in, func(g *tensor.Matrix) { delivered = g.Clone() })
-	tp.Backward(tp.SumSquares(x))
-	if delivered == nil {
-		t.Fatal("LeafFunc callback not invoked")
+// gatherSink records the rows a Gather's backward delivers.
+type gatherSink map[int][]float64
+
+func (s gatherSink) AddRowGrad(id int, g []float64) {
+	if s[id] == nil {
+		s[id] = make([]float64, len(g))
 	}
-	for i, v := range in.Data {
-		if math.Abs(delivered.Data[i]-2*v) > 1e-9 {
-			t.Fatalf("elem %d: got %g want %g", i, delivered.Data[i], 2*v)
+	for j, v := range g {
+		s[id][j] += v
+	}
+}
+
+// TestGatherScattersRowGradients looks up a row twice and a padding
+// slot: the two uses must sum, the padding row must read as zero and
+// deliver nothing.
+func TestGatherScattersRowGradients(t *testing.T) {
+	table := rnd(4, 3, 45)
+	sink := gatherSink{}
+	tp := New()
+	x := tp.Gather(table, []int{2, -1, 0, 2}, sink)
+	for _, v := range x.Value.Row(1) {
+		if v != 0 {
+			t.Fatal("padding row must be zero")
 		}
+	}
+	tp.Backward(tp.SumSquares(x))
+	if len(sink) != 2 {
+		t.Fatalf("gradient delivered to %d rows, want 2", len(sink))
+	}
+	for j, v := range table.Row(2) {
+		if math.Abs(sink[2][j]-4*v) > 1e-12 {
+			t.Fatalf("row 2 elem %d: got %g want %g", j, sink[2][j], 4*v)
+		}
+	}
+}
+
+// TestRowsIsAView checks that a Rows node shares its parent's value and
+// that gradient written through it reaches the parent's leaf.
+func TestRowsIsAView(t *testing.T) {
+	in := rnd(4, 3, 46)
+	sink := tensor.New(4, 3)
+	tp := New()
+	x := tp.Leaf(in, sink)
+	mid := tp.Rows(x, 1, 3)
+	if &mid.Value.Data[0] != &in.Data[3] {
+		t.Fatal("Rows must not copy")
+	}
+	tp.Backward(tp.SumSquares(mid))
+	for i, v := range in.Data {
+		want := 0.0
+		if i >= 3 && i < 9 {
+			want = 2 * v
+		}
+		if math.Abs(sink.Data[i]-want) > 1e-12 {
+			t.Fatalf("elem %d: got %g want %g", i, sink.Data[i], want)
+		}
+	}
+}
+
+// mlpPass runs one forward/backward pass of a small graph and returns
+// the loss; the gradient lands in g.
+func mlpPass(tp *Tape, x, w, g *tensor.Matrix) float64 {
+	g.Zero()
+	out := tp.SumSquares(tp.Tanh(tp.MatMul(tp.Const(x), tp.Leaf(w, g))))
+	tp.Backward(out)
+	return Value(out)
+}
+
+// TestResetReusesTheArena runs passes of different sizes on one tape
+// with a Reset between them: every pass must give the loss and gradient
+// of a fresh tape (no stale value or gradient survives the rewind), and
+// once the arena has grown to the largest pass a pass allocates only
+// its backward closures.
+func TestResetReusesTheArena(t *testing.T) {
+	big, small := rnd(40, 64, 47), rnd(3, 64, 48)
+	w := rnd(64, 64, 49)
+	got, want := tensor.New(64, 64), tensor.New(64, 64)
+	tp := New()
+	for i, x := range []*tensor.Matrix{small, big, small, big} {
+		tp.Reset()
+		loss := mlpPass(tp, x, w, got)
+		if ref := mlpPass(New(), x, w, want); loss != ref || !tensor.Equal(got, want, 0) {
+			t.Fatalf("pass %d on a reused tape differs from a fresh tape: loss %g vs %g", i, loss, ref)
+		}
+	}
+	if tp.Len() != 5 {
+		t.Fatalf("Len after Reset + one pass = %d, want 5", tp.Len())
+	}
+	if raceEnabled {
+		return // race detector instrumentation allocates
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		tp.Reset()
+		mlpPass(tp, big, w, got)
+	})
+	if allocs > 3 {
+		t.Fatalf("a steady-state pass allocated %v times, want only its closures", allocs)
+	}
+}
+
+// TestNoGradTapeRecordsConstants checks the forward-only tape: same
+// values, no node requires a gradient, sinks stay untouched.
+func TestNoGradTapeRecordsConstants(t *testing.T) {
+	x, w := rnd(3, 4, 50), rnd(4, 4, 51)
+	g := tensor.New(4, 4)
+	rows := gatherSink{}
+	build := func(tp *Tape) *Node {
+		e := tp.Gather(x, []int{0, 2}, rows)
+		return tp.SumSquares(tp.MatMul(tp.Add(e, tp.Rows(tp.Const(x), 0, 2)), tp.Leaf(w, g)))
+	}
+	ng := NewNoGrad()
+	out := build(ng)
+	if out.needs {
+		t.Fatal("a node on a no-grad tape requires a gradient")
+	}
+	ng.Backward(out)
+	if g.Sum() != 0 || len(rows) != 0 {
+		t.Fatal("a no-grad tape delivered a gradient")
+	}
+	if ref := build(New()); Value(out) != Value(ref) {
+		t.Fatalf("no-grad value %g != %g", Value(out), Value(ref))
 	}
 }
 

@@ -1,12 +1,18 @@
 // Fused tape operators for the training hot path.
 //
-// The unfused LSTM gate graph records ~25 nodes per timestep (eight
-// MatMuls, four broadcast-adds, four activations and the cell/hidden
-// arithmetic), each with its own value matrix, gradient matrix and
-// backward closure. LSTMStep collapses a full timestep into two nodes
-// with a handwritten backward, and LayerNorm collapses the ~13-node
-// per-row normalization chain into one. Both are verified against the
-// unfused compositions and central finite differences in fused_test.go.
+// EHNA's aggregation runs k walks of ℓ nodes through a stacked LSTM at
+// two levels, for 2+Q targets per training edge. Recorded one timestep
+// and one walk at a time that is ~1,500 batch-1 LSTM steps and ~3,500
+// scalar attention nodes per edge. The operators here record a whole
+// level as one node each: LSTMSeq runs a layer over a time-major batch
+// of ragged sequences, Attend computes one attention level for the same
+// batch, and LayerNorm normalizes every row of the result. Each has a
+// handwritten backward, verified against the unfused composition and
+// central finite differences in fused_test.go.
+//
+// Time-major batch layout: T steps of n sequences are a (T·n)×d matrix
+// whose row t·n+r is step t of sequence r. Sequence r has lens[r] ≥ 1
+// real steps; the rows after them are padding.
 package ag
 
 import (
@@ -18,7 +24,7 @@ import (
 )
 
 // LSTMWeights binds the twelve LSTM gate parameters (already recorded
-// on the tape, typically via nn.Param.Node) for a fused LSTMStep call.
+// on the tape, typically via nn.Param.Node) for an LSTMSeq call.
 // W* are in×hidden, U* are hidden×hidden, B* are 1×hidden.
 type LSTMWeights struct {
 	Wi, Ui, Bi *Node
@@ -27,158 +33,302 @@ type LSTMWeights struct {
 	Wg, Ug, Bg *Node
 }
 
-func (w LSTMWeights) all() []*Node {
-	return []*Node{w.Wi, w.Ui, w.Bi, w.Wf, w.Uf, w.Bf, w.Wo, w.Uo, w.Bo, w.Wg, w.Ug, w.Bg}
+// gates lists the weights in packed order: the four gates' columns sit
+// side by side as [i | f | o | g].
+func (w LSTMWeights) gates() [4][3]*Node {
+	return [4][3]*Node{{w.Wi, w.Ui, w.Bi}, {w.Wf, w.Uf, w.Bf}, {w.Wo, w.Uo, w.Bo}, {w.Wg, w.Ug, w.Bg}}
 }
 
-// LSTMStep computes one fused LSTM timestep
+// seqShape validates a time-major batch and returns its sequence count.
+func seqShape(op string, rows, T int, lens []int) int {
+	if T < 1 || rows == 0 || rows%T != 0 {
+		panic(fmt.Sprintf("ag: %s of %d rows is not a batch of %d steps", op, rows, T))
+	}
+	n := rows / T
+	if lens != nil && len(lens) != n {
+		panic(fmt.Sprintf("ag: %s got %d lengths for %d sequences", op, len(lens), n))
+	}
+	for _, l := range lens {
+		if l < 1 || l > T {
+			panic(fmt.Sprintf("ag: %s sequence length %d outside [1,%d]", op, l, T))
+		}
+	}
+	return n
+}
+
+// seqLen returns the number of real steps of sequence r.
+func seqLen(lens []int, r, T int) int {
+	if lens == nil {
+		return T
+	}
+	return lens[r]
+}
+
+// LSTMSeq runs one LSTM layer
 //
 //	i = σ(x·Wi + h·Ui + bi)    f = σ(x·Wf + h·Uf + bf)
 //	o = σ(x·Wo + h·Uo + bo)    g = tanh(x·Wg + h·Ug + bg)
 //	c' = f⊙c + i⊙g             h' = o⊙tanh(c')
 //
-// for x (n×in) and state h, c (n×hidden), recording only two tape
-// nodes. The fused backward runs when hNew's gradient is propagated,
-// so hNew must be consumed by the rest of the graph (cNew may be left
-// dangling, as on the final timestep); this invariant holds for any
-// sequence model that reads the hidden state.
-func (t *Tape) LSTMStep(w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
-	n, hidden := x.Value.Rows, w.Bi.Value.Cols
-	if h.Value.Rows != n || c.Value.Rows != n || h.Value.Cols != hidden || c.Value.Cols != hidden {
-		panic(fmt.Sprintf("ag: LSTMStep state %dx%d/%dx%d for x rows %d hidden %d",
-			h.Value.Rows, h.Value.Cols, c.Value.Rows, c.Value.Cols, n, hidden))
+// from a zero state over the time-major batch x ((T·n)×in; lens nil
+// means every sequence has T steps) and returns every step's hidden
+// state in the same layout ((T·n)×hidden). A sequence carries its state
+// unchanged through its padding steps, so the last T-block holds each
+// sequence's final state, and padding neither reads x nor receives
+// gradient.
+//
+// The four gates are packed side by side into one in×4h and one h×4h
+// matrix per call, so the input projection of all T steps is a single
+// product and each step adds one n×h · h×4h product. The backward pass
+// keeps the pre-activation gradients of all steps and forms the weight
+// gradients as two products per call (xᵀ·dpre and h₋₁ᵀ·dpre) in place
+// of one rank-1 update per step, gate and sequence.
+func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
+	n := seqShape("LSTMSeq", x.Value.Rows, T, lens)
+	in, h := x.Value.Cols, w.Bi.Value.Cols
+	gates := w.gates()
+	for _, g := range gates {
+		if g[0].Value.Rows != in || g[0].Value.Cols != h || g[1].Value.Rows != h || g[1].Value.Cols != h || len(g[2].Value.Data) != h {
+			panic(fmt.Sprintf("ag: LSTMSeq weights %dx%d/%dx%d for input %d hidden %d",
+				g[0].Value.Rows, g[0].Value.Cols, g[1].Value.Rows, g[1].Value.Cols, in, h))
+		}
+	}
+	h4, rows := 4*h, T*n
+
+	// Pack: wp is in×4h, up is h×4h, and their transposes serve the
+	// backward products (dx = dpre·wpᵀ) as plain row-major operands.
+	wp, wpT := t.alloc(in*h4), t.alloc(h4*in)
+	up, upT := t.alloc(h*h4), t.alloc(h4*h)
+	bias := t.alloc(h4)
+	for gi, g := range gates {
+		packGate(wp, wpT, g[0].Value, gi*h, h4)
+		packGate(up, upT, g[1].Value, gi*h, h4)
+		copy(bias[gi*h:], g[2].Value.Data)
 	}
 
-	gate := func(W, U, B *Node) *tensor.Matrix {
-		pre := tensor.New(n, hidden)
+	needs := x.needs
+	for _, g := range gates {
+		needs = needs || needsAny(g[:]...)
+	}
+	out := t.node(rows, h, needs)
+	hs := out.Value.Data
+	act := t.alloc(rows * h4) // gate activations [i|f|o|g] per row
+	cs := t.alloc(rows * h)   // cell state after each step
+	tc := t.alloc(rows * h)   // tanh of it
+
+	for r := 0; r < rows; r++ {
+		copy(act[r*h4:(r+1)*h4], bias)
+	}
+	vecmath.GemmNN(act, h4, x.Value.Data, in, wp, h4, rows, h4, in)
+	for s := 0; s < T; s++ {
+		lo := s * n
+		if s > 0 {
+			vecmath.GemmNN(act[lo*h4:], h4, hs[(lo-n)*h:], h, up, h4, n, h4, h)
+		}
 		for r := 0; r < n; r++ {
-			copy(pre.Row(r), B.Value.Data)
+			row := lo + r
+			c, tcr, hr := cs[row*h:(row+1)*h], tc[row*h:(row+1)*h], hs[row*h:(row+1)*h]
+			if s >= seqLen(lens, r, T) {
+				copy(c, cs[(row-n)*h:(row-n+1)*h])
+				copy(tcr, tc[(row-n)*h:(row-n+1)*h])
+				copy(hr, hs[(row-n)*h:(row-n+1)*h])
+				continue
+			}
+			a := act[row*h4 : (row+1)*h4]
+			for j := 0; j < 3*h; j++ {
+				a[j] = vecmath.Sigmoid(a[j])
+			}
+			for j := 3 * h; j < h4; j++ {
+				a[j] = math.Tanh(a[j])
+			}
+			for j := 0; j < h; j++ {
+				cv := a[j] * a[3*h+j]
+				if s > 0 {
+					cv += a[h+j] * cs[(row-n)*h+j]
+				}
+				c[j] = cv
+				tcr[j] = math.Tanh(cv)
+				hr[j] = a[2*h+j] * tcr[j]
+			}
 		}
-		tensor.MatMulAddInto(pre, x.Value, W.Value)
-		tensor.MatMulAddInto(pre, h.Value, U.Value)
-		return pre
 	}
-	iv := gate(w.Wi, w.Ui, w.Bi)
-	fv := gate(w.Wf, w.Uf, w.Bf)
-	ov := gate(w.Wo, w.Uo, w.Bo)
-	gv := gate(w.Wg, w.Ug, w.Bg)
-	for idx := range iv.Data {
-		iv.Data[idx] = vecmath.Sigmoid(iv.Data[idx])
-		fv.Data[idx] = vecmath.Sigmoid(fv.Data[idx])
-		ov.Data[idx] = vecmath.Sigmoid(ov.Data[idx])
-		gv.Data[idx] = math.Tanh(gv.Data[idx])
-	}
-	cVal := tensor.New(n, hidden)
-	tc := tensor.New(n, hidden)
-	hVal := tensor.New(n, hidden)
-	for idx := range cVal.Data {
-		cVal.Data[idx] = fv.Data[idx]*c.Value.Data[idx] + iv.Data[idx]*gv.Data[idx]
-		tc.Data[idx] = math.Tanh(cVal.Data[idx])
-		hVal.Data[idx] = ov.Data[idx] * tc.Data[idx]
+	if !needs {
+		return out
 	}
 
-	needs := needsAny(append(w.all(), x, h, c)...)
-	cNode := &Node{Value: cVal, needs: needs}
-	hNode := &Node{Value: hVal, needs: needs}
-	if needs {
-		hNode.back = func(hn *Node) {
-			dh := hn.grad
-			var dcOut *tensor.Matrix // grad arriving at c' from downstream
-			if cNode.grad != nil {
-				dcOut = cNode.grad
-			}
-			dpreI := tensor.New(n, hidden)
-			dpreF := tensor.New(n, hidden)
-			dpreO := tensor.New(n, hidden)
-			dpreG := tensor.New(n, hidden)
-			var cg *tensor.Matrix
-			if c.needs {
-				cg = c.Grad()
-			}
-			for idx := range hVal.Data {
-				dhv := dh.Data[idx]
-				tcv := tc.Data[idx]
-				dc := dhv * ov.Data[idx] * (1 - tcv*tcv)
-				if dcOut != nil {
-					dc += dcOut.Data[idx]
-				}
-				ivv, fvv, ovv, gvv := iv.Data[idx], fv.Data[idx], ov.Data[idx], gv.Data[idx]
-				dpreI.Data[idx] = dc * gvv * ivv * (1 - ivv)
-				dpreF.Data[idx] = dc * c.Value.Data[idx] * fvv * (1 - fvv)
-				dpreO.Data[idx] = dhv * tcv * ovv * (1 - ovv)
-				dpreG.Data[idx] = dc * ivv * (1 - gvv*gvv)
-				if cg != nil {
-					cg.Data[idx] += dc * fvv
-				}
-			}
-			backGate := func(dpre *tensor.Matrix, W, U, B *Node) {
-				if W.needs {
-					// dW += xᵀ·dpre
-					wg := W.Grad()
-					for r := 0; r < n; r++ {
-						xrow := x.Value.Row(r)
-						drow := dpre.Row(r)
-						for k, xv := range xrow {
-							if xv == 0 {
-								continue
-							}
-							vecmath.Axpy(wg.Row(k), xv, drow)
-						}
+	out.back = func(out *Node) {
+		dout := out.grad.Data
+		dh, dc := t.zeros(n*h), t.zeros(n*h) // gradient reaching step s from step s+1
+		dhPrev := t.alloc(n * h)
+		dpre := act // each row's activations are read once, then overwritten
+		for s := T - 1; s >= 0; s-- {
+			lo := s * n
+			for r := 0; r < n; r++ {
+				row := lo + r
+				dhr, dcr, dp := dh[r*h:(r+1)*h], dc[r*h:(r+1)*h], dpre[row*h4:(row+1)*h4]
+				vecmath.Add(dhr, dout[row*h:(row+1)*h])
+				if s >= seqLen(lens, r, T) {
+					// Padding: the state passed through unchanged.
+					copy(dhPrev[r*h:(r+1)*h], dhr)
+					for j := range dp {
+						dp[j] = 0
 					}
+					continue
 				}
-				if U.needs {
-					ug := U.Grad()
-					for r := 0; r < n; r++ {
-						hrow := h.Value.Row(r)
-						drow := dpre.Row(r)
-						for k, hv := range hrow {
-							if hv == 0 {
-								continue
-							}
-							vecmath.Axpy(ug.Row(k), hv, drow)
-						}
+				tcr := tc[row*h : (row+1)*h]
+				for j := 0; j < h; j++ {
+					iv, fv, ov, gv := dp[j], dp[h+j], dp[2*h+j], dp[3*h+j]
+					dhv, tcv := dhr[j], tcr[j]
+					dcv := dcr[j] + dhv*ov*(1-tcv*tcv)
+					var cPrev float64
+					if s > 0 {
+						cPrev = cs[(row-n)*h+j]
 					}
-				}
-				if B.needs {
-					bg := B.Grad()
-					for r := 0; r < n; r++ {
-						vecmath.Add(bg.Data, dpre.Row(r))
-					}
-				}
-				if x.needs {
-					// dx += dpre·Wᵀ
-					xg := x.Grad()
-					for r := 0; r < n; r++ {
-						drow := dpre.Row(r)
-						xgrow := xg.Row(r)
-						for k := range xgrow {
-							xgrow[k] += vecmath.Dot(drow, W.Value.Row(k))
-						}
-					}
-				}
-				if h.needs {
-					hg := h.Grad()
-					for r := 0; r < n; r++ {
-						drow := dpre.Row(r)
-						hgrow := hg.Row(r)
-						for k := range hgrow {
-							hgrow[k] += vecmath.Dot(drow, U.Value.Row(k))
-						}
-					}
+					dp[j] = dcv * gv * iv * (1 - iv)
+					dp[h+j] = dcv * cPrev * fv * (1 - fv)
+					dp[2*h+j] = dhv * tcv * ov * (1 - ov)
+					dp[3*h+j] = dcv * iv * (1 - gv*gv)
+					dcr[j] = dcv * fv
+					dhPrev[r*h+j] = 0
 				}
 			}
-			backGate(dpreI, w.Wi, w.Ui, w.Bi)
-			backGate(dpreF, w.Wf, w.Uf, w.Bf)
-			backGate(dpreO, w.Wo, w.Uo, w.Bo)
-			backGate(dpreG, w.Wg, w.Ug, w.Bg)
+			if s > 0 {
+				vecmath.GemmNN(dhPrev, h, dpre[lo*h4:], h4, upT, h, n, h, h4)
+			}
+			dh, dhPrev = dhPrev, dh
+		}
+
+		if x.needs {
+			vecmath.GemmNN(x.Grad().Data, in, dpre, h4, wpT, in, rows, in, h4)
+		}
+		dwp, dup := t.zeros(in*h4), t.zeros(h*h4)
+		vecmath.GemmTN(dwp, h4, x.Value.Data, in, dpre, h4, in, h4, rows)
+		if T > 1 {
+			vecmath.GemmTN(dup, h4, hs, h, dpre[n*h4:], h4, h, h4, rows-n)
+		}
+		dbias := t.zeros(h4)
+		for r := 0; r < rows; r++ {
+			vecmath.Add(dbias, dpre[r*h4:(r+1)*h4])
+		}
+		for gi, g := range gates {
+			unpackGate(g[0], dwp, gi*h, h4)
+			unpackGate(g[1], dup, gi*h, h4)
+			if g[2].needs {
+				vecmath.Add(g[2].Grad().Data, dbias[gi*h:(gi+1)*h])
+			}
 		}
 	}
-	// cNew is recorded before hNew so that hNew's backward — which
-	// consumes cNew's accumulated gradient — runs first in the tape's
-	// reverse sweep.
-	t.add(cNode)
-	t.add(hNode)
-	return hNode, cNode
+	return out
+}
+
+// packGate copies w (rows×h) into columns [col, col+h) of the packed
+// rows×ld matrix p, and its transpose into rows [col, col+h) of the
+// ld×rows matrix pT.
+func packGate(p, pT []float64, w *tensor.Matrix, col, ld int) {
+	for k := 0; k < w.Rows; k++ {
+		wrow := w.Row(k)
+		copy(p[k*ld+col:], wrow)
+		for j, v := range wrow {
+			pT[(col+j)*w.Rows+k] = v
+		}
+	}
+}
+
+// unpackGate adds columns [col, col+h) of the packed gradient dp into
+// the gradient of weight w.
+func unpackGate(w *Node, dp []float64, col, ld int) {
+	if !w.needs {
+		return
+	}
+	g := w.Grad()
+	for k := 0; k < g.Rows; k++ {
+		vecmath.Add(g.Row(k), dp[k*ld+col:k*ld+col+g.Cols])
+	}
+}
+
+// Attend computes one attention level of EHNA (Eq. 3 and Eq. 4) for a
+// time-major batch of T-step sequences. Sequence r weights its items
+// v_t (row t·n+r of v) by their closeness to its query q_r:
+//
+//	α = softmax_t(−coef_t · ‖q_r − v_t‖²)    out_t = α_t · v_t
+//
+// over its lens[r] real items (nil: all T); padding rows of the result
+// are zero. coef holds one non-negative coefficient per row of v (the
+// time-decay factors of the paper). q has one row per sequence or
+// fewer: sequence r reads row r mod q.Rows, which lets the k walks of
+// one target share that target's query.
+func (t *Tape) Attend(q, v *Node, coef []float64, lens []int, T int) *Node {
+	rows, d := v.Value.Rows, v.Value.Cols
+	n := seqShape("Attend", rows, T, lens)
+	if q.Value.Cols != d || len(coef) != rows || q.Value.Rows == 0 || n%q.Value.Rows != 0 {
+		panic(fmt.Sprintf("ag: Attend q %dx%d coef %d for v %dx%d in %d sequences", q.Value.Rows, q.Value.Cols, len(coef), rows, d, n))
+	}
+	nq := q.Value.Rows
+	out := t.like(v, needsAny(q, v))
+	alpha := t.alloc(rows)
+	for r := 0; r < n; r++ {
+		qr, L := q.Value.Row(r%nq), seqLen(lens, r, T)
+		top := math.Inf(-1)
+		for s := 0; s < L; s++ {
+			row := s*n + r
+			alpha[row] = -coef[row] * vecmath.SqDist(qr, v.Value.Row(row))
+			top = math.Max(top, alpha[row])
+		}
+		var sum float64
+		for s := 0; s < L; s++ {
+			row := s*n + r
+			alpha[row] = math.Exp(alpha[row] - top)
+			sum += alpha[row]
+		}
+		for s := 0; s < L; s++ {
+			row := s*n + r
+			alpha[row] /= sum
+			vecmath.Axpy(out.Value.Row(row), alpha[row], v.Value.Row(row))
+		}
+	}
+	if !out.needs {
+		return out
+	}
+	out.back = func(out *Node) {
+		var qg *tensor.Matrix
+		if q.needs {
+			qg = q.Grad()
+		}
+		var vg *tensor.Matrix
+		if v.needs {
+			vg = v.Grad()
+		}
+		diff, da := t.alloc(d), t.alloc(T)
+		for r := 0; r < n; r++ {
+			qr, L := q.Value.Row(r%nq), seqLen(lens, r, T)
+			// dα_t = dout_t·v_t, then through the softmax:
+			// ds_t = α_t (dα_t − Σ_u α_u dα_u).
+			var mean float64
+			for s := 0; s < L; s++ {
+				row := s*n + r
+				da[s] = vecmath.Dot(out.grad.Row(row), v.Value.Row(row))
+				mean += alpha[row] * da[s]
+			}
+			for s := 0; s < L; s++ {
+				row := s*n + r
+				g, vr := out.grad.Row(row), v.Value.Row(row)
+				ds := alpha[row] * (da[s] - mean)
+				// s_t = −coef_t‖q−v_t‖²: ∂s/∂q = −2 coef (q−v) = −∂s/∂v.
+				c := -2 * coef[row] * ds
+				for j := range diff {
+					diff[j] = qr[j] - vr[j]
+				}
+				if qg != nil {
+					vecmath.Axpy(qg.Row(r%nq), c, diff)
+				}
+				if vg != nil {
+					vecmath.Axpy(vg.Row(row), -c, diff)
+					vecmath.Axpy(vg.Row(row), alpha[row], g)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // LayerNorm normalizes each row of x to zero mean and unit variance
@@ -194,9 +344,10 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 		panic(fmt.Sprintf("ag: LayerNorm gain %dx%d bias %dx%d for x cols %d",
 			gain.Value.Rows, gain.Value.Cols, bias.Value.Rows, bias.Value.Cols, d))
 	}
-	inv := make([]float64, rows)
-	xhat := tensor.New(rows, d)
-	val := tensor.New(rows, d)
+	n := t.like(x, needsAny(x, gain, bias))
+	inv := t.alloc(rows)
+	xhat := tensor.Matrix{Rows: rows, Cols: d, Data: t.alloc(rows * d)}
+	val := n.Value
 	fd := float64(d)
 	for r := 0; r < rows; r++ {
 		xrow := x.Value.Row(r)
@@ -219,7 +370,6 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 			vrow[j] = hrow[j]*gain.Value.Data[j] + bias.Value.Data[j]
 		}
 	}
-	n := &Node{Value: val, needs: needsAny(x, gain, bias)}
 	if n.needs {
 		n.back = func(n *Node) {
 			for r := 0; r < rows; r++ {
@@ -254,5 +404,5 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }

@@ -7,11 +7,12 @@ import (
 	"ehna/internal/tensor"
 )
 
-// lstmInputs builds the 15 input matrices of one LSTM step:
-// x, h, c, then the 12 gate weights in LSTMWeights order.
-func lstmInputs(n, in, hidden int, seed int64) []*tensor.Matrix {
-	ms := []*tensor.Matrix{rnd(n, in, seed), rnd(n, hidden, seed+1), rnd(n, hidden, seed+2)}
-	s := seed + 3
+// lstmInputs builds the input matrices of one LSTM layer over a
+// time-major batch: x ((T·n)×in), then the 12 gate weights in
+// LSTMWeights order.
+func lstmInputs(rows, in, hidden int, seed int64) []*tensor.Matrix {
+	ms := []*tensor.Matrix{rnd(rows, in, seed)}
+	s := seed + 1
 	for g := 0; g < 4; g++ {
 		ms = append(ms, rnd(in, hidden, s), rnd(hidden, hidden, s+1), rnd(1, hidden, s+2))
 		s += 3
@@ -21,84 +22,220 @@ func lstmInputs(n, in, hidden int, seed int64) []*tensor.Matrix {
 
 func weightsFrom(leaves []*Node) LSTMWeights {
 	return LSTMWeights{
-		Wi: leaves[3], Ui: leaves[4], Bi: leaves[5],
-		Wf: leaves[6], Uf: leaves[7], Bf: leaves[8],
-		Wo: leaves[9], Uo: leaves[10], Bo: leaves[11],
-		Wg: leaves[12], Ug: leaves[13], Bg: leaves[14],
+		Wi: leaves[1], Ui: leaves[2], Bi: leaves[3],
+		Wf: leaves[4], Uf: leaves[5], Bf: leaves[6],
+		Wo: leaves[7], Uo: leaves[8], Bo: leaves[9],
+		Wg: leaves[10], Ug: leaves[11], Bg: leaves[12],
 	}
 }
 
-// unfusedStep is the reference composition LSTMStep replaced.
-func unfusedStep(tp *Tape, w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
-	gate := func(W, U, B *Node) *Node {
-		return tp.AddRowBroadcast(tp.Add(tp.MatMul(x, W), tp.MatMul(h, U)), B)
-	}
-	i := tp.Sigmoid(gate(w.Wi, w.Ui, w.Bi))
-	f := tp.Sigmoid(gate(w.Wf, w.Uf, w.Bf))
-	o := tp.Sigmoid(gate(w.Wo, w.Uo, w.Bo))
-	g := tp.Tanh(gate(w.Wg, w.Ug, w.Bg))
-	cNew = tp.Add(tp.Mul(f, c), tp.Mul(i, g))
-	hNew = tp.Mul(o, tp.Tanh(cNew))
-	return hNew, cNew
-}
-
-// TestGradLSTMStep verifies the fused backward against central finite
-// differences for every input, with both outputs consumed.
-func TestGradLSTMStep(t *testing.T) {
-	checkGrad(t, "LSTMStep", lstmInputs(2, 3, 4, 42), func(tp *Tape, leaves []*Node) *Node {
-		hN, cN := tp.LSTMStep(weightsFrom(leaves), leaves[0], leaves[1], leaves[2])
-		return tp.Add(tp.SumSquares(hN), tp.SumSquares(cN))
-	})
-}
-
-// TestGradLSTMStepDanglingCell covers the final-timestep shape: cNew is
-// never consumed, so its gradient must be treated as zero.
-func TestGradLSTMStepDanglingCell(t *testing.T) {
-	checkGrad(t, "LSTMStep/dangling-c", lstmInputs(1, 3, 3, 7), func(tp *Tape, leaves []*Node) *Node {
-		hN, _ := tp.LSTMStep(weightsFrom(leaves), leaves[0], leaves[1], leaves[2])
-		return tp.SumSquares(hN)
-	})
-}
-
-// TestGradLSTMStepChained runs two fused timesteps so state gradients
-// flow through both the hidden and the cell paths.
-func TestGradLSTMStepChained(t *testing.T) {
-	inputs := append(lstmInputs(1, 4, 4, 11), rnd(1, 4, 99)) // second x
-	checkGrad(t, "LSTMStep/chain", inputs, func(tp *Tape, leaves []*Node) *Node {
-		w := weightsFrom(leaves)
-		h1, c1 := tp.LSTMStep(w, leaves[0], leaves[1], leaves[2])
-		h2, _ := tp.LSTMStep(w, leaves[15], h1, c1)
-		return tp.SumSquares(h2)
-	})
-}
-
-// TestLSTMStepMatchesUnfused checks value and gradient agreement with
-// the op-by-op composition the fused kernel replaced.
-func TestLSTMStepMatchesUnfused(t *testing.T) {
-	run := func(step func(tp *Tape, w LSTMWeights, x, h, c *Node) (*Node, *Node)) (val *tensor.Matrix, grads []*tensor.Matrix) {
-		inputs := lstmInputs(2, 3, 4, 1234)
-		tp := New()
-		leaves := make([]*Node, len(inputs))
-		grads = make([]*tensor.Matrix, len(inputs))
-		for i, in := range inputs {
-			grads[i] = tensor.New(in.Rows, in.Cols)
-			leaves[i] = tp.Leaf(in, grads[i])
+// unfusedSeq is the reference LSTMSeq replaced: every sequence runs on
+// its own, one timestep at a time, through the op-by-op gate graph, and
+// the per-step hidden states are stacked back into the time-major
+// layout (a padding row repeats the sequence's last real state).
+func unfusedSeq(tp *Tape, w LSTMWeights, x *Node, lens []int, T int) *Node {
+	n := x.Value.Rows / T
+	hidden := w.Bi.Value.Cols
+	out := make([]*Node, T*n)
+	for r := 0; r < n; r++ {
+		h := tp.Const(tensor.New(1, hidden))
+		c := tp.Const(tensor.New(1, hidden))
+		for s := 0; s < T; s++ {
+			if s < seqLen(lens, r, T) {
+				xs := tp.Row(x, s*n+r)
+				gate := func(W, U, B *Node) *Node {
+					return tp.AddRowBroadcast(tp.Add(tp.MatMul(xs, W), tp.MatMul(h, U)), B)
+				}
+				i := tp.Sigmoid(gate(w.Wi, w.Ui, w.Bi))
+				f := tp.Sigmoid(gate(w.Wf, w.Uf, w.Bf))
+				o := tp.Sigmoid(gate(w.Wo, w.Uo, w.Bo))
+				g := tp.Tanh(gate(w.Wg, w.Ug, w.Bg))
+				c = tp.Add(tp.Mul(f, c), tp.Mul(i, g))
+				h = tp.Mul(o, tp.Tanh(c))
+			}
+			out[s*n+r] = h
 		}
-		hN, cN := step(tp, weightsFrom(leaves), leaves[0], leaves[1], leaves[2])
-		tp.Backward(tp.Add(tp.SumSquares(hN), tp.SumSquares(cN)))
-		return hN.Value, grads
 	}
-	fv, fg := run(func(tp *Tape, w LSTMWeights, x, h, c *Node) (*Node, *Node) {
-		return tp.LSTMStep(w, x, h, c)
+	return tp.StackRows(out)
+}
+
+// seqLoss weights every output row differently, so that a gradient
+// arrives at every step of every sequence, padding included.
+func seqLoss(tp *Tape, out *Node) *Node {
+	w := tensor.New(out.Value.Rows, out.Value.Cols)
+	for i := range w.Data {
+		w.Data[i] = 0.3 + float64(i%7)*0.2
+	}
+	return tp.SumSquares(tp.Mul(out, tp.Const(w)))
+}
+
+// TestGradLSTMSeq verifies the handwritten backward against central
+// finite differences for x and all twelve weights, on a full batch and
+// on a ragged one whose lengths run from 1 to T.
+func TestGradLSTMSeq(t *testing.T) {
+	const T, n = 4, 3
+	for name, lens := range map[string][]int{"full": nil, "ragged": {1, 4, 2}} {
+		lens := lens
+		checkGrad(t, "LSTMSeq/"+name, lstmInputs(T*n, 3, 4, 42), func(tp *Tape, leaves []*Node) *Node {
+			return seqLoss(tp, tp.LSTMSeq(weightsFrom(leaves), leaves[0], lens, T))
+		})
+	}
+}
+
+// TestGradLSTMSeqStacked feeds one layer's hidden sequence to a second
+// layer and reads only the final states, the shape nn.StackedLSTM
+// records.
+func TestGradLSTMSeqStacked(t *testing.T) {
+	const T, n = 3, 2
+	lens := []int{3, 1}
+	inputs := append(lstmInputs(T*n, 2, 3, 7), lstmInputs(1, 3, 3, 70)[1:]...)
+	checkGrad(t, "LSTMSeq/stacked", inputs, func(tp *Tape, leaves []*Node) *Node {
+		h1 := tp.LSTMSeq(weightsFrom(leaves), leaves[0], lens, T)
+		h2 := tp.LSTMSeq(weightsFrom(leaves[12:]), h1, lens, T)
+		return tp.SumSquares(tp.Rows(h2, (T-1)*n, T*n))
 	})
-	uv, ug := run(unfusedStep)
+}
+
+// runSeq evaluates loss(op(...)) on fresh leaves and returns the
+// output and every input's gradient.
+func runSeq(inputs []*tensor.Matrix, op func(tp *Tape, leaves []*Node) *Node) (*tensor.Matrix, []*tensor.Matrix) {
+	tp := New()
+	leaves := make([]*Node, len(inputs))
+	grads := make([]*tensor.Matrix, len(inputs))
+	for i, in := range inputs {
+		grads[i] = tensor.New(in.Rows, in.Cols)
+		leaves[i] = tp.Leaf(in, grads[i])
+	}
+	out := op(tp, leaves)
+	tp.Backward(seqLoss(tp, out))
+	return out.Value.Clone(), grads
+}
+
+func assertSame(t *testing.T, name string, fv, uv *tensor.Matrix, fg, ug []*tensor.Matrix) {
+	t.Helper()
 	if !tensor.Equal(fv, uv, 1e-12) {
-		t.Fatalf("fused h' %v != unfused %v", fv, uv)
+		t.Fatalf("%s: fused value %v != unfused %v", name, fv, uv)
 	}
 	for i := range fg {
-		if !tensor.Equal(fg[i], ug[i], 1e-9) {
-			t.Fatalf("gradient %d: fused %v != unfused %v", i, fg[i], ug[i])
+		if !tensor.Equal(fg[i], ug[i], 1e-10) {
+			t.Fatalf("%s: gradient %d: fused %v != unfused %v", name, i, fg[i], ug[i])
 		}
+	}
+}
+
+// TestLSTMSeqMatchesUnfused checks value and gradient agreement with
+// the per-sequence, per-step, op-by-op composition, including the
+// T = 1, n = 1 case that is a single LSTM step.
+func TestLSTMSeqMatchesUnfused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		T, n int
+		lens []int
+	}{
+		{"step", 1, 1, nil},
+		{"full", 5, 3, nil},
+		{"ragged", 5, 4, []int{5, 1, 3, 2}},
+		// 9 sequences: two full 4-row tiles and a 1-row partial tile.
+		{"tiles", 3, 9, []int{3, 2, 1, 3, 3, 1, 2, 3, 2}},
+	} {
+		inputs := lstmInputs(tc.T*tc.n, 3, 8, 1234)
+		fv, fg := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return tp.LSTMSeq(weightsFrom(l), l[0], tc.lens, tc.T) })
+		uv, ug := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return unfusedSeq(tp, weightsFrom(l), l[0], tc.lens, tc.T) })
+		assertSame(t, tc.name, fv, uv, fg, ug)
+	}
+}
+
+// unfusedAttend is the scalar-node attention graph Attend replaced:
+// one SqDist, Scale and score node per item, a softmax per sequence and
+// a RowScale, reassembled into the time-major layout with zero padding.
+func unfusedAttend(tp *Tape, q, v *Node, coef []float64, lens []int, T int) *Node {
+	n := v.Value.Rows / T
+	zero := tp.Const(tensor.New(1, v.Value.Cols))
+	out := make([]*Node, T*n)
+	for r := 0; r < n; r++ {
+		L := seqLen(lens, r, T)
+		qr := tp.Row(q, r%q.Value.Rows)
+		items := make([]*Node, L)
+		scores := make([]*Node, L)
+		for s := 0; s < L; s++ {
+			items[s] = tp.Row(v, s*n+r)
+			scores[s] = tp.Scale(tp.SqDist(qr, items[s]), -coef[s*n+r])
+		}
+		weighted := tp.RowScale(tp.StackRows(items), tp.SoftmaxRow(tp.ConcatScalars(scores)))
+		for s := 0; s < T; s++ {
+			if s < L {
+				out[s*n+r] = tp.Row(weighted, s)
+			} else {
+				out[s*n+r] = zero
+			}
+		}
+	}
+	return tp.StackRows(out)
+}
+
+func attendCoef(rows int) []float64 {
+	coef := make([]float64, rows)
+	for i := range coef {
+		coef[i] = 0.2 + float64(i%5)*0.15
+	}
+	return coef
+}
+
+// TestGradAttend verifies the fused attention backward against finite
+// differences for the queries and the items, with shared queries (two
+// sequences per query) and ragged lengths including a one-item
+// sequence, whose softmax is constant.
+func TestGradAttend(t *testing.T) {
+	const T, n = 3, 4
+	inputs := []*tensor.Matrix{rnd(2, 5, 51), rnd(T*n, 5, 52)}
+	for name, lens := range map[string][]int{"full": nil, "ragged": {3, 1, 2, 3}} {
+		lens := lens
+		checkGrad(t, "Attend/"+name, inputs, func(tp *Tape, l []*Node) *Node {
+			return seqLoss(tp, tp.Attend(l[0], l[1], attendCoef(T*n), lens, T))
+		})
+	}
+}
+
+func TestAttendMatchesUnfused(t *testing.T) {
+	const T, n = 4, 6
+	lens := []int{4, 1, 3, 2, 4, 1}
+	inputs := []*tensor.Matrix{rnd(3, 5, 61), rnd(T*n, 5, 62)}
+	coef := attendCoef(T * n)
+	fv, fg := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return tp.Attend(l[0], l[1], coef, lens, T) })
+	uv, ug := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return unfusedAttend(tp, l[0], l[1], coef, lens, T) })
+	assertSame(t, "attend", fv, uv, fg, ug)
+	for r, L := range lens {
+		for s := L; s < T; s++ {
+			for _, x := range fv.Row(s*n + r) {
+				if x != 0 {
+					t.Fatalf("padding row (step %d, sequence %d) is not zero", s, r)
+				}
+			}
+		}
+	}
+}
+
+func TestSeqOpsRejectBadBatches(t *testing.T) {
+	for name, f := range map[string]func(tp *Tape, l []*Node){
+		"rows not a multiple of T": func(tp *Tape, l []*Node) { tp.LSTMSeq(weightsFrom(l), l[0], nil, 4) },
+		"wrong number of lengths":  func(tp *Tape, l []*Node) { tp.LSTMSeq(weightsFrom(l), l[0], []int{1}, 3) },
+		"zero length":              func(tp *Tape, l []*Node) { tp.LSTMSeq(weightsFrom(l), l[0], []int{0, 1}, 3) },
+		"length beyond T":          func(tp *Tape, l []*Node) { tp.LSTMSeq(weightsFrom(l), l[0], []int{4, 1}, 3) },
+		"coef too short":           func(tp *Tape, l []*Node) { tp.Attend(l[0], l[0], make([]float64, 5), nil, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			tp := New()
+			var leaves []*Node
+			for _, in := range lstmInputs(6, 2, 2, 5) {
+				leaves = append(leaves, tp.Const(in))
+			}
+			f(tp, leaves)
+		}()
 	}
 }
 

@@ -141,6 +141,9 @@ type Model struct {
 	neg    *sample.Negative
 	opt    *nn.Adam
 	rng    *rand.Rand
+
+	steps    int64    // optimizer steps taken over the model's lifetime
+	replicas []*Model // Workers > 1: one shadow per worker, built on first use
 }
 
 // NewModel validates cfg and initializes an untrained model over g. The
@@ -235,104 +238,196 @@ func incidentTimeSumsInto(dst []float64, w walk.Walk) []float64 {
 	return dst
 }
 
+// batch is the set of targets one tape aggregates together: the two
+// endpoints of a training edge and its negatives, or a single node at
+// inference. Targets are added in the order their walks and neighbor
+// samples are drawn from the RNG; aggregate then runs all of them
+// through each level of Algorithm 1 as one time-major batch (see
+// ag.LSTMSeq), so a level is one tape node instead of one per walk and
+// timestep.
+type batch struct {
+	targets []target
+	walked  []int // node ids of the targets aggregated through their walks
+
+	// Walks of the walked targets, target-major: with k walks of up to
+	// ℓ nodes, entry (j·k+i)·ℓ+p describes position p of walk i of
+	// walked[j], and entry j·k+i of lens and factor that walk.
+	ids    []int     // node at the position; −1 beyond the walk's end
+	coef   []float64 // its recency weight 1/(1+Σt), the Eq. 3 coefficient
+	lens   []int     // nodes in the walk
+	factor []float64 // the walk's Eq. 4 relevance factor (1/|r|)·Σ_v 1/(1+Σt)
+
+	sums []float64 // incidentTimeSumsInto scratch
+}
+
+// target is one aggregated node. A node without a usable history is
+// aggregated from sampled neighbors instead of walks (Section IV-D).
+type target struct {
+	id   int
+	slot int   // index into batch.walked; −1 for the neighborhood fallback
+	nbrs []int // fallback: sampled 1-hop and 2-hop neighbors
+}
+
+// addWalks draws the k temporal walks of x at tTarget and adds x as a
+// walked target.
+func (b *batch) addWalks(m *Model, x graph.NodeID, tTarget float64, rng *rand.Rand) {
+	// Walk buffers are pooled: the walks are reduced to ids and weights
+	// before this function returns, so the scratch can be recycled.
+	sc := walk.GetScratch()
+	defer walk.PutScratch(sc)
+	for _, w := range m.walker.WalksScratch(sc, x, tTarget, rng) {
+		b.sums = incidentTimeSumsInto(b.sums, w)
+		var f float64
+		for p := 0; p < m.cfg.Walk.WalkLen; p++ {
+			if p < len(w.Nodes) {
+				tw := timeWeight(b.sums[p])
+				f += tw
+				b.ids, b.coef = append(b.ids, int(w.Nodes[p])), append(b.coef, tw)
+			} else {
+				b.ids, b.coef = append(b.ids, -1), append(b.coef, 0)
+			}
+		}
+		b.lens = append(b.lens, len(w.Nodes))
+		b.factor = append(b.factor, f/float64(len(w.Nodes)))
+	}
+	b.targets = append(b.targets, target{id: int(x), slot: len(b.walked)})
+	b.walked = append(b.walked, int(x))
+}
+
+// addFallback samples u's neighborhood and adds u as a fallback target.
+func (b *batch) addFallback(m *Model, u graph.NodeID, rng *rand.Rand) {
+	b.targets = append(b.targets, target{id: int(u), slot: -1, nbrs: m.sampleTwoHop(u, rng)})
+}
+
+// addNegative adds a negative sample u: through its walks when u has
+// history at tTarget (the paper's rule), otherwise — or always, under
+// CheapNegatives — through the neighborhood-mean fallback.
+func (b *batch) addNegative(m *Model, u graph.NodeID, tTarget float64, rng *rand.Rand) {
+	if !m.cfg.CheapNegatives && m.g.DegreeBefore(u, tTarget) > 0 {
+		b.addWalks(m, u, tTarget, rng)
+	} else {
+		b.addFallback(m, u, rng)
+	}
+}
+
 // Aggregate builds the aggregated embedding z_x (Algorithm 1) for target
 // node x at target time tTarget on the given tape. The returned node is a
 // 1×Dim L2-normalized row. Gradients flow into the embedding table and all
 // network parameters when the tape is run backward.
 func (m *Model) Aggregate(tp *ag.Tape, x graph.NodeID, tTarget float64, rng *rand.Rand) *ag.Node {
-	// Walk buffers are pooled: the walks are fully consumed (embedding
-	// rows copied onto the tape, time sums reduced) before this
-	// function returns, so the scratch can be recycled on exit.
-	sc := walk.GetScratch()
-	defer walk.PutScratch(sc)
-	walks := m.walker.WalksScratch(sc, x, tTarget, rng)
-	ex := m.emb.LookupOne(tp, int(x))
-	if m.cfg.SingleLevel {
-		return m.aggregateSingleLevel(tp, ex, walks)
-	}
-
-	// First level: node attention + LSTM per walk (lines 1–4).
-	hs := make([]*ag.Node, len(walks))
-	walkFactors := make([]float64, len(walks))
-	var sums []float64 // per-walk scratch, reused across iterations
-	for i, w := range walks {
-		evs := m.emb.Lookup(tp, nodeInts(w.Nodes))
-		sums = incidentTimeSumsInto(sums, w)
-		var seq *ag.Node
-		if m.cfg.DisableAttention || len(w.Nodes) == 1 {
-			seq = evs
-		} else {
-			scores := make([]*ag.Node, len(w.Nodes))
-			for j := range w.Nodes {
-				d2 := tp.SqDist(ex, tp.Row(evs, j))
-				scores[j] = tp.Scale(d2, -timeWeight(sums[j]))
-			}
-			alpha := tp.SoftmaxRow(tp.ConcatScalars(scores))
-			seq = tp.RowScale(evs, alpha)
-		}
-		h := tp.ReLU(m.nNorm.Forward(tp, m.node.Forward(tp, seq)))
-		hs[i] = h
-		// Per-walk relevance factor of Eq. 4: (1/|r|)·Σ_v 1/(1+Σt).
-		var f float64
-		for _, s := range sums {
-			f += timeWeight(s)
-		}
-		walkFactors[i] = f / float64(len(w.Nodes))
-	}
-
-	// Second level: walk attention + LSTM (lines 5–6).
-	var stacked *ag.Node
-	if m.cfg.DisableAttention || len(hs) == 1 {
-		stacked = tp.StackRows(hs)
-	} else {
-		scores := make([]*ag.Node, len(hs))
-		for i, h := range hs {
-			d2 := tp.SqDist(ex, h)
-			scores[i] = tp.Scale(d2, -walkFactors[i])
-		}
-		beta := tp.SoftmaxRow(tp.ConcatScalars(scores))
-		stacked = tp.RowScale(tp.StackRows(hs), beta)
-	}
-	H := m.wNorm.Forward(tp, m.walkL.Forward(tp, stacked))
-	return m.readout(tp, H, ex)
-}
-
-// aggregateSingleLevel implements the EHNA-SL ablation: all walks are
-// flattened into one sequence consumed by a single single-layer LSTM, with
-// no attention and no second aggregation stage.
-func (m *Model) aggregateSingleLevel(tp *ag.Tape, ex *ag.Node, walks []walk.Walk) *ag.Node {
-	var ids []int
-	for _, w := range walks {
-		ids = append(ids, nodeInts(w.Nodes)...)
-	}
-	if len(ids) == 0 {
-		ids = []int{0}
-	}
-	seq := m.emb.Lookup(tp, ids)
-	H := m.nNorm.Forward(tp, m.node.Forward(tp, seq))
-	return m.readout(tp, H, ex)
-}
-
-// readout applies lines 7–8 of Algorithm 1: z = normalize(W·[H ‖ e_x]).
-func (m *Model) readout(tp *ag.Tape, H, ex *ag.Node) *ag.Node {
-	cat := tp.ConcatCols(H, ex)
-	z := tp.MatMul(cat, m.proj.Node(tp))
-	return tp.L2NormalizeRow(z)
+	var b batch
+	b.addWalks(m, x, tTarget, rng)
+	return m.aggregate(tp, &b)[0]
 }
 
 // AggregateFallback is the GraphSAGE-style aggregation for nodes without a
 // usable historical neighborhood (Section IV-D): the mean embedding of
 // sampled 1-hop and 2-hop neighbors replaces the walk-derived H.
 func (m *Model) AggregateFallback(tp *ag.Tape, u graph.NodeID, rng *rand.Rand) *ag.Node {
-	eu := m.emb.LookupOne(tp, int(u))
-	ids := m.sampleTwoHop(u, rng)
-	var H *ag.Node
-	if len(ids) == 0 {
-		H = eu // isolated node: self-aggregation
-	} else {
-		H = tp.MeanRows(m.emb.Lookup(tp, ids))
+	var b batch
+	b.addFallback(m, u, rng)
+	return m.aggregate(tp, &b)[0]
+}
+
+// aggregate records the aggregation of every target of b and returns
+// their readouts z (1×Dim each) in the order the targets were added.
+func (m *Model) aggregate(tp *ag.Tape, b *batch) []*ag.Node {
+	zs := make([]*ag.Node, len(b.targets))
+	var z *ag.Node
+	if len(b.walked) > 0 {
+		ex := m.emb.Lookup(tp, b.walked)
+		if m.cfg.SingleLevel {
+			z = m.readout(tp, m.singleLevel(tp, b), ex)
+		} else {
+			z = m.readout(tp, m.twoLevel(tp, b, ex), ex)
+		}
 	}
-	return m.readout(tp, H, eu)
+	for i, t := range b.targets {
+		if t.slot >= 0 {
+			zs[i] = tp.Row(z, t.slot)
+			continue
+		}
+		eu := m.emb.Lookup(tp, []int{t.id})
+		H := eu // isolated node: self-aggregation
+		if len(t.nbrs) > 0 {
+			H = tp.MeanRows(m.emb.Lookup(tp, t.nbrs))
+		}
+		zs[i] = m.readout(tp, H, eu)
+	}
+	return zs
+}
+
+// twoLevel runs both aggregation levels for the walked targets of b and
+// returns H, one row per target. With nt targets of k walks each, the
+// node level is a batch of k·nt sequences ordered walk-major (sequence
+// i·nt+j is walk i of target j), so that its n×d result, read as k steps
+// of nt sequences, already is the walk level's time-major input.
+func (m *Model) twoLevel(tp *ag.Tape, b *batch, ex *ag.Node) *ag.Node {
+	nt, k, ell := len(b.walked), m.cfg.Walk.NumWalks, m.cfg.Walk.WalkLen
+	n := k * nt
+	T := 0
+	for _, l := range b.lens {
+		T = max(T, l)
+	}
+	ids, coef := make([]int, T*n), make([]float64, T*n)
+	lens, factor := make([]int, n), make([]float64, n)
+	for j := 0; j < nt; j++ {
+		for i := 0; i < k; i++ {
+			r, src := i*nt+j, j*k+i
+			lens[r], factor[r] = b.lens[src], b.factor[src]
+			for p := 0; p < T; p++ {
+				ids[p*n+r], coef[p*n+r] = b.ids[src*ell+p], b.coef[src*ell+p]
+			}
+		}
+	}
+
+	// First level: node attention + LSTM per walk (lines 1–4).
+	x := m.emb.Lookup(tp, ids)
+	if !m.cfg.DisableAttention {
+		x = tp.Attend(ex, x, coef, lens, T)
+	}
+	h := tp.ReLU(m.nNorm.Forward(tp, m.node.ForwardBatch(tp, x, lens, T)))
+
+	// Second level: walk attention + LSTM (lines 5–6).
+	if !m.cfg.DisableAttention {
+		h = tp.Attend(ex, h, factor, nil, k)
+	}
+	return m.wNorm.Forward(tp, m.walkL.ForwardBatch(tp, h, nil, k))
+}
+
+// singleLevel implements the EHNA-SL ablation: each target's walks are
+// flattened into one sequence consumed by a single single-layer LSTM,
+// with no attention and no second aggregation stage.
+func (m *Model) singleLevel(tp *ag.Tape, b *batch) *ag.Node {
+	nt, k, ell := len(b.walked), m.cfg.Walk.NumWalks, m.cfg.Walk.WalkLen
+	lens := make([]int, nt)
+	T := 0
+	for j := range lens {
+		for _, l := range b.lens[j*k : (j+1)*k] {
+			lens[j] += l
+		}
+		T = max(T, lens[j])
+	}
+	ids := make([]int, T*nt)
+	for j := 0; j < nt; j++ {
+		p := 0
+		for i := j * k; i < (j+1)*k; i++ {
+			for _, id := range b.ids[i*ell : i*ell+b.lens[i]] {
+				ids[p*nt+j] = id
+				p++
+			}
+		}
+		for ; p < T; p++ {
+			ids[p*nt+j] = -1
+		}
+	}
+	return m.nNorm.Forward(tp, m.node.ForwardBatch(tp, m.emb.Lookup(tp, ids), lens, T))
+}
+
+// readout applies lines 7–8 of Algorithm 1 to every row:
+// z = normalize(W·[H ‖ e_x]).
+func (m *Model) readout(tp *ag.Tape, H, ex *ag.Node) *ag.Node {
+	return tp.L2NormalizeRows(tp.MatMul(tp.ConcatCols(H, ex), m.proj.Node(tp)))
 }
 
 // sampleTwoHop draws up to FallbackSamples 1-hop and FallbackSamples 2-hop
@@ -355,39 +450,35 @@ func (m *Model) sampleTwoHop(u graph.NodeID, rng *rand.Rand) []int {
 	return ids
 }
 
-// negEmbedding returns z_u for a negative sample u: the full walk-based
-// aggregation when u has history at tTarget (the paper's rule), otherwise
-// — or always, under CheapNegatives — the neighborhood-mean fallback.
-func (m *Model) negEmbedding(tp *ag.Tape, u graph.NodeID, tTarget float64, rng *rand.Rand) *ag.Node {
-	if !m.cfg.CheapNegatives && m.g.DegreeBefore(u, tTarget) > 0 {
-		return m.Aggregate(tp, u, tTarget, rng)
-	}
-	return m.AggregateFallback(tp, u, rng)
-}
-
 // EdgeLoss builds the hinge loss of Eq. 6 (or Eq. 7 when Bidirectional)
-// for a single positive edge on the tape and returns the scalar node.
+// for a single positive edge on the tape and returns the scalar node. All
+// walks, negatives and neighbor samples are drawn first, in the order the
+// loss reads them, and the targets are then aggregated as one batch.
 func (m *Model) EdgeLoss(tp *ag.Tape, e graph.Edge, rng *rand.Rand) *ag.Node {
-	zx := m.Aggregate(tp, e.U, e.Time, rng)
-	zy := m.Aggregate(tp, e.V, e.Time, rng)
-	pos := tp.SqDist(zx, zy)
+	negs := m.cfg.Negatives
+	if m.cfg.Bidirectional {
+		negs *= 2
+	}
+	var b batch
+	b.addWalks(m, e.U, e.Time, rng)
+	b.addWalks(m, e.V, e.Time, rng)
+	for q := 0; q < negs; q++ {
+		b.addNegative(m, m.neg.Draw(rng, e.U, e.V), e.Time, rng)
+	}
+	z := m.aggregate(tp, &b)
+
+	pos := tp.SqDist(z[0], z[1])
 	var loss *ag.Node
-	addHinge := func(anchor *ag.Node) {
-		u := m.neg.Draw(rng, e.U, e.V)
-		zu := m.negEmbedding(tp, u, e.Time, rng)
+	for q, zu := range z[2:] {
+		anchor := z[0]
+		if q >= m.cfg.Negatives {
+			anchor = z[1] // Eq. 7: the second half is sampled against y
+		}
 		h := tp.Hinge(m.cfg.Margin, pos, tp.SqDist(anchor, zu))
 		if loss == nil {
 			loss = h
 		} else {
 			loss = tp.Add(loss, h)
-		}
-	}
-	for q := 0; q < m.cfg.Negatives; q++ {
-		addHinge(zx)
-	}
-	if m.cfg.Bidirectional {
-		for q := 0; q < m.cfg.Negatives; q++ {
-			addHinge(zy)
 		}
 	}
 	return loss
@@ -423,87 +514,78 @@ func (m *Model) shadow() *Model {
 	return w
 }
 
+// trainEdge records e's loss on tp, back-propagates it scaled by inv (the
+// reciprocal batch size) and returns its value.
+func (m *Model) trainEdge(tp *ag.Tape, e graph.Edge, inv float64, rng *rand.Rand) float64 {
+	tp.Reset()
+	loss := m.EdgeLoss(tp, e, rng)
+	tp.Backward(tp.Scale(loss, inv))
+	return ag.Value(loss)
+}
+
 // TrainEpoch performs one pass over the chronological edge stream in
 // mini-batches and returns the mean per-edge loss. With cfg.Workers > 1
 // each batch is processed by shadow replicas in parallel and their
 // gradients merged before the optimizer step.
 func (m *Model) TrainEpoch() float64 {
 	edges := m.g.Edges()
-	workers := m.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var replicas []*Model
-	for i := 0; i < workers; i++ {
-		replicas = append(replicas, m.shadow())
+	workers := max(m.cfg.Workers, 1)
+	// One arena per worker for the whole epoch, rewound for every edge
+	// and released with the epoch.
+	tapes := make([]*ag.Tape, workers)
+	for w := range tapes {
+		tapes[w] = ag.New()
 	}
 	var total float64
-	var count int
-	batchNo := 0
 	for lo := 0; lo < len(edges); lo += m.cfg.BatchSize {
-		hi := lo + m.cfg.BatchSize
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		batch := edges[lo:hi]
+		mb := edges[lo:min(lo+m.cfg.BatchSize, len(edges))] // the mini-batch
 		m.params.ZeroGrad()
 		m.emb.ZeroGrad()
-		inv := 1 / float64(len(batch))
+		inv := 1 / float64(len(mb))
 
-		if workers == 1 || len(batch) < 2*workers {
-			for _, e := range batch {
-				tp := ag.New()
-				loss := m.EdgeLoss(tp, e, m.rng)
-				tp.Backward(tp.Scale(loss, inv))
-				total += ag.Value(loss)
-				count++
+		if workers == 1 || len(mb) < 2*workers {
+			for _, e := range mb {
+				total += m.trainEdge(tapes[0], e, inv, m.rng)
 			}
 		} else {
+			for len(m.replicas) < workers {
+				m.replicas = append(m.replicas, m.shadow())
+			}
 			losses := make([]float64, workers)
 			var wg sync.WaitGroup
-			chunk := (len(batch) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				wlo := w * chunk
-				whi := wlo + chunk
-				if whi > len(batch) {
-					whi = len(batch)
-				}
-				if wlo >= whi {
-					continue
-				}
+			chunk := (len(mb) + workers - 1) / workers
+			for w := 0; w*chunk < len(mb); w++ {
 				wg.Add(1)
-				go func(w, wlo, whi int) {
+				go func(w int) {
 					defer wg.Done()
-					rep := replicas[w]
-					rng := rand.New(rand.NewSource(m.cfg.Seed + int64(batchNo)*131 + int64(w)*7 + 3))
-					for _, e := range batch[wlo:whi] {
-						tp := ag.New()
-						loss := rep.EdgeLoss(tp, e, rng)
-						tp.Backward(tp.Scale(loss, inv))
-						losses[w] += ag.Value(loss)
+					// One stream per (optimizer step, worker) over the
+					// model's lifetime: no two share a seed, within an
+					// epoch or across epochs.
+					rng := rand.New(rand.NewSource(m.cfg.Seed + 3 + m.steps*int64(workers) + int64(w)))
+					for _, e := range mb[w*chunk : min((w+1)*chunk, len(mb))] {
+						losses[w] += m.replicas[w].trainEdge(tapes[w], e, inv, rng)
 					}
-				}(w, wlo, whi)
+				}(w)
 			}
 			wg.Wait()
-			for w, rep := range replicas {
+			for w, rep := range m.replicas {
 				nn.MergeGradsInto(&m.params, &rep.params)
 				rep.params.ZeroGrad()
 				rep.emb.MergeGradsInto(m.emb)
 				total += losses[w]
 			}
-			count += len(batch)
 		}
 		if m.cfg.ClipNorm > 0 {
 			m.params.ClipGradNorm(m.cfg.ClipNorm)
 		}
 		m.opt.Step(&m.params)
 		m.emb.Step(m.cfg.EmbLR)
-		batchNo++
+		m.steps++
 	}
-	if count == 0 {
+	if len(edges) == 0 {
 		return 0
 	}
-	return total / float64(count)
+	return total / float64(len(edges))
 }
 
 // Train runs cfg.Epochs training epochs and returns the per-epoch losses.
@@ -522,9 +604,10 @@ func (m *Model) Train() []float64 {
 func (m *Model) InferAll() *tensor.Matrix {
 	out := tensor.New(m.g.NumNodes(), m.cfg.Dim)
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 7919))
+	tp := ag.NewNoGrad()
 	for v := 0; v < m.g.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		tp := ag.New()
+		tp.Reset()
 		var z *ag.Node
 		if adj := m.g.Neighbors(id); len(adj) > 0 {
 			tRecent := adj[len(adj)-1].Time
@@ -534,19 +617,9 @@ func (m *Model) InferAll() *tensor.Matrix {
 		}
 		out.SetRow(v, z.Value.Data)
 	}
-	// Inference must not leave stray gradient state behind.
-	m.emb.ZeroGrad()
 	return out
 }
 
 // RawEmbeddings exposes the current embedding table (pre-readout), mainly
 // for tests and diagnostics.
 func (m *Model) RawEmbeddings() *tensor.Matrix { return m.emb.W }
-
-func nodeInts(ns []graph.NodeID) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = int(n)
-	}
-	return out
-}

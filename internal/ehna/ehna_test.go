@@ -561,3 +561,123 @@ func TestEvalLossDeterministicAndDecreases(t *testing.T) {
 		t.Fatal("empty edge list must give 0")
 	}
 }
+
+// frozenParallelConfig trains in parallel with learning rates so small
+// that no weight or embedding changes by even one ulp: the loss of an
+// epoch is then a function of the walks and negatives it drew alone.
+func frozenParallelConfig() Config {
+	cfg := smallConfig()
+	cfg.Workers = 2
+	cfg.LR, cfg.EmbLR = 1e-300, 1e-300
+	return cfg
+}
+
+// TestParallelEpochsDrawDifferentSamples is the regression test for the
+// worker seeds: they used to be derived from the batch index within the
+// epoch, so every epoch replayed the walks and negatives of the first.
+func TestParallelEpochsDrawDifferentSamples(t *testing.T) {
+	g := twoCommunityGraph(t)
+	m, err := NewModel(g, frozenParallelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := m.RawEmbeddings().Clone()
+	first, second := m.TrainEpoch(), m.TrainEpoch()
+	if !tensor.Equal(before, m.RawEmbeddings(), 0) {
+		t.Fatal("the model moved; the epochs are not comparable")
+	}
+	if first == second {
+		t.Fatalf("two consecutive parallel epochs drew the same samples (loss %.17g twice)", first)
+	}
+	// A second model of the same seed must still reproduce the first.
+	m2, err := NewModel(g, frozenParallelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := m2.TrainEpoch(); again != first {
+		t.Fatalf("parallel training is not reproducible per seed: %.17g vs %.17g", again, first)
+	}
+}
+
+// TestReplicasBuiltOncePerModelOnParallelPathOnly checks that serial
+// training builds no shadow replica and that parallel training builds
+// one per worker and keeps them across epochs.
+func TestReplicasBuiltOncePerModelOnParallelPathOnly(t *testing.T) {
+	g := twoCommunityGraph(t)
+	serial, err := NewModel(g, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial.TrainEpoch()
+	if len(serial.replicas) != 0 {
+		t.Fatalf("serial training built %d replicas", len(serial.replicas))
+	}
+	par, err := NewModel(g, frozenParallelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	par.TrainEpoch()
+	if len(par.replicas) != 2 {
+		t.Fatalf("parallel training built %d replicas, want 2", len(par.replicas))
+	}
+	kept := append([]*Model(nil), par.replicas...)
+	par.TrainEpoch()
+	for w, rep := range par.replicas {
+		if rep != kept[w] {
+			t.Fatalf("replica %d was rebuilt in the second epoch", w)
+		}
+	}
+}
+
+// TestEvalAndInferLeaveNoGradient checks that the forward-only passes
+// deliver nothing to the parameter or embedding gradients.
+func TestEvalAndInferLeaveNoGradient(t *testing.T) {
+	g := twoCommunityGraph(t)
+	m, err := NewModel(g, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EvalLoss(g.Edges())
+	m.InferAll()
+	if m.emb.TouchedRows() != 0 || m.params.GradNorm() != 0 {
+		t.Fatalf("forward-only passes left gradient: %d embedding rows, parameter norm %g",
+			m.emb.TouchedRows(), m.params.GradNorm())
+	}
+}
+
+// TestEdgeLossAllocBudget pins the allocations of one steady-state
+// training step at the default configuration (k=10, ℓ=10, Q=5): with
+// the tape reused, what is left is the batch's index slices, one
+// closure per recorded node and the embedding rows touched for the
+// first time — about a hundred, where the per-walk tape allocated
+// 67,000. The budget leaves room for a few more nodes, not for a
+// per-walk or per-timestep allocation (70 walks, 700 timesteps).
+func TestEdgeLossAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	g := graph.NewTemporal(40)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		if u, v := graph.NodeID(rng.Intn(40)), graph.NodeID(rng.Intn(40)); u != v {
+			_ = g.AddEdge(u, v, 1, rng.Float64())
+		}
+	}
+	g.Build()
+	m, err := NewModel(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := g.Edges()[150]
+	tp := ag.New()
+	step := func() {
+		m.emb.ZeroGrad()
+		m.trainEdge(tp, e, 1, m.rng)
+	}
+	step() // grow the arena
+	step() // coalesce it
+	const budget = 160
+	if allocs := testing.AllocsPerRun(10, step); allocs > budget {
+		t.Fatalf("EdgeLoss+Backward allocated %v times per edge, budget %d", allocs, budget)
+	}
+}

@@ -54,13 +54,11 @@ func (m *Model) EvalLoss(edges []graph.Edge) float64 {
 		return 0
 	}
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 104729))
+	tp := ag.NewNoGrad()
 	var total float64
 	for _, e := range edges {
-		tp := ag.New()
+		tp.Reset()
 		total += ag.Value(m.EdgeLoss(tp, e, rng))
 	}
-	// EdgeLoss builds leaves over the embedding table; no Backward was
-	// called so no gradient accumulated, but clear defensively.
-	m.emb.ZeroGrad()
 	return total / float64(len(edges))
 }

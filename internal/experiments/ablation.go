@@ -71,7 +71,8 @@ func RunAblation(s Settings, datasets []datagen.Dataset) (*AblationResult, error
 
 // RunAblationCheapNegatives evaluates the F1 (Weighted-L2) of EHNA with
 // negatives aggregated faithfully vs through the cheap fallback — the
-// negative-aggregation design ablation recorded in DESIGN.md.
+// negative-aggregation design ablation recorded in the README
+// ("Departures from the paper").
 func RunAblationCheapNegatives(s Settings, dataset datagen.Dataset, cheap bool) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err

@@ -144,19 +144,7 @@ func (c *LSTMCell) Register(ps *Params) {
 	ps.Add(c.Wi, c.Ui, c.Bi, c.Wf, c.Uf, c.Bf, c.Wo, c.Uo, c.Bo, c.Wg, c.Ug, c.Bg)
 }
 
-// State is the (h, c) pair carried across timesteps.
-type State struct {
-	H, C *ag.Node
-}
-
-// InitState returns a zero state for batch size n on the tape.
-func (c *LSTMCell) InitState(tp *ag.Tape, n int) State {
-	return State{H: tp.Const(tensor.New(n, c.Hidden)), C: tp.Const(tensor.New(n, c.Hidden))}
-}
-
-// Weights records the cell's twelve gate parameters on the tape once,
-// so a sequence of StepW calls shares the leaf nodes instead of
-// re-binding every parameter at every timestep.
+// Weights records the cell's twelve gate parameters on the tape.
 func (c *LSTMCell) Weights(tp *ag.Tape) ag.LSTMWeights {
 	return ag.LSTMWeights{
 		Wi: c.Wi.Node(tp), Ui: c.Ui.Node(tp), Bi: c.Bi.Node(tp),
@@ -166,17 +154,11 @@ func (c *LSTMCell) Weights(tp *ag.Tape) ag.LSTMWeights {
 	}
 }
 
-// Step advances the cell by one timestep with input x (n×in) through
-// the fused ag.LSTMStep kernel.
-func (c *LSTMCell) Step(tp *ag.Tape, x *ag.Node, s State) State {
-	return c.StepW(tp, c.Weights(tp), x, s)
-}
-
-// StepW is Step with pre-bound weight nodes (see Weights); sequence
-// loops use it to avoid re-recording the parameters each timestep.
-func (c *LSTMCell) StepW(tp *ag.Tape, w ag.LSTMWeights, x *ag.Node, s State) State {
-	hNew, cNew := tp.LSTMStep(w, x, s.H, s.C)
-	return State{H: hNew, C: cNew}
+// Forward runs the layer from a zero state over a time-major batch of
+// ragged sequences (see ag.LSTMSeq for the layout) and returns every
+// step's hidden state in the same layout.
+func (c *LSTMCell) Forward(tp *ag.Tape, x *ag.Node, lens []int, T int) *ag.Node {
+	return tp.LSTMSeq(c.Weights(tp), x, lens, T)
 }
 
 // StackedLSTM is a multi-layer LSTM (the paper uses 2 layers). The input of
@@ -212,25 +194,23 @@ func (s *StackedLSTM) Register(ps *Params) {
 // Forward consumes seq (T×in, one row per timestep, batch size 1) and
 // returns the top layer's final hidden state (1×hidden).
 func (s *StackedLSTM) Forward(tp *ag.Tape, seq *ag.Node) *ag.Node {
-	T := seq.Value.Rows
-	if T == 0 {
+	if seq.Value.Rows == 0 {
 		panic("nn: StackedLSTM on empty sequence")
 	}
-	inputs := make([]*ag.Node, T)
-	for t := 0; t < T; t++ {
-		inputs[t] = tp.Row(seq, t)
-	}
+	return s.ForwardBatch(tp, seq, nil, seq.Value.Rows)
+}
+
+// ForwardBatch consumes a time-major batch of n sequences of up to T
+// steps (x is (T·n)×in, row t·n+r being step t of sequence r, which has
+// lens[r] real steps; nil lens means all have T) and returns the top
+// layer's final hidden state of every sequence (n×hidden). Each layer
+// is one tape node.
+func (s *StackedLSTM) ForwardBatch(tp *ag.Tape, x *ag.Node, lens []int, T int) *ag.Node {
 	for _, cell := range s.Cells {
-		w := cell.Weights(tp)
-		st := cell.InitState(tp, 1)
-		outs := make([]*ag.Node, T)
-		for t := 0; t < T; t++ {
-			st = cell.StepW(tp, w, inputs[t], st)
-			outs[t] = st.H
-		}
-		inputs = outs
+		x = cell.Forward(tp, x, lens, T)
 	}
-	return inputs[T-1]
+	n := x.Value.Rows / T
+	return tp.Rows(x, (T-1)*n, T*n)
 }
 
 // Norm is a normalization layer with learned gain and bias. The paper
@@ -238,7 +218,8 @@ func (s *StackedLSTM) Forward(tp *ag.Tape, seq *ag.Node) *ag.Node {
 // aggregation graph has batch dimension 1 per target node, we normalize
 // across features (layer normalization), which preserves the role of the
 // paper's BN (re-centering/re-scaling with trainable affine) and is
-// well-defined for single samples. Recorded as a substitution in DESIGN.md.
+// well-defined for single samples. Recorded as a substitution in the
+// README ("Departures from the paper").
 type Norm struct {
 	Gain, Bias *Param
 	eps        float64
@@ -286,28 +267,22 @@ func (e *Embedding) Dim() int { return e.W.Cols }
 // Len returns the number of rows (vocabulary size).
 func (e *Embedding) Len() int { return e.W.Rows }
 
-// Lookup binds rows idx of the table onto the tape as a len(idx)×d node.
-// Gradients are scattered into per-row accumulators.
+// Lookup binds rows idx of the table onto the tape as a len(idx)×d node;
+// a negative index is padding and reads as a zero row. Gradients are
+// scattered into per-row accumulators.
 func (e *Embedding) Lookup(tp *ag.Tape, idx []int) *ag.Node {
-	v := tensor.New(len(idx), e.W.Cols)
-	for i, id := range idx {
-		copy(v.Row(i), e.W.Row(id))
-	}
-	return tp.LeafFunc(v, func(grad *tensor.Matrix) {
-		for i, id := range idx {
-			acc := e.grads[id]
-			if acc == nil {
-				acc = make([]float64, e.W.Cols)
-				e.grads[id] = acc
-			}
-			vecmath.Add(acc, grad.Row(i))
-		}
-	})
+	return tp.Gather(e.W, idx, e)
 }
 
-// LookupOne binds a single row as a 1×d node.
-func (e *Embedding) LookupOne(tp *ag.Tape, id int) *ag.Node {
-	return e.Lookup(tp, []int{id})
+// AddRowGrad adds g to the accumulated gradient of row id; it is the
+// ag.RowSink a Lookup delivers its gradient through.
+func (e *Embedding) AddRowGrad(id int, g []float64) {
+	acc := e.grads[id]
+	if acc == nil {
+		acc = make([]float64, e.W.Cols)
+		e.grads[id] = acc
+	}
+	vecmath.Add(acc, g)
 }
 
 // Step applies plain SGD to the touched rows and clears the accumulators.
@@ -327,6 +302,10 @@ func (e *Embedding) ZeroGrad() {
 
 // TouchedRows returns how many rows currently hold gradient (test hook).
 func (e *Embedding) TouchedRows() int { return len(e.grads) }
+
+// RowGrad returns the gradient accumulated for row id, nil if the row
+// is untouched (test hook).
+func (e *Embedding) RowGrad(id int) []float64 { return e.grads[id] }
 
 // SGD is stochastic gradient descent with optional weight decay.
 type SGD struct {
@@ -418,12 +397,7 @@ func (e *Embedding) Shadow() *Embedding {
 // MergeGradsInto adds e's accumulated row gradients into dst and clears e.
 func (e *Embedding) MergeGradsInto(dst *Embedding) {
 	for id, g := range e.grads {
-		acc := dst.grads[id]
-		if acc == nil {
-			acc = make([]float64, dst.W.Cols)
-			dst.grads[id] = acc
-		}
-		vecmath.Add(acc, g)
+		dst.AddRowGrad(id, g)
 	}
 	e.ZeroGrad()
 }

@@ -144,18 +144,23 @@ func TestDenseGradCheck(t *testing.T) {
 	})
 }
 
-func TestLSTMCellStepShapes(t *testing.T) {
+func TestLSTMCellForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := NewLSTMCell("lstm", 4, 3, rng)
 	tp := ag.New()
-	st := c.InitState(tp, 1)
-	x := tp.Const(tensor.Randn(1, 4, 1, rng))
-	st = c.Step(tp, x, st)
-	if st.H.Value.Cols != 3 || st.C.Value.Cols != 3 {
-		t.Fatalf("state dims H %d C %d", st.H.Value.Cols, st.C.Value.Cols)
+	// Two steps of a batch of three sequences.
+	hs := c.Forward(tp, tp.Const(tensor.Randn(6, 4, 1, rng)), []int{2, 1, 2}, 2)
+	if hs.Value.Rows != 6 || hs.Value.Cols != 3 {
+		t.Fatalf("hidden sequence %dx%d, want 6x3", hs.Value.Rows, hs.Value.Cols)
+	}
+	// The one-step sequence carries its state through its padding step.
+	for j, v := range hs.Value.Row(1) {
+		if hs.Value.Row(4)[j] != v {
+			t.Fatal("padding step changed the hidden state")
+		}
 	}
 	// Hidden values must lie in (−1, 1): o·tanh(c).
-	for _, v := range st.H.Value.Data {
+	for _, v := range hs.Value.Data {
 		if v <= -1 || v >= 1 {
 			t.Fatalf("hidden out of range: %g", v)
 		}
@@ -180,13 +185,8 @@ func TestLSTMCellGradCheck(t *testing.T) {
 	seq := tensor.Randn(3, 3, 1, rng)
 	layerGradCheck(t, &ps, func() float64 {
 		tp := ag.New()
-		st := c.InitState(tp, 1)
-		for i := 0; i < seq.Rows; i++ {
-			row := tensor.New(1, seq.Cols)
-			copy(row.Data, seq.Row(i))
-			st = c.Step(tp, tp.Const(row), st)
-		}
-		out := tp.SumSquares(st.H)
+		hs := c.Forward(tp, tp.Const(seq), nil, seq.Rows)
+		out := tp.SumSquares(tp.Row(hs, seq.Rows-1))
 		tp.Backward(out)
 		return ag.Value(out)
 	})
@@ -221,6 +221,52 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 		tp.Backward(out)
 		return ag.Value(out)
 	})
+}
+
+// TestStackedLSTMBatchMatchesPerSequence runs a ragged batch through
+// ForwardBatch and each of its sequences alone through Forward: final
+// states and, with one loss over all of them, every parameter gradient
+// must agree.
+func TestStackedLSTMBatchMatchesPerSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	s := NewStackedLSTM("s", 3, 4, 2, rng)
+	var ps Params
+	s.Register(&ps)
+	const T = 4
+	lens := []int{4, 1, 3}
+	n := len(lens)
+	seqs := make([]*tensor.Matrix, n)
+	batch := tensor.New(T*n, 3) // padding rows stay zero
+	for r, L := range lens {
+		seqs[r] = tensor.Randn(L, 3, 1, rng)
+		for step := 0; step < L; step++ {
+			batch.SetRow(step*n+r, seqs[r].Row(step))
+		}
+	}
+
+	ps.ZeroGrad()
+	tp := ag.New()
+	hb := s.ForwardBatch(tp, tp.Const(batch), lens, T)
+	tp.Backward(tp.SumSquares(hb))
+	batched := cloneGrads(&ps)
+
+	ps.ZeroGrad()
+	tp = ag.New()
+	finals := make([]*ag.Node, n)
+	for r := range seqs {
+		finals[r] = s.Forward(tp, tp.Const(seqs[r]))
+	}
+	hs := tp.StackRows(finals)
+	tp.Backward(tp.SumSquares(hs))
+
+	if !tensor.Equal(hb.Value, hs.Value, 1e-12) {
+		t.Fatalf("batched finals %v != per-sequence %v", hb.Value, hs.Value)
+	}
+	for i, p := range ps.List() {
+		if !tensor.Equal(batched[i], p.G, 1e-10) {
+			t.Fatalf("param %s: batched gradient differs from per-sequence", p.Name)
+		}
+	}
 }
 
 func TestStackedLSTMEmptySeqPanics(t *testing.T) {

@@ -189,6 +189,31 @@ func MatMulBTransposed(a, b *Matrix) *Matrix {
 	return out
 }
 
+// AddMatMul computes out += a·b through the register-blocked product of
+// internal/vecmath, without allocating. out must not alias a or b.
+func AddMatMul(out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: AddMatMul %dx%d += %dx%d · %dx%d", out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	vecmath.GemmNN(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Rows, out.Cols, a.Cols)
+}
+
+// AddMatMulAT computes out += aᵀ·b where a is given untransposed.
+func AddMatMulAT(out, a, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: AddMatMulAT %dx%d += (%dx%d)ᵀ · %dx%d", out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	vecmath.GemmTN(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Rows, out.Cols, a.Rows)
+}
+
+// AddMatMulBT computes out += a·bᵀ where b is given untransposed.
+func AddMatMulBT(out, a, b *Matrix) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: AddMatMulBT %dx%d += %dx%d · (%dx%d)ᵀ", out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	vecmath.GemmNT(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Rows, out.Cols, a.Cols)
+}
+
 // Transpose returns mᵀ.
 func Transpose(m *Matrix) *Matrix {
 	out := New(m.Cols, m.Rows)

@@ -113,6 +113,42 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	}
 }
 
+// TestAddMatMulVariants checks the three accumulating products against
+// the allocating ones, on a non-zero accumulator, and their shape checks.
+func TestAddMatMulVariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b, bt, at := Randn(5, 7, 1, rng), Randn(7, 9, 1, rng), Randn(9, 7, 1, rng), Randn(7, 5, 1, rng)
+	seed := Randn(5, 9, 1, rng)
+	for name, tc := range map[string]struct {
+		run  func(out *Matrix)
+		want *Matrix
+	}{
+		"AddMatMul":   {func(out *Matrix) { AddMatMul(out, a, b) }, MatMul(a, b)},
+		"AddMatMulAT": {func(out *Matrix) { AddMatMulAT(out, at, b) }, MatMulATransposed(at, b)},
+		"AddMatMulBT": {func(out *Matrix) { AddMatMulBT(out, a, bt) }, MatMulBTransposed(a, bt)},
+	} {
+		out := seed.Clone()
+		tc.run(out)
+		if !Equal(out, Add(seed, tc.want), 1e-12) {
+			t.Fatalf("%s: out += product mismatch", name)
+		}
+	}
+	for name, f := range map[string]func(){
+		"AddMatMul":   func() { AddMatMul(New(5, 9), a, bt) },
+		"AddMatMulAT": func() { AddMatMulAT(New(5, 9), a, b) },
+		"AddMatMulBT": func() { AddMatMulBT(New(5, 9), a, b) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected a shape panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := Randn(5, 7, 1, rng)

@@ -1,0 +1,73 @@
+//go:build !noasm
+
+#include "textflag.h"
+
+// func gemmTile4x8(k int, a0, a1, a2, a3 *float64, csa int, b *float64, ldb int, c0, c1, c2, c3 *float64)
+//
+// Eight YMM accumulators hold the 4×8 tile of C for the whole k loop.
+// Each step loads one row of B (two vectors), broadcasts one element
+// of each A row and issues eight FMAs: two loads of B and four
+// broadcasts feed eight FMAs, so the loop is bound by the FMA ports,
+// not by loads.
+TEXT ·gemmTile4x8(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ csa+40(FP), R12
+	SHLQ $3, R12
+	MOVQ b+48(FP), SI
+	MOVQ ldb+56(FP), R13
+	SHLQ $3, R13
+	MOVQ c0+64(FP), AX
+	MOVQ c1+72(FP), BX
+	MOVQ c2+80(FP), DX
+	MOVQ c3+88(FP), DI
+
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD (BX), Y2
+	VMOVUPD 32(BX), Y3
+	VMOVUPD (DX), Y4
+	VMOVUPD 32(DX), Y5
+	VMOVUPD (DI), Y6
+	VMOVUPD 32(DI), Y7
+
+	TESTQ CX, CX
+	JZ    tile_store
+
+tile_loop:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      32(SI), Y9
+	VBROADCASTSD (R8), Y10
+	VBROADCASTSD (R9), Y11
+	VBROADCASTSD (R10), Y12
+	VBROADCASTSD (R11), Y13
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
+	ADDQ         R12, R8
+	ADDQ         R12, R9
+	ADDQ         R12, R10
+	ADDQ         R12, R11
+	ADDQ         R13, SI
+	DECQ         CX
+	JNZ          tile_loop
+
+tile_store:
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, (BX)
+	VMOVUPD Y3, 32(BX)
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET
