@@ -278,11 +278,10 @@ func resultIDs(rs []ann.Result) []graph.NodeID {
 // benchPrecisions is the slab matrix BenchmarkANNTopK sweeps.
 var benchPrecisions = []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8}
 
-// BenchmarkANNTopK compares exact scan, LSH probing and HNSW graph
-// search at serving scales, each across the three slab precisions
-// (recall@10 is always measured against full-precision exact search,
-// and bytes_per_vector records the memory side of the trade). LSH bits
-// grow with n to keep buckets small; HNSW runs at its defaults (the
+// BenchmarkANNTopK compares exact scan and HNSW graph search at serving
+// scales, each across the three slab precisions (recall@10 is always
+// measured against full-precision exact search, and bytes_per_vector
+// records the memory side of the trade). HNSW runs at its defaults (the
 // config whose 100k recall is gated at ≥ 0.95 by TestHNSWRecall100k;
 // TestSQ8Recall gates the quantized plane).
 func BenchmarkANNTopK(b *testing.B) {
@@ -293,15 +292,6 @@ func BenchmarkANNTopK(b *testing.B) {
 			b.Run(fmt.Sprintf("exact/n=%d/p=%s", n, prec), func(b *testing.B) {
 				benchANN(b, n, prec, func(s *embstore.Store) (ann.Index, error) {
 					return ann.NewExact(s, ann.Cosine), nil
-				})
-			})
-			b.Run(fmt.Sprintf("lsh/n=%d/p=%s", n, prec), func(b *testing.B) {
-				benchANN(b, n, prec, func(s *embstore.Store) (ann.Index, error) {
-					cfg := ann.DefaultLSHConfig()
-					if n >= 100_000 {
-						cfg.Bits = 11
-					}
-					return ann.NewLSH(s, cfg)
 				})
 			})
 			b.Run(fmt.Sprintf("hnsw/n=%d/p=%s", n, prec), func(b *testing.B) {
@@ -422,12 +412,11 @@ func BenchmarkWALAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotLoad compares the three ways a daemon can get its
+// BenchmarkSnapshotLoad compares the two ways a daemon can get its
 // store back at boot, at the dim-64 sq8 shape the beyond-RAM serving
-// path targets: decoding the legacy gob snapshot, copying the flat v3
-// format into heap slabs, and mmapping the v3 file (O(1) in dataset
-// size — the header/table parse plus one CRC sweep of the mapping).
-// MB/s is against the on-disk snapshot size.
+// path targets: copying the flat v3 snapshot into heap slabs, and
+// mmapping it (O(1) in dataset size — the header/table parse plus one
+// CRC sweep of the mapping). MB/s is against the on-disk snapshot size.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	const dim = 64
 	for _, n := range []int{100_000, 1_000_000} {
@@ -446,46 +435,23 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		dir := b.TempDir()
-		gobPath := filepath.Join(dir, "store.gob")
-		v3Path := filepath.Join(dir, "store.snap")
-		writeSnap := func(path string, write func(f *os.File) error) int64 {
-			f, err := os.Create(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := write(f); err != nil {
-				b.Fatal(err)
-			}
-			st, err := f.Stat()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-			return st.Size()
+		v3Path := filepath.Join(b.TempDir(), "store.snap")
+		f, err := os.Create(v3Path)
+		if err != nil {
+			b.Fatal(err)
 		}
-		gobSize := writeSnap(gobPath, func(f *os.File) error { return s.SaveSnapshot(f, uint64(n)) })
-		v3Size := writeSnap(v3Path, func(f *os.File) error { return s.SaveSnapshotV3(f, uint64(n)) })
+		if err := s.SaveSnapshotV3(f, uint64(n)); err != nil {
+			b.Fatal(err)
+		}
+		st, err := f.Stat()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		v3Size := st.Size()
 
-		b.Run(fmt.Sprintf("gob/n=%d", n), func(b *testing.B) {
-			b.SetBytes(gobSize)
-			for i := 0; i < b.N; i++ {
-				f, err := os.Open(gobPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st, _, err := embstore.LoadSnapshotAt(f, embstore.DefaultShards, embstore.SQ8)
-				f.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Len() != n {
-					b.Fatal("short load")
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("v3copy/n=%d", n), func(b *testing.B) {
 			b.SetBytes(v3Size)
 			for i := 0; i < b.N; i++ {

@@ -64,21 +64,6 @@ func postRouterOp(client *http.Client, base string, op crashOp) (clusterAck, err
 	return ack, nil
 }
 
-// exportShard pulls a daemon's /v1/export and decodes the store image.
-func exportShard(t *testing.T, client *http.Client, base string) *embstore.Store {
-	t.Helper()
-	resp, err := client.Get(base + "/v1/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	s, _, err := embstore.LoadSnapshotAt(resp.Body, 4, embstore.F64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestClusterFailoverE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns three daemon processes and fsyncs every write; skipped under -short")
@@ -196,7 +181,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 			lost = append(lost, a.op)
 		}
 	}
-	if got := exportShard(t, client, urlF); !got.Equal(prefixRef) {
+	if got, _ := exportStore(t, client, urlF); !got.Equal(prefixRef) {
 		t.Fatalf("promoted follower diverges from the acked prefix (watermark %d, %d acked ops, %d past watermark)",
 			promoteSeq, len(ackedA), len(lost))
 	}
@@ -214,10 +199,10 @@ func TestClusterFailoverE2E(t *testing.T) {
 	}
 
 	// Per-shard durable images match the references end to end.
-	if got := exportShard(t, client, urlF); !got.Equal(refs["a"]) {
+	if got, _ := exportStore(t, client, urlF); !got.Equal(refs["a"]) {
 		t.Fatal("shard a (promoted follower) diverges from acked reference")
 	}
-	if got := exportShard(t, client, urlB); !got.Equal(refs["b"]) {
+	if got, _ := exportStore(t, client, urlB); !got.Equal(refs["b"]) {
 		t.Fatal("shard b diverges from acked reference")
 	}
 

@@ -4,16 +4,17 @@ package main
 
 // Daemon-level tests for beyond-RAM serving: booting the store from a
 // mapped v3 snapshot, folding the write overlay back into the base at
-// rotation, upconverting legacy gob directories, and staying correct
-// across the crash states a rotation can be interrupted in.
+// rotation, seeding the first base from a -snapshot artifact, and
+// staying correct across the crash states a rotation can be
+// interrupted in.
 
 import (
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -186,101 +187,55 @@ func mustConvert(t *testing.T, src *embstore.Store, prec embstore.Precision) *em
 	return out
 }
 
-// TestGobUpconvertOnRotation: a WAL directory from before the v3 format
-// (legacy gob snapshot) boots, serves, and converts itself — the first
-// rotation writes the v3 base and deletes the gob image; the next boot
-// can then map it.
-func TestGobUpconvertOnRotation(t *testing.T) {
-	const dim, n = 12, 200
-	walDir := t.TempDir()
-
-	// Generation 0 writes its snapshot, then we rewrite it as legacy gob
-	// to simulate a directory inherited from an older daemon.
-	srv, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := seedDaemon(t, srv, n, dim, 62)
-	wm, err := srv.dur.snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return srv.store.SaveSnapshot(w, wm)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.close()
-	if err := os.Remove(walSnapshotV3Path(walDir)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Generation 1 (ram mode) boots from the gob image...
-	srv1, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatalf("legacy gob boot: %v", err)
-	}
-	if !srv1.store.Equal(ref) {
-		t.Fatal("legacy gob boot diverges from reference")
-	}
-	// ...and its first rotation upconverts: v3 written, gob gone.
-	if _, err := srv1.dur.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	srv1.close()
-	if !embstore.IsV3Snapshot(walSnapshotV3Path(walDir)) {
-		t.Fatal("rotation did not write a v3 snapshot")
-	}
-	if _, err := os.Stat(walSnapshotPath(walDir)); !os.IsNotExist(err) {
-		t.Fatalf("legacy gob snapshot still present after v3 rotation (err=%v)", err)
-	}
-
-	// Generation 2 maps the upconverted base.
-	srv2, err := buildServer(mmapConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatalf("mmap boot after upconvert: %v", err)
-	}
-	defer srv2.close()
-	if !srv2.store.Cold() || !srv2.store.Equal(ref) {
-		t.Fatalf("mapped store cold=%v, equal=%v", srv2.store.Cold(), srv2.store.Equal(ref))
-	}
-	if srv2.dur.replayed != 0 {
-		t.Errorf("replayed %d records after clean upconvert, want 0", srv2.dur.replayed)
-	}
-}
-
-// TestGobSeedBootsMmap: -store=mmap over a WAL directory that has a
-// legacy gob snapshot (no v3) writes the v3 base immediately at boot
-// and serves cold from the first generation.
-func TestGobSeedBootsMmap(t *testing.T) {
+// TestSeedSnapshotBootsMmap: -store=mmap over an empty WAL directory
+// with a -snapshot seed writes the v3 base from the seed at boot and
+// serves cold from the first generation; the reboot maps that base and
+// ignores the seed.
+func TestSeedSnapshotBootsMmap(t *testing.T) {
 	const dim, n = 12, 150
-	walDir := t.TempDir()
-	srv, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
+	ref, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(63))), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := seedDaemon(t, srv, n, dim, 63)
-	wm, err := srv.dur.snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return srv.store.SaveSnapshot(w, wm)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.close()
-	if err := os.Remove(walSnapshotV3Path(walDir)); err != nil {
+	seedPath := filepath.Join(t.TempDir(), "seed.snap")
+	if err := writeStoreSnapshotV3(faultfs.OS(), seedPath, ref, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	srv1, err := buildServer(mmapConfigAt(walDir, embstore.F64, dim))
+	walDir := t.TempDir()
+	cfg := mmapConfigAt(walDir, embstore.F64, 0)
+	cfg.snapshot = seedPath
+	srv, err := buildServer(cfg)
 	if err != nil {
-		t.Fatalf("mmap boot over gob-only dir: %v", err)
+		t.Fatalf("mmap boot over a seed-only dir: %v", err)
+	}
+	if !srv.store.Cold() || !srv.store.Equal(ref) {
+		t.Fatalf("cold=%v equal=%v after seeded mmap boot", srv.store.Cold(), srv.store.Equal(ref))
+	}
+	if srv.store.MappedPath() != walSnapshotV3Path(walDir) {
+		t.Fatalf("mapped %s, want the WAL dir's own base %s", srv.store.MappedPath(), walSnapshotV3Path(walDir))
+	}
+	id := graph.NodeID(5)
+	vec := make([]float64, dim)
+	vec[2] = 3
+	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Upsert(id, vec); err != nil {
+		t.Fatal(err)
+	}
+	srv.close()
+
+	if err := os.Remove(seedPath); err != nil {
+		t.Fatal(err)
+	}
+	srv1, err := buildServer(cfg)
+	if err != nil {
+		t.Fatalf("reboot without the seed artifact: %v", err)
 	}
 	defer srv1.close()
-	if !srv1.store.Cold() || !srv1.store.Equal(ref) {
-		t.Fatalf("cold=%v equal=%v after gob-seeded mmap boot", srv1.store.Cold(), srv1.store.Equal(ref))
+	if srv1.dur.replayed != 1 || !srv1.store.Equal(ref) {
+		t.Fatalf("reboot replayed %d records (want 1), equal=%v", srv1.dur.replayed, srv1.store.Equal(ref))
 	}
 }
 
@@ -343,15 +298,10 @@ func TestMmapRotationFaultKeepsOldBase(t *testing.T) {
 	}
 }
 
-// TestCrashStatesMidRotation: deterministic reconstructions of the two
-// places a crash can interrupt a v3 rotation, both of which must boot.
-//
-//  1. Power loss mid-write: a half-written store.snap.tmp next to the
-//     intact previous base — the torn temp is garbage to be ignored,
-//     never parsed.
-//  2. Crash after publish but before legacy cleanup: both store.snap
-//     and store.gob present — v3 wins, the stale gob is removed by the
-//     next rotation.
+// TestCrashStatesMidRotation: a deterministic reconstruction of power
+// loss mid-write — a half-written store.snap.tmp next to the intact
+// previous base. The torn temp is garbage to be ignored, never parsed,
+// and the next rotation cleans it up.
 func TestCrashStatesMidRotation(t *testing.T) {
 	const dim, n = 16, 120
 	walDir := t.TempDir()
@@ -366,7 +316,6 @@ func TestCrashStatesMidRotation(t *testing.T) {
 	srv.close()
 	refSQ8 := mustConvert(t, ref, embstore.SQ8)
 
-	// State 1: torn temp beside the good base.
 	good, err := os.ReadFile(walSnapshotV3Path(walDir))
 	if err != nil {
 		t.Fatal(err)
@@ -390,31 +339,6 @@ func TestCrashStatesMidRotation(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("rotation left the temp file behind (err=%v)", err)
 	}
-
-	// State 2: v3 and a stale legacy gob side by side.
-	stale, err := embstore.New(dim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return stale.SaveSnapshot(w, 0)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := buildServer(mmapConfigAt(walDir, embstore.SQ8, dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srv2.store.Equal(refSQ8) {
-		t.Fatal("boot preferred the stale gob over the v3 base")
-	}
-	if _, err := srv2.dur.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(walSnapshotPath(walDir)); !os.IsNotExist(err) {
-		t.Fatalf("rotation kept the stale legacy gob (err=%v)", err)
-	}
-	srv2.close()
 }
 
 // TestCrashMmapMidRotationE2E SIGKILLs a real mmap-mode daemon process

@@ -324,16 +324,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("query after compaction: %d %s", status, raw)
 	}
 
-	resp, err = client.Get(ts.URL + "/v1/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported, err := embstore.Load(resp.Body, 4)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("export did not round-trip: %v", err)
-	}
-	if !exported.Equal(srv.store) {
+	if exported, _ := exportStore(t, client, ts.URL); !exported.Equal(srv.store) {
 		t.Fatal("exported snapshot differs from the live store")
 	}
 

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +78,6 @@ type durable struct {
 	walOpts   wal.Options
 	fsys      faultfs.FS
 	snapPath  string // the rotating flat v3 snapshot (store.snap)
-	gobPath   string // legacy gob snapshot; removed once a v3 pair is durable
 	graphPath string // "" unless the index is hnsw
 	hnswCfg   ann.HNSWConfig
 	isHNSW    bool
@@ -123,7 +121,6 @@ func newDurable(cfg serverConfig, store *embstore.Store, sw *ann.Swapper, waterm
 		store:     store,
 		walDir:    cfg.walDir,
 		snapPath:  walSnapshotV3Path(cfg.walDir),
-		gobPath:   walSnapshotPath(cfg.walDir),
 		hnswCfg:   hnswConfigOf(cfg.index),
 		isHNSW:    cfg.index.kind == "hnsw",
 		compactAt: cfg.compactAt,
@@ -372,15 +369,15 @@ func (d *durable) replicate(recs []wal.Record) error {
 // the log — LastSeq, by the applier-lock invariant.
 func (d *durable) applied() uint64 { return d.wal().LastSeq() }
 
-// exportTo streams a store snapshot stamped with the current WAL
-// watermark. Holding d.mu freezes the write path for the duration (a
-// consistent pair of store image + watermark is the point: a follower
-// bootstrapping from it resumes streaming at exactly this sequence);
-// searches keep serving throughout.
-func (d *durable) exportTo(w io.Writer) error {
+// exportTo writes a v3 store snapshot stamped with the current WAL
+// watermark. Holding d.mu freezes the write path for the duration of
+// the local write (a consistent pair of store image + watermark is the
+// point: a follower bootstrapping from it resumes streaming at exactly
+// this sequence); searches keep serving throughout.
+func (d *durable) exportTo(ws io.WriteSeeker) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.store.SaveSnapshot(w, d.wal().LastSeq())
+	return d.store.SaveSnapshotV3(ws, d.wal().LastSeq())
 }
 
 // snapshot rotates the WAL and writes the store (+ graph) snapshot
@@ -388,11 +385,9 @@ func (d *durable) exportTo(w io.Writer) error {
 // across the writes stalls mutations — not searches — for the
 // duration; the price of an exactly-consistent pair.
 //
-// The store image is the flat v3 format. When the store serves from a
-// mapped base, the fresh image is remapped in as the new base before
-// the lock drops — folding the overlay back to zero heap — and a
-// legacy gob snapshot, if one is still lying around from before the
-// format switch, is deleted now that a v3 pair covers it.
+// When the store serves from a mapped base, the fresh image is remapped
+// in as the new base before the lock drops — folding the overlay back
+// to zero heap.
 func (d *durable) snapshot() (uint64, error) {
 	start := time.Now()
 	wm, err := func() (uint64, error) {
@@ -422,11 +417,6 @@ func (d *durable) snapshot() (uint64, error) {
 			if err := d.store.Remap(d.snapPath); err != nil {
 				log.Printf("ehnad: overlay fold: remap %s: %v (serving continues on the previous base)", d.snapPath, err)
 			}
-		}
-		if err := d.fsys.Remove(d.gobPath); err == nil {
-			log.Printf("ehnad: legacy snapshot %s removed (superseded by %s)", d.gobPath, d.snapPath)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			log.Printf("ehnad: legacy snapshot %s not removed: %v", d.gobPath, err)
 		}
 		return wm, nil
 	}()

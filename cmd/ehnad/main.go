@@ -13,7 +13,7 @@
 //	                         acks carry the WAL seq)
 //	POST /v1/delete          remove vectors (WAL-logged, then store + index)
 //	GET  /v1/vector          resolve one stored id to its vector (router id-queries)
-//	GET  /v1/export          stream an embstore snapshot of the live store
+//	GET  /v1/export          stream a v3 embstore snapshot of the live store
 //	                         (watermark-stamped with -wal; follower bootstrap source)
 //	GET  /v1/repl/stream     (with -wal) ship framed WAL records to a follower
 //	GET  /v1/repl/status     role + replication watermarks
@@ -25,9 +25,10 @@
 //	GET  /debug/pprof/       (with -pprof) live CPU/heap/mutex profiling
 //
 // The embedding source is either -model (an ehna model snapshot written
-// by Model.Save — serves the raw embedding table) or -snapshot (an
-// embstore snapshot written by Store.Save — e.g. the attention-
-// aggregated InferAll embeddings exported by examples/serving).
+// by Model.Save — serves the raw embedding table) or -snapshot (a v3
+// embstore snapshot written by Store.SaveSnapshotV3 — e.g. the
+// attention-aggregated InferAll embeddings exported by
+// examples/serving, a /v1/export download, or ehnad-mkstore output).
 //
 // Durability: with -wal DIR the daemon is a system of record, not a
 // cache. Every mutation is appended to a write-ahead log (fsynced per
@@ -41,12 +42,11 @@
 // seed the very first boot, and -dim allows starting empty. See
 // cmd/ehnad/durability.go for the recovery invariants.
 //
-// Index selection: -index exact (ground truth, linear scan), lsh
-// (multi-probe hashing) or hnsw (graph search — the sublinear choice at
-// 100k+ nodes). With -index hnsw, -hnsw-graph names a gob snapshot of
-// the graph structure: loaded when present so the daemon boots without
-// rebuilding, written after a fresh build otherwise (with -wal it
-// defaults to DIR/graph.gob).
+// Index selection: -index hnsw (graph search, the default — sublinear
+// at 100k+ nodes) or exact (ground truth, linear scan). With -index
+// hnsw, -hnsw-graph names a gob snapshot of the graph structure: loaded
+// when present so the daemon boots without rebuilding, written after a
+// fresh build otherwise (with -wal it defaults to DIR/graph.gob).
 //
 // Precision: -precision f64|f32|sq8 selects the vector slab layout —
 // full float64, float32 (half the memory), or int8 scalar quantization
@@ -84,20 +84,17 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		model     = flag.String("model", "", "path to an ehna model snapshot (Model.Save)")
-		snapshot  = flag.String("snapshot", "", "path to an embstore snapshot (Store.Save)")
+		snapshot  = flag.String("snapshot", "", "path to a v3 embstore snapshot (Store.SaveSnapshotV3, /v1/export, ehnad-mkstore)")
 		dim       = flag.Int("dim", 0, "with -wal: boot an empty store of this dimensionality when no snapshot or seed exists yet")
 		precision = flag.String("precision", "f64", "vector slab precision: f64 (full), f32 (half the memory), or sq8 (int8 scalar quantization, ~8x less memory; recall gated >= 0.95). Applies per boot: snapshots of any precision convert to this layout on load, so pass the same value on every restart to keep the layout. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
 		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
-		indexKind = flag.String("index", "lsh", "ann index: exact, lsh or hnsw")
-		tables    = flag.Int("tables", 16, "lsh: number of hash tables")
-		bits      = flag.Int("bits", 8, "lsh: signature bits per table")
-		probes    = flag.Int("probes", -1, "lsh: Hamming-1 probes per table (-1 = bits)")
+		indexKind = flag.String("index", "hnsw", "ann index: exact or hnsw")
 		m         = flag.Int("m", 16, "hnsw: graph degree M (layer 0 allows 2M links)")
 		efCons    = flag.Int("ef-construction", 200, "hnsw: build-time beam width")
 		efSearch  = flag.Int("ef-search", 64, "hnsw: query-time beam width (recall/latency dial)")
 		hnswGraph = flag.String("hnsw-graph", "", "hnsw: graph snapshot path — loaded if present (boot without rebuild), written after a fresh build otherwise")
-		seed      = flag.Int64("seed", 1, "lsh hyperplane / hnsw level-draw seed")
+		seed      = flag.Int64("seed", 1, "hnsw level-draw seed")
 		metric    = flag.String("metric", "cosine", "similarity metric: cosine or dot")
 		maxBatch  = flag.Int("max-batch", 64, "micro-batcher: max coalesced queries")
 		window    = flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher: gather window (0 disables)")
@@ -147,9 +144,6 @@ func main() {
 			kind:           *indexKind,
 			metric:         mt,
 			seed:           *seed,
-			tables:         *tables,
-			bits:           *bits,
-			probes:         *probes,
 			m:              *m,
 			efConstruction: *efCons,
 			efSearch:       *efSearch,
@@ -305,12 +299,9 @@ func buildServer(cfg serverConfig) (*server, error) {
 		if cfg.snapshot == "" {
 			return nil, fmt.Errorf("-store=mmap without -wal requires -snapshot pointing at a v3 snapshot (SaveSnapshotV3 output)")
 		}
-		if !embstore.IsV3Snapshot(cfg.snapshot) {
-			return nil, fmt.Errorf("-store=mmap: %s is not a v3 snapshot (gob snapshots must be converted first, e.g. by booting once with -wal)", cfg.snapshot)
-		}
 		store, _, err = embstore.OpenMmap(cfg.snapshot)
 		if err != nil {
-			return nil, fmt.Errorf("mmap snapshot %s: %w", cfg.snapshot, err)
+			return nil, fmt.Errorf("-snapshot %s: %w", cfg.snapshot, err)
 		}
 		if store.Precision() != cfg.precision {
 			// A mapped base serves at the precision it was written in; the
@@ -368,30 +359,23 @@ func buildServer(cfg serverConfig) (*server, error) {
 	return srv, nil
 }
 
-// walSnapshotPath is where the legacy gob store snapshot lives in WAL
-// mode — read at boot for directories written before the v3 format,
-// never written anymore (rotation removes it once a v3 base exists).
-func walSnapshotPath(walDir string) string { return filepath.Join(walDir, "store.gob") }
-
 // walSnapshotV3Path is where the rotating flat v3 snapshot lives in WAL
 // mode: the file the mmap store serves straight out of.
 func walSnapshotV3Path(walDir string) string { return filepath.Join(walDir, "store.snap") }
 
-// loadWALStore loads the store for a WAL directory, preferring the flat
-// v3 snapshot over the legacy gob one and falling back to the seed
-// artifacts. The matrix by mode:
+// loadWALStore loads the store for a WAL directory from its rotating
+// v3 snapshot, falling back to the seed artifacts on the first boot.
+// The matrix by mode:
 //
-//	v3 exists:  ram → copy it into heap slabs at -precision;
-//	            mmap → map it (precision mismatch: materialize at the
-//	            requested precision, rewrite the base, map the rewrite).
-//	gob only:   load + convert (the pre-v3 upgrade path); mmap
-//	            additionally writes a v3 base now and maps it, so the
-//	            cold tier exists from the first boot after the upgrade.
-//	neither:    seed from -model/-snapshot/-dim; mmap writes + maps a
-//	            v3 base exactly as in the gob case.
+//	store.snap exists: ram → copy it into heap slabs at -precision;
+//	                   mmap → map it (precision mismatch: materialize
+//	                   at the requested precision, rewrite the base,
+//	                   map the rewrite).
+//	no snapshot yet:   seed from -model/-snapshot/-dim; mmap writes a
+//	                   v3 base from the seed now and maps it, so the
+//	                   cold tier exists from the first boot.
 //
-// Rotation keeps the v3 base fresh from then on and deletes the legacy
-// gob file once a v3 pair is durable.
+// Rotation keeps the v3 base fresh from then on.
 func loadWALStore(cfg serverConfig, fsys faultfs.FS) (*embstore.Store, uint64, error) {
 	v3Path := walSnapshotV3Path(cfg.walDir)
 	mmapMode := cfg.storeMode == "mmap"
@@ -434,49 +418,26 @@ func loadWALStore(cfg serverConfig, fsys faultfs.FS) (*embstore.Store, uint64, e
 		return nil, 0, serr
 	}
 
-	var (
-		store     *embstore.Store
-		watermark uint64
-	)
-	gobPath := walSnapshotPath(cfg.walDir)
-	if f, ferr := os.Open(gobPath); ferr == nil {
-		// Load at the requested precision whatever precision the snapshot
-		// was written in: a daemon switching to -precision sq8 upconverts
-		// its old f64 image on this boot and writes sq8 images from the
-		// next rotation on.
-		var err error
-		store, watermark, err = embstore.LoadSnapshotAt(f, cfg.shards, cfg.precision)
-		f.Close()
-		if err != nil {
-			return nil, 0, fmt.Errorf("load wal snapshot %s: %w", gobPath, err)
-		}
-		log.Printf("ehnad: legacy wal snapshot %s loaded: %d nodes at %s, watermark %d (v3 from the next rotation)",
-			gobPath, store.Len(), store.Precision(), watermark)
-	} else if !os.IsNotExist(ferr) {
-		return nil, 0, ferr
-	} else {
-		var err error
-		store, err = seedStore(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
+	store, err := seedStore(cfg)
+	if err != nil {
+		return nil, 0, err
 	}
-	if mmapMode {
-		// mmap mode needs an on-disk v3 base to serve from; write one from
-		// the materialized store and reopen it cold. The WAL suffix past
-		// the (unchanged) watermark replays into the overlay as usual.
-		if err := writeStoreSnapshotV3(fsys, v3Path, store, watermark); err != nil {
-			return nil, 0, fmt.Errorf("write v3 base %s: %w", v3Path, err)
-		}
-		cold, wm, err := embstore.OpenMmap(v3Path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
-		}
-		store, watermark = cold, wm
-		log.Printf("ehnad: v3 base %s written and mapped: %d nodes at %s, watermark %d",
-			v3Path, store.Len(), store.Precision(), watermark)
+	if !mmapMode {
+		return store, 0, nil
 	}
-	return store, watermark, nil
+	// mmap mode needs an on-disk v3 base to serve from; write one from
+	// the seeded store and reopen it cold. The WAL replays into the
+	// overlay from watermark 0 as usual.
+	if err := writeStoreSnapshotV3(fsys, v3Path, store, 0); err != nil {
+		return nil, 0, fmt.Errorf("write v3 base %s: %w", v3Path, err)
+	}
+	cold, watermark, err := embstore.OpenMmap(v3Path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
+	}
+	log.Printf("ehnad: v3 base %s written and mapped: %d nodes at %s, watermark %d",
+		v3Path, cold.Len(), cold.Precision(), watermark)
+	return cold, watermark, nil
 }
 
 // writeStoreSnapshotV3 publishes a flat v3 snapshot of store via the
@@ -501,8 +462,9 @@ func seedStore(cfg serverConfig) (*embstore.Store, error) {
 }
 
 // loadStore builds the store from exactly one of the two sources, at
-// the requested slab precision (seed artifacts are full-precision;
-// embstore snapshots convert from whatever they were written in).
+// the requested slab precision (model tables are full-precision; v3
+// snapshots convert from whatever they were written in). A -snapshot
+// in any other format fails with embstore.ErrNotV3Snapshot.
 func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*embstore.Store, error) {
 	switch {
 	case model != "" && snapshot != "":
@@ -517,28 +479,20 @@ func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*em
 		defer f.Close()
 		return embstore.FromModelSnapshotPrecision(f, shards, prec)
 	default:
-		if embstore.IsV3Snapshot(snapshot) {
-			s, _, err := embstore.LoadSnapshotV3At(snapshot, shards, prec)
-			return s, err
-		}
-		f, err := os.Open(snapshot)
+		s, _, err := embstore.LoadSnapshotV3At(snapshot, shards, prec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("-snapshot %s: %w", snapshot, err)
 		}
-		defer f.Close()
-		s, _, err := embstore.LoadSnapshotAt(f, shards, prec)
-		return s, err
+		return s, nil
 	}
 }
 
-// indexOptions carries every index-selection flag; only the fields for
-// the chosen kind are consulted.
+// indexOptions carries every index-selection flag; the hnsw fields are
+// consulted only for that kind.
 type indexOptions struct {
 	kind   string
 	metric ann.Metric
 	seed   int64
-	// lsh
-	tables, bits, probes int
 	// hnsw
 	m, efConstruction, efSearch int
 	graphPath                   string
@@ -552,13 +506,10 @@ func buildIndex(store *embstore.Store, o indexOptions) (ann.Index, error) {
 	switch o.kind {
 	case "exact":
 		return ann.NewExact(store, o.metric), nil
-	case "lsh":
-		cfg := ann.LSHConfig{Tables: o.tables, Bits: o.bits, Probes: o.probes, Seed: o.seed, Metric: o.metric}
-		return ann.NewLSH(store, cfg)
 	case "hnsw":
 		return buildHNSW(store, o)
 	default:
-		return nil, fmt.Errorf("unknown index %q (want exact, lsh or hnsw)", o.kind)
+		return nil, fmt.Errorf("unknown index %q (want exact or hnsw)", o.kind)
 	}
 }
 

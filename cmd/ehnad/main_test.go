@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"ehna/internal/datagen"
 	"ehna/internal/ehna"
 	"ehna/internal/embstore"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/walk"
@@ -26,7 +29,6 @@ import (
 func testIndexOptions(kind string) indexOptions {
 	return indexOptions{
 		kind: kind, metric: ann.Cosine, seed: 1,
-		tables: 16, bits: 8, probes: -1,
 		m: 16, efConstruction: 200, efSearch: 64,
 	}
 }
@@ -116,7 +118,7 @@ func trainedStore(t *testing.T) (*embstore.Store, *graph.Temporal) {
 
 func TestNeighborsEndToEndOnTrainedGraph(t *testing.T) {
 	store, g := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		var resp neighborsResponse
 		status, raw := postJSON(t, ts.URL+"/v1/neighbors", map[string]any{"id": 0, "k": 5}, &resp)
@@ -231,7 +233,7 @@ func TestScoreMatchesDotProduct(t *testing.T) {
 
 func TestUpsertThenQuery(t *testing.T) {
 	store, _ := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		id := uint32(200000)
 		vec := make([]float64, store.Dim())
@@ -270,7 +272,7 @@ func TestUpsertThenQuery(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	store, g := trainedStore(t)
-	_, ts := newTestServer(t, store, "lsh")
+	_, ts := newTestServer(t, store, "hnsw")
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +288,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Status != "ok" || out.Nodes != g.NumNodes() || out.Index != "lsh" || out.Metric != "cosine" {
+	if out.Status != "ok" || out.Nodes != g.NumNodes() || out.Index != "hnsw" || out.Metric != "cosine" {
 		t.Fatalf("healthz = %+v", out)
 	}
 }
@@ -362,9 +364,10 @@ func mustGet(t *testing.T, s *embstore.Store, id graph.NodeID) []float64 {
 	return v
 }
 
-// TestLoadStoreFromModelSnapshot exercises the -model loading path the
-// daemon boots from.
-func TestLoadStoreFromModelSnapshot(t *testing.T) {
+// writeModelCheckpoint saves an untrained ehna model (a gob file) and
+// returns its path and embedding-table shape.
+func writeModelCheckpoint(t *testing.T) (path string, nodes, dim int) {
+	t.Helper()
 	g, err := datagen.Generate(datagen.Digg, 0.05, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +379,7 @@ func TestLoadStoreFromModelSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path = filepath.Join(t.TempDir(), "model.gob")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -385,12 +387,21 @@ func TestLoadStoreFromModelSnapshot(t *testing.T) {
 	if err := m.Save(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, g.NumNodes(), cfg.Dim
+}
+
+// TestLoadStoreFromModelSnapshot exercises the -model loading path the
+// daemon boots from.
+func TestLoadStoreFromModelSnapshot(t *testing.T) {
+	path, nodes, dim := writeModelCheckpoint(t)
 	store, err := loadStore(path, "", 4, embstore.F64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != g.NumNodes() || store.Dim() != cfg.Dim {
+	if store.Len() != nodes || store.Dim() != dim {
 		t.Fatalf("store %d×%d from model snapshot", store.Len(), store.Dim())
 	}
 	if _, err := loadStore("", "", 4, embstore.F64); err == nil {
@@ -474,7 +485,7 @@ func TestHNSWGraphSnapshotBoot(t *testing.T) {
 // every index kind.
 func TestDeleteEndpoint(t *testing.T) {
 	store, _ := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		id := uint32(300000)
 		vec := make([]float64, store.Dim())
@@ -505,22 +516,111 @@ func TestDeleteEndpoint(t *testing.T) {
 	}
 }
 
-// TestExportEndpoint: the exported stream is a loadable embstore
-// snapshot equal to the live store.
-func TestExportEndpoint(t *testing.T) {
-	store, _ := trainedStore(t)
-	_, ts := newTestServer(t, store, "exact")
-	resp, err := http.Get(ts.URL + "/v1/export")
+// exportStore pulls a daemon's /v1/export into a temp file and loads
+// the v3 image at its native precision, returning the store and the
+// watermark it was stamped with.
+func exportStore(t *testing.T, client *http.Client, base string) (*embstore.Store, uint64) {
+	t.Helper()
+	resp, err := client.Get(base + "/v1/export")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	loaded, err := embstore.Load(resp.Body, 8)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %s", resp.Status)
+	}
+	path := filepath.Join(t.TempDir(), "export.snap")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n, err := io.Copy(f, resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n != resp.ContentLength {
+		t.Fatalf("export: %d body bytes, Content-Length %d", n, resp.ContentLength)
+	}
+	s, wm, err := embstore.LoadSnapshotV3(path, 4)
+	if err != nil {
+		t.Fatalf("export did not round-trip: %v", err)
+	}
+	return s, wm
+}
+
+// TestExportEndpoint: the exported stream is a loadable v3 embstore
+// snapshot equal to the live store, sent with its Content-Length; an
+// export that cannot be spooled is a 500, not a truncated 200.
+func TestExportEndpoint(t *testing.T) {
+	store, _ := trainedStore(t)
+	_, ts := newTestServer(t, store, "exact")
+	loaded, wm := exportStore(t, http.DefaultClient, ts.URL)
 	if !loaded.Equal(store) {
 		t.Fatal("export stream differs from live store")
+	}
+	if wm != 0 {
+		t.Fatalf("export without a WAL stamped watermark %d, want 0", wm)
+	}
+
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	resp, err := http.Get(ts.URL + "/v1/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("export with no spool directory: status %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestExportSpoolFailureIs500: with a WAL the export spools beside the
+// log through the injectable filesystem; a write fault mid-save
+// answers 500 with nothing sent, leaves no spool file behind, and the
+// next export (fault cleared) succeeds with the watermark stamped.
+func TestExportSpoolFailureIs500(t *testing.T) {
+	const dim = 8
+	walDir := t.TempDir()
+	inj := faultfs.New(nil)
+	cfg := walConfigAt(walDir, embstore.F64, dim)
+	cfg.fs = inj
+	srv, err := buildServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	id := graph.NodeID(3)
+	vec := make([]float64, dim)
+	vec[1] = 4
+	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+		t.Fatal(err)
+	}
+
+	inj.Add(faultfs.Rule{Op: faultfs.OpWrite, Path: "export-", Count: 1, Err: syscall.ENOSPC})
+	resp, err := http.Get(ts.URL + "/v1/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("export")) {
+		t.Fatalf("failed export: status %d body %q, want a 500 naming the export", resp.StatusCode, body)
+	}
+	if left, _ := filepath.Glob(filepath.Join(walDir, "export-*")); len(left) != 0 {
+		t.Fatalf("failed export left spool files behind: %v", left)
+	}
+
+	exported, wm := exportStore(t, http.DefaultClient, ts.URL)
+	if wm != srv.dur.applied() || !exported.Equal(srv.store) {
+		t.Fatalf("export after the fault cleared: watermark %d (applied %d), equal %v",
+			wm, srv.dur.applied(), exported.Equal(srv.store))
+	}
+	if left, _ := filepath.Glob(filepath.Join(walDir, "export-*")); len(left) != 0 {
+		t.Fatalf("export left spool files behind: %v", left)
 	}
 }
 
@@ -542,21 +642,16 @@ func TestAdminEndpointsRequireWAL(t *testing.T) {
 func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	store, _ := trainedStore(t)
 	dir := t.TempDir()
-	seedPath := filepath.Join(dir, "seed.gob")
-	f, err := os.Create(seedPath)
-	if err != nil {
+	seedPath := filepath.Join(dir, "seed.snap")
+	if err := writeStoreSnapshotV3(faultfs.OS(), seedPath, store, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	walDir := t.TempDir()
 	cfg := serverConfig{
 		snapshot: seedPath,
 		shards:   4,
-		index:    testIndexOptions("lsh"),
+		index:    testIndexOptions("hnsw"),
 		maxBatch: 16,
 		window:   time.Millisecond,
 		walDir:   walDir,

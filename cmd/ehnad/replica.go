@@ -163,20 +163,14 @@ func (s *server) refuseIfFollower(w http.ResponseWriter) bool {
 }
 
 // bootstrapFollower seeds an empty follower WAL directory from the
-// leader's /v1/export — a store snapshot stamped with the leader's
-// watermark, so the normal boot path loads it and the stream resumes
-// at exactly that sequence. A directory that already has a snapshot or
-// log segments resumes from local state instead (cheaper, and the
-// stream's gap check catches a stale resume).
+// leader's /v1/export — a v3 store snapshot stamped with the leader's
+// watermark, saved straight to store.snap so the normal boot path
+// loads (or maps) it and the stream resumes at exactly that sequence.
+// A directory that already has a snapshot or log segments resumes from
+// local state instead (cheaper, and the stream's gap check catches a
+// stale resume).
 func bootstrapFollower(cfg serverConfig) error {
-	// Either snapshot generation counts as local state: a rotated v3
-	// base or a legacy (or freshly bootstrapped) gob image.
-	if _, err := os.Stat(walSnapshotV3Path(cfg.walDir)); err == nil {
-		return nil
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	snapPath := walSnapshotPath(cfg.walDir)
+	snapPath := walSnapshotV3Path(cfg.walDir)
 	if _, err := os.Stat(snapPath); err == nil {
 		return nil
 	} else if !os.IsNotExist(err) {

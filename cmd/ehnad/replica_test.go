@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,11 +46,22 @@ func fetchReplStatus(t *testing.T, base string) cluster.ReplStatus {
 }
 
 // TestReplicationFollowerConvergesAndPromotes runs the whole follower
-// lifecycle in-process: bootstrap mid-history from the leader's
-// watermark-stamped export, tail the stream to convergence, refuse
-// writes while following, and — after promotion — own the write path
-// at exactly the applied watermark.
+// lifecycle in-process, with the follower's store in heap slabs and
+// mapped: bootstrap mid-history from the leader's watermark-stamped v3
+// export (saved straight to store.snap), tail the stream to
+// convergence, refuse writes while following, and — after promotion —
+// own the write path at exactly the applied watermark.
 func TestReplicationFollowerConvergesAndPromotes(t *testing.T) {
+	modes := []string{"ram"}
+	if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
+		modes = append(modes, "mmap")
+	}
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) { followerLifecycle(t, mode) })
+	}
+}
+
+func followerLifecycle(t *testing.T, storeMode string) {
 	rng := rand.New(rand.NewSource(42))
 	leader, err := buildServer(crashTestConfig(t.TempDir()))
 	if err != nil {
@@ -68,8 +80,10 @@ func TestReplicationFollowerConvergesAndPromotes(t *testing.T) {
 	}
 	bootstrapSeq := leader.dur.applied()
 
-	fcfg := crashTestConfig(t.TempDir())
+	fDir := t.TempDir()
+	fcfg := crashTestConfig(fDir)
 	fcfg.follow = tsL.URL
+	fcfg.storeMode = storeMode
 	follower, err := buildServer(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +96,23 @@ func TestReplicationFollowerConvergesAndPromotes(t *testing.T) {
 	// follower starts there — no stream replay of old history.
 	if got := follower.dur.watermark.Load(); got != bootstrapSeq {
 		t.Fatalf("bootstrap snapshot watermark %d, want the leader's export seq %d", got, bootstrapSeq)
+	}
+	if follower.dur.replayed != 0 || follower.dur.applied() != bootstrapSeq {
+		t.Fatalf("bootstrapped follower replayed %d records and sits at seq %d, want 0 and %d",
+			follower.dur.replayed, follower.dur.applied(), bootstrapSeq)
+	}
+	// The export landed as the directory's own v3 base, served in the
+	// requested residency mode.
+	base, wm, err := embstore.LoadSnapshotV3(walSnapshotV3Path(fDir), 4)
+	if err != nil {
+		t.Fatalf("bootstrapped store.snap: %v", err)
+	}
+	if wm != bootstrapSeq || !base.Equal(leader.store) {
+		t.Fatalf("bootstrapped store.snap: watermark %d (want %d), equal to the leader's store: %v",
+			wm, bootstrapSeq, base.Equal(leader.store))
+	}
+	if follower.store.Cold() != (storeMode == "mmap") {
+		t.Fatalf("follower store cold=%v under -store %s", follower.store.Cold(), storeMode)
 	}
 
 	// New writes arrive via the stream with leader numbering preserved.
@@ -193,16 +224,7 @@ func TestReplicationFollowerResumesAfterRestart(t *testing.T) {
 	waitConverged(t, follower2, leader, leader.dur.applied())
 
 	// And the exported images agree end to end.
-	resp, err := client.Get(tsL.URL + "/v1/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported, _, err := embstore.LoadSnapshotAt(resp.Body, 4, embstore.F64)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exported.Equal(follower2.store) {
+	if exported, _ := exportStore(t, client, tsL.URL); !exported.Equal(follower2.store) {
 		t.Fatal("leader export and rebooted follower store diverge")
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +20,7 @@ import (
 	"ehna/internal/ann"
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/obs"
 	"ehna/internal/vecmath"
@@ -47,6 +51,7 @@ type server struct {
 
 	defaultDeadline time.Duration
 	inflight        chan struct{} // nil = unlimited; else a semaphore
+	exports         atomic.Int64  // names concurrent /v1/export spool files apart
 	draining        atomic.Bool   // set when shutdown starts; /readyz flips not-ready
 	closeOnce       sync.Once
 }
@@ -614,30 +619,72 @@ func (s *server) writeDurabilityError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, "%v", err)
 }
 
-// handleExport streams an embstore snapshot of the live store — the
-// same format -snapshot accepts, so an export can seed another daemon
-// (or a test comparing recovered state against a reference).
+// handleExport streams a v3 embstore snapshot of the live store — the
+// format -snapshot accepts, so an export can seed another daemon (or a
+// test comparing recovered state against a reference). The image is
+// spooled to a temp file first (beside the WAL when there is one: the
+// data volume has room for it) and sent only once complete, so a failed
+// save is a 500, not a truncated 200, and the response carries its
+// Content-Length.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// With a WAL the export is watermark-stamped under the applier lock,
-	// so a follower bootstrapping from it resumes the replication stream
-	// at exactly the exported sequence. Without one there is no sequence
-	// space; the plain store image (watermark 0) is all there is.
-	var err error
+	fsys, dir := faultfs.OS(), os.TempDir()
 	if s.dur != nil {
-		err = s.dur.exportTo(w)
-	} else {
-		err = s.store.Save(w)
+		fsys, dir = s.dur.fsys, s.dur.walDir
 	}
+	fail := func(err error) {
+		log.Printf("ehnad: export: %v", err)
+		writeError(w, http.StatusInternalServerError, "export: %v", err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("export-%d-%d.snap.tmp", os.Getpid(), s.exports.Add(1)))
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		// Headers are gone; all we can do is cut the stream short and
-		// leave the evidence in the daemon log.
+		fail(err)
+		return
+	}
+	defer func() {
+		f.Close()
+		fsys.Remove(path)
+	}()
+	size, err := s.spoolExport(f)
+	if err != nil {
+		fail(err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	if _, err := io.Copy(w, f); err != nil {
+		// Headers are gone; the client sees a body shorter than its
+		// Content-Length, and the evidence lands in the daemon log.
 		log.Printf("ehnad: export: %v", err)
 	}
+}
+
+// spoolExport writes the export image to f and rewinds it, returning
+// the image size. With a WAL the image is watermark-stamped under the
+// applier lock — held for this local write only, not for the network
+// send — so a follower bootstrapping from it resumes the replication
+// stream at exactly the exported sequence. Without one there is no
+// sequence space; the plain store image (watermark 0) is all there is.
+func (s *server) spoolExport(f io.WriteSeeker) (int64, error) {
+	var err error
+	if s.dur != nil {
+		err = s.dur.exportTo(f)
+	} else {
+		err = s.store.SaveSnapshotV3(f, 0)
+	}
+	if err != nil {
+		return 0, err
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Seek(0, io.SeekStart)
+	return size, err
 }
 
 func (s *server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {

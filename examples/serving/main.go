@@ -1,10 +1,11 @@
 // Serving walkthrough: the full train → serialize → embstore → ann →
 // ehnad pipeline. It trains EHNA on a synthetic temporal network,
-// exports both snapshot formats the daemon accepts, builds the sharded
-// store and all three ANN indexes in-process (exact scan, LSH, HNSW),
-// audits the approximate indexes' recall against exact search, saves
-// the HNSW graph snapshot the daemon can boot from without rebuilding,
-// and prints the exact commands to serve the artifacts with cmd/ehnad.
+// exports both artifacts the daemon boots from (the model checkpoint
+// and the flat v3 store snapshot), builds the sharded store and both
+// ANN indexes in-process (exact scan, HNSW), audits HNSW's recall
+// against exact search, saves the HNSW graph snapshot the daemon can
+// boot from without rebuilding, and prints the exact commands to serve
+// the artifacts with cmd/ehnad.
 package main
 
 import (
@@ -46,7 +47,9 @@ func main() {
 	// 2. Serialize the serving artifacts. The model snapshot carries the
 	//    raw embedding table (+ parameters, for resumed training); the
 	//    embstore snapshot carries the attention-aggregated InferAll
-	//    embeddings — the vectors the paper's evaluation actually uses.
+	//    embeddings — the vectors the paper's evaluation actually uses —
+	//    in the flat v3 format -store=ram copies onto the heap and
+	//    -store=mmap serves in place.
 	outDir := "serving-out"
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -66,41 +69,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	storePath := filepath.Join(outDir, "store.gob")
-	sf, err := os.Create(storePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.Save(sf); err != nil {
-		log.Fatal(err)
-	}
-	sf.Close()
-
-	// The flat v3 snapshot of the same store: the artifact -store=mmap
-	// serves in place, without copying vectors onto the heap.
 	snapPath := filepath.Join(outDir, "store.snap")
-	vf, err := os.Create(snapPath)
+	sf, err := os.Create(snapPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.SaveSnapshotV3(vf, 0); err != nil {
+	if err := store.SaveSnapshotV3(sf, 0); err != nil {
 		log.Fatal(err)
 	}
-	vf.Close()
-	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards), %s (flat v3)\n",
-		modelPath, storePath, store.Len(), store.Dim(), store.NumShards(), snapPath)
+	if err := sf.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards)\n",
+		modelPath, snapPath, store.Len(), store.Dim(), store.NumShards())
 
-	// 3. Build all three indexes and answer the same query. The HNSW
+	// 3. Build both indexes and answer the same query. The HNSW
 	//    graph is also snapshotted so the daemon can boot without paying
 	//    the build again (-hnsw-graph). Distance kernels run on the
 	//    backend cpuid picked at startup ("avx2", "neon" or "scalar") —
 	//    the same value /healthz and /metrics report once serving.
 	fmt.Printf("vecmath kernel backend: %s\n", vecmath.Backend())
 	exact := ann.NewExact(store, ann.Cosine)
-	lsh, err := ann.NewLSH(store, ann.DefaultLSHConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	hnsw, err := ann.BuildHNSW(store, ann.DefaultHNSWConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -128,58 +117,53 @@ func main() {
 		fmt.Printf("  node %4d  score %.4f\n", r.ID, r.Score)
 	}
 
-	// 4. Audit approximate recall@k against exact over a query sample —
-	//    the number to watch when tuning -tables/-bits (LSH) or
-	//    -m/-ef-search (HNSW) for your store size.
+	// 4. Audit HNSW recall@k against exact over a query sample — the
+	//    number to watch when tuning -m/-ef-search for your store size.
 	nq := 50
 	if nq > store.Len() {
 		nq = store.Len()
 	}
-	for _, idx := range []struct {
-		name  string
-		index ann.Index
-	}{{"LSH", lsh}, {"HNSW", hnsw}} {
-		var approx, truth [][]graph.NodeID
-		for qi := 0; qi < nq; qi++ {
-			qv, ok := store.Get(graph.NodeID(qi))
-			if !ok {
-				continue
-			}
-			er, err := exact.Search(qv, k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ar, err := idx.index.Search(qv, k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			truth = append(truth, resultIDs(er))
-			approx = append(approx, resultIDs(ar))
+	var approx, truth [][]graph.NodeID
+	for qi := 0; qi < nq; qi++ {
+		qv, ok := store.Get(graph.NodeID(qi))
+		if !ok {
+			continue
 		}
-		recall, err := eval.MeanRecallAtK(approx, truth)
+		er, err := exact.Search(qv, k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s recall@%d vs exact over %d queries: %.3f\n", idx.name, k, nq, recall)
+		ar, err := hnsw.Search(qv, k)
+		if err != nil {
+			log.Fatal(err)
+		}
+		truth = append(truth, resultIDs(er))
+		approx = append(approx, resultIDs(ar))
 	}
+	recall, err := eval.MeanRecallAtK(approx, truth)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("HNSW recall@%d vs exact over %d queries: %.3f\n", k, nq, recall)
 
-	// 5. Serve it. Either embedding artifact boots the daemon; pick the
-	//    index with -index (hnsw reuses the saved graph snapshot), and
-	//    add -wal to make the write path durable.
+	// 5. Serve it. Either embedding artifact boots the daemon; the
+	//    default hnsw index reuses the saved graph snapshot, and -wal
+	//    makes the write path durable.
 	walDir := filepath.Join(outDir, "wal")
 	fmt.Printf(`
-serve the aggregated embeddings (recommended):
+serve the aggregated embeddings (recommended; builds the HNSW graph at
+boot):
   go run ./cmd/ehnad -snapshot %s
 
-with the sublinear HNSW index, booting from the saved graph:
-  go run ./cmd/ehnad -snapshot %s -index hnsw -hnsw-graph %s
+booting from the saved graph instead of rebuilding it:
+  go run ./cmd/ehnad -snapshot %s -hnsw-graph %s
 
 durably — writes WAL-logged before apply, snapshots rotated, HNSW
 tombstones compacted in the background (the -snapshot seed is only
 read on the first boot; afterwards %s recovers everything):
   go run ./cmd/ehnad -snapshot %s -index hnsw -wal %s
 
-beyond RAM — mmap the flat v3 snapshot instead of copying it onto the
+beyond RAM — mmap the snapshot instead of copying it onto the
 heap: boot is O(1) in dataset size and the OS pages vectors in on
 demand, so the set may exceed memory (/healthz reports the mapping
 and overlay sizes; see "Beyond-RAM serving" in the README):
@@ -194,7 +178,7 @@ then query:
   curl -s -X POST localhost:8080/v1/score -d '{"u":0,"v":1,"op":"hadamard"}'
   curl -s -X POST localhost:8080/v1/upsert -d '{"id":900000,"vector":[...]}'
   curl -s -X POST localhost:8080/v1/delete -d '{"id":900000}'
-  curl -s localhost:8080/v1/export > backup.gob
+  curl -s localhost:8080/v1/export > backup.snap
 
 watch it (Prometheus text format), then prove it holds under open-loop
 load with an SLO gate (exit code 0 = pass):
@@ -214,7 +198,7 @@ talk to the router):
       -shard a=http://localhost:8081,http://localhost:8083 \
       -shard b=http://localhost:8082
   curl -s -X POST localhost:8090/v1/neighbors -d '{"id":%d,"k":%d}'
-`, storePath, storePath, graphPath, walDir, storePath, walDir, snapPath, graphPath, modelPath, target, k,
+`, snapPath, snapPath, graphPath, walDir, snapPath, walDir, snapPath, graphPath, modelPath, target, k,
 		walDir, cfg.Dim, walDir, cfg.Dim, walDir, cfg.Dim, target, k)
 }
 

@@ -649,60 +649,6 @@ func IsFinite(n *Node) bool {
 	return true
 }
 
-// RSqrt returns 1/√x element-wise. Inputs must be positive.
-func (t *Tape) RSqrt(a *Node) *Node {
-	n := t.like(a, a.needs)
-	for i, v := range a.Value.Data {
-		n.Value.Data[i] = 1 / math.Sqrt(v)
-	}
-	if n.needs {
-		n.back = func(n *Node) {
-			g := a.Grad()
-			for i, y := range n.Value.Data {
-				// d(1/√x)/dx = −½·x^(−3/2) = −½·y³
-				g.Data[i] += n.grad.Data[i] * (-0.5 * y * y * y)
-			}
-		}
-	}
-	return n
-}
-
-// RowBroadcastMul returns x with every row multiplied element-wise by the
-// 1×cols node s: out[i,j] = x[i,j]·s[j].
-func (t *Tape) RowBroadcastMul(x, s *Node) *Node {
-	if s.Value.Rows != 1 || s.Value.Cols != x.Value.Cols {
-		panic(fmt.Sprintf("ag: RowBroadcastMul s %dx%d for x %dx%d", s.Value.Rows, s.Value.Cols, x.Value.Rows, x.Value.Cols))
-	}
-	n := t.like(x, needsAny(x, s))
-	for i := 0; i < x.Value.Rows; i++ {
-		vrow := n.Value.Row(i)
-		for j, v := range x.Value.Row(i) {
-			vrow[j] = v * s.Value.Data[j]
-		}
-	}
-	if n.needs {
-		n.back = func(n *Node) {
-			for i := 0; i < x.Value.Rows; i++ {
-				grow := n.grad.Row(i)
-				if x.needs {
-					xg := x.Grad().Row(i)
-					for j, g := range grow {
-						xg[j] += g * s.Value.Data[j]
-					}
-				}
-				if s.needs {
-					sg := s.Grad()
-					xrow := x.Value.Row(i)
-					for j, g := range grow {
-						sg.Data[j] += g * xrow[j]
-					}
-				}
-			}
-		}
-	}
-	return n
-}
-
 // ConcatScalars concatenates 1×1 nodes into a single 1×n row (used to
 // assemble attention score vectors before SoftmaxRow).
 func (t *Tape) ConcatScalars(scalars []*Node) *Node {

@@ -388,22 +388,6 @@ func BenchmarkBackwardMLP(b *testing.B) {
 	}
 }
 
-func TestGradRSqrt(t *testing.T) {
-	in := rnd(2, 3, 40)
-	for i := range in.Data {
-		in.Data[i] = math.Abs(in.Data[i]) + 0.5 // keep strictly positive
-	}
-	checkGrad(t, "rsqrt", []*tensor.Matrix{in}, func(tp *Tape, l []*Node) *Node {
-		return tp.SumSquares(tp.RSqrt(l[0]))
-	})
-}
-
-func TestGradRowBroadcastMul(t *testing.T) {
-	checkGrad(t, "rowbmul", []*tensor.Matrix{rnd(3, 4, 41), rnd(1, 4, 42)}, func(tp *Tape, l []*Node) *Node {
-		return tp.SumSquares(tp.RowBroadcastMul(l[0], l[1]))
-	})
-}
-
 func TestGradConcatScalars(t *testing.T) {
 	checkGrad(t, "concatscalars", []*tensor.Matrix{rnd(1, 4, 43), rnd(1, 4, 44)}, func(tp *Tape, l []*Node) *Node {
 		parts := make([]*Node, 3)

@@ -100,15 +100,11 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 		for _, b := range backings {
 			store := b.store
 			exact := NewExact(store, Cosine)
-			lsh, err := NewLSH(store, DefaultLSHConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
 			hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, idx := range map[string]Index{"exact": exact, "lsh": lsh, "hnsw": hnsw} {
+			for name, idx := range map[string]Index{"exact": exact, "hnsw": hnsw} {
 				dst := make([]Result, 0, k)
 				// Warm the scratch pool and result buffers.
 				for i := 0; i < 3; i++ {
@@ -140,17 +136,12 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	for _, prec := range []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8} {
 		store := buildStoreAt(t, 500, 16, prec)
-		lsh, err := NewLSH(store, DefaultLSHConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, idx := range map[string]Index{
 			"exact": NewExact(store, Cosine),
-			"lsh":   lsh,
 			"hnsw":  hnsw,
 		} {
 			for qi := 0; qi < 10; qi++ {

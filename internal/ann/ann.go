@@ -1,13 +1,13 @@
 // Package ann provides top-k nearest-neighbor indexes over an embstore:
-// a brute-force Exact index that scans shards in parallel, and a
-// random-hyperplane LSH index (see lsh.go) behind the same Index
-// interface. Scores are similarities — higher is closer — under either
+// a brute-force Exact index that scans shards in parallel, and an HNSW
+// graph index (see hnsw.go) behind the same Index interface. Scores
+// are similarities — higher is closer — under either
 // cosine or raw dot-product, the two metrics the paper's evaluation uses
 // (network reconstruction ranks pairs by dot product; attention weights
 // are cosine-shaped).
 //
 // The single-query hot path is allocation-free: all per-query state
-// (top-k heaps, LSH signature and candidate buffers) comes from a
+// (top-k heaps, candidate buffers, the HNSW visited array) comes from a
 // pooled scratch, the scoring kernels are vecmath's unrolled loops, and
 // SearchInto writes results into a caller-owned slice. Search is a thin
 // veneer that copies the results out (one allocation).
@@ -357,29 +357,16 @@ func (t *topK) sorted() []Result {
 	return t.heap
 }
 
-// queryScratch is the pooled per-query working state shared by both
-// index types. Everything is capacity-reused across queries, making
-// the steady-state single-query path allocation-free.
+// queryScratch is the pooled per-query working state of the linear
+// scans. Everything is capacity-reused across queries, making the
+// steady-state single-query path allocation-free.
 type queryScratch struct {
 	top     topK
 	wide    topK             // sq8 symmetric stage: widened candidate heap
 	ctx     queryCtx         // precision-dispatched query state
-	sigs    []uint32         // LSH per-table signatures
-	cand    []graph.NodeID   // LSH / re-rank candidate IDs
+	cand    []graph.NodeID   // re-rank candidate IDs
 	byShard [][]graph.NodeID // candidates grouped by store shard
-
-	// stamp/epoch implement O(1) candidate deduplication for dense ID
-	// spaces: stamp[id] == epoch marks id as already seen this query.
-	// Bounded by stampCap; queries over sparser ID spaces fall back to
-	// sort-and-compact (see LSH.collectCandidates).
-	stamp []uint32
-	epoch uint32
 }
-
-// stampCap bounds the epoch-stamp dedup array (16M IDs ≈ 64 MB per
-// pooled scratch at the limit). Node IDs are dense row indices in this
-// system, so real stores sit far below the cap.
-const stampCap = 1 << 24
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
@@ -439,8 +426,8 @@ func rerankWide(store *embstore.Store, m Metric, sc *queryScratch, k int) []Resu
 // With more than one CPU the shards are scanned in parallel; on a
 // single CPU (or a single shard) the scan runs sequentially through
 // pooled scratch, which is both faster and allocation-free. It is the
-// ground truth LSH recall is measured against and the sane default
-// below ~100k vectors.
+// ground truth HNSW recall is measured against, and HNSW's fallback
+// when a beam starves.
 type Exact struct {
 	store  *embstore.Store
 	metric Metric

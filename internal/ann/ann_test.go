@@ -4,12 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
-	"ehna/internal/datagen"
 	"ehna/internal/embstore"
-	"ehna/internal/eval"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 )
@@ -108,7 +105,7 @@ func TestExactSearchBatchMatchesSearch(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	s := randomStore(t, 10, 4, 5)
-	for _, idx := range []Index{NewExact(s, Cosine), mustLSH(t, s, DefaultLSHConfig()), mustHNSW(t, s, DefaultHNSWConfig())} {
+	for _, idx := range []Index{NewExact(s, Cosine), mustHNSW(t, s, DefaultHNSWConfig())} {
 		if _, err := idx.Search([]float64{1, 2}, 3); err == nil {
 			t.Fatal("wrong-dim query accepted")
 		}
@@ -120,7 +117,7 @@ func TestSearchValidation(t *testing.T) {
 
 func TestKLargerThanStore(t *testing.T) {
 	s := randomStore(t, 5, 4, 6)
-	for _, idx := range []Index{NewExact(s, Cosine), mustLSH(t, s, DefaultLSHConfig()), mustHNSW(t, s, DefaultHNSWConfig())} {
+	for _, idx := range []Index{NewExact(s, Cosine), mustHNSW(t, s, DefaultHNSWConfig())} {
 		got, err := idx.Search([]float64{1, 0, 0, 0}, 50)
 		if err != nil {
 			t.Fatal(err)
@@ -131,153 +128,12 @@ func TestKLargerThanStore(t *testing.T) {
 	}
 }
 
-func mustLSH(t testing.TB, s *embstore.Store, cfg LSHConfig) *LSH {
-	t.Helper()
-	l, err := NewLSH(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func TestLSHAddRemove(t *testing.T) {
-	s := randomStore(t, 100, 8, 7)
-	l := mustLSH(t, s, DefaultLSHConfig())
-
-	// A vector added after construction must be findable: query with the
-	// vector itself, its cosine with itself is 1 (the maximum).
-	vec := make([]float64, 8)
-	vec[0], vec[3] = 2, -1
-	if err := l.Add(500, vec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.Search(vec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != 500 {
-		t.Fatalf("self-query after Add = %v, want id 500", got)
-	}
-
-	// Re-adding under the same id must not duplicate bucket entries:
-	// remove then search must not return it.
-	if err := l.Add(500, vec); err != nil {
-		t.Fatal(err)
-	}
-	if !l.Remove(500) {
-		t.Fatal("Remove(500) = false")
-	}
-	if l.Remove(500) {
-		t.Fatal("second Remove(500) = true")
-	}
-	got, err = l.Search(vec, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range got {
-		if r.ID == 500 {
-			t.Fatal("removed id still returned")
-		}
-	}
-}
-
-func TestLSHFallsBackWhenSparse(t *testing.T) {
-	// 3 stored vectors, k=3: the candidate set can't reach k without the
-	// exact fallback when probing misses buckets.
-	s := randomStore(t, 3, 4, 8)
-	l := mustLSH(t, s, LSHConfig{Tables: 1, Bits: 16, Probes: 0})
-	got, err := l.Search([]float64{1, 1, 1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d results, want 3 via exact fallback", len(got))
-	}
-}
-
-// TestLSHRecallOnDatagenGraph is the acceptance gate for the serving
-// subsystem: on embeddings for the datagen test graph, default-config
-// LSH must reach mean recall@10 ≥ 0.9 against the exact index.
-func TestLSHRecallOnDatagenGraph(t *testing.T) {
-	g, err := datagen.Generate(datagen.Digg, 0.5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	emb := tensor.Randn(g.NumNodes(), 32, 1, rng)
-	s, err := embstore.FromMatrix(emb, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := NewExact(s, Cosine)
-	lsh := mustLSH(t, s, DefaultLSHConfig())
-
-	const k = 10
-	nq := 50
-	if nq > g.NumNodes() {
-		nq = g.NumNodes()
-	}
-	var approx, truth [][]graph.NodeID
-	for qi := 0; qi < nq; qi++ {
-		q := emb.Row(qi)
-		er, err := exact.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lr, err := lsh.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth = append(truth, ids(er))
-		approx = append(approx, ids(lr))
-	}
-	recall, err := eval.MeanRecallAtK(approx, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("LSH recall@%d over %d queries on %d nodes: %.3f", k, nq, g.NumNodes(), recall)
-	if recall < 0.9 {
-		t.Fatalf("LSH recall@%d = %.3f < 0.9", k, recall)
-	}
-}
-
 func ids(rs []Result) []graph.NodeID {
 	out := make([]graph.NodeID, len(rs))
 	for i, r := range rs {
 		out[i] = r.ID
 	}
 	return out
-}
-
-func TestLSHConcurrentQueryAndMutate(t *testing.T) {
-	s := randomStore(t, 300, 8, 10)
-	l := mustLSH(t, s, DefaultLSHConfig())
-	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			vec := make([]float64, 8)
-			for i := 0; i < 200; i++ {
-				for j := range vec {
-					vec[j] = rng.NormFloat64()
-				}
-				switch rng.Intn(3) {
-				case 0:
-					_ = l.Add(graph.NodeID(rng.Intn(400)), vec)
-				case 1:
-					l.Remove(graph.NodeID(rng.Intn(400)))
-				default:
-					if _, err := l.Search(vec, 5); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 func TestParseMetric(t *testing.T) {

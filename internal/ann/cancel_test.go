@@ -41,10 +41,6 @@ func (c *flipCtx) Value(any) any               { return nil }
 // error; the required behavior is context.Canceled and no results.
 func TestSearchIntoCancelMidSearch(t *testing.T) {
 	store := buildStore(t, 5000, 16)
-	lsh, err := NewLSH(store, DefaultLSHConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +52,6 @@ func TestSearchIntoCancelMidSearch(t *testing.T) {
 	}
 	for name, idx := range map[string]Index{
 		"exact":   NewExact(store, Cosine),
-		"lsh":     lsh,
 		"hnsw":    hnsw,
 		"swapper": sw,
 	} {

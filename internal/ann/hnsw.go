@@ -4,8 +4,8 @@
 // sparser graphs that greedy descent crosses in a few hops, and layer 0
 // holds the dense graph a beam search (width efSearch) scans for the
 // final candidates. Queries therefore touch O(log n)-ish nodes instead
-// of the whole store (Exact) or a bucket union re-rank (LSH) — the
-// sublinear query path for 100k+ node stores.
+// of the whole store (Exact) — the sublinear query path for 100k+ node
+// stores.
 //
 // The search hot path holds the PR 2 bar: all per-query state (the
 // epoch-stamped visited array, candidate/result heaps, the

@@ -11,17 +11,14 @@ import "ehna/internal/obs"
 //
 // The two stage histograms split a query where the index designs
 // split it: "candidates" is generating the candidate set (the full
-// scan for exact, table probing + dedup for LSH, the layered beam
-// search for HNSW) and "rerank" is ranking it into the final top-k
-// (shard-grouped exact scoring for LSH, heap trim — the stage that
-// absorbs the sq8-widened beam — for HNSW). The split shows where a
+// scan for exact, the layered beam search for HNSW) and "rerank" is
+// ranking it into the final top-k (heap trim — the stage that absorbs
+// the sq8-widened beam — for HNSW). The split shows where a
 // latency regression lives: kernel/bandwidth cost lands in
 // candidates, quantization-widening and top-k cost in rerank.
 var (
 	annQueriesExact = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "exact"))
-	annQueriesLSH = obs.Default().Counter("ehnad_ann_queries_total",
-		"Single-vector queries answered, by index type.", obs.L("index", "lsh"))
 	annQueriesHNSW = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "hnsw"))
 
@@ -29,8 +26,6 @@ var (
 		"Queries answered by the exact fallback after the primary index starved.")
 
 	annStageExactCand  = annStage("exact", "candidates")
-	annStageLSHCand    = annStage("lsh", "candidates")
-	annStageLSHRerank  = annStage("lsh", "rerank")
 	annStageHNSWCand   = annStage("hnsw", "candidates")
 	annStageHNSWRerank = annStage("hnsw", "rerank")
 )

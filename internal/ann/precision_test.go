@@ -63,7 +63,6 @@ func TestSQ8Recall(t *testing.T) {
 	const n, dim, nq = 3000, 32, 40
 	for name, mk := range map[string]func(*embstore.Store) (Index, error){
 		"exact": func(s *embstore.Store) (Index, error) { return NewExact(s, Cosine), nil },
-		"lsh":   func(s *embstore.Store) (Index, error) { return NewLSH(s, DefaultLSHConfig()) },
 		"hnsw":  func(s *embstore.Store) (Index, error) { return BuildHNSW(s, DefaultHNSWConfig()) },
 	} {
 		recall := recallVsF64(t, n, dim, nq, embstore.SQ8, mk)
@@ -93,16 +92,12 @@ func TestF32Recall(t *testing.T) {
 func TestPrecisionMutability(t *testing.T) {
 	for _, prec := range []embstore.Precision{embstore.F32, embstore.SQ8} {
 		store := buildStoreAt(t, 300, 16, prec)
-		lsh, err := NewLSH(store, DefaultLSHConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(33))
-		for name, idx := range map[string]Index{"lsh": lsh, "hnsw": hnsw} {
+		for name, idx := range map[string]Index{"exact": NewExact(store, Cosine), "hnsw": hnsw} {
 			for i := 0; i < 50; i++ {
 				id := graph.NodeID(rng.Intn(400))
 				vec := make([]float64, 16)

@@ -3,7 +3,6 @@
 package embstore
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -275,20 +274,16 @@ func TestColdRemapMismatch(t *testing.T) {
 	}
 }
 
-// TestColdSaveGob: the gob snapshot path (the /v1/export format) still
-// works over a cold store — follower bootstrap doesn't care about the
-// leader's store backend.
-func TestColdSaveGob(t *testing.T) {
+// TestColdSaveV3: the snapshot writer (the /v1/export format) works
+// over a cold store with a live overlay — follower bootstrap doesn't
+// care about the leader's store backend.
+func TestColdSaveV3(t *testing.T) {
 	ram, _ := NewPrecision(5, 3, SQ8)
 	fillRandom(t, ram, 120, 15)
 	cold, _ := openCold(t, ram, 0)
 	cold.Upsert(gid(777_777), []float64{1, 1, 1, 1, 1})
 
-	var buf bytes.Buffer
-	if err := cold.SaveSnapshot(&buf, 8); err != nil {
-		t.Fatal(err)
-	}
-	got, wm, err := LoadSnapshot(&buf, 3)
+	got, wm, err := LoadSnapshotV3(writeV3(t, cold, 8), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +291,7 @@ func TestColdSaveGob(t *testing.T) {
 		t.Fatalf("watermark = %d", wm)
 	}
 	if !got.Equal(cold) {
-		t.Fatal("gob round trip of cold store differs")
+		t.Fatal("snapshot round trip of cold store differs")
 	}
 }
 

@@ -25,7 +25,6 @@
 package embstore
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"slices"
@@ -429,7 +428,7 @@ func (s *Store) Precision() Precision { return s.prec }
 func (s *Store) NumShards() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard holding id. Batch consumers
-// (e.g. LSH re-ranking) group IDs by shard so each shard's lock is
+// (e.g. ann's sq8 re-rank) group IDs by shard so each shard's lock is
 // taken once per batch instead of once per vector.
 func (s *Store) ShardOf(id graph.NodeID) int { return s.shardIndex(id) }
 
@@ -950,232 +949,4 @@ func (s *Store) Equal(o *Store) bool {
 		}
 	}
 	return true
-}
-
-// storeWire is the gob wire format of a snapshot: IDs ascending,
-// payload concatenated in the same order, so identical contents always
-// produce identical bytes.
-//
-// Version history:
-//
-//	1 — float64 only: {Dim, Watermark, IDs, Data}. Still loadable;
-//	    LoadSnapshotAt upconverts (requantizes) into any precision.
-//	2 — adds Precision and the F32/SQ8 payload fields (Data32, Codes,
-//	    Scales/Offsets sidecars, Norms). Exactly one payload family is
-//	    populated, per the writing store's precision.
-//
-// Watermark carries the WAL sequence number the snapshot covers (0 for
-// snapshots taken outside a WAL pipeline).
-type storeWire struct {
-	Version   int
-	Dim       int
-	Watermark uint64
-	IDs       []graph.NodeID
-	Data      []float64 // v1, and v2 at precision f64
-	Precision int       // v2 (zero value f64 matches v1's implicit precision)
-	Data32    []float32 // v2 f32 rows
-	Codes     []int8    // v2 sq8 codes
-	Scales    []float64 // v2 sq8 per-vector decode scale
-	Offsets   []float64 // v2 sq8 per-vector decode offset
-	Norms     []float64 // v2 f32/sq8: original-vector L2 norms
-}
-
-// storeSnapshotVersion is the version written by Save; loaders accept
-// every version at or below it.
-const storeSnapshotVersion = 2
-
-// Save writes a snapshot of the store to w in its native precision.
-// Concurrent upserts during Save are each either fully included or
-// fully absent (per-vector atomicity via the shard locks); for a
-// point-in-time image, quiesce writers first.
-func (s *Store) Save(w io.Writer) error { return s.SaveSnapshot(w, 0) }
-
-// SaveSnapshot is Save stamping the snapshot with a WAL watermark: the
-// sequence number through which the image is known complete. On boot,
-// LoadSnapshot hands the watermark back so replay can skip everything
-// the snapshot already contains. The caller must guarantee all records
-// ≤ watermark were applied before SaveSnapshot starts; records applied
-// concurrently (seq > watermark) may bleed into the image, which
-// replay-idempotence makes harmless.
-func (s *Store) SaveSnapshot(w io.Writer, watermark uint64) error {
-	ids := s.IDs()
-	wire := storeWire{
-		Version:   storeSnapshotVersion,
-		Dim:       s.dim,
-		Watermark: watermark,
-		Precision: int(s.prec),
-		IDs:       make([]graph.NodeID, 0, len(ids)),
-	}
-	switch s.prec {
-	case F64:
-		wire.Data = make([]float64, 0, len(ids)*s.dim)
-	case F32:
-		wire.Data32 = make([]float32, 0, len(ids)*s.dim)
-		wire.Norms = make([]float64, 0, len(ids))
-	case SQ8:
-		wire.Codes = make([]int8, 0, len(ids)*s.dim)
-		wire.Scales = make([]float64, 0, len(ids))
-		wire.Offsets = make([]float64, 0, len(ids))
-		wire.Norms = make([]float64, 0, len(ids))
-	}
-	for _, id := range ids {
-		// IDs and payload are appended together under the same read lock,
-		// so an ID deleted between IDs() and here is omitted entirely
-		// rather than resurrected as a zero row.
-		s.With(id, func(v *VecView) {
-			wire.IDs = append(wire.IDs, id)
-			switch s.prec {
-			case F64:
-				wire.Data = append(wire.Data, v.F64...)
-			case F32:
-				wire.Data32 = append(wire.Data32, v.F32...)
-				wire.Norms = append(wire.Norms, v.Norm)
-			case SQ8:
-				wire.Codes = append(wire.Codes, v.Code...)
-				wire.Scales = append(wire.Scales, v.Scale)
-				wire.Offsets = append(wire.Offsets, v.Offset)
-				wire.Norms = append(wire.Norms, v.Norm)
-			}
-		})
-	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("embstore: save: %v", err)
-	}
-	return nil
-}
-
-// validate rejects structurally corrupt wire images: unknown versions
-// or precisions, and payloads or sidecars whose lengths disagree with
-// the ID count (a truncated or hand-damaged sidecar must fail loudly,
-// not load as garbage vectors).
-func (wire *storeWire) validate() error {
-	if wire.Version < 1 || wire.Version > storeSnapshotVersion {
-		return fmt.Errorf("embstore: load: snapshot version %d, want 1..%d", wire.Version, storeSnapshotVersion)
-	}
-	if wire.Dim < 1 {
-		return fmt.Errorf("embstore: load: corrupt snapshot: dim %d", wire.Dim)
-	}
-	n := len(wire.IDs)
-	switch Precision(wire.Precision) {
-	case F64:
-		if len(wire.Data) != n*wire.Dim {
-			return fmt.Errorf("embstore: load: corrupt snapshot: %d values for %d vectors of dim %d",
-				len(wire.Data), n, wire.Dim)
-		}
-	case F32:
-		if len(wire.Data32) != n*wire.Dim {
-			return fmt.Errorf("embstore: load: corrupt snapshot: %d f32 values for %d vectors of dim %d",
-				len(wire.Data32), n, wire.Dim)
-		}
-		if len(wire.Norms) != n {
-			return fmt.Errorf("embstore: load: corrupt snapshot: %d norms for %d vectors", len(wire.Norms), n)
-		}
-	case SQ8:
-		if len(wire.Codes) != n*wire.Dim {
-			return fmt.Errorf("embstore: load: corrupt snapshot: %d codes for %d vectors of dim %d",
-				len(wire.Codes), n, wire.Dim)
-		}
-		if len(wire.Scales) != n || len(wire.Offsets) != n || len(wire.Norms) != n {
-			return fmt.Errorf("embstore: load: corrupt snapshot: sq8 sidecars %d/%d/%d for %d vectors",
-				len(wire.Scales), len(wire.Offsets), len(wire.Norms), n)
-		}
-	default:
-		return fmt.Errorf("embstore: load: unknown snapshot precision %d", wire.Precision)
-	}
-	return nil
-}
-
-// Load reconstructs a store from a snapshot written by Save, at the
-// snapshot's native precision.
-func Load(r io.Reader, shards int) (*Store, error) {
-	s, _, err := LoadSnapshot(r, shards)
-	return s, err
-}
-
-// LoadSnapshot reconstructs a store at the snapshot's native precision
-// and returns the WAL watermark it was stamped with (0 for pre-WAL
-// snapshots): replay resumes from the record after the watermark.
-func LoadSnapshot(r io.Reader, shards int) (*Store, uint64, error) {
-	return loadSnapshot(r, shards, nil)
-}
-
-// LoadSnapshotAt is LoadSnapshot at an explicit target precision,
-// regardless of the precision the snapshot was written in. Same-
-// precision loads are lossless (bit-identical slabs); cross-precision
-// loads dequantize each row and re-encode it on the way in — the
-// upconvert-on-boot path that lets an old f64 snapshot seed an sq8
-// daemon (and vice versa).
-func LoadSnapshotAt(r io.Reader, shards int, prec Precision) (*Store, uint64, error) {
-	return loadSnapshot(r, shards, &prec)
-}
-
-func loadSnapshot(r io.Reader, shards int, prec *Precision) (*Store, uint64, error) {
-	var wire storeWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, 0, fmt.Errorf("embstore: load: %v", err)
-	}
-	if err := wire.validate(); err != nil {
-		return nil, 0, err
-	}
-	native := Precision(wire.Precision)
-	target := native
-	if prec != nil {
-		target = *prec
-	}
-	s, err := NewPrecision(wire.Dim, shards, target)
-	if err != nil {
-		return nil, 0, err
-	}
-	dim := wire.Dim
-	if target == native {
-		// Lossless path: move the wire representation straight into the
-		// slabs, preserving codes and sidecars bit for bit.
-		for i, id := range wire.IDs {
-			sh := s.shardFor(id)
-			sh.mu.Lock()
-			slot := sh.ensureSlot(s, id)
-			switch native {
-			case F64:
-				row := wire.Data[i*dim : (i+1)*dim]
-				copy(sh.vecs[slot*dim:(slot+1)*dim], row)
-				sh.norms[slot] = vecmath.Norm(row)
-			case F32:
-				copy(sh.vecs32[slot*dim:(slot+1)*dim], wire.Data32[i*dim:(i+1)*dim])
-				sh.norms[slot] = wire.Norms[i]
-			case SQ8:
-				row := wire.Codes[i*dim : (i+1)*dim]
-				copy(sh.codes[slot*dim:(slot+1)*dim], row)
-				var codeSum int32
-				for _, c := range row {
-					codeSum += int32(c)
-				}
-				sh.meta[slot] = sq8Meta{scale: wire.Scales[i], offset: wire.Offsets[i], norm: wire.Norms[i], codeSum: codeSum}
-			}
-			sh.mu.Unlock()
-		}
-		return s, wire.Watermark, nil
-	}
-	// Conversion path: dequantize each wire row to full precision, then
-	// upsert (which narrows to the target layout). The original norm
-	// rides along where the wire carries one, so a narrowed store still
-	// scores with the exact denominator.
-	buf := make([]float64, dim)
-	for i, id := range wire.IDs {
-		var norm float64
-		switch native {
-		case F64:
-			copy(buf, wire.Data[i*dim:(i+1)*dim])
-			norm = vecmath.Norm(buf)
-		case F32:
-			vecmath.F32To64(buf, wire.Data32[i*dim:(i+1)*dim])
-			norm = wire.Norms[i]
-		case SQ8:
-			vecmath.DecodeSQ8(buf, wire.Codes[i*dim:(i+1)*dim], wire.Scales[i], wire.Offsets[i])
-			norm = wire.Norms[i]
-		}
-		if err := s.upsertNorm(id, buf, norm); err != nil {
-			return nil, 0, err
-		}
-	}
-	return s, wire.Watermark, nil
 }

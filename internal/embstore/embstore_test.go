@@ -2,8 +2,10 @@ package embstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
-	"strings"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -141,11 +143,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	_ = s.Delete(13)
 	_ = s.Upsert(1000, []float64{1, 2, 3, 4})
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()), 7) // different shard count
+	path := writeV3(t, s, 0)
+	loaded, _, err := LoadSnapshotV3(path, 7) // different shard count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,19 +163,35 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Identical contents must serialize to identical bytes.
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
+	// Identical contents at the same shard count must serialize to
+	// identical bytes (the section layout is per shard).
+	same, _, err := LoadSnapshotV3(path, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.ReadFile(writeV3(t, same, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
 		t.Fatal("snapshot bytes differ across save/load/save")
 	}
 }
 
+// TestLoadRejectsGarbage: a file in any other format (here a few text
+// bytes; in the field a pre-v3 gob image) is refused with the named
+// error, never decoded into a store.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a snapshot"), 4); err == nil {
-		t.Fatal("garbage accepted")
+	path := filepath.Join(t.TempDir(), "garbage.snap")
+	if err := os.WriteFile(path, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadSnapshotV3(path, 4); !errors.Is(err, ErrNotV3Snapshot) {
+		t.Fatalf("err = %v, want ErrNotV3Snapshot", err)
 	}
 }
 
@@ -275,9 +290,8 @@ func TestWithShardBatchLookup(t *testing.T) {
 	}
 }
 
-// TestSnapshotWatermarkRoundTrip: SaveSnapshot stamps a watermark,
-// LoadSnapshot returns it, and the plain Save path stays at 0 (and
-// therefore byte-compatible with pre-watermark snapshots).
+// TestSnapshotWatermarkRoundTrip: SaveSnapshotV3 stamps a watermark and
+// every loader hands it back, at the native or a converted precision.
 func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	s, err := New(2, 4)
 	if err != nil {
@@ -286,11 +300,8 @@ func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	_ = s.Upsert(1, []float64{1, 2})
 	_ = s.Upsert(9, []float64{3, 4})
 
-	var buf bytes.Buffer
-	if err := s.SaveSnapshot(&buf, 12345); err != nil {
-		t.Fatal(err)
-	}
-	loaded, wm, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), 2)
+	path := writeV3(t, s, 12345)
+	loaded, wm, err := LoadSnapshotV3(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +311,8 @@ func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	if !loaded.Equal(s) {
 		t.Fatal("contents changed across watermarked round trip")
 	}
-
-	buf.Reset()
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, wm, err = LoadSnapshot(bytes.NewReader(buf.Bytes()), 2); err != nil || wm != 0 {
-		t.Fatalf("plain Save produced watermark %d (err %v), want 0", wm, err)
+	if _, wm, err = LoadSnapshotV3At(path, 2, SQ8); err != nil || wm != 12345 {
+		t.Fatalf("converted load: watermark %d (err %v), want 12345", wm, err)
 	}
 }
 

@@ -56,7 +56,7 @@ func mapV3(path string) (*v3Layout, []byte, error) {
 	}
 	size := fi.Size()
 	if size < v3HeaderSize {
-		return nil, nil, fmt.Errorf("embstore: mmap open %s: %d bytes, not a v3 snapshot", path, size)
+		return nil, nil, fmt.Errorf("embstore: mmap open %s: %d bytes: %w", path, size, ErrNotV3Snapshot)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {

@@ -2,9 +2,11 @@ package embstore
 
 import (
 	"bytes"
-	"encoding/gob"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -107,7 +109,7 @@ func TestPrecisionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrecisionSnapshotRoundTrip: Save → Load at the same precision is
+// TestPrecisionSnapshotRoundTrip: save → load at the same precision is
 // lossless (Equal: bit-identical slab representations), for every
 // layout — and survives a second cycle without drift.
 func TestPrecisionSnapshotRoundTrip(t *testing.T) {
@@ -119,11 +121,7 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := s.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(bytes.NewReader(buf.Bytes()), 7) // different shard count on purpose
+			loaded, _, err := LoadSnapshotV3(writeV3(t, s, 0), 7) // different shard count on purpose
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,11 +132,7 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("loaded store differs from saved store")
 			}
 			// Second cycle: quantized representations must not drift.
-			var buf2 bytes.Buffer
-			if err := loaded.Save(&buf2); err != nil {
-				t.Fatal(err)
-			}
-			again, err := Load(bytes.NewReader(buf2.Bytes()), 3)
+			again, _, err := LoadSnapshotV3(writeV3(t, loaded, 0), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +156,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var buf bytes.Buffer
-				if err := src.SaveSnapshot(&buf, 99); err != nil {
-					t.Fatal(err)
-				}
-				dst, wm, err := LoadSnapshotAt(bytes.NewReader(buf.Bytes()), 4, to)
+				dst, wm, err := LoadSnapshotV3At(writeV3(t, src, 99), 4, to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +171,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 				}
 				// Each vector must reconstruct within the sum of both
 				// precisions' lane bounds, and norms must survive the trip
-				// bit-exact (they ride the wire, not the codes).
+				// bit-exact (they ride the sidecar, not the codes).
 				for i := 0; i < emb.Rows; i++ {
 					id := graph.NodeID(i)
 					orig := emb.Row(i)
@@ -210,75 +200,12 @@ func TestCrossPrecisionLoad(t *testing.T) {
 	}
 }
 
-// wireMirror mirrors storeWire field-for-field so tests can synthesize
-// legacy and corrupt snapshots through gob (gob matches struct fields
-// by name, not type identity).
-type wireMirror struct {
-	Version   int
-	Dim       int
-	Watermark uint64
-	IDs       []graph.NodeID
-	Data      []float64
-	Precision int
-	Data32    []float32
-	Codes     []int8
-	Scales    []float64
-	Offsets   []float64
-	Norms     []float64
-}
-
-// TestLegacyV1SnapshotLoads: a version-1 snapshot (float64 only, no
-// precision/sidecar fields — the pre-compression wire format) loads
-// natively as f64 and upconverts into sq8 on request.
-func TestLegacyV1SnapshotLoads(t *testing.T) {
-	type wireV1 struct {
-		Version   int
-		Dim       int
-		Watermark uint64
-		IDs       []graph.NodeID
-		Data      []float64
-	}
-	w := wireV1{
-		Version:   1,
-		Dim:       3,
-		Watermark: 7,
-		IDs:       []graph.NodeID{1, 2, 5},
-		Data:      []float64{1, 2, 3, 4, 5, 6, 7, 8, 9},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		t.Fatal(err)
-	}
-	s, wm, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm != 7 || s.Precision() != F64 || s.Len() != 3 {
-		t.Fatalf("v1 load: wm %d prec %v len %d", wm, s.Precision(), s.Len())
-	}
-	if v, _ := s.Get(5); v[2] != 9 {
-		t.Fatalf("v1 load: Get(5) = %v", v)
-	}
-	// Upconvert on boot: same bytes, sq8 target.
-	q, _, err := LoadSnapshotAt(bytes.NewReader(buf.Bytes()), 2, SQ8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Precision() != SQ8 || q.Len() != 3 {
-		t.Fatalf("v1→sq8: prec %v len %d", q.Precision(), q.Len())
-	}
-	got, _ := q.Get(2)
-	var bound float64
-	q.With(2, func(v *VecView) { bound = maxLaneErr(SQ8, v, []float64{4, 5, 6}) })
-	for j, want := range []float64{4, 5, 6} {
-		if d := math.Abs(got[j] - want); d > bound {
-			t.Fatalf("v1→sq8 lane %d: err %g > %g", j, d, bound)
-		}
-	}
-}
-
-// TestCorruptSnapshotRejected: truncated or inconsistent payloads and
-// sidecars must fail loudly, never load as garbage.
+// TestCorruptSnapshotRejected: structurally inconsistent images — a
+// sidecar or payload whose length disagrees with its shard's id count,
+// an unknown version or precision, a zero dim — must fail loudly even
+// when every CRC has been recomputed to match (so the structural
+// checks, not the checksums, are what refuses them), as must a
+// truncated byte stream. TestV3CorruptionRejected covers bit flips.
 func TestCorruptSnapshotRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	emb := tensor.Randn(20, 4, 1, rng)
@@ -286,36 +213,59 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	good, err := os.ReadFile(writeV3(t, src, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var w wireMirror
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&w); err != nil {
+	layout, err := parseV3(good)
+	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(name string, mut func(*wireMirror), wantSub string) {
+	// entry returns the offset of the table entry of shard 0's section of
+	// the given kind.
+	entry := func(kind v3Kind) int {
+		for i, sec := range layout.sections {
+			if sec.kind == kind && sec.shard == 0 {
+				return int(layout.tableOff) + i*v3EntrySize
+			}
+		}
+		t.Fatalf("no section of kind %d", kind)
+		return 0
+	}
+	corrupt := func(name string, mut func(data []byte), wantSub string) {
 		t.Helper()
-		c := w
-		mut(&c)
-		var cb bytes.Buffer
-		if err := gob.NewEncoder(&cb).Encode(c); err != nil {
+		data := bytes.Clone(good)
+		mut(data)
+		putLE32(data, 60, crc32.Checksum(data[:60], v3CRC))
+		table := data[layout.tableOff : int(layout.tableOff)+len(layout.sections)*v3EntrySize+4]
+		putLE32(table, len(table)-4, crc32.Checksum(table[:len(table)-4], v3CRC))
+		path := filepath.Join(t.TempDir(), "corrupt.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := LoadSnapshot(bytes.NewReader(cb.Bytes()), 2)
+		_, _, err := LoadSnapshotV3(path, 2)
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("%s: err = %v, want substring %q", name, err, wantSub)
 		}
 	}
-	corrupt("truncated scales sidecar", func(c *wireMirror) { c.Scales = c.Scales[:len(c.Scales)-1] }, "sidecars")
-	corrupt("truncated norms sidecar", func(c *wireMirror) { c.Norms = nil }, "sidecars")
-	corrupt("truncated codes", func(c *wireMirror) { c.Codes = c.Codes[:len(c.Codes)-3] }, "codes")
-	corrupt("future version", func(c *wireMirror) { c.Version = 99 }, "version")
-	corrupt("unknown precision", func(c *wireMirror) { c.Precision = 7 }, "precision")
-	corrupt("bad dim", func(c *wireMirror) { c.Dim = 0 }, "dim")
+	corrupt("truncated sq8 sidecar", func(d []byte) {
+		e := entry(v3KindMeta)
+		putLE64(d, e+8, le64(d, e+8)-1)    // rows
+		putLE64(d, e+24, le64(d, e+24)-32) // length
+	}, "ids section has")
+	corrupt("truncated codes", func(d []byte) {
+		e := entry(v3KindPayload)
+		putLE64(d, e+24, le64(d, e+24)-3)
+	}, "bytes for")
+	corrupt("future version", func(d []byte) { putLE32(d, 8, 99) }, "version")
+	corrupt("unknown precision", func(d []byte) { putLE32(d, 16, 7) }, "precision")
+	corrupt("bad dim", func(d []byte) { putLE32(d, 12, 0) }, "dim")
 
-	// Truncated byte stream (mid-gob): must surface a load error.
-	if _, _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), 2); err == nil {
+	trunc := filepath.Join(t.TempDir(), "trunc.snap")
+	if err := os.WriteFile(trunc, good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadSnapshotV3(trunc, 2); err == nil {
 		t.Fatal("truncated stream loaded cleanly")
 	}
 }

@@ -1,8 +1,7 @@
-// v3 snapshot format ("EHNASNP3"): the flat, page-aligned successor to
-// the gob storeWire encoding, designed so the same file serves two
-// loaders. The copy loader (RAM mode) reads it once and materializes
-// slabs, like the gob path but without decoder allocation churn; the
-// mmap loader (cold mode, mmapstore_unix.go) maps it read-only and
+// v3 snapshot format ("EHNASNP3"): the store's one on-disk format, flat
+// and page-aligned so the same file serves two loaders. The copy
+// loader (RAM mode) reads it once and materializes slabs; the mmap
+// loader (cold mode, mmapstore_unix.go) maps it read-only and
 // serves VecViews straight out of the mapping, so boot cost is a page
 // table — not a heap — and the resident set is whatever the access
 // pattern actually touches.
@@ -44,6 +43,7 @@ package embstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -75,10 +75,14 @@ const (
 
 var v3CRC = crc32.MakeTable(crc32.Castagnoli)
 
+// ErrNotV3Snapshot is wrapped by the loaders when a file does not start
+// with the v3 magic: some other format (a gob image written before the
+// v3 format, a model checkpoint), not a damaged v3 snapshot.
+var ErrNotV3Snapshot = errors.New("not a v3 snapshot")
+
 // The casting loaders and writer reinterpret slab memory as raw bytes,
 // so the on-disk format inherits the host byte order; it is defined as
-// little-endian and refused elsewhere (the gob format remains the
-// portable interchange).
+// little-endian and refused elsewhere.
 var hostLittleEndian = func() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
@@ -210,11 +214,11 @@ func parseV3(data []byte) (*v3Layout, error) {
 	fail := func(format string, args ...any) (*v3Layout, error) {
 		return nil, fmt.Errorf("embstore: v3 snapshot: "+format, args...)
 	}
+	if len(data) < len(v3Magic) || string(data[:len(v3Magic)]) != v3Magic {
+		return nil, fmt.Errorf("embstore: %w: %d bytes without the %q magic", ErrNotV3Snapshot, len(data), v3Magic)
+	}
 	if len(data) < v3HeaderSize {
 		return fail("%d bytes, want at least the %d-byte header", len(data), v3HeaderSize)
-	}
-	if string(data[:8]) != v3Magic {
-		return fail("bad magic %q", data[:8])
 	}
 	if got := crc32.Checksum(data[:60], v3CRC); got != le32(data, 60) {
 		return fail("header CRC mismatch (got %08x, stored %08x)", got, le32(data, 60))
@@ -415,16 +419,21 @@ func (vw *v3Writer) pad() {
 }
 
 // SaveSnapshotV3 writes a v3 snapshot of the store to ws, stamped with
-// a WAL watermark (same contract as SaveSnapshot). The header lands
+// a WAL watermark: the sequence number through which the image is known
+// complete (0 outside a WAL pipeline), handed back by the loaders so
+// replay can skip everything the snapshot already contains. The caller
+// must guarantee all records ≤ watermark were applied before the call
+// starts; records applied concurrently (seq > watermark) may bleed into
+// the image, which replay-idempotence makes harmless. The header lands
 // last — a zero placeholder goes out first and is patched by seeking
 // back once every section CRC is known — so a torn write is never
 // parseable. Each shard is serialized under one acquisition of its
-// read lock: per-shard-consistent, like the gob writer's per-vector
-// atomicity, and cold stores fold their overlay over the mapped base
-// as they serialize.
+// read lock (a concurrent upsert is either fully included or fully
+// absent; quiesce writers for a point-in-time image), and cold stores
+// fold their overlay over the mapped base as they serialize.
 func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 	if !hostLittleEndian {
-		return fmt.Errorf("embstore: v3 snapshots require a little-endian host (use the gob format)")
+		return fmt.Errorf("embstore: v3 snapshots require a little-endian host")
 	}
 	vw := &v3Writer{w: bufio.NewWriterSize(ws, 1<<16)}
 	vw.write(make([]byte, v3HeaderSize))
@@ -556,32 +565,19 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 	return nil
 }
 
-// IsV3Snapshot reports whether the file at path starts with the v3
-// magic — the format sniff boot uses to route a -snapshot argument to
-// the right loader.
-func IsV3Snapshot(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false
-	}
-	return string(magic[:]) == v3Magic
-}
-
 // LoadSnapshotV3 reads a v3 snapshot into a heap-resident store at the
-// snapshot's native precision — the RAM-mode replacement for the gob
-// decode — returning the WAL watermark it was stamped with.
+// snapshot's native precision, returning the WAL watermark it was
+// stamped with.
 func LoadSnapshotV3(path string, shards int) (*Store, uint64, error) {
 	return loadSnapshotV3(path, shards, nil)
 }
 
-// LoadSnapshotV3At is LoadSnapshotV3 at an explicit target precision;
-// cross-precision loads dequantize and re-encode row by row, like
-// LoadSnapshotAt.
+// LoadSnapshotV3At is LoadSnapshotV3 at an explicit target precision,
+// regardless of the precision the snapshot was written in. Same-
+// precision loads are lossless (bit-identical slabs); cross-precision
+// loads dequantize each row and re-encode it on the way in, carrying
+// the original norm along — the convert-on-boot path that lets an f64
+// snapshot seed an sq8 daemon (and vice versa).
 func LoadSnapshotV3At(path string, shards int, prec Precision) (*Store, uint64, error) {
 	return loadSnapshotV3(path, shards, &prec)
 }
@@ -624,7 +620,7 @@ func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, e
 			row := pay[r*rowB : (r+1)*rowB]
 			if target == l.prec {
 				// Lossless path: move the disk representation straight into
-				// the slabs, like the gob loader's same-precision path.
+				// the slabs, preserving codes and sidecars bit for bit.
 				sh := s.shardFor(id)
 				sh.mu.Lock()
 				slot := sh.ensureSlot(s, id)

@@ -61,10 +61,6 @@ func TestV3RoundTrip(t *testing.T) {
 			s.Delete(gid(250))
 			path := writeV3(t, s, 42)
 
-			if !IsV3Snapshot(path) {
-				t.Fatal("IsV3Snapshot = false for a v3 file")
-			}
-
 			// Reload at a different shard count: contents must match
 			// bit for bit regardless of sharding.
 			got, wm, err := LoadSnapshotV3(path, 9)
@@ -124,39 +120,6 @@ func TestV3CrossPrecisionLoad(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("%s: cross-precision load differs from upsert conversion", target)
 		}
-	}
-}
-
-// TestV3GobParity checks the v3 copy loader and the gob loader
-// materialize identical stores from the same source.
-func TestV3GobParity(t *testing.T) {
-	s, err := NewPrecision(5, 4, SQ8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRandom(t, s, 150, 3)
-	path := writeV3(t, s, 9)
-	fromV3, wm3, err := LoadSnapshotV3(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobPath := filepath.Join(t.TempDir(), "store.gob")
-	f, _ := os.Create(gobPath)
-	if err := s.SaveSnapshot(f, 9); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	g, _ := os.Open(gobPath)
-	fromGob, wmG, err := LoadSnapshot(g, 4)
-	g.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm3 != wmG {
-		t.Fatalf("watermarks differ: v3=%d gob=%d", wm3, wmG)
-	}
-	if !fromV3.Equal(fromGob) {
-		t.Fatal("v3 and gob loads differ")
 	}
 }
 

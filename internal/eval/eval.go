@@ -389,7 +389,8 @@ func RecallAtK(approx, exact []graph.NodeID) (float64, error) {
 }
 
 // MeanRecallAtK averages RecallAtK over aligned per-query result sets —
-// the headline number for comparing an LSH index against exact search.
+// the headline number for comparing an approximate index against exact
+// search.
 func MeanRecallAtK(approx, exact [][]graph.NodeID) (float64, error) {
 	if len(approx) != len(exact) {
 		return 0, fmt.Errorf("eval: %d approx result sets vs %d exact", len(approx), len(exact))

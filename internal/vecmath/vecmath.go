@@ -1,7 +1,7 @@
 // Package vecmath is the single home of the repo's float64 vector
 // kernels. Every hot loop — hogwild SGNS updates (internal/skipgram,
 // internal/baselines/line), the EHNA trainer's dense math
-// (internal/tensor, internal/ag, internal/nn), exact and LSH
+// (internal/tensor, internal/ag, internal/nn), exact and HNSW
 // similarity scans (internal/ann, internal/embstore) and the Table II
 // edge operators (internal/eval) — routes through this package instead
 // of hand-rolling its own scalar loop.
