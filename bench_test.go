@@ -12,9 +12,6 @@ package ehnabench
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"ehna/internal/ann"
@@ -25,7 +22,6 @@ import (
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/vecmath"
-	"ehna/internal/wal"
 )
 
 func quick() experiments.Settings { return experiments.Quick() }
@@ -363,163 +359,6 @@ func BenchmarkKernels(b *testing.B) {
 		})
 		if sinkF == 0.12345 {
 			b.Log(sinkF)
-		}
-	}
-}
-
-// BenchmarkWALAppend measures the ingest path's logging cost: one
-// record per Append (each paying its own buffer write) versus a
-// 64-record AppendBatch (one durability wait for the whole batch).
-// fsync=never isolates the encode+buffer cost from disk sync latency —
-// the group-commit benefit under fsync=always is larger still.
-func BenchmarkWALAppend(b *testing.B) {
-	vec := make([]float64, servingDim)
-	for i := range vec {
-		vec[i] = float64(i) * 0.25
-	}
-	open := func(b *testing.B) *wal.Log {
-		b.Helper()
-		l, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncNever})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { l.Close() })
-		return l
-	}
-	b.Run("single", func(b *testing.B) {
-		l := open(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Append(wal.OpUpsert, graph.NodeID(i), vec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch64", func(b *testing.B) {
-		l := open(b)
-		recs := make([]wal.Record, 64)
-		for i := range recs {
-			recs[i] = wal.Record{Op: wal.OpUpsert, ID: graph.NodeID(i), Vec: vec}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.AppendBatch(recs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// ns/op is per 64-record batch; records/op makes that explicit.
-		b.ReportMetric(64, "records/op")
-	})
-}
-
-// BenchmarkSnapshotLoad compares the two ways a daemon can get its
-// store back at boot, at the dim-64 sq8 shape the beyond-RAM serving
-// path targets: copying the flat v3 snapshot into heap slabs, and
-// mmapping it (O(1) in dataset size — the header/table parse plus one
-// CRC sweep of the mapping). MB/s is against the on-disk snapshot size.
-func BenchmarkSnapshotLoad(b *testing.B) {
-	const dim = 64
-	for _, n := range []int{100_000, 1_000_000} {
-		n := n
-		s, err := embstore.NewPrecision(dim, embstore.DefaultShards, embstore.SQ8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		vec := make([]float64, dim)
-		for i := 0; i < n; i++ {
-			for j := range vec {
-				vec[j] = rng.NormFloat64()
-			}
-			if err := s.Upsert(graph.NodeID(i), vec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		v3Path := filepath.Join(b.TempDir(), "store.snap")
-		f, err := os.Create(v3Path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.SaveSnapshotV3(f, uint64(n)); err != nil {
-			b.Fatal(err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		v3Size := st.Size()
-
-		b.Run(fmt.Sprintf("v3copy/n=%d", n), func(b *testing.B) {
-			b.SetBytes(v3Size)
-			for i := 0; i < b.N; i++ {
-				st, _, err := embstore.LoadSnapshotV3(v3Path, embstore.DefaultShards)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Len() != n {
-					b.Fatal("short load")
-				}
-			}
-		})
-		if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
-			// The snapshots were just written, so the file is in page
-			// cache: this is the warm number (restart, rotation).
-			b.Run(fmt.Sprintf("mmap-warm/n=%d", n), func(b *testing.B) {
-				b.SetBytes(v3Size)
-				for i := 0; i < b.N; i++ {
-					st, _, err := embstore.OpenMmap(v3Path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st.Len() != n {
-						b.Fatal("short load")
-					}
-					st.Close()
-				}
-			})
-			// Evict the file's pages before each open: first boot on a
-			// machine that has never read the snapshot. The CRC sweep
-			// inside OpenMmap then faults every page in from disk, so
-			// this is bounded by storage bandwidth, not parse cost.
-			b.Run(fmt.Sprintf("mmap-cold/n=%d", n), func(b *testing.B) {
-				b.SetBytes(v3Size)
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					if err := embstore.DropFileCache(v3Path); err != nil {
-						b.Skipf("cannot drop page cache: %v", err)
-					}
-					b.StartTimer()
-					st, _, err := embstore.OpenMmap(v3Path)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st.Len() != n {
-						b.Fatal("short load")
-					}
-					st.Close()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkHNSWBuild measures graph construction from a loaded store —
-// the cost -hnsw-graph snapshots let the daemon skip at boot.
-func BenchmarkHNSWBuild(b *testing.B) {
-	const n = 10_000
-	rng := rand.New(rand.NewSource(3))
-	emb := tensor.Randn(n, servingDim, 1, rng)
-	s, err := embstore.FromMatrix(emb, embstore.DefaultShards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ann.BuildHNSW(s, ann.DefaultHNSWConfig()); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -39,7 +39,9 @@ import (
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/embstore"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/vecmath"
 )
@@ -175,7 +177,7 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 	log.Printf("generated %d × dim-%d at %s in %v", n, dim, prec, time.Since(start).Round(time.Millisecond))
 
 	snapPath := filepath.Join(out, "store.snap")
-	if err := writeAtomic(snapPath, func(f *os.File) error {
+	if err := faultfs.WriteFileAtomic(faultfs.OS(), snapPath, func(f faultfs.File) error {
 		return store.SaveSnapshotV3(f, 0)
 	}); err != nil {
 		return fmt.Errorf("store snapshot: %w", err)
@@ -190,7 +192,7 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 			return fmt.Errorf("hnsw build: %w", err)
 		}
 		graphPath := filepath.Join(out, "graph.gob")
-		if err := writeAtomic(graphPath, func(f *os.File) error { return h.SaveGraph(f) }); err != nil {
+		if err := faultfs.WriteFileAtomic(faultfs.OS(), graphPath, func(f faultfs.File) error { return h.SaveGraph(f) }); err != nil {
 			return fmt.Errorf("graph snapshot: %w", err)
 		}
 		log.Printf("wrote %s (built in %v)", graphPath, time.Since(gstart).Round(time.Millisecond))
@@ -198,7 +200,7 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 
 	if nq > 0 {
 		truthPath := filepath.Join(out, "truth.json")
-		if err := writeAtomic(truthPath, func(f *os.File) error {
+		if err := faultfs.WriteFileAtomic(faultfs.OS(), truthPath, func(f faultfs.File) error {
 			return json.NewEncoder(f).Encode(&truth)
 		}); err != nil {
 			return fmt.Errorf("truth file: %w", err)
@@ -225,7 +227,7 @@ func runCheck(dir, target string, minRecall float64) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	var sum float64
 	for qi, q := range truth.Queries {
-		body, err := json.Marshal(map[string]any{"vector": q.Vector, "k": truth.K})
+		body, err := json.Marshal(cluster.NeighborQuery{Vector: q.Vector, K: truth.K})
 		if err != nil {
 			return err
 		}
@@ -233,9 +235,7 @@ func runCheck(dir, target string, minRecall float64) error {
 		if err != nil {
 			return fmt.Errorf("query %d: %w", qi, err)
 		}
-		var out struct {
-			Results []ann.Result `json:"results"`
-		}
+		var out cluster.NeighborsAck
 		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
 		if err != nil {
@@ -262,29 +262,4 @@ func runCheck(dir, target string, minRecall float64) error {
 		return fmt.Errorf("recall@%d %.4f below gate %.2f", truth.K, recall, minRecall)
 	}
 	return nil
-}
-
-// writeAtomic is tmp+rename with fsync: artifacts appear complete or
-// not at all.
-func writeAtomic(path string, write func(f *os.File) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"ehna/internal/cluster"
 	"ehna/internal/embstore"
 	"ehna/internal/faultfs"
 	"ehna/internal/graph"
@@ -41,10 +42,10 @@ func seedDaemon(t *testing.T, srv *server, n, dim int, seed int64) *embstore.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	var updates []upsertUpdate
+	var updates []cluster.UpsertUpdate
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
-		updates = append(updates, upsertUpdate{ID: &id, Vector: emb.Row(i)})
+		updates = append(updates, cluster.UpsertUpdate{ID: &id, Vector: emb.Row(i)})
 		if err := ref.Upsert(id, emb.Row(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestMmapBootRotateFold(t *testing.T) {
 	id := graph.NodeID(7)
 	vec := make([]float64, dim)
 	vec[3] = 2
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Upsert(id, vec); err != nil {
@@ -218,7 +219,7 @@ func TestSeedSnapshotBootsMmap(t *testing.T) {
 	id := graph.NodeID(5)
 	vec := make([]float64, dim)
 	vec[2] = 3
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.Upsert(id, vec); err != nil {
@@ -267,7 +268,7 @@ func TestMmapRotationFaultKeepsOldBase(t *testing.T) {
 	id := graph.NodeID(3)
 	vec := make([]float64, dim)
 	vec[0] = 5
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 	inj.Add(faultfs.Rule{Op: faultfs.OpRename, Path: "store.snap", Err: syscall.EIO})

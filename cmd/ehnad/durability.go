@@ -1,13 +1,19 @@
-// The durability layer: what turns the daemon from a cache into a
-// system of record.
+// The durability layer: the daemon's one write path, and — when it is
+// given a log — what turns the daemon from a cache into a system of
+// record.
 //
-// Write path (the applier): every mutation takes d.mu, appends to the
-// WAL buffer, applies to the store+index through the Swapper, releases
-// d.mu, and only acknowledges after wal.Commit makes the records
-// durable per -fsync (concurrent requests group-commit behind one
-// fsync). Because append and apply happen under one lock, "everything
-// the log holds up to seq S has been applied" is true whenever the
-// lock is free — the invariant snapshot watermarking leans on.
+// Write path (the applier): every mutation, whatever its source — an
+// HTTP upsert or delete, a WAL record replayed at boot, a batch from
+// the leader's replication stream — is a []wal.Record handed to apply:
+// take d.mu, append to the WAL buffer, apply each record to the
+// store+index through the Swapper (applyRecord, the only code in the
+// daemon that mutates them), release d.mu, and only acknowledge after
+// wal.Commit makes the records durable per -fsync (concurrent requests
+// group-commit behind one fsync). The log is optional: without -wal the
+// append and the commit drop out and nothing else changes. Because
+// append and apply happen under one lock, "everything the log holds up
+// to seq S has been applied" is true whenever the lock is free — the
+// invariant snapshot watermarking leans on.
 //
 // Snapshot rotation: under d.mu (writes stall, searches don't), Rotate
 // seals the WAL segment and yields the watermark W; the store snapshot
@@ -17,7 +23,7 @@
 // pair + full WAL or the new pair + WAL suffix — both recover exactly.
 //
 // Boot: load the snapshot pair (graph invalid/stale → rebuild), then
-// replay the WAL suffix (seq > W) through the index. Records that bled
+// replay the WAL suffix (seq > W) through the applier. Records that bled
 // into the snapshot past W replay harmlessly (last-writer-wins).
 //
 // Compaction: when the HNSW tombstone ratio passes -compact-at, the
@@ -43,11 +49,13 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/embstore"
 	"ehna/internal/faultfs"
 	"ehna/internal/graph"
@@ -68,8 +76,8 @@ const healCheckEvery = time.Second
 var errReadOnly = errors.New("read-only mode: WAL persistence failed; writes disabled until the log heals")
 
 type durable struct {
-	mu   sync.Mutex // the applier lock; see the package comment
-	logp atomic.Pointer[wal.Log]
+	mu   sync.Mutex              // the applier lock; see the package comment
+	logp atomic.Pointer[wal.Log] // nil without -wal, and until openLog has replayed
 
 	sw    *ann.Swapper
 	store *embstore.Store
@@ -79,7 +87,6 @@ type durable struct {
 	fsys      faultfs.FS
 	snapPath  string // the rotating flat v3 snapshot (store.snap)
 	graphPath string // "" unless the index is hnsw
-	hnswCfg   ann.HNSWConfig
 	isHNSW    bool
 	compactAt float64
 	interval  time.Duration
@@ -107,21 +114,34 @@ type durable struct {
 	heals         atomic.Int64
 }
 
-// wal returns the live log. An atomic pointer because heal() swaps in
-// a fresh log while metrics closures and late Commit calls may still
-// hold the old one.
+// wal returns the live log, nil when the daemon keeps none. An atomic
+// pointer because heal() swaps in a fresh log while metrics closures
+// and late Commit calls may still hold the old one.
 func (d *durable) wal() *wal.Log { return d.logp.Load() }
 
-// newDurable recovers state (WAL replay over the already-loaded
-// snapshot), opens the log for appending (repairing any torn tail),
-// and starts the maintenance loop.
-func newDurable(cfg serverConfig, store *embstore.Store, sw *ann.Swapper, watermark uint64) (*durable, error) {
+// hasLog reports whether writes are logged: what the endpoints that
+// operate on the log itself (snapshot rotation, compaction, the
+// replication stream) and the durability report ask before they run.
+func (d *durable) hasLog() bool { return d.wal() != nil }
+
+// spoolDir is where /v1/export spools its image: beside the WAL when
+// there is one (the data volume has room for it), else the OS temp dir.
+func (d *durable) spoolDir() string {
+	if d.walDir != "" {
+		return d.walDir
+	}
+	return os.TempDir()
+}
+
+// newDurable builds the applier over store+index. It is complete as is
+// for a daemon without -wal; openLog adds the log.
+func newDurable(cfg serverConfig, store *embstore.Store, sw *ann.Swapper) *durable {
 	d := &durable{
 		sw:        sw,
 		store:     store,
 		walDir:    cfg.walDir,
+		fsys:      cfg.fsys(),
 		snapPath:  walSnapshotV3Path(cfg.walDir),
-		hnswCfg:   hnswConfigOf(cfg.index),
 		isHNSW:    cfg.index.kind == "hnsw",
 		compactAt: cfg.compactAt,
 		interval:  cfg.snapshotInterval,
@@ -131,53 +151,47 @@ func newDurable(cfg serverConfig, store *embstore.Store, sw *ann.Swapper, waterm
 	if d.isHNSW {
 		d.graphPath = cfg.index.graphPath
 	}
-	d.watermark.Store(watermark)
+	return d
+}
 
-	fsys := cfg.fs
-	if fsys == nil {
-		fsys = faultfs.OS()
-	}
-	d.fsys = fsys
-	// Recovery: replay the log suffix through the index (graph + store).
-	info, err := wal.ReplayFS(fsys, cfg.walDir, watermark, func(r wal.Record) error {
-		switch r.Op {
-		case wal.OpUpsert:
-			return sw.Add(r.ID, r.Vec)
-		case wal.OpDelete:
-			sw.Remove(r.ID)
-			return nil
-		default:
-			return fmt.Errorf("wal record %d has unknown op %d", r.Seq, r.Op)
-		}
+// openLog recovers state — the WAL suffix past watermark replayed over
+// the already-loaded snapshot, through the same apply every later write
+// takes (no log is open yet, so nothing is appended a second time) —
+// then opens the log for appending (repairing any torn tail) and starts
+// the maintenance loop.
+func (d *durable) openLog(cfg serverConfig, watermark uint64) error {
+	d.watermark.Store(watermark)
+	info, err := wal.ReplayFS(d.fsys, d.walDir, watermark, func(r wal.Record) error {
+		return d.replicate([]wal.Record{r})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("wal replay: %w", err)
+		return fmt.Errorf("wal replay: %w", err)
 	}
 	d.replayed, d.replayTorn = info.Records, info.Torn
 	if info.Torn {
 		log.Printf("ehnad: wal %s has a torn tail at %s+%d (crash mid-append); truncating and continuing",
-			cfg.walDir, info.TornPath, info.TornOffset)
+			d.walDir, info.TornPath, info.TornOffset)
 	}
 	log.Printf("ehnad: wal recovery: %d records replayed past watermark %d (last seq %d)",
 		info.Records, watermark, info.LastSeq)
 
 	policy, ivl, err := wal.ParseSyncPolicy(cfg.fsync)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// FirstSeq matters only when the directory has no segments yet: a
 	// follower bootstrapped from a leader snapshot at watermark W must
 	// open its empty log at W+1 so replicated records keep the leader's
 	// numbering and Replay(W) finds no gap. (A leader whose log was
 	// rotated always has a live segment, so FirstSeq is ignored there.)
-	d.walOpts = wal.Options{Sync: policy, Interval: ivl, FS: cfg.fs, FirstSeq: watermark + 1}
-	l, err := wal.Open(cfg.walDir, d.walOpts)
+	d.walOpts = wal.Options{Sync: policy, Interval: ivl, FS: d.fsys, FirstSeq: watermark + 1}
+	l, err := wal.Open(d.walDir, d.walOpts)
 	if err != nil {
-		return nil, fmt.Errorf("wal open: %w", err)
+		return fmt.Errorf("wal open: %w", err)
 	}
 	d.logp.Store(l)
 	go d.run()
-	return d, nil
+	return nil
 }
 
 // enterReadOnly flips the daemon into read-only degraded mode on the
@@ -235,149 +249,123 @@ func (d *durable) heal() {
 	log.Printf("ehnad: wal healed after %d attempts; leaving read-only mode", d.healAttempts.Load())
 }
 
-// upsert logs then applies a batch of updates, acknowledging only
-// once the records are durable. The WAL write happening before the
-// apply is the whole point: a crash after the append replays the
-// mutation, a crash before it means the client never got an ack.
-// Append+apply run under d.mu (preserving the watermark invariant);
-// the durability wait happens after the lock drops, so concurrent
-// requests group-commit behind one fsync instead of each paying a
-// serialized sync. The read-only gate sits in front of the append so
-// a poisoned log refuses work before mutating anything.
-// It returns the last WAL sequence the batch was logged at — the ack
-// token a client (or the shard router) can compare against a new
-// leader's promotion watermark after a failover.
-func (d *durable) upsert(updates []upsertUpdate) (uint64, error) {
+// apply is the write path: log the records, then apply them,
+// acknowledging only once they are durable. The WAL write happening
+// before the apply is the whole point: a crash after the append replays
+// the mutation, a crash before it means the client never got an ack.
+// Append+apply run under d.mu (preserving the watermark invariant); the
+// durability wait happens after the lock drops, so concurrent requests
+// group-commit behind one fsync instead of each paying a serialized
+// sync. The read-only gate sits in front of the append so a poisoned
+// log refuses work before mutating anything.
+//
+// appendTo is how the records enter the log: (*wal.Log).AppendBuffered
+// numbers them, (*wal.Log).AppendAt keeps the numbers a leader gave
+// them and refuses a batch that diverges (wal.ErrDiverged) before
+// writing a byte — a protocol disagreement, not a persistence failure,
+// so it leaves the log healthy and writable. Any other failure with a
+// log flips the daemon read-only.
+//
+// It returns how many deletes found their id, and the last WAL sequence
+// the batch was logged at (0 without a log) — the ack token a client
+// (or the shard router) can compare against a new leader's promotion
+// watermark after a failover.
+func (d *durable) apply(recs []wal.Record, appendTo func(*wal.Log, []wal.Record) (uint64, error)) (removed int, last uint64, err error) {
 	if d.readOnly.Load() {
-		return 0, errReadOnly
+		return 0, 0, errReadOnly
 	}
+	d.mu.Lock()
+	lg := d.wal()
+	if lg != nil {
+		if last, err = appendTo(lg, recs); err != nil {
+			err = fmt.Errorf("wal append: %w", err)
+		}
+	}
+	for i := 0; i < len(recs) && err == nil; i++ {
+		var hit bool
+		if hit, err = d.applyRecord(recs[i]); hit {
+			removed++
+		}
+	}
+	d.mu.Unlock()
+	if lg == nil {
+		return removed, 0, err
+	}
+	if err == nil {
+		if err = lg.Commit(last); err != nil {
+			err = fmt.Errorf("wal commit: %w", err)
+		}
+	}
+	if err != nil {
+		if !errors.Is(err, wal.ErrDiverged) {
+			d.enterReadOnly(err)
+		}
+		return removed, 0, err
+	}
+	return removed, last, nil
+}
+
+// applyRecord applies one logged mutation to the store+index,
+// reporting whether a delete found its id.
+func (d *durable) applyRecord(r wal.Record) (bool, error) {
+	switch r.Op {
+	case wal.OpUpsert:
+		return false, d.sw.Add(r.ID, r.Vec)
+	case wal.OpDelete:
+		return d.sw.Remove(r.ID), nil
+	default:
+		return false, fmt.Errorf("wal record %d has unknown op %d", r.Seq, r.Op)
+	}
+}
+
+// upsert applies a batch of validated updates, returning its ack seq.
+func (d *durable) upsert(updates []cluster.UpsertUpdate) (uint64, error) {
 	recs := make([]wal.Record, len(updates))
 	for i, u := range updates {
 		recs[i] = wal.Record{Op: wal.OpUpsert, ID: *u.ID, Vec: u.Vector}
 	}
-	d.mu.Lock()
-	lg := d.wal()
-	last, err := lg.AppendBuffered(recs)
-	if err == nil {
-		for _, u := range updates {
-			if err = d.sw.Add(*u.ID, u.Vector); err != nil {
-				break
-			}
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		err = fmt.Errorf("wal append: %w", err)
-		d.enterReadOnly(err)
-		return 0, err
-	}
-	if err := lg.Commit(last); err != nil {
-		err = fmt.Errorf("wal commit: %w", err)
-		d.enterReadOnly(err)
-		return 0, err
-	}
-	return last, nil
+	_, last, err := d.apply(recs, (*wal.Log).AppendBuffered)
+	return last, err
 }
 
-// delete logs then applies removals, reporting how many were present.
-// Same locking shape as upsert: append+apply inside d.mu, durability
-// wait (group-committed) outside it.
+// delete applies removals, reporting how many ids were present.
 func (d *durable) delete(ids []graph.NodeID) (int, uint64, error) {
-	if d.readOnly.Load() {
-		return 0, 0, errReadOnly
-	}
 	recs := make([]wal.Record, len(ids))
 	for i, id := range ids {
 		recs[i] = wal.Record{Op: wal.OpDelete, ID: id}
 	}
-	d.mu.Lock()
-	lg := d.wal()
-	last, err := lg.AppendBuffered(recs)
-	n := 0
-	if err == nil {
-		for _, id := range ids {
-			if d.sw.Remove(id) {
-				n++
-			}
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		err = fmt.Errorf("wal append: %w", err)
-		d.enterReadOnly(err)
-		return 0, 0, err
-	}
-	if err := lg.Commit(last); err != nil {
-		err = fmt.Errorf("wal commit: %w", err)
-		d.enterReadOnly(err)
-		return n, 0, err
-	}
-	return n, last, nil
+	return d.apply(recs, (*wal.Log).AppendBuffered)
 }
 
-// replicate is the follower apply path: one contiguous batch from the
-// leader's replication stream, appended at the leader's sequence
-// numbers (AppendAt refuses divergence before writing) and applied to
-// the store+index — the same append+apply-under-d.mu shape as upsert
-// and delete, so the applier-lock watermark invariant holds for
-// replicated records exactly as for local ones.
+// replicate applies records that already carry sequence numbers: one
+// contiguous batch from the leader's replication stream, logged at
+// those numbers — or, at boot, this daemon's own WAL suffix, replayed
+// before the log is open and so not logged again.
 func (d *durable) replicate(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	if d.readOnly.Load() {
-		return errReadOnly
-	}
-	d.mu.Lock()
-	lg := d.wal()
-	last, err := lg.AppendAt(recs)
-	if err == nil {
-		for _, r := range recs {
-			switch r.Op {
-			case wal.OpUpsert:
-				err = d.sw.Add(r.ID, r.Vec)
-			case wal.OpDelete:
-				d.sw.Remove(r.ID)
-			default:
-				err = fmt.Errorf("replicated record %d has unknown op %d", r.Seq, r.Op)
-			}
-			if err != nil {
-				break
-			}
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, wal.ErrDiverged) {
-			// Protocol disagreement, not a persistence failure: nothing was
-			// written, so the log stays healthy and writable.
-			return err
-		}
-		err = fmt.Errorf("replicated apply: %w", err)
-		d.enterReadOnly(err)
-		return err
-	}
-	if err := lg.Commit(last); err != nil {
-		err = fmt.Errorf("wal commit: %w", err)
-		d.enterReadOnly(err)
-		return err
-	}
-	return nil
+	_, _, err := d.apply(recs, (*wal.Log).AppendAt)
+	return err
 }
 
 // applied reports the watermark through which the local state reflects
-// the log — LastSeq, by the applier-lock invariant.
-func (d *durable) applied() uint64 { return d.wal().LastSeq() }
+// the log — LastSeq, by the applier-lock invariant; 0 when there is no
+// log and so no sequence space.
+func (d *durable) applied() uint64 {
+	if lg := d.wal(); lg != nil {
+		return lg.LastSeq()
+	}
+	return 0
+}
 
 // exportTo writes a v3 store snapshot stamped with the current WAL
 // watermark. Holding d.mu freezes the write path for the duration of
-// the local write (a consistent pair of store image + watermark is the
-// point: a follower bootstrapping from it resumes streaming at exactly
-// this sequence); searches keep serving throughout.
+// the local write, so the image holds every batch whole or not at all
+// and pairs with its watermark exactly (a follower bootstrapping from
+// it resumes streaming at this sequence); searches keep serving
+// throughout.
 func (d *durable) exportTo(ws io.WriteSeeker) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.store.SaveSnapshotV3(ws, d.wal().LastSeq())
+	return d.store.SaveSnapshotV3(ws, d.applied())
 }
 
 // snapshot rotates the WAL and writes the store (+ graph) snapshot
@@ -402,7 +390,7 @@ func (d *durable) snapshot() (uint64, error) {
 		}
 		if d.graphPath != "" {
 			if h, ok := d.sw.Current().(*ann.HNSW); ok {
-				if err := writeFileAtomicFS(d.fsys, d.graphPath, func(f faultfs.File) error {
+				if err := faultfs.WriteFileAtomic(d.fsys, d.graphPath, func(f faultfs.File) error {
 					return h.SaveGraph(f)
 				}); err != nil {
 					return 0, fmt.Errorf("graph snapshot: %w", err)
@@ -449,10 +437,11 @@ func (d *durable) tombstoneRatio() float64 {
 // and swaps it in, then rotates a snapshot so the on-disk graph
 // reflects the rebuilt one. force skips the -compact-at threshold.
 func (d *durable) compact(force bool) (bool, error) {
-	if !d.isHNSW {
+	live, ok := d.sw.Current().(*ann.HNSW)
+	if !ok {
 		return false, fmt.Errorf("compaction requires -index hnsw (running %T)", d.sw.Current())
 	}
-	if !force && (d.compactAt <= 0 || d.tombstoneRatio() < d.compactAt) {
+	if !force && (d.compactAt <= 0 || live.TombstoneRatio() < d.compactAt) {
 		return false, nil
 	}
 	if !d.compactRunning.CompareAndSwap(false, true) {
@@ -460,7 +449,10 @@ func (d *durable) compact(force bool) (bool, error) {
 	}
 	defer d.compactRunning.Store(false)
 	start := time.Now()
-	h, err := d.sw.CompactHNSW(d.store, d.hnswCfg)
+	// Rebuild with the live graph's own parameters, not the boot flags: a
+	// graph loaded from a snapshot keeps the M and ef-construction it was
+	// built with, and its ef-search is whatever the degrader last set.
+	h, err := d.sw.CompactHNSW(d.store, live.Config())
 	if err != nil {
 		return false, err
 	}
@@ -521,24 +513,18 @@ func (d *durable) run() {
 }
 
 // close stops the maintenance loop and closes the log (flushing and
-// fsyncing whatever the policy had not yet synced). The fast path: no
-// final snapshot, so the next boot replays the WAL suffix.
-func (d *durable) close() {
-	close(d.stop)
-	<-d.done
-	if err := d.wal().Close(); err != nil {
-		log.Printf("ehnad: wal close: %v", err)
+// fsyncing whatever the policy had not yet synced); without a log there
+// is neither. The graceful exit asks for a final snapshot pair first,
+// so the next boot replays zero records; the fast path skips it and the
+// next boot replays the WAL suffix. Read-only skips it too — a poisoned
+// log cannot rotate, and the suffix already on disk is the recovery.
+func (d *durable) close(finalSnapshot bool) {
+	if !d.hasLog() {
+		return
 	}
-}
-
-// shutdown is the graceful exit: stop the maintenance loop, rotate a
-// final snapshot pair (so the next boot replays zero records), and
-// close the log. Skips the snapshot while read-only — a poisoned log
-// cannot rotate, and the WAL suffix already on disk is the recovery.
-func (d *durable) shutdown() {
 	close(d.stop)
 	<-d.done
-	if !d.readOnly.Load() {
+	if finalSnapshot && !d.readOnly.Load() {
 		if _, err := d.snapshot(); err != nil {
 			log.Printf("ehnad: final snapshot: %v (boot will replay the wal instead)", err)
 		}

@@ -58,14 +58,14 @@ func TestBootFlagErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, `unknown index "`+removed+`" (want exact or hnsw)`) {
 		t.Errorf("-index %s: exit %d, stderr %q; want a boot error naming exact and hnsw", removed, code, stderr)
 	}
-	for _, gone := range []string{"-tables", "-bits", "-probes"} {
+	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed"} {
 		code, stderr := runMain(t, append(boot, gone, "8")...)
 		if code == 0 || !strings.Contains(stderr, "flag provided but not defined: "+gone) {
 			t.Errorf("%s: exit %d, stderr %q; want an undefined-flag boot error", gone, code, stderr)
 		}
 	}
 
-	// The flag surface is pinned: 27 flags, -index defaulting to hnsw.
+	// The flag surface is pinned: 25 flags, -index defaulting to hnsw.
 	_, usage := runMain(t, "-h")
 	var flags []string
 	for _, line := range strings.Split(usage, "\n") {
@@ -73,8 +73,8 @@ func TestBootFlagErrors(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if len(flags) != 27 {
-		t.Errorf("ehnad -h lists %d flags, want 27: %v", len(flags), flags)
+	if len(flags) != 25 {
+		t.Errorf("ehnad -h lists %d flags, want 25: %v", len(flags), flags)
 	}
 	if !strings.Contains(usage, "ann index: exact or hnsw (default \"hnsw\")") {
 		t.Errorf("ehnad -h does not show -index defaulting to hnsw:\n%s", usage)

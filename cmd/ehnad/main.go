@@ -9,9 +9,9 @@
 //	                         "queries":[...] batches explicitly
 //	POST /v1/score           pairwise link-prediction score under a Table II
 //	                         edge operator (hadamard sum = dot product)
-//	POST /v1/upsert          insert/replace vectors (WAL-logged, then store + index;
-//	                         acks carry the WAL seq)
-//	POST /v1/delete          remove vectors (WAL-logged, then store + index)
+//	POST /v1/upsert          insert/replace vectors (logged when there is a WAL,
+//	                         then store + index; acks then carry the WAL seq)
+//	POST /v1/delete          remove vectors (same path)
 //	GET  /v1/vector          resolve one stored id to its vector (router id-queries)
 //	GET  /v1/export          stream a v3 embstore snapshot of the live store
 //	                         (watermark-stamped with -wal; follower bootstrap source)
@@ -24,23 +24,32 @@
 //	GET  /healthz            liveness + store/index/durability stats
 //	GET  /debug/pprof/       (with -pprof) live CPU/heap/mutex profiling
 //
-// The embedding source is either -model (an ehna model snapshot written
-// by Model.Save — serves the raw embedding table) or -snapshot (a v3
-// embstore snapshot written by Store.SaveSnapshotV3 — e.g. the
-// attention-aggregated InferAll embeddings exported by
-// examples/serving, a /v1/export download, or ehnad-mkstore output).
+// What it serves (openStore, one resolution order for every mode):
+// the base file is DIR/store.snap when -wal DIR holds one — the
+// snapshot the daemon itself rotates — else -snapshot (a v3 embstore
+// snapshot written by Store.SaveSnapshotV3: the attention-aggregated
+// InferAll embeddings exported by examples/serving, a /v1/export
+// download, ehnad-mkstore output). With no base file the store is
+// seeded from -model (an ehna checkpoint written by Model.Save — the
+// raw embedding table) or starts empty at -dim. -store ram then loads
+// the base into heap slabs; -store mmap maps it and serves in place,
+// first publishing DIR/store.snap when what it was given is a seed or
+// is encoded at another precision than -precision.
 //
-// Durability: with -wal DIR the daemon is a system of record, not a
-// cache. Every mutation is appended to a write-ahead log (fsynced per
-// -fsync) before it touches the store, snapshots of store + HNSW graph
-// rotate in the background every -snapshot-interval (tmp+rename, WAL
-// truncated to the snapshot watermark), and the maintenance loop
-// rebuilds the HNSW graph in the background once its tombstone ratio
-// passes -compact-at, atomically swapping the fresh graph in while
-// searches keep answering. On boot the daemon loads the newest
-// snapshot pair and replays the WAL suffix; -model/-snapshot then only
-// seed the very first boot, and -dim allows starting empty. See
-// cmd/ehnad/durability.go for the recovery invariants.
+// One write path: every mutation — an HTTP upsert or delete, a WAL
+// record replayed at boot, a batch from a leader's replication stream —
+// goes through one applier (cmd/ehnad/durability.go) that logs it, then
+// applies it to store + index, then waits for the log to be durable
+// before acknowledging. The log is optional. With -wal DIR the daemon
+// is a system of record, not a cache: records are fsynced per -fsync,
+// snapshots of store + HNSW graph rotate in the background every
+// -snapshot-interval (tmp+rename, WAL truncated to the snapshot
+// watermark), the maintenance loop rebuilds the HNSW graph once its
+// tombstone ratio passes -compact-at, atomically swapping the fresh
+// graph in while searches keep answering, and a boot replays the WAL
+// suffix over the newest snapshot pair. Without -wal the same applier
+// runs with the logging steps dropped out: acks carry no seq, nothing
+// survives a restart. See durability.go for the recovery invariants.
 //
 // Index selection: -index hnsw (graph search, the default — sublinear
 // at 100k+ nodes) or exact (ground truth, linear scan). With -index
@@ -64,7 +73,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -85,7 +93,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		model     = flag.String("model", "", "path to an ehna model snapshot (Model.Save)")
 		snapshot  = flag.String("snapshot", "", "path to a v3 embstore snapshot (Store.SaveSnapshotV3, /v1/export, ehnad-mkstore)")
-		dim       = flag.Int("dim", 0, "with -wal: boot an empty store of this dimensionality when no snapshot or seed exists yet")
+		dim       = flag.Int("dim", 0, "boot an empty store of this dimensionality when there is no snapshot, -model or -snapshot to load")
 		precision = flag.String("precision", "f64", "vector slab precision: f64 (full), f32 (half the memory), or sq8 (int8 scalar quantization, ~8x less memory; recall gated >= 0.95). Applies per boot: snapshots of any precision convert to this layout on load, so pass the same value on every restart to keep the layout. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
 		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
@@ -94,7 +102,6 @@ func main() {
 		efCons    = flag.Int("ef-construction", 200, "hnsw: build-time beam width")
 		efSearch  = flag.Int("ef-search", 64, "hnsw: query-time beam width (recall/latency dial)")
 		hnswGraph = flag.String("hnsw-graph", "", "hnsw: graph snapshot path — loaded if present (boot without rebuild), written after a fresh build otherwise")
-		seed      = flag.Int64("seed", 1, "hnsw level-draw seed")
 		metric    = flag.String("metric", "cosine", "similarity metric: cosine or dot")
 		maxBatch  = flag.Int("max-batch", 64, "micro-batcher: max coalesced queries")
 		window    = flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher: gather window (0 disables)")
@@ -105,7 +112,6 @@ func main() {
 		compactAt = flag.Float64("compact-at", 0.2, "hnsw+wal: tombstone ratio that triggers a background compaction rebuild (<=0 disables)")
 		deadline  = flag.Duration("default-deadline", 2*time.Second, "per-request time budget when the client sends none (deadline_ms field or X-Ehnad-Deadline-Ms header override; 0 disables)")
 		inflight  = flag.Int("max-inflight", 256, "max concurrently served /v1/neighbors requests; excess sheds with 429 (0 = unlimited)")
-		queueCap  = flag.Int("queue-depth", 0, "micro-batcher admission queue capacity; a full queue sheds with 429 (0 = 4×max-batch)")
 		efFloor   = flag.Int("ef-floor", 16, "hnsw: lowest ef-search the overload degrader may shrink the beam to under sustained queue pressure (0 disables adaptation)")
 		faultSpec = flag.String("fault", "", `wal fault-injection spec for chaos drills, e.g. "sync:after=100,count=3;write:enospc,p=0.01,seed=7" (see internal/faultfs)`)
 		follow    = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal): bootstrap from its /v1/export if the WAL dir is empty, tail its /v1/repl/stream, refuse writes until promoted via /v1/admin/promote")
@@ -130,9 +136,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("ehnad: %v", err)
 	}
-	if *storeMode != "ram" && *storeMode != "mmap" {
-		log.Fatalf("ehnad: -store=%s: want ram or mmap", *storeMode)
-	}
 	srv, err := buildServer(serverConfig{
 		model:     *model,
 		snapshot:  *snapshot,
@@ -143,7 +146,6 @@ func main() {
 		index: indexOptions{
 			kind:           *indexKind,
 			metric:         mt,
-			seed:           *seed,
 			m:              *m,
 			efConstruction: *efCons,
 			efSearch:       *efSearch,
@@ -158,7 +160,6 @@ func main() {
 		compactAt:        *compactAt,
 		defaultDeadline:  *deadline,
 		maxInflight:      *inflight,
-		queueDepth:       *queueCap,
 		efFloor:          *efFloor,
 		fs:               fsys,
 		follow:           *follow,
@@ -236,26 +237,29 @@ type serverConfig struct {
 
 	// Overload-control plane (zero values = permissive defaults that
 	// keep existing tests and embedders behaving as before).
-	defaultDeadline time.Duration
-	maxInflight     int
-	queueDepth      int
-	efFloor         int
-	fs              faultfs.FS // nil = the real filesystem
+	defaultDeadline time.Duration // per-request budget when the client sends none (0 = none)
+	maxInflight     int           // concurrent /v1/neighbors cap (0 = unlimited)
+	queueDepth      int           // batcher admission queue capacity (0 = 4×maxBatch; only tests set another)
+	efFloor         int           // lowest ef-search the degrader may shrink to (0 = off)
+	fs              faultfs.FS    // nil = the real filesystem
 
 	// follow makes the daemon a replication follower of this leader URL
 	// (requires walDir; see cmd/ehnad/replica.go).
 	follow string
 }
 
-// buildServer assembles store, index and (with a WAL dir) the
-// durability layer: snapshot + WAL-replay recovery on the way up, the
-// write-ahead applier and the maintenance loop once running.
+// fsys is the filesystem the daemon's persistent state goes through.
+func (cfg serverConfig) fsys() faultfs.FS {
+	if cfg.fs != nil {
+		return cfg.fs
+	}
+	return faultfs.OS()
+}
+
+// buildServer boots the daemon: resolve and open the store, load or
+// build the index, assemble the server, and — with a WAL dir — replay
+// the log suffix, open the log and start the maintenance loop.
 func buildServer(cfg serverConfig) (*server, error) {
-	var (
-		store     *embstore.Store
-		watermark uint64
-		err       error
-	)
 	bootStart := time.Now()
 	if cfg.storeMode == "" {
 		cfg.storeMode = "ram"
@@ -266,10 +270,6 @@ func buildServer(cfg serverConfig) (*server, error) {
 	if cfg.follow != "" && cfg.walDir == "" {
 		return nil, fmt.Errorf("-follow requires -wal: a follower preserves the leader's log")
 	}
-	fsys := cfg.fs
-	if fsys == nil {
-		fsys = faultfs.OS()
-	}
 	if cfg.walDir != "" {
 		// The snapshot pair and the graph land in the log directory,
 		// possibly before wal.Open creates it — make it exist first.
@@ -277,43 +277,20 @@ func buildServer(cfg serverConfig) (*server, error) {
 			return nil, err
 		}
 		// A brand-new follower seeds its snapshot from the leader before
-		// the normal load below.
+		// the store is resolved below.
 		if cfg.follow != "" {
 			if err := bootstrapFollower(cfg); err != nil {
 				return nil, err
 			}
 		}
-		// In WAL mode the rotating snapshot pair lives in the log
-		// directory and takes precedence over any seed artifact.
 		if cfg.index.kind == "hnsw" && cfg.index.graphPath == "" {
 			cfg.index.graphPath = filepath.Join(cfg.walDir, "graph.gob")
 		}
 		cfg.index.rebuildOnLoadError = true // a stale graph is survivable, not fatal
-		store, watermark, err = loadWALStore(cfg, fsys)
-		if err != nil {
-			return nil, err
-		}
-	} else if cfg.storeMode == "mmap" {
-		// Without a WAL there is no rotation to write a v3 base, so the
-		// seed artifact itself must already be one.
-		if cfg.snapshot == "" {
-			return nil, fmt.Errorf("-store=mmap without -wal requires -snapshot pointing at a v3 snapshot (SaveSnapshotV3 output)")
-		}
-		store, _, err = embstore.OpenMmap(cfg.snapshot)
-		if err != nil {
-			return nil, fmt.Errorf("-snapshot %s: %w", cfg.snapshot, err)
-		}
-		if store.Precision() != cfg.precision {
-			// A mapped base serves at the precision it was written in; the
-			// flag cannot re-encode a read-only file.
-			log.Printf("ehnad: -store=mmap serves %s at its native precision %s (-precision %s has no effect without -wal)",
-				cfg.snapshot, store.Precision(), cfg.precision)
-		}
-	} else {
-		store, err = loadStore(cfg.model, cfg.snapshot, cfg.shards, cfg.precision)
-		if err != nil {
-			return nil, err
-		}
+	}
+	store, watermark, err := openStore(cfg)
+	if err != nil {
+		return nil, err
 	}
 	storeLoaded := time.Now()
 
@@ -322,14 +299,7 @@ func buildServer(cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	indexBuilt := time.Now()
-	sw := ann.NewSwapper(index)
-	srv := newServer(store, sw, cfg.index.kind, cfg.maxBatch, cfg.window, serveOpts{
-		defaultDeadline: cfg.defaultDeadline,
-		maxInflight:     cfg.maxInflight,
-		queueDepth:      cfg.queueDepth,
-		efFloor:         cfg.efFloor,
-	})
-	srv.pprof = cfg.pprof
+	srv := newServer(cfg, store, index)
 	if cfg.pprof {
 		// Sampled mutex/block profiles so /debug/pprof/mutex and /block
 		// carry data. 1-in-100 contention events and blocking events
@@ -338,8 +308,7 @@ func buildServer(cfg serverConfig) (*server, error) {
 		runtime.SetBlockProfileRate(int(time.Millisecond))
 	}
 	if cfg.walDir != "" {
-		srv.dur, err = newDurable(cfg, store, sw, watermark)
-		if err != nil {
+		if err := srv.dur.openLog(cfg, watermark); err != nil {
 			srv.close()
 			return nil, err
 		}
@@ -363,128 +332,122 @@ func buildServer(cfg serverConfig) (*server, error) {
 // mode: the file the mmap store serves straight out of.
 func walSnapshotV3Path(walDir string) string { return filepath.Join(walDir, "store.snap") }
 
-// loadWALStore loads the store for a WAL directory from its rotating
-// v3 snapshot, falling back to the seed artifacts on the first boot.
-// The matrix by mode:
+// openStore resolves what the daemon serves from and opens it, returning
+// the store and the WAL watermark its image covers. One order, every
+// mode:
 //
-//	store.snap exists: ram → copy it into heap slabs at -precision;
-//	                   mmap → map it (precision mismatch: materialize
-//	                   at the requested precision, rewrite the base,
-//	                   map the rewrite).
-//	no snapshot yet:   seed from -model/-snapshot/-dim; mmap writes a
-//	                   v3 base from the seed now and maps it, so the
-//	                   cold tier exists from the first boot.
+//  1. The base file is DIR/store.snap — the snapshot this daemon rotates
+//     — when -wal DIR holds one, else -snapshot. A -snapshot given beside
+//     -wal only seeds the first boot: whatever watermark it was stamped
+//     with belongs to another log, so it counts as 0 here.
+//  2. With no base file, seed a heap store from -model, or an empty one
+//     from -dim.
+//  3. Open it. -store ram loads the base into heap slabs at -precision.
+//     -store mmap maps the base and serves it in place; when the file to
+//     map does not exist yet (a seed) or must be rewritten (a -snapshot
+//     that has to land under DIR, a base at another precision than
+//     -precision — a read-only mapping cannot be re-encoded in place),
+//     the store goes through the heap first and is published as
+//     DIR/store.snap, which is then mapped. Without -wal there is no DIR
+//     to publish to: -store mmap needs a -snapshot and serves it at the
+//     precision it was written in.
 //
-// Rotation keeps the v3 base fresh from then on.
-func loadWALStore(cfg serverConfig, fsys faultfs.FS) (*embstore.Store, uint64, error) {
-	v3Path := walSnapshotV3Path(cfg.walDir)
+// Rotation keeps DIR/store.snap fresh from then on.
+func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 	mmapMode := cfg.storeMode == "mmap"
-	if _, serr := os.Stat(v3Path); serr == nil {
-		if !mmapMode {
-			store, watermark, err := embstore.LoadSnapshotV3At(v3Path, cfg.shards, cfg.precision)
-			if err != nil {
-				return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
-			}
-			log.Printf("ehnad: wal snapshot %s loaded: %d nodes at %s, watermark %d",
-				v3Path, store.Len(), store.Precision(), watermark)
-			return store, watermark, nil
+	own, base := "", cfg.snapshot
+	if cfg.walDir != "" {
+		own = walSnapshotV3Path(cfg.walDir)
+		if _, err := os.Stat(own); err == nil {
+			base = own
+		} else if !os.IsNotExist(err) {
+			return nil, 0, err
 		}
-		store, watermark, err := embstore.OpenMmap(v3Path)
+	}
+	if base != own && cfg.model != "" && cfg.snapshot != "" {
+		return nil, 0, fmt.Errorf("pass -model or -snapshot, not both")
+	}
+	if mmapMode && own == "" && base == "" {
+		return nil, 0, fmt.Errorf("-store=mmap without -wal requires -snapshot pointing at a v3 snapshot (SaveSnapshotV3 output)")
+	}
+	var (
+		heap      *embstore.Store
+		watermark uint64
+		err       error
+	)
+	if base == "" {
+		switch {
+		case cfg.model != "":
+			heap, err = storeFromModel(cfg)
+		case cfg.dim > 0:
+			heap, err = embstore.NewPrecision(cfg.dim, cfg.shards, cfg.precision)
+		default:
+			err = fmt.Errorf("nothing to serve: pass -model (ehna snapshot), -snapshot (embstore snapshot), or -dim to boot empty")
+		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
+			return nil, 0, err
 		}
-		if store.Precision() != cfg.precision {
-			// A precision switch cannot re-encode the read-only mapping in
-			// place: materialize at the target precision, publish the
-			// re-encoded base, and map that instead.
-			store.Close()
-			conv, wm, err := embstore.LoadSnapshotV3At(v3Path, cfg.shards, cfg.precision)
-			if err != nil {
-				return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
-			}
-			if err := writeStoreSnapshotV3(fsys, v3Path, conv, wm); err != nil {
-				return nil, 0, fmt.Errorf("rewrite wal snapshot at %s: %w", conv.Precision(), err)
-			}
-			store, watermark, err = embstore.OpenMmap(v3Path)
-			if err != nil {
-				return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
-			}
-			log.Printf("ehnad: wal snapshot %s re-encoded at %s and remapped", v3Path, store.Precision())
-		}
-		log.Printf("ehnad: wal snapshot %s mapped: %d nodes at %s, %d bytes resident of %d mapped, watermark %d",
-			v3Path, store.Len(), store.Precision(), store.MappedResidentBytes(), store.MappedBytes(), watermark)
-		return store, watermark, nil
-	} else if !os.IsNotExist(serr) {
-		return nil, 0, serr
 	}
+	// Step 3. At most two passes: the second only when the mapped base
+	// turns out to be at another precision and has to be re-published.
+	viaHeap := !mmapMode || (own != "" && base != own)
+	for {
+		if heap == nil && viaHeap {
+			if heap, watermark, err = embstore.LoadSnapshotV3At(base, cfg.shards, cfg.precision); err != nil {
+				return nil, 0, fmt.Errorf("load snapshot %s: %w", base, err)
+			}
+			if base != own {
+				watermark = 0
+			}
+		}
+		if !mmapMode {
+			log.Printf("ehnad: store in heap slabs: %d nodes at %s, watermark %d", heap.Len(), heap.Precision(), watermark)
+			return heap, watermark, nil
+		}
+		if heap != nil {
+			if err := writeStoreSnapshotV3(cfg.fsys(), own, heap, watermark); err != nil {
+				return nil, 0, fmt.Errorf("publish v3 base %s at %s: %w", own, heap.Precision(), err)
+			}
+			base, heap, viaHeap = own, nil, false
+		}
+		var cold *embstore.Store
+		if cold, watermark, err = embstore.OpenMmap(base); err != nil {
+			return nil, 0, fmt.Errorf("load snapshot %s: %w", base, err)
+		}
+		switch {
+		case cold.Precision() == cfg.precision:
+		case own == "":
+			log.Printf("ehnad: -store=mmap serves %s at its native precision %s (-precision %s has no effect without -wal)",
+				base, cold.Precision(), cfg.precision)
+		default:
+			log.Printf("ehnad: snapshot %s is %s: re-encoding at %s and remapping", base, cold.Precision(), cfg.precision)
+			cold.Close()
+			viaHeap = true
+			continue
+		}
+		log.Printf("ehnad: snapshot %s mapped: %d nodes at %s, %d bytes resident of %d mapped, watermark %d",
+			base, cold.Len(), cold.Precision(), cold.MappedResidentBytes(), cold.MappedBytes(), watermark)
+		return cold, watermark, nil
+	}
+}
 
-	store, err := seedStore(cfg)
+// storeFromModel seeds a heap store from an ehna model checkpoint's raw
+// embedding table (full precision, converted to -precision).
+func storeFromModel(cfg serverConfig) (*embstore.Store, error) {
+	f, err := os.Open(cfg.model)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if !mmapMode {
-		return store, 0, nil
-	}
-	// mmap mode needs an on-disk v3 base to serve from; write one from
-	// the seeded store and reopen it cold. The WAL replays into the
-	// overlay from watermark 0 as usual.
-	if err := writeStoreSnapshotV3(fsys, v3Path, store, 0); err != nil {
-		return nil, 0, fmt.Errorf("write v3 base %s: %w", v3Path, err)
-	}
-	cold, watermark, err := embstore.OpenMmap(v3Path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
-	}
-	log.Printf("ehnad: v3 base %s written and mapped: %d nodes at %s, watermark %d",
-		v3Path, cold.Len(), cold.Precision(), watermark)
-	return cold, watermark, nil
+	defer f.Close()
+	return embstore.FromModelSnapshotPrecision(f, cfg.shards, cfg.precision)
 }
 
 // writeStoreSnapshotV3 publishes a flat v3 snapshot of store via the
 // injectable filesystem (tmp+rename, fsynced).
 func writeStoreSnapshotV3(fsys faultfs.FS, path string, store *embstore.Store, watermark uint64) error {
-	return writeFileAtomicFS(fsys, path, func(f faultfs.File) error {
+	return faultfs.WriteFileAtomic(fsys, path, func(f faultfs.File) error {
 		return store.SaveSnapshotV3(f, watermark)
 	})
-}
-
-// seedStore builds the initial store for a WAL directory that has no
-// snapshot yet: a seed artifact if one was given, an empty store under
-// -dim otherwise.
-func seedStore(cfg serverConfig) (*embstore.Store, error) {
-	if cfg.model != "" || cfg.snapshot != "" {
-		return loadStore(cfg.model, cfg.snapshot, cfg.shards, cfg.precision)
-	}
-	if cfg.dim < 1 {
-		return nil, fmt.Errorf("wal dir %s has no snapshot: pass -model, -snapshot, or -dim to boot empty", cfg.walDir)
-	}
-	return embstore.NewPrecision(cfg.dim, cfg.shards, cfg.precision)
-}
-
-// loadStore builds the store from exactly one of the two sources, at
-// the requested slab precision (model tables are full-precision; v3
-// snapshots convert from whatever they were written in). A -snapshot
-// in any other format fails with embstore.ErrNotV3Snapshot.
-func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*embstore.Store, error) {
-	switch {
-	case model != "" && snapshot != "":
-		return nil, fmt.Errorf("pass -model or -snapshot, not both")
-	case model == "" && snapshot == "":
-		return nil, fmt.Errorf("pass -model (ehna snapshot) or -snapshot (embstore snapshot)")
-	case model != "":
-		f, err := os.Open(model)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return embstore.FromModelSnapshotPrecision(f, shards, prec)
-	default:
-		s, _, err := embstore.LoadSnapshotV3At(snapshot, shards, prec)
-		if err != nil {
-			return nil, fmt.Errorf("-snapshot %s: %w", snapshot, err)
-		}
-		return s, nil
-	}
 }
 
 // indexOptions carries every index-selection flag; the hnsw fields are
@@ -492,7 +455,6 @@ func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*em
 type indexOptions struct {
 	kind   string
 	metric ann.Metric
-	seed   int64
 	// hnsw
 	m, efConstruction, efSearch int
 	graphPath                   string
@@ -513,16 +475,9 @@ func buildIndex(store *embstore.Store, o indexOptions) (ann.Index, error) {
 	}
 }
 
-// hnswConfigOf maps the hnsw flag subset onto an ann.HNSWConfig — also
-// the parameter set background compaction rebuilds with.
-func hnswConfigOf(o indexOptions) ann.HNSWConfig {
-	return ann.HNSWConfig{M: o.m, EfConstruction: o.efConstruction, EfSearch: o.efSearch, Seed: o.seed, Metric: o.metric}
-}
-
 // buildHNSW loads the graph snapshot when one exists (boot without
 // rebuild) and builds+saves it otherwise.
 func buildHNSW(store *embstore.Store, o indexOptions) (ann.Index, error) {
-	cfg := hnswConfigOf(o)
 	if o.graphPath != "" {
 		if f, err := os.Open(o.graphPath); err == nil {
 			h, err := loadHNSWGraph(f, store, o)
@@ -539,6 +494,8 @@ func buildHNSW(store *embstore.Store, o indexOptions) (ann.Index, error) {
 		}
 	}
 	start := time.Now()
+	cfg := ann.DefaultHNSWConfig() // keeps the library's level-draw seed
+	cfg.M, cfg.EfConstruction, cfg.EfSearch, cfg.Metric = o.m, o.efConstruction, o.efSearch, o.metric
 	h, err := ann.BuildHNSW(store, cfg)
 	if err != nil {
 		return nil, err
@@ -548,7 +505,9 @@ func buildHNSW(store *embstore.Store, o indexOptions) (ann.Index, error) {
 	if o.graphPath != "" {
 		// Write-then-rename so a crash mid-save cannot leave a truncated
 		// snapshot that bricks every subsequent boot.
-		if err := writeFileAtomic(o.graphPath, h.SaveGraph); err != nil {
+		if err := faultfs.WriteFileAtomic(faultfs.OS(), o.graphPath, func(f faultfs.File) error {
+			return h.SaveGraph(f)
+		}); err != nil {
 			return nil, err
 		}
 		log.Printf("ehnad: hnsw graph saved to %s", o.graphPath)
@@ -576,55 +535,4 @@ func loadHNSWGraph(f *os.File, store *embstore.Store, o indexOptions) (*ann.HNSW
 	log.Printf("ehnad: hnsw graph loaded from %s: %d nodes (%d tombstones), %d layers, m=%d ef-construction=%d (snapshot values)",
 		f.Name(), alive, tombs, maxLevel+1, loaded.M, loaded.EfConstruction)
 	return h, nil
-}
-
-// writeFileAtomic writes via a sibling temp file and renames it into
-// place, so readers only ever see a complete file.
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
-	return writeFileAtomicFS(faultfs.OS(), path, func(f faultfs.File) error {
-		return write(f)
-	})
-}
-
-// writeFileAtomicFS is writeFileAtomic through the injectable
-// filesystem, so chaos drills can break the snapshot publish path
-// (write, fsync, the rename itself) the same way they break the WAL.
-// The write callback gets the full faultfs.File — the v3 snapshot
-// writer seeks back to stamp its header.
-func writeFileAtomicFS(fsys faultfs.FS, path string, write func(f faultfs.File) error) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	// Fsync the directory: until the rename itself is durable, nothing
-	// may rely on the new file surviving power loss (the snapshot loop
-	// deletes WAL segments on the strength of this rename).
-	d, err := fsys.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

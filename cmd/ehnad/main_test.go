@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/datagen"
 	"ehna/internal/ehna"
 	"ehna/internal/embstore"
@@ -28,7 +29,7 @@ import (
 // testIndexOptions is the flag-default option set used by the tests.
 func testIndexOptions(kind string) indexOptions {
 	return indexOptions{
-		kind: kind, metric: ann.Cosine, seed: 1,
+		kind: kind, metric: ann.Cosine,
 		m: 16, efConstruction: 200, efSearch: 64,
 	}
 }
@@ -40,7 +41,7 @@ func newTestServer(t *testing.T, store *embstore.Store, indexKind string) (*serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, index, indexKind, 64, time.Millisecond, serveOpts{})
+	srv := newServer(serverConfig{index: testIndexOptions(indexKind), maxBatch: 64, window: time.Millisecond}, store, index)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 	return srv, ts
@@ -397,17 +398,17 @@ func writeModelCheckpoint(t *testing.T) (path string, nodes, dim int) {
 // daemon boots from.
 func TestLoadStoreFromModelSnapshot(t *testing.T) {
 	path, nodes, dim := writeModelCheckpoint(t)
-	store, err := loadStore(path, "", 4, embstore.F64)
+	store, _, err := openStore(serverConfig{model: path, shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != nodes || store.Dim() != dim {
 		t.Fatalf("store %d×%d from model snapshot", store.Len(), store.Dim())
 	}
-	if _, err := loadStore("", "", 4, embstore.F64); err == nil {
+	if _, _, err := openStore(serverConfig{shards: 4}); err == nil {
 		t.Fatal("no source accepted")
 	}
-	if _, err := loadStore(path, path, 4, embstore.F64); err == nil {
+	if _, _, err := openStore(serverConfig{model: path, snapshot: path, shards: 4}); err == nil {
 		t.Fatal("two sources accepted")
 	}
 }
@@ -596,7 +597,7 @@ func TestExportSpoolFailureIs500(t *testing.T) {
 	id := graph.NodeID(3)
 	vec := make([]float64, dim)
 	vec[1] = 4
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -667,7 +668,7 @@ func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	vec := make([]float64, store.Dim())
 	vec[0] = 9
 	id := graph.NodeID(777777)
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.dur.delete([]graph.NodeID{0}); err != nil {

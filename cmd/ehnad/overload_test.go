@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 )
@@ -300,7 +301,7 @@ func TestDegraderShrinksAndRestores(t *testing.T) {
 func TestInflightLimitSheds(t *testing.T) {
 	store, _ := trainedStore(t)
 	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	srv := newServer(store, bi, "exact", 4, 0, serveOpts{maxInflight: 1})
+	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4, maxInflight: 1}, store, bi)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 
@@ -344,7 +345,7 @@ func TestInflightLimitSheds(t *testing.T) {
 func TestNeighborsDeadline(t *testing.T) {
 	store, _ := trainedStore(t)
 	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	srv := newServer(store, bi, "exact", 4, 0, serveOpts{})
+	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4}, store, bi)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 	defer close(bi.gate) // unwedge any search still parked at exit
@@ -376,7 +377,7 @@ func TestNeighborsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "30")
+	req.Header.Set(cluster.DeadlineHeader, "30")
 	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -406,7 +407,7 @@ func TestDeadlineValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(deadlineHeader, h)
+		req.Header.Set(cluster.DeadlineHeader, h)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -433,7 +434,7 @@ func TestDeadlineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "2000")
+	req.Header.Set(cluster.DeadlineHeader, "2000")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

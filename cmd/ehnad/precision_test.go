@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
 	"ehna/internal/graph"
@@ -51,10 +52,10 @@ func TestCrossPrecisionBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var updates []upsertUpdate
+	var updates []cluster.UpsertUpdate
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
-		updates = append(updates, upsertUpdate{ID: &id, Vector: emb.Row(i)})
+		updates = append(updates, cluster.UpsertUpdate{ID: &id, Vector: emb.Row(i)})
 	}
 	if _, err := srv.dur.upsert(updates); err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestCrossPrecisionBoot(t *testing.T) {
 	idR, idDel, idNew := graph.NodeID(7), graph.NodeID(8), graph.NodeID(n+100)
 	fresh := make([]float64, dim)
 	fresh[0] = 1.25
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &idR, Vector: replaced}, {ID: &idNew, Vector: fresh}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &idR, Vector: replaced}, {ID: &idNew, Vector: fresh}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.dur.delete([]graph.NodeID{idDel}); err != nil {
@@ -219,7 +220,7 @@ func TestCorruptSnapshotFailsBoot(t *testing.T) {
 	id := graph.NodeID(1)
 	vec := make([]float64, dim)
 	vec[0] = 1
-	if _, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}}); err != nil {
+	if _, err := srv.dur.upsert([]cluster.UpsertUpdate{{ID: &id, Vector: vec}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.dur.snapshot(); err != nil {
@@ -240,7 +241,7 @@ func TestCorruptSnapshotFailsBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := buildServer(walConfigAt(walDir, embstore.SQ8, dim)); err == nil ||
-		!strings.Contains(err.Error(), "load wal snapshot") {
+		!strings.Contains(err.Error(), "load snapshot "+snap) {
 		t.Fatalf("truncated snapshot booted: err = %v", err)
 	}
 }

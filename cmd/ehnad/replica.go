@@ -15,9 +15,9 @@
 // A follower (-follow URL, requires -wal) bootstraps from the leader's
 // /v1/export when its directory is empty, then tails the stream through
 // cluster.ReplClient, applying every batch through durable.replicate —
-// the same store+index path boot replay uses, under the same applier
-// lock, preserving the leader's sequence numbers. Promotion just stops
-// the tail and flips the role: the log already is a leader log.
+// the applier every local write and boot replay go through, under the
+// same lock, preserving the leader's sequence numbers. Promotion just
+// stops the tail and flips the role: the log already is a leader log.
 package main
 
 import (
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"ehna/internal/cluster"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/obs"
 	"ehna/internal/wal"
@@ -191,8 +192,8 @@ func bootstrapFollower(cfg serverConfig) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("bootstrap from %s: status %s", cfg.follow, resp.Status)
 	}
-	if err := writeFileAtomic(snapPath, func(w io.Writer) error {
-		_, err := io.Copy(w, resp.Body)
+	if err := faultfs.WriteFileAtomic(faultfs.OS(), snapPath, func(f faultfs.File) error {
+		_, err := io.Copy(f, resp.Body)
 		return err
 	}); err != nil {
 		return fmt.Errorf("bootstrap snapshot: %w", err)
@@ -223,8 +224,7 @@ func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.dur == nil {
-		writeError(w, http.StatusBadRequest, "replication requires -wal")
+	if !s.requireLog(w, "replication") {
 		return
 	}
 	after := uint64(0)
@@ -257,9 +257,9 @@ func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if oldest > after+1 {
 		// Records (after, oldest) were truncated by snapshot rotation: the
 		// follower can never stream its way up from here.
-		writeJSON(w, http.StatusGone, map[string]any{
-			"watermark": s.dur.watermark.Load(),
-			"error":     fmt.Sprintf("records after seq %d truncated; oldest surviving seq is %d", after, oldest),
+		writeJSON(w, http.StatusGone, cluster.ReplGap{
+			Watermark: s.dur.watermark.Load(),
+			Error:     fmt.Sprintf("records after seq %d truncated; oldest surviving seq is %d", after, oldest),
 		})
 		return
 	}
@@ -285,11 +285,8 @@ func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 		st.Role = "follower"
 		st.Leader = s.repl.leader
 	}
-	if s.dur != nil {
-		lg := s.dur.wal()
-		st.LastSeq = lg.LastSeq()
-		st.DurableSeq = lg.DurableSeq()
-		st.Applied = s.dur.applied()
+	if lg := s.dur.wal(); lg != nil {
+		st.LastSeq, st.DurableSeq, st.Applied = lg.LastSeq(), lg.DurableSeq(), s.dur.applied()
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -303,14 +300,10 @@ func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var applied uint64
-	switch {
-	case s.repl != nil:
-		applied = s.repl.promote()
-	case s.dur != nil:
-		applied = s.dur.applied()
+	if s.repl != nil {
+		s.repl.promote()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": applied, "role": "leader"})
+	writeJSON(w, http.StatusOK, cluster.PromoteAck{Applied: s.dur.applied(), Role: "leader"})
 }
 
 // handleVector resolves one stored id to its vector — the router uses
@@ -332,5 +325,5 @@ func (s *server) handleVector(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "node %d not in store", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "vector": vec})
+	writeJSON(w, http.StatusOK, cluster.VectorAck{ID: graph.NodeID(id), Vector: vec})
 }

@@ -18,34 +18,24 @@ import (
 	"time"
 
 	"ehna/internal/ann"
+	"ehna/internal/cluster"
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
-	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/obs"
 	"ehna/internal/vecmath"
 )
 
-// serveOpts is the overload-control knob set: deadline budget,
-// concurrency cap, admission queue bound, and the degradation floor.
-// The zero value disables all four (the permissive test default).
-type serveOpts struct {
-	defaultDeadline time.Duration // per-request budget when the client sends none (0 = none)
-	maxInflight     int           // concurrent /v1/neighbors cap (0 = unlimited)
-	queueDepth      int           // batcher admission queue capacity (0 = 4×maxBatch)
-	efFloor         int           // lowest ef-search the degrader may shrink to (0 = off)
-}
-
-// server wires the embedding store, the ANN index and the micro-batcher
-// behind the HTTP/JSON API.
+// server wires the embedding store, the ANN index, the applier and the
+// micro-batcher behind the HTTP/JSON API.
 type server struct {
 	store     *embstore.Store
-	index     ann.Index
+	index     *ann.Swapper // searches; mutations go through dur
 	batch     *batcher
 	indexName string
 	started   time.Time
 	pprof     bool           // mount net/http/pprof on the mux (-pprof)
-	dur       *durable       // nil without -wal; owns the write path when set
+	dur       *durable       // the write path; logs too when booted with -wal
 	repl      *replica       // nil unless -follow; see replica.go
 	metrics   *serverMetrics // per-server gauges + HTTP series; see metrics.go
 
@@ -56,73 +46,63 @@ type server struct {
 	closeOnce       sync.Once
 }
 
-func newServer(store *embstore.Store, index ann.Index, indexName string, maxBatch int, window time.Duration, opts serveOpts) *server {
+// newServer assembles a serving daemon over a loaded store and its
+// index: everything but the log, which buildServer opens afterwards
+// when cfg names a WAL directory. The index is wrapped in a Swapper so
+// a background compaction can replace it under live traffic.
+func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server {
 	s := &server{
 		store:           store,
-		index:           index,
-		indexName:       indexName,
+		index:           ann.NewSwapper(index),
+		indexName:       cfg.index.kind,
 		started:         time.Now(),
-		defaultDeadline: opts.defaultDeadline,
+		pprof:           cfg.pprof,
+		defaultDeadline: cfg.defaultDeadline,
 	}
-	if opts.maxInflight > 0 {
-		s.inflight = make(chan struct{}, opts.maxInflight)
+	s.dur = newDurable(cfg, store, s.index)
+	if cfg.maxInflight > 0 {
+		s.inflight = make(chan struct{}, cfg.maxInflight)
 	}
-	queueDepth := opts.queueDepth
+	queueDepth := cfg.queueDepth
 	if queueDepth <= 0 {
-		queueDepth = 4 * maxBatch
+		queueDepth = 4 * cfg.maxBatch
 	}
 	var deg *degrader
-	if opts.efFloor > 0 {
-		if h, ok := s.liveIndex().(*ann.HNSW); ok {
-			full := h.Config().EfSearch
-			deg = newDegrader(func() *ann.HNSW {
-				h, _ := s.liveIndex().(*ann.HNSW)
-				return h
-			}, full, opts.efFloor, queueDepth)
-		}
+	if h, ok := index.(*ann.HNSW); ok && cfg.efFloor > 0 {
+		deg = newDegrader(func() *ann.HNSW {
+			h, _ := s.liveIndex().(*ann.HNSW)
+			return h
+		}, h.Config().EfSearch, cfg.efFloor, queueDepth)
 	}
-	s.batch = newBatcher(index, maxBatch, window, queueDepth, deg)
+	s.batch = newBatcher(s.index, cfg.maxBatch, cfg.window, queueDepth, deg)
 	s.metrics = newServerMetrics(s)
 	return s
 }
 
 // close tears the server down without a final snapshot (the next boot
 // replays the WAL suffix). Idempotent, and shared with shutdown.
-func (s *server) close() {
-	s.closeOnce.Do(func() {
-		if s.repl != nil {
-			s.repl.stop() // stop applying before the WAL goes away
-		}
-		s.batch.close()
-		if s.dur != nil {
-			s.dur.close()
-		}
-	})
-}
+func (s *server) close() { s.teardown(false) }
 
 // shutdown is the graceful path: mark not-ready, drain the batcher,
 // and rotate a final snapshot pair so the next boot replays nothing.
 // Safe to race with close (whichever runs first wins the Once).
 func (s *server) shutdown() {
 	s.draining.Store(true)
-	s.closeOnce.Do(func() {
-		if s.repl != nil {
-			s.repl.stop()
-		}
-		s.batch.close()
-		if s.dur != nil {
-			s.dur.shutdown()
-		}
-	})
+	s.teardown(true)
 }
 
-// liveIndex unwraps the Swapper (the index is always wrapped in one,
-// so a background compaction can replace it under live traffic).
-func (s *server) liveIndex() ann.Index {
-	if sw, ok := s.index.(*ann.Swapper); ok {
-		return sw.Current()
-	}
-	return s.index
+// liveIndex is the index serving right now, whichever graph the last
+// compaction swapped in.
+func (s *server) liveIndex() ann.Index { return s.index.Current() }
+
+func (s *server) teardown(finalSnapshot bool) {
+	s.closeOnce.Do(func() {
+		if s.repl != nil {
+			s.repl.stop() // stop applying before the WAL goes away
+		}
+		s.batch.close()
+		s.dur.close(finalSnapshot)
+	})
 }
 
 // handler builds the route table. With -pprof the net/http/pprof
@@ -172,51 +152,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// neighborQuery is one top-k query: either a stored node ID or a raw
-// vector. K defaults to 10.
-type neighborQuery struct {
-	ID     *graph.NodeID `json:"id,omitempty"`
-	Vector []float64     `json:"vector,omitempty"`
-	K      int           `json:"k,omitempty"`
-}
-
-// neighborsRequest is the /v1/neighbors body: a single query inline, or
-// several under "queries" (K is the per-query default then).
-// DeadlineMS overrides the server's -default-deadline for this request
-// (as does the X-Ehnad-Deadline-Ms header; the body field wins).
-type neighborsRequest struct {
-	neighborQuery
-	Queries    []neighborQuery `json:"queries,omitempty"`
-	DeadlineMS int             `json:"deadline_ms,omitempty"`
-}
-
-const defaultK = 10
-
-// deadlineHeader is the client's per-request budget override in
-// milliseconds; the JSON deadline_ms field takes precedence over it.
-const deadlineHeader = "X-Ehnad-Deadline-Ms"
-
 // requestCtx derives the search context: the client's HTTP context
 // (cancel propagates when the client disconnects) bounded by the
-// request's deadline budget — deadline_ms in the body, then the
-// header, then -default-deadline. A budget of 0 means unbounded.
-// Invalid overrides (malformed or non-positive) are an error, not the
-// default: a client that asked for a budget and got silently unbounded
-// work would discover the typo as an outage.
+// request's deadline budget (see cluster.RequestBudget; -default-deadline
+// when the client names none). A budget of 0 means unbounded.
 func (s *server) requestCtx(r *http.Request, deadlineMS int) (context.Context, context.CancelFunc, error) {
-	d := s.defaultDeadline
-	if h := r.Header.Get(deadlineHeader); h != "" {
-		v, err := strconv.Atoi(h)
-		if err != nil || v <= 0 {
-			return nil, nil, fmt.Errorf("invalid %s header %q: want a positive integer of milliseconds", deadlineHeader, h)
-		}
-		d = time.Duration(v) * time.Millisecond
-	}
-	if deadlineMS != 0 {
-		if deadlineMS < 0 {
-			return nil, nil, fmt.Errorf("invalid deadline_ms %d: want a positive number of milliseconds", deadlineMS)
-		}
-		d = time.Duration(deadlineMS) * time.Millisecond
+	d, err := cluster.RequestBudget(r, deadlineMS, s.defaultDeadline)
+	if err != nil {
+		return nil, nil, err
 	}
 	if d <= 0 {
 		return r.Context(), func() {}, nil
@@ -286,7 +229,7 @@ func (s *server) writeSearchError(w http.ResponseWriter, err error) {
 // resolve turns a query into (vector, k, excludeSelf) form. Queries by
 // ID exclude the query node itself from the results — "who is nearest
 // to me" never usefully answers "you".
-func (s *server) resolve(q neighborQuery, defK int) (vec []float64, k int, self *graph.NodeID, err error) {
+func (s *server) resolve(q cluster.NeighborQuery, defK int) (vec []float64, k int, self *graph.NodeID, err error) {
 	k = q.K
 	if k <= 0 {
 		k = defK
@@ -339,7 +282,7 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	var req neighborsRequest
+	var req cluster.NeighborsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -354,7 +297,7 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		s.handleNeighborsBatch(ctx, w, req)
 		return
 	}
-	vec, k, self, err := s.resolve(req.neighborQuery, defaultK)
+	vec, k, self, err := s.resolve(req.NeighborQuery, cluster.DefaultK)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -369,21 +312,20 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		s.writeSearchError(w, err)
 		return
 	}
-	out := map[string]any{"results": trimSelf(results, self, k)}
-	if degraded {
-		out["degraded"] = true
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, cluster.NeighborsAck{
+		Results:      trimSelf(results, self, k),
+		SearchStatus: cluster.SearchStatus{Degraded: degraded},
+	})
 	buf.release() // results must not be touched past this point
 }
 
 // handleNeighborsBatch answers an explicit client-side batch in one
 // SearchBatch pass, bypassing the micro-batcher (the client already
 // batched).
-func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter, req neighborsRequest) {
+func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter, req cluster.NeighborsRequest) {
 	defK := req.K
 	if defK <= 0 {
-		defK = defaultK
+		defK = cluster.DefaultK
 	}
 	qs := make([][]float64, len(req.Queries))
 	ks := make([]int, len(req.Queries))
@@ -412,11 +354,10 @@ func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter
 	for i, res := range results {
 		batches[i] = trimSelf(res, selves[i], ks[i])
 	}
-	out := map[string]any{"batches": batches}
-	if s.batch.deg.degradedNow() {
-		out["degraded"] = true
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, cluster.NeighborsBatchAck{
+		Batches:      batches,
+		SearchStatus: cluster.SearchStatus{Degraded: s.batch.deg.degradedNow()},
+	})
 }
 
 // scoreRequest asks for a pairwise link-prediction score between two
@@ -486,18 +427,6 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// upsertRequest inserts or replaces vectors: one inline update, or many
-// under "updates".
-type upsertUpdate struct {
-	ID     *graph.NodeID `json:"id"`
-	Vector []float64     `json:"vector"`
-}
-
-type upsertRequest struct {
-	upsertUpdate
-	Updates []upsertUpdate `json:"updates,omitempty"`
-}
-
 func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -506,22 +435,20 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfFollower(w) {
 		return
 	}
-	var req upsertRequest
+	var req cluster.UpsertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	updates := req.Updates
-	if len(updates) == 0 {
-		updates = []upsertUpdate{req.upsertUpdate}
-	}
 	// Validate the whole batch before applying any of it, so a 400 means
 	// nothing was committed.
+	updates, err := req.Batch()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	for i, u := range updates {
 		switch {
-		case u.ID == nil:
-			writeError(w, http.StatusBadRequest, "update %d: missing id", i)
-			return
 		case len(u.Vector) == 0:
 			writeError(w, http.StatusBadRequest, "update %d: missing vector", i)
 			return
@@ -530,37 +457,12 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// With -wal the durability layer logs the batch before applying it;
-	// otherwise apply straight to the index. Dimension errors were
-	// pre-validated, so any error past this point is ours: 503 when the
-	// WAL is (or just became) unavailable — the op was not acknowledged
-	// and retrying after the heal is correct — 500 otherwise.
-	out := map[string]any{"upserted": len(updates)}
-	if s.dur != nil {
-		seq, err := s.dur.upsert(updates)
-		if err != nil {
-			s.writeDurabilityError(w, err)
-			return
-		}
-		// The ack token: after a failover, writes with seq ≤ the new
-		// leader's promotion watermark provably survived.
-		out["seq"] = seq
-	} else {
-		for i, u := range updates {
-			if err := s.index.Add(*u.ID, u.Vector); err != nil {
-				writeError(w, http.StatusInternalServerError, "update %d: %v", i, err)
-				return
-			}
-		}
+	seq, err := s.dur.upsert(updates)
+	if err != nil {
+		s.writeApplyError(w, err)
+		return
 	}
-	out["nodes"] = s.store.Len()
-	writeJSON(w, http.StatusOK, out)
-}
-
-// deleteRequest removes vectors: one id inline, or many under "ids".
-type deleteRequest struct {
-	ID  *graph.NodeID  `json:"id,omitempty"`
-	IDs []graph.NodeID `json:"ids,omitempty"`
+	writeJSON(w, http.StatusOK, cluster.UpsertAck{Upserted: len(updates), Seq: seq, Nodes: s.store.Len()})
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -571,46 +473,30 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfFollower(w) {
 		return
 	}
-	var req deleteRequest
+	var req cluster.DeleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	ids := req.IDs
-	if req.ID != nil {
-		ids = append(ids, *req.ID)
-	}
-	if len(ids) == 0 {
-		writeError(w, http.StatusBadRequest, "delete needs id or ids")
+	ids, err := req.Batch()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var deleted int
-	out := map[string]any{}
-	if s.dur != nil {
-		n, seq, err := s.dur.delete(ids)
-		if err != nil {
-			s.writeDurabilityError(w, err)
-			return
-		}
-		deleted = n
-		out["seq"] = seq
-	} else {
-		for _, id := range ids {
-			if s.index.Remove(id) {
-				deleted++
-			}
-		}
+	deleted, seq, err := s.dur.delete(ids)
+	if err != nil {
+		s.writeApplyError(w, err)
+		return
 	}
-	out["deleted"] = deleted
-	out["nodes"] = s.store.Len()
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, cluster.DeleteAck{Deleted: deleted, Seq: seq, Nodes: s.store.Len()})
 }
 
-// writeDurabilityError maps a failed mutation onto the overload
-// contract: 503 + Retry-After whenever the daemon is in (or just
-// entered) read-only mode — the write was refused or unacknowledged
-// and will succeed after the WAL heals — 500 for anything else.
-func (s *server) writeDurabilityError(w http.ResponseWriter, err error) {
+// writeApplyError maps a failed mutation onto the overload contract.
+// Bad input was refused before the applier ran, so the failure is the
+// daemon's: 503 + Retry-After whenever it is in (or just entered)
+// read-only mode — the write was refused or unacknowledged and will
+// succeed after the WAL heals — 500 for anything else.
+func (s *server) writeApplyError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errReadOnly) || s.dur.isReadOnly() {
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(healCheckEvery)))
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
@@ -622,8 +508,7 @@ func (s *server) writeDurabilityError(w http.ResponseWriter, err error) {
 // handleExport streams a v3 embstore snapshot of the live store — the
 // format -snapshot accepts, so an export can seed another daemon (or a
 // test comparing recovered state against a reference). The image is
-// spooled to a temp file first (beside the WAL when there is one: the
-// data volume has room for it) and sent only once complete, so a failed
+// spooled to a temp file first and sent only once complete, so a failed
 // save is a 500, not a truncated 200, and the response carries its
 // Content-Length.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
@@ -631,25 +516,23 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	fsys, dir := faultfs.OS(), os.TempDir()
-	if s.dur != nil {
-		fsys, dir = s.dur.fsys, s.dur.walDir
-	}
+	fsys := s.dur.fsys
 	fail := func(err error) {
 		log.Printf("ehnad: export: %v", err)
 		writeError(w, http.StatusInternalServerError, "export: %v", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("export-%d-%d.snap.tmp", os.Getpid(), s.exports.Add(1)))
+	path := filepath.Join(s.dur.spoolDir(), fmt.Sprintf("export-%d-%d.snap.tmp", os.Getpid(), s.exports.Add(1)))
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		fail(err)
 		return
 	}
-	defer func() {
-		f.Close()
-		fsys.Remove(path)
-	}()
+	defer f.Close()
 	size, err := s.spoolExport(f)
+	// Unlink the spool file before the send, not after it: the open
+	// descriptor keeps the image readable, and neither a failed save, a
+	// client that has its last byte, nor a kill mid-send finds it there.
+	fsys.Remove(path)
 	if err != nil {
 		fail(err)
 		return
@@ -664,19 +547,13 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // spoolExport writes the export image to f and rewinds it, returning
-// the image size. With a WAL the image is watermark-stamped under the
-// applier lock — held for this local write only, not for the network
-// send — so a follower bootstrapping from it resumes the replication
-// stream at exactly the exported sequence. Without one there is no
-// sequence space; the plain store image (watermark 0) is all there is.
+// the image size. The image is taken under the applier lock — held for
+// this local write only, not for the network send — and stamped with
+// the WAL watermark, so a follower bootstrapping from it resumes the
+// replication stream at exactly the exported sequence (0 when the
+// daemon keeps no log: there is no sequence space).
 func (s *server) spoolExport(f io.WriteSeeker) (int64, error) {
-	var err error
-	if s.dur != nil {
-		err = s.dur.exportTo(f)
-	} else {
-		err = s.store.SaveSnapshotV3(f, 0)
-	}
-	if err != nil {
+	if err := s.dur.exportTo(f); err != nil {
 		return 0, err
 	}
 	size, err := f.Seek(0, io.SeekEnd)
@@ -687,13 +564,22 @@ func (s *server) spoolExport(f io.WriteSeeker) (int64, error) {
 	return size, err
 }
 
+// requireLog refuses, with a 400 naming what needs it, an endpoint that
+// operates on the log of a daemon booted without -wal.
+func (s *server) requireLog(w http.ResponseWriter, what string) bool {
+	ok := s.dur.hasLog()
+	if !ok {
+		writeError(w, http.StatusBadRequest, "%s requires -wal", what)
+	}
+	return ok
+}
+
 func (s *server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.dur == nil {
-		writeError(w, http.StatusBadRequest, "snapshot rotation requires -wal")
+	if !s.requireLog(w, "snapshot rotation") {
 		return
 	}
 	wm, err := s.dur.snapshot()
@@ -709,8 +595,7 @@ func (s *server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.dur == nil {
-		writeError(w, http.StatusBadRequest, "compaction requires -wal")
+	if !s.requireLog(w, "compaction") {
 		return
 	}
 	before := s.dur.tombstoneRatio()
@@ -805,7 +690,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out["degraded"] = s.batch.deg.degradedNow()
 		out["ef_search_current"] = s.batch.deg.efNow()
 	}
-	if s.dur != nil {
+	if s.dur.hasLog() {
 		out["durability"] = s.dur.healthz(s.metrics)
 	}
 	if s.repl != nil {
@@ -833,10 +718,10 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		reasons = append(reasons, "draining: shutdown in progress")
 	}
-	if sw, ok := s.index.(*ann.Swapper); ok && sw.Promoting() {
+	if s.index.Promoting() {
 		reasons = append(reasons, "compaction promote in progress")
 	}
-	if s.dur != nil && s.dur.isReadOnly() {
+	if s.dur.isReadOnly() {
 		reasons = append(reasons, "read-only: WAL unavailable")
 	}
 	if len(reasons) > 0 {

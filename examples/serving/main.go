@@ -19,6 +19,7 @@ import (
 	"ehna/internal/ehna"
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/vecmath"
 	"ehna/internal/walk"
@@ -55,14 +56,9 @@ func main() {
 		log.Fatal(err)
 	}
 	modelPath := filepath.Join(outDir, "model.gob")
-	mf, err := os.Create(modelPath)
-	if err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS(), modelPath, func(f faultfs.File) error { return model.Save(f) }); err != nil {
 		log.Fatal(err)
 	}
-	if err := model.Save(mf); err != nil {
-		log.Fatal(err)
-	}
-	mf.Close()
 
 	emb := model.InferAll()
 	store, err := embstore.FromMatrix(emb, embstore.DefaultShards)
@@ -70,14 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 	snapPath := filepath.Join(outDir, "store.snap")
-	sf, err := os.Create(snapPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.SaveSnapshotV3(sf, 0); err != nil {
-		log.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS(), snapPath, func(f faultfs.File) error { return store.SaveSnapshotV3(f, 0) }); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards)\n",
@@ -95,14 +84,9 @@ func main() {
 		log.Fatal(err)
 	}
 	graphPath := filepath.Join(outDir, "hnsw.gob")
-	gf, err := os.Create(graphPath)
-	if err != nil {
+	if err := faultfs.WriteFileAtomic(faultfs.OS(), graphPath, func(f faultfs.File) error { return hnsw.SaveGraph(f) }); err != nil {
 		log.Fatal(err)
 	}
-	if err := hnsw.SaveGraph(gf); err != nil {
-		log.Fatal(err)
-	}
-	gf.Close()
 	const target, k = 0, 10
 	q, _ := store.Get(target)
 	exactTop, err := exact.Search(q, k+1)

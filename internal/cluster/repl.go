@@ -14,7 +14,8 @@ import (
 	"ehna/internal/wal"
 )
 
-// Replication wire contract (leader side, served by cmd/ehnad):
+// Replication wire contract (leader side, served by cmd/ehnad; the
+// JSON bodies are declared in wire.go):
 //
 //	GET /v1/repl/stream?after=<seq>
 //	  200: body is a sequence of CRC-framed WAL records (the on-disk
@@ -27,11 +28,6 @@ import (
 //	GET  /v1/repl/status   — {role, last_seq, durable_seq, applied, ...}
 //	POST /v1/admin/promote — leave follower mode; returns the applied
 //	       watermark the new leader starts serving writes from.
-
-// LastSeqHeader carries the durable watermark the stream response was
-// bounded by, so a follower can report lag even on an empty poll.
-// Exported because the daemon's stream handler sets it.
-const LastSeqHeader = "X-Ehnad-Last-Seq"
 
 var (
 	replRecords = obs.Default().Counter("ehnad_repl_records_total",
@@ -149,9 +145,7 @@ func (rc *ReplClient) round(ctx context.Context, client *http.Client) (int, erro
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		var body struct {
-			Watermark uint64 `json:"watermark"`
-		}
+		var body ReplGap
 		_ = json.NewDecoder(resp.Body).Decode(&body)
 		if rc.OnGap != nil {
 			if err := rc.OnGap(body.Watermark); err != nil {
@@ -232,20 +226,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// ReplStatus is the /v1/repl/status body: the role a daemon is serving
-// in and its replication watermarks.
-type ReplStatus struct {
-	Role       string `json:"role"` // "leader" or "follower"
-	LastSeq    uint64 `json:"last_seq"`
-	DurableSeq uint64 `json:"durable_seq"`
-	// Applied is the watermark through which the local store+index
-	// reflect the log. Under the daemon's applier-lock invariant it
-	// equals LastSeq whenever the lock is free.
-	Applied uint64 `json:"applied"`
-	// Leader is the upstream URL when Role is "follower".
-	Leader string `json:"leader,omitempty"`
-}
-
 // FetchReplStatus asks one daemon for its role and watermarks.
 func FetchReplStatus(ctx context.Context, client *http.Client, base string) (ReplStatus, error) {
 	var st ReplStatus
@@ -284,9 +264,7 @@ func Promote(ctx context.Context, client *http.Client, base string) (uint64, err
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("promote %s: %s: %s", base, resp.Status, b)
 	}
-	var body struct {
-		Applied uint64 `json:"applied"`
-	}
+	var body PromoteAck
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return 0, err
 	}

@@ -19,11 +19,6 @@ import (
 	"ehna/internal/obs"
 )
 
-// deadlineHeader mirrors cmd/ehnad's per-request budget override; the
-// router both accepts it from clients and forwards the per-shard
-// remainder downstream.
-const deadlineHeader = "X-Ehnad-Deadline-Ms"
-
 // RouterConfig configures a Router.
 type RouterConfig struct {
 	// Map is the shard placement. Required.
@@ -377,28 +372,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// budget derives the request budget: deadline_ms in the body, then the
-// client's header, then the default — the same precedence as the
-// daemon, with the daemon's strict-validation contract (invalid
-// overrides are a 400, never silently the default).
-func (rt *Router) budget(r *http.Request, deadlineMS int) (time.Duration, error) {
-	if deadlineMS < 0 {
-		return 0, fmt.Errorf("deadline_ms must be positive, got %d", deadlineMS)
-	}
-	d := rt.cfg.DefaultDeadline
-	if h := r.Header.Get(deadlineHeader); h != "" {
-		v, err := strconv.Atoi(h)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("invalid %s header %q: want a positive integer of milliseconds", deadlineHeader, h)
-		}
-		d = time.Duration(v) * time.Millisecond
-	}
-	if deadlineMS > 0 {
-		d = time.Duration(deadlineMS) * time.Millisecond
-	}
-	return d, nil
-}
-
 // shardBudget converts the request budget into the per-shard deadline:
 // the budget minus the merge margin, never below half the budget.
 func (rt *Router) shardBudget(budget time.Duration) time.Duration {
@@ -419,26 +392,10 @@ func (rt *Router) shardBudget(budget time.Duration) time.Duration {
 	return sb
 }
 
-// The wire shapes mirror cmd/ehnad's /v1/neighbors contract.
-type neighborQuery struct {
-	ID     *graph.NodeID `json:"id,omitempty"`
-	Vector []float64     `json:"vector,omitempty"`
-	K      int           `json:"k,omitempty"`
-}
-
-type neighborsRequest struct {
-	neighborQuery
-	Queries    []neighborQuery `json:"queries,omitempty"`
-	DeadlineMS int             `json:"deadline_ms,omitempty"`
-}
-
-const defaultK = 10
-
 // shardAnswer is one shard's response to the scattered batch.
 type shardAnswer struct {
-	batches  [][]ann.Result
-	degraded bool
-	err      error
+	NeighborsBatchAck
+	err error
 }
 
 func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -446,12 +403,12 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req neighborsRequest
+	var req NeighborsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	budget, err := rt.budget(r, req.DeadlineMS)
+	budget, err := RequestBudget(r, req.DeadlineMS, rt.cfg.DefaultDeadline)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -463,9 +420,9 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	queries := req.Queries
 	defK := req.K
 	if single {
-		queries = []neighborQuery{req.neighborQuery}
+		queries = []NeighborQuery{req.NeighborQuery}
 	} else if defK <= 0 {
-		defK = defaultK
+		defK = DefaultK
 	}
 
 	// Resolve id-queries into vectors via the owning shard, so every
@@ -481,7 +438,7 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		if k <= 0 {
 			k = defK
 			if single {
-				k = defaultK
+				k = DefaultK
 			}
 		}
 		switch {
@@ -509,16 +466,15 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Scatter: every shard scores every query at k (+1 for self-trim).
-	out := make([]neighborQuery, len(res))
+	out := make([]NeighborQuery, len(res))
 	for i, rq := range res {
 		ask := rq.k
 		if rq.self != nil {
 			ask++
 		}
-		vec := rq.vec
-		out[i] = neighborQuery{Vector: vec, K: ask}
+		out[i] = NeighborQuery{Vector: rq.vec, K: ask}
 	}
-	body, _ := json.Marshal(map[string]any{"queries": out})
+	body, _ := json.Marshal(NeighborsRequest{Queries: out})
 	shardDeadline := rt.shardBudget(budget)
 
 	answers := make([]shardAnswer, len(rt.shards))
@@ -542,7 +498,7 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		answered++
-		anyDegraded = anyDegraded || answers[si].degraded
+		anyDegraded = anyDegraded || answers[si].Degraded
 	}
 	if answered == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no shards answered")
@@ -556,10 +512,10 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		var all []ann.Result
 		for si := range answers {
 			a := &answers[si]
-			if a.err != nil || qi >= len(a.batches) {
+			if a.err != nil || qi >= len(a.Batches) {
 				continue
 			}
-			all = append(all, a.batches[qi]...)
+			all = append(all, a.Batches[qi]...)
 		}
 		sort.Slice(all, func(i, j int) bool {
 			if all[i].Score != all[j].Score {
@@ -585,21 +541,18 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		merged[qi] = all
 	}
 
-	resp := map[string]any{}
-	if single {
-		resp["results"] = merged[0]
-	} else {
-		resp["batches"] = merged
-	}
+	var status SearchStatus
 	if partial := answered < len(rt.shards); partial || anyDegraded {
-		resp["degraded"] = true
-		resp["shards_answered"] = answered
-		resp["shards_total"] = len(rt.shards)
+		status = SearchStatus{Degraded: true, ShardsAnswered: answered, ShardsTotal: len(rt.shards)}
 		if partial {
 			rt.degraded.Inc()
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if single {
+		writeJSON(w, http.StatusOK, NeighborsAck{merged[0], status})
+	} else {
+		writeJSON(w, http.StatusOK, NeighborsBatchAck{merged, status})
+	}
 }
 
 // searchShard posts the scattered batch to one shard under its share
@@ -612,7 +565,7 @@ func (rt *Router) searchShard(ctx context.Context, ss *shardState, body []byte, 
 		return shardAnswer{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, strconv.Itoa(int(deadline/time.Millisecond)))
+	req.Header.Set(DeadlineHeader, strconv.Itoa(int(deadline/time.Millisecond)))
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return shardAnswer{err: err}
@@ -622,14 +575,9 @@ func (rt *Router) searchShard(ctx context.Context, ss *shardState, body []byte, 
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return shardAnswer{err: fmt.Errorf("status %s: %s", resp.Status, b)}
 	}
-	var out struct {
-		Batches  [][]ann.Result `json:"batches"`
-		Degraded bool           `json:"degraded"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return shardAnswer{err: err}
-	}
-	return shardAnswer{batches: out.Batches, degraded: out.Degraded}
+	var out shardAnswer
+	out.err = json.NewDecoder(resp.Body).Decode(&out.NeighborsBatchAck)
+	return out
 }
 
 var errNotFound = errors.New("node not in store")
@@ -654,29 +602,11 @@ func (rt *Router) fetchVector(ctx context.Context, id graph.NodeID) ([]float64, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("resolve id %d on shard %s: status %s", id, ss.name, resp.Status)
 	}
-	var out struct {
-		Vector []float64 `json:"vector"`
-	}
+	var out VectorAck
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, err
 	}
 	return out.Vector, nil
-}
-
-// The write shapes mirror cmd/ehnad's /v1/upsert and /v1/delete.
-type upsertUpdate struct {
-	ID     *graph.NodeID `json:"id"`
-	Vector []float64     `json:"vector"`
-}
-
-type upsertRequest struct {
-	upsertUpdate
-	Updates []upsertUpdate `json:"updates,omitempty"`
-}
-
-type deleteRequest struct {
-	ID  *graph.NodeID  `json:"id,omitempty"`
-	IDs []graph.NodeID `json:"ids,omitempty"`
 }
 
 // shardWriteResult is the per-shard slice of a routed write.
@@ -687,10 +617,12 @@ type shardWriteResult struct {
 	code  int
 }
 
-// postShardWrite sends one write sub-request to the shard leader,
+// postShardWrite sends one write sub-request to the leader of shard si,
 // retrying once after a synchronous re-probe (which may fail the shard
-// over) when the leader refuses or is unreachable.
-func (rt *Router) postShardWrite(ctx context.Context, ss *shardState, path string, body []byte) shardWriteResult {
+// over) when the leader refuses or is unreachable. ack decodes the
+// daemon's 200 body into the count and WAL seq it acknowledged.
+func (rt *Router) postShardWrite(ctx context.Context, si int, path string, body []byte, ack func(io.Reader) (int, uint64, error)) shardWriteResult {
+	ss := rt.shards[si]
 	try := func() (shardWriteResult, bool) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ss.leaderURL()+path, bytes.NewReader(body))
 		if err != nil {
@@ -710,15 +642,11 @@ func (rt *Router) postShardWrite(ctx context.Context, ss *shardState, path strin
 			// request's fault and a retry would not change it.
 			return res, resp.StatusCode >= 500
 		}
-		var out struct {
-			Upserted int    `json:"upserted"`
-			Deleted  int    `json:"deleted"`
-			Seq      uint64 `json:"seq"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		count, seq, err := ack(resp.Body)
+		if err != nil {
 			return shardWriteResult{Error: err.Error(), code: http.StatusBadGateway}, false
 		}
-		return shardWriteResult{Count: out.Upserted + out.Deleted, Seq: out.Seq, code: http.StatusOK}, false
+		return shardWriteResult{Count: count, Seq: seq, code: http.StatusOK}, false
 	}
 	res, retry := try()
 	if res.code == http.StatusOK || !retry {
@@ -727,19 +655,10 @@ func (rt *Router) postShardWrite(ctx context.Context, ss *shardState, path strin
 	// The leader refused or vanished: re-probe the shard now (the
 	// health loop may be seconds away), which may adopt or promote a
 	// new leader, then retry once.
-	rt.shardErrs[rt.shardIndex(ss)].Inc()
+	rt.shardErrs[si].Inc()
 	rt.probeShard(ctx, ss)
 	res2, _ := try()
 	return res2
-}
-
-func (rt *Router) shardIndex(ss *shardState) int {
-	for i, s := range rt.shards {
-		if s == ss {
-			return i
-		}
-	}
-	return 0
 }
 
 func (rt *Router) handleUpsert(w http.ResponseWriter, r *http.Request) {
@@ -747,33 +666,27 @@ func (rt *Router) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req upsertRequest
+	var req UpsertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	updates := req.Updates
-	if len(updates) == 0 {
-		updates = []upsertUpdate{req.upsertUpdate}
-	}
-	for i, u := range updates {
-		if u.ID == nil {
-			writeError(w, http.StatusBadRequest, "update %d: missing id", i)
-			return
-		}
+	updates, err := req.Batch()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	// Group by owning shard. Atomicity is per shard: a multi-shard
 	// batch can land on some shards and fail on others (reported per
 	// shard below).
-	groups := make(map[int][]upsertUpdate)
+	groups := make(map[int][]UpsertUpdate)
 	for _, u := range updates {
 		si := rt.cfg.Map.Owner(*u.ID)
 		groups[si] = append(groups[si], u)
 	}
-	scatterWrite(rt, w, r, "/v1/upsert", groups, func(g []upsertUpdate) []byte {
-		b, _ := json.Marshal(map[string]any{"updates": g})
-		return b
-	}, "upserted")
+	scatterWrite(rt, w, r, "/v1/upsert", "upserted", groups,
+		func(g []UpsertUpdate) any { return UpsertRequest{Updates: g} },
+		func(a UpsertAck) (int, uint64) { return a.Upserted, a.Seq })
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -781,17 +694,14 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req deleteRequest
+	var req DeleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	ids := req.IDs
-	if req.ID != nil {
-		ids = append(ids, *req.ID)
-	}
-	if len(ids) == 0 {
-		writeError(w, http.StatusBadRequest, "delete needs id or ids")
+	ids, err := req.Batch()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	groups := make(map[int][]graph.NodeID)
@@ -799,19 +709,19 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		si := rt.cfg.Map.Owner(id)
 		groups[si] = append(groups[si], id)
 	}
-	scatterWrite(rt, w, r, "/v1/delete", groups, func(g []graph.NodeID) []byte {
-		b, _ := json.Marshal(map[string]any{"ids": g})
-		return b
-	}, "deleted")
+	scatterWrite(rt, w, r, "/v1/delete", "deleted", groups,
+		func(g []graph.NodeID) any { return DeleteRequest{IDs: g} },
+		func(a DeleteAck) (int, uint64) { return a.Deleted, a.Seq })
 }
 
 // scatterWrite fans grouped write bodies out to their shard leaders
 // concurrently and aggregates the per-shard outcomes. All-success is a
 // 200 with the summed count; any failure reports the per-shard map
 // under the failing sub-request's status (the daemons are the source
-// of truth for what committed).
-func scatterWrite[T any](rt *Router, w http.ResponseWriter, r *http.Request, path string, groups map[int][]T, encode func([]T) []byte, countKey string) {
-	budget, err := rt.budget(r, 0)
+// of truth for what committed). request wraps one shard's group in the
+// daemon's request type; acked reads the daemon's ack type A.
+func scatterWrite[T, A any](rt *Router, w http.ResponseWriter, r *http.Request, path, countKey string, groups map[int][]T, request func([]T) any, acked func(A) (int, uint64)) {
+	budget, err := RequestBudget(r, 0, rt.cfg.DefaultDeadline)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -823,10 +733,17 @@ func scatterWrite[T any](rt *Router, w http.ResponseWriter, r *http.Request, pat
 		si  int
 		res shardWriteResult
 	}
+	ack := func(body io.Reader) (int, uint64, error) {
+		var a A
+		err := json.NewDecoder(body).Decode(&a)
+		count, seq := acked(a)
+		return count, seq, err
+	}
 	out := make(chan keyed, len(groups))
 	for si, g := range groups {
 		go func(si int, g []T) {
-			out <- keyed{si, rt.postShardWrite(ctx, rt.shards[si], path, encode(g))}
+			body, _ := json.Marshal(request(g))
+			out <- keyed{si, rt.postShardWrite(ctx, si, path, body, ack)}
 		}(si, g)
 	}
 	total := 0

@@ -418,7 +418,7 @@ func TestRouterDeadlineValidation(t *testing.T) {
 	for _, hdr := range []string{"abc", "-5", "0"} {
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/neighbors",
 			bytes.NewReader([]byte(`{"vector":[1,0,0,0],"k":1}`)))
-		req.Header.Set(deadlineHeader, hdr)
+		req.Header.Set(DeadlineHeader, hdr)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

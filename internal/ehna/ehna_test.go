@@ -313,7 +313,7 @@ func TestGradientsFlowToAllParams(t *testing.T) {
 	tp.Backward(loss)
 	zero := 0
 	for _, p := range m.params.List() {
-		if p.G.Frobenius() == 0 {
+		if tensor.L2NormVec(p.G.Data) == 0 {
 			zero++
 			t.Logf("param %s received zero gradient", p.Name)
 		}

@@ -402,14 +402,9 @@ func FromMatrixPrecision(emb *tensor.Matrix, shards int, prec Precision) (*Store
 	return s, nil
 }
 
-// FromModelSnapshot builds an F64 store holding the raw embedding table
-// of an ehna model snapshot (see ehna.LoadEmbeddingTable).
-func FromModelSnapshot(r io.Reader, shards int) (*Store, error) {
-	return FromModelSnapshotPrecision(r, shards, F64)
-}
-
-// FromModelSnapshotPrecision is FromModelSnapshot at an explicit
-// precision.
+// FromModelSnapshotPrecision builds a store at the given precision
+// holding the raw embedding table of an ehna model snapshot (see
+// ehna.LoadEmbeddingTable).
 func FromModelSnapshotPrecision(r io.Reader, shards int, prec Precision) (*Store, error) {
 	emb, err := ehna.LoadEmbeddingTable(r)
 	if err != nil {

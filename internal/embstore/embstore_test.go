@@ -210,7 +210,7 @@ func TestFromModelSnapshot(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	s, err := FromModelSnapshot(&buf, 4)
+	s, err := FromModelSnapshotPrecision(&buf, 4, F64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -400,3 +401,41 @@ func applyParam(r *Rule, kv string) error {
 
 // IsDiskFull reports whether err is an out-of-space condition.
 func IsDiskFull(err error) bool { return errors.Is(err, syscall.ENOSPC) }
+
+// WriteFileAtomic publishes a file so that readers — and a reboot after
+// power loss — see the old content or the complete new one, never a
+// prefix: write to a sibling temp file, fsync it, rename it over path,
+// fsync the directory. Until that last fsync the rename itself can be
+// lost, so nothing may depend on the new file before this returns (the
+// daemon's snapshot loop deletes WAL segments on the strength of it).
+// Going through fsys lets a drill break any step. write gets the whole
+// File: the v3 snapshot writer seeks back to stamp its header.
+func WriteFileAtomic(fsys FS, path string, write func(f File) error) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	d, err := fsys.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

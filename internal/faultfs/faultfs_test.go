@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -217,4 +218,54 @@ func TestOSPassthrough(t *testing.T) {
 	if err := fs.Remove(path); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
+}
+
+// TestWriteFileAtomic: a publish either replaces the file whole or
+// leaves the old content and no temp file behind, whichever step
+// breaks; and it fsyncs the directory, so a fault there is reported.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.snap")
+	in := New(nil)
+	content := func(s string) func(File) error {
+		return func(f File) error { _, err := f.Write([]byte(s)); return err }
+	}
+	check := func(when, want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("%s: file holds %q (%v), want %q", when, got, err, want)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("%s: %d directory entries, want only the published file", when, len(ents))
+		}
+	}
+	if err := WriteFileAtomic(in, path, content("v1")); err != nil {
+		t.Fatal(err)
+	}
+	check("first publish", "v1")
+
+	for _, r := range []Rule{
+		{Op: OpWrite, Path: ".tmp", Count: 1},
+		{Op: OpSync, Path: ".tmp", Count: 1},
+		{Op: OpRename, Path: "store.snap", Count: 1},
+	} {
+		in.Add(r)
+		if err := WriteFileAtomic(in, path, content("v2")); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("%s fault: err = %v, want EIO", r.Op, err)
+		}
+		check(string(r.Op)+" fault", "v1")
+	}
+	if err := WriteFileAtomic(in, path, func(File) error { return io.ErrUnexpectedEOF }); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("failing writer: err = %v", err)
+	}
+	check("failing writer", "v1")
+
+	// The rename landed, but it is not durable until the directory is
+	// synced — that failure must reach the caller.
+	in.Add(Rule{Op: OpSync, After: 1, Count: 1}) // the file's fsync passes, the directory's is next
+	if err := WriteFileAtomic(in, path, content("v3")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("directory fsync fault: err = %v, want EIO", err)
+	}
+	check("directory fsync fault", "v3")
 }

@@ -47,7 +47,7 @@ func TestNewModelInit(t *testing.T) {
 	if m.Emb.Rows != 5 || m.Emb.Cols != 8 || m.Ctx.Rows != 5 {
 		t.Fatal("model shapes")
 	}
-	if m.Ctx.Frobenius() != 0 {
+	if tensor.L2NormVec(m.Ctx.Data) != 0 {
 		t.Fatal("context matrix must start at zero")
 	}
 	for _, v := range m.Emb.Data {

@@ -173,22 +173,6 @@ func MatMulATransposed(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulBTransposed returns a·bᵀ where b is given untransposed.
-func MatMulBTransposed(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBT cols %d != %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = vecmath.Dot(arow, b.Row(j))
-		}
-	}
-	return out
-}
-
 // AddMatMul computes out += a·b through the register-blocked product of
 // internal/vecmath, without allocating. out must not alias a or b.
 func AddMatMul(out, a, b *Matrix) {
@@ -212,17 +196,6 @@ func AddMatMulBT(out, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: AddMatMulBT %dx%d += %dx%d · (%dx%d)ᵀ", out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	vecmath.GemmNT(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Rows, out.Cols, a.Cols)
-}
-
-// Transpose returns mᵀ.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
 }
 
 // Add returns a + b.
@@ -325,15 +298,6 @@ func ReLU(m *Matrix) *Matrix {
 // SigmoidScalar is the numerically stable logistic function.
 func SigmoidScalar(x float64) float64 { return vecmath.Sigmoid(x) }
 
-// SoftmaxRows returns row-wise softmax of m.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxInto(out.Row(i), m.Row(i))
-	}
-	return out
-}
-
 // SoftmaxInto writes softmax(src) into dst. dst may alias src.
 func SoftmaxInto(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -405,9 +369,6 @@ func L2NormVec(v []float64) float64 { return vecmath.Norm(v) }
 
 // SqDistVec returns the squared Euclidean distance between a and b.
 func SqDistVec(a, b []float64) float64 { return vecmath.SqDist(a, b) }
-
-// Frobenius returns the Frobenius norm of m.
-func (m *Matrix) Frobenius() float64 { return L2NormVec(m.Data) }
 
 // ConcatCols returns [a ‖ b] with the same number of rows.
 func ConcatCols(a, b *Matrix) *Matrix {

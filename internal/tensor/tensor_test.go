@@ -96,20 +96,25 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 2))
 }
 
+// transpose is the oracle the transposed products are checked against.
+func transpose(m *Matrix) *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
 func TestMatMulTransposedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(4, 3, 1, rng)
 	b := Randn(4, 5, 1, rng)
 	got := MatMulATransposed(a, b)
-	want := MatMul(Transpose(a), b)
+	want := MatMul(transpose(a), b)
 	if !Equal(got, want, 1e-12) {
 		t.Fatal("MatMulATransposed mismatch")
-	}
-	c := Randn(6, 3, 1, rng)
-	got2 := MatMulBTransposed(a.Clone(), c)
-	want2 := MatMul(a, Transpose(c))
-	if !Equal(got2, want2, 1e-12) {
-		t.Fatal("MatMulBTransposed mismatch")
 	}
 }
 
@@ -125,7 +130,7 @@ func TestAddMatMulVariants(t *testing.T) {
 	}{
 		"AddMatMul":   {func(out *Matrix) { AddMatMul(out, a, b) }, MatMul(a, b)},
 		"AddMatMulAT": {func(out *Matrix) { AddMatMulAT(out, at, b) }, MatMulATransposed(at, b)},
-		"AddMatMulBT": {func(out *Matrix) { AddMatMulBT(out, a, bt) }, MatMulBTransposed(a, bt)},
+		"AddMatMulBT": {func(out *Matrix) { AddMatMulBT(out, a, bt) }, MatMul(a, transpose(bt))},
 	} {
 		out := seed.Clone()
 		tc.run(out)
@@ -146,14 +151,6 @@ func TestAddMatMulVariants(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := Randn(5, 7, 1, rng)
-	if !Equal(Transpose(Transpose(m)), m, 0) {
-		t.Fatal("transpose twice must be identity")
 	}
 }
 
@@ -232,23 +229,6 @@ func TestSigmoidScalarStable(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 1, 1, 1000, 1000, 1000})
-	s := SoftmaxRows(m)
-	for i := 0; i < 2; i++ {
-		var sum float64
-		for j := 0; j < 3; j++ {
-			sum += s.At(i, j)
-			if math.Abs(s.At(i, j)-1.0/3) > 1e-9 {
-				t.Fatalf("uniform softmax row %d got %v", i, s.Row(i))
-			}
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("softmax row %d does not sum to 1", i)
-		}
-	}
-}
-
 func TestSoftmaxProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		if len(vals) == 0 {
@@ -304,9 +284,6 @@ func TestDotAndNorms(t *testing.T) {
 	}
 	if SqDistVec(a.Data, b.Data) != 27 {
 		t.Fatal("SqDistVec")
-	}
-	if math.Abs(a.Frobenius()-math.Sqrt(14)) > 1e-12 {
-		t.Fatal("Frobenius")
 	}
 }
 

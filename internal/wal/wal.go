@@ -625,18 +625,9 @@ func (l *Log) Append(op Op, id graph.NodeID, vec []float64) (uint64, error) {
 	return seq, l.Commit(seq)
 }
 
-// AppendBatch logs every record (assigning their Seq fields in order)
-// with a single durability wait, and returns the last sequence number.
-func (l *Log) AppendBatch(recs []Record) (uint64, error) {
-	seq, err := l.AppendBuffered(recs)
-	if err != nil {
-		return 0, err
-	}
-	return seq, l.Commit(seq)
-}
-
-// AppendBuffered writes records to the log buffer without waiting for
-// durability, returning the last assigned sequence number. Callers
+// AppendBuffered writes records to the log buffer (assigning their Seq
+// fields in order) without waiting for durability, returning the last
+// assigned sequence number. Callers
 // that hold their own serialization lock (the daemon's applier) append
 // buffered inside it and Commit outside it, so concurrent commits can
 // share one fsync instead of serializing a sync each behind the lock.

@@ -488,9 +488,10 @@ func TestSyncIntervalEventuallyDurable(t *testing.T) {
 	}
 }
 
-// TestAppendBatchAssignsContiguousSeqs: one batch, one durability wait,
-// gapless sequence numbers.
-func TestAppendBatchAssignsContiguousSeqs(t *testing.T) {
+// TestAppendBufferedAssignsContiguousSeqs: one batch, one durability
+// wait, gapless sequence numbers — how the daemon's applier logs a
+// multi-record write.
+func TestAppendBufferedAssignsContiguousSeqs(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
@@ -501,12 +502,15 @@ func TestAppendBatchAssignsContiguousSeqs(t *testing.T) {
 		{Op: OpDelete, ID: 2},
 		{Op: OpUpsert, ID: 3, Vec: []float64{3}},
 	}
-	last, err := l.AppendBatch(recs)
+	last, err := l.AppendBuffered(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if last != 3 {
 		t.Fatalf("batch last seq %d, want 3", last)
+	}
+	if err := l.Commit(last); err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range recs {
 		if r.Seq != uint64(i+1) {
@@ -516,8 +520,8 @@ func TestAppendBatchAssignsContiguousSeqs(t *testing.T) {
 	if l.DurableSeq() != 3 {
 		t.Fatalf("durable %d after batch, want 3", l.DurableSeq())
 	}
-	if _, err := l.AppendBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
+	if last, err := l.AppendBuffered(nil); err != nil || last != 3 {
+		t.Fatalf("empty batch: last %d, err %v", last, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
