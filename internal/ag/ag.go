@@ -136,8 +136,18 @@ func (t *Tape) record() *Node {
 
 // node records a rows×cols node whose zeroed value lives on the tape.
 func (t *Tape) node(rows, cols int, needs bool) *Node {
+	n := t.rawNode(rows, cols, needs)
+	for i := range n.val.Data {
+		n.val.Data[i] = 0
+	}
+	return n
+}
+
+// rawNode is node for an operator that overwrites the whole value: the
+// value's memory has arbitrary contents.
+func (t *Tape) rawNode(rows, cols int, needs bool) *Node {
 	n := t.record()
-	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.zeros(rows * cols)}
+	n.val = tensor.Matrix{Rows: rows, Cols: cols, Data: t.alloc(rows * cols)}
 	n.Value = &n.val
 	n.needs = needs
 	return n

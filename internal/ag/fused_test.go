@@ -123,22 +123,56 @@ func assertSame(t *testing.T, name string, fv, uv *tensor.Matrix, fg, ug []*tens
 	}
 }
 
+// gateBias overwrites the four gate biases of lstmInputs' matrices
+// with ±v, the sign alternating across units and shifted from gate to
+// gate, so that every combination of saturated gates occurs; scale
+// multiplies the weights (0 leaves the bias as the whole
+// pre-activation).
+func gateBias(v, scale float64) func(inputs []*tensor.Matrix) {
+	return func(inputs []*tensor.Matrix) {
+		for g := 0; g < 4; g++ {
+			w, u, b := inputs[1+3*g], inputs[2+3*g], inputs[3+3*g]
+			tensor.ScaleInPlace(w, scale)
+			tensor.ScaleInPlace(u, scale)
+			for j := range b.Data {
+				b.Data[j] = v
+				if (j>>g)&1 == 1 {
+					b.Data[j] = -v
+				}
+			}
+		}
+	}
+}
+
 // TestLSTMSeqMatchesUnfused checks value and gradient agreement with
 // the per-sequence, per-step, op-by-op composition, including the
-// T = 1, n = 1 case that is a single LSTM step.
+// T = 1, n = 1 case that is a single LSTM step. The unfused side takes
+// its activations from the math package, the fused side from vecmath's
+// block kernels: the last cases drive the pre-activations to where the
+// two could part — exactly zero, saturated (±30) and at the edge of
+// exp's range (±700, where σ is within a few binades of underflow).
 func TestLSTMSeqMatchesUnfused(t *testing.T) {
+	ragged := []int{5, 1, 3, 2}
 	for _, tc := range []struct {
 		name string
 		T, n int
 		lens []int
+		prep func(inputs []*tensor.Matrix)
 	}{
-		{"step", 1, 1, nil},
-		{"full", 5, 3, nil},
-		{"ragged", 5, 4, []int{5, 1, 3, 2}},
+		{"step", 1, 1, nil, nil},
+		{"full", 5, 3, nil, nil},
+		{"ragged", 5, 4, ragged, nil},
 		// 9 sequences: two full 4-row tiles and a 1-row partial tile.
-		{"tiles", 3, 9, []int{3, 2, 1, 3, 3, 1, 2, 3, 2}},
+		{"tiles", 3, 9, []int{3, 2, 1, 3, 3, 1, 2, 3, 2}, nil},
+		{"pre=0", 5, 4, ragged, gateBias(0, 0)},
+		{"pre=±30", 5, 4, ragged, gateBias(30, 1)},
+		{"pre=±700", 5, 4, ragged, gateBias(700, 1)},
+		{"pre=±700/full", 3, 5, nil, gateBias(700, 1)},
 	} {
 		inputs := lstmInputs(tc.T*tc.n, 3, 8, 1234)
+		if tc.prep != nil {
+			tc.prep(inputs)
+		}
 		fv, fg := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return tp.LSTMSeq(weightsFrom(l), l[0], tc.lens, tc.T) })
 		uv, ug := runSeq(inputs, func(tp *Tape, l []*Node) *Node { return unfusedSeq(tp, weightsFrom(l), l[0], tc.lens, tc.T) })
 		assertSame(t, tc.name, fv, uv, fg, ug)

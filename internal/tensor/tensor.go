@@ -270,31 +270,6 @@ func AddRowBroadcast(m, bias *Matrix) *Matrix {
 	return out
 }
 
-// Apply returns f applied element-wise to m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
-// Sigmoid returns the logistic function applied element-wise.
-func Sigmoid(m *Matrix) *Matrix { return Apply(m, SigmoidScalar) }
-
-// Tanh returns tanh applied element-wise.
-func Tanh(m *Matrix) *Matrix { return Apply(m, math.Tanh) }
-
-// ReLU returns max(0, x) applied element-wise.
-func ReLU(m *Matrix) *Matrix {
-	return Apply(m, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-}
-
 // SigmoidScalar is the numerically stable logistic function.
 func SigmoidScalar(x float64) float64 { return vecmath.Sigmoid(x) }
 

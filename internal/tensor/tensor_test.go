@@ -198,22 +198,6 @@ func TestAddRowBroadcast(t *testing.T) {
 	}
 }
 
-func TestActivations(t *testing.T) {
-	m := FromSlice(1, 3, []float64{-1, 0, 1})
-	r := ReLU(m)
-	if r.At(0, 0) != 0 || r.At(0, 2) != 1 {
-		t.Fatal("ReLU")
-	}
-	s := Sigmoid(m)
-	if math.Abs(s.At(0, 1)-0.5) > 1e-12 {
-		t.Fatal("Sigmoid(0) != 0.5")
-	}
-	th := Tanh(m)
-	if math.Abs(th.At(0, 1)) > 1e-12 {
-		t.Fatal("Tanh(0) != 0")
-	}
-}
-
 func TestSigmoidScalarStable(t *testing.T) {
 	if v := SigmoidScalar(1000); v != 1 {
 		t.Fatalf("sigmoid(1000) = %v", v)

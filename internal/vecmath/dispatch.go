@@ -20,7 +20,13 @@
 // Runtime kill switch: setting EHNA_NOSIMD to any non-empty value
 // forces the scalar backend without a rebuild — the ops escape hatch
 // when a kernel is suspected. The `noasm` build tag removes the
-// assembly entirely (CI runs the vecmath and ann suites both ways).
+// assembly entirely (CI runs the vecmath, ann and training suites both
+// ways).
+//
+// Two kernel sets exist on amd64 only and serve training, not serving:
+// the GEMM tile (gemm.go) and the block activations (activ.go). They
+// check simd64 behind the trainAsm build constant, so arm64 — whose
+// simd64 means NEON Dot/SqDist — takes their portable loops.
 package vecmath
 
 // Backend reports the active kernel backend: "avx2", "neon" or

@@ -49,6 +49,22 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 					t.Fatalf("n=%d off=%d sqDistSIMD=%g scalar=%g", n, off, got, want)
 				}
 			}
+			// The block activations against the loop they replace.
+			if simd64 && trainAsm {
+				got := make([]float64, n)
+				sigmoidAVX2(got, a)
+				for i, x := range a {
+					if want := Sigmoid(x); !activClose(got[i], want) {
+						t.Fatalf("n=%d off=%d lane %d sigmoidAVX2(%g)=%g scalar=%g", n, off, i, x, got[i], want)
+					}
+				}
+				tanhAVX2(got, a)
+				for i, x := range a {
+					if want := math.Tanh(x); !activClose(got[i], want) {
+						t.Fatalf("n=%d off=%d lane %d tanhAVX2(%g)=%g scalar=%g", n, off, i, x, got[i], want)
+					}
+				}
+			}
 			// f32 kernels accumulate in float32 on both sides; allow the
 			// documented ~√n·2⁻²⁴ wiggle via a 1e-4 relative band.
 			if simd32 {
@@ -174,6 +190,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	y := make([]float32, 128)
 	c := make([]int8, 128)
 	d := make([]int8, 128)
+	act := make([]float64, 128)
 	for i := range a {
 		a[i] = float64(i%7) - 3
 		b[i] = float64(i%5) - 2
@@ -192,6 +209,8 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		sink += SqDistSQ8(a, c, 0.1, -0.5)
 		sink += DotSQ8Sym(c, d, 0.1, -0.5, 0.2, 0.3, 5, -7)
 		_, _, _ = EncodeSQ8(a, c)
+		SigmoidInto(act, a)
+		TanhInto(act, a)
 	})
 	if allocs != 0 {
 		t.Fatalf("dispatched kernels allocated %v times per run", allocs)

@@ -58,7 +58,7 @@ func gemm(c []float64, ldc int, a []float64, rsa, csa int, b []float64, ldb int,
 	_ = b[(k-1)*ldb+n-1]
 
 	done := 0 // columns finished by the assembly kernel
-	if gemmAsm && simd64 {
+	if trainAsm && simd64 {
 		done = n &^ 7
 		var spill [8]float64 // C row of the rows a partial tile lacks
 		for i := 0; i < m; i += 4 {
