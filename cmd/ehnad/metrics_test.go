@@ -68,8 +68,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	id := graph.NodeID(g.NumNodes() + 5)
 	vec := mustGet(t, store, 0)
-	if code, _ := postJSON(t, ts.URL+"/v1/upsert", map[string]any{"id": id, "vector": vec}, nil); code != http.StatusOK {
-		t.Fatalf("upsert status %d", code)
+	// Twice: the second upsert is an overwrite, which detaches the
+	// first one's graph slot.
+	for i := 0; i < 2; i++ {
+		if code, _ := postJSON(t, ts.URL+"/v1/upsert", map[string]any{"id": id, "vector": vec}, nil); code != http.StatusOK {
+			t.Fatalf("upsert status %d", code)
+		}
 	}
 
 	body := scrapeMetrics(t, ts.URL)
@@ -93,11 +97,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("idle queue depth = %v, want 0", v)
 	}
 	// Library metrics ride the default registry: the query above must
-	// have bumped the hnsw counter and both stage histograms.
+	// have bumped the hnsw counter and both stage histograms, and the
+	// upserts every phase of a graph mutation.
 	for _, series := range []string{
 		`ehnad_ann_queries_total{index="hnsw"}`,
 		`ehnad_ann_stage_seconds_count{index="hnsw",stage="candidates"}`,
 		`ehnad_ann_stage_seconds_count{index="hnsw",stage="rerank"}`,
+		`ehnad_ann_mutation_seconds_count{phase="detach"}`,
+		`ehnad_ann_mutation_seconds_count{phase="discover"}`,
+		`ehnad_ann_mutation_seconds_count{phase="wire"}`,
 		"ehnad_batch_size_count",
 		"ehnad_batch_flush_seconds_count",
 	} {

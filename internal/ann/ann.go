@@ -62,18 +62,6 @@ func ParseMetric(s string) (Metric, error) {
 	}
 }
 
-// score computes the similarity of q and v. qNorm and vNorm are the
-// precomputed L2 norms: the store maintains vNorm on write and callers
-// compute qNorm once per query, so the scan never recomputes either.
-// This is the full-precision float64 kernel; scans over compressed
-// slabs go through scoreView/quickScoreView instead.
-func (m Metric) score(q, v []float64, qNorm, vNorm float64) float64 {
-	if m == DotProduct {
-		return vecmath.Dot(q, v)
-	}
-	return vecmath.CosineWithNorms(q, v, qNorm, vNorm)
-}
-
 // queryCtx is the per-query precomputed state the precision-dispatched
 // scoring kernels consume: the query norm (every metric), a narrowed
 // float32 copy (F32 slabs), the lane sum (SQ8 slabs — the affine

@@ -9,6 +9,7 @@ import (
 	"ehna/internal/embstore"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
+	"ehna/internal/vecmath"
 )
 
 func randomStore(t testing.TB, n, dim int, seed int64) *embstore.Store {
@@ -19,6 +20,15 @@ func randomStore(t testing.TB, n, dim int, seed int64) *embstore.Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// score is the full-precision float64 similarity the brute-force oracle
+// ranks by, independent of the precision-dispatched kernels under test.
+func (m Metric) score(q, v []float64, qNorm, vNorm float64) float64 {
+	if m == DotProduct {
+		return vecmath.Dot(q, v)
+	}
+	return vecmath.CosineWithNorms(q, v, qNorm, vNorm)
 }
 
 // bruteForce recomputes top-k by full sort, independently of the heap

@@ -24,8 +24,11 @@
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
 // through an insert's expensive phase); Remove tombstones the slot and
-// repairs the hole by cross-linking the victim's neighbors, falling
+// repairs the hole by offering the victim's neighbors to one another
+// (see detachLocked — work proportional to the links removed), falling
 // back to a fresh entry point when the entry node itself is removed.
+// Neighbor selection and repair score slab rows against each other at
+// the slab's own precision (pairScore); nothing is dequantized.
 // Build inserts a whole store snapshot in parallel with per-worker
 // scratch. SaveGraph/LoadHNSWGraph snapshot the graph structure so a
 // daemon can boot without paying the build again.
@@ -381,20 +384,15 @@ type hnswScratch struct {
 	res     nodeHeap // beam results (min-heap, capped at ef)
 	pending []uint32 // slots awaiting scoring this expansion
 
-	// Neighbor-selection state: beam survivors sorted by score with
-	// their vectors dequantized out of the graph slab, so the diversity
-	// heuristic scores candidate pairs in full precision.
-	work      []scoredNode
-	candVecs  []float64
-	candNorms []float64
-	chosen    []int
-	discard   []int
-	selected  [][]uint32 // per-layer chosen neighbor slots (insert)
+	// Neighbor-selection state: candidates sorted by score against the
+	// pivot (beam survivors on insert, a node's links on prune, the
+	// victim's other neighbors on repair).
+	work     []scoredNode
+	discard  []uint32   // diversity rejects, recycled to fill capacity
+	selected [][]uint32 // per-layer chosen neighbor slots (insert)
 
-	qbuf []float64 // prune-subject vector copy (pruneLocked)
-	vbuf []float64 // insert-vector copy (Build); distinct from qbuf,
-	// which pruneLocked clobbers mid-insert
-	top topK // final top-k assembly
+	vbuf []float64 // insert-vector copy (Build)
+	top  topK      // final top-k assembly
 
 	// touch keeps scorePendingSym's pre-touch loads observable so the
 	// compiler cannot delete them; the value itself is meaningless.
@@ -489,28 +487,44 @@ func (h *HNSW) slabView(slot uint32, v *embstore.VecView) {
 // scoreSlot scores a single slot against the scratch's query from the
 // graph slab with the candidate-generation kernel (symmetric over sq8
 // slabs on SIMD backends). Used for entry points; bulk scoring goes
-// through scorePending. Caller holds h.mu.
+// through scorePendingBeam. Caller holds h.mu.
 func (h *HNSW) scoreSlot(slot uint32, qc *queryCtx) float64 {
 	var v embstore.VecView
 	h.slabView(slot, &v)
 	return h.cfg.Metric.beamScoreView(qc, &v)
 }
 
-// scorePending scores every slot queued in sc.pending against the
-// scratch's query (sc.ctx) straight out of the graph slab — a tight
-// slot-indexed loop with no store access — and invokes visit for each.
-// Scoring uses the candidate-generation kernel (see beamScoreView);
-// over sq8 slabs on SIMD backends that is the symmetric integer
-// kernel, and SearchInto re-ranks the beam's survivors asymmetrically.
-// Used by the prune/repair paths; the query beam goes through
-// scorePendingBeam, which folds its heap updates into the loop.
-// Caller holds h.mu.
-func (h *HNSW) scorePending(sc *hnswScratch, visit func(slot uint32, score float64)) {
-	var v embstore.VecView
-	for _, slot := range sc.pending {
-		h.slabView(slot, &v)
-		visit(slot, h.cfg.Metric.beamScoreView(&sc.ctx, &v))
+// pairScore scores slab rows a and b against each other in the slab's
+// own precision — the symmetric integer kernel on sq8 codes plus
+// sidecars, Dot32 on f32 rows, Dot on f64 rows, cosine through the
+// stored norms. It is what neighbor selection, pruning and detach
+// repair compare candidates with: both operands already live in the
+// slab, so nothing is dequantized or re-encoded, and the sq8 integer
+// core is exact on every backend. Caller holds h.mu.
+func (h *HNSW) pairScore(a, b uint32) float64 {
+	la, lb := int(a)*h.dim, int(b)*h.dim
+	var dot, na, nb float64
+	switch h.prec {
+	case embstore.F32:
+		dot = vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim])
+		na, nb = h.norms[a], h.norms[b]
+	case embstore.SQ8:
+		sa, sb := &h.side[a], &h.side[b]
+		dot = vecmath.DotSQ8Sym(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim],
+			float64(sa.scale), float64(sa.offset), float64(sb.scale), float64(sb.offset),
+			sa.codeSum, sb.codeSum)
+		na, nb = float64(sa.norm), float64(sb.norm)
+	default:
+		dot = vecmath.Dot(h.vecs[la:la+h.dim], h.vecs[lb:lb+h.dim])
+		na, nb = h.norms[a], h.norms[b]
 	}
+	if h.cfg.Metric == DotProduct {
+		return dot
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / (na * nb)
 }
 
 // beamPush applies the standard beam update for one scored slot: grow
@@ -644,99 +658,66 @@ func (sc *hnswScratch) bestOfRes() scoredNode {
 	return best
 }
 
-// gatherWork sorts sc.res into sc.work (descending score) and caches
-// each survivor's vector and norm from the graph slab, so the
-// selection heuristic can score candidate pairs in full precision
-// (compressed rows are dequantized into the cache). Caller holds h.mu.
-func (h *HNSW) gatherWork(sc *hnswScratch, dim int) {
+// gatherWork sorts the beam's survivors (sc.res) into sc.work,
+// descending by score against the query, for selectNeighbors.
+func (sc *hnswScratch) gatherWork() {
 	sc.work = append(sc.work[:0], sc.res.a...)
 	slices.SortFunc(sc.work, scoredCmp)
-	need := len(sc.work) * dim
-	if cap(sc.candVecs) < need {
-		sc.candVecs = make([]float64, need)
-	}
-	sc.candVecs = sc.candVecs[:need]
-	if cap(sc.candNorms) < len(sc.work) {
-		sc.candNorms = make([]float64, len(sc.work))
-	}
-	sc.candNorms = sc.candNorms[:len(sc.work)]
-	var v embstore.VecView
-	for i, w := range sc.work {
-		h.slabView(w.slot, &v)
-		v.DequantizeInto(sc.candVecs[i*dim : (i+1)*dim])
-		sc.candNorms[i] = v.Norm
-	}
 }
 
-// selectNeighbors runs the HNSW diversity heuristic over sc.work (as
-// prepared by gatherWork): walking candidates best-first, keep one only
-// if it is closer to the pivot than to every already-kept neighbor —
-// spreading links across directions instead of bunching them in the
-// nearest cluster — then recycle pruned candidates to fill spare
-// capacity. Appends up to m chosen slots to dst and returns it.
-func (h *HNSW) selectNeighbors(sc *hnswScratch, dst []uint32, m, dim int) []uint32 {
-	sc.chosen = sc.chosen[:0]
+// diverse is the HNSW diversity rule: candidate c (scored against the
+// pivot) is worth a link only if it is closer to the pivot than to
+// every neighbor the pivot already keeps — spreading links across
+// directions instead of bunching them in the nearest cluster. Caller
+// holds h.mu.
+func (h *HNSW) diverse(c scoredNode, kept []uint32) bool {
+	for _, k := range kept {
+		if h.pairScore(c.slot, k) > c.score {
+			return false
+		}
+	}
+	return true
+}
+
+// selectNeighbors runs the diversity heuristic over sc.work (sorted
+// descending by score against the pivot): walking candidates
+// best-first, keep the diverse ones, then recycle the rejects to fill
+// spare capacity. dst comes in empty and leaves holding up to m slots.
+// Caller holds h.mu.
+func (h *HNSW) selectNeighbors(sc *hnswScratch, dst []uint32, m int) []uint32 {
 	sc.discard = sc.discard[:0]
-	for i := range sc.work {
-		if len(sc.chosen) >= m {
-			break
+	for _, c := range sc.work {
+		if len(dst) >= m {
+			return dst
 		}
-		ci := sc.candVecs[i*dim : (i+1)*dim]
-		keep := true
-		for _, j := range sc.chosen {
-			sim := h.cfg.Metric.score(ci, sc.candVecs[j*dim:(j+1)*dim], sc.candNorms[i], sc.candNorms[j])
-			if sim > sc.work[i].score {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			sc.chosen = append(sc.chosen, i)
+		if h.diverse(c, dst) {
+			dst = append(dst, c.slot)
 		} else {
-			sc.discard = append(sc.discard, i)
+			sc.discard = append(sc.discard, c.slot)
 		}
 	}
-	for _, i := range sc.discard { // keep-pruned: don't waste capacity
-		if len(sc.chosen) >= m {
+	for _, c := range sc.discard { // keep-pruned: don't waste capacity
+		if len(dst) >= m {
 			break
 		}
-		sc.chosen = append(sc.chosen, i)
-	}
-	for _, i := range sc.chosen {
-		dst = append(dst, sc.work[i].slot)
+		dst = append(dst, c)
 	}
 	return dst
 }
 
 // pruneLocked re-selects slot u's links at layer down to the degree
-// cap, scoring from u's own vector and dropping dead links along the
-// way. Caller holds h.mu for writing.
+// cap, scoring them against u's own slab row and dropping dead links
+// along the way. Caller holds h.mu for writing.
 func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
-	dim := h.dim
-	if cap(sc.qbuf) < dim {
-		sc.qbuf = make([]float64, dim)
-	}
-	q := sc.qbuf[:dim]
-	var uv embstore.VecView
-	h.slabView(u, &uv)
-	uv.DequantizeInto(q)
-	// Re-point the scratch context at the prune subject. Safe to
-	// clobber mid-insert: every use of the inserted vector's context
-	// (discovery, selection) completes before the wiring phase that
-	// prunes.
-	sc.ctx.init(h.store, q)
-	sc.pending = sc.pending[:0]
-	for _, nb := range h.nodes[u].links[layer] {
-		if nb != u && h.nodes[nb].alive {
-			sc.pending = append(sc.pending, nb)
+	links := h.nodes[u].links[layer]
+	sc.work = sc.work[:0]
+	for _, nb := range links {
+		if nb != u && h.aliveBit(nb) {
+			sc.work = append(sc.work, scoredNode{nb, h.pairScore(u, nb)})
 		}
 	}
-	sc.res.reset(true)
-	h.scorePending(sc, func(slot uint32, score float64) {
-		sc.res.push(scoredNode{slot, score})
-	})
-	h.gatherWork(sc, dim)
-	h.nodes[u].links[layer] = h.selectNeighbors(sc, h.nodes[u].links[layer][:0], h.maxConn(layer), dim)
+	slices.SortFunc(sc.work, scoredCmp)
+	h.nodes[u].links[layer] = h.selectNeighbors(sc, links[:0], h.maxConn(layer))
 }
 
 // Add inserts or replaces a vector in the store and the graph.
@@ -775,15 +756,13 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 		return nil
 	}
 	h.mu.Unlock()
+	discoverStart := time.Now()
 
 	// Phase 2 (read lock): neighbor discovery — greedy descent through
 	// the upper layers, then an efConstruction-wide beam plus the
 	// diversity heuristic on every layer the new node occupies. Runs
-	// concurrently with searches and other inserts' discovery. The
-	// context must be built after phase 1: a detach there may have
-	// pruned through this scratch and clobbered it.
+	// concurrently with searches and other inserts' discovery.
 	sc.ctx.init(h.store, vec)
-	dim := h.dim
 	h.mu.RLock()
 	entry, entryLevel := h.entry, h.maxLevel
 	top := -1
@@ -800,11 +779,13 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 		for layer := top; layer >= 0; layer-- {
 			h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
 			cur = sc.bestOfRes()
-			h.gatherWork(sc, dim)
-			sc.selected[layer] = h.selectNeighbors(sc, sc.selected[layer][:0], h.cfg.M, dim)
+			sc.gatherWork()
+			sc.selected[layer] = h.selectNeighbors(sc, sc.selected[layer][:0], h.cfg.M)
 		}
 	}
 	h.mu.RUnlock()
+	wireStart := time.Now()
+	annMutDiscover.Observe(int64(wireStart.Sub(discoverStart)))
 
 	// Phase 3 (write lock): wire the links both ways and prune any
 	// neighbor pushed over its degree cap.
@@ -830,20 +811,21 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 		}
 	}
 	h.mu.Unlock()
+	annMutWire.ObserveSince(wireStart)
 	return nil
 }
 
-// detachLocked tombstones slot and repairs the hole it leaves: each
-// alive neighbor drops its link to the victim and receives the victim's
-// other neighbors as replacement candidates, re-pruned by the diversity
-// heuristic, so the graph stays navigable as nodes churn. If the victim
-// was the entry point, a fresh one is chosen from the surviving nodes.
-// Caller holds h.mu for writing.
+// detachLocked tombstones slot and repairs the hole it leaves, at a
+// cost proportional to the links it removes: each alive neighbor's list
+// is rewritten once (see repairLocked) and never re-selected. If the
+// victim was the entry point, a fresh one is chosen from the surviving
+// nodes. Caller holds h.mu for writing.
 func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n := &h.nodes[slot]
 	if !n.alive {
 		return
 	}
+	start := time.Now()
 	n.alive = false
 	h.setAliveBit(slot, false)
 	h.alive--
@@ -854,33 +836,57 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n.links = nil
 	for layer := range links {
 		for _, u := range links[layer] {
-			un := &h.nodes[u]
-			if !un.alive || len(un.links) <= layer {
-				continue
-			}
-			// Drop the link to the victim, then offer the victim's other
-			// neighbors as candidates.
-			ul := un.links[layer][:0]
-			for _, nb := range un.links[layer] {
-				if nb != slot {
-					ul = append(ul, nb)
-				}
-			}
-			for _, c := range links[layer] {
-				if c == u || !h.nodes[c].alive || slices.Contains(ul, c) {
-					continue
-				}
-				ul = append(ul, c)
-			}
-			un.links[layer] = ul
-			if len(ul) > h.maxConn(layer) {
-				h.pruneLocked(u, layer, sc)
+			if un := &h.nodes[u]; un.alive && len(un.links) > layer {
+				un.links[layer] = h.repairLocked(u, un.links[layer], links[layer], layer, sc)
 			}
 		}
 	}
 	if h.entry == int(slot) {
 		h.pickEntryLocked()
 	}
+	annMutDetach.ObserveSince(start)
+}
+
+// repairLocked rewrites ul, slot u's links at layer, after one of them
+// was tombstoned: every dead link goes (the victim, and any an earlier
+// one-way delete left behind, so only alive links count toward the
+// cap), and the victim's other alive neighbors — orphans — are scored
+// against u and admitted best-first while they pass the diversity rule
+// against u's current links and the list is under the cap; if none
+// passes, the closest one is admitted anyway so a hole never just
+// shrinks the graph. u's surviving links are kept as they are. Caller
+// holds h.mu for writing.
+func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswScratch) []uint32 {
+	kept := ul[:0]
+	for _, nb := range ul {
+		if h.aliveBit(nb) {
+			kept = append(kept, nb)
+		}
+	}
+	m := h.maxConn(layer)
+	if len(kept) >= m {
+		return kept
+	}
+	sc.work = sc.work[:0]
+	for _, c := range orphans {
+		if c != u && h.aliveBit(c) && !slices.Contains(kept, c) {
+			sc.work = append(sc.work, scoredNode{c, h.pairScore(u, c)})
+		}
+	}
+	slices.SortFunc(sc.work, scoredCmp)
+	survivors := len(kept)
+	for _, c := range sc.work {
+		if len(kept) >= m {
+			break
+		}
+		if h.diverse(c, kept) {
+			kept = append(kept, c.slot)
+		}
+	}
+	if len(kept) == survivors && len(sc.work) > 0 {
+		kept = append(kept, sc.work[0].slot)
+	}
+	return kept
 }
 
 // pickEntryLocked selects the highest-level alive node as the new entry

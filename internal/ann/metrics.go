@@ -2,8 +2,9 @@ package ann
 
 import "ehna/internal/obs"
 
-// Search-path metrics, registered on the process-wide registry. Every
-// instrument here is touched from SearchInto, so the rules are the
+// Search- and mutation-path metrics, registered on the process-wide
+// registry. The search instruments are touched from SearchInto and the
+// mutation ones under the graph's write lock, so the rules are the
 // hot-path rules: package-level pointers resolved at init (no registry
 // lookup per query), atomic-only operations (obs.Counter.Inc and
 // obs.Histogram.Observe are single atomic adds), zero allocations —
@@ -16,6 +17,13 @@ import "ehna/internal/obs"
 // the sq8-widened beam — for HNSW). The split shows where a
 // latency regression lives: kernel/bandwidth cost lands in
 // candidates, quantization-widening and top-k cost in rerank.
+//
+// The mutation histogram splits a graph write the way insert does:
+// "detach" is tombstoning a slot and repairing its neighbors' lists
+// (an overwrite's or a delete's extra cost, under the write lock),
+// "discover" the beam searches and neighbor selection under the read
+// lock, "wire" linking the new node in and pruning neighbors pushed
+// over their cap. discover and wire include the wait for their lock.
 var (
 	annQueriesExact = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "exact"))
@@ -28,10 +36,20 @@ var (
 	annStageExactCand  = annStage("exact", "candidates")
 	annStageHNSWCand   = annStage("hnsw", "candidates")
 	annStageHNSWRerank = annStage("hnsw", "rerank")
+
+	annMutDetach   = annMutation("detach")
+	annMutDiscover = annMutation("discover")
+	annMutWire     = annMutation("wire")
 )
 
 func annStage(index, stage string) *obs.Histogram {
 	return obs.Default().Histogram("ehnad_ann_stage_seconds",
 		"Search-stage latency: candidate generation vs top-k re-rank, by index type.",
 		obs.L("index", index), obs.L("stage", stage))
+}
+
+func annMutation(phase string) *obs.Histogram {
+	return obs.Default().Histogram("ehnad_ann_mutation_seconds",
+		"HNSW graph-mutation latency by phase: detach repair, neighbor discovery, link wiring.",
+		obs.L("phase", phase))
 }
