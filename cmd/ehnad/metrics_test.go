@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"ehna/internal/embstore"
 	"ehna/internal/graph"
+	"ehna/internal/vecmath"
 )
 
 // scrapeMetrics fetches /metrics and returns the exposition body.
@@ -75,6 +77,18 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("upsert status %d", code)
 		}
 	}
+	// One client-side batch against an sq8 copy of the store: four
+	// queries is a batch HNSW.SearchBatch sweeps (on a SIMD backend)
+	// instead of searching, which has its own series.
+	sq8, err := embstore.FromMatrixPrecision(trained.emb, 4, embstore.SQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sq8ts := newTestServer(t, sq8, "hnsw")
+	batch := map[string]any{"k": 3, "queries": []map[string]any{{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3}}}
+	if code, raw := postJSON(t, sq8ts.URL+"/v1/neighbors", batch, &nbr); code != http.StatusOK || len(nbr.Batches) != 4 {
+		t.Fatalf("batch neighbors status %d: %s", code, raw)
+	}
 
 	body := scrapeMetrics(t, ts.URL)
 
@@ -111,6 +125,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if v := metricValue(t, body, series); v < 1 {
 			t.Errorf("%s = %v, want >= 1", series, v)
+		}
+	}
+	// The plan that answered the batch is visible: the sweep's series are
+	// always exposed, and move wherever the sweep can run.
+	swept := 0.0
+	if vecmath.HasSQ8Sym() {
+		swept = 1
+	}
+	for series, atLeast := range map[string]float64{
+		`ehnad_ann_queries_total{index="hnsw_scan"}`:                          4 * swept,
+		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="candidates"}`: swept,
+		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="rerank"}`:     swept,
+	} {
+		if v := metricValue(t, body, series); v < atLeast {
+			t.Errorf("%s = %v, want >= %v", series, v, atLeast)
 		}
 	}
 	// Runtime + build info (RegisterRuntime).

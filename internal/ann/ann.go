@@ -561,24 +561,12 @@ func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int
 	return dst, nil
 }
 
-// SearchBatch runs queries across a GOMAXPROCS-sized worker pool. Each
-// query scans shards sequentially (the pool already saturates cores).
+// SearchBatch runs queries across a GOMAXPROCS-sized worker pool, each
+// through SearchInto, so batch queries are counted and timed on
+// /metrics like single ones.
 func (e *Exact) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
 	return batchSearch(qs, k, func(q []float64) ([]Result, error) {
-		if err := checkQuery(e.store, q, k); err != nil {
-			return nil, err
-		}
-		sc := scratchPool.Get().(*queryScratch)
-		sc.ctx.init(e.store, q)
-		sc.ctx.done = ctx.Done()
-		res, canceled := e.scanSeq(sc, k)
-		if canceled {
-			scratchPool.Put(sc)
-			return nil, ctx.Err()
-		}
-		out := appendResults(nil, res)
-		scratchPool.Put(sc)
-		return out, nil
+		return e.SearchInto(ctx, nil, q, k)
 	})
 }
 

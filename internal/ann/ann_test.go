@@ -98,9 +98,14 @@ func TestExactSearchBatchMatchesSearch(t *testing.T) {
 			qs[i][j] = rng.NormFloat64()
 		}
 	}
+	counted := annQueriesExact.Load()
 	batch, err := e.SearchBatch(context.Background(), qs, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Batch queries are on /metrics like single ones.
+	if moved := annQueriesExact.Load() - counted; moved != uint64(len(qs)) {
+		t.Fatalf("a batch of %d moved ehnad_ann_queries_total{index=\"exact\"} by %d", len(qs), moved)
 	}
 	for i, q := range qs {
 		single, err := e.Search(q, 5)

@@ -1,6 +1,8 @@
 package ann
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -15,12 +17,19 @@ import (
 // the daemon, the WAL or the harness around it.
 const benchN, benchDim = 5000, 64
 
+// pinOneCPU holds the benchmark to one CPU until it ends. The testing
+// package resets GOMAXPROCS when a sub-benchmark starts measuring, so
+// sub-benchmarks pin themselves.
+func pinOneCPU(b *testing.B) {
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // benchStore pins the benchmark to one CPU (Build fans out over
 // GOMAXPROCS workers otherwise) and returns the sq8 store.
 func benchStore(b *testing.B) *embstore.Store {
 	b.Helper()
-	prev := runtime.GOMAXPROCS(1)
-	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	pinOneCPU(b)
 	return buildStoreAt(b, benchN, benchDim, embstore.SQ8)
 }
 
@@ -68,6 +77,109 @@ func BenchmarkHNSWAddOverwrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := h.Add(graph.NodeID(rng.Intn(benchN)), randVec(rng, vec)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchQueries draws n fresh Gaussian queries.
+func benchQueries(rng *rand.Rand, n, dim int) [][]float64 {
+	qs := make([][]float64, n)
+	for i := range qs {
+		qs[i] = randVec(rng, make([]float64, dim))
+	}
+	return qs
+}
+
+// reportPerQuery reports the benchmark's time per query in µs, the unit
+// of bench's ann.search_* metrics.
+func reportPerQuery(b *testing.B, queriesPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*queriesPerOp), "µs/query")
+}
+
+// BenchmarkHNSWSearchBatch32 is the twin of bench's
+// ann.search_batch_us_per_query: read_batch's shape — 32-query batches,
+// k 10, ef 192 over 5000×64 sq8 on one CPU.
+func BenchmarkHNSWSearchBatch32(b *testing.B) {
+	h, rng := benchGraph(b)
+	h.SetEfSearch(192)
+	qs := benchQueries(rng, 32, benchDim)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.SearchBatch(ctx, qs, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerQuery(b, len(qs))
+}
+
+// BenchmarkHNSWSearchInto is the twin of ann.search_into_us: the beam
+// alone, same shape.
+func BenchmarkHNSWSearchInto(b *testing.B) {
+	h, rng := benchGraph(b)
+	h.SetEfSearch(192)
+	qs := benchQueries(rng, 32, benchDim)
+	ctx := context.Background()
+	dst := make([]Result, 0, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = h.SearchInto(ctx, dst, qs[i%len(qs)], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerQuery(b, 1)
+}
+
+// BenchmarkScanCrossover is the table scanCrossover was set from: a
+// 32-query batch answered by a beam per query and by the slab sweep, at
+// three graph sizes and two beam widths, µs per query on one CPU. The
+// sweep's cost is linear in slots and the beam's nearly flat, so the
+// two columns cross; scanPlan must put its threshold where the sweep is
+// still well ahead, so the plan's own threshold at each width is in the
+// table too. A benchmark, not a test, so tier-1 never builds the 50k
+// graph.
+func BenchmarkScanCrossover(b *testing.B) {
+	pinOneCPU(b)
+	ctx := context.Background()
+	m := DefaultHNSWConfig().M
+	for _, c := range []struct {
+		n   int
+		efs []int
+	}{
+		{5000, []int{64, 192}},
+		{scanCrossover * 64 * m, []int{64}},
+		{scanCrossover * 192 * m, []int{192}},
+		{20000, []int{64, 192}},
+		{50000, []int{64, 192}},
+	} {
+		h, err := BuildHNSW(buildStoreAt(b, c.n, benchDim, embstore.SQ8), DefaultHNSWConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := benchQueries(rand.New(rand.NewSource(41)), 32, benchDim)
+		plans := []struct {
+			name string
+			run  func() ([][]Result, error)
+		}{
+			{"beam", func() ([][]Result, error) {
+				return batchSearch(qs, 10, func(q []float64) ([]Result, error) { return h.SearchInto(ctx, nil, q, 10) })
+			}},
+			{"scan", func() ([][]Result, error) { return h.scanBatch(ctx, qs, 10) }},
+		}
+		for _, ef := range c.efs {
+			h.SetEfSearch(ef)
+			for _, plan := range plans {
+				b.Run(fmt.Sprintf("n=%d/ef=%d/%s", c.n, ef, plan.name), func(b *testing.B) {
+					pinOneCPU(b)
+					for i := 0; i < b.N; i++ {
+						if _, err := plan.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					reportPerQuery(b, len(qs))
+				})
+			}
 		}
 	}
 }

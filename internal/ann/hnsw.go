@@ -20,6 +20,8 @@
 // survivors are re-ranked asymmetrically, while on scalar backends
 // every candidate is scored with the asymmetric LUT kernel directly
 // (see Metric.quickScoreView for why that is the scalar optimum).
+// SearchBatch has a second plan for small sq8 graphs — one blocked sweep
+// of the slab per four queries instead of a beam each (scan.go).
 //
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
@@ -492,6 +494,15 @@ func (h *HNSW) scoreSlot(slot uint32, qc *queryCtx) float64 {
 	var v embstore.VecView
 	h.slabView(slot, &v)
 	return h.cfg.Metric.beamScoreView(qc, &v)
+}
+
+// rerankSlot is the second stage for one first-stage survivor: slot's
+// slab row re-scored with the asymmetric full-precision-query kernel
+// and pushed, under its id, into top. Caller holds h.mu.
+func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
+	var v embstore.VecView
+	h.slabView(slot, &v)
+	top.push(Result{ID: h.nodes[slot].id, Score: h.cfg.Metric.scoreView(qc, &v)})
 }
 
 // pairScore scores slab rows a and b against each other in the slab's
@@ -1027,10 +1038,8 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	annStageHNSWCand.Observe(int64(rerankStart.Sub(start)))
 	sc.top.reset(k)
 	if sc.ctx.sym {
-		var v embstore.VecView
 		for _, n := range sc.res.a {
-			h.slabView(n.slot, &v)
-			sc.top.push(Result{ID: h.nodes[n.slot].id, Score: h.cfg.Metric.scoreView(&sc.ctx, &v)})
+			h.rerankSlot(&sc.ctx, &sc.top, n.slot)
 		}
 	} else {
 		for _, n := range sc.res.a {
@@ -1056,8 +1065,18 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	return dst, nil
 }
 
-// SearchBatch answers queries across a worker pool.
+// SearchBatch answers queries across a worker pool: by one blocked
+// sweep of the slab per four queries while the graph is small enough
+// for that to beat a beam per query (scanPlan), by SearchInto per query
+// otherwise.
 func (h *HNSW) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
+	h.mu.RLock()
+	scan := scanPlan(h.prec, vecmath.HasSQ8Sym(), len(qs), len(h.nodes),
+		h.cfg.EfSearch, candidateK(h.prec, k), h.cfg.M)
+	h.mu.RUnlock()
+	if scan {
+		return h.scanBatch(ctx, qs, k)
+	}
 	return batchSearch(qs, k, func(q []float64) ([]Result, error) {
 		return h.SearchInto(ctx, nil, q, k)
 	})

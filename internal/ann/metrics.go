@@ -14,7 +14,9 @@ import "ehna/internal/obs"
 // split it: "candidates" is generating the candidate set (the full
 // scan for exact, the layered beam search for HNSW) and "rerank" is
 // ranking it into the final top-k (heap trim — the stage that absorbs
-// the sq8-widened beam — for HNSW). The split shows where a
+// the sq8-widened beam — for HNSW). "hnsw_scan" is HNSW.SearchBatch's
+// slab sweep, observed once per group of four queries — a sweep serves
+// the four together — so its sums stay wall time. The split shows where a
 // latency regression lives: kernel/bandwidth cost lands in
 // candidates, quantization-widening and top-k cost in rerank.
 //
@@ -30,12 +32,19 @@ var (
 	annQueriesHNSW = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "hnsw"))
 
+	// Batch queries HNSW.SearchBatch answered by the slab sweep instead of
+	// a beam each (see scanPlan); the beam's share stays under "hnsw".
+	annQueriesHNSWScan = obs.Default().Counter("ehnad_ann_queries_total",
+		"Single-vector queries answered, by index type.", obs.L("index", "hnsw_scan"))
+
 	annFallbacks = obs.Default().Counter("ehnad_ann_fallback_total",
 		"Queries answered by the exact fallback after the primary index starved.")
 
 	annStageExactCand  = annStage("exact", "candidates")
 	annStageHNSWCand   = annStage("hnsw", "candidates")
 	annStageHNSWRerank = annStage("hnsw", "rerank")
+	annStageScanCand   = annStage("hnsw_scan", "candidates")
+	annStageScanRerank = annStage("hnsw_scan", "rerank")
 
 	annMutDetach   = annMutation("detach")
 	annMutDiscover = annMutation("discover")

@@ -1,0 +1,416 @@
+package ann
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+	"time"
+
+	"ehna/internal/embstore"
+	"ehna/internal/graph"
+	"ehna/internal/vecmath"
+)
+
+// needScan skips tests of the sweep itself on backends whose plan never
+// picks it (TestSearchBatchBeamWhenNoScan covers those).
+func needScan(t *testing.T) {
+	t.Helper()
+	if !vecmath.HasSQ8Sym() {
+		t.Skip("no SIMD symmetric kernel: SearchBatch never scans on this backend")
+	}
+}
+
+// sq8Graph builds a default-config graph, under metric, over n random
+// dim-wide sq8 vectors — small enough that every batch of four or more
+// is swept — and reloads it from its snapshot, the way a daemon boots:
+// a loaded slab mirrors the store's codes bit for bit, where Build
+// re-encodes each dequantized row (scores then drift ~1e-3 from the
+// store's, too far to compare rankings with Exact's).
+func sq8Graph(t testing.TB, n, dim int, metric Metric) *HNSW {
+	t.Helper()
+	cfg := DefaultHNSWConfig()
+	cfg.Metric = metric
+	store := buildStoreAt(t, n, dim, embstore.SQ8)
+	var snap bytes.Buffer
+	if err := mustHNSW(t, store, cfg).SaveGraph(&snap); err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadHNSWGraph(&snap, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// scanMoved runs fn and reports how far the two HNSW query counters
+// moved across it.
+func scanMoved(fn func()) (beam, scan uint64) {
+	b0, s0 := annQueriesHNSW.Load(), annQueriesHNSWScan.Load()
+	fn()
+	return annQueriesHNSW.Load() - b0, annQueriesHNSWScan.Load() - s0
+}
+
+// sameAsExact asserts got is the ranking want (Exact's answer to the
+// same query): the same id set, in the same order wherever the scores
+// tell two neighbors apart by more than 1e-6 (relative) — the graph
+// slab keeps its sq8 sidecars in float32, the store in float64, so
+// scores agree to ~1e-7 and near-ties may swap.
+func sameAsExact(t *testing.T, label string, got, want []Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, exact has %d", label, len(got), len(want))
+	}
+	gotIDs, wantIDs := ids(got), ids(want)
+	slices.Sort(gotIDs)
+	slices.Sort(wantIDs)
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatalf("%s: id set differs from exact\n got %v\nwant %v", label, got, want)
+	}
+	for i := range got {
+		if math.Abs(got[i].Score-want[i].Score) > 1e-6*(1+math.Abs(want[i].Score)) {
+			t.Fatalf("%s: rank %d scores %g, exact %g", label, i, got[i].Score, want[i].Score)
+		}
+		if i > 0 && got[i-1].Score < got[i].Score {
+			t.Fatalf("%s: results not sorted at rank %d", label, i)
+		}
+	}
+}
+
+// checkBatchAgainstExact answers qs through h.SearchBatch and compares
+// every answer with Exact's over the same store.
+func checkBatchAgainstExact(t *testing.T, label string, h *HNSW, qs [][]float64, k int) {
+	t.Helper()
+	exact := NewExact(h.store, h.Metric())
+	got, err := h.SearchBatch(context.Background(), qs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(qs) {
+		t.Fatalf("%s: %d answers for %d queries", label, len(got), len(qs))
+	}
+	for i, q := range qs {
+		want, err := exact.Search(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsExact(t, label, got[i], want)
+	}
+}
+
+// TestScanBatchMatchesExact: a swept batch is the two-stage sq8 ranking
+// Exact defines, under both metrics, for every batch size 4–37 (every
+// padding of the last group), and sizes 1–3 bypass the sweep.
+func TestScanBatchMatchesExact(t *testing.T) {
+	needScan(t)
+	for _, metric := range []Metric{Cosine, DotProduct} {
+		h := sq8Graph(t, 1500, 32, metric)
+		rng := rand.New(rand.NewSource(61))
+		for n := 1; n <= 37; n++ {
+			qs := benchQueries(rng, n, 32)
+			beam, scan := scanMoved(func() {
+				if n >= scanGroup {
+					checkBatchAgainstExact(t, metric.String(), h, qs, 10)
+				} else if _, err := h.SearchBatch(context.Background(), qs, 10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if wantScan := n >= scanGroup; (scan == uint64(n)) != wantScan || (beam == uint64(n)) == wantScan {
+				t.Fatalf("%v batch of %d: beam counter moved %d, scan counter %d", metric, n, beam, scan)
+			}
+		}
+		// k beyond the live count: everything, ranked.
+		checkBatchAgainstExact(t, metric.String()+" k>live", h, benchQueries(rng, 5, 32), 2000)
+	}
+}
+
+// TestScanBatchAfterChurn: after deletes and overwrites the sweep walks
+// tombstoned and superseded rows; none may surface, and the answers
+// still equal Exact's over the store as it now stands.
+func TestScanBatchAfterChurn(t *testing.T) {
+	needScan(t)
+	h := sq8Graph(t, 1500, 32, Cosine)
+	rng := rand.New(rand.NewSource(67))
+	removed := map[graph.NodeID]bool{}
+	for i := 0; i < 200; i++ {
+		id := graph.NodeID(rng.Intn(1500))
+		h.Remove(id)
+		removed[id] = true
+	}
+	vec := make([]float64, 32)
+	for i := 0; i < 200; i++ {
+		id := graph.NodeID(rng.Intn(1500))
+		if err := h.Add(id, randVec(rng, vec)); err != nil {
+			t.Fatal(err)
+		}
+		delete(removed, id)
+	}
+	if _, tomb, _ := h.Stats(); tomb < 300 {
+		t.Fatalf("only %d tombstones after churn", tomb)
+	}
+	qs := benchQueries(rng, 9, 32)
+	checkBatchAgainstExact(t, "churned", h, qs, 10)
+	checkBatchAgainstExact(t, "churned k>live", h, qs, 5000)
+	got, err := h.SearchBatch(context.Background(), qs, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range got {
+		seen := map[graph.NodeID]bool{}
+		for _, r := range rs {
+			if removed[r.ID] || seen[r.ID] {
+				t.Fatalf("removed or repeated id %d in a swept answer", r.ID)
+			}
+			seen[r.ID] = true
+		}
+	}
+}
+
+// TestScanBatchFallback: a pool that cannot fill min(k, live) is
+// answered from the store, as SearchInto's is — here the extreme case, a
+// graph that indexes nothing over a store that holds vectors.
+func TestScanBatchFallback(t *testing.T) {
+	needScan(t)
+	store := buildStoreAt(t, 300, 16, embstore.SQ8)
+	h, err := NewHNSW(store, DefaultHNSWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := benchQueries(rand.New(rand.NewSource(71)), 6, 16)
+	fell := annFallbacks.Load()
+	_, scan := scanMoved(func() { checkBatchAgainstExact(t, "unbuilt graph", h, qs, 5) })
+	if scan != uint64(len(qs)) {
+		t.Fatalf("scan counter moved %d for a batch of %d", scan, len(qs))
+	}
+	if moved := annFallbacks.Load() - fell; moved != uint64(len(qs)) {
+		t.Fatalf("%d fallbacks for %d starved queries", moved, len(qs))
+	}
+}
+
+// TestScanPlanBoundary pins the plan's inequality — slots ≤ c·max(ef,
+// kk)·M, batch ≥ 4, sq8 on a SIMD backend — and shows it is what
+// SearchBatch acts on: one slot past the threshold, or one notch of ef
+// below it, moves the batch from the hnsw_scan counter to the hnsw one.
+func TestScanPlanBoundary(t *testing.T) {
+	const ef, kk, m = 64, 40, 16
+	limit := scanCrossover * ef * m
+	for _, c := range []struct {
+		name                    string
+		prec                    embstore.Precision
+		sym                     bool
+		batch, slots, ef, kk, m int
+		want                    bool
+	}{
+		{"at the threshold", embstore.SQ8, true, 32, limit, ef, kk, m, true},
+		{"one slot over", embstore.SQ8, true, 32, limit + 1, ef, kk, m, false},
+		{"kk above ef widens it", embstore.SQ8, true, 32, scanCrossover * 400 * m, ef, 400, m, true},
+		{"batch of four", embstore.SQ8, true, 4, 10, ef, kk, m, true},
+		{"batch of three", embstore.SQ8, true, 3, 10, ef, kk, m, false},
+		{"scalar backend", embstore.SQ8, false, 32, 10, ef, kk, m, false},
+		{"f32 slab", embstore.F32, true, 32, 10, ef, kk, m, false},
+		{"f64 slab", embstore.F64, true, 32, 10, ef, kk, m, false},
+		{"empty graph", embstore.SQ8, true, 32, 0, ef, kk, m, true},
+	} {
+		if got := scanPlan(c.prec, c.sym, c.batch, c.slots, c.ef, c.kk, c.m); got != c.want {
+			t.Errorf("scanPlan %s = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	needScan(t)
+	// M 4, ef 16, k 1 (kk 4): the threshold is 6·16·4 = 384 slots.
+	cfg := HNSWConfig{M: 4, EfConstruction: 40, EfSearch: 16, Seed: 1}
+	h := mustHNSW(t, buildStoreAt(t, 384, 16, embstore.SQ8), cfg)
+	rng := rand.New(rand.NewSource(73))
+	qs := benchQueries(rng, 8, 16)
+	batch := func() {
+		if _, err := h.SearchBatch(context.Background(), qs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if beam, scan := scanMoved(batch); beam != 0 || scan != 8 {
+		t.Fatalf("384 slots at threshold 384: beam moved %d, scan %d", beam, scan)
+	}
+	h.SetEfSearch(15)
+	if beam, scan := scanMoved(batch); beam != 8 || scan != 0 {
+		t.Fatalf("384 slots at threshold 360: beam moved %d, scan %d", beam, scan)
+	}
+	h.SetEfSearch(16)
+	if err := h.Add(9999, randVec(rng, make([]float64, 16))); err != nil {
+		t.Fatal(err)
+	}
+	if beam, scan := scanMoved(batch); beam != 8 || scan != 0 {
+		t.Fatalf("385 slots at threshold 384: beam moved %d, scan %d", beam, scan)
+	}
+}
+
+// TestSearchBatchBeamWhenNoScan: wherever the plan says no — a scalar
+// backend (-tags noasm, EHNA_NOSIMD=1), an f32 or f64 slab, a batch
+// under four — SearchBatch is exactly SearchInto per query.
+func TestSearchBatchBeamWhenNoScan(t *testing.T) {
+	ctx := context.Background()
+	for _, prec := range []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8} {
+		h := mustHNSW(t, buildStoreAt(t, 800, 16, prec), DefaultHNSWConfig())
+		for _, n := range []int{3, 12} {
+			if n >= scanGroup && prec == embstore.SQ8 && vecmath.HasSQ8Sym() {
+				continue // the one combination that sweeps
+			}
+			qs := benchQueries(rand.New(rand.NewSource(79)), n, 16)
+			var got [][]Result
+			beam, scan := scanMoved(func() {
+				var err error
+				if got, err = h.SearchBatch(ctx, qs, 10); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if beam != uint64(n) || scan != 0 {
+				t.Fatalf("%v batch of %d: beam counter moved %d, scan counter %d", prec, n, beam, scan)
+			}
+			for i, q := range qs {
+				want, err := h.SearchInto(ctx, nil, q, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResults(got[i], want) {
+					t.Fatalf("%v batch of %d, query %d: batch %v != SearchInto %v", prec, n, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestScanBatchCancelMidSweep: a context that turns canceled after the
+// front-door check is seen at the first block boundary.
+func TestScanBatchCancelMidSweep(t *testing.T) {
+	needScan(t)
+	h := sq8Graph(t, 600, 16, Cosine)
+	qs := benchQueries(rand.New(rand.NewSource(83)), 8, 16)
+	got, err := h.SearchBatch(newFlipCtx(), qs, 5)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("canceled sweep returned %d answers, err %v", len(got), err)
+	}
+}
+
+// TestScanBatchValidation: one bad query fails the batch before any
+// sweep, with the message SearchInto gives.
+func TestScanBatchValidation(t *testing.T) {
+	needScan(t)
+	h := sq8Graph(t, 200, 16, Cosine)
+	qs := benchQueries(rand.New(rand.NewSource(89)), 8, 16)
+	if _, err := h.SearchBatch(context.Background(), qs, 0); err == nil {
+		t.Fatal("k=0 batch accepted")
+	}
+	qs[5] = qs[5][:15]
+	if _, err := h.SearchBatch(context.Background(), qs, 3); err == nil {
+		t.Fatal("batch with a wrong-dim query accepted")
+	}
+}
+
+// TestScanBatchDuringWrites sweeps while Add, overwrite and Remove run:
+// every answer holds only ids that were live at some point of the call,
+// each once; and because the read lock is taken per block, never across
+// two, a writer gets in while a 1,024-query batch is still in flight.
+// (Run under -race in CI.)
+func TestScanBatchDuringWrites(t *testing.T) {
+	needScan(t)
+	// 12,000 slots under a threshold of 6·1024·4: a sweep long enough
+	// (tens of ms for the big batch) to overlap writers on one CPU, over
+	// a graph cheap enough (M 4, efConstruction 8) to build under -race.
+	const n, dim, churnIDs = 12000, 16, 64
+	cfg := HNSWConfig{M: 4, EfConstruction: 8, EfSearch: 1024, Seed: 1}
+	h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)
+	gone := map[graph.NodeID]bool{}
+	for id := graph.NodeID(0); id < 100; id++ { // dead before any batch starts
+		h.Remove(id)
+		gone[id] = true
+	}
+
+	ctx := context.Background()
+	qs := benchQueries(rand.New(rand.NewSource(97)), 1024, dim)
+	swept := make(chan [][]Result)
+	go func() {
+		got, err := h.SearchBatch(ctx, qs, 10)
+		if err != nil {
+			t.Error(err)
+		}
+		swept <- got
+	}()
+
+	// The writer: new ids, overwrites of stable ids, removals of its own
+	// ids, until the batch returns; it counts the writes that completed
+	// while the batch was still running.
+	rng := rand.New(rand.NewSource(101))
+	vec := make([]float64, dim)
+	inFlight := 0
+	var got [][]Result
+	for got == nil {
+		id := graph.NodeID(n + rng.Intn(churnIDs))
+		var err error
+		switch rng.Intn(3) {
+		case 0:
+			err = h.Add(id, randVec(rng, vec))
+		case 1:
+			err = h.Add(graph.NodeID(100+rng.Intn(n-100)), randVec(rng, vec))
+		default:
+			h.Remove(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got = <-swept:
+		default:
+			inFlight++
+		}
+	}
+	if inFlight == 0 {
+		t.Fatal("no write completed while the 1,024-query batch was in flight")
+	}
+	t.Logf("%d writes completed during the batch", inFlight)
+	if len(got) != len(qs) {
+		t.Fatalf("%d answers for %d queries", len(got), len(qs))
+	}
+	for _, rs := range got {
+		if len(rs) != 10 {
+			t.Fatalf("answer of %d results, want 10", len(rs))
+		}
+		seen := map[graph.NodeID]bool{}
+		for _, r := range rs {
+			if gone[r.ID] || r.ID >= n+churnIDs || seen[r.ID] {
+				t.Fatalf("id %d: never live during the call, or returned twice", r.ID)
+			}
+			seen[r.ID] = true
+		}
+	}
+	checkGraphInvariants(t, h)
+}
+
+// TestScanBatchAllocs: in steady state a swept batch allocates its
+// answer — the outer slice and one result slice per query — and a
+// constant more (the per-group error slots, the fan-out closure); all
+// sweep state is pooled, so a daemon's heap does not grow with traffic.
+func TestScanBatchAllocs(t *testing.T) {
+	needScan(t)
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	h := sq8Graph(t, 1000, 32, Cosine)
+	qs := benchQueries(rand.New(rand.NewSource(103)), 32, 32)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	batch := func() {
+		if _, err := h.SearchBatch(ctx, qs, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch() // warm the scratch pool
+	if allocs := testing.AllocsPerRun(20, batch); allocs > float64(len(qs)+3) {
+		t.Fatalf("a %d-query swept batch allocated %v times", len(qs), allocs)
+	}
+}

@@ -60,6 +60,12 @@ func sqDistSQ8SIMD(q []float64, code []int8, scale, offset float64) float64
 //go:noescape
 func dotSQ8SymRawSIMD(ac, bc []int8) int32
 
+// dotSQ8SymCodes4SIMD is DotSQ8SymCodes4 past its shape checks; dim
+// must be at least simdMinLanes.
+//
+//go:noescape
+func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int)
+
 // minMaxSIMD scans v (len ≥ 1) for its minimum and maximum.
 //
 //go:noescape

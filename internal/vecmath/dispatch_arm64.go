@@ -43,5 +43,8 @@ func sqDist32SIMD(a, b []float32) float64
 func dotSQ8RawSIMD(q []float64, code []int8) float64               { panic("vecmath: no neon sq8") }
 func sqDistSQ8SIMD(q []float64, code []int8, s, o float64) float64 { panic("vecmath: no neon sq8") }
 func dotSQ8SymRawSIMD(ac, bc []int8) int32                         { panic("vecmath: no neon sq8") }
+func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
+	panic("vecmath: no neon sq8")
+}
 func minMaxSIMD(v []float64) (lo, hi float64)                      { panic("vecmath: no neon sq8") }
 func quantizeSIMD(v []float64, code []int8, lo, inv float64) int32 { panic("vecmath: no neon sq8") }

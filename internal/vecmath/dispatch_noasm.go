@@ -22,5 +22,8 @@ func sqDist32SIMD(a, b []float32) float64                          { panic("vecm
 func dotSQ8RawSIMD(q []float64, code []int8) float64               { panic("vecmath: no simd backend") }
 func sqDistSQ8SIMD(q []float64, code []int8, s, o float64) float64 { panic("vecmath: no simd backend") }
 func dotSQ8SymRawSIMD(ac, bc []int8) int32                         { panic("vecmath: no simd backend") }
+func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
+	panic("vecmath: no simd backend")
+}
 func minMaxSIMD(v []float64) (lo, hi float64)                      { panic("vecmath: no simd backend") }
 func quantizeSIMD(v []float64, code []int8, lo, inv float64) int32 { panic("vecmath: no simd backend") }

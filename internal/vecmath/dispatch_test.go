@@ -109,6 +109,33 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	}
 }
 
+// TestDotSQ8SymCodes4SIMDMatchesGo: the four-query assembly kernel
+// against the Go loop that stands in for it on every other backend —
+// pure integer arithmetic, so exact — for every dim the dispatcher
+// routes to it, with guard elements around all three operands.
+func TestDotSQ8SymCodes4SIMDMatchesGo(t *testing.T) {
+	if !simdSym {
+		t.Skip("SIMD symmetric backend not active")
+	}
+	random := randomCodes(59)
+	for dim := simdMinLanes; dim <= 130; dim++ {
+		for _, off := range []int{0, 1, 3} {
+			for _, nRows := range codes4Rows {
+				c := newCodes4Case(dim, nRows, off, random)
+				dotSQ8SymCodes4SIMD(c.dst, c.qw, c.rows, dim)
+				want := make([]int32, len(c.dst))
+				dotSQ8SymCodes4Go(want, c.qw, c.rows, dim)
+				for i := range want {
+					if c.dst[i] != want[i] {
+						t.Fatalf("dim=%d rows=%d off=%d: asm dst[%d]=%d, Go loop %d", dim, nRows, off, i, c.dst[i], want[i])
+					}
+				}
+				c.check(t, "asm", dim, off)
+			}
+		}
+	}
+}
+
 // TestEncodeSQ8CrossBackend: the SIMD encoder rounds nearest-even
 // where the scalar encoder rounds half away from zero, so codes may
 // differ by one on exact .5 boundaries — but scale/offset/codeSum must
@@ -191,6 +218,8 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	c := make([]int8, 128)
 	d := make([]int8, 128)
 	act := make([]float64, 128)
+	qw := make([]int16, 4*32)
+	sums := make([]int32, 4*4)
 	for i := range a {
 		a[i] = float64(i%7) - 3
 		b[i] = float64(i%5) - 2
@@ -208,6 +237,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		sink += DotSQ8(a, c, 0.1, -0.5, 2)
 		sink += SqDistSQ8(a, c, 0.1, -0.5)
 		sink += DotSQ8Sym(c, d, 0.1, -0.5, 0.2, 0.3, 5, -7)
+		DotSQ8SymCodes4(sums, qw, c, 32)
 		_, _, _ = EncodeSQ8(a, c)
 		SigmoidInto(act, a)
 		TanhInto(act, a)

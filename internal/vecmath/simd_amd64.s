@@ -522,6 +522,91 @@ sym_done:
 	MOVL BX, ret+48(FP)
 	RET
 
+// func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int)
+//
+// dotSQ8SymRawSIMD register-blocked over four queries: each 16-lane
+// chunk of a row is loaded and widened once (VPMOVSXBW) and VPMADDWD'd
+// against the same chunk of the four int16 queries, which stay in L1
+// and enter as memory operands; one int32 accumulator per query. Three
+// VPHADDDs fold the four accumulators into one XMM of four sums, stored
+// as dst[4r:4r+4]. The dim%16 tail lanes add into those four words with
+// plain integer code (no SSE, so the upper YMM state stays clean until
+// the one VZEROUPPER at the end). Row and query codes are int8-ranged
+// and int16, so a VPMADDWD pair sum is < 2²⁴ and nothing saturates.
+TEXT ·dotSQ8SymCodes4SIMD(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R9
+	MOVQ qw_base+24(FP), R10
+	MOVQ rows_base+48(FP), DX
+	MOVQ dim+72(FP), R8
+	SHRQ $2, R9                // rows to go
+	JZ   s4_done
+	LEAQ (R10)(R8*2), R11      // queries 1..3
+	LEAQ (R11)(R8*2), R12
+	LEAQ (R12)(R8*2), R13
+
+s4_row:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  BX, BX               // lane index
+	MOVQ  R8, CX
+	SHRQ  $4, CX
+	JZ    s4_reduce
+
+s4_blk16:
+	VPMOVSXBW (DX)(BX*1), Y4
+	VPMADDWD  (R10)(BX*2), Y4, Y5
+	VPMADDWD  (R11)(BX*2), Y4, Y6
+	VPMADDWD  (R12)(BX*2), Y4, Y7
+	VPMADDWD  (R13)(BX*2), Y4, Y8
+	VPADDD    Y5, Y0, Y0
+	VPADDD    Y6, Y1, Y1
+	VPADDD    Y7, Y2, Y2
+	VPADDD    Y8, Y3, Y3
+	ADDQ      $16, BX
+	DECQ      CX
+	JNZ       s4_blk16
+
+s4_reduce:
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VMOVDQU      X0, (DI)
+	CMPQ         BX, R8
+	JGE          s4_next
+
+s4_tail:
+	MOVBQSX (DX)(BX*1), SI
+	MOVWQSX (R10)(BX*2), AX
+	IMULQ   SI, AX
+	ADDL    AX, (DI)
+	MOVWQSX (R11)(BX*2), AX
+	IMULQ   SI, AX
+	ADDL    AX, 4(DI)
+	MOVWQSX (R12)(BX*2), AX
+	IMULQ   SI, AX
+	ADDL    AX, 8(DI)
+	MOVWQSX (R13)(BX*2), AX
+	IMULQ   SI, AX
+	ADDL    AX, 12(DI)
+	INCQ    BX
+	CMPQ    BX, R8
+	JLT     s4_tail
+
+s4_next:
+	ADDQ R8, DX
+	ADDQ $16, DI
+	DECQ R9
+	JNZ  s4_row
+
+s4_done:
+	VZEROUPPER
+	RET
+
 // func minMaxSIMD(v []float64) (lo, hi float64)
 //
 // Requires len ≥ 1 (the EncodeSQ8 wrapper guarantees it). Seeds both

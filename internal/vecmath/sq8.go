@@ -247,3 +247,42 @@ func DotSQ8SymCodes(ac, bc []int8) int32 {
 	}
 	return s
 }
+
+// DotSQ8SymCodes4 is DotSQ8SymCodes for a batch: the raw int32 code dots
+// of four queries against every row of a run of contiguous sq8 rows,
+//
+//	dst[4·r+j] = Σᵢ rows[r·dim+i] · qw[j·dim+i]
+//
+// with rows holding len(rows)/dim rows and qw the four queries' codes
+// back to back, already widened to int16 (the form VPMADDWD consumes, so
+// the widening is paid once per batch, not once per row). Each row is
+// loaded and widened once and multiplied against all four queries — the
+// register-blocked form of a brute-force scan, where a call per (row,
+// query) pair would reload the row four times. Sums are bit-equal to
+// four DotSQ8SymCodes calls per row on every backend. Panics unless
+// len(qw) == 4·dim, len(rows) is a multiple of dim and len(dst) ==
+// 4·len(rows)/dim.
+func DotSQ8SymCodes4(dst []int32, qw []int16, rows []int8, dim int) {
+	if dim < 1 || len(qw) != 4*dim || len(rows)%dim != 0 || len(dst) != 4*(len(rows)/dim) {
+		panic("vecmath: DotSQ8SymCodes4 shape mismatch")
+	}
+	if simdSym && dim >= simdMinLanes {
+		dotSQ8SymCodes4SIMD(dst, qw, rows, dim)
+		return
+	}
+	dotSQ8SymCodes4Go(dst, qw, rows, dim)
+}
+
+func dotSQ8SymCodes4Go(dst []int32, qw []int16, rows []int8, dim int) {
+	for r := 0; r < len(dst)/4; r++ {
+		row := rows[r*dim : (r+1)*dim]
+		for j := 0; j < 4; j++ {
+			q := qw[j*dim : (j+1)*dim]
+			var s int32
+			for i, c := range row {
+				s += int32(c) * int32(q[i])
+			}
+			dst[4*r+j] = s
+		}
+	}
+}

@@ -222,3 +222,157 @@ func TestSQ8LengthMismatchPanics(t *testing.T) {
 	}()
 	DotSQ8(make([]float64, 3), make([]int8, 4), 1, 0, 0)
 }
+
+// codes4Rows is the row-count axis of the DotSQ8SymCodes4 tests: none,
+// a few, and counts around the scan's 256-row block.
+var codes4Rows = []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 64, 255, 256, 257, 300}
+
+// codes4Case builds one DotSQ8SymCodes4 call at slice offset off: rows,
+// queries and output each sit inside a larger buffer whose other
+// elements are guards the kernel must neither read into its sums nor
+// write. fill picks every code; the int16 queries mirror int8 codes.
+type codes4Case struct {
+	dstBuf  []int32
+	qwBuf   []int16
+	rowsBuf []int8
+	dst     []int32
+	qw      []int16
+	rows    []int8
+	q8      [4][]int8
+}
+
+const codes4Guard = int32(-0x5a5a5a5b)
+
+func newCodes4Case(dim, nRows, off int, fill func() int8) *codes4Case {
+	c := &codes4Case{
+		dstBuf:  make([]int32, off+4*nRows+5),
+		qwBuf:   make([]int16, off+4*dim+5),
+		rowsBuf: make([]int8, off+nRows*dim+5),
+	}
+	for i := range c.dstBuf {
+		c.dstBuf[i] = codes4Guard
+	}
+	for i := range c.qwBuf {
+		c.qwBuf[i] = 0x7b7b // a guard lane read into a sum would show
+	}
+	for i := range c.rowsBuf {
+		c.rowsBuf[i] = 0x7b
+	}
+	c.dst = c.dstBuf[off : off+4*nRows]
+	c.qw = c.qwBuf[off : off+4*dim]
+	c.rows = c.rowsBuf[off : off+nRows*dim]
+	for i := range c.rows {
+		c.rows[i] = fill()
+	}
+	for j := range c.q8 {
+		c.q8[j] = make([]int8, dim)
+		for i := range c.q8[j] {
+			c.q8[j][i] = fill()
+			c.qw[j*dim+i] = int16(c.q8[j][i])
+		}
+	}
+	return c
+}
+
+// randomCodes returns a fill drawing uniform int8 codes from an inline
+// xorshift, cheaper than math/rand over the ~60M codes the kernel
+// cross fills.
+func randomCodes(seed uint32) func() int8 {
+	return func() int8 {
+		seed ^= seed << 13
+		seed ^= seed >> 17
+		seed ^= seed << 5
+		return int8(seed >> 11)
+	}
+}
+
+// check asserts the output equals four DotSQ8SymCodes calls per row and
+// that no guard element moved.
+func (c *codes4Case) check(t *testing.T, name string, dim, off int) {
+	t.Helper()
+	for r := 0; r < len(c.dst)/4; r++ {
+		row := c.rows[r*dim : (r+1)*dim]
+		for j := range c.q8 {
+			if got, want := c.dst[4*r+j], DotSQ8SymCodes(c.q8[j], row); got != want {
+				t.Fatalf("%s dim=%d rows=%d off=%d: dst[%d][%d] = %d, DotSQ8SymCodes = %d",
+					name, dim, len(c.dst)/4, off, r, j, got, want)
+			}
+		}
+	}
+	for i, v := range c.dstBuf {
+		if (i < off || i >= off+len(c.dst)) && v != codes4Guard {
+			t.Fatalf("%s dim=%d rows=%d off=%d: output guard %d overwritten (%d)", name, dim, len(c.dst)/4, off, i, v)
+		}
+	}
+	for i, v := range c.qwBuf {
+		if (i < off || i >= off+len(c.qw)) && v != 0x7b7b {
+			t.Fatalf("%s dim=%d off=%d: query guard %d overwritten", name, dim, off, i)
+		}
+	}
+	for i, v := range c.rowsBuf {
+		if (i < off || i >= off+len(c.rows)) && v != 0x7b {
+			t.Fatalf("%s dim=%d off=%d: row guard %d overwritten", name, dim, off, i)
+		}
+	}
+}
+
+// TestDotSQ8SymCodes4MatchesSingle: the four-query kernel is bit-equal
+// to four single-query calls per row for every dim 1–130 (below and
+// above the SIMD threshold, every chunk/tail split), over the row
+// counts above, at three slice offsets, on random and on extreme codes.
+func TestDotSQ8SymCodes4MatchesSingle(t *testing.T) {
+	random := randomCodes(47)
+	alt := int8(127)
+	fills := map[string]func() int8{
+		"min":    func() int8 { return -128 },
+		"max":    func() int8 { return 127 },
+		"minmax": func() int8 { alt = ^alt; return alt }, // ^127 == -128
+	}
+	for dim := 1; dim <= 130; dim++ {
+		for _, off := range []int{0, 1, 3} {
+			for _, nRows := range codes4Rows {
+				c := newCodes4Case(dim, nRows, off, random)
+				DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
+				c.check(t, "random", dim, off)
+			}
+			for name, fill := range fills {
+				c := newCodes4Case(dim, 3, off, fill)
+				DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
+				c.check(t, name, dim, off)
+			}
+		}
+	}
+}
+
+func TestDotSQ8SymCodes4ShapePanics(t *testing.T) {
+	for name, call := range map[string]func(){
+		"zero dim":    func() { DotSQ8SymCodes4(nil, nil, nil, 0) },
+		"short query": func() { DotSQ8SymCodes4(make([]int32, 4), make([]int16, 63), make([]int8, 16), 16) },
+		"ragged rows": func() { DotSQ8SymCodes4(make([]int32, 4), make([]int16, 64), make([]int8, 17), 16) },
+		"short dst":   func() { DotSQ8SymCodes4(make([]int32, 7), make([]int16, 64), make([]int8, 32), 16) },
+		"long dst":    func() { DotSQ8SymCodes4(make([]int32, 9), make([]int16, 64), make([]int8, 32), 16) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DotSQ8SymCodes4 with %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// BenchmarkDotSQ8SymCodes4 times the kernel on the scan's own shape —
+// one 256-row block of 64-lane rows — and reports ns per (row, query)
+// pair, the unit a DotSQ8SymCodes call (bench's vecmath.dot_sq8sym_ns)
+// is measured in.
+func BenchmarkDotSQ8SymCodes4(b *testing.B) {
+	const dim, nRows = 64, 256
+	c := newCodes4Case(dim, nRows, 0, randomCodes(53))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(4*nRows), "ns/pair")
+}
