@@ -12,6 +12,7 @@ package ehnabench
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ehna/internal/ann"
@@ -197,7 +198,7 @@ func BenchmarkEmbstoreBulkLoad(b *testing.B) {
 			emb := tensor.Randn(n, servingDim, 1, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := embstore.FromMatrix(emb, embstore.DefaultShards)
+				s, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -210,13 +211,13 @@ func BenchmarkEmbstoreBulkLoad(b *testing.B) {
 }
 
 // benchANN measures per-query latency of an index over a store of the
-// given slab precision and reports recall@10 against full-precision
-// exact search plus the per-vector slab footprint.
+// given slab precision and reports recall@10 against the float64
+// ranking of the source matrix plus the per-vector slab footprint.
 func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.Store) (ann.Index, error)) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
 	emb := tensor.Randn(n, servingDim, 1, rng)
-	s, err := embstore.FromMatrixPrecision(emb, embstore.DefaultShards, prec)
+	s, err := embstore.FromMatrix(emb, embstore.DefaultShards, prec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,27 +226,16 @@ func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.St
 		b.Fatal(err)
 	}
 	const k = 10
-	// Recall vs full-precision exact over a fixed query sample (once,
-	// outside the loop) — the ground truth is always f64, so compressed
-	// planes are charged for their quantization error.
-	truthStore := s
-	if prec != embstore.F64 {
-		if truthStore, err = embstore.FromMatrix(emb, embstore.DefaultShards); err != nil {
-			b.Fatal(err)
-		}
-	}
-	exact := ann.NewExact(truthStore, ann.Cosine)
+	// Recall over a fixed query sample (once, outside the loop) — the
+	// ground truth is a float64 brute force over emb, so every stored
+	// precision is charged for what it lost.
 	var approx, truth [][]graph.NodeID
 	for qi := 0; qi < 20; qi++ {
-		er, err := exact.Search(emb.Row(qi), k)
-		if err != nil {
-			b.Fatal(err)
-		}
 		ar, err := idx.Search(emb.Row(qi), k)
 		if err != nil {
 			b.Fatal(err)
 		}
-		truth = append(truth, resultIDs(er))
+		truth = append(truth, cosineTopK(emb, emb.Row(qi), k))
 		approx = append(approx, resultIDs(ar))
 	}
 	recall, err := eval.MeanRecallAtK(approx, truth)
@@ -263,6 +253,20 @@ func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.St
 	b.ReportMetric(float64(prec.BytesPerVector(servingDim)), "bytes_per_vector")
 }
 
+// cosineTopK returns the k rows of emb (row i is node i) most cosine-
+// similar to q, by float64 full sort.
+func cosineTopK(emb *tensor.Matrix, q []float64, k int) []graph.NodeID {
+	qn := vecmath.Norm(q)
+	cos := make([]float64, emb.Rows)
+	ids := make([]graph.NodeID, emb.Rows)
+	for i := range ids {
+		ids[i] = graph.NodeID(i)
+		cos[i] = vecmath.CosineWithNorms(q, emb.Row(i), qn, vecmath.Norm(emb.Row(i)))
+	}
+	sort.Slice(ids, func(a, b int) bool { return cos[ids[a]] > cos[ids[b]] })
+	return ids[:k]
+}
+
 func resultIDs(rs []ann.Result) []graph.NodeID {
 	out := make([]graph.NodeID, len(rs))
 	for i, r := range rs {
@@ -272,11 +276,11 @@ func resultIDs(rs []ann.Result) []graph.NodeID {
 }
 
 // benchPrecisions is the slab matrix BenchmarkANNTopK sweeps.
-var benchPrecisions = []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8}
+var benchPrecisions = []embstore.Precision{embstore.F32, embstore.SQ8}
 
 // BenchmarkANNTopK compares exact scan and HNSW graph search at serving
-// scales, each across the three slab precisions (recall@10 is always
-// measured against full-precision exact search, and bytes_per_vector
+// scales, each across the two slab precisions (recall@10 is always
+// measured against the float64 ranking, and bytes_per_vector
 // records the memory side of the trade). HNSW runs at its defaults (the
 // config whose 100k recall is gated at ≥ 0.95 by TestHNSWRecall100k;
 // TestSQ8Recall gates the quantized plane).
@@ -326,8 +330,6 @@ func BenchmarkKernels(b *testing.B) {
 		bCode := make([]int8, dim)
 		aScale, aOffset, aSum := vecmath.EncodeSQ8(a64, aCode)
 		bScale, bOffset, bSum := vecmath.EncodeSQ8(b64, bCode)
-		aNorm := vecmath.Norm(a64)
-		bNorm := vecmath.Norm(b64)
 		qSum := vecmath.Sum(a64)
 		var sinkF float64 // keep kernel results observable
 
@@ -344,12 +346,7 @@ func BenchmarkKernels(b *testing.B) {
 		run("Dot", dim*16, func() { sinkF += vecmath.Dot(a64, b64) })
 		run("SqDist", dim*16, func() { sinkF += vecmath.SqDist(a64, b64) })
 		run("Dot32", dim*8, func() { sinkF += vecmath.Dot32(a32, b32) })
-		run("SqDist32", dim*8, func() { sinkF += vecmath.SqDist32(a32, b32) })
-		run("CosineWithNorms32", dim*8, func() {
-			sinkF += vecmath.CosineWithNorms32(a32, b32, aNorm, bNorm)
-		})
 		run("DotSQ8", dim*9, func() { sinkF += vecmath.DotSQ8(a64, bCode, bScale, bOffset, qSum) })
-		run("SqDistSQ8", dim*9, func() { sinkF += vecmath.SqDistSQ8(a64, bCode, bScale, bOffset) })
 		run("DotSQ8Sym", dim*2, func() {
 			sinkF += vecmath.DotSQ8Sym(aCode, bCode, aScale, aOffset, bScale, bOffset, aSum, bSum)
 		})

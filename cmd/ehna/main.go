@@ -5,8 +5,9 @@
 //	ehna datagen  -dataset Digg -scale 0.1 -out graph.tsv
 //	    Generate a synthetic temporal network and write it as TSV.
 //
-//	ehna train    -graph graph.tsv -out emb.tsv [-dim 32] [-epochs 1] ...
-//	    Train EHNA embeddings on a temporal edge list.
+//	ehna train    -graph graph.tsv [-out emb.tsv] [-snapshot store.snap] [-dim 32] [-epochs 1] ...
+//	    Train EHNA embeddings on a temporal edge list; -snapshot writes
+//	    them as the store snapshot ehnad -snapshot serves.
 //
 //	ehna reconstruct -graph graph.tsv -emb emb.tsv [-sample 400]
 //	    Evaluate network reconstruction precision@P with the embeddings.
@@ -25,7 +26,9 @@ import (
 	"ehna/internal/classify"
 	"ehna/internal/datagen"
 	"ehna/internal/ehna"
+	"ehna/internal/embstore"
 	"ehna/internal/eval"
+	"ehna/internal/faultfs"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/walk"
@@ -131,7 +134,8 @@ func ehnaFlags(fs *flag.FlagSet) func() ehna.Config {
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "input temporal edge list (TSV)")
-	out := fs.String("out", "", "output embedding TSV path (default stdout)")
+	out := fs.String("out", "", "output embedding TSV path (default stdout, unless -snapshot is the only output)")
+	snapshot := fs.String("snapshot", "", "output v3 embstore snapshot path: the embeddings as ehnad -snapshot serves them")
 	mkCfg := ehnaFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -151,6 +155,14 @@ func cmdTrain(args []string) error {
 		fmt.Fprintf(os.Stderr, "epoch %d: loss %.4f\n", i+1, loss)
 	}
 	emb := model.InferAll()
+	if *snapshot != "" {
+		if err := writeSnapshot(*snapshot, emb); err != nil {
+			return err
+		}
+		if *out == "" {
+			return nil
+		}
+	}
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -161,6 +173,18 @@ func cmdTrain(args []string) error {
 		w = f
 	}
 	return writeEmbeddings(w, emb)
+}
+
+// writeSnapshot exports emb (row i is node i) as an f32 v3 store
+// snapshot: the training→serving hand-off.
+func writeSnapshot(path string, emb *tensor.Matrix) error {
+	store, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+	if err != nil {
+		return err
+	}
+	return faultfs.WriteFileAtomic(faultfs.OS(), path, func(f faultfs.File) error {
+		return store.SaveSnapshotV3(f, 0)
+	})
 }
 
 func writeEmbeddings(w *os.File, emb *tensor.Matrix) error {

@@ -66,7 +66,7 @@ func main() {
 		out       = flag.String("out", "", "output directory for store.snap / graph.gob / truth.json")
 		n         = flag.Int("n", 100_000, "vectors to generate")
 		dim       = flag.Int("dim", 64, "vector dimensionality")
-		precision = flag.String("precision", "sq8", "slab precision of the snapshot: f64, f32 or sq8")
+		precision = flag.String("precision", "sq8", "slab precision of the snapshot: f32 or sq8")
 		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
 		seed      = flag.Int64("seed", 1, "dataset RNG seed")
 		queries   = flag.Int("queries", 100, "held-out queries to compute exact truth for (0 disables truth.json)")
@@ -113,7 +113,7 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	store, err := embstore.NewPrecision(dim, shards, prec)
+	store, err := embstore.New(dim, shards, prec)
 	if err != nil {
 		return err
 	}

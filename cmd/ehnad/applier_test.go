@@ -182,7 +182,7 @@ func TestReplicateDivergedLeavesLogWritable(t *testing.T) {
 // racing multi-update upserts sees each batch whole or not at all.
 func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 	const dim, width, rounds = 4, 64, 200
-	store, err := embstore.New(dim, 4)
+	store, err := embstore.New(dim, 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 func TestCompactionKeepsGraphParameters(t *testing.T) {
 	const dim, n = 8, 200
 	dir := t.TempDir()
-	store, err := embstore.New(dim, 4)
+	store, err := embstore.New(dim, 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCompactionKeepsGraphParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := walConfigAt(dir, embstore.F64, dim)
+	cfg := walConfigAt(dir, embstore.F32, dim)
 	cfg.index.graphPath = dir + "/graph.gob"
 	if err := faultfs.WriteFileAtomic(faultfs.OS(), cfg.index.graphPath, func(f faultfs.File) error { return built.SaveGraph(f) }); err != nil {
 		t.Fatal(err)

@@ -34,11 +34,12 @@ func mmapConfigAt(walDir string, prec embstore.Precision, dim int) serverConfig 
 }
 
 // seedDaemon upserts n seeded random vectors through the durability
-// layer and mirrors them into a reference store.
+// layer and mirrors them into a reference store at the daemon's
+// precision.
 func seedDaemon(t *testing.T, srv *server, n, dim int, seed int64) *embstore.Store {
 	t.Helper()
 	emb := tensor.Randn(n, dim, 1, rand.New(rand.NewSource(seed)))
-	ref, err := embstore.New(dim, 4)
+	ref, err := embstore.New(dim, 4, srv.store.Precision())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,28 +165,10 @@ func TestMmapBootRotateFold(t *testing.T) {
 	if !srv2.store.Cold() {
 		t.Fatal("rebooted store is not cold")
 	}
-	refSQ8 := mustConvert(t, ref, embstore.SQ8)
-	if !srv2.store.Equal(refSQ8) {
+	if !srv2.store.Equal(ref) {
 		t.Fatalf("rebooted cold store (%d nodes) diverges from reference (%d nodes)",
-			srv2.store.Len(), refSQ8.Len())
+			srv2.store.Len(), ref.Len())
 	}
-}
-
-// mustConvert re-encodes every vector of src into a fresh store at the
-// given precision — the expected image of a daemon serving at prec.
-func mustConvert(t *testing.T, src *embstore.Store, prec embstore.Precision) *embstore.Store {
-	t.Helper()
-	out, err := embstore.NewPrecision(src.Dim(), src.NumShards(), prec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range src.IDs() {
-		vec, _ := src.Get(id)
-		if err := out.Upsert(id, vec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
 }
 
 // TestSeedSnapshotBootsMmap: -store=mmap over an empty WAL directory
@@ -194,7 +177,7 @@ func mustConvert(t *testing.T, src *embstore.Store, prec embstore.Precision) *em
 // ignores the seed.
 func TestSeedSnapshotBootsMmap(t *testing.T) {
 	const dim, n = 12, 150
-	ref, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(63))), 4)
+	ref, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(63))), 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +187,7 @@ func TestSeedSnapshotBootsMmap(t *testing.T) {
 	}
 
 	walDir := t.TempDir()
-	cfg := mmapConfigAt(walDir, embstore.F64, 0)
+	cfg := mmapConfigAt(walDir, 0, 0) // -precision unset: serve the seed as written
 	cfg.snapshot = seedPath
 	srv, err := buildServer(cfg)
 	if err != nil {
@@ -315,7 +298,6 @@ func TestCrashStatesMidRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.close()
-	refSQ8 := mustConvert(t, ref, embstore.SQ8)
 
 	good, err := os.ReadFile(walSnapshotV3Path(walDir))
 	if err != nil {
@@ -329,7 +311,7 @@ func TestCrashStatesMidRotation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot beside torn snapshot temp: %v", err)
 	}
-	if !srv1.store.Equal(refSQ8) {
+	if !srv1.store.Equal(ref) {
 		t.Fatal("boot beside torn temp diverges")
 	}
 	// The next rotation overwrites the stray temp on its way through.
@@ -354,7 +336,7 @@ func TestCrashMmapMidRotationE2E(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir, "EHNAD_STORE=mmap")
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4)
+	reference, err := embstore.New(crashDim, 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir)
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4)
+	reference, err := embstore.New(crashDim, 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir)
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4)
+	reference, err := embstore.New(crashDim, 4, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

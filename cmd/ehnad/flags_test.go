@@ -58,14 +58,25 @@ func TestBootFlagErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, `unknown index "`+removed+`" (want exact or hnsw)`) {
 		t.Errorf("-index %s: exit %d, stderr %q; want a boot error naming exact and hnsw", removed, code, stderr)
 	}
-	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed"} {
+	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed", "-model"} {
 		code, stderr := runMain(t, append(boot, gone, "8")...)
 		if code == 0 || !strings.Contains(stderr, "flag provided but not defined: "+gone) {
 			t.Errorf("%s: exit %d, stderr %q; want an undefined-flag boot error", gone, code, stderr)
 		}
 	}
+	// f64 stopped being a serving precision.
+	code, stderr = runMain(t, append(boot, "-precision", "f64")...)
+	if code == 0 || !strings.Contains(stderr, `unknown precision "f64" (want f32 or sq8)`) {
+		t.Errorf("-precision f64: exit %d, stderr %q; want a boot error naming f32 and sq8", code, stderr)
+	}
+	// Neither source: no snapshot and no -dim to boot empty at.
+	code, stderr = runMain(t, "-addr", "127.0.0.1:0")
+	if code == 0 || !strings.Contains(stderr, "nothing to serve: pass -snapshot") {
+		t.Errorf("no source: exit %d, stderr %q; want a boot error naming -snapshot and -dim", code, stderr)
+	}
 
-	// The flag surface is pinned: 25 flags, -index defaulting to hnsw.
+	// The flag surface is pinned: 24 flags, -index defaulting to hnsw,
+	// -precision offering f32 and sq8 only.
 	_, usage := runMain(t, "-h")
 	var flags []string
 	for _, line := range strings.Split(usage, "\n") {
@@ -73,8 +84,11 @@ func TestBootFlagErrors(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if len(flags) != 25 {
-		t.Errorf("ehnad -h lists %d flags, want 25: %v", len(flags), flags)
+	if len(flags) != 24 {
+		t.Errorf("ehnad -h lists %d flags, want 24: %v", len(flags), flags)
+	}
+	if !strings.Contains(usage, "vector slab precision: f32 (float32 rows) or sq8") || strings.Contains(usage, "f64") {
+		t.Errorf("ehnad -h does not show -precision as f32 or sq8 with no f64:\n%s", usage)
 	}
 	if !strings.Contains(usage, "ann index: exact or hnsw (default \"hnsw\")") {
 		t.Errorf("ehnad -h does not show -index defaulting to hnsw:\n%s", usage)
@@ -87,7 +101,7 @@ func TestBootFlagErrors(t *testing.T) {
 // refused with embstore.ErrNotV3Snapshot on every boot path that reads
 // a seed, never decoded into a garbage store.
 func TestNonV3SnapshotRefused(t *testing.T) {
-	gobPath, _, _ := writeModelCheckpoint(t)
+	gobPath := writeModelCheckpoint(t)
 
 	base := serverConfig{snapshot: gobPath, shards: 4, index: testIndexOptions("exact")}
 	wal := base

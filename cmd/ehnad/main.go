@@ -1,6 +1,6 @@
 // Command ehnad is the online embedding-serving daemon: it loads a
-// trained embedding table into a sharded in-memory store, builds an ANN
-// index over it, and answers HTTP/JSON queries.
+// snapshot of trained embeddings into a sharded in-memory store, builds
+// an ANN index over it, and answers HTTP/JSON queries.
 //
 // Endpoints:
 //
@@ -28,10 +28,9 @@
 // the base file is DIR/store.snap when -wal DIR holds one — the
 // snapshot the daemon itself rotates — else -snapshot (a v3 embstore
 // snapshot written by Store.SaveSnapshotV3: the attention-aggregated
-// InferAll embeddings exported by examples/serving, a /v1/export
-// download, ehnad-mkstore output). With no base file the store is
-// seeded from -model (an ehna checkpoint written by Model.Save — the
-// raw embedding table) or starts empty at -dim. -store ram then loads
+// InferAll embeddings exported by `ehna train -snapshot` or
+// examples/serving, a /v1/export download, ehnad-mkstore output). With
+// no base file the store starts empty at -dim. -store ram then loads
 // the base into heap slabs; -store mmap maps it and serves in place,
 // first publishing DIR/store.snap when what it was given is a seed or
 // is encoded at another precision than -precision.
@@ -57,20 +56,22 @@
 // when present so the daemon boots without rebuilding, written after a
 // fresh build otherwise (with -wal it defaults to DIR/graph.gob).
 //
-// Precision: -precision f64|f32|sq8 selects the vector slab layout —
-// full float64, float32 (half the memory), or int8 scalar quantization
-// (~8x less vector memory; searches score quantized rows against the
-// full-precision query with a widened beam, recall@10 ≥ 0.95 gated in
-// CI). The precision applies per boot: snapshots of any precision
-// convert to the requested layout on load, so pass the same value on
-// every restart to keep the layout. WAL records always carry
-// full-precision vectors, so durability semantics are unchanged.
+// Precision: the vector slab layout is float32 (f32, the default for a
+// new store) or int8 scalar quantization (sq8: ~4x less vector memory
+// again; searches score quantized rows against the full-precision
+// query with a widened beam, recall@10 ≥ 0.95 gated in CI). With
+// -precision unset the daemon serves its base snapshot at the
+// precision it was written in; -precision f32|sq8 converts the base
+// on load (or picks the layout of a new store). A float64 snapshot
+// written by an older version converts to f32. WAL records always
+// carry full-precision vectors, so durability semantics are unchanged.
 // /healthz reports precision and bytes_per_vector (and, with -index
 // hnsw, the graph slab's mirror cost under graph.slab_bytes_per_vector).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -91,10 +92,9 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		model     = flag.String("model", "", "path to an ehna model snapshot (Model.Save)")
-		snapshot  = flag.String("snapshot", "", "path to a v3 embstore snapshot (Store.SaveSnapshotV3, /v1/export, ehnad-mkstore)")
-		dim       = flag.Int("dim", 0, "boot an empty store of this dimensionality when there is no snapshot, -model or -snapshot to load")
-		precision = flag.String("precision", "f64", "vector slab precision: f64 (full), f32 (half the memory), or sq8 (int8 scalar quantization, ~8x less memory; recall gated >= 0.95). Applies per boot: snapshots of any precision convert to this layout on load, so pass the same value on every restart to keep the layout. WAL records stay full-precision")
+		snapshot  = flag.String("snapshot", "", "path to a v3 embstore snapshot (ehna train -snapshot, Store.SaveSnapshotV3, /v1/export, ehnad-mkstore)")
+		dim       = flag.Int("dim", 0, "boot an empty store of this dimensionality when there is no snapshot to load")
+		precision = flag.String("precision", "", "vector slab precision: f32 (float32 rows) or sq8 (int8 scalar quantization, ~4x less memory; recall gated >= 0.95). Unset: serve the snapshot at the precision it was written in, a new store at f32. Set: convert the snapshot to this layout on load. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
 		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
 		indexKind = flag.String("index", "hnsw", "ann index: exact or hnsw")
@@ -137,7 +137,6 @@ func main() {
 		log.Fatalf("ehnad: %v", err)
 	}
 	srv, err := buildServer(serverConfig{
-		model:     *model,
 		snapshot:  *snapshot,
 		dim:       *dim,
 		precision: prec,
@@ -219,11 +218,10 @@ func runDaemon(srv *server, ln net.Listener) error {
 // Factored out of main so the crash-recovery tests can boot the exact
 // daemon stack in-process and as a helper process.
 type serverConfig struct {
-	model     string
 	snapshot  string
 	dim       int
-	precision embstore.Precision
-	storeMode string // "" or "ram" (heap slabs) | "mmap" (mapped v3 base + overlay)
+	precision embstore.Precision // zero: follow the base snapshot, f32 for a new store
+	storeMode string             // "" or "ram" (heap slabs) | "mmap" (mapped v3 base + overlay)
 	shards    int
 	index     indexOptions
 	maxBatch  int
@@ -340,17 +338,18 @@ func walSnapshotV3Path(walDir string) string { return filepath.Join(walDir, "sto
 //     — when -wal DIR holds one, else -snapshot. A -snapshot given beside
 //     -wal only seeds the first boot: whatever watermark it was stamped
 //     with belongs to another log, so it counts as 0 here.
-//  2. With no base file, seed a heap store from -model, or an empty one
-//     from -dim.
-//  3. Open it. -store ram loads the base into heap slabs at -precision.
-//     -store mmap maps the base and serves it in place; when the file to
-//     map does not exist yet (a seed) or must be rewritten (a -snapshot
-//     that has to land under DIR, a base at another precision than
-//     -precision — a read-only mapping cannot be re-encoded in place),
-//     the store goes through the heap first and is published as
-//     DIR/store.snap, which is then mapped. Without -wal there is no DIR
-//     to publish to: -store mmap needs a -snapshot and serves it at the
-//     precision it was written in.
+//  2. With no base file, seed an empty heap store from -dim.
+//  3. Open it, at -precision or — unset — at the precision the base was
+//     written in (f32 for a new store and for a legacy float64 base,
+//     which no store serves as is). -store ram loads the base into heap
+//     slabs. -store mmap maps the base and serves it in place; when the
+//     file to map does not exist yet (a seed) or must be rewritten (a
+//     -snapshot that has to land under DIR, a base at another precision
+//     than the one to serve — a read-only mapping cannot be re-encoded
+//     in place), the store goes through the heap first and is published
+//     as DIR/store.snap, which is then mapped. Without -wal there is no
+//     DIR to publish to: -store mmap needs a -snapshot and serves it at
+//     the precision it was written in.
 //
 // Rotation keeps DIR/store.snap fresh from then on.
 func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
@@ -364,9 +363,6 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 			return nil, 0, err
 		}
 	}
-	if base != own && cfg.model != "" && cfg.snapshot != "" {
-		return nil, 0, fmt.Errorf("pass -model or -snapshot, not both")
-	}
 	if mmapMode && own == "" && base == "" {
 		return nil, 0, fmt.Errorf("-store=mmap without -wal requires -snapshot pointing at a v3 snapshot (SaveSnapshotV3 output)")
 	}
@@ -376,15 +372,14 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 		err       error
 	)
 	if base == "" {
-		switch {
-		case cfg.model != "":
-			heap, err = storeFromModel(cfg)
-		case cfg.dim > 0:
-			heap, err = embstore.NewPrecision(cfg.dim, cfg.shards, cfg.precision)
-		default:
-			err = fmt.Errorf("nothing to serve: pass -model (ehna snapshot), -snapshot (embstore snapshot), or -dim to boot empty")
+		if cfg.dim <= 0 {
+			return nil, 0, fmt.Errorf("nothing to serve: pass -snapshot (embstore snapshot), or -dim to boot empty")
 		}
-		if err != nil {
+		prec := cfg.precision
+		if prec == 0 {
+			prec = embstore.F32
+		}
+		if heap, err = embstore.New(cfg.dim, cfg.shards, prec); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -393,7 +388,7 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 	viaHeap := !mmapMode || (own != "" && base != own)
 	for {
 		if heap == nil && viaHeap {
-			if heap, watermark, err = embstore.LoadSnapshotV3At(base, cfg.shards, cfg.precision); err != nil {
+			if heap, watermark, err = loadHeapStore(base, cfg.shards, cfg.precision); err != nil {
 				return nil, 0, fmt.Errorf("load snapshot %s: %w", base, err)
 			}
 			if base != own {
@@ -411,11 +406,17 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 			base, heap, viaHeap = own, nil, false
 		}
 		var cold *embstore.Store
-		if cold, watermark, err = embstore.OpenMmap(base); err != nil {
+		cold, watermark, err = embstore.OpenMmap(base)
+		if errors.Is(err, embstore.ErrF64Snapshot) && own != "" {
+			log.Printf("ehnad: snapshot %s is a legacy float64 image: re-encoding and remapping", base)
+			viaHeap = true
+			continue
+		}
+		if err != nil {
 			return nil, 0, fmt.Errorf("load snapshot %s: %w", base, err)
 		}
 		switch {
-		case cold.Precision() == cfg.precision:
+		case cfg.precision == 0 || cold.Precision() == cfg.precision:
 		case own == "":
 			log.Printf("ehnad: -store=mmap serves %s at its native precision %s (-precision %s has no effect without -wal)",
 				base, cold.Precision(), cfg.precision)
@@ -431,15 +432,18 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 	}
 }
 
-// storeFromModel seeds a heap store from an ehna model checkpoint's raw
-// embedding table (full precision, converted to -precision).
-func storeFromModel(cfg serverConfig) (*embstore.Store, error) {
-	f, err := os.Open(cfg.model)
-	if err != nil {
-		return nil, err
+// loadHeapStore loads the snapshot at path into heap slabs at prec; the
+// zero prec keeps the precision the file was written in, f32 for a
+// legacy float64 file.
+func loadHeapStore(path string, shards int, prec embstore.Precision) (*embstore.Store, uint64, error) {
+	if prec == 0 {
+		s, watermark, err := embstore.LoadSnapshotV3(path, shards)
+		if !errors.Is(err, embstore.ErrF64Snapshot) {
+			return s, watermark, err
+		}
+		prec = embstore.F32
 	}
-	defer f.Close()
-	return embstore.FromModelSnapshotPrecision(f, cfg.shards, cfg.precision)
+	return embstore.LoadSnapshotV3At(path, shards, prec)
 }
 
 // writeStoreSnapshotV3 publishes a flat v3 snapshot of store via the

@@ -80,7 +80,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// One client-side batch against an sq8 copy of the store: four
 	// queries is a batch HNSW.SearchBatch sweeps (on a SIMD backend)
 	// instead of searching, which has its own series.
-	sq8, err := embstore.FromMatrixPrecision(trained.emb, 4, embstore.SQ8)
+	sq8, err := embstore.FromMatrix(trained.emb, 4, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}

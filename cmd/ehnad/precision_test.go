@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -33,11 +36,37 @@ func walConfigAt(walDir string, prec embstore.Precision, dim int) serverConfig {
 	}
 }
 
-// TestCrossPrecisionBoot: a daemon that wrote f64 snapshots restarts
-// with -precision sq8 — the old snapshot upconverts on boot, the WAL
+// bruteTopK is the recall truth: the k ids of vecs most cosine-similar
+// to q by a float64 full sort, sharing no code with the store or index
+// under test.
+func bruteTopK(vecs map[graph.NodeID][]float64, q []float64, k int) []graph.NodeID {
+	type scored struct {
+		id  graph.NodeID
+		cos float64
+	}
+	all := make([]scored, 0, len(vecs))
+	for id, v := range vecs {
+		var dot, qq, vv float64
+		for i := range q {
+			dot, qq, vv = dot+q[i]*v[i], qq+q[i]*q[i], vv+v[i]*v[i]
+		}
+		all = append(all, scored{id, dot / math.Sqrt(qq*vv)})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].cos > all[j].cos })
+	out := make([]graph.NodeID, k)
+	for i := range out {
+		out[i] = all[i].id
+	}
+	return out
+}
+
+// TestCrossPrecisionBoot: a daemon that wrote f32 snapshots restarts
+// with -precision sq8 — the old snapshot converts on boot, the WAL
 // suffix (always full-precision records) replays through the quantized
-// store, and the serving path holds the recall gate against a
-// full-precision reference of the same final state.
+// store, and the serving path holds the recall gate against the
+// full-precision truth of the same final state. A restart that passes
+// no -precision keeps serving sq8, replaying nothing; -precision f32
+// converts back.
 func TestCrossPrecisionBoot(t *testing.T) {
 	const dim, n = 16, 500
 	rng := rand.New(rand.NewSource(41))
@@ -45,17 +74,23 @@ func TestCrossPrecisionBoot(t *testing.T) {
 
 	walDir := t.TempDir()
 
-	// Generation 1: f64 daemon. Seed via upserts, rotate a snapshot
-	// (f64 image on disk), then land more writes past the watermark so
-	// the next boot must replay a WAL suffix.
-	srv, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
+	// Generation 1: a new store with -precision unset is f32. Seed via
+	// upserts, rotate a snapshot (f32 image on disk), then land more
+	// writes past the watermark so the next boot must replay a WAL
+	// suffix.
+	srv, err := buildServer(walConfigAt(walDir, 0, dim))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := srv.store.Precision(); got != embstore.F32 {
+		t.Fatalf("new store with -precision unset is %v, want f32", got)
+	}
+	final := make(map[graph.NodeID][]float64, n)
 	var updates []cluster.UpsertUpdate
 	for i := 0; i < n; i++ {
 		id := graph.NodeID(i)
 		updates = append(updates, cluster.UpsertUpdate{ID: &id, Vector: emb.Row(i)})
+		final[id] = emb.Row(i)
 	}
 	if _, err := srv.dur.upsert(updates); err != nil {
 		t.Fatal(err)
@@ -76,6 +111,8 @@ func TestCrossPrecisionBoot(t *testing.T) {
 	if _, _, err := srv.dur.delete([]graph.NodeID{idDel}); err != nil {
 		t.Fatal(err)
 	}
+	final[idR], final[idNew] = replaced, fresh
+	delete(final, idDel)
 	srv.close()
 
 	// Generation 2: same WAL dir, -precision sq8.
@@ -107,48 +144,24 @@ func TestCrossPrecisionBoot(t *testing.T) {
 		t.Fatalf("post-watermark upsert lost: %v %v", got, ok)
 	}
 
-	// Recall gate: the quantized daemon's index vs an exact f64
-	// reference over the identical final state.
-	ref, err := embstore.New(dim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		vec := emb.Row(i)
-		switch graph.NodeID(i) {
-		case idDel:
-			continue
-		case idR:
-			vec = replaced
-		}
-		if err := ref.Upsert(graph.NodeID(i), vec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ref.Upsert(idNew, fresh); err != nil {
-		t.Fatal(err)
-	}
-	truth := ann.NewExact(ref, ann.Cosine)
+	// Recall gate: the quantized daemon's index vs the float64 ranking
+	// of the identical final state.
 	const k = 10
 	var approx, exact [][]graph.NodeID
 	for qi := 0; qi < 25; qi++ {
 		q := emb.Row(qi * 17 % n)
-		tr, err := truth.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ar, err := srv2.index.Search(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact = append(exact, ids(tr))
+		exact = append(exact, bruteTopK(final, q, k))
 		approx = append(approx, ids(ar))
 	}
 	recall, err := eval.MeanRecallAtK(approx, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sq8 daemon recall@10 vs f64 reference = %.3f", recall)
+	t.Logf("sq8 daemon recall@10 vs f64 truth = %.3f", recall)
 	if recall < 0.95 {
 		t.Errorf("cross-precision boot recall@10 = %.3f, want ≥ 0.95", recall)
 	}
@@ -169,23 +182,140 @@ func TestCrossPrecisionBoot(t *testing.T) {
 		t.Fatalf("healthz precision block: %+v", hz)
 	}
 
-	// The next rotation writes an sq8 image; booting f64 from it
-	// upconverts back.
+	// The next rotation writes an sq8 image. A restart that forgets
+	// -precision follows it — same layout, nothing re-encoded, nothing
+	// replayed — and -precision f32 converts back.
 	if _, err := srv2.dur.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	closeSrv2()
-	srv3, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
+	for _, gen := range []struct{ flag, want embstore.Precision }{{0, embstore.SQ8}, {embstore.F32, embstore.F32}} {
+		srv3, err := buildServer(walConfigAt(walDir, gen.flag, dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, replayed, held := srv3.store.Precision(), srv3.dur.replayed, srv3.store.Len()
+		srv3.close()
+		if got != gen.want || replayed != 0 || held != n {
+			t.Fatalf("-precision %v over an sq8 snapshot: serving %v (want %v), %d records replayed (want 0), %d vectors (want %d)",
+				gen.flag, got, gen.want, replayed, held, n)
+		}
+	}
+}
+
+// TestLegacyF64SnapshotBoot pins the upgrade from a version whose
+// default precision was f64, on the fixture such a version wrote
+// (internal/embstore/testdata/f64.snap, listed in f64.json): every boot
+// that can re-encode serves it at f32 with no id lost, and leaves an f32
+// store.snap behind; the one that cannot — -store mmap with nowhere to
+// publish — names the problem.
+func TestLegacyF64SnapshotBoot(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "embstore", "testdata")
+	fixture := filepath.Join(testdata, "f64.snap")
+	raw, err := os.ReadFile(filepath.Join(testdata, "f64.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv3.close()
-	if got := srv3.store.Precision(); got != embstore.F64 {
-		t.Fatalf("third-generation precision %v, want f64", got)
+	var rows []struct {
+		ID     graph.NodeID `json:"id"`
+		Vector []float64    `json:"vector"`
 	}
-	if srv3.store.Len() != n {
-		t.Fatalf("third generation holds %d vectors, want %d", srv3.store.Len(), n)
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
 	}
+	const watermark = 17 // stamped on the fixture
+	checkServes := func(t *testing.T, srv *server) {
+		t.Helper()
+		if got := srv.store.Precision(); got != embstore.F32 || srv.store.Len() != len(rows) {
+			t.Fatalf("serving %d vectors at %v, want %d at f32", srv.store.Len(), got, len(rows))
+		}
+		for _, row := range rows {
+			got, ok := srv.store.Get(row.ID)
+			if !ok {
+				t.Fatalf("id %d lost in the upgrade", row.ID)
+			}
+			var sq float64
+			for j, x := range row.Vector {
+				sq += x * x
+				if d := math.Abs(got[j] - x); d > 1e-6*math.Abs(x) {
+					t.Fatalf("id %d lane %d: %g, want %g within f32 error", row.ID, j, got[j], x)
+				}
+			}
+			srv.store.With(row.ID, func(v *embstore.VecView) {
+				if want := math.Sqrt(sq); math.Abs(v.Norm-want) > 1e-12*want {
+					t.Fatalf("id %d: norm %g, want the original vector's %g", row.ID, v.Norm, want)
+				}
+			})
+		}
+	}
+	// ownDir is a data directory as the old version left it after a clean
+	// shutdown: its own f64 store.snap, the WAL truncated behind it.
+	ownDir := func(t *testing.T) string {
+		t.Helper()
+		dir := t.TempDir()
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walSnapshotV3Path(dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	rotatesToF32 := func(t *testing.T, srv *server, dir string) {
+		t.Helper()
+		if srv.dur.replayed != 0 || srv.dur.applied() != watermark {
+			t.Fatalf("replayed %d records to seq %d, want 0 and the fixture's watermark %d", srv.dur.replayed, srv.dur.applied(), watermark)
+		}
+		if _, err := srv.dur.snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		own, wm, err := embstore.LoadSnapshotV3(walSnapshotV3Path(dir), 4)
+		if err != nil || own.Precision() != embstore.F32 || wm != watermark || !own.Equal(srv.store) {
+			t.Fatalf("store.snap after a rotation: %v (watermark %d), want the f32 image of what is served", err, wm)
+		}
+	}
+
+	t.Run("ram seed", func(t *testing.T) {
+		srv, err := buildServer(serverConfig{snapshot: fixture, shards: 4, index: testIndexOptions("exact")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.close()
+		checkServes(t, srv)
+	})
+	t.Run("ram own", func(t *testing.T) {
+		dir := ownDir(t)
+		srv, err := buildServer(walConfigAt(dir, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.close()
+		checkServes(t, srv)
+		rotatesToF32(t, srv, dir)
+	})
+	t.Run("mmap own", func(t *testing.T) {
+		dir := ownDir(t)
+		srv, err := buildServer(mmapConfigAt(dir, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.close()
+		if !srv.store.Cold() || srv.store.MappedPath() != walSnapshotV3Path(dir) {
+			t.Fatalf("cold=%v mapping %q, want the republished %s", srv.store.Cold(), srv.store.MappedPath(), walSnapshotV3Path(dir))
+		}
+		checkServes(t, srv)
+		rotatesToF32(t, srv, dir)
+	})
+	t.Run("mmap without wal", func(t *testing.T) {
+		srv, err := buildServer(serverConfig{snapshot: fixture, storeMode: "mmap", shards: 4, index: testIndexOptions("exact")})
+		if err == nil {
+			srv.close()
+		}
+		if !errors.Is(err, embstore.ErrF64Snapshot) {
+			t.Fatalf("err = %v, want ErrF64Snapshot", err)
+		}
+	})
 }
 
 func ids(rs []ann.Result) []graph.NodeID {

@@ -1,8 +1,8 @@
 // Serving walkthrough: the full train → serialize → embstore → ann →
 // ehnad pipeline. It trains EHNA on a synthetic temporal network,
-// exports both artifacts the daemon boots from (the model checkpoint
-// and the flat v3 store snapshot), builds the sharded store and both
-// ANN indexes in-process (exact scan, HNSW), audits HNSW's recall
+// exports the flat v3 store snapshot the daemon boots from (beside a
+// model checkpoint for resumed training), builds the sharded store and
+// both ANN indexes in-process (exact scan, HNSW), audits HNSW's recall
 // against exact search, saves the HNSW graph snapshot the daemon can
 // boot from without rebuilding, and prints the exact commands to serve
 // the artifacts with cmd/ehnad.
@@ -45,12 +45,13 @@ func main() {
 		fmt.Printf("epoch %d: loss %.4f\n", epoch+1, loss)
 	}
 
-	// 2. Serialize the serving artifacts. The model snapshot carries the
-	//    raw embedding table (+ parameters, for resumed training); the
-	//    embstore snapshot carries the attention-aggregated InferAll
+	// 2. Serialize. The model checkpoint carries the raw embedding table
+	//    and parameters, for resumed training; the embstore snapshot is
+	//    what the daemon serves: the attention-aggregated InferAll
 	//    embeddings — the vectors the paper's evaluation actually uses —
 	//    in the flat v3 format -store=ram copies onto the heap and
-	//    -store=mmap serves in place.
+	//    -store=mmap serves in place (`ehna train -snapshot` writes the
+	//    same file).
 	outDir := "serving-out"
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -61,7 +62,7 @@ func main() {
 	}
 
 	emb := model.InferAll()
-	store, err := embstore.FromMatrix(emb, embstore.DefaultShards)
+	store, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func main() {
 	if err := faultfs.WriteFileAtomic(faultfs.OS(), snapPath, func(f faultfs.File) error { return store.SaveSnapshotV3(f, 0) }); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards)\n",
+	fmt.Printf("artifacts: %s (training checkpoint), %s (store, %d×%d across %d shards)\n",
 		modelPath, snapPath, store.Len(), store.Dim(), store.NumShards())
 
 	// 3. Build both indexes and answer the same query. The HNSW
@@ -130,9 +131,9 @@ func main() {
 	}
 	fmt.Printf("HNSW recall@%d vs exact over %d queries: %.3f\n", k, nq, recall)
 
-	// 5. Serve it. Either embedding artifact boots the daemon; the
-	//    default hnsw index reuses the saved graph snapshot, and -wal
-	//    makes the write path durable.
+	// 5. Serve it. The store snapshot boots the daemon; the default
+	//    hnsw index reuses the saved graph snapshot, and -wal makes the
+	//    write path durable.
 	walDir := filepath.Join(outDir, "wal")
 	fmt.Printf(`
 serve the aggregated embeddings (recommended; builds the HNSW graph at
@@ -152,9 +153,6 @@ heap: boot is O(1) in dataset size and the OS pages vectors in on
 demand, so the set may exceed memory (/healthz reports the mapping
 and overlay sizes; see "Beyond-RAM serving" in the README):
   go run ./cmd/ehnad -snapshot %s -store=mmap -index hnsw -hnsw-graph %s
-
-or the raw table straight from the model snapshot:
-  go run ./cmd/ehnad -model %s
 
 then query:
   curl -s localhost:8080/healthz
@@ -182,7 +180,7 @@ talk to the router):
       -shard a=http://localhost:8081,http://localhost:8083 \
       -shard b=http://localhost:8082
   curl -s -X POST localhost:8090/v1/neighbors -d '{"id":%d,"k":%d}'
-`, snapPath, snapPath, graphPath, walDir, snapPath, walDir, snapPath, graphPath, modelPath, target, k,
+`, snapPath, snapPath, graphPath, walDir, snapPath, walDir, snapPath, graphPath, target, k,
 		walDir, cfg.Dim, walDir, cfg.Dim, walDir, cfg.Dim, target, k)
 }
 

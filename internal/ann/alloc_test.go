@@ -13,18 +13,26 @@ import (
 	"ehna/internal/tensor"
 )
 
-// buildStore loads n random dim-dimensional vectors into an F64 store.
+// allPrecisions is every slab layout a store can have.
+var allPrecisions = []embstore.Precision{embstore.F32, embstore.SQ8}
+
+// buildStore loads n random dim-dimensional vectors into an F32 store.
 func buildStore(t testing.TB, n, dim int) *embstore.Store {
 	t.Helper()
-	return buildStoreAt(t, n, dim, embstore.F64)
+	return buildStoreAt(t, n, dim, embstore.F32)
+}
+
+// sourceMatrix is the n×dim matrix buildStoreAt loads: row i is what
+// node i was upserted with.
+func sourceMatrix(n, dim int) *tensor.Matrix {
+	return tensor.Randn(n, dim, 1, rand.New(rand.NewSource(7)))
 }
 
 // buildStoreAt loads n random dim-dimensional vectors into a store of
 // the given slab precision.
 func buildStoreAt(t testing.TB, n, dim int, prec embstore.Precision) *embstore.Store {
 	t.Helper()
-	emb := tensor.Randn(n, dim, 1, rand.New(rand.NewSource(7)))
-	s, err := embstore.FromMatrixPrecision(emb, embstore.DefaultShards, prec)
+	s, err := embstore.FromMatrix(sourceMatrix(n, dim), embstore.DefaultShards, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +93,7 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 	defer cancel()
 	_ = ctx.Done()
 
-	for _, prec := range []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8} {
+	for _, prec := range allPrecisions {
 		ram := buildStoreAt(t, 2000, 32, prec)
 		backings := []struct {
 			name  string
@@ -134,7 +142,7 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 // what the allocating path returns, for every index type at every slab
 // precision.
 func TestSearchIntoMatchesSearch(t *testing.T) {
-	for _, prec := range []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8} {
+	for _, prec := range allPrecisions {
 		store := buildStoreAt(t, 500, 16, prec)
 		hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 		if err != nil {

@@ -133,17 +133,14 @@ func (qc *queryCtx) init(store *embstore.Store, q []float64) {
 }
 
 // scoreView scores the query against a stored vector at full query
-// precision: the exact kernel for f64/f32 slabs, the asymmetric
-// DotSQ8 kernel for sq8 — only the stored vector's quantization error
-// remains.
+// precision: Dot32 against the narrowed query for f32 slabs, the
+// asymmetric DotSQ8 kernel for sq8 — only the stored vector's
+// quantization error remains.
 func (m Metric) scoreView(qc *queryCtx, v *embstore.VecView) float64 {
 	var dot float64
-	switch {
-	case v.F64 != nil:
-		dot = vecmath.Dot(qc.q, v.F64)
-	case v.F32 != nil:
+	if v.F32 != nil {
 		dot = vecmath.Dot32(qc.q32, v.F32)
-	default:
+	} else {
 		dot = vecmath.DotSQ8(qc.q, v.Code, v.Scale, v.Offset, qc.qSum)
 	}
 	if m == DotProduct {
@@ -219,7 +216,7 @@ func (m Metric) beamScoreView(qc *queryCtx, v *embstore.VecView) float64 {
 // kernel drives them) so the final top-k is drawn from a pool that
 // absorbs the quantization noise of the stored vectors — and, on the
 // symmetric path, of the quantized query. 4 holds recall@10 within
-// half a point of the f64 baseline at 100k vectors.
+// half a point of the exact f64 ranking at 100k vectors.
 const sq8Rerank = 4
 
 // candidateK widens k for quantized candidate generation: the HNSW
@@ -440,7 +437,7 @@ func (e *Exact) Remove(id graph.NodeID) bool { return e.store.Delete(id) }
 // be initialized for the query. On the symmetric sq8 path the scan
 // ranks with the integer kernel into a rerank·k-wide heap and the
 // asymmetric kernel re-scores the survivors; otherwise the scan is the
-// single-stage asymmetric (or full-precision) ranking. The query's
+// single-stage asymmetric (or f32) ranking. The query's
 // cancellation signal is polled every cancelCheckEvery vectors; a
 // canceled scan stops early and reports canceled=true.
 func (e *Exact) scanSeq(sc *queryScratch, k int) (res []Result, canceled bool) {

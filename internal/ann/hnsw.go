@@ -12,7 +12,7 @@
 // narrowed/quantized query context) lives in a pooled scratch, the
 // query norm is computed once per query, and candidate vectors are
 // read straight out of the graph-resident slot-indexed slab — at the
-// store's precision (f64/f32/sq8), with no id→slot map lookups or
+// store's precision (f32/sq8), with no id→slot map lookups or
 // shard locks per expansion — so SearchInto is allocation-free in
 // steady state. Over sq8 slabs the beam widens to at least rerank·k;
 // on SIMD backends it scores candidates with the symmetric int8×int8
@@ -157,9 +157,8 @@ type HNSW struct {
 	// The slot-indexed vector slab: row s is the scan representation of
 	// nodes[s]. Exactly one family is populated, per precision.
 	// Tombstoned slots keep their (dead) rows for index stability.
-	vecs   []float64 // F64
 	vecs32 []float32 // F32
-	norms  []float64 // F64/F32 per-row norms
+	norms  []float64 // F32 per-row norms
 	codes  []int8    // SQ8
 	side   []sq8Side // SQ8 per-row sidecar (norm included)
 }
@@ -425,15 +424,11 @@ func (h *HNSW) appendSlabRowLocked(vec []float64, norm float64) {
 	case embstore.F32:
 		h.vecs32 = extendSlab(h.vecs32, h.dim)
 		vecmath.F64To32(h.vecs32[len(h.vecs32)-h.dim:], vec)
+		h.norms = append(h.norms, norm)
 	case embstore.SQ8:
 		h.codes = extendSlab(h.codes, h.dim)
 		scale, offset, codeSum := vecmath.EncodeSQ8(vec, h.codes[len(h.codes)-h.dim:])
 		h.side = append(h.side, sq8Side{scale: float32(scale), offset: float32(offset), norm: float32(norm), codeSum: codeSum})
-	default:
-		h.vecs = append(h.vecs, vec...)
-	}
-	if h.prec != embstore.SQ8 {
-		h.norms = append(h.norms, norm)
 	}
 }
 
@@ -480,9 +475,6 @@ func (h *HNSW) slabView(slot uint32, v *embstore.VecView) {
 		s := &h.side[slot]
 		v.Code = h.codes[lo : lo+h.dim]
 		v.Scale, v.Offset, v.CodeSum, v.Norm = float64(s.scale), float64(s.offset), s.codeSum, float64(s.norm)
-	default:
-		v.F64 = h.vecs[lo : lo+h.dim]
-		v.Norm = h.norms[slot]
 	}
 }
 
@@ -507,11 +499,11 @@ func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 
 // pairScore scores slab rows a and b against each other in the slab's
 // own precision — the symmetric integer kernel on sq8 codes plus
-// sidecars, Dot32 on f32 rows, Dot on f64 rows, cosine through the
-// stored norms. It is what neighbor selection, pruning and detach
-// repair compare candidates with: both operands already live in the
-// slab, so nothing is dequantized or re-encoded, and the sq8 integer
-// core is exact on every backend. Caller holds h.mu.
+// sidecars, Dot32 on f32 rows, cosine through the stored norms. It is
+// what neighbor selection, pruning and detach repair compare
+// candidates with: both operands already live in the slab, so nothing
+// is dequantized or re-encoded, and the sq8 integer core is exact on
+// every backend. Caller holds h.mu.
 func (h *HNSW) pairScore(a, b uint32) float64 {
 	la, lb := int(a)*h.dim, int(b)*h.dim
 	var dot, na, nb float64
@@ -525,9 +517,6 @@ func (h *HNSW) pairScore(a, b uint32) float64 {
 			float64(sa.scale), float64(sa.offset), float64(sb.scale), float64(sb.offset),
 			sa.codeSum, sb.codeSum)
 		na, nb = float64(sa.norm), float64(sb.norm)
-	default:
-		dot = vecmath.Dot(h.vecs[la:la+h.dim], h.vecs[lb:lb+h.dim])
-		na, nb = h.norms[a], h.norms[b]
 	}
 	if h.cfg.Metric == DotProduct {
 		return dot
@@ -1218,9 +1207,6 @@ func LoadHNSWGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 				case embstore.SQ8:
 					h.codes = append(h.codes, v.Code...)
 					h.side = append(h.side, sq8Side{scale: float32(v.Scale), offset: float32(v.Offset), norm: float32(v.Norm), codeSum: v.CodeSum})
-				default:
-					h.vecs = append(h.vecs, v.F64...)
-					h.norms = append(h.norms, v.Norm)
 				}
 			})
 			if !ok {
@@ -1235,9 +1221,6 @@ func LoadHNSWGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 			case embstore.SQ8:
 				h.codes = extendSlab(h.codes, h.dim)
 				h.side = append(h.side, sq8Side{})
-			default:
-				h.vecs = extendSlab(h.vecs, h.dim)
-				h.norms = append(h.norms, 0)
 			}
 		}
 	}

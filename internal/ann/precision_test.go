@@ -10,21 +10,16 @@ import (
 	"ehna/internal/tensor"
 )
 
-// recallVsF64 builds a full-precision ground truth and a compressed
-// store over the same embedding matrix, runs nq queries through the
-// index mk builds over the compressed store, and returns mean
-// recall@10 against exact f64 search.
+// recallVsF64 loads an embedding matrix into a store at prec, runs nq
+// of its rows as queries through the index mk builds over that store,
+// and returns mean recall@10 against the float64 brute force over the
+// matrix itself.
 func recallVsF64(t *testing.T, n, dim, nq int, prec embstore.Precision,
 	mk func(*embstore.Store) (Index, error)) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	emb := tensor.Randn(n, dim, 1, rng)
-	truthStore, err := embstore.FromMatrix(emb, embstore.DefaultShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := NewExact(truthStore, Cosine)
-	compressed, err := embstore.FromMatrixPrecision(emb, embstore.DefaultShards, prec)
+	compressed, err := embstore.FromMatrix(emb, embstore.DefaultShards, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +31,11 @@ func recallVsF64(t *testing.T, n, dim, nq int, prec embstore.Precision,
 	var approx, exact [][]graph.NodeID
 	for qi := 0; qi < nq; qi++ {
 		q := emb.Row(qi * (n / nq) % n)
-		tr, err := truth.Search(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ar, err := idx.Search(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact = append(exact, ids(tr))
+		exact = append(exact, truthTopK(emb, q, k, Cosine))
 		approx = append(approx, ids(ar))
 	}
 	recall, err := eval.MeanRecallAtK(approx, exact)
@@ -90,7 +81,7 @@ func TestF32Recall(t *testing.T) {
 // interface works at every precision (the compressed plane is not
 // read-only), and searches keep answering through it.
 func TestPrecisionMutability(t *testing.T) {
-	for _, prec := range []embstore.Precision{embstore.F32, embstore.SQ8} {
+	for _, prec := range allPrecisions {
 		store := buildStoreAt(t, 300, 16, prec)
 		hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 		if err != nil {

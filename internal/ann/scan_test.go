@@ -213,7 +213,6 @@ func TestScanPlanBoundary(t *testing.T) {
 		{"batch of three", embstore.SQ8, true, 3, 10, ef, kk, m, false},
 		{"scalar backend", embstore.SQ8, false, 32, 10, ef, kk, m, false},
 		{"f32 slab", embstore.F32, true, 32, 10, ef, kk, m, false},
-		{"f64 slab", embstore.F64, true, 32, 10, ef, kk, m, false},
 		{"empty graph", embstore.SQ8, true, 32, 0, ef, kk, m, true},
 	} {
 		if got := scanPlan(c.prec, c.sym, c.batch, c.slots, c.ef, c.kk, c.m); got != c.want {
@@ -249,11 +248,11 @@ func TestScanPlanBoundary(t *testing.T) {
 }
 
 // TestSearchBatchBeamWhenNoScan: wherever the plan says no — a scalar
-// backend (-tags noasm, EHNA_NOSIMD=1), an f32 or f64 slab, a batch
+// backend (-tags noasm, EHNA_NOSIMD=1), an f32 slab, a batch
 // under four — SearchBatch is exactly SearchInto per query.
 func TestSearchBatchBeamWhenNoScan(t *testing.T) {
 	ctx := context.Background()
-	for _, prec := range []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8} {
+	for _, prec := range allPrecisions {
 		h := mustHNSW(t, buildStoreAt(t, 800, 16, prec), DefaultHNSWConfig())
 		for _, n := range []int{3, 12} {
 			if n >= scanGroup && prec == embstore.SQ8 && vecmath.HasSQ8Sym() {

@@ -195,26 +195,20 @@ func TestChurnSoakCompaction(t *testing.T) {
 	sw := NewSwapper(h)
 
 	// Ground truth for the stable queries, pinned before any churn
-	// exists (the store holds only the never-mutated stable vectors
-	// here, so this is exact truth over the stable population).
-	exact := NewExact(store, cfg.Metric)
+	// exists: the float64 ranking of the never-mutated stable vectors
+	// the store was loaded from.
+	src := sourceMatrix(nStable, dim)
 	queryVecs := make([][]float64, queries)
-	truth := make([][]Result, queries)
+	truth := make([][]graph.NodeID, queries)
 	for i := 0; i < queries; i++ {
-		q, ok := store.Get(graph.NodeID(i * 7))
-		if !ok {
-			t.Fatalf("stable query id %d missing", i*7)
-		}
-		queryVecs[i] = q
-		if truth[i], err = exact.Search(q, k); err != nil {
-			t.Fatal(err)
-		}
+		queryVecs[i] = src.Row(i * 7)
+		truth[i] = truthTopK(src, queryVecs[i], k, cfg.Metric)
 	}
-	recallOf := func(got, want []Result) float64 {
+	recallOf := func(got []Result, want []graph.NodeID) float64 {
 		hits := 0
 		for _, g := range got {
 			for _, w := range want {
-				if g.ID == w.ID {
+				if g.ID == w {
 					hits++
 					break
 				}

@@ -3,6 +3,7 @@
 package embstore
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,9 +30,17 @@ func openCold(t testing.TB, s *Store, watermark uint64) (*Store, string) {
 }
 
 func TestColdStoreEqualsRAM(t *testing.T) {
-	for _, prec := range []Precision{F64, F32, SQ8} {
+	// A legacy float64 image has no store layout to be served from in
+	// place: the mmap loader names it instead of mapping it.
+	t.Run("f64", func(t *testing.T) {
+		path, _ := legacyF64Fixture(t)
+		if _, _, err := OpenMmap(path); !errors.Is(err, ErrF64Snapshot) {
+			t.Fatalf("OpenMmap(f64 fixture): err = %v, want ErrF64Snapshot", err)
+		}
+	})
+	for _, prec := range allPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			ram, err := NewPrecision(8, 4, prec)
+			ram, err := New(8, 4, prec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +87,7 @@ func slicesEq(a, b []float64) bool {
 // upserts land in the overlay and shadow the base, deletes mask base
 // rows, and Len/IDs/scans stay consistent throughout.
 func TestColdOverlay(t *testing.T) {
-	ram, err := NewPrecision(4, 3, SQ8)
+	ram, err := New(4, 3, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestColdOverlay(t *testing.T) {
 		t.Fatalf("Len = %d after overwrite, want %d", cold.Len(), n)
 	}
 	got, _ := cold.Get(target)
-	ref, _ := NewPrecision(4, 1, SQ8)
+	ref, _ := New(4, 1, SQ8)
 	ref.Upsert(target, []float64{1, 2, 3, 4})
 	want, _ := ref.Get(target)
 	if !slicesEq(got, want) {
@@ -188,7 +197,7 @@ func TestColdOverlay(t *testing.T) {
 // write a fresh v3 base, Remap, and check the overlay is empty while
 // the contents are unchanged.
 func TestColdFold(t *testing.T) {
-	ram, err := NewPrecision(6, 4, F32)
+	ram, err := New(6, 4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +264,11 @@ func snapshotOf(t testing.TB, s *Store, wm uint64) string {
 // TestColdRemapMismatch: a fold target with different geometry is
 // refused and the store keeps its old base.
 func TestColdRemapMismatch(t *testing.T) {
-	ram, _ := NewPrecision(4, 2, F64)
+	ram, _ := New(4, 2, F32)
 	fillRandom(t, ram, 50, 13)
 	cold, _ := openCold(t, ram, 0)
 
-	other, _ := NewPrecision(5, 2, F64)
+	other, _ := New(5, 2, F32)
 	fillRandom(t, other, 10, 14)
 	if err := cold.Remap(writeV3(t, other, 0)); err == nil {
 		t.Fatal("Remap accepted a mismatched snapshot")
@@ -268,7 +277,7 @@ func TestColdRemapMismatch(t *testing.T) {
 		t.Fatal("failed Remap corrupted the store")
 	}
 
-	ramStore, _ := NewPrecision(4, 2, F64)
+	ramStore, _ := New(4, 2, F32)
 	if err := ramStore.Remap("/nonexistent"); err == nil {
 		t.Fatal("Remap of a RAM store succeeded")
 	}
@@ -278,7 +287,7 @@ func TestColdRemapMismatch(t *testing.T) {
 // over a cold store with a live overlay — follower bootstrap doesn't
 // care about the leader's store backend.
 func TestColdSaveV3(t *testing.T) {
-	ram, _ := NewPrecision(5, 3, SQ8)
+	ram, _ := New(5, 3, SQ8)
 	fillRandom(t, ram, 120, 15)
 	cold, _ := openCold(t, ram, 0)
 	cold.Upsert(gid(777_777), []float64{1, 1, 1, 1, 1})
@@ -298,7 +307,7 @@ func TestColdSaveV3(t *testing.T) {
 // TestColdApplyWAL: WAL replay into the overlay, the boot path for
 // records past the snapshot watermark.
 func TestColdApplyWAL(t *testing.T) {
-	ram, _ := NewPrecision(3, 2, F64)
+	ram, _ := New(3, 2, F32)
 	fillRandom(t, ram, 40, 16)
 	cold, _ := openCold(t, ram, 0)
 
@@ -320,7 +329,7 @@ func TestColdApplyWAL(t *testing.T) {
 // batch-lookup paths over a mapped base — the property the re-rank
 // stage depends on.
 func TestColdZeroAllocReads(t *testing.T) {
-	ram, _ := NewPrecision(8, 2, SQ8)
+	ram, _ := New(8, 2, SQ8)
 	fillRandom(t, ram, 100, 17)
 	cold, _ := openCold(t, ram, 0)
 	ids := cold.IDs()[:8]
@@ -352,7 +361,7 @@ func TestColdZeroAllocReads(t *testing.T) {
 // mid-flight fold; run under -race this is the memory-safety check for
 // the base swap.
 func TestColdConcurrentChurn(t *testing.T) {
-	ram, _ := NewPrecision(4, 4, F32)
+	ram, _ := New(4, 4, F32)
 	fillRandom(t, ram, 200, 18)
 	cold, _ := openCold(t, ram, 0)
 
@@ -413,7 +422,7 @@ func TestColdConcurrentChurn(t *testing.T) {
 }
 
 func TestColdResidency(t *testing.T) {
-	ram, _ := NewPrecision(16, 2, F64)
+	ram, _ := New(16, 2, F32)
 	fillRandom(t, ram, 500, 19)
 	cold, _ := openCold(t, ram, 0)
 	pg := int64(os.Getpagesize())
@@ -421,7 +430,7 @@ func TestColdResidency(t *testing.T) {
 	if r := cold.MappedResidentBytes(); r < 0 || r > mappedPages {
 		t.Fatalf("MappedResidentBytes = %d, mapped %d pages-rounded", r, mappedPages)
 	}
-	ramOnly, _ := NewPrecision(4, 1, F64)
+	ramOnly, _ := New(4, 1, F32)
 	if r := ramOnly.MappedResidentBytes(); r != 0 {
 		t.Fatalf("RAM store MappedResidentBytes = %d", r)
 	}

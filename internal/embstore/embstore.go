@@ -14,25 +14,22 @@
 // one slice per vector.
 //
 // The slab layout is precision-parametric (the compressed vector
-// plane): F64 keeps the full float64 rows, F32 halves them to float32
-// lanes, and SQ8 scalar-quantizes each vector to one int8 code per
-// lane plus a per-vector {scale, offset, norm} sidecar (see
-// vecmath.EncodeSQ8) — an ~8× cut in bytes moved per distance
-// computation. Writes always enter as full-precision []float64 (the
-// WAL keeps full-precision records; quantization happens at apply
-// time), and reads hand out precision-tagged VecViews that the ann
-// scoring kernels dispatch on.
+// plane): F32 keeps float32 lanes, and SQ8 scalar-quantizes each
+// vector to one int8 code per lane plus a per-vector {scale, offset,
+// norm} sidecar (see vecmath.EncodeSQ8) — a ~4× cut in bytes moved per
+// distance computation. Writes always enter as full-precision
+// []float64 (the WAL keeps full-precision records; narrowing happens
+// at apply time), and reads hand out precision-tagged VecViews that
+// the ann scoring kernels dispatch on.
 package embstore
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"ehna/internal/ehna"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/vecmath"
@@ -41,24 +38,24 @@ import (
 
 // Precision selects the slab layout vectors are stored (and scanned)
 // in. It is fixed at store construction; all write paths accept
-// float64 and narrow on the way in.
+// float64 and narrow on the way in. The values are the v3 header's
+// precision tags. The zero value is not a layout: it is what a caller
+// that has not chosen one holds (ParsePrecision("")), and on disk it
+// is the float64 layout older versions wrote, which loads only by
+// conversion (see ErrF64Snapshot).
 type Precision int
 
 const (
-	// F64 stores full float64 rows: bit-exact, 8 bytes/lane.
-	F64 Precision = iota
 	// F32 stores float32 rows: ~1e-7 relative lane error, 4 bytes/lane.
-	F32
+	F32 Precision = 1
 	// SQ8 stores per-vector scalar-quantized int8 codes with a
 	// {scale, offset, norm} sidecar: lane error ≤ scale/2, 1 byte/lane.
-	SQ8
+	SQ8 Precision = 2
 )
 
 // String returns the precision's flag spelling.
 func (p Precision) String() string {
 	switch p {
-	case F64:
-		return "f64"
 	case F32:
 		return "f32"
 	case SQ8:
@@ -68,17 +65,18 @@ func (p Precision) String() string {
 	}
 }
 
-// ParsePrecision converts a config string to a Precision.
+// ParsePrecision converts a config string to a Precision; the empty
+// string is "not chosen", the zero Precision.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
-	case "f64", "float64", "":
-		return F64, nil
+	case "":
+		return 0, nil
 	case "f32", "float32":
 		return F32, nil
 	case "sq8", "int8":
 		return SQ8, nil
 	default:
-		return 0, fmt.Errorf("embstore: unknown precision %q (want f64, f32 or sq8)", s)
+		return 0, fmt.Errorf("embstore: unknown precision %q (want f32 or sq8)", s)
 	}
 }
 
@@ -87,24 +85,19 @@ func ParsePrecision(s string) (Precision, error) {
 // and for SQ8 the decode parameters), excluding the id→slot map entry
 // shared by all layouts.
 func (p Precision) BytesPerVector(dim int) int {
-	switch p {
-	case F32:
-		return 4*dim + 8 // float32 row + float64 norm
-	case SQ8:
+	if p == SQ8 {
 		return dim + 32 // int8 codes + {scale, offset, norm float64; codeSum int32} sidecar
-	default:
-		return 8*dim + 8 // float64 row + float64 norm
 	}
+	return 4*dim + 8 // float32 row + float64 norm
 }
 
 // VecView is a precision-tagged, read-only view of one stored vector:
-// exactly one of F64, F32 or Code is set (matching the store's
+// exactly one of F32 or Code is set (matching the store's
 // precision). Views alias slab memory — valid only inside the
 // With/RangeShard/WithShard callback that produced them, which receive
 // a pointer to a stack-reused view (per-candidate struct copies would
 // otherwise dwarf a compressed row's payload on the scan hot path).
 type VecView struct {
-	F64  []float64 // F64 stores
 	F32  []float32 // F32 stores
 	Code []int8    // SQ8 stores: decode is Offset + Scale·Code[i]
 
@@ -151,25 +144,18 @@ func (s *Store) EncodeQuery(q []float64, dst *SQ8Query) {
 
 // Dim returns the vector's dimensionality.
 func (v *VecView) Dim() int {
-	switch {
-	case v.F64 != nil:
-		return len(v.F64)
-	case v.F32 != nil:
+	if v.F32 != nil {
 		return len(v.F32)
-	default:
-		return len(v.Code)
 	}
+	return len(v.Code)
 }
 
 // DequantizeInto reconstructs the vector into dst (len must equal
-// Dim): a copy for F64, a widening for F32, an SQ8 decode otherwise.
+// Dim): a widening for F32, an SQ8 decode otherwise.
 func (v *VecView) DequantizeInto(dst []float64) {
-	switch {
-	case v.F64 != nil:
-		copy(dst, v.F64)
-	case v.F32 != nil:
+	if v.F32 != nil {
 		vecmath.F32To64(dst, v.F32)
-	default:
+	} else {
 		vecmath.DecodeSQ8(dst, v.Code, v.Scale, v.Offset)
 	}
 }
@@ -193,7 +179,6 @@ type sq8Meta struct {
 type baseSection struct {
 	ids    []graph.NodeID
 	norms  []float64
-	vecs   []float64
 	vecs32 []float32
 	codes  []int8
 	meta   []sq8Meta
@@ -213,16 +198,15 @@ func (b *baseSection) liveLen() int { return len(b.ids) - b.deadN }
 
 // shard is one lock domain of the store: a dense slab of vectors with
 // an id→slot index. Deletes swap-remove so the slab stays dense.
-// Exactly one of vecs/vecs32/codes is populated, per store precision.
+// Exactly one of vecs32/codes is populated, per store precision.
 // Cold stores additionally carry a base: the dense slab then acts as
 // the delta overlay on top of the mapped image.
 type shard struct {
 	mu     sync.RWMutex
 	slot   map[graph.NodeID]int
 	ids    []graph.NodeID
-	norms  []float64 // F64/F32: L2 norms, maintained on write
-	vecs   []float64 // F64: row i is vecs[i*dim:(i+1)*dim]
-	vecs32 []float32 // F32
+	norms  []float64 // F32: L2 norms, maintained on write
+	vecs32 []float32 // F32: row i is vecs32[i*dim:(i+1)*dim]
 	codes  []int8    // SQ8
 	meta   []sq8Meta // SQ8
 	base   *baseSection
@@ -356,23 +340,18 @@ var viewPool = sync.Pool{New: func() any { return new(VecView) }}
 // and fillView only writes its own precision's fields.
 func getView() *VecView {
 	v := viewPool.Get().(*VecView)
-	v.F64, v.F32, v.Code = nil, nil, nil
+	v.F32, v.Code = nil, nil
 	return v
 }
 
-// New returns an empty full-precision (F64) store for dim-dimensional
-// vectors with the given shard count (DefaultShards when shards <= 0).
-func New(dim, shards int) (*Store, error) {
-	return NewPrecision(dim, shards, F64)
-}
-
-// NewPrecision is New with an explicit slab precision.
-func NewPrecision(dim, shards int, prec Precision) (*Store, error) {
+// New returns an empty store for dim-dimensional vectors at the given
+// slab precision and shard count (DefaultShards when shards <= 0).
+func New(dim, shards int, prec Precision) (*Store, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("embstore: dimension %d < 1", dim)
 	}
-	if prec != F64 && prec != F32 && prec != SQ8 {
-		return nil, fmt.Errorf("embstore: unknown precision %d", prec)
+	if prec != F32 && prec != SQ8 {
+		return nil, fmt.Errorf("embstore: unknown precision %d (want F32 or SQ8)", prec)
 	}
 	if shards <= 0 {
 		shards = DefaultShards
@@ -384,33 +363,17 @@ func NewPrecision(dim, shards int, prec Precision) (*Store, error) {
 	return s, nil
 }
 
-// FromMatrix builds an F64 store from an embedding matrix, assigning
-// row i to node ID i — the layout produced by Model.InferAll and every
-// baseline.
-func FromMatrix(emb *tensor.Matrix, shards int) (*Store, error) {
-	return FromMatrixPrecision(emb, shards, F64)
-}
-
-// FromMatrixPrecision is FromMatrix at an explicit precision; rows are
-// narrowed/quantized as they load.
-func FromMatrixPrecision(emb *tensor.Matrix, shards int, prec Precision) (*Store, error) {
-	s, err := NewPrecision(emb.Cols, shards, prec)
+// FromMatrix builds a store from an embedding matrix, assigning row i
+// to node ID i — the layout produced by Model.InferAll and every
+// baseline; rows are narrowed/quantized as they load. Its v3 snapshot
+// is the training→serving hand-off.
+func FromMatrix(emb *tensor.Matrix, shards int, prec Precision) (*Store, error) {
+	s, err := New(emb.Cols, shards, prec)
 	if err != nil {
 		return nil, err
 	}
 	s.BulkLoad(emb)
 	return s, nil
-}
-
-// FromModelSnapshotPrecision builds a store at the given precision
-// holding the raw embedding table of an ehna model snapshot (see
-// ehna.LoadEmbeddingTable).
-func FromModelSnapshotPrecision(r io.Reader, shards int, prec Precision) (*Store, error) {
-	emb, err := ehna.LoadEmbeddingTable(r)
-	if err != nil {
-		return nil, err
-	}
-	return FromMatrixPrecision(emb, shards, prec)
 }
 
 // Dim returns the vector dimensionality.
@@ -473,9 +436,6 @@ func (s *Store) fillView(sh *shard, slot int, v *VecView) {
 		m := &sh.meta[slot]
 		v.Code = sh.codes[slot*dim : (slot+1)*dim]
 		v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-	default:
-		v.F64 = sh.vecs[slot*dim : (slot+1)*dim]
-		v.Norm = sh.norms[slot]
 	}
 }
 
@@ -492,9 +452,6 @@ func (s *Store) fillBaseView(b *baseSection, slot int, v *VecView) {
 		m := &b.meta[slot]
 		v.Code = b.codes[slot*dim : (slot+1)*dim]
 		v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-	default:
-		v.F64 = b.vecs[slot*dim : (slot+1)*dim]
-		v.Norm = b.norms[slot]
 	}
 }
 
@@ -530,9 +487,6 @@ func (sh *shard) ensureSlot(s *Store, id graph.NodeID) int {
 	sh.slot[id] = slot
 	sh.ids = append(sh.ids, id)
 	switch s.prec {
-	case F64:
-		sh.vecs = extend(sh.vecs, s.dim)
-		sh.norms = append(sh.norms, 0)
 	case F32:
 		sh.vecs32 = extend(sh.vecs32, s.dim)
 		sh.norms = append(sh.norms, 0)
@@ -552,9 +506,6 @@ func (sh *shard) upsertLocked(s *Store, id graph.NodeID, vec []float64, norm flo
 	slot := sh.ensureSlot(s, id)
 	dim := s.dim
 	switch s.prec {
-	case F64:
-		copy(sh.vecs[slot*dim:(slot+1)*dim], vec)
-		sh.norms[slot] = norm
 	case F32:
 		vecmath.F64To32(sh.vecs32[slot*dim:(slot+1)*dim], vec)
 		sh.norms[slot] = norm
@@ -608,10 +559,6 @@ func (sh *shard) reserveLocked(s *Store, extra int) {
 		sh.ids = append(make([]graph.NodeID, 0, n), sh.ids...)
 	}
 	switch s.prec {
-	case F64:
-		if cap(sh.vecs) < n*s.dim {
-			sh.vecs = append(make([]float64, 0, n*s.dim), sh.vecs...)
-		}
 	case F32:
 		if cap(sh.vecs32) < n*s.dim {
 			sh.vecs32 = append(make([]float32, 0, n*s.dim), sh.vecs32...)
@@ -674,9 +621,6 @@ func (s *Store) Delete(id graph.NodeID) bool {
 		movedID := sh.ids[last]
 		sh.ids[slot] = movedID
 		switch s.prec {
-		case F64:
-			copy(sh.vecs[slot*dim:(slot+1)*dim], sh.vecs[last*dim:(last+1)*dim])
-			sh.norms[slot] = sh.norms[last]
 		case F32:
 			copy(sh.vecs32[slot*dim:(slot+1)*dim], sh.vecs32[last*dim:(last+1)*dim])
 			sh.norms[slot] = sh.norms[last]
@@ -688,9 +632,6 @@ func (s *Store) Delete(id graph.NodeID) bool {
 	}
 	sh.ids = sh.ids[:last]
 	switch s.prec {
-	case F64:
-		sh.vecs = sh.vecs[:last*dim]
-		sh.norms = sh.norms[:last]
 	case F32:
 		sh.vecs32 = sh.vecs32[:last*dim]
 		sh.norms = sh.norms[:last]
@@ -772,14 +713,6 @@ func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
 				return
 			}
 		}
-	default:
-		for slot, id := range sh.ids {
-			v.F64 = sh.vecs[slot*dim : (slot+1)*dim]
-			v.Norm = sh.norms[slot]
-			if !fn(id, v) {
-				return
-			}
-		}
 	}
 	b := sh.base
 	if b == nil {
@@ -808,17 +741,6 @@ func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
 			m := &b.meta[slot]
 			v.Code = b.codes[slot*dim : (slot+1)*dim]
 			v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-			if !fn(id, v) {
-				return
-			}
-		}
-	default:
-		for slot, id := range b.ids {
-			if b.maskedBase(id) {
-				continue
-			}
-			v.F64 = b.vecs[slot*dim : (slot+1)*dim]
-			v.Norm = b.norms[slot]
 			if !fn(id, v) {
 				return
 			}
@@ -886,36 +808,11 @@ func (s *Store) ApplyWAL(r wal.Record) error {
 // viewEqual compares two same-precision views representation-for-
 // representation (bit-identical lanes/codes and sidecars).
 func viewEqual(a, b *VecView) bool {
-	switch {
-	case a.F64 != nil:
-		if b.F64 == nil {
-			return false
-		}
-		for i := range a.F64 {
-			if a.F64[i] != b.F64[i] {
-				return false
-			}
-		}
-	case a.F32 != nil:
-		if b.F32 == nil {
-			return false
-		}
-		for i := range a.F32 {
-			if a.F32[i] != b.F32[i] {
-				return false
-			}
-		}
-	default:
-		if b.Code == nil || a.Scale != b.Scale || a.Offset != b.Offset {
-			return false
-		}
-		for i := range a.Code {
-			if a.Code[i] != b.Code[i] {
-				return false
-			}
-		}
+	if a.F32 != nil {
+		return a.Norm == b.Norm && slices.Equal(a.F32, b.F32)
 	}
-	return a.Norm == b.Norm
+	return a.Norm == b.Norm && a.Scale == b.Scale && a.Offset == b.Offset &&
+		slices.Equal(a.Code, b.Code)
 }
 
 // Equal reports whether two stores hold identical contents (same IDs,

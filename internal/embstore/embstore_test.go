@@ -9,18 +9,16 @@ import (
 	"sync"
 	"testing"
 
-	"ehna/internal/ehna"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
-	"ehna/internal/testutil"
 	"ehna/internal/wal"
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 4); err == nil {
+	if _, err := New(0, 4, F32); err == nil {
 		t.Fatal("dim 0 accepted")
 	}
-	s, err := New(3, 0)
+	s, err := New(3, 0, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +28,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestUpsertGetDelete(t *testing.T) {
-	s, err := New(3, 4)
+	s, err := New(3, 4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,7 @@ func TestUpsertGetDelete(t *testing.T) {
 func TestBulkLoadCoversAllRowsAndShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	emb := tensor.Randn(257, 5, 1, rng)
-	s, err := FromMatrix(emb, 8)
+	s, err := FromMatrix(emb, 8, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +81,8 @@ func TestBulkLoadCoversAllRowsAndShards(t *testing.T) {
 			t.Fatalf("node %d missing", i)
 		}
 		for j, x := range v {
-			if x != emb.At(i, j) {
-				t.Fatalf("node %d dim %d: %g != %g", i, j, x, emb.At(i, j))
+			if want := float64(float32(emb.At(i, j))); x != want {
+				t.Fatalf("node %d dim %d: %g != %g", i, j, x, want)
 			}
 		}
 	}
@@ -100,7 +98,7 @@ func TestBulkLoadCoversAllRowsAndShards(t *testing.T) {
 }
 
 func TestWithReportsMaintainedNorm(t *testing.T) {
-	s, _ := New(3, 2)
+	s, _ := New(3, 2, F32)
 	_ = s.Upsert(4, []float64{3, 4, 0})
 	var norm float64
 	if !s.With(4, func(v *VecView) { norm = v.Norm }) {
@@ -117,7 +115,7 @@ func TestWithReportsMaintainedNorm(t *testing.T) {
 }
 
 func TestIDsSorted(t *testing.T) {
-	s, _ := New(1, 4)
+	s, _ := New(1, 4, F32)
 	for _, id := range []graph.NodeID{42, 7, 19, 3} {
 		_ = s.Upsert(id, []float64{1})
 	}
@@ -136,7 +134,7 @@ func TestIDsSorted(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	emb := tensor.Randn(50, 4, 1, rng)
-	s, err := FromMatrix(emb, 4)
+	s, err := FromMatrix(emb, 4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,39 +193,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFromModelSnapshot(t *testing.T) {
-	g := testutil.TwoCommunities(8, 0.6, 3)
-	cfg := ehna.DefaultConfig()
-	cfg.Dim = 6
-	cfg.Epochs = 1
-	cfg.Walk.NumWalks = 2
-	cfg.Walk.WalkLen = 3
-	m, err := ehna.NewModel(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := FromModelSnapshotPrecision(&buf, 4, F64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != g.NumNodes() || s.Dim() != cfg.Dim {
-		t.Fatalf("store %d×%d, want %d×%d", s.Len(), s.Dim(), g.NumNodes(), cfg.Dim)
-	}
-	raw := m.RawEmbeddings()
-	v, _ := s.Get(0)
-	for j := range v {
-		if v[j] != raw.At(0, j) {
-			t.Fatal("store row 0 differs from raw embedding table")
-		}
-	}
-}
-
 func TestConcurrentMixedAccess(t *testing.T) {
-	s, _ := New(8, 8)
+	s, _ := New(8, 8, F32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -255,7 +222,7 @@ func TestConcurrentMixedAccess(t *testing.T) {
 }
 
 func TestWithShardBatchLookup(t *testing.T) {
-	s, err := New(4, 8)
+	s, err := New(4, 8, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +241,9 @@ func TestWithShardBatchLookup(t *testing.T) {
 	for si, ids := range groups {
 		// Include a missing ID: it must be skipped, not panic.
 		s.WithShard(si, append(ids, graph.NodeID(10_000+si)), func(id graph.NodeID, v *VecView) {
-			seen[id] = v.F64[0]
-			if v.Norm != v.F64[0] {
-				t.Errorf("id %d: norm %g want %g", id, v.Norm, v.F64[0])
+			seen[id] = float64(v.F32[0])
+			if v.Norm != seen[id] {
+				t.Errorf("id %d: norm %g want %g", id, v.Norm, seen[id])
 			}
 		})
 	}
@@ -293,7 +260,7 @@ func TestWithShardBatchLookup(t *testing.T) {
 // TestSnapshotWatermarkRoundTrip: SaveSnapshotV3 stamps a watermark and
 // every loader hands it back, at the native or a converted precision.
 func TestSnapshotWatermarkRoundTrip(t *testing.T) {
-	s, err := New(2, 4)
+	s, err := New(2, 4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,17 +302,17 @@ func TestApplyWAL(t *testing.T) {
 			}
 		}
 	}
-	want, _ := New(2, 4)
+	want, _ := New(2, 4, F32)
 	_ = want.Upsert(2, []float64{5, 5})
 
-	once, _ := New(2, 4)
+	once, _ := New(2, 4, F32)
 	apply(once, 0)
 	if !once.Equal(want) {
 		t.Fatal("ApplyWAL diverged from direct mutation")
 	}
 	// A store already holding records 1-2 reconverges when the full log
 	// replays over it (snapshot bleed-in case).
-	bled, _ := New(2, 3)
+	bled, _ := New(2, 3, F32)
 	apply(bled, 0)
 	apply(bled, 0)
 	if !bled.Equal(want) {
@@ -359,8 +326,8 @@ func TestApplyWAL(t *testing.T) {
 // TestStoreEqual covers the comparison helper the crash-recovery
 // harness relies on.
 func TestStoreEqual(t *testing.T) {
-	a, _ := New(2, 4)
-	b, _ := New(2, 7) // shard count must not matter
+	a, _ := New(2, 4, F32)
+	b, _ := New(2, 7, F32) // shard count must not matter
 	for i := graph.NodeID(0); i < 20; i++ {
 		v := []float64{float64(i), -float64(i)}
 		_ = a.Upsert(i, v)
@@ -381,7 +348,7 @@ func TestStoreEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("missing id undetected")
 	}
-	c, _ := New(3, 4)
+	c, _ := New(3, 4, F32)
 	if a.Equal(c) {
 		t.Fatal("dimension mismatch undetected")
 	}

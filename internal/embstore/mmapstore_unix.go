@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-
-	"ehna/internal/graph"
 )
 
 // OpenMmap opens the v3 snapshot at path as a cold store, returning the
@@ -23,7 +21,8 @@ import (
 // again afterwards so the post-boot resident set starts near zero).
 // Vector-slab sections are advised MADV_RANDOM: re-rank touches
 // arbitrary rows and sequential readahead would just evict hotter
-// pages.
+// pages. A legacy float64 snapshot cannot be served in place:
+// ErrF64Snapshot.
 func OpenMmap(path string) (*Store, uint64, error) {
 	if !hostLittleEndian {
 		return nil, 0, fmt.Errorf("embstore: v3 snapshots require a little-endian host")
@@ -32,7 +31,11 @@ func OpenMmap(path string) (*Store, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	s, err := NewPrecision(l.dim, l.shards, l.prec)
+	if l.prec == legacyF64 {
+		syscall.Munmap(data)
+		return nil, 0, fmt.Errorf("embstore: mmap open %s: %w", path, ErrF64Snapshot)
+	}
+	s, err := New(l.dim, l.shards, l.prec)
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, 0, err
@@ -115,34 +118,7 @@ func (s *Store) Remap(path string) error {
 		return fmt.Errorf("embstore: remap %s: dim/precision/shards %d/%s/%d, store has %d/%s/%d",
 			path, l.dim, l.prec, l.shards, s.dim, s.prec, len(s.shards))
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		idsSec, paySec, extraSec := l.shardSections(i)
-		b := &baseSection{ids: castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length])}
-		pay := data[paySec.off : paySec.off+paySec.length]
-		extra := data[extraSec.off : extraSec.off+extraSec.length]
-		switch s.prec {
-		case F64:
-			b.vecs = castSlice[float64](pay)
-			b.norms = castSlice[float64](extra)
-		case F32:
-			b.vecs32 = castSlice[float32](pay)
-			b.norms = castSlice[float64](extra)
-		case SQ8:
-			b.codes = castSlice[int8](pay)
-			b.meta = castSlice[sq8Meta](extra)
-		}
-		sh.base = b
-		clear(sh.slot)
-		sh.ids = sh.ids[:0]
-		sh.vecs = sh.vecs[:0]
-		sh.vecs32 = sh.vecs32[:0]
-		sh.codes = sh.codes[:0]
-		sh.norms = sh.norms[:0]
-		sh.meta = sh.meta[:0]
-		sh.mu.Unlock()
-	}
+	s.attachColdBase(l, data)
 	s.cold.Store(&coldInfo{path: path, data: data, payloadBytes: l.payloadBytes()})
 	// Every shard has cycled through its write lock above, so no reader
 	// still holds a view into the old mapping (views never outlive the

@@ -2,6 +2,8 @@ package embstore
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -15,34 +17,35 @@ import (
 	"ehna/internal/vecmath"
 )
 
-var allPrecisions = []Precision{F64, F32, SQ8}
+var allPrecisions = []Precision{F32, SQ8}
 
 // maxLaneErr is the acceptable |stored − original| per lane for a
 // precision, given the vector it encodes.
 func maxLaneErr(p Precision, v *VecView, orig []float64) float64 {
-	switch p {
-	case F64:
-		return 0
-	case F32:
+	if p == F32 {
 		m := 0.0
 		for _, x := range orig {
 			m = math.Max(m, math.Abs(x))
 		}
 		return m * 1e-6
-	default:
-		return v.Scale/2 + 1e-9*(math.Abs(v.Offset)+256*v.Scale+1)
 	}
+	return v.Scale/2 + 1e-9*(math.Abs(v.Offset)+256*v.Scale+1)
 }
 
 // TestPrecisionRoundTrip: upsert → Get reconstructs within the
 // precision's lane bound, norms carry the original value, deletes
 // swap-remove correctly, for every layout.
 func TestPrecisionRoundTrip(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		if _, err := New(9, 4, legacyF64); err == nil {
+			t.Fatal("New built a float64 store")
+		}
+	})
 	for _, p := range allPrecisions {
 		t.Run(p.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			const dim, n = 9, 137
-			s, err := NewPrecision(dim, 4, p)
+			s, err := New(dim, 4, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,9 +118,16 @@ func TestPrecisionRoundTrip(t *testing.T) {
 func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	emb := tensor.Randn(100, 8, 1, rng)
+	// A legacy float64 snapshot has no native store to load into.
+	t.Run("f64", func(t *testing.T) {
+		path, _ := legacyF64Fixture(t)
+		if _, _, err := LoadSnapshotV3(path, 7); !errors.Is(err, ErrF64Snapshot) {
+			t.Fatalf("LoadSnapshotV3(f64 fixture): err = %v, want ErrF64Snapshot", err)
+		}
+	})
 	for _, p := range allPrecisions {
 		t.Run(p.String(), func(t *testing.T) {
-			s, err := FromMatrixPrecision(emb, 4, p)
+			s, err := FromMatrix(emb, 4, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,55 +153,128 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrossPrecisionLoad: a snapshot written at any precision loads
-// into a store of any other precision, reconstructing within the
-// coarser precision's bound and preserving original norms.
+// legacyF64Watermark is the WAL watermark the f64 fixture is stamped with.
+const legacyF64Watermark = 17
+
+// sourceRow is one vector of a snapshot under test: what was upserted,
+// and the norm the snapshot carries for it.
+type sourceRow struct {
+	ID     graph.NodeID `json:"id"`
+	Vector []float64    `json:"vector"`
+	norm   float64
+}
+
+// legacyF64Fixture returns testdata/f64.snap — a one-shard float64 v3
+// snapshot written by SaveSnapshotV3 at the last commit whose stores
+// could be f64 — and the rows upserted into it (testdata/f64.json, in
+// the file's ascending-id order), one of them the zero vector.
+func legacyF64Fixture(t testing.TB) (string, []sourceRow) {
+	t.Helper()
+	path := filepath.Join("testdata", "f64.snap")
+	raw, err := os.ReadFile(filepath.Join("testdata", "f64.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []sourceRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := parseV3(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.prec != legacyF64 || l.shards != 1 || l.count != uint64(len(rows)) || l.watermark != legacyF64Watermark {
+		t.Fatalf("fixture header: precision tag %d, %d shards, %d rows, watermark %d", int(l.prec), l.shards, l.count, l.watermark)
+	}
+	idsSec, _, normSec := l.shardSections(0)
+	ids := castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length])
+	norms := castSlice[float64](data[normSec.off : normSec.off+normSec.length])
+	for i := range rows {
+		if ids[i] != rows[i].ID {
+			t.Fatalf("fixture row %d: id %d in the snapshot, %d in the list", i, ids[i], rows[i].ID)
+		}
+		rows[i].norm = norms[i]
+	}
+	return path, rows
+}
+
+// TestCrossPrecisionLoad: a snapshot written at any precision — the
+// legacy float64 layout included — loads into a store of either
+// serving precision with no id lost, reconstructing within the two
+// precisions' lane bounds and preserving original norms; a float64
+// store is not something it can load into any more.
 func TestCrossPrecisionLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	emb := tensor.Randn(60, 6, 1, rng)
+	type source struct {
+		name      string
+		path      string
+		watermark uint64
+		rows      []sourceRow
+		laneErr   func(id graph.NodeID, orig []float64) float64 // what the source encoding already lost
+	}
+	fixture, fixtureRows := legacyF64Fixture(t)
+	sources := []source{{"f64", fixture, legacyF64Watermark, fixtureRows,
+		func(graph.NodeID, []float64) float64 { return 0 }}}
 	for _, from := range allPrecisions {
+		src, err := FromMatrix(emb, 4, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]sourceRow, emb.Rows)
+		for i := range rows {
+			rows[i] = sourceRow{ID: graph.NodeID(i), Vector: emb.Row(i)}
+			src.With(rows[i].ID, func(v *VecView) { rows[i].norm = v.Norm })
+		}
+		sources = append(sources, source{from.String(), writeV3(t, src, 99), 99, rows,
+			func(id graph.NodeID, orig []float64) (bound float64) {
+				src.With(id, func(v *VecView) { bound = maxLaneErr(from, v, orig) })
+				return bound
+			}})
+	}
+	for _, src := range sources {
+		t.Run(src.name+"->f64", func(t *testing.T) {
+			if _, _, err := LoadSnapshotV3At(src.path, 4, legacyF64); err == nil {
+				t.Fatal("loaded into a float64 store")
+			}
+		})
 		for _, to := range allPrecisions {
-			t.Run(from.String()+"->"+to.String(), func(t *testing.T) {
-				src, err := FromMatrixPrecision(emb, 4, from)
+			t.Run(src.name+"->"+to.String(), func(t *testing.T) {
+				dst, wm, err := LoadSnapshotV3At(src.path, 4, to)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dst, wm, err := LoadSnapshotV3At(writeV3(t, src, 99), 4, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wm != 99 {
+				if wm != src.watermark {
 					t.Fatalf("watermark %d", wm)
 				}
 				if dst.Precision() != to {
 					t.Fatalf("precision %v want %v", dst.Precision(), to)
 				}
-				if dst.Len() != src.Len() {
-					t.Fatalf("len %d want %d", dst.Len(), src.Len())
+				if dst.Len() != len(src.rows) {
+					t.Fatalf("len %d want %d", dst.Len(), len(src.rows))
 				}
 				// Each vector must reconstruct within the sum of both
 				// precisions' lane bounds, and norms must survive the trip
 				// bit-exact (they ride the sidecar, not the codes).
-				for i := 0; i < emb.Rows; i++ {
-					id := graph.NodeID(i)
-					orig := emb.Row(i)
-					got, ok := dst.Get(id)
+				for _, row := range src.rows {
+					got, ok := dst.Get(row.ID)
 					if !ok {
-						t.Fatalf("id %d missing", id)
+						t.Fatalf("id %d missing", row.ID)
 					}
-					var bound float64
-					src.With(id, func(v *VecView) { bound += maxLaneErr(from, v, orig) })
-					dst.With(id, func(v *VecView) {
-						bound += maxLaneErr(to, v, orig)
-						var srcNorm float64
-						src.With(id, func(sv *VecView) { srcNorm = sv.Norm })
-						if v.Norm != srcNorm {
-							t.Fatalf("id %d: norm %g want %g", id, v.Norm, srcNorm)
+					bound := src.laneErr(row.ID, row.Vector)
+					dst.With(row.ID, func(v *VecView) {
+						bound += maxLaneErr(to, v, row.Vector)
+						if v.Norm != row.norm {
+							t.Fatalf("id %d: norm %g want %g", row.ID, v.Norm, row.norm)
 						}
 					})
-					for j := range orig {
-						if d := math.Abs(got[j] - orig[j]); d > bound {
-							t.Fatalf("id %d lane %d: err %g > %g", id, j, d, bound)
+					for j, x := range row.Vector {
+						if d := math.Abs(got[j] - x); d > bound {
+							t.Fatalf("id %d lane %d: err %g > %g", row.ID, j, d, bound)
 						}
 					}
 				}
@@ -209,7 +292,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 func TestCorruptSnapshotRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	emb := tensor.Randn(20, 4, 1, rng)
-	src, err := FromMatrixPrecision(emb, 2, SQ8)
+	src, err := FromMatrix(emb, 2, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +356,6 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 // TestBytesPerVector documents the footprint the compressed plane is
 // buying at the README's reference dimension.
 func TestBytesPerVector(t *testing.T) {
-	if got := F64.BytesPerVector(128); got != 1032 {
-		t.Fatalf("f64: %d", got)
-	}
 	if got := F32.BytesPerVector(128); got != 520 {
 		t.Fatalf("f32: %d", got)
 	}
@@ -286,7 +366,7 @@ func TestBytesPerVector(t *testing.T) {
 
 // TestParsePrecision covers the flag spellings.
 func TestParsePrecision(t *testing.T) {
-	for in, want := range map[string]Precision{"f64": F64, "f32": F32, "sq8": SQ8, "float32": F32, "int8": SQ8, "": F64} {
+	for in, want := range map[string]Precision{"f32": F32, "sq8": SQ8, "float32": F32, "int8": SQ8, "": 0} {
 		got, err := ParsePrecision(in)
 		if err != nil || got != want {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", in, got, err)
@@ -295,6 +375,11 @@ func TestParsePrecision(t *testing.T) {
 	if _, err := ParsePrecision("f16"); err == nil {
 		t.Fatal("ParsePrecision(f16) succeeded")
 	}
+	// f64 stopped being a serving precision; the message is the one
+	// ehnad -precision f64 fails boot with.
+	if _, err := ParsePrecision("f64"); err == nil || !strings.Contains(err.Error(), `unknown precision "f64" (want f32 or sq8)`) {
+		t.Fatalf("ParsePrecision(f64): %v", err)
+	}
 }
 
 // TestEqualAcrossPrecisions: stores of different precisions are never
@@ -302,9 +387,9 @@ func TestParsePrecision(t *testing.T) {
 func TestEqualAcrossPrecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	emb := tensor.Randn(10, 4, 1, rng)
-	a, _ := FromMatrixPrecision(emb, 2, F64)
-	b, _ := FromMatrixPrecision(emb, 2, F32)
+	a, _ := FromMatrix(emb, 2, F32)
+	b, _ := FromMatrix(emb, 2, SQ8)
 	if a.Equal(b) {
-		t.Fatal("f64 store Equal f32 store")
+		t.Fatal("f32 store Equal sq8 store")
 	}
 }

@@ -13,7 +13,7 @@
 //	  [0:8)   magic "EHNASNP3"
 //	  [8:12)  version u32 = 3
 //	  [12:16) dim u32
-//	  [16:20) precision u32 (Precision enum)
+//	  [16:20) precision u32 (Precision enum; 0 = legacy float64)
 //	  [20:24) shard count u32
 //	  [24:32) vector count u64
 //	  [32:40) WAL watermark u64
@@ -23,8 +23,8 @@
 //	  [56:60) reserved u32 = 0
 //	  [60:64) CRC32C of bytes [0:60)
 //	sections, each padded to the section alignment:
-//	  per shard, in shard order: ids | payload | norms (f64/f32) or
-//	  sq8 sidecar (sq8)
+//	  per shard, in shard order: ids | payload | norms (f32) or sq8
+//	  sidecar (sq8)
 //	section table: sectionCount × 40 B entries, then CRC32C of the
 //	  entry bytes
 //	  entry: kind u32 | shard u32 | rows u64 | offset u64 | length u64 |
@@ -80,6 +80,16 @@ var v3CRC = crc32.MakeTable(crc32.Castagnoli)
 // v3 format, a model checkpoint), not a damaged v3 snapshot.
 var ErrNotV3Snapshot = errors.New("not a v3 snapshot")
 
+// legacyF64 is the header tag of the float64 layout (8-byte lanes,
+// float64 norms) that versions before the two-precision store wrote by
+// default. No store serves it; LoadSnapshotV3At narrows it.
+const legacyF64 Precision = 0
+
+// ErrF64Snapshot is wrapped by LoadSnapshotV3 and OpenMmap — the
+// loaders that keep a snapshot's own layout — for a valid legacy
+// float64 snapshot. LoadSnapshotV3At converts one to F32 or SQ8.
+var ErrF64Snapshot = errors.New("legacy float64 snapshot: convert it by loading at f32 or sq8")
+
 // The casting loaders and writer reinterpret slab memory as raw bytes,
 // so the on-disk format inherits the host byte order; it is defined as
 // little-endian and refused elsewhere.
@@ -122,7 +132,7 @@ func v3PayloadRow(prec Precision, dim int) int {
 		return 4 * dim
 	case SQ8:
 		return dim
-	default:
+	default: // legacyF64
 		return 8 * dim
 	}
 }
@@ -237,7 +247,7 @@ func parseV3(data []byte) (*v3Layout, error) {
 	if l.dim < 1 || l.dim > 1<<20 {
 		return fail("dim %d out of range", l.dim)
 	}
-	if l.prec != F64 && l.prec != F32 && l.prec != SQ8 {
+	if l.prec != legacyF64 && l.prec != F32 && l.prec != SQ8 {
 		return fail("unknown precision %d", int(l.prec))
 	}
 	if l.shards < 1 || l.shards > 1<<16 {
@@ -486,12 +496,6 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 					src = sh.base.codes
 				}
 				vw.write(sliceBytes(src[slot*dim : (slot+1)*dim]))
-			default:
-				src := sh.vecs
-				if r.inBase {
-					src = sh.base.vecs
-				}
-				vw.write(sliceBytes(src[slot*dim : (slot+1)*dim]))
 			}
 		}
 		end(sec)
@@ -567,22 +571,29 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 
 // LoadSnapshotV3 reads a v3 snapshot into a heap-resident store at the
 // snapshot's native precision, returning the WAL watermark it was
-// stamped with.
+// stamped with. A legacy float64 snapshot has no native store:
+// ErrF64Snapshot.
 func LoadSnapshotV3(path string, shards int) (*Store, uint64, error) {
-	return loadSnapshotV3(path, shards, nil)
+	return loadSnapshotV3(path, shards, 0)
 }
 
-// LoadSnapshotV3At is LoadSnapshotV3 at an explicit target precision,
-// regardless of the precision the snapshot was written in. Same-
-// precision loads are lossless (bit-identical slabs); cross-precision
-// loads dequantize each row and re-encode it on the way in, carrying
-// the original norm along — the convert-on-boot path that lets an f64
-// snapshot seed an sq8 daemon (and vice versa).
+// LoadSnapshotV3At is LoadSnapshotV3 at an explicit target precision
+// (F32 or SQ8), regardless of the precision the snapshot was written
+// in. Same-precision loads are lossless (bit-identical slabs); cross-
+// precision loads dequantize each row and re-encode it on the way in,
+// carrying the original norm along — the convert-on-boot path that
+// lets an f32 snapshot seed an sq8 daemon (and vice versa), and the
+// only way in for a legacy float64 one.
 func LoadSnapshotV3At(path string, shards int, prec Precision) (*Store, uint64, error) {
-	return loadSnapshotV3(path, shards, &prec)
+	if prec != F32 && prec != SQ8 {
+		return nil, 0, fmt.Errorf("embstore: v3 load: unknown precision %d (want F32 or SQ8)", prec)
+	}
+	return loadSnapshotV3(path, shards, prec)
 }
 
-func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, error) {
+// loadSnapshotV3 loads at target; the zero target is the snapshot's own
+// precision.
+func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, error) {
 	if !hostLittleEndian {
 		return nil, 0, fmt.Errorf("embstore: v3 snapshots require a little-endian host")
 	}
@@ -597,11 +608,13 @@ func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, e
 	if err := l.verifySections(data); err != nil {
 		return nil, 0, err
 	}
-	target := l.prec
-	if prec != nil {
-		target = *prec
+	if target == 0 {
+		if l.prec == legacyF64 {
+			return nil, 0, fmt.Errorf("embstore: v3 load %s: %w", path, ErrF64Snapshot)
+		}
+		target = l.prec
 	}
-	s, err := NewPrecision(l.dim, shards, target)
+	s, err := New(l.dim, shards, target)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -625,9 +638,6 @@ func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, e
 				sh.mu.Lock()
 				slot := sh.ensureSlot(s, id)
 				switch l.prec {
-				case F64:
-					copy(sh.vecs[slot*dim:(slot+1)*dim], castSlice[float64](row))
-					sh.norms[slot] = castSlice[float64](extra)[r]
 				case F32:
 					copy(sh.vecs32[slot*dim:(slot+1)*dim], castSlice[float32](row))
 					sh.norms[slot] = castSlice[float64](extra)[r]
@@ -640,7 +650,7 @@ func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, e
 			}
 			var norm float64
 			switch l.prec {
-			case F64:
+			case legacyF64:
 				copy(buf, castSlice[float64](row))
 				norm = castSlice[float64](extra)[r]
 			case F32:
@@ -663,13 +673,14 @@ func loadSnapshotV3(path string, shards int, prec *Precision) (*Store, uint64, e
 }
 
 // attachColdBase points every shard's base at the mapped image and
-// resets the overlays: the structural half of an mmap open or a
-// rotation fold, shared by OpenMmap (no contention possible yet) and
-// Remap (which wraps it in the shard locks). The caller owns locking
-// and the lifetime of data.
+// resets the overlays: the structural half of an mmap open (OpenMmap,
+// where the locks are uncontended) and of a rotation fold (Remap,
+// where each shard flips under its write lock while readers keep
+// working). The caller owns the lifetime of data.
 func (s *Store) attachColdBase(l *v3Layout, data []byte) {
 	for i := range s.shards {
 		sh := &s.shards[i]
+		sh.mu.Lock()
 		idsSec, paySec, extraSec := l.shardSections(i)
 		b := &baseSection{
 			ids: castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length]),
@@ -677,9 +688,6 @@ func (s *Store) attachColdBase(l *v3Layout, data []byte) {
 		pay := data[paySec.off : paySec.off+paySec.length]
 		extra := data[extraSec.off : extraSec.off+extraSec.length]
 		switch s.prec {
-		case F64:
-			b.vecs = castSlice[float64](pay)
-			b.norms = castSlice[float64](extra)
 		case F32:
 			b.vecs32 = castSlice[float32](pay)
 			b.norms = castSlice[float64](extra)
@@ -688,15 +696,13 @@ func (s *Store) attachColdBase(l *v3Layout, data []byte) {
 			b.meta = castSlice[sq8Meta](extra)
 		}
 		sh.base = b
-		if len(sh.slot) > 0 {
-			clear(sh.slot)
-		}
+		clear(sh.slot)
 		sh.ids = sh.ids[:0]
-		sh.vecs = sh.vecs[:0]
 		sh.vecs32 = sh.vecs32[:0]
 		sh.codes = sh.codes[:0]
 		sh.norms = sh.norms[:0]
 		sh.meta = sh.meta[:0]
+		sh.mu.Unlock()
 	}
 }
 

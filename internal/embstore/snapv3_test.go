@@ -50,9 +50,28 @@ func writeV3(t testing.TB, s *Store, watermark uint64) string {
 }
 
 func TestV3RoundTrip(t *testing.T) {
-	for _, prec := range []Precision{F64, F32, SQ8} {
+	// A legacy float64 image round-trips through its one way in: converted
+	// on load, it saves as an ordinary f32 snapshot, watermark kept.
+	t.Run("f64", func(t *testing.T) {
+		path, rows := legacyF64Fixture(t)
+		s, wm, err := LoadSnapshotV3At(path, 5, F32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, wm2, err := LoadSnapshotV3(writeV3(t, s, wm), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wm != legacyF64Watermark || wm2 != wm {
+			t.Fatalf("watermarks %d, %d; want %d", wm, wm2, legacyF64Watermark)
+		}
+		if got.Precision() != F32 || got.Len() != len(rows) || !got.Equal(s) {
+			t.Fatalf("re-saved fixture: %s, %d rows, equal=%v", got.Precision(), got.Len(), got.Equal(s))
+		}
+	})
+	for _, prec := range allPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			s, err := NewPrecision(7, 5, prec)
+			s, err := New(7, 5, prec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +97,7 @@ func TestV3RoundTrip(t *testing.T) {
 }
 
 func TestV3EmptyStore(t *testing.T) {
-	s, err := NewPrecision(4, 3, SQ8)
+	s, err := New(4, 3, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,27 +112,22 @@ func TestV3EmptyStore(t *testing.T) {
 }
 
 func TestV3CrossPrecisionLoad(t *testing.T) {
-	src, err := NewPrecision(6, 4, F64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillRandom(t, src, 200, 2)
-	path := writeV3(t, src, 0)
-
-	for _, target := range []Precision{F32, SQ8} {
+	// The full-precision source is the legacy float64 fixture: its rows
+	// are the original vectors, bit for bit.
+	path, rows := legacyF64Fixture(t)
+	for _, target := range allPrecisions {
 		got, _, err := LoadSnapshotV3At(path, 4, target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Precision() != target || got.Len() != src.Len() {
+		if got.Precision() != target || got.Len() != len(rows) {
 			t.Fatalf("%s: prec=%s len=%d", target, got.Precision(), got.Len())
 		}
 		// The converted store must equal a direct conversion through
 		// the upsert path.
-		want, _ := NewPrecision(6, 4, target)
-		for _, id := range src.IDs() {
-			vec, _ := src.Get(id)
-			if err := want.Upsert(id, vec); err != nil {
+		want, _ := New(len(rows[0].Vector), 4, target)
+		for _, row := range rows {
+			if err := want.upsertNorm(row.ID, row.Vector, row.norm); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -146,7 +160,7 @@ func corruptV3(t *testing.T, path string, off int64) string {
 // demands: a bit flip in the header, the section table, and every
 // section body must be rejected at open — by both loaders.
 func TestV3CorruptionRejected(t *testing.T) {
-	s, err := NewPrecision(4, 2, SQ8)
+	s, err := New(4, 2, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +233,7 @@ func TestV3CorruptionRejected(t *testing.T) {
 // bytes must never panic, and anything parseV3 accepts must survive
 // verifySections without faulting.
 func FuzzV3Parse(f *testing.F) {
-	s, err := NewPrecision(3, 2, SQ8)
+	s, err := New(3, 2, SQ8)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -252,7 +266,7 @@ func FuzzV3Parse(f *testing.F) {
 }
 
 func BenchmarkV3Save(b *testing.B) {
-	s, err := NewPrecision(64, 0, SQ8)
+	s, err := New(64, 0, SQ8)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import "os"
 // float kernels, not the SQ8 set) reuse the same wrapper code.
 var (
 	simd64  bool // Dot, SqDist
-	simd32  bool // Dot32, SqDist32 (and CosineWithNorms32 through Dot32)
-	simdSQ8 bool // DotSQ8, SqDistSQ8
+	simd32  bool // Dot32
+	simdSQ8 bool // DotSQ8
 	simdSym bool // DotSQ8Sym
 	simdEnc bool // EncodeSQ8 (min/max + quantize passes)
 
@@ -42,17 +42,11 @@ func sqDistSIMD(a, b []float64) float64
 //go:noescape
 func dot32SIMD(a, b []float32) float64
 
-//go:noescape
-func sqDist32SIMD(a, b []float32) float64
-
 // dotSQ8RawSIMD returns the raw Σ q[i]·code[i] sum; the wrapper
 // applies the scale/offset affine correction.
 //
 //go:noescape
 func dotSQ8RawSIMD(q []float64, code []int8) float64
-
-//go:noescape
-func sqDistSQ8SIMD(q []float64, code []int8, scale, offset float64) float64
 
 // dotSQ8SymRawSIMD returns the raw int32 Σ ac[i]·bc[i] code dot; the
 // wrapper applies the affine combination of the two codebooks.

@@ -6,8 +6,8 @@ import "os"
 
 // arm64: ASIMD (NEON) is mandatory in ARMv8, so there is no CPU probe
 // — only the env kill switch. NEON coverage is the float kernel set
-// (Dot/SqDist and their f32 siblings, which carry HNSW beam traffic on
-// f64/f32 stores plus training); the SQ8 integer family stays on the
+// (Dot/SqDist for training and Dot32, which carries HNSW beam traffic
+// on f32 stores); the SQ8 integer family stays on the
 // scalar fallback until the widening-multiply kernels land.
 var (
 	simd64  bool
@@ -36,13 +36,9 @@ func sqDistSIMD(a, b []float64) float64
 //go:noescape
 func dot32SIMD(a, b []float32) float64
 
-//go:noescape
-func sqDist32SIMD(a, b []float32) float64
-
 // Unreachable: the SQ8 flags above are never set on arm64.
-func dotSQ8RawSIMD(q []float64, code []int8) float64               { panic("vecmath: no neon sq8") }
-func sqDistSQ8SIMD(q []float64, code []int8, s, o float64) float64 { panic("vecmath: no neon sq8") }
-func dotSQ8SymRawSIMD(ac, bc []int8) int32                         { panic("vecmath: no neon sq8") }
+func dotSQ8RawSIMD(q []float64, code []int8) float64 { panic("vecmath: no neon sq8") }
+func dotSQ8SymRawSIMD(ac, bc []int8) int32           { panic("vecmath: no neon sq8") }
 func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
 	panic("vecmath: no neon sq8")
 }

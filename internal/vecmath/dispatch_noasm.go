@@ -15,13 +15,11 @@ const (
 
 var backendName = "scalar"
 
-func dotSIMD(a, b []float64) float64                               { panic("vecmath: no simd backend") }
-func sqDistSIMD(a, b []float64) float64                            { panic("vecmath: no simd backend") }
-func dot32SIMD(a, b []float32) float64                             { panic("vecmath: no simd backend") }
-func sqDist32SIMD(a, b []float32) float64                          { panic("vecmath: no simd backend") }
-func dotSQ8RawSIMD(q []float64, code []int8) float64               { panic("vecmath: no simd backend") }
-func sqDistSQ8SIMD(q []float64, code []int8, s, o float64) float64 { panic("vecmath: no simd backend") }
-func dotSQ8SymRawSIMD(ac, bc []int8) int32                         { panic("vecmath: no simd backend") }
+func dotSIMD(a, b []float64) float64                 { panic("vecmath: no simd backend") }
+func sqDistSIMD(a, b []float64) float64              { panic("vecmath: no simd backend") }
+func dot32SIMD(a, b []float32) float64               { panic("vecmath: no simd backend") }
+func dotSQ8RawSIMD(q []float64, code []int8) float64 { panic("vecmath: no simd backend") }
+func dotSQ8SymRawSIMD(ac, bc []int8) int32           { panic("vecmath: no simd backend") }
 func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
 	panic("vecmath: no simd backend")
 }

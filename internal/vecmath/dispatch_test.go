@@ -71,16 +71,10 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 				if got, want := dot32SIMD(x, y), dot32Scalar(x, y); !relClose(got, want, 1e-4) {
 					t.Fatalf("n=%d off=%d dot32SIMD=%g scalar=%g", n, off, got, want)
 				}
-				if got, want := sqDist32SIMD(x, y), sqDist32Scalar(x, y); !relClose(got, want, 1e-4) {
-					t.Fatalf("n=%d off=%d sqDist32SIMD=%g scalar=%g", n, off, got, want)
-				}
 			}
 			if simdSQ8 {
 				if got, want := dotSQ8RawSIMD(a, ca), dotSQ8Scalar(a, ca, 1, 0, 0); !relClose(got, want, 1e-12) {
 					t.Fatalf("n=%d off=%d dotSQ8RawSIMD=%g scalar=%g", n, off, got, want)
-				}
-				if got, want := sqDistSQ8SIMD(a, ca, 0.037, -1.25), sqDistSQ8Scalar(a, ca, 0.037, -1.25); !relClose(got, want, 1e-12) {
-					t.Fatalf("n=%d off=%d sqDistSQ8SIMD=%g scalar=%g", n, off, got, want)
 				}
 			}
 			// The symmetric code dot is pure integer arithmetic: exact.
@@ -233,9 +227,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		sink += Dot(a, b)
 		sink += SqDist(a, b)
 		sink += Dot32(x, y)
-		sink += SqDist32(x, y)
 		sink += DotSQ8(a, c, 0.1, -0.5, 2)
-		sink += SqDistSQ8(a, c, 0.1, -0.5)
 		sink += DotSQ8Sym(c, d, 0.1, -0.5, 0.2, 0.3, 5, -7)
 		DotSQ8SymCodes4(sums, qw, c, 32)
 		_, _, _ = EncodeSQ8(a, c)

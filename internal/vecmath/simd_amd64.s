@@ -223,81 +223,6 @@ d32_cvt:
 	MOVSD    X0, ret+48(FP)
 	RET
 
-// func sqDist32SIMD(a, b []float32) float64
-TEXT ·sqDist32SIMD(SB), NOSPLIT, $0-56
-	MOVQ   a_base+0(FP), SI
-	MOVQ   a_len+8(FP), CX
-	MOVQ   b_base+24(FP), DI
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ   CX, AX
-	SHRQ   $5, AX
-	JZ     s32_blk8
-
-s32_blk32:
-	VMOVUPS     (SI), Y4
-	VMOVUPS     32(SI), Y5
-	VMOVUPS     64(SI), Y6
-	VMOVUPS     96(SI), Y7
-	VSUBPS      (DI), Y4, Y4
-	VSUBPS      32(DI), Y5, Y5
-	VSUBPS      64(DI), Y6, Y6
-	VSUBPS      96(DI), Y7, Y7
-	VFMADD231PS Y4, Y4, Y0
-	VFMADD231PS Y5, Y5, Y1
-	VFMADD231PS Y6, Y6, Y2
-	VFMADD231PS Y7, Y7, Y3
-	ADDQ        $128, SI
-	ADDQ        $128, DI
-	DECQ        AX
-	JNZ         s32_blk32
-
-s32_blk8:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	MOVQ   CX, AX
-	ANDQ   $31, AX
-	SHRQ   $3, AX
-	JZ     s32_reduce
-
-s32_blk8_loop:
-	VMOVUPS     (SI), Y4
-	VSUBPS      (DI), Y4, Y4
-	VFMADD231PS Y4, Y4, Y0
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	DECQ        AX
-	JNZ         s32_blk8_loop
-
-s32_reduce:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VPERMILPS    $0x4E, X0, X1
-	VADDPS       X1, X0, X0
-	VPERMILPS    $0xB1, X0, X1
-	VADDPS       X1, X0, X0
-	VZEROUPPER
-	ANDQ         $7, CX
-	JZ           s32_cvt
-
-s32_tail:
-	MOVSS (SI), X2
-	SUBSS (DI), X2
-	MULSS X2, X2
-	ADDSS X2, X0
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   s32_tail
-
-s32_cvt:
-	CVTSS2SD X0, X0
-	MOVSD    X0, ret+48(FP)
-	RET
-
 // func dotSQ8RawSIMD(q []float64, code []int8) float64
 //
 // Raw Σ q[i]·code[i]: sign-extend 16 codes to int32, convert to f64,
@@ -375,75 +300,6 @@ dq8_tail:
 
 dq8_done:
 	MOVSD X0, ret+48(FP)
-	RET
-
-// func sqDistSQ8SIMD(q []float64, code []int8, scale, offset float64) float64
-//
-// Dequantizes with separate multiply+add (t = offset + scale·c, the
-// exact arithmetic DecodeSQ8 uses — no FMA here, so the result tracks
-// the scalar kernel bit-for-bit up to summation order), then
-// accumulates (q-t)² with FMA.
-TEXT ·sqDistSQ8SIMD(SB), NOSPLIT, $0-72
-	MOVQ         q_base+0(FP), SI
-	MOVQ         q_len+8(FP), CX
-	MOVQ         code_base+24(FP), DX
-	VBROADCASTSD scale+48(FP), Y14
-	VBROADCASTSD offset+56(FP), Y15
-	VXORPD       Y0, Y0, Y0
-	VXORPD       Y1, Y1, Y1
-	MOVQ         CX, AX
-	SHRQ         $3, AX
-	JZ           ssq8_reduce
-
-ssq8_blk8:
-	VMOVQ        (DX), X4
-	VPMOVSXBD    X4, Y5
-	VCVTDQ2PD    X5, Y8
-	VEXTRACTI128 $1, Y5, X9
-	VCVTDQ2PD    X9, Y10
-	VMULPD       Y14, Y8, Y8
-	VADDPD       Y15, Y8, Y8
-	VMULPD       Y14, Y10, Y10
-	VADDPD       Y15, Y10, Y10
-	VMOVUPD      (SI), Y6
-	VMOVUPD      32(SI), Y7
-	VSUBPD       Y8, Y6, Y6
-	VSUBPD       Y10, Y7, Y7
-	VFMADD231PD  Y6, Y6, Y0
-	VFMADD231PD  Y7, Y7, Y1
-	ADDQ         $8, DX
-	ADDQ         $64, SI
-	DECQ         AX
-	JNZ          ssq8_blk8
-
-ssq8_reduce:
-	VADDPD       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X0
-	VPERMILPD    $1, X0, X1
-	VADDSD       X1, X0, X0
-	VZEROUPPER
-	ANDQ         $7, CX
-	JZ           ssq8_done
-	MOVSD        scale+48(FP), X4
-	MOVSD        offset+56(FP), X5
-
-ssq8_tail:
-	MOVBQSX  (DX), AX
-	CVTSQ2SD AX, X2
-	MULSD    X4, X2
-	ADDSD    X5, X2
-	MOVSD    (SI), X3
-	SUBSD    X2, X3
-	MULSD    X3, X3
-	ADDSD    X3, X0
-	INCQ     DX
-	ADDQ     $8, SI
-	DECQ     CX
-	JNZ      ssq8_tail
-
-ssq8_done:
-	MOVSD X0, ret+64(FP)
 	RET
 
 // func dotSQ8SymRawSIMD(ac, bc []int8) int32

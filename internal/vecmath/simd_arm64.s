@@ -153,57 +153,3 @@ d32_cvt:
 	FCVTSD F0, F0
 	FMOVD  F0, ret+48(FP)
 	RET
-
-// func sqDist32SIMD(a, b []float32) float64
-TEXT ·sqDist32SIMD(SB), NOSPLIT, $0-56
-	MOVD  a_base+0(FP), R0
-	MOVD  a_len+8(FP), R2
-	MOVD  b_base+24(FP), R1
-	VEOR  V0.B16, V0.B16, V0.B16
-	VEOR  V1.B16, V1.B16, V1.B16
-	VEOR  V2.B16, V2.B16, V2.B16
-	VEOR  V3.B16, V3.B16, V3.B16
-	FMOVS $1.0, F31
-	VDUP  V31.S[0], V31.S4
-	LSR   $4, R2, R3
-	CBZ   R3, s32_reduce
-
-s32_blk16:
-	VLD1.P 64(R0), [V4.S4, V5.S4, V6.S4, V7.S4]
-	VLD1.P 64(R1), [V8.S4, V9.S4, V10.S4, V11.S4]
-	VFMLS  V8.S4, V31.S4, V4.S4
-	VFMLS  V9.S4, V31.S4, V5.S4
-	VFMLS  V10.S4, V31.S4, V6.S4
-	VFMLS  V11.S4, V31.S4, V7.S4
-	VFMLA  V4.S4, V4.S4, V0.S4
-	VFMLA  V5.S4, V5.S4, V1.S4
-	VFMLA  V6.S4, V6.S4, V2.S4
-	VFMLA  V7.S4, V7.S4, V3.S4
-	SUB    $1, R3, R3
-	CBNZ   R3, s32_blk16
-
-s32_reduce:
-	VFMLA V1.S4, V31.S4, V0.S4
-	VFMLA V3.S4, V31.S4, V2.S4
-	VFMLA V2.S4, V31.S4, V0.S4
-	VMOV  V0.S[1], V16.S[0]
-	VMOV  V0.S[2], V17.S[0]
-	VMOV  V0.S[3], V18.S[0]
-	FADDS F16, F0, F0
-	FADDS F18, F17, F17
-	FADDS F17, F0, F0
-	AND   $15, R2, R2
-	CBZ   R2, s32_cvt
-
-s32_tail:
-	FMOVS.P 4(R0), F2
-	FMOVS.P 4(R1), F3
-	FSUBS   F3, F2, F2
-	FMADDS  F2, F0, F2, F0
-	SUB     $1, R2, R2
-	CBNZ    R2, s32_tail
-
-s32_cvt:
-	FCVTSD F0, F0
-	FMOVD  F0, ret+48(FP)
-	RET

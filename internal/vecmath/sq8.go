@@ -10,8 +10,8 @@
 //   - DotSQ8Sym is the symmetric kernel — both operands quantized —
 //     whose inner loop is a pure int8×int8 integer dot. It is the
 //     cheapest possible scan and drives candidate generation.
-//   - DotSQ8 / SqDistSQ8 are the asymmetric kernels — quantized stored
-//     vector against the full-precision query — used to re-rank the
+//   - DotSQ8 is the asymmetric kernel — quantized stored vector
+//     against the full-precision query — used to re-rank the
 //     survivors, so the final ordering only carries the stored
 //     vectors' quantization error, not the query's.
 //
@@ -164,41 +164,6 @@ func dotSQ8Scalar(q []float64, code []int8, scale, offset, qSum float64) float64
 		s += q[i] * i8f[uint8(code[i])]
 	}
 	return scale*s + offset*qSum
-}
-
-// SqDistSQ8 is the asymmetric squared Euclidean distance ‖q − v̂‖²:
-// each lane reconstructs the stored value in a register and squares
-// the difference against the full-precision query.
-func SqDistSQ8(q []float64, code []int8, scale, offset float64) float64 {
-	if len(q) != len(code) {
-		panic("vecmath: SqDistSQ8 length mismatch")
-	}
-	if simdSQ8 && len(q) >= simdMinLanes {
-		return sqDistSQ8SIMD(q, code, scale, offset)
-	}
-	return sqDistSQ8Scalar(q, code, scale, offset)
-}
-
-func sqDistSQ8Scalar(q []float64, code []int8, scale, offset float64) float64 {
-	code = code[:len(q)]
-	var s0, s1, s2, s3 float64
-	n := len(q) &^ 3
-	for i := 0; i < n; i += 4 {
-		d0 := q[i] - (offset + scale*i8f[uint8(code[i])])
-		d1 := q[i+1] - (offset + scale*i8f[uint8(code[i+1])])
-		d2 := q[i+2] - (offset + scale*i8f[uint8(code[i+2])])
-		d3 := q[i+3] - (offset + scale*i8f[uint8(code[i+3])])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for i := n; i < len(q); i++ {
-		d := q[i] - (offset + scale*i8f[uint8(code[i])])
-		s += d * d
-	}
-	return s
 }
 
 // DotSQ8Sym is the symmetric dot product between two SQ8-encoded

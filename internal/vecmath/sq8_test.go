@@ -55,19 +55,6 @@ func TestFloat32KernelsMatchReference(t *testing.T) {
 		if got, want := Dot32(a32, b32), refDot(aw, bw); !closeF32(got, want, termMag) {
 			t.Fatalf("Dot32 n=%d: got %g want %g", n, got, want)
 		}
-		if got, want := SqDist32(a32, b32), refSqDist(aw, bw); !closeF32(got, want, want) {
-			t.Fatalf("SqDist32 n=%d: got %g want %g", n, got, want)
-		}
-
-		na, nb := Norm(aw), Norm(bw)
-		got := CosineWithNorms32(a32, b32, na, nb)
-		var want float64
-		if na != 0 && nb != 0 {
-			want = refDot(aw, bw) / (na * nb)
-		}
-		if !closeF32(got, want, termMag/math.Max(na*nb, 1e-300)) {
-			t.Fatalf("CosineWithNorms32 n=%d: got %g want %g", n, got, want)
-		}
 	}
 }
 
@@ -119,13 +106,6 @@ func TestSQ8KernelsMatchReference(t *testing.T) {
 		env := scale/2*refL1(q) + tight
 		if d := math.Abs(got - refDot(q, v)); d > env {
 			t.Fatalf("DotSQ8 n=%d envelope: |%g − %g| = %g > %g", n, got, refDot(q, v), d, env)
-		}
-
-		// SqDistSQ8 is algebraically SqDist(q, dec).
-		gotSq := SqDistSQ8(q, code, scale, offset)
-		wantSq := refSqDist(q, dec)
-		if math.Abs(gotSq-wantSq) > 1e-9*(wantSq+1) {
-			t.Fatalf("SqDistSQ8 n=%d: got %g want %g", n, gotSq, wantSq)
 		}
 
 		// DotSQ8Sym is algebraically Dot(decA, decB).
@@ -196,8 +176,6 @@ func TestCompressedKernelsZeroAlloc(t *testing.T) {
 	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
 		sink += Dot32(a32, b32)
-		sink += SqDist32(a32, b32)
-		sink += CosineWithNorms32(a32, b32, 1, 1)
 		F64To32(a32, a)
 		F32To64(dec, b32)
 		sink += Sum(a)
@@ -205,7 +183,6 @@ func TestCompressedKernelsZeroAlloc(t *testing.T) {
 		s2, o2, cs2 := EncodeSQ8(b, code2)
 		DecodeSQ8(dec, code, s, o)
 		sink += DotSQ8(b, code, s, o, Sum(b))
-		sink += SqDistSQ8(b, code, s, o)
 		sink += DotSQ8Sym(code, code2, s, o, s2, o2, cs, cs2)
 	})
 	if allocs != 0 {

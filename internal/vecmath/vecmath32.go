@@ -41,50 +41,6 @@ func dot32Scalar(a, b []float32) float64 {
 	return float64(s)
 }
 
-// SqDist32 returns the squared Euclidean distance ‖a−b‖² over float32
-// lanes.
-func SqDist32(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("vecmath: SqDist32 length mismatch")
-	}
-	if simd32 && len(a) >= simdMinLanes {
-		return sqDist32SIMD(a, b)
-	}
-	return sqDist32Scalar(a, b)
-}
-
-func sqDist32Scalar(a, b []float32) float64 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float32
-	n := len(a) &^ 3
-	for i := 0; i < n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	s := (s0 + s2) + (s1 + s3)
-	for i := n; i < len(a); i++ {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return float64(s)
-}
-
-// CosineWithNorms32 returns the cosine similarity of a and b over
-// float32 lanes, given precomputed (full-precision) L2 norms — the
-// float32 sibling of CosineWithNorms. 0 when either norm is 0.
-func CosineWithNorms32(a, b []float32, aNorm, bNorm float64) float64 {
-	if aNorm == 0 || bNorm == 0 {
-		return 0
-	}
-	return Dot32(a, b) / (aNorm * bNorm)
-}
-
 // F64To32 narrows src into dst lane by lane — the conversion kernel a
 // query takes once so the per-candidate loop can stay all-float32.
 // Lengths must match.
