@@ -9,7 +9,11 @@
 //
 //	ehnad-mkstore -out DIR -n 1000000 -dim 64 -precision sq8 -hnsw
 //
-// writes DIR/store.snap, DIR/graph.gob (with -hnsw) and DIR/truth.json.
+// writes DIR/store.snap, DIR/graph.gob (with -hnsw: ann.SaveGraph's
+// flat, CRC32C-checked graph file; the .gob name is kept from the format
+// it replaced because the benchmark harness reads that path) and
+// DIR/truth.json. Rerun it with -hnsw to replace a gob graph.gob written
+// by an older version, which ehnad refuses to load.
 // Vectors are seeded-random; the exact top-k truth is computed in the
 // same streaming pass at full precision, so no second full-precision
 // store is ever materialized — memory stays at the target-precision
@@ -71,7 +75,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "dataset RNG seed")
 		queries   = flag.Int("queries", 100, "held-out queries to compute exact truth for (0 disables truth.json)")
 		k         = flag.Int("k", 10, "truth depth per query")
-		hnsw      = flag.Bool("hnsw", false, "also build and save the HNSW graph snapshot (boot without rebuild)")
+		hnsw      = flag.Bool("hnsw", false, "also build and save the HNSW graph file DIR/graph.gob (ehnad -hnsw-graph: boot without rebuild)")
 		m         = flag.Int("m", 0, "hnsw: graph degree (0 = library default)")
 		efCons    = flag.Int("ef-construction", 0, "hnsw: build-time beam width (0 = library default)")
 		check     = flag.String("check", "", "check mode: directory holding truth.json; queries a live daemon instead of generating")

@@ -52,9 +52,13 @@
 //
 // Index selection: -index hnsw (graph search, the default — sublinear
 // at 100k+ nodes) or exact (ground truth, linear scan). With -index
-// hnsw, -hnsw-graph names a gob snapshot of the graph structure: loaded
-// when present so the daemon boots without rebuilding, written after a
-// fresh build otherwise (with -wal it defaults to DIR/graph.gob).
+// hnsw, -hnsw-graph names a graph file (ann.SaveGraph's flat, CRC32C-
+// checked link structure): loaded when present so the daemon boots
+// without rebuilding, written after a fresh build otherwise (with -wal
+// it defaults to DIR/graph.gob — a name kept from the gob format that
+// file used to hold). A gob graph from an older version is refused
+// (ann.ErrGobGraph); with -wal that is a logged rebuild which rewrites
+// the file, without it boot fails.
 //
 // Precision: the vector slab layout is float32 (f32, the default for a
 // new store) or int8 scalar quantization (sq8: ~4x less vector memory

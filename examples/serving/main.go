@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	graphPath := filepath.Join(outDir, "hnsw.gob")
+	graphPath := filepath.Join(outDir, "hnsw.graph")
 	if err := faultfs.WriteFileAtomic(faultfs.OS(), graphPath, func(f faultfs.File) error { return hnsw.SaveGraph(f) }); err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -11,8 +13,8 @@ import (
 	"ehna/internal/graph"
 )
 
-// The in-process twins of bench/'s ann.build_ms_per_knode, ann.add_us
-// and ann.readd_us: the write_mixed shape (5000×64 sq8, default graph
+// The in-process twins of bench/'s ann.build_ms_per_knode, ann.add_us,
+// ann.readd_us and ann.graph_load_ms: the write_mixed shape (5000×64 sq8, default graph
 // config) on one CPU, so a graph-mutation change can be timed without
 // the daemon, the WAL or the harness around it.
 const benchN, benchDim = 5000, 64
@@ -76,6 +78,37 @@ func BenchmarkHNSWAddOverwrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.Add(graph.NodeID(rng.Intn(benchN)), randVec(rng, vec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHNSWLoadGraph5k is the twin of bench's ann.graph_load_ms:
+// LoadHNSWGraph of the 5000×64 sq8 graph from its file, allocations
+// reported per load.
+func BenchmarkHNSWLoadGraph5k(b *testing.B) {
+	h, _ := benchGraph(b)
+	path := filepath.Join(b.TempDir(), "graph.gob")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := h.SaveGraph(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = LoadHNSWGraph(f, h.store)
+		f.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,15 +32,14 @@
 // Neighbor selection and repair score slab rows against each other at
 // the slab's own precision (pairScore); nothing is dequantized.
 // Build inserts a whole store snapshot in parallel with per-worker
-// scratch. SaveGraph/LoadHNSWGraph snapshot the graph structure so a
-// daemon can boot without paying the build again.
+// scratch. SaveGraph/LoadHNSWGraph write and read the graph structure as
+// one flat, CRC32C-checked file (graphfile.go) so a daemon can boot
+// without paying the build again.
 package ann
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -841,6 +840,10 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 			}
 		}
 	}
+	// A loaded graph cuts every node's layer headers from one shared
+	// array (graphfile.go), which outlives this node: drop the headers'
+	// references, or they pin the loaded link array for good.
+	clear(links)
 	if h.entry == int(slot) {
 		h.pickEntryLocked()
 	}
@@ -1069,184 +1072,4 @@ func (h *HNSW) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Resu
 	return batchSearch(qs, k, func(q []float64) ([]Result, error) {
 		return h.SearchInto(ctx, nil, q, k)
 	})
-}
-
-// hnswWire is the gob wire format of a graph snapshot: per-slot arrays
-// plus one flattened link stream, so encoding cost is a handful of
-// slice writes rather than a gob walk over every neighbor list.
-type hnswWire struct {
-	Version        int
-	M              int
-	EfConstruction int
-	EfSearch       int
-	Seed           int64
-	Metric         int
-	Entry          int
-	MaxLevel       int
-	IDs            []graph.NodeID
-	Alive          []bool
-	Layers         []int32 // per slot: layer count (0 for detached tombstones)
-	Counts         []int32 // per slot per layer: link count
-	Links          []uint32
-}
-
-// hnswSnapshotVersion guards the wire format; bump on incompatible changes.
-const hnswSnapshotVersion = 1
-
-// SaveGraph writes a snapshot of the graph structure (not the vectors —
-// those live in the embstore snapshot) so a daemon can reload the index
-// without rebuilding. Quiesce writers for a point-in-time image.
-func (h *HNSW) SaveGraph(w io.Writer) error {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	wire := hnswWire{
-		Version:        hnswSnapshotVersion,
-		M:              h.cfg.M,
-		EfConstruction: h.cfg.EfConstruction,
-		EfSearch:       h.cfg.EfSearch,
-		Seed:           h.cfg.Seed,
-		Metric:         int(h.cfg.Metric),
-		Entry:          h.entry,
-		MaxLevel:       h.maxLevel,
-		IDs:            make([]graph.NodeID, len(h.nodes)),
-		Alive:          make([]bool, len(h.nodes)),
-		Layers:         make([]int32, len(h.nodes)),
-	}
-	for i := range h.nodes {
-		n := &h.nodes[i]
-		wire.IDs[i] = n.id
-		wire.Alive[i] = n.alive
-		wire.Layers[i] = int32(len(n.links))
-		for _, links := range n.links {
-			wire.Counts = append(wire.Counts, int32(len(links)))
-			wire.Links = append(wire.Links, links...)
-		}
-	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("ann: hnsw save: %v", err)
-	}
-	return nil
-}
-
-// LoadHNSWGraph reconstructs a graph written by SaveGraph over store,
-// which must hold the same vectors the graph was built on (the embstore
-// snapshot saved alongside it). Every live node must be present in the
-// store; structural corruption is rejected.
-func LoadHNSWGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
-	var wire hnswWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("ann: hnsw load: %v", err)
-	}
-	if wire.Version != hnswSnapshotVersion {
-		return nil, fmt.Errorf("ann: hnsw load: snapshot version %d, want %d", wire.Version, hnswSnapshotVersion)
-	}
-	cfg := HNSWConfig{
-		M:              wire.M,
-		EfConstruction: wire.EfConstruction,
-		EfSearch:       wire.EfSearch,
-		Seed:           wire.Seed,
-		Metric:         Metric(wire.Metric),
-	}
-	h, err := NewHNSW(store, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nSlots := len(wire.IDs)
-	if len(wire.Alive) != nSlots || len(wire.Layers) != nSlots {
-		return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: %d ids, %d alive, %d layer counts",
-			nSlots, len(wire.Alive), len(wire.Layers))
-	}
-	h.nodes = make([]hnswNode, nSlots)
-	ci, li := 0, 0
-	for i := 0; i < nSlots; i++ {
-		n := &h.nodes[i]
-		n.id, n.alive = wire.IDs[i], wire.Alive[i]
-		h.setAliveBit(uint32(i), n.alive)
-		layers := int(wire.Layers[i])
-		if layers < 0 || ci+layers > len(wire.Counts) {
-			return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: layer counts overrun at slot %d", i)
-		}
-		if layers > 0 {
-			n.links = make([][]uint32, layers)
-			for l := 0; l < layers; l++ {
-				cnt := int(wire.Counts[ci])
-				ci++
-				if cnt < 0 || li+cnt > len(wire.Links) {
-					return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: link stream overrun at slot %d", i)
-				}
-				n.links[l] = wire.Links[li : li+cnt : li+cnt]
-				for _, nb := range n.links[l] {
-					if int(nb) >= nSlots {
-						return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: link to slot %d of %d", nb, nSlots)
-					}
-					// A live linked node must occupy this layer, or the beam
-					// would index past its link lists at query time (dead
-					// targets are skipped before expansion, so they may have
-					// dropped theirs).
-					if wire.Alive[nb] && int(wire.Layers[nb]) <= l {
-						return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: slot %d links to slot %d at layer %d beyond its %d layers",
-							i, nb, l, wire.Layers[nb])
-					}
-				}
-				li += cnt
-			}
-		}
-		if n.alive {
-			if layers < 1 {
-				return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: live slot %d has no layers", i)
-			}
-			h.slotOf[n.id] = uint32(i)
-			h.alive++
-			// Mirror the store row into the graph slab (same precision, so
-			// the representation copies bit for bit).
-			ok := store.With(n.id, func(v *embstore.VecView) {
-				switch h.prec {
-				case embstore.F32:
-					h.vecs32 = append(h.vecs32, v.F32...)
-					h.norms = append(h.norms, v.Norm)
-				case embstore.SQ8:
-					h.codes = append(h.codes, v.Code...)
-					h.side = append(h.side, sq8Side{scale: float32(v.Scale), offset: float32(v.Offset), norm: float32(v.Norm), codeSum: v.CodeSum})
-				}
-			})
-			if !ok {
-				return nil, fmt.Errorf("ann: hnsw load: node %d in graph but not in store (snapshot mismatch)", n.id)
-			}
-		} else {
-			// Tombstoned slot: a dead zero row keeps slab indexing aligned.
-			switch h.prec {
-			case embstore.F32:
-				h.vecs32 = extendSlab(h.vecs32, h.dim)
-				h.norms = append(h.norms, 0)
-			case embstore.SQ8:
-				h.codes = extendSlab(h.codes, h.dim)
-				h.side = append(h.side, sq8Side{})
-			}
-		}
-	}
-	if ci != len(wire.Counts) || li != len(wire.Links) {
-		return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: %d/%d counts and %d/%d links consumed",
-			ci, len(wire.Counts), li, len(wire.Links))
-	}
-	if wire.Entry < -1 || wire.Entry >= nSlots ||
-		(wire.Entry >= 0 && !h.nodes[wire.Entry].alive) ||
-		(wire.Entry < 0) != (wire.MaxLevel < 0) {
-		return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: entry slot %d (max level %d)", wire.Entry, wire.MaxLevel)
-	}
-	// The search descent starts at maxLevel, so the entry point must
-	// actually occupy that layer.
-	if wire.Entry >= 0 && int(wire.Layers[wire.Entry]) != wire.MaxLevel+1 {
-		return nil, fmt.Errorf("ann: hnsw load: corrupt snapshot: entry slot %d has %d layers, max level %d",
-			wire.Entry, wire.Layers[wire.Entry], wire.MaxLevel)
-	}
-	// Membership was checked graph→store above; require the counts to
-	// match too, or a stale snapshot over a newer, larger store would
-	// load cleanly and silently exclude the extra vectors from every
-	// search.
-	if h.alive != store.Len() {
-		return nil, fmt.Errorf("ann: hnsw load: graph indexes %d nodes but store holds %d (stale snapshot? rebuild)",
-			h.alive, store.Len())
-	}
-	h.entry, h.maxLevel = wire.Entry, wire.MaxLevel
-	return h, nil
 }

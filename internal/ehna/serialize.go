@@ -58,32 +58,6 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadEmbeddingTable reads only the node-embedding matrix (NumNodes×d)
-// from a model snapshot written by Save, without requiring the training
-// graph or reconstructing the network. This is the loader hook used by
-// internal/embstore to bulk-load a serving store from a trained model.
-//
-// Note the snapshot stores the raw embedding table; the attention-
-// aggregated embeddings of Model.InferAll require the graph and must be
-// exported separately (e.g. via an embstore snapshot) when serving them.
-func LoadEmbeddingTable(r io.Reader) (*tensor.Matrix, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("ehna: load embeddings: %v", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("ehna: load embeddings: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	emb, err := fromWire(snap.Emb)
-	if err != nil {
-		return nil, err
-	}
-	if emb.Rows != snap.NumNode {
-		return nil, fmt.Errorf("ehna: load embeddings: table has %d rows, snapshot claims %d nodes", emb.Rows, snap.NumNode)
-	}
-	return emb, nil
-}
-
 // Load reconstructs a model saved with Save, binding it to g. The graph
 // must have the same node count as the one the model was trained on (the
 // embedding table is positional).
