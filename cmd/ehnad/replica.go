@@ -159,7 +159,7 @@ func (s *server) refuseIfFollower(w http.ResponseWriter) bool {
 		return false
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "follower of %s: writes go to the shard leader", s.repl.leader)
+	cluster.WriteError(w, http.StatusServiceUnavailable, "follower of %s: writes go to the shard leader", s.repl.leader)
 	return true
 }
 
@@ -221,7 +221,7 @@ func durableThrough(lg *wal.Log) uint64 {
 // every CRC on the way out).
 func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	if !s.requireLog(w, "replication") {
@@ -231,7 +231,7 @@ func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("after"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid after %q: %v", q, err)
+			cluster.WriteError(w, http.StatusBadRequest, "invalid after %q: %v", q, err)
 			return
 		}
 		after = v
@@ -250,14 +250,14 @@ func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	oldest, err := wal.OldestSeq(s.dur.walDir)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "repl stream: %v", err)
+		cluster.WriteError(w, http.StatusInternalServerError, "repl stream: %v", err)
 		return
 	}
 	w.Header().Set(cluster.LastSeqHeader, strconv.FormatUint(upTo, 10))
 	if oldest > after+1 {
 		// Records (after, oldest) were truncated by snapshot rotation: the
 		// follower can never stream its way up from here.
-		writeJSON(w, http.StatusGone, cluster.ReplGap{
+		cluster.WriteJSON(w, http.StatusGone, cluster.ReplGap{
 			Watermark: s.dur.watermark.Load(),
 			Error:     fmt.Sprintf("records after seq %d truncated; oldest surviving seq is %d", after, oldest),
 		})
@@ -288,7 +288,7 @@ func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	if lg := s.dur.wal(); lg != nil {
 		st.LastSeq, st.DurableSeq, st.Applied = lg.LastSeq(), lg.DurableSeq(), s.dur.applied()
 	}
-	writeJSON(w, http.StatusOK, st)
+	cluster.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleAdminPromote flips a follower into the shard's write owner,
@@ -297,13 +297,13 @@ func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 // current watermark and changes nothing.
 func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.repl != nil {
 		s.repl.promote()
 	}
-	writeJSON(w, http.StatusOK, cluster.PromoteAck{Applied: s.dur.applied(), Role: "leader"})
+	cluster.WriteJSON(w, http.StatusOK, cluster.PromoteAck{Applied: s.dur.applied(), Role: "leader"})
 }
 
 // handleVector resolves one stored id to its vector — the router uses
@@ -311,19 +311,19 @@ func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 // shards.
 func (s *server) handleVector(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	q := r.URL.Query().Get("id")
 	id, err := strconv.ParseUint(q, 10, 32)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid id %q", q)
+		cluster.WriteError(w, http.StatusBadRequest, "invalid id %q", q)
 		return
 	}
 	vec, ok := s.store.Get(graph.NodeID(id))
 	if !ok {
-		writeError(w, http.StatusNotFound, "node %d not in store", id)
+		cluster.WriteError(w, http.StatusNotFound, "node %d not in store", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.VectorAck{ID: graph.NodeID(id), Vector: vec})
+	cluster.WriteJSON(w, http.StatusOK, cluster.VectorAck{ID: graph.NodeID(id), Vector: vec})
 }

@@ -142,16 +142,6 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // requestCtx derives the search context: the client's HTTP context
 // (cancel propagates when the client disconnects) bounded by the
 // request's deadline budget (see cluster.RequestBudget; -default-deadline
@@ -184,7 +174,7 @@ func (s *server) acquire(w http.ResponseWriter) bool {
 		// overload one second is exactly long enough to rejoin the
 		// stampede that caused the shed.
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(s.batch.predictedWait())))
-		writeError(w, http.StatusTooManyRequests, "server at -max-inflight capacity")
+		cluster.WriteError(w, http.StatusTooManyRequests, "server at -max-inflight capacity")
 		return false
 	}
 }
@@ -213,16 +203,16 @@ func (s *server) writeSearchError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errOverloaded):
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(s.batch.predictedWait())))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		cluster.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded before the search completed")
+		cluster.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before the search completed")
 	case errors.Is(err, context.Canceled):
 		// The client is gone; the status code is for the access log.
-		writeError(w, http.StatusServiceUnavailable, "request canceled")
+		cluster.WriteError(w, http.StatusServiceUnavailable, "request canceled")
 	case errors.Is(err, errShutdown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		cluster.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "search: %v", err)
+		cluster.WriteError(w, http.StatusInternalServerError, "search: %v", err)
 	}
 }
 
@@ -275,21 +265,27 @@ func trimSelf(results []ann.Result, self *graph.NodeID, k int) []ann.Result {
 
 func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.acquire(w) {
 		return
 	}
 	defer s.release()
-	var req cluster.NeighborsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, err := cluster.ReadNeighborsRequest(r.Body, r.ContentLength)
+	if err != nil {
+		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	// The batch path's vectors live in the body's pooled slab, so it is
+	// released only after the search and the ack's encode have returned.
+	// The single query's vector is not in it: the batcher may still hold
+	// that one after do() has returned on this request's deadline.
+	defer body.Release()
+	req := &body.Req
 	ctx, cancel, err := s.requestCtx(r, req.DeadlineMS)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cancel()
@@ -299,7 +295,7 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	vec, k, self, err := s.resolve(req.NeighborQuery, cluster.DefaultK)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Ask for one extra when excluding self, so k survives the trim.
@@ -312,29 +308,61 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		s.writeSearchError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.NeighborsAck{
+	cluster.WriteJSON(w, http.StatusOK, cluster.NeighborsAck{
 		Results:      trimSelf(results, self, k),
 		SearchStatus: cluster.SearchStatus{Degraded: degraded},
 	})
 	buf.release() // results must not be touched past this point
 }
 
+// batchScratch is one client batch's per-query working state, pooled
+// like the request body. It goes back to the pool only after
+// SearchBatch and the ack's encode have returned.
+type batchScratch struct {
+	qs     [][]float64
+	ks     []int
+	selves []*graph.NodeID
+}
+
+// maxPooledQueries caps the batch a pooled batchScratch may be sized
+// for; one outsized request's scratch is dropped instead.
+const maxPooledQueries = 1 << 14
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func (sc *batchScratch) size(n int) {
+	if cap(sc.qs) < n {
+		sc.qs, sc.ks, sc.selves = make([][]float64, n), make([]int, n), make([]*graph.NodeID, n)
+	}
+	sc.qs, sc.ks, sc.selves = sc.qs[:n], sc.ks[:n], sc.selves[:n]
+}
+
+func (sc *batchScratch) release() {
+	if cap(sc.qs) > maxPooledQueries {
+		return
+	}
+	clear(sc.qs) // id queries' vectors are the store's copies: let them go
+	clear(sc.selves)
+	batchScratchPool.Put(sc)
+}
+
 // handleNeighborsBatch answers an explicit client-side batch in one
 // SearchBatch pass, bypassing the micro-batcher (the client already
 // batched).
-func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter, req cluster.NeighborsRequest) {
+func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter, req *cluster.NeighborsRequest) {
 	defK := req.K
 	if defK <= 0 {
 		defK = cluster.DefaultK
 	}
-	qs := make([][]float64, len(req.Queries))
-	ks := make([]int, len(req.Queries))
-	selves := make([]*graph.NodeID, len(req.Queries))
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	sc.size(len(req.Queries))
+	qs, ks, selves := sc.qs, sc.ks, sc.selves
 	maxK := 1
 	for i, q := range req.Queries {
 		vec, k, self, err := s.resolve(q, defK)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "query %d: %v", i, err)
+			cluster.WriteError(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
 		qs[i], ks[i], selves[i] = vec, k, self
@@ -350,12 +378,11 @@ func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter
 		s.writeSearchError(w, err)
 		return
 	}
-	batches := make([][]ann.Result, len(results))
 	for i, res := range results {
-		batches[i] = trimSelf(res, selves[i], ks[i])
+		results[i] = trimSelf(res, selves[i], ks[i])
 	}
-	writeJSON(w, http.StatusOK, cluster.NeighborsBatchAck{
-		Batches:      batches,
+	cluster.WriteJSON(w, http.StatusOK, cluster.NeighborsBatchAck{
+		Batches:      results,
 		SearchStatus: cluster.SearchStatus{Degraded: s.batch.deg.degradedNow()},
 	})
 }
@@ -386,31 +413,31 @@ func parseOperator(name string) (eval.Operator, error) {
 
 func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req scoreRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if req.U == nil || req.V == nil {
-		writeError(w, http.StatusBadRequest, "score needs u and v")
+		cluster.WriteError(w, http.StatusBadRequest, "score needs u and v")
 		return
 	}
 	op, err := parseOperator(req.Op)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	eu, ok := s.store.Get(*req.U)
 	if !ok {
-		writeError(w, http.StatusNotFound, "node %d not in store", *req.U)
+		cluster.WriteError(w, http.StatusNotFound, "node %d not in store", *req.U)
 		return
 	}
 	ev, ok := s.store.Get(*req.V)
 	if !ok {
-		writeError(w, http.StatusNotFound, "node %d not in store", *req.V)
+		cluster.WriteError(w, http.StatusNotFound, "node %d not in store", *req.V)
 		return
 	}
 	// The scalar score is the sum over the operator's edge feature; for
@@ -422,14 +449,14 @@ func (s *server) handleScore(w http.ResponseWriter, r *http.Request) {
 	for _, f := range feat {
 		score += f
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"u": *req.U, "v": *req.V, "op": op.String(), "score": score,
 	})
 }
 
 func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.refuseIfFollower(w) {
@@ -437,23 +464,23 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cluster.UpsertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	// Validate the whole batch before applying any of it, so a 400 means
 	// nothing was committed.
 	updates, err := req.Batch()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	for i, u := range updates {
 		switch {
 		case len(u.Vector) == 0:
-			writeError(w, http.StatusBadRequest, "update %d: missing vector", i)
+			cluster.WriteError(w, http.StatusBadRequest, "update %d: missing vector", i)
 			return
 		case len(u.Vector) != s.store.Dim():
-			writeError(w, http.StatusBadRequest, "update %d: vector has %d dims, store has %d", i, len(u.Vector), s.store.Dim())
+			cluster.WriteError(w, http.StatusBadRequest, "update %d: vector has %d dims, store has %d", i, len(u.Vector), s.store.Dim())
 			return
 		}
 	}
@@ -462,12 +489,12 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		s.writeApplyError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.UpsertAck{Upserted: len(updates), Seq: seq, Nodes: s.store.Len()})
+	cluster.WriteJSON(w, http.StatusOK, cluster.UpsertAck{Upserted: len(updates), Seq: seq, Nodes: s.store.Len()})
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.refuseIfFollower(w) {
@@ -475,12 +502,12 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cluster.DeleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	ids, err := req.Batch()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		cluster.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	deleted, seq, err := s.dur.delete(ids)
@@ -488,7 +515,7 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeApplyError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.DeleteAck{Deleted: deleted, Seq: seq, Nodes: s.store.Len()})
+	cluster.WriteJSON(w, http.StatusOK, cluster.DeleteAck{Deleted: deleted, Seq: seq, Nodes: s.store.Len()})
 }
 
 // writeApplyError maps a failed mutation onto the overload contract.
@@ -499,10 +526,10 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *server) writeApplyError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errReadOnly) || s.dur.isReadOnly() {
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(healCheckEvery)))
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		cluster.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "%v", err)
+	cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
 }
 
 // handleExport streams a v3 embstore snapshot of the live store — the
@@ -513,13 +540,13 @@ func (s *server) writeApplyError(w http.ResponseWriter, err error) {
 // Content-Length.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	fsys := s.dur.fsys
 	fail := func(err error) {
 		log.Printf("ehnad: export: %v", err)
-		writeError(w, http.StatusInternalServerError, "export: %v", err)
+		cluster.WriteError(w, http.StatusInternalServerError, "export: %v", err)
 	}
 	path := filepath.Join(s.dur.spoolDir(), fmt.Sprintf("export-%d-%d.snap.tmp", os.Getpid(), s.exports.Add(1)))
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -569,14 +596,14 @@ func (s *server) spoolExport(f io.WriteSeeker) (int64, error) {
 func (s *server) requireLog(w http.ResponseWriter, what string) bool {
 	ok := s.dur.hasLog()
 	if !ok {
-		writeError(w, http.StatusBadRequest, "%s requires -wal", what)
+		cluster.WriteError(w, http.StatusBadRequest, "%s requires -wal", what)
 	}
 	return ok
 }
 
 func (s *server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.requireLog(w, "snapshot rotation") {
@@ -584,15 +611,15 @@ func (s *server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	wm, err := s.dur.snapshot()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"watermark": wm, "nodes": s.store.Len()})
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{"watermark": wm, "nodes": s.store.Len()})
 }
 
 func (s *server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.requireLog(w, "compaction") {
@@ -601,10 +628,10 @@ func (s *server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	before := s.dur.tombstoneRatio()
 	ran, err := s.dur.compact(true)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"compacted":              ran,
 		"tombstone_ratio_before": before,
 		"tombstone_ratio_after":  s.dur.tombstoneRatio(),
@@ -705,7 +732,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"leader_seq":  s.repl.client.LeaderSeq(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz
@@ -725,8 +752,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		reasons = append(reasons, "read-only: WAL unavailable")
 	}
 	if len(reasons) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
+		cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	cluster.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }

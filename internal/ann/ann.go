@@ -562,8 +562,8 @@ func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int
 // through SearchInto, so batch queries are counted and timed on
 // /metrics like single ones.
 func (e *Exact) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
-	return batchSearch(qs, k, func(q []float64) ([]Result, error) {
-		return e.SearchInto(ctx, nil, q, k)
+	return batchSearch(qs, k, func(dst []Result, q []float64) ([]Result, error) {
+		return e.SearchInto(ctx, dst, q, k)
 	})
 }
 
@@ -600,13 +600,33 @@ func ParallelFor(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// batchSearch fans qs out over ParallelFor. The first error wins;
-// results stay index-aligned with qs.
-func batchSearch(qs [][]float64, k int, search func(q []float64) ([]Result, error)) ([][]Result, error) {
-	out := make([][]Result, len(qs))
+// batchResultCap bounds one query's share of a batch's result slab, so
+// a client asking for a huge k cannot make the slab huge; a list longer
+// than its share grows on its own.
+const batchResultCap = 64
+
+// batchOut returns n empty result lists carved from one backing array,
+// each with room for min(k, batchResultCap) results — capacity-limited,
+// so an append past a list's share reallocates instead of spilling into
+// its neighbor. A batch costs one result allocation, not one per query.
+func batchOut(n, k int) [][]Result {
+	per := min(max(k, 0), batchResultCap)
+	slab := make([]Result, n*per)
+	out := make([][]Result, n)
+	for i := range out {
+		out[i] = slab[i*per : i*per : (i+1)*per]
+	}
+	return out
+}
+
+// batchSearch fans qs out over ParallelFor, each query appending into
+// its batchOut list. The first error wins; results stay index-aligned
+// with qs.
+func batchSearch(qs [][]float64, k int, search func(dst []Result, q []float64) ([]Result, error)) ([][]Result, error) {
+	out := batchOut(len(qs), k)
 	errs := make([]error, len(qs))
 	ParallelFor(len(qs), func(i int) {
-		out[i], errs[i] = search(qs[i])
+		out[i], errs[i] = search(out[i], qs[i])
 	})
 	for _, err := range errs {
 		if err != nil {

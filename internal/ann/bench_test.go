@@ -196,7 +196,7 @@ func BenchmarkScanCrossover(b *testing.B) {
 			run  func() ([][]Result, error)
 		}{
 			{"beam", func() ([][]Result, error) {
-				return batchSearch(qs, 10, func(q []float64) ([]Result, error) { return h.SearchInto(ctx, nil, q, 10) })
+				return batchSearch(qs, 10, func(dst []Result, q []float64) ([]Result, error) { return h.SearchInto(ctx, dst, q, 10) })
 			}},
 			{"scan", func() ([][]Result, error) { return h.scanBatch(ctx, qs, 10) }},
 		}

@@ -1069,7 +1069,7 @@ func (h *HNSW) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Resu
 	if scan {
 		return h.scanBatch(ctx, qs, k)
 	}
-	return batchSearch(qs, k, func(q []float64) ([]Result, error) {
-		return h.SearchInto(ctx, nil, q, k)
+	return batchSearch(qs, k, func(dst []Result, q []float64) ([]Result, error) {
+		return h.SearchInto(ctx, dst, q, k)
 	})
 }

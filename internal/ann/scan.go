@@ -182,8 +182,9 @@ func (h *HNSW) scanBlock(sc *scanScratch, nq, lo, hi int) {
 	}
 }
 
-// scanGroupInto answers one group of 1–4 queries into out: a sweep of
-// the slab, one read-lock hold per block, then each query's re-rank.
+// scanGroupInto answers one group of 1–4 queries into out, appending
+// to each list: a sweep of the slab, one read-lock hold per block, then
+// each query's re-rank.
 func (h *HNSW) scanGroupInto(ctx context.Context, out [][]Result, qs [][]float64, k int) error {
 	start := time.Now()
 	sc := scanScratchPool.Get().(*scanScratch)
@@ -221,13 +222,13 @@ func (h *HNSW) scanGroupInto(ctx context.Context, out [][]Result, qs [][]float64
 		want, empty := min(k, h.alive), h.entry < 0
 		h.mu.RUnlock()
 		if got := sc.top.sorted(); len(got) >= want && !empty {
-			out[j] = appendResults(nil, got)
+			out[j] = appendResults(out[j], got)
 			continue
 		}
 		// Same rule as SearchInto: a pool short of min(k, live), or an
 		// empty graph, is answered from the store.
 		annFallbacks.Inc()
-		res, err := h.fallback.SearchInto(ctx, nil, qs[j], k)
+		res, err := h.fallback.SearchInto(ctx, out[j], qs[j], k)
 		if err != nil {
 			return err
 		}
@@ -249,7 +250,7 @@ func (h *HNSW) scanBatch(ctx context.Context, qs [][]float64, k int) ([][]Result
 		return nil, err
 	}
 	annQueriesHNSWScan.Add(uint64(len(qs)))
-	out := make([][]Result, len(qs))
+	out := batchOut(len(qs), k)
 	groups := (len(qs) + scanGroup - 1) / scanGroup
 	errs := make([]error, groups)
 	ParallelFor(groups, func(g int) {

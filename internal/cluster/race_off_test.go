@@ -1,0 +1,7 @@
+//go:build !race
+
+package cluster
+
+// raceEnabled reports whether the race detector is instrumenting this
+// build (it adds bookkeeping allocations that break alloc assertions).
+const raceEnabled = false

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -362,16 +363,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // shardBudget converts the request budget into the per-shard deadline:
 // the budget minus the merge margin, never below half the budget.
 func (rt *Router) shardBudget(budget time.Duration) time.Duration {
@@ -392,25 +383,46 @@ func (rt *Router) shardBudget(budget time.Duration) time.Duration {
 	return sb
 }
 
-// shardAnswer is one shard's response to the scattered batch.
+// shardAnswer is one shard's response to the scattered batch. Its
+// lists live in the pooled body until release.
 type shardAnswer struct {
-	NeighborsBatchAck
-	err error
+	body *batchAckBody
+	err  error
+}
+
+func (a shardAnswer) release() {
+	if a.body != nil {
+		a.body.release()
+	}
+}
+
+// byRank orders merged results best first: score descending, then id
+// ascending, so a merge is deterministic.
+func byRank(a, b ann.Result) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req NeighborsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, err := ReadNeighborsRequest(r.Body, r.ContentLength)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	defer body.Release() // after the shards have answered and the ack is written
+	req := &body.Req
 	budget, err := RequestBudget(r, req.DeadlineMS, rt.cfg.DefaultDeadline)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
@@ -443,7 +455,7 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		switch {
 		case q.Vector != nil && q.ID != nil:
-			writeError(w, http.StatusBadRequest, "query %d: query has both id and vector", i)
+			WriteError(w, http.StatusBadRequest, "query %d: query has both id and vector", i)
 			return
 		case q.Vector != nil:
 			res[i] = resolved{vec: q.Vector, k: k}
@@ -454,13 +466,13 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 				if !errors.Is(err, errNotFound) {
 					status = http.StatusServiceUnavailable
 				}
-				writeError(w, status, "query %d: %v", i, err)
+				WriteError(w, status, "query %d: %v", i, err)
 				return
 			}
 			id := *q.ID
 			res[i] = resolved{vec: vec, k: k, self: &id}
 		default:
-			writeError(w, http.StatusBadRequest, "query %d: query needs id or vector", i)
+			WriteError(w, http.StatusBadRequest, "query %d: query needs id or vector", i)
 			return
 		}
 	}
@@ -474,7 +486,14 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = NeighborQuery{Vector: rq.vec, K: ask}
 	}
-	body, _ := json.Marshal(NeighborsRequest{Queries: out})
+	// Not pooled: an http.Transport may still be writing a request body
+	// after Do has returned (a shard that answers before reading it, a
+	// deadline), so this buffer must outlive the handler.
+	scatter, ok := appendScatter(make([]byte, 0, len(body.buf)+64), out)
+	if !ok {
+		WriteError(w, http.StatusBadRequest, "a query vector is not finite")
+		return
+	}
 	shardDeadline := rt.shardBudget(budget)
 
 	answers := make([]shardAnswer, len(rt.shards))
@@ -483,62 +502,57 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(si int, ss *shardState) {
 			defer wg.Done()
-			answers[si] = rt.searchShard(ctx, ss, body, shardDeadline)
+			answers[si] = rt.searchShard(ctx, ss, scatter, shardDeadline)
 		}(si, ss)
 	}
 	wg.Wait()
+	defer func() {
+		for _, a := range answers {
+			a.release()
+		}
+	}()
 
-	answered := 0
+	answered, total := 0, 0
 	anyDegraded := false
-	for si := range answers {
-		if answers[si].err != nil {
+	for si, a := range answers {
+		if a.err != nil {
 			rt.partials.Inc()
 			rt.shardErrs[si].Inc()
-			rt.logf("cluster: shard %s search: %v", rt.shards[si].name, answers[si].err)
+			rt.logf("cluster: shard %s search: %v", rt.shards[si].name, a.err)
 			continue
 		}
 		answered++
-		anyDegraded = anyDegraded || answers[si].Degraded
+		anyDegraded = anyDegraded || a.body.ack.Degraded
+		for _, list := range a.body.ack.Batches {
+			total += len(list)
+		}
 	}
 	if answered == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards answered")
+		WriteError(w, http.StatusServiceUnavailable, "no shards answered")
 		return
 	}
 
 	// Gather: merge per query across answered shards, re-rank globally
-	// by score (desc, id asc for determinism), trim self, cut to k.
+	// (byRank), trim self, cut to k. Every merged list is a window of
+	// one slab sized for all the shards' results.
+	all := make([]ann.Result, 0, total)
 	merged := make([][]ann.Result, len(res))
 	for qi := range res {
-		var all []ann.Result
-		for si := range answers {
-			a := &answers[si]
-			if a.err != nil || qi >= len(a.Batches) {
-				continue
+		lo := len(all)
+		for _, a := range answers {
+			if a.err == nil && qi < len(a.body.ack.Batches) {
+				all = append(all, a.body.ack.Batches[qi]...)
 			}
-			all = append(all, a.Batches[qi]...)
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Score != all[j].Score {
-				return all[i].Score > all[j].Score
-			}
-			return all[i].ID < all[j].ID
-		})
+		list := all[lo:]
+		slices.SortFunc(list, byRank)
 		if self := res[qi].self; self != nil {
-			kept := all[:0]
-			for _, x := range all {
-				if x.ID != *self {
-					kept = append(kept, x)
-				}
-			}
-			all = kept
+			list = slices.DeleteFunc(list, func(x ann.Result) bool { return x.ID == *self })
 		}
-		if len(all) > res[qi].k {
-			all = all[:res[qi].k]
+		if len(list) > res[qi].k {
+			list = list[:res[qi].k]
 		}
-		if all == nil {
-			all = []ann.Result{}
-		}
-		merged[qi] = all
+		merged[qi] = list[:len(list):len(list)]
 	}
 
 	var status SearchStatus
@@ -549,9 +563,9 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if single {
-		writeJSON(w, http.StatusOK, NeighborsAck{merged[0], status})
+		WriteJSON(w, http.StatusOK, NeighborsAck{merged[0], status})
 	} else {
-		writeJSON(w, http.StatusOK, NeighborsBatchAck{merged, status})
+		WriteJSON(w, http.StatusOK, NeighborsBatchAck{merged, status})
 	}
 }
 
@@ -575,9 +589,8 @@ func (rt *Router) searchShard(ctx context.Context, ss *shardState, body []byte, 
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return shardAnswer{err: fmt.Errorf("status %s: %s", resp.Status, b)}
 	}
-	var out shardAnswer
-	out.err = json.NewDecoder(resp.Body).Decode(&out.NeighborsBatchAck)
-	return out
+	ab, err := readBatchAck(resp.Body, resp.ContentLength)
+	return shardAnswer{body: ab, err: err}
 }
 
 var errNotFound = errors.New("node not in store")
@@ -663,17 +676,17 @@ func (rt *Router) postShardWrite(ctx context.Context, si int, path string, body 
 
 func (rt *Router) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req UpsertRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	updates, err := req.Batch()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Group by owning shard. Atomicity is per shard: a multi-shard
@@ -691,17 +704,17 @@ func (rt *Router) handleUpsert(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req DeleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	ids, err := req.Batch()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	groups := make(map[int][]graph.NodeID)
@@ -723,7 +736,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 func scatterWrite[T, A any](rt *Router, w http.ResponseWriter, r *http.Request, path, countKey string, groups map[int][]T, request func([]T) any, acked func(A) (int, uint64)) {
 	budget, err := RequestBudget(r, 0, rt.cfg.DefaultDeadline)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
@@ -768,7 +781,7 @@ func scatterWrite[T, A any](rt *Router, w http.ResponseWriter, r *http.Request, 
 	if status != http.StatusOK {
 		resp["error"] = "one or more shards failed; see shards"
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // handleHealthz reports the router's cluster view: per shard, the
@@ -791,7 +804,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"endpoints": eps,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"map_version": rt.cfg.Map.Version,
 		"shards":      shards,
@@ -812,10 +825,10 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if healthyShards == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": []string{"no healthy shard endpoints"}})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": []string{"no healthy shard endpoints"}})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"ready":          true,
 		"shards_healthy": healthyShards,
 		"shards_total":   len(rt.shards),
