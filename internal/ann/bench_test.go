@@ -216,3 +216,46 @@ func BenchmarkScanCrossover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInsertCrossover is the table insertCrossover was set from:
+// an insert's neighbor discovery — what runs under the read lock, for
+// a node on layer 0 only, as 15 in 16 are — by the efConstruction-wide
+// beam and by the slab sweep, at two graph sizes and at the plan's own
+// threshold, µs per insert on one CPU at the default config
+// (ef-construction 200, M 16). The sweep's cost is linear in slots and
+// the beam's nearly flat; insertPlan must cut over while the sweep is
+// still well ahead.
+func BenchmarkInsertCrossover(b *testing.B) {
+	pinOneCPU(b)
+	cfg := DefaultHNSWConfig()
+	for _, n := range []int{5000, insertCrossover * cfg.EfConstruction * cfg.M, 20000} {
+		h := mustHNSW(b, buildStoreAt(b, n, benchDim, embstore.SQ8), cfg)
+		// Rediscover the links of 512 spread-out nodes from their own rows.
+		const probes = 512
+		vecs := make([][]float64, probes)
+		for i := range vecs {
+			var v embstore.VecView
+			h.slabView(probeSlot(i, n), &v)
+			vecs[i] = make([]float64, benchDim)
+			v.DequantizeInto(vecs[i])
+		}
+		for _, plan := range []struct {
+			name  string
+			sweep bool
+		}{{"beam", false}, {"sweep", true}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, plan.name), func(b *testing.B) {
+				pinOneCPU(b)
+				sc := new(hnswScratch)
+				for i := 0; i < b.N; i++ {
+					h.mu.RLock()
+					h.discoverLocked(sc, probeSlot(i%probes, n), 0, vecs[i%probes], plan.sweep)
+					h.mu.RUnlock()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "µs/insert")
+			})
+		}
+	}
+}
+
+// probeSlot spreads probe i of 512 over n slots.
+func probeSlot(i, n int) uint32 { return uint32(i * n / 512) }

@@ -25,7 +25,12 @@
 //
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
-// through an insert's expensive phase); Remove tombstones the slot and
+// through an insert's expensive phase). Discovery on layer 0 of a small
+// sq8 graph is a sweep of the slab rather than a beam (insertPlan,
+// scan.go), and yields exactly the links an exact top-efConstruction
+// search would. A sweep can pick a slot whose own insert has not wired
+// it yet, so wiring merges into the links a node already holds instead
+// of replacing them. Remove tombstones the slot and
 // repairs the hole by offering the victim's neighbors to one another
 // (see detachLocked — work proportional to the links removed), falling
 // back to a fresh entry point when the entry node itself is removed.
@@ -59,8 +64,9 @@ type HNSWConfig struct {
 	// M is the target out-degree per node on layers ≥ 1; layer 0 allows
 	// 2M. Default 16. Must be at least 2.
 	M int
-	// EfConstruction is the beam width used while inserting (default
-	// 200). Wider beams find better neighbors and raise recall.
+	// EfConstruction is the candidate pool an insert selects its links
+	// from (default 200): the beam width, or the exact pool a sweep
+	// draws on. Wider pools find better neighbors and raise recall.
 	EfConstruction int
 	// EfSearch is the layer-0 beam width at query time (default 64);
 	// queries run at max(EfSearch, k). The recall/latency dial.
@@ -391,6 +397,11 @@ type hnswScratch struct {
 	discard  []uint32   // diversity rejects, recycled to fill capacity
 	selected [][]uint32 // per-layer chosen neighbor slots (insert)
 
+	// Insert sweep state (sweepNeighbors): the new row's codes widened
+	// for the four-lane kernel (lane 0 only), and one block's code dots.
+	qw  []int16
+	acc [scanGroup * scanBlockRows]int32
+
 	vbuf []float64 // insert-vector copy (Build)
 	top  topK      // final top-k assembly
 
@@ -505,18 +516,16 @@ func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 // every backend. Caller holds h.mu.
 func (h *HNSW) pairScore(a, b uint32) float64 {
 	la, lb := int(a)*h.dim, int(b)*h.dim
-	var dot, na, nb float64
-	switch h.prec {
-	case embstore.F32:
-		dot = vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim])
-		na, nb = h.norms[a], h.norms[b]
-	case embstore.SQ8:
+	if h.prec == embstore.SQ8 {
 		sa, sb := &h.side[a], &h.side[b]
-		dot = vecmath.DotSQ8Sym(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim],
-			float64(sa.scale), float64(sa.offset), float64(sb.scale), float64(sb.offset),
-			sa.codeSum, sb.codeSum)
-		na, nb = float64(sa.norm), float64(sb.norm)
+		acc := vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim])
+		return h.finishPair(sq8PairDot(sa, sb, h.dim, acc), float64(sa.norm), float64(sb.norm))
 	}
+	return h.finishPair(vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim]), h.norms[a], h.norms[b])
+}
+
+// finishPair turns a raw dot of two slab rows into the metric's score.
+func (h *HNSW) finishPair(dot, na, nb float64) float64 {
 	if h.cfg.Metric == DotProduct {
 		return dot
 	}
@@ -524,6 +533,17 @@ func (h *HNSW) pairScore(a, b uint32) float64 {
 		return 0
 	}
 	return dot / (na * nb)
+}
+
+// sq8PairDot is the dot pairScore scores sq8 rows a and b by, given
+// their sidecars and code dot acc: vecmath.DotSQ8Sym's correction term
+// by term. pairScore and the insert sweep both go through it, so a
+// swept pool ranks candidates bit for bit as pairScore does.
+func sq8PairDot(sa, sb *sq8Side, dim int, acc int32) float64 {
+	aScale, aOff := float64(sa.scale), float64(sa.offset)
+	bScale, bOff := float64(sb.scale), float64(sb.offset)
+	return float64(dim)*aOff*bOff + aOff*bScale*float64(sb.codeSum) +
+		bOff*aScale*float64(sa.codeSum) + aScale*bScale*float64(acc)
 }
 
 // beamPush applies the standard beam update for one scored slot: grow
@@ -658,9 +678,16 @@ func (sc *hnswScratch) bestOfRes() scoredNode {
 }
 
 // gatherWork sorts the beam's survivors (sc.res) into sc.work,
-// descending by score against the query, for selectNeighbors.
-func (sc *hnswScratch) gatherWork() {
-	sc.work = append(sc.work[:0], sc.res.a...)
+// descending by score against the query, for selectNeighbors. self,
+// the inserting slot, is left out: a swept insert may have linked to it
+// already, so the beam can reach it.
+func (sc *hnswScratch) gatherWork(self uint32) {
+	sc.work = sc.work[:0]
+	for _, n := range sc.res.a {
+		if n.slot != self {
+			sc.work = append(sc.work, n)
+		}
+	}
 	slices.SortFunc(sc.work, scoredCmp)
 }
 
@@ -684,10 +711,18 @@ func (h *HNSW) diverse(c scoredNode, kept []uint32) bool {
 // spare capacity. dst comes in empty and leaves holding up to m slots.
 // Caller holds h.mu.
 func (h *HNSW) selectNeighbors(sc *hnswScratch, dst []uint32, m int) []uint32 {
+	return h.fillDiscarded(sc, h.selectDiverse(sc, dst, m), m)
+}
+
+// selectDiverse is selectNeighbors' first pass: the diverse candidates
+// of sc.work, best-first, until dst holds m. A result of m slots is
+// final — the walk stopped before reaching the rest of sc.work — which
+// is what lets insert discovery try a narrow candidate pool first.
+func (h *HNSW) selectDiverse(sc *hnswScratch, dst []uint32, m int) []uint32 {
 	sc.discard = sc.discard[:0]
 	for _, c := range sc.work {
 		if len(dst) >= m {
-			return dst
+			break
 		}
 		if h.diverse(c, dst) {
 			dst = append(dst, c.slot)
@@ -695,6 +730,12 @@ func (h *HNSW) selectNeighbors(sc *hnswScratch, dst []uint32, m int) []uint32 {
 			sc.discard = append(sc.discard, c.slot)
 		}
 	}
+	return dst
+}
+
+// fillDiscarded is selectNeighbors' second pass: the first pass's
+// rejects, in order, fill dst up to m.
+func (h *HNSW) fillDiscarded(sc *hnswScratch, dst []uint32, m int) []uint32 {
 	for _, c := range sc.discard { // keep-pruned: don't waste capacity
 		if len(dst) >= m {
 			break
@@ -730,88 +771,139 @@ func (h *HNSW) Add(id graph.NodeID, vec []float64) error {
 // insert runs the three-phase online insertion. upsert=false is the
 // Build path, where the vector is already in the store.
 func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) error {
-	// Phase 1 (write lock, cheap): store upsert, tombstone of any prior
-	// slot for this id, level draw, slot allocation.
+	// Phase 1 (write lock, cheap): bookkeeping.
 	h.mu.Lock()
+	slot, level, err := h.placeLocked(id, vec, sc, upsert)
+	first := err == nil && h.entry < 0
+	if first { // first node: it is the graph
+		h.entry, h.maxLevel = int(slot), level
+	}
+	h.mu.Unlock()
+	if err != nil || first {
+		return err
+	}
+	discoverStart := time.Now()
+
+	// Phase 2 (read lock): neighbor discovery. Runs concurrently with
+	// searches and other inserts' discovery.
+	h.mu.RLock()
+	sweep := insertPlan(h.prec, vecmath.HasSQ8Sym(), len(h.nodes), h.cfg.EfConstruction, h.cfg.M)
+	top := h.discoverLocked(sc, slot, level, vec, sweep)
+	h.mu.RUnlock()
+	wireStart := time.Now()
+	annMutDiscover.Observe(int64(wireStart.Sub(discoverStart)))
+
+	// Phase 3 (write lock): wiring.
+	h.mu.Lock()
+	h.wireLocked(sc, slot, level, top)
+	h.mu.Unlock()
+	annMutWire.ObserveSince(wireStart)
+	return nil
+}
+
+// placeLocked is insert's bookkeeping: the store upsert, the tombstone
+// of any prior slot for id, the level draw, and the new node's slot,
+// slab row and liveness. Caller holds h.mu for writing.
+func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) (slot uint32, level int, err error) {
 	if upsert {
 		if err := h.store.Upsert(id, vec); err != nil {
-			h.mu.Unlock()
-			return err
+			return 0, 0, err
 		}
 	}
 	if old, ok := h.slotOf[id]; ok {
 		h.detachLocked(old, sc)
 	}
-	level := h.randomLevelLocked()
-	slot := uint32(len(h.nodes))
+	level = h.randomLevelLocked()
+	slot = uint32(len(h.nodes))
 	h.appendSlabRowLocked(vec, vecmath.Norm(vec))
 	h.nodes = append(h.nodes, hnswNode{id: id, alive: true, links: make([][]uint32, level+1)})
 	h.setAliveBit(slot, true)
 	h.slotOf[id] = slot
 	h.alive++
-	if h.entry < 0 { // first node: it is the graph
-		h.entry, h.maxLevel = int(slot), level
-		h.mu.Unlock()
-		return nil
-	}
-	h.mu.Unlock()
-	discoverStart := time.Now()
+	return slot, level, nil
+}
 
-	// Phase 2 (read lock): neighbor discovery — greedy descent through
-	// the upper layers, then an efConstruction-wide beam plus the
-	// diversity heuristic on every layer the new node occupies. Runs
-	// concurrently with searches and other inserts' discovery.
-	sc.ctx.init(h.store, vec)
-	h.mu.RLock()
+// wireLocked links the node at slot to its discovered neighbors
+// (sc.selected, layers 0..top) both ways, prunes any list pushed over
+// its degree cap, and promotes the node to entry if it tops the graph.
+// Caller holds h.mu for writing.
+func (h *HNSW) wireLocked(sc *hnswScratch, slot uint32, level, top int) {
+	n := &h.nodes[slot]
+	if !n.alive { // a racing Remove may have tombstoned us mid-insert
+		return
+	}
+	for layer := 0; layer <= top; layer++ {
+		sel := sc.selected[layer]
+		// A sweep reaches slots no link leads to yet, so an insert that
+		// discovered this one may already have linked back to it: merge
+		// rather than overwrite, or that link turns one-way.
+		links := n.links[layer]
+		for _, u := range sel {
+			if !slices.Contains(links, u) {
+				links = append(links, u)
+			}
+		}
+		n.links[layer] = links
+		if len(links) > h.maxConn(layer) {
+			h.pruneLocked(slot, layer, sc)
+		}
+		for _, u := range sel {
+			un := &h.nodes[u]
+			if !un.alive || len(un.links) <= layer {
+				continue // tombstoned between discovery and wiring
+			}
+			if slices.Contains(un.links[layer], slot) {
+				continue // u discovered this slot too and wired first
+			}
+			un.links[layer] = append(un.links[layer], slot)
+			if len(un.links[layer]) > h.maxConn(layer) {
+				h.pruneLocked(u, layer, sc)
+			}
+		}
+	}
+	if level > h.maxLevel {
+		h.entry, h.maxLevel = int(slot), level
+	}
+}
+
+// discoverLocked chooses the links of the node at slot (drawn at level,
+// vector vec) into sc.selected and returns the highest layer it chose
+// for, −1 for none: greedy descent through the layers above the node,
+// then an efConstruction-wide beam plus the diversity heuristic on
+// every layer it occupies — except layer 0 when sweep is set, which
+// sweepNeighbors answers exactly without an entry point. Caller holds
+// h.mu.
+func (h *HNSW) discoverLocked(sc *hnswScratch, slot uint32, level int, vec []float64, sweep bool) int {
+	top, low := -1, 0
+	if sweep {
+		top, low = 0, 1
+	}
 	entry, entryLevel := h.entry, h.maxLevel
-	top := -1
-	if entry >= 0 && uint32(entry) != slot {
+	descend := entry >= 0 && uint32(entry) != slot
+	if descend {
+		top = max(top, min(level, entryLevel))
+	}
+	for len(sc.selected) <= top {
+		sc.selected = append(sc.selected, nil)
+	}
+	if descend && top >= low {
+		sc.ctx.init(h.store, vec)
 		cur := scoredNode{uint32(entry), h.scoreSlot(uint32(entry), &sc.ctx)}
-		top = min(level, entryLevel)
 		for layer := entryLevel; layer > top; layer-- {
 			h.searchLayer(sc, cur, 1, layer)
 			cur = sc.res.peek()
 		}
-		for len(sc.selected) <= top {
-			sc.selected = append(sc.selected, nil)
-		}
-		for layer := top; layer >= 0; layer-- {
+		for layer := top; layer >= low; layer-- {
 			h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
 			cur = sc.bestOfRes()
-			sc.gatherWork()
+			sc.gatherWork(slot)
 			sc.selected[layer] = h.selectNeighbors(sc, sc.selected[layer][:0], h.cfg.M)
 		}
 	}
-	h.mu.RUnlock()
-	wireStart := time.Now()
-	annMutDiscover.Observe(int64(wireStart.Sub(discoverStart)))
-
-	// Phase 3 (write lock): wire the links both ways and prune any
-	// neighbor pushed over its degree cap.
-	h.mu.Lock()
-	n := &h.nodes[slot]
-	if n.alive { // a racing Remove may have tombstoned us mid-insert
-		for layer := 0; layer <= top; layer++ {
-			sel := sc.selected[layer]
-			n.links[layer] = append(n.links[layer][:0], sel...)
-			for _, u := range sel {
-				un := &h.nodes[u]
-				if !un.alive || len(un.links) <= layer {
-					continue // tombstoned between discovery and wiring
-				}
-				un.links[layer] = append(un.links[layer], slot)
-				if len(un.links[layer]) > h.maxConn(layer) {
-					h.pruneLocked(u, layer, sc)
-				}
-			}
-		}
-		if level > h.maxLevel {
-			h.entry, h.maxLevel = int(slot), level
-		}
+	if sweep {
+		sc.selected[0] = h.sweepNeighbors(sc, slot, sc.selected[0][:0])
 	}
-	h.mu.Unlock()
-	annMutWire.ObserveSince(wireStart)
-	return nil
+	return top
 }
 
 // detachLocked tombstones slot and repairs the hole it leaves, at a

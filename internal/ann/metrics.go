@@ -23,8 +23,8 @@ import "ehna/internal/obs"
 // The mutation histogram splits a graph write the way insert does:
 // "detach" is tombstoning a slot and repairing its neighbors' lists
 // (an overwrite's or a delete's extra cost, under the write lock),
-// "discover" the beam searches and neighbor selection under the read
-// lock, "wire" linking the new node in and pruning neighbors pushed
+// "discover" the beam searches or slab sweep and neighbor selection
+// under the read lock, "wire" linking the new node in and pruning neighbors pushed
 // over their cap. discover and wire include the wait for their lock.
 var (
 	annQueriesExact = obs.Default().Counter("ehnad_ann_queries_total",

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"ehna/internal/embstore"
@@ -199,5 +200,230 @@ func TestPairScoreMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// exactDiscovery is the oracle for an insert's swept layer-0 discovery:
+// selectNeighbors over every alive slot but slot, scored by pairScore
+// against it, fully sorted and cut to the top efConstruction (cands).
+// short reports that the narrow first pool (its top insertPool) would
+// not have settled the selection, so the sweep had to widen.
+func exactDiscovery(h *HNSW, slot uint32) (sel []uint32, cands []scoredNode, short bool) {
+	for s := range h.nodes {
+		if s := uint32(s); s != slot && h.aliveBit(s) {
+			cands = append(cands, scoredNode{s, h.pairScore(slot, s)})
+		}
+	}
+	slices.SortFunc(cands, scoredCmp)
+	cands = cands[:min(len(cands), h.cfg.EfConstruction)]
+	sc := new(hnswScratch)
+	sc.work = cands
+	sel = h.selectNeighbors(sc, nil, h.cfg.M)
+	if len(cands) > insertPool {
+		sc.work = cands[:insertPool]
+		short = len(h.selectDiverse(sc, nil, h.cfg.M)) < h.cfg.M
+	}
+	return sel, cands, short
+}
+
+// sweptPool is sweepPool's answer for slot at width.
+func sweptPool(h *HNSW, slot uint32, width int) []scoredNode {
+	qw := make([]int16, scanGroup*h.dim)
+	for i, c := range h.codes[int(slot)*h.dim : int(slot+1)*h.dim] {
+		qw[i] = int16(c)
+	}
+	sc := new(hnswScratch)
+	h.sweepPool(sc, slot, qw, width)
+	return sc.work
+}
+
+// TestSweepDiscoveryIsExact: under the insert plan, every Add's layer-0
+// links are exactly exactDiscovery's, and both sweep pools are exactly
+// its top candidates, ties in slot order — through tombstones (removes and
+// overwrites), exact score ties (the same vector written under several
+// ids), nodes that also occupy upper layers, and inserts whose narrow
+// pool falls short and is widened.
+func TestSweepDiscoveryIsExact(t *testing.T) {
+	needScan(t)
+	for _, metric := range []Metric{Cosine, DotProduct} {
+		const n, adds, dim = 1500, 500, 16
+		cfg := DefaultHNSWConfig()
+		cfg.Metric = metric
+		h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)
+		rng := rand.New(rand.NewSource(61))
+		twin := randVec(rng, make([]float64, dim))
+		var upper, short, tied int
+		for i := 0; i < adds; i++ {
+			id, vec := graph.NodeID(n+i), randVec(rng, make([]float64, dim))
+			switch i % 5 {
+			case 1:
+				h.Remove(graph.NodeID(rng.Intn(n + i)))
+			case 2:
+				id = graph.NodeID(rng.Intn(n + i)) // overwrite: tombstones the old slot
+			case 3:
+				copy(vec, twin) // a bit-identical row under a new id
+			}
+			if err := h.Add(id, vec); err != nil {
+				t.Fatal(err)
+			}
+			h.mu.RLock()
+			slot := h.slotOf[id]
+			if !insertPlan(h.prec, true, len(h.nodes), cfg.EfConstruction, cfg.M) {
+				t.Fatalf("%d slots: the insert plan no longer sweeps", len(h.nodes))
+			}
+			want, cands, sh := exactDiscovery(h, slot)
+			got := h.nodes[slot].links[0]
+			for _, width := range []int{insertPool, cfg.EfConstruction} {
+				if pool := sweptPool(h, slot, width); !slices.Equal(pool, cands[:min(width, len(cands))]) {
+					h.mu.RUnlock()
+					t.Fatalf("%v: add %d (slot %d): the width-%d sweep pool is not the exact top %d", metric, i, slot, width, width)
+				}
+			}
+			if len(h.nodes[slot].links) > 1 {
+				upper++
+			}
+			if sh {
+				short++
+			}
+			for j := 1; j < len(want); j++ {
+				if h.pairScore(slot, want[j]) == h.pairScore(slot, want[j-1]) {
+					tied++
+					break
+				}
+			}
+			h.mu.RUnlock()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: add %d (slot %d): layer-0 links %v, exact discovery %v", metric, i, slot, got, want)
+			}
+		}
+		t.Logf("%v: %d adds, %d above layer 0, %d widened past the narrow pool, %d with tied links", metric, adds, upper, short, tied)
+		if upper == 0 || short == 0 || tied == 0 {
+			t.Fatalf("%v: %d upper-layer, %d widened, %d tied inserts: a case went unexercised", metric, upper, short, tied)
+		}
+		checkGraphInvariants(t, h)
+	}
+}
+
+// TestConcurrentAddReachability races Adds (fresh ids and overwrites)
+// against Removes. A sweep can select a slot whose own insert has not
+// wired it yet, so that insert's wiring must keep the back-links it
+// finds instead of overwriting them; afterwards every list is within
+// its cap, free of duplicates and self-links, and every alive node is
+// reachable from the entry on layer 0.
+func TestConcurrentAddReachability(t *testing.T) {
+	n, workers := 3000, 8
+	if raceEnabled || testing.Short() {
+		n = 1000
+	}
+	const dim = 16
+	store, err := embstore.New(dim, embstore.DefaultShards, embstore.SQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHNSW(store, DefaultHNSWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(70 + w)))
+			for i := w; i < n; i += workers {
+				id := graph.NodeID(i)
+				if i%7 == 3 {
+					id = graph.NodeID(rng.Intn(i + 1)) // overwrite, maybe of a racing insert
+				}
+				if err := h.Add(id, randVec(rng, make([]float64, dim))); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 9 {
+					h.Remove(graph.NodeID(rng.Intn(i + 1)))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkGraphInvariants(t, h)
+
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	seen := make([]bool, len(h.nodes))
+	seen[h.entry] = true
+	queue, reached := []uint32{uint32(h.entry)}, 1
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range h.nodes[u].links[0] {
+			if !seen[v] && h.aliveBit(v) {
+				seen[v] = true
+				reached++
+				queue = append(queue, v)
+			}
+		}
+	}
+	if reached != h.alive {
+		t.Fatalf("%d of %d alive nodes reachable from the entry on layer 0", reached, h.alive)
+	}
+}
+
+// TestWiringKeepsEarlierBackLinks replays the interleaving only a sweep
+// makes possible: B is placed and discovers its links; A, B's twin, is
+// placed and its sweep selects B, which nothing links to yet; A is
+// wired, giving B a back-link; then B is wired. B's wiring must keep
+// that back-link — overwriting B's list with its own selection would
+// leave A → B one-way.
+func TestWiringKeepsEarlierBackLinks(t *testing.T) {
+	needScan(t)
+	const n, dim = 300, 16
+	h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), DefaultHNSWConfig())
+	vec := randVec(rand.New(rand.NewSource(81)), make([]float64, dim))
+	sa, sb := new(hnswScratch), new(hnswScratch)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	b, lb, err := h.placeLocked(n, vec, sb, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topB := h.discoverLocked(sb, b, lb, vec, true)
+	a, la, err := h.placeLocked(n+1, vec, sa, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topA := h.discoverLocked(sa, a, la, vec, true)
+	if !slices.Contains(sa.selected[0], b) {
+		t.Fatalf("A's sweep did not select its unwired twin B: %v", sa.selected[0])
+	}
+	h.wireLocked(sa, a, la, topA)
+	h.wireLocked(sb, b, lb, topB)
+	if !slices.Contains(h.nodes[b].links[0], a) {
+		t.Fatalf("B's wiring dropped the back-link A's gave it: A → B is one-way (B links %v)", h.nodes[b].links[0])
+	}
+}
+
+// TestSweepDiscoveryZeroAlloc: once its scratch is warm, an insert's
+// swept discovery — the narrow pool, the widened one, the selection —
+// allocates nothing.
+func TestSweepDiscoveryZeroAlloc(t *testing.T) {
+	needScan(t)
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	h := mustHNSW(t, buildStoreAt(t, 2000, 32, embstore.SQ8), DefaultHNSWConfig())
+	sc := new(hnswScratch)
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	slot := uint32(0)
+	discover := func() {
+		h.discoverLocked(sc, slot, 0, nil, true)
+		slot = (slot + 97) % uint32(len(h.nodes))
+	}
+	for i := 0; i < 50; i++ {
+		discover()
+	}
+	if allocs := testing.AllocsPerRun(200, discover); allocs != 0 {
+		t.Errorf("swept discovery allocated %v times per insert", allocs)
 	}
 }

@@ -1,13 +1,15 @@
-// The batch plan of HNSW.SearchBatch: a blocked brute-force sweep of
-// the graph's own sq8 slab. A beam is sublinear per query but shares
-// nothing between queries; a batch can instead load every stored row
-// once for several queries (the blocked scan of FAISS, Johnson, Douze &
-// Jégou 2017). vecmath.DotSQ8SymCodes4 scores a run of rows against
-// four queries at ~1.6 ns per (row, query) where a beam pays ~58 ns per
-// row it visits (heap traffic, random slab reads), so while the slab is
-// small enough — scanPlan is the rule — sweeping all of it is cheaper
-// than searching it, and its candidates are the exact symmetric top
-// rather than a beam's approximation of it.
+// The sweep plans of small sq8 graphs: HNSW.SearchBatch answers a
+// batch, and HNSW.insert finds a new node's layer-0 neighbors, by a
+// blocked brute-force sweep of the graph's own sq8 slab instead of
+// beams. A beam is sublinear per query but shares nothing between
+// queries; a batch can instead load every stored row once for several
+// queries (the blocked scan of FAISS, Johnson, Douze & Jégou 2017).
+// vecmath.DotSQ8SymCodes4 scores a run of rows against four queries at
+// ~1.6 ns per (row, query) where a beam pays ~58 ns per row it visits
+// (heap traffic, random slab reads), so while the slab is small enough
+// — scanPlan is the rule — sweeping all of it is cheaper than searching
+// it, and its candidates are the exact symmetric top rather than a
+// beam's approximation of it.
 //
 // Results are the two-stage sq8 ranking Exact defines: the symmetric
 // integer kernel fills a candidateK-wide pool per query, the asymmetric
@@ -15,7 +17,17 @@
 // own second stage), and a pool that comes up short of min(k, live)
 // goes to the exact fallback.
 //
-// Locking: the sweep takes the read lock per block of scanBlockRows
+// An insert has one query, so its sweep (sweepNeighbors) runs the
+// kernel with three idle lanes, ~6 ns per row. That still beats the
+// efConstruction-wide beam while the slab is small (insertPlan is the
+// rule), because the beam visits thousands of rows at heap cost. The
+// sweep scores rows with pairScore's own arithmetic, which is what
+// neighbor selection compares against, so the graph it builds is link
+// for link that of an exact search for the top efConstruction
+// candidates. It runs inside the insert's one read-lock hold for
+// discovery, as the beam it replaces did.
+//
+// Locking: the batch sweep takes the read lock per block of scanBlockRows
 // rows, re-reading the slot count and the slab headers each time, and
 // never across two blocks — a writer waits for at most one block
 // (microseconds) however large the batch. Slots are append-only and
@@ -57,6 +69,18 @@ const (
 	// 192. At 6 the sweep is still 1.75× and 2.4× ahead at its own
 	// threshold, margin for hosts whose caches hold less of the slab.
 	scanCrossover = 6
+
+	// insertCrossover is c in insertPlan's slots ≤ c·efConstruction·M.
+	// Set from BenchmarkInsertCrossover (dim 64, ef-construction 200, M
+	// 16, one CPU; the table is in README "Kernel backends"): per insert
+	// the sweep costs ~20 µs + 10.5 µs per thousand slots, the beam
+	// 150–210 µs from 5k to 20k slots, and they cross at ~5·efc·M. At 3
+	// the sweep is still ~1.3× ahead at its own threshold.
+	insertCrossover = 3
+
+	// insertPool is the width of sweepNeighbors' first, narrow pool: a
+	// few times M, so that most inserts find M diverse candidates in it.
+	insertPool = 48
 )
 
 // scanPlan is the whole decision between the two batch algorithms, a
@@ -68,6 +92,86 @@ const (
 func scanPlan(prec embstore.Precision, symSIMD bool, batch, slots, ef, kk, m int) bool {
 	return prec == embstore.SQ8 && symSIMD && batch >= scanGroup &&
 		slots <= scanCrossover*max(ef, kk)*m
+}
+
+// insertPlan is the same decision for an insert's layer-0 neighbor
+// discovery: sweep the slab (sweepNeighbors) over sq8 slabs on SIMD
+// backends while it holds at most insertCrossover · efConstruction · M
+// slots, run the efConstruction-wide beam otherwise.
+func insertPlan(prec embstore.Precision, symSIMD bool, slots, efc, m int) bool {
+	return prec == embstore.SQ8 && symSIMD && slots <= insertCrossover*efc*m
+}
+
+// sweepNeighbors is layer-0 discovery for the node at slot by sweep:
+// the diversity heuristic (selectNeighbors) over the exact top
+// efConstruction alive slots by pairScore, appended to dst. It first
+// sweeps into a pool of only insertPool candidates; selectNeighbors
+// stops reading its candidates once it holds M diverse ones, so when
+// the narrow pool yields M, the full pool would have yielded the same
+// M. Only when it does not is the slab swept again at full width.
+// Caller holds h.mu.
+func (h *HNSW) sweepNeighbors(sc *hnswScratch, slot uint32, dst []uint32) []uint32 {
+	dim, m, ef := h.dim, h.cfg.M, h.cfg.EfConstruction
+	if cap(sc.qw) < scanGroup*dim {
+		sc.qw = make([]int16, scanGroup*dim)
+	}
+	qw := sc.qw[:scanGroup*dim]
+	for i, c := range h.codes[int(slot)*dim : int(slot+1)*dim] {
+		qw[i] = int16(c)
+	}
+	width := min(insertPool, ef)
+	all := h.sweepPool(sc, slot, qw, width)
+	dst = h.selectDiverse(sc, dst, m)
+	if len(dst) < m && !all && width < ef {
+		h.sweepPool(sc, slot, qw, ef)
+		dst = h.selectDiverse(sc, dst[:0], m)
+	}
+	return h.fillDiscarded(sc, dst, m)
+}
+
+// sweepPool leaves in sc.work the width best alive slots other than
+// slot, by pairScore against it, in scoredCmp order: descending score,
+// ties to the lower slot. Rows arrive in ascending slot order, so a row
+// tying a pooled score ranks after it — it enters a full pool only by
+// beating the worst outright. It reports whether the pool holds every
+// candidate. The rows' code dots come from the four-lane kernel with
+// only lane 0 (qw, slot's codes) in use.
+func (h *HNSW) sweepPool(sc *hnswScratch, slot uint32, qw []int16, width int) bool {
+	self := &h.side[slot]
+	pool := sc.work[:0]
+	floor := math.Inf(-1) // a full pool's worst score
+	dim, n := h.dim, len(h.nodes)
+	for lo := 0; lo < n; lo += scanBlockRows {
+		hi := min(lo+scanBlockRows, n)
+		acc := sc.acc[:scanGroup*(hi-lo)]
+		vecmath.DotSQ8SymCodes4(acc, qw, h.codes[lo*dim:hi*dim], dim)
+		for r := lo; r < hi; r++ {
+			sd := &h.side[r]
+			score := h.finishPair(sq8PairDot(self, sd, dim, acc[scanGroup*(r-lo)]), float64(self.norm), float64(sd.norm))
+			s := uint32(r)
+			if score < floor || s == slot || !h.aliveBit(s) {
+				continue
+			}
+			i := len(pool) // insertion point, found from the tail
+			if i == width {
+				if score == floor {
+					continue
+				}
+				i-- // the worst drops out
+			} else {
+				pool = append(pool, scoredNode{})
+			}
+			for ; i > 0 && pool[i-1].score < score; i-- {
+				pool[i] = pool[i-1]
+			}
+			pool[i] = scoredNode{s, score}
+			if len(pool) == width {
+				floor = pool[width-1].score
+			}
+		}
+	}
+	sc.work = pool
+	return len(pool) < width
 }
 
 // scanQuery is one query's share of a group sweep: its context (the

@@ -196,6 +196,8 @@ func TestScanBatchFallback(t *testing.T) {
 // kk)·M, batch ≥ 4, sq8 on a SIMD backend — and shows it is what
 // SearchBatch acts on: one slot past the threshold, or one notch of ef
 // below it, moves the batch from the hnsw_scan counter to the hnsw one.
+// It pins insertPlan's inequality the same way; TestSweepDiscoveryIsExact
+// shows inserts under it are swept.
 func TestScanPlanBoundary(t *testing.T) {
 	const ef, kk, m = 64, 40, 16
 	limit := scanCrossover * ef * m
@@ -217,6 +219,29 @@ func TestScanPlanBoundary(t *testing.T) {
 	} {
 		if got := scanPlan(c.prec, c.sym, c.batch, c.slots, c.ef, c.kk, c.m); got != c.want {
 			t.Errorf("scanPlan %s = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// The insert plan: slots ≤ c·efConstruction·M, sq8 on a SIMD backend,
+	// no batch — an insert is one query.
+	const efc = 200
+	insertLimit := insertCrossover * efc * m
+	for _, c := range []struct {
+		name          string
+		prec          embstore.Precision
+		sym           bool
+		slots, efc, m int
+		want          bool
+	}{
+		{"at the threshold", embstore.SQ8, true, insertLimit, efc, m, true},
+		{"one slot over", embstore.SQ8, true, insertLimit + 1, efc, m, false},
+		{"one notch of efc below", embstore.SQ8, true, insertLimit, efc - 1, m, false},
+		{"scalar backend", embstore.SQ8, false, 10, efc, m, false},
+		{"f32 slab", embstore.F32, true, 10, efc, m, false},
+		{"second slot", embstore.SQ8, true, 2, efc, m, true},
+	} {
+		if got := insertPlan(c.prec, c.sym, c.slots, c.efc, c.m); got != c.want {
+			t.Errorf("insertPlan %s = %v, want %v", c.name, got, c.want)
 		}
 	}
 
