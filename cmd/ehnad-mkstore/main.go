@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"ehna/internal/ann"
@@ -93,6 +92,9 @@ func main() {
 	if *out == "" {
 		log.Fatal("ehnad-mkstore: pass -out DIR (generate) or -check DIR (verify)")
 	}
+	if *queries > 0 && *k < 1 {
+		log.Fatalf("ehnad-mkstore: -k %d: the truth depth must be at least 1", *k)
+	}
 	prec, err := embstore.ParsePrecision(*precision)
 	if err != nil {
 		log.Fatalf("ehnad-mkstore: %v", err)
@@ -139,6 +141,7 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 		}
 		truth.Queries[qi].Vector = v
 		qnorm[qi] = vecmath.Norm(v)
+		top[qi] = make([]cand, 0, k)
 	}
 
 	start := time.Now()
@@ -163,11 +166,15 @@ func generate(out string, n, dim, shards int, prec embstore.Precision, seed int6
 				continue
 			}
 			if len(t) < k {
-				t = append(t, cand{id, score})
-			} else {
-				t[k-1] = cand{id, score}
+				t = append(t, cand{})
 			}
-			sort.Slice(t, func(a, b int) bool { return t[a].score > t[b].score })
+			// Insert after every kept score ≥ this one, so an equal score
+			// keeps ranking below the earlier id.
+			i := len(t) - 1
+			for ; i > 0 && t[i-1].score < score; i-- {
+				t[i] = t[i-1]
+			}
+			t[i] = cand{id, score}
 			top[qi] = t
 		}
 	}

@@ -35,9 +35,15 @@
 // (see detachLocked — work proportional to the links removed), falling
 // back to a fresh entry point when the entry node itself is removed.
 // Neighbor selection and repair score slab rows against each other at
-// the slab's own precision (pairScore); nothing is dequantized.
-// Build inserts a whole store snapshot in parallel with per-worker
-// scratch. SaveGraph/LoadHNSWGraph write and read the graph structure as
+// the slab's own precision (pairScore); nothing is dequantized. A
+// layer-0 prune keeps the previous prune's verdicts on the links that
+// are still there and judges only what changed (pruneLocked), with the
+// same result as a prune from scratch.
+// Build inserts a whole store snapshot in groups of four (insertGroup:
+// one four-lane sweep serves the group's layer-0 discovery), the groups
+// in parallel with per-worker scratch; on one CPU it builds byte for
+// byte the graph of inserting the ids one at a time.
+// SaveGraph/LoadHNSWGraph write and read the graph structure as
 // one flat, CRC32C-checked file (graphfile.go) so a daemon can boot
 // without paying the build again.
 package ann
@@ -166,6 +172,13 @@ type HNSW struct {
 	norms  []float64 // F32 per-row norms
 	codes  []int8    // SQ8
 	side   []sq8Side // SQ8 per-row sidecar (norm included)
+
+	// pruned[s] records slot s's last layer-0 prune, so the next one can
+	// reuse its verdicts (pruneLocked): the length of the list it left in
+	// the low 16 bits and how many of those it kept as diverse in the
+	// high 16, valid while later writes only append to the list; 0 when
+	// there is none. Slots past its end have none.
+	pruned []uint32
 }
 
 // sq8Side is the graph slab's per-row SQ8 sidecar (decode parameters,
@@ -287,9 +300,11 @@ func (h *HNSW) randomLevelLocked() int {
 }
 
 // scoredNode pairs a graph slot with its similarity to the current
-// pivot (query vector or prune subject). Higher score = closer.
+// pivot (query vector or prune subject). Higher score = closer. was is
+// a prune candidate's standing in the list's previous prune (pruneLocked).
 type scoredNode struct {
 	slot  uint32
+	was   uint32
 	score float64
 }
 
@@ -308,6 +323,24 @@ func scoredCmp(a, b scoredNode) int {
 		return 1
 	default:
 		return 0
+	}
+}
+
+// sortScored sorts s by scoredCmp. Pruned lists and sweep pools hold a
+// few dozen entries, where an insertion sort with the comparison inlined
+// is several times cheaper than the generic sort's calls through
+// scoredCmp; keys are unique (slot breaks ties), so both give one order.
+func sortScored(s []scoredNode) {
+	if len(s) > 64 {
+		slices.SortFunc(s, scoredCmp)
+		return
+	}
+	for i := 1; i < len(s); i++ {
+		x, j := s[i], i
+		for ; j > 0 && (x.score > s[j-1].score || x.score == s[j-1].score && x.slot < s[j-1].slot); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = x
 	}
 }
 
@@ -395,14 +428,19 @@ type hnswScratch struct {
 	// victim's other neighbors on repair).
 	work     []scoredNode
 	discard  []uint32   // diversity rejects, recycled to fill capacity
+	added    []uint32   // a prune's newly kept links (pruneLocked)
 	selected [][]uint32 // per-layer chosen neighbor slots (insert)
 
-	// Insert sweep state (sweepNeighbors): the new row's codes widened
-	// for the four-lane kernel (lane 0 only), and one block's code dots.
-	qw  []int16
-	acc [scanGroup * scanBlockRows]int32
+	// Insert sweep state (sweepPool): one lane per node discovering its
+	// layer-0 links, the lanes' codes widened for the four-lane kernel,
+	// and one block's code dots and row-side score factors (sized on a
+	// scratch's first sweep, so query scratches do not carry them).
+	lanes   [scanGroup]sweepLane
+	qw      []int16
+	acc     [scanGroup * scanBlockRows]int32
+	factors []float64
 
-	vbuf []float64 // insert-vector copy (Build)
+	vbuf []float64 // insert-vector copies (Build)
 	top  topK      // final top-k assembly
 
 	// touch keeps scorePendingSym's pre-touch loads observable so the
@@ -517,11 +555,17 @@ func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 func (h *HNSW) pairScore(a, b uint32) float64 {
 	la, lb := int(a)*h.dim, int(b)*h.dim
 	if h.prec == embstore.SQ8 {
-		sa, sb := &h.side[a], &h.side[b]
-		acc := vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim])
-		return h.finishPair(sq8PairDot(sa, sb, h.dim, acc), float64(sa.norm), float64(sb.norm))
+		return h.pairScoreSQ8(a, b, vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim]))
 	}
 	return h.finishPair(vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim]), h.norms[a], h.norms[b])
+}
+
+// pairScoreSQ8 is pairScore of sq8 rows a and b given their code dot
+// acc. The insert sweep finishes its pairs through it, in pairScore's
+// argument order, so it scores bit for bit as pairScore does.
+func (h *HNSW) pairScoreSQ8(a, b uint32, acc int32) float64 {
+	sa, sb := &h.side[a], &h.side[b]
+	return h.finishPair(sq8PairDot(sa, sb, h.dim, acc), float64(sa.norm), float64(sb.norm))
 }
 
 // finishPair turns a raw dot of two slab rows into the metric's score.
@@ -537,8 +581,8 @@ func (h *HNSW) finishPair(dot, na, nb float64) float64 {
 
 // sq8PairDot is the dot pairScore scores sq8 rows a and b by, given
 // their sidecars and code dot acc: vecmath.DotSQ8Sym's correction term
-// by term. pairScore and the insert sweep both go through it, so a
-// swept pool ranks candidates bit for bit as pairScore does.
+// by term. The grouping is not symmetric in a and b, so callers keep
+// pairScore's argument order.
 func sq8PairDot(sa, sb *sq8Side, dim int, acc int32) float64 {
 	aScale, aOff := float64(sa.scale), float64(sa.offset)
 	bScale, bOff := float64(sb.scale), float64(sb.offset)
@@ -552,11 +596,11 @@ func sq8PairDot(sa, sb *sq8Side, dim int, acc int32) float64 {
 // the beam).
 func beamPush(sc *hnswScratch, slot uint32, score float64, ef int) {
 	if sc.res.len() < ef {
-		sc.cand.push(scoredNode{slot, score})
-		sc.res.push(scoredNode{slot, score})
+		sc.cand.push(scoredNode{slot: slot, score: score})
+		sc.res.push(scoredNode{slot: slot, score: score})
 	} else if score > sc.res.peek().score {
-		sc.cand.push(scoredNode{slot, score})
-		sc.res.push(scoredNode{slot, score})
+		sc.cand.push(scoredNode{slot: slot, score: score})
+		sc.res.push(scoredNode{slot: slot, score: score})
 		sc.res.pop()
 	}
 }
@@ -688,7 +732,7 @@ func (sc *hnswScratch) gatherWork(self uint32) {
 			sc.work = append(sc.work, n)
 		}
 	}
-	slices.SortFunc(sc.work, scoredCmp)
+	sortScored(sc.work)
 }
 
 // diverse is the HNSW diversity rule: candidate c (scored against the
@@ -705,22 +749,22 @@ func (h *HNSW) diverse(c scoredNode, kept []uint32) bool {
 	return true
 }
 
-// selectNeighbors runs the diversity heuristic over sc.work (sorted
+// selectNeighbors runs the diversity heuristic over cands (sorted
 // descending by score against the pivot): walking candidates
 // best-first, keep the diverse ones, then recycle the rejects to fill
 // spare capacity. dst comes in empty and leaves holding up to m slots.
 // Caller holds h.mu.
-func (h *HNSW) selectNeighbors(sc *hnswScratch, dst []uint32, m int) []uint32 {
-	return h.fillDiscarded(sc, h.selectDiverse(sc, dst, m), m)
+func (h *HNSW) selectNeighbors(sc *hnswScratch, cands []scoredNode, dst []uint32, m int) []uint32 {
+	return h.fillDiscarded(sc, h.selectDiverse(sc, cands, dst, m), m)
 }
 
 // selectDiverse is selectNeighbors' first pass: the diverse candidates
-// of sc.work, best-first, until dst holds m. A result of m slots is
-// final — the walk stopped before reaching the rest of sc.work — which
+// of cands, best-first, until dst holds m. A result of m slots is
+// final — the walk stopped before reaching the rest of cands — which
 // is what lets insert discovery try a narrow candidate pool first.
-func (h *HNSW) selectDiverse(sc *hnswScratch, dst []uint32, m int) []uint32 {
+func (h *HNSW) selectDiverse(sc *hnswScratch, cands []scoredNode, dst []uint32, m int) []uint32 {
 	sc.discard = sc.discard[:0]
-	for _, c := range sc.work {
+	for _, c := range cands {
 		if len(dst) >= m {
 			break
 		}
@@ -745,19 +789,109 @@ func (h *HNSW) fillDiscarded(sc *hnswScratch, dst []uint32, m int) []uint32 {
 	return dst
 }
 
+// Standings of a prune candidate in the list's previous prune.
+const (
+	wasNew     = iota // appended since: no verdict
+	wasKept           // kept as diverse
+	wasDiscard        // rejected, kept only to fill capacity
+)
+
 // pruneLocked re-selects slot u's links at layer down to the degree
 // cap, scoring them against u's own slab row and dropping dead links
-// along the way. Caller holds h.mu for writing.
+// along the way: selectNeighbors over them, sorted by score against u.
+// Caller holds h.mu for writing.
+//
+// On layer 0 it reuses what the list's previous prune decided. That
+// prune left its kept links then its discards, and writes since have
+// only appended, so each old link comes with its verdict. The
+// diversity rule judges a link only against the links kept before it
+// in score order, and the walk meets the old links in the same order as
+// before, so as long as the kept set ahead of an old link is what it
+// was, its verdict stands. New links, and old discards once that set
+// has changed, are judged in full. An old kept link can only lose to a
+// link kept since (it already passed the rest), so it is judged against
+// those alone. The result is the full walk's, verdict for verdict, at a
+// fraction of the pair scores.
 func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	links := h.nodes[u].links[layer]
-	sc.work = sc.work[:0]
-	for _, nb := range links {
-		if nb != u && h.aliveBit(nb) {
-			sc.work = append(sc.work, scoredNode{nb, h.pairScore(u, nb)})
+	var old, kept int // the previous prune's list length and kept count
+	if layer == 0 && int(u) < len(h.pruned) {
+		if rec := h.pruned[u]; int(rec&0xffff) <= len(links) {
+			old, kept = int(rec&0xffff), int(rec>>16)
 		}
 	}
-	slices.SortFunc(sc.work, scoredCmp)
-	h.nodes[u].links[layer] = h.selectNeighbors(sc, links[:0], h.maxConn(layer))
+	changed := false // the kept set differs from the previous prune's
+	sc.work = sc.work[:0]
+	for i, nb := range links {
+		was := uint32(wasNew)
+		if i < kept {
+			was = wasKept
+		} else if i < old {
+			was = wasDiscard
+		}
+		if nb != u && h.aliveBit(nb) {
+			sc.work = append(sc.work, scoredNode{slot: nb, was: was, score: h.pairScore(u, nb)})
+		} else if was == wasKept {
+			changed = true // a kept link died
+		}
+	}
+	sortScored(sc.work)
+	m := h.maxConn(layer)
+	dst := links[:0]
+	sc.discard, sc.added = sc.discard[:0], sc.added[:0]
+	for _, c := range sc.work {
+		if len(dst) >= m {
+			break
+		}
+		var ok bool
+		switch {
+		case c.was == wasKept:
+			ok = h.diverse(c, sc.added)
+		case c.was == wasDiscard && !changed:
+			ok = false
+		default:
+			ok = h.diverse(c, dst)
+		}
+		switch {
+		case ok:
+			dst = append(dst, c.slot)
+			if c.was != wasKept {
+				sc.added = append(sc.added, c.slot)
+				changed = true
+			}
+		default:
+			sc.discard = append(sc.discard, c.slot)
+			if c.was == wasKept {
+				changed = true
+			}
+		}
+	}
+	diverse := len(dst)
+	dst = h.fillDiscarded(sc, dst, m)
+	h.nodes[u].links[layer] = dst
+	if layer == 0 {
+		h.setPruned(u, uint32(len(dst))|uint32(diverse)<<16)
+	}
+}
+
+// setPruned records slot s's layer-0 prune (0: none).
+func (h *HNSW) setPruned(s, rec uint32) {
+	if int(s) >= len(h.pruned) {
+		if rec == 0 {
+			return
+		}
+		h.pruned = append(h.pruned, make([]uint32, int(s)+1-len(h.pruned))...)
+	}
+	h.pruned[s] = rec
+}
+
+// resize returns s with length n, reusing its array when it can hold n;
+// the contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Add inserts or replaces a vector in the store and the graph.
@@ -870,10 +1004,25 @@ func (h *HNSW) wireLocked(sc *hnswScratch, slot uint32, level, top int) {
 // vector vec) into sc.selected and returns the highest layer it chose
 // for, −1 for none: greedy descent through the layers above the node,
 // then an efConstruction-wide beam plus the diversity heuristic on
-// every layer it occupies — except layer 0 when sweep is set, which
-// sweepNeighbors answers exactly without an entry point. Caller holds
-// h.mu.
+// every layer it occupies — except layer 0 when sweep is set, which a
+// one-lane sweepSelect answers exactly without an entry point. Caller
+// holds h.mu.
 func (h *HNSW) discoverLocked(sc *hnswScratch, slot uint32, level int, vec []float64, sweep bool) int {
+	top := h.beamDiscoverLocked(sc, slot, level, vec, sweep)
+	if sweep {
+		ln := &sc.lanes[0]
+		ln.slot, ln.limit = slot, len(h.nodes)
+		h.sweepSelect(sc, sc.lanes[:1])
+		sc.selected[0] = append(sc.selected[0][:0], ln.sel...)
+	}
+	return top
+}
+
+// beamDiscoverLocked is discoverLocked without the sweep: with sweep
+// set it leaves layer 0 to the caller, but still counts it in the top
+// layer it returns and makes room for it in sc.selected. Caller holds
+// h.mu.
+func (h *HNSW) beamDiscoverLocked(sc *hnswScratch, slot uint32, level int, vec []float64, sweep bool) int {
 	top, low := -1, 0
 	if sweep {
 		top, low = 0, 1
@@ -888,7 +1037,7 @@ func (h *HNSW) discoverLocked(sc *hnswScratch, slot uint32, level int, vec []flo
 	}
 	if descend && top >= low {
 		sc.ctx.init(h.store, vec)
-		cur := scoredNode{uint32(entry), h.scoreSlot(uint32(entry), &sc.ctx)}
+		cur := scoredNode{slot: uint32(entry), score: h.scoreSlot(uint32(entry), &sc.ctx)}
 		for layer := entryLevel; layer > top; layer-- {
 			h.searchLayer(sc, cur, 1, layer)
 			cur = sc.res.peek()
@@ -897,11 +1046,8 @@ func (h *HNSW) discoverLocked(sc *hnswScratch, slot uint32, level int, vec []flo
 			h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
 			cur = sc.bestOfRes()
 			sc.gatherWork(slot)
-			sc.selected[layer] = h.selectNeighbors(sc, sc.selected[layer][:0], h.cfg.M)
+			sc.selected[layer] = h.selectNeighbors(sc, sc.work, sc.selected[layer][:0], h.cfg.M)
 		}
-	}
-	if sweep {
-		sc.selected[0] = h.sweepNeighbors(sc, slot, sc.selected[0][:0])
 	}
 	return top
 }
@@ -952,6 +1098,9 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 // shrinks the graph. u's surviving links are kept as they are. Caller
 // holds h.mu for writing.
 func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswScratch) []uint32 {
+	if layer == 0 {
+		h.setPruned(u, 0) // the rewrite is not an append
+	}
 	kept := ul[:0]
 	for _, nb := range ul {
 		if h.aliveBit(nb) {
@@ -965,10 +1114,10 @@ func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswS
 	sc.work = sc.work[:0]
 	for _, c := range orphans {
 		if c != u && h.aliveBit(c) && !slices.Contains(kept, c) {
-			sc.work = append(sc.work, scoredNode{c, h.pairScore(u, c)})
+			sc.work = append(sc.work, scoredNode{slot: c, score: h.pairScore(u, c)})
 		}
 	}
-	slices.SortFunc(sc.work, scoredCmp)
+	sortScored(sc.work)
 	survivors := len(kept)
 	for _, c := range sc.work {
 		if len(kept) >= m {
@@ -1039,25 +1188,122 @@ func (h *HNSW) Remove(id graph.NodeID) bool {
 	return ok || inStore
 }
 
-// Build indexes every vector already in the store, fanning inserts out
-// over a ParallelFor worker pool with pooled per-worker scratch.
-// Discovery (the expensive phase) runs under the shared read lock, so
-// workers overlap; only the link-wiring critical sections serialize.
+// Build indexes every vector already in the store, in groups of
+// scanGroup consecutive ids (insertGroup) fanned out over a ParallelFor
+// worker pool with pooled per-worker scratch. Discovery (the expensive
+// phase) runs under the shared read lock, so workers overlap; only the
+// link-wiring critical sections serialize. On one CPU the groups run in
+// order, and the graph is byte for byte the one inserting the ids one
+// at a time would build.
 func (h *HNSW) Build() error {
 	ids := h.store.IDs()
-	dim := h.store.Dim()
-	ParallelFor(len(ids), func(i int) {
+	ParallelFor((len(ids)+scanGroup-1)/scanGroup, func(g int) {
 		sc := hnswScratchPool.Get().(*hnswScratch)
-		if cap(sc.vbuf) < dim {
-			sc.vbuf = make([]float64, dim)
-		}
-		vbuf := sc.vbuf[:dim]
-		if h.store.With(ids[i], func(v *embstore.VecView) { v.DequantizeInto(vbuf) }) {
-			_ = h.insert(ids[i], vbuf, sc, false) // upsert=false never errors
-		}
+		h.insertGroup(sc, ids[g*scanGroup:min((g+1)*scanGroup, len(ids))])
 		hnswScratchPool.Put(sc)
 	})
 	return nil
+}
+
+// groupMember is one node of an insertGroup.
+type groupMember struct {
+	id    graph.NodeID
+	vec   []float64
+	slot  uint32
+	level int
+	first bool // placed into an empty graph: it is the entry, with no links to find
+	sweep bool // insertPlan's choice for layer 0
+	lane  int  // its sweepLane, when sweep
+}
+
+// insertGroup is Build's insert of up to scanGroup ids already in the
+// store: the work of an insert per id, in order, with their layer-0
+// sweeps done together. All of them are placed first (slots, level
+// draws and slab rows in id order); one sweepSelect over the slab then
+// fills one lane per swept member, lane j seeing only the rows below its
+// own slot — exactly the rows that existed when an insert of it alone
+// would have swept. Each member then takes, in slot order, its
+// insertPlan decision at the slot count it would have seen, its beams
+// (run after the earlier members are wired, as they would have been),
+// and its wiring. A group holding an id the graph already indexes would
+// tombstone a slot the earlier members must still see, so it falls back
+// to one insert per id.
+func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
+	dim := h.dim
+	sc.vbuf = resize(sc.vbuf, scanGroup*dim)
+	var mem [scanGroup]groupMember
+	n := 0
+	for _, id := range ids {
+		vec := sc.vbuf[n*dim : (n+1)*dim]
+		if h.store.With(id, func(v *embstore.VecView) { v.DequantizeInto(vec) }) {
+			mem[n] = groupMember{id: id, vec: vec}
+			n++
+		}
+	}
+	members := mem[:n]
+	if n == 0 {
+		return
+	}
+
+	h.mu.Lock()
+	for _, m := range members {
+		if _, ok := h.slotOf[m.id]; ok {
+			h.mu.Unlock()
+			for _, m := range members {
+				_ = h.insert(m.id, m.vec, sc, false) // upsert=false never errors
+			}
+			return
+		}
+	}
+	for i := range members {
+		m := &members[i]
+		m.slot, m.level, _ = h.placeLocked(m.id, m.vec, sc, false) // upsert=false never errors
+		if m.first = h.entry < 0; m.first {
+			h.entry, h.maxLevel = int(m.slot), m.level
+		}
+	}
+	h.mu.Unlock()
+
+	discoverStart := time.Now()
+	h.mu.RLock()
+	lanes := 0
+	for i := range members {
+		m := &members[i]
+		m.sweep = !m.first && insertPlan(h.prec, vecmath.HasSQ8Sym(), int(m.slot)+1, h.cfg.EfConstruction, h.cfg.M)
+		if m.sweep {
+			ln := &sc.lanes[lanes]
+			ln.slot, ln.limit = m.slot, int(m.slot)
+			m.lane = lanes
+			lanes++
+		}
+	}
+	if lanes > 0 {
+		h.sweepSelect(sc, sc.lanes[:lanes])
+	}
+	h.mu.RUnlock()
+	// Each member's discover observation carries an even share of the
+	// group's sweep.
+	sweepShare := time.Since(discoverStart) / time.Duration(n)
+
+	for i := range members {
+		m := &members[i]
+		if m.first {
+			continue
+		}
+		beamStart := time.Now()
+		h.mu.RLock()
+		top := h.beamDiscoverLocked(sc, m.slot, m.level, m.vec, m.sweep)
+		h.mu.RUnlock()
+		if m.sweep {
+			sc.selected[0] = append(sc.selected[0][:0], sc.lanes[m.lane].sel...)
+		}
+		wireStart := time.Now()
+		annMutDiscover.Observe(int64(sweepShare + wireStart.Sub(beamStart)))
+		h.mu.Lock()
+		h.wireLocked(sc, m.slot, m.level, top)
+		h.mu.Unlock()
+		annMutWire.ObserveSince(wireStart)
+	}
 }
 
 // Search returns the top-k neighbors of q as a fresh slice.
@@ -1103,7 +1349,7 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	if ef < kk {
 		ef = kk
 	}
-	cur := scoredNode{uint32(h.entry), h.scoreSlot(uint32(h.entry), &sc.ctx)}
+	cur := scoredNode{slot: uint32(h.entry), score: h.scoreSlot(uint32(h.entry), &sc.ctx)}
 	for layer := h.maxLevel; layer > 0; layer-- {
 		h.searchLayer(sc, cur, 1, layer)
 		cur = sc.res.peek()

@@ -1,8 +1,11 @@
 package ann
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"ehna/internal/embstore"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
+	"ehna/internal/vecmath"
 )
 
 // checkGraphInvariants asserts the structural contract every mutation
@@ -123,6 +127,9 @@ func TestDetachDropsDeadLinks(t *testing.T) {
 	h := mustHNSW(t, randomStore(t, 1000, 16, 52), DefaultHNSWConfig())
 	oneWay := 0
 	for _, center := range []uint32{3, 400, 777} {
+		if !h.nodes[center].alive {
+			continue // an earlier center's neighbor: the parallel build decides
+		}
 		for _, victim := range slices.Clone(h.nodes[center].links[0]) {
 			if !h.nodes[victim].alive {
 				continue
@@ -204,49 +211,74 @@ func TestPairScoreMatchesReference(t *testing.T) {
 }
 
 // exactDiscovery is the oracle for an insert's swept layer-0 discovery:
-// selectNeighbors over every alive slot but slot, scored by pairScore
-// against it, fully sorted and cut to the top efConstruction (cands).
-// short reports that the narrow first pool (its top insertPool) would
-// not have settled the selection, so the sweep had to widen.
-func exactDiscovery(h *HNSW, slot uint32) (sel []uint32, cands []scoredNode, short bool) {
-	for s := range h.nodes {
+// selectNeighbors over every alive slot below limit but slot, scored by
+// pairScore against it, fully sorted and cut to the top efConstruction
+// (cands). short reports that the narrow first pool (its top
+// insertPool) would not have settled the selection, so the sweep had to
+// widen.
+func exactDiscovery(h *HNSW, slot uint32, limit int) (sel []uint32, cands []scoredNode, short bool) {
+	for s := 0; s < limit; s++ {
 		if s := uint32(s); s != slot && h.aliveBit(s) {
-			cands = append(cands, scoredNode{s, h.pairScore(slot, s)})
+			cands = append(cands, scoredNode{slot: s, score: h.pairScore(slot, s)})
 		}
 	}
 	slices.SortFunc(cands, scoredCmp)
 	cands = cands[:min(len(cands), h.cfg.EfConstruction)]
 	sc := new(hnswScratch)
-	sc.work = cands
-	sel = h.selectNeighbors(sc, nil, h.cfg.M)
+	sel = h.selectNeighbors(sc, cands, nil, h.cfg.M)
 	if len(cands) > insertPool {
-		sc.work = cands[:insertPool]
-		short = len(h.selectDiverse(sc, nil, h.cfg.M)) < h.cfg.M
+		short = len(h.selectDiverse(sc, cands[:insertPool], nil, h.cfg.M)) < h.cfg.M
 	}
 	return sel, cands, short
 }
 
-// sweptPool is sweepPool's answer for slot at width.
-func sweptPool(h *HNSW, slot uint32, width int) []scoredNode {
-	qw := make([]int16, scanGroup*h.dim)
-	for i, c := range h.codes[int(slot)*h.dim : int(slot+1)*h.dim] {
-		qw[i] = int16(c)
-	}
+// sweptPools is sweepPool's answer at width for one lane per pivot, each
+// seeing the rows below its limit.
+func sweptPools(h *HNSW, pivots []uint32, limits []int, width int) [][]scoredNode {
 	sc := new(hnswScratch)
-	h.sweepPool(sc, slot, qw, width)
-	return sc.work
+	lanes := sc.lanes[:len(pivots)]
+	for j := range lanes {
+		lanes[j].slot, lanes[j].limit = pivots[j], limits[j]
+	}
+	h.sweepPool(sc, lanes, width)
+	pools := make([][]scoredNode, len(lanes))
+	for j := range lanes {
+		pools[j] = lanes[j].pool
+	}
+	return pools
+}
+
+// checkSweptPools fails unless every lane's pool of a sweep over pivots
+// is, at both widths the insert sweep uses, exactly the top of
+// exactDiscovery's candidates for that pivot and limit. Caller holds
+// h.mu.
+func checkSweptPools(t *testing.T, label string, h *HNSW, pivots []uint32, limits []int) {
+	t.Helper()
+	for _, width := range []int{insertPool, h.cfg.EfConstruction} {
+		for j, pool := range sweptPools(h, pivots, limits, width) {
+			_, cands, _ := exactDiscovery(h, pivots[j], limits[j])
+			if !slices.Equal(pool, cands[:min(width, len(cands))]) {
+				t.Errorf("%s: %d-lane sweep, lane %d (slot %d, limit %d): the width-%d pool is not the exact top %d",
+					label, len(pivots), j, pivots[j], limits[j], width, width)
+				return
+			}
+		}
+	}
 }
 
 // TestSweepDiscoveryIsExact: under the insert plan, every Add's layer-0
-// links are exactly exactDiscovery's, and both sweep pools are exactly
-// its top candidates, ties in slot order — through tombstones (removes and
-// overwrites), exact score ties (the same vector written under several
-// ids), nodes that also occupy upper layers, and inserts whose narrow
-// pool falls short and is widened.
+// links are exactly exactDiscovery's, and the sweep pools — one lane,
+// and four lanes with limits of their own — are exactly its top
+// candidates, ties in slot order. The adds run through tombstones
+// (removes and overwrites), exact score ties (the same vector written
+// under several ids), nodes that also occupy upper layers, inserts
+// whose narrow pool falls short and is widened, and the rows that test
+// the sweep's filter margin: zero vectors, constant vectors (sq8 scale
+// 0), and vectors of magnitude 1e-6 and 1e6.
 func TestSweepDiscoveryIsExact(t *testing.T) {
 	needScan(t)
 	for _, metric := range []Metric{Cosine, DotProduct} {
-		const n, adds, dim = 1500, 500, 16
+		const n, adds, dim = 1500, 540, 16
 		cfg := DefaultHNSWConfig()
 		cfg.Metric = metric
 		h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)
@@ -255,13 +287,27 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 		var upper, short, tied int
 		for i := 0; i < adds; i++ {
 			id, vec := graph.NodeID(n+i), randVec(rng, make([]float64, dim))
-			switch i % 5 {
+			switch i % 9 {
 			case 1:
 				h.Remove(graph.NodeID(rng.Intn(n + i)))
 			case 2:
 				id = graph.NodeID(rng.Intn(n + i)) // overwrite: tombstones the old slot
 			case 3:
 				copy(vec, twin) // a bit-identical row under a new id
+			case 4:
+				clear(vec)
+			case 5:
+				for j := range vec {
+					vec[j] = twin[0]
+				}
+			case 6, 7:
+				scale := 1e-6
+				if i%9 == 7 {
+					scale = 1e6
+				}
+				for j := range vec {
+					vec[j] *= scale
+				}
 			}
 			if err := h.Add(id, vec); err != nil {
 				t.Fatal(err)
@@ -271,13 +317,20 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 			if !insertPlan(h.prec, true, len(h.nodes), cfg.EfConstruction, cfg.M) {
 				t.Fatalf("%d slots: the insert plan no longer sweeps", len(h.nodes))
 			}
-			want, cands, sh := exactDiscovery(h, slot)
+			all := len(h.nodes)
+			want, _, sh := exactDiscovery(h, slot, all)
 			got := h.nodes[slot].links[0]
-			for _, width := range []int{insertPool, cfg.EfConstruction} {
-				if pool := sweptPool(h, slot, width); !slices.Equal(pool, cands[:min(width, len(cands))]) {
-					h.mu.RUnlock()
-					t.Fatalf("%v: add %d (slot %d): the width-%d sweep pool is not the exact top %d", metric, i, slot, width, width)
-				}
+			label := fmt.Sprintf("%v: add %d (slot %d)", metric, i, slot)
+			checkSweptPools(t, label, h, []uint32{slot}, []int{all})
+			// Four lanes: this row, the previous add's (the families rotate),
+			// and two random slots, seeing every row, all but the newest,
+			// and two random prefixes of the slab.
+			checkSweptPools(t, label, h,
+				[]uint32{slot, slot - 1, uint32(rng.Intn(all)), uint32(rng.Intn(all))},
+				[]int{all, all - 1, 1 + rng.Intn(all), 1 + rng.Intn(all)})
+			if t.Failed() {
+				h.mu.RUnlock()
+				t.FailNow()
 			}
 			if len(h.nodes[slot].links) > 1 {
 				upper++
@@ -296,11 +349,162 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 				t.Fatalf("%v: add %d (slot %d): layer-0 links %v, exact discovery %v", metric, i, slot, got, want)
 			}
 		}
+		// Every short prefix of the slab, where the pool fills up and its
+		// floor is first set: one lane per prefix length, then four.
+		h.mu.RLock()
+		pivot := uint32(len(h.nodes) - 1)
+		for limit := 1; limit <= 3*insertPool; limit++ {
+			checkSweptPools(t, fmt.Sprintf("%v: prefix %d", metric, limit), h, []uint32{pivot}, []int{limit})
+			checkSweptPools(t, fmt.Sprintf("%v: prefixes from %d", metric, limit), h,
+				[]uint32{pivot, pivot - 1, uint32(limit), 0}, []int{limit, limit + 1, limit + 2, limit + 3})
+		}
+		// A lane that sees just over a pool's width of rows is where the
+		// floor is first set; across many pivots, the row that arrives as
+		// the pool fills is sometimes the worst so far and must still make
+		// the pool.
+		for i := 0; i < 100; i++ {
+			pivots := make([]uint32, scanGroup)
+			for j := range pivots {
+				pivots[j] = uint32(rng.Intn(len(h.nodes)))
+			}
+			checkSweptPools(t, fmt.Sprintf("%v: pool-width prefixes %d", metric, i), h, pivots,
+				[]int{insertPool, insertPool + 1, insertPool + 1, insertPool + 2})
+		}
+		h.mu.RUnlock()
 		t.Logf("%v: %d adds, %d above layer 0, %d widened past the narrow pool, %d with tied links", metric, adds, upper, short, tied)
 		if upper == 0 || short == 0 || tied == 0 {
 			t.Fatalf("%v: %d upper-layer, %d widened, %d tied inserts: a case went unexercised", metric, upper, short, tied)
 		}
 		checkGraphInvariants(t, h)
+	}
+}
+
+// TestFilterMarginBoundsRounding pins filterMargin to what it claims:
+// for every pivot and row, the sweep's filter score lies within the
+// margin of pairScore. The rows are the families where the two
+// arithmetics differ most — scaled copies of one vector (the same codes
+// under other sidecars), zero and constant vectors, magnitudes 1e-6 and
+// 1e6 — next to plain Gaussian rows, under both metrics. The largest
+// error seen is logged as a fraction of the margin.
+func TestFilterMarginBoundsRounding(t *testing.T) {
+	const dim = 64
+	rng := rand.New(rand.NewSource(137))
+	base := randVec(rng, make([]float64, dim))
+	var vecs [][]float64
+	for i := 0; i < 120; i++ {
+		v := randVec(rng, make([]float64, dim))
+		switch i % 6 {
+		case 0:
+			for j := range v {
+				v[j] = base[j] * (0.5 + float64(i)/7)
+			}
+		case 1:
+			clear(v)
+		case 2:
+			for j := range v {
+				v[j] = base[i%dim]
+			}
+		case 3:
+			for j := range v {
+				v[j] *= 1e-6
+			}
+		case 4:
+			for j := range v {
+				v[j] *= 1e6
+			}
+		}
+		vecs = append(vecs, v)
+	}
+	for _, metric := range []Metric{Cosine, DotProduct} {
+		cfg := DefaultHNSWConfig()
+		cfg.Metric = metric
+		h, err := NewHNSW(buildStoreAt(t, 0, dim, embstore.SQ8), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vecs {
+			if err := h.Add(graph.NodeID(i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cosine := metric != DotProduct
+		n := len(h.nodes)
+		rowOff, rowScale, rowSum := make([]float64, n), make([]float64, n), make([]float64, n)
+		sq8RowFactors(h.side, cosine, rowOff, rowScale, rowSum)
+		maxOff, maxScale := 0.0, 0.0
+		for r := range rowOff {
+			maxOff, maxScale = max(maxOff, math.Abs(rowOff[r])), max(maxScale, math.Abs(rowScale[r]))
+		}
+		worst := 0.0
+		for p := uint32(0); p < uint32(n); p++ {
+			sd := &h.side[p]
+			a, b, c, errA, errB := sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
+			margin := filterMargin * (maxOff*errA + maxScale*errB)
+			for r := uint32(0); r < uint32(n); r++ {
+				dot := vecmath.DotSQ8SymCodes(h.codes[int(p)*dim:int(p+1)*dim], h.codes[int(r)*dim:int(r+1)*dim])
+				diff := math.Abs(filterScore(rowOff[r], rowSum[r], rowScale[r], a, b, c, dot) - h.pairScore(p, r))
+				if diff > margin {
+					t.Fatalf("%v: pivot %d, row %d: the filter score is %g off pairScore, past the margin %g", metric, p, r, diff, margin)
+				}
+				if margin > 0 {
+					worst = max(worst, diff/margin)
+				}
+			}
+		}
+		t.Logf("%v: largest filter error %.3g of the margin", metric, worst)
+	}
+}
+
+// TestBuildMatchesSerialInserts: on one CPU, Build — placing four nodes
+// at a time and sweeping for all four at once — writes byte for byte
+// the graph file that inserting the store's ids one at a time writes:
+// at both precisions and metrics, with a partial last group, and in a
+// small config whose build moves from
+// swept to beamed layer-0 discovery midway, inside a group.
+func TestBuildMatchesSerialInserts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const dim = 32
+	// 3·efConstruction·M = 54 slots: not a multiple of four, so one group
+	// straddles the insert plan's threshold, and a beam this narrow finds
+	// other links than the sweep.
+	small := HNSWConfig{M: 3, EfConstruction: 6, EfSearch: 16, Seed: 3}
+	for _, tc := range []struct {
+		name   string
+		prec   embstore.Precision
+		metric Metric
+		n      int
+		cfg    HNSWConfig
+	}{
+		{"sq8/cosine", embstore.SQ8, Cosine, 1203, DefaultHNSWConfig()},
+		{"sq8/dot", embstore.SQ8, DotProduct, 1202, DefaultHNSWConfig()},
+		{"f32/cosine", embstore.F32, Cosine, 601, DefaultHNSWConfig()},
+		{"f32/dot", embstore.F32, DotProduct, 603, DefaultHNSWConfig()},
+		{"sq8/small config across the insert plan", embstore.SQ8, Cosine, 401, small},
+	} {
+		cfg := tc.cfg
+		cfg.Metric = tc.metric
+		store := buildStoreAt(t, tc.n, dim, tc.prec)
+		serial, err := NewHNSW(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, vec := new(hnswScratch), make([]float64, dim)
+		for _, id := range store.IDs() {
+			store.With(id, func(v *embstore.VecView) { v.DequantizeInto(vec) })
+			if err := serial.insert(id, vec, sc, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want, got bytes.Buffer
+		if err := serial.SaveGraph(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := mustHNSW(t, store, cfg).SaveGraph(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: the grouped build's graph file (%d bytes) differs from the serial inserts' (%d bytes)", tc.name, got.Len(), want.Len())
+		}
 	}
 }
 
@@ -405,7 +609,7 @@ func TestWiringKeepsEarlierBackLinks(t *testing.T) {
 
 // TestSweepDiscoveryZeroAlloc: once its scratch is warm, an insert's
 // swept discovery — the narrow pool, the widened one, the selection —
-// allocates nothing.
+// allocates nothing, and neither does Build's four-lane discovery.
 func TestSweepDiscoveryZeroAlloc(t *testing.T) {
 	needScan(t)
 	if raceEnabled {
@@ -420,10 +624,121 @@ func TestSweepDiscoveryZeroAlloc(t *testing.T) {
 		h.discoverLocked(sc, slot, 0, nil, true)
 		slot = (slot + 97) % uint32(len(h.nodes))
 	}
-	for i := 0; i < 50; i++ {
-		discover()
+	grouped := func() {
+		for j := range sc.lanes {
+			s := (slot + uint32(j)) % uint32(len(h.nodes))
+			sc.lanes[j].slot, sc.lanes[j].limit = s, int(s)
+		}
+		h.sweepSelect(sc, sc.lanes[:])
+		slot = (slot + 97) % uint32(len(h.nodes))
 	}
-	if allocs := testing.AllocsPerRun(200, discover); allocs != 0 {
-		t.Errorf("swept discovery allocated %v times per insert", allocs)
+	for name, fn := range map[string]func(){"swept discovery": discover, "four-lane discovery": grouped} {
+		for i := 0; i < 50; i++ {
+			fn()
+		}
+		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
+			t.Errorf("%s allocated %v times per call", name, allocs)
+		}
+	}
+}
+
+// TestIncrementalPruneMatchesFull: a prune that reuses its list's
+// previous verdicts (pruneLocked) must leave what a prune from scratch
+// leaves. The same build and the same mix of inserts, overwrites and
+// removes run on two graphs; the reference loses its prune records
+// before every operation, so each of its prunes starts from scratch.
+// Both precisions, both metrics, and a small config whose lists
+// overflow constantly, compared as graph files after the build and
+// after the churn.
+func TestIncrementalPruneMatchesFull(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, dim = 1200, 16
+	for _, tc := range []struct {
+		name   string
+		prec   embstore.Precision
+		metric Metric
+		cfg    HNSWConfig
+	}{
+		{"sq8/cosine", embstore.SQ8, Cosine, DefaultHNSWConfig()},
+		{"sq8/dot", embstore.SQ8, DotProduct, DefaultHNSWConfig()},
+		{"f32/cosine", embstore.F32, Cosine, DefaultHNSWConfig()},
+		{"sq8/M=4", embstore.SQ8, Cosine, HNSWConfig{M: 4, EfConstruction: 24, EfSearch: 16, Seed: 5}},
+	} {
+		cfg := tc.cfg
+		cfg.Metric = tc.metric
+		fresh := func(h *HNSW) {
+			h.mu.Lock()
+			clear(h.pruned)
+			h.mu.Unlock()
+		}
+		reuse := mustHNSW(t, buildStoreAt(t, n, dim, tc.prec), cfg)
+		ref, err := NewHNSW(buildStoreAt(t, n, dim, tc.prec), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, vec := new(hnswScratch), make([]float64, dim)
+		for _, id := range ref.store.IDs() {
+			ref.store.With(id, func(v *embstore.VecView) { v.DequantizeInto(vec) })
+			fresh(ref)
+			if err := ref.insert(id, vec, sc, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same := func(when string) {
+			t.Helper()
+			var a, b bytes.Buffer
+			if err := reuse.SaveGraph(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.SaveGraph(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("%s %s: the graph with reused prune verdicts differs from the one pruned from scratch", tc.name, when)
+			}
+		}
+		same("after the build")
+		rng := rand.New(rand.NewSource(131))
+		for i := 0; i < 600; i++ {
+			id, op := graph.NodeID(rng.Intn(n+i)), rng.Intn(4)
+			randVec(rng, vec)
+			for _, h := range []*HNSW{reuse, ref} {
+				if h == ref {
+					fresh(h)
+				}
+				var err error
+				switch op {
+				case 0:
+					h.Remove(id)
+				case 1:
+					err = h.Add(id, vec) // an overwrite, or a re-add
+				default:
+					err = h.Add(graph.NodeID(n+i), vec)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		same("after 600 mixed writes")
+		checkGraphInvariants(t, reuse)
+	}
+}
+
+// TestSortScored holds the short-list insertion sort to scoredCmp's
+// order, exact score ties included, on both sides of its cut-over to
+// the generic sort.
+func TestSortScored(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	for trial := 0; trial < 300; trial++ {
+		s := make([]scoredNode, rng.Intn(100))
+		for i, slot := range rng.Perm(len(s)) {
+			s[i] = scoredNode{slot: uint32(slot), score: float64(rng.Intn(1 + trial%10))}
+		}
+		want := slices.Clone(s)
+		slices.SortFunc(want, scoredCmp)
+		if sortScored(s); !slices.Equal(s, want) {
+			t.Fatalf("trial %d: sortScored gave %v, want %v", trial, s, want)
+		}
 	}
 }

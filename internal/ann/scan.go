@@ -17,15 +17,18 @@
 // own second stage), and a pool that comes up short of min(k, live)
 // goes to the exact fallback.
 //
-// An insert has one query, so its sweep (sweepNeighbors) runs the
-// kernel with three idle lanes, ~6 ns per row. That still beats the
-// efConstruction-wide beam while the slab is small (insertPlan is the
-// rule), because the beam visits thousands of rows at heap cost. The
-// sweep scores rows with pairScore's own arithmetic, which is what
-// neighbor selection compares against, so the graph it builds is link
-// for link that of an exact search for the top efConstruction
-// candidates. It runs inside the insert's one read-lock hold for
-// discovery, as the beam it replaces did.
+// Inserts have a sweep plan too (insertPlan): an insert's layer-0
+// neighbors come from one sweep of the slab (sweepSelect) instead of an
+// efConstruction-wide beam, which visits thousands of rows at heap
+// cost. Build places four nodes at a time and fills all four lanes of
+// the kernel with their rows; a live Add sweeps with one lane. Rows are
+// ranked by pairScore's own arithmetic, which is what neighbor
+// selection compares against, so the graph is link for link that of an
+// exact search for the top efConstruction candidates — a bound on the
+// sweep's cheaper filter score (filterMargin) decides which rows it
+// must score exactly, never which rows win. A sweep runs inside the
+// insert's one read-lock hold for discovery, as the beam it replaces
+// did.
 //
 // Locking: the batch sweep takes the read lock per block of scanBlockRows
 // rows, re-reading the slot count and the slab headers each time, and
@@ -78,7 +81,7 @@ const (
 	// the sweep is still ~1.3× ahead at its own threshold.
 	insertCrossover = 3
 
-	// insertPool is the width of sweepNeighbors' first, narrow pool: a
+	// insertPool is the width of sweepSelect's first, narrow pool: a
 	// few times M, so that most inserts find M diverse candidates in it.
 	insertPool = 48
 )
@@ -95,83 +98,274 @@ func scanPlan(prec embstore.Precision, symSIMD bool, batch, slots, ef, kk, m int
 }
 
 // insertPlan is the same decision for an insert's layer-0 neighbor
-// discovery: sweep the slab (sweepNeighbors) over sq8 slabs on SIMD
+// discovery: sweep the slab (sweepSelect) over sq8 slabs on SIMD
 // backends while it holds at most insertCrossover · efConstruction · M
 // slots, run the efConstruction-wide beam otherwise.
 func insertPlan(prec embstore.Precision, symSIMD bool, slots, efc, m int) bool {
 	return prec == embstore.SQ8 && symSIMD && slots <= insertCrossover*efc*m
 }
 
-// sweepNeighbors is layer-0 discovery for the node at slot by sweep:
-// the diversity heuristic (selectNeighbors) over the exact top
-// efConstruction alive slots by pairScore, appended to dst. It first
-// sweeps into a pool of only insertPool candidates; selectNeighbors
-// stops reading its candidates once it holds M diverse ones, so when
-// the narrow pool yields M, the full pool would have yielded the same
-// M. Only when it does not is the slab swept again at full width.
-// Caller holds h.mu.
-func (h *HNSW) sweepNeighbors(sc *hnswScratch, slot uint32, dst []uint32) []uint32 {
-	dim, m, ef := h.dim, h.cfg.M, h.cfg.EfConstruction
-	if cap(sc.qw) < scanGroup*dim {
-		sc.qw = make([]int16, scanGroup*dim)
-	}
-	qw := sc.qw[:scanGroup*dim]
-	for i, c := range h.codes[int(slot)*dim : int(slot+1)*dim] {
-		qw[i] = int16(c)
-	}
-	width := min(insertPool, ef)
-	all := h.sweepPool(sc, slot, qw, width)
-	dst = h.selectDiverse(sc, dst, m)
-	if len(dst) < m && !all && width < ef {
-		h.sweepPool(sc, slot, qw, ef)
-		dst = h.selectDiverse(sc, dst[:0], m)
-	}
-	return h.fillDiscarded(sc, dst, m)
+// sweepLane is one lane of an insert sweep: the node discovering its
+// layer-0 links, the rows it may link to, its candidate pool and its
+// choice.
+type sweepLane struct {
+	slot  uint32       // the pivot: its codes fill the lane; never pooled
+	limit int          // rows [0, limit) are candidates
+	pool  []scoredNode // sweepPool's answer
+	sel   []uint32     // sweepSelect's answer
+	// The pivot's side of the filter score and of its error bound
+	// (sq8Factors).
+	a, b, c, errA, errB float64
+	// The rows the filter passed; a min-heap of the width largest lower
+	// bounds on their exact scores; and the floor, the least of those
+	// once there are width of them (−Inf before): width distinct rows
+	// score at least that much, so a row whose upper bound is below it
+	// cannot make the pool.
+	cands []sweepCand
+	lows  []float64
+	floor float64
 }
 
-// sweepPool leaves in sc.work the width best alive slots other than
-// slot, by pairScore against it, in scoredCmp order: descending score,
-// ties to the lower slot. Rows arrive in ascending slot order, so a row
-// tying a pooled score ranks after it — it enters a full pool only by
-// beating the worst outright. It reports whether the pool holds every
-// candidate. The rows' code dots come from the four-lane kernel with
-// only lane 0 (qw, slot's codes) in use.
-func (h *HNSW) sweepPool(sc *hnswScratch, slot uint32, qw []int16, width int) bool {
-	self := &h.side[slot]
-	pool := sc.work[:0]
-	floor := math.Inf(-1) // a full pool's worst score
-	dim, n := h.dim, len(h.nodes)
-	for lo := 0; lo < n; lo += scanBlockRows {
-		hi := min(lo+scanBlockRows, n)
+// sweepCand is a row the sweep's filter passed: its slot, its code dot
+// with the pivot, and an upper bound on its exact score.
+type sweepCand struct {
+	slot uint32
+	dot  int32
+	high float64
+}
+
+// pushLow offers a passed row's lower bound to the width largest,
+// raising the floor when they are full.
+func (ln *sweepLane) pushLow(low float64, width int) {
+	if !(low > ln.floor) {
+		return
+	}
+	hp := ln.lows
+	if len(hp) < width {
+		hp = append(hp, low)
+		for i := len(hp) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !(hp[i] < hp[p]) {
+				break
+			}
+			hp[i], hp[p] = hp[p], hp[i]
+			i = p
+		}
+	} else {
+		hp[0] = low // the least drops out
+		for i := 0; ; {
+			least, l, r := i, 2*i+1, 2*i+2
+			if l < len(hp) && hp[l] < hp[least] {
+				least = l
+			}
+			if r < len(hp) && hp[r] < hp[least] {
+				least = r
+			}
+			if least == i {
+				break
+			}
+			hp[i], hp[least] = hp[least], hp[i]
+			i = least
+		}
+	}
+	if len(hp) == width {
+		ln.floor = hp[0]
+	}
+	ln.lows = hp
+}
+
+// sweepSelect is layer-0 discovery by sweep for one to four nodes at
+// once: for each lane, the diversity heuristic (selectNeighbors) over
+// the exact top efConstruction alive rows below its limit by pairScore,
+// into lane.sel. It first sweeps into pools of only insertPool
+// candidates; selectDiverse stops reading its candidates once it holds
+// M diverse ones, so a lane whose narrow pool yields M would have
+// yielded the same M from the full pool. Only the lanes whose narrow
+// pool does not are swept again, together, at full width. Caller holds
+// h.mu.
+func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
+	m, ef := h.cfg.M, h.cfg.EfConstruction
+	width := min(insertPool, ef)
+	h.sweepPool(sc, lanes, width)
+	widen := false
+	for j := range lanes {
+		ln := &lanes[j]
+		ln.sel = h.selectDiverse(sc, ln.pool, ln.sel[:0], m)
+		if len(ln.sel) < m && len(ln.pool) == width && width < ef {
+			widen = true
+			continue
+		}
+		ln.sel = h.fillDiscarded(sc, ln.sel, m)
+		ln.limit = 0 // settled: the wide sweep passes this lane by
+	}
+	if !widen {
+		return
+	}
+	h.sweepPool(sc, lanes, ef)
+	for j := range lanes {
+		if ln := &lanes[j]; ln.limit > 0 {
+			ln.sel = h.selectNeighbors(sc, ln.pool, ln.sel[:0], m)
+		}
+	}
+}
+
+// sweepPool leaves in each lane's pool the width best alive rows below
+// its limit other than its pivot, by pairScore against the pivot, in
+// scoredCmp order: descending score, ties to the lower slot. One
+// DotSQ8SymCodes4 pass over the slab serves all the lanes.
+//
+// No row is scored exactly until the sweep is over. Each row gets
+// scanBlock's form of the score instead (row factors hoisted per block,
+// pivot factors per lane), which lies within a margin of the exact
+// score (filterMargin), so the two bound it from below and above. The
+// width largest lower bounds so far bound the width-th best exact score
+// from below (the lane's floor), and a row whose upper bound is under
+// the floor cannot make the pool: the filter turns it away. The rows it
+// passes are kept with their code dots; at the end the ones still
+// above the final floor are scored with pairScore's own arithmetic and
+// ranked, so pools, ties and links are exactly what scoring every row
+// exactly would give. Caller holds h.mu.
+func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
+	dim, end := h.dim, 0
+	cosine := h.cfg.Metric != DotProduct
+	sc.qw = resize(sc.qw, scanGroup*dim)
+	qw := sc.qw
+	sc.factors = resize(sc.factors, 3*scanBlockRows)
+	for j := range lanes { // unused kernel lanes keep stale codes; their sums are ignored
+		ln := &lanes[j]
+		ln.cands, ln.lows, ln.floor = ln.cands[:0], ln.lows[:0], math.Inf(-1)
+		sd := &h.side[ln.slot]
+		ln.a, ln.b, ln.c, ln.errA, ln.errB = sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
+		widenCodes(qw[j*dim:(j+1)*dim], h.codes[int(ln.slot)*dim:int(ln.slot+1)*dim])
+		end = max(end, ln.limit)
+	}
+	for lo := 0; lo < end; lo += scanBlockRows {
+		hi := min(lo+scanBlockRows, end)
 		acc := sc.acc[:scanGroup*(hi-lo)]
 		vecmath.DotSQ8SymCodes4(acc, qw, h.codes[lo*dim:hi*dim], dim)
-		for r := lo; r < hi; r++ {
-			sd := &h.side[r]
-			score := h.finishPair(sq8PairDot(self, sd, dim, acc[scanGroup*(r-lo)]), float64(self.norm), float64(sd.norm))
-			s := uint32(r)
-			if score < floor || s == slot || !h.aliveBit(s) {
-				continue
+		n := hi - lo
+		rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
+		sq8RowFactors(h.side[lo:hi], cosine, rowOff, rowScale, rowSum)
+		// The block's largest factors bound every row's filter error. A NaN
+		// factor is skipped, but that row's filter score is NaN and passes.
+		maxOff, maxScale := 0.0, 0.0
+		for r := range rowOff {
+			if v := math.Abs(rowOff[r]); v > maxOff {
+				maxOff = v
 			}
-			i := len(pool) // insertion point, found from the tail
-			if i == width {
-				if score == floor {
+			if v := math.Abs(rowScale[r]); v > maxScale {
+				maxScale = v
+			}
+		}
+		for j := range lanes {
+			ln := &lanes[j]
+			a, b, c, floor := ln.a, ln.b, ln.c, ln.floor
+			margin := filterMargin * (maxOff*ln.errA + maxScale*ln.errB)
+			for r, rows := 0, min(hi, ln.limit)-lo; r < rows; r++ {
+				dot := acc[scanGroup*r+j]
+				approx := filterScore(rowOff[r], rowSum[r], rowScale[r], a, b, c, dot)
+				if approx+margin < floor {
 					continue
 				}
-				i-- // the worst drops out
-			} else {
-				pool = append(pool, scoredNode{})
-			}
-			for ; i > 0 && pool[i-1].score < score; i-- {
-				pool[i] = pool[i-1]
-			}
-			pool[i] = scoredNode{s, score}
-			if len(pool) == width {
-				floor = pool[width-1].score
+				s := uint32(lo + r)
+				if s == ln.slot || !h.aliveBit(s) {
+					continue
+				}
+				ln.cands = append(ln.cands, sweepCand{slot: s, dot: dot, high: approx + margin})
+				ln.pushLow(approx-margin, width)
+				floor = ln.floor
 			}
 		}
 	}
-	sc.work = pool
-	return len(pool) < width
+	for j := range lanes {
+		ln := &lanes[j]
+		floor := ln.floor
+		ln.pool = ln.pool[:0]
+		for _, cd := range ln.cands {
+			if !(cd.high < floor) {
+				ln.pool = append(ln.pool, scoredNode{slot: cd.slot, score: h.pairScoreSQ8(ln.slot, cd.slot, cd.dot)})
+			}
+		}
+		sortScored(ln.pool)
+		ln.pool = ln.pool[:min(len(ln.pool), width)]
+	}
+}
+
+// filterMargin bounds, relative to the magnitudes it sums, how far
+// sweepPool's filter score can sit from the exact score of the same
+// pair. Both are the same four products of sidecar values, code sums
+// and the code dot (exact integers), over the same norms; they differ
+// only in rounding. Every factor is a float32 sidecar value, an integer
+// below 2³¹ or a quotient of them, so no float64 intermediate comes
+// near under- or overflow, and each rounding is a relative error of at
+// most 2⁻⁵³. Neither path rounds more than nine times along any term,
+// so the two scores differ by less than 16·2⁻⁵³·T = 2⁻⁴⁹·T, where T is
+// the sum of the four products' magnitudes (over the norms, for
+// cosine). Codes lie in [−128, 127], so |Σcodes| ≤ 128·dim and |code
+// dot| ≤ 128²·dim, and T ≤ |rowOff|·errA + |rowScale|·errB
+// (sq8Factors); the block's largest |rowOff| and |rowScale| bound every
+// row of it. 2⁻⁴⁴ leaves a factor 32 over 2⁻⁴⁹ for the rounding of the
+// bound itself and of adding it to or taking it from the filter score.
+// A non-finite sidecar makes the margin, or that row's filter score,
+// Inf or NaN, and no comparison with either turns a row away. At dim 64
+// the margin is ~1e-12 of a cosine score, far below the gaps between
+// pooled rows, so it costs the filter nothing.
+const filterMargin = 0x1p-44
+
+// filterScore is sweepPool's filter score of a row against a lane's
+// pivot: scanBlock's form, from the row's factors (sq8RowFactors), the
+// pivot's (sq8Factors) and their code dot.
+func filterScore(rowOff, rowSum, rowScale, a, b, c float64, dot int32) float64 {
+	return rowOff*a + rowSum*b + rowScale*c*float64(dot)
+}
+
+// sq8Factors returns the pivot's side of scanQuery's score form for an
+// sq8 row with decode parameters scale and offset, code sum cs and norm
+// (a, b, c), and of the filter's error bound (errA, errB: see
+// filterMargin). Cosine folds 1/norm into all five; a zero norm scores
+// 0 against everything, as pairScore and the beam do.
+func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine bool) (a, b, c, errA, errB float64) {
+	inv := 1.0
+	if cosine {
+		inv = 0
+		if norm != 0 {
+			inv = 1 / norm
+		}
+	}
+	n, sum := float64(dim), float64(cs)
+	a = (n*offset + scale*sum) * inv
+	b = offset * inv
+	c = scale * inv
+	errA = (math.Abs(n*offset) + math.Abs(scale*sum)) * inv
+	errB = (128*math.Abs(offset) + 128*128*math.Abs(scale)) * n * inv
+	return a, b, c, errA, errB
+}
+
+// sq8RowFactors fills one block's row side of scanQuery's score form
+// from the rows' sidecars: offset and scale (over the norm, for
+// cosine) and scale·Σcodes.
+func sq8RowFactors(side []sq8Side, cosine bool, rowOff, rowScale, rowSum []float64) {
+	for r, sd := range side {
+		scale, offset := float64(sd.scale), float64(sd.offset)
+		if cosine {
+			inv := 0.0 // a zero row scores 0, as in the beam
+			if sd.norm != 0 {
+				inv = 1 / float64(sd.norm)
+			}
+			scale *= inv
+			offset *= inv
+		}
+		rowOff[r], rowScale[r], rowSum[r] = offset, scale, scale*float64(sd.codeSum)
+	}
+}
+
+// widenCodes widens codes into dst, the form DotSQ8SymCodes4 takes its
+// queries in.
+func widenCodes(dst []int16, codes []int8) {
+	dst = dst[:len(codes)]
+	for i, c := range codes {
+		dst[i] = int16(c)
+	}
 }
 
 // scanQuery is one query's share of a group sweep: its context (the
@@ -223,22 +417,10 @@ func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]floa
 		sq.wide.reset(kk)
 		sq.floor = math.Inf(-1)
 		e := &sq.ctx.sq8q
-		invQ := 1.0
-		if metric != DotProduct {
-			invQ = 0 // a zero query scores 0 against everything, as in the beam
-			if sq.ctx.qNorm != 0 {
-				invQ = 1 / sq.ctx.qNorm
-			}
-		}
-		sq.a = (float64(dim)*e.Offset + e.Scale*float64(e.CodeSum)) * invQ
-		sq.b = e.Offset * invQ
-		sq.c = e.Scale * invQ
+		sq.a, sq.b, sq.c, _, _ = sq8Factors(dim, e.Scale, e.Offset, e.CodeSum, sq.ctx.qNorm, metric != DotProduct)
 	}
 	for j := 0; j < scanGroup; j++ {
-		w := sc.qw[j*dim : (j+1)*dim]
-		for i, c := range sc.q[min(j, len(qs)-1)].ctx.sq8q.Code {
-			w[i] = int16(c)
-		}
+		widenCodes(sc.qw[j*dim:(j+1)*dim], sc.q[min(j, len(qs)-1)].ctx.sq8q.Code)
 	}
 }
 
@@ -252,19 +434,7 @@ func (h *HNSW) scanBlock(sc *scanScratch, nq, lo, hi int) {
 	acc := sc.acc[:scanGroup*n]
 	vecmath.DotSQ8SymCodes4(acc, sc.qw, h.codes[lo*h.dim:hi*h.dim], h.dim)
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
-	cosine := h.cfg.Metric != DotProduct
-	for r, sd := range h.side[lo:hi] {
-		scale, offset := float64(sd.scale), float64(sd.offset)
-		if cosine {
-			inv := 0.0 // a zero row scores 0, as in the beam
-			if sd.norm != 0 {
-				inv = 1 / float64(sd.norm)
-			}
-			scale *= inv
-			offset *= inv
-		}
-		rowOff[r], rowScale[r], rowSum[r] = offset, scale, scale*float64(sd.codeSum)
-	}
+	sq8RowFactors(h.side[lo:hi], h.cfg.Metric != DotProduct, rowOff, rowScale, rowSum)
 	for j := 0; j < nq; j++ {
 		sq := &sc.q[j]
 		a, b, c, floor := sq.a, sq.b, sq.c, sq.floor
