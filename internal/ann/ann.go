@@ -1,5 +1,5 @@
 // Package ann provides top-k nearest-neighbor indexes over an embstore:
-// a brute-force Exact index that scans shards in parallel, and an HNSW
+// a brute-force Exact index (one blocked scan of the store), and an HNSW
 // graph index (see hnsw.go) behind the same Index interface. Scores
 // are similarities — higher is closer — under either
 // cosine or raw dot-product, the two metrics the paper's evaluation uses
@@ -20,7 +20,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ehna/internal/embstore"
 	"ehna/internal/graph"
@@ -86,12 +85,6 @@ type queryCtx struct {
 	// and every check short-circuits on the nil test alone.
 	done <-chan struct{}
 }
-
-// cancelCheckEvery is how many scored vectors a scan batches between
-// cancellation polls: coarse enough that the poll (one channel select)
-// vanishes against the scoring kernels, fine enough that an abandoned
-// query stops burning CPU within microseconds.
-const cancelCheckEvery = 1024
 
 // canceled polls the query's cancellation signal without blocking.
 func (qc *queryCtx) canceled() bool {
@@ -342,19 +335,6 @@ func (t *topK) sorted() []Result {
 	return t.heap
 }
 
-// queryScratch is the pooled per-query working state of the linear
-// scans. Everything is capacity-reused across queries, making the
-// steady-state single-query path allocation-free.
-type queryScratch struct {
-	top     topK
-	wide    topK             // sq8 symmetric stage: widened candidate heap
-	ctx     queryCtx         // precision-dispatched query state
-	cand    []graph.NodeID   // re-rank candidate IDs
-	byShard [][]graph.NodeID // candidates grouped by store shard
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
-
 // checkQuery validates a query against the store.
 func checkQuery(store *embstore.Store, q []float64, k int) error {
 	if len(q) != store.Dim() {
@@ -371,48 +351,11 @@ func appendResults(dst, rs []Result) []Result {
 	return append(dst[:0], rs...)
 }
 
-// rerankWide is the second stage of a symmetric sq8 search: it
-// re-scores the survivors accumulated in sc.wide with the asymmetric
-// full-precision-query kernel and returns the sorted top-k (aliasing
-// sc.top's storage). Survivors are grouped by store shard so each
-// shard lock is taken once; all buffers come from the scratch, keeping
-// the path allocation-free in steady state.
-func rerankWide(store *embstore.Store, m Metric, sc *queryScratch, k int) []Result {
-	sc.cand = sc.cand[:0]
-	for _, r := range sc.wide.heap {
-		sc.cand = append(sc.cand, r.ID)
-	}
-	nShards := store.NumShards()
-	for len(sc.byShard) < nShards {
-		sc.byShard = append(sc.byShard, nil)
-	}
-	byShard := sc.byShard[:nShards]
-	for i := range byShard {
-		byShard[i] = byShard[i][:0]
-	}
-	for _, id := range sc.cand {
-		byShard[store.ShardOf(id)] = append(byShard[store.ShardOf(id)], id)
-	}
-	qc := &sc.ctx
-	sc.top.reset(k)
-	t := &sc.top
-	for si, ids := range byShard {
-		if len(ids) == 0 {
-			continue
-		}
-		store.WithShard(si, ids, func(id graph.NodeID, v *embstore.VecView) {
-			t.push(Result{ID: id, Score: m.scoreView(qc, v)})
-		})
-	}
-	return t.sorted()
-}
-
-// Exact is the brute-force index: every query scans the whole store.
-// With more than one CPU the shards are scanned in parallel; on a
-// single CPU (or a single shard) the scan runs sequentially through
-// pooled scratch, which is both faster and allocation-free. It is the
-// ground truth HNSW recall is measured against, and HNSW's fallback
-// when a beam starves.
+// Exact is the brute-force index: every query reads the whole store
+// through the blocked scanner (scan.go), a batch four queries to a row
+// load. It is the ground truth HNSW recall is measured against, HNSW's
+// fallback when a beam starves, and the scanner behind HNSW.SearchBatch
+// on small stores.
 type Exact struct {
 	store  *embstore.Store
 	metric Metric
@@ -432,47 +375,6 @@ func (e *Exact) Add(id graph.NodeID, vec []float64) error { return e.store.Upser
 // Remove deletes from the backing store.
 func (e *Exact) Remove(id graph.NodeID) bool { return e.store.Delete(id) }
 
-// scanSeq scans every shard sequentially into the scratch heap and
-// returns the sorted results (aliasing scratch storage). sc.ctx must
-// be initialized for the query. On the symmetric sq8 path the scan
-// ranks with the integer kernel into a rerank·k-wide heap and the
-// asymmetric kernel re-scores the survivors; otherwise the scan is the
-// single-stage asymmetric (or f32) ranking. The query's
-// cancellation signal is polled every cancelCheckEvery vectors; a
-// canceled scan stops early and reports canceled=true.
-func (e *Exact) scanSeq(sc *queryScratch, k int) (res []Result, canceled bool) {
-	qc := &sc.ctx
-	n := 0
-	if qc.sym {
-		sc.wide.reset(candidateK(qc.prec, k))
-		w := &sc.wide
-		for sIdx := 0; sIdx < e.store.NumShards(); sIdx++ {
-			e.store.RangeShard(sIdx, func(id graph.NodeID, v *embstore.VecView) bool {
-				w.push(Result{ID: id, Score: e.metric.symScoreView(qc, v)})
-				n++
-				return n%cancelCheckEvery != 0 || !qc.canceled()
-			})
-			if qc.canceled() {
-				return nil, true
-			}
-		}
-		return rerankWide(e.store, e.metric, sc, k), false
-	}
-	sc.top.reset(k)
-	t := &sc.top
-	for sIdx := 0; sIdx < e.store.NumShards(); sIdx++ {
-		e.store.RangeShard(sIdx, func(id graph.NodeID, v *embstore.VecView) bool {
-			t.push(Result{ID: id, Score: e.metric.quickScoreView(qc, v)})
-			n++
-			return n%cancelCheckEvery != 0 || !qc.canceled()
-		})
-		if qc.canceled() {
-			return nil, true
-		}
-	}
-	return t.sorted(), false
-}
-
 // Search scans the store and returns the freshly allocated top-k.
 func (e *Exact) Search(q []float64, k int) ([]Result, error) {
 	out, err := e.SearchInto(context.Background(), nil, q, k)
@@ -482,12 +384,11 @@ func (e *Exact) Search(q []float64, k int) ([]Result, error) {
 	return out, nil
 }
 
-// SearchInto scans the store, writing the top-k into dst. Compressed
-// slabs are ranked by the precision-dispatched kernels; on SIMD
-// backends sq8 scans run two-stage (symmetric integer candidate
-// generation into a rerank·k-wide pool, asymmetric full-precision-
-// query re-rank of the survivors), on scalar backends every vector is
-// scored asymmetrically in a single pass.
+// SearchInto scans the store as a group of one, writing the top-k into
+// dst. On SIMD backends sq8 stores are scanned two-stage (symmetric
+// integer candidate generation into a rerank·k-wide pool, asymmetric
+// full-precision-query re-rank of the survivors); everywhere else each
+// row is scored once at full query precision.
 func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int) ([]Result, error) {
 	if err := checkQuery(e.store, q, k); err != nil {
 		return nil, err
@@ -496,75 +397,17 @@ func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int
 		return nil, err
 	}
 	annQueriesExact.Inc()
-	start := time.Now()
-	nShards := e.store.NumShards()
-	sc := scratchPool.Get().(*queryScratch)
-	sc.ctx.init(e.store, q)
-	sc.ctx.done = ctx.Done()
-	qc := &sc.ctx
-	if runtime.GOMAXPROCS(0) == 1 || nShards == 1 {
-		res, canceled := e.scanSeq(sc, k)
-		if canceled {
-			scratchPool.Put(sc)
-			return dst[:0], ctx.Err()
-		}
-		dst = appendResults(dst, res)
-		scratchPool.Put(sc)
-		annStageExactCand.ObserveSince(start)
-		return dst, nil
+	out, qs := [1][]Result{dst[:0]}, [1][]float64{q}
+	if err := e.searchGroup(ctx, out[:], qs[:], k, &exactStats); err != nil {
+		return dst[:0], err
 	}
-	// Parallel scan: one goroutine per shard, merged through a heap.
-	// qc is read-only during the fan-out. The first-stage heap width is
-	// kk (= k unless the symmetric sq8 stage widens it).
-	kk := k
-	if qc.sym {
-		kk = candidateK(qc.prec, k)
-	}
-	partial := make([]*topK, nShards)
-	var wg sync.WaitGroup
-	for sIdx := 0; sIdx < nShards; sIdx++ {
-		wg.Add(1)
-		go func(sIdx int) {
-			defer wg.Done()
-			t := &topK{k: kk, heap: make([]Result, 0, kk)}
-			n := 0
-			e.store.RangeShard(sIdx, func(id graph.NodeID, v *embstore.VecView) bool {
-				t.push(Result{ID: id, Score: e.metric.beamScoreView(qc, v)})
-				n++
-				return n%cancelCheckEvery != 0 || !qc.canceled()
-			})
-			partial[sIdx] = t
-		}(sIdx)
-	}
-	wg.Wait()
-	if qc.canceled() {
-		scratchPool.Put(sc)
-		return dst[:0], ctx.Err()
-	}
-	merged := &sc.wide
-	merged.reset(kk)
-	for _, t := range partial {
-		for _, r := range t.heap {
-			merged.push(r)
-		}
-	}
-	if qc.sym {
-		dst = appendResults(dst, rerankWide(e.store, e.metric, sc, k))
-	} else {
-		dst = appendResults(dst, merged.sorted())
-	}
-	scratchPool.Put(sc)
-	annStageExactCand.ObserveSince(start)
-	return dst, nil
+	return out[0], nil
 }
 
-// SearchBatch runs queries across a GOMAXPROCS-sized worker pool, each
-// through SearchInto, so batch queries are counted and timed on
-// /metrics like single ones.
+// SearchBatch answers qs by the scanner in groups of four fanned over
+// ParallelFor; each query counts on /metrics as a single one does.
 func (e *Exact) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
-	return batchSearch(qs, k, func(dst []Result, q []float64) ([]Result, error) {
-		return e.SearchInto(ctx, dst, q, k)
-	})
+	return e.searchBatch(ctx, qs, k, &exactStats)
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) across min(GOMAXPROCS,

@@ -164,6 +164,43 @@ func BenchmarkHNSWSearchInto(b *testing.B) {
 	reportPerQuery(b, 1)
 }
 
+// BenchmarkExactSearchBatch32 is Exact's batch over the read_batch
+// shape: 32-query batches, k 10, 5000×64 on one CPU, per precision.
+func BenchmarkExactSearchBatch32(b *testing.B) {
+	for _, prec := range allPrecisions {
+		b.Run(prec.String(), func(b *testing.B) {
+			pinOneCPU(b)
+			e := NewExact(buildStoreAt(b, benchN, benchDim, prec), Cosine)
+			qs := benchQueries(rand.New(rand.NewSource(41)), 32, benchDim)
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.SearchBatch(ctx, qs, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerQuery(b, len(qs))
+		})
+	}
+}
+
+// BenchmarkExactSearchInto is the twin of bench's ann.exact_us: one
+// query at a time over the 5000×64 sq8 store on one CPU.
+func BenchmarkExactSearchInto(b *testing.B) {
+	e := NewExact(benchStore(b), Cosine)
+	qs := benchQueries(rand.New(rand.NewSource(41)), 32, benchDim)
+	ctx := context.Background()
+	dst := make([]Result, 0, 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if dst, err = e.SearchInto(ctx, dst, qs[i%len(qs)], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerQuery(b, 1)
+}
+
 // BenchmarkScanCrossover is the table scanCrossover was set from: a
 // 32-query batch answered by a beam per query and by the slab sweep, at
 // three graph sizes and two beam widths, µs per query on one CPU. The
@@ -198,7 +235,7 @@ func BenchmarkScanCrossover(b *testing.B) {
 			{"beam", func() ([][]Result, error) {
 				return batchSearch(qs, 10, func(dst []Result, q []float64) ([]Result, error) { return h.SearchInto(ctx, dst, q, 10) })
 			}},
-			{"scan", func() ([][]Result, error) { return h.scanBatch(ctx, qs, 10) }},
+			{"scan", func() ([][]Result, error) { return h.fallback.searchBatch(ctx, qs, 10, &hnswScanStats) }},
 		}
 		for _, ef := range c.efs {
 			h.SetEfSearch(ef)

@@ -20,8 +20,8 @@
 // survivors are re-ranked asymmetrically, while on scalar backends
 // every candidate is scored with the asymmetric LUT kernel directly
 // (see Metric.quickScoreView for why that is the scalar optimum).
-// SearchBatch has a second plan for small sq8 graphs — one blocked sweep
-// of the slab per four queries instead of a beam each (scan.go).
+// SearchBatch has a second plan for small sq8 stores — one blocked scan
+// of the store per four queries instead of a beam each (scan.go).
 //
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
@@ -1395,17 +1395,14 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	return dst, nil
 }
 
-// SearchBatch answers queries across a worker pool: by one blocked
-// sweep of the slab per four queries while the graph is small enough
-// for that to beat a beam per query (scanPlan), by SearchInto per query
+// SearchBatch answers queries across a worker pool: by the store
+// scanner, four queries per pass, while the store is small enough for
+// that to beat a beam per query (scanPlan), by SearchInto per query
 // otherwise.
 func (h *HNSW) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
-	h.mu.RLock()
-	scan := scanPlan(h.prec, vecmath.HasSQ8Sym(), len(qs), len(h.nodes),
-		h.cfg.EfSearch, candidateK(h.prec, k), h.cfg.M)
-	h.mu.RUnlock()
-	if scan {
-		return h.scanBatch(ctx, qs, k)
+	cfg := h.Config()
+	if scanPlan(h.prec, vecmath.HasSQ8Sym(), len(qs), h.store.Len(), cfg.EfSearch, candidateK(h.prec, k), cfg.M) {
+		return h.fallback.searchBatch(ctx, qs, k, &hnswScanStats)
 	}
 	return batchSearch(qs, k, func(dst []Result, q []float64) ([]Result, error) {
 		return h.SearchInto(ctx, dst, q, k)

@@ -1,6 +1,10 @@
 package ann
 
-import "ehna/internal/obs"
+import (
+	"time"
+
+	"ehna/internal/obs"
+)
 
 // Search- and mutation-path metrics, registered on the process-wide
 // registry. The search instruments are touched from SearchInto and the
@@ -15,8 +19,9 @@ import "ehna/internal/obs"
 // scan for exact, the layered beam search for HNSW) and "rerank" is
 // ranking it into the final top-k (heap trim — the stage that absorbs
 // the sq8-widened beam — for HNSW). "hnsw_scan" is HNSW.SearchBatch's
-// slab sweep, observed once per group of four queries — a sweep serves
-// the four together — so its sums stay wall time. The split shows where a
+// store scan, and exact is Exact's; both are observed once per group of
+// up to four queries — a scan serves the group together — so their sums
+// stay wall time. The split shows where a
 // latency regression lives: kernel/bandwidth cost lands in
 // candidates, quantization-widening and top-k cost in rerank.
 //
@@ -32,7 +37,7 @@ var (
 	annQueriesHNSW = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "hnsw"))
 
-	// Batch queries HNSW.SearchBatch answered by the slab sweep instead of
+	// Batch queries HNSW.SearchBatch answered by the store scanner instead of
 	// a beam each (see scanPlan); the beam's share stays under "hnsw".
 	annQueriesHNSWScan = obs.Default().Counter("ehnad_ann_queries_total",
 		"Single-vector queries answered, by index type.", obs.L("index", "hnsw_scan"))
@@ -61,4 +66,28 @@ func annMutation(phase string) *obs.Histogram {
 	return obs.Default().Histogram("ehnad_ann_mutation_seconds",
 		"HNSW graph-mutation latency by phase: detach repair, neighbor discovery, link wiring.",
 		obs.L("phase", phase))
+}
+
+// scanStats are the instruments a store scan reports to: Exact's own,
+// or those of HNSW.SearchBatch's scanned plan. Exact has no rerank
+// histogram; its candidates stage times the whole group.
+type scanStats struct {
+	queries      *obs.Counter
+	cand, rerank *obs.Histogram
+}
+
+var (
+	exactStats    = scanStats{annQueriesExact, annStageExactCand, nil}
+	hnswScanStats = scanStats{annQueriesHNSWScan, annStageScanCand, annStageScanRerank}
+)
+
+// observe records a group scan that started at start and began ranking
+// its pools at rerankStart.
+func (st *scanStats) observe(start, rerankStart time.Time) {
+	if st.rerank == nil {
+		st.cand.ObserveSince(start)
+		return
+	}
+	st.cand.Observe(int64(rerankStart.Sub(start)))
+	st.rerank.ObserveSince(rerankStart)
 }

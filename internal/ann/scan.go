@@ -1,44 +1,48 @@
-// The sweep plans of small sq8 graphs: HNSW.SearchBatch answers a
-// batch, and HNSW.insert finds a new node's layer-0 neighbors, by a
-// blocked brute-force sweep of the graph's own sq8 slab instead of
-// beams. A beam is sublinear per query but shares nothing between
-// queries; a batch can instead load every stored row once for several
-// queries (the blocked scan of FAISS, Johnson, Douze & Jégou 2017).
-// vecmath.DotSQ8SymCodes4 scores a run of rows against four queries at
-// ~1.6 ns per (row, query) where a beam pays ~58 ns per row it visits
-// (heap traffic, random slab reads), so while the slab is small enough
-// — scanPlan is the rule — sweeping all of it is cheaper than searching
-// it, and its candidates are the exact symmetric top rather than a
-// beam's approximation of it.
+// The blocked scans. One exhaustive scanner answers every query that
+// reads the whole store: Exact.SearchInto (a group of one),
+// Exact.SearchBatch, and HNSW.SearchBatch while the store is small
+// enough that reading every row beats a beam per query (scanPlan). A
+// beam is sublinear per query but shares nothing between queries; a
+// scan in groups of four loads each stored row once for all four (the
+// blocked scan of FAISS, Johnson, Douze & Jégou 2017).
+// vecmath.DotSQ8SymCodes4 scores a run of sq8 rows against four queries
+// at ~1.6 ns per (row, query) where a beam pays ~58 ns per row it
+// visits (heap traffic, random slab reads).
 //
-// Results are the two-stage sq8 ranking Exact defines: the symmetric
-// integer kernel fills a candidateK-wide pool per query, the asymmetric
-// full-precision-query kernel re-ranks the pool (rerankSlot, the beam's
-// own second stage), and a pool that comes up short of min(k, live)
-// goes to the exact fallback.
+// The scanner reads the store, which is the truth, never the graph's
+// mirror of it: embstore.Store.ScanShard hands it each shard's
+// contiguous runs (the dense slab, and a cold store's mapped base), and
+// it walks them scanBlockRows rows at a time. On backends with the SIMD
+// symmetric kernel an sq8 scan is two-stage, as every sq8 search is:
+// the integer kernel fills a candidateK-wide pool per query, scored
+// from row factors computed once per block, and the asymmetric
+// full-precision-query kernel re-ranks the pool by id through
+// WithShard. Everywhere else (f32 stores, scalar backends) each row is
+// scored once at full query precision inside the same block loop. A
+// cold base row that an overwrite or a delete has masked is scored like
+// any other and dropped only if it reaches a query's floor.
 //
-// Inserts have a sweep plan too (insertPlan): an insert's layer-0
+// Locking: a group holds a shard's read lock for its whole pass over
+// that shard, and no lock between shards. Store slabs swap-remove on
+// delete, so a row position means nothing once the lock is let go;
+// within one hold a shard is one consistent image, and an id lives in
+// exactly one shard, so no id enters a pool twice. A writer waits for
+// at most one shard's pass of one group. The re-rank reads each pooled
+// id as it stands then: an id deleted since its shard was scanned drops
+// out, one overwritten is scored at its new value.
+//
+// Inserts have a sweep plan of their own (insertPlan), over the graph's
+// slab rather than the store, because neighbor selection compares rows
+// by the slab's own arithmetic (pairScore): an insert's layer-0
 // neighbors come from one sweep of the slab (sweepSelect) instead of an
 // efConstruction-wide beam, which visits thousands of rows at heap
 // cost. Build places four nodes at a time and fills all four lanes of
-// the kernel with their rows; a live Add sweeps with one lane. Rows are
-// ranked by pairScore's own arithmetic, which is what neighbor
-// selection compares against, so the graph is link for link that of an
-// exact search for the top efConstruction candidates — a bound on the
-// sweep's cheaper filter score (filterMargin) decides which rows it
-// must score exactly, never which rows win. A sweep runs inside the
-// insert's one read-lock hold for discovery, as the beam it replaces
-// did.
-//
-// Locking: the batch sweep takes the read lock per block of scanBlockRows
-// rows, re-reading the slot count and the slab headers each time, and
-// never across two blocks — a writer waits for at most one block
-// (microseconds) however large the batch. Slots are append-only and
-// rows of allocated slots never change, so a sweep that interleaves
-// with writers sees each slot at most once; liveness is read when a row
-// enters the pool and again when the pool is re-ranked (one lock hold
-// per query), so no tombstoned slot is returned and an id overwritten
-// mid-sweep appears once.
+// the kernel with their rows; a live Add sweeps with one lane. The
+// graph is link for link that of an exact search for the top
+// efConstruction candidates — a bound on the sweep's cheaper filter
+// score (filterMargin) decides which rows it must score exactly, never
+// which rows win. A sweep runs inside the insert's one read-lock hold
+// for discovery, as the beam it replaces did.
 package ann
 
 import (
@@ -54,14 +58,14 @@ import (
 
 const (
 	// scanGroup is the kernel's query blocking: DotSQ8SymCodes4 scores
-	// four queries per row load. It is also the smallest batch worth a
-	// sweep — below it the kernel's lanes run padded.
+	// four queries per row load. It is also the smallest batch HNSW
+	// hands the scanner — below it the kernel's lanes run padded.
 	scanGroup = 4
 
-	// scanBlockRows is the sweep's unit of work and of locking: 256
-	// rows are 16 KB of dim-64 codes, 4 KB of code dots and 6 KB of row
-	// factors — L1-sized — and ~4 µs of work per group, which is the
-	// longest a sweep keeps a writer waiting.
+	// scanBlockRows is the scanner's and the insert sweep's unit of
+	// work: 256 rows are 16 KB of dim-64 codes, 4 KB of code dots and
+	// 6 KB of row factors — L1-sized. Scans poll cancellation once per
+	// block.
 	scanBlockRows = 256
 
 	// scanCrossover is c in the plan's inequality, slots ≤ c·ef·M. Set
@@ -86,15 +90,14 @@ const (
 	insertPool = 48
 )
 
-// scanPlan is the whole decision between the two batch algorithms, a
-// pure function of what the index can see: the sweep runs over sq8
-// slabs on backends with the SIMD symmetric kernel, for batches of at
-// least one kernel group, while the slab holds at most scanCrossover ·
-// max(ef, kk) · M slots (tombstones included — the sweep reads them
-// too). Everything else keeps the per-query beam.
-func scanPlan(prec embstore.Precision, symSIMD bool, batch, slots, ef, kk, m int) bool {
+// scanPlan is the whole decision between HNSW's two batch algorithms,
+// a pure function of what the index can see: the scanner answers sq8
+// stores on backends with the SIMD symmetric kernel, for batches of at
+// least one kernel group, while the store holds at most scanCrossover ·
+// max(ef, kk) · M rows. Everything else keeps the per-query beam.
+func scanPlan(prec embstore.Precision, symSIMD bool, batch, rows, ef, kk, m int) bool {
 	return prec == embstore.SQ8 && symSIMD && batch >= scanGroup &&
-		slots <= scanCrossover*max(ef, kk)*m
+		rows <= scanCrossover*max(ef, kk)*m
 }
 
 // insertPlan is the same decision for an insert's layer-0 neighbor
@@ -214,9 +217,9 @@ func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
 // scoredCmp order: descending score, ties to the lower slot. One
 // DotSQ8SymCodes4 pass over the slab serves all the lanes.
 //
-// No row is scored exactly until the sweep is over. Each row gets
-// scanBlock's form of the score instead (row factors hoisted per block,
-// pivot factors per lane), which lies within a margin of the exact
+// No row is scored exactly until the sweep is over. Each row gets the
+// scanner's form of the score instead (blockScore: row factors hoisted
+// per block, pivot factors per lane), which lies within a margin of the exact
 // score (filterMargin), so the two bound it from below and above. The
 // width largest lower bounds so far bound the width-th best exact score
 // from below (the lane's floor), and a row whose upper bound is under
@@ -312,9 +315,10 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 // pooled rows, so it costs the filter nothing.
 const filterMargin = 0x1p-44
 
-// filterScore is sweepPool's filter score of a row against a lane's
-// pivot: scanBlock's form, from the row's factors (sq8RowFactors), the
-// pivot's (sq8Factors) and their code dot.
+// filterScore is the blocked form of an sq8 score, from a row's factors
+// (sq8RowFactor), a query's or a pivot's (sq8Factors) and their code
+// dot: the scanner's first stage ranks by it, and sweepPool filters by
+// it.
 func filterScore(rowOff, rowSum, rowScale, a, b, c float64, dot int32) float64 {
 	return rowOff*a + rowSum*b + rowScale*c*float64(dot)
 }
@@ -341,21 +345,26 @@ func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine b
 	return a, b, c, errA, errB
 }
 
-// sq8RowFactors fills one block's row side of scanQuery's score form
-// from the rows' sidecars: offset and scale (over the norm, for
-// cosine) and scale·Σcodes.
+// sq8RowFactor is one row's side of scanQuery's score form, from its
+// sidecar: offset and scale (over the norm, for cosine) and
+// scale·Σcodes. The scanner computes it from the store's sidecars, the
+// insert sweep from the graph slab's (sq8RowFactors).
+func sq8RowFactor(scale, offset, norm float64, codeSum int32, cosine bool) (rowOff, rowScale, rowSum float64) {
+	if cosine {
+		inv := 0.0 // a zero row scores 0, as in the beam
+		if norm != 0 {
+			inv = 1 / norm
+		}
+		scale *= inv
+		offset *= inv
+	}
+	return offset, scale, scale * float64(codeSum)
+}
+
+// sq8RowFactors fills one block's row factors from graph slab sidecars.
 func sq8RowFactors(side []sq8Side, cosine bool, rowOff, rowScale, rowSum []float64) {
 	for r, sd := range side {
-		scale, offset := float64(sd.scale), float64(sd.offset)
-		if cosine {
-			inv := 0.0 // a zero row scores 0, as in the beam
-			if sd.norm != 0 {
-				inv = 1 / float64(sd.norm)
-			}
-			scale *= inv
-			offset *= inv
-		}
-		rowOff[r], rowScale[r], rowSum[r] = offset, scale, scale*float64(sd.codeSum)
+		rowOff[r], rowScale[r], rowSum[r] = sq8RowFactor(float64(sd.scale), float64(sd.offset), float64(sd.norm), sd.codeSum, cosine)
 	}
 }
 
@@ -368,168 +377,214 @@ func widenCodes(dst []int16, codes []int8) {
 	}
 }
 
-// scanQuery is one query's share of a group sweep: its context (the
-// re-rank reads q, qSum and qNorm from it), its candidate pool, and the
-// query-side terms of the symmetric score, hoisted out of the row loop
-// as scorePendingBeam hoists them. With the row's decode parameters
-// (scale, offset), code sum cs and the kernel's code dot acc,
+// scanQuery is one query's share of a group scan: its context (the
+// re-rank reads q, qSum and qNorm from it), its pool of store ids, and
+// on the two-stage path the query-side terms of the symmetric score,
+// hoisted out of the row loop as scorePendingBeam hoists them. With a
+// row's decode parameters (scale, offset), code sum cs and the kernel's
+// code dot acc,
 //
 //	dot = n·qOff·offset + qOff·scale·cs + offset·qScale·Σq + qScale·scale·acc
 //	    = offset·a + scale·(b·cs + c·acc)
 //
 // for a = n·qOff + qScale·Σq, b = qOff, c = qScale; cosine divides by
-// both norms, which scanBlock folds into the row's offset and scale and
-// prepare folds into a, b and c.
+// both norms, which sq8RowFactor folds into the row's offset and scale
+// and prepare folds into a, b and c.
 type scanQuery struct {
 	ctx     queryCtx
-	wide    topK // slots in Result.ID until the re-rank maps them to ids
+	pool    topK // candidateK wide on the two-stage path, k otherwise
 	a, b, c float64
 	// floor is the score a row must reach to enter the pool: −Inf while
 	// the pool is filling, its worst score afterwards.
 	floor float64
 }
 
-// scanScratch is the pooled working state of one group sweep.
+// push adds a row that reached the floor to the pool and returns the
+// new floor.
+func (sq *scanQuery) push(id graph.NodeID, score float64) float64 {
+	sq.pool.push(Result{ID: id, Score: score})
+	if len(sq.pool.heap) == sq.pool.k {
+		sq.floor = sq.pool.heap[0].Score
+	}
+	return sq.floor
+}
+
+// scanScratch is the pooled working state of one group scan.
 type scanScratch struct {
 	q   [scanGroup]scanQuery
+	nq  int
 	qw  []int16                          // the group's codes widened for the kernel, query-major
 	acc [scanGroup * scanBlockRows]int32 // the kernel's code dots for one block, row-major
-	// One block's row-side score factors: offset and scale (over the
-	// norm, for cosine) and scale·Σcodes.
+	// One block's row factors (sq8RowFactor).
 	rowOff, rowScale, rowSum [scanBlockRows]float64
+	byShard                  [][]graph.NodeID // the re-rank's pool, grouped by store shard
 	top                      topK
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// prepare readies the scratch for a group of 1–4 queries. A short last
-// group repeats its final query in the unused kernel lanes (their sums
-// are computed and ignored).
-func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]float64, kk int) {
+// prepare readies the scratch for a group of 1–4 queries. On the
+// two-stage path a short group repeats its final query in the unused
+// kernel lanes (their sums are computed and ignored).
+func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]float64, k int) {
 	dim := store.Dim()
-	if cap(sc.qw) < scanGroup*dim {
-		sc.qw = make([]int16, scanGroup*dim)
-	}
-	sc.qw = sc.qw[:scanGroup*dim]
+	sc.nq = len(qs)
 	for j, q := range qs {
 		sq := &sc.q[j]
 		sq.ctx.init(store, q)
-		sq.wide.reset(kk)
 		sq.floor = math.Inf(-1)
+		if !sq.ctx.sym {
+			sq.pool.reset(k)
+			continue
+		}
+		sq.pool.reset(candidateK(embstore.SQ8, k))
 		e := &sq.ctx.sq8q
 		sq.a, sq.b, sq.c, _, _ = sq8Factors(dim, e.Scale, e.Offset, e.CodeSum, sq.ctx.qNorm, metric != DotProduct)
 	}
+	if !sc.q[0].ctx.sym {
+		return
+	}
+	sc.qw = resize(sc.qw, scanGroup*dim)
 	for j := 0; j < scanGroup; j++ {
 		widenCodes(sc.qw[j*dim:(j+1)*dim], sc.q[min(j, len(qs)-1)].ctx.sq8q.Code)
 	}
 }
 
-// scanBlock scores slots [lo, hi) against the scratch's nq queries and
-// pushes the rows that reach a query's floor — and are alive — into its
-// pool. The row-side factors are computed once per block and the score
-// loop runs query-outer, so a query's terms and floor stay in registers
-// across the block. Caller holds h.mu.
-func (h *HNSW) scanBlock(sc *scanScratch, nq, lo, hi int) {
+// scoreBlockSym is the two-stage path's first stage over rows [lo, hi)
+// of r: one DotSQ8SymCodes4 pass and one row-factor pass serve every
+// query of the group, and the score loop runs query-outer, so a query's
+// terms and floor stay in registers across the block.
+func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
 	acc := sc.acc[:scanGroup*n]
-	vecmath.DotSQ8SymCodes4(acc, sc.qw, h.codes[lo*h.dim:hi*h.dim], h.dim)
+	vecmath.DotSQ8SymCodes4(acc, sc.qw, r.Codes[lo*dim:hi*dim], dim)
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
-	sq8RowFactors(h.side[lo:hi], h.cfg.Metric != DotProduct, rowOff, rowScale, rowSum)
-	for j := 0; j < nq; j++ {
+	for i := range rowOff {
+		scale, offset, norm, cs := r.SQ8(lo + i)
+		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(scale, offset, norm, cs, cosine)
+	}
+	for j := 0; j < sc.nq; j++ {
 		sq := &sc.q[j]
 		a, b, c, floor := sq.a, sq.b, sq.c, sq.floor
-		for r := range rowOff {
-			score := rowOff[r]*a + rowSum[r]*b + rowScale[r]*c*float64(acc[scanGroup*r+j])
-			if score < floor {
+		for i := range rowOff {
+			score := filterScore(rowOff[i], rowSum[i], rowScale[i], a, b, c, acc[scanGroup*i+j])
+			if score < floor || r.Masked(lo+i) {
 				continue
 			}
-			slot := uint32(lo + r)
-			if !h.aliveBit(slot) {
-				continue
-			}
-			sq.wide.push(Result{ID: graph.NodeID(slot), Score: score})
-			if len(sq.wide.heap) == sq.wide.k {
-				floor = sq.wide.heap[0].Score
-			}
+			floor = sq.push(r.IDs[lo+i], score)
 		}
-		sq.floor = floor
 	}
 }
 
-// scanGroupInto answers one group of 1–4 queries into out, appending
-// to each list: a sweep of the slab, one read-lock hold per block, then
-// each query's re-rank.
-func (h *HNSW) scanGroupInto(ctx context.Context, out [][]Result, qs [][]float64, k int) error {
+// scoreRows is the single-stage path over rows [lo, hi) of r — f32
+// stores, and sq8 on backends without the SIMD symmetric kernel: each
+// row is read once and scored against every query of the group at full
+// query precision (quickScoreView), as a row-at-a-time scan scores it.
+func (sc *scanScratch) scoreRows(m Metric, r *embstore.Run, lo, hi int) {
+	var v embstore.VecView
+	for i := lo; i < hi; i++ {
+		r.View(i, &v)
+		for j := 0; j < sc.nq; j++ {
+			sq := &sc.q[j]
+			if score := m.quickScoreView(&sq.ctx, &v); !(score < sq.floor) && !r.Masked(i) {
+				sq.push(r.IDs[i], score)
+			}
+		}
+	}
+}
+
+// rerank is the two-stage path's second stage: sq's pool re-scored by
+// id with the asymmetric full-precision-query kernel, sorted top k
+// (aliasing sc.top). The pool is grouped by store shard so each shard's
+// lock is taken once; an id deleted since its shard was scanned drops
+// out, and one overwritten is scored as it now stands.
+func (sc *scanScratch) rerank(store *embstore.Store, m Metric, sq *scanQuery, k int) []Result {
+	nShards := store.NumShards()
+	for len(sc.byShard) < nShards {
+		sc.byShard = append(sc.byShard, nil)
+	}
+	byShard := sc.byShard[:nShards]
+	for i := range byShard {
+		byShard[i] = byShard[i][:0]
+	}
+	for _, r := range sq.pool.heap {
+		si := store.ShardOf(r.ID)
+		byShard[si] = append(byShard[si], r.ID)
+	}
+	qc, t := &sq.ctx, &sc.top
+	t.reset(k)
+	for si, ids := range byShard {
+		if len(ids) > 0 {
+			store.WithShard(si, ids, func(id graph.NodeID, v *embstore.VecView) {
+				t.push(Result{ID: id, Score: m.scoreView(qc, v)})
+			})
+		}
+	}
+	return t.sorted()
+}
+
+// searchGroup answers a group of 1–4 queries into out, appending to
+// each list: one pass over the store, shard by shard under each shard's
+// read lock, scanBlockRows rows at a time with cancellation polled per
+// block; then each query's pool ranked. st times the two stages.
+func (e *Exact) searchGroup(ctx context.Context, out [][]Result, qs [][]float64, k int, st *scanStats) error {
 	start := time.Now()
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer scanScratchPool.Put(sc)
-	sc.prepare(h.store, h.cfg.Metric, qs, candidateK(embstore.SQ8, k))
-	sc.q[0].ctx.done = ctx.Done() // the group polls cancellation through its first query
-	for lo := 0; ; lo += scanBlockRows {
-		h.mu.RLock()
-		hi := min(lo+scanBlockRows, len(h.nodes))
-		if lo < hi {
-			h.scanBlock(sc, len(qs), lo, hi)
-		}
-		h.mu.RUnlock()
-		if sc.q[0].ctx.canceled() {
-			return ctx.Err()
-		}
-		if hi < lo+scanBlockRows {
-			break
-		}
+	sc.prepare(e.store, e.metric, qs, k)
+	qc := &sc.q[0].ctx
+	qc.done = ctx.Done() // the group polls cancellation through its first query
+	dim, cosine, twoStage := e.store.Dim(), e.metric != DotProduct, qc.sym
+	canceled := false
+	for si := 0; si < e.store.NumShards() && !canceled; si++ {
+		e.store.ScanShard(si, func(r embstore.Run) bool {
+			for lo := 0; lo < len(r.IDs) && !canceled; lo += scanBlockRows {
+				hi := min(lo+scanBlockRows, len(r.IDs))
+				if twoStage {
+					sc.scoreBlockSym(&r, lo, hi, dim, cosine)
+				} else {
+					sc.scoreRows(e.metric, &r, lo, hi)
+				}
+				canceled = qc.canceled()
+			}
+			return !canceled
+		})
+	}
+	if canceled {
+		return ctx.Err()
 	}
 	rerankStart := time.Now()
-	annStageScanCand.Observe(int64(rerankStart.Sub(start)))
-
 	for j := range qs {
 		sq := &sc.q[j]
-		sc.top.reset(k)
-		h.mu.RLock()
-		for _, c := range sq.wide.heap {
-			// Tombstoned since its block was swept: gone, and if the id was
-			// overwritten its new slot is in the pool on its own merits.
-			if slot := uint32(c.ID); h.aliveBit(slot) {
-				h.rerankSlot(&sq.ctx, &sc.top, slot)
-			}
+		got := sq.pool.sorted()
+		if twoStage {
+			got = sc.rerank(e.store, e.metric, sq, k)
 		}
-		want, empty := min(k, h.alive), h.entry < 0
-		h.mu.RUnlock()
-		if got := sc.top.sorted(); len(got) >= want && !empty {
-			out[j] = appendResults(out[j], got)
-			continue
-		}
-		// Same rule as SearchInto: a pool short of min(k, live), or an
-		// empty graph, is answered from the store.
-		annFallbacks.Inc()
-		res, err := h.fallback.SearchInto(ctx, out[j], qs[j], k)
-		if err != nil {
-			return err
-		}
-		out[j] = res
+		out[j] = appendResults(out[j], got)
 	}
-	annStageScanRerank.ObserveSince(rerankStart)
+	st.observe(start, rerankStart)
 	return nil
 }
 
-// scanBatch answers qs by group sweeps fanned over ParallelFor. The
-// first error wins; results stay index-aligned with qs.
-func (h *HNSW) scanBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
+// searchBatch answers qs by searchGroup over groups of scanGroup
+// queries fanned over ParallelFor, counted under st. The first error
+// wins; results stay index-aligned with qs.
+func (e *Exact) searchBatch(ctx context.Context, qs [][]float64, k int, st *scanStats) ([][]Result, error) {
 	for _, q := range qs {
-		if err := checkQuery(h.store, q, k); err != nil {
+		if err := checkQuery(e.store, q, k); err != nil {
 			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	annQueriesHNSWScan.Add(uint64(len(qs)))
+	st.queries.Add(uint64(len(qs)))
 	out := batchOut(len(qs), k)
 	groups := (len(qs) + scanGroup - 1) / scanGroup
 	errs := make([]error, groups)
 	ParallelFor(groups, func(g int) {
 		lo, hi := g*scanGroup, min((g+1)*scanGroup, len(qs))
-		errs[g] = h.scanGroupInto(ctx, out[lo:hi], qs[lo:hi], k)
+		errs[g] = e.searchGroup(ctx, out[lo:hi], qs[lo:hi], k, st)
 	})
 	for _, err := range errs {
 		if err != nil {

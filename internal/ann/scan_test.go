@@ -1,7 +1,6 @@
 package ann
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -28,24 +27,13 @@ func needScan(t *testing.T) {
 
 // sq8Graph builds a default-config graph, under metric, over n random
 // dim-wide sq8 vectors — small enough that every batch of four or more
-// is swept — and reloads it from its snapshot, the way a daemon boots:
-// a loaded slab mirrors the store's codes bit for bit, where Build
-// re-encodes each dequantized row (scores then drift ~1e-3 from the
-// store's, too far to compare rankings with Exact's).
+// is scanned. Batches read the store, so a built graph compares with
+// Exact as a loaded one would.
 func sq8Graph(t testing.TB, n, dim int, metric Metric) *HNSW {
 	t.Helper()
 	cfg := DefaultHNSWConfig()
 	cfg.Metric = metric
-	store := buildStoreAt(t, n, dim, embstore.SQ8)
-	var snap bytes.Buffer
-	if err := mustHNSW(t, store, cfg).SaveGraph(&snap); err != nil {
-		t.Fatal(err)
-	}
-	h, err := LoadHNSWGraph(&snap, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)
 }
 
 // scanMoved runs fn and reports how far the two HNSW query counters
@@ -171,10 +159,11 @@ func TestScanBatchAfterChurn(t *testing.T) {
 	}
 }
 
-// TestScanBatchFallback: a pool that cannot fill min(k, live) is
-// answered from the store, as SearchInto's is — here the extreme case, a
-// graph that indexes nothing over a store that holds vectors.
-func TestScanBatchFallback(t *testing.T) {
+// TestScanBatchReadsStore: the scanner answers from the store, not the
+// graph — a graph that indexes nothing, over a store that holds
+// vectors, still gets full answers from a scanned batch, with no
+// fallback.
+func TestScanBatchReadsStore(t *testing.T) {
 	needScan(t)
 	store := buildStoreAt(t, 300, 16, embstore.SQ8)
 	h, err := NewHNSW(store, DefaultHNSWConfig())
@@ -187,8 +176,8 @@ func TestScanBatchFallback(t *testing.T) {
 	if scan != uint64(len(qs)) {
 		t.Fatalf("scan counter moved %d for a batch of %d", scan, len(qs))
 	}
-	if moved := annFallbacks.Load() - fell; moved != uint64(len(qs)) {
-		t.Fatalf("%d fallbacks for %d starved queries", moved, len(qs))
+	if moved := annFallbacks.Load() - fell; moved != 0 {
+		t.Fatalf("%d fallbacks for a scanned batch of %d", moved, len(qs))
 	}
 }
 

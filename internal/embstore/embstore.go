@@ -337,7 +337,7 @@ var viewPool = sync.Pool{New: func() any { return new(VecView) }}
 
 // getView checks a view out of the pool with its payload fields
 // cleared: pooled views travel between stores of different precisions,
-// and fillView only writes its own precision's fields.
+// and Run.View only writes its own precision's fields.
 func getView() *VecView {
 	v := viewPool.Get().(*VecView)
 	v.F32, v.Code = nil, nil
@@ -422,46 +422,77 @@ func (s *Store) Len() int {
 	return n
 }
 
-// fillView points v at the slot'th vector of the shard. Caller holds
-// the shard lock. Only the fields the store's precision uses are
-// written, so a stack view can be refilled per candidate without
-// re-zeroing the whole struct.
-func (s *Store) fillView(sh *shard, slot int, v *VecView) {
-	dim := s.dim
-	switch s.prec {
-	case F32:
-		v.F32 = sh.vecs32[slot*dim : (slot+1)*dim]
-		v.Norm = sh.norms[slot]
-	case SQ8:
-		m := &sh.meta[slot]
-		v.Code = sh.codes[slot*dim : (slot+1)*dim]
-		v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-	}
+// Run is one contiguous run of a shard's rows, as ScanShard hands it
+// out: the shard's dense overlay slab, or a cold store's mapped base.
+// Row i is node IDs[i]; its payload is the store precision's slice
+// (row i at [i·dim, (i+1)·dim)) and its sidecars are read through SQ8
+// or View. The slices alias slab or mapping memory: valid only under
+// the lock the Run was handed out under, never to be retained or
+// written.
+type Run struct {
+	IDs   []graph.NodeID
+	Codes []int8    // SQ8 codes
+	F32   []float32 // F32 rows
+	Norms []float64 // F32 norms of the original vectors
+
+	meta []sq8Meta
+	dead map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
+	dim  int
 }
 
-// fillBaseView is fillView against a shard's mapped base: the view
-// aliases the snapshot mapping directly (zero-copy — this is cold
-// mode's whole point), so the same lifetime rules apply.
-func (s *Store) fillBaseView(b *baseSection, slot int, v *VecView) {
-	dim := s.dim
-	switch s.prec {
-	case F32:
-		v.F32 = b.vecs32[slot*dim : (slot+1)*dim]
-		v.Norm = b.norms[slot]
-	case SQ8:
-		m := &b.meta[slot]
-		v.Code = b.codes[slot*dim : (slot+1)*dim]
-		v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-	}
+// overlayRun is the shard's dense slab as a Run. Caller holds sh.mu.
+func (sh *shard) overlayRun(dim int) Run {
+	return Run{IDs: sh.ids, Codes: sh.codes, F32: sh.vecs32, Norms: sh.norms, meta: sh.meta, dim: dim}
 }
 
-// fillAt dispatches between the overlay slab and the mapped base.
+// run is the mapped base as a Run, masks included. Caller holds the
+// shard lock.
+func (b *baseSection) run(dim int) Run {
+	return Run{IDs: b.ids, Codes: b.codes, F32: b.vecs32, Norms: b.norms, meta: b.meta, dead: b.dead, dim: dim}
+}
+
+// SQ8 returns row i's sq8 sidecar: its decode scale and offset, the
+// norm of the original vector and the sum of its codes.
+func (r *Run) SQ8(i int) (scale, offset, norm float64, codeSum int32) {
+	m := &r.meta[i]
+	return m.scale, m.offset, m.norm, m.codeSum
+}
+
+// Masked reports whether row i is hidden: a base row that a delete or
+// an overlay upsert has superseded. Overlay rows never are. The probe
+// is a map lookup, so scans ask it only of rows that would enter a
+// result.
+func (r *Run) Masked(i int) bool {
+	if len(r.dead) == 0 {
+		return false
+	}
+	_, masked := r.dead[r.IDs[i]]
+	return masked
+}
+
+// View points v at row i. Only the fields of the run's precision are
+// written, so a view can be refilled per row without re-zeroing it; it
+// aliases the run's memory (zero-copy from the mapping — cold mode's
+// whole point), so the Run's lifetime rules apply.
+func (r *Run) View(i int, v *VecView) {
+	lo, hi := i*r.dim, (i+1)*r.dim
+	if r.F32 != nil {
+		v.F32, v.Norm = r.F32[lo:hi], r.Norms[i]
+		return
+	}
+	m := &r.meta[i]
+	v.Code = r.Codes[lo:hi]
+	v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
+}
+
+// fillAt points v at the slot'th row of the overlay slab or the mapped
+// base. Caller holds the shard lock.
 func (s *Store) fillAt(sh *shard, slot int, inBase bool, v *VecView) {
+	r := sh.overlayRun(s.dim)
 	if inBase {
-		s.fillBaseView(sh.base, slot, v)
-	} else {
-		s.fillView(sh, slot, v)
+		r = sh.base.run(s.dim)
 	}
+	r.View(slot, v)
 }
 
 // extend grows s by n zero elements. The reused-capacity path must
@@ -680,72 +711,44 @@ func (s *Store) With(id graph.NodeID, fn func(v *VecView)) bool {
 	return ok
 }
 
-// RangeShard iterates shard i under its read lock, stopping when fn
-// returns false. The view passed to fn aliases slab memory and is
-// reused across iterations: fn must not retain it or call any
-// mutating Store method. Iterating shards from separate goroutines is
-// how ann parallelizes exact search. Iteration order is the dense
-// slab order (insertion order, perturbed by swap-remove deletes). The
-// per-precision loops keep the scan tight: one slice header and one
-// sidecar load per row, no precision switch per candidate.
-func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
+// ScanShard hands shard i's rows to fn as contiguous runs, all under
+// one hold of the shard's read lock: the dense overlay slab first,
+// then, for a cold store, the mapped base with its masked rows still
+// in place (see Run.Masked). fn returns false to stop. Deletes
+// swap-remove overlay rows, so a scan that releases the lock and comes
+// back may see rows moved; a run is consistent only within its
+// callback. fn must not retain the run or call a mutating Store method.
+func (s *Store) ScanShard(i int, fn func(r Run) bool) {
 	sh := &s.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	dim := s.dim
-	v := getView()
-	defer viewPool.Put(v)
-	switch s.prec {
-	case F32:
-		for slot, id := range sh.ids {
-			v.F32 = sh.vecs32[slot*dim : (slot+1)*dim]
-			v.Norm = sh.norms[slot]
-			if !fn(id, v) {
-				return
-			}
-		}
-	case SQ8:
-		for slot, id := range sh.ids {
-			m := &sh.meta[slot]
-			v.Code = sh.codes[slot*dim : (slot+1)*dim]
-			v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-			if !fn(id, v) {
-				return
-			}
-		}
-	}
-	b := sh.base
-	if b == nil {
+	if !fn(sh.overlayRun(s.dim)) || sh.base == nil {
 		return
 	}
-	// Cold stores continue into the mapped base, skipping masked rows;
-	// the per-precision loops stay as tight as the overlay's, the only
-	// added work the (usually empty) mask probe.
-	switch s.prec {
-	case F32:
-		for slot, id := range b.ids {
-			if b.maskedBase(id) {
+	fn(sh.base.run(s.dim))
+}
+
+// RangeShard iterates shard i's live rows under its read lock, stopping
+// when fn returns false. The view passed to fn aliases slab memory and
+// is reused across iterations: fn must not retain it or call any
+// mutating Store method. Iteration order is ScanShard's: the dense slab
+// (insertion order, perturbed by swap-remove deletes), then a cold
+// store's unmasked base rows.
+func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
+	v := getView()
+	defer viewPool.Put(v)
+	s.ScanShard(i, func(r Run) bool {
+		for j, id := range r.IDs {
+			if r.Masked(j) {
 				continue
 			}
-			v.F32 = b.vecs32[slot*dim : (slot+1)*dim]
-			v.Norm = b.norms[slot]
+			r.View(j, v)
 			if !fn(id, v) {
-				return
+				return false
 			}
 		}
-	case SQ8:
-		for slot, id := range b.ids {
-			if b.maskedBase(id) {
-				continue
-			}
-			m := &b.meta[slot]
-			v.Code = b.codes[slot*dim : (slot+1)*dim]
-			v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
-			if !fn(id, v) {
-				return
-			}
-		}
-	}
+		return true
+	})
 }
 
 // WithShard looks up each of ids (all of which must hash to shard i —

@@ -509,8 +509,16 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 					metas = append(metas, sh.meta[r.slot])
 				}
 			}
+			// Bytes 28–31 of a record (after codeSum, layout asserted
+			// above) are padding no field covers: in memory they hold
+			// whatever the allocator or an older file left there. Zero
+			// them so two saves of one store are byte-identical.
+			raw := sliceBytes(metas)
+			for o := 28; o < len(raw); o += 32 {
+				clear(raw[o : o+4])
+			}
 			sec = begin(v3KindMeta, i, n)
-			vw.write(sliceBytes(metas))
+			vw.write(raw)
 			end(sec)
 		} else {
 			norms = norms[:0]

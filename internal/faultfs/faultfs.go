@@ -429,7 +429,14 @@ func WriteFileAtomic(fsys FS, path string, write func(f File) error) error {
 		fsys.Remove(tmp)
 		return err
 	}
-	d, err := fsys.Open(filepath.Dir(path))
+	return SyncDir(fsys, filepath.Dir(path))
+}
+
+// SyncDir fsyncs directory dir through fsys, so that creates, renames
+// and removes in it survive a crash of the machine, not just of the
+// process.
+func SyncDir(fsys FS, dir string) error {
+	d, err := fsys.Open(dir)
 	if err != nil {
 		return err
 	}

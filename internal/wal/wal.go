@@ -320,20 +320,6 @@ func listSegments(fsys faultfs.FS, dir string) ([]sealedSeg, error) {
 	return segs, nil
 }
 
-// syncDir fsyncs the directory so segment creates/removes survive a
-// crash of the machine, not just the process.
-func syncDir(fsys faultfs.FS, dir string) error {
-	d, err := fsys.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // scanSegment walks every frame of one segment file, calling fn for
 // each record, and returns the byte offset and sequence number after
 // the last valid record. A torn or corrupt tail is reported via torn
@@ -587,7 +573,7 @@ func (l *Log) openSegment(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.opts.FS, l.dir); err != nil {
+	if err := faultfs.SyncDir(l.opts.FS, l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -848,7 +834,7 @@ func (l *Log) TruncateThrough(watermark uint64) error {
 		}
 	}
 	if len(drop) > 0 {
-		return syncDir(l.opts.FS, l.dir)
+		return faultfs.SyncDir(l.opts.FS, l.dir)
 	}
 	return nil
 }
