@@ -69,9 +69,9 @@ func coldStoreOf(t *testing.T, src *embstore.Store) *embstore.Store {
 // the asymmetric re-rank reading vectors straight from the mapping is
 // covered too. Scratch (including the narrowed/quantized query
 // context) comes from the pool, results land in the caller's buffer.
-// GOMAXPROCS is pinned to 1 so Exact takes its sequential path (the
-// parallel fan-out necessarily allocates goroutine closures), and GC
-// is paused so the scratch pool cannot be emptied mid-measurement.
+// GOMAXPROCS is pinned to 1 so no other goroutine's allocations land in
+// the count, and GC is paused so the scratch pool cannot be emptied
+// mid-measurement.
 func TestSearchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

@@ -294,23 +294,24 @@ func (t *topK) push(r Result) {
 	if !worse(t.heap[0], r) {
 		return
 	}
-	t.heap[0] = r
-	i := 0
+	// Sift r down from the root through a hole: each level moves the
+	// worse child up one store, and r is written once where it stops.
+	h, i := t.heap, 0
 	for {
-		l, rr := 2*i+1, 2*i+2
-		min := i
-		if l < len(t.heap) && worse(t.heap[l], t.heap[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if rr < len(t.heap) && worse(t.heap[rr], t.heap[min]) {
-			min = rr
+		if c+1 < len(h) && worse(h[c+1], h[c]) {
+			c++
 		}
-		if min == i {
-			return
+		if !worse(h[c], r) {
+			break
 		}
-		t.heap[i], t.heap[min] = t.heap[min], t.heap[i]
-		i = min
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = r
 }
 
 // resultCmp orders results descending by score, ties ascending by ID
@@ -384,8 +385,9 @@ func (e *Exact) Search(q []float64, k int) ([]Result, error) {
 	return out, nil
 }
 
-// SearchInto scans the store as a group of one, writing the top-k into
-// dst. On SIMD backends sq8 stores are scanned two-stage (symmetric
+// SearchInto scans the store as a task of one query, on the calling
+// goroutine (a single query does not fan out over shards or CPUs),
+// writing the top-k into dst. On SIMD backends sq8 stores are scanned two-stage (symmetric
 // integer candidate generation into a rerank·k-wide pool, asymmetric
 // full-precision-query re-rank of the survivors); everywhere else each
 // row is scored once at full query precision.
@@ -398,14 +400,15 @@ func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int
 	}
 	annQueriesExact.Inc()
 	out, qs := [1][]Result{dst[:0]}, [1][]float64{q}
-	if err := e.searchGroup(ctx, out[:], qs[:], k, &exactStats); err != nil {
+	if err := e.searchTask(ctx, out[:], qs[:], k, &exactStats); err != nil {
 		return dst[:0], err
 	}
 	return out[0], nil
 }
 
-// SearchBatch answers qs by the scanner in groups of four fanned over
-// ParallelFor; each query counts on /metrics as a single one does.
+// SearchBatch answers qs by the scanner in tasks of up to 32 queries,
+// at least one per CPU, fanned over ParallelFor; each query counts on
+// /metrics as a single one does.
 func (e *Exact) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
 	return e.searchBatch(ctx, qs, k, &exactStats)
 }

@@ -19,9 +19,9 @@ import (
 // scan for exact, the layered beam search for HNSW) and "rerank" is
 // ranking it into the final top-k (heap trim — the stage that absorbs
 // the sq8-widened beam — for HNSW). "hnsw_scan" is HNSW.SearchBatch's
-// store scan, and exact is Exact's; both are observed once per group of
-// up to four queries — a scan serves the group together — so their sums
-// stay wall time. The split shows where a
+// store scan, and exact is Exact's; both are observed once per scan task
+// of up to 32 queries — one pass over the store serves the task — so
+// their sums stay wall time. The split shows where a
 // latency regression lives: kernel/bandwidth cost lands in
 // candidates, quantization-widening and top-k cost in rerank.
 //
@@ -81,7 +81,7 @@ var (
 	hnswScanStats = scanStats{annQueriesHNSWScan, annStageScanCand, annStageScanRerank}
 )
 
-// observe records a group scan that started at start and began ranking
+// observe records a scan task that started at start and began ranking
 // its pools at rerankStart.
 func (st *scanStats) observe(start, rerankStart time.Time) {
 	if st.rerank == nil {

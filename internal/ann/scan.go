@@ -1,5 +1,5 @@
 // The blocked scans. One exhaustive scanner answers every query that
-// reads the whole store: Exact.SearchInto (a group of one),
+// reads the whole store: Exact.SearchInto (a task of one query),
 // Exact.SearchBatch, and HNSW.SearchBatch while the store is small
 // enough that reading every row beats a beam per query (scanPlan). A
 // beam is sublinear per query but shares nothing between queries; a
@@ -12,24 +12,27 @@
 // The scanner reads the store, which is the truth, never the graph's
 // mirror of it: embstore.Store.ScanShard hands it each shard's
 // contiguous runs (the dense slab, and a cold store's mapped base), and
-// it walks them scanBlockRows rows at a time. On backends with the SIMD
-// symmetric kernel an sq8 scan is two-stage, as every sq8 search is:
-// the integer kernel fills a candidateK-wide pool per query, scored
-// from row factors computed once per block, and the asymmetric
-// full-precision-query kernel re-ranks the pool by id through
-// WithShard. Everywhere else (f32 stores, scalar backends) each row is
-// scored once at full query precision inside the same block loop. A
-// cold base row that an overwrite or a delete has masked is scored like
-// any other and dropped only if it reaches a query's floor.
+// it walks them scanBlockRows rows at a time. A batch is cut into tasks
+// of up to scanTaskQueries queries, one pass over the store each; a
+// task computes a block's row factors once and runs each of its groups
+// of four over the block while the block is in L1. On backends with the
+// SIMD symmetric kernel an sq8 scan is two-stage, as every sq8 search
+// is: the integer kernel fills a candidateK-wide pool per query, and
+// the asymmetric full-precision-query kernel re-ranks the pools by id
+// through WithShard. Everywhere else (f32 stores, scalar backends) each
+// row is scored once at full query precision inside the same block
+// loop. A cold base row that an overwrite or a delete has masked is
+// scored like any other and dropped only if it reaches a query's floor.
 //
-// Locking: a group holds a shard's read lock for its whole pass over
+// Locking: a task holds a shard's read lock for its whole pass over
 // that shard, and no lock between shards. Store slabs swap-remove on
 // delete, so a row position means nothing once the lock is let go;
 // within one hold a shard is one consistent image, and an id lives in
 // exactly one shard, so no id enters a pool twice. A writer waits for
-// at most one shard's pass of one group. The re-rank reads each pooled
-// id as it stands then: an id deleted since its shard was scanned drops
-// out, one overwritten is scored at its new value.
+// at most one shard's pass of one task. The re-rank takes each shard's
+// lock once per task and reads each pooled id as it stands then: an id
+// deleted since its shard was scanned drops out, one overwritten is
+// scored at its new value.
 //
 // Inserts have a sweep plan of their own (insertPlan), over the graph's
 // slab rather than the store, because neighbor selection compares rows
@@ -48,6 +51,7 @@ package ann
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -67,6 +71,13 @@ const (
 	// 6 KB of row factors — L1-sized. Scans poll cancellation once per
 	// block.
 	scanBlockRows = 256
+
+	// scanTaskQueries caps a scan task, the queries that share one pass
+	// over the store: eight kernel groups, read_batch's batch. A task
+	// computes each block's row factors once and runs its groups over the
+	// block while it is in L1; the cap bounds how long its pass holds a
+	// shard's read lock.
+	scanTaskQueries = 32
 
 	// scanCrossover is c in the plan's inequality, slots ≤ c·ef·M. Set
 	// from BenchmarkScanCrossover (5k/20k/50k × ef 64/192 at dim 64, one
@@ -377,7 +388,7 @@ func widenCodes(dst []int16, codes []int8) {
 	}
 }
 
-// scanQuery is one query's share of a group scan: its context (the
+// scanQuery is one query's share of a scan task: its context (the
 // re-rank reads q, qSum and qNorm from it), its pool of store ids, and
 // on the two-stage path the query-side terms of the symmetric score,
 // hoisted out of the row loop as scorePendingBeam hoists them. With a
@@ -393,6 +404,7 @@ func widenCodes(dst []int16, codes []int8) {
 type scanQuery struct {
 	ctx     queryCtx
 	pool    topK // candidateK wide on the two-stage path, k otherwise
+	top     topK // the two-stage path's re-ranked k
 	a, b, c float64
 	// floor is the score a row must reach to enter the pool: −Inf while
 	// the pool is filling, its worst score afterwards.
@@ -409,26 +421,33 @@ func (sq *scanQuery) push(id graph.NodeID, score float64) float64 {
 	return sq.floor
 }
 
-// scanScratch is the pooled working state of one group scan.
+// scanScratch is the pooled working state of one scan task.
 type scanScratch struct {
-	q   [scanGroup]scanQuery
-	nq  int
-	qw  []int16                          // the group's codes widened for the kernel, query-major
-	acc [scanGroup * scanBlockRows]int32 // the kernel's code dots for one block, row-major
+	q []scanQuery // the task's queries
+	// The task's codes widened for the kernel, query-major, in whole
+	// kernel groups.
+	qw  []int16
+	acc [scanGroup * scanBlockRows]int32 // one group's code dots over one block, row-major
 	// One block's row factors (sq8RowFactor).
 	rowOff, rowScale, rowSum [scanBlockRows]float64
-	byShard                  [][]graph.NodeID // the re-rank's pool, grouped by store shard
-	top                      topK
+	byShard                  []shardPools // the re-rank's pools, grouped by store shard
+}
+
+// shardPools is the part of a task's pools that one store shard holds:
+// ids[x] is in the pool of query q[x].
+type shardPools struct {
+	ids []graph.NodeID
+	q   []int32
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// prepare readies the scratch for a group of 1–4 queries. On the
-// two-stage path a short group repeats its final query in the unused
-// kernel lanes (their sums are computed and ignored).
+// prepare readies the scratch for a task. On the two-stage path a short
+// last group repeats the task's final query in its unused kernel lanes
+// (their sums are computed and ignored).
 func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]float64, k int) {
 	dim := store.Dim()
-	sc.nq = len(qs)
+	sc.q = resize(sc.q, len(qs))
 	for j, q := range qs {
 		sq := &sc.q[j]
 		sq.ctx.init(store, q)
@@ -444,47 +463,55 @@ func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]floa
 	if !sc.q[0].ctx.sym {
 		return
 	}
-	sc.qw = resize(sc.qw, scanGroup*dim)
-	for j := 0; j < scanGroup; j++ {
+	lanes := (len(qs) + scanGroup - 1) / scanGroup * scanGroup
+	sc.qw = resize(sc.qw, lanes*dim)
+	for j := 0; j < lanes; j++ {
 		widenCodes(sc.qw[j*dim:(j+1)*dim], sc.q[min(j, len(qs)-1)].ctx.sq8q.Code)
 	}
 }
 
 // scoreBlockSym is the two-stage path's first stage over rows [lo, hi)
-// of r: one DotSQ8SymCodes4 pass and one row-factor pass serve every
-// query of the group, and the score loop runs query-outer, so a query's
+// of r: one row-factor pass serves the whole task, then each group of
+// four takes one DotSQ8SymCodes4 pass over the block, which the group
+// before it left in L1. The score loop runs query-outer, so a query's
 // terms and floor stay in registers across the block.
 func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
-	acc := sc.acc[:scanGroup*n]
-	vecmath.DotSQ8SymCodes4(acc, sc.qw, r.Codes[lo*dim:hi*dim], dim)
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
 	for i := range rowOff {
 		scale, offset, norm, cs := r.SQ8(lo + i)
 		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(scale, offset, norm, cs, cosine)
 	}
-	for j := 0; j < sc.nq; j++ {
-		sq := &sc.q[j]
-		a, b, c, floor := sq.a, sq.b, sq.c, sq.floor
-		for i := range rowOff {
-			score := filterScore(rowOff[i], rowSum[i], rowScale[i], a, b, c, acc[scanGroup*i+j])
-			if score < floor || r.Masked(lo+i) {
-				continue
+	codes, ids, acc := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi], sc.acc[:scanGroup*n]
+	for g := 0; g < len(sc.q); g += scanGroup {
+		vecmath.DotSQ8SymCodes4(acc, sc.qw[g*dim:(g+scanGroup)*dim], codes, dim)
+		for j := g; j < min(g+scanGroup, len(sc.q)); j++ {
+			sq, lane := &sc.q[j], j-g
+			a, b, c, floor := sq.a, sq.b, sq.c, sq.floor
+			for i := range rowOff {
+				score := filterScore(rowOff[i], rowSum[i], rowScale[i], a, b, c, acc[scanGroup*i+lane])
+				if score < floor || r.Masked(lo+i) {
+					continue
+				}
+				sq.pool.push(Result{ID: ids[i], Score: score})
+				if len(sq.pool.heap) == sq.pool.k {
+					floor = sq.pool.heap[0].Score
+				}
 			}
-			floor = sq.push(r.IDs[lo+i], score)
+			sq.floor = floor
 		}
 	}
 }
 
 // scoreRows is the single-stage path over rows [lo, hi) of r — f32
 // stores, and sq8 on backends without the SIMD symmetric kernel: each
-// row is read once and scored against every query of the group at full
+// row is read once and scored against every query of the task at full
 // query precision (quickScoreView), as a row-at-a-time scan scores it.
 func (sc *scanScratch) scoreRows(m Metric, r *embstore.Run, lo, hi int) {
 	var v embstore.VecView
 	for i := lo; i < hi; i++ {
 		r.View(i, &v)
-		for j := 0; j < sc.nq; j++ {
+		for j := range sc.q {
 			sq := &sc.q[j]
 			if score := m.quickScoreView(&sq.ctx, &v); !(score < sq.floor) && !r.Masked(i) {
 				sq.push(r.IDs[i], score)
@@ -493,47 +520,52 @@ func (sc *scanScratch) scoreRows(m Metric, r *embstore.Run, lo, hi int) {
 	}
 }
 
-// rerank is the two-stage path's second stage: sq's pool re-scored by
-// id with the asymmetric full-precision-query kernel, sorted top k
-// (aliasing sc.top). The pool is grouped by store shard so each shard's
-// lock is taken once; an id deleted since its shard was scanned drops
-// out, and one overwritten is scored as it now stands.
-func (sc *scanScratch) rerank(store *embstore.Store, m Metric, sq *scanQuery, k int) []Result {
+// rerank is the two-stage path's second stage: every query's pool
+// re-scored by id with the asymmetric full-precision-query kernel into
+// its top k. The task's pools are grouped by store shard, so each
+// shard's lock is taken once per task; an id deleted since its shard
+// was scanned drops out, and one overwritten is scored as it now stands.
+func (sc *scanScratch) rerank(store *embstore.Store, m Metric, k int) {
 	nShards := store.NumShards()
 	for len(sc.byShard) < nShards {
-		sc.byShard = append(sc.byShard, nil)
+		sc.byShard = append(sc.byShard, shardPools{})
 	}
 	byShard := sc.byShard[:nShards]
 	for i := range byShard {
-		byShard[i] = byShard[i][:0]
+		byShard[i].ids, byShard[i].q = byShard[i].ids[:0], byShard[i].q[:0]
 	}
-	for _, r := range sq.pool.heap {
-		si := store.ShardOf(r.ID)
-		byShard[si] = append(byShard[si], r.ID)
-	}
-	qc, t := &sq.ctx, &sc.top
-	t.reset(k)
-	for si, ids := range byShard {
-		if len(ids) > 0 {
-			store.WithShard(si, ids, func(id graph.NodeID, v *embstore.VecView) {
-				t.push(Result{ID: id, Score: m.scoreView(qc, v)})
-			})
+	for j := range sc.q {
+		sq := &sc.q[j]
+		sq.top.reset(k)
+		for _, r := range sq.pool.heap {
+			b := &byShard[store.ShardOf(r.ID)]
+			b.ids, b.q = append(b.ids, r.ID), append(b.q, int32(j))
 		}
 	}
-	return t.sorted()
+	for si := range byShard {
+		b := &byShard[si]
+		if len(b.ids) == 0 {
+			continue
+		}
+		store.WithShard(si, b.ids, func(x int, v *embstore.VecView) {
+			sq := &sc.q[b.q[x]]
+			sq.top.push(Result{ID: b.ids[x], Score: m.scoreView(&sq.ctx, v)})
+		})
+	}
 }
 
-// searchGroup answers a group of 1–4 queries into out, appending to
-// each list: one pass over the store, shard by shard under each shard's
-// read lock, scanBlockRows rows at a time with cancellation polled per
-// block; then each query's pool ranked. st times the two stages.
-func (e *Exact) searchGroup(ctx context.Context, out [][]Result, qs [][]float64, k int, st *scanStats) error {
+// searchTask answers a task of up to scanTaskQueries queries into out,
+// appending to each list: one pass over the store, shard by shard under
+// each shard's read lock, scanBlockRows rows at a time with
+// cancellation polled per block; then each query's pool ranked. st
+// times the two stages.
+func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, k int, st *scanStats) error {
 	start := time.Now()
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer scanScratchPool.Put(sc)
 	sc.prepare(e.store, e.metric, qs, k)
 	qc := &sc.q[0].ctx
-	qc.done = ctx.Done() // the group polls cancellation through its first query
+	qc.done = ctx.Done() // the task polls cancellation through its first query
 	dim, cosine, twoStage := e.store.Dim(), e.metric != DotProduct, qc.sym
 	canceled := false
 	for si := 0; si < e.store.NumShards() && !canceled; si++ {
@@ -554,21 +586,24 @@ func (e *Exact) searchGroup(ctx context.Context, out [][]Result, qs [][]float64,
 		return ctx.Err()
 	}
 	rerankStart := time.Now()
+	if twoStage {
+		sc.rerank(e.store, e.metric, k)
+	}
 	for j := range qs {
-		sq := &sc.q[j]
-		got := sq.pool.sorted()
+		ranked := &sc.q[j].pool
 		if twoStage {
-			got = sc.rerank(e.store, e.metric, sq, k)
+			ranked = &sc.q[j].top
 		}
-		out[j] = appendResults(out[j], got)
+		out[j] = appendResults(out[j], ranked.sorted())
 	}
 	st.observe(start, rerankStart)
 	return nil
 }
 
-// searchBatch answers qs by searchGroup over groups of scanGroup
-// queries fanned over ParallelFor, counted under st. The first error
-// wins; results stay index-aligned with qs.
+// searchBatch answers qs by searchTask over tasks of whole kernel
+// groups fanned over ParallelFor, counted under st: one task per CPU
+// while that keeps tasks within scanTaskQueries, more otherwise. The
+// first error wins; results stay index-aligned with qs.
 func (e *Exact) searchBatch(ctx context.Context, qs [][]float64, k int, st *scanStats) ([][]Result, error) {
 	for _, q := range qs {
 		if err := checkQuery(e.store, q, k); err != nil {
@@ -581,10 +616,13 @@ func (e *Exact) searchBatch(ctx context.Context, qs [][]float64, k int, st *scan
 	st.queries.Add(uint64(len(qs)))
 	out := batchOut(len(qs), k)
 	groups := (len(qs) + scanGroup - 1) / scanGroup
-	errs := make([]error, groups)
-	ParallelFor(groups, func(g int) {
-		lo, hi := g*scanGroup, min((g+1)*scanGroup, len(qs))
-		errs[g] = e.searchGroup(ctx, out[lo:hi], qs[lo:hi], k, st)
+	cpus := runtime.GOMAXPROCS(0)
+	per := scanGroup * min(scanTaskQueries/scanGroup, (groups+cpus-1)/cpus)
+	tasks := (len(qs) + per - 1) / per
+	errs := make([]error, tasks)
+	ParallelFor(tasks, func(t int) {
+		lo, hi := t*per, min((t+1)*per, len(qs))
+		errs[t] = e.searchTask(ctx, out[lo:hi], qs[lo:hi], k, st)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -3,7 +3,7 @@ package ann
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ehna/internal/embstore"
+	"ehna/internal/eval"
 	"ehna/internal/graph"
 	"ehna/internal/vecmath"
 )
@@ -44,35 +45,10 @@ func scanMoved(fn func()) (beam, scan uint64) {
 	return annQueriesHNSW.Load() - b0, annQueriesHNSWScan.Load() - s0
 }
 
-// sameAsExact asserts got is the ranking want (Exact's answer to the
-// same query): the same id set, in the same order wherever the scores
-// tell two neighbors apart by more than 1e-6 (relative) — the graph
-// slab keeps its sq8 sidecars in float32, the store in float64, so
-// scores agree to ~1e-7 and near-ties may swap.
-func sameAsExact(t *testing.T, label string, got, want []Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, exact has %d", label, len(got), len(want))
-	}
-	gotIDs, wantIDs := ids(got), ids(want)
-	slices.Sort(gotIDs)
-	slices.Sort(wantIDs)
-	if !slices.Equal(gotIDs, wantIDs) {
-		t.Fatalf("%s: id set differs from exact\n got %v\nwant %v", label, got, want)
-	}
-	for i := range got {
-		if math.Abs(got[i].Score-want[i].Score) > 1e-6*(1+math.Abs(want[i].Score)) {
-			t.Fatalf("%s: rank %d scores %g, exact %g", label, i, got[i].Score, want[i].Score)
-		}
-		if i > 0 && got[i-1].Score < got[i].Score {
-			t.Fatalf("%s: results not sorted at rank %d", label, i)
-		}
-	}
-}
-
-// checkBatchAgainstExact answers qs through h.SearchBatch and compares
-// every answer with Exact's over the same store.
-func checkBatchAgainstExact(t *testing.T, label string, h *HNSW, qs [][]float64, k int) {
+// checkBatchAgainstExact answers qs through h.SearchBatch, checks every
+// answer is Exact's over the same store bit for bit — a scanned batch
+// and Exact run one scanner over one store — and returns the answers.
+func checkBatchAgainstExact(t *testing.T, label string, h *HNSW, qs [][]float64, k int) [][]Result {
 	t.Helper()
 	exact := NewExact(h.store, h.Metric())
 	got, err := h.SearchBatch(context.Background(), qs, k)
@@ -87,39 +63,61 @@ func checkBatchAgainstExact(t *testing.T, label string, h *HNSW, qs [][]float64,
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAsExact(t, label, got[i], want)
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("%s: query %d: batch %v\n!= exact %v", label, i, got[i], want)
+		}
 	}
+	return got
 }
 
-// TestScanBatchMatchesExact: a swept batch is the two-stage sq8 ranking
-// Exact defines, under both metrics, for every batch size 4–37 (every
-// padding of the last group), and sizes 1–3 bypass the sweep.
+// TestScanBatchMatchesExact: a scanned batch is the two-stage sq8
+// ranking Exact defines, under both metrics, for every batch size 4–37
+// (every padding of the last kernel group, tasks of one and two groups
+// and more), and sizes 1–3 take the beam. Against the float64 truth over
+// the source matrix it holds the sq8 recall floor (TestSQ8Recall's).
 func TestScanBatchMatchesExact(t *testing.T) {
 	needScan(t)
+	const n, dim, k = 1500, 32, 10
+	src := sourceMatrix(n, dim)
 	for _, metric := range []Metric{Cosine, DotProduct} {
-		h := sq8Graph(t, 1500, 32, metric)
+		h := sq8Graph(t, n, dim, metric)
 		rng := rand.New(rand.NewSource(61))
-		for n := 1; n <= 37; n++ {
-			qs := benchQueries(rng, n, 32)
+		var approx, truth [][]graph.NodeID
+		for size := 1; size <= 37; size++ {
+			qs := benchQueries(rng, size, dim)
 			beam, scan := scanMoved(func() {
-				if n >= scanGroup {
-					checkBatchAgainstExact(t, metric.String(), h, qs, 10)
-				} else if _, err := h.SearchBatch(context.Background(), qs, 10); err != nil {
-					t.Fatal(err)
+				if size < scanGroup {
+					if _, err := h.SearchBatch(context.Background(), qs, k); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				for i, rs := range checkBatchAgainstExact(t, metric.String(), h, qs, k) {
+					approx = append(approx, ids(rs))
+					truth = append(truth, truthTopK(src, qs[i], k, metric))
 				}
 			})
-			if wantScan := n >= scanGroup; (scan == uint64(n)) != wantScan || (beam == uint64(n)) == wantScan {
-				t.Fatalf("%v batch of %d: beam counter moved %d, scan counter %d", metric, n, beam, scan)
+			if wantScan := size >= scanGroup; (scan == uint64(size)) != wantScan || (beam == uint64(size)) == wantScan {
+				t.Fatalf("%v batch of %d: beam counter moved %d, scan counter %d", metric, size, beam, scan)
 			}
 		}
+		recall, err := eval.MeanRecallAtK(approx, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v: scanned recall@%d vs float64 truth = %.4f over %d queries", metric, k, recall, len(approx))
+		if recall < 0.95 {
+			t.Errorf("%v: scanned recall@%d = %.4f, want ≥ 0.95", metric, k, recall)
+		}
 		// k beyond the live count: everything, ranked.
-		checkBatchAgainstExact(t, metric.String()+" k>live", h, benchQueries(rng, 5, 32), 2000)
+		checkBatchAgainstExact(t, metric.String()+" k>live", h, benchQueries(rng, 5, dim), 2000)
 	}
 }
 
-// TestScanBatchAfterChurn: after deletes and overwrites the sweep walks
-// tombstoned and superseded rows; none may surface, and the answers
-// still equal Exact's over the store as it now stands.
+// TestScanBatchAfterChurn: after deletes and overwrites — the graph full
+// of tombstones, the store's slabs swap-removed — no removed id
+// surfaces, and the answers still equal Exact's over the store as it
+// now stands.
 func TestScanBatchAfterChurn(t *testing.T) {
 	needScan(t)
 	h := sq8Graph(t, 1500, 32, Cosine)
@@ -178,6 +176,102 @@ func TestScanBatchReadsStore(t *testing.T) {
 	}
 	if moved := annFallbacks.Load() - fell; moved != 0 {
 		t.Fatalf("%d fallbacks for a scanned batch of %d", moved, len(qs))
+	}
+}
+
+// TestScanColdStoreMatchesRAM: over a cold store — a mapped v3 base
+// under an overlay — after overwrites that mask base rows, new ids in
+// the overlay and deletes of all three kinds of row, the scanner answers
+// exactly what it answers over a RAM store given the same writes:
+// Exact.SearchInto, Exact.SearchBatch and (sq8 on a SIMD backend) a
+// scanned HNSW.SearchBatch, at both precisions, for a k inside the
+// store and a k past it, where every row reaches the floor. No deleted
+// id is returned, and no id twice (a masked base row beside its overlay
+// copy).
+func TestScanColdStoreMatchesRAM(t *testing.T) {
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("no mmap store on " + runtime.GOOS)
+	}
+	const n, dim, fresh = 1200, 16, 100
+	ctx := context.Background()
+	for _, prec := range allPrecisions {
+		ram := buildStoreAt(t, n, dim, prec)
+		cold := coldStoreOf(t, ram)
+		rng := rand.New(rand.NewSource(109))
+		vec := make([]float64, dim)
+		upsert := func(id graph.NodeID) {
+			randVec(rng, vec)
+			if err := ram.Upsert(id, vec); err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.Upsert(id, vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 150; i++ { // overwrites: the base row is masked
+			upsert(graph.NodeID(rng.Intn(n)))
+		}
+		for i := 0; i < fresh; i++ { // new ids: overlay rows only
+			upsert(graph.NodeID(n + i))
+		}
+		deleted := map[graph.NodeID]bool{}
+		for i := 0; i < 150; i++ { // base, overwritten and new rows alike
+			id := graph.NodeID(rng.Intn(n + fresh))
+			if ram.Delete(id) != cold.Delete(id) {
+				t.Fatalf("%v: the stores disagree on deleting %d", prec, id)
+			}
+			deleted[id] = true
+		}
+		live := ram.Len()
+		if cold.Len() != live {
+			t.Fatalf("%v: cold store holds %d rows, ram %d", prec, cold.Len(), live)
+		}
+
+		var h *HNSW
+		if prec == embstore.SQ8 && vecmath.HasSQ8Sym() {
+			h = mustHNSW(t, cold, DefaultHNSWConfig())
+		}
+		qs := benchQueries(rng, 9, dim)
+		coldExact := NewExact(cold, Cosine)
+		for _, k := range []int{10, 2000} {
+			want, err := NewExact(ram, Cosine).SearchBatch(ctx, qs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := coldExact.SearchBatch(ctx, qs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scanned [][]Result
+			if h != nil {
+				if _, scan := scanMoved(func() { scanned, err = h.SearchBatch(ctx, qs, k) }); err != nil || scan != uint64(len(qs)) {
+					t.Fatalf("%v k=%d: HNSW batch scanned %d of %d queries, err %v", prec, k, scan, len(qs), err)
+				}
+			}
+			for i, q := range qs {
+				label := fmt.Sprintf("%v k=%d query %d", prec, k, i)
+				if len(want[i]) != min(k, live) {
+					t.Fatalf("%s: ram answer of %d, want %d", label, len(want[i]), min(k, live))
+				}
+				one, err := coldExact.SearchInto(ctx, nil, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(one, want[i]) || !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s: cold store answers\n%v (single)\n%v (batch)\nram store\n%v", label, one, got[i], want[i])
+				}
+				if scanned != nil && !slices.Equal(scanned[i], want[i]) {
+					t.Fatalf("%s: scanned HNSW batch over the cold store %v\n!= ram %v", label, scanned[i], want[i])
+				}
+				seen := map[graph.NodeID]bool{}
+				for _, r := range got[i] {
+					if deleted[r.ID] || seen[r.ID] {
+						t.Fatalf("%s: deleted or repeated id %d", label, r.ID)
+					}
+					seen[r.ID] = true
+				}
+			}
+		}
 	}
 }
 
@@ -323,16 +417,18 @@ func TestScanBatchValidation(t *testing.T) {
 	}
 }
 
-// TestScanBatchDuringWrites sweeps while Add, overwrite and Remove run:
-// every answer holds only ids that were live at some point of the call,
-// each once; and because the read lock is taken per block, never across
-// two, a writer gets in while a 1,024-query batch is still in flight.
-// (Run under -race in CI.)
+// TestScanBatchDuringWrites scans while Add, overwrite and Remove run
+// against the store's shard locks — the removes swap-remove overlay rows
+// under a scan that has let their shard go: every answer holds only ids
+// that were live at some point of the call, each once, every list at
+// its k; and because a task holds one shard's read lock at a time, a
+// writer gets in while a 1,024-query batch is still in flight. (Run
+// under -race in CI.)
 func TestScanBatchDuringWrites(t *testing.T) {
 	needScan(t)
-	// 12,000 slots under a threshold of 6·1024·4: a sweep long enough
-	// (tens of ms for the big batch) to overlap writers on one CPU, over
-	// a graph cheap enough (M 4, efConstruction 8) to build under -race.
+	// 12,000 rows under a threshold of 6·1024·4: a scan long enough (tens
+	// of ms for the big batch) to overlap writers on one CPU, over a
+	// graph cheap enough (M 4, efConstruction 8) to build under -race.
 	const n, dim, churnIDs = 12000, 16, 64
 	cfg := HNSWConfig{M: 4, EfConstruction: 8, EfSearch: 1024, Seed: 1}
 	h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)

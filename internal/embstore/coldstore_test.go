@@ -186,7 +186,7 @@ func TestColdOverlay(t *testing.T) {
 	}
 	hits := 0
 	for si, group := range byShard {
-		cold.WithShard(si, group, func(id graph.NodeID, v *VecView) { hits++ })
+		cold.WithShard(si, group, func(int, *VecView) { hits++ })
 	}
 	if hits != len(some) {
 		t.Fatalf("WithShard hit %d of %d", hits, len(some))
@@ -340,7 +340,7 @@ func TestColdZeroAllocReads(t *testing.T) {
 
 	if n := testing.AllocsPerRun(100, func() {
 		for si, group := range byShard {
-			cold.WithShard(si, group, func(id graph.NodeID, v *VecView) {})
+			cold.WithShard(si, group, func(int, *VecView) {})
 		}
 	}); n != 0 {
 		t.Fatalf("WithShard over cold store allocates %.1f/op", n)

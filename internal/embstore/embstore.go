@@ -424,31 +424,30 @@ func (s *Store) Len() int {
 
 // Run is one contiguous run of a shard's rows, as ScanShard hands it
 // out: the shard's dense overlay slab, or a cold store's mapped base.
-// Row i is node IDs[i]; its payload is the store precision's slice
-// (row i at [i·dim, (i+1)·dim)) and its sidecars are read through SQ8
-// or View. The slices alias slab or mapping memory: valid only under
-// the lock the Run was handed out under, never to be retained or
-// written.
+// Row i is node IDs[i]; an sq8 run's codes are Codes (row i at
+// [i·dim, (i+1)·dim)), and every row's sidecars are read through SQ8 or
+// View. The slices alias slab or mapping memory: valid only under the
+// lock the Run was handed out under, never to be retained or written.
 type Run struct {
 	IDs   []graph.NodeID
-	Codes []int8    // SQ8 codes
-	F32   []float32 // F32 rows
-	Norms []float64 // F32 norms of the original vectors
+	Codes []int8 // SQ8 codes
 
-	meta []sq8Meta
-	dead map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
-	dim  int
+	f32   []float32 // F32 rows
+	norms []float64 // F32 norms of the original vectors
+	meta  []sq8Meta
+	dead  map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
+	dim   int
 }
 
 // overlayRun is the shard's dense slab as a Run. Caller holds sh.mu.
 func (sh *shard) overlayRun(dim int) Run {
-	return Run{IDs: sh.ids, Codes: sh.codes, F32: sh.vecs32, Norms: sh.norms, meta: sh.meta, dim: dim}
+	return Run{IDs: sh.ids, Codes: sh.codes, f32: sh.vecs32, norms: sh.norms, meta: sh.meta, dim: dim}
 }
 
 // run is the mapped base as a Run, masks included. Caller holds the
 // shard lock.
 func (b *baseSection) run(dim int) Run {
-	return Run{IDs: b.ids, Codes: b.codes, F32: b.vecs32, Norms: b.norms, meta: b.meta, dead: b.dead, dim: dim}
+	return Run{IDs: b.ids, Codes: b.codes, f32: b.vecs32, norms: b.norms, meta: b.meta, dead: b.dead, dim: dim}
 }
 
 // SQ8 returns row i's sq8 sidecar: its decode scale and offset, the
@@ -475,24 +474,30 @@ func (r *Run) Masked(i int) bool {
 // aliases the run's memory (zero-copy from the mapping — cold mode's
 // whole point), so the Run's lifetime rules apply.
 func (r *Run) View(i int, v *VecView) {
-	lo, hi := i*r.dim, (i+1)*r.dim
-	if r.F32 != nil {
-		v.F32, v.Norm = r.F32[lo:hi], r.Norms[i]
+	viewRow(v, r.dim, i, r.Codes, r.f32, r.norms, r.meta)
+}
+
+// viewRow points v at row i of a slab's slices (f32 set for an F32
+// slab, codes and meta for an SQ8 one).
+func viewRow(v *VecView, dim, i int, codes []int8, f32 []float32, norms []float64, meta []sq8Meta) {
+	lo, hi := i*dim, (i+1)*dim
+	if f32 != nil {
+		v.F32, v.Norm = f32[lo:hi], norms[i]
 		return
 	}
-	m := &r.meta[i]
-	v.Code = r.Codes[lo:hi]
+	m := &meta[i]
+	v.Code = codes[lo:hi]
 	v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
 }
 
 // fillAt points v at the slot'th row of the overlay slab or the mapped
 // base. Caller holds the shard lock.
 func (s *Store) fillAt(sh *shard, slot int, inBase bool, v *VecView) {
-	r := sh.overlayRun(s.dim)
-	if inBase {
-		r = sh.base.run(s.dim)
+	if b := sh.base; inBase {
+		viewRow(v, s.dim, slot, b.codes, b.vecs32, b.norms, b.meta)
+		return
 	}
-	r.View(slot, v)
+	viewRow(v, s.dim, slot, sh.codes, sh.vecs32, sh.norms, sh.meta)
 }
 
 // extend grows s by n zero elements. The reused-capacity path must
@@ -753,19 +758,20 @@ func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
 
 // WithShard looks up each of ids (all of which must hash to shard i —
 // see ShardOf) under a single acquisition of the shard's read lock,
-// invoking fn for every ID that is present. The batch analogue of
-// With for consumers that score many candidates per query; the view is
-// reused across invocations like RangeShard's.
-func (s *Store) WithShard(i int, ids []graph.NodeID, fn func(id graph.NodeID, v *VecView)) {
+// calling fn(j, v) for every ids[j] that is present. The batch analogue
+// of With for consumers that score many candidates at once (the index j
+// tells them whose candidate it is); the view is reused across calls
+// like RangeShard's.
+func (s *Store) WithShard(i int, ids []graph.NodeID, fn func(j int, v *VecView)) {
 	sh := &s.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	v := getView()
 	defer viewPool.Put(v)
-	for _, id := range ids {
+	for j, id := range ids {
 		if slot, inBase, ok := sh.lookupLocked(id); ok {
 			s.fillAt(sh, slot, inBase, v)
-			fn(id, v)
+			fn(j, v)
 		}
 	}
 }

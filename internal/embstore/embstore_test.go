@@ -240,7 +240,9 @@ func TestWithShardBatchLookup(t *testing.T) {
 	seen := make(map[graph.NodeID]float64)
 	for si, ids := range groups {
 		// Include a missing ID: it must be skipped, not panic.
-		s.WithShard(si, append(ids, graph.NodeID(10_000+si)), func(id graph.NodeID, v *VecView) {
+		batch := append(ids, graph.NodeID(10_000+si))
+		s.WithShard(si, batch, func(j int, v *VecView) {
+			id := batch[j]
 			seen[id] = float64(v.F32[0])
 			if v.Norm != seen[id] {
 				t.Errorf("id %d: norm %g want %g", id, v.Norm, seen[id])
