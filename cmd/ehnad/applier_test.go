@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 
@@ -231,11 +232,12 @@ func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 	}
 }
 
-// TestCompactionKeepsGraphParameters: a compaction rebuilds with the
-// live graph's parameters. A graph loaded from a snapshot keeps the M
-// it was built with whatever -m says, and the rebuilt one must too —
-// along with the ef-search in force when the rebuild ran.
-func TestCompactionKeepsGraphParameters(t *testing.T) {
+// TestSnapshotKeepsGraphParameters: a snapshot rotation writes the live
+// graph's parameters. A graph loaded from a snapshot keeps the M and
+// ef-construction it was built with whatever the flags say, and the
+// graph file a rotation writes must too — along with the ef-search in
+// force when it ran — and no tombstone.
+func TestSnapshotKeepsGraphParameters(t *testing.T) {
 	const dim, n = 8, 200
 	dir := t.TempDir()
 	store, err := embstore.New(dim, 4, embstore.F32)
@@ -253,7 +255,7 @@ func TestCompactionKeepsGraphParameters(t *testing.T) {
 		}
 	}
 	hcfg := ann.DefaultHNSWConfig()
-	hcfg.M = 8
+	hcfg.M, hcfg.EfConstruction = 8, 100
 	built, err := ann.BuildHNSW(store, hcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -267,36 +269,38 @@ func TestCompactionKeepsGraphParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := buildServer(cfg) // cfg.index.m is the flag default, 16
+	srv, err := buildServer(cfg) // cfg.index.m and efConstruction are the flag defaults, 16 and 200
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.close()
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	loaded := srv.liveIndex().(*ann.HNSW)
-	if loaded.Config().M != 8 {
-		t.Fatalf("loaded graph has M=%d, want the snapshot's 8", loaded.Config().M)
+	loaded := srv.index.(*ann.HNSW)
+	if got := loaded.Config(); got.M != 8 || got.EfConstruction != 100 {
+		t.Fatalf("loaded graph has M=%d ef-construction=%d, want the snapshot's 8/100", got.M, got.EfConstruction)
 	}
 	loaded.SetEfSearch(17) // what the degrader does under pressure
 	if _, _, err := srv.dur.delete([]graph.NodeID{3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Compacted bool `json:"compacted"`
+	if status, raw := postJSON(t, ts.URL+"/v1/admin/snapshot", map[string]any{}, nil); status != http.StatusOK {
+		t.Fatalf("snapshot rotation: status %d: %s", status, raw)
 	}
-	if status, raw := postJSON(t, ts.URL+"/v1/admin/compact", map[string]any{}, &out); status != http.StatusOK || !out.Compacted {
-		t.Fatalf("forced compaction: status %d: %s", status, raw)
+	f, err := os.Open(cfg.index.graphPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rebuilt := srv.liveIndex().(*ann.HNSW)
-	if rebuilt == loaded {
-		t.Fatal("compaction did not swap the graph")
+	defer f.Close()
+	written, err := ann.LoadHNSWGraph(f, srv.store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rebuilt.Config(); got.M != 8 || got.EfConstruction != hcfg.EfConstruction || got.EfSearch != 17 {
-		t.Fatalf("rebuilt graph has M=%d ef-construction=%d ef-search=%d, want 8/%d/17",
-			got.M, got.EfConstruction, got.EfSearch, hcfg.EfConstruction)
+	if got := written.Config(); got.M != 8 || got.EfConstruction != 100 || got.EfSearch != 17 {
+		t.Fatalf("rotated graph file has M=%d ef-construction=%d ef-search=%d, want 8/100/17",
+			got.M, got.EfConstruction, got.EfSearch)
 	}
-	if alive, tombs, _ := rebuilt.Stats(); alive != n-3 || tombs != 0 {
-		t.Fatalf("rebuilt graph has %d nodes, %d tombstones; want %d, 0", alive, tombs, n-3)
+	if alive, tombs, _ := written.Stats(); alive != n-3 || tombs != 0 {
+		t.Fatalf("rotated graph file has %d nodes, %d tombstones; want %d, 0", alive, tombs, n-3)
 	}
 }

@@ -67,21 +67,21 @@ const degradeSustain = 4
 // degraded, so clients know recall was traded for survival. Only the
 // batcher's run() goroutine mutates it; readers go through atomics.
 type degrader struct {
-	live        func() *ann.HNSW // resolves the serving graph (nil = not hnsw)
-	full, floor int              // configured ef-search and the shrink limit
-	high, low   int              // queue-depth watermarks
-	hot, cool   int              // consecutive samples past a watermark
-	cur         atomic.Int64     // ef-search currently applied
+	graph       *ann.HNSW
+	full, floor int          // configured ef-search and the shrink limit
+	high, low   int          // queue-depth watermarks
+	hot, cool   int          // consecutive samples past a watermark
+	cur         atomic.Int64 // ef-search currently applied
 	isDegraded  atomic.Bool
 	shrinks     atomic.Int64
 }
 
-func newDegrader(live func() *ann.HNSW, full, floor, queueCap int) *degrader {
+func newDegrader(graph *ann.HNSW, full, floor, queueCap int) *degrader {
 	if floor <= 0 || floor >= full {
 		return nil
 	}
 	d := &degrader{
-		live:  live,
+		graph: graph,
 		full:  full,
 		floor: floor,
 		high:  queueCap * 3 / 4,
@@ -91,16 +91,10 @@ func newDegrader(live func() *ann.HNSW, full, floor, queueCap int) *degrader {
 	return d
 }
 
-// sample feeds one flush's queue-depth observation into the controller
-// and re-asserts the current beam width on the live graph (so a
-// compaction swap, which promotes a graph built at the full beam,
-// inherits the degraded setting instead of silently undoing it).
+// sample feeds one flush's queue-depth observation into the controller,
+// setting the graph's beam width when it moves.
 func (d *degrader) sample(depth int) {
 	if d == nil {
-		return
-	}
-	h := d.live()
-	if h == nil {
 		return
 	}
 	cur := int(d.cur.Load())
@@ -113,6 +107,7 @@ func (d *degrader) sample(depth int) {
 				cur = d.floor
 			}
 			d.cur.Store(int64(cur))
+			d.graph.SetEfSearch(cur)
 			d.shrinks.Add(1)
 			d.isDegraded.Store(true)
 			log.Printf("ehnad: queue depth %d >= %d sustained; degrading ef-search to %d (floor %d)",
@@ -126,13 +121,13 @@ func (d *degrader) sample(depth int) {
 				cur = d.full
 			}
 			d.cur.Store(int64(cur))
+			d.graph.SetEfSearch(cur)
 			d.isDegraded.Store(cur < d.full)
 			log.Printf("ehnad: queue pressure cleared; restoring ef-search to %d (full %d)", cur, d.full)
 		}
 	default:
 		d.hot, d.cool = 0, 0
 	}
-	h.SetEfSearch(cur)
 }
 
 // degradedNow reports whether searches are currently served below the

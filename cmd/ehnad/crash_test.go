@@ -48,7 +48,6 @@ func crashTestConfig(walDir string) serverConfig {
 		walDir:           walDir,
 		fsync:            "always",
 		snapshotInterval: 0,
-		compactAt:        0,
 	}
 }
 
@@ -271,9 +270,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 
 	// Index state must match the store: every recovered vector indexed,
 	// searchable, and its own nearest neighbor.
-	h, ok := srv.liveIndex().(*ann.HNSW)
+	h, ok := srv.index.(*ann.HNSW)
 	if !ok {
-		t.Fatalf("recovered index is %T, want *ann.HNSW", srv.liveIndex())
+		t.Fatalf("recovered index is %T, want *ann.HNSW", srv.index)
 	}
 	alive, _, _ := h.Stats()
 	if alive != srv.store.Len() {
@@ -291,8 +290,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 
 	// ---- Phase 3: the recovered daemon is fully operational — serve
-	// HTTP, churn, compact to zero tombstones while queries answer,
-	// export, snapshot (truncating the WAL), and survive one more boot.
+	// HTTP, churn, leave tombstones in the graph, export, snapshot
+	// (truncating the WAL, and writing a graph file without the
+	// tombstones), and survive one more boot.
 	ts := httptest.NewServer(srv.handler())
 	for i := 0; i < 20; i++ {
 		op := randomCrashOp(rng)
@@ -302,33 +302,28 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		op.applyTo(t, reference)
 	}
 
-	resp, err := client.Post(ts.URL+"/v1/admin/compact", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range srv.store.IDs()[:3] {
+		op := crashOp{id: id, del: true}
+		if err := op.post(client, ts.URL); err != nil {
+			t.Fatalf("post-recovery delete of %d: %v", id, err)
+		}
+		op.applyTo(t, reference)
 	}
-	var compactOut struct {
-		Compacted bool    `json:"compacted"`
-		After     float64 `json:"tombstone_ratio_after"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&compactOut); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !compactOut.Compacted || compactOut.After != 0 {
-		t.Fatalf("admin compact: status %d, %+v", resp.StatusCode, compactOut)
+	if _, tombs, _ := h.Stats(); tombs == 0 {
+		t.Fatal("no tombstone in the graph after the deletes")
 	}
 	var nresp neighborsResponse
 	someID := srv.store.IDs()[0]
 	status, raw := postJSON(t, ts.URL+"/v1/neighbors", map[string]any{"id": someID, "k": 3}, &nresp)
 	if status != http.StatusOK {
-		t.Fatalf("query after compaction: %d %s", status, raw)
+		t.Fatalf("query after churn: %d %s", status, raw)
 	}
 
 	if exported, _ := exportStore(t, client, ts.URL); !exported.Equal(srv.store) {
 		t.Fatal("exported snapshot differs from the live store")
 	}
 
-	resp, err = client.Post(ts.URL+"/v1/admin/snapshot", "application/json", nil)
+	resp, err := client.Post(ts.URL+"/v1/admin/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +353,10 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if !srv2.store.Equal(reference) {
 		t.Fatal("state diverged across snapshot + reboot")
 	}
-	if h2, ok := srv2.liveIndex().(*ann.HNSW); !ok {
-		t.Fatalf("rebooted index is %T", srv2.liveIndex())
+	if h2, ok := srv2.index.(*ann.HNSW); !ok {
+		t.Fatalf("rebooted index is %T", srv2.index)
 	} else if _, tombs, _ := h2.Stats(); tombs != 0 {
-		t.Errorf("rebooted graph carries %d tombstones despite fresh compacted snapshot", tombs)
+		t.Errorf("rebooted graph carries %d tombstones despite a fresh snapshot", tombs)
 	}
 }
 

@@ -6,10 +6,10 @@
 // HTTP upsert or delete, a WAL record replayed at boot, a batch from
 // the leader's replication stream — is a []wal.Record handed to apply:
 // take d.mu, append to the WAL buffer, apply each record to the
-// store+index through the Swapper (applyRecord, the only code in the
-// daemon that mutates them), release d.mu, and only acknowledge after
-// wal.Commit makes the records durable per -fsync (concurrent requests
-// group-commit behind one fsync). The log is optional: without -wal the
+// store+index (applyRecord, the only code in the daemon that mutates
+// them), release d.mu, and only acknowledge after wal.Commit makes the
+// records durable per -fsync (concurrent requests group-commit behind
+// one fsync). The log is optional: without -wal the
 // append and the commit drop out and nothing else changes. Because
 // append and apply happen under one lock, "everything the log holds up
 // to seq S has been applied" is true whenever the lock is free — the
@@ -17,19 +17,15 @@
 //
 // Snapshot rotation: under d.mu (writes stall, searches don't), Rotate
 // seals the WAL segment and yields the watermark W; the store snapshot
-// (stamped with W) and the HNSW graph snapshot are then written
-// tmp+rename as a consistent pair. After the lock drops, sealed WAL
-// segments ≤ W are deleted. A crash at any point leaves either the old
+// (stamped with W) and the HNSW graph snapshot — its live slots only,
+// so the file carries no tombstone — are then written tmp+rename as a
+// consistent pair. After the lock drops, sealed WAL segments ≤ W are
+// deleted. A crash at any point leaves either the old
 // pair + full WAL or the new pair + WAL suffix — both recover exactly.
 //
 // Boot: load the snapshot pair (graph invalid/stale → rebuild), then
 // replay the WAL suffix (seq > W) through the applier. Records that bled
 // into the snapshot past W replay harmlessly (last-writer-wins).
-//
-// Compaction: when the HNSW tombstone ratio passes -compact-at, the
-// maintenance loop rebuilds the graph from the store in the background
-// and atomically swaps it in (see ann.Swapper), then rotates a
-// snapshot so the on-disk graph is fresh too.
 //
 // Read-only degraded mode: the first append or fsync failure poisons
 // the log (wal's sticky syncErr), so instead of acknowledging writes
@@ -63,10 +59,6 @@ import (
 	"ehna/internal/wal"
 )
 
-// compactCheckEvery is how often the maintenance loop samples the
-// tombstone ratio. Cheap (two ints under RLock), so frequent.
-const compactCheckEvery = 5 * time.Second
-
 // healCheckEvery is how often the maintenance loop retries a WAL heal
 // while the daemon is read-only.
 const healCheckEvery = time.Second
@@ -79,7 +71,7 @@ type durable struct {
 	mu   sync.Mutex              // the applier lock; see the package comment
 	logp atomic.Pointer[wal.Log] // nil without -wal, and until openLog has replayed
 
-	sw    *ann.Swapper
+	index ann.Index
 	store *embstore.Store
 
 	walDir    string
@@ -87,8 +79,6 @@ type durable struct {
 	fsys      faultfs.FS
 	snapPath  string // the rotating flat v3 snapshot (store.snap)
 	graphPath string // "" unless the index is hnsw
-	isHNSW    bool
-	compactAt float64
 	interval  time.Duration
 
 	stop chan struct{}
@@ -101,9 +91,6 @@ type durable struct {
 	snapshots       atomic.Int64
 	lastSnapshot    atomic.Int64 // unix seconds
 	watermark       atomic.Uint64
-	compactRunning  atomic.Bool
-	compactions     atomic.Int64
-	lastCompaction  atomic.Int64 // unix seconds
 	snapshotErrs    atomic.Int64
 	lastSnapshotErr atomic.Value // string
 
@@ -120,8 +107,8 @@ type durable struct {
 func (d *durable) wal() *wal.Log { return d.logp.Load() }
 
 // hasLog reports whether writes are logged: what the endpoints that
-// operate on the log itself (snapshot rotation, compaction, the
-// replication stream) and the durability report ask before they run.
+// operate on the log itself (snapshot rotation, the replication
+// stream) and the durability report ask before they run.
 func (d *durable) hasLog() bool { return d.wal() != nil }
 
 // spoolDir is where /v1/export spools its image: beside the WAL when
@@ -135,20 +122,18 @@ func (d *durable) spoolDir() string {
 
 // newDurable builds the applier over store+index. It is complete as is
 // for a daemon without -wal; openLog adds the log.
-func newDurable(cfg serverConfig, store *embstore.Store, sw *ann.Swapper) *durable {
+func newDurable(cfg serverConfig, store *embstore.Store, index ann.Index) *durable {
 	d := &durable{
-		sw:        sw,
-		store:     store,
-		walDir:    cfg.walDir,
-		fsys:      cfg.fsys(),
-		snapPath:  walSnapshotV3Path(cfg.walDir),
-		isHNSW:    cfg.index.kind == "hnsw",
-		compactAt: cfg.compactAt,
-		interval:  cfg.snapshotInterval,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		index:    index,
+		store:    store,
+		walDir:   cfg.walDir,
+		fsys:     cfg.fsys(),
+		snapPath: walSnapshotV3Path(cfg.walDir),
+		interval: cfg.snapshotInterval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	if d.isHNSW {
+	if cfg.index.kind == "hnsw" {
 		d.graphPath = cfg.index.graphPath
 	}
 	return d
@@ -310,9 +295,9 @@ func (d *durable) apply(recs []wal.Record, appendTo func(*wal.Log, []wal.Record)
 func (d *durable) applyRecord(r wal.Record) (bool, error) {
 	switch r.Op {
 	case wal.OpUpsert:
-		return false, d.sw.Add(r.ID, r.Vec)
+		return false, d.index.Add(r.ID, r.Vec)
 	case wal.OpDelete:
-		return d.sw.Remove(r.ID), nil
+		return d.index.Remove(r.ID), nil
 	default:
 		return false, fmt.Errorf("wal record %d has unknown op %d", r.Seq, r.Op)
 	}
@@ -389,7 +374,7 @@ func (d *durable) snapshot() (uint64, error) {
 			return 0, fmt.Errorf("store snapshot: %w", err)
 		}
 		if d.graphPath != "" {
-			if h, ok := d.sw.Current().(*ann.HNSW); ok {
+			if h, ok := d.index.(*ann.HNSW); ok {
 				if err := faultfs.WriteFileAtomic(d.fsys, d.graphPath, func(f faultfs.File) error {
 					return h.SaveGraph(f)
 				}); err != nil {
@@ -425,54 +410,8 @@ func (d *durable) snapshot() (uint64, error) {
 	return wm, nil
 }
 
-// tombstoneRatio samples the live graph (0 when the index is not hnsw).
-func (d *durable) tombstoneRatio() float64 {
-	if h, ok := d.sw.Current().(*ann.HNSW); ok {
-		return h.TombstoneRatio()
-	}
-	return 0
-}
-
-// compact rebuilds the HNSW graph in the background of live traffic
-// and swaps it in, then rotates a snapshot so the on-disk graph
-// reflects the rebuilt one. force skips the -compact-at threshold.
-func (d *durable) compact(force bool) (bool, error) {
-	live, ok := d.sw.Current().(*ann.HNSW)
-	if !ok {
-		return false, fmt.Errorf("compaction requires -index hnsw (running %T)", d.sw.Current())
-	}
-	if !force && (d.compactAt <= 0 || live.TombstoneRatio() < d.compactAt) {
-		return false, nil
-	}
-	if !d.compactRunning.CompareAndSwap(false, true) {
-		return false, ann.ErrRebuildInProgress
-	}
-	defer d.compactRunning.Store(false)
-	start := time.Now()
-	// Rebuild with the live graph's own parameters, not the boot flags: a
-	// graph loaded from a snapshot keeps the M and ef-construction it was
-	// built with, and its ef-search is whatever the degrader last set.
-	h, err := d.sw.CompactHNSW(d.store, live.Config())
-	if err != nil {
-		return false, err
-	}
-	alive, tombs, _ := h.Stats()
-	d.compactions.Add(1)
-	d.lastCompaction.Store(time.Now().Unix())
-	compactionHist.ObserveSince(start)
-	log.Printf("ehnad: hnsw compaction: %d nodes, %d tombstones after rebuild in %v",
-		alive, tombs, time.Since(start).Round(time.Millisecond))
-	if d.readOnly.Load() {
-		return true, nil // the heal's reconciliation snapshot will cover it
-	}
-	if _, err := d.snapshot(); err != nil {
-		log.Printf("ehnad: post-compaction snapshot: %v", err)
-	}
-	return true, nil
-}
-
-// run is the maintenance loop: periodic snapshot rotation, tombstone-
-// triggered compaction, and — while read-only — WAL heal retries.
+// run is the maintenance loop: periodic snapshot rotation and — while
+// read-only — WAL heal retries.
 func (d *durable) run() {
 	defer close(d.done)
 	var snapC <-chan time.Time
@@ -480,12 +419,6 @@ func (d *durable) run() {
 		t := time.NewTicker(d.interval)
 		defer t.Stop()
 		snapC = t.C
-	}
-	var compactC <-chan time.Time
-	if d.isHNSW && d.compactAt > 0 {
-		t := time.NewTicker(compactCheckEvery)
-		defer t.Stop()
-		compactC = t.C
 	}
 	healT := time.NewTicker(healCheckEvery)
 	defer healT.Stop()
@@ -497,10 +430,6 @@ func (d *durable) run() {
 			}
 			if _, err := d.snapshot(); err != nil {
 				log.Printf("ehnad: background snapshot: %v", err)
-			}
-		case <-compactC:
-			if _, err := d.compact(false); err != nil && err != ann.ErrRebuildInProgress {
-				log.Printf("ehnad: background compaction: %v", err)
 			}
 		case <-healT.C:
 			if d.readOnly.Load() {
@@ -568,15 +497,6 @@ func (d *durable) healthz(m *serverMetrics) map[string]any {
 		}
 	}
 	out["write_path"] = ro
-	if d.isHNSW {
-		out["compaction"] = map[string]any{
-			"running":         g("ehnad_compaction_running") != 0,
-			"count":           int64(g("ehnad_compaction_count")),
-			"last_unix":       int64(g("ehnad_compaction_last_unix")),
-			"compact_at":      g("ehnad_compaction_threshold"),
-			"tombstone_ratio": g("ehnad_graph_tombstone_ratio"),
-		}
-	}
 	if msg, ok := d.lastSnapshotErr.Load().(string); ok {
 		out["last_snapshot_error"] = msg
 	}

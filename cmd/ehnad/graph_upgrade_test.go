@@ -29,9 +29,9 @@ func TestGobGraphUpgrade(t *testing.T) {
 	const nodes = 200
 	serves := func(t *testing.T, srv *server) {
 		t.Helper()
-		h, ok := srv.liveIndex().(*ann.HNSW)
+		h, ok := srv.index.(*ann.HNSW)
 		if !ok || h.Len() != nodes {
-			t.Fatalf("serving %T over %d nodes, want an HNSW graph over %d", srv.liveIndex(), srv.store.Len(), nodes)
+			t.Fatalf("serving %T over %d nodes, want an HNSW graph over %d", srv.index, srv.store.Len(), nodes)
 		}
 		for id := graph.NodeID(0); id < nodes; id += 40 {
 			res, err := h.Search(mustGet(t, srv.store, id), 3)

@@ -19,8 +19,6 @@
 //	GET  /v1/repl/status     role + replication watermarks
 //	POST /v1/admin/promote   leave follower mode; returns the applied watermark
 //	POST /v1/admin/snapshot  (with -wal) rotate a snapshot now
-//	POST /v1/admin/compact   (with -wal) rebuild the HNSW graph now, swapping
-//	                         it in under live traffic
 //	GET  /healthz            liveness + store/index/durability stats
 //	GET  /debug/pprof/       (with -pprof) live CPU/heap/mutex profiling
 //
@@ -43,10 +41,10 @@
 // is a system of record, not a cache: records are fsynced per -fsync,
 // snapshots of store + HNSW graph rotate in the background every
 // -snapshot-interval (tmp+rename, WAL truncated to the snapshot
-// watermark), the maintenance loop rebuilds the HNSW graph once its
-// tombstone ratio passes -compact-at, atomically swapping the fresh
-// graph in while searches keep answering, and a boot replays the WAL
-// suffix over the newest snapshot pair. Without -wal the same applier
+// watermark; the graph file holds live slots only), and a boot replays
+// the WAL suffix over the newest snapshot pair. The HNSW graph needs no
+// maintenance of its own: an insert reuses the slot a delete or
+// overwrite freed. Without -wal the same applier
 // runs with the logging steps dropped out: acks carry no seq, nothing
 // survives a restart. See durability.go for the recovery invariants.
 //
@@ -110,10 +108,10 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 64, "micro-batcher: max coalesced queries")
 		window    = flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher: gather window (0 disables)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
-		walDir    = flag.String("wal", "", "write-ahead-log directory: makes writes durable and enables snapshot rotation + background compaction")
+		walDir    = flag.String("wal", "", "write-ahead-log directory: makes writes durable and enables snapshot rotation")
 		fsync     = flag.String("fsync", "always", "wal fsync policy: always (group commit, crash-safe), never, or a flush interval like 100ms")
 		snapEvery = flag.Duration("snapshot-interval", 5*time.Minute, "wal: background snapshot rotation period (0 disables; snapshots can still be forced via /v1/admin/snapshot)")
-		compactAt = flag.Float64("compact-at", 0.2, "hnsw+wal: tombstone ratio that triggers a background compaction rebuild (<=0 disables)")
+		_         = flag.Float64("compact-at", 0, "ignored; dead slots are reused in place")
 		deadline  = flag.Duration("default-deadline", 2*time.Second, "per-request time budget when the client sends none (deadline_ms field or X-Ehnad-Deadline-Ms header override; 0 disables)")
 		inflight  = flag.Int("max-inflight", 256, "max concurrently served /v1/neighbors requests; excess sheds with 429 (0 = unlimited)")
 		efFloor   = flag.Int("ef-floor", 16, "hnsw: lowest ef-search the overload degrader may shrink the beam to under sustained queue pressure (0 disables adaptation)")
@@ -160,7 +158,6 @@ func main() {
 		walDir:           *walDir,
 		fsync:            *fsync,
 		snapshotInterval: *snapEvery,
-		compactAt:        *compactAt,
 		defaultDeadline:  *deadline,
 		maxInflight:      *inflight,
 		efFloor:          *efFloor,
@@ -235,7 +232,6 @@ type serverConfig struct {
 	walDir           string
 	fsync            string
 	snapshotInterval time.Duration
-	compactAt        float64
 
 	// Overload-control plane (zero values = permissive defaults that
 	// keep existing tests and embedders behaving as before).

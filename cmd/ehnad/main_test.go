@@ -610,12 +610,12 @@ func TestExportSpoolFailureIs500(t *testing.T) {
 	}
 }
 
-// TestAdminEndpointsRequireWAL: snapshot/compact are durability
-// operations; without -wal they must refuse, not pretend.
+// TestAdminEndpointsRequireWAL: snapshot rotation is a durability
+// operation; without -wal it must refuse, not pretend.
 func TestAdminEndpointsRequireWAL(t *testing.T) {
 	store, _ := trainedStore(t)
 	_, ts := newTestServer(t, store, "hnsw")
-	for _, ep := range []string{"/v1/admin/snapshot", "/v1/admin/compact"} {
+	for _, ep := range []string{"/v1/admin/snapshot"} {
 		if status, _ := postJSON(t, ts.URL+ep, map[string]any{}, nil); status != http.StatusBadRequest {
 			t.Fatalf("%s without -wal: status %d, want 400", ep, status)
 		}

@@ -6,7 +6,7 @@
 //     cumulative, so several servers in one test process can share
 //     them harmlessly.
 //   - Each server owns a private registry of instance gauges (store
-//     shape, graph shape, WAL/snapshot/compaction state, batcher queue
+//     shape, graph shape, WAL/snapshot state, batcher queue
 //     depth) and its per-endpoint HTTP series. Gauges describe *this*
 //     server, so they cannot live on a process-wide registry without
 //     two test servers clobbering each other.
@@ -34,8 +34,6 @@ var (
 		"Latency of one micro-batcher flush (batched SearchInto pass).")
 	snapshotHist = obs.Default().Histogram("ehnad_snapshot_seconds",
 		"Duration of one snapshot rotation (WAL rotate + store/graph save).")
-	compactionHist = obs.Default().Histogram("ehnad_compaction_seconds",
-		"Duration of one HNSW compaction rebuild (excludes the follow-up snapshot).")
 
 	// The overload-control plane: admission decisions and queue waits.
 	queueWaitHist = obs.Default().Histogram("ehnad_queue_wait_seconds",
@@ -128,13 +126,11 @@ func newServerMetrics(s *server) *serverMetrics {
 			return 0
 		})
 
-	// Graph gauges read through liveIndex at scrape time, so they track
-	// the current graph across compaction swaps, and report zero when
-	// the index is not HNSW.
+	// Graph gauges report zero when the index is not HNSW.
+	h, _ := s.index.(*ann.HNSW)
 	graphStat := func(pick func(alive, tombstones, maxLevel int) float64) func() float64 {
 		return func() float64 {
-			h, ok := s.liveIndex().(*ann.HNSW)
-			if !ok {
+			if h == nil {
 				return 0
 			}
 			return pick(h.Stats())
@@ -142,17 +138,10 @@ func newServerMetrics(s *server) *serverMetrics {
 	}
 	r.GaugeFunc("ehnad_graph_nodes", "Live (non-tombstoned) HNSW graph nodes.",
 		graphStat(func(alive, _, _ int) float64 { return float64(alive) }))
-	r.GaugeFunc("ehnad_graph_tombstones", "Tombstoned HNSW graph slots awaiting compaction.",
+	r.GaugeFunc("ehnad_graph_tombstones", "Free graph slots awaiting reuse.",
 		graphStat(func(_, tombstones, _ int) float64 { return float64(tombstones) }))
 	r.GaugeFunc("ehnad_graph_layers", "HNSW graph layers.",
 		graphStat(func(_, _, maxLevel int) float64 { return float64(maxLevel + 1) }))
-	r.GaugeFunc("ehnad_graph_tombstone_ratio", "Tombstoned fraction of HNSW graph slots.",
-		func() float64 {
-			if h, ok := s.liveIndex().(*ann.HNSW); ok {
-				return h.TombstoneRatio()
-			}
-			return 0
-		})
 	return m
 }
 
@@ -192,8 +181,8 @@ func (m *serverMetrics) instrument(path string, h http.HandlerFunc) http.Handler
 }
 
 // registerMetrics exposes the durability layer's state as gauges on
-// the server registry: the WAL instance gauges plus snapshot,
-// compaction and replay state. Called once the layer exists.
+// the server registry: the WAL instance gauges plus snapshot and replay
+// state. Called once the layer exists.
 func (d *durable) registerMetrics(r *obs.Registry) {
 	d.reg = r // heal() re-registers the WAL gauges against the fresh log
 	d.wal().RegisterMetrics(r)
@@ -234,19 +223,4 @@ func (d *durable) registerMetrics(r *obs.Registry) {
 			}
 			return 0
 		})
-	if d.isHNSW {
-		r.GaugeFunc("ehnad_compaction_running", "1 while a compaction rebuild is in flight.",
-			func() float64 {
-				if d.compactRunning.Load() {
-					return 1
-				}
-				return 0
-			})
-		r.GaugeFunc("ehnad_compaction_count", "Compaction rebuilds completed since boot.",
-			func() float64 { return float64(d.compactions.Load()) })
-		r.GaugeFunc("ehnad_compaction_last_unix", "Unix time of the last compaction (0 = never).",
-			func() float64 { return float64(d.lastCompaction.Load()) })
-		r.GaugeFunc("ehnad_compaction_threshold", "Tombstone ratio that triggers compaction (<=0 disabled).",
-			func() float64 { return d.compactAt })
-	}
 }

@@ -195,7 +195,7 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 }
 
 // TestMetricsWithWAL boots the full durable stack and checks the WAL,
-// snapshot and compaction gauges are registered and move.
+// snapshot and graph gauges are registered and move.
 func TestMetricsWithWAL(t *testing.T) {
 	srv, err := buildServer(crashTestConfig(t.TempDir()))
 	if err != nil {
@@ -235,7 +235,7 @@ func TestMetricsWithWAL(t *testing.T) {
 	for _, series := range []string{
 		"ehnad_wal_segments", "ehnad_wal_size_bytes",
 		"ehnad_wal_append_seconds_count", "ehnad_wal_fsync_seconds_count",
-		"ehnad_compaction_running", "ehnad_compaction_count",
+		"ehnad_graph_tombstones",
 	} {
 		metricValue(t, body, series) // fatal if the series is absent
 	}

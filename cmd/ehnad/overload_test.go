@@ -227,15 +227,15 @@ func TestBatcherShedsOnPredictedDeadlineMiss(t *testing.T) {
 
 // TestDegraderShrinksAndRestores walks the controller through
 // sustained pressure and recovery: halve to the floor, flag degraded,
-// double back to full, clear the flag — with the beam re-asserted on
-// the live graph at every step.
+// double back to full, clear the flag — with the beam set on the graph
+// at every step.
 func TestDegraderShrinksAndRestores(t *testing.T) {
 	store, _ := trainedStore(t)
 	h, err := ann.BuildHNSW(store, ann.HNSWConfig{M: 8, EfConstruction: 64, EfSearch: 64, Seed: 1, Metric: ann.Cosine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDegrader(func() *ann.HNSW { return h }, 64, 16, 16) // high=12, low=4
+	d := newDegrader(h, 64, 16, 16) // high=12, low=4
 
 	if d.degradedNow() || d.efNow() != 64 {
 		t.Fatalf("fresh degrader: degraded=%v ef=%d", d.degradedNow(), d.efNow())
@@ -288,10 +288,10 @@ func TestDegraderShrinksAndRestores(t *testing.T) {
 	}
 
 	// Degenerate configurations disable the controller.
-	if newDegrader(func() *ann.HNSW { return h }, 64, 0, 16) != nil {
+	if newDegrader(h, 64, 0, 16) != nil {
 		t.Error("floor 0 should disable the degrader")
 	}
-	if newDegrader(func() *ann.HNSW { return h }, 64, 64, 16) != nil {
+	if newDegrader(h, 64, 64, 16) != nil {
 		t.Error("floor >= full should disable the degrader")
 	}
 }

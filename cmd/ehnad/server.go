@@ -30,7 +30,7 @@ import (
 // micro-batcher behind the HTTP/JSON API.
 type server struct {
 	store     *embstore.Store
-	index     *ann.Swapper // searches; mutations go through dur
+	index     ann.Index // searches; mutations go through dur
 	batch     *batcher
 	indexName string
 	started   time.Time
@@ -48,12 +48,11 @@ type server struct {
 
 // newServer assembles a serving daemon over a loaded store and its
 // index: everything but the log, which buildServer opens afterwards
-// when cfg names a WAL directory. The index is wrapped in a Swapper so
-// a background compaction can replace it under live traffic.
+// when cfg names a WAL directory.
 func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server {
 	s := &server{
 		store:           store,
-		index:           ann.NewSwapper(index),
+		index:           index,
 		indexName:       cfg.index.kind,
 		started:         time.Now(),
 		pprof:           cfg.pprof,
@@ -69,10 +68,7 @@ func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server
 	}
 	var deg *degrader
 	if h, ok := index.(*ann.HNSW); ok && cfg.efFloor > 0 {
-		deg = newDegrader(func() *ann.HNSW {
-			h, _ := s.liveIndex().(*ann.HNSW)
-			return h
-		}, h.Config().EfSearch, cfg.efFloor, queueDepth)
+		deg = newDegrader(h, h.Config().EfSearch, cfg.efFloor, queueDepth)
 	}
 	s.batch = newBatcher(s.index, cfg.maxBatch, cfg.window, queueDepth, deg)
 	s.metrics = newServerMetrics(s)
@@ -90,10 +86,6 @@ func (s *server) shutdown() {
 	s.draining.Store(true)
 	s.teardown(true)
 }
-
-// liveIndex is the index serving right now, whichever graph the last
-// compaction swapped in.
-func (s *server) liveIndex() ann.Index { return s.index.Current() }
 
 func (s *server) teardown(finalSnapshot bool) {
 	s.closeOnce.Do(func() {
@@ -120,7 +112,6 @@ func (s *server) handler() http.Handler {
 	route("/v1/vector", s.handleVector)
 	route("/v1/export", s.handleExport)
 	route("/v1/admin/snapshot", s.handleAdminSnapshot)
-	route("/v1/admin/compact", s.handleAdminCompact)
 	// Replication endpoints stay off the instrumented table: the stream
 	// long-polls by design, and its held-open seconds would drown the
 	// request-latency histograms.
@@ -617,28 +608,6 @@ func (s *server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, http.StatusOK, map[string]any{"watermark": wm, "nodes": s.store.Len()})
 }
 
-func (s *server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.requireLog(w, "compaction") {
-		return
-	}
-	before := s.dur.tombstoneRatio()
-	ran, err := s.dur.compact(true)
-	if err != nil {
-		cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	cluster.WriteJSON(w, http.StatusOK, map[string]any{
-		"compacted":              ran,
-		"tombstone_ratio_before": before,
-		"tombstone_ratio_after":  s.dur.tombstoneRatio(),
-		"rebuilds":               s.dur.compactions.Load(),
-	})
-}
-
 // handleHealthz renders the liveness report from the same gauges
 // /metrics scrapes (see metrics.go): every number below is a
 // GaugeValue read, so the two endpoints cannot disagree. Only the
@@ -697,16 +666,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"major_faults":          int64(majflt),
 		}
 	}
-	if _, ok := s.liveIndex().(*ann.HNSW); ok {
-		// Tombstones accumulate under delete/replace churn and are
-		// reclaimed by a compaction rebuild (automatic with -wal once
-		// the ratio passes -compact-at, or forced via
-		// /v1/admin/compact).
+	if _, ok := s.index.(*ann.HNSW); ok {
+		// Tombstones are the slots deletes freed and no insert has
+		// reused yet.
 		out["graph"] = map[string]any{
-			"nodes":           int(g("ehnad_graph_nodes")),
-			"tombstones":      int(g("ehnad_graph_tombstones")),
-			"layers":          int(g("ehnad_graph_layers")),
-			"tombstone_ratio": g("ehnad_graph_tombstone_ratio"),
+			"nodes":      int(g("ehnad_graph_nodes")),
+			"tombstones": int(g("ehnad_graph_tombstones")),
+			"layers":     int(g("ehnad_graph_layers")),
 			// The graph keeps its own slot-indexed vector slab (the price
 			// of lock-free beam scoring), so total vector memory is
 			// nodes×bytes_per_vector + (nodes+tombstones)×this.
@@ -737,16 +703,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe, distinct from /healthz
 // liveness: a 503 here means "alive but don't route new traffic to
-// me" — draining for shutdown, mid compaction promote, or read-only
-// because the WAL is unavailable. Load balancers should poll this;
+// me" — draining for shutdown, or read-only because the WAL is
+// unavailable. Load balancers should poll this;
 // orchestrators should restart on /healthz, not on /readyz.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	if s.draining.Load() {
 		reasons = append(reasons, "draining: shutdown in progress")
-	}
-	if s.index.Promoting() {
-		reasons = append(reasons, "compaction promote in progress")
 	}
 	if s.dur.isReadOnly() {
 		reasons = append(reasons, "read-only: WAL unavailable")

@@ -45,15 +45,13 @@ func TestSearchIntoCancelMidSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwapper(hnsw)
 	q := make([]float64, 16)
 	for i := range q {
 		q[i] = float64(i) - 8
 	}
 	for name, idx := range map[string]Index{
-		"exact":   NewExact(store, Cosine),
-		"hnsw":    hnsw,
-		"swapper": sw,
+		"exact": NewExact(store, Cosine),
+		"hnsw":  hnsw,
 	} {
 		dst := make([]Result, 0, 10)
 		got, err := idx.SearchInto(newFlipCtx(), dst, q, 10)

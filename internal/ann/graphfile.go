@@ -15,7 +15,7 @@
 //	  [16:20) M u32
 //	  [20:24) efConstruction u32
 //	  [24:28) efSearch u32
-//	  [28:32) slots u32 (live + tombstoned)
+//	  [28:32) slots u32 (live + tombstoned; SaveGraph writes live only)
 //	  [32:36) live slots u32
 //	  [36:40) entry slot i32 (−1: no live slot)
 //	  [40:44) max level i32 (−1: no live slot)
@@ -37,6 +37,13 @@
 // headers are cut from one shared [][]uint32 and link lists from one
 // []uint32, each list capped at its own length so an append after boot
 // copies out instead of overwriting the next list.
+//
+// SaveGraph writes the live slots only, renumbered in slot order, so a
+// file it writes holds no tombstone; over a graph without tombstones
+// the renumbering is the identity and the file is what the graph holds
+// byte for byte. Files from versions that wrote tombstones still load:
+// their dead slots go on the free list, for inserts to reuse, and links
+// to them above layer 0 are dropped.
 package ann
 
 import (
@@ -48,6 +55,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"unsafe"
 
 	"ehna/internal/embstore"
@@ -173,28 +181,42 @@ func unreadBytes(r io.Reader) (int64, bool) {
 
 // SaveGraph writes the graph file (see the layout above): link
 // structure, not vectors — those live in the embstore snapshot — so a
-// daemon can reload the index without rebuilding. Quiesce writers for a
-// point-in-time image.
+// daemon can reload the index without rebuilding. Only live slots are
+// written, renumbered through an old→new slot map, and links to
+// tombstones (one-way links no repair rewrote) are dropped on the way
+// out. Quiesce writers for a point-in-time image.
 func (h *HNSW) SaveGraph(w io.Writer) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("ann: hnsw save: graph files require a little-endian host")
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	ids := make([]graph.NodeID, len(h.nodes))
-	levels := make([]byte, len(h.nodes))
+	newSlot := make([]uint32, len(h.nodes))
+	ids := make([]graph.NodeID, 0, h.alive)
+	levels := make([]byte, 0, h.alive)
 	var degrees []uint16
 	links := 0
 	for s := range h.nodes {
 		n := &h.nodes[s]
-		ids[s], levels[s] = n.id, byte(len(n.links))
-		if n.alive {
-			levels[s] |= graphLive
+		if !n.alive {
+			continue
 		}
+		newSlot[s] = uint32(len(ids))
+		ids, levels = append(ids, n.id), append(levels, byte(len(n.links))|graphLive)
 		for _, l := range n.links {
-			degrees = append(degrees, uint16(len(l)))
-			links += len(l)
+			d := 0
+			for _, nb := range l {
+				if h.aliveBit(nb) {
+					d++
+				}
+			}
+			degrees = append(degrees, uint16(d))
+			links += d
 		}
+	}
+	entry := h.entry
+	if entry >= 0 {
+		entry = int(newSlot[entry])
 	}
 	hdr := make([]byte, graphHeaderSize)
 	le := binary.LittleEndian
@@ -204,9 +226,9 @@ func (h *HNSW) SaveGraph(w io.Writer) error {
 	le.PutUint32(hdr[16:], uint32(h.cfg.M))
 	le.PutUint32(hdr[20:], uint32(h.cfg.EfConstruction))
 	le.PutUint32(hdr[24:], uint32(h.cfg.EfSearch))
-	le.PutUint32(hdr[28:], uint32(len(h.nodes)))
+	le.PutUint32(hdr[28:], uint32(len(ids)))
 	le.PutUint32(hdr[32:], uint32(h.alive))
-	le.PutUint32(hdr[36:], uint32(int32(h.entry)))
+	le.PutUint32(hdr[36:], uint32(int32(entry)))
 	le.PutUint32(hdr[40:], uint32(int32(h.maxLevel)))
 	le.PutUint64(hdr[44:], uint64(h.cfg.Seed))
 	le.PutUint64(hdr[52:], uint64(len(degrees)))
@@ -222,9 +244,19 @@ func (h *HNSW) SaveGraph(w io.Writer) error {
 	bw.Write(sliceBytes(ids)) // bufio.Writer keeps the first error for Flush
 	bw.Write(levels)
 	bw.Write(sliceBytes(degrees))
+	var list []uint32
 	for s := range h.nodes {
+		if !h.nodes[s].alive {
+			continue
+		}
 		for _, l := range h.nodes[s].links {
-			bw.Write(sliceBytes(l))
+			list = list[:0]
+			for _, nb := range l {
+				if h.aliveBit(nb) {
+					list = append(list, newSlot[nb])
+				}
+			}
+			bw.Write(sliceBytes(list))
 		}
 	}
 	err := bw.Flush()
@@ -306,6 +338,8 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 	capSlots := g.slots + g.slots/4
 	h.nodes = make([]hnswNode, g.slots, capSlots)
 	h.aliveBits = make([]uint64, (g.slots+63)/64, (capSlots+63)/64)
+	h.gen = make([]uint32, g.slots, capSlots)
+	h.upper = make([]uint32, 0, max(g.layers-g.alive, 0)) // a bound on the live slots above layer 0
 	headers := make([][]uint32, g.layers)
 	// lastList[nb] is 1 + the index (into degrees) of the last list
 	// that linked to nb: the duplicate-link check without a set per list.
@@ -348,14 +382,24 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 				}
 				lastList[nb] = di
 			}
+			if l > 0 {
+				// A tombstone goes on the free list, and a link to it above
+				// layer 0 would lead to its next occupant (cutUpperLocked).
+				n.links[l] = slices.DeleteFunc(list, func(nb uint32) bool { return levels[nb]&graphLive == 0 })
+			}
 		}
 		if live {
+			if nl > 1 {
+				h.upper = append(h.upper, uint32(s))
+			}
 			h.slotOf[n.id] = uint32(s)
 			h.alive++
 			if len(h.slotOf) != h.alive { // the id was live in an earlier slot
 				return nil, fmt.Errorf("node %d is live in two slots (the second is %d)", n.id, s)
 			}
 			h.aliveBits[s>>6] |= 1 << (s & 63)
+		} else {
+			h.free = append(h.free, uint32(s))
 		}
 	}
 	if di != g.layers || li != g.links {
@@ -380,7 +424,7 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 // per store shard, each stored row copied bit for bit into the row of
 // the slot that indexes its id — and so also checks that the stored ids
 // are exactly the live slots' ids (the caller made the counts match and
-// the live ids distinct). Tombstoned slots keep zero rows. Rows get
+// the live ids distinct). Tombstoned slots get zero rows. Rows get
 // capRows of capacity.
 func (h *HNSW) mirrorSlab(capRows int) error {
 	rows, dim := len(h.nodes), h.dim

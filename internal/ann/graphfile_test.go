@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -15,28 +16,49 @@ import (
 	"ehna/internal/graph"
 )
 
-// sameStructure fails unless got holds want's graph slot for slot: ids,
-// liveness, alive bits, every layer's links, entry and max level.
+// sameStructure fails unless got holds want's live graph as SaveGraph
+// writes it: want's live slots in slot order, renumbered from 0, each
+// with its id and layer count, its links to live slots through the same
+// renumbering, and the entry and max level; got holds
+// no tombstone. Over a graph without tombstones that is want slot for
+// slot.
 func sameStructure(t *testing.T, want, got *HNSW) {
 	t.Helper()
 	want.mu.RLock()
 	defer want.mu.RUnlock()
 	got.mu.RLock()
 	defer got.mu.RUnlock()
-	if len(got.nodes) != len(want.nodes) || got.alive != want.alive ||
-		got.entry != want.entry || got.maxLevel != want.maxLevel {
-		t.Fatalf("loaded %d slots (%d live), entry %d at level %d; saved %d (%d live), entry %d at level %d",
-			len(got.nodes), got.alive, got.entry, got.maxLevel, len(want.nodes), want.alive, want.entry, want.maxLevel)
-	}
+	newSlot := make([]uint32, len(want.nodes))
+	var live []uint32
 	for s := range want.nodes {
-		w, g := &want.nodes[s], &got.nodes[s]
-		if g.id != w.id || g.alive != w.alive || got.aliveBit(uint32(s)) != w.alive || len(g.links) != len(w.links) {
-			t.Fatalf("slot %d: loaded id %d alive %v (bit %v) with %d layers, saved id %d alive %v with %d layers",
-				s, g.id, g.alive, got.aliveBit(uint32(s)), len(g.links), w.id, w.alive, len(w.links))
+		if want.nodes[s].alive {
+			newSlot[s] = uint32(len(live))
+			live = append(live, uint32(s))
 		}
-		for l := range w.links {
-			if !slices.Equal(g.links[l], w.links[l]) {
-				t.Fatalf("slot %d layer %d: loaded links %v, saved %v", s, l, g.links[l], w.links[l])
+	}
+	entry := want.entry
+	if entry >= 0 {
+		entry = int(newSlot[entry])
+	}
+	if len(got.nodes) != len(live) || got.alive != want.alive || got.entry != entry || got.maxLevel != want.maxLevel {
+		t.Fatalf("loaded %d slots (%d live), entry %d at level %d; saved %d live slots, entry %d (renumbered) at level %d",
+			len(got.nodes), got.alive, got.entry, got.maxLevel, len(live), entry, want.maxLevel)
+	}
+	for i, s := range live {
+		w, g := &want.nodes[s], &got.nodes[i]
+		if g.id != w.id || !g.alive || !got.aliveBit(uint32(i)) || len(g.links) != len(w.links) {
+			t.Fatalf("slot %d (saved slot %d): loaded id %d alive %v (bit %v) with %d layers, saved id %d with %d layers",
+				i, s, g.id, g.alive, got.aliveBit(uint32(i)), len(g.links), w.id, len(w.links))
+		}
+		for l, links := range w.links {
+			var mapped []uint32
+			for _, nb := range links {
+				if want.aliveBit(nb) {
+					mapped = append(mapped, newSlot[nb])
+				}
+			}
+			if !slices.Equal(g.links[l], mapped) {
+				t.Fatalf("slot %d (saved slot %d) layer %d: loaded links %v, saved %v renumbered", i, s, l, g.links[l], mapped)
 			}
 		}
 	}
@@ -295,4 +317,207 @@ func TestLoadHNSWGraphAllocs(t *testing.T) {
 	if allocs > 64 {
 		t.Fatalf("LoadHNSWGraph of 2000 nodes: %v allocations, want ≤ 64", allocs)
 	}
+}
+
+// TestSaveGraphDropsTombstones: a graph churned by deletes, overwrites
+// and new ids saves as a tombstone-free file. The reloaded graph holds
+// the same live ids and no tombstone, each id keeps its neighbor ids
+// minus the tombstones, and it answers a fixed query set
+// exactly as the graph it was saved from.
+func TestSaveGraphDropsTombstones(t *testing.T) {
+	const n, dim = 1000, 16
+	store, err := embstore.New(dim, embstore.DefaultShards, embstore.SQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHNSW(store, DefaultHNSWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inserted one by one, every slab row is its vector's encoding, as
+	// the store's is, so the reloaded slab scores bit for bit alike.
+	rng := rand.New(rand.NewSource(97))
+	for i := 0; i < n; i++ {
+		if err := h.Add(graph.NodeID(i), randVec(rng, make([]float64, dim))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 900; i++ {
+		id := graph.NodeID(rng.Intn(n + i/3)) // overwrites, re-adds and new ids
+		if i%3 == 0 {
+			h.Remove(id)
+		} else if err := h.Add(id, randVec(rng, make([]float64, dim))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		h.Remove(graph.NodeID(rng.Intn(n)))
+	}
+
+	// neighbors maps each live id to its neighbor ids per layer, counting
+	// the links that lead nowhere and are left out.
+	neighbors := func(h *HNSW) (map[graph.NodeID][][]graph.NodeID, int) {
+		h.mu.RLock()
+		defer h.mu.RUnlock()
+		out, dropped := make(map[graph.NodeID][][]graph.NodeID, h.alive), 0
+		for s := range h.nodes {
+			node := &h.nodes[s]
+			if !node.alive {
+				continue
+			}
+			layers := make([][]graph.NodeID, len(node.links))
+			for l, links := range node.links {
+				for _, nb := range links {
+					if h.aliveBit(nb) {
+						layers[l] = append(layers[l], h.nodes[nb].id)
+					} else {
+						dropped++
+					}
+				}
+			}
+			out[node.id] = layers
+		}
+		return out, dropped
+	}
+	want, dropped := neighbors(h)
+	alive, tombs, _ := h.Stats()
+	if tombs == 0 || dropped == 0 {
+		t.Fatalf("%d tombstones and %d links to drop after the churn: the test exercised nothing", tombs, dropped)
+	}
+
+	var buf bytes.Buffer
+	if err := h.SaveGraph(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadHNSWGraph(bytes.NewReader(buf.Bytes()), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotAlive, gotTombs, _ := loaded.Stats(); gotAlive != alive || gotTombs != 0 {
+		t.Fatalf("reloaded %d live nodes and %d tombstones; saved %d live nodes beside %d tombstones", gotAlive, gotTombs, alive, tombs)
+	}
+	got, gotDropped := neighbors(loaded)
+	if gotDropped != 0 {
+		t.Fatalf("the reloaded graph holds %d links that lead nowhere", gotDropped)
+	}
+	for id, layers := range want {
+		if !slices.EqualFunc(got[id], layers, slices.Equal) {
+			t.Fatalf("node %d: reloaded neighbors %v, saved %v less the dead", id, got[id], layers)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reloaded %d live ids, saved %d", len(got), len(want))
+	}
+	sameStructure(t, h, loaded)
+	checkGraphInvariants(t, loaded)
+	slabMirrorsStore(t, loaded)
+	for qi := 0; qi < 50; qi++ {
+		q := randVec(rng, make([]float64, dim))
+		a, err := h.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := loaded.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResults(b, a) {
+			t.Fatalf("query %d: reloaded graph answers %v, saved graph %v", qi, b, a)
+		}
+	}
+}
+
+// graphFileWithTombstones writes h as versions before slot reuse did:
+// every slot in place, tombstones included (with no layers, as a
+// detach leaves them), and every link as it stands.
+func graphFileWithTombstones(h *HNSW) []byte {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	le := binary.LittleEndian
+	var ids, levels, degrees, links []byte
+	layers, nlinks := 0, 0
+	for s := range h.nodes {
+		node := &h.nodes[s]
+		ids = le.AppendUint32(ids, uint32(node.id))
+		lv := byte(len(node.links))
+		if node.alive {
+			lv |= graphLive
+		}
+		levels = append(levels, lv)
+		for _, l := range node.links {
+			degrees = le.AppendUint16(degrees, uint16(len(l)))
+			layers++
+			for _, nb := range l {
+				links = le.AppendUint32(links, nb)
+				nlinks++
+			}
+		}
+	}
+	hdr := make([]byte, graphHeaderSize)
+	copy(hdr, graphMagic)
+	le.PutUint32(hdr[8:], graphVersion)
+	le.PutUint32(hdr[12:], uint32(h.cfg.Metric))
+	le.PutUint32(hdr[16:], uint32(h.cfg.M))
+	le.PutUint32(hdr[20:], uint32(h.cfg.EfConstruction))
+	le.PutUint32(hdr[24:], uint32(h.cfg.EfSearch))
+	le.PutUint32(hdr[28:], uint32(len(h.nodes)))
+	le.PutUint32(hdr[32:], uint32(h.alive))
+	le.PutUint32(hdr[36:], uint32(int32(h.entry)))
+	le.PutUint32(hdr[40:], uint32(int32(h.maxLevel)))
+	le.PutUint64(hdr[44:], uint64(h.cfg.Seed))
+	le.PutUint64(hdr[52:], uint64(layers))
+	le.PutUint64(hdr[60:], uint64(nlinks))
+	le.PutUint32(hdr[68:], crc32.Checksum(hdr[:68], graphCRC))
+	body := append(append(append(ids, levels...), degrees...), links...)
+	return le.AppendUint32(append(hdr, body...), crc32.Checksum(body, graphCRC))
+}
+
+// TestLoadGraphWithTombstones: a graph file that holds tombstoned slots,
+// as versions before slot reuse wrote them, still loads slot for slot.
+// Its dead slots wait on the free list, the links to them above layer 0
+// that those versions left are dropped, and the next inserts reuse the
+// slots.
+func TestLoadGraphWithTombstones(t *testing.T) {
+	s := randomStore(t, 300, 8, 23)
+	h := mustHNSW(t, s, DefaultHNSWConfig())
+	for id := 0; id < 300; id += 7 {
+		h.Remove(graph.NodeID(id))
+	}
+	// A one-way link above layer 0 to a tombstone, as no repair rewrote
+	// it.
+	h.mu.Lock()
+	up := h.upper[0]
+	for _, u := range h.upper {
+		if len(h.nodes[u].links[1]) < len(h.nodes[up].links[1]) {
+			up = u
+		}
+	}
+	if l := h.nodes[up].links[1]; len(l) < h.cfg.M {
+		h.nodes[up].links[1] = append(l, h.free[0])
+	} else {
+		l[0] = h.free[0]
+	}
+	h.mu.Unlock()
+	loaded, err := LoadHNSWGraph(bytes.NewReader(graphFileWithTombstones(h)), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tombs, _ := h.Stats()
+	if _, got, _ := loaded.Stats(); got != tombs || len(loaded.nodes) != len(h.nodes) {
+		t.Fatalf("loaded %d slots with %d tombstones, saved %d with %d", len(loaded.nodes), got, len(h.nodes), tombs)
+	}
+	checkGraphInvariants(t, loaded) // the free list is exactly the dead slots
+	if !bytes.Equal(saveGraphFile(t, loaded).b, saveGraphFile(t, h).b) {
+		t.Fatal("the loaded graph's live part differs from the saved graph's")
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < tombs; i++ {
+		if err := loaded.Add(graph.NodeID(1000+i), randVec(rng, make([]float64, 8))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, got, _ := loaded.Stats(); got != 0 || len(loaded.nodes) != len(h.nodes) {
+		t.Fatalf("after %d inserts: %d slots, %d tombstones; want %d slots, none", tombs, len(loaded.nodes), got, len(h.nodes))
+	}
+	checkGraphInvariants(t, loaded)
 }

@@ -34,6 +34,11 @@
 // repairs the hole by offering the victim's neighbors to one another
 // (see detachLocked — work proportional to the links removed), falling
 // back to a fresh entry point when the entry node itself is removed.
+// The tombstoned slot goes on a free list, and the next insert — an
+// overwrite of the same id included — takes it over in place, so under
+// churn the slot count stays at the peak live count. Links into the
+// slot that no repair rewrote are cut above layer 0, where its next
+// occupant might not sit; on layer 0 they carry over to that occupant.
 // Neighbor selection and repair score slab rows against each other at
 // the slab's own precision (pairScore); nothing is dequantized. A
 // layer-0 prune keeps the previous prune's verdicts on the links that
@@ -112,10 +117,10 @@ func (c *HNSWConfig) fill() error {
 // a legitimate draw this high is ≈ 2^-32.
 const hnswMaxLevel = 32
 
-// hnswNode is one graph vertex. Slots are append-only: a node keeps its
-// slot for the index's lifetime, so link lists can store bare slot
-// numbers. Tombstoned slots (alive=false) keep id for bookkeeping but
-// drop their links.
+// hnswNode is one graph vertex. A node keeps its slot while it lives,
+// so link lists can store bare slot numbers. Tombstoned slots
+// (alive=false) keep id for bookkeeping but drop their links, and wait
+// on the free list for the next insert to take them over.
 type hnswNode struct {
 	id    graph.NodeID
 	alive bool
@@ -132,8 +137,8 @@ type hnswNode struct {
 // costing more than the distance kernels themselves). The slab lives
 // at the store's precision, so an sq8 graph scans 1-byte lanes with a
 // 32-byte sidecar per row; the memory price of the mirror is one extra
-// BytesPerVector per indexed vector, reclaimed for tombstones only at
-// rebuild.
+// BytesPerVector per graph slot, and a tombstoned slot's row is
+// overwritten by the insert that reuses the slot.
 //
 // Safe for concurrent use: searches share the read lock, mutations
 // take the write lock, and Add holds the write lock only for its cheap
@@ -157,6 +162,14 @@ type HNSW struct {
 	alive    int
 	rng      *rand.Rand // level draws; guarded by mu
 
+	// free holds the tombstoned slots, the next one to reuse last:
+	// detachLocked pushes, placeLocked pops. Its length is the tombstone
+	// count.
+	free []uint32
+	// upper holds the live slots above layer 0, in no order: the lists
+	// detachLocked cuts a freed slot out of.
+	upper []uint32
+
 	// aliveBits mirrors nodes[s].alive as a dense bitmap. The beam's
 	// neighbor loop checks liveness for every unvisited neighbor, and
 	// reading it out of the ~48-byte node structs costs a random cache
@@ -167,18 +180,34 @@ type HNSW struct {
 
 	// The slot-indexed vector slab: row s is the scan representation of
 	// nodes[s]. Exactly one family is populated, per precision.
-	// Tombstoned slots keep their (dead) rows for index stability.
+	// Tombstoned slots keep their dead rows until a placement reuses them.
 	vecs32 []float32 // F32
 	norms  []float64 // F32 per-row norms
 	codes  []int8    // SQ8
 	side   []sq8Side // SQ8 per-row sidecar (norm included)
 
 	// pruned[s] records slot s's last layer-0 prune, so the next one can
-	// reuse its verdicts (pruneLocked): the length of the list it left in
-	// the low 16 bits and how many of those it kept as diverse in the
-	// high 16, valid while later writes only append to the list; 0 when
-	// there is none. Slots past its end have none.
-	pruned []uint32
+	// reuse its verdicts (pruneLocked). Slots past its end have none.
+	pruned []pruneRecord
+
+	// gen[s] is the placement count at slot s's latest placement, so it
+	// changes whenever the slot changes hands. insert records it at
+	// placement and wires only if it still matches: between the two, a
+	// Remove and an Add can hand the slot to another node, or to the same
+	// id at another level. A prune record compares it to its own stamp to
+	// spot links whose slot changed hands since. Kept beside pruned rather
+	// than in hnswNode, which it would grow from 32 to 40 bytes.
+	gen        []uint32
+	placements uint32
+}
+
+// pruneRecord is one slot's last layer-0 prune: the length of the list
+// it left, how many of those it kept as diverse, and the placement count
+// when it ran. Valid while later writes only append to the list; the
+// zero value is no record.
+type pruneRecord struct {
+	size, kept uint16
+	at         uint32
 }
 
 // sq8Side is the graph slab's per-row SQ8 sidecar (decode parameters,
@@ -255,25 +284,12 @@ func (h *HNSW) Len() int {
 	return h.alive
 }
 
-// Stats reports graph shape: live nodes, tombstoned slots awaiting a
-// rebuild, and the top layer of the hierarchy.
+// Stats reports graph shape: live nodes, tombstoned slots awaiting
+// reuse, and the top layer of the hierarchy.
 func (h *HNSW) Stats() (alive, tombstones, maxLevel int) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.alive, len(h.nodes) - h.alive, h.maxLevel
-}
-
-// TombstoneRatio reports the fraction of graph slots occupied by
-// tombstones — the number the daemon's maintenance loop compares
-// against -compact-at to decide when a rebuild pays for itself. 0 on
-// an empty graph.
-func (h *HNSW) TombstoneRatio() float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if len(h.nodes) == 0 {
-		return 0
-	}
-	return float64(len(h.nodes)-h.alive) / float64(len(h.nodes))
 }
 
 // maxConn is the per-layer degree cap: 2M on the dense base layer, M
@@ -464,19 +480,26 @@ func (sc *hnswScratch) bumpEpoch(n int) {
 	}
 }
 
-// appendSlabRowLocked appends vec's scan representation as the next
-// slab row (the row for the node about to occupy slot len(nodes)).
-// Caller holds h.mu for writing.
-func (h *HNSW) appendSlabRowLocked(vec []float64, norm float64) {
+// setSlabRowLocked writes vec's scan representation as slot's slab
+// row: in place for a reused slot, appended for slot len(nodes)−1, the
+// one placeLocked just added. Caller holds h.mu for writing.
+func (h *HNSW) setSlabRowLocked(slot uint32, vec []float64, norm float64) {
+	lo := int(slot) * h.dim
 	switch h.prec {
 	case embstore.F32:
-		h.vecs32 = extendSlab(h.vecs32, h.dim)
-		vecmath.F64To32(h.vecs32[len(h.vecs32)-h.dim:], vec)
-		h.norms = append(h.norms, norm)
+		if int(slot) == len(h.norms) {
+			h.vecs32 = extendSlab(h.vecs32, h.dim)
+			h.norms = append(h.norms, 0)
+		}
+		vecmath.F64To32(h.vecs32[lo:lo+h.dim], vec)
+		h.norms[slot] = norm
 	case embstore.SQ8:
-		h.codes = extendSlab(h.codes, h.dim)
-		scale, offset, codeSum := vecmath.EncodeSQ8(vec, h.codes[len(h.codes)-h.dim:])
-		h.side = append(h.side, sq8Side{scale: float32(scale), offset: float32(offset), norm: float32(norm), codeSum: codeSum})
+		if int(slot) == len(h.side) {
+			h.codes = extendSlab(h.codes, h.dim)
+			h.side = append(h.side, sq8Side{})
+		}
+		scale, offset, codeSum := vecmath.EncodeSQ8(vec, h.codes[lo:lo+h.dim])
+		h.side[slot] = sq8Side{scale: float32(scale), offset: float32(offset), norm: float32(norm), codeSum: codeSum}
 	}
 }
 
@@ -810,16 +833,17 @@ const (
 // was, its verdict stands. New links, and old discards once that set
 // has changed, are judged in full. An old kept link can only lose to a
 // link kept since (it already passed the rest), so it is judged against
-// those alone. The result is the full walk's, verdict for verdict, at a
-// fraction of the pair scores.
+// those alone. An old link whose slot changed hands since the prune
+// (gen) counts as the old occupant's death plus a new link. The result
+// is the full walk's, verdict for verdict, at a fraction of the pair
+// scores.
 func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	links := h.nodes[u].links[layer]
-	var old, kept int // the previous prune's list length and kept count
-	if layer == 0 && int(u) < len(h.pruned) {
-		if rec := h.pruned[u]; int(rec&0xffff) <= len(links) {
-			old, kept = int(rec&0xffff), int(rec>>16)
-		}
+	var rec pruneRecord
+	if layer == 0 && int(u) < len(h.pruned) && int(h.pruned[u].size) <= len(links) {
+		rec = h.pruned[u]
 	}
+	old, kept := int(rec.size), int(rec.kept)
 	changed := false // the kept set differs from the previous prune's
 	sc.work = sc.work[:0]
 	for i, nb := range links {
@@ -828,6 +852,10 @@ func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 			was = wasKept
 		} else if i < old {
 			was = wasDiscard
+		}
+		if was != wasNew && int32(h.gen[nb]-rec.at) > 0 {
+			changed = changed || was == wasKept // a kept link's occupant left
+			was = wasNew
 		}
 		if nb != u && h.aliveBit(nb) {
 			sc.work = append(sc.work, scoredNode{slot: nb, was: was, score: h.pairScore(u, nb)})
@@ -870,17 +898,17 @@ func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	dst = h.fillDiscarded(sc, dst, m)
 	h.nodes[u].links[layer] = dst
 	if layer == 0 {
-		h.setPruned(u, uint32(len(dst))|uint32(diverse)<<16)
+		h.setPruned(u, pruneRecord{size: uint16(len(dst)), kept: uint16(diverse), at: h.placements})
 	}
 }
 
-// setPruned records slot s's layer-0 prune (0: none).
-func (h *HNSW) setPruned(s, rec uint32) {
+// setPruned records slot s's layer-0 prune (the zero record: none).
+func (h *HNSW) setPruned(s uint32, rec pruneRecord) {
 	if int(s) >= len(h.pruned) {
-		if rec == 0 {
+		if rec == (pruneRecord{}) {
 			return
 		}
-		h.pruned = append(h.pruned, make([]uint32, int(s)+1-len(h.pruned))...)
+		h.pruned = append(h.pruned, make([]pruneRecord, int(s)+1-len(h.pruned))...)
 	}
 	h.pruned[s] = rec
 }
@@ -912,6 +940,10 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 	if first { // first node: it is the graph
 		h.entry, h.maxLevel = int(slot), level
 	}
+	var gen uint32
+	if err == nil {
+		gen = h.gen[slot]
+	}
 	h.mu.Unlock()
 	if err != nil || first {
 		return err
@@ -929,15 +961,17 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 
 	// Phase 3 (write lock): wiring.
 	h.mu.Lock()
-	h.wireLocked(sc, slot, level, top)
+	h.wireLocked(sc, slot, gen, level, top)
 	h.mu.Unlock()
 	annMutWire.ObserveSince(wireStart)
 	return nil
 }
 
 // placeLocked is insert's bookkeeping: the store upsert, the tombstone
-// of any prior slot for id, the level draw, and the new node's slot,
-// slab row and liveness. Caller holds h.mu for writing.
+// of any prior slot for id, the level draw, and the new node's slot —
+// the last one freed if any (an overwrite's own, just detached), else a
+// new one — with its slab row, liveness and generation. Caller holds
+// h.mu for writing.
 func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) (slot uint32, level int, err error) {
 	if upsert {
 		if err := h.store.Upsert(id, vec); err != nil {
@@ -948,22 +982,34 @@ func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upse
 		h.detachLocked(old, sc)
 	}
 	level = h.randomLevelLocked()
-	slot = uint32(len(h.nodes))
-	h.appendSlabRowLocked(vec, vecmath.Norm(vec))
-	h.nodes = append(h.nodes, hnswNode{id: id, alive: true, links: make([][]uint32, level+1)})
+	if n := len(h.free); n > 0 {
+		slot, h.free = h.free[n-1], h.free[:n-1]
+		h.setPruned(slot, pruneRecord{})
+	} else {
+		slot = uint32(len(h.nodes))
+		h.nodes = append(h.nodes, hnswNode{})
+		h.gen = append(h.gen, 0)
+	}
+	h.setSlabRowLocked(slot, vec, vecmath.Norm(vec))
+	h.nodes[slot] = hnswNode{id: id, alive: true, links: make([][]uint32, level+1)}
 	h.setAliveBit(slot, true)
+	h.placements++
+	h.gen[slot] = h.placements
+	if level > 0 {
+		h.upper = append(h.upper, slot)
+	}
 	h.slotOf[id] = slot
 	h.alive++
 	return slot, level, nil
 }
 
-// wireLocked links the node at slot to its discovered neighbors
-// (sc.selected, layers 0..top) both ways, prunes any list pushed over
-// its degree cap, and promotes the node to entry if it tops the graph.
-// Caller holds h.mu for writing.
-func (h *HNSW) wireLocked(sc *hnswScratch, slot uint32, level, top int) {
+// wireLocked links the node placed at slot as generation gen to its
+// discovered neighbors (sc.selected, layers 0..top) both ways, prunes
+// any list pushed over its degree cap, and promotes the node to entry
+// if it tops the graph. Caller holds h.mu for writing.
+func (h *HNSW) wireLocked(sc *hnswScratch, slot, gen uint32, level, top int) {
 	n := &h.nodes[slot]
-	if !n.alive { // a racing Remove may have tombstoned us mid-insert
+	if !n.alive || h.gen[slot] != gen { // a racing Remove (and Add) took the slot mid-insert
 		return
 	}
 	for layer := 0; layer <= top; layer++ {
@@ -971,9 +1017,11 @@ func (h *HNSW) wireLocked(sc *hnswScratch, slot uint32, level, top int) {
 		// A sweep reaches slots no link leads to yet, so an insert that
 		// discovered this one may already have linked back to it: merge
 		// rather than overwrite, or that link turns one-way.
+		// A selected node may have been removed since, and its slot
+		// reused by a node below this layer.
 		links := n.links[layer]
 		for _, u := range sel {
-			if !slices.Contains(links, u) {
+			if h.occupies(u, layer) && !slices.Contains(links, u) {
 				links = append(links, u)
 			}
 		}
@@ -982,10 +1030,10 @@ func (h *HNSW) wireLocked(sc *hnswScratch, slot uint32, level, top int) {
 			h.pruneLocked(slot, layer, sc)
 		}
 		for _, u := range sel {
-			un := &h.nodes[u]
-			if !un.alive || len(un.links) <= layer {
-				continue // tombstoned between discovery and wiring
+			if !h.occupies(u, layer) {
+				continue
 			}
+			un := &h.nodes[u]
 			if slices.Contains(un.links[layer], slot) {
 				continue // u discovered this slot too and wired first
 			}
@@ -1052,11 +1100,19 @@ func (h *HNSW) beamDiscoverLocked(sc *hnswScratch, slot uint32, level int, vec [
 	return top
 }
 
-// detachLocked tombstones slot and repairs the hole it leaves, at a
-// cost proportional to the links it removes: each alive neighbor's list
-// is rewritten once (see repairLocked) and never re-selected. If the
-// victim was the entry point, a fresh one is chosen from the surviving
-// nodes. Caller holds h.mu for writing.
+// occupies reports whether slot holds a live node on layer. Caller holds
+// h.mu.
+func (h *HNSW) occupies(slot uint32, layer int) bool {
+	return h.aliveBit(slot) && len(h.nodes[slot].links) > layer
+}
+
+// detachLocked tombstones slot, repairs the hole it leaves and frees
+// the slot for reuse. Repair costs in proportion to the links removed:
+// each alive neighbor's list is rewritten once (see repairLocked) and
+// never re-selected. Links into the slot above layer 0 are cut
+// everywhere (cutUpperLocked). If the victim was the entry point, a
+// fresh one is chosen from the surviving nodes. Caller holds h.mu for
+// writing.
 func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n := &h.nodes[slot]
 	if !n.alive {
@@ -1066,11 +1122,15 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n.alive = false
 	h.setAliveBit(slot, false)
 	h.alive--
+	h.free = append(h.free, slot)
 	if cur, ok := h.slotOf[n.id]; ok && cur == slot {
 		delete(h.slotOf, n.id)
 	}
 	links := n.links
 	n.links = nil
+	if len(links) > 1 {
+		h.cutUpperLocked(slot, len(links))
+	}
 	for layer := range links {
 		for _, u := range links[layer] {
 			if un := &h.nodes[u]; un.alive && len(un.links) > layer {
@@ -1088,6 +1148,31 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	annMutDetach.ObserveSince(start)
 }
 
+// cutUpperLocked removes slot, a node of layers layers being detached,
+// from h.upper and from every list above layer 0 that links to it. Left
+// there, such a link would outlive the slot's reuse and lead to its next
+// occupant, which usually sits lower — and measurably costs recall even
+// when it does not. Upper layers hold about 1/M of the nodes, so this is
+// a scan of that many short lists, for one detach in M. Caller holds
+// h.mu for writing.
+func (h *HNSW) cutUpperLocked(slot uint32, layers int) {
+	for i := 0; i < len(h.upper); {
+		u := h.upper[i]
+		if u == slot {
+			h.upper[i] = h.upper[len(h.upper)-1]
+			h.upper = h.upper[:len(h.upper)-1]
+			continue
+		}
+		ul := h.nodes[u].links
+		for layer := 1; layer < min(layers, len(ul)); layer++ {
+			if j := slices.Index(ul[layer], slot); j >= 0 {
+				ul[layer] = slices.Delete(ul[layer], j, j+1)
+			}
+		}
+		i++
+	}
+}
+
 // repairLocked rewrites ul, slot u's links at layer, after one of them
 // was tombstoned: every dead link goes (the victim, and any an earlier
 // one-way delete left behind, so only alive links count toward the
@@ -1099,7 +1184,7 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 // holds h.mu for writing.
 func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswScratch) []uint32 {
 	if layer == 0 {
-		h.setPruned(u, 0) // the rewrite is not an append
+		h.setPruned(u, pruneRecord{}) // the rewrite is not an append
 	}
 	kept := ul[:0]
 	for _, nb := range ul {
@@ -1144,37 +1229,9 @@ func (h *HNSW) pickEntryLocked() {
 	}
 }
 
-// AddToGraph indexes a vector without writing it to the store: the
-// catch-up path of a background rebuild, where the live index owns the
-// store and the rebuilding graph only mirrors link structure. The
-// vector may be gone from the store again by the time discovery runs
-// (a racing delete); the node then links poorly, and the delete's own
-// catch-up replay removes it.
-func (h *HNSW) AddToGraph(id graph.NodeID, vec []float64) error {
-	sc := hnswScratchPool.Get().(*hnswScratch)
-	err := h.insert(id, vec, sc, false)
-	hnswScratchPool.Put(sc)
-	return err
-}
-
-// RemoveFromGraph tombstones id in the graph (repairing its
-// neighborhood) without deleting the store vector, which the live
-// index owns during a rebuild. Reports whether the node was indexed.
-func (h *HNSW) RemoveFromGraph(id graph.NodeID) bool {
-	sc := hnswScratchPool.Get().(*hnswScratch)
-	h.mu.Lock()
-	slot, ok := h.slotOf[id]
-	if ok {
-		h.detachLocked(slot, sc)
-	}
-	h.mu.Unlock()
-	hnswScratchPool.Put(sc)
-	return ok
-}
-
 // Remove tombstones the node in the graph (repairing its neighborhood)
 // and deletes the vector from the store, atomically with respect to
-// other mutations. Tombstoned slots are reclaimed only by a rebuild.
+// other mutations. The next insert reuses the tombstoned slot.
 func (h *HNSW) Remove(id graph.NodeID) bool {
 	sc := hnswScratchPool.Get().(*hnswScratch)
 	h.mu.Lock()
@@ -1210,6 +1267,7 @@ type groupMember struct {
 	id    graph.NodeID
 	vec   []float64
 	slot  uint32
+	gen   uint32
 	level int
 	first bool // placed into an empty graph: it is the entry, with no links to find
 	sweep bool // insertPlan's choice for layer 0
@@ -1225,9 +1283,11 @@ type groupMember struct {
 // would have swept. Each member then takes, in slot order, its
 // insertPlan decision at the slot count it would have seen, its beams
 // (run after the earlier members are wired, as they would have been),
-// and its wiring. A group holding an id the graph already indexes would
-// tombstone a slot the earlier members must still see, so it falls back
-// to one insert per id.
+// and its wiring. The lane limits need the members in consecutive
+// appended slots, so a group holding an id the graph already indexes
+// (its detach would tombstone a slot the earlier members must still
+// see), or placed while slots wait for reuse, falls back to one insert
+// per id.
 func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 	dim := h.dim
 	sc.vbuf = resize(sc.vbuf, scanGroup*dim)
@@ -1246,18 +1306,22 @@ func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 	}
 
 	h.mu.Lock()
+	serial := len(h.free) > 0
 	for _, m := range members {
-		if _, ok := h.slotOf[m.id]; ok {
-			h.mu.Unlock()
-			for _, m := range members {
-				_ = h.insert(m.id, m.vec, sc, false) // upsert=false never errors
-			}
-			return
+		_, indexed := h.slotOf[m.id]
+		serial = serial || indexed
+	}
+	if serial {
+		h.mu.Unlock()
+		for _, m := range members {
+			_ = h.insert(m.id, m.vec, sc, false) // upsert=false never errors
 		}
+		return
 	}
 	for i := range members {
 		m := &members[i]
 		m.slot, m.level, _ = h.placeLocked(m.id, m.vec, sc, false) // upsert=false never errors
+		m.gen = h.gen[m.slot]
 		if m.first = h.entry < 0; m.first {
 			h.entry, h.maxLevel = int(m.slot), m.level
 		}
@@ -1300,7 +1364,7 @@ func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 		wireStart := time.Now()
 		annMutDiscover.Observe(int64(sweepShare + wireStart.Sub(beamStart)))
 		h.mu.Lock()
-		h.wireLocked(sc, m.slot, m.level, top)
+		h.wireLocked(sc, m.slot, m.gen, m.level, top)
 		h.mu.Unlock()
 		annMutWire.ObserveSince(wireStart)
 	}

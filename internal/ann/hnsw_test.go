@@ -266,10 +266,10 @@ func TestHNSWConcurrentQueryAndMutate(t *testing.T) {
 }
 
 // TestHNSWSnapshotRoundTrip checks SaveGraph → LoadHNSWGraph restores
-// the saved graph — same slots, links, entry and alive bits, a slab that
-// mirrors the store bit for bit, and a byte-identical re-save — and
-// that it answers every query like the original: the
-// boot-without-rebuild path the daemon uses.
+// the saved graph — its live slots renumbered, their links, entry and
+// alive bits, a slab that mirrors the store bit for bit, and a
+// byte-identical re-save — and that it answers every query like the
+// original: the boot-without-rebuild path the daemon uses.
 func TestHNSWSnapshotRoundTrip(t *testing.T) {
 	for _, prec := range allPrecisions {
 		rng := rand.New(rand.NewSource(18))
@@ -279,7 +279,8 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := mustHNSW(t, s, DefaultHNSWConfig())
-		// Mutate a little so the snapshot carries tombstones too.
+		// Mutate a little so the graph carries tombstones, which the file
+		// leaves out.
 		for id := 0; id < 20; id++ {
 			h.Remove(graph.NodeID(id))
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ehna/internal/embstore"
+	"ehna/internal/eval"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/vecmath"
@@ -19,8 +20,11 @@ import (
 // checkGraphInvariants asserts the structural contract every mutation
 // must leave behind, at every layer: degree within the cap, no
 // self-link, no duplicate, every link inside the slot table, the entry
-// alive and on the top layer, and slotOf a bijection onto the alive
-// slots.
+// alive and on the top layer, slotOf a bijection onto the alive slots,
+// the free list exactly the dead slots and upper exactly the live ones
+// above layer 0. Above layer 0 every link leads to a live node on the
+// layer; on layer 0 a one-way link no repair rewrote may still name a
+// tombstone.
 func checkGraphInvariants(t *testing.T, h *HNSW) {
 	t.Helper()
 	h.mu.RLock()
@@ -54,8 +58,8 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 					t.Fatalf("slot %d layer %d: self-link", s, layer)
 				case seen[nb]:
 					t.Fatalf("slot %d layer %d: duplicate link %d", s, layer, nb)
-				case h.nodes[nb].alive && len(h.nodes[nb].links) <= layer:
-					t.Fatalf("slot %d layer %d: link %d does not occupy the layer", s, layer, nb)
+				case layer > 0 && !h.occupies(nb, layer):
+					t.Fatalf("slot %d layer %d: link %d is dead or does not occupy the layer", s, layer, nb)
 				}
 				seen[nb] = true
 			}
@@ -63,6 +67,30 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 	}
 	if alive != h.alive || alive != len(h.slotOf) {
 		t.Fatalf("%d alive slots, h.alive %d, %d slotOf entries", alive, h.alive, len(h.slotOf))
+	}
+	freed := make(map[uint32]bool, len(h.free))
+	for _, s := range h.free {
+		if h.nodes[s].alive || freed[s] {
+			t.Fatalf("free list holds slot %d twice or alive", s)
+		}
+		freed[s] = true
+	}
+	if len(freed) != len(h.nodes)-alive {
+		t.Fatalf("%d slots on the free list, %d dead", len(freed), len(h.nodes)-alive)
+	}
+	upper := 0
+	for _, s := range h.upper {
+		if !h.occupies(s, 1) {
+			t.Fatalf("upper holds slot %d, not a live node above layer 0", s)
+		}
+	}
+	for s := range h.nodes {
+		if h.occupies(uint32(s), 1) {
+			upper++
+		}
+	}
+	if upper != len(h.upper) {
+		t.Fatalf("upper holds %d slots, %d live nodes sit above layer 0", len(h.upper), upper)
 	}
 	if alive == 0 {
 		if h.entry != -1 || h.maxLevel != -1 {
@@ -75,13 +103,19 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 	}
 }
 
-// TestHNSWOverwriteChurn is the gate on cheap overwrites: after every
-// stored id has been overwritten three times over with fresh random
-// vectors (the write_mixed shape: 5000×64 sq8 searched at ef 192), the
-// bounded detach repair must have left a graph that is structurally
-// sound and as good as one freshly built over the same final store.
-// Recall is against the float64 ranking of the final vectors, so both
-// graphs' numbers include what sq8 loses (~0.006 at this shape).
+// TestHNSWOverwriteChurn is the gate on cheap overwrites and slot
+// reuse: every stored id is overwritten three times over with fresh
+// random vectors (the write_mixed shape: 5000×64 sq8 searched at ef
+// 192), then a fifth of the ids are deleted and as many new ids added.
+// Each insert takes over a freed slot, so the graph never holds more
+// slots than its peak live count, and the bounded detach repair must
+// leave a graph that is structurally sound and as good as one freshly
+// built over the same final store. Recall is against the float64
+// ranking of the final vectors, so both graphs' numbers include what
+// sq8 loses (~0.006 at this shape). Before every tenth reuse it counts
+// the links into the slot that no repair will rewrite (stranded
+// in-links): those on layer 0 carry over to the slot's next occupant,
+// those above it are cut at the detach.
 func TestHNSWOverwriteChurn(t *testing.T) {
 	n, nq := 5000, 1000
 	if raceEnabled || testing.Short() {
@@ -93,28 +127,108 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 	cfg.EfSearch = 192
 	h := mustHNSW(t, store, cfg)
 	rng := rand.New(rand.NewSource(51))
-	final := sourceMatrix(n, dim) // row i: the last vector written for node i
-	for i := 0; i < 3*n; i++ {
-		id := rng.Intn(n)
-		if err := h.Add(graph.NodeID(id), randVec(rng, final.Row(id))); err != nil {
+	deletes := n / 5
+	final := sourceMatrix(n+deletes, dim) // row i: the last vector written for node i
+	var reuses, sampled, stranded, strandedUpper int
+	add := func(id graph.NodeID) {
+		t.Helper()
+		h.mu.RLock()
+		slot, ok := h.slotOf[id]
+		if !ok && len(h.free) > 0 {
+			slot, ok = h.free[len(h.free)-1], true
+		}
+		if ok && reuses%10 == 0 {
+			all, upper := strandedInLinks(h, slot)
+			sampled, stranded, strandedUpper = sampled+1, stranded+all, strandedUpper+upper
+		}
+		if ok {
+			reuses++
+		}
+		h.mu.RUnlock()
+		if err := h.Add(id, randVec(rng, final.Row(int(id)))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 3*n; i++ {
+		add(graph.NodeID(rng.Intn(n)))
+	}
 	checkGraphInvariants(t, h)
-	if alive, tombs, _ := h.Stats(); alive != n || store.Len() != n || tombs == 0 {
-		t.Fatalf("after churn: %d alive, %d in store, %d tombstones; want %d, %d, > 0", alive, store.Len(), tombs, n, n)
+	if alive, tombs, _ := h.Stats(); alive != n || store.Len() != n || tombs != 0 || len(h.nodes) != n {
+		t.Fatalf("after overwrite churn: %d alive, %d in store, %d tombstones, %d slots; want %d, %d, 0, %d",
+			alive, store.Len(), tombs, len(h.nodes), n, n, n)
 	}
 
+	live := make([]graph.NodeID, 0, n)
+	for i, id := range rng.Perm(n) {
+		if i < deletes {
+			if !h.Remove(graph.NodeID(id)) {
+				t.Fatalf("Remove(%d) = false", id)
+			}
+		} else {
+			live = append(live, graph.NodeID(id))
+		}
+	}
+	for id := n; id < n+deletes; id++ {
+		add(graph.NodeID(id))
+		live = append(live, graph.NodeID(id))
+	}
+	checkGraphInvariants(t, h)
+	if alive, tombs, _ := h.Stats(); alive != n || store.Len() != n || tombs != 0 || len(h.nodes) > n {
+		t.Fatalf("after deletes and adds: %d alive, %d in store, %d tombstones, %d slots; want %d, %d, 0, at most the peak live count %d",
+			alive, store.Len(), tombs, len(h.nodes), n, n, n)
+	}
+	t.Logf("%d slot reuses; %d sampled met %d stranded in-links (%.2f per reuse), %d of them above layer 0",
+		reuses, sampled, stranded, float64(stranded)/float64(sampled), strandedUpper)
+
 	queries := tensor.Randn(nq, dim, 1, rng)
-	churned := recallVsExact(t, final, h, queries, nq, k)
-	fresh := recallVsExact(t, final, mustHNSW(t, store, cfg), queries, nq, k)
-	t.Logf("recall@%d over %d queries after %d overwrites of %d nodes: %.4f (fresh build %.4f)", k, nq, 3*n, n, churned, fresh)
+	recall := func(idx Index) float64 {
+		var approx, truth [][]graph.NodeID
+		for qi := 0; qi < nq; qi++ {
+			q := queries.Row(qi)
+			got, err := idx.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			approx = append(approx, ids(got))
+			truth = append(truth, ids(bruteTopK(live, func(i int) []float64 { return final.Row(int(live[i])) }, q, k, cfg.Metric)))
+		}
+		r, err := eval.MeanRecallAtK(approx, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	churned, fresh := recall(h), recall(mustHNSW(t, store, cfg))
+	t.Logf("recall@%d over %d queries after %d overwrites of %d nodes, %d deletes and %d adds: %.4f (fresh build %.4f)",
+		k, nq, 3*n, n, deletes, deletes, churned, fresh)
 	if churned < 0.985 {
-		t.Errorf("recall@%d after overwrite churn = %.4f < 0.985", k, churned)
+		t.Errorf("recall@%d after churn = %.4f < 0.985", k, churned)
 	}
 	if churned < fresh-0.005 {
-		t.Errorf("recall@%d after overwrite churn = %.4f, more than 0.005 under a fresh build's %.4f", k, churned, fresh)
+		t.Errorf("recall@%d after churn = %.4f, more than 0.005 under a fresh build's %.4f", k, churned, fresh)
 	}
+}
+
+// strandedInLinks counts the links to slot that its detach will leave
+// behind — every link to it from a list it does not link back to, which
+// repair never rewrites — and how many of them sit above layer 0.
+// Caller holds h.mu.
+func strandedInLinks(h *HNSW, slot uint32) (all, upper int) {
+	own := h.nodes[slot].links
+	for u := range h.nodes {
+		if u == int(slot) || !h.nodes[u].alive {
+			continue
+		}
+		for layer, l := range h.nodes[u].links {
+			if slices.Contains(l, slot) && (layer >= len(own) || !slices.Contains(own[layer], uint32(u))) {
+				all++
+				if layer > 0 {
+					upper++
+				}
+			}
+		}
+	}
+	return all, upper
 }
 
 // TestDetachDropsDeadLinks: a link to a node that did not link back
@@ -600,10 +714,84 @@ func TestWiringKeepsEarlierBackLinks(t *testing.T) {
 	if !slices.Contains(sa.selected[0], b) {
 		t.Fatalf("A's sweep did not select its unwired twin B: %v", sa.selected[0])
 	}
-	h.wireLocked(sa, a, la, topA)
-	h.wireLocked(sb, b, lb, topB)
+	h.wireLocked(sa, a, h.gen[a], la, topA)
+	h.wireLocked(sb, b, h.gen[b], lb, topB)
 	if !slices.Contains(h.nodes[b].links[0], a) {
 		t.Fatalf("B's wiring dropped the back-link A's gave it: A → B is one-way (B links %v)", h.nodes[b].links[0])
+	}
+}
+
+// TestWireSkipsReusedSlot replays the interleaving the generation
+// check in wireLocked exists for. X is placed above layer 0 and
+// discovers its links; a Remove frees X's slot; an Add places another
+// id — or X again — into that slot at a lower level; then X's stale
+// wiring runs. It must write nothing: not X's selection into the new
+// occupant's lists (too short for it), nor a back-link to the slot.
+func TestWireSkipsReusedSlot(t *testing.T) {
+	const n, dim = 300, 16
+	for _, again := range []bool{false, true} {
+		h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), DefaultHNSWConfig())
+		rng := rand.New(rand.NewSource(91))
+		sx, so := new(hnswScratch), new(hnswScratch)
+		x, occupant := graph.NodeID(n), graph.NodeID(n+1)
+		if again {
+			occupant = x
+		}
+		h.mu.Lock()
+		// Phase 1: place X until it draws a level above 0 (each retry
+		// overwrites X into the slot its previous draw just freed), then
+		// discover its links.
+		vec := randVec(rng, make([]float64, dim))
+		var slot uint32
+		var level int
+		for level == 0 {
+			var err error
+			if slot, level, err = h.placeLocked(x, vec, sx, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen := h.gen[slot]
+		top := h.discoverLocked(sx, slot, level, vec, false)
+		if top < 1 {
+			t.Fatalf("X discovered links up to layer %d only: nothing above the occupant's layers to overrun", top)
+		}
+		// Phase 2: a Remove of X frees the slot.
+		h.detachLocked(slot, sx)
+		// Phase 3: the occupant takes the slot over, below X's level.
+		for occLevel := level; occLevel >= level; {
+			s, l, err := h.placeLocked(occupant, randVec(rng, make([]float64, dim)), so, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s != slot {
+				t.Fatalf("the occupant took slot %d, not the freed slot %d", s, slot)
+			}
+			occLevel = l
+		}
+		before := make([][][]uint32, len(h.nodes))
+		for s := range h.nodes {
+			for _, l := range h.nodes[s].links {
+				before[s] = append(before[s], slices.Clone(l))
+			}
+		}
+		// Phase 4: X's stale wiring.
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("again=%v: X's stale wiring panicked: %v", again, r)
+				}
+			}()
+			h.wireLocked(sx, slot, gen, level, top)
+		}()
+		for s := range h.nodes {
+			for layer, l := range h.nodes[s].links {
+				if !slices.Equal(l, before[s][layer]) {
+					t.Fatalf("again=%v: X's stale wiring rewrote slot %d layer %d: %v, was %v", again, s, layer, l, before[s][layer])
+				}
+			}
+		}
+		h.mu.Unlock()
+		checkGraphInvariants(t, h)
 	}
 }
 

@@ -2,8 +2,9 @@
 # soak.sh — the adversarial durability harness, runnable locally:
 #
 #   1. churn soak under the race detector: concurrent upserts, deletes
-#      and searches while background compaction swaps the HNSW index
-#      (recall gate 0.9, zero-alloc check after the swap)
+#      and searches on one HNSW graph whose inserts reuse freed slots
+#      (recall gate 0.9, slot count <= peak live count, zero-alloc check
+#      after the churn), plus the overwrite/delete slot-reuse gate
 #   2. crash/replay: a real daemon process SIGKILLed mid-write-stream
 #      with a torn WAL tail injected, recovered and diffed against the
 #      acknowledged-prefix reference — run under -race as well
@@ -16,8 +17,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== churn soak + index swap (race) =="
-go test -race -run 'TestChurnSoakCompaction|TestCompact' -count=1 -v ./internal/ann/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
+echo "== churn soak + slot reuse (race) =="
+go test -race -run 'TestChurnSoak|TestHNSWOverwriteChurn' -count=1 -v ./internal/ann/ | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
 
 echo "== crash recovery + wal properties (race) =="
 go test -race -count=1 ./internal/wal/ ./cmd/ehnad/
