@@ -168,9 +168,9 @@ func TestReplicateDivergedLeavesLogWritable(t *testing.T) {
 	if err := srv.dur.replicate(gap); !errors.Is(err, wal.ErrDiverged) {
 		t.Fatalf("replicate across a gap: err = %v, want wal.ErrDiverged", err)
 	}
-	if srv.dur.isReadOnly() || srv.store.Len() != 0 {
+	if !srv.dur.node.load().writable() || srv.store.Len() != 0 {
 		t.Fatalf("diverged batch: read-only %v, %d nodes applied; want a writable, untouched daemon",
-			srv.dur.isReadOnly(), srv.store.Len())
+			!srv.dur.node.load().writable(), srv.store.Len())
 	}
 	next := []wal.Record{{Seq: srv.dur.applied() + 1, Op: wal.OpUpsert, ID: id, Vec: v}}
 	if err := srv.dur.replicate(next); err != nil || srv.dur.applied() != 1 || srv.store.Len() != 1 {

@@ -26,18 +26,6 @@
 // Boot: load the snapshot pair (graph invalid/stale → rebuild), then
 // replay the WAL suffix (seq > W) through the applier. Records that bled
 // into the snapshot past W replay harmlessly (last-writer-wins).
-//
-// Read-only degraded mode: the first append or fsync failure poisons
-// the log (wal's sticky syncErr), so instead of acknowledging writes
-// it cannot persist the daemon flips readOnly and refuses mutations at
-// the front door with errReadOnly (503 at the HTTP layer, with
-// Retry-After). Searches keep serving throughout. A background heal
-// loop periodically reopens the log directory (repairing any torn tail
-// the failure left), probes it with a real fsync, and — only after a
-// successful reconciliation snapshot of the in-memory state — resumes
-// writes. The gate sitting in front of append keeps the ambiguity
-// window minimal: only operations already in flight when the fault hit
-// can end up applied-but-unacknowledged.
 package main
 
 import (
@@ -63,16 +51,13 @@ import (
 // while the daemon is read-only.
 const healCheckEvery = time.Second
 
-// errReadOnly is returned to mutations while the daemon is in
-// read-only degraded mode. The HTTP layer maps it to 503.
-var errReadOnly = errors.New("read-only mode: WAL persistence failed; writes disabled until the log heals")
-
 type durable struct {
 	mu   sync.Mutex              // the applier lock; see the package comment
 	logp atomic.Pointer[wal.Log] // nil without -wal, and until openLog has replayed
 
 	index ann.Index
 	store *embstore.Store
+	node  node // role and phase (state.go); apply's admission check reads it
 
 	walDir    string
 	walOpts   wal.Options
@@ -94,11 +79,8 @@ type durable struct {
 	snapshotErrs    atomic.Int64
 	lastSnapshotErr atomic.Value // string
 
-	readOnly      atomic.Bool
-	readOnlyCause atomic.Value // string
-	readOnlySince atomic.Int64 // unix seconds
-	healAttempts  atomic.Int64
-	heals         atomic.Int64
+	healAttempts atomic.Int64
+	heals        atomic.Int64
 }
 
 // wal returns the live log, nil when the daemon keeps none. An atomic
@@ -136,6 +118,11 @@ func newDurable(cfg serverConfig, store *embstore.Store, index ann.Index) *durab
 	if cfg.index.kind == "hnsw" {
 		d.graphPath = cfg.index.graphPath
 	}
+	r := roleLeader
+	if cfg.follow != "" {
+		r = roleFollower
+	}
+	d.node.boot(r)
 	return d
 }
 
@@ -179,21 +166,6 @@ func (d *durable) openLog(cfg serverConfig, watermark uint64) error {
 	return nil
 }
 
-// enterReadOnly flips the daemon into read-only degraded mode on the
-// first persistence failure. Idempotent; later failures keep the
-// original cause.
-func (d *durable) enterReadOnly(cause error) {
-	if !d.readOnly.CompareAndSwap(false, true) {
-		return
-	}
-	d.readOnlyCause.Store(cause.Error())
-	d.readOnlySince.Store(time.Now().Unix())
-	log.Printf("ehnad: entering read-only mode: %v (searches keep serving; writes refuse with 503 until the WAL heals)", cause)
-}
-
-// isReadOnly reports whether mutations are currently refused.
-func (d *durable) isReadOnly() bool { return d.readOnly.Load() }
-
 // heal tries to exit read-only mode: close the poisoned log, reopen
 // the directory (wal.Open truncates any torn tail the failed writes
 // left), probe the fresh log with a real fsync, and rotate a
@@ -230,8 +202,7 @@ func (d *durable) heal() {
 		return
 	}
 	d.heals.Add(1)
-	d.readOnly.Store(false)
-	log.Printf("ehnad: wal healed after %d attempts; leaving read-only mode", d.healAttempts.Load())
+	d.node.healed(d.healAttempts.Load())
 }
 
 // apply is the write path: log the records, then apply them,
@@ -241,7 +212,7 @@ func (d *durable) heal() {
 // Append+apply run under d.mu (preserving the watermark invariant); the
 // durability wait happens after the lock drops, so concurrent requests
 // group-commit behind one fsync instead of each paying a serialized
-// sync. The read-only gate sits in front of the append so a poisoned
+// sync. The phase check sits in front of the append so a poisoned
 // log refuses work before mutating anything.
 //
 // appendTo is how the records enter the log: (*wal.Log).AppendBuffered
@@ -249,14 +220,14 @@ func (d *durable) heal() {
 // them and refuses a batch that diverges (wal.ErrDiverged) before
 // writing a byte — a protocol disagreement, not a persistence failure,
 // so it leaves the log healthy and writable. Any other failure with a
-// log flips the daemon read-only.
+// log is a fault: the daemon turns read-only.
 //
 // It returns how many deletes found their id, and the last WAL sequence
 // the batch was logged at (0 without a log) — the ack token a client
 // (or the shard router) can compare against a new leader's promotion
 // watermark after a failover.
 func (d *durable) apply(recs []wal.Record, appendTo func(*wal.Log, []wal.Record) (uint64, error)) (removed int, last uint64, err error) {
-	if d.readOnly.Load() {
+	if !d.node.load().writable() {
 		return 0, 0, errReadOnly
 	}
 	d.mu.Lock()
@@ -283,7 +254,7 @@ func (d *durable) apply(recs []wal.Record, appendTo func(*wal.Log, []wal.Record)
 	}
 	if err != nil {
 		if !errors.Is(err, wal.ErrDiverged) {
-			d.enterReadOnly(err)
+			d.node.fault(err)
 		}
 		return removed, 0, err
 	}
@@ -425,14 +396,14 @@ func (d *durable) run() {
 	for {
 		select {
 		case <-snapC:
-			if d.readOnly.Load() {
+			if !d.node.load().writable() {
 				continue // rotation needs a working log; heal goes first
 			}
 			if _, err := d.snapshot(); err != nil {
 				log.Printf("ehnad: background snapshot: %v", err)
 			}
 		case <-healT.C:
-			if d.readOnly.Load() {
+			if !d.node.load().writable() {
 				d.heal()
 			}
 		case <-d.stop:
@@ -443,17 +414,16 @@ func (d *durable) run() {
 
 // close stops the maintenance loop and closes the log (flushing and
 // fsyncing whatever the policy had not yet synced); without a log there
-// is neither. The graceful exit asks for a final snapshot pair first,
-// so the next boot replays zero records; the fast path skips it and the
-// next boot replays the WAL suffix. Read-only skips it too — a poisoned
-// log cannot rotate, and the suffix already on disk is the recovery.
+// is neither. A final snapshot pair, when asked for, lets the next boot
+// replay zero records. A log poisoned after the drain refuses that
+// rotation, and the WAL suffix already on disk is the recovery.
 func (d *durable) close(finalSnapshot bool) {
 	if !d.hasLog() {
 		return
 	}
 	close(d.stop)
 	<-d.done
-	if finalSnapshot && !d.readOnly.Load() {
+	if finalSnapshot {
 		if _, err := d.snapshot(); err != nil {
 			log.Printf("ehnad: final snapshot: %v (boot will replay the wal instead)", err)
 		}
@@ -490,11 +460,9 @@ func (d *durable) healthz(m *serverMetrics) map[string]any {
 		"heal_attempts": int64(g("ehnad_wal_heal_attempts")),
 		"heals":         int64(g("ehnad_wal_heals")),
 	}
-	if d.readOnly.Load() {
+	if st := d.node.load(); !st.writable() {
 		ro["since_unix"] = int64(g("ehnad_read_only_since_unix"))
-		if msg, ok := d.readOnlyCause.Load().(string); ok {
-			ro["cause"] = msg
-		}
+		ro["cause"] = st.cause
 	}
 	out["write_path"] = ro
 	if msg, ok := d.lastSnapshotErr.Load().(string); ok {

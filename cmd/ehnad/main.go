@@ -189,22 +189,20 @@ func main() {
 // runDaemon serves srv on ln until SIGTERM/SIGINT, then exits
 // gracefully: stop accepting and drain in-flight HTTP (readiness flips
 // not-ready first, so balancers stop routing), drain the micro-batcher,
-// fsync the WAL, and rotate a final snapshot pair — a clean exit
-// replays zero records on the next boot. Shared with the crash-test
-// helper process so the signal path under test is the production one.
+// fsync the WAL, and rotate a final snapshot pair if the node was
+// serving, so the next boot replays zero records. Shared with the
+// crash-test helper so the signal path under test is the production one.
 func runDaemon(srv *server, ln net.Listener) error {
 	httpSrv := &http.Server{Handler: srv.handler()}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		<-sig
-		log.Print("ehnad: shutting down: draining requests, flushing WAL, rotating final snapshot")
-		srv.draining.Store(true)
+		left := srv.dur.node.drain("signal: " + (<-sig).String())
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = httpSrv.Shutdown(ctx)
-		srv.shutdown()
+		srv.teardown(left == phaseServing)
 		close(done)
 	}()
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -237,7 +235,6 @@ type serverConfig struct {
 	// keep existing tests and embedders behaving as before).
 	defaultDeadline time.Duration // per-request budget when the client sends none (0 = none)
 	maxInflight     int           // concurrent /v1/neighbors cap (0 = unlimited)
-	queueDepth      int           // batcher admission queue capacity (0 = 4×maxBatch; only tests set another)
 	efFloor         int           // lowest ef-search the degrader may shrink to (0 = off)
 	fs              faultfs.FS    // nil = the real filesystem
 
@@ -314,7 +311,6 @@ func buildServer(cfg serverConfig) (*server, error) {
 		if cfg.follow != "" {
 			srv.repl = newReplica(cfg.follow, srv.dur)
 			srv.repl.registerMetrics(srv.metrics.reg)
-			srv.repl.start()
 		}
 	}
 	boot := time.Since(bootStart)

@@ -119,12 +119,7 @@ func newServerMetrics(s *server) *serverMetrics {
 	r.GaugeFunc("ehnad_ef_search_current", "ef-search the degrader currently applies (0 = degrader inactive).",
 		func() float64 { return float64(s.batch.deg.efNow()) })
 	r.GaugeFunc("ehnad_degraded", "1 while searches run below the configured ef-search beam.",
-		func() float64 {
-			if s.batch.deg.degradedNow() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return one(s.batch.deg.degradedNow()) })
 
 	// Graph gauges report zero when the index is not HNSW.
 	h, _ := s.index.(*ann.HNSW)
@@ -187,19 +182,9 @@ func (d *durable) registerMetrics(r *obs.Registry) {
 	d.reg = r // heal() re-registers the WAL gauges against the fresh log
 	d.wal().RegisterMetrics(r)
 	r.GaugeFunc("ehnad_read_only", "1 while the daemon is in read-only degraded mode (WAL unavailable).",
-		func() float64 {
-			if d.readOnly.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return one(!d.node.load().writable()) })
 	r.GaugeFunc("ehnad_read_only_since_unix", "Unix time read-only mode was entered (0 = writable).",
-		func() float64 {
-			if !d.readOnly.Load() {
-				return 0
-			}
-			return float64(d.readOnlySince.Load())
-		})
+		func() float64 { return float64(d.node.load().since) })
 	r.GaugeFunc("ehnad_wal_heal_attempts", "WAL reopen-and-probe attempts made while read-only.",
 		func() float64 { return float64(d.healAttempts.Load()) })
 	r.GaugeFunc("ehnad_wal_heals", "Successful WAL heals (read-only mode exits) since boot.",
@@ -217,10 +202,13 @@ func (d *durable) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("ehnad_replayed_records", "WAL records replayed at boot.",
 		func() float64 { return float64(d.replayed) })
 	r.GaugeFunc("ehnad_replay_torn_tail", "1 when boot replay truncated a torn WAL tail.",
-		func() float64 {
-			if d.replayTorn {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return one(d.replayTorn) })
+}
+
+// one is a gauge's reading of a condition: 1 when it holds.
+func one(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -266,5 +267,56 @@ func TestMetricsWithWAL(t *testing.T) {
 	}
 	if got := uint64(metricValue(t, body, "ehnad_snapshot_watermark")); got != hz.Durability.Snapshot.Watermark {
 		t.Errorf("watermark: metrics %d, healthz %d", got, hz.Durability.Snapshot.Watermark)
+	}
+}
+
+// TestMetricsCatalogMatchesREADME keeps README's metrics catalog
+// honest: every series its table names, label sets aside, is one a
+// -wal daemon's /metrics emits.
+func TestMetricsCatalogMatchesREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, ok := strings.Cut(string(readme), "**Metrics catalog**")
+	if !ok {
+		t.Fatal("README has no **Metrics catalog** table")
+	}
+	var names []string
+	for _, line := range strings.Split(catalog, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if len(names) > 0 {
+				break // the table has ended
+			}
+			continue
+		}
+		series := strings.Split(line, "|")[1]
+		for i, tok := range strings.Split(series, "`") {
+			if i%2 == 1 {
+				name, _, _ := strings.Cut(tok, "{")
+				names = append(names, name)
+			}
+		}
+	}
+	if len(names) < 20 {
+		t.Fatalf("found %d series in README's catalog: %q", len(names), names)
+	}
+
+	srv, err := buildServer(crashTestConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(func() { ts.Close(); srv.close() })
+	vec := make([]float64, crashDim)
+	vec[0] = 1
+	if code, _ := postJSON(t, ts.URL+"/v1/upsert", map[string]any{"id": 1, "vector": vec}, nil); code != http.StatusOK {
+		t.Fatalf("upsert status %d", code)
+	}
+	body := scrapeMetrics(t, ts.URL)
+	for _, name := range names {
+		if !strings.Contains(body, "\n# TYPE "+name+" ") {
+			t.Errorf("README's metrics catalog names %s, which /metrics does not emit", name)
+		}
 	}
 }

@@ -461,7 +461,7 @@ func TestReadyzDraining(t *testing.T) {
 		t.Fatalf("fresh server /readyz = %d, want 200", resp.StatusCode)
 	}
 
-	srv.draining.Store(true)
+	srv.dur.node.drain("test")
 	var out struct {
 		Ready   bool     `json:"ready"`
 		Reasons []string `json:"reasons"`
@@ -537,7 +537,7 @@ func TestReadOnlyModeE2E(t *testing.T) {
 	if !broke {
 		t.Fatal("injected fsync failures never surfaced as 503")
 	}
-	if !srv.dur.isReadOnly() {
+	if srv.dur.node.load().writable() {
 		t.Fatal("daemon not in read-only mode after WAL failure")
 	}
 
@@ -590,7 +590,7 @@ func TestReadOnlyModeE2E(t *testing.T) {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	if srv.dur.isReadOnly() {
+	if !srv.dur.node.load().writable() {
 		t.Error("daemon still flagged read-only after a successful write")
 	}
 	resp, err = http.Get(ts.URL + "/readyz")

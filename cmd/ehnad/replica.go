@@ -28,8 +28,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ehna/internal/cluster"
@@ -45,22 +43,19 @@ import (
 // reconnect loop.
 const replStreamPollWait = 900 * time.Millisecond
 
-// replica is a daemon's follower-mode state: the upstream leader, the
-// stream client, and the role flip promotion performs.
+// replica tails a leader: the upstream URL and the stream client.
 type replica struct {
-	leader   string
-	dur      *durable
-	follower atomic.Bool
-	client   *cluster.ReplClient
-
-	mu     sync.Mutex // serializes start/stop/promote
+	leader string
+	dur    *durable
+	client *cluster.ReplClient
 	cancel context.CancelFunc
-	done   chan struct{}
+	done   chan struct{} // closed once the client has returned
 }
 
+// newReplica starts tailing the leader.
 func newReplica(leader string, d *durable) *replica {
-	rp := &replica{leader: leader, dur: d}
-	rp.follower.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	rp := &replica{leader: leader, dur: d, cancel: cancel, done: make(chan struct{})}
 	rp.client = &cluster.ReplClient{
 		Leader:  leader,
 		Apply:   d.replicate,
@@ -74,50 +69,19 @@ func newReplica(leader string, d *durable) *replica {
 		},
 		Logf: log.Printf,
 	}
+	go func() {
+		rp.client.Run(ctx)
+		close(rp.done)
+	}()
+	log.Printf("ehnad: following %s (replication stream)", leader)
 	return rp
 }
 
-// start begins tailing the leader.
-func (rp *replica) start() {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if rp.cancel != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rp.cancel = cancel
-	done := make(chan struct{})
-	rp.done = done
-	go func() {
-		rp.client.Run(ctx)
-		close(done)
-	}()
-	log.Printf("ehnad: following %s (replication stream)", rp.leader)
-}
-
 // stop halts the stream client and waits for its last apply to finish.
-// Idempotent.
+// Idempotent, and safe from several goroutines at once.
 func (rp *replica) stop() {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if rp.cancel == nil {
-		return
-	}
 	rp.cancel()
 	<-rp.done
-	rp.cancel, rp.done = nil, nil
-}
-
-// promote leaves follower mode and returns the applied watermark the
-// daemon starts accepting writes from: every acked write with seq ≤ it
-// survived the failover; anything later on the dead leader was never
-// replicated here and must be re-driven. Idempotent.
-func (rp *replica) promote() uint64 {
-	rp.stop()
-	if rp.follower.Swap(false) {
-		log.Printf("ehnad: promoted to leader at applied seq %d (was following %s)", rp.dur.applied(), rp.leader)
-	}
-	return rp.dur.applied()
 }
 
 // registerMetrics adds the follower-side replication gauges to the
@@ -125,12 +89,7 @@ func (rp *replica) promote() uint64 {
 // are the daemon's ground truth).
 func (rp *replica) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("ehnad_is_follower", "1 while this daemon is tailing a leader instead of owning writes.",
-		func() float64 {
-			if rp.follower.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return one(rp.dur.node.load().role == roleFollower) })
 	r.GaugeFunc("ehnad_repl_applied_seq", "Highest leader sequence applied locally.",
 		func() float64 { return float64(rp.dur.applied()) })
 	r.GaugeFunc("ehnad_repl_leader_seq", "Leader durable watermark as of the last stream round.",
@@ -143,24 +102,6 @@ func (rp *replica) registerMetrics(r *obs.Registry) {
 			}
 			return float64(leader - applied)
 		})
-}
-
-// isFollower reports whether the daemon currently refuses writes in
-// favor of its upstream leader.
-func (s *server) isFollower() bool {
-	return s.repl != nil && s.repl.follower.Load()
-}
-
-// refuseIfFollower answers mutations with the overload contract's 503 +
-// Retry-After while in follower mode — the shard router reacts by
-// re-probing and redirecting to the actual leader.
-func (s *server) refuseIfFollower(w http.ResponseWriter) bool {
-	if !s.isFollower() {
-		return false
-	}
-	w.Header().Set("Retry-After", "1")
-	cluster.WriteError(w, http.StatusServiceUnavailable, "follower of %s: writes go to the shard leader", s.repl.leader)
-	return true
 }
 
 // bootstrapFollower seeds an empty follower WAL directory from the
@@ -280,9 +221,9 @@ func (s *server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 // loop probes to elect leaders and measure lag. Always 200: a daemon
 // without -wal is a zero-watermark leader.
 func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	st := cluster.ReplStatus{Role: "leader"}
-	if s.isFollower() {
-		st.Role = "follower"
+	role := s.dur.node.load().role
+	st := cluster.ReplStatus{Role: role.String()}
+	if role == roleFollower {
 		st.Leader = s.repl.leader
 	}
 	if lg := s.dur.wal(); lg != nil {
@@ -301,7 +242,8 @@ func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.repl != nil {
-		s.repl.promote()
+		s.repl.stop()
+		s.dur.node.promote(fmt.Sprintf("promoted at applied seq %d, was following %s", s.dur.applied(), s.repl.leader))
 	}
 	cluster.WriteJSON(w, http.StatusOK, cluster.PromoteAck{Applied: s.dur.applied(), Role: "leader"})
 }

@@ -42,7 +42,6 @@ type server struct {
 	defaultDeadline time.Duration
 	inflight        chan struct{} // nil = unlimited; else a semaphore
 	exports         atomic.Int64  // names concurrent /v1/export spool files apart
-	draining        atomic.Bool   // set when shutdown starts; /readyz flips not-ready
 	closeOnce       sync.Once
 }
 
@@ -62,10 +61,7 @@ func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server
 	if cfg.maxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.maxInflight)
 	}
-	queueDepth := cfg.queueDepth
-	if queueDepth <= 0 {
-		queueDepth = 4 * cfg.maxBatch
-	}
+	queueDepth := 4 * cfg.maxBatch
 	var deg *degrader
 	if h, ok := index.(*ann.HNSW); ok && cfg.efFloor > 0 {
 		deg = newDegrader(h, h.Config().EfSearch, cfg.efFloor, queueDepth)
@@ -76,17 +72,11 @@ func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server
 }
 
 // close tears the server down without a final snapshot (the next boot
-// replays the WAL suffix). Idempotent, and shared with shutdown.
+// replays the WAL suffix). Idempotent.
 func (s *server) close() { s.teardown(false) }
 
-// shutdown is the graceful path: mark not-ready, drain the batcher,
-// and rotate a final snapshot pair so the next boot replays nothing.
-// Safe to race with close (whichever runs first wins the Once).
-func (s *server) shutdown() {
-	s.draining.Store(true)
-	s.teardown(true)
-}
-
+// teardown stops the replica, the batcher and the log, rotating a final
+// snapshot pair first when asked. The first call wins.
 func (s *server) teardown(finalSnapshot bool) {
 	s.closeOnce.Do(func() {
 		if s.repl != nil {
@@ -450,7 +440,8 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.refuseIfFollower(w) {
+	if s.dur.node.load().role == roleFollower {
+		s.writeApplyError(w, errFollower)
 		return
 	}
 	var req cluster.UpsertRequest
@@ -488,7 +479,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.refuseIfFollower(w) {
+	if s.dur.node.load().role == roleFollower {
+		s.writeApplyError(w, errFollower)
 		return
 	}
 	var req cluster.DeleteRequest
@@ -509,18 +501,21 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, http.StatusOK, cluster.DeleteAck{Deleted: deleted, Seq: seq, Nodes: s.store.Len()})
 }
 
-// writeApplyError maps a failed mutation onto the overload contract.
-// Bad input was refused before the applier ran, so the failure is the
-// daemon's: 503 + Retry-After whenever it is in (or just entered)
-// read-only mode — the write was refused or unacknowledged and will
-// succeed after the WAL heals — 500 for anything else.
+// writeApplyError maps a refused or failed write onto the overload
+// contract: 503 + Retry-After from a follower (naming the leader the
+// router should redirect to) and whenever the log is, or just turned,
+// read-only (the write will succeed after the WAL heals); else 500.
 func (s *server) writeApplyError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errReadOnly) || s.dur.isReadOnly() {
+	switch {
+	case errors.Is(err, errFollower):
+		w.Header().Set("Retry-After", "1")
+		cluster.WriteError(w, http.StatusServiceUnavailable, "follower of %s: %v", s.repl.leader, err)
+	case errors.Is(err, errReadOnly) || !s.dur.node.load().writable():
 		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(healCheckEvery)))
 		cluster.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	default:
+		cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
-	cluster.WriteError(w, http.StatusInternalServerError, "%v", err)
 }
 
 // handleExport streams a v3 embstore snapshot of the live store — the
@@ -687,12 +682,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out["durability"] = s.dur.healthz(s.metrics)
 	}
 	if s.repl != nil {
-		role := "leader"
-		if s.isFollower() {
-			role = "follower"
-		}
 		out["replication"] = map[string]any{
-			"role":        role,
+			"role":        s.dur.node.load().role.String(),
 			"leader":      s.repl.leader,
 			"applied_seq": s.dur.applied(),
 			"leader_seq":  s.repl.client.LeaderSeq(),
@@ -707,14 +698,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // unavailable. Load balancers should poll this;
 // orchestrators should restart on /healthz, not on /readyz.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	var reasons []string
-	if s.draining.Load() {
-		reasons = append(reasons, "draining: shutdown in progress")
-	}
-	if s.dur.isReadOnly() {
-		reasons = append(reasons, "read-only: WAL unavailable")
-	}
-	if len(reasons) > 0 {
+	if reasons := s.dur.node.load().notReady(); len(reasons) > 0 {
 		cluster.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
 		return
 	}
