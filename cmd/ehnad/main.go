@@ -20,6 +20,10 @@
 //	POST /v1/admin/promote   leave follower mode; returns the applied watermark
 //	POST /v1/admin/snapshot  (with -wal) rotate a snapshot now
 //	GET  /healthz            liveness + store/index/durability stats
+//	GET  /readyz             readiness: 503 with the reasons while draining
+//	                         or read-only (WAL unavailable), else 200
+//	GET  /metrics            Prometheus text exposition (server gauges, then
+//	                         the ann/wal histograms and runtime stats)
 //	GET  /debug/pprof/       (with -pprof) live CPU/heap/mutex profiling
 //
 // What it serves (openStore, one resolution order for every mode):

@@ -296,14 +296,17 @@ func (t *topK) push(r Result) {
 	}
 	// Sift r down from the root through a hole: each level moves the
 	// worse child up one store, and r is written once where it stops.
+	// Which child is worse is a coin flip the branch predictor loses
+	// about half the time, so it is picked without a branch on the
+	// scores (worseRight); only their rare exact tie branches, to the ID.
 	h, i := t.heap, 0
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			break
 		}
-		if c+1 < len(h) && worse(h[c+1], h[c]) {
-			c++
+		if c+1 < len(h) {
+			c += worseRight(h[c], h[c+1])
 		}
 		if !worse(h[c], r) {
 			break
@@ -312,6 +315,23 @@ func (t *topK) push(r Result) {
 		i = c
 	}
 	h[i] = r
+}
+
+// worseRight is 1 if r is worse than l (worse(r, l)) and 0 otherwise,
+// with the score compare as a flag set (SETcc) rather than a branch.
+func worseRight(l, r Result) int {
+	if l.Score == r.Score { // rare: an exact tie goes to the higher ID
+		return b2i(r.ID > l.ID)
+	}
+	return b2i(r.Score < l.Score)
+}
+
+// b2i is 1 for true, 0 for false; the compiler lowers it to SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // resultCmp orders results descending by score, ties ascending by ID

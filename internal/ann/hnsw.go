@@ -448,12 +448,14 @@ type hnswScratch struct {
 	selected [][]uint32 // per-layer chosen neighbor slots (insert)
 
 	// Insert sweep state (sweepPool): one lane per node discovering its
-	// layer-0 links, the lanes' codes widened for the four-lane kernel,
-	// and one block's code dots and row-side score factors (sized on a
-	// scratch's first sweep, so query scratches do not carry them).
+	// layer-0 links, the lanes' codes and score terms as the four-lane
+	// kernel takes them, and one block's code dots, survivors and
+	// row-side score factors (the factors sized on a scratch's first
+	// sweep, so query scratches do not carry them).
 	lanes   [scanGroup]sweepLane
-	qw      []int16
+	group   vecmath.Sym4Queries
 	acc     [scanGroup * scanBlockRows]int32
+	surv    [scanBlockRows]uint32
 	factors []float64
 
 	vbuf []float64 // insert-vector copies (Build)

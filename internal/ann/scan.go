@@ -5,9 +5,13 @@
 // beam is sublinear per query but shares nothing between queries; a
 // scan in groups of four loads each stored row once for all four (the
 // blocked scan of FAISS, Johnson, Douze & Jégou 2017).
-// vecmath.DotSQ8SymCodes4 scores a run of sq8 rows against four queries
-// at ~1.6 ns per (row, query) where a beam pays ~58 ns per row it
-// visits (heap traffic, random slab reads).
+// vecmath.Sym4Survivors scores a run of sq8 rows against four queries
+// and returns only the rows that can still enter some query's pool. A
+// whole 32-query scan of 5,000 dim-64 rows costs ~5.5 ns per (row,
+// query), kernel, survivors, pools and re-rank together
+// (BenchmarkExactSearchBatch32/sq8: ~27 µs a query on one CPU of a
+// 2-vCPU Xeon), where a beam pays ~58 ns per row it visits (heap
+// traffic, random slab reads).
 //
 // The scanner reads the store, which is the truth, never the graph's
 // mirror of it: embstore.Store.ScanShard hands it each shard's
@@ -17,7 +21,8 @@
 // task computes a block's row factors once and runs each of its groups
 // of four over the block while the block is in L1. On backends with the
 // SIMD symmetric kernel an sq8 scan is two-stage, as every sq8 search
-// is: the integer kernel fills a candidateK-wide pool per query, and
+// is: the integer kernel picks the rows that reach a query's floor,
+// only those are scored again and fill a candidateK-wide pool, and
 // the asymmetric full-precision-query kernel re-ranks the pools by id
 // through WithShard. Everywhere else (f32 stores, scalar backends) each
 // row is scored once at full query precision inside the same block
@@ -51,6 +56,7 @@ package ann
 import (
 	"context"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -61,7 +67,7 @@ import (
 )
 
 const (
-	// scanGroup is the kernel's query blocking: DotSQ8SymCodes4 scores
+	// scanGroup is the kernel's query blocking: Sym4Survivors scores
 	// four queries per row load. It is also the smallest batch HNSW
 	// hands the scanner — below it the kernel's lanes run padded.
 	scanGroup = 4
@@ -81,11 +87,13 @@ const (
 
 	// scanCrossover is c in the plan's inequality, slots ≤ c·ef·M. Set
 	// from BenchmarkScanCrossover (5k/20k/50k × ef 64/192 at dim 64, one
-	// CPU; the table is in README "Kernel backends"): per query the
-	// sweep costs ~14 µs + 3.7 µs per thousand slots, the beam is nearly
-	// flat, and they cross at ~16·ef·M slots at ef 64 and ~23·ef·M at ef
-	// 192. At 6 the sweep is still 1.75× and 2.4× ahead at its own
-	// threshold, margin for hosts whose caches hold less of the slab.
+	// CPU; the tables are in README "Kernel backends"): per query the
+	// sweep cost ~14 µs + 3.7 µs per thousand slots, the beam is nearly
+	// flat, and they crossed at ~16·ef·M slots at ef 64 and ~23·ef·M at
+	// ef 192. With the survivor kernel the sweep costs ~7 µs + 3.3 µs per
+	// thousand slots and crosses at ~30·ef·M at ef 64. At 6 the sweep is
+	// 2.6× and 3.8× ahead at its own threshold, margin for hosts whose
+	// caches hold less of the slab.
 	scanCrossover = 6
 
 	// insertCrossover is c in insertPlan's slots ≤ c·efConstruction·M.
@@ -127,9 +135,9 @@ type sweepLane struct {
 	limit int          // rows [0, limit) are candidates
 	pool  []scoredNode // sweepPool's answer
 	sel   []uint32     // sweepSelect's answer
-	// The pivot's side of the filter score and of its error bound
-	// (sq8Factors).
-	a, b, c, errA, errB float64
+	// The pivot's side of the filter's error bound (sq8Factors; its side
+	// of the filter score is in the kernel group's lane).
+	errA, errB float64
 	// The rows the filter passed; a min-heap of the width largest lower
 	// bounds on their exact scores; and the floor, the least of those
 	// once there are width of them (−Inf before): width distinct rows
@@ -226,37 +234,42 @@ func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
 // sweepPool leaves in each lane's pool the width best alive rows below
 // its limit other than its pivot, by pairScore against the pivot, in
 // scoredCmp order: descending score, ties to the lower slot. One
-// DotSQ8SymCodes4 pass over the slab serves all the lanes.
+// vecmath.Sym4Survivors pass over the slab serves all the lanes.
 //
 // No row is scored exactly until the sweep is over. Each row gets the
-// scanner's form of the score instead (blockScore: row factors hoisted
-// per block, pivot factors per lane), which lies within a margin of the exact
-// score (filterMargin), so the two bound it from below and above. The
-// width largest lower bounds so far bound the width-th best exact score
-// from below (the lane's floor), and a row whose upper bound is under
-// the floor cannot make the pool: the filter turns it away. The rows it
-// passes are kept with their code dots; at the end the ones still
-// above the final floor are scored with pairScore's own arithmetic and
-// ranked, so pools, ties and links are exactly what scoring every row
-// exactly would give. Caller holds h.mu.
+// scanner's form of the score instead (filterScore: row factors hoisted
+// per block, pivot factors per lane), which lies within a margin of the
+// exact score (filterMargin), so the two bound it from below and above.
+// The width largest lower bounds so far bound the width-th best exact
+// score from below (the lane's floor), and a row whose upper bound is
+// under the floor cannot make the pool: the filter turns it away. The
+// kernel applies the filter to a whole block against the floors as they
+// stood at its start, lowered by sweepFloor so that it never turns away
+// a row the filter keeps; the rows it returns take the filter again,
+// against the floor as it stands. The rows that pass are kept with
+// their code dots; at the end the ones still above the final floor are
+// scored with pairScore's own arithmetic and ranked, so pools, ties and
+// links are exactly what scoring every row exactly would give. Caller
+// holds h.mu.
 func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 	dim, end := h.dim, 0
 	cosine := h.cfg.Metric != DotProduct
-	sc.qw = resize(sc.qw, scanGroup*dim)
-	qw := sc.qw
+	g := &sc.group
 	sc.factors = resize(sc.factors, 3*scanBlockRows)
-	for j := range lanes { // unused kernel lanes keep stale codes; their sums are ignored
+	for j := range lanes { // unused kernel lanes keep stale codes and a +Inf floor
 		ln := &lanes[j]
 		ln.cands, ln.lows, ln.floor = ln.cands[:0], ln.lows[:0], math.Inf(-1)
 		sd := &h.side[ln.slot]
-		ln.a, ln.b, ln.c, ln.errA, ln.errB = sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
-		widenCodes(qw[j*dim:(j+1)*dim], h.codes[int(ln.slot)*dim:int(ln.slot+1)*dim])
+		g.A[j], g.B[j], g.C[j], ln.errA, ln.errB = sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
+		g.Set(j, h.codes[int(ln.slot)*dim:int(ln.slot+1)*dim])
 		end = max(end, ln.limit)
 	}
+	for j := len(lanes); j < scanGroup; j++ {
+		g.Floor[j] = math.Inf(1)
+	}
+	var margin [scanGroup]float64
 	for lo := 0; lo < end; lo += scanBlockRows {
 		hi := min(lo+scanBlockRows, end)
-		acc := sc.acc[:scanGroup*(hi-lo)]
-		vecmath.DotSQ8SymCodes4(acc, qw, h.codes[lo*dim:hi*dim], dim)
 		n := hi - lo
 		rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
 		sq8RowFactors(h.side[lo:hi], cosine, rowOff, rowScale, rowSum)
@@ -273,21 +286,30 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 		}
 		for j := range lanes {
 			ln := &lanes[j]
-			a, b, c, floor := ln.a, ln.b, ln.c, ln.floor
-			margin := filterMargin * (maxOff*ln.errA + maxScale*ln.errB)
-			for r, rows := 0, min(hi, ln.limit)-lo; r < rows; r++ {
+			margin[j] = filterMargin * (maxOff*ln.errA + maxScale*ln.errB)
+			g.Floor[j] = sweepFloor(ln.floor, margin[j])
+			if lo >= ln.limit {
+				g.Floor[j] = math.Inf(1)
+			}
+		}
+		acc := sc.acc[:scanGroup*n]
+		ns := vecmath.Sym4Survivors(acc, sc.surv[:n], g, h.codes[lo*dim:hi*dim], rowOff, rowSum, rowScale)
+		for _, e := range sc.surv[:ns] {
+			r := int(e >> 4)
+			s := uint32(lo + r)
+			for m := e & (1<<len(lanes) - 1); m != 0; m &= m - 1 {
+				j := bits.TrailingZeros32(m)
+				ln := &lanes[j]
+				if int(s) >= ln.limit {
+					continue
+				}
 				dot := acc[scanGroup*r+j]
-				approx := filterScore(rowOff[r], rowSum[r], rowScale[r], a, b, c, dot)
-				if approx+margin < floor {
+				approx := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], dot)
+				if approx+margin[j] < ln.floor || s == ln.slot || !h.aliveBit(s) {
 					continue
 				}
-				s := uint32(lo + r)
-				if s == ln.slot || !h.aliveBit(s) {
-					continue
-				}
-				ln.cands = append(ln.cands, sweepCand{slot: s, dot: dot, high: approx + margin})
-				ln.pushLow(approx-margin, width)
-				floor = ln.floor
+				ln.cands = append(ln.cands, sweepCand{slot: s, dot: dot, high: approx + margin[j]})
+				ln.pushLow(approx-margin[j], width)
 			}
 		}
 	}
@@ -303,6 +325,19 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 		sortScored(ln.pool)
 		ln.pool = ln.pool[:min(len(ln.pool), width)]
 	}
+}
+
+// sweepFloor is the floor sweepPool hands the kernel for a lane whose
+// filter keeps a row unless approx+margin < floor (rounded): low enough
+// that approx < sweepFloor implies the rounded approx+margin is under
+// floor, so the kernel never turns away a row the filter keeps. A kept
+// row has (approx+margin)(1+δ) ≥ floor with |δ| ≤ 2⁻⁵³, so approx ≥
+// floor − margin − |floor|·2⁻⁵²; taking 2·margin + |floor|·2⁻⁵⁰ off
+// floor stays below that after the rounding of this subtraction itself.
+// An infinite floor or a non-finite margin gives −Inf or NaN, which
+// turns nothing away.
+func sweepFloor(floor, margin float64) float64 {
+	return floor - (2*margin + math.Abs(floor)*0x1p-50)
 }
 
 // filterMargin bounds, relative to the magnitudes it sums, how far
@@ -330,8 +365,13 @@ const filterMargin = 0x1p-44
 // (sq8RowFactor), a query's or a pivot's (sq8Factors) and their code
 // dot: the scanner's first stage ranks by it, and sweepPool filters by
 // it.
+//
+// Each product is converted explicitly, which the Go spec says rounds
+// it on its own: no build may fuse it into a multiply-add (GOAMD64=v3
+// would, for x*y+z), so the score is bit for bit the one
+// vecmath.Sym4Survivors computes to pick survivors.
 func filterScore(rowOff, rowSum, rowScale, a, b, c float64, dot int32) float64 {
-	return rowOff*a + rowSum*b + rowScale*c*float64(dot)
+	return float64(rowOff*a) + float64(rowSum*b) + float64(rowScale*c*float64(dot))
 }
 
 // sq8Factors returns the pivot's side of scanQuery's score form for an
@@ -379,21 +419,12 @@ func sq8RowFactors(side []sq8Side, cosine bool, rowOff, rowScale, rowSum []float
 	}
 }
 
-// widenCodes widens codes into dst, the form DotSQ8SymCodes4 takes its
-// queries in.
-func widenCodes(dst []int16, codes []int8) {
-	dst = dst[:len(codes)]
-	for i, c := range codes {
-		dst[i] = int16(c)
-	}
-}
-
 // scanQuery is one query's share of a scan task: its context (the
-// re-rank reads q, qSum and qNorm from it), its pool of store ids, and
-// on the two-stage path the query-side terms of the symmetric score,
-// hoisted out of the row loop as scorePendingBeam hoists them. With a
-// row's decode parameters (scale, offset), code sum cs and the kernel's
-// code dot acc,
+// re-rank reads q, qSum and qNorm from it) and its pool of store ids.
+// On the two-stage path its kernel group holds the query-side terms of
+// the symmetric score, hoisted out of the row loop as scorePendingBeam
+// hoists them. With a row's decode parameters (scale, offset), code sum
+// cs and the kernel's code dot acc,
 //
 //	dot = n·qOff·offset + qOff·scale·cs + offset·qScale·Σq + qScale·scale·acc
 //	    = offset·a + scale·(b·cs + c·acc)
@@ -402,10 +433,9 @@ func widenCodes(dst []int16, codes []int8) {
 // both norms, which sq8RowFactor folds into the row's offset and scale
 // and prepare folds into a, b and c.
 type scanQuery struct {
-	ctx     queryCtx
-	pool    topK // candidateK wide on the two-stage path, k otherwise
-	top     topK // the two-stage path's re-ranked k
-	a, b, c float64
+	ctx  queryCtx
+	pool topK // candidateK wide on the two-stage path, k otherwise
+	top  topK // the two-stage path's re-ranked k
 	// floor is the score a row must reach to enter the pool: −Inf while
 	// the pool is filling, its worst score afterwards.
 	floor float64
@@ -424,10 +454,12 @@ func (sq *scanQuery) push(id graph.NodeID, score float64) float64 {
 // scanScratch is the pooled working state of one scan task.
 type scanScratch struct {
 	q []scanQuery // the task's queries
-	// The task's codes widened for the kernel, query-major, in whole
-	// kernel groups.
-	qw  []int16
-	acc [scanGroup * scanBlockRows]int32 // one group's code dots over one block, row-major
+	// The task's queries as the kernel takes them, a group of four each,
+	// with their score terms; a short last group's unused lanes repeat
+	// its last query under a +Inf floor.
+	groups []vecmath.Sym4Queries
+	acc    [scanGroup * scanBlockRows]int32 // one group's code dots over one block, row-major
+	surv   [scanBlockRows]uint32            // one group's survivors in one block
 	// One block's row factors (sq8RowFactor).
 	rowOff, rowScale, rowSum [scanBlockRows]float64
 	byShard                  []shardPools // the re-rank's pools, grouped by store shard
@@ -443,8 +475,9 @@ type shardPools struct {
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // prepare readies the scratch for a task. On the two-stage path a short
-// last group repeats the task's final query in its unused kernel lanes
-// (their sums are computed and ignored).
+// last group repeats the task's final query in its unused kernel lanes,
+// whose +Inf floors keep them out of the survivors of every finite
+// score, and whose survivor bits scoreBlockSym ignores.
 func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]float64, k int) {
 	dim := store.Dim()
 	sc.q = resize(sc.q, len(qs))
@@ -457,24 +490,29 @@ func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]floa
 			continue
 		}
 		sq.pool.reset(candidateK(embstore.SQ8, k))
-		e := &sq.ctx.sq8q
-		sq.a, sq.b, sq.c, _, _ = sq8Factors(dim, e.Scale, e.Offset, e.CodeSum, sq.ctx.qNorm, metric != DotProduct)
 	}
 	if !sc.q[0].ctx.sym {
 		return
 	}
-	lanes := (len(qs) + scanGroup - 1) / scanGroup * scanGroup
-	sc.qw = resize(sc.qw, lanes*dim)
-	for j := 0; j < lanes; j++ {
-		widenCodes(sc.qw[j*dim:(j+1)*dim], sc.q[min(j, len(qs)-1)].ctx.sq8q.Code)
+	sc.groups = resize(sc.groups, (len(qs)+scanGroup-1)/scanGroup)
+	for j := 0; j < len(sc.groups)*scanGroup; j++ {
+		g, lane := &sc.groups[j/scanGroup], j%scanGroup
+		e := &sc.q[min(j, len(qs)-1)].ctx
+		g.Set(lane, e.sq8q.Code)
+		g.A[lane], g.B[lane], g.C[lane], _, _ = sq8Factors(dim, e.sq8q.Scale, e.sq8q.Offset, e.sq8q.CodeSum, e.qNorm, metric != DotProduct)
+		g.Floor[lane] = math.Inf(1)
 	}
 }
 
 // scoreBlockSym is the two-stage path's first stage over rows [lo, hi)
 // of r: one row-factor pass serves the whole task, then each group of
-// four takes one DotSQ8SymCodes4 pass over the block, which the group
-// before it left in L1. The score loop runs query-outer, so a query's
-// terms and floor stay in registers across the block.
+// four takes one vecmath.Sym4Survivors pass over the block, which the
+// group before it left in L1, against its queries' floors as they stand
+// at the block's start. Floors only rise, so the rows it returns are
+// every row that can still enter some lane's pool; only those are
+// scored again, lane by lane in row order, against the floor as it now
+// stands and the row's mask, so each pool takes exactly the pushes a
+// test of every row would give it.
 func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
@@ -483,22 +521,23 @@ func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bo
 		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(scale, offset, norm, cs, cosine)
 	}
 	codes, ids, acc := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi], sc.acc[:scanGroup*n]
-	for g := 0; g < len(sc.q); g += scanGroup {
-		vecmath.DotSQ8SymCodes4(acc, sc.qw[g*dim:(g+scanGroup)*dim], codes, dim)
-		for j := g; j < min(g+scanGroup, len(sc.q)); j++ {
-			sq, lane := &sc.q[j], j-g
-			a, b, c, floor := sq.a, sq.b, sq.c, sq.floor
-			for i := range rowOff {
-				score := filterScore(rowOff[i], rowSum[i], rowScale[i], a, b, c, acc[scanGroup*i+lane])
-				if score < floor || r.Masked(lo+i) {
+	for gi := range sc.groups {
+		g, qs := &sc.groups[gi], sc.q[gi*scanGroup:min((gi+1)*scanGroup, len(sc.q))]
+		for lane := range qs {
+			g.Floor[lane] = qs[lane].floor
+		}
+		ns := vecmath.Sym4Survivors(acc, sc.surv[:n], g, codes, rowOff, rowSum, rowScale)
+		for _, e := range sc.surv[:ns] {
+			i := int(e >> 4)
+			for m := e & (1<<len(qs) - 1); m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				sq := &qs[lane]
+				score := filterScore(rowOff[i], rowSum[i], rowScale[i], g.A[lane], g.B[lane], g.C[lane], acc[scanGroup*i+lane])
+				if score < sq.floor || r.Masked(lo+i) {
 					continue
 				}
-				sq.pool.push(Result{ID: ids[i], Score: score})
-				if len(sq.pool.heap) == sq.pool.k {
-					floor = sq.pool.heap[0].Score
-				}
+				sq.push(ids[i], score)
 			}
-			sq.floor = floor
 		}
 	}
 }

@@ -40,3 +40,25 @@ func cpuHasAVX2() bool {
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
 }
+
+// cpuHasAVX512VNNI reports whether the CPU and OS together support
+// Sym4Survivors' VNNI body: AVX512-VNNI for VPDPBUSD, AVX512VL to run
+// it on YMM, AVX512BW for the byte-masked tail loads (and AVX512F under
+// all three), with XCR0 enabling the opmask and ZMM state (bits 5–7)
+// beside the SSE and AVX state — the body writes Y16–Y21 and K1.
+func cpuHasAVX512VNNI() bool {
+	if !cpuHasAVX2() {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	const (
+		avx512f  = 1 << 16
+		avx512bw = 1 << 30
+		avx512vl = 1 << 31
+		vnni     = 1 << 11 // ecx
+	)
+	return ebx7&(avx512f|avx512bw|avx512vl) == avx512f|avx512bw|avx512vl && ecx7&vnni != 0
+}

@@ -3,7 +3,10 @@
 // hand-written SIMD implementation when the CPU supports one:
 //
 //   - amd64: AVX2+FMA (simd_amd64.s), selected at init by a local
-//     cpuid probe (cpu_amd64.go) — no external dependency.
+//     cpuid probe (cpu_amd64.go) — no external dependency. Within it
+//     the sq8 scan kernel (Sym4Survivors) has a second body for CPUs
+//     with AVX512-VNNI+VL, picked by the same probe; Backend() still
+//     reports "avx2".
 //   - arm64: NEON (simd_arm64.s) for the float kernels; ASIMD is
 //     mandatory on armv8, so no probe is needed.
 //   - everything else, and any build with the `noasm` tag: the flags

@@ -11,8 +11,11 @@ var (
 	simd64  bool // Dot, SqDist
 	simd32  bool // Dot32
 	simdSQ8 bool // DotSQ8
-	simdSym bool // DotSQ8Sym
+	simdSym bool // DotSQ8Sym, Sym4Survivors
 	simdEnc bool // EncodeSQ8 (min/max + quantize passes)
+
+	// Sym4Survivors' AVX512-VNNI body; only ever set beside simdSym.
+	simdVNNI bool
 
 	backendName = "scalar"
 )
@@ -25,6 +28,7 @@ func init() {
 		return
 	}
 	simd64, simd32, simdSQ8, simdSym, simdEnc = true, true, true, true, true
+	simdVNNI = cpuHasAVX512VNNI()
 	backendName = "avx2"
 }
 
@@ -54,11 +58,14 @@ func dotSQ8RawSIMD(q []float64, code []int8) float64
 //go:noescape
 func dotSQ8SymRawSIMD(ac, bc []int8) int32
 
-// dotSQ8SymCodes4SIMD is DotSQ8SymCodes4 past its shape checks; dim
-// must be at least simdMinLanes.
+// sym4SurvivorsAVX2 and sym4SurvivorsVNNI are Sym4Survivors past its
+// shape checks; the queries' dim must be at least simdMinLanes.
 //
 //go:noescape
-func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int)
+func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+
+//go:noescape
+func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
 
 // minMaxSIMD scans v (len ≥ 1) for its minimum and maximum.
 //

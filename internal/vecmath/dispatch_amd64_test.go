@@ -27,4 +27,8 @@ func TestBackendMatchesCPU(t *testing.T) {
 			t.Errorf("%s = %v, want %v for backend %q", name, flag, on, want)
 		}
 	}
+	// The VNNI body is a choice inside the avx2 backend, not a backend.
+	if wantVNNI := on && cpuHasAVX512VNNI(); simdVNNI != wantVNNI {
+		t.Errorf("simdVNNI = %v, want %v (avx2 backend %v, VNNI probe %v)", simdVNNI, wantVNNI, on, cpuHasAVX512VNNI())
+	}
 }

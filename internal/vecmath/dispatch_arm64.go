@@ -16,6 +16,8 @@ var (
 	simdSym bool // no NEON implementation yet
 	simdEnc bool // no NEON implementation yet
 
+	simdVNNI bool // amd64 only
+
 	backendName = "scalar"
 )
 
@@ -39,7 +41,10 @@ func dot32SIMD(a, b []float32) float64
 // Unreachable: the SQ8 flags above are never set on arm64.
 func dotSQ8RawSIMD(q []float64, code []int8) float64 { panic("vecmath: no neon sq8") }
 func dotSQ8SymRawSIMD(ac, bc []int8) int32           { panic("vecmath: no neon sq8") }
-func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
+func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	panic("vecmath: no neon sq8")
+}
+func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
 	panic("vecmath: no neon sq8")
 }
 func minMaxSIMD(v []float64) (lo, hi float64)                      { panic("vecmath: no neon sq8") }

@@ -11,6 +11,8 @@ const (
 	simdSQ8 = false
 	simdSym = false
 	simdEnc = false
+
+	simdVNNI = false
 )
 
 var backendName = "scalar"
@@ -20,7 +22,10 @@ func sqDistSIMD(a, b []float64) float64              { panic("vecmath: no simd b
 func dot32SIMD(a, b []float32) float64               { panic("vecmath: no simd backend") }
 func dotSQ8RawSIMD(q []float64, code []int8) float64 { panic("vecmath: no simd backend") }
 func dotSQ8SymRawSIMD(ac, bc []int8) int32           { panic("vecmath: no simd backend") }
-func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int) {
+func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	panic("vecmath: no simd backend")
+}
+func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
 	panic("vecmath: no simd backend")
 }
 func minMaxSIMD(v []float64) (lo, hi float64)                      { panic("vecmath: no simd backend") }

@@ -103,28 +103,59 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 	}
 }
 
-// TestDotSQ8SymCodes4SIMDMatchesGo: the four-query assembly kernel
-// against the Go loop that stands in for it on every other backend —
-// pure integer arithmetic, so exact — for every dim the dispatcher
-// routes to it, with guard elements around all three operands.
-func TestDotSQ8SymCodes4SIMDMatchesGo(t *testing.T) {
-	if !simdSym {
-		t.Skip("SIMD symmetric backend not active")
+// sym4Bodies is every Sym4Survivors body this CPU can run at dim, by
+// name: the Go reference always; from simdMinLanes up, the AVX2 body
+// where the SIMD symmetric backend is active and the VNNI body where
+// the CPU probe found it.
+func sym4Bodies(dim int) map[string]func(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	bodies := map[string]func(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int{
+		"go": sym4SurvivorsGo,
+	}
+	if dim < simdMinLanes {
+		return bodies
+	}
+	if simdSym {
+		bodies["avx2"] = sym4SurvivorsAVX2
+	}
+	if simdVNNI {
+		bodies["vnni"] = sym4SurvivorsVNNI
+	}
+	return bodies
+}
+
+// TestSym4SurvivorsBodies holds every body the CPU has to the same dots
+// and survivor lists, each called directly rather than through the
+// dispatcher, so a VNNI machine tests its AVX2 body too: the SIMD
+// bodies' dims (whole chunks, and tails of 8 and 4 lanes for AVX2 and
+// of 16, 24 and 4 for VNNI), row counts up to one scan block, codes at
+// both extremes, NaN and ±Inf factors, terms and floors, and a +Inf
+// padded lane.
+func TestSym4SurvivorsBodies(t *testing.T) {
+	for _, name := range []string{"avx2", "vnni"} {
+		if sym4Bodies(simdMinLanes)[name] == nil {
+			t.Logf("%s body not available on this CPU/backend: not run", name)
+		}
 	}
 	random := randomCodes(59)
-	for dim := simdMinLanes; dim <= 130; dim++ {
-		for _, off := range []int{0, 1, 3} {
-			for _, nRows := range codes4Rows {
-				c := newCodes4Case(dim, nRows, off, random)
-				dotSQ8SymCodes4SIMD(c.dst, c.qw, c.rows, dim)
-				want := make([]int32, len(c.dst))
-				dotSQ8SymCodes4Go(want, c.qw, c.rows, dim)
-				for i := range want {
-					if c.dst[i] != want[i] {
-						t.Fatalf("dim=%d rows=%d off=%d: asm dst[%d]=%d, Go loop %d", dim, nRows, off, i, c.dst[i], want[i])
+	alt := int8(127)
+	fills := map[string]func() int8{
+		"random": random,
+		"min":    func() int8 { return -128 },
+		"max":    func() int8 { return 127 },
+		"minmax": func() int8 { alt = ^alt; return alt },
+	}
+	for _, dim := range []int{16, 24, 32, 64, 100, 128} {
+		for _, nRows := range []int{0, 1, 7, 256} {
+			for fname, fill := range fills {
+				for _, special := range []bool{false, true} {
+					for name, body := range sym4Bodies(dim) {
+						for _, off := range []int{0, 3} {
+							// One seed per case, so every body sees the same inputs.
+							rng := rand.New(rand.NewSource(int64(dim*1000 + nRows)))
+							newSym4Case(dim, nRows, off, fill, rng, special).run(t, name+"/"+fname, off, body)
+						}
 					}
 				}
-				c.check(t, "asm", dim, off)
 			}
 		}
 	}
@@ -212,8 +243,11 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	c := make([]int8, 128)
 	d := make([]int8, 128)
 	act := make([]float64, 128)
-	qw := make([]int16, 4*32)
-	sums := make([]int32, 4*4)
+	var g Sym4Queries
+	for j := 0; j < 4; j++ {
+		g.Set(j, d[:32])
+	}
+	dots, surv, f := make([]int32, 4*4), make([]uint32, 4), make([]float64, 4)
 	for i := range a {
 		a[i] = float64(i%7) - 3
 		b[i] = float64(i%5) - 2
@@ -229,7 +263,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		sink += Dot32(x, y)
 		sink += DotSQ8(a, c, 0.1, -0.5, 2)
 		sink += DotSQ8Sym(c, d, 0.1, -0.5, 0.2, 0.3, 5, -7)
-		DotSQ8SymCodes4(sums, qw, c, 32)
+		Sym4Survivors(dots, surv, &g, c, f, f, f)
 		_, _, _ = EncodeSQ8(a, c)
 		SigmoidInto(act, a)
 		TanhInto(act, a)

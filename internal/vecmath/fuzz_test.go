@@ -131,3 +131,77 @@ func FuzzSQ8RoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSym4Survivors holds every Sym4Survivors body the CPU has to the
+// dots and survivors sym4Case.run computes, over inputs taken from the
+// fuzz bytes: a dim of 1–130 (the Go reference below simdMinLanes, both
+// SIMD bodies' chunk and tail splits above it), up to 9 rows, codes,
+// and raw float64 bits for every row factor, lane term and floor, so
+// NaN, ±Inf, signed zeros and subnormals all occur. Run with:
+// go test -run=NONE -fuzz=FuzzSym4Survivors ./internal/vecmath
+func FuzzSym4Survivors(f *testing.F) {
+	for _, dim := range []int{1, 15, 16, 24, 32, 33, 64, 100, 128} {
+		seed := []byte{byte(dim - 1), 3}
+		for i := 0; i < 4*dim+3*dim+3*3*8+4*4*8; i++ {
+			seed = append(seed, byte(i*37+dim))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ok := sym4CaseFromBytes(data)
+		if !ok {
+			return
+		}
+		for name, body := range sym4Bodies(c.dim) {
+			c.resetOutputs()
+			c.run(t, name, 0, body)
+		}
+	})
+}
+
+// sym4CaseFromBytes decodes a fuzz input: dim−1 and the row count in
+// the first two bytes, then the four queries' codes, the rows' codes,
+// each row's three factors and the lanes' A, B, C and Floor, as raw
+// little-endian float64 bits. Short inputs are rejected.
+func sym4CaseFromBytes(data []byte) (*sym4Case, bool) {
+	if len(data) < 2 {
+		return nil, false
+	}
+	dim, nRows := 1+int(data[0])%130, int(data[1])%10
+	data = data[2:]
+	if len(data) < 4*dim+nRows*dim+8*(3*nRows+16) {
+		return nil, false
+	}
+	c := &sym4Case{
+		dim:     dim,
+		rowsBuf: make([]int8, nRows*dim),
+		dotsBuf: make([]int32, 4*nRows),
+		survBuf: make([]uint32, nRows),
+	}
+	c.rows, c.dots, c.surv = c.rowsBuf, c.dotsBuf, c.survBuf
+	for j := range c.q8 {
+		c.q8[j] = make([]int8, dim)
+		for i := range c.q8[j] {
+			c.q8[j][i] = int8(data[j*dim+i])
+		}
+		c.g.Set(j, c.q8[j])
+	}
+	data = data[4*dim:]
+	for i := range c.rows {
+		c.rows[i] = int8(data[i])
+	}
+	data = data[nRows*dim:]
+	next := func() float64 {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		return x
+	}
+	c.rowOff, c.rowSum, c.rowScale = make([]float64, nRows), make([]float64, nRows), make([]float64, nRows)
+	for r := 0; r < nRows; r++ {
+		c.rowOff[r], c.rowSum[r], c.rowScale[r] = next(), next(), next()
+	}
+	for j := 0; j < 4; j++ {
+		c.g.A[j], c.g.B[j], c.g.C[j], c.g.Floor[j] = next(), next(), next(), next()
+	}
+	return c, true
+}

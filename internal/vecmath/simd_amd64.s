@@ -1,5 +1,6 @@
 //go:build !noasm
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // AVX2+FMA kernels. Shared structure:
@@ -15,6 +16,69 @@
 // loops on a single masked test each, so they never execute tail code.
 // All loads are unaligned (VMOVUPD/VMOVUPS/VMOVDQU); Go slices only
 // guarantee element alignment.
+
+// Sym4Survivors' two SIMD bodies (below) share their setup and their
+// second pass. Defined up here, ahead of every TEXT, because vet's
+// asmdecl would check a macro body's argument names against the
+// function it sits in; both bodies share one argument layout.
+//
+// SYM4_SETUP loads the lanes' A, B, C and Floor into Y12–Y15, the
+// queries' dim into R8, dots into DI, rows into DX and the row count
+// into R9, and leaves the queries' address in AX.
+#define SYM4_SETUP \
+	MOVQ    qs+48(FP), AX; \
+	MOVQ    Sym4Queries_dim(AX), R8; \
+	VMOVUPD Sym4Queries_A(AX), Y12; \
+	VMOVUPD Sym4Queries_B(AX), Y13; \
+	VMOVUPD Sym4Queries_C(AX), Y14; \
+	VMOVUPD Sym4Queries_Floor(AX), Y15; \
+	MOVQ    dots_base+0(FP), DI; \
+	MOVQ    rows_base+56(FP), DX; \
+	MOVQ    rowOff_len+88(FP), R9
+
+// SYM4_SCORE is the second pass, over the dots the first pass wrote
+// (L1-resident: 4 KB for a 256-row block), one row per iteration: score
+// the four lanes as (rowOff·A + rowSum·B) + (rowScale·C)·dot, one
+// rounding per operation and in Go's order (no FMA); compare
+// !(score < Floor) — predicate 5, NLT_US, true when unordered, so NaN
+// survives; append r<<4 | mask at the count (R14), which SETNE advances
+// rather than a branch. Apart from the dots a row's work depends only
+// on its factors, so rows overlap freely; fused into the first pass the
+// score's latency chain hung off each fold and measured slower. Needs
+// at least one row.
+#define SYM4_SCORE(loop) \
+	MOVQ         dots_base+0(FP), DI; \
+	MOVQ         surv_base+24(FP), SI; \
+	MOVQ         rowOff_base+80(FP), R10; \
+	MOVQ         rowSum_base+104(FP), R11; \
+	MOVQ         rowScale_base+128(FP), R12; \
+	XORQ         R14, R14; \
+	XORQ         R15, R15; \
+loop: \
+	VCVTDQ2PD    (DI), Y9; \
+	VBROADCASTSD (R10)(R15*8), Y10; \
+	VMULPD       Y12, Y10, Y10; \
+	VBROADCASTSD (R11)(R15*8), Y11; \
+	VMULPD       Y13, Y11, Y11; \
+	VADDPD       Y11, Y10, Y10; \
+	VBROADCASTSD (R12)(R15*8), Y11; \
+	VMULPD       Y14, Y11, Y11; \
+	VMULPD       Y9, Y11, Y11; \
+	VADDPD       Y11, Y10, Y10; \
+	VCMPPD       $5, Y15, Y10, Y11; \
+	VMOVMSKPD    Y11, AX; \
+	MOVQ         R15, CX; \
+	SHLQ         $4, CX; \
+	ORQ          AX, CX; \
+	MOVL         CX, (SI)(R14*4); \
+	XORL         CX, CX; \
+	TESTL        AX, AX; \
+	SETNE        CL; \
+	ADDQ         CX, R14; \
+	ADDQ         $16, DI; \
+	INCQ         R15; \
+	CMPQ         R15, R9; \
+	JLT          loop
 
 // func dotSIMD(a, b []float64) float64
 TEXT ·dotSIMD(SB), NOSPLIT, $0-56
@@ -378,38 +442,35 @@ sym_done:
 	MOVL BX, ret+48(FP)
 	RET
 
-// func dotSQ8SymCodes4SIMD(dst []int32, qw []int16, rows []int8, dim int)
+// func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
 //
-// dotSQ8SymRawSIMD register-blocked over four queries: each 16-lane
-// chunk of a row is loaded and widened once (VPMOVSXBW) and VPMADDWD'd
-// against the same chunk of the four int16 queries, which stay in L1
-// and enter as memory operands; one int32 accumulator per query. Three
-// VPHADDDs fold the four accumulators into one XMM of four sums, stored
-// as dst[4r:4r+4]. The dim%16 tail lanes add into those four words with
-// plain integer code (no SSE, so the upper YMM state stays clean until
-// the one VZEROUPPER at the end). Row and query codes are int8-ranged
-// and int16, so a VPMADDWD pair sum is < 2²⁴ and nothing saturates.
-TEXT ·dotSQ8SymCodes4SIMD(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), R9
-	MOVQ qw_base+24(FP), R10
-	MOVQ rows_base+48(FP), DX
-	MOVQ dim+72(FP), R8
-	SHRQ $2, R9                // rows to go
-	JZ   s4_done
-	LEAQ (R10)(R8*2), R11      // queries 1..3
-	LEAQ (R11)(R8*2), R12
-	LEAQ (R12)(R8*2), R13
+// First pass, the dots: dotSQ8SymRawSIMD register-blocked over four
+// queries. Each 16-lane chunk of a row is loaded and widened once
+// (VPMOVSXBW) and VPMADDWD'd against the same chunk of the four widened
+// queries, which stay in L1 and enter as memory operands; one int32
+// accumulator per query. Three VPHADDDs fold the four accumulators into
+// one XMM of four sums, stored as dots[4r:4r+4]. The dim%16 tail lanes
+// add into those four words with plain integer code. Row and query
+// codes are int8-ranged, so a VPMADDWD pair sum is < 2²⁴ and nothing
+// saturates. Then SYM4_SCORE.
+TEXT ·sym4SurvivorsAVX2(SB), NOSPLIT, $0-160
+	SYM4_SETUP
+	MOVQ  Sym4Queries_wide(AX), R10
+	XORQ  R14, R14
+	TESTQ R9, R9
+	JZ    s4_done
+	LEAQ  (R10)(R8*2), R11         // queries 1..3
+	LEAQ  (R11)(R8*2), R12
+	LEAQ  (R12)(R8*2), R13
 
 s4_row:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
-	XORQ  BX, BX               // lane index
+	XORQ  BX, BX                   // lane index
 	MOVQ  R8, CX
 	SHRQ  $4, CX
-	JZ    s4_reduce
 
 s4_blk16:
 	VPMOVSXBW (DX)(BX*1), Y4
@@ -425,7 +486,6 @@ s4_blk16:
 	DECQ      CX
 	JNZ       s4_blk16
 
-s4_reduce:
 	VPHADDD      Y1, Y0, Y0
 	VPHADDD      Y3, Y2, Y2
 	VPHADDD      Y2, Y0, Y0
@@ -459,7 +519,98 @@ s4_next:
 	DECQ R9
 	JNZ  s4_row
 
+	MOVQ rowOff_len+88(FP), R9
+	SYM4_SCORE(s4_score)
+
 s4_done:
+	MOVQ R14, ret+152(FP)
+	VZEROUPPER
+	RET
+
+// func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+//
+// The AVX2 body with AVX512-VNNI dots: VPDPBUSD multiplies unsigned
+// bytes by signed bytes and adds each group of four products into a
+// dword, 32 lanes per instruction on YMM (AVX512VL). The row's int8
+// codes are made unsigned by XOR 0x80 (c+128), so a lane accumulates
+// Σ(cᵢ+128)·qᵢ = dot + 128·Σqᵢ, and the lane's bias from Set is taken
+// back off after the fold. The dim%32 tail lanes run the same way
+// through byte-masked zeroing loads (K1): the four queries' tails are
+// loaded once per call into Y18–Y21, and a row's tail bytes past dim
+// load as 0, bias to 128 and meet query bytes of 0. Products are below
+// 2¹⁵ and int32 sums cannot wrap at any dim a slice can hold here.
+TEXT ·sym4SurvivorsVNNI(SB), NOSPLIT, $0-160
+	SYM4_SETUP
+	MOVQ         Sym4Queries_codes(AX), R10
+	VMOVDQU      Sym4Queries_bias(AX), X8
+	XORQ         R14, R14
+	TESTQ        R9, R9
+	JZ           v4_done
+	LEAQ         (R10)(R8*1), R11  // queries 1..3
+	LEAQ         (R11)(R8*1), R12
+	LEAQ         (R12)(R8*1), R13
+	MOVL         $0x80808080, AX
+	VPBROADCASTD AX, Y16
+	MOVQ         R8, SI
+	ANDQ         $-32, SI          // lanes in whole 32-byte chunks
+	MOVQ         R8, CX
+	ANDQ         $31, CX
+	MOVL         $1, AX
+	SHLL         CX, AX
+	DECL         AX
+	KMOVD        AX, K1            // the tail's lanes
+	VMOVDQU8.Z   (R10)(SI*1), K1, Y18
+	VMOVDQU8.Z   (R11)(SI*1), K1, Y19
+	VMOVDQU8.Z   (R12)(SI*1), K1, Y20
+	VMOVDQU8.Z   (R13)(SI*1), K1, Y21
+
+v4_row:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  BX, BX
+	TESTQ SI, SI
+	JZ    v4_tail
+
+v4_blk32:
+	VPXORD   (DX)(BX*1), Y16, Y4
+	VPDPBUSD (R10)(BX*1), Y4, Y0
+	VPDPBUSD (R11)(BX*1), Y4, Y1
+	VPDPBUSD (R12)(BX*1), Y4, Y2
+	VPDPBUSD (R13)(BX*1), Y4, Y3
+	ADDQ     $32, BX
+	CMPQ     BX, SI
+	JLT      v4_blk32
+
+v4_tail:
+	KORTESTD   K1, K1
+	JZ         v4_fold
+	VMOVDQU8.Z (DX)(BX*1), K1, Y4
+	VPXORD     Y16, Y4, Y4
+	VPDPBUSD   Y18, Y4, Y0
+	VPDPBUSD   Y19, Y4, Y1
+	VPDPBUSD   Y20, Y4, Y2
+	VPDPBUSD   Y21, Y4, Y3
+
+v4_fold:
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSUBD       X8, X0, X0
+	VMOVDQU      X0, (DI)
+	ADDQ         R8, DX
+	ADDQ         $16, DI
+	DECQ         R9
+	JNZ          v4_row
+
+	MOVQ rowOff_len+88(FP), R9
+	SYM4_SCORE(v4_score)
+
+v4_done:
+	MOVQ R14, ret+152(FP)
 	VZEROUPPER
 	RET
 

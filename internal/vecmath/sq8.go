@@ -213,41 +213,106 @@ func DotSQ8SymCodes(ac, bc []int8) int32 {
 	return s
 }
 
-// DotSQ8SymCodes4 is DotSQ8SymCodes for a batch: the raw int32 code dots
-// of four queries against every row of a run of contiguous sq8 rows,
-//
-//	dst[4·r+j] = Σᵢ rows[r·dim+i] · qw[j·dim+i]
-//
-// with rows holding len(rows)/dim rows and qw the four queries' codes
-// back to back, already widened to int16 (the form VPMADDWD consumes, so
-// the widening is paid once per batch, not once per row). Each row is
-// loaded and widened once and multiplied against all four queries — the
-// register-blocked form of a brute-force scan, where a call per (row,
-// query) pair would reload the row four times. Sums are bit-equal to
-// four DotSQ8SymCodes calls per row on every backend. Panics unless
-// len(qw) == 4·dim, len(rows) is a multiple of dim and len(dst) ==
-// 4·len(rows)/dim.
-func DotSQ8SymCodes4(dst []int32, qw []int16, rows []int8, dim int) {
-	if dim < 1 || len(qw) != 4*dim || len(rows)%dim != 0 || len(dst) != 4*(len(rows)/dim) {
-		panic("vecmath: DotSQ8SymCodes4 shape mismatch")
-	}
-	if simdSym && dim >= simdMinLanes {
-		dotSQ8SymCodes4SIMD(dst, qw, rows, dim)
-		return
-	}
-	dotSQ8SymCodes4Go(dst, qw, rows, dim)
+// Sym4Queries is four sq8 queries in the forms Sym4Survivors reads them
+// in, and each query lane's score terms and floor. Set writes a lane's
+// codes: as bytes (the VNNI body's VPDPBUSD operand), widened to int16
+// (the AVX2 body's VPMADDWD operand, widened once per query rather than
+// once per row) and as 128·Σcodes (what the VNNI body's biased rows add
+// to the lane's dot). Callers fill A, B, C and Floor directly; a lane
+// the caller does not use takes a +Inf floor and has its survivor bit
+// ignored.
+type Sym4Queries struct {
+	A, B, C, Floor [4]float64
+
+	dim   int
+	codes []int8  // query-major, 4·dim
+	wide  []int16 // codes, widened
+	bias  [4]int32
 }
 
-func dotSQ8SymCodes4Go(dst []int32, qw []int16, rows []int8, dim int) {
-	for r := 0; r < len(dst)/4; r++ {
-		row := rows[r*dim : (r+1)*dim]
-		for j := 0; j < 4; j++ {
-			q := qw[j*dim : (j+1)*dim]
-			var s int32
-			for i, c := range row {
-				s += int32(c) * int32(q[i])
-			}
-			dst[4*r+j] = s
+// Set makes codes the queries' lane; all four lanes hold codes of one
+// length, and a Set of another length resizes them (the others then
+// read as zeros until set).
+func (g *Sym4Queries) Set(lane int, codes []int8) {
+	dim := len(codes)
+	if dim != g.dim {
+		g.dim = dim
+		g.codes, g.wide = make([]int8, 4*dim), make([]int16, 4*dim)
+		g.bias = [4]int32{}
+	}
+	var sum int32
+	for i, c := range codes {
+		g.codes[lane*dim+i] = c
+		g.wide[lane*dim+i] = int16(c)
+		sum += int32(c)
+	}
+	g.bias[lane] = 128 * sum
+}
+
+// Sym4Survivors is the blocked sq8 scan's kernel: four queries against
+// a run of contiguous sq8 rows, every row loaded once for all four (the
+// register-blocked form of a brute-force scan). For row r of rows, with
+// rowOff, rowSum and rowScale its factors, it writes the four code dots
+//
+//	dots[4·r+j] = Σᵢ rows[r·dim+i] · codes_j[i]
+//
+// and scores each lane as
+//
+//	rowOff[r]·A[j] + rowSum[r]·B[j] + (rowScale[r]·C[j])·dots[4·r+j]
+//
+// in that order of operations, each product rounded on its own (no
+// fused multiply-add), so the score is bit for bit what the same Go
+// expression gives with each product wrapped in float64(...). Every row
+// where some lane's score is !(score < Floor[j]) — NaN included —
+// appends r<<4 | laneMask (bit j for lane j) to surv, and the count is
+// returned: the rows that can reach some lane's floor, so the caller
+// re-scores only those. The append is branch-free: every row writes
+// surv at the count and only a surviving row advances it.
+//
+// Three bodies, bit-equal in dots and survivors: the Go reference
+// (noasm, arm64, EHNA_NOSIMD and dims below simdMinLanes), the AVX2
+// body (VPMADDWD over the widened codes) and the AVX512-VNNI body
+// (VPDPBUSD on YMM over rows biased by XOR 0x80, less each lane's
+// 128·Σcodes). Panics unless rows holds len(rowOff) rows of the
+// queries' dim, rowSum, rowScale and dots match, and surv has room for
+// every row.
+func Sym4Survivors(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	n, dim := len(rowOff), g.dim
+	if dim < 1 || len(rows) != n*dim || len(dots) != 4*n || len(surv) < n || len(rowSum) != n || len(rowScale) != n {
+		panic("vecmath: Sym4Survivors shape mismatch")
+	}
+	if dim >= simdMinLanes {
+		switch {
+		case simdVNNI:
+			return sym4SurvivorsVNNI(dots, surv, g, rows, rowOff, rowSum, rowScale)
+		case simdSym:
+			return sym4SurvivorsAVX2(dots, surv, g, rows, rowOff, rowSum, rowScale)
 		}
 	}
+	return sym4SurvivorsGo(dots, surv, g, rows, rowOff, rowSum, rowScale)
+}
+
+func sym4SurvivorsGo(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	dim, n := g.dim, 0
+	for r := range rowOff {
+		row := rows[r*dim : (r+1)*dim]
+		var mask uint32
+		for j := 0; j < 4; j++ {
+			q := g.codes[j*dim : (j+1)*dim]
+			var dot int32
+			for i, c := range row {
+				dot += int32(c) * int32(q[i])
+			}
+			dots[4*r+j] = dot
+			score := float64(rowOff[r]*g.A[j]) + float64(rowSum[r]*g.B[j]) + float64(rowScale[r]*g.C[j]*float64(dot))
+			if !(score < g.Floor[j]) {
+				mask |= 1 << j
+			}
+		}
+		surv[n] = uint32(r)<<4 | mask
+		if mask != 0 {
+			n++
+		}
+	}
+	return n
 }

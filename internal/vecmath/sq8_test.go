@@ -3,6 +3,7 @@ package vecmath
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -200,44 +201,52 @@ func TestSQ8LengthMismatchPanics(t *testing.T) {
 	DotSQ8(make([]float64, 3), make([]int8, 4), 1, 0, 0)
 }
 
-// codes4Rows is the row-count axis of the DotSQ8SymCodes4 tests: none,
-// a few, and counts around the scan's 256-row block.
-var codes4Rows = []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 64, 255, 256, 257, 300}
+// sym4Rows is the row-count axis of the Sym4Survivors tests: none, a
+// few, and counts around the scan's 256-row block.
+var sym4Rows = []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 64, 255, 256, 257, 300}
 
-// codes4Case builds one DotSQ8SymCodes4 call at slice offset off: rows,
-// queries and output each sit inside a larger buffer whose other
-// elements are guards the kernel must neither read into its sums nor
-// write. fill picks every code; the int16 queries mirror int8 codes.
-type codes4Case struct {
-	dstBuf  []int32
-	qwBuf   []int16
-	rowsBuf []int8
-	dst     []int32
-	qw      []int16
-	rows    []int8
-	q8      [4][]int8
+// sym4Case is one Sym4Survivors call at slice offset off: rows, row
+// factors, dots and survivors each sit inside a larger buffer whose
+// other elements are guards the kernel must neither read into its sums
+// nor write. fill picks every code.
+type sym4Case struct {
+	dim                      int
+	g                        Sym4Queries
+	q8                       [4][]int8
+	rowsBuf                  []int8
+	dotsBuf                  []int32
+	survBuf                  []uint32
+	rows                     []int8
+	dots                     []int32
+	surv                     []uint32
+	rowOff, rowSum, rowScale []float64
 }
 
-const codes4Guard = int32(-0x5a5a5a5b)
+const (
+	sym4DotGuard  = int32(-0x5a5a5a5b)
+	sym4SurvGuard = uint32(0xa5a5a5a5)
+)
 
-func newCodes4Case(dim, nRows, off int, fill func() int8) *codes4Case {
-	c := &codes4Case{
-		dstBuf:  make([]int32, off+4*nRows+5),
-		qwBuf:   make([]int16, off+4*dim+5),
+// newSym4Case draws codes from fill and factors and lane terms from rng
+// at the scale of real sq8 scores (a score of order one), with floors
+// spread so that rows both pass and fail them. Lane 0's floor is row
+// 0's exact score, so a score equal to its floor is in every case that
+// has a row. With special, a tenth of the factors, terms and floors are
+// NaN or ±Inf, and lane 3 is padding: +Inf floor.
+func newSym4Case(dim, nRows, off int, fill func() int8, rng *rand.Rand, special bool) *sym4Case {
+	c := &sym4Case{
+		dim:     dim,
 		rowsBuf: make([]int8, off+nRows*dim+5),
-	}
-	for i := range c.dstBuf {
-		c.dstBuf[i] = codes4Guard
-	}
-	for i := range c.qwBuf {
-		c.qwBuf[i] = 0x7b7b // a guard lane read into a sum would show
+		dotsBuf: make([]int32, off+4*nRows+5),
+		survBuf: make([]uint32, off+nRows+5),
 	}
 	for i := range c.rowsBuf {
-		c.rowsBuf[i] = 0x7b
+		c.rowsBuf[i] = 0x7b // a guard lane read into a sum would show
 	}
-	c.dst = c.dstBuf[off : off+4*nRows]
-	c.qw = c.qwBuf[off : off+4*dim]
+	c.resetOutputs()
 	c.rows = c.rowsBuf[off : off+nRows*dim]
+	c.dots = c.dotsBuf[off : off+4*nRows]
+	c.surv = c.survBuf[off : off+nRows]
 	for i := range c.rows {
 		c.rows[i] = fill()
 	}
@@ -245,10 +254,98 @@ func newCodes4Case(dim, nRows, off int, fill func() int8) *codes4Case {
 		c.q8[j] = make([]int8, dim)
 		for i := range c.q8[j] {
 			c.q8[j][i] = fill()
-			c.qw[j*dim+i] = int16(c.q8[j][i])
 		}
+		c.g.Set(j, c.q8[j])
+	}
+	value := func(scale float64) float64 {
+		if special && rng.Intn(10) == 0 {
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+		return rng.NormFloat64() * scale
+	}
+	dotScale := 1 / (128 * math.Sqrt(float64(dim)) * 64)
+	for j := 0; j < 4; j++ {
+		c.g.A[j], c.g.B[j], c.g.C[j] = value(1), value(1/float64(dim)), value(1)
+		c.g.Floor[j] = value(1)
+	}
+	c.rowOff, c.rowSum, c.rowScale = make([]float64, nRows), make([]float64, nRows), make([]float64, nRows)
+	for r := 0; r < nRows; r++ {
+		c.rowOff[r], c.rowSum[r], c.rowScale[r] = value(0.1), value(1), value(dotScale)
+	}
+	if nRows > 0 {
+		c.g.Floor[0] = refSym4Score(c, 0, 0, refCodeDot(c.rows[:dim], c.q8[0]))
+	}
+	if special {
+		c.g.Floor[3] = math.Inf(1)
 	}
 	return c
+}
+
+func refCodeDot(a, b []int8) int32 {
+	var s int32
+	for i := range a {
+		s += int32(a[i]) * int32(b[i])
+	}
+	return s
+}
+
+// refSym4Score is the kernel's score, each product rounded on its own.
+func refSym4Score(c *sym4Case, r, j int, dot int32) float64 {
+	return float64(c.rowOff[r]*c.g.A[j]) + float64(c.rowSum[r]*c.g.B[j]) + float64(c.rowScale[r]*c.g.C[j]*float64(dot))
+}
+
+// resetOutputs puts the guard values back in the output buffers, so a
+// case can run through one body after another.
+func (c *sym4Case) resetOutputs() {
+	for i := range c.dotsBuf {
+		c.dotsBuf[i] = sym4DotGuard
+	}
+	for i := range c.survBuf {
+		c.survBuf[i] = sym4SurvGuard
+	}
+}
+
+// run calls body on the case and checks its dots against code dots
+// computed here, its survivors against scores computed here (NaN
+// survives, a score equal to its floor survives), and every guard.
+func (c *sym4Case) run(t *testing.T, name string, off int, body func(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int) {
+	t.Helper()
+	nRows, dim := len(c.rowOff), c.dim
+	got := body(c.dots, c.surv, &c.g, c.rows, c.rowOff, c.rowSum, c.rowScale)
+	var want []uint32
+	for r := 0; r < nRows; r++ {
+		var mask uint32
+		for j := 0; j < 4; j++ {
+			dot := refCodeDot(c.rows[r*dim:(r+1)*dim], c.q8[j])
+			if c.dots[4*r+j] != dot {
+				t.Fatalf("%s dim=%d rows=%d off=%d: dots[%d][%d] = %d, want %d", name, dim, nRows, off, r, j, c.dots[4*r+j], dot)
+			}
+			if score := refSym4Score(c, r, j, dot); !(score < c.g.Floor[j]) {
+				mask |= 1 << j
+			}
+		}
+		if mask != 0 {
+			want = append(want, uint32(r)<<4|mask)
+		}
+	}
+	if got != len(want) || !slices.Equal(c.surv[:got], want) {
+		t.Fatalf("%s dim=%d rows=%d off=%d: survivors %x, want %x", name, dim, nRows, off, c.surv[:min(got, nRows)], want)
+	}
+	for i, v := range c.rowsBuf {
+		if (i < off || i >= off+len(c.rows)) && v != 0x7b {
+			t.Fatalf("%s dim=%d off=%d: row guard %d overwritten", name, dim, off, i)
+		}
+	}
+	for i, v := range c.dotsBuf {
+		if (i < off || i >= off+len(c.dots)) && v != sym4DotGuard {
+			t.Fatalf("%s dim=%d rows=%d off=%d: dots guard %d overwritten (%d)", name, dim, nRows, off, i, v)
+		}
+	}
+	for i, v := range c.survBuf {
+		if (i < off || i >= off+len(c.surv)) && v != sym4SurvGuard {
+			t.Fatalf("%s dim=%d rows=%d off=%d: survivor guard %d overwritten (%x)", name, dim, nRows, off, i, v)
+		}
+	}
 }
 
 // randomCodes returns a fill drawing uniform int8 codes from an inline
@@ -263,41 +360,12 @@ func randomCodes(seed uint32) func() int8 {
 	}
 }
 
-// check asserts the output equals four DotSQ8SymCodes calls per row and
-// that no guard element moved.
-func (c *codes4Case) check(t *testing.T, name string, dim, off int) {
-	t.Helper()
-	for r := 0; r < len(c.dst)/4; r++ {
-		row := c.rows[r*dim : (r+1)*dim]
-		for j := range c.q8 {
-			if got, want := c.dst[4*r+j], DotSQ8SymCodes(c.q8[j], row); got != want {
-				t.Fatalf("%s dim=%d rows=%d off=%d: dst[%d][%d] = %d, DotSQ8SymCodes = %d",
-					name, dim, len(c.dst)/4, off, r, j, got, want)
-			}
-		}
-	}
-	for i, v := range c.dstBuf {
-		if (i < off || i >= off+len(c.dst)) && v != codes4Guard {
-			t.Fatalf("%s dim=%d rows=%d off=%d: output guard %d overwritten (%d)", name, dim, len(c.dst)/4, off, i, v)
-		}
-	}
-	for i, v := range c.qwBuf {
-		if (i < off || i >= off+len(c.qw)) && v != 0x7b7b {
-			t.Fatalf("%s dim=%d off=%d: query guard %d overwritten", name, dim, off, i)
-		}
-	}
-	for i, v := range c.rowsBuf {
-		if (i < off || i >= off+len(c.rows)) && v != 0x7b {
-			t.Fatalf("%s dim=%d off=%d: row guard %d overwritten", name, dim, off, i)
-		}
-	}
-}
-
-// TestDotSQ8SymCodes4MatchesSingle: the four-query kernel is bit-equal
-// to four single-query calls per row for every dim 1–130 (below and
-// above the SIMD threshold, every chunk/tail split), over the row
-// counts above, at three slice offsets, on random and on extreme codes.
-func TestDotSQ8SymCodes4MatchesSingle(t *testing.T) {
+// TestSym4SurvivorsMatchesReference: the dispatched kernel's dots and
+// survivors are the ones computed here for every dim 1–130 (below and
+// above the SIMD threshold, every chunk/tail split of both SIMD
+// bodies), over the row counts above, at three slice offsets, on
+// random and on extreme codes, with and without non-finite factors.
+func TestSym4SurvivorsMatchesReference(t *testing.T) {
 	random := randomCodes(47)
 	alt := int8(127)
 	fills := map[string]func() int8{
@@ -305,34 +373,36 @@ func TestDotSQ8SymCodes4MatchesSingle(t *testing.T) {
 		"max":    func() int8 { return 127 },
 		"minmax": func() int8 { alt = ^alt; return alt }, // ^127 == -128
 	}
+	rng := rand.New(rand.NewSource(48))
 	for dim := 1; dim <= 130; dim++ {
 		for _, off := range []int{0, 1, 3} {
-			for _, nRows := range codes4Rows {
-				c := newCodes4Case(dim, nRows, off, random)
-				DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
-				c.check(t, "random", dim, off)
+			for _, nRows := range sym4Rows {
+				newSym4Case(dim, nRows, off, random, rng, nRows%2 == 1).run(t, "random", off, Sym4Survivors)
 			}
 			for name, fill := range fills {
-				c := newCodes4Case(dim, 3, off, fill)
-				DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
-				c.check(t, name, dim, off)
+				newSym4Case(dim, 3, off, fill, rng, false).run(t, name, off, Sym4Survivors)
 			}
 		}
 	}
 }
 
-func TestDotSQ8SymCodes4ShapePanics(t *testing.T) {
+func TestSym4SurvivorsShapePanics(t *testing.T) {
+	var g Sym4Queries
+	g.Set(0, make([]int8, 16))
+	f := make([]float64, 2)
 	for name, call := range map[string]func(){
-		"zero dim":    func() { DotSQ8SymCodes4(nil, nil, nil, 0) },
-		"short query": func() { DotSQ8SymCodes4(make([]int32, 4), make([]int16, 63), make([]int8, 16), 16) },
-		"ragged rows": func() { DotSQ8SymCodes4(make([]int32, 4), make([]int16, 64), make([]int8, 17), 16) },
-		"short dst":   func() { DotSQ8SymCodes4(make([]int32, 7), make([]int16, 64), make([]int8, 32), 16) },
-		"long dst":    func() { DotSQ8SymCodes4(make([]int32, 9), make([]int16, 64), make([]int8, 32), 16) },
+		"no queries":  func() { Sym4Survivors(nil, nil, new(Sym4Queries), nil, nil, nil, nil) },
+		"ragged rows": func() { Sym4Survivors(make([]int32, 8), make([]uint32, 2), &g, make([]int8, 33), f, f, f) },
+		"short dots":  func() { Sym4Survivors(make([]int32, 7), make([]uint32, 2), &g, make([]int8, 32), f, f, f) },
+		"long dots":   func() { Sym4Survivors(make([]int32, 9), make([]uint32, 2), &g, make([]int8, 32), f, f, f) },
+		"short surv":  func() { Sym4Survivors(make([]int32, 8), make([]uint32, 1), &g, make([]int8, 32), f, f, f) },
+		"short sums":  func() { Sym4Survivors(make([]int32, 8), make([]uint32, 2), &g, make([]int8, 32), f, f[:1], f) },
+		"short scale": func() { Sym4Survivors(make([]int32, 8), make([]uint32, 2), &g, make([]int8, 32), f, f, f[:1]) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DotSQ8SymCodes4 with %s did not panic", name)
+					t.Errorf("Sym4Survivors with %s did not panic", name)
 				}
 			}()
 			call()
@@ -340,16 +410,22 @@ func TestDotSQ8SymCodes4ShapePanics(t *testing.T) {
 	}
 }
 
-// BenchmarkDotSQ8SymCodes4 times the kernel on the scan's own shape —
-// one 256-row block of 64-lane rows — and reports ns per (row, query)
-// pair, the unit a DotSQ8SymCodes call (bench's vecmath.dot_sq8sym_ns)
-// is measured in.
-func BenchmarkDotSQ8SymCodes4(b *testing.B) {
+// BenchmarkSym4Survivors times each kernel body the CPU has on the
+// scan's own shape — one 256-row block of 64-lane rows, floors a pool
+// in steady state sets (about one row in 16 survives some lane) — and
+// reports ns per (row, query) pair.
+func BenchmarkSym4Survivors(b *testing.B) {
 	const dim, nRows = 64, 256
-	c := newCodes4Case(dim, nRows, 0, randomCodes(53))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DotSQ8SymCodes4(c.dst, c.qw, c.rows, dim)
+	c := newSym4Case(dim, nRows, 0, randomCodes(53), rand.New(rand.NewSource(54)), false)
+	for j := range c.g.Floor {
+		c.g.Floor[j] = 2
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(4*nRows), "ns/pair")
+	for name, body := range sym4Bodies(dim) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body(c.dots, c.surv, &c.g, c.rows, c.rowOff, c.rowSum, c.rowScale)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(4*nRows), "ns/pair")
+		})
+	}
 }
