@@ -76,9 +76,10 @@ type queryCtx struct {
 
 	q32 []float32 // F32: narrowed query
 
-	qSum float64           // SQ8: Σ q[i], threaded through DotSQ8
-	sq8q embstore.SQ8Query // SQ8 + SIMD: quantized query for DotSQ8Sym
-	sym  bool              // symmetric first stage active this query
+	qSum    float64           // SQ8: Σ q[i], threaded through DotSQ8
+	sq8q    embstore.SQ8Query // SQ8 + SIMD: quantized query for DotSQ8Sym
+	sym     bool              // symmetric first stage active this query
+	invNorm float64           // SQ8 + SIMD: 1/qNorm (0 for a zero query), the beam's cosine scale
 
 	// done is the query's cancellation signal (ctx.Done()); nil — the
 	// Background context's Done — means the query can never be canceled
@@ -115,12 +116,23 @@ func (qc *queryCtx) init(store *embstore.Store, q []float64) {
 		vecmath.F64To32(qc.q32, q)
 	case embstore.SQ8:
 		qc.qSum = vecmath.Sum(q)
-		// The symmetric integer kernel only beats the asymmetric one in
-		// its SIMD form (see Metric.quickScoreView); on scalar backends
-		// the search stays single-stage and the query is never quantized.
+		// Why scalar backends score in one stage: there the asymmetric
+		// LUT kernel (scoreView) reads one byte per candidate lane and is
+		// both cheaper and more accurate than a symmetric int8×int8 first
+		// stage (DotSQ8Sym measured 24 ns against 20.5 ns at dim 32, and
+		// it adds the query's quantization error), so a search ranks every
+		// candidate with scoreView once and a re-score pass would
+		// reproduce identical scores. Only the SIMD symmetric kernel is
+		// cheap enough to earn a first stage over a candidate pool widened
+		// to rerank·k (candidateK) that scoreView then re-ranks; the query
+		// is quantized once here for it.
 		if vecmath.HasSQ8Sym() {
 			qc.sym = true
 			store.EncodeQuery(q, &qc.sq8q)
+			qc.invNorm = 0
+			if qc.qNorm != 0 {
+				qc.invNorm = 1 / qc.qNorm
+			}
 		}
 	}
 }
@@ -143,64 +155,6 @@ func (m Metric) scoreView(qc *queryCtx, v *embstore.VecView) float64 {
 		return 0
 	}
 	return dot / (qc.qNorm * v.Norm)
-}
-
-// quickScoreView is the scalar-backend candidate-scan kernel. Over sq8
-// slabs it reads one byte per lane of the candidate through the
-// asymmetric LUT kernel — the "exact re-rank from dequantized
-// registers" fused into the scan itself. On scalar cores that is both
-// cheaper and more accurate than a symmetric int8×int8 first stage
-// (DotSQ8Sym — measured 20.5ns vs 24ns at dim 32, and it carries no
-// query-side quantization error), so there the two stages of the sq8
-// search share this kernel and an explicit re-score pass would
-// reproduce identical scores. On SIMD backends the genuinely cheaper
-// integer kernel reinstates the explicit two-stage search: candidate
-// generation goes through symScoreView, and scoreView re-ranks the
-// widened survivor pool (see candidateK). Other precisions have
-// nothing cheaper than the exact kernel and fall through to scoreView.
-func (m Metric) quickScoreView(qc *queryCtx, v *embstore.VecView) float64 {
-	if v.Code == nil {
-		return m.scoreView(qc, v)
-	}
-	dot := vecmath.DotSQ8(qc.q, v.Code, v.Scale, v.Offset, qc.qSum)
-	if m == DotProduct {
-		return dot
-	}
-	if qc.qNorm == 0 || v.Norm == 0 {
-		return 0
-	}
-	return dot / (qc.qNorm * v.Norm)
-}
-
-// symScoreView scores the quantized query against an sq8 candidate
-// through the symmetric integer kernel: 2 bytes moved per lane, no
-// float conversions in the inner loop. The score carries the query's
-// quantization error on top of the candidate's, so it only ranks the
-// first stage — callers re-rank the widened survivor pool with
-// scoreView. Valid only when qc.sym is set.
-func (m Metric) symScoreView(qc *queryCtx, v *embstore.VecView) float64 {
-	dot := vecmath.DotSQ8Sym(qc.sq8q.Code, v.Code,
-		qc.sq8q.Scale, qc.sq8q.Offset, v.Scale, v.Offset,
-		qc.sq8q.CodeSum, v.CodeSum)
-	if m == DotProduct {
-		return dot
-	}
-	if qc.qNorm == 0 || v.Norm == 0 {
-		return 0
-	}
-	return dot / (qc.qNorm * v.Norm)
-}
-
-// beamScoreView is the candidate-generation kernel: the symmetric
-// integer kernel when the backend makes it the cheap one, the
-// asymmetric scan kernel otherwise. Scores from the two branches are
-// not comparable across queries — each query commits to one branch at
-// ctx.init time.
-func (m Metric) beamScoreView(qc *queryCtx, v *embstore.VecView) float64 {
-	if qc.sym {
-		return m.symScoreView(qc, v)
-	}
-	return m.quickScoreView(qc, v)
 }
 
 // sq8Rerank is the candidate-widening multiplier for searches over sq8

@@ -8,18 +8,18 @@
 // stores.
 //
 // The search hot path holds the PR 2 bar: all per-query state (the
-// epoch-stamped visited array, candidate/result heaps, the
-// narrowed/quantized query context) lives in a pooled scratch, the
-// query norm is computed once per query, and candidate vectors are
-// read straight out of the graph-resident slot-indexed slab — at the
-// store's precision (f32/sq8), with no id→slot map lookups or
-// shard locks per expansion — so SearchInto is allocation-free in
-// steady state. Over sq8 slabs the beam widens to at least rerank·k;
-// on SIMD backends it scores candidates with the symmetric int8×int8
-// kernel (the query is quantized once per search) and the beam's
-// survivors are re-ranked asymmetrically, while on scalar backends
-// every candidate is scored with the asymmetric LUT kernel directly
-// (see Metric.quickScoreView for why that is the scalar optimum).
+// epoch-stamped visited array, the beam — one best-first list with an
+// expanded mark per entry — and the narrowed/quantized query context)
+// lives in a pooled scratch, the query norm is computed once per query,
+// and candidate vectors are read straight out of the graph-resident
+// slot-indexed slab — at the store's precision (f32/sq8), with no
+// id→slot map lookups or shard locks per expansion — so SearchInto is
+// allocation-free in steady state. Over sq8 slabs the beam widens to at
+// least rerank·k; on SIMD backends it scores candidates with the
+// symmetric int8×int8 kernel (the query is quantized once per search)
+// and the beam's survivors are re-ranked asymmetrically, while on scalar
+// backends every candidate is scored with the asymmetric LUT kernel
+// directly (see queryCtx.init for why that is the scalar optimum).
 // SearchBatch has a second plan for small sq8 stores — one blocked scan
 // of the store per four queries instead of a beam each (scan.go).
 //
@@ -57,6 +57,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -360,62 +361,13 @@ func sortScored(s []scoredNode) {
 	}
 }
 
-// nodeHeap is a hand-rolled binary heap over scoredNode. Result beams
-// are min-heaps (root = current worst, evicted first); the expansion
-// frontier is a max-heap (root = most promising candidate).
-type nodeHeap struct {
-	min bool
-	a   []scoredNode
-}
-
-func (hp *nodeHeap) reset(min bool) { hp.min, hp.a = min, hp.a[:0] }
-func (hp *nodeHeap) len() int       { return len(hp.a) }
-
-// peek returns the root: the worst element of a min-heap, the best of a
-// max-heap.
-func (hp *nodeHeap) peek() scoredNode { return hp.a[0] }
-
-func (hp *nodeHeap) before(a, b scoredNode) bool {
-	if hp.min {
-		return a.score < b.score
-	}
-	return a.score > b.score
-}
-
-func (hp *nodeHeap) push(n scoredNode) {
-	hp.a = append(hp.a, n)
-	i := len(hp.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hp.before(hp.a[i], hp.a[p]) {
-			break
-		}
-		hp.a[i], hp.a[p] = hp.a[p], hp.a[i]
-		i = p
-	}
-}
-
-func (hp *nodeHeap) pop() scoredNode {
-	root := hp.a[0]
-	last := len(hp.a) - 1
-	hp.a[0] = hp.a[last]
-	hp.a = hp.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < len(hp.a) && hp.before(hp.a[l], hp.a[best]) {
-			best = l
-		}
-		if r < len(hp.a) && hp.before(hp.a[r], hp.a[best]) {
-			best = r
-		}
-		if best == i {
-			return root
-		}
-		hp.a[i], hp.a[best] = hp.a[best], hp.a[i]
-		i = best
-	}
+// beamNode is one entry of a beam: a slot, its score against the
+// query, and whether the search has expanded it yet — 16 bytes, as a
+// scoredNode.
+type beamNode struct {
+	slot     uint32
+	expanded bool
+	score    float64
 }
 
 // hnswScratch is the pooled per-query (and per-build-worker) working
@@ -435,8 +387,11 @@ type hnswScratch struct {
 	visited []uint16
 	epoch   uint16
 
-	cand    nodeHeap // expansion frontier (max-heap)
-	res     nodeHeap // beam results (min-heap, capped at ef)
+	// beam is the layer search's one list: the ≤ ef best nodes found so
+	// far, best first (scoredCmp order), each marked once expanded. next
+	// is the best unexpanded entry, len(beam) when there is none.
+	beam    []beamNode
+	next    int
 	pending []uint32 // slots awaiting scoring this expansion
 
 	// Neighbor-selection state: candidates sorted by score against the
@@ -551,14 +506,32 @@ func (h *HNSW) slabView(slot uint32, v *embstore.VecView) {
 	}
 }
 
-// scoreSlot scores a single slot against the scratch's query from the
-// graph slab with the candidate-generation kernel (symmetric over sq8
-// slabs on SIMD backends). Used for entry points; bulk scoring goes
-// through scorePendingBeam. Caller holds h.mu.
-func (h *HNSW) scoreSlot(slot uint32, qc *queryCtx) float64 {
-	var v embstore.VecView
-	h.slabView(slot, &v)
-	return h.cfg.Metric.beamScoreView(qc, &v)
+// scoreSlot is the beam's score of slot against the query qc, read
+// straight off the graph slab; it scores entry points and candidates
+// alike. Over sq8 slabs on SIMD backends (qc.sym) it is the first-stage
+// score: the raw integer kernel against the quantized query plus
+// vecmath.DotSQ8Sym's affine correction, term by term, with no VecView
+// assembly. Everywhere else it is scoreView at full query precision.
+// Caller holds h.mu.
+func (h *HNSW) scoreSlot(qc *queryCtx, slot uint32) float64 {
+	if !qc.sym {
+		var v embstore.VecView
+		h.slabView(slot, &v)
+		return h.cfg.Metric.scoreView(qc, &v)
+	}
+	q, sd, dim := &qc.sq8q, &h.side[slot], h.dim
+	lo := int(slot) * dim
+	acc := vecmath.DotSQ8SymCodes(q.Code, h.codes[lo:lo+dim])
+	scale, offset := float64(sd.scale), float64(sd.offset)
+	dot := float64(dim)*q.Offset*offset + q.Offset*scale*float64(sd.codeSum) +
+		offset*q.Scale*float64(q.CodeSum) + q.Scale*scale*float64(acc)
+	if h.cfg.Metric == DotProduct {
+		return dot
+	}
+	if qc.invNorm == 0 || sd.norm == 0 {
+		return 0
+	}
+	return dot * qc.invNorm / float64(sd.norm)
 }
 
 // rerankSlot is the second stage for one first-stage survivor: slot's
@@ -615,112 +588,100 @@ func sq8PairDot(sa, sb *sq8Side, dim int, acc int32) float64 {
 		bOff*aScale*float64(sa.codeSum) + aScale*bScale*float64(acc)
 }
 
-// beamPush applies the standard beam update for one scored slot: grow
-// the beam until it holds ef results, then displace its worst. Both
-// heaps receive every admitted node (cand drives expansion, res keeps
-// the beam).
-func beamPush(sc *hnswScratch, slot uint32, score float64, ef int) {
-	if sc.res.len() < ef {
-		sc.cand.push(scoredNode{slot: slot, score: score})
-		sc.res.push(scoredNode{slot: slot, score: score})
-	} else if score > sc.res.peek().score {
-		sc.cand.push(scoredNode{slot: slot, score: score})
-		sc.res.push(scoredNode{slot: slot, score: score})
-		sc.res.pop()
+// push offers one scored slot to the beam: it goes in while the beam
+// holds fewer than ef entries, or when it beats the worst, which then
+// drops out. Its place is found by binary search — an admitted
+// candidate lands ~70 entries from the back of a 192-wide beam on
+// average, where a linear back-scan measured slower — and the entries
+// below it move down one. An entry landing above next becomes the best
+// unexpanded one.
+func (sc *hnswScratch) push(slot uint32, score float64, ef int) {
+	b := sc.beam
+	i := len(b)
+	if i < ef {
+		b = append(b, beamNode{})
+	} else if score > b[i-1].score {
+		i--
+	} else {
+		return
+	}
+	j, hi := 0, i
+	for j < hi {
+		m := int(uint(j+hi) >> 1)
+		if b[m].score > score || b[m].score == score && b[m].slot < slot {
+			j = m + 1
+		} else {
+			hi = m
+		}
+	}
+	copy(b[j+1:i+1], b[j:i])
+	b[j] = beamNode{slot: slot, score: score}
+	sc.beam = b
+	if j < sc.next {
+		sc.next = j
 	}
 }
 
-// scorePendingBeam scores sc.pending into the beam heaps (see
-// beamPush). This is the query beam's hot loop; profiles show it bound
-// by memory latency and per-candidate overhead, not kernel arithmetic,
-// so the sq8+SIMD specialization (sc.ctx.sym) (a) reads codes and
-// sidecars straight off the slab arrays with no VecView assembly,
-// (b) hoists the affine correction's query-side terms out of the loop
-// and calls the raw integer kernel per candidate, and (c) pre-touches
-// every pending row first, so the candidates' cache misses issue
-// back-to-back and resolve in parallel instead of serializing one
-// score call at a time. The score it produces is symScoreView's up to
-// floating-point regrouping. Caller holds h.mu.
+// scorePendingBeam scores sc.pending into the beam (see push). This is
+// the query beam's hot loop; profiles show it bound by memory latency
+// and per-candidate overhead, not kernel arithmetic, so over sq8 slabs
+// on SIMD backends (sc.ctx.sym) it first pre-touches every pending row:
+// the candidates' cache misses issue back-to-back and resolve in
+// parallel instead of serializing one score call at a time. Caller
+// holds h.mu.
 func (h *HNSW) scorePendingBeam(sc *hnswScratch, ef int) {
 	qc := &sc.ctx
-	if !qc.sym {
-		var v embstore.VecView
+	if qc.sym {
+		dim := h.dim
+		var touch int32
 		for _, slot := range sc.pending {
-			h.slabView(slot, &v)
-			beamPush(sc, slot, h.cfg.Metric.quickScoreView(qc, &v), ef)
+			lo := int(slot) * dim
+			touch ^= int32(h.codes[lo]) ^ int32(h.codes[lo+dim-1]) ^ h.side[slot].codeSum
 		}
-		return
-	}
-	q := &qc.sq8q
-	dim := h.dim
-	var touch int32
-	for _, slot := range sc.pending {
-		lo := int(slot) * dim
-		touch ^= int32(h.codes[lo]) ^ int32(h.codes[lo+dim-1]) ^ h.side[slot].codeSum
-	}
-	sc.touch = touch
-	qScale := q.Scale
-	qOffset := q.Offset
-	nqo := float64(dim) * qOffset // n·qOff term of the correction
-	qs := float64(q.CodeSum)      // Σ query codes
-	cosine := h.cfg.Metric != DotProduct
-	invQ := 0.0
-	if qc.qNorm != 0 {
-		invQ = 1 / qc.qNorm
+		sc.touch = touch
 	}
 	for _, slot := range sc.pending {
-		lo := int(slot) * dim
-		sd := &h.side[slot]
-		acc := vecmath.DotSQ8SymCodes(q.Code, h.codes[lo:lo+dim])
-		scale, offset := float64(sd.scale), float64(sd.offset)
-		dot := nqo*offset + qOffset*scale*float64(sd.codeSum) +
-			offset*qScale*qs + qScale*scale*float64(acc)
-		score := dot
-		if cosine {
-			if invQ == 0 || sd.norm == 0 {
-				score = 0
-			} else {
-				score = dot * invQ / float64(sd.norm)
-			}
-		}
-		beamPush(sc, slot, score, ef)
+		sc.push(slot, h.scoreSlot(qc, slot), ef)
 	}
 }
 
 // searchLayer runs a beam search of width ef across one layer from the
 // (already scored, alive) entry ep, leaving the ≤ ef best alive nodes
-// in sc.res. ef=1 degrades to the greedy descent used on upper layers.
-// The query is sc.ctx. Caller holds h.mu (read or write).
-func (h *HNSW) searchLayer(sc *hnswScratch, ep scoredNode, ef, layer int) {
+// in sc.beam, best first, and returns the best. ef=1 degrades to the
+// greedy descent used on upper layers. It expands the best unexpanded
+// entry until none is left — the two-heap form's stop rule, since a
+// node that fell out of the beam can no longer beat its worst. The
+// query is sc.ctx. Caller holds h.mu (read or write).
+func (h *HNSW) searchLayer(sc *hnswScratch, ep scoredNode, ef, layer int) scoredNode {
 	sc.bumpEpoch(len(h.nodes))
 	sc.visited[ep.slot] = sc.epoch
-	sc.cand.reset(false)
-	sc.res.reset(true)
-	sc.cand.push(ep)
-	sc.res.push(ep)
-	for sc.cand.len() > 0 {
+	sc.beam = append(sc.beam[:0], beamNode{slot: ep.slot, score: ep.score})
+	sc.next = 0
+	for sc.next < len(sc.beam) {
 		if sc.ctx.canceled() {
-			return // abandoned query: stop expanding, caller returns ctx.Err()
+			break // abandoned query: stop expanding, caller returns ctx.Err()
 		}
-		c := sc.cand.pop()
-		if sc.res.len() >= ef && c.score < sc.res.peek().score {
-			break // every remaining candidate is worse than the beam's worst
+		c := &sc.beam[sc.next]
+		c.expanded = true
+		slot := c.slot
+		for sc.next < len(sc.beam) && sc.beam[sc.next].expanded {
+			sc.next++
 		}
-		if sc.cand.len() > 0 {
+		if sc.next < len(sc.beam) {
 			// Pre-touch the likely next expansion's link chain (node
 			// record → per-layer headers → neighbor list): three
 			// dependent loads that would otherwise serialize at the top
 			// of the next iteration now resolve behind this expansion's
-			// scoring work. "Likely" because scoring may push a better
+			// scoring work. "Likely" because scoring may insert a better
 			// candidate above it; a wasted touch costs nothing.
-			if nl := h.nodes[sc.cand.a[0].slot].links; layer < len(nl) {
+			if nl := h.nodes[sc.beam[sc.next].slot].links; layer < len(nl) {
 				if nbl := nl[layer]; len(nbl) > 0 {
 					sc.touch ^= int32(nbl[0])
 				}
 			}
 		}
 		sc.pending = sc.pending[:0]
-		for _, nb := range h.nodes[c.slot].links[layer] {
+		for _, nb := range h.nodes[slot].links[layer] {
 			if sc.visited[nb] == sc.epoch {
 				continue
 			}
@@ -732,32 +693,32 @@ func (h *HNSW) searchLayer(sc *hnswScratch, ep scoredNode, ef, layer int) {
 		}
 		h.scorePendingBeam(sc, ef)
 	}
+	return scoredNode{slot: sc.beam[0].slot, score: sc.beam[0].score}
 }
 
-// bestOfRes returns the highest-scoring element of sc.res (the res heap
-// is a min-heap, so the best is not the root).
-func (sc *hnswScratch) bestOfRes() scoredNode {
-	best := sc.res.a[0]
-	for _, n := range sc.res.a[1:] {
-		if n.score > best.score {
-			best = n
-		}
+// descendLocked scores the entry point against sc.ctx and descends
+// greedily from it through the layers above layer to, returning the
+// node it reaches: where a search of layer to starts. Caller holds h.mu
+// and the graph is not empty.
+func (h *HNSW) descendLocked(sc *hnswScratch, to int) scoredNode {
+	cur := scoredNode{slot: uint32(h.entry), score: h.scoreSlot(&sc.ctx, uint32(h.entry))}
+	for layer := h.maxLevel; layer > to; layer-- {
+		cur = h.searchLayer(sc, cur, 1, layer)
 	}
-	return best
+	return cur
 }
 
-// gatherWork sorts the beam's survivors (sc.res) into sc.work,
-// descending by score against the query, for selectNeighbors. self,
-// the inserting slot, is left out: a swept insert may have linked to it
-// already, so the beam can reach it.
+// gatherWork copies the beam's survivors (sc.beam, already best first)
+// into sc.work for selectNeighbors. self, the inserting slot, is left
+// out: a swept insert may have linked to it already, so the beam can
+// reach it.
 func (sc *hnswScratch) gatherWork(self uint32) {
 	sc.work = sc.work[:0]
-	for _, n := range sc.res.a {
+	for _, n := range sc.beam {
 		if n.slot != self {
-			sc.work = append(sc.work, n)
+			sc.work = append(sc.work, scoredNode{slot: n.slot, score: n.score})
 		}
 	}
-	sortScored(sc.work)
 }
 
 // diverse is the HNSW diversity rule: candidate c (scored against the
@@ -1077,24 +1038,18 @@ func (h *HNSW) beamDiscoverLocked(sc *hnswScratch, slot uint32, level int, vec [
 	if sweep {
 		top, low = 0, 1
 	}
-	entry, entryLevel := h.entry, h.maxLevel
-	descend := entry >= 0 && uint32(entry) != slot
+	descend := h.entry >= 0 && uint32(h.entry) != slot
 	if descend {
-		top = max(top, min(level, entryLevel))
+		top = max(top, min(level, h.maxLevel))
 	}
 	for len(sc.selected) <= top {
 		sc.selected = append(sc.selected, nil)
 	}
 	if descend && top >= low {
 		sc.ctx.init(h.store, vec)
-		cur := scoredNode{slot: uint32(entry), score: h.scoreSlot(uint32(entry), &sc.ctx)}
-		for layer := entryLevel; layer > top; layer-- {
-			h.searchLayer(sc, cur, 1, layer)
-			cur = sc.res.peek()
-		}
+		cur := h.descendLocked(sc, top)
 		for layer := top; layer >= low; layer-- {
-			h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
-			cur = sc.bestOfRes()
+			cur = h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
 			sc.gatherWork(slot)
 			sc.selected[layer] = h.selectNeighbors(sc, sc.work, sc.selected[layer][:0], h.cfg.M)
 		}
@@ -1220,13 +1175,25 @@ func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswS
 	return kept
 }
 
-// pickEntryLocked selects the highest-level alive node as the new entry
-// point (−1 when the graph is empty). Caller holds h.mu for writing.
+// pickEntryLocked selects the new entry point: the highest-level live
+// node, the lowest slot among equals. Every live node above layer 0 is
+// in h.upper, so only those are scanned; with none, the entry is the
+// lowest live slot (−1 when the graph is empty). Caller holds h.mu for
+// writing.
 func (h *HNSW) pickEntryLocked() {
 	h.entry, h.maxLevel = -1, -1
-	for i := range h.nodes {
-		if h.nodes[i].alive && len(h.nodes[i].links)-1 > h.maxLevel {
-			h.entry, h.maxLevel = i, len(h.nodes[i].links)-1
+	for _, s := range h.upper {
+		if l := len(h.nodes[s].links) - 1; l > h.maxLevel || l == h.maxLevel && int(s) < h.entry {
+			h.entry, h.maxLevel = int(s), l
+		}
+	}
+	if h.entry >= 0 {
+		return
+	}
+	for w, word := range h.aliveBits {
+		if word != 0 {
+			h.entry, h.maxLevel = w<<6+bits.TrailingZeros64(word), 0
+			return
 		}
 	}
 }
@@ -1415,12 +1382,7 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	if ef < kk {
 		ef = kk
 	}
-	cur := scoredNode{slot: uint32(h.entry), score: h.scoreSlot(uint32(h.entry), &sc.ctx)}
-	for layer := h.maxLevel; layer > 0; layer-- {
-		h.searchLayer(sc, cur, 1, layer)
-		cur = sc.res.peek()
-	}
-	h.searchLayer(sc, cur, ef, 0)
+	h.searchLayer(sc, h.descendLocked(sc, 0), ef, 0)
 	if sc.ctx.canceled() {
 		h.mu.RUnlock()
 		hnswScratchPool.Put(sc)
@@ -1434,11 +1396,11 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 	annStageHNSWCand.Observe(int64(rerankStart.Sub(start)))
 	sc.top.reset(k)
 	if sc.ctx.sym {
-		for _, n := range sc.res.a {
+		for _, n := range sc.beam {
 			h.rerankSlot(&sc.ctx, &sc.top, n.slot)
 		}
 	} else {
-		for _, n := range sc.res.a {
+		for _, n := range sc.beam {
 			sc.top.push(Result{ID: h.nodes[n.slot].id, Score: n.score})
 		}
 	}

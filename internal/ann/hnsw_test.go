@@ -231,6 +231,76 @@ func TestHNSWEntryRemoval(t *testing.T) {
 	}
 }
 
+// TestPickEntryMatchesFullScan removes the entry point over and over
+// from a churned graph, with inserts in between, until the graph is
+// empty, and holds every pick to a scan of all slots: the highest-level
+// live node, the lowest slot among equals — the lowest live slot once no
+// node is above layer 0, and −1 for the empty graph.
+func TestPickEntryMatchesFullScan(t *testing.T) {
+	const n, dim = 400, 8
+	cfg := DefaultHNSWConfig()
+	cfg.M = 4 // a quarter of the nodes above layer 0, several per level
+	h := mustHNSW(t, randomStore(t, n, dim, 19), cfg)
+	rng := rand.New(rand.NewSource(23))
+	add := func(id graph.NodeID) {
+		t.Helper()
+		if err := h.Add(id, randVec(rng, make([]float64, dim))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		add(graph.NodeID(rng.Intn(n)))
+	}
+	for _, id := range rng.Perm(n)[:n/4] {
+		h.Remove(graph.NodeID(id))
+	}
+	fullScan := func() (entry, level int) {
+		entry, level = -1, -1
+		for s := range h.nodes {
+			if h.nodes[s].alive && len(h.nodes[s].links)-1 > level {
+				entry, level = s, len(h.nodes[s].links)-1
+			}
+		}
+		return entry, level
+	}
+	next := graph.NodeID(n)
+	picks, lowest := 0, 0
+	for step := 0; ; step++ {
+		h.mu.RLock()
+		entry := h.entry
+		var id graph.NodeID
+		if entry >= 0 {
+			id = h.nodes[entry].id
+		}
+		h.mu.RUnlock()
+		if entry < 0 {
+			break
+		}
+		if !h.Remove(id) {
+			t.Fatalf("Remove(%d) = false", id)
+		}
+		h.mu.RLock()
+		wantEntry, wantLevel := fullScan()
+		gotEntry, gotLevel := h.entry, h.maxLevel
+		h.mu.RUnlock()
+		if gotEntry != wantEntry || gotLevel != wantLevel {
+			t.Fatalf("step %d: entry %d at level %d, full scan %d at level %d", step, gotEntry, gotLevel, wantEntry, wantLevel)
+		}
+		picks++
+		if wantLevel == 0 {
+			lowest++
+		}
+		if step%3 == 0 { // inserts keep the upper layers changing
+			add(next)
+			next++
+		}
+	}
+	if lowest == 0 || lowest == picks {
+		t.Fatalf("%d of %d picks fell back to the lowest live slot; want some of both kinds", lowest, picks)
+	}
+	t.Logf("%d entry removals, %d of them with no node above layer 0", picks, lowest)
+}
+
 func TestHNSWConcurrentQueryAndMutate(t *testing.T) {
 	s := randomStore(t, 300, 8, 17)
 	h := mustHNSW(t, s, DefaultHNSWConfig())

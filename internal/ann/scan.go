@@ -10,8 +10,8 @@
 // whole 32-query scan of 5,000 dim-64 rows costs ~5.5 ns per (row,
 // query), kernel, survivors, pools and re-rank together
 // (BenchmarkExactSearchBatch32/sq8: ~27 µs a query on one CPU of a
-// 2-vCPU Xeon), where a beam pays ~58 ns per row it visits (heap
-// traffic, random slab reads).
+// 2-vCPU Xeon), where a beam pays ~58 ns per row it visits (beam
+// upkeep, random slab reads).
 //
 // The scanner reads the store, which is the truth, never the graph's
 // mirror of it: embstore.Store.ScanShard hands it each shard's
@@ -43,8 +43,8 @@
 // slab rather than the store, because neighbor selection compares rows
 // by the slab's own arithmetic (pairScore): an insert's layer-0
 // neighbors come from one sweep of the slab (sweepSelect) instead of an
-// efConstruction-wide beam, which visits thousands of rows at heap
-// cost. Build places four nodes at a time and fills all four lanes of
+// efConstruction-wide beam, which visits thousands of rows one by
+// one. Build places four nodes at a time and fills all four lanes of
 // the kernel with their rows; a live Add sweeps with one lane. The
 // graph is link for link that of an exact search for the top
 // efConstruction candidates — a bound on the sweep's cheaper filter
@@ -545,14 +545,14 @@ func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bo
 // scoreRows is the single-stage path over rows [lo, hi) of r — f32
 // stores, and sq8 on backends without the SIMD symmetric kernel: each
 // row is read once and scored against every query of the task at full
-// query precision (quickScoreView), as a row-at-a-time scan scores it.
+// query precision (scoreView), as a row-at-a-time scan scores it.
 func (sc *scanScratch) scoreRows(m Metric, r *embstore.Run, lo, hi int) {
 	var v embstore.VecView
 	for i := lo; i < hi; i++ {
 		r.View(i, &v)
 		for j := range sc.q {
 			sq := &sc.q[j]
-			if score := m.quickScoreView(&sq.ctx, &v); !(score < sq.floor) && !r.Masked(i) {
+			if score := m.scoreView(&sq.ctx, &v); !(score < sq.floor) && !r.Masked(i) {
 				sq.push(r.IDs[i], score)
 			}
 		}
