@@ -78,9 +78,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("upsert status %d", code)
 		}
 	}
-	// One client-side batch against an sq8 copy of the store: four
-	// queries is a batch HNSW.SearchBatch sweeps (on a SIMD backend)
-	// instead of searching, which has its own series.
+	// One client-side batch and one single query against an sq8 copy of
+	// the store: on a SIMD backend the store scan answers both instead
+	// of the beam (scanPlan), and has its own series.
 	sq8, err := embstore.FromMatrix(trained.emb, 4, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +89,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	batch := map[string]any{"k": 3, "queries": []map[string]any{{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3}}}
 	if code, raw := postJSON(t, sq8ts.URL+"/v1/neighbors", batch, &nbr); code != http.StatusOK || len(nbr.Batches) != 4 {
 		t.Fatalf("batch neighbors status %d: %s", code, raw)
+	}
+	if code, raw := postJSON(t, sq8ts.URL+"/v1/neighbors", map[string]any{"id": 3, "k": 4}, nil); code != http.StatusOK {
+		t.Fatalf("sq8 neighbors status %d: %s", code, raw)
 	}
 
 	body := scrapeMetrics(t, ts.URL)
@@ -128,16 +131,17 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("%s = %v, want >= 1", series, v)
 		}
 	}
-	// The plan that answered the batch is visible: the sweep's series are
-	// always exposed, and move wherever the sweep can run.
+	// The plan that answered is visible: the scan's series are always
+	// exposed, and move wherever the scan can run — four for the batch,
+	// one for the single query, one stage observation for each.
 	swept := 0.0
 	if vecmath.HasSQ8Sym() {
 		swept = 1
 	}
 	for series, atLeast := range map[string]float64{
-		`ehnad_ann_queries_total{index="hnsw_scan"}`:                          4 * swept,
-		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="candidates"}`: swept,
-		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="rerank"}`:     swept,
+		`ehnad_ann_queries_total{index="hnsw_scan"}`:                          5 * swept,
+		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="candidates"}`: 2 * swept,
+		`ehnad_ann_stage_seconds_count{index="hnsw_scan",stage="rerank"}`:     2 * swept,
 	} {
 		if v := metricValue(t, body, series); v < atLeast {
 			t.Errorf("%s = %v, want >= %v", series, v, atLeast)

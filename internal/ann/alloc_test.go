@@ -67,7 +67,9 @@ func coldStoreOf(t *testing.T, src *embstore.Store) *embstore.Store {
 // type is allocation-free in steady state at every slab precision —
 // over heap slabs and (where mmap exists) over a mapped cold base, so
 // the asymmetric re-rank reading vectors straight from the mapping is
-// covered too. Scratch (including the narrowed/quantized query
+// covered too. HNSW is asserted on both of its plans: SearchInto, which
+// scanPlan sends to the store scan over these 2,000 sq8 rows on a SIMD
+// backend, and the beam (searchBeam) over the same graph. Scratch (including the narrowed/quantized query
 // context) comes from the pool, results land in the caller's buffer.
 // GOMAXPROCS is pinned to 1 so no other goroutine's allocations land in
 // the count, and GC is paused so the scratch pool cannot be emptied
@@ -112,7 +114,7 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, idx := range map[string]Index{"exact": exact, "hnsw": hnsw} {
+			for name, idx := range map[string]Index{"exact": exact, "hnsw": hnsw, "hnsw-beam": beamOf{hnsw}} {
 				dst := make([]Result, 0, k)
 				// Warm the scratch pool and result buffers.
 				for i := 0; i < 3; i++ {

@@ -329,8 +329,8 @@ func appendResults(dst, rs []Result) []Result {
 // Exact is the brute-force index: every query reads the whole store
 // through the blocked scanner (scan.go), a batch four queries to a row
 // load. It is the ground truth HNSW recall is measured against, HNSW's
-// fallback when a beam starves, and the scanner behind HNSW.SearchBatch
-// on small stores.
+// fallback when a beam starves, and the scanner behind HNSW's reads,
+// single and batched, on small stores.
 type Exact struct {
 	store  *embstore.Store
 	metric Metric
@@ -361,23 +361,13 @@ func (e *Exact) Search(q []float64, k int) ([]Result, error) {
 
 // SearchInto scans the store as a task of one query, on the calling
 // goroutine (a single query does not fan out over shards or CPUs),
-// writing the top-k into dst. On SIMD backends sq8 stores are scanned two-stage (symmetric
-// integer candidate generation into a rerank·k-wide pool, asymmetric
+// writing the top-k into dst. On SIMD backends sq8 stores are scanned
+// two-stage (symmetric integer candidate generation by the one-query
+// survivor kernel into a rerank·k-wide pool, asymmetric
 // full-precision-query re-rank of the survivors); everywhere else each
 // row is scored once at full query precision.
 func (e *Exact) SearchInto(ctx context.Context, dst []Result, q []float64, k int) ([]Result, error) {
-	if err := checkQuery(e.store, q, k); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	annQueriesExact.Inc()
-	out, qs := [1][]Result{dst[:0]}, [1][]float64{q}
-	if err := e.searchTask(ctx, out[:], qs[:], k, &exactStats); err != nil {
-		return dst[:0], err
-	}
-	return out[0], nil
+	return e.searchOne(ctx, dst, q, k, &exactStats)
 }
 
 // SearchBatch answers qs by the scanner in tasks of up to 32 queries,

@@ -146,8 +146,9 @@ func BenchmarkHNSWSearchBatch32(b *testing.B) {
 	reportPerQuery(b, len(qs))
 }
 
-// BenchmarkHNSWSearchInto is the twin of ann.search_into_us: the beam
-// alone, same shape.
+// BenchmarkHNSWSearchInto is the twin of ann.search_into_us: single
+// queries through HNSW.SearchInto, same shape, which at 5000 rows and
+// ef 192 scanPlan answers by the one-query store scan.
 func BenchmarkHNSWSearchInto(b *testing.B) {
 	h, rng := benchGraph(b)
 	h.SetEfSearch(192)
@@ -201,54 +202,85 @@ func BenchmarkExactSearchInto(b *testing.B) {
 	reportPerQuery(b, 1)
 }
 
-// BenchmarkScanCrossover is the table scanCrossover was set from: a
-// 32-query batch answered by a beam per query and by the slab sweep, at
-// three graph sizes and two beam widths, µs per query on one CPU. The
-// sweep's cost is linear in slots and the beam's nearly flat, so the
-// two columns cross; scanPlan must put its threshold where the sweep is
-// still well ahead, so the plan's own threshold at each width is in the
-// table too. A benchmark, not a test, so tier-1 never builds the 50k
-// graph.
+// BenchmarkScanCrossover is the table scanPlan's two constants were
+// set from, µs per query on one CPU, k 10: a 32-query batch answered by
+// a beam per query and by the store scan (scanCrossover), and single
+// queries answered by the beam and by a one-query scan
+// (scanCrossoverOne), at graph sizes from 5k to 50k and two beam
+// widths. The scan's cost is linear in rows and the beam's nearly
+// flat, so the columns cross; the plan must put each threshold where
+// the scan is still well ahead, so the plan's own thresholds are rows
+// of the table too. A benchmark, not a test, so tier-1 never builds
+// the 50k graph.
 func BenchmarkScanCrossover(b *testing.B) {
 	pinOneCPU(b)
 	ctx := context.Background()
 	m := DefaultHNSWConfig().M
 	for _, c := range []struct {
-		n   int
-		efs []int
+		n            int
+		batch, singl []int // the beam widths each form is timed at
 	}{
-		{5000, []int{64, 192}},
-		{scanCrossover * 64 * m, []int{64}},
-		{scanCrossover * 192 * m, []int{192}},
-		{20000, []int{64, 192}},
-		{50000, []int{64, 192}},
+		{scanCrossoverOne * 64 * m, nil, []int{64}},
+		{5000, []int{64, 192}, []int{64, 192}},
+		{scanCrossover * 64 * m, []int{64}, nil},
+		{10000, nil, []int{64, 192}},
+		{scanCrossoverOne * 192 * m, nil, []int{192}},
+		{scanCrossover * 192 * m, []int{192}, nil},
+		{20000, []int{64, 192}, []int{64, 192}},
+		{50000, []int{64, 192}, nil},
 	} {
 		h, err := BuildHNSW(buildStoreAt(b, c.n, benchDim, embstore.SQ8), DefaultHNSWConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		qs := benchQueries(rand.New(rand.NewSource(41)), 32, benchDim)
-		plans := []struct {
+		dst := make([]Result, 0, 10)
+		type plan struct {
 			name string
-			run  func() ([][]Result, error)
-		}{
-			{"beam", func() ([][]Result, error) {
-				return batchSearch(qs, 10, func(dst []Result, q []float64) ([]Result, error) { return h.SearchInto(ctx, dst, q, 10) })
-			}},
-			{"scan", func() ([][]Result, error) { return h.fallback.searchBatch(ctx, qs, 10, &hnswScanStats) }},
+			run  func() error
 		}
-		for _, ef := range c.efs {
-			h.SetEfSearch(ef)
-			for _, plan := range plans {
-				b.Run(fmt.Sprintf("n=%d/ef=%d/%s", c.n, ef, plan.name), func(b *testing.B) {
-					pinOneCPU(b)
-					for i := 0; i < b.N; i++ {
-						if _, err := plan.run(); err != nil {
-							b.Fatal(err)
-						}
+		batch := []plan{
+			{"batch/beam", func() error {
+				_, err := batchSearch(qs, 10, func(dst []Result, q []float64) ([]Result, error) { return h.searchBeam(ctx, dst, q, 10) })
+				return err
+			}},
+			{"batch/scan", func() error { _, err := h.fallback.searchBatch(ctx, qs, 10, &hnswScanStats); return err }},
+		}
+		single := []plan{
+			{"single/beam", func() (err error) {
+				for _, q := range qs {
+					if dst, err = h.searchBeam(ctx, dst, q, 10); err != nil {
+						return err
 					}
-					reportPerQuery(b, len(qs))
-				})
+				}
+				return nil
+			}},
+			{"single/scan", func() (err error) {
+				for _, q := range qs {
+					if dst, err = h.fallback.searchOne(ctx, dst, q, 10, &hnswScanStats); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+		}
+		for _, form := range []struct {
+			efs   []int
+			plans []plan
+		}{{c.batch, batch}, {c.singl, single}} {
+			for _, ef := range form.efs {
+				h.SetEfSearch(ef)
+				for _, p := range form.plans {
+					b.Run(fmt.Sprintf("n=%d/ef=%d/%s", c.n, ef, p.name), func(b *testing.B) {
+						pinOneCPU(b)
+						for i := 0; i < b.N; i++ {
+							if err := p.run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						reportPerQuery(b, len(qs))
+					})
+				}
 			}
 		}
 	}

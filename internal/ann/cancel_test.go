@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ehna/internal/embstore"
 )
 
 // flipCtx is a context whose entry check passes (Err returns nil the
@@ -39,19 +41,23 @@ func (c *flipCtx) Value(any) any               { return nil }
 // is only observable as canceled through the cooperative polls. A
 // search that ignored cancellation would return k results and no
 // error; the required behavior is context.Canceled and no results.
+// HNSW runs both plans: the beam directly, and SearchInto over a small
+// sq8 store, which scanPlan sends to the store scan on a SIMD backend.
 func TestSearchIntoCancelMidSearch(t *testing.T) {
 	store := buildStore(t, 5000, 16)
 	hnsw, err := BuildHNSW(store, DefaultHNSWConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	small := mustHNSW(t, buildStoreAt(t, 2000, 16, embstore.SQ8), DefaultHNSWConfig())
 	q := make([]float64, 16)
 	for i := range q {
 		q[i] = float64(i) - 8
 	}
 	for name, idx := range map[string]Index{
-		"exact": NewExact(store, Cosine),
-		"hnsw":  hnsw,
+		"exact":     NewExact(store, Cosine),
+		"hnsw-beam": beamOf{hnsw},
+		"hnsw-sq8":  small,
 	} {
 		dst := make([]Result, 0, 10)
 		got, err := idx.SearchInto(newFlipCtx(), dst, q, 10)

@@ -413,11 +413,11 @@ func TestSaveGraphDropsTombstones(t *testing.T) {
 	slabMirrorsStore(t, loaded)
 	for qi := 0; qi < 50; qi++ {
 		q := randVec(rng, make([]float64, dim))
-		a, err := h.Search(q, 10)
+		a, err := beamOf{h}.Search(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.Search(q, 10)
+		b, err := beamOf{loaded}.Search(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,9 @@
 // and the beam's survivors are re-ranked asymmetrically, while on scalar
 // backends every candidate is scored with the asymmetric LUT kernel
 // directly (see queryCtx.init for why that is the scalar optimum).
-// SearchBatch has a second plan for small sq8 stores — one blocked scan
-// of the store per four queries instead of a beam each (scan.go).
+// Reads have a second plan for small sq8 stores (scanPlan, scan.go):
+// SearchInto answers a single query, and SearchBatch four queries at a
+// time, by one blocked scan of the store instead of a beam each.
 //
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
@@ -1345,18 +1346,41 @@ func (h *HNSW) Search(q []float64, k int) ([]Result, error) {
 }
 
 // SearchInto is Search writing into dst: the zero-allocation query
-// path. Greedy descent from the entry point to layer 1, then a beam
-// across layer 0 of width max(EfSearch, k) — widened to at least
-// rerank·k over sq8 slabs, so the candidate pool absorbs quantization
-// noise. On SIMD backends the sq8 beam scores candidates with the
-// symmetric integer kernel (the query is quantized once per search)
-// and the surviving beam is re-ranked with the asymmetric
-// full-precision-query kernel; on scalar backends the beam already
-// scores asymmetrically and the trim to top-k is the whole re-rank.
-// If the beam surfaces fewer than min(k, live) results (possible only
-// on a heavily-churned graph), the exact fallback takes over so
-// results never silently degrade.
+// path. While the store is small enough that reading all of it beats a
+// beam (scanPlan, for a task of one query), the store scanner answers
+// the query exactly — what Exact.SearchInto answers, counted under
+// hnsw_scan — and the graph is not read. Otherwise it is the beam
+// (searchBeam).
 func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int) ([]Result, error) {
+	if h.scans(1, k) {
+		return h.fallback.searchOne(ctx, dst, q, k, &hnswScanStats)
+	}
+	return h.searchBeam(ctx, dst, q, k)
+}
+
+// scans is scanPlan for a task of n queries at k over the store as it
+// stands, with ef read under the read lock: the overload degrader's
+// lowered ef moves a small store back to the beam.
+func (h *HNSW) scans(n, k int) bool {
+	h.mu.RLock()
+	ef, m := h.cfg.EfSearch, h.cfg.M
+	h.mu.RUnlock()
+	return scanPlan(h.prec, vecmath.HasSQ8Sym(), n, h.store.Len(), ef, candidateK(h.prec, k), m)
+}
+
+// searchBeam is SearchInto's graph half. Greedy descent from the entry
+// point to layer 1, then a beam across layer 0 of width max(EfSearch,
+// k) — widened to at least rerank·k over sq8 slabs, so the candidate
+// pool absorbs quantization noise. On SIMD backends the sq8 beam
+// scores candidates with the symmetric integer kernel (the query is
+// quantized once per search) and the surviving beam is re-ranked with
+// the asymmetric full-precision-query kernel; on scalar backends the
+// beam already scores asymmetrically and the trim to top-k is the whole
+// re-rank. If the beam surfaces fewer than min(k, live) results
+// (possible only on a heavily-churned graph), the exact fallback takes
+// over so results never silently degrade. The tests that hold the
+// graph's own recall call it directly, whatever the plan would pick.
+func (h *HNSW) searchBeam(ctx context.Context, dst []Result, q []float64, k int) ([]Result, error) {
 	if err := checkQuery(h.store, q, k); err != nil {
 		return nil, err
 	}
@@ -1425,14 +1449,13 @@ func (h *HNSW) SearchInto(ctx context.Context, dst []Result, q []float64, k int)
 
 // SearchBatch answers queries across a worker pool: by the store
 // scanner, four queries per pass, while the store is small enough for
-// that to beat a beam per query (scanPlan), by SearchInto per query
+// that to beat a beam per query (scanPlan), by a beam per query
 // otherwise.
 func (h *HNSW) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Result, error) {
-	cfg := h.Config()
-	if scanPlan(h.prec, vecmath.HasSQ8Sym(), len(qs), h.store.Len(), cfg.EfSearch, candidateK(h.prec, k), cfg.M) {
+	if h.scans(len(qs), k) {
 		return h.fallback.searchBatch(ctx, qs, k, &hnswScanStats)
 	}
 	return batchSearch(qs, k, func(dst []Result, q []float64) ([]Result, error) {
-		return h.SearchInto(ctx, dst, q, k)
+		return h.searchBeam(ctx, dst, q, k)
 	})
 }

@@ -198,7 +198,7 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 		}
 		return r
 	}
-	churned, fresh := recall(h), recall(mustHNSW(t, store, cfg))
+	churned, fresh := recall(beamOf{h}), recall(beamOf{mustHNSW(t, store, cfg)})
 	t.Logf("recall@%d over %d queries after %d overwrites of %d nodes, %d deletes and %d adds: %.4f (fresh build %.4f)",
 		k, nq, 3*n, n, deletes, deletes, churned, fresh)
 	if churned < 0.985 {

@@ -82,15 +82,15 @@ func oraclePush(t *topK, r Result) {
 }
 
 // oracleScoreBlockSym is scoreBlockSym as it was before the survivor
-// kernel: every (row, query) pair scored in Go, query-outer and
-// row-inner, against a floor that rises as the pool fills, with code
-// dots from a plain loop and pushes through oraclePush.
+// kernels: every (row, query) pair scored in Go, query-outer and
+// row-inner, against a floor that rises as the pool fills, with row
+// factors row by row (sq8RowFactor), code dots from a plain loop and
+// pushes through oraclePush.
 func (sc *scanScratch) oracleScoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
-	for i := range rowOff {
-		scale, offset, norm, cs := r.SQ8(lo + i)
-		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(scale, offset, norm, cs, cosine)
+	for i, sd := range r.Sidecars(lo, hi) {
+		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(sd.Scale, sd.Offset, sd.Norm, sd.CodeSum, cosine)
 	}
 	codes, ids := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi]
 	for j := range sc.q {
@@ -153,14 +153,17 @@ func sameBits(a, b []Result) bool {
 	return true
 }
 
-// TestScanPoolsMatchOracle: the survivor kernel and the branch-free
+// TestScanPoolsMatchOracle: the survivor kernels and the branch-free
 // pool leave every query's pool exactly as scoring every (row, query)
 // pair in Go left it — heap array and score bits — over a store of
 // twinned rows (exact ties), at every batch size around the kernel's
 // group of four and the task cap, at k 1, 10 and past the store, under
-// both metrics. Exact.SearchBatch, Exact.SearchInto and, where scanPlan
-// scans, HNSW.SearchBatch answer the oracle's re-ranked top k bit for
-// bit.
+// both metrics. A task of one query (size 1, and size 33's last task on
+// one CPU) and a last group of one (sizes 5, 9 and 33) run
+// vecmath.Sym1Survivors, every other group Sym4Survivors.
+// Exact.SearchBatch, Exact.SearchInto and, where scanPlan scans,
+// HNSW.SearchBatch and HNSW.SearchInto answer the oracle's re-ranked
+// top k bit for bit.
 func TestScanPoolsMatchOracle(t *testing.T) {
 	if !vecmath.HasSQ8Sym() {
 		t.Skip("no SIMD symmetric kernel: sq8 scans are single-stage on this backend")
@@ -174,7 +177,7 @@ func TestScanPoolsMatchOracle(t *testing.T) {
 		cfg := DefaultHNSWConfig()
 		cfg.Metric = metric
 		h := mustHNSW(t, store, cfg)
-		for _, size := range []int{1, 3, 4, 7, 32, 33} {
+		for _, size := range []int{1, 3, 4, 5, 7, 9, 32, 33} {
 			qs := benchQueries(rng, size, dim)
 			for i := 0; i < size; i += 3 { // some queries are stored rows, tied with their twins
 				store.With(uint32(rng.Intn(n)), func(v *embstore.VecView) { v.DequantizeInto(qs[i]) })
@@ -204,7 +207,18 @@ func TestScanPoolsMatchOracle(t *testing.T) {
 						t.Fatalf("%s: Exact.SearchInto query %d = %v, oracle %v", label, j, single, want[j])
 					}
 				}
-				if !scanPlan(embstore.SQ8, true, size, n, h.Config().EfSearch, k, cfg.M) {
+				if scanPlan(embstore.SQ8, true, 1, n, h.Config().EfSearch, candidateK(embstore.SQ8, k), cfg.M) {
+					for j, q := range qs {
+						single, err := h.SearchInto(ctx, nil, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits(single, want[j]) {
+							t.Fatalf("%s: HNSW.SearchInto query %d = %v, oracle %v", label, j, single, want[j])
+						}
+					}
+				}
+				if !scanPlan(embstore.SQ8, true, size, n, h.Config().EfSearch, candidateK(embstore.SQ8, k), cfg.M) {
 					continue // the beam answers: not the scanner under test
 				}
 				scanned, err := h.SearchBatch(ctx, qs, k)

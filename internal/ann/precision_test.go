@@ -54,7 +54,10 @@ func TestSQ8Recall(t *testing.T) {
 	const n, dim, nq = 3000, 32, 40
 	for name, mk := range map[string]func(*embstore.Store) (Index, error){
 		"exact": func(s *embstore.Store) (Index, error) { return NewExact(s, Cosine), nil },
-		"hnsw":  func(s *embstore.Store) (Index, error) { return BuildHNSW(s, DefaultHNSWConfig()) },
+		"hnsw": func(s *embstore.Store) (Index, error) {
+			h, err := BuildHNSW(s, DefaultHNSWConfig())
+			return beamOf{h}, err
+		},
 	} {
 		recall := recallVsF64(t, n, dim, nq, embstore.SQ8, mk)
 		t.Logf("sq8 %s recall@10 = %.3f", name, recall)

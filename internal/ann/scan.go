@@ -1,17 +1,21 @@
 // The blocked scans. One exhaustive scanner answers every query that
 // reads the whole store: Exact.SearchInto (a task of one query),
-// Exact.SearchBatch, and HNSW.SearchBatch while the store is small
-// enough that reading every row beats a beam per query (scanPlan). A
-// beam is sublinear per query but shares nothing between queries; a
+// Exact.SearchBatch, and HNSW.SearchInto and HNSW.SearchBatch while the
+// store is small enough that reading every row beats a beam per query
+// (scanPlan, with a threshold for single queries and one for batches).
+// A beam is sublinear per query but shares nothing between queries; a
 // scan in groups of four loads each stored row once for all four (the
 // blocked scan of FAISS, Johnson, Douze & Jégou 2017).
 // vecmath.Sym4Survivors scores a run of sq8 rows against four queries
-// and returns only the rows that can still enter some query's pool. A
-// whole 32-query scan of 5,000 dim-64 rows costs ~5.5 ns per (row,
-// query), kernel, survivors, pools and re-rank together
+// and returns only the rows that can still enter some query's pool;
+// vecmath.Sym1Survivors does the same for a group of one — a single
+// query, or a batch's last — instead of running it padded in four
+// lanes. A whole 32-query scan of 5,000 dim-64 rows costs ~5.5 ns per
+// (row, query), kernel, survivors, pools and re-rank together
 // (BenchmarkExactSearchBatch32/sq8: ~27 µs a query on one CPU of a
-// 2-vCPU Xeon), where a beam pays ~58 ns per row it visits (beam
-// upkeep, random slab reads).
+// 2-vCPU Xeon), and a single query ~8–11 ns per row
+// (BenchmarkExactSearchInto), where a beam pays ~58 ns per row it
+// visits (beam upkeep, random slab reads).
 //
 // The scanner reads the store, which is the truth, never the graph's
 // mirror of it: embstore.Store.ScanShard hands it each shard's
@@ -68,8 +72,9 @@ import (
 
 const (
 	// scanGroup is the kernel's query blocking: Sym4Survivors scores
-	// four queries per row load. It is also the smallest batch HNSW
-	// hands the scanner — below it the kernel's lanes run padded.
+	// four queries per row load. A task of fewer queries shares no row
+	// load worth a wider threshold, so scanPlan gives it the
+	// single-query one.
 	scanGroup = 4
 
 	// scanBlockRows is the scanner's and the insert sweep's unit of
@@ -96,6 +101,15 @@ const (
 	// caches hold less of the slab.
 	scanCrossover = 6
 
+	// scanCrossoverOne is c for a task of fewer than scanGroup queries,
+	// a single query above all: no kernel group spreads the pass over
+	// the store across four queries, so it crosses the beam far sooner.
+	// Set from BenchmarkScanCrossover's single-query rows (README
+	// "Kernel backends"). It must stay below scanCrossover, so that a
+	// store small enough to scan one query is small enough to scan a
+	// batch.
+	scanCrossoverOne = 4
+
 	// insertCrossover is c in insertPlan's slots ≤ c·efConstruction·M.
 	// Set from BenchmarkInsertCrossover (dim 64, ef-construction 200, M
 	// 16, one CPU; the table is in README "Kernel backends"): per insert
@@ -109,14 +123,19 @@ const (
 	insertPool = 48
 )
 
-// scanPlan is the whole decision between HNSW's two batch algorithms,
-// a pure function of what the index can see: the scanner answers sq8
-// stores on backends with the SIMD symmetric kernel, for batches of at
-// least one kernel group, while the store holds at most scanCrossover ·
-// max(ef, kk) · M rows. Everything else keeps the per-query beam.
-func scanPlan(prec embstore.Precision, symSIMD bool, batch, rows, ef, kk, m int) bool {
-	return prec == embstore.SQ8 && symSIMD && batch >= scanGroup &&
-		rows <= scanCrossover*max(ef, kk)*m
+// scanPlan is the whole decision between HNSW's two read algorithms,
+// for a single query (HNSW.SearchInto) and a batch (HNSW.SearchBatch)
+// alike, a pure function of what the index can see: the scanner
+// answers sq8 stores on backends with the SIMD symmetric kernel while
+// the store holds at most c · max(ef, kk) · M rows, where c is
+// scanCrossover for a task of at least one kernel group of queries
+// and scanCrossoverOne below that. Everything else keeps the beam.
+func scanPlan(prec embstore.Precision, symSIMD bool, queries, rows, ef, kk, m int) bool {
+	c := scanCrossover
+	if queries < scanGroup {
+		c = scanCrossoverOne
+	}
+	return prec == embstore.SQ8 && symSIMD && rows <= c*max(ef, kk)*m
 }
 
 // insertPlan is the same decision for an insert's layer-0 neighbor
@@ -292,8 +311,7 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 				g.Floor[j] = math.Inf(1)
 			}
 		}
-		acc := sc.acc[:scanGroup*n]
-		ns := vecmath.Sym4Survivors(acc, sc.surv[:n], g, h.codes[lo*dim:hi*dim], rowOff, rowSum, rowScale)
+		ns, stride := survivors(sc.acc[:], sc.surv[:n], g, len(lanes), h.codes[lo*dim:hi*dim], rowOff, rowSum, rowScale)
 		for _, e := range sc.surv[:ns] {
 			r := int(e >> 4)
 			s := uint32(lo + r)
@@ -303,7 +321,7 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 				if int(s) >= ln.limit {
 					continue
 				}
-				dot := acc[scanGroup*r+j]
+				dot := sc.acc[stride*r+j]
 				approx := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], dot)
 				if approx+margin[j] < ln.floor || s == ln.slot || !h.aliveBit(s) {
 					continue
@@ -374,6 +392,18 @@ func filterScore(rowOff, rowSum, rowScale, a, b, c float64, dot int32) float64 {
 	return float64(rowOff*a) + float64(rowSum*b) + float64(rowScale*c*float64(dot))
 }
 
+// survivors runs the survivor kernel for a kernel group of lanes
+// queries or pivots over one block of rows: vecmath.Sym1Survivors for
+// a group of one, vecmath.Sym4Survivors otherwise, its unused lanes
+// padded. It returns the survivor count and the stride of the code
+// dots it left in acc, one row's dots after another.
+func survivors(acc []int32, surv []uint32, g *vecmath.Sym4Queries, lanes int, rows []int8, rowOff, rowSum, rowScale []float64) (n, stride int) {
+	if lanes == 1 {
+		return vecmath.Sym1Survivors(acc[:len(rowOff)], surv, g, rows, rowOff, rowSum, rowScale), 1
+	}
+	return vecmath.Sym4Survivors(acc[:scanGroup*len(rowOff)], surv, g, rows, rowOff, rowSum, rowScale), scanGroup
+}
+
 // sq8Factors returns the pivot's side of scanQuery's score form for an
 // sq8 row with decode parameters scale and offset, code sum cs and norm
 // (a, b, c), and of the filter's error bound (errA, errB: see
@@ -398,8 +428,9 @@ func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine b
 
 // sq8RowFactor is one row's side of scanQuery's score form, from its
 // sidecar: offset and scale (over the norm, for cosine) and
-// scale·Σcodes. The scanner computes it from the store's sidecars, the
-// insert sweep from the graph slab's (sq8RowFactors).
+// scale·Σcodes. The insert sweep computes it from the graph slab's
+// sidecars (sq8RowFactors); the scanner gets the same arithmetic over
+// the store's from vecmath.SQ8RowFactors.
 func sq8RowFactor(scale, offset, norm float64, codeSum int32, cosine bool) (rowOff, rowScale, rowSum float64) {
 	if cosine {
 		inv := 0.0 // a zero row scores 0, as in the beam
@@ -460,7 +491,7 @@ type scanScratch struct {
 	groups []vecmath.Sym4Queries
 	acc    [scanGroup * scanBlockRows]int32 // one group's code dots over one block, row-major
 	surv   [scanBlockRows]uint32            // one group's survivors in one block
-	// One block's row factors (sq8RowFactor).
+	// One block's row factors (vecmath.SQ8RowFactors).
 	rowOff, rowScale, rowSum [scanBlockRows]float64
 	byShard                  []shardPools // the re-rank's pools, grouped by store shard
 }
@@ -516,23 +547,20 @@ func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]floa
 func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
-	for i := range rowOff {
-		scale, offset, norm, cs := r.SQ8(lo + i)
-		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(scale, offset, norm, cs, cosine)
-	}
-	codes, ids, acc := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi], sc.acc[:scanGroup*n]
+	vecmath.SQ8RowFactors(rowOff, rowScale, rowSum, r.Sidecars(lo, hi), cosine)
+	codes, ids := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi]
 	for gi := range sc.groups {
 		g, qs := &sc.groups[gi], sc.q[gi*scanGroup:min((gi+1)*scanGroup, len(sc.q))]
 		for lane := range qs {
 			g.Floor[lane] = qs[lane].floor
 		}
-		ns := vecmath.Sym4Survivors(acc, sc.surv[:n], g, codes, rowOff, rowSum, rowScale)
+		ns, stride := survivors(sc.acc[:], sc.surv[:n], g, len(qs), codes, rowOff, rowSum, rowScale)
 		for _, e := range sc.surv[:ns] {
 			i := int(e >> 4)
 			for m := e & (1<<len(qs) - 1); m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
 				sq := &qs[lane]
-				score := filterScore(rowOff[i], rowSum[i], rowScale[i], g.A[lane], g.B[lane], g.C[lane], acc[scanGroup*i+lane])
+				score := filterScore(rowOff[i], rowSum[i], rowScale[i], g.A[lane], g.B[lane], g.C[lane], sc.acc[stride*i+lane])
 				if score < sq.floor || r.Masked(lo+i) {
 					continue
 				}
@@ -637,6 +665,24 @@ func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, 
 	}
 	st.observe(start, rerankStart)
 	return nil
+}
+
+// searchOne answers one query as a task of its own on the calling
+// goroutine (a single query does not fan out over shards or CPUs),
+// writing the top k into dst, counted under st.
+func (e *Exact) searchOne(ctx context.Context, dst []Result, q []float64, k int, st *scanStats) ([]Result, error) {
+	if err := checkQuery(e.store, q, k); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	st.queries.Inc()
+	out, qs := [1][]Result{dst[:0]}, [1][]float64{q}
+	if err := e.searchTask(ctx, out[:], qs[:], k, st); err != nil {
+		return dst[:0], err
+	}
+	return out[0], nil
 }
 
 // searchBatch answers qs by searchTask over tasks of whole kernel

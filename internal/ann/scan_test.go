@@ -17,7 +17,7 @@ import (
 	"ehna/internal/vecmath"
 )
 
-// needScan skips tests of the sweep itself on backends whose plan never
+// needScan skips tests of the scan itself on backends whose plan never
 // picks it (TestSearchBatchBeamWhenNoScan covers those).
 func needScan(t *testing.T) {
 	t.Helper()
@@ -27,9 +27,9 @@ func needScan(t *testing.T) {
 }
 
 // sq8Graph builds a default-config graph, under metric, over n random
-// dim-wide sq8 vectors — small enough that every batch of four or more
-// is scanned. Batches read the store, so a built graph compares with
-// Exact as a loaded one would.
+// dim-wide sq8 vectors — small enough that every read is scanned.
+// Scans read the store, so a built graph compares with Exact as a
+// loaded one would.
 func sq8Graph(t testing.TB, n, dim int, metric Metric) *HNSW {
 	t.Helper()
 	cfg := DefaultHNSWConfig()
@@ -71,10 +71,12 @@ func checkBatchAgainstExact(t *testing.T, label string, h *HNSW, qs [][]float64,
 }
 
 // TestScanBatchMatchesExact: a scanned batch is the two-stage sq8
-// ranking Exact defines, under both metrics, for every batch size 4–37
-// (every padding of the last kernel group, tasks of one and two groups
-// and more), and sizes 1–3 take the beam. Against the float64 truth over
-// the source matrix it holds the sq8 recall floor (TestSQ8Recall's).
+// ranking Exact defines, under both metrics, for every batch size 1–37
+// (every padding of the last kernel group, a last group of one, tasks
+// of one and two groups and more). 1,500 rows are under both of
+// scanPlan's thresholds, so every size is scanned and the beam counter
+// never moves. Against the float64 truth over the source matrix it
+// holds the sq8 recall floor (TestSQ8Recall's).
 func TestScanBatchMatchesExact(t *testing.T) {
 	needScan(t)
 	const n, dim, k = 1500, 32, 10
@@ -86,18 +88,12 @@ func TestScanBatchMatchesExact(t *testing.T) {
 		for size := 1; size <= 37; size++ {
 			qs := benchQueries(rng, size, dim)
 			beam, scan := scanMoved(func() {
-				if size < scanGroup {
-					if _, err := h.SearchBatch(context.Background(), qs, k); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
 				for i, rs := range checkBatchAgainstExact(t, metric.String(), h, qs, k) {
 					approx = append(approx, ids(rs))
 					truth = append(truth, truthTopK(src, qs[i], k, metric))
 				}
 			})
-			if wantScan := size >= scanGroup; (scan == uint64(size)) != wantScan || (beam == uint64(size)) == wantScan {
+			if beam != 0 || scan != uint64(size) {
 				t.Fatalf("%v batch of %d: beam counter moved %d, scan counter %d", metric, size, beam, scan)
 			}
 		}
@@ -275,32 +271,46 @@ func TestScanColdStoreMatchesRAM(t *testing.T) {
 	}
 }
 
-// TestScanPlanBoundary pins the plan's inequality — slots ≤ c·max(ef,
-// kk)·M, batch ≥ 4, sq8 on a SIMD backend — and shows it is what
-// SearchBatch acts on: one slot past the threshold, or one notch of ef
-// below it, moves the batch from the hnsw_scan counter to the hnsw one.
+// TestScanPlanBoundary pins the plan's inequality — rows ≤ c·max(ef,
+// kk)·M, with c scanCrossover for a task of four queries or more and
+// scanCrossoverOne below that, sq8 on a SIMD backend — and shows it is
+// what SearchInto and SearchBatch act on: at batch sizes 1–4 and 8, on
+// both sides of each threshold and one notch of ef below each, the
+// queries move the hnsw_scan counter or the hnsw one as the plan says.
 // It pins insertPlan's inequality the same way; TestSweepDiscoveryIsExact
 // shows inserts under it are swept.
 func TestScanPlanBoundary(t *testing.T) {
+	if scanCrossoverOne >= scanCrossover {
+		t.Fatalf("scanCrossoverOne %d ≥ scanCrossover %d: a store small enough to scan one query must be small enough to scan a batch", scanCrossoverOne, scanCrossover)
+	}
 	const ef, kk, m = 64, 40, 16
-	limit := scanCrossover * ef * m
+	limit, one := scanCrossover*ef*m, scanCrossoverOne*ef*m
 	for _, c := range []struct {
-		name                    string
-		prec                    embstore.Precision
-		sym                     bool
-		batch, slots, ef, kk, m int
-		want                    bool
+		name                     string
+		prec                     embstore.Precision
+		sym                      bool
+		queries, rows, ef, kk, m int
+		want                     bool
 	}{
-		{"at the threshold", embstore.SQ8, true, 32, limit, ef, kk, m, true},
-		{"one slot over", embstore.SQ8, true, 32, limit + 1, ef, kk, m, false},
+		{"batch at its threshold", embstore.SQ8, true, 32, limit, ef, kk, m, true},
+		{"batch one row over", embstore.SQ8, true, 32, limit + 1, ef, kk, m, false},
 		{"kk above ef widens it", embstore.SQ8, true, 32, scanCrossover * 400 * m, ef, 400, m, true},
-		{"batch of four", embstore.SQ8, true, 4, 10, ef, kk, m, true},
-		{"batch of three", embstore.SQ8, true, 3, 10, ef, kk, m, false},
+		{"batch of four at its threshold", embstore.SQ8, true, 4, limit, ef, kk, m, true},
+		{"batch of four past the single threshold", embstore.SQ8, true, 4, one + 1, ef, kk, m, true},
+		{"single at its threshold", embstore.SQ8, true, 1, one, ef, kk, m, true},
+		{"single one row over", embstore.SQ8, true, 1, one + 1, ef, kk, m, false},
+		{"single, one notch of ef below", embstore.SQ8, true, 1, one, ef - 1, kk, m, false},
+		{"single, kk above ef", embstore.SQ8, true, 1, scanCrossoverOne * 400 * m, ef, 400, m, true},
+		{"batch of three at the single threshold", embstore.SQ8, true, 3, one, ef, kk, m, true},
+		{"batch of three one row over", embstore.SQ8, true, 3, one + 1, ef, kk, m, false},
 		{"scalar backend", embstore.SQ8, false, 32, 10, ef, kk, m, false},
+		{"scalar backend, single", embstore.SQ8, false, 1, 10, ef, kk, m, false},
 		{"f32 slab", embstore.F32, true, 32, 10, ef, kk, m, false},
-		{"empty graph", embstore.SQ8, true, 32, 0, ef, kk, m, true},
+		{"f32 slab, single", embstore.F32, true, 1, 10, ef, kk, m, false},
+		{"empty store", embstore.SQ8, true, 32, 0, ef, kk, m, true},
+		{"empty store, single", embstore.SQ8, true, 1, 0, ef, kk, m, true},
 	} {
-		if got := scanPlan(c.prec, c.sym, c.batch, c.slots, c.ef, c.kk, c.m); got != c.want {
+		if got := scanPlan(c.prec, c.sym, c.queries, c.rows, c.ef, c.kk, c.m); got != c.want {
 			t.Errorf("scanPlan %s = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -329,43 +339,71 @@ func TestScanPlanBoundary(t *testing.T) {
 	}
 
 	needScan(t)
-	// M 4, ef 16, k 1 (kk 4): the threshold is 6·16·4 = 384 slots.
+	// M 4, ef 16, k 1 (kk 4): fewer than four queries scan up to
+	// scanCrossoverOne·16·4 rows, four or more up to scanCrossover·16·4.
 	cfg := HNSWConfig{M: 4, EfConstruction: 40, EfSearch: 16, Seed: 1}
-	h := mustHNSW(t, buildStoreAt(t, 384, 16, embstore.SQ8), cfg)
+	oneLimit, batchLimit := scanCrossoverOne*16*4, scanCrossover*16*4
+	h := mustHNSW(t, buildStoreAt(t, oneLimit, 16, embstore.SQ8), cfg)
 	rng := rand.New(rand.NewSource(73))
 	qs := benchQueries(rng, 8, 16)
-	batch := func() {
-		if _, err := h.SearchBatch(context.Background(), qs, 1); err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	check := func(ef int) {
+		t.Helper()
+		h.SetEfSearch(ef)
+		defer h.SetEfSearch(cfg.EfSearch)
+		rows := h.store.Len()
+		for _, size := range []int{1, 2, 3, 4, 8} {
+			c := scanCrossoverOne
+			if size >= scanGroup {
+				c = scanCrossover
+			}
+			var want [2]uint64 // beam, scan
+			want[b2i(rows <= c*ef*4)] = uint64(size)
+			beam, scan := scanMoved(func() {
+				if _, err := h.SearchBatch(ctx, qs[:size], 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if beam != want[0] || scan != want[1] {
+				t.Fatalf("%d rows, ef %d, batch of %d: beam moved %d, scan %d; want %d, %d", rows, ef, size, beam, scan, want[0], want[1])
+			}
+			if size > 1 {
+				continue
+			}
+			beam, scan = scanMoved(func() {
+				if _, err := h.SearchInto(ctx, nil, qs[0], 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if beam != want[0] || scan != want[1] {
+				t.Fatalf("%d rows, ef %d, SearchInto: beam moved %d, scan %d; want %d, %d", rows, ef, beam, scan, want[0], want[1])
+			}
 		}
 	}
-	if beam, scan := scanMoved(batch); beam != 0 || scan != 8 {
-		t.Fatalf("384 slots at threshold 384: beam moved %d, scan %d", beam, scan)
-	}
-	h.SetEfSearch(15)
-	if beam, scan := scanMoved(batch); beam != 8 || scan != 0 {
-		t.Fatalf("384 slots at threshold 360: beam moved %d, scan %d", beam, scan)
-	}
-	h.SetEfSearch(16)
-	if err := h.Add(9999, randVec(rng, make([]float64, 16))); err != nil {
-		t.Fatal(err)
-	}
-	if beam, scan := scanMoved(batch); beam != 8 || scan != 0 {
-		t.Fatalf("385 slots at threshold 384: beam moved %d, scan %d", beam, scan)
+	vec := make([]float64, 16)
+	for id, rows := range []int{oneLimit, oneLimit + 1, batchLimit, batchLimit + 1} {
+		for h.store.Len() < rows {
+			if err := h.Add(graph.NodeID(9000+id*1000+h.store.Len()), randVec(rng, vec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(16)
+		check(15)
 	}
 }
 
 // TestSearchBatchBeamWhenNoScan: wherever the plan says no — a scalar
-// backend (-tags noasm, EHNA_NOSIMD=1), an f32 slab, a batch
-// under four — SearchBatch is exactly SearchInto per query.
+// backend (-tags noasm, EHNA_NOSIMD=1), an f32 slab, a store above the
+// threshold for the batch's size — SearchBatch runs the beam per query
+// and answers what SearchInto answers, counted under hnsw. At M 4, ef
+// 16 and k 10 (kk 40) the store below is one row past both thresholds.
 func TestSearchBatchBeamWhenNoScan(t *testing.T) {
 	ctx := context.Background()
+	cfg := HNSWConfig{M: 4, EfConstruction: 40, EfSearch: 16, Seed: 1}
+	rows := scanCrossover*candidateK(embstore.SQ8, 10)*cfg.M + 1
 	for _, prec := range allPrecisions {
-		h := mustHNSW(t, buildStoreAt(t, 800, 16, prec), DefaultHNSWConfig())
-		for _, n := range []int{3, 12} {
-			if n >= scanGroup && prec == embstore.SQ8 && vecmath.HasSQ8Sym() {
-				continue // the one combination that sweeps
-			}
+		h := mustHNSW(t, buildStoreAt(t, rows, 16, prec), cfg)
+		for _, n := range []int{1, 3, 12} {
 			qs := benchQueries(rand.New(rand.NewSource(79)), n, 16)
 			var got [][]Result
 			beam, scan := scanMoved(func() {
@@ -386,6 +424,70 @@ func TestSearchBatchBeamWhenNoScan(t *testing.T) {
 					t.Fatalf("%v batch of %d, query %d: batch %v != SearchInto %v", prec, n, i, got[i], want)
 				}
 			}
+		}
+	}
+}
+
+// TestSingleQueryScanMatchesExact: a single query that scanPlan sends
+// to the store scan answers exactly what Exact.SearchInto answers, ids
+// and score bits, over a RAM store and a cold (mapped) one, under both
+// metrics, at k 1, 10 and past the store, on a freshly built graph and
+// after churn through it (deletes, overwrites and new ids). Each such
+// query counts once under hnsw_scan, in ehnad_ann_queries_total and in
+// both of its stage histograms, and not at all under hnsw.
+func TestSingleQueryScanMatchesExact(t *testing.T) {
+	needScan(t)
+	const n, dim = 1200, 32
+	ctx := context.Background()
+	for _, metric := range []Metric{Cosine, DotProduct} {
+		ram := buildStoreAt(t, n, dim, embstore.SQ8)
+		stores := map[string]*embstore.Store{"ram": ram}
+		if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
+			stores["mmap"] = coldStoreOf(t, ram)
+		}
+		for name, store := range stores {
+			cfg := DefaultHNSWConfig()
+			cfg.Metric = metric
+			h := mustHNSW(t, store, cfg)
+			e := NewExact(store, metric)
+			rng := rand.New(rand.NewSource(113))
+			check := func(stage string) {
+				t.Helper()
+				for _, k := range []int{1, 10, store.Len() + 5} {
+					for i, q := range benchQueries(rng, 4, dim) {
+						label := fmt.Sprintf("%v/%s/%s k=%d query %d", metric, name, stage, k, i)
+						cand, rerank := annStageScanCand.Count(), annStageScanRerank.Count()
+						var got []Result
+						var err error
+						beam, scan := scanMoved(func() { got, err = h.SearchInto(ctx, nil, q, k) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						if beam != 0 || scan != 1 || annStageScanCand.Count() != cand+1 || annStageScanRerank.Count() != rerank+1 {
+							t.Fatalf("%s: beam moved %d, scan %d, scan stages %d and %d; want 0, 1, 1, 1", label,
+								beam, scan, annStageScanCand.Count()-cand, annStageScanRerank.Count()-rerank)
+						}
+						want, err := e.SearchInto(ctx, nil, q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(want) != min(k, store.Len()) || !sameBits(got, want) {
+							t.Fatalf("%s: routed single query\n%v\n!= Exact.SearchInto\n%v", label, got, want)
+						}
+					}
+				}
+			}
+			check("built")
+			vec := make([]float64, dim)
+			for i := 0; i < 150; i++ {
+				h.Remove(graph.NodeID(rng.Intn(n)))
+			}
+			for i := 0; i < 150; i++ { // overwrites and new ids
+				if err := h.Add(graph.NodeID(rng.Intn(n+100)), randVec(rng, vec)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("churned")
 		}
 	}
 }

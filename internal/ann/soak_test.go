@@ -26,7 +26,7 @@ const churnIDBase = 1 << 20
 // inserts take over the slots the deletes and overwrites free. Asserts
 // recall@10 on a stable query set never drops below 0.9, that once the
 // churn stops the graph holds no more slots than it ever had live nodes
-// and every tombstone waits on the free list, and that SearchInto is
+// and every tombstone waits on the free list, and that the beam is
 // still allocation-free. Run with -race in CI; skipped under -short.
 func TestChurnSoak(t *testing.T) {
 	if testing.Short() {
@@ -162,7 +162,7 @@ func TestChurnSoak(t *testing.T) {
 				}
 				qi := (i + w) % queries
 				var err error
-				dst, err = h.SearchInto(context.Background(), dst[:0], queryVecs[qi], kWide)
+				dst, err = h.searchBeam(context.Background(), dst[:0], queryVecs[qi], kWide)
 				if err != nil {
 					fail("search during churn: %v", err)
 					return
@@ -211,7 +211,7 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatalf("%d slots on the free list, %d tombstones", free, tombs)
 	}
 	for qi := range queryVecs {
-		got, err := h.Search(queryVecs[qi], k)
+		got, err := beamOf{h}.Search(queryVecs[qi], k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestChurnSoak(t *testing.T) {
 		}
 	}
 
-	// The PR 2/3 bar survives the churn: SearchInto over reused slots
+	// The zero-allocation bar survives the churn: the beam over reused slots
 	// allocates nothing in steady state.
 	if raceEnabled {
 		return // race instrumentation allocates; covered by alloc_test builds
@@ -229,18 +229,18 @@ func TestChurnSoak(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	dst := make([]Result, 0, k)
 	for i := 0; i < 3; i++ {
-		if dst, err = h.SearchInto(context.Background(), dst[:0], queryVecs[0], k); err != nil {
+		if dst, err = h.searchBeam(context.Background(), dst[:0], queryVecs[0], k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
-		dst, err = h.SearchInto(context.Background(), dst[:0], queryVecs[0], k)
+		dst, err = h.searchBeam(context.Background(), dst[:0], queryVecs[0], k)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("SearchInto allocated %v times per query after the churn", allocs)
+		t.Errorf("the beam allocated %v times per query after the churn", allocs)
 	}
 }

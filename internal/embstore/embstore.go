@@ -162,11 +162,10 @@ func (v *VecView) DequantizeInto(dst []float64) {
 
 // sq8Meta is the per-vector SQ8 sidecar, kept as one struct array so a
 // candidate's decode parameters and norm land on a single cache line
-// next to each other instead of four separate slab misses.
-type sq8Meta struct {
-	scale, offset, norm float64
-	codeSum             int32
-}
+// next to each other instead of four separate slab misses. It is
+// vecmath's record, so a scan hands a run of them to
+// vecmath.SQ8RowFactors as they lie.
+type sq8Meta = vecmath.SQ8Sidecar
 
 // baseSection is the immutable half of a cold (mmap-backed) shard: its
 // slices alias a read-only v3 snapshot mapping, ids ascending so
@@ -450,11 +449,11 @@ func (b *baseSection) run(dim int) Run {
 	return Run{IDs: b.ids, Codes: b.codes, f32: b.vecs32, norms: b.norms, meta: b.meta, dead: b.dead, dim: dim}
 }
 
-// SQ8 returns row i's sq8 sidecar: its decode scale and offset, the
-// norm of the original vector and the sum of its codes.
-func (r *Run) SQ8(i int) (scale, offset, norm float64, codeSum int32) {
-	m := &r.meta[i]
-	return m.scale, m.offset, m.norm, m.codeSum
+// Sidecars returns the sq8 sidecars of rows [lo, hi): each row's
+// decode scale and offset, the norm of the original vector and the sum
+// of its codes. The slice aliases the run.
+func (r *Run) Sidecars(lo, hi int) []vecmath.SQ8Sidecar {
+	return r.meta[lo:hi]
 }
 
 // Masked reports whether row i is hidden: a base row that a delete or
@@ -487,7 +486,7 @@ func viewRow(v *VecView, dim, i int, codes []int8, f32 []float32, norms []float6
 	}
 	m := &meta[i]
 	v.Code = codes[lo:hi]
-	v.Scale, v.Offset, v.CodeSum, v.Norm = m.scale, m.offset, m.codeSum, m.norm
+	v.Scale, v.Offset, v.CodeSum, v.Norm = m.Scale, m.Offset, m.CodeSum, m.Norm
 }
 
 // fillAt points v at the slot'th row of the overlay slab or the mapped
@@ -547,7 +546,7 @@ func (sh *shard) upsertLocked(s *Store, id graph.NodeID, vec []float64, norm flo
 		sh.norms[slot] = norm
 	case SQ8:
 		scale, offset, codeSum := vecmath.EncodeSQ8(vec, sh.codes[slot*dim:(slot+1)*dim])
-		sh.meta[slot] = sq8Meta{scale: scale, offset: offset, norm: norm, codeSum: codeSum}
+		sh.meta[slot] = sq8Meta{Scale: scale, Offset: offset, Norm: norm, CodeSum: codeSum}
 	}
 }
 

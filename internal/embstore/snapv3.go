@@ -102,9 +102,9 @@ var hostLittleEndian = func() bool {
 // verbatim; these asserts pin the layout the format depends on.
 var (
 	_ [unsafe.Sizeof(sq8Meta{})]byte           = [32]byte{}
-	_ [unsafe.Offsetof(sq8Meta{}.offset)]byte  = [8]byte{}
-	_ [unsafe.Offsetof(sq8Meta{}.norm)]byte    = [16]byte{}
-	_ [unsafe.Offsetof(sq8Meta{}.codeSum)]byte = [24]byte{}
+	_ [unsafe.Offsetof(sq8Meta{}.Offset)]byte  = [8]byte{}
+	_ [unsafe.Offsetof(sq8Meta{}.Norm)]byte    = [16]byte{}
+	_ [unsafe.Offsetof(sq8Meta{}.CodeSum)]byte = [24]byte{}
 	_ [unsafe.Sizeof(graph.NodeID(0))]byte     = [4]byte{}
 )
 
@@ -666,8 +666,8 @@ func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, 
 				norm = castSlice[float64](extra)[r]
 			case SQ8:
 				m := castSlice[sq8Meta](extra)[r]
-				vecmath.DecodeSQ8(buf, castSlice[int8](row), m.scale, m.offset)
-				norm = m.norm
+				vecmath.DecodeSQ8(buf, castSlice[int8](row), m.Scale, m.Offset)
+				norm = m.Norm
 			}
 			if err := s.upsertNorm(id, buf, norm); err != nil {
 				return nil, 0, err

@@ -42,7 +42,7 @@ func cpuHasAVX2() bool {
 }
 
 // cpuHasAVX512VNNI reports whether the CPU and OS together support
-// Sym4Survivors' VNNI body: AVX512-VNNI for VPDPBUSD, AVX512VL to run
+// the survivor kernels' VNNI bodies: AVX512-VNNI for VPDPBUSD, AVX512VL to run
 // it on YMM, AVX512BW for the byte-masked tail loads (and AVX512F under
 // all three), with XCR0 enabling the opmask and ZMM state (bits 5–7)
 // beside the SSE and AVX state — the body writes Y16–Y21 and K1.

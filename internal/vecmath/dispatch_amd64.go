@@ -11,10 +11,11 @@ var (
 	simd64  bool // Dot, SqDist
 	simd32  bool // Dot32
 	simdSQ8 bool // DotSQ8
-	simdSym bool // DotSQ8Sym, Sym4Survivors
+	simdSym bool // DotSQ8Sym, Sym4Survivors, Sym1Survivors, SQ8RowFactors
 	simdEnc bool // EncodeSQ8 (min/max + quantize passes)
 
-	// Sym4Survivors' AVX512-VNNI body; only ever set beside simdSym.
+	// The survivor kernels' AVX512-VNNI bodies; only ever set beside
+	// simdSym.
 	simdVNNI bool
 
 	backendName = "scalar"
@@ -66,6 +67,20 @@ func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8
 
 //go:noescape
 func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+
+// sym1SurvivorsAVX2 and sym1SurvivorsVNNI are Sym1Survivors past its
+// shape checks, under the same dim floor.
+//
+//go:noescape
+func sym1SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+
+//go:noescape
+func sym1SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+
+// sq8RowFactorsAVX2 is SQ8RowFactors over whole groups of four rows.
+//
+//go:noescape
+func sq8RowFactorsAVX2(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool)
 
 // minMaxSIMD scans v (len ≥ 1) for its minimum and maximum.
 //

@@ -28,5 +28,14 @@ func sym4SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8
 func sym4SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
 	panic("vecmath: no simd backend")
 }
+func sym1SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	panic("vecmath: no simd backend")
+}
+func sym1SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	panic("vecmath: no simd backend")
+}
+func sq8RowFactorsAVX2(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool) {
+	panic("vecmath: no simd backend")
+}
 func minMaxSIMD(v []float64) (lo, hi float64)                      { panic("vecmath: no simd backend") }
 func quantizeSIMD(v []float64, code []int8, lo, inv float64) int32 { panic("vecmath: no simd backend") }

@@ -123,6 +123,23 @@ func sym4Bodies(dim int) map[string]func(dots []int32, surv []uint32, g *Sym4Que
 	return bodies
 }
 
+// sym1Bodies is sym4Bodies for Sym1Survivors.
+func sym1Bodies(dim int) map[string]func(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	bodies := map[string]func(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int{
+		"go": sym1SurvivorsGo,
+	}
+	if dim < simdMinLanes {
+		return bodies
+	}
+	if simdSym {
+		bodies["avx2"] = sym1SurvivorsAVX2
+	}
+	if simdVNNI {
+		bodies["vnni"] = sym1SurvivorsVNNI
+	}
+	return bodies
+}
+
 // TestSym4SurvivorsBodies holds every body the CPU has to the same dots
 // and survivor lists, each called directly rather than through the
 // dispatcher, so a VNNI machine tests its AVX2 body too: the SIMD
@@ -153,6 +170,42 @@ func TestSym4SurvivorsBodies(t *testing.T) {
 							// One seed per case, so every body sees the same inputs.
 							rng := rand.New(rand.NewSource(int64(dim*1000 + nRows)))
 							newSym4Case(dim, nRows, off, fill, rng, special).run(t, name+"/"+fname, off, body)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSym1SurvivorsBodies is TestSym4SurvivorsBodies for the one-query
+// kernel: every body the CPU has, called directly, over the same dims,
+// row counts (none, one, a four and a remainder of three, a whole
+// block), extreme codes and non-finite factors, terms and floors, held
+// to the dots and survivors computed here — and so to the Go reference
+// and to each other, bit for bit.
+func TestSym1SurvivorsBodies(t *testing.T) {
+	for _, name := range []string{"avx2", "vnni"} {
+		if sym1Bodies(simdMinLanes)[name] == nil {
+			t.Logf("%s body not available on this CPU/backend: not run", name)
+		}
+	}
+	random := randomCodes(67)
+	alt := int8(127)
+	fills := map[string]func() int8{
+		"random": random,
+		"min":    func() int8 { return -128 },
+		"max":    func() int8 { return 127 },
+		"minmax": func() int8 { alt = ^alt; return alt },
+	}
+	for _, dim := range []int{16, 24, 32, 64, 100, 128} {
+		for _, nRows := range []int{0, 1, 7, 256} {
+			for fname, fill := range fills {
+				for _, special := range []bool{false, true} {
+					for name, body := range sym1Bodies(dim) {
+						for _, off := range []int{0, 3} {
+							rng := rand.New(rand.NewSource(int64(dim*1000 + nRows)))
+							newSym4Case(dim, nRows, off, fill, rng, special).one(off).run(t, name+"/"+fname, off, body)
 						}
 					}
 				}
@@ -248,6 +301,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		g.Set(j, d[:32])
 	}
 	dots, surv, f := make([]int32, 4*4), make([]uint32, 4), make([]float64, 4)
+	side := make([]SQ8Sidecar, 4)
 	for i := range a {
 		a[i] = float64(i%7) - 3
 		b[i] = float64(i%5) - 2
@@ -264,6 +318,8 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		sink += DotSQ8(a, c, 0.1, -0.5, 2)
 		sink += DotSQ8Sym(c, d, 0.1, -0.5, 0.2, 0.3, 5, -7)
 		Sym4Survivors(dots, surv, &g, c, f, f, f)
+		Sym1Survivors(dots[:4], surv, &g, c, f, f, f)
+		SQ8RowFactors(f, f, f, side, true)
 		_, _, _ = EncodeSQ8(a, c)
 		SigmoidInto(act, a)
 		TanhInto(act, a)
@@ -272,4 +328,54 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		t.Fatalf("dispatched kernels allocated %v times per run", allocs)
 	}
 	_ = sink
+}
+
+// TestSQ8RowFactorsBodies holds the dispatched SQ8RowFactors — the AVX2
+// body over whole fours, where it runs, and the Go body on the rest —
+// to the Go body alone, bit for bit, under both metrics: row counts
+// around a four and a scan block, slice offsets, and sidecars with
+// zero, negative-zero, NaN and infinite norms, scales and offsets.
+func TestSQ8RowFactorsBodies(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	value := func() float64 {
+		switch rng.Intn(12) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.NaN()
+		case 3:
+			return math.Inf(1 - 2*rng.Intn(2))
+		}
+		return rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20))
+	}
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 255, 256, 257} {
+		for _, off := range []int{0, 1} {
+			side := make([]SQ8Sidecar, off+n)
+			for i := range side {
+				side[i] = SQ8Sidecar{Scale: value(), Offset: value(), Norm: value(), CodeSum: int32(rng.Intn(1<<15) - 1<<14)}
+			}
+			side = side[off:]
+			for _, cosine := range []bool{false, true} {
+				var got, want [3][]float64
+				for j := range got {
+					got[j], want[j] = make([]float64, n+1), make([]float64, n+1)
+					got[j][n], want[j][n] = 7, 7 // a guard past the end
+				}
+				SQ8RowFactors(got[0][:n], got[1][:n], got[2][:n], side, cosine)
+				sq8RowFactorsGo(want[0][:n], want[1][:n], want[2][:n], side, cosine)
+				for j := range got {
+					for r := range got[j] {
+						if math.Float64bits(got[j][r]) != math.Float64bits(want[j][r]) {
+							t.Fatalf("n=%d off=%d cosine=%v: factor %d of row %d = %v, Go body %v (sidecar %+v)", n, off, cosine, j, r, got[j][r], want[j][r], side[min(r, n-1)])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !simdSym {
+		t.Log("AVX2 body not available on this CPU/backend: the Go body was compared with itself")
+	}
 }

@@ -132,12 +132,14 @@ func FuzzSQ8RoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSym4Survivors holds every Sym4Survivors body the CPU has to the
-// dots and survivors sym4Case.run computes, over inputs taken from the
-// fuzz bytes: a dim of 1–130 (the Go reference below simdMinLanes, both
-// SIMD bodies' chunk and tail splits above it), up to 9 rows, codes,
-// and raw float64 bits for every row factor, lane term and floor, so
-// NaN, ±Inf, signed zeros and subnormals all occur. Run with:
+// FuzzSym4Survivors holds every Sym4Survivors body the CPU has, and
+// every Sym1Survivors body on lane 0 of the same input, to the dots and
+// survivors sym4Case.run computes, over inputs taken from the fuzz
+// bytes: a dim of 1–130 (the Go reference below simdMinLanes, both
+// SIMD bodies' chunk and tail splits above it), up to 9 rows (the
+// one-query bodies' fours and remainders), codes, and raw float64 bits
+// for every row factor, lane term and floor, so NaN, ±Inf, signed
+// zeros and subnormals all occur. Run with:
 // go test -run=NONE -fuzz=FuzzSym4Survivors ./internal/vecmath
 func FuzzSym4Survivors(f *testing.F) {
 	for _, dim := range []int{1, 15, 16, 24, 32, 33, 64, 100, 128} {
@@ -155,6 +157,11 @@ func FuzzSym4Survivors(f *testing.F) {
 		for name, body := range sym4Bodies(c.dim) {
 			c.resetOutputs()
 			c.run(t, name, 0, body)
+		}
+		c.one(0)
+		for name, body := range sym1Bodies(c.dim) {
+			c.resetOutputs()
+			c.run(t, "one/"+name, 0, body)
 		}
 	})
 }
@@ -174,6 +181,7 @@ func sym4CaseFromBytes(data []byte) (*sym4Case, bool) {
 	}
 	c := &sym4Case{
 		dim:     dim,
+		lanes:   4,
 		rowsBuf: make([]int8, nRows*dim),
 		dotsBuf: make([]int32, 4*nRows),
 		survBuf: make([]uint32, nRows),

@@ -80,6 +80,103 @@ loop: \
 	CMPQ         R15, R9; \
 	JLT          loop
 
+// Sym1Survivors' two SIMD bodies share theirs the same way.
+//
+// SYM1_SETUP is SYM4_SETUP with lane 0's A, B, C and Floor broadcast
+// across Y12–Y15.
+#define SYM1_SETUP \
+	MOVQ         qs+48(FP), AX; \
+	MOVQ         Sym4Queries_dim(AX), R8; \
+	VBROADCASTSD Sym4Queries_A(AX), Y12; \
+	VBROADCASTSD Sym4Queries_B(AX), Y13; \
+	VBROADCASTSD Sym4Queries_C(AX), Y14; \
+	VBROADCASTSD Sym4Queries_Floor(AX), Y15; \
+	MOVQ         dots_base+0(FP), DI; \
+	MOVQ         rows_base+56(FP), DX; \
+	MOVQ         rowOff_len+88(FP), R9
+
+// SYM1_SCORE is the second pass for one query: four rows per iteration,
+// their dots and factors loaded as vectors, scored with SYM4_SCORE's
+// operations in its order, so each row's score is the one lane 0 of
+// SYM4_SCORE would give it. Once a pool is full most fours have no
+// survivor, and a four with none skips the append (the one branch,
+// rarely taken); otherwise the four rows' entries r<<4 | 1 are written
+// at the count (R14) one after another, each advancing it by its bit
+// of the mask. The last n%4 rows take the same operations on scalars.
+// Ends at done; needs at least one row.
+#define SYM1_SCORE(quad, none, one, done) \
+	MOVQ       dots_base+0(FP), DI; \
+	MOVQ       surv_base+24(FP), SI; \
+	MOVQ       rowOff_base+80(FP), R10; \
+	MOVQ       rowSum_base+104(FP), R11; \
+	MOVQ       rowScale_base+128(FP), R12; \
+	MOVQ       rowOff_len+88(FP), R9; \
+	MOVQ       R9, R13; \
+	ANDQ       $-4, R13; \
+	XORQ       R14, R14; \
+	XORQ       R15, R15; \
+	TESTQ      R13, R13; \
+	JZ         one; \
+quad: \
+	VCVTDQ2PD  (DI)(R15*4), Y9; \
+	VMULPD     (R10)(R15*8), Y12, Y10; \
+	VMULPD     (R11)(R15*8), Y13, Y11; \
+	VADDPD     Y11, Y10, Y10; \
+	VMULPD     (R12)(R15*8), Y14, Y11; \
+	VMULPD     Y9, Y11, Y11; \
+	VADDPD     Y11, Y10, Y10; \
+	VCMPPD     $5, Y15, Y10, Y11; \
+	VMOVMSKPD  Y11, AX; \
+	TESTL      AX, AX; \
+	JZ         none; \
+	MOVQ       R15, CX; \
+	SHLQ       $4, CX; \
+	ORQ        $1, CX; \
+	MOVL       CX, (SI)(R14*4); \
+	MOVL       AX, BX; \
+	ANDL       $1, BX; \
+	ADDQ       BX, R14; \
+	ADDL       $16, CX; \
+	MOVL       CX, (SI)(R14*4); \
+	MOVL       AX, BX; \
+	SHRL       $1, BX; \
+	ANDL       $1, BX; \
+	ADDQ       BX, R14; \
+	ADDL       $16, CX; \
+	MOVL       CX, (SI)(R14*4); \
+	MOVL       AX, BX; \
+	SHRL       $2, BX; \
+	ANDL       $1, BX; \
+	ADDQ       BX, R14; \
+	ADDL       $16, CX; \
+	MOVL       CX, (SI)(R14*4); \
+	SHRL       $3, AX; \
+	ADDQ       AX, R14; \
+none: \
+	ADDQ       $4, R15; \
+	CMPQ       R15, R13; \
+	JLT        quad; \
+one: \
+	CMPQ       R15, R9; \
+	JGE        done; \
+	VCVTSI2SDL (DI)(R15*4), X9, X9; \
+	VMULSD     (R10)(R15*8), X12, X10; \
+	VMULSD     (R11)(R15*8), X13, X11; \
+	VADDSD     X11, X10, X10; \
+	VMULSD     (R12)(R15*8), X14, X11; \
+	VMULSD     X9, X11, X11; \
+	VADDSD     X11, X10, X10; \
+	VCMPSD     $5, X15, X10, X11; \
+	VMOVQ      X11, AX; \
+	ANDL       $1, AX; \
+	MOVQ       R15, CX; \
+	SHLQ       $4, CX; \
+	ORQ        $1, CX; \
+	MOVL       CX, (SI)(R14*4); \
+	ADDQ       AX, R14; \
+	INCQ       R15; \
+	JMP        one
+
 // func dotSIMD(a, b []float64) float64
 TEXT ·dotSIMD(SB), NOSPLIT, $0-56
 	MOVQ   a_base+0(FP), SI
@@ -611,6 +708,327 @@ v4_fold:
 
 v4_done:
 	MOVQ R14, ret+152(FP)
+	VZEROUPPER
+	RET
+
+// func sym1SurvivorsAVX2(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+//
+// First pass, the dots, four rows per iteration: each 16-lane chunk of
+// the widened query is loaded once and VPMADDWD'd against the same
+// chunk of four rows, each widened once (VPMOVSXBW); one int32
+// accumulator per row, folded into one XMM of four dots by
+// sym4SurvivorsAVX2's three VPHADDDs. The dim%16 tail lanes add into
+// those four words with plain integer code. The last n%4 rows run one
+// at a time. Then SYM1_SCORE.
+TEXT ·sym1SurvivorsAVX2(SB), NOSPLIT, $0-160
+	SYM1_SETUP
+	MOVQ  Sym4Queries_wide(AX), R10
+	XORQ  R14, R14
+	TESTQ R9, R9
+	JZ    a1_done
+
+a1_quad:
+	CMPQ  R9, $4
+	JLT   a1_one
+	LEAQ  (DX)(R8*1), R11          // rows 1..3 of the four
+	LEAQ  (R11)(R8*1), R12
+	LEAQ  (R12)(R8*1), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  BX, BX                   // lane index
+	MOVQ  R8, CX
+	SHRQ  $4, CX
+
+a1_q16:
+	VMOVDQU   (R10)(BX*2), Y8
+	VPMOVSXBW (DX)(BX*1), Y4
+	VPMOVSXBW (R11)(BX*1), Y5
+	VPMOVSXBW (R12)(BX*1), Y6
+	VPMOVSXBW (R13)(BX*1), Y7
+	VPMADDWD  Y8, Y4, Y4
+	VPMADDWD  Y8, Y5, Y5
+	VPMADDWD  Y8, Y6, Y6
+	VPMADDWD  Y8, Y7, Y7
+	VPADDD    Y4, Y0, Y0
+	VPADDD    Y5, Y1, Y1
+	VPADDD    Y6, Y2, Y2
+	VPADDD    Y7, Y3, Y3
+	ADDQ      $16, BX
+	DECQ      CX
+	JNZ       a1_q16
+
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VMOVDQU      X0, (DI)
+	CMPQ         BX, R8
+	JGE          a1_qnext
+
+a1_qtail:
+	MOVWQSX (R10)(BX*2), AX
+	MOVBQSX (DX)(BX*1), SI
+	IMULQ   AX, SI
+	ADDL    SI, (DI)
+	MOVBQSX (R11)(BX*1), SI
+	IMULQ   AX, SI
+	ADDL    SI, 4(DI)
+	MOVBQSX (R12)(BX*1), SI
+	IMULQ   AX, SI
+	ADDL    SI, 8(DI)
+	MOVBQSX (R13)(BX*1), SI
+	IMULQ   AX, SI
+	ADDL    SI, 12(DI)
+	INCQ    BX
+	CMPQ    BX, R8
+	JLT     a1_qtail
+
+a1_qnext:
+	LEAQ (R13)(R8*1), DX
+	ADDQ $16, DI
+	SUBQ $4, R9
+	JMP  a1_quad
+
+a1_one:
+	TESTQ R9, R9
+	JZ    a1_score
+	VPXOR Y0, Y0, Y0
+	XORQ  BX, BX
+	MOVQ  R8, CX
+	SHRQ  $4, CX
+
+a1_o16:
+	VPMOVSXBW (DX)(BX*1), Y4
+	VPMADDWD  (R10)(BX*2), Y4, Y4
+	VPADDD    Y4, Y0, Y0
+	ADDQ      $16, BX
+	DECQ      CX
+	JNZ       a1_o16
+
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, (DI)
+	CMPQ         BX, R8
+	JGE          a1_onext
+
+a1_otail:
+	MOVWQSX (R10)(BX*2), AX
+	MOVBQSX (DX)(BX*1), SI
+	IMULQ   AX, SI
+	ADDL    SI, (DI)
+	INCQ    BX
+	CMPQ    BX, R8
+	JLT     a1_otail
+
+a1_onext:
+	ADDQ R8, DX
+	ADDQ $4, DI
+	DECQ R9
+	JMP  a1_one
+
+a1_score:
+	SYM1_SCORE(a1_squad, a1_snone, a1_sone, a1_done)
+
+a1_done:
+	MOVQ R14, ret+152(FP)
+	VZEROUPPER
+	RET
+
+// func sym1SurvivorsVNNI(dots []int32, surv []uint32, qs *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int
+//
+// The AVX2 body with sym4SurvivorsVNNI's dots: each 32-byte chunk of
+// the query is loaded once and VPDPBUSD'd against the same chunk of
+// four rows biased by XOR 0x80; lane 0's 128·Σcodes, broadcast, comes
+// off all four folded dots at once. The dim%32 tail runs through
+// byte-masked zeroing loads (K1), the query's tail loaded once per
+// call into Y18. The last n%4 rows run one at a time. Then SYM1_SCORE.
+TEXT ·sym1SurvivorsVNNI(SB), NOSPLIT, $0-160
+	SYM1_SETUP
+	MOVQ         Sym4Queries_codes(AX), R10
+	VPBROADCASTD Sym4Queries_bias(AX), X8
+	XORQ         R14, R14
+	TESTQ        R9, R9
+	JZ           n1_done
+	MOVL         $0x80808080, AX
+	VPBROADCASTD AX, Y16
+	MOVQ         R8, SI
+	ANDQ         $-32, SI          // lanes in whole 32-byte chunks
+	MOVQ         R8, CX
+	ANDQ         $31, CX
+	MOVL         $1, AX
+	SHLL         CX, AX
+	DECL         AX
+	KMOVD        AX, K1            // the tail's lanes
+	VMOVDQU8.Z   (R10)(SI*1), K1, Y18
+
+n1_quad:
+	CMPQ  R9, $4
+	JLT   n1_one
+	LEAQ  (DX)(R8*1), R11          // rows 1..3 of the four
+	LEAQ  (R11)(R8*1), R12
+	LEAQ  (R12)(R8*1), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ  BX, BX
+	TESTQ SI, SI
+	JZ    n1_qtail
+
+n1_q32:
+	VMOVDQU  (R10)(BX*1), Y9
+	VPXORD   (DX)(BX*1), Y16, Y4
+	VPXORD   (R11)(BX*1), Y16, Y5
+	VPXORD   (R12)(BX*1), Y16, Y6
+	VPXORD   (R13)(BX*1), Y16, Y7
+	VPDPBUSD Y9, Y4, Y0
+	VPDPBUSD Y9, Y5, Y1
+	VPDPBUSD Y9, Y6, Y2
+	VPDPBUSD Y9, Y7, Y3
+	ADDQ     $32, BX
+	CMPQ     BX, SI
+	JLT      n1_q32
+
+n1_qtail:
+	KORTESTD   K1, K1
+	JZ         n1_qfold
+	VMOVDQU8.Z (DX)(BX*1), K1, Y4
+	VMOVDQU8.Z (R11)(BX*1), K1, Y5
+	VMOVDQU8.Z (R12)(BX*1), K1, Y6
+	VMOVDQU8.Z (R13)(BX*1), K1, Y7
+	VPXORD     Y16, Y4, Y4
+	VPXORD     Y16, Y5, Y5
+	VPXORD     Y16, Y6, Y6
+	VPXORD     Y16, Y7, Y7
+	VPDPBUSD   Y18, Y4, Y0
+	VPDPBUSD   Y18, Y5, Y1
+	VPDPBUSD   Y18, Y6, Y2
+	VPDPBUSD   Y18, Y7, Y3
+
+n1_qfold:
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSUBD       X8, X0, X0
+	VMOVDQU      X0, (DI)
+	LEAQ         (R13)(R8*1), DX
+	ADDQ         $16, DI
+	SUBQ         $4, R9
+	JMP          n1_quad
+
+n1_one:
+	TESTQ R9, R9
+	JZ    n1_score
+	VPXOR Y0, Y0, Y0
+	XORQ  BX, BX
+	TESTQ SI, SI
+	JZ    n1_otail
+
+n1_o32:
+	VPXORD   (DX)(BX*1), Y16, Y4
+	VPDPBUSD (R10)(BX*1), Y4, Y0
+	ADDQ     $32, BX
+	CMPQ     BX, SI
+	JLT      n1_o32
+
+n1_otail:
+	KORTESTD   K1, K1
+	JZ         n1_ofold
+	VMOVDQU8.Z (DX)(BX*1), K1, Y4
+	VPXORD     Y16, Y4, Y4
+	VPDPBUSD   Y18, Y4, Y0
+
+n1_ofold:
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPADDD       X1, X0, X0
+	VPSUBD       X8, X0, X0
+	VMOVD        X0, (DI)
+	ADDQ         R8, DX
+	ADDQ         $4, DI
+	DECQ         R9
+	JMP          n1_one
+
+n1_score:
+	SYM1_SCORE(n1_squad, n1_snone, n1_sone, n1_done)
+
+n1_done:
+	MOVQ R14, ret+152(FP)
+	VZEROUPPER
+	RET
+
+// func sq8RowFactorsAVX2(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool)
+//
+// Four 32-byte sidecar records a step, transposed by two VUNPCK pairs
+// and four VPERM2F128s into vectors of four scales, offsets, norms and
+// code-sum words; the code sums (the low dword of each word) packed by
+// VSHUFPS and widened to float64. For cosine one VDIVPD gives the four
+// 1/norm, zeroed where norm == 0 (predicate 0, EQ_OQ: −0 is zero, NaN
+// is not), and scale and offset are multiplied by it; then rowSum =
+// scale·codeSum. One rounding per operation, as in the Go body. len
+// must be a multiple of 4.
+TEXT ·sq8RowFactorsAVX2(SB), NOSPLIT, $0-97
+	MOVQ         rowOff_base+0(FP), DI
+	MOVQ         rowScale_base+24(FP), R8
+	MOVQ         rowSum_base+48(FP), R9
+	MOVQ         side_base+72(FP), SI
+	MOVQ         side_len+80(FP), CX
+	MOVBLZX      cosine+96(FP), DX
+	SHRQ         $2, CX
+	JZ           rf_done
+	MOVQ         $0x3ff0000000000000, AX // 1.0
+	VMOVQ        AX, X14
+	VBROADCASTSD X14, Y14
+	VXORPD       Y15, Y15, Y15
+	XORQ         BX, BX
+
+rf_loop:
+	VMOVUPD      (SI), Y0
+	VMOVUPD      32(SI), Y1
+	VMOVUPD      64(SI), Y2
+	VMOVUPD      96(SI), Y3
+	VUNPCKLPD    Y1, Y0, Y4        // scale0 scale1 norm0 norm1
+	VUNPCKHPD    Y1, Y0, Y5        // off0 off1 cs0 cs1
+	VUNPCKLPD    Y3, Y2, Y6
+	VUNPCKHPD    Y3, Y2, Y7
+	VPERM2F128   $0x20, Y6, Y4, Y8 // scales
+	VPERM2F128   $0x31, Y6, Y4, Y9 // norms
+	VPERM2F128   $0x20, Y7, Y5, Y10 // offsets
+	VPERM2F128   $0x31, Y7, Y5, Y11 // code-sum words
+	VEXTRACTF128 $1, Y11, X12
+	VSHUFPS      $0x88, X12, X11, X12
+	VCVTDQ2PD    X12, Y12
+	TESTQ        DX, DX
+	JZ           rf_store
+	VDIVPD       Y9, Y14, Y13
+	VCMPPD       $0, Y15, Y9, Y9
+	VANDNPD      Y13, Y9, Y13
+	VMULPD       Y13, Y8, Y8
+	VMULPD       Y13, Y10, Y10
+
+rf_store:
+	VMULPD       Y12, Y8, Y12
+	VMOVUPD      Y10, (DI)(BX*8)
+	VMOVUPD      Y8, (R8)(BX*8)
+	VMOVUPD      Y12, (R9)(BX*8)
+	ADDQ         $128, SI
+	ADDQ         $4, BX
+	DECQ         CX
+	JNZ          rf_loop
+
+rf_done:
 	VZEROUPPER
 	RET
 

@@ -292,6 +292,110 @@ func Sym4Survivors(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, row
 	return sym4SurvivorsGo(dots, surv, g, rows, rowOff, rowSum, rowScale)
 }
 
+// SQ8Sidecar is an sq8 row's sidecar in the layout stores keep it in —
+// embstore's slabs and the sq8 section of its v3 files: the row's
+// decode scale and offset, the norm of the original vector and the sum
+// of the row's codes.
+type SQ8Sidecar struct {
+	Scale, Offset, Norm float64
+	CodeSum             int32
+}
+
+// SQ8RowFactors fills the row side of the blocked scan's sq8 score (the
+// rowOff, rowSum and rowScale Sym4Survivors and Sym1Survivors take) for
+// the rows whose sidecars are side: with inv = 1/Norm for cosine (0 for
+// a zero norm),
+//
+//	rowOff[r] = Offset·inv, rowScale[r] = Scale·inv, rowSum[r] = rowScale[r]·CodeSum
+//
+// and Offset and Scale as they stand for dot product, each operation
+// rounded on its own, so the factors are bit for bit the Go
+// expressions'. The AVX2 body transposes four records a step and
+// divides their four norms in one instruction; the last len(side)%4
+// rows, and every row off that backend, take the Go body. Panics
+// unless the four slices have one length.
+func SQ8RowFactors(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool) {
+	n := len(side)
+	if len(rowOff) != n || len(rowScale) != n || len(rowSum) != n {
+		panic("vecmath: SQ8RowFactors length mismatch")
+	}
+	done := 0
+	if simdSym {
+		done = n &^ 3
+		if done > 0 {
+			sq8RowFactorsAVX2(rowOff[:done], rowScale[:done], rowSum[:done], side[:done], cosine)
+		}
+	}
+	sq8RowFactorsGo(rowOff[done:], rowScale[done:], rowSum[done:], side[done:], cosine)
+}
+
+func sq8RowFactorsGo(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool) {
+	for r := range side {
+		sd := &side[r]
+		scale, offset := sd.Scale, sd.Offset
+		if cosine {
+			inv := 0.0 // a zero row scores 0
+			if sd.Norm != 0 {
+				inv = 1 / sd.Norm
+			}
+			scale *= inv
+			offset *= inv
+		}
+		rowOff[r], rowScale[r], rowSum[r] = offset, scale, scale*float64(sd.CodeSum)
+	}
+}
+
+// Sym1Survivors is Sym4Survivors for one query, lane 0 of g: the form
+// a single query, a batch's last group of one and an insert sweep with
+// one lane take, which would otherwise pay all four lanes of
+// Sym4Survivors for one. It writes one code dot per row,
+//
+//	dots[r] = Σᵢ rows[r·dim+i] · codes_0[i]
+//
+// scores it as Sym4Survivors scores lane 0, bit for bit, and appends
+// r<<4 | 1 for every row where !(score < Floor[0]): the same survivor
+// contract with a one-lane mask. The SIMD bodies take four rows per
+// iteration, each load of a query chunk serving all four, and score
+// four rows per vector operation. The other lanes of g are not read.
+//
+// Three bodies, bit-equal in dots and survivors, picked as
+// Sym4Survivors picks its own: the Go reference, AVX2 and AVX512-VNNI.
+// Panics unless rows holds len(rowOff) rows of the queries' dim,
+// rowSum, rowScale and dots match, and surv has room for every row.
+func Sym1Survivors(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	n, dim := len(rowOff), g.dim
+	if dim < 1 || len(rows) != n*dim || len(dots) != n || len(surv) < n || len(rowSum) != n || len(rowScale) != n {
+		panic("vecmath: Sym1Survivors shape mismatch")
+	}
+	if dim >= simdMinLanes {
+		switch {
+		case simdVNNI:
+			return sym1SurvivorsVNNI(dots, surv, g, rows, rowOff, rowSum, rowScale)
+		case simdSym:
+			return sym1SurvivorsAVX2(dots, surv, g, rows, rowOff, rowSum, rowScale)
+		}
+	}
+	return sym1SurvivorsGo(dots, surv, g, rows, rowOff, rowSum, rowScale)
+}
+
+func sym1SurvivorsGo(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
+	dim, n := g.dim, 0
+	q := g.codes[:dim]
+	for r := range rowOff {
+		var dot int32
+		for i, c := range rows[r*dim : (r+1)*dim] {
+			dot += int32(c) * int32(q[i])
+		}
+		dots[r] = dot
+		score := float64(rowOff[r]*g.A[0]) + float64(rowSum[r]*g.B[0]) + float64(rowScale[r]*g.C[0]*float64(dot))
+		surv[n] = uint32(r)<<4 | 1
+		if !(score < g.Floor[0]) {
+			n++
+		}
+	}
+	return n
+}
+
 func sym4SurvivorsGo(dots []int32, surv []uint32, g *Sym4Queries, rows []int8, rowOff, rowSum, rowScale []float64) int {
 	dim, n := g.dim, 0
 	for r := range rowOff {

@@ -208,9 +208,11 @@ var sym4Rows = []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 17, 31, 64, 255, 256, 257, 300}
 // sym4Case is one Sym4Survivors call at slice offset off: rows, row
 // factors, dots and survivors each sit inside a larger buffer whose
 // other elements are guards the kernel must neither read into its sums
-// nor write. fill picks every code.
+// nor write. fill picks every code. After one(off) it is the
+// Sym1Survivors call on lane 0 of the same inputs instead.
 type sym4Case struct {
 	dim                      int
+	lanes                    int // 4, or 1 for Sym1Survivors
 	g                        Sym4Queries
 	q8                       [4][]int8
 	rowsBuf                  []int8
@@ -236,6 +238,7 @@ const (
 func newSym4Case(dim, nRows, off int, fill func() int8, rng *rand.Rand, special bool) *sym4Case {
 	c := &sym4Case{
 		dim:     dim,
+		lanes:   4,
 		rowsBuf: make([]int8, off+nRows*dim+5),
 		dotsBuf: make([]int32, off+4*nRows+5),
 		survBuf: make([]uint32, off+nRows+5),
@@ -289,6 +292,15 @@ func refCodeDot(a, b []int8) int32 {
 	return s
 }
 
+// one makes the case a Sym1Survivors call at slice offset off: one dot
+// a row, lane 0 only. The rest of the four-lane dots buffer is guard.
+func (c *sym4Case) one(off int) *sym4Case {
+	c.lanes = 1
+	c.dots = c.dotsBuf[off : off+len(c.rowOff)]
+	c.resetOutputs()
+	return c
+}
+
 // refSym4Score is the kernel's score, each product rounded on its own.
 func refSym4Score(c *sym4Case, r, j int, dot int32) float64 {
 	return float64(c.rowOff[r]*c.g.A[j]) + float64(c.rowSum[r]*c.g.B[j]) + float64(c.rowScale[r]*c.g.C[j]*float64(dot))
@@ -315,10 +327,10 @@ func (c *sym4Case) run(t *testing.T, name string, off int, body func(dots []int3
 	var want []uint32
 	for r := 0; r < nRows; r++ {
 		var mask uint32
-		for j := 0; j < 4; j++ {
+		for j := 0; j < c.lanes; j++ {
 			dot := refCodeDot(c.rows[r*dim:(r+1)*dim], c.q8[j])
-			if c.dots[4*r+j] != dot {
-				t.Fatalf("%s dim=%d rows=%d off=%d: dots[%d][%d] = %d, want %d", name, dim, nRows, off, r, j, c.dots[4*r+j], dot)
+			if c.dots[c.lanes*r+j] != dot {
+				t.Fatalf("%s dim=%d rows=%d off=%d: dots[%d][%d] = %d, want %d", name, dim, nRows, off, r, j, c.dots[c.lanes*r+j], dot)
 			}
 			if score := refSym4Score(c, r, j, dot); !(score < c.g.Floor[j]) {
 				mask |= 1 << j
@@ -386,6 +398,30 @@ func TestSym4SurvivorsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSym1SurvivorsMatchesReference is the same cross for the
+// dispatched one-query kernel: every dim 1–130, the row counts above
+// (every split into fours and a remainder), three slice offsets.
+func TestSym1SurvivorsMatchesReference(t *testing.T) {
+	random := randomCodes(61)
+	alt := int8(127)
+	fills := map[string]func() int8{
+		"min":    func() int8 { return -128 },
+		"max":    func() int8 { return 127 },
+		"minmax": func() int8 { alt = ^alt; return alt },
+	}
+	rng := rand.New(rand.NewSource(62))
+	for dim := 1; dim <= 130; dim++ {
+		for _, off := range []int{0, 1, 3} {
+			for _, nRows := range sym4Rows {
+				newSym4Case(dim, nRows, off, random, rng, nRows%2 == 1).one(off).run(t, "random", off, Sym1Survivors)
+			}
+			for name, fill := range fills {
+				newSym4Case(dim, 5, off, fill, rng, false).one(off).run(t, name, off, Sym1Survivors)
+			}
+		}
+	}
+}
+
 func TestSym4SurvivorsShapePanics(t *testing.T) {
 	var g Sym4Queries
 	g.Set(0, make([]int8, 16))
@@ -410,6 +446,30 @@ func TestSym4SurvivorsShapePanics(t *testing.T) {
 	}
 }
 
+func TestSym1SurvivorsShapePanics(t *testing.T) {
+	var g Sym4Queries
+	g.Set(0, make([]int8, 16))
+	f := make([]float64, 2)
+	for name, call := range map[string]func(){
+		"no query":    func() { Sym1Survivors(nil, nil, new(Sym4Queries), nil, nil, nil, nil) },
+		"ragged rows": func() { Sym1Survivors(make([]int32, 2), make([]uint32, 2), &g, make([]int8, 33), f, f, f) },
+		"short dots":  func() { Sym1Survivors(make([]int32, 1), make([]uint32, 2), &g, make([]int8, 32), f, f, f) },
+		"four dots":   func() { Sym1Survivors(make([]int32, 8), make([]uint32, 2), &g, make([]int8, 32), f, f, f) },
+		"short surv":  func() { Sym1Survivors(make([]int32, 2), make([]uint32, 1), &g, make([]int8, 32), f, f, f) },
+		"short sums":  func() { Sym1Survivors(make([]int32, 2), make([]uint32, 2), &g, make([]int8, 32), f, f[:1], f) },
+		"short scale": func() { Sym1Survivors(make([]int32, 2), make([]uint32, 2), &g, make([]int8, 32), f, f, f[:1]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Sym1Survivors with %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 // BenchmarkSym4Survivors times each kernel body the CPU has on the
 // scan's own shape — one 256-row block of 64-lane rows, floors a pool
 // in steady state sets (about one row in 16 survives some lane) — and
@@ -426,6 +486,24 @@ func BenchmarkSym4Survivors(b *testing.B) {
 				body(c.dots, c.surv, &c.g, c.rows, c.rowOff, c.rowSum, c.rowScale)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(4*nRows), "ns/pair")
+		})
+	}
+}
+
+// BenchmarkSym1Survivors is BenchmarkSym4Survivors for the one-query
+// kernel: the same block and floor, ns per row. Set beside
+// BenchmarkSym4Survivors' ns/pair ×4, it is what a single query saves
+// per row over running padded in four lanes.
+func BenchmarkSym1Survivors(b *testing.B) {
+	const dim, nRows = 64, 256
+	c := newSym4Case(dim, nRows, 0, randomCodes(53), rand.New(rand.NewSource(54)), false).one(0)
+	c.g.Floor[0] = 2
+	for name, body := range sym1Bodies(dim) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body(c.dots, c.surv, &c.g, c.rows, c.rowOff, c.rowSum, c.rowScale)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nRows, "ns/row")
 		})
 	}
 }
