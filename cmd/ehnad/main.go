@@ -72,7 +72,8 @@
 // written by an older version converts to f32. WAL records always
 // carry full-precision vectors, so durability semantics are unchanged.
 // /healthz reports precision and bytes_per_vector (and, with -index
-// hnsw, the graph slab's mirror cost under graph.slab_bytes_per_vector).
+// hnsw, graph.slab_bytes_per_vector: the graph slab's copy of each
+// stored row costs the same bytes again per graph slot).
 package main
 
 import (

@@ -617,8 +617,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"shards": int(g("ehnad_store_shards")),
 		// The compressed-plane dials: slab precision and the resulting
 		// per-vector store footprint (payload + sidecars). With -index
-		// hnsw the graph mirrors the slab, adding the
-		// graph.slab_bytes_per_vector reported below per indexed vector.
+		// hnsw the graph's slab holds a copy of each stored row, adding
+		// graph.slab_bytes_per_vector (reported below) per graph slot.
 		"precision":        s.store.Precision().String(),
 		"bytes_per_vector": int(g("ehnad_store_bytes_per_vector")),
 		"index":            s.indexName,
@@ -668,9 +668,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"nodes":      int(g("ehnad_graph_nodes")),
 			"tombstones": int(g("ehnad_graph_tombstones")),
 			"layers":     int(g("ehnad_graph_layers")),
-			// The graph keeps its own slot-indexed vector slab (the price
-			// of lock-free beam scoring), so total vector memory is
-			// nodes×bytes_per_vector + (nodes+tombstones)×this.
+			// The graph keeps a slot-indexed copy of every stored row (the
+			// price of lock-free beam scoring) in the store's own layout,
+			// so this is the store's bytes_per_vector, and total vector
+			// memory is nodes×bytes_per_vector + (nodes+tombstones)×this.
 			"slab_bytes_per_vector": int(g("ehnad_store_bytes_per_vector")),
 		}
 	}

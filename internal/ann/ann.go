@@ -16,6 +16,7 @@ package ann
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -65,10 +66,11 @@ func ParseMetric(s string) (Metric, error) {
 // scoring kernels consume: the query norm (every metric), a narrowed
 // float32 copy (F32 slabs), the lane sum (SQ8 slabs — the affine
 // correction term of the asymmetric kernel), and on SIMD backends a
-// quantized copy of the query (SQ8 slabs — the symmetric first
-// stage's operand). It lives inside the pooled scratches, so building
-// it allocates only while a scratch's buffers are still growing toward
-// the store's dimensionality.
+// quantized copy of the query with its side of filterScore (SQ8 slabs
+// — the symmetric first stage's operands, which the beam and the
+// scanner both score by). It lives inside the pooled scratches, so
+// building it allocates only while a scratch's buffers are still
+// growing toward the store's dimensionality.
 type queryCtx struct {
 	q     []float64
 	qNorm float64
@@ -79,7 +81,7 @@ type queryCtx struct {
 	qSum    float64           // SQ8: Σ q[i], threaded through DotSQ8
 	sq8q    embstore.SQ8Query // SQ8 + SIMD: quantized query for DotSQ8Sym
 	sym     bool              // symmetric first stage active this query
-	invNorm float64           // SQ8 + SIMD: 1/qNorm (0 for a zero query), the beam's cosine scale
+	a, b, c float64           // SQ8 + SIMD: the quantized query's sq8Factors
 
 	// done is the query's cancellation signal (ctx.Done()); nil — the
 	// Background context's Done — means the query can never be canceled
@@ -100,8 +102,8 @@ func (qc *queryCtx) canceled() bool {
 	}
 }
 
-// init prepares the context for one query against store.
-func (qc *queryCtx) init(store *embstore.Store, q []float64) {
+// init prepares the context for one query against store under metric.
+func (qc *queryCtx) init(store *embstore.Store, metric Metric, q []float64) {
 	qc.q = q
 	qc.qNorm = vecmath.Norm(q)
 	qc.prec = store.Precision()
@@ -125,14 +127,12 @@ func (qc *queryCtx) init(store *embstore.Store, q []float64) {
 		// reproduce identical scores. Only the SIMD symmetric kernel is
 		// cheap enough to earn a first stage over a candidate pool widened
 		// to rerank·k (candidateK) that scoreView then re-ranks; the query
-		// is quantized once here for it.
+		// is quantized and factored once here for it.
 		if vecmath.HasSQ8Sym() {
 			qc.sym = true
-			store.EncodeQuery(q, &qc.sq8q)
-			qc.invNorm = 0
-			if qc.qNorm != 0 {
-				qc.invNorm = 1 / qc.qNorm
-			}
+			e := &qc.sq8q
+			store.EncodeQuery(q, e)
+			qc.a, qc.b, qc.c = sq8Factors(len(q), e.Scale, e.Offset, e.CodeSum, qc.qNorm, metric != DotProduct)
 		}
 	}
 }
@@ -220,6 +220,15 @@ type topK struct {
 func (t *topK) reset(k int) {
 	t.k = k
 	t.heap = t.heap[:0]
+}
+
+// floor is the score a result must reach to enter: −Inf while t is
+// filling, the worst held score once it holds k.
+func (t *topK) floor() float64 {
+	if len(t.heap) < t.k {
+		return math.Inf(-1)
+	}
+	return t.heap[0].Score
 }
 
 // worse reports whether a ranks below b (lower score, or same score and

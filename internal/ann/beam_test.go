@@ -151,7 +151,7 @@ func checkBeamAgainstOracle(t *testing.T, label string, h *HNSW, queries [][]flo
 	sc := new(hnswScratch)
 	searches, skipped := 0, 0
 	for qi, q := range queries {
-		sc.ctx.init(h.store, q)
+		sc.ctx.init(h.store, h.cfg.Metric, q)
 		if beamTies(h, sc) {
 			skipped++
 			continue

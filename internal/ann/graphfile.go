@@ -60,6 +60,7 @@ import (
 
 	"ehna/internal/embstore"
 	"ehna/internal/graph"
+	"ehna/internal/vecmath"
 )
 
 const (
@@ -434,7 +435,7 @@ func (h *HNSW) mirrorSlab(capRows int) error {
 		h.norms = make([]float64, rows, capRows)
 	case embstore.SQ8:
 		h.codes = make([]int8, rows*dim, capRows*dim)
-		h.side = make([]sq8Side, rows, capRows)
+		h.side = make([]vecmath.SQ8Sidecar, rows, capRows)
 	}
 	var stray graph.NodeID
 	strayFound, mirrored := false, 0
@@ -445,15 +446,7 @@ func (h *HNSW) mirrorSlab(capRows int) error {
 				stray, strayFound = id, true
 				return false
 			}
-			lo := int(slot) * dim
-			switch h.prec {
-			case embstore.F32:
-				copy(h.vecs32[lo:lo+dim], v.F32)
-				h.norms[slot] = v.Norm
-			case embstore.SQ8:
-				copy(h.codes[lo:lo+dim], v.Code)
-				h.side[slot] = sq8Side{scale: float32(v.Scale), offset: float32(v.Offset), norm: float32(v.Norm), codeSum: v.CodeSum}
-			}
+			h.setSlabRow(slot, v)
 			mirrored++
 			return true
 		})

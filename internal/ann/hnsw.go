@@ -12,11 +12,12 @@
 // expanded mark per entry — and the narrowed/quantized query context)
 // lives in a pooled scratch, the query norm is computed once per query,
 // and candidate vectors are read straight out of the graph-resident
-// slot-indexed slab — at the store's precision (f32/sq8), with no
-// id→slot map lookups or shard locks per expansion — so SearchInto is
+// slot-indexed slab — a copy of the store's rows, with no id→slot map
+// lookups or shard locks per expansion — so SearchInto is
 // allocation-free in steady state. Over sq8 slabs the beam widens to at
 // least rerank·k; on SIMD backends it scores candidates with the
-// symmetric int8×int8 kernel (the query is quantized once per search)
+// symmetric int8×int8 kernel, by the scanner's own first-stage score
+// (filterScore; the query is quantized and factored once per search),
 // and the beam's survivors are re-ranked asymmetrically, while on scalar
 // backends every candidate is scored with the asymmetric LUT kernel
 // directly (see queryCtx.init for why that is the scalar optimum).
@@ -41,7 +42,8 @@
 // slot that no repair rewrote are cut above layer 0, where its next
 // occupant might not sit; on layer 0 they carry over to that occupant.
 // Neighbor selection and repair score slab rows against each other at
-// the slab's own precision (pairScore); nothing is dequantized. A
+// the slab's own precision (pairScore); nothing is dequantized, and on
+// sq8 slabs it is the scanner's own score (filterScore). A
 // layer-0 prune keeps the previous prune's verdicts on the links that
 // are still there and judges only what changed (pruneLocked), with the
 // same result as a prune from scratch.
@@ -131,16 +133,19 @@ type hnswNode struct {
 
 // HNSW is the graph index over an embstore. The store remains the
 // source of truth for vectors (Get/export/fallback read it); the graph
-// holds the link structure plus a slot-indexed mirror of every
-// vector's scan representation — the graph-resident slab. Beam
-// expansions score straight out of that slab by graph slot, under the
-// graph lock they already hold: no id→slot map lookup, no shard lock,
-// no shard-grouping pass per expansion (profiling showed those three
-// costing more than the distance kernels themselves). The slab lives
-// at the store's precision, so an sq8 graph scans 1-byte lanes with a
-// 32-byte sidecar per row; the memory price of the mirror is one extra
-// BytesPerVector per graph slot, and a tombstoned slot's row is
-// overwritten by the insert that reuses the slot.
+// holds the link structure plus a slot-indexed copy of every live
+// vector's stored row — the graph-resident slab. Beam expansions score
+// straight out of that slab by graph slot, under the graph lock they
+// already hold: no id→slot map lookup, no shard lock, no
+// shard-grouping pass per expansion (profiling showed those three
+// costing more than the distance kernels themselves). A slab row is
+// its id's stored row bit for bit, in the store's layout (an sq8 row is
+// its 1-byte lanes and the store's 32-byte vecmath.SQ8Sidecar), copied
+// from the store whenever a node is placed (Add, Build, graph load), so
+// a built, a loaded and a live-added graph score alike. The memory
+// price of the copy is one BytesPerVector per graph slot, and a
+// tombstoned slot's row is overwritten by the insert that reuses the
+// slot.
 //
 // Safe for concurrent use: searches share the read lock, mutations
 // take the write lock, and Add holds the write lock only for its cheap
@@ -180,13 +185,13 @@ type HNSW struct {
 	// only where nodes[s].alive is (Add, detachLocked, graph load).
 	aliveBits []uint64
 
-	// The slot-indexed vector slab: row s is the scan representation of
-	// nodes[s]. Exactly one family is populated, per precision.
-	// Tombstoned slots keep their dead rows until a placement reuses them.
-	vecs32 []float32 // F32
-	norms  []float64 // F32 per-row norms
-	codes  []int8    // SQ8
-	side   []sq8Side // SQ8 per-row sidecar (norm included)
+	// The slot-indexed vector slab: row s is nodes[s]'s stored row.
+	// Exactly one family is populated, per precision. Tombstoned slots
+	// keep their dead rows until a placement reuses them.
+	vecs32 []float32            // F32
+	norms  []float64            // F32 per-row norms
+	codes  []int8               // SQ8
+	side   []vecmath.SQ8Sidecar // SQ8 per-row sidecar (norm included)
 
 	// pruned[s] records slot s's last layer-0 prune, so the next one can
 	// reuse its verdicts (pruneLocked). Slots past its end have none.
@@ -210,19 +215,6 @@ type HNSW struct {
 type pruneRecord struct {
 	size, kept uint16
 	at         uint32
-}
-
-// sq8Side is the graph slab's per-row SQ8 sidecar (decode parameters,
-// code sum for vecmath.DotSQ8Sym, original norm). The float fields are
-// deliberately float32: the beam touches a random sidecar per scored
-// candidate, and at 16 bytes/row four rows share a cache line — twice
-// the residency of the float64 layout — while the ~1e-7 relative error
-// the narrowing adds is far below sq8's own quantization error. The
-// store keeps its sidecars in float64; only this beam-local mirror is
-// narrowed.
-type sq8Side struct {
-	scale, offset, norm float32
-	codeSum             int32
 }
 
 // NewHNSW returns an empty graph over store. Call Build to index the
@@ -344,8 +336,8 @@ func scoredCmp(a, b scoredNode) int {
 	}
 }
 
-// sortScored sorts s by scoredCmp. Pruned lists and sweep pools hold a
-// few dozen entries, where an insertion sort with the comparison inlined
+// sortScored sorts s by scoredCmp. Pruned lists and repair candidates
+// hold a few dozen entries, where an insertion sort with the comparison inlined
 // is several times cheaper than the generic sort's calls through
 // scoredCmp; keys are unique (slot breaks ties), so both give one order.
 func sortScored(s []scoredNode) {
@@ -438,26 +430,30 @@ func (sc *hnswScratch) bumpEpoch(n int) {
 	}
 }
 
-// setSlabRowLocked writes vec's scan representation as slot's slab
-// row: in place for a reused slot, appended for slot len(nodes)−1, the
-// one placeLocked just added. Caller holds h.mu for writing.
-func (h *HNSW) setSlabRowLocked(slot uint32, vec []float64, norm float64) {
+// growSlabLocked appends a zero row to the slab, for the slot
+// placeLocked just added. Caller holds h.mu for writing.
+func (h *HNSW) growSlabLocked() {
+	switch h.prec {
+	case embstore.F32:
+		h.vecs32 = extendSlab(h.vecs32, h.dim)
+		h.norms = append(h.norms, 0)
+	case embstore.SQ8:
+		h.codes = extendSlab(h.codes, h.dim)
+		h.side = append(h.side, vecmath.SQ8Sidecar{})
+	}
+}
+
+// setSlabRow copies v, a stored row, into slot's slab row bit for bit.
+// Caller holds h.mu for writing, or owns a graph still being loaded.
+func (h *HNSW) setSlabRow(slot uint32, v *embstore.VecView) {
 	lo := int(slot) * h.dim
 	switch h.prec {
 	case embstore.F32:
-		if int(slot) == len(h.norms) {
-			h.vecs32 = extendSlab(h.vecs32, h.dim)
-			h.norms = append(h.norms, 0)
-		}
-		vecmath.F64To32(h.vecs32[lo:lo+h.dim], vec)
-		h.norms[slot] = norm
+		copy(h.vecs32[lo:lo+h.dim], v.F32)
+		h.norms[slot] = v.Norm
 	case embstore.SQ8:
-		if int(slot) == len(h.side) {
-			h.codes = extendSlab(h.codes, h.dim)
-			h.side = append(h.side, sq8Side{})
-		}
-		scale, offset, codeSum := vecmath.EncodeSQ8(vec, h.codes[lo:lo+h.dim])
-		h.side[slot] = sq8Side{scale: float32(scale), offset: float32(offset), norm: float32(norm), codeSum: codeSum}
+		copy(h.codes[lo:lo+h.dim], v.Code)
+		h.side[slot] = vecmath.SQ8Sidecar{Scale: v.Scale, Offset: v.Offset, Norm: v.Norm, CodeSum: v.CodeSum}
 	}
 }
 
@@ -503,36 +499,26 @@ func (h *HNSW) slabView(slot uint32, v *embstore.VecView) {
 	case embstore.SQ8:
 		s := &h.side[slot]
 		v.Code = h.codes[lo : lo+h.dim]
-		v.Scale, v.Offset, v.CodeSum, v.Norm = float64(s.scale), float64(s.offset), s.codeSum, float64(s.norm)
+		v.Scale, v.Offset, v.CodeSum, v.Norm = s.Scale, s.Offset, s.CodeSum, s.Norm
 	}
 }
 
 // scoreSlot is the beam's score of slot against the query qc, read
 // straight off the graph slab; it scores entry points and candidates
 // alike. Over sq8 slabs on SIMD backends (qc.sym) it is the first-stage
-// score: the raw integer kernel against the quantized query plus
-// vecmath.DotSQ8Sym's affine correction, term by term, with no VecView
-// assembly. Everywhere else it is scoreView at full query precision.
-// Caller holds h.mu.
+// score, bit for bit the scanner's for the same query and row:
+// filterScore over the row's factors and the query's, which init
+// computed once. Everywhere else it is scoreView at full query
+// precision. Caller holds h.mu.
 func (h *HNSW) scoreSlot(qc *queryCtx, slot uint32) float64 {
 	if !qc.sym {
 		var v embstore.VecView
 		h.slabView(slot, &v)
 		return h.cfg.Metric.scoreView(qc, &v)
 	}
-	q, sd, dim := &qc.sq8q, &h.side[slot], h.dim
-	lo := int(slot) * dim
-	acc := vecmath.DotSQ8SymCodes(q.Code, h.codes[lo:lo+dim])
-	scale, offset := float64(sd.scale), float64(sd.offset)
-	dot := float64(dim)*q.Offset*offset + q.Offset*scale*float64(sd.codeSum) +
-		offset*q.Scale*float64(q.CodeSum) + q.Scale*scale*float64(acc)
-	if h.cfg.Metric == DotProduct {
-		return dot
-	}
-	if qc.invNorm == 0 || sd.norm == 0 {
-		return 0
-	}
-	return dot * qc.invNorm / float64(sd.norm)
+	lo := int(slot) * h.dim
+	off, scale, sum := vecmath.SQ8RowFactor(h.side[slot], h.cfg.Metric != DotProduct)
+	return filterScore(off, sum, scale, qc.a, qc.b, qc.c, vecmath.DotSQ8SymCodes(qc.sq8q.Code, h.codes[lo:lo+h.dim]))
 }
 
 // rerankSlot is the second stage for one first-stage survivor: slot's
@@ -545,48 +531,30 @@ func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 }
 
 // pairScore scores slab rows a and b against each other in the slab's
-// own precision — the symmetric integer kernel on sq8 codes plus
-// sidecars, Dot32 on f32 rows, cosine through the stored norms. It is
-// what neighbor selection, pruning and detach repair compare
-// candidates with: both operands already live in the slab, so nothing
-// is dequantized or re-encoded, and the sq8 integer core is exact on
-// every backend. Caller holds h.mu.
+// own precision: on sq8 rows the scanner's score (filterScore) with a
+// as the pivot and b as the row, on f32 rows Dot32, cosine through the
+// stored norms. It is what neighbor selection, pruning and detach
+// repair compare candidates with, and what the insert sweep scores by,
+// bit for bit: both operands already live in the slab, so nothing is
+// dequantized or re-encoded. The sq8 form is not symmetric in a and b,
+// so callers keep their argument order. Caller holds h.mu.
 func (h *HNSW) pairScore(a, b uint32) float64 {
 	la, lb := int(a)*h.dim, int(b)*h.dim
+	cosine := h.cfg.Metric != DotProduct
 	if h.prec == embstore.SQ8 {
-		return h.pairScoreSQ8(a, b, vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim]))
+		sa := &h.side[a]
+		qa, qb, qc := sq8Factors(h.dim, sa.Scale, sa.Offset, sa.CodeSum, sa.Norm, cosine)
+		off, scale, sum := vecmath.SQ8RowFactor(h.side[b], cosine)
+		return filterScore(off, sum, scale, qa, qb, qc, vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim]))
 	}
-	return h.finishPair(vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim]), h.norms[a], h.norms[b])
-}
-
-// pairScoreSQ8 is pairScore of sq8 rows a and b given their code dot
-// acc. The insert sweep finishes its pairs through it, in pairScore's
-// argument order, so it scores bit for bit as pairScore does.
-func (h *HNSW) pairScoreSQ8(a, b uint32, acc int32) float64 {
-	sa, sb := &h.side[a], &h.side[b]
-	return h.finishPair(sq8PairDot(sa, sb, h.dim, acc), float64(sa.norm), float64(sb.norm))
-}
-
-// finishPair turns a raw dot of two slab rows into the metric's score.
-func (h *HNSW) finishPair(dot, na, nb float64) float64 {
-	if h.cfg.Metric == DotProduct {
+	dot := vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim])
+	if !cosine {
 		return dot
 	}
-	if na == 0 || nb == 0 {
-		return 0
+	if na, nb := h.norms[a], h.norms[b]; na != 0 && nb != 0 {
+		return dot / (na * nb)
 	}
-	return dot / (na * nb)
-}
-
-// sq8PairDot is the dot pairScore scores sq8 rows a and b by, given
-// their sidecars and code dot acc: vecmath.DotSQ8Sym's correction term
-// by term. The grouping is not symmetric in a and b, so callers keep
-// pairScore's argument order.
-func sq8PairDot(sa, sb *sq8Side, dim int, acc int32) float64 {
-	aScale, aOff := float64(sa.scale), float64(sa.offset)
-	bScale, bOff := float64(sb.scale), float64(sb.offset)
-	return float64(dim)*aOff*bOff + aOff*bScale*float64(sb.codeSum) +
-		bOff*aScale*float64(sa.codeSum) + aScale*bScale*float64(acc)
+	return 0
 }
 
 // push offers one scored slot to the beam: it goes in while the beam
@@ -637,7 +605,7 @@ func (h *HNSW) scorePendingBeam(sc *hnswScratch, ef int) {
 		var touch int32
 		for _, slot := range sc.pending {
 			lo := int(slot) * dim
-			touch ^= int32(h.codes[lo]) ^ int32(h.codes[lo+dim-1]) ^ h.side[slot].codeSum
+			touch ^= int32(h.codes[lo]) ^ int32(h.codes[lo+dim-1]) ^ h.side[slot].CodeSum
 		}
 		sc.touch = touch
 	}
@@ -895,7 +863,8 @@ func (h *HNSW) Add(id graph.NodeID, vec []float64) error {
 }
 
 // insert runs the three-phase online insertion. upsert=false is the
-// Build path, where the vector is already in the store.
+// Build path, where the vector is already in the store; vec is the
+// query the insert's beams search with.
 func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) error {
 	// Phase 1 (write lock, cheap): bookkeeping.
 	h.mu.Lock()
@@ -934,8 +903,9 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 // placeLocked is insert's bookkeeping: the store upsert, the tombstone
 // of any prior slot for id, the level draw, and the new node's slot —
 // the last one freed if any (an overwrite's own, just detached), else a
-// new one — with its slab row, liveness and generation. Caller holds
-// h.mu for writing.
+// new one — with its slab row copied from the store, its liveness and
+// its generation. An id the store does not hold is an error, and its
+// slot stays free. Caller holds h.mu for writing.
 func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) (slot uint32, level int, err error) {
 	if upsert {
 		if err := h.store.Upsert(id, vec); err != nil {
@@ -953,8 +923,12 @@ func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upse
 		slot = uint32(len(h.nodes))
 		h.nodes = append(h.nodes, hnswNode{})
 		h.gen = append(h.gen, 0)
+		h.growSlabLocked()
 	}
-	h.setSlabRowLocked(slot, vec, vecmath.Norm(vec))
+	if !h.store.With(id, func(v *embstore.VecView) { h.setSlabRow(slot, v) }) {
+		h.free = append(h.free, slot)
+		return 0, 0, fmt.Errorf("ann: hnsw: node %d is not in the store", id)
+	}
 	h.nodes[slot] = hnswNode{id: id, alive: true, links: make([][]uint32, level+1)}
 	h.setAliveBit(slot, true)
 	h.placements++
@@ -1047,7 +1021,7 @@ func (h *HNSW) beamDiscoverLocked(sc *hnswScratch, slot uint32, level int, vec [
 		sc.selected = append(sc.selected, nil)
 	}
 	if descend && top >= low {
-		sc.ctx.init(h.store, vec)
+		sc.ctx.init(h.store, h.cfg.Metric, vec)
 		cur := h.descendLocked(sc, top)
 		for layer := top; layer >= low; layer-- {
 			cur = h.searchLayer(sc, cur, h.cfg.EfConstruction, layer)
@@ -1284,19 +1258,27 @@ func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 	if serial {
 		h.mu.Unlock()
 		for _, m := range members {
-			_ = h.insert(m.id, m.vec, sc, false) // upsert=false never errors
+			_ = h.insert(m.id, m.vec, sc, false) // an id deleted since it was read is not indexed
 		}
 		return
 	}
-	for i := range members {
-		m := &members[i]
-		m.slot, m.level, _ = h.placeLocked(m.id, m.vec, sc, false) // upsert=false never errors
+	placed := members[:0]
+	for _, m := range members {
+		var err error
+		if m.slot, m.level, err = h.placeLocked(m.id, m.vec, sc, false); err != nil {
+			continue // deleted since it was read: not indexed
+		}
 		m.gen = h.gen[m.slot]
 		if m.first = h.entry < 0; m.first {
 			h.entry, h.maxLevel = int(m.slot), m.level
 		}
+		placed = append(placed, m)
 	}
+	members, n = placed, len(placed)
 	h.mu.Unlock()
+	if n == 0 {
+		return
+	}
 
 	discoverStart := time.Now()
 	h.mu.RLock()
@@ -1390,7 +1372,7 @@ func (h *HNSW) searchBeam(ctx context.Context, dst []Result, q []float64, k int)
 	annQueriesHNSW.Inc()
 	start := time.Now()
 	sc := hnswScratchPool.Get().(*hnswScratch)
-	sc.ctx.init(h.store, q)
+	sc.ctx.init(h.store, h.cfg.Metric, q)
 	sc.ctx.done = ctx.Done()
 	kk := candidateK(sc.ctx.prec, k)
 

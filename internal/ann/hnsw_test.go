@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -364,11 +365,13 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := mustHNSW(t, s, DefaultHNSWConfig())
+		slabMirrorsStore(t, h, true)
 		// Mutate a little so the graph carries tombstones, which the file
 		// leaves out.
 		for id := 0; id < 20; id++ {
 			h.Remove(graph.NodeID(id))
 		}
+		slabMirrorsStore(t, h, false)
 		var buf bytes.Buffer
 		if err := h.SaveGraph(&buf); err != nil {
 			t.Fatal(err)
@@ -381,7 +384,7 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("%s: loaded config %+v != %+v", prec, loaded.Config(), h.Config())
 		}
 		sameStructure(t, h, loaded)
-		slabMirrorsStore(t, loaded)
+		slabMirrorsStore(t, loaded, true)
 		checkGraphInvariants(t, loaded)
 		var again bytes.Buffer
 		if err := loaded.SaveGraph(&again); err != nil {
@@ -390,23 +393,20 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
 			t.Fatalf("%s: save → load → save not byte-identical (%d vs %d bytes)", prec, again.Len(), buf.Len())
 		}
-		// Same answers. Only at f32, where the slabs differ by ~1e-8 in the
-		// norms (a built slab takes each row's norm from the stored lanes, a
-		// loaded one mirrors the norm the store carries from the original
-		// vector); a built sq8 slab re-encodes dequantized rows, so its
-		// near-ties may order differently from the store's codes.
-		for qi := 0; prec == embstore.F32 && qi < 30; qi++ {
+		// Same answers, bit for bit: both slabs are the store's rows. The
+		// beam is called directly, since Search would scan the store.
+		for qi := 0; qi < 30; qi++ {
 			q := emb.Row(100 + qi)
-			want, err := h.Search(q, 10)
+			want, err := h.searchBeam(context.Background(), nil, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := loaded.Search(q, 10)
+			got, err := loaded.searchBeam(context.Background(), nil, q, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !closeResults(got, want, 1e-6) {
-				t.Fatalf("query %d: loaded %v != original %v", qi, got, want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: query %d: loaded %v != built %v", prec, qi, got, want)
 			}
 		}
 

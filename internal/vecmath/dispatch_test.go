@@ -331,8 +331,8 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 }
 
 // TestSQ8RowFactorsBodies holds the dispatched SQ8RowFactors — the AVX2
-// body over whole fours, where it runs, and the Go body on the rest —
-// to the Go body alone, bit for bit, under both metrics: row counts
+// body over whole fours, where it runs, and SQ8RowFactor on the rest —
+// to SQ8RowFactor row by row, bit for bit, under both metrics: row counts
 // around a four and a scan block, slice offsets, and sidecars with
 // zero, negative-zero, NaN and infinite norms, scales and offsets.
 func TestSQ8RowFactorsBodies(t *testing.T) {
@@ -364,11 +364,13 @@ func TestSQ8RowFactorsBodies(t *testing.T) {
 					got[j][n], want[j][n] = 7, 7 // a guard past the end
 				}
 				SQ8RowFactors(got[0][:n], got[1][:n], got[2][:n], side, cosine)
-				sq8RowFactorsGo(want[0][:n], want[1][:n], want[2][:n], side, cosine)
+				for r := range side {
+					want[0][r], want[1][r], want[2][r] = SQ8RowFactor(side[r], cosine)
+				}
 				for j := range got {
 					for r := range got[j] {
 						if math.Float64bits(got[j][r]) != math.Float64bits(want[j][r]) {
-							t.Fatalf("n=%d off=%d cosine=%v: factor %d of row %d = %v, Go body %v (sidecar %+v)", n, off, cosine, j, r, got[j][r], want[j][r], side[min(r, n-1)])
+							t.Fatalf("n=%d off=%d cosine=%v: factor %d of row %d = %v, SQ8RowFactor %v (sidecar %+v)", n, off, cosine, j, r, got[j][r], want[j][r], side[min(r, n-1)])
 						}
 					}
 				}

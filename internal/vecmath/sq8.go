@@ -312,7 +312,7 @@ type SQ8Sidecar struct {
 // rounded on its own, so the factors are bit for bit the Go
 // expressions'. The AVX2 body transposes four records a step and
 // divides their four norms in one instruction; the last len(side)%4
-// rows, and every row off that backend, take the Go body. Panics
+// rows, and every row off that backend, take SQ8RowFactor. Panics
 // unless the four slices have one length.
 func SQ8RowFactors(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool) {
 	n := len(side)
@@ -326,23 +326,24 @@ func SQ8RowFactors(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine
 			sq8RowFactorsAVX2(rowOff[:done], rowScale[:done], rowSum[:done], side[:done], cosine)
 		}
 	}
-	sq8RowFactorsGo(rowOff[done:], rowScale[done:], rowSum[done:], side[done:], cosine)
+	for r := done; r < n; r++ {
+		rowOff[r], rowScale[r], rowSum[r] = SQ8RowFactor(side[r], cosine)
+	}
 }
 
-func sq8RowFactorsGo(rowOff, rowScale, rowSum []float64, side []SQ8Sidecar, cosine bool) {
-	for r := range side {
-		sd := &side[r]
-		scale, offset := sd.Scale, sd.Offset
-		if cosine {
-			inv := 0.0 // a zero row scores 0
-			if sd.Norm != 0 {
-				inv = 1 / sd.Norm
-			}
-			scale *= inv
-			offset *= inv
+// SQ8RowFactor is SQ8RowFactors for one row: its rowOff, rowScale and
+// rowSum, bit for bit what either body writes for it.
+func SQ8RowFactor(sd SQ8Sidecar, cosine bool) (rowOff, rowScale, rowSum float64) {
+	scale, offset := sd.Scale, sd.Offset
+	if cosine {
+		inv := 0.0 // a zero row scores 0
+		if sd.Norm != 0 {
+			inv = 1 / sd.Norm
 		}
-		rowOff[r], rowScale[r], rowSum[r] = offset, scale, scale*float64(sd.CodeSum)
+		scale *= inv
+		offset *= inv
 	}
+	return offset, scale, scale * float64(sd.CodeSum)
 }
 
 // Sym1Survivors is Sym4Survivors for one query, lane 0 of g: the form
