@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -196,6 +197,59 @@ func TestNeighborsErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/neighbors: %d", resp.StatusCode)
+	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyIs413: a write or search body that runs past
+// maxBodyBytes is refused with 413 and the usual error body, on each
+// route, whether or not it declares its length — and the routes still
+// serve ordinary requests afterwards.
+func TestOversizeBodyIs413(t *testing.T) {
+	store := gaussianStore(t, 100, 8, embstore.F32)
+	opts := testIndexOptions("hnsw")
+	index, err := buildIndex(store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(serverConfig{index: opts, maxBatch: 64, window: time.Millisecond}, store, index)
+	t.Cleanup(srv.close)
+	h := srv.handler()
+	for _, route := range []struct{ path, prefix, small string }{
+		{"/v1/neighbors", `{"k":1,"vector":[`, `{"k":1,"vector":[1,0,0,0,0,0,0,0]}`},
+		{"/v1/upsert", `{"id":1,"vector":[`, `{"id":1,"vector":[1,0,0,0,0,0,0,0]}`},
+		{"/v1/delete", `{"ids":[`, `{"id":1}`},
+	} {
+		for _, declared := range []bool{false, true} {
+			n := int64(len(route.prefix)) + maxBodyBytes
+			req := httptest.NewRequest(http.MethodPost, route.path,
+				io.MultiReader(strings.NewReader(route.prefix), io.LimitReader(spaces{}, maxBodyBytes)))
+			req.ContentLength = -1
+			if declared {
+				req.ContentLength = n
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			var body struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusRequestEntityTooLarge || body.Error == "" {
+				t.Fatalf("%s with a %d-byte body (length declared %v): status %d, body %.200q (%v)",
+					route.path, n, declared, rec.Code, rec.Body, err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route.path, strings.NewReader(route.small)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s after the oversize bodies: status %d, body %q", route.path, route.small, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -275,8 +277,9 @@ func TestMetricsWithWAL(t *testing.T) {
 }
 
 // TestMetricsCatalogMatchesREADME keeps README's metrics catalog
-// honest: every series its table names, label sets aside, is one a
-// -wal daemon's /metrics emits.
+// honest in both directions: every series its table names, label sets
+// aside, is one a -wal daemon's /metrics emits, and every series that
+// /metrics emits has a row.
 func TestMetricsCatalogMatchesREADME(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -319,8 +322,18 @@ func TestMetricsCatalogMatchesREADME(t *testing.T) {
 	}
 	body := scrapeMetrics(t, ts.URL)
 	for _, name := range names {
+		if strings.HasPrefix(name, "process_") && runtime.GOOS != "linux" {
+			continue // the process-memory series are Linux-only
+		}
 		if !strings.Contains(body, "\n# TYPE "+name+" ") {
 			t.Errorf("README's metrics catalog names %s, which /metrics does not emit", name)
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, _, _ := strings.Cut(rest, " "); !slices.Contains(names, name) {
+				t.Errorf("/metrics emits %s, which README's metrics catalog does not name", name)
+			}
 		}
 	}
 }

@@ -244,6 +244,27 @@ func trimSelf(results []ann.Result, self *graph.NodeID, k int) []ann.Result {
 	return results
 }
 
+// maxBodyBytes bounds the body of a /v1/neighbors, /v1/upsert or
+// /v1/delete request; reading past it fails the request with 413. The
+// largest body a caller in this repository sends is an ehnad-loadgen
+// -preload batch of 512 updates: ~0.7 MB at dim 64, ~5.6 MB at dim 512.
+const maxBodyBytes = 32 << 20
+
+// limitBody is r's body, cut off at maxBodyBytes.
+func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, maxBodyBytes)
+}
+
+// writeBodyError answers a request body that could not be read or
+// decoded: 413 if it ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		cluster.WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+		return
+	}
+	cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
 func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		cluster.WriteError(w, http.StatusMethodNotAllowed, "POST required")
@@ -253,9 +274,9 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	body, err := cluster.ReadNeighborsRequest(r.Body, r.ContentLength)
+	body, err := cluster.ReadNeighborsRequest(limitBody(w, r), r.ContentLength)
 	if err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	// The batch path's vectors live in the body's pooled slab, so it is
@@ -444,9 +465,9 @@ func (s *server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		s.writeApplyError(w, errFollower)
 		return
 	}
-	var req cluster.UpsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+	req, err := cluster.ReadUpsertRequest(limitBody(w, r), r.ContentLength)
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	// Validate the whole batch before applying any of it, so a 400 means
@@ -484,8 +505,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		cluster.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(limitBody(w, r)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	ids, err := req.Batch()

@@ -395,6 +395,15 @@ type hnswScratch struct {
 	added    []uint32   // a prune's newly kept links (pruneLocked)
 	selected [][]uint32 // per-layer chosen neighbor slots (insert)
 
+	// Detach repair state (repairLocked): one layer's alive orphans, the
+	// lists left under the cap, the orphans' rows gathered as one block
+	// (codes, sidecars), and one list's scores against the orphans.
+	orphans   []uint32
+	relist    []uint32
+	block     []int8
+	blockSide []vecmath.SQ8Sidecar
+	scores    []float64
+
 	// Insert sweep state (sweepPool): one lane per node discovering its
 	// layer-0 links, the lanes' codes and score terms as the four-lane
 	// kernel takes them, and one block's code dots, survivors and
@@ -772,8 +781,8 @@ const (
 func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	links := h.nodes[u].links[layer]
 	var rec pruneRecord
-	if layer == 0 && int(u) < len(h.pruned) && int(h.pruned[u].size) <= len(links) {
-		rec = h.pruned[u]
+	if layer == 0 {
+		rec = h.pruneRecordOf(u, len(links))
 	}
 	old, kept := int(rec.size), int(rec.kept)
 	changed := false // the kept set differs from the previous prune's
@@ -832,6 +841,15 @@ func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	if layer == 0 {
 		h.setPruned(u, pruneRecord{size: uint16(len(dst)), kept: uint16(diverse), at: h.placements})
 	}
+}
+
+// pruneRecordOf returns slot s's layer-0 prune record if it can still
+// describe a list of n links, else the zero record.
+func (h *HNSW) pruneRecordOf(s uint32, n int) pruneRecord {
+	if int(s) < len(h.pruned) && int(h.pruned[s].size) <= n {
+		return h.pruned[s]
+	}
+	return pruneRecord{}
 }
 
 // setPruned records slot s's layer-0 prune (the zero record: none).
@@ -1040,11 +1058,13 @@ func (h *HNSW) occupies(slot uint32, layer int) bool {
 
 // detachLocked tombstones slot, repairs the hole it leaves and frees
 // the slot for reuse. Repair costs in proportion to the links removed:
-// each alive neighbor's list is rewritten once (see repairLocked) and
-// never re-selected. Links into the slot above layer 0 are cut
-// everywhere (cutUpperLocked). If the victim was the entry point, a
-// fresh one is chosen from the surviving nodes. Caller holds h.mu for
-// writing.
+// on each layer the victim's alive neighbors are scored against its
+// other links in one pass, and each neighbor's list is rewritten once,
+// never re-selected (repairLocked). Links into the slot above layer 0
+// are cut everywhere (cutUpperLocked). If the victim was the entry
+// point, a fresh one is chosen from the surviving nodes. Build never
+// detaches, so this path leaves built graphs alone. Caller holds h.mu
+// for writing.
 func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n := &h.nodes[slot]
 	if !n.alive {
@@ -1063,12 +1083,8 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	if len(links) > 1 {
 		h.cutUpperLocked(slot, len(links))
 	}
-	for layer := range links {
-		for _, u := range links[layer] {
-			if un := &h.nodes[u]; un.alive && len(un.links) > layer {
-				un.links[layer] = h.repairLocked(u, un.links[layer], links[layer], layer, sc)
-			}
-		}
+	for layer, orphans := range links {
+		h.repairLocked(orphans, layer, sc)
 	}
 	// A loaded graph cuts every node's layer headers from one shared
 	// array (graphfile.go), which outlives this node: drop the headers'
@@ -1105,49 +1121,163 @@ func (h *HNSW) cutUpperLocked(slot uint32, layers int) {
 	}
 }
 
-// repairLocked rewrites ul, slot u's links at layer, after one of them
-// was tombstoned: every dead link goes (the victim, and any an earlier
-// one-way delete left behind, so only alive links count toward the
-// cap), and the victim's other alive neighbors — orphans — are scored
-// against u and admitted best-first while they pass the diversity rule
-// against u's current links and the list is under the cap; if none
-// passes, the closest one is admitted anyway so a hole never just
-// shrinks the graph. u's surviving links are kept as they are. Caller
-// holds h.mu for writing.
-func (h *HNSW) repairLocked(u uint32, ul, orphans []uint32, layer int, sc *hnswScratch) []uint32 {
-	if layer == 0 {
-		h.setPruned(u, pruneRecord{}) // the rewrite is not an append
-	}
-	kept := ul[:0]
-	for _, nb := range ul {
-		if h.aliveBit(nb) {
-			kept = append(kept, nb)
+// repairLocked mends the hole a detached node leaves on layer, where
+// orphans were its links. Every alive orphan with a list on the layer
+// loses its dead links (dropDeadLocked: the victim, and any an earlier
+// one-way delete left behind, so only alive links count toward the cap)
+// and, while under the cap, gains links from among the other alive
+// orphans (relinkLocked). The orphans' rows are gathered once into one
+// contiguous block, codes and row factors (vecmath.SQ8RowFactors), and
+// every list to mend is scored against the block in one survivor-kernel
+// pass per four of them, with −Inf floors so every row comes back: the
+// same filterScore over the same factors and code dots, so the scores
+// are pairScore's bit for bit. f32 slabs and scalar backends score by a
+// plain pairScore loop instead. Caller holds h.mu for writing.
+func (h *HNSW) repairLocked(orphans []uint32, layer int, sc *hnswScratch) {
+	m := h.maxConn(layer)
+	sc.orphans, sc.relist = sc.orphans[:0], sc.relist[:0]
+	for _, u := range orphans {
+		if !h.aliveBit(u) {
+			continue
+		}
+		sc.orphans = append(sc.orphans, u)
+		if len(h.nodes[u].links) > layer && h.dropDeadLocked(u, layer) < m {
+			sc.relist = append(sc.relist, u)
 		}
 	}
-	m := h.maxConn(layer)
-	if len(kept) >= m {
-		return kept
+	if len(sc.relist) == 0 {
+		return
+	}
+	dim, n := h.dim, len(sc.orphans)
+	sc.scores = resize(sc.scores, n)
+	if h.prec != embstore.SQ8 || !vecmath.HasSQ8Sym() {
+		for _, u := range sc.relist {
+			for r, c := range sc.orphans {
+				sc.scores[r] = h.pairScore(u, c)
+			}
+			h.relinkLocked(u, layer, sc)
+		}
+		return
+	}
+	cosine := h.cfg.Metric != DotProduct
+	sc.block, sc.blockSide = resize(sc.block, n*dim), resize(sc.blockSide, n)
+	for r, c := range sc.orphans {
+		copy(sc.block[r*dim:(r+1)*dim], h.codes[int(c)*dim:int(c+1)*dim])
+		sc.blockSide[r] = h.side[c]
+	}
+	sc.factors = resize(sc.factors, 3*scanBlockRows)
+	rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
+	vecmath.SQ8RowFactors(rowOff, rowScale, rowSum, sc.blockSide, cosine)
+	g := &sc.group
+	g.Floor = [scanGroup]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	for lo := 0; lo < len(sc.relist); lo += scanGroup {
+		group := sc.relist[lo:min(lo+scanGroup, len(sc.relist))]
+		for j, u := range group { // unused kernel lanes keep stale codes, their dots unread
+			sd := &h.side[u]
+			g.A[j], g.B[j], g.C[j] = sq8Factors(dim, sd.Scale, sd.Offset, sd.CodeSum, sd.Norm, cosine)
+			g.Set(j, h.codes[int(u)*dim:int(u+1)*dim])
+		}
+		_, stride := survivors(sc.acc[:], sc.surv[:n], g, len(group), sc.block, rowOff, rowSum, rowScale)
+		for j, u := range group {
+			for r := range sc.scores {
+				sc.scores[r] = filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], sc.acc[stride*r+j])
+			}
+			h.relinkLocked(u, layer, sc)
+		}
+	}
+}
+
+// dropDeadLocked removes the dead links from slot u's list at layer,
+// keeping the rest in order, and returns the list's new length. The
+// list's layer-0 prune record (pruneLocked) follows the removal, so the
+// next over-cap prune can still reuse its verdicts: each removed link
+// shortens the kept or the discarded run it sat in, and if a kept link
+// died the discards lose their verdicts (the record's size is cut to
+// its kept count) — what the next prune would have concluded from the
+// dead link itself. Caller holds h.mu for writing.
+func (h *HNSW) dropDeadLocked(u uint32, layer int) int {
+	ul := h.nodes[u].links[layer]
+	var rec pruneRecord
+	if layer == 0 {
+		rec = h.pruneRecordOf(u, len(ul))
+	}
+	live := ul[:0]
+	size, kept, keptDied := int(rec.size), int(rec.kept), false
+	for i, nb := range ul {
+		switch {
+		case h.aliveBit(nb):
+			live = append(live, nb)
+		case i < int(rec.kept):
+			size, kept, keptDied = size-1, kept-1, true
+		case i < int(rec.size):
+			size--
+		}
+	}
+	if len(live) == len(ul) {
+		return len(ul)
+	}
+	h.nodes[u].links[layer] = live
+	if keptDied {
+		size = kept
+	}
+	if layer == 0 {
+		h.setPruned(u, pruneRecord{size: uint16(size), kept: uint16(kept), at: rec.at})
+	}
+	return len(live)
+}
+
+// relinkLocked admits orphans (sc.orphans, scored against u in
+// sc.scores) into slot u's list at
+// layer, which dropDeadLocked left under the cap; an orphan u already
+// holds, or u itself, is passed over (a visited stamp, not a search of
+// the list). A list that still holds at least M links takes its single
+// best orphan and runs no diversity walk. Only a list left under M —
+// every list above layer 0, whose cap is M — walks the orphans
+// best-first, admitting those that pass the diversity rule against its
+// current links while it is under the cap; if none passes, the closest
+// one is admitted anyway, so a hole never just shrinks the graph. u's
+// surviving links are kept as they are. Caller holds h.mu for writing.
+func (h *HNSW) relinkLocked(u uint32, layer int, sc *hnswScratch) {
+	ul := h.nodes[u].links[layer]
+	sc.bumpEpoch(len(h.nodes))
+	sc.visited[u] = sc.epoch
+	for _, nb := range ul {
+		sc.visited[nb] = sc.epoch
 	}
 	sc.work = sc.work[:0]
-	for _, c := range orphans {
-		if c != u && h.aliveBit(c) && !slices.Contains(kept, c) {
-			sc.work = append(sc.work, scoredNode{slot: c, score: h.pairScore(u, c)})
+	for r, c := range sc.orphans {
+		if sc.visited[c] == sc.epoch {
+			continue
 		}
+		sc.work = append(sc.work, scoredNode{slot: c, score: sc.scores[r]})
+	}
+	if len(sc.work) == 0 {
+		return
+	}
+	if len(ul) >= h.cfg.M {
+		best := sc.work[0]
+		for _, c := range sc.work[1:] {
+			if scoredCmp(c, best) < 0 {
+				best = c
+			}
+		}
+		h.nodes[u].links[layer] = append(ul, best.slot)
+		return
 	}
 	sortScored(sc.work)
-	survivors := len(kept)
+	m, survivors := h.maxConn(layer), len(ul)
 	for _, c := range sc.work {
-		if len(kept) >= m {
+		if len(ul) >= m {
 			break
 		}
-		if h.diverse(c, kept) {
-			kept = append(kept, c.slot)
+		if h.diverse(c, ul) {
+			ul = append(ul, c.slot)
 		}
 	}
-	if len(kept) == survivors && len(sc.work) > 0 {
-		kept = append(kept, sc.work[0].slot)
+	if len(ul) == survivors {
+		ul = append(ul, sc.work[0].slot)
 	}
-	return kept
+	h.nodes[u].links[layer] = ul
 }
 
 // pickEntryLocked selects the new entry point: the highest-level live

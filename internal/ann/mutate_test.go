@@ -281,6 +281,134 @@ func TestDetachDropsDeadLinks(t *testing.T) {
 	checkGraphInvariants(t, h)
 }
 
+// repairKey names one list: a slot and a layer.
+type repairKey struct {
+	slot  uint32
+	layer int
+}
+
+// repairOracle is detachLocked's repair rule written plainly, before
+// victim's detach: every alive node the victim links to on a layer
+// keeps its list less its dead links and, under the cap, gains from the
+// victim's other alive links, each scored by pairScore against it — the
+// single best one while the list keeps at least M links, a diversity
+// walk below that (the closest one if none passes). best and walks
+// count the lists that took each branch. Caller holds h.mu.
+func repairOracle(h *HNSW, victim uint32) (want map[repairKey][]uint32, best, walks int) {
+	alive := func(s uint32) bool { return s != victim && h.aliveBit(s) }
+	want = make(map[repairKey][]uint32)
+	for layer, orphans := range h.nodes[victim].links {
+		for _, u := range orphans {
+			if !alive(u) || len(h.nodes[u].links) <= layer {
+				continue
+			}
+			var list []uint32
+			for _, nb := range h.nodes[u].links[layer] {
+				if alive(nb) {
+					list = append(list, nb)
+				}
+			}
+			if limit := h.maxConn(layer); len(list) < limit {
+				var cands []scoredNode
+				for _, c := range orphans {
+					if alive(c) && c != u && !slices.Contains(list, c) {
+						cands = append(cands, scoredNode{slot: c, score: h.pairScore(u, c)})
+					}
+				}
+				slices.SortFunc(cands, scoredCmp)
+				switch {
+				case len(cands) == 0:
+				case len(list) >= h.cfg.M:
+					list = append(list, cands[0].slot)
+					best++
+				default:
+					walks++
+					had := len(list)
+					for _, c := range cands {
+						if len(list) >= limit {
+							break
+						}
+						diverse := true
+						for _, k := range list {
+							diverse = diverse && h.pairScore(c.slot, k) <= c.score
+						}
+						if diverse {
+							list = append(list, c.slot)
+						}
+					}
+					if len(list) == had {
+						list = append(list, cands[0].slot)
+					}
+				}
+			}
+			want[repairKey{u, layer}] = list
+		}
+	}
+	return want, best, walks
+}
+
+// TestRepairMatchesOracle holds the detach repair — its block-scored
+// pass on SIMD sq8 slabs, its pairScore loop elsewhere — to
+// repairOracle over seeded churn: overwrites, deletes and new ids, at M
+// 4 and 16, both metrics, sq8 and f32. Each victim is detached on its
+// own, every list the detach repaired is compared with the oracle's,
+// and the write then completes as an Add or a Remove would. Under
+// EHNA_NOSIMD=1 and -tags noasm the sq8 cases run the pairScore loop.
+func TestRepairMatchesOracle(t *testing.T) {
+	const n, dim, ops = 600, 32, 300
+	for _, prec := range []embstore.Precision{embstore.SQ8, embstore.F32} {
+		for _, metric := range []Metric{Cosine, DotProduct} {
+			for _, cfg := range []HNSWConfig{{M: 4, EfConstruction: 40, EfSearch: 16, Seed: 3}, DefaultHNSWConfig()} {
+				cfg.Metric = metric
+				name := fmt.Sprintf("%v/%v/M=%d", prec, metric, cfg.M)
+				h := mustHNSW(t, buildStoreAt(t, n, dim, prec), cfg)
+				rng := rand.New(rand.NewSource(int64(61 + cfg.M)))
+				sc, vec := new(hnswScratch), make([]float64, dim)
+				var lists, best, walks int
+				next := graph.NodeID(n)
+				for i := 0; i < ops; i++ {
+					id := graph.NodeID(rng.Intn(int(next)))
+					op := rng.Intn(3)
+					randVec(rng, vec)
+					h.mu.Lock()
+					slot, ok := h.slotOf[id]
+					if ok && op < 2 {
+						want, b, w := repairOracle(h, slot)
+						lists, best, walks = lists+len(want), best+b, walks+w
+						h.detachLocked(slot, sc)
+						for k, l := range want {
+							if got := h.nodes[k.slot].links[k.layer]; !slices.Equal(got, l) {
+								h.mu.Unlock()
+								t.Fatalf("%s op %d: detach of slot %d left slot %d layer %d with %v, oracle %v",
+									name, i, slot, k.slot, k.layer, got, l)
+							}
+						}
+					}
+					h.mu.Unlock()
+					var err error
+					switch {
+					case op == 0:
+						h.Remove(id)
+					case op == 1:
+						err = h.Add(id, vec)
+					default:
+						err = h.Add(next, vec)
+						next++
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkGraphInvariants(t, h)
+				if best == 0 || walks == 0 {
+					t.Fatalf("%s: %d lists repaired, %d took the best orphan, %d walked: a branch went unexercised", name, lists, best, walks)
+				}
+				t.Logf("%s: %d lists repaired, %d took the best orphan, %d walked", name, lists, best, walks)
+			}
+		}
+	}
+}
+
 // TestPairScoreMatchesReference pins pairScore, at every slab precision
 // and metric, to a plain float64 loop over the same slab rows — the
 // backend-independent answer, so the default, -tags noasm and

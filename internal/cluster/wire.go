@@ -200,8 +200,9 @@ type errorBody struct {
 // json.NewEncoder(w).Encode(v) writes, trailing newline included, but
 // encoded before the header goes out. A value encoding/json refuses (a
 // NaN score, say) is a 500 carrying the encoder's error, not a 200 with
-// an empty body. The /v1/neighbors acks take the hand-written encoder
-// below; everything else goes through encoding/json.
+// an empty body. The /v1/neighbors acks and UpsertAck take the
+// hand-written encoder below; everything else goes through
+// encoding/json.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	bp := bufPool.Get().(*[]byte)
 	b, err := appendJSON((*bp)[:0], v)
@@ -224,20 +225,24 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // The codec of the hot wire shapes. A /v1/neighbors request and its ack
 // cross the wire on every search — client → router → shard and back —
-// so they skip encoding/json's reflection and its generic float parser.
+// and a /v1/upsert request and its ack on every write, so they skip
+// encoding/json's reflection and its generic float parser.
 //
 // Decoding: a byte scanner takes the canonical shapes only — exact
 // lowercase keys, JSON whitespace, any key order, no duplicate keys,
-// numbers scanFloat converts — and hands every other input (an escape,
-// a null, an "id", an unknown or case-folded key, a duplicate, anything
-// malformed) to json.NewDecoder(bytes.NewReader(b)).Decode. The set of
-// accepted inputs, the decoded values and the error text are therefore
+// numbers scanFloat converts, and for an upsert a single update whose
+// id scanUint32 takes — and hands every other input (an escape, a null,
+// an "id" in a neighbors request, an "updates" batch, an unknown or
+// case-folded key, a duplicate, an id out of range, anything malformed)
+// to json.NewDecoder(bytes.NewReader(b)).Decode. The set of accepted
+// inputs, the decoded values and the error text are therefore
 // encoding/json's by construction; like that call, the scanner reads
 // one JSON value and ignores what follows it.
 //
-// Encoding: the acks are written byte for byte as encoding/json writes
-// them; one the hand-written encoder cannot write (a non-finite score)
-// goes through encoding/json, which reports the error.
+// Encoding: the neighbors acks and UpsertAck are written byte for byte
+// as encoding/json writes them; one the hand-written encoder cannot
+// write (a non-finite score) goes through encoding/json, which reports
+// the error.
 
 // maxPooledBytes caps the backing array a pooled buffer or slab may
 // keep when it goes back to its pool; one outsized request's memory is
@@ -423,6 +428,63 @@ func (nb *NeighborsBody) scanQuery(b []byte, i int) (int, bool) {
 	nb.queries = append(nb.queries, q)
 	nb.spans = append(nb.spans, vec)
 	return end, ok
+}
+
+// upsertBody is the pooled memory a /v1/upsert request is decoded
+// through: the raw body, and the slab a canonical update's vector is
+// scanned into before its copy is cut to length.
+type upsertBody struct {
+	buf  []byte
+	slab []float64
+}
+
+var upsertPool = sync.Pool{New: func() any { return new(upsertBody) }}
+
+// ReadUpsertRequest reads r to EOF and decodes it as an UpsertRequest.
+// size is the body's length when known (a Content-Length), else -1. The
+// error is a read error or encoding/json's decode error for the same
+// bytes. Nothing in the request points into pooled memory: the write
+// path keeps the vector after the handler returns.
+func ReadUpsertRequest(r io.Reader, size int64) (UpsertRequest, error) {
+	ub := upsertPool.Get().(*upsertBody)
+	var req UpsertRequest
+	var err error
+	if ub.buf, err = readAll(ub.buf, r, size); err == nil {
+		ok := false
+		if req, ok = ub.decodeFast(); !ok {
+			req = UpsertRequest{}
+			err = json.NewDecoder(bytes.NewReader(ub.buf)).Decode(&req)
+		}
+	}
+	ub.buf, ub.slab = reuse(ub.buf), reuse(ub.slab)
+	upsertPool.Put(ub)
+	return req, err
+}
+
+// decodeFast decodes ub.buf if it is a canonical single update,
+// reporting false — with the request in no particular state — if it is
+// not.
+func (ub *upsertBody) decodeFast() (UpsertRequest, bool) {
+	var req UpsertRequest
+	b := ub.buf
+	_, ok := scanObject(b, skipWS(b, 0), func(key []byte, i int) (bit, end int, ok bool) {
+		switch string(key) {
+		case "id":
+			var id graph.NodeID
+			if id, end, ok = scanUint32(b, i); ok {
+				req.ID = &id
+			}
+			return keyID, end, ok
+		case "vector":
+			if ub.slab, end, ok = scanVector(b, i, ub.slab[:0]); ok {
+				req.Vector = make([]float64, len(ub.slab)) // an empty vector decodes non-nil
+				copy(req.Vector, ub.slab)
+			}
+			return keyVector, end, ok
+		}
+		return 0, i, false
+	})
+	return req, ok
 }
 
 // batchAckBody is a shard's NeighborsBatchAck read off the wire, every
@@ -720,6 +782,8 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 		b, ok = appendNeighborsAck(b, v)
 	case NeighborsBatchAck:
 		b, ok = appendNeighborsBatchAck(b, v)
+	case UpsertAck:
+		b, ok = appendUpsertAck(b, v), true
 	}
 	if ok {
 		return append(b, '\n'), nil
@@ -727,6 +791,16 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 	buf := bytes.NewBuffer(b[:start])
 	err := json.NewEncoder(buf).Encode(v)
 	return buf.Bytes(), err
+}
+
+// appendUpsertAck appends json.Marshal(a).
+func appendUpsertAck(b []byte, a UpsertAck) []byte {
+	b = strconv.AppendInt(append(b, `{"upserted":`...), int64(a.Upserted), 10)
+	if a.Seq != 0 {
+		b = strconv.AppendUint(append(b, `,"seq":`...), a.Seq, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"nodes":`...), int64(a.Nodes), 10)
+	return append(b, '}')
 }
 
 // appendNeighborsAck appends json.Marshal(a); ok is false if a holds a

@@ -134,6 +134,100 @@ func TestDecodeNeighborsRequestMatchesJSON(t *testing.T) {
 	}
 }
 
+// upsertBodyOf is a write_mixed-shaped /v1/upsert body: one id and dim
+// Gaussian coordinates in strconv's shortest 'g' form, as the benchmark
+// harness writes them.
+func upsertBodyOf(seed int64, id uint32, dim int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	b := strconv.AppendUint([]byte(`{"id":`), uint64(id), 10)
+	b = append(b, `,"vector":[`...)
+	for j := 0; j < dim; j++ {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, rng.NormFloat64(), 'g', -1, 64)
+	}
+	return append(b, "]}"...)
+}
+
+// upsertSeeds are upsert bodies on both sides of the fast path's
+// contract.
+var upsertSeeds = []string{
+	`{"id":7,"vector":[1,2.5,-3e-7]}`, `{"vector":[1,2.5,-3e-7],"id":7}`,
+	"{\n\t\"id\" : 7 ,\r\n \"vector\" : [ 1 , 2 ] }\n", ` {"id":0,"vector":[0]} `,
+	`{"updates":[{"id":1,"vector":[1]},{"id":2,"vector":[2,3]}]}`, `{"updates":[]}`, `{"updates":[{}]}`,
+	`{"id":1,"vector":[1],"updates":[{"id":2,"vector":[2]}]}`,
+	`{"id":-1,"vector":[1]}`, `{"id":1.0,"vector":[1]}`, `{"id":1e2,"vector":[1]}`, `{"id":-0,"vector":[1]}`,
+	`{"id":4294967295,"vector":[1]}`, `{"id":4294967296,"vector":[1]}`, `{"id":99999999999,"vector":[1]}`,
+	`{"id":null,"vector":[1]}`, `{"id":"1","vector":[1]}`, `{"id":01,"vector":[1]}`, `{"id":true}`,
+	`{"vector":[1]}`, `{"id":1}`, `{"id":1,"vector":[]}`, `{"id":1,"vector":null}`, `{}`,
+	`{"id":1,"id":2,"vector":[1]}`, `{"id":1,"vector":[1],"vector":[2]}`,
+	`{"\u0069d":1,"vector":[1]}`, `{"ID":1,"Vector":[1]}`, `{"id":1,"vector":[1],"other":1}`,
+	`{"id":1,"vector":[1]}trailing`, `{"id":1,"vector":[1]} {"id":2}`,
+	`{"id":1,"vector":[1,`, `{"id":1`, `{"id":1,"vector":[1]`, ``, ` `, `null`, `[]`,
+	`{"id":1,"vector":[1e400]}`, `{"id":1,"vector":[1,"2"]}`, `{"id":1,"vector":[01]}`,
+	"\xef\xbb\xbf{\"id\":1}",
+}
+
+// checkUpsertDecode holds the upsert decoder to encoding/json on b as
+// checkDecode does the neighbors decoder, and reports whether the fast
+// path took b.
+func checkUpsertDecode(t testing.TB, b []byte) bool {
+	t.Helper()
+	var want UpsertRequest
+	wantErr := json.NewDecoder(bytes.NewReader(b)).Decode(&want)
+	_, fast := (&upsertBody{buf: b}).decodeFast()
+	if fast && wantErr != nil {
+		t.Fatalf("fast path accepted upsert %q, which encoding/json refuses: %v", b, wantErr)
+	}
+	got, err := ReadUpsertRequest(bytes.NewReader(b), -1)
+	switch {
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("decode upsert %q: error %v, encoding/json %v", b, err, wantErr)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("decode upsert %q:\n got %+v\nwant %+v", b, got, want)
+	}
+	for i, w := range want.Vector {
+		if g := got.Vector[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("decode upsert %q: coordinate %d = %v, encoding/json %v", b, i, g, w)
+		}
+	}
+	return fast
+}
+
+func TestUpsertRequestMatchesEncodingJSON(t *testing.T) {
+	for _, s := range upsertSeeds {
+		checkUpsertDecode(t, []byte(s))
+	}
+	// The shapes clients and the benchmark send must take the fast path.
+	for _, s := range []string{
+		`{"id":7,"vector":[1,2.5,-3e-7]}`, `{"vector":[1,2.5,-3e-7],"id":7}`, `{"id":4294967295,"vector":[1]}`,
+		`{"id":1,"vector":[]}`, `{"id":1}`, `{"id":1,"vector":[1]} {"id":2}`,
+		"{\n\t\"id\" : 7 ,\r\n \"vector\" : [ 1 , 2 ] }\n", string(upsertBodyOf(1, 123456, 64)),
+	} {
+		if !checkUpsertDecode(t, []byte(s)) {
+			t.Errorf("%.80q went to encoding/json", s)
+		}
+	}
+	for _, s := range []string{`{"updates":[{"id":1,"vector":[1]}]}`, `{"id":-1,"vector":[1]}`, `{"id":null,"vector":[1]}`} {
+		if _, fast := (&upsertBody{buf: []byte(s)}).decodeFast(); fast {
+			t.Errorf("%q took the fast path", s)
+		}
+	}
+	// The decoded vector is the caller's: a later decode through the
+	// same pooled body must not write into it.
+	a, err := ReadUpsertRequest(strings.NewReader(`{"id":1,"vector":[1,2]}`), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadUpsertRequest(strings.NewReader(`{"id":2,"vector":[3,4]}`), -1); err != nil {
+		t.Fatal(err)
+	}
+	if a.Vector[0] != 1 || a.Vector[1] != 2 || *a.ID != 1 {
+		t.Fatalf("first request changed to %v/%v by the second decode", *a.ID, a.Vector)
+	}
+}
+
 // TestDecodeSlabLayout pins what the handlers rely on: batch vectors
 // are capacity-limited windows of one slab, the single vector is not in
 // it, and empty lists decode non-nil.
@@ -384,6 +478,8 @@ func checkAcks(t testing.TB, data []byte) {
 		}
 		qs[i].K = int(int8(src.next()))
 	}
+	checkEncode(t, UpsertAck{Upserted: int(int64(src.u64())), Seq: src.u64() >> (src.next() % 65), Nodes: int(int32(src.u64()))})
+
 	want, wantErr := json.Marshal(NeighborsRequest{Queries: qs})
 	got, ok := appendScatter(nil, qs)
 	if ok != (wantErr == nil) || ok && !bytes.Equal(got, want) {
@@ -420,6 +516,8 @@ func TestAckCodecMatchesJSON(t *testing.T) {
 		NeighborsAck{Results: []ann.Result{{ID: 1, Score: math.NaN()}}},
 		NeighborsBatchAck{Batches: [][]ann.Result{{{ID: 1, Score: math.Inf(-1)}}}},
 		map[string]any{"error": "<tag> & \"quotes\""}, errorBody{Error: "x"},
+		UpsertAck{}, UpsertAck{Upserted: 1, Seq: 7, Nodes: 5000}, UpsertAck{Upserted: -2, Nodes: math.MinInt},
+		UpsertAck{Upserted: math.MaxInt, Seq: math.MaxUint64, Nodes: 1},
 	} {
 		checkEncode(t, v)
 	}
@@ -448,6 +546,14 @@ func FuzzDecodeNeighborsRequest(f *testing.F) {
 	}
 	f.Add(benchBody(4, 2, 8))
 	f.Fuzz(func(t *testing.T, b []byte) { checkDecode(t, b) })
+}
+
+func FuzzDecodeUpsertRequest(f *testing.F) {
+	for _, s := range upsertSeeds {
+		f.Add([]byte(s))
+	}
+	f.Add(upsertBodyOf(6, 42, 8))
+	f.Fuzz(func(t *testing.T, b []byte) { checkUpsertDecode(t, b) })
 }
 
 func FuzzScanFloat(f *testing.F) {
@@ -491,6 +597,32 @@ func BenchmarkDecodeNeighborsRequest32(b *testing.B) {
 				b.Fatal(err)
 			}
 			nb.Release()
+		}
+	})
+}
+
+func BenchmarkDecodeUpsertRequest(b *testing.B) {
+	body := upsertBodyOf(7, 4242, 64)
+	r := bytes.NewReader(body)
+	b.Run("std", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset(body)
+			var req UpsertRequest
+			if err := json.NewDecoder(r).Decode(&req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("codec", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset(body)
+			if _, err := ReadUpsertRequest(r, int64(len(body))); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
