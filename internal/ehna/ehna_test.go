@@ -681,3 +681,35 @@ func TestEdgeLossAllocBudget(t *testing.T) {
 		t.Fatalf("EdgeLoss+Backward allocated %v times per edge, budget %d", allocs, budget)
 	}
 }
+
+// TestTrainingLearnsAcrossSeeds is the learning guard for changes to the
+// arithmetic under training: eight seeds, five epochs each, and every
+// seed's EvalLoss before÷after ratio held to the value the float64
+// trainer printed. The ratios spread 1.27–1.85 across seeds, so a change
+// that alters how the model learns moves one of them by far more than
+// learnTol; rounding-level noise does not (rounding every initial weight
+// and embedding to float32 moved the ratios by at most 1.4e-5 relative).
+// A seed whose loss does not fall stays in the set: its ratio is pinned
+// like the rest.
+func TestTrainingLearnsAcrossSeeds(t *testing.T) {
+	const learnTol = 0.01 // relative, on the ratio
+	pins := [8]float64{1.635725, 1.465762, 1.630453, 1.851299, 1.840353, 1.459589, 1.269291, 1.687092}
+	g := twoCommunityGraph(t)
+	for i, want := range pins {
+		cfg := smallConfig()
+		cfg.Seed = int64(i + 1)
+		m, err := NewModel(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m.EvalLoss(g.Edges())
+		for e := 0; e < 5; e++ {
+			m.TrainEpoch()
+		}
+		ratio := before / m.EvalLoss(g.Edges())
+		t.Logf("seed %d: loss ratio %.6f (float64 trainer %.6f)", cfg.Seed, ratio, want)
+		if math.IsNaN(ratio) || math.Abs(ratio/want-1) > learnTol {
+			t.Errorf("seed %d: loss ratio %.6f, float64 trainer %.6f (tolerance %g relative)", cfg.Seed, ratio, want, learnTol)
+		}
+	}
+}
