@@ -7,9 +7,10 @@
 // Leaf nodes accumulate straight into caller-owned sink matrices, which
 // optimizers (internal/nn) then consume.
 //
-// A Tape is a bump arena: nodes, their values and their gradients live
-// in slabs the tape owns, so a forward/backward pass allocates almost
-// nothing once the slabs have grown to the pass's size. Reset rewinds
+// A Tape is a bump arena: nodes, their values and their gradients (and
+// LSTMSeq's float32 working set) live in slabs the tape owns, so a
+// forward/backward pass allocates almost nothing once the slabs have
+// grown to the pass's size. Reset rewinds
 // the arena for the next pass; every Node and matrix obtained from the
 // tape before the Reset is invalid after it. A tape that is never reset
 // (one New per pass) stays correct and simply lets the collector take
@@ -51,7 +52,7 @@ func (n *Node) Grad() *tensor.Matrix {
 
 const (
 	nodeSlab      = 64      // nodes per slab
-	minFloatChunk = 1 << 12 // floats in a tape's first chunk (32 KB)
+	minFloatChunk = 1 << 12 // elements in an arena's first chunk
 )
 
 // Tape records nodes in topological (creation) order.
@@ -59,9 +60,15 @@ type Tape struct {
 	noGrad bool
 	nodes  [][]Node // slabs of nodeSlab nodes; a slab never moves
 	n      int      // nodes recorded since the last Reset
-	chunks [][]float64
+	f64    arena[float64]
+	f32    arena[float32] // LSTMSeq's float32 working set
+}
+
+// arena is a bump allocator over chunks of F; a chunk never moves.
+type arena[F float32 | float64] struct {
+	chunks [][]F
 	chunk  int // chunk being filled
-	off    int // floats handed out of it
+	off    int // elements handed out of it
 }
 
 // New returns an empty tape. It owns no memory until the first node is
@@ -76,17 +83,23 @@ func NewNoGrad() *Tape { return &Tape{noGrad: true} }
 // Reset forgets every recorded node and rewinds the arena, keeping its
 // memory for the next pass.
 func (t *Tape) Reset() {
-	if len(t.chunks) > 1 {
+	t.n = 0
+	t.f64.reset()
+	t.f32.reset()
+}
+
+func (a *arena[F]) reset() {
+	if len(a.chunks) > 1 {
 		// The pass outgrew the first chunk: replace the chunks by one
 		// that holds what the pass used and a quarter more, so that
 		// the steady state is a single slab sized to the largest pass.
-		used := t.off
-		for _, c := range t.chunks[:t.chunk] {
+		used := a.off
+		for _, c := range a.chunks[:a.chunk] {
 			used += len(c)
 		}
-		t.chunks = [][]float64{make([]float64, used+used/4)}
+		a.chunks = [][]F{make([]F, used+used/4)}
 	}
-	t.n, t.chunk, t.off = 0, 0, 0
+	a.chunk, a.off = 0, 0
 }
 
 // Len returns the number of recorded nodes (useful for instrumentation).
@@ -94,31 +107,41 @@ func (t *Tape) Len() int { return t.n }
 
 // alloc returns n floats of arena memory with arbitrary contents, for
 // buffers the caller overwrites in full.
-func (t *Tape) alloc(n int) []float64 {
-	for ; t.chunk < len(t.chunks); t.chunk, t.off = t.chunk+1, 0 {
-		if c := t.chunks[t.chunk]; t.off+n <= len(c) {
-			s := c[t.off : t.off+n : t.off+n]
-			t.off += n
+func (t *Tape) alloc(n int) []float64 { return t.f64.alloc(n) }
+
+// alloc32 is alloc for float32 buffers.
+func (t *Tape) alloc32(n int) []float32 { return t.f32.alloc(n) }
+
+func (a *arena[F]) alloc(n int) []F {
+	for ; a.chunk < len(a.chunks); a.chunk, a.off = a.chunk+1, 0 {
+		if c := a.chunks[a.chunk]; a.off+n <= len(c) {
+			s := c[a.off : a.off+n : a.off+n]
+			a.off += n
 			return s
 		}
 	}
-	// Grow by half of what the tape holds, so that a tape that is
+	// Grow by half of what the arena holds, so that a tape that is
 	// never reset ends at most half again as large as its one pass.
 	size := minFloatChunk
-	for _, c := range t.chunks {
+	for _, c := range a.chunks {
 		size += len(c) / 2
 	}
-	t.chunks = append(t.chunks, make([]float64, max(n, size)))
-	t.off = n
-	return t.chunks[t.chunk][:n:n]
+	a.chunks = append(a.chunks, make([]F, max(n, size)))
+	a.off = n
+	return a.chunks[a.chunk][:n:n]
 }
 
 // zeros returns n zeroed floats of arena memory.
 func (t *Tape) zeros(n int) []float64 {
 	s := t.alloc(n)
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
+	return s
+}
+
+// zeros32 is zeros for float32 buffers.
+func (t *Tape) zeros32(n int) []float32 {
+	s := t.alloc32(n)
+	clear(s)
 	return s
 }
 

@@ -7,8 +7,10 @@
 // level as one node each: LSTMSeq runs a layer over a time-major batch
 // of ragged sequences, Attend computes one attention level for the same
 // batch, and LayerNorm normalizes every row of the result. Each has a
-// handwritten backward, verified against the unfused composition and
-// central finite differences in fused_test.go.
+// handwritten backward, verified in fused_test.go against the unfused
+// composition and central finite differences — LSTMSeq, which computes
+// in float32, against the float64 composition only, which is itself
+// checked by central differences.
 //
 // Time-major batch layout: T steps of n sequences are a (T·n)×d matrix
 // whose row t·n+r is step t of sequence r. Sequence r has lens[r] ≥ 1
@@ -77,17 +79,29 @@ func seqLen(lens []int, r, T int) int {
 // sequence's final state, and padding neither reads x nor receives
 // gradient.
 //
+// The op computes in float32 over float64 master weights, in the sense
+// of mixed-precision training: it narrows the weights and x on entry,
+// keeps its whole working set (packed weights, gate activations, cell
+// states, the float32 copy of the hidden states the recurrence reads,
+// the pre-activation gradients) in the tape's float32 arena, and widens
+// on exit — the output node, and dx, the weight gradients and the bias
+// gradient as it adds them to the float64 gradients. The parameters,
+// the optimizer state and every other node stay float64, and the
+// op-by-op float64 composition of Sigmoid and Tanh is the oracle it is
+// held to (fused_test.go, internal/ehna/reference_test.go). Each row of
+// the batch is computed by the same instructions whatever rows share
+// it, so a sequence's output does not depend on its batch, bit for bit.
+//
 // The four gates are packed side by side into one in×4h and one h×4h
 // matrix per call, so the input projection of all T steps is a single
-// product and each step adds one n×h · h×4h product. A row's gates are
-// then activated as blocks (vecmath.SigmoidInto over [i|f|o],
-// vecmath.TanhInto over g and over the new cell state), four lanes at a
-// time on AVX2, which agrees with the math package to a few ulp: the
-// op-by-op composition of Sigmoid and Tanh stays the oracle
-// (fused_test.go, internal/ehna/reference_test.go). The backward pass
-// keeps the pre-activation gradients of all steps and forms the weight
-// gradients as two products per call (xᵀ·dpre and h₋₁ᵀ·dpre) in place
-// of one rank-1 update per step, gate and sequence.
+// product and each step adds one n×h · h×4h product (vecmath.GemmNN32).
+// A row's gates are then activated as blocks (vecmath.SigmoidInto32
+// over [i|f|o], vecmath.TanhInto32 over g and over the new cell
+// state). The backward pass keeps the pre-activation gradients of all
+// steps and forms the weight gradients as two products per call (xᵀ·dpre
+// and h₋₁ᵀ·dpre) in place of one rank-1 update per step, gate and
+// sequence; x carries a column of ones, so the first of them also
+// yields the bias gradient, Σ dpre over the rows.
 func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 	n := seqShape("LSTMSeq", x.Value.Rows, T, lens)
 	in, h := x.Value.Cols, w.Bi.Value.Cols
@@ -102,33 +116,43 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 
 	// Pack: wp is in×4h, up is h×4h, and their transposes serve the
 	// backward products (dx = dpre·wpᵀ) as plain row-major operands.
-	wp, wpT := t.alloc(in*h4), t.alloc(h4*in)
-	up, upT := t.alloc(h*h4), t.alloc(h4*h)
-	bias := t.alloc(h4)
+	wp, wpT := t.alloc32(in*h4), t.alloc32(h4*in)
+	up, upT := t.alloc32(h*h4), t.alloc32(h4*h)
+	bias := t.alloc32(h4)
 	for gi, g := range gates {
 		packGate(wp, wpT, g[0].Value, gi*h, h4)
 		packGate(up, upT, g[1].Value, gi*h, h4)
-		copy(bias[gi*h:], g[2].Value.Data)
+		for j, v := range g[2].Value.Data {
+			bias[gi*h+j] = float32(v)
+		}
+	}
+	// x with a column of ones after its in features (leading dimension
+	// ldx): the forward product reads the first in columns, the weight
+	// gradient all of them.
+	ldx := in + 1
+	xs := t.alloc32(rows * ldx)
+	for r := 0; r < rows; r++ {
+		vecmath.F64To32(xs[r*ldx:r*ldx+in], x.Value.Row(r))
+		xs[r*ldx+in] = 1
 	}
 
 	needs := x.needs
 	for _, g := range gates {
 		needs = needs || needsAny(g[:]...)
 	}
-	out := t.rawNode(rows, h, needs) // the step loop writes every row
-	hs := out.Value.Data
-	act := t.alloc(rows * h4) // gate activations [i|f|o|g] per row
-	cs := t.alloc(rows * h)   // cell state after each step
-	tc := t.alloc(rows * h)   // tanh of it
+	act := t.alloc32(rows * h4) // gate activations [i|f|o|g] per row
+	cs := t.alloc32(rows * h)   // cell state after each step
+	tc := t.alloc32(rows * h)   // tanh of it
+	hs := t.alloc32(rows * h)   // hidden state after each step
 
 	for r := 0; r < rows; r++ {
 		copy(act[r*h4:(r+1)*h4], bias)
 	}
-	vecmath.GemmNN(act, h4, x.Value.Data, in, wp, h4, rows, h4, in)
+	vecmath.GemmNN32(act, h4, xs, ldx, wp, h4, rows, h4, in)
 	for s := 0; s < T; s++ {
 		lo := s * n
 		if s > 0 {
-			vecmath.GemmNN(act[lo*h4:], h4, hs[(lo-n)*h:], h, up, h4, n, h4, h)
+			vecmath.GemmNN32(act[lo*h4:], h4, hs[(lo-n)*h:], h, up, h4, n, h4, h)
 		}
 		for r := 0; r < n; r++ {
 			row := lo + r
@@ -141,8 +165,8 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 				continue
 			}
 			a := act[row*h4 : (row+1)*h4]
-			vecmath.SigmoidInto(a[:3*h], a[:3*h])
-			vecmath.TanhInto(a[3*h:], a[3*h:])
+			vecmath.SigmoidInto32(a[:3*h], a[:3*h])
+			vecmath.TanhInto32(a[3*h:], a[3*h:])
 			iv, fv, ov, gv := a[:h], a[h:][:h], a[2*h:][:h], a[3*h:][:h]
 			if s == 0 {
 				for j := range c {
@@ -154,20 +178,22 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 					c[j] = iv[j]*gv[j] + fv[j]*cPrev[j]
 				}
 			}
-			vecmath.TanhInto(tcr, c)
+			vecmath.TanhInto32(tcr, c)
 			for j := range hr {
 				hr[j] = ov[j] * tcr[j]
 			}
 		}
 	}
+	out := t.rawNode(rows, h, needs)
+	vecmath.F32To64(out.Value.Data, hs)
 	if !needs {
 		return out
 	}
 
 	out.back = func(out *Node) {
 		dout := out.grad.Data
-		dh, dc := t.zeros(n*h), t.zeros(n*h) // gradient reaching step s from step s+1
-		dhPrev, zeroRow := t.alloc(n*h), t.zeros(h)
+		dh, dc := t.zeros32(n*h), t.zeros32(n*h) // gradient reaching step s from step s+1
+		dhPrev, zeroRow := t.alloc32(n*h), t.zeros32(h)
 		dpre := act // each row's activations are read once, then overwritten
 		for s := T - 1; s >= 0; s-- {
 			lo := s * n
@@ -176,13 +202,13 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 				at, prev := row*h, (row-n)*h
 				dhr, dcr, dhp := dh[r*h:][:h], dc[r*h:][:h], dhPrev[r*h:][:h]
 				dp := dpre[row*h4 : (row+1)*h4]
-				vecmath.Add(dhr, dout[at:at+h])
+				for j, g := range dout[at : at+h] {
+					dhr[j] += float32(g)
+				}
 				if s >= seqLen(lens, r, T) {
 					// Padding: the state passed through unchanged.
 					copy(dhp, dhr)
-					for j := range dp {
-						dp[j] = 0
-					}
+					clear(dp)
 					continue
 				}
 				tcr, cPrev := tc[at:at+h], zeroRow // zero: the state before step 0
@@ -204,56 +230,60 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 				}
 			}
 			if s > 0 {
-				vecmath.GemmNN(dhPrev, h, dpre[lo*h4:], h4, upT, h, n, h, h4)
+				vecmath.GemmNN32(dhPrev, h, dpre[lo*h4:], h4, upT, h, n, h, h4)
 			}
 			dh, dhPrev = dhPrev, dh
 		}
 
 		if x.needs {
-			vecmath.GemmNN(x.Grad().Data, in, dpre, h4, wpT, in, rows, in, h4)
+			dx := t.zeros32(rows * in)
+			vecmath.GemmNN32(dx, in, dpre, h4, wpT, in, rows, in, h4)
+			xg := x.Grad().Data
+			for i, v := range dx {
+				xg[i] += float64(v)
+			}
 		}
-		dwp, dup := t.zeros(in*h4), t.zeros(h*h4)
-		vecmath.GemmTN(dwp, h4, x.Value.Data, in, dpre, h4, in, h4, rows)
+		// dwp is (in+1)×4h: xᵀ·dpre over x's column of ones puts the
+		// bias gradient in its last row.
+		dwp, dup := t.zeros32(ldx*h4), t.zeros32(h*h4)
+		vecmath.GemmTN32(dwp, h4, xs, ldx, dpre, h4, ldx, h4, rows)
 		if T > 1 {
-			vecmath.GemmTN(dup, h4, hs, h, dpre[n*h4:], h4, h, h4, rows-n)
-		}
-		dbias := t.zeros(h4)
-		for r := 0; r < rows; r++ {
-			vecmath.Add(dbias, dpre[r*h4:(r+1)*h4])
+			vecmath.GemmTN32(dup, h4, hs, h, dpre[n*h4:], h4, h, h4, rows-n)
 		}
 		for gi, g := range gates {
 			unpackGate(g[0], dwp, gi*h, h4)
 			unpackGate(g[1], dup, gi*h, h4)
-			if g[2].needs {
-				vecmath.Add(g[2].Grad().Data, dbias[gi*h:(gi+1)*h])
-			}
+			unpackGate(g[2], dwp[in*h4:], gi*h, h4)
 		}
 	}
 	return out
 }
 
-// packGate copies w (rows×h) into columns [col, col+h) of the packed
-// rows×ld matrix p, and its transpose into rows [col, col+h) of the
-// ld×rows matrix pT.
-func packGate(p, pT []float64, w *tensor.Matrix, col, ld int) {
+// packGate narrows w (rows×h) into columns [col, col+h) of the packed
+// rows×ld float32 matrix p, and its transpose into rows [col, col+h)
+// of the ld×rows matrix pT.
+func packGate(p, pT []float32, w *tensor.Matrix, col, ld int) {
 	for k := 0; k < w.Rows; k++ {
-		wrow := w.Row(k)
-		copy(p[k*ld+col:], wrow)
-		for j, v := range wrow {
-			pT[(col+j)*w.Rows+k] = v
+		prow := p[k*ld+col:][:w.Cols]
+		for j, v := range w.Row(k) {
+			prow[j] = float32(v)
+			pT[(col+j)*w.Rows+k] = prow[j]
 		}
 	}
 }
 
-// unpackGate adds columns [col, col+h) of the packed gradient dp into
-// the gradient of weight w.
-func unpackGate(w *Node, dp []float64, col, ld int) {
+// unpackGate widens columns [col, col+h) of the packed float32
+// gradient dp and adds them to the gradient of weight w.
+func unpackGate(w *Node, dp []float32, col, ld int) {
 	if !w.needs {
 		return
 	}
 	g := w.Grad()
 	for k := 0; k < g.Rows; k++ {
-		vecmath.Add(g.Row(k), dp[k*ld+col:k*ld+col+g.Cols])
+		row := g.Row(k)
+		for j, v := range dp[k*ld+col:][:g.Cols] {
+			row[j] += float64(v)
+		}
 	}
 }
 

@@ -20,6 +20,24 @@ import (
 // same walks and negatives; the tests here hold the batched path to its
 // values and gradients.
 
+// The batched path's LSTM (ag.LSTMSeq) computes in float32 over the
+// float64 weights; the reference computes in float64 throughout. The
+// tolerances below are relative to max(1, |reference|) and derive from
+// the largest differences measured over the variants and targets
+// here, on the AVX2 and the portable kernels alike: 1.3e-7 on a
+// readout, 1.9e-7 on a loss, 1.8e-5 on a gradient — each bound is about
+// five times that.
+const (
+	refValueTol = 1e-6
+	refGradTol  = 1e-4
+)
+
+// refNear reports whether got is within tol of the reference want,
+// relative to max(1, |want|).
+func refNear(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Max(1, math.Abs(want))
+}
+
 // refLSTM runs seq (T×in, batch 1) through s one timestep at a time and
 // returns the top layer's final hidden state.
 func refLSTM(tp *ag.Tape, s *nn.StackedLSTM, seq *ag.Node) *ag.Node {
@@ -212,8 +230,10 @@ func runLoss(m *Model, build func(tp *ag.Tape) *ag.Node) (float64, grads) {
 func assertSameGrads(t *testing.T, m *Model, got, want grads) {
 	t.Helper()
 	for i, p := range m.params.List() {
-		if !tensor.Equal(got.params[i], want.params[i], 1e-8) {
-			t.Fatalf("gradient of %s differs from the reference", p.Name)
+		for j, w := range want.params[i].Data {
+			if g := got.params[i].Data[j]; !refNear(g, w, refGradTol) {
+				t.Fatalf("gradient of %s elem %d: %g, reference %g", p.Name, j, g, w)
+			}
 		}
 		if p == m.proj && tensor.L2NormVec(want.params[i].Data) == 0 {
 			t.Fatal("reference gradient of the readout is zero: the comparison is vacuous")
@@ -228,7 +248,7 @@ func assertSameGrads(t *testing.T, m *Model, got, want grads) {
 			t.Fatalf("embedding row %d received no gradient", id)
 		}
 		for j := range w {
-			if math.Abs(g[j]-w[j]) > 1e-8 {
+			if !refNear(g[j], w[j], refGradTol) {
 				t.Fatalf("embedding row %d elem %d: %g, reference %g", id, j, g[j], w[j])
 			}
 		}
@@ -281,7 +301,7 @@ func TestAggregateMatchesPerWalkReference(t *testing.T) {
 				zr = n.Value.Clone()
 				return tp.SqDist(n, tp.Const(goal))
 			})
-			if !tensor.Equal(z, zr, 1e-10) || math.Abs(v-vr) > 1e-10 {
+			if !tensor.Equal(z, zr, refValueTol) || !refNear(v, vr, refValueTol) {
 				t.Fatalf("%s: node %d: z %v, reference %v", name, x, z, zr)
 			}
 			assertSameGrads(t, m, gr, grr)
@@ -346,7 +366,7 @@ func TestRaggedBatchMatchesPerTargetReference(t *testing.T) {
 				refAggregate(m, tp, 2, at, rng),
 			})
 		})
-		if math.Abs(v-vr) > 1e-10 {
+		if !refNear(v, vr, refValueTol) {
 			t.Fatalf("%s: batch loss %.15g, reference %.15g", name, v, vr)
 		}
 		assertSameGrads(t, m, gr, grr)
@@ -370,7 +390,7 @@ func TestEdgeLossMatchesPerWalkReference(t *testing.T) {
 		e, seed := edgeWithFallbackNegative(t, m)
 		v, gr := runLoss(m, func(tp *ag.Tape) *ag.Node { return m.EdgeLoss(tp, e, rand.New(rand.NewSource(seed))) })
 		vr, grr := runLoss(m, func(tp *ag.Tape) *ag.Node { return refEdgeLoss(m, tp, e, rand.New(rand.NewSource(seed))) })
-		if math.Abs(v-vr) > 1e-10 || v == 0 {
+		if !refNear(v, vr, refValueTol) || v == 0 {
 			t.Fatalf("%s: loss %.15g, reference %.15g", name, v, vr)
 		}
 		assertSameGrads(t, m, gr, grr)
@@ -406,8 +426,12 @@ func edgeWithFallbackNegative(t *testing.T, m *Model) (graph.Edge, int64) {
 // order, then, on a fresh model, the mean loss of the first two epochs
 // and the loss over every edge after them. Any change to which walks or
 // negatives are drawn, or in what order, moves them in the first digit;
-// a change of summation order moves them in the fifteenth. The
-// per-walk reference must reproduce the edge losses too.
+// a change of summation order moves them in the fifteenth, and the
+// float32 LSTM in the seventh: it lies at most 3.5e-7 relative from
+// them (portable kernels; 1.9e-7 on AVX2), and firstEpochTol holds it
+// within about six times that. The per-walk reference, float64
+// throughout like the trainer that printed them, must reproduce the
+// edge losses to 1e-9.
 func TestFirstEpochMatchesParent(t *testing.T) {
 	pins := map[string]struct {
 		edges  [3]float64
@@ -419,7 +443,9 @@ func TestFirstEpochMatchesParent(t *testing.T) {
 		"DisableAttention": {[3]float64{13.420601307633547, 17.560835136889263, 29.093850212164039}, [2]float64{20.507157729400884, 17.92456353046127}, 17.227418047736343},
 		"Bidirectional":    {[3]float64{31.166810590206428, 38.630642034346643, 54.063058446624311}, [2]float64{49.622125425142571, 45.775620031085886}, 39.29766771921647},
 	}
-	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+	const firstEpochTol = 2e-6
+	near := func(got, want float64) bool { return math.Abs(got-want) <= firstEpochTol*want }
+	refExact := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
 	g := twoCommunityGraph(t)
 	for name, pin := range pins {
 		cfg := smallConfig()
@@ -437,7 +463,7 @@ func TestFirstEpochMatchesParent(t *testing.T) {
 			if v := ag.Value(m.EdgeLoss(ag.New(), e, m.rng)); !near(v, pin.edges[i]) {
 				t.Fatalf("%s: edge %d loss %.17g, parent %.17g", name, idx, v, pin.edges[i])
 			}
-			if v := ag.Value(refEdgeLoss(ref, ag.New(), e, ref.rng)); !near(v, pin.edges[i]) {
+			if v := ag.Value(refEdgeLoss(ref, ag.New(), e, ref.rng)); !refExact(v, pin.edges[i]) {
 				t.Fatalf("%s: edge %d reference loss %.17g, parent %.17g", name, idx, v, pin.edges[i])
 			}
 		}
@@ -449,6 +475,44 @@ func TestFirstEpochMatchesParent(t *testing.T) {
 		}
 		if v := m.EvalLoss(g.Edges()); !near(v, pin.eval) {
 			t.Fatalf("%s: loss after two epochs %.17g, parent %.17g", name, v, pin.eval)
+		}
+	}
+}
+
+// TestBatchedTargetMatchesAlone: a target's readout must not depend on
+// which other targets share its batch, bit for bit — the LayerNorm
+// departure (README) and the float32 LSTM both rest on it. Each target
+// draws its walks from its own seed, once inside a ragged batch beside
+// the others (full walks, bare-source walks, a fallback) and once
+// alone.
+func TestBatchedTargetMatchesAlone(t *testing.T) {
+	g := raggedGraph(t)
+	const at = 0.8
+	walked := []graph.NodeID{6, 13, 2, 12, 9}
+	for name, mut := range referenceVariants {
+		cfg := referenceConfig()
+		mut(&cfg)
+		m, err := NewModel(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp := ag.NewNoGrad()
+		var b batch
+		for i, x := range walked {
+			b.addWalks(m, x, at, rand.New(rand.NewSource(int64(40+i))))
+			if i == 1 {
+				b.addFallback(m, 3, rand.New(rand.NewSource(77)))
+			}
+		}
+		zs := m.aggregate(tp, &b)
+		zs = append(zs[:2], zs[3:]...) // drop the fallback
+		for i, x := range walked {
+			alone := m.Aggregate(tp, x, at, rand.New(rand.NewSource(int64(40+i))))
+			for j, v := range alone.Value.Data {
+				if got := zs[i].Value.Data[j]; got != v {
+					t.Fatalf("%s: target %d unit %d: %v in the batch, %v alone", name, x, j, got, v)
+				}
+			}
 		}
 	}
 }

@@ -88,10 +88,22 @@ func TestDenseForwardShapeAndValue(t *testing.T) {
 // finite-difference check through an entire layer's parameters.
 func layerGradCheck(t *testing.T, ps *Params, forward func() float64) {
 	t.Helper()
+	layerGradCheckStep(t, ps, 1e-5, forward)
+}
+
+// lstmStep is the central-difference step for a forward pass through
+// ag.LSTMSeq, which computes in float32: the step that balances
+// truncation (∝ h²) against rounding (∝ ε/h) is ∛ε, 1e-5 for float64's
+// ε and 4e-3 for float32's 6e-8.
+const lstmStep = 4e-3
+
+// layerGradCheckStep is layerGradCheck with central differences of
+// step h.
+func layerGradCheckStep(t *testing.T, ps *Params, h float64, forward func() float64) {
+	t.Helper()
 	ps.ZeroGrad()
 	base := forward() // populates gradients via Backward inside
 	_ = base
-	const h = 1e-5
 	for _, p := range ps.List() {
 		for i := range p.W.Data {
 			analytic := p.G.Data[i]
@@ -183,7 +195,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 	var ps Params
 	c.Register(&ps)
 	seq := tensor.Randn(3, 3, 1, rng)
-	layerGradCheck(t, &ps, func() float64 {
+	layerGradCheckStep(t, &ps, lstmStep, func() float64 {
 		tp := ag.New()
 		hs := c.Forward(tp, tp.Const(seq), nil, seq.Rows)
 		out := tp.SumSquares(tp.Row(hs, seq.Rows-1))
@@ -215,7 +227,7 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 	var ps Params
 	s.Register(&ps)
 	seq := tensor.Randn(3, 2, 1, rng)
-	layerGradCheck(t, &ps, func() float64 {
+	layerGradCheckStep(t, &ps, lstmStep, func() float64 {
 		tp := ag.New()
 		out := tp.SumSquares(s.Forward(tp, tp.Const(seq)))
 		tp.Backward(out)
@@ -223,10 +235,17 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 	})
 }
 
+// batchGradTol bounds, relative to max(1, |g|), how far a parameter
+// gradient summed in float32 over a batch's rows may lie from the same
+// gradient summed per sequence and added in float64; measured 2.1e-8
+// at worst (portable kernels; 1.0e-8 on AVX2).
+const batchGradTol = 2e-7
+
 // TestStackedLSTMBatchMatchesPerSequence runs a ragged batch through
 // ForwardBatch and each of its sequences alone through Forward: final
-// states and, with one loss over all of them, every parameter gradient
-// must agree.
+// states must agree bit for bit (a row's result does not depend on its
+// batch) and, with one loss over all of them, every parameter gradient
+// within float32 summation error.
 func TestStackedLSTMBatchMatchesPerSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	s := NewStackedLSTM("s", 3, 4, 2, rng)
@@ -259,12 +278,14 @@ func TestStackedLSTMBatchMatchesPerSequence(t *testing.T) {
 	hs := tp.StackRows(finals)
 	tp.Backward(tp.SumSquares(hs))
 
-	if !tensor.Equal(hb.Value, hs.Value, 1e-12) {
+	if !tensor.Equal(hb.Value, hs.Value, 0) {
 		t.Fatalf("batched finals %v != per-sequence %v", hb.Value, hs.Value)
 	}
 	for i, p := range ps.List() {
-		if !tensor.Equal(batched[i], p.G, 1e-10) {
-			t.Fatalf("param %s: batched gradient differs from per-sequence", p.Name)
+		for j, want := range p.G.Data {
+			if d := math.Abs(batched[i].Data[j] - want); d > batchGradTol*math.Max(1, math.Abs(want)) {
+				t.Fatalf("param %s elem %d: batched gradient %.9g, per-sequence %.9g", p.Name, j, batched[i].Data[j], want)
+			}
 		}
 	}
 }

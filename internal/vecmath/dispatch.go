@@ -27,7 +27,8 @@
 // ways).
 //
 // Two kernel sets exist on amd64 only and serve training, not serving:
-// the GEMM tile (gemm.go) and the block activations (activ.go). They
+// the GEMM tiles (gemm.go; float64 4×8 and float32 4×16) and the
+// float32 block activations (activ.go). They
 // check simd64 behind the trainAsm build constant, so arm64 — whose
 // simd64 means NEON Dot/SqDist — takes their portable loops.
 package vecmath

@@ -51,17 +51,17 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 			}
 			// The block activations against the loop they replace.
 			if simd64 && trainAsm {
-				got := make([]float64, n)
-				sigmoidAVX2(got, a)
-				for i, x := range a {
-					if want := Sigmoid(x); !activClose(got[i], want) {
-						t.Fatalf("n=%d off=%d lane %d sigmoidAVX2(%g)=%g scalar=%g", n, off, i, x, got[i], want)
+				got := make([]float32, n)
+				sigmoid32AVX2(got, x)
+				for i, v := range x {
+					if want := activRef(Sigmoid, v); !activClose(got[i], want) {
+						t.Fatalf("n=%d off=%d lane %d sigmoid32AVX2(%g)=%g scalar=%g", n, off, i, v, got[i], want)
 					}
 				}
-				tanhAVX2(got, a)
-				for i, x := range a {
-					if want := math.Tanh(x); !activClose(got[i], want) {
-						t.Fatalf("n=%d off=%d lane %d tanhAVX2(%g)=%g scalar=%g", n, off, i, x, got[i], want)
+				tanh32AVX2(got, x)
+				for i, v := range x {
+					if want := activRef(math.Tanh, v); !activClose(got[i], want) {
+						t.Fatalf("n=%d off=%d lane %d tanh32AVX2(%g)=%g scalar=%g", n, off, i, v, got[i], want)
 					}
 				}
 			}
@@ -295,7 +295,8 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	y := make([]float32, 128)
 	c := make([]int8, 128)
 	d := make([]int8, 128)
-	act := make([]float64, 128)
+	act := make([]float32, 128)
+	cm := make([]float32, 16*16)
 	var g Sym4Queries
 	for j := 0; j < 4; j++ {
 		g.Set(j, d[:32])
@@ -321,8 +322,10 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		Sym1Survivors(dots[:4], surv, &g, c, f, f, f)
 		SQ8RowFactors(f, f, f, side, true)
 		_, _, _ = EncodeSQ8(a, c)
-		SigmoidInto(act, a)
-		TanhInto(act, a)
+		SigmoidInto32(act, x)
+		TanhInto32(act, x)
+		GemmNN32(cm, 16, x, 16, y, 16, 8, 16, 8)
+		GemmTN32(cm, 16, x, 16, y, 16, 8, 16, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("dispatched kernels allocated %v times per run", allocs)

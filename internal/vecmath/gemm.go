@@ -15,6 +15,14 @@ package vecmath
 // why the transposed form needs no second kernel — only different
 // strides. GemmNT contracts over the contiguous dimension of both
 // operands and is a Dot per output element.
+//
+// GemmNN32 and GemmTN32 are the same two products in float32, the
+// LSTM's compute precision: the AVX2 tile is 4×16 (eight YMM
+// accumulators of eight lanes), so each FMA moves half the bytes of B
+// that the float64 tile does, and the portable kernel is the same
+// generic Go loop. Every element of C is accumulated in k order by one
+// body chosen by its column alone, so a row's result never depends on
+// which other rows share the call.
 
 // GemmNN computes C += A·B for A m×k, B k×n, C m×n.
 func GemmNN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
@@ -86,15 +94,65 @@ func gemm(c []float64, ldc int, a []float64, rsa, csa int, b []float64, ldb int,
 	}
 }
 
+// GemmNN32 computes C += A·B in float32 for A m×k, B k×n, C m×n.
+func GemmNN32(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, n, k int) {
+	gemm32(c, ldc, a, lda, 1, b, ldb, m, n, k)
+}
+
+// GemmTN32 computes C += Aᵀ·B in float32 for A k×m (given
+// untransposed), B k×n, C m×n.
+func GemmTN32(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, m, n, k int) {
+	gemm32(c, ldc, a, 1, lda, b, ldb, m, n, k)
+}
+
+// gemm32 is gemm in float32 on the 4×16 tile.
+func gemm32(c []float32, ldc int, a []float32, rsa, csa int, b []float32, ldb int, m, n, k int) {
+	if m <= 0 || n <= 0 || k <= 0 {
+		return
+	}
+	if ldc < n || ldb < n {
+		panic("vecmath: gemm leading dimension shorter than a row")
+	}
+	_ = c[(m-1)*ldc+n-1]
+	_ = a[(m-1)*rsa+(k-1)*csa]
+	_ = b[(k-1)*ldb+n-1]
+
+	done := 0
+	if trainAsm && simd64 {
+		done = n &^ 15
+		var spill [16]float32
+		for i := 0; i < m; i += 4 {
+			r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+			for j := 0; j < done; j += 16 {
+				c1, c2, c3 := &spill[0], &spill[0], &spill[0]
+				if i+1 < m {
+					c1 = &c[r1*ldc+j]
+				}
+				if i+2 < m {
+					c2 = &c[r2*ldc+j]
+				}
+				if i+3 < m {
+					c3 = &c[r3*ldc+j]
+				}
+				gemmTile4x16(k, &a[i*rsa], &a[r1*rsa], &a[r2*rsa], &a[r3*rsa], csa,
+					&b[j], ldb, &c[i*ldc+j], c1, c2, c3)
+			}
+		}
+	}
+	if done < n {
+		gemmGo(c, ldc, a, rsa, csa, b, ldb, m, done, n, k)
+	}
+}
+
 // gemmGo is the portable kernel over columns [j0, j1): 2×4 register
 // tiles, then the odd row and the last columns one element at a time.
-func gemmGo(c []float64, ldc int, a []float64, rsa, csa int, b []float64, ldb int, m, j0, j1, k int) {
+func gemmGo[F float32 | float64](c []F, ldc int, a []F, rsa, csa int, b []F, ldb int, m, j0, j1, k int) {
 	j4 := j0 + (j1-j0)&^3
 	i := 0
 	for ; i+2 <= m; i += 2 {
 		a0, a1 := i*rsa, (i+1)*rsa
 		for j := j0; j < j4; j += 4 {
-			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			var c00, c01, c02, c03, c10, c11, c12, c13 F
 			for p := 0; p < k; p++ {
 				bp := b[p*ldb+j : p*ldb+j+4 : p*ldb+j+4]
 				x, y := a[a0+p*csa], a[a1+p*csa]
@@ -125,10 +183,10 @@ func gemmGo(c []float64, ldc int, a []float64, rsa, csa int, b []float64, ldb in
 
 // gemmEdge handles rows [i0, i1) × columns [j0, j1) one element at a
 // time.
-func gemmEdge(c []float64, ldc int, a []float64, rsa, csa int, b []float64, ldb int, i0, i1, j0, j1, k int) {
+func gemmEdge[F float32 | float64](c []F, ldc int, a []F, rsa, csa int, b []F, ldb int, i0, i1, j0, j1, k int) {
 	for i := i0; i < i1; i++ {
 		for j := j0; j < j1; j++ {
-			var s float64
+			var s F
 			for p := 0; p < k; p++ {
 				s += a[i*rsa+p*csa] * b[p*ldb+j]
 			}

@@ -71,3 +71,82 @@ tile_store:
 	VMOVUPD Y7, 32(DI)
 	VZEROUPPER
 	RET
+
+// func gemmTile4x16(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, c0, c1, c2, c3 *float32)
+//
+// gemmTile4x8 in float32: the same eight YMM accumulators now hold a
+// 4×16 tile, eight lanes each, so a step moves 64 bytes of B for eight
+// FMAs where the float64 tile moves 64 bytes for half the products. At
+// twice the FMAs per byte the loop's own bookkeeping starts to count:
+// the four rows of A share one offset register (R14) and the loop runs
+// two steps per iteration.
+#define STEP32 \
+	VMOVUPS      (SI), Y8; \
+	VMOVUPS      32(SI), Y9; \
+	VBROADCASTSS (R8)(R14*1), Y10; \
+	VBROADCASTSS (R9)(R14*1), Y11; \
+	VBROADCASTSS (R10)(R14*1), Y12; \
+	VBROADCASTSS (R11)(R14*1), Y13; \
+	VFMADD231PS  Y8, Y10, Y0; \
+	VFMADD231PS  Y9, Y10, Y1; \
+	VFMADD231PS  Y8, Y11, Y2; \
+	VFMADD231PS  Y9, Y11, Y3; \
+	VFMADD231PS  Y8, Y12, Y4; \
+	VFMADD231PS  Y9, Y12, Y5; \
+	VFMADD231PS  Y8, Y13, Y6; \
+	VFMADD231PS  Y9, Y13, Y7; \
+	ADDQ         R12, R14; \
+	ADDQ         R13, SI
+
+TEXT ·gemmTile4x16(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ csa+40(FP), R12
+	SHLQ $2, R12
+	MOVQ b+48(FP), SI
+	MOVQ ldb+56(FP), R13
+	SHLQ $2, R13
+	MOVQ c0+64(FP), AX
+	MOVQ c1+72(FP), BX
+	MOVQ c2+80(FP), DX
+	MOVQ c3+88(FP), DI
+	XORQ R14, R14
+
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVUPS (BX), Y2
+	VMOVUPS 32(BX), Y3
+	VMOVUPS (DX), Y4
+	VMOVUPS 32(DX), Y5
+	VMOVUPS (DI), Y6
+	VMOVUPS 32(DI), Y7
+
+	MOVQ CX, R15
+	SHRQ $1, R15
+	JZ   tile32_odd
+
+tile32_loop:
+	STEP32
+	STEP32
+	DECQ R15
+	JNZ  tile32_loop
+
+tile32_odd:
+	TESTQ $1, CX
+	JZ    tile32_store
+	STEP32
+
+tile32_store:
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, (BX)
+	VMOVUPS Y3, 32(BX)
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, 32(DX)
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET

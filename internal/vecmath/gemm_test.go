@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,6 +26,14 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+func to32(v []float64) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = float32(x)
+	}
+	return out
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -105,18 +114,28 @@ func TestGemmRejectsShortOperands(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm times the three products at the LSTM's shapes: the
-// per-step recurrent product (70×32 · 32×128), the hoisted input
-// projection and the deferred weight gradient (700 rows).
+// BenchmarkGemm times the products at the LSTM's shapes: the per-step
+// recurrent product (70×32 · 32×128), the hoisted input projection,
+// the deferred weight gradient and the input gradient dx (700 rows),
+// each in float64 and, on the f32 rows beside it, in float32 — the
+// LSTM's compute precision.
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := randSlice(rng, 700*32)
 	w := randSlice(rng, 32*128)
+	wT := randSlice(rng, 128*32)
 	d := randSlice(rng, 700*128)
 	out := make([]float64, 700*128)
+	x32, w32, wT32, d32 := to32(x), to32(w), to32(wT), to32(d)
+	out32 := make([]float32, 700*128)
 	b.Run("NN/70x32x128", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			GemmNN(out, 128, x, 32, w, 128, 70, 128, 32)
+		}
+	})
+	b.Run("NN/70x32x128/f32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemmNN32(out32, 128, x32, 32, w32, 128, 70, 128, 32)
 		}
 	})
 	b.Run("NN/700x32x128", func(b *testing.B) {
@@ -124,9 +143,29 @@ func BenchmarkGemm(b *testing.B) {
 			GemmNN(out, 128, x, 32, w, 128, 700, 128, 32)
 		}
 	})
+	b.Run("NN/700x32x128/f32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemmNN32(out32, 128, x32, 32, w32, 128, 700, 128, 32)
+		}
+	})
 	b.Run("TN/32x128x700", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			GemmTN(out, 128, x, 32, d, 128, 32, 128, 700)
+		}
+	})
+	b.Run("TN/32x128x700/f32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemmTN32(out32, 128, x32, 32, d32, 128, 32, 128, 700)
+		}
+	})
+	b.Run("NN/700x128x32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemmNN(out, 32, d, 128, wT, 32, 700, 32, 128)
+		}
+	})
+	b.Run("NN/700x128x32/f32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemmNN32(out32, 32, d32, 128, wT32, 32, 700, 32, 128)
 		}
 	})
 	b.Run("NT/700x32x128", func(b *testing.B) {
@@ -138,5 +177,147 @@ func BenchmarkGemm(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gemmGo(out, 128, x, 32, 1, w, 128, 700, 0, 128, 32)
 		}
+	})
+}
+
+// gemm32Case is one float32 product and its operands.
+type gemm32Case struct {
+	m, n, k, lda, ldb, ldc int
+	trans                  bool // A given k×m (GemmTN32)
+	a, b, c                []float32
+}
+
+// run applies the dispatched kernel (the AVX2 tile where it is active)
+// or, with portable set, the Go kernel alone, to a copy of C.
+func (g gemm32Case) run(portable bool) []float32 {
+	c := append([]float32(nil), g.c...)
+	rsa, csa := g.lda, 1
+	if g.trans {
+		rsa, csa = 1, g.lda
+	}
+	switch {
+	case portable:
+		gemmGo(c, g.ldc, g.a, rsa, csa, g.b, g.ldb, g.m, 0, g.n, g.k)
+	case g.trans:
+		GemmTN32(c, g.ldc, g.a, g.lda, g.b, g.ldb, g.m, g.n, g.k)
+	default:
+		GemmNN32(c, g.ldc, g.a, g.lda, g.b, g.ldb, g.m, g.n, g.k)
+	}
+	return c
+}
+
+// check holds both bodies to the product computed in float64 within
+// the rounding bound of a k-term float32 dot product added to C,
+// (k+2)·2⁻²⁴·(|c| + Σ|a·b|), whatever order or fusing either body
+// uses, and checks that neither writes outside the m×n block.
+func (g gemm32Case) check(t *testing.T) {
+	t.Helper()
+	at := func(i, p int) float64 {
+		if g.trans {
+			return float64(g.a[p*g.lda+i])
+		}
+		return float64(g.a[i*g.lda+p])
+	}
+	tile, port := g.run(false), g.run(true)
+	for i := 0; i <= g.m && i*g.ldc < len(g.c); i++ {
+		for j := 0; j < g.ldc && i*g.ldc+j < len(g.c); j++ {
+			x := i*g.ldc + j
+			if i == g.m || j >= g.n {
+				if tile[x] != g.c[x] || port[x] != g.c[x] {
+					t.Fatalf("%+v: wrote outside the block at (%d,%d)", g.shape(), i, j)
+				}
+				continue
+			}
+			want, mag := float64(g.c[x]), math.Abs(float64(g.c[x]))
+			for p := 0; p < g.k; p++ {
+				prod := at(i, p) * float64(g.b[p*g.ldb+j])
+				want += prod
+				mag += math.Abs(prod)
+			}
+			bound := float64(g.k+2) * 0x1p-24 * mag
+			for _, body := range []struct {
+				name string
+				got  float32
+			}{{Backend(), tile[x]}, {"go", port[x]}} {
+				if d := math.Abs(float64(body.got) - want); d > bound {
+					t.Fatalf("%v (%s) at (%d,%d): %v, float64 product %v, |Δ| %g > %g", g.shape(), body.name, i, j, body.got, want, d, bound)
+				}
+			}
+		}
+	}
+}
+
+func (g gemm32Case) shape() string {
+	op := "NN"
+	if g.trans {
+		op = "TN"
+	}
+	return fmt.Sprintf("%s m=%d n=%d k=%d", op, g.m, g.n, g.k)
+}
+
+// newGemm32Case fills a case of the given shape from rng, with leading
+// dimensions wider than the rows and one spare row of C.
+func newGemm32Case(rng *rand.Rand, m, n, k int, trans bool) gemm32Case {
+	g := gemm32Case{m: m, n: n, k: k, lda: max(m, k) + 3, ldb: n + 2, ldc: n + 5, trans: trans}
+	fill := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+		}
+		return v
+	}
+	g.a = fill((max(m, k) + 1) * g.lda)
+	g.b = fill((k + 1) * g.ldb)
+	g.c = fill((m + 1) * g.ldc)
+	return g
+}
+
+// TestGemm32BodiesMatch runs the float32 products over every row count
+// mod 4 (partial tiles of one to three rows), every column count mod
+// 16 (the Go columns beside the tile) and k tails from 0 up, NN and TN:
+// the dispatched body and the Go kernel each stay within the float32
+// rounding bound of the float64 product.
+func TestGemm32BodiesMatch(t *testing.T) {
+	t.Logf("dispatched body: %s (float32 tile active: %v)", Backend(), trainAsm && simd64)
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
+		for n := 1; n <= 50; n++ {
+			for _, k := range []int{0, 1, 2, 3, 7, 16, 33} {
+				for _, trans := range []bool{false, true} {
+					newGemm32Case(rng, m, n, k, trans).check(t)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGemm32 drives both bodies with fuzzed shapes and values: byte 0
+// picks m (1–12), byte 1 n (1–48), byte 2 k (0–40) and the transpose,
+// and the rest are the operands' values as signed bytes scaled by a
+// power of two the next byte picks, so magnitudes span 2⁻²⁰ to 2²⁰.
+func FuzzGemm32(f *testing.F) {
+	f.Add([]byte{3, 17, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0, 15, 64 + 31, 0x80, 0x7f, 0xff, 0x01})
+	f.Add([]byte{11, 47, 39, 20, 200, 13, 77})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		m, n, k := 1+int(data[0])%12, 1+int(data[1])%48, int(data[2])%41
+		trans := data[2]&64 != 0
+		vals, scale := data[3:], math.Ldexp(1, int(data[3])%41-20)
+		next := 0
+		value := func() float32 {
+			v := float64(int8(vals[next%len(vals)])) * scale
+			next++
+			return float32(v)
+		}
+		g := newGemm32Case(rand.New(rand.NewSource(1)), m, n, k, trans)
+		for _, s := range [][]float32{g.a, g.b, g.c} {
+			for i := range s {
+				s[i] = value()
+			}
+		}
+		g.check(t)
 	})
 }

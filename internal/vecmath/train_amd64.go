@@ -15,11 +15,16 @@ const trainAsm = true
 //go:noescape
 func gemmTile4x8(k int, a0, a1, a2, a3 *float64, csa int, b *float64, ldb int, c0, c1, c2, c3 *float64)
 
-// sigmoidAVX2 and tanhAVX2 (activ_amd64.s) take equal-length slices of
-// any length, dst the same as src or disjoint from it.
+// gemmTile4x16 is gemmTile4x8 in float32 over sixteen columns.
 //
 //go:noescape
-func sigmoidAVX2(dst, src []float64)
+func gemmTile4x16(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, c0, c1, c2, c3 *float32)
+
+// sigmoid32AVX2 and tanh32AVX2 (activ_amd64.s) take equal-length
+// slices of any length, dst the same as src or disjoint from it.
+//
+//go:noescape
+func sigmoid32AVX2(dst, src []float32)
 
 //go:noescape
-func tanhAVX2(dst, src []float64)
+func tanh32AVX2(dst, src []float32)
