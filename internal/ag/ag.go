@@ -10,11 +10,10 @@
 // A Tape is a bump arena: nodes, their values and their gradients (and
 // LSTMSeq's float32 working set) live in slabs the tape owns, so a
 // forward/backward pass allocates almost nothing once the slabs have
-// grown to the pass's size. Reset rewinds
-// the arena for the next pass; every Node and matrix obtained from the
-// tape before the Reset is invalid after it. A tape that is never reset
-// (one New per pass) stays correct and simply lets the collector take
-// the slabs.
+// grown to the pass's size. Reset rewinds the arena for the next pass;
+// every Node and matrix obtained from the tape before the Reset is
+// invalid after it. A tape that is never reset (one New per pass) stays
+// correct and simply lets the collector take the slabs.
 //
 // Every operator's gradient is verified against central finite differences
 // in ag_test.go.
@@ -23,6 +22,7 @@ package ag
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"ehna/internal/tensor"
 	"ehna/internal/vecmath"
@@ -52,7 +52,7 @@ func (n *Node) Grad() *tensor.Matrix {
 
 const (
 	nodeSlab      = 64      // nodes per slab
-	minFloatChunk = 1 << 12 // elements in an arena's first chunk
+	minFloatChunk = 1 << 12 // floats in a tape's first chunk (32 KB)
 )
 
 // Tape records nodes in topological (creation) order.
@@ -60,15 +60,9 @@ type Tape struct {
 	noGrad bool
 	nodes  [][]Node // slabs of nodeSlab nodes; a slab never moves
 	n      int      // nodes recorded since the last Reset
-	f64    arena[float64]
-	f32    arena[float32] // LSTMSeq's float32 working set
-}
-
-// arena is a bump allocator over chunks of F; a chunk never moves.
-type arena[F float32 | float64] struct {
-	chunks [][]F
+	chunks [][]float64
 	chunk  int // chunk being filled
-	off    int // elements handed out of it
+	off    int // floats handed out of it
 }
 
 // New returns an empty tape. It owns no memory until the first node is
@@ -83,23 +77,17 @@ func NewNoGrad() *Tape { return &Tape{noGrad: true} }
 // Reset forgets every recorded node and rewinds the arena, keeping its
 // memory for the next pass.
 func (t *Tape) Reset() {
-	t.n = 0
-	t.f64.reset()
-	t.f32.reset()
-}
-
-func (a *arena[F]) reset() {
-	if len(a.chunks) > 1 {
+	if len(t.chunks) > 1 {
 		// The pass outgrew the first chunk: replace the chunks by one
 		// that holds what the pass used and a quarter more, so that
 		// the steady state is a single slab sized to the largest pass.
-		used := a.off
-		for _, c := range a.chunks[:a.chunk] {
+		used := t.off
+		for _, c := range t.chunks[:t.chunk] {
 			used += len(c)
 		}
-		a.chunks = [][]F{make([]F, used+used/4)}
+		t.chunks = [][]float64{make([]float64, used+used/4)}
 	}
-	a.chunk, a.off = 0, 0
+	t.n, t.chunk, t.off = 0, 0, 0
 }
 
 // Len returns the number of recorded nodes (useful for instrumentation).
@@ -107,28 +95,36 @@ func (t *Tape) Len() int { return t.n }
 
 // alloc returns n floats of arena memory with arbitrary contents, for
 // buffers the caller overwrites in full.
-func (t *Tape) alloc(n int) []float64 { return t.f64.alloc(n) }
-
-// alloc32 is alloc for float32 buffers.
-func (t *Tape) alloc32(n int) []float32 { return t.f32.alloc(n) }
-
-func (a *arena[F]) alloc(n int) []F {
-	for ; a.chunk < len(a.chunks); a.chunk, a.off = a.chunk+1, 0 {
-		if c := a.chunks[a.chunk]; a.off+n <= len(c) {
-			s := c[a.off : a.off+n : a.off+n]
-			a.off += n
+func (t *Tape) alloc(n int) []float64 {
+	for ; t.chunk < len(t.chunks); t.chunk, t.off = t.chunk+1, 0 {
+		if c := t.chunks[t.chunk]; t.off+n <= len(c) {
+			s := c[t.off : t.off+n : t.off+n]
+			t.off += n
 			return s
 		}
 	}
-	// Grow by half of what the arena holds, so that a tape that is
+	// Grow by half of what the tape holds, so that a tape that is
 	// never reset ends at most half again as large as its one pass.
 	size := minFloatChunk
-	for _, c := range a.chunks {
+	for _, c := range t.chunks {
 		size += len(c) / 2
 	}
-	a.chunks = append(a.chunks, make([]F, max(n, size)))
-	a.off = n
-	return a.chunks[a.chunk][:n:n]
+	t.chunks = append(t.chunks, make([]float64, max(n, size)))
+	t.off = n
+	return t.chunks[t.chunk][:n:n]
+}
+
+// alloc32 is alloc for LSTMSeq's float32 buffers: arena memory viewed
+// as float32, two to a float64. Sharing the float64 chunks means the
+// float32 working set grows, coalesces and rewinds with the rest of the
+// pass; an arena of its own would pay its own growth allocations every
+// time a tape is built.
+func (t *Tape) alloc32(n int) []float32 {
+	if n == 0 {
+		return nil
+	}
+	s := t.alloc((n + 1) / 2)
+	return unsafe.Slice((*float32)(unsafe.Pointer(&s[0])), n)
 }
 
 // zeros returns n zeroed floats of arena memory.
