@@ -114,17 +114,12 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 	}
 	h4, rows := 4*h, T*n
 
-	// Pack: wp is in×4h, up is h×4h, and their transposes serve the
-	// backward products (dx = dpre·wpᵀ) as plain row-major operands.
-	wp, wpT := t.alloc32(in*h4), t.alloc32(h4*in)
-	up, upT := t.alloc32(h*h4), t.alloc32(h4*h)
-	bias := t.alloc32(h4)
+	// Pack: wp is in×4h, up is h×4h.
+	wp, up, bias := t.alloc32(in*h4), t.alloc32(h*h4), t.alloc32(h4)
 	for gi, g := range gates {
-		packGate(wp, wpT, g[0].Value, gi*h, h4)
-		packGate(up, upT, g[1].Value, gi*h, h4)
-		for j, v := range g[2].Value.Data {
-			bias[gi*h+j] = float32(v)
-		}
+		packGate(wp, g[0].Value, gi*h, h4)
+		packGate(up, g[1].Value, gi*h, h4)
+		packGate(bias, g[2].Value, gi*h, h4)
 	}
 	// x with a column of ones after its in features (leading dimension
 	// ldx): the forward product reads the first in columns, the weight
@@ -191,7 +186,9 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 	}
 
 	out.back = func(out *Node) {
-		dout := out.grad.Data
+		// The backward products take the packed weights transposed,
+		// as plain row-major operands (dx = dpre·wpᵀ).
+		wpT, upT := t.transpose32(wp, in, h4), t.transpose32(up, h, h4)
 		dh, dc := t.zeros32(n*h), t.zeros32(n*h) // gradient reaching step s from step s+1
 		dhPrev, zeroRow := t.alloc32(n*h), t.zeros32(h)
 		dpre := act // each row's activations are read once, then overwritten
@@ -200,14 +197,16 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 			for r := 0; r < n; r++ {
 				row := lo + r
 				at, prev := row*h, (row-n)*h
-				dhr, dcr, dhp := dh[r*h:][:h], dc[r*h:][:h], dhPrev[r*h:][:h]
+				// dh of this row: what step s+1 passed back plus the
+				// gradient of its own output.
+				dhr, dout := dh[r*h:][:h], out.grad.Data[at:][:h]
+				dcr, dhp := dc[r*h:][:h], dhPrev[r*h:][:h]
 				dp := dpre[row*h4 : (row+1)*h4]
-				for j, g := range dout[at : at+h] {
-					dhr[j] += float32(g)
-				}
 				if s >= seqLen(lens, r, T) {
 					// Padding: the state passed through unchanged.
-					copy(dhp, dhr)
+					for j, g := range dout {
+						dhp[j] = dhr[j] + float32(g)
+					}
 					clear(dp)
 					continue
 				}
@@ -219,7 +218,7 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 				di, df, do, dg := dp[:h], dp[h:][:h], dp[2*h:][:h], dp[3*h:][:h]
 				for j := range dhr {
 					iv, fv, ov, gv := di[j], df[j], do[j], dg[j]
-					dhv, tcv := dhr[j], tcr[j]
+					dhv, tcv := dhr[j]+float32(dout[j]), tcr[j]
 					dcv := dcr[j] + dhv*ov*(1-tcv*tcv)
 					di[j] = dcv * gv * iv * (1 - iv)
 					df[j] = dcv * cPrev[j] * fv * (1 - fv)
@@ -260,16 +259,23 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 }
 
 // packGate narrows w (rows×h) into columns [col, col+h) of the packed
-// rows×ld float32 matrix p, and its transpose into rows [col, col+h)
-// of the ld×rows matrix pT.
-func packGate(p, pT []float32, w *tensor.Matrix, col, ld int) {
+// rows×ld float32 matrix p.
+func packGate(p []float32, w *tensor.Matrix, col, ld int) {
 	for k := 0; k < w.Rows; k++ {
-		prow := p[k*ld+col:][:w.Cols]
-		for j, v := range w.Row(k) {
-			prow[j] = float32(v)
-			pT[(col+j)*w.Rows+k] = prow[j]
+		vecmath.F64To32(p[k*ld+col:][:w.Cols], w.Row(k))
+	}
+}
+
+// transpose32 returns the cols×rows transpose of the rows×cols matrix
+// a, on the tape.
+func (t *Tape) transpose32(a []float32, rows, cols int) []float32 {
+	at := t.alloc32(rows * cols)
+	for i := 0; i < rows; i++ {
+		for j, v := range a[i*cols : (i+1)*cols] {
+			at[j*rows+i] = v
 		}
 	}
+	return at
 }
 
 // unpackGate widens columns [col, col+h) of the packed float32
