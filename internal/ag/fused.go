@@ -197,8 +197,8 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 			for r := 0; r < n; r++ {
 				row := lo + r
 				at, prev := row*h, (row-n)*h
-				// dh of this row: what step s+1 passed back plus the
-				// gradient of its own output.
+				// The hidden state's gradient is what step s+1 passed
+				// back (dhr) plus that of the row's own output (dout).
 				dhr, dout := dh[r*h:][:h], out.grad.Data[at:][:h]
 				dcr, dhp := dc[r*h:][:h], dhPrev[r*h:][:h]
 				dp := dpre[row*h4 : (row+1)*h4]
@@ -210,23 +210,12 @@ func (t *Tape) LSTMSeq(w LSTMWeights, x *Node, lens []int, T int) *Node {
 					clear(dp)
 					continue
 				}
-				tcr, cPrev := tc[at:at+h], zeroRow // zero: the state before step 0
+				cPrev := zeroRow // the state before step 0
 				if s > 0 {
-					cPrev = cs[prev:]
+					cPrev = cs[prev:][:h]
 				}
-				cPrev = cPrev[:h]
-				di, df, do, dg := dp[:h], dp[h:][:h], dp[2*h:][:h], dp[3*h:][:h]
-				for j := range dhr {
-					iv, fv, ov, gv := di[j], df[j], do[j], dg[j]
-					dhv, tcv := dhr[j]+float32(dout[j]), tcr[j]
-					dcv := dcr[j] + dhv*ov*(1-tcv*tcv)
-					di[j] = dcv * gv * iv * (1 - iv)
-					df[j] = dcv * cPrev[j] * fv * (1 - fv)
-					do[j] = dhv * tcv * ov * (1 - ov)
-					dg[j] = dcv * iv * (1 - gv*gv)
-					dcr[j] = dcv * fv
-					dhp[j] = 0
-				}
+				vecmath.LSTMGateGrads32(dp, dhr, dout, dcr, tc[at:at+h], cPrev)
+				clear(dhp)
 			}
 			if s > 0 {
 				vecmath.GemmNN32(dhPrev, h, dpre[lo*h4:], h4, upT, h, n, h, h4)

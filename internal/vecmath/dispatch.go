@@ -26,11 +26,12 @@
 // assembly entirely (CI runs the vecmath, ann and training suites both
 // ways).
 //
-// Two kernel sets exist on amd64 only and serve training, not serving:
-// the GEMM tiles (gemm.go; float64 4×8 and float32 4×16) and the
-// float32 block activations (activ.go). They
-// check simd64 behind the trainAsm build constant, so arm64 — whose
-// simd64 means NEON Dot/SqDist — takes their portable loops.
+// Three kernel sets exist on amd64 only and serve training, not
+// serving: the GEMM tiles (gemm.go; float64 4×8 and float32 4×16), the
+// float32 block activations (activ.go) and the LSTM's backward gate
+// arithmetic (lstm.go). They check simd64 behind the trainAsm build
+// constant, so arm64 — whose simd64 means NEON Dot/SqDist — takes their
+// portable loops.
 package vecmath
 
 // Backend reports the active kernel backend: "avx2", "neon" or

@@ -326,6 +326,7 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 		TanhInto32(act, x)
 		GemmNN32(cm, 16, x, 16, y, 16, 8, 16, 8)
 		GemmTN32(cm, 16, x, 16, y, 16, 8, 16, 8)
+		LSTMGateGrads32(act, x[:32], a[:32], y[:32], x[32:64], y[32:64])
 	})
 	if allocs != 0 {
 		t.Fatalf("dispatched kernels allocated %v times per run", allocs)

@@ -28,3 +28,9 @@ func sigmoid32AVX2(dst, src []float32)
 
 //go:noescape
 func tanh32AVX2(dst, src []float32)
+
+// lstmGateGradsAVX2 (lstm_amd64.s) is LSTMGateGrads32 over units
+// [0, n), n a multiple of eight.
+//
+//go:noescape
+func lstmGateGradsAVX2(gates, dh []float32, dout []float64, dc, tc, cPrev []float32, n int)

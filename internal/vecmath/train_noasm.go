@@ -14,3 +14,7 @@ func gemmTile4x16(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, 
 
 func sigmoid32AVX2(dst, src []float32) { panic("vecmath: no simd backend") }
 func tanh32AVX2(dst, src []float32)    { panic("vecmath: no simd backend") }
+
+func lstmGateGradsAVX2(gates, dh []float32, dout []float64, dc, tc, cPrev []float32, n int) {
+	panic("vecmath: no simd backend")
+}
