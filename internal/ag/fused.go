@@ -83,14 +83,15 @@ func seqLen(lens []int, r, T int) int {
 // of mixed-precision training: it narrows the weights and x on entry,
 // keeps its whole working set (packed weights, gate activations, cell
 // states, the float32 copy of the hidden states the recurrence reads,
-// the pre-activation gradients) in the tape's float32 arena, and widens
-// on exit — the output node, and dx, the weight gradients and the bias
-// gradient as it adds them to the float64 gradients. The parameters,
-// the optimizer state and every other node stay float64, and the
-// op-by-op float64 composition of Sigmoid and Tanh is the oracle it is
-// held to (fused_test.go, internal/ehna/reference_test.go). Each row of
-// the batch is computed by the same instructions whatever rows share
-// it, so a sequence's output does not depend on its batch, bit for bit.
+// the pre-activation gradients) in float32 buffers on the tape
+// (Tape.alloc32, rewound by Reset), and widens on exit — the output
+// node, and dx, the weight gradients and the bias gradient as it adds
+// them to the float64 gradients. The parameters, the optimizer state
+// and every other node stay float64, and the op-by-op float64
+// composition of Sigmoid and Tanh is the oracle it is held to
+// (fused_test.go, internal/ehna/reference_test.go). Each row of the
+// batch is computed by the same instructions whatever rows share it, so
+// a sequence's output does not depend on its batch, bit for bit.
 //
 // The four gates are packed side by side into one in×4h and one h×4h
 // matrix per call, so the input projection of all T steps is a single

@@ -18,9 +18,9 @@ package vecmath
 //
 // GemmNN32 and GemmTN32 are the same two products in float32, the
 // LSTM's compute precision: the AVX2 tile is 4×16 (eight YMM
-// accumulators of eight lanes), so each FMA moves half the bytes of B
-// that the float64 tile does, and the portable kernel is the same
-// generic Go loop. Every element of C is accumulated in k order by one
+// accumulators of eight lanes), so each byte of B it loads feeds twice
+// the multiply-adds of the float64 tile, and the portable kernel is the
+// same generic Go loop. Every element of C is accumulated in k order by one
 // body chosen by its column alone, so a row's result never depends on
 // which other rows share the call.
 

@@ -37,15 +37,15 @@ func LSTMGateGrads32(gates, dh []float32, dout []float64, dc, tc, cPrev []float3
 // lstmGateGradsGo is LSTMGateGrads32 over units [j0, h).
 func lstmGateGradsGo(gates, dh []float32, dout []float64, dc, tc, cPrev []float32, j0 int) {
 	h := len(dh)
-	gi, gf, go_, gg := gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:4*h]
+	i, f, o, g := gates[:h], gates[h:2*h], gates[2*h:3*h], gates[3*h:4*h]
 	for j := j0; j < h; j++ {
-		iv, fv, ov, gv := gi[j], gf[j], go_[j], gg[j]
+		iv, fv, ov, gv := i[j], f[j], o[j], g[j]
 		dhv, tcv := dh[j]+float32(dout[j]), tc[j]
 		dcv := dc[j] + float32(dhv*ov*(1-float32(tcv*tcv)))
-		gi[j] = dcv * gv * iv * (1 - iv)
-		gf[j] = dcv * cPrev[j] * fv * (1 - fv)
-		go_[j] = dhv * tcv * ov * (1 - ov)
-		gg[j] = dcv * iv * (1 - float32(gv*gv))
+		i[j] = dcv * gv * iv * (1 - iv)
+		f[j] = dcv * cPrev[j] * fv * (1 - fv)
+		o[j] = dhv * tcv * ov * (1 - ov)
+		g[j] = dcv * iv * (1 - float32(gv*gv))
 		dc[j] = dcv * fv
 	}
 }
