@@ -198,7 +198,7 @@ func BenchmarkEmbstoreBulkLoad(b *testing.B) {
 			emb := tensor.Randn(n, servingDim, 1, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+				s, err := embstore.FromMatrix(emb, embstore.F32)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.St
 	b.Helper()
 	rng := rand.New(rand.NewSource(2))
 	emb := tensor.Randn(n, servingDim, 1, rng)
-	s, err := embstore.FromMatrix(emb, embstore.DefaultShards, prec)
+	s, err := embstore.FromMatrix(emb, prec)
 	if err != nil {
 		b.Fatal(err)
 	}

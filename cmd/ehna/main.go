@@ -178,7 +178,7 @@ func cmdTrain(args []string) error {
 // writeSnapshot exports emb (row i is node i) as an f32 v3 store
 // snapshot: the training→serving hand-off.
 func writeSnapshot(path string, emb *tensor.Matrix) error {
-	store, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+	store, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		return err
 	}

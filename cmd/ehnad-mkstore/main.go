@@ -70,7 +70,6 @@ func main() {
 		n         = flag.Int("n", 100_000, "vectors to generate")
 		dim       = flag.Int("dim", 64, "vector dimensionality")
 		precision = flag.String("precision", "sq8", "slab precision of the snapshot: f32 or sq8")
-		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
 		seed      = flag.Int64("seed", 1, "dataset RNG seed")
 		queries   = flag.Int("queries", 100, "held-out queries to compute exact truth for (0 disables truth.json)")
 		k         = flag.Int("k", 10, "truth depth per query")
@@ -106,7 +105,7 @@ func main() {
 	if *efCons > 0 {
 		hcfg.EfConstruction = *efCons
 	}
-	if err := generate(*out, *n, *dim, *shards, prec, *seed, *queries, *k, *hnsw, hcfg); err != nil {
+	if err := generate(*out, *n, *dim, prec, *seed, *queries, *k, *hnsw, hcfg); err != nil {
 		log.Fatalf("ehnad-mkstore: %v", err)
 	}
 }
@@ -115,11 +114,11 @@ func main() {
 // precision, scoring each against the query sample as it goes (exact
 // full-precision cosine truth in the same pass), then writes the
 // artifacts.
-func generate(out string, n, dim, shards int, prec embstore.Precision, seed int64, nq, k int, buildGraph bool, hcfg ann.HNSWConfig) error {
+func generate(out string, n, dim int, prec embstore.Precision, seed int64, nq, k int, buildGraph bool, hcfg ann.HNSWConfig) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	store, err := embstore.New(dim, shards, prec)
+	store, err := embstore.New(dim, prec)
 	if err != nil {
 		return err
 	}

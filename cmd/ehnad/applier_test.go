@@ -183,7 +183,7 @@ func TestReplicateDivergedLeavesLogWritable(t *testing.T) {
 // racing multi-update upserts sees each batch whole or not at all.
 func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 	const dim, width, rounds = 4, 64, 200
-	store, err := embstore.New(dim, 4, embstore.F32)
+	store, err := embstore.New(dim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 func TestSnapshotKeepsGraphParameters(t *testing.T) {
 	const dim, n = 8, 200
 	dir := t.TempDir()
-	store, err := embstore.New(dim, 4, embstore.F32)
+	store, err := embstore.New(dim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

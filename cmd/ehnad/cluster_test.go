@@ -103,7 +103,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 	// state the durability contract promises to preserve.
 	refs := map[string]*embstore.Store{}
 	for _, name := range []string{"a", "b"} {
-		ref, err := embstore.New(crashDim, 4, embstore.F32)
+		ref, err := embstore.New(crashDim, embstore.F32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 
 	// Acked-prefix equality: the promoted node's state must be exactly
 	// the acked shard-a ops with seq ≤ the promotion watermark.
-	prefixRef, err := embstore.New(crashDim, 4, embstore.F32)
+	prefixRef, err := embstore.New(crashDim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestClusterFailoverE2E(t *testing.T) {
 
 	// ---- Phase 4: scatter-gather quality. Recall@10 of router answers
 	// vs an exact scan over the union reference.
-	union, err := embstore.New(crashDim, 4, embstore.F32)
+	union, err := embstore.New(crashDim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

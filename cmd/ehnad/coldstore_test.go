@@ -39,7 +39,7 @@ func mmapConfigAt(walDir string, prec embstore.Precision, dim int) serverConfig 
 func seedDaemon(t *testing.T, srv *server, n, dim int, seed int64) *embstore.Store {
 	t.Helper()
 	emb := tensor.Randn(n, dim, 1, rand.New(rand.NewSource(seed)))
-	ref, err := embstore.New(dim, 4, srv.store.Precision())
+	ref, err := embstore.New(dim, srv.store.Precision())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMmapBootRotateFold(t *testing.T) {
 // ignores the seed.
 func TestSeedSnapshotBootsMmap(t *testing.T) {
 	const dim, n = 12, 150
-	ref, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(63))), 4, embstore.F32)
+	ref, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(63))), embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestCrashMmapMidRotationE2E(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir, "EHNAD_STORE=mmap")
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4, embstore.F32)
+	reference, err := embstore.New(crashDim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,5 +372,93 @@ func TestCrashMmapMidRotationE2E(t *testing.T) {
 	if !srv.store.Equal(reference) {
 		t.Fatalf("recovered store (%d nodes) diverges from acked reference (%d nodes)",
 			srv.store.Len(), reference.Len())
+	}
+}
+
+// TestLegacyShardedSnapshotBoot: a snapshot written in four runs, when
+// the store was striped over four lock shards
+// (internal/embstore/testdata/sq8shards.snap, its rows in
+// sq8shards.json), boots as a -snapshot seed and as a WAL directory's
+// own store.snap, -store ram and -store mmap alike, serving every row
+// bit for bit; the first rotation writes it back as one run.
+func TestLegacyShardedSnapshotBoot(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "embstore", "testdata")
+	fixture := filepath.Join(testdata, "sq8shards.snap")
+	raw, err := os.ReadFile(filepath.Join(testdata, "sq8shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		ID     graph.NodeID `json:"id"`
+		Vector []float64    `json:"vector"`
+	}
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want, err := embstore.New(8, embstore.SQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := want.Upsert(r.ID, r.Vector); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// runs reads the v3 header's run count (bytes 20–24, little-endian).
+	runs := func(t *testing.T, path string) uint32 {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil || len(data) < 24 {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		return uint32(data[20]) | uint32(data[21])<<8 | uint32(data[22])<<16 | uint32(data[23])<<24
+	}
+	if n := runs(t, fixture); n != 4 {
+		t.Fatalf("fixture has %d runs, want 4", n)
+	}
+	serves := func(t *testing.T, srv *server, cold bool) {
+		t.Helper()
+		if srv.store.Cold() != cold || !srv.store.Equal(want) || !want.Equal(srv.store) {
+			t.Fatalf("cold=%v, or the served store differs from the fixture's rows", srv.store.Cold())
+		}
+	}
+	for _, mode := range []string{"ram", "mmap"} {
+		t.Run(mode+" seed", func(t *testing.T) {
+			srv, err := buildServer(serverConfig{snapshot: fixture, storeMode: mode, index: testIndexOptions("exact")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.close()
+			serves(t, srv, mode == "mmap")
+		})
+		t.Run(mode+" own", func(t *testing.T) {
+			dir := t.TempDir()
+			data, err := os.ReadFile(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own := walSnapshotV3Path(dir)
+			if err := os.WriteFile(own, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := walConfigAt(dir, 0, 0)
+			cfg.storeMode = mode
+			srv, err := buildServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.close()
+			serves(t, srv, mode == "mmap")
+			if srv.dur.applied() != 11 {
+				t.Fatalf("applied seq %d, want the fixture's watermark 11", srv.dur.applied())
+			}
+			if _, err := srv.dur.snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if n := runs(t, own); n != 1 {
+				t.Fatalf("store.snap after a rotation has %d runs, want 1", n)
+			}
+			serves(t, srv, mode == "mmap")
+		})
 	}
 }

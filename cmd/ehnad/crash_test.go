@@ -41,7 +41,6 @@ const (
 func crashTestConfig(walDir string) serverConfig {
 	return serverConfig{
 		dim:              crashDim,
-		shards:           4,
 		index:            testIndexOptions("hnsw"),
 		maxBatch:         16,
 		window:           0,
@@ -196,7 +195,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir)
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4, embstore.F32)
+	reference, err := embstore.New(crashDim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +372,7 @@ func TestGracefulSIGTERM(t *testing.T) {
 	cmd, base := startCrashHelper(t, walDir)
 
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	reference, err := embstore.New(crashDim, 4, embstore.F32)
+	reference, err := embstore.New(crashDim, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestBootFlagErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, `unknown index "`+removed+`" (want exact or hnsw)`) {
 		t.Errorf("-index %s: exit %d, stderr %q; want a boot error naming exact and hnsw", removed, code, stderr)
 	}
-	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed", "-model"} {
+	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed", "-model", "-shards"} {
 		code, stderr := runMain(t, append(boot, gone, "8")...)
 		if code == 0 || !strings.Contains(stderr, "flag provided but not defined: "+gone) {
 			t.Errorf("%s: exit %d, stderr %q; want an undefined-flag boot error", gone, code, stderr)
@@ -75,7 +75,7 @@ func TestBootFlagErrors(t *testing.T) {
 		t.Errorf("no source: exit %d, stderr %q; want a boot error naming -snapshot and -dim", code, stderr)
 	}
 
-	// The flag surface is pinned: 24 flags, -index defaulting to hnsw,
+	// The flag surface is pinned: 23 flags, -index defaulting to hnsw,
 	// -precision offering f32 and sq8 only.
 	_, usage := runMain(t, "-h")
 	var flags []string
@@ -84,8 +84,8 @@ func TestBootFlagErrors(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if len(flags) != 24 {
-		t.Errorf("ehnad -h lists %d flags, want 24: %v", len(flags), flags)
+	if len(flags) != 23 {
+		t.Errorf("ehnad -h lists %d flags, want 23: %v", len(flags), flags)
 	}
 	if !strings.Contains(usage, "vector slab precision: f32 (float32 rows) or sq8") || strings.Contains(usage, "f64") {
 		t.Errorf("ehnad -h does not show -precision as f32 or sq8 with no f64:\n%s", usage)
@@ -103,7 +103,7 @@ func TestBootFlagErrors(t *testing.T) {
 func TestNonV3SnapshotRefused(t *testing.T) {
 	gobPath := writeModelCheckpoint(t)
 
-	base := serverConfig{snapshot: gobPath, shards: 4, index: testIndexOptions("exact")}
+	base := serverConfig{snapshot: gobPath, index: testIndexOptions("exact")}
 	wal := base
 	wal.walDir, wal.fsync = t.TempDir(), "never"
 	mapped := base

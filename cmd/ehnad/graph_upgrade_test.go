@@ -15,7 +15,7 @@ import (
 
 // TestGobGraphUpgrade pins the upgrade from a version that wrote the
 // HNSW graph as gob, on the pair such a version left behind
-// (testdata/gobgraph: store.snap, 200 × dim-8 sq8 in one shard, and its
+// (testdata/gobgraph: store.snap, 200 × dim-8 sq8 in one run, and its
 // graph.gob, written by `ehnad-mkstore -hnsw` at the last gob commit).
 // With -wal the gob graph is rebuilt from the store and the file
 // rewritten in the flat format, which the next boot loads as is;
@@ -96,7 +96,7 @@ func TestGobGraphUpgrade(t *testing.T) {
 	})
 
 	t.Run("without wal", func(t *testing.T) {
-		cfg := serverConfig{snapshot: filepath.Join(testdata, "store.snap"), storeMode: "mmap", shards: 4, index: testIndexOptions("hnsw")}
+		cfg := serverConfig{snapshot: filepath.Join(testdata, "store.snap"), storeMode: "mmap", index: testIndexOptions("hnsw")}
 		cfg.index.graphPath = filepath.Join(t.TempDir(), "graph.gob")
 		if err := os.WriteFile(cfg.index.graphPath, gobGraph, 0o644); err != nil {
 			t.Fatal(err)

@@ -103,7 +103,6 @@ func main() {
 		dim       = flag.Int("dim", 0, "boot an empty store of this dimensionality when there is no snapshot to load")
 		precision = flag.String("precision", "", "vector slab precision: f32 (float32 rows) or sq8 (int8 scalar quantization, ~4x less memory; recall gated >= 0.95). Unset: serve the snapshot at the precision it was written in, a new store at f32. Set: convert the snapshot to this layout on load. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
-		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
 		indexKind = flag.String("index", "hnsw", "ann index: exact or hnsw")
 		m         = flag.Int("m", 16, "hnsw: graph degree M (layer 0 allows 2M links)")
 		efCons    = flag.Int("ef-construction", 200, "hnsw: build-time beam width")
@@ -148,7 +147,6 @@ func main() {
 		dim:       *dim,
 		precision: prec,
 		storeMode: *storeMode,
-		shards:    *shards,
 		index: indexOptions{
 			kind:           *indexKind,
 			metric:         mt,
@@ -172,9 +170,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("ehnad: %v", err)
 	}
-	log.Printf("ehnad: store loaded: %d nodes × %d dims across %d shards at %s (%d bytes/vector), %s index (%s metric)",
-		srv.store.Len(), srv.store.Dim(), srv.store.NumShards(),
-		srv.store.Precision(), srv.store.Precision().BytesPerVector(srv.store.Dim()), *indexKind, mt)
+	log.Printf("ehnad: store loaded: %d nodes × %d dims at %s (%d bytes/vector), %s index (%s metric)",
+		srv.store.Len(), srv.store.Dim(), srv.store.Precision(),
+		srv.store.Precision().BytesPerVector(srv.store.Dim()), *indexKind, mt)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -226,7 +224,6 @@ type serverConfig struct {
 	dim       int
 	precision embstore.Precision // zero: follow the base snapshot, f32 for a new store
 	storeMode string             // "" or "ram" (heap slabs) | "mmap" (mapped v3 base + overlay)
-	shards    int
 	index     indexOptions
 	maxBatch  int
 	window    time.Duration
@@ -380,7 +377,7 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 		if prec == 0 {
 			prec = embstore.F32
 		}
-		if heap, err = embstore.New(cfg.dim, cfg.shards, prec); err != nil {
+		if heap, err = embstore.New(cfg.dim, prec); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -389,7 +386,7 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 	viaHeap := !mmapMode || (own != "" && base != own)
 	for {
 		if heap == nil && viaHeap {
-			if heap, watermark, err = loadHeapStore(base, cfg.shards, cfg.precision); err != nil {
+			if heap, watermark, err = loadHeapStore(base, cfg.precision); err != nil {
 				return nil, 0, fmt.Errorf("load snapshot %s: %w", base, err)
 			}
 			if base != own {
@@ -436,15 +433,15 @@ func openStore(cfg serverConfig) (*embstore.Store, uint64, error) {
 // loadHeapStore loads the snapshot at path into heap slabs at prec; the
 // zero prec keeps the precision the file was written in, f32 for a
 // legacy float64 file.
-func loadHeapStore(path string, shards int, prec embstore.Precision) (*embstore.Store, uint64, error) {
+func loadHeapStore(path string, prec embstore.Precision) (*embstore.Store, uint64, error) {
 	if prec == 0 {
-		s, watermark, err := embstore.LoadSnapshotV3(path, shards)
+		s, watermark, err := embstore.LoadSnapshotV3(path, embstore.DefaultShards)
 		if !errors.Is(err, embstore.ErrF64Snapshot) {
 			return s, watermark, err
 		}
 		prec = embstore.F32
 	}
-	return embstore.LoadSnapshotV3At(path, shards, prec)
+	return embstore.LoadSnapshotV3At(path, prec)
 }
 
 // writeStoreSnapshotV3 publishes a flat v3 snapshot of store via the

@@ -112,7 +112,7 @@ func trainedStore(t *testing.T) (*embstore.Store, *graph.Temporal) {
 	if trained.err != nil {
 		t.Fatal(trained.err)
 	}
-	store, err := embstore.FromMatrix(trained.emb, 4, embstore.F32)
+	store, err := embstore.FromMatrix(trained.emb, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +690,6 @@ func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	walDir := t.TempDir()
 	cfg := serverConfig{
 		snapshot: seedPath,
-		shards:   4,
 		index:    testIndexOptions("hnsw"),
 		maxBatch: 16,
 		window:   time.Millisecond,

@@ -75,8 +75,6 @@ func newServerMetrics(s *server) *serverMetrics {
 		func() float64 { return float64(s.store.Len()) })
 	r.GaugeFunc("ehnad_store_dim", "Vector dimensionality.",
 		func() float64 { return float64(s.store.Dim()) })
-	r.GaugeFunc("ehnad_store_shards", "Store shard count.",
-		func() float64 { return float64(s.store.NumShards()) })
 	r.GaugeFunc("ehnad_store_bytes_per_vector", "Slab bytes per stored vector (payload + sidecars).",
 		func() float64 { return float64(s.store.Precision().BytesPerVector(s.store.Dim())) })
 	// Store residency mode as an info gauge, plus — in mmap mode — the

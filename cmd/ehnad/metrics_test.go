@@ -83,7 +83,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// One client-side batch and one single query against an sq8 copy of
 	// the store: on a SIMD backend the store scan answers both instead
 	// of the beam (scanPlan), and has its own series.
-	sq8, err := embstore.FromMatrix(trained.emb, 4, embstore.SQ8)
+	sq8, err := embstore.FromMatrix(trained.emb, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +175,9 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var hz struct {
-		Nodes  int `json:"nodes"`
-		Dim    int `json:"dim"`
-		Shards int `json:"shards"`
-		Graph  struct {
+		Nodes int `json:"nodes"`
+		Dim   int `json:"dim"`
+		Graph struct {
 			Nodes  int `json:"nodes"`
 			Layers int `json:"layers"`
 		} `json:"graph"`
@@ -191,7 +190,6 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 	for series, want := range map[string]int{
 		"ehnad_store_nodes":  hz.Nodes,
 		"ehnad_store_dim":    hz.Dim,
-		"ehnad_store_shards": hz.Shards,
 		"ehnad_graph_nodes":  hz.Graph.Nodes,
 		"ehnad_graph_layers": hz.Graph.Layers,
 	} {

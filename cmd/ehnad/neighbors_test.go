@@ -26,7 +26,7 @@ import (
 // gaussianStore is a seeded store of n Gaussian vectors.
 func gaussianStore(t testing.TB, n, dim int, prec embstore.Precision) *embstore.Store {
 	t.Helper()
-	store, err := embstore.New(dim, 0, prec)
+	store, err := embstore.New(dim, prec)
 	if err != nil {
 		t.Fatal(err)
 	}

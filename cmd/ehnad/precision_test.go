@@ -27,7 +27,6 @@ func walConfigAt(walDir string, prec embstore.Precision, dim int) serverConfig {
 	return serverConfig{
 		dim:       dim,
 		precision: prec,
-		shards:    4,
 		index:     testIndexOptions("hnsw"),
 		maxBatch:  16,
 		window:    time.Millisecond,
@@ -277,7 +276,7 @@ func TestLegacyF64SnapshotBoot(t *testing.T) {
 	}
 
 	t.Run("ram seed", func(t *testing.T) {
-		srv, err := buildServer(serverConfig{snapshot: fixture, shards: 4, index: testIndexOptions("exact")})
+		srv, err := buildServer(serverConfig{snapshot: fixture, index: testIndexOptions("exact")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +307,7 @@ func TestLegacyF64SnapshotBoot(t *testing.T) {
 		rotatesToF32(t, srv, dir)
 	})
 	t.Run("mmap without wal", func(t *testing.T) {
-		srv, err := buildServer(serverConfig{snapshot: fixture, storeMode: "mmap", shards: 4, index: testIndexOptions("exact")})
+		srv, err := buildServer(serverConfig{snapshot: fixture, storeMode: "mmap", index: testIndexOptions("exact")})
 		if err == nil {
 			srv.close()
 		}

@@ -635,7 +635,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status": "ok",
 		"nodes":  int(g("ehnad_store_nodes")),
 		"dim":    int(g("ehnad_store_dim")),
-		"shards": int(g("ehnad_store_shards")),
 		// The compressed-plane dials: slab precision and the resulting
 		// per-vector store footprint (payload + sidecars). With -index
 		// hnsw the graph's slab holds a copy of each stored row, adding

@@ -195,7 +195,7 @@ func TestReadyzReasonsPerState(t *testing.T) {
 		{"faulted while draining", func(n *node) { n.drain("test"); n.fault(errors.New("EIO")) }, []string{draining, readOnly}},
 	} {
 		for _, follow := range []string{"", "http://leader.invalid"} {
-			store, err := embstore.New(4, 2, embstore.F32)
+			store, err := embstore.New(4, embstore.F32)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Serving walkthrough: the full train → serialize → embstore → ann →
 // ehnad pipeline. It trains EHNA on a synthetic temporal network,
 // exports the flat v3 store snapshot the daemon boots from (beside a
-// model checkpoint for resumed training), builds the sharded store and
+// model checkpoint for resumed training), builds the store and
 // both ANN indexes in-process (exact scan, HNSW), audits HNSW's recall
 // against exact search, saves the HNSW graph snapshot the daemon can
 // boot from without rebuilding, and prints the exact commands to serve
@@ -62,7 +62,7 @@ func main() {
 	}
 
 	emb := model.InferAll()
-	store, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+	store, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func main() {
 	if err := faultfs.WriteFileAtomic(faultfs.OS(), snapPath, func(f faultfs.File) error { return store.SaveSnapshotV3(f, 0) }); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("artifacts: %s (training checkpoint), %s (store, %d×%d across %d shards)\n",
-		modelPath, snapPath, store.Len(), store.Dim(), store.NumShards())
+	fmt.Printf("artifacts: %s (training checkpoint), %s (store, %d×%d)\n",
+		modelPath, snapPath, store.Len(), store.Dim())
 
 	// 3. Build both indexes and answer the same query. The HNSW
 	//    graph is also snapshotted so the daemon can boot without paying

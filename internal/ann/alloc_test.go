@@ -32,7 +32,7 @@ func sourceMatrix(n, dim int) *tensor.Matrix {
 // the given slab precision.
 func buildStoreAt(t testing.TB, n, dim int, prec embstore.Precision) *embstore.Store {
 	t.Helper()
-	s, err := embstore.FromMatrix(sourceMatrix(n, dim), embstore.DefaultShards, prec)
+	s, err := embstore.FromMatrix(sourceMatrix(n, dim), prec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,12 +208,22 @@ type Index interface {
 	Metric() Metric
 }
 
+// hit is a topK entry: a result, and in the scanner's pools the store
+// row it was read from, which the re-rank reads it back by (0
+// elsewhere). The row sits where a Result has padding: a hit is 16
+// bytes too.
+type hit struct {
+	ID    graph.NodeID
+	Row   uint32
+	Score float64
+}
+
 // topK is a fixed-capacity min-heap on (score, id): the root is the
 // current worst hit, evicted when something better arrives. Ordering
 // matches Result sorting so results are deterministic under score ties.
 type topK struct {
 	k    int
-	heap []Result
+	heap []hit
 }
 
 // reset prepares t for a query of size k, reusing the heap's capacity.
@@ -233,14 +243,14 @@ func (t *topK) floor() float64 {
 
 // worse reports whether a ranks below b (lower score, or same score and
 // higher ID).
-func worse(a, b Result) bool {
+func worse(a, b hit) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
 	return a.ID > b.ID
 }
 
-func (t *topK) push(r Result) {
+func (t *topK) push(r hit) {
 	if len(t.heap) < t.k {
 		t.heap = append(t.heap, r)
 		i := len(t.heap) - 1
@@ -282,7 +292,7 @@ func (t *topK) push(r Result) {
 
 // worseRight is 1 if r is worse than l (worse(r, l)) and 0 otherwise,
 // with the score compare as a flag set (SETcc) rather than a branch.
-func worseRight(l, r Result) int {
+func worseRight(l, r hit) int {
 	if l.Score == r.Score { // rare: an exact tie goes to the higher ID
 		return b2i(r.ID > l.ID)
 	}
@@ -297,10 +307,10 @@ func b2i(b bool) int {
 	return 0
 }
 
-// resultCmp orders results descending by score, ties ascending by ID
-// (the inverse of worse). A package-level comparator keeps the sort
+// hitCmp orders hits descending by score, ties ascending by ID (the
+// inverse of worse). A package-level comparator keeps the sort
 // allocation-free, unlike a sort.Slice closure.
-func resultCmp(a, b Result) int {
+func hitCmp(a, b hit) int {
 	switch {
 	case worse(b, a):
 		return -1
@@ -314,8 +324,8 @@ func resultCmp(a, b Result) int {
 // sorted orders the heap into descending-score order in place and
 // returns it. The slice aliases the heap storage; callers that outlive
 // the scratch must copy.
-func (t *topK) sorted() []Result {
-	slices.SortFunc(t.heap, resultCmp)
+func (t *topK) sorted() []hit {
+	slices.SortFunc(t.heap, hitCmp)
 	return t.heap
 }
 
@@ -330,9 +340,14 @@ func checkQuery(store *embstore.Store, q []float64, k int) error {
 	return nil
 }
 
-// appendResults copies rs onto dst[:0], growing dst as needed.
-func appendResults(dst, rs []Result) []Result {
-	return append(dst[:0], rs...)
+// appendResults copies hs onto dst[:0] as results, growing dst as
+// needed.
+func appendResults(dst []Result, hs []hit) []Result {
+	dst = dst[:0]
+	for _, h := range hs {
+		dst = append(dst, Result{ID: h.ID, Score: h.Score})
+	}
+	return dst
 }
 
 // Exact is the brute-force index: every query reads the whole store
@@ -369,7 +384,7 @@ func (e *Exact) Search(q []float64, k int) ([]Result, error) {
 }
 
 // SearchInto scans the store as a task of one query, on the calling
-// goroutine (a single query does not fan out over shards or CPUs),
+// goroutine (a single query does not fan out over CPUs),
 // writing the top-k into dst. On SIMD backends sq8 stores are scanned
 // two-stage (symmetric integer candidate generation by the one-query
 // survivor kernel into a rerank·k-wide pool, asymmetric

@@ -16,7 +16,7 @@ import (
 func randomStore(t testing.TB, n, dim int, seed int64) *embstore.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rng), 8, embstore.F32)
+	s, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rng), embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,12 @@ func bruteTopK(ids []graph.NodeID, vec func(i int) []float64, q []float64, k int
 		v := vec(i)
 		all[i] = Result{ID: id, Score: m.score(q, v, qNorm, tensor.L2NormVec(v))}
 	}
-	sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].ID < all[j].ID
+	})
 	if k > len(all) {
 		k = len(all)
 	}

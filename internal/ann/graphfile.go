@@ -421,12 +421,12 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 	return h, nil
 }
 
-// mirrorSlab fills the graph slab from the store — one RangeShard pass
-// per store shard, each stored row copied bit for bit into the row of
-// the slot that indexes its id — and so also checks that the stored ids
-// are exactly the live slots' ids (the caller made the counts match and
-// the live ids distinct). Tombstoned slots get zero rows. Rows get
-// capRows of capacity.
+// mirrorSlab fills the graph slab from the store — one Range pass, each
+// stored row copied bit for bit into the row of the slot that indexes
+// its id — and so also checks that the stored ids are exactly the live
+// slots' ids (the caller made the counts match and the live ids
+// distinct). Tombstoned slots get zero rows. Rows get capRows of
+// capacity.
 func (h *HNSW) mirrorSlab(capRows int) error {
 	rows, dim := len(h.nodes), h.dim
 	switch h.prec {
@@ -439,18 +439,16 @@ func (h *HNSW) mirrorSlab(capRows int) error {
 	}
 	var stray graph.NodeID
 	strayFound, mirrored := false, 0
-	for i := 0; i < h.store.NumShards() && !strayFound; i++ {
-		h.store.RangeShard(i, func(id graph.NodeID, v *embstore.VecView) bool {
-			slot, ok := h.slotOf[id]
-			if !ok {
-				stray, strayFound = id, true
-				return false
-			}
-			h.setSlabRow(slot, v)
-			mirrored++
-			return true
-		})
-	}
+	h.store.Range(func(id graph.NodeID, v *embstore.VecView) bool {
+		slot, ok := h.slotOf[id]
+		if !ok {
+			stray, strayFound = id, true
+			return false
+		}
+		h.setSlabRow(slot, v)
+		mirrored++
+		return true
+	})
 	if strayFound {
 		return fmt.Errorf("store holds node %d, which the graph does not index (snapshot mismatch)", stray)
 	}

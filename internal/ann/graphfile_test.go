@@ -255,7 +255,7 @@ func TestHNSWLoadRejectsCorrupt(t *testing.T) {
 	if _, err := LoadHNSWGraph(bytes.NewReader(base.b), smaller); err == nil || !strings.Contains(err.Error(), "store holds 49") {
 		t.Errorf("graph over a smaller store: err = %v", err)
 	}
-	other, err := embstore.New(8, 8, embstore.F32)
+	other, err := embstore.New(8, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestLoadHNSWGraphAllocs(t *testing.T) {
 // exactly as the graph it was saved from.
 func TestSaveGraphDropsTombstones(t *testing.T) {
 	const n, dim = 1000, 16
-	store, err := embstore.New(dim, embstore.DefaultShards, embstore.SQ8)
+	store, err := embstore.New(dim, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 // lives in a pooled scratch, the query norm is computed once per query,
 // and candidate vectors are read straight out of the graph-resident
 // slot-indexed slab — a copy of the store's rows, with no id→slot map
-// lookups or shard locks per expansion — so SearchInto is
+// lookups or store locks per expansion — so SearchInto is
 // allocation-free in steady state. Over sq8 slabs the beam widens to at
 // least rerank·k; on SIMD backends it scores candidates with the
 // symmetric int8×int8 kernel, by the scanner's own first-stage score
@@ -136,16 +136,15 @@ type hnswNode struct {
 // holds the link structure plus a slot-indexed copy of every live
 // vector's stored row — the graph-resident slab. Beam expansions score
 // straight out of that slab by graph slot, under the graph lock they
-// already hold: no id→slot map lookup, no shard lock, no
-// shard-grouping pass per expansion (profiling showed those three
-// costing more than the distance kernels themselves). A slab row is
-// its id's stored row bit for bit, in the store's layout (an sq8 row is
-// its 1-byte lanes and the store's 32-byte vecmath.SQ8Sidecar), copied
-// from the store whenever a node is placed (Add, Build, graph load), so
-// a built, a loaded and a live-added graph score alike. The memory
-// price of the copy is one BytesPerVector per graph slot, and a
-// tombstoned slot's row is overwritten by the insert that reuses the
-// slot.
+// already hold: no id→slot map lookup and no store lock per expansion
+// (profiling showed those costing more than the distance kernels
+// themselves). A slab row is its id's stored row bit for bit, in the
+// store's layout (an sq8 row is its 1-byte lanes and the store's
+// 32-byte vecmath.SQ8Sidecar), copied from the store whenever a node is
+// placed (Add, Build, graph load), so a built, a loaded and a
+// live-added graph score alike. The memory price of the copy is one
+// BytesPerVector per graph slot, and a tombstoned slot's row is
+// overwritten by the insert that reuses the slot.
 //
 // Safe for concurrent use: searches share the read lock, mutations
 // take the write lock, and Add holds the write lock only for its cheap
@@ -536,7 +535,7 @@ func (h *HNSW) scoreSlot(qc *queryCtx, slot uint32) float64 {
 func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 	var v embstore.VecView
 	h.slabView(slot, &v)
-	top.push(Result{ID: h.nodes[slot].id, Score: h.cfg.Metric.scoreView(qc, &v)})
+	top.push(hit{ID: h.nodes[slot].id, Score: h.cfg.Metric.scoreView(qc, &v)})
 }
 
 // pairScore scores slab rows a and b against each other in the slab's
@@ -1537,7 +1536,7 @@ func (h *HNSW) searchBeam(ctx context.Context, dst []Result, q []float64, k int)
 		}
 	} else {
 		for _, n := range sc.beam {
-			sc.top.push(Result{ID: h.nodes[n.slot].id, Score: n.score})
+			sc.top.push(hit{ID: h.nodes[n.slot].id, Score: n.score})
 		}
 	}
 	alive := h.alive

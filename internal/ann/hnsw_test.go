@@ -64,7 +64,7 @@ func recallVsExact(t testing.TB, src *tensor.Matrix, idx Index, queries *tensor.
 func TestHNSWSelfQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	emb := tensor.Randn(500, 16, 1, rng)
-	s, err := embstore.FromMatrix(emb, 8, embstore.F32)
+	s, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestHNSWSelfQuery(t *testing.T) {
 func TestHNSWRecallSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	emb := tensor.Randn(2000, 32, 1, rng)
-	s, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+	s, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestHNSWRecall100k(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	emb := tensor.Randn(100_000, 32, 1, rng)
-	s, err := embstore.FromMatrix(emb, embstore.DefaultShards, embstore.F32)
+	s, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestHNSWAddRemove(t *testing.T) {
 func TestHNSWRemoveRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	emb := tensor.Randn(1000, 16, 1, rng)
-	s, err := embstore.FromMatrix(emb, 8, embstore.F32)
+	s, err := embstore.FromMatrix(emb, embstore.F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 	for _, prec := range allPrecisions {
 		rng := rand.New(rand.NewSource(18))
 		emb := tensor.Randn(1200, 16, 1, rng)
-		s, err := embstore.FromMatrix(emb, 8, prec)
+		s, err := embstore.FromMatrix(emb, prec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestHNSWSnapshotRoundTrip(t *testing.T) {
 		}
 
 		// A snapshot over the wrong store must be rejected, not served.
-		empty, err := embstore.New(16, 8, prec)
+		empty, err := embstore.New(16, prec)
 		if err != nil {
 			t.Fatal(err)
 		}

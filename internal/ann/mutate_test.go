@@ -779,7 +779,7 @@ func TestConcurrentAddReachability(t *testing.T) {
 		n = 1000
 	}
 	const dim = 16
-	store, err := embstore.New(dim, embstore.DefaultShards, embstore.SQ8)
+	store, err := embstore.New(dim, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func twinStore(t testing.TB, n, dim int) *embstore.Store {
 	for i := n / 2; i < n; i++ {
 		copy(m.Row(i), m.Row(i-n/2))
 	}
-	s, err := embstore.FromMatrix(m, embstore.DefaultShards, embstore.SQ8)
+	s, err := embstore.FromMatrix(m, embstore.SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func graphDigest(t testing.TB, store *embstore.Store, metric Metric) string {
 
 // oraclePush is topK.push as it was before its sift-down went
 // branch-free: the worse child picked by an if on worse.
-func oraclePush(t *topK, r Result) {
+func oraclePush(t *topK, r hit) {
 	if len(t.heap) < t.k {
 		t.heap = append(t.heap, r)
 		for i := len(t.heap) - 1; i > 0; {
@@ -105,7 +105,7 @@ func (sc *scanScratch) oracleScoreBlockSym(r *embstore.Run, lo, hi, dim int, cos
 			if score < floor || r.Masked(lo+i) {
 				continue
 			}
-			oraclePush(&sq.pool, Result{ID: ids[i], Score: score})
+			oraclePush(&sq.pool, hit{ID: ids[i], Row: uint32(r.First + lo + i), Score: score})
 			if len(sq.pool.heap) == sq.pool.k {
 				floor = sq.pool.heap[0].Score
 			}
@@ -121,20 +121,20 @@ func scanWith(e *Exact, qs [][]float64, k int, score func(sc *scanScratch, r *em
 	sc := new(scanScratch)
 	sc.prepare(e.store, e.metric, qs, k)
 	dim, cosine := e.store.Dim(), e.metric != DotProduct
-	for si := 0; si < e.store.NumShards(); si++ {
-		e.store.ScanShard(si, func(r embstore.Run) bool {
+	e.store.Scan(func(rows embstore.Rows) {
+		for ri := 0; ri < rows.Runs(); ri++ {
+			r := rows.Run(ri)
 			for lo := 0; lo < len(r.IDs); lo += scanBlockRows {
 				score(sc, &r, lo, min(lo+scanBlockRows, len(r.IDs)), dim, cosine)
 			}
-			return true
-		})
-	}
+		}
+		for j := range qs {
+			pools = append(pools, appendResults(nil, sc.q[j].pool.heap))
+		}
+		sc.rerank(rows, e.metric, k)
+	})
 	for j := range qs {
-		pools = append(pools, append([]Result(nil), sc.q[j].pool.heap...))
-	}
-	sc.rerank(e.store, e.metric, k)
-	for j := range qs {
-		top = append(top, append([]Result(nil), sc.q[j].top.sorted()...))
+		top = append(top, appendResults(nil, sc.q[j].top.sorted()))
 	}
 	return pools, top
 }

@@ -22,7 +22,7 @@ func recallVsF64(t *testing.T, n, dim, nq int, prec embstore.Precision,
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	emb := tensor.Randn(n, dim, 1, rng)
-	compressed, err := embstore.FromMatrix(emb, embstore.DefaultShards, prec)
+	compressed, err := embstore.FromMatrix(emb, prec)
 	if err != nil {
 		t.Fatal(err)
 	}

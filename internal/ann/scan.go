@@ -18,30 +18,32 @@
 // visits (beam upkeep, random slab reads).
 //
 // The scanner reads the store, which is the truth, never the graph's
-// copy of its rows: embstore.Store.ScanShard hands it each shard's
-// contiguous runs (the dense slab, and a cold store's mapped base), and
-// it walks them scanBlockRows rows at a time. A batch is cut into tasks
-// of up to scanTaskQueries queries, one pass over the store each; a
-// task computes a block's row factors once and runs each of its groups
-// of four over the block while the block is in L1. On backends with the
+// copy of its rows: embstore.Store.Scan hands it the store's contiguous
+// runs (a cold store's mapped base, and the dense slab), and it walks
+// them scanBlockRows rows at a time. A batch is cut into tasks of up to
+// scanTaskQueries queries, one pass over the store each; a task
+// computes a block's row factors once and runs each of its groups of
+// four over the block while the block is in L1. On backends with the
 // SIMD symmetric kernel an sq8 scan is two-stage, as every sq8 search
 // is: the integer kernel picks the rows that reach a query's floor,
-// only those are scored again and fill a candidateK-wide pool, and
-// the asymmetric full-precision-query kernel re-ranks the pools by id
-// through WithShard. Everywhere else (f32 stores, scalar backends) each
-// row is scored once at full query precision inside the same block
-// loop. A cold base row that an overwrite or a delete has masked is
-// scored like any other and dropped only if it reaches a query's floor.
+// only those are scored again and fill a candidateK-wide pool, and the
+// asymmetric full-precision-query kernel re-ranks the pools. A pool
+// entry carries the store row it was read from, so the re-rank reads
+// each candidate by row, with no id lookup. Everywhere else (f32
+// stores, scalar backends) each row is scored once at full query
+// precision inside the same block loop. A cold base row that an
+// overwrite or a delete has masked is scored like any other and dropped
+// only if it reaches a query's floor.
 //
-// Locking: a task holds a shard's read lock for its whole pass over
-// that shard, and no lock between shards. Store slabs swap-remove on
-// delete, so a row position means nothing once the lock is let go;
-// within one hold a shard is one consistent image, and an id lives in
-// exactly one shard, so no id enters a pool twice. A writer waits for
-// at most one shard's pass of one task. The re-rank takes each shard's
-// lock once per task and reads each pooled id as it stands then: an id
-// deleted since its shard was scanned drops out, one overwritten is
-// scored at its new value.
+// Locking: a task holds the store's read lock once, for its scan and
+// its re-rank together, so it answers from one consistent image: no id
+// enters a pool twice, and the rows the pools name are the rows the
+// re-rank reads (store slabs swap-remove on delete, so a row number
+// means nothing once the lock is let go). A writer waits for at most
+// one task, up to scanTaskQueries queries; on the beam path it waits a
+// whole beam on the graph's lock. The task takes no other store lock
+// inside the hold: a read lock taken again while a writer waits
+// deadlocks.
 //
 // Inserts have a sweep plan of their own (insertPlan), over the graph's
 // slab by slot rather than the store by id, because neighbor selection
@@ -86,8 +88,8 @@ const (
 	// scanTaskQueries caps a scan task, the queries that share one pass
 	// over the store: eight kernel groups, read_batch's batch. A task
 	// computes each block's row factors once and runs its groups over the
-	// block while it is in L1; the cap bounds how long its pass holds a
-	// shard's read lock.
+	// block while it is in L1; the cap bounds how long its pass holds the
+	// store's read lock.
 	scanTaskQueries = 32
 
 	// scanCrossover is c in the plan's inequality, slots ≤ c·ef·M. Set
@@ -245,7 +247,7 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 					continue
 				}
 				score := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], sc.acc[stride*r+j])
-				ln.top.push(Result{ID: graph.NodeID(s), Score: score})
+				ln.top.push(hit{ID: graph.NodeID(s), Score: score})
 			}
 		}
 	}
@@ -302,7 +304,7 @@ func sq8Factors(dim int, scale, offset float64, cs int32, norm float64, cosine b
 }
 
 // scanQuery is one query's share of a scan task: its context (the
-// re-rank reads q, qSum and qNorm from it) and its pool of store ids.
+// re-rank reads q, qSum and qNorm from it) and its pool of store rows.
 // On the two-stage path its kernel group holds the query-side terms of
 // the symmetric score, hoisted out of the row loop as scorePendingBeam
 // hoists them. With a row's decode parameters (scale, offset), code sum
@@ -323,10 +325,10 @@ type scanQuery struct {
 	floor float64
 }
 
-// push adds a row that reached the floor to the pool and returns the
-// new floor.
-func (sq *scanQuery) push(id graph.NodeID, score float64) float64 {
-	sq.pool.push(Result{ID: id, Score: score})
+// push adds store row row, node id, which reached the floor, to the
+// pool and returns the new floor.
+func (sq *scanQuery) push(id graph.NodeID, row int, score float64) float64 {
+	sq.pool.push(hit{ID: id, Row: uint32(row), Score: score})
 	sq.floor = sq.pool.floor()
 	return sq.floor
 }
@@ -342,14 +344,6 @@ type scanScratch struct {
 	surv   [scanBlockRows]uint32            // one group's survivors in one block
 	// One block's row factors (vecmath.SQ8RowFactors).
 	rowOff, rowScale, rowSum [scanBlockRows]float64
-	byShard                  []shardPools // the re-rank's pools, grouped by store shard
-}
-
-// shardPools is the part of a task's pools that one store shard holds:
-// ids[x] is in the pool of query q[x].
-type shardPools struct {
-	ids []graph.NodeID
-	q   []int32
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -412,7 +406,7 @@ func (sc *scanScratch) scoreBlockSym(r *embstore.Run, lo, hi, dim int, cosine bo
 				if score < sq.floor || r.Masked(lo+i) {
 					continue
 				}
-				sq.push(ids[i], score)
+				sq.push(ids[i], r.First+lo+i, score)
 			}
 		}
 	}
@@ -429,51 +423,33 @@ func (sc *scanScratch) scoreRows(m Metric, r *embstore.Run, lo, hi int) {
 		for j := range sc.q {
 			sq := &sc.q[j]
 			if score := m.scoreView(&sq.ctx, &v); !(score < sq.floor) && !r.Masked(i) {
-				sq.push(r.IDs[i], score)
+				sq.push(r.IDs[i], r.First+i, score)
 			}
 		}
 	}
 }
 
 // rerank is the two-stage path's second stage: every query's pool
-// re-scored by id with the asymmetric full-precision-query kernel into
-// its top k. The task's pools are grouped by store shard, so each
-// shard's lock is taken once per task; an id deleted since its shard
-// was scanned drops out, and one overwritten is scored as it now stands.
-func (sc *scanScratch) rerank(store *embstore.Store, m Metric, k int) {
-	nShards := store.NumShards()
-	for len(sc.byShard) < nShards {
-		sc.byShard = append(sc.byShard, shardPools{})
-	}
-	byShard := sc.byShard[:nShards]
-	for i := range byShard {
-		byShard[i].ids, byShard[i].q = byShard[i].ids[:0], byShard[i].q[:0]
-	}
+// re-scored with the asymmetric full-precision-query kernel into its
+// top k, each candidate read by the store row its pool entry carries.
+// It runs under the scan's lock hold, so each row is the one scanned.
+func (sc *scanScratch) rerank(rows embstore.Rows, m Metric, k int) {
+	var v embstore.VecView
 	for j := range sc.q {
 		sq := &sc.q[j]
 		sq.top.reset(k)
-		for _, r := range sq.pool.heap {
-			b := &byShard[store.ShardOf(r.ID)]
-			b.ids, b.q = append(b.ids, r.ID), append(b.q, int32(j))
+		for _, c := range sq.pool.heap {
+			rows.View(int(c.Row), &v)
+			sq.top.push(hit{ID: c.ID, Score: m.scoreView(&sq.ctx, &v)})
 		}
-	}
-	for si := range byShard {
-		b := &byShard[si]
-		if len(b.ids) == 0 {
-			continue
-		}
-		store.WithShard(si, b.ids, func(x int, v *embstore.VecView) {
-			sq := &sc.q[b.q[x]]
-			sq.top.push(Result{ID: b.ids[x], Score: m.scoreView(&sq.ctx, v)})
-		})
 	}
 }
 
 // searchTask answers a task of up to scanTaskQueries queries into out,
-// appending to each list: one pass over the store, shard by shard under
-// each shard's read lock, scanBlockRows rows at a time with
-// cancellation polled per block; then each query's pool ranked. st
-// times the two stages.
+// appending to each list: under one hold of the store's read lock, one
+// pass over its runs, scanBlockRows rows at a time with cancellation
+// polled per block, then the re-rank of the pools; each query's ranked
+// list is copied out after the lock is let go. st times the two stages.
 func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, k int, st *scanStats) error {
 	start := time.Now()
 	sc := scanScratchPool.Get().(*scanScratch)
@@ -483,8 +459,10 @@ func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, 
 	qc.done = ctx.Done() // the task polls cancellation through its first query
 	dim, cosine, twoStage := e.store.Dim(), e.metric != DotProduct, qc.sym
 	canceled := false
-	for si := 0; si < e.store.NumShards() && !canceled; si++ {
-		e.store.ScanShard(si, func(r embstore.Run) bool {
+	var rerankStart time.Time
+	e.store.Scan(func(rows embstore.Rows) {
+		for ri := 0; ri < rows.Runs() && !canceled; ri++ {
+			r := rows.Run(ri)
 			for lo := 0; lo < len(r.IDs) && !canceled; lo += scanBlockRows {
 				hi := min(lo+scanBlockRows, len(r.IDs))
 				if twoStage {
@@ -494,15 +472,14 @@ func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, 
 				}
 				canceled = qc.canceled()
 			}
-			return !canceled
-		})
-	}
+		}
+		rerankStart = time.Now()
+		if twoStage && !canceled {
+			sc.rerank(rows, e.metric, k)
+		}
+	})
 	if canceled {
 		return ctx.Err()
-	}
-	rerankStart := time.Now()
-	if twoStage {
-		sc.rerank(e.store, e.metric, k)
 	}
 	for j := range qs {
 		ranked := &sc.q[j].pool
@@ -516,7 +493,7 @@ func (e *Exact) searchTask(ctx context.Context, out [][]Result, qs [][]float64, 
 }
 
 // searchOne answers one query as a task of its own on the calling
-// goroutine (a single query does not fan out over shards or CPUs),
+// goroutine (a single query does not fan out over CPUs),
 // writing the top k into dst, counted under st.
 func (e *Exact) searchOne(ctx context.Context, dst []Result, q []float64, k int, st *scanStats) ([]Result, error) {
 	if err := checkQuery(e.store, q, k); err != nil {

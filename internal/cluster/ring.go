@@ -110,9 +110,6 @@ func (m *ShardMap) Owner(id graph.NodeID) int {
 	return m.ring[i].shard
 }
 
-// NumShards returns the shard count.
-func (m *ShardMap) NumShards() int { return len(m.Shards) }
-
 // hashID hashes a node id onto the ring: FNV-1a over its 4-byte LE
 // encoding, pushed through a 64-bit avalanche finalizer. FNV alone
 // leaves nearby inputs correlated in the high bits the ring's sort

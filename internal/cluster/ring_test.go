@@ -24,11 +24,11 @@ func TestShardMapBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 40000
-	counts := make([]int, m.NumShards())
+	counts := make([]int, len(m.Shards))
 	for id := 0; id < n; id++ {
 		counts[m.Owner(graph.NodeID(id))]++
 	}
-	mean := n / m.NumShards()
+	mean := n / len(m.Shards)
 	for si, c := range counts {
 		if c < mean/2 || c > mean*2 {
 			t.Fatalf("shard %d owns %d of %d ids (mean %d): ring badly skewed, counts=%v", si, c, n, mean, counts)
@@ -95,7 +95,7 @@ func TestShardMapJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Version != 7 || m2.NumShards() != 2 || len(m2.Shards[0].Endpoints) != 2 {
+	if m2.Version != 7 || len(m2.Shards) != 2 || len(m2.Shards[0].Endpoints) != 2 {
 		t.Fatalf("round trip lost structure: %+v", m2)
 	}
 	for id := 0; id < 2000; id++ {

@@ -416,9 +416,12 @@ func BenchmarkAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// One tape reset per iteration, as TrainEpoch reuses its tape: a
+	// fresh tape would time arena growth, not the aggregation.
+	tp := ag.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := ag.New()
+		tp.Reset()
 		m.Aggregate(tp, graph.NodeID(i%500), 0.95, rng)
 	}
 }
@@ -441,11 +444,12 @@ func BenchmarkEdgeLossBackward(b *testing.B) {
 		b.Fatal(err)
 	}
 	edges := g.Edges()
+	tp := ag.New() // reset per iteration, as in TrainEpoch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.params.ZeroGrad()
 		m.emb.ZeroGrad()
-		tp := ag.New()
+		tp.Reset()
 		loss := m.EdgeLoss(tp, edges[i%len(edges)], rng)
 		tp.Backward(loss)
 	}

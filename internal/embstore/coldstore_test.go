@@ -40,7 +40,7 @@ func TestColdStoreEqualsRAM(t *testing.T) {
 	})
 	for _, prec := range allPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			ram, err := New(8, 4, prec)
+			ram, err := New(8, prec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func slicesEq(a, b []float64) bool {
 // upserts land in the overlay and shadow the base, deletes mask base
 // rows, and Len/IDs/scans stay consistent throughout.
 func TestColdOverlay(t *testing.T) {
-	ram, err := New(4, 3, SQ8)
+	ram, err := New(4, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestColdOverlay(t *testing.T) {
 		t.Fatalf("Len = %d after overwrite, want %d", cold.Len(), n)
 	}
 	got, _ := cold.Get(target)
-	ref, _ := New(4, 1, SQ8)
+	ref, _ := New(4, SQ8)
 	ref.Upsert(target, []float64{1, 2, 3, 4})
 	want, _ := ref.Get(target)
 	if !slicesEq(got, want) {
@@ -161,35 +161,124 @@ func TestColdOverlay(t *testing.T) {
 		}
 	}
 
-	// RangeShard visits every live row exactly once.
+	// Range visits every live row exactly once.
 	seen := map[graph.NodeID]int{}
-	for i := 0; i < cold.NumShards(); i++ {
-		cold.RangeShard(i, func(id graph.NodeID, v *VecView) bool {
-			seen[id]++
-			return true
-		})
-	}
+	cold.Range(func(id graph.NodeID, v *VecView) bool {
+		seen[id]++
+		return true
+	})
 	if len(seen) != cold.Len() {
-		t.Fatalf("RangeShard visited %d ids, Len = %d", len(seen), cold.Len())
+		t.Fatalf("Range visited %d ids, Len = %d", len(seen), cold.Len())
 	}
 	for id, c := range seen {
 		if c != 1 {
-			t.Fatalf("RangeShard visited %d %d times", id, c)
+			t.Fatalf("Range visited %d %d times", id, c)
 		}
 	}
 
-	// WithShard resolves overlay and base rows alike.
-	some := ids[:10]
-	byShard := map[int][]graph.NodeID{}
-	for _, id := range some {
-		byShard[cold.ShardOf(id)] = append(byShard[cold.ShardOf(id)], id)
+	// Rows.View resolves overlay and base rows alike by store row.
+	some := map[graph.NodeID]bool{target: true}
+	for _, id := range ids[:10] {
+		some[id] = true
 	}
 	hits := 0
-	for si, group := range byShard {
-		cold.WithShard(si, group, func(int, *VecView) { hits++ })
-	}
+	cold.Scan(func(rs Rows) {
+		var a, b VecView
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for i, id := range r.IDs {
+				if r.Masked(i) || !some[id] {
+					continue
+				}
+				r.View(i, &a)
+				rs.View(r.First+i, &b)
+				if viewEqual(&a, &b) {
+					hits++
+				}
+			}
+		}
+	})
 	if hits != len(some) {
-		t.Fatalf("WithShard hit %d of %d", hits, len(some))
+		t.Fatalf("Rows.View matched %d of %d", hits, len(some))
+	}
+}
+
+// TestLegacyShardedSnapshot: a snapshot written in four runs, when the
+// store was striped over four lock shards, still loads into RAM bit for
+// bit, is served in place by the mmap loader — each id found in the run
+// its old shard put it in, through With and through the scan — and
+// folds into one run at the first Remap.
+func TestLegacyShardedSnapshot(t *testing.T) {
+	path, want := legacyShardedFixture(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, err := parseV3(data); err != nil || l.runs != 4 || l.count != uint64(want.Len()) {
+		t.Fatalf("fixture: %v, layout %+v", err, l)
+	}
+
+	ram, wm, err := LoadSnapshotV3(path, DefaultShards)
+	if err != nil || wm != 11 {
+		t.Fatalf("RAM load: watermark %d, %v", wm, err)
+	}
+	if !ram.Equal(want) || !want.Equal(ram) {
+		t.Fatal("RAM load differs from the fixture's rows")
+	}
+
+	cold, wm, err := OpenMmap(path)
+	if err != nil || wm != 11 {
+		t.Fatalf("mmap open: watermark %d, %v", wm, err)
+	}
+	defer cold.Close()
+	if !ram.Equal(cold) { // every id through cold.With
+		t.Fatal("mmap store's With differs from the RAM store")
+	}
+	if !cold.Equal(ram) { // every row through cold's scan
+		t.Fatal("mmap store's scan differs from the RAM store")
+	}
+	runs := 0
+	cold.Scan(func(rs Rows) {
+		runs = rs.Runs()
+		var a, b VecView
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for i := range r.IDs {
+				r.View(i, &a)
+				rs.View(r.First+i, &b)
+				if !viewEqual(&a, &b) {
+					t.Errorf("run %d row %d: Rows.View(%d) is another row", ri, i, r.First+i)
+				}
+			}
+		}
+	})
+	if runs != 5 {
+		t.Fatalf("mmap store has %d runs, want 4 base runs and the slab", runs)
+	}
+
+	// Churn the overlay, then fold it: the fresh snapshot is one run.
+	ids := ram.IDs()
+	for _, s := range []*Store{ram, cold} {
+		s.Delete(ids[0])
+		s.Upsert(ids[1], []float64{1, 2, 3, 4, 5, 6, 7, 8})
+		s.Upsert(gid(1_000_000), []float64{8, 7, 6, 5, 4, 3, 2, 1})
+	}
+	next := snapshotOf(t, cold, 12)
+	if data, err = os.ReadFile(next); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := parseV3(data); err != nil || l.runs != 1 {
+		t.Fatalf("fold target: %v, layout %+v", err, l)
+	}
+	if err := cold.Remap(next); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, masked := cold.OverlayStats(); v != 0 || masked != 0 {
+		t.Fatalf("after Remap: %d overlay vectors, %d masked", v, masked)
+	}
+	cold.Scan(func(rs Rows) { runs = rs.Runs() })
+	if runs != 2 || !cold.Equal(ram) || !ram.Equal(cold) {
+		t.Fatalf("after Remap: %d runs, or contents differ from the RAM store", runs)
 	}
 }
 
@@ -197,7 +286,7 @@ func TestColdOverlay(t *testing.T) {
 // write a fresh v3 base, Remap, and check the overlay is empty while
 // the contents are unchanged.
 func TestColdFold(t *testing.T) {
-	ram, err := New(6, 4, F32)
+	ram, err := New(6, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +353,11 @@ func snapshotOf(t testing.TB, s *Store, wm uint64) string {
 // TestColdRemapMismatch: a fold target with different geometry is
 // refused and the store keeps its old base.
 func TestColdRemapMismatch(t *testing.T) {
-	ram, _ := New(4, 2, F32)
+	ram, _ := New(4, F32)
 	fillRandom(t, ram, 50, 13)
 	cold, _ := openCold(t, ram, 0)
 
-	other, _ := New(5, 2, F32)
+	other, _ := New(5, F32)
 	fillRandom(t, other, 10, 14)
 	if err := cold.Remap(writeV3(t, other, 0)); err == nil {
 		t.Fatal("Remap accepted a mismatched snapshot")
@@ -277,7 +366,7 @@ func TestColdRemapMismatch(t *testing.T) {
 		t.Fatal("failed Remap corrupted the store")
 	}
 
-	ramStore, _ := New(4, 2, F32)
+	ramStore, _ := New(4, F32)
 	if err := ramStore.Remap("/nonexistent"); err == nil {
 		t.Fatal("Remap of a RAM store succeeded")
 	}
@@ -287,7 +376,7 @@ func TestColdRemapMismatch(t *testing.T) {
 // over a cold store with a live overlay — follower bootstrap doesn't
 // care about the leader's store backend.
 func TestColdSaveV3(t *testing.T) {
-	ram, _ := New(5, 3, SQ8)
+	ram, _ := New(5, SQ8)
 	fillRandom(t, ram, 120, 15)
 	cold, _ := openCold(t, ram, 0)
 	cold.Upsert(gid(777_777), []float64{1, 1, 1, 1, 1})
@@ -307,7 +396,7 @@ func TestColdSaveV3(t *testing.T) {
 // TestColdApplyWAL: WAL replay into the overlay, the boot path for
 // records past the snapshot watermark.
 func TestColdApplyWAL(t *testing.T) {
-	ram, _ := New(3, 2, F32)
+	ram, _ := New(3, F32)
 	fillRandom(t, ram, 40, 16)
 	cold, _ := openCold(t, ram, 0)
 
@@ -326,29 +415,28 @@ func TestColdApplyWAL(t *testing.T) {
 }
 
 // TestColdZeroAllocReads pins the zero-alloc guarantee of the scan and
-// batch-lookup paths over a mapped base — the property the re-rank
+// row-lookup paths over a mapped base — the property the re-rank
 // stage depends on.
 func TestColdZeroAllocReads(t *testing.T) {
-	ram, _ := New(8, 2, SQ8)
+	ram, _ := New(8, SQ8)
 	fillRandom(t, ram, 100, 17)
 	cold, _ := openCold(t, ram, 0)
 	ids := cold.IDs()[:8]
-	byShard := map[int][]graph.NodeID{}
-	for _, id := range ids {
-		byShard[cold.ShardOf(id)] = append(byShard[cold.ShardOf(id)], id)
-	}
 
 	if n := testing.AllocsPerRun(100, func() {
-		for si, group := range byShard {
-			cold.WithShard(si, group, func(int, *VecView) {})
-		}
+		cold.Scan(func(rs Rows) {
+			var v VecView
+			for row := 0; row < 8; row++ {
+				rs.View(row, &v)
+			}
+		})
 	}); n != 0 {
-		t.Fatalf("WithShard over cold store allocates %.1f/op", n)
+		t.Fatalf("Scan's row lookups over cold store allocate %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		cold.RangeShard(0, func(id graph.NodeID, v *VecView) bool { return true })
+		cold.Range(func(id graph.NodeID, v *VecView) bool { return true })
 	}); n != 0 {
-		t.Fatalf("RangeShard over cold store allocates %.1f/op", n)
+		t.Fatalf("Range over cold store allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		cold.With(ids[0], func(v *VecView) {})
@@ -361,7 +449,7 @@ func TestColdZeroAllocReads(t *testing.T) {
 // mid-flight fold; run under -race this is the memory-safety check for
 // the base swap.
 func TestColdConcurrentChurn(t *testing.T) {
-	ram, _ := New(4, 4, F32)
+	ram, _ := New(4, F32)
 	fillRandom(t, ram, 200, 18)
 	cold, _ := openCold(t, ram, 0)
 
@@ -400,12 +488,10 @@ func TestColdConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			for si := 0; si < cold.NumShards(); si++ {
-				cold.RangeShard(si, func(id graph.NodeID, v *VecView) bool {
-					_ = v.Norm
-					return true
-				})
-			}
+			cold.Range(func(id graph.NodeID, v *VecView) bool {
+				_ = v.Norm
+				return true
+			})
 			cold.Len()
 		}
 	}()
@@ -422,7 +508,7 @@ func TestColdConcurrentChurn(t *testing.T) {
 }
 
 func TestColdResidency(t *testing.T) {
-	ram, _ := New(16, 2, F32)
+	ram, _ := New(16, F32)
 	fillRandom(t, ram, 500, 19)
 	cold, _ := openCold(t, ram, 0)
 	pg := int64(os.Getpagesize())
@@ -430,7 +516,7 @@ func TestColdResidency(t *testing.T) {
 	if r := cold.MappedResidentBytes(); r < 0 || r > mappedPages {
 		t.Fatalf("MappedResidentBytes = %d, mapped %d pages-rounded", r, mappedPages)
 	}
-	ramOnly, _ := New(4, 1, F32)
+	ramOnly, _ := New(4, F32)
 	if r := ramOnly.MappedResidentBytes(); r != 0 {
 		t.Fatalf("RAM store MappedResidentBytes = %d", r)
 	}

@@ -1,17 +1,16 @@
-// Package embstore is a sharded, concurrency-safe in-memory embedding
-// store: the online half of the train → serialize → serve pipeline. A
-// trained embedding matrix (from ehna or any baseline — they all emit a
+// Package embstore is a concurrency-safe in-memory embedding store: the
+// online half of the train → serialize → serve pipeline. A trained
+// embedding matrix (from ehna or any baseline — they all emit a
 // NumNodes×d tensor.Matrix) is bulk-loaded once, then served under
-// concurrent reads with incremental upserts and deletes. Node IDs are
-// hashed across N independently-locked shards so readers on different
-// shards never contend, and snapshot save/load lets a daemon restart
-// without retraining.
+// concurrent reads with incremental upserts and deletes, and snapshot
+// save/load lets a daemon restart without retraining.
 //
-// Each shard stores its vectors in one dense structure-of-arrays slab
+// The store is one dense structure-of-arrays slab under one RWMutex,
 // plus an id→slot map. Scans walk the slab linearly — cache-friendly
 // and allocation-free — instead of iterating a map of per-vector heap
-// allocations, and bulk loads allocate one slab per shard rather than
-// one slice per vector.
+// allocations, and a bulk load allocates one slab rather than one slice
+// per vector. A cold store (OpenMmap) adds the mapped snapshot as its
+// base, and the slab becomes the overlay on top of it.
 //
 // The slab layout is precision-parametric (the compressed vector
 // plane): F32 keeps float32 lanes, and SQ8 scalar-quantizes each
@@ -26,7 +25,6 @@ package embstore
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -94,9 +92,9 @@ func (p Precision) BytesPerVector(dim int) int {
 // VecView is a precision-tagged, read-only view of one stored vector:
 // exactly one of F32 or Code is set (matching the store's
 // precision). Views alias slab memory — valid only inside the
-// With/RangeShard/WithShard callback that produced them, which receive
-// a pointer to a stack-reused view (per-candidate struct copies would
-// otherwise dwarf a compressed row's payload on the scan hot path).
+// With/Range/Scan callback that produced them, which receive a pointer
+// to a stack-reused view (per-candidate struct copies would otherwise
+// dwarf a compressed row's payload on the scan hot path).
 type VecView struct {
 	F32  []float32 // F32 stores
 	Code []int8    // SQ8 stores: decode is Offset + Scale·Code[i]
@@ -167,98 +165,120 @@ func (v *VecView) DequantizeInto(dst []float64) {
 // vecmath.SQ8RowFactors as they lie.
 type sq8Meta = vecmath.SQ8Sidecar
 
-// baseSection is the immutable half of a cold (mmap-backed) shard: its
-// slices alias a read-only v3 snapshot mapping, ids ascending so
-// membership is a binary search instead of a heap-resident id→slot
-// map. Mutations never touch it — an upsert lands in the shard's
-// overlay slab and masks the base row via dead, a delete just masks —
-// so the mapping stays clean and the overlay folds into a fresh base
-// at the next snapshot rotation. Exactly one payload family is set,
-// per store precision.
-type baseSection struct {
-	ids    []graph.NodeID
-	norms  []float64
-	vecs32 []float32
-	codes  []int8
-	meta   []sq8Meta
-	dead   map[graph.NodeID]struct{} // masked rows (deleted or overridden by the overlay)
-	deadN  int
-}
-
-// maskedBase reports whether id's base row is masked. Callers hold the
-// shard lock.
-func (b *baseSection) maskedBase(id graph.NodeID) bool {
-	_, masked := b.dead[id]
-	return masked
-}
-
-// liveLen returns the number of unmasked base rows.
-func (b *baseSection) liveLen() int { return len(b.ids) - b.deadN }
-
-// shard is one lock domain of the store: a dense slab of vectors with
-// an id→slot index. Deletes swap-remove so the slab stays dense.
-// Exactly one of vecs32/codes is populated, per store precision.
-// Cold stores additionally carry a base: the dense slab then acts as
-// the delta overlay on top of the mapped image.
-type shard struct {
-	mu     sync.RWMutex
-	slot   map[graph.NodeID]int
+// slab is one dense structure-of-arrays run of rows: row i is node
+// ids[i]. Exactly one payload family is set, per store precision.
+type slab struct {
 	ids    []graph.NodeID
 	norms  []float64 // F32: L2 norms, maintained on write
 	vecs32 []float32 // F32: row i is vecs32[i*dim:(i+1)*dim]
 	codes  []int8    // SQ8
 	meta   []sq8Meta // SQ8
-	base   *baseSection
 }
 
-// lookupLocked finds id in the overlay first (it wins by the mask
-// invariant), then among the base's live rows. Caller holds sh.mu.
-func (sh *shard) lookupLocked(id graph.NodeID) (slot int, inBase, ok bool) {
-	if slot, ok := sh.slot[id]; ok {
-		return slot, false, true
+// view points v at row i. Only the fields of the slab's precision are
+// written, so a view can be refilled per row without re-zeroing it.
+func (sl *slab) view(v *VecView, dim, i int) {
+	lo, hi := i*dim, (i+1)*dim
+	if sl.vecs32 != nil {
+		v.F32, v.Norm = sl.vecs32[lo:hi], sl.norms[i]
+		return
 	}
-	b := sh.base
-	if b == nil {
-		return 0, false, false
-	}
-	i, found := slices.BinarySearch(b.ids, id)
-	if !found || b.maskedBase(id) {
-		return 0, false, false
-	}
-	return i, true, true
+	m := &sl.meta[i]
+	v.Code = sl.codes[lo:hi]
+	v.Scale, v.Offset, v.CodeSum, v.Norm = m.Scale, m.Offset, m.CodeSum, m.Norm
 }
 
-// maskBase hides id's base row, if any: every overlay insert and every
-// delete of a base-resident id routes through here so the base never
-// shadows newer state. Caller holds sh.mu for writing.
-func (sh *shard) maskBase(id graph.NodeID) {
-	b := sh.base
-	if b == nil {
-		return
-	}
-	if _, found := slices.BinarySearch(b.ids, id); !found {
-		return
-	}
-	if b.maskedBase(id) {
-		return
+// baseRun is one run of a cold store's mapped base: the rows of one
+// section triple of the snapshot, ids ascending so membership is a
+// binary search instead of a heap-resident id→slot map. Its slices
+// alias the read-only mapping. first is the store row of its row 0.
+type baseRun struct {
+	slab
+	first int
+}
+
+// coldBase is the immutable half of a cold store: the mapped snapshot's
+// rows. Mutations never touch them — an upsert lands in the overlay
+// slab and masks the base row via dead, a delete just masks — so the
+// mapping stays clean and the overlay folds into a fresh base at the
+// next snapshot rotation. A snapshot this version writes has one run.
+// One written by a version that striped the store over lock shards has
+// one run per shard, and an id's run is the shard that version placed
+// it in (legacyRun).
+type coldBase struct {
+	runs  []baseRun
+	rows  int                       // rows across all runs, masked ones included
+	dead  map[graph.NodeID]struct{} // masked rows (deleted or overridden by the overlay)
+	deadN int
+}
+
+// legacyRun is the placement hash of the versions that striped the
+// store over n lock shards: the run of an n-run base that holds id. The
+// multiply-xorshift mix (a splitmix-style finalizer) spread sequential
+// ids evenly. A one-run base is run 0.
+func legacyRun(id graph.NodeID, n int) int {
+	x := uint32(id)
+	x ^= x >> 16
+	x *= 0x45d9f3b
+	x ^= x >> 16
+	return int(x % uint32(n))
+}
+
+// find returns the run that holds id, if any row does, and id's index
+// in it; masked rows are found too.
+func (b *coldBase) find(id graph.NodeID) (*baseRun, int, bool) {
+	r := &b.runs[legacyRun(id, len(b.runs))]
+	i, found := slices.BinarySearch(r.ids, id)
+	return r, i, found
+}
+
+// masked reports whether id's base row is masked.
+func (b *coldBase) masked(id graph.NodeID) bool {
+	_, masked := b.dead[id]
+	return masked
+}
+
+// mask hides id's base row, reporting whether it had a live one.
+func (b *coldBase) mask(id graph.NodeID) bool {
+	if _, _, found := b.find(id); !found || b.masked(id) {
+		return false
 	}
 	if b.dead == nil {
 		b.dead = make(map[graph.NodeID]struct{})
 	}
 	b.dead[id] = struct{}{}
 	b.deadN++
+	return true
 }
 
-// Store is a sharded in-memory map from node ID to embedding vector.
-// All vectors share one dimensionality and precision, fixed at
+// run returns the run holding store row row (< b.rows).
+func (b *coldBase) run(row int) *baseRun {
+	i := len(b.runs) - 1
+	for b.runs[i].first > row {
+		i--
+	}
+	return &b.runs[i]
+}
+
+// Store is an in-memory map from node ID to embedding vector. All
+// vectors share one dimensionality and precision, fixed at
 // construction. Methods are safe for concurrent use.
+//
+// Its rows are numbered: a cold store's base rows first, run by run,
+// then the overlay slab's, so slot i of the slab is row base.rows+i.
+// Deletes swap-remove slab rows, so a row number means something only
+// within one hold of the lock (see Scan).
 type Store struct {
-	dim    int
-	prec   Precision
-	shards []shard
+	dim  int
+	prec Precision
+
+	mu   sync.RWMutex
+	slab                      // the store; a cold store's overlay
+	slot map[graph.NodeID]int // id → slab slot
+	base *coldBase            // cold stores: the mapped snapshot
 
 	// cold is non-nil for mmap-backed stores (see OpenMmap): it owns
-	// the snapshot mapping the shard bases alias. Swapped atomically by
+	// the snapshot mapping the base aliases. Swapped atomically by
 	// Remap so stats readers never race the rotation fold.
 	cold atomic.Pointer[coldInfo]
 }
@@ -302,29 +322,25 @@ func (s *Store) MappedPath() string {
 }
 
 // OverlayStats reports the delta overlay of a cold store: vectors
-// resident in heap slabs on top of the base, their approximate slab
+// resident in the heap slab on top of the base, their approximate slab
 // bytes, and base rows masked by deletes or overwrites. All zero for
 // RAM stores (the slab is the store, not an overlay).
 func (s *Store) OverlayStats() (vectors int, bytes int64, masked int) {
 	if !s.Cold() {
 		return 0, 0, 0
 	}
-	per := int64(s.prec.BytesPerVector(s.dim))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		vectors += len(sh.ids)
-		if sh.base != nil {
-			masked += sh.base.deadN
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	vectors = len(s.ids)
+	if s.base != nil {
+		masked = s.base.deadN
 	}
-	return vectors, int64(vectors) * per, masked
+	return vectors, int64(vectors) * int64(s.prec.BytesPerVector(s.dim)), masked
 }
 
-// DefaultShards is the shard count used when a non-positive count is
-// requested. 16 keeps per-shard maps small without measurable overhead
-// at single-digit shard occupancy.
+// DefaultShards is what callers of LoadSnapshotV3 pass for its ignored
+// second argument. The store was once striped over this many lock
+// shards; it is one slab now.
 const DefaultShards = 16
 
 // viewPool recycles the VecViews the accessors hand to callbacks.
@@ -336,7 +352,7 @@ var viewPool = sync.Pool{New: func() any { return new(VecView) }}
 
 // getView checks a view out of the pool with its payload fields
 // cleared: pooled views travel between stores of different precisions,
-// and Run.View only writes its own precision's fields.
+// and a slab's view only writes its own precision's fields.
 func getView() *VecView {
 	v := viewPool.Get().(*VecView)
 	v.F32, v.Code = nil, nil
@@ -344,30 +360,23 @@ func getView() *VecView {
 }
 
 // New returns an empty store for dim-dimensional vectors at the given
-// slab precision and shard count (DefaultShards when shards <= 0).
-func New(dim, shards int, prec Precision) (*Store, error) {
+// slab precision.
+func New(dim int, prec Precision) (*Store, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("embstore: dimension %d < 1", dim)
 	}
 	if prec != F32 && prec != SQ8 {
 		return nil, fmt.Errorf("embstore: unknown precision %d (want F32 or SQ8)", prec)
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	s := &Store{dim: dim, prec: prec, shards: make([]shard, shards)}
-	for i := range s.shards {
-		s.shards[i].slot = make(map[graph.NodeID]int)
-	}
-	return s, nil
+	return &Store{dim: dim, prec: prec, slot: make(map[graph.NodeID]int)}, nil
 }
 
 // FromMatrix builds a store from an embedding matrix, assigning row i
 // to node ID i — the layout produced by Model.InferAll and every
 // baseline; rows are narrowed/quantized as they load. Its v3 snapshot
 // is the training→serving hand-off.
-func FromMatrix(emb *tensor.Matrix, shards int, prec Precision) (*Store, error) {
-	s, err := New(emb.Cols, shards, prec)
+func FromMatrix(emb *tensor.Matrix, prec Precision) (*Store, error) {
+	s, err := New(emb.Cols, prec)
 	if err != nil {
 		return nil, err
 	}
@@ -381,79 +390,51 @@ func (s *Store) Dim() int { return s.dim }
 // Precision returns the slab precision vectors are stored in.
 func (s *Store) Precision() Precision { return s.prec }
 
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
-
-// ShardOf returns the index of the shard holding id. Batch consumers
-// (e.g. ann's sq8 re-rank) group IDs by shard so each shard's lock is
-// taken once per batch instead of once per vector.
-func (s *Store) ShardOf(id graph.NodeID) int { return s.shardIndex(id) }
-
-// shardIndex hashes id onto a shard index. The multiply-xorshift mix
-// (splitmix-style finalizer) decorrelates the low bits so sequential
-// node IDs spread evenly.
-func (s *Store) shardIndex(id graph.NodeID) int {
-	x := uint32(id)
-	x ^= x >> 16
-	x *= 0x45d9f3b
-	x ^= x >> 16
-	// Reduce in uint32: int(x) is negative for half of all hashes on
-	// 32-bit platforms, and Go's % would preserve the sign.
-	return int(x % uint32(len(s.shards)))
-}
-
-func (s *Store) shardFor(id graph.NodeID) *shard {
-	return &s.shards[s.shardIndex(id)]
-}
-
 // Len returns the number of stored vectors.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.ids)
-		if sh.base != nil {
-			n += sh.base.liveLen()
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.lenLocked()
+}
+
+func (s *Store) lenLocked() int {
+	n := len(s.ids)
+	if b := s.base; b != nil {
+		n += b.rows - b.deadN
 	}
 	return n
 }
 
-// Run is one contiguous run of a shard's rows, as ScanShard hands it
-// out: the shard's dense overlay slab, or a cold store's mapped base.
-// Row i is node IDs[i]; an sq8 run's codes are Codes (row i at
-// [i·dim, (i+1)·dim)), and every row's sidecars are read through SQ8 or
-// View. The slices alias slab or mapping memory: valid only under the
-// lock the Run was handed out under, never to be retained or written.
+// overlayFirst is the store row of the slab's slot 0. Caller holds s.mu.
+func (s *Store) overlayFirst() int {
+	if s.base == nil {
+		return 0
+	}
+	return s.base.rows
+}
+
+// Run is one contiguous run of the store's rows, as Rows hands it out:
+// a run of a cold store's mapped base, or the dense slab. Row i is node
+// IDs[i] and store row First+i; an sq8 run's codes are Codes (row i at
+// [i·dim, (i+1)·dim)), and every row's sidecars are read through
+// Sidecars or View. The slices alias slab or mapping memory: valid only
+// under the lock hold the Run was handed out under, never to be
+// retained or written.
 type Run struct {
 	IDs   []graph.NodeID
 	Codes []int8 // SQ8 codes
+	First int    // the store row of row 0
 
-	f32   []float32 // F32 rows
-	norms []float64 // F32 norms of the original vectors
-	meta  []sq8Meta
-	dead  map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
-	dim   int
-}
-
-// overlayRun is the shard's dense slab as a Run. Caller holds sh.mu.
-func (sh *shard) overlayRun(dim int) Run {
-	return Run{IDs: sh.ids, Codes: sh.codes, f32: sh.vecs32, norms: sh.norms, meta: sh.meta, dim: dim}
-}
-
-// run is the mapped base as a Run, masks included. Caller holds the
-// shard lock.
-func (b *baseSection) run(dim int) Run {
-	return Run{IDs: b.ids, Codes: b.codes, f32: b.vecs32, norms: b.norms, meta: b.meta, dead: b.dead, dim: dim}
+	sl   *slab
+	dead map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
+	dim  int
 }
 
 // Sidecars returns the sq8 sidecars of rows [lo, hi): each row's
 // decode scale and offset, the norm of the original vector and the sum
 // of its codes. The slice aliases the run.
 func (r *Run) Sidecars(lo, hi int) []vecmath.SQ8Sidecar {
-	return r.meta[lo:hi]
+	return r.sl.meta[lo:hi]
 }
 
 // Masked reports whether row i is hidden: a base row that a delete or
@@ -472,31 +453,61 @@ func (r *Run) Masked(i int) bool {
 // written, so a view can be refilled per row without re-zeroing it; it
 // aliases the run's memory (zero-copy from the mapping — cold mode's
 // whole point), so the Run's lifetime rules apply.
-func (r *Run) View(i int, v *VecView) {
-	viewRow(v, r.dim, i, r.Codes, r.f32, r.norms, r.meta)
+func (r *Run) View(i int, v *VecView) { r.sl.view(v, r.dim, i) }
+
+// Rows is the store as one hold of its read lock sees it: its runs,
+// and any row by number. It is handed to Scan's callback and valid only
+// inside it.
+type Rows struct{ s *Store }
+
+// Runs returns the number of runs: a cold store's base runs, then the
+// slab.
+func (rs Rows) Runs() int {
+	if b := rs.s.base; b != nil {
+		return len(b.runs) + 1
+	}
+	return 1
 }
 
-// viewRow points v at row i of a slab's slices (f32 set for an F32
-// slab, codes and meta for an SQ8 one).
-func viewRow(v *VecView, dim, i int, codes []int8, f32 []float32, norms []float64, meta []sq8Meta) {
-	lo, hi := i*dim, (i+1)*dim
-	if f32 != nil {
-		v.F32, v.Norm = f32[lo:hi], norms[i]
-		return
+// Run returns run i (< Runs()).
+func (rs Rows) Run(i int) Run {
+	s := rs.s
+	if b := s.base; b != nil && i < len(b.runs) {
+		r := &b.runs[i]
+		return Run{IDs: r.ids, Codes: r.codes, First: r.first, sl: &r.slab, dead: b.dead, dim: s.dim}
 	}
-	m := &meta[i]
-	v.Code = codes[lo:hi]
-	v.Scale, v.Offset, v.CodeSum, v.Norm = m.Scale, m.Offset, m.CodeSum, m.Norm
+	return Run{IDs: s.ids, Codes: s.codes, First: s.overlayFirst(), sl: &s.slab, dim: s.dim}
 }
 
-// fillAt points v at the slot'th row of the overlay slab or the mapped
-// base. Caller holds the shard lock.
-func (s *Store) fillAt(sh *shard, slot int, inBase bool, v *VecView) {
-	if b := sh.base; inBase {
-		viewRow(v, s.dim, slot, b.codes, b.vecs32, b.norms, b.meta)
+// View points v at store row row, as Run.View does: the re-rank of a
+// scan reads the rows its pools name without an id lookup.
+func (rs Rows) View(row int, v *VecView) { rs.s.viewRow(row, v) }
+
+// viewRow points v at store row row. Caller holds s.mu.
+func (s *Store) viewRow(row int, v *VecView) {
+	if b := s.base; b != nil && row < b.rows {
+		r := b.run(row)
+		r.view(v, s.dim, row-r.first)
 		return
 	}
-	viewRow(v, s.dim, slot, sh.codes, sh.vecs32, sh.norms, sh.meta)
+	s.view(v, s.dim, row-s.overlayFirst())
+}
+
+// lookupLocked finds id's store row: in the slab first (it wins by the
+// mask invariant), then among the base's live rows. Caller holds s.mu.
+func (s *Store) lookupLocked(id graph.NodeID) (row int, ok bool) {
+	if slot, ok := s.slot[id]; ok {
+		return s.overlayFirst() + slot, true
+	}
+	b := s.base
+	if b == nil {
+		return 0, false
+	}
+	r, i, found := b.find(id)
+	if !found || b.masked(id) {
+		return 0, false
+	}
+	return r.first + i, true
 }
 
 // extend grows s by n zero elements. The reused-capacity path must
@@ -511,23 +522,23 @@ func extend[T any](s []T, n int) []T {
 	return append(s, make([]T, n)...)
 }
 
-// ensureSlot returns id's slot, appending a fresh zero row when the id
-// is new. Caller holds sh.mu.
-func (sh *shard) ensureSlot(s *Store, id graph.NodeID) int {
-	slot, ok := sh.slot[id]
+// ensureSlot returns id's slab slot, appending a fresh zero row when
+// the id is new. Caller holds s.mu.
+func (s *Store) ensureSlot(id graph.NodeID) int {
+	slot, ok := s.slot[id]
 	if ok {
 		return slot
 	}
-	slot = len(sh.ids)
-	sh.slot[id] = slot
-	sh.ids = append(sh.ids, id)
+	slot = len(s.ids)
+	s.slot[id] = slot
+	s.ids = append(s.ids, id)
 	switch s.prec {
 	case F32:
-		sh.vecs32 = extend(sh.vecs32, s.dim)
-		sh.norms = append(sh.norms, 0)
+		s.vecs32 = extend(s.vecs32, s.dim)
+		s.norms = append(s.norms, 0)
 	case SQ8:
-		sh.codes = extend(sh.codes, s.dim)
-		sh.meta = append(sh.meta, sq8Meta{})
+		s.codes = extend(s.codes, s.dim)
+		s.meta = append(s.meta, sq8Meta{})
 	}
 	return slot
 }
@@ -535,79 +546,52 @@ func (sh *shard) ensureSlot(s *Store, id graph.NodeID) int {
 // upsertLocked inserts or replaces id's vector, narrowing/quantizing
 // per the store precision. norm is the caller's L2 norm of vec (the
 // original full-precision value the cosine path divides by). Caller
-// holds sh.mu.
-func (sh *shard) upsertLocked(s *Store, id graph.NodeID, vec []float64, norm float64) {
-	sh.maskBase(id)
-	slot := sh.ensureSlot(s, id)
+// holds s.mu.
+func (s *Store) upsertLocked(id graph.NodeID, vec []float64, norm float64) {
+	if s.base != nil {
+		s.base.mask(id)
+	}
+	slot := s.ensureSlot(id)
 	dim := s.dim
 	switch s.prec {
 	case F32:
-		vecmath.F64To32(sh.vecs32[slot*dim:(slot+1)*dim], vec)
-		sh.norms[slot] = norm
+		vecmath.F64To32(s.vecs32[slot*dim:(slot+1)*dim], vec)
+		s.norms[slot] = norm
 	case SQ8:
-		scale, offset, codeSum := vecmath.EncodeSQ8(vec, sh.codes[slot*dim:(slot+1)*dim])
-		sh.meta[slot] = sq8Meta{Scale: scale, Offset: offset, Norm: norm, CodeSum: codeSum}
+		scale, offset, codeSum := vecmath.EncodeSQ8(vec, s.codes[slot*dim:(slot+1)*dim])
+		s.meta[slot] = sq8Meta{Scale: scale, Offset: offset, Norm: norm, CodeSum: codeSum}
 	}
 }
 
 // BulkLoad upserts row i of emb as node ID i for every row. It panics on
 // dimension mismatch (programmer error, matching tensor conventions).
-// Rows are copied; the caller keeps ownership of emb. Each shard's slab
-// is grown once, so the load performs O(shards) allocations rather than
-// one per vector.
+// Rows are copied; the caller keeps ownership of emb. The slab is grown
+// once, so the load performs O(1) allocations rather than one per
+// vector.
 func (s *Store) BulkLoad(emb *tensor.Matrix) {
 	if emb.Cols != s.dim {
 		panic(fmt.Sprintf("embstore: bulk load of %d-dim rows into %d-dim store", emb.Cols, s.dim))
 	}
-	// Group rows per shard first so each shard's lock is taken once.
-	groups := make([][]graph.NodeID, len(s.shards))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reserveLocked(emb.Rows)
 	for i := 0; i < emb.Rows; i++ {
-		id := graph.NodeID(i)
-		idx := s.shardIndex(id)
-		groups[idx] = append(groups[idx], id)
+		row := emb.Row(i)
+		s.upsertLocked(graph.NodeID(i), row, vecmath.Norm(row))
 	}
-	var wg sync.WaitGroup
-	for idx := range groups {
-		if len(groups[idx]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shard, ids []graph.NodeID) {
-			defer wg.Done()
-			sh.mu.Lock()
-			sh.reserveLocked(s, len(ids))
-			for _, id := range ids {
-				row := emb.Row(int(id))
-				sh.upsertLocked(s, id, row, vecmath.Norm(row))
-			}
-			sh.mu.Unlock()
-		}(&s.shards[idx], groups[idx])
-	}
-	wg.Wait()
 }
 
-// reserveLocked pre-grows the shard's slabs for extra more vectors.
-// Caller holds sh.mu.
-func (sh *shard) reserveLocked(s *Store, extra int) {
-	n := len(sh.ids) + extra
-	if cap(sh.ids) < n {
-		sh.ids = append(make([]graph.NodeID, 0, n), sh.ids...)
-	}
+// reserveLocked pre-grows the slab for extra more vectors. Caller holds
+// s.mu.
+func (s *Store) reserveLocked(extra int) {
+	s.ids = slices.Grow(s.ids, extra)
 	switch s.prec {
 	case F32:
-		if cap(sh.vecs32) < n*s.dim {
-			sh.vecs32 = append(make([]float32, 0, n*s.dim), sh.vecs32...)
-		}
+		s.vecs32 = slices.Grow(s.vecs32, extra*s.dim)
+		s.norms = slices.Grow(s.norms, extra)
 	case SQ8:
-		if cap(sh.codes) < n*s.dim {
-			sh.codes = append(make([]int8, 0, n*s.dim), sh.codes...)
-		}
-		if cap(sh.meta) < n {
-			sh.meta = append(make([]sq8Meta, 0, n), sh.meta...)
-		}
-	}
-	if s.prec != SQ8 && cap(sh.norms) < n {
-		sh.norms = append(make([]float64, 0, n), sh.norms...)
+		s.codes = slices.Grow(s.codes, extra*s.dim)
+		s.meta = slices.Grow(s.meta, extra)
 	}
 }
 
@@ -624,174 +608,132 @@ func (s *Store) upsertNorm(id graph.NodeID, vec []float64, norm float64) error {
 	if len(vec) != s.dim {
 		return fmt.Errorf("embstore: upsert of %d-dim vector into %d-dim store", len(vec), s.dim)
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sh.upsertLocked(s, id, vec, norm)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.upsertLocked(id, vec, norm)
+	s.mu.Unlock()
 	return nil
 }
 
 // Delete removes id, reporting whether it was present. The last vector
-// of the shard's slab is swapped into the vacated slot so scans stay
-// dense.
+// of the slab is swapped into the vacated slot so scans stay dense.
 func (s *Store) Delete(id graph.NodeID) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	slot, ok := sh.slot[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, ok := s.slot[id]
 	if !ok {
-		// Not in the overlay: a live base row is deleted by masking it
-		// (the mapping is read-only).
-		if b := sh.base; b != nil {
-			if _, found := slices.BinarySearch(b.ids, id); found && !b.maskedBase(id) {
-				sh.maskBase(id)
-				return true
-			}
-		}
-		return false
+		// Not in the slab: a live base row is deleted by masking it (the
+		// mapping is read-only).
+		return s.base != nil && s.base.mask(id)
 	}
 	dim := s.dim
-	last := len(sh.ids) - 1
+	last := len(s.ids) - 1
 	if slot != last {
-		movedID := sh.ids[last]
-		sh.ids[slot] = movedID
+		movedID := s.ids[last]
+		s.ids[slot] = movedID
 		switch s.prec {
 		case F32:
-			copy(sh.vecs32[slot*dim:(slot+1)*dim], sh.vecs32[last*dim:(last+1)*dim])
-			sh.norms[slot] = sh.norms[last]
+			copy(s.vecs32[slot*dim:(slot+1)*dim], s.vecs32[last*dim:(last+1)*dim])
+			s.norms[slot] = s.norms[last]
 		case SQ8:
-			copy(sh.codes[slot*dim:(slot+1)*dim], sh.codes[last*dim:(last+1)*dim])
-			sh.meta[slot] = sh.meta[last]
+			copy(s.codes[slot*dim:(slot+1)*dim], s.codes[last*dim:(last+1)*dim])
+			s.meta[slot] = s.meta[last]
 		}
-		sh.slot[movedID] = slot
+		s.slot[movedID] = slot
 	}
-	sh.ids = sh.ids[:last]
+	s.ids = s.ids[:last]
 	switch s.prec {
 	case F32:
-		sh.vecs32 = sh.vecs32[:last*dim]
-		sh.norms = sh.norms[:last]
+		s.vecs32 = s.vecs32[:last*dim]
+		s.norms = s.norms[:last]
 	case SQ8:
-		sh.codes = sh.codes[:last*dim]
-		sh.meta = sh.meta[:last]
+		s.codes = s.codes[:last*dim]
+		s.meta = s.meta[:last]
 	}
-	delete(sh.slot, id)
+	delete(s.slot, id)
 	return true
 }
 
 // Get returns a full-precision copy of the vector for id, dequantized
 // from whatever the slab stores.
 func (s *Store) Get(id graph.NodeID) ([]float64, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	slot, inBase, ok := sh.lookupLocked(id)
-	if !ok {
-		sh.mu.RUnlock()
-		return nil, false
-	}
-	out := make([]float64, s.dim)
-	v := getView()
-	s.fillAt(sh, slot, inBase, v)
-	v.DequantizeInto(out)
-	viewPool.Put(v)
-	sh.mu.RUnlock()
-	return out, true
+	var out []float64
+	ok := s.With(id, func(v *VecView) {
+		out = make([]float64, s.dim)
+		v.DequantizeInto(out)
+	})
+	return out, ok
 }
 
-// With runs fn on the stored vector for id under the shard read lock,
+// With runs fn on the stored vector for id under the read lock,
 // avoiding the copy Get makes. The view aliases slab memory: fn must
-// not retain it (or the pointer) or call any mutating Store method
-// (the shard lock is held). Reports presence.
+// not retain it (or the pointer) or call any Store method (the lock is
+// held). Reports presence.
 func (s *Store) With(id graph.NodeID, fn func(v *VecView)) bool {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	slot, inBase, ok := sh.lookupLocked(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	row, ok := s.lookupLocked(id)
 	if ok {
 		v := getView()
-		s.fillAt(sh, slot, inBase, v)
+		s.viewRow(row, v)
 		fn(v)
 		viewPool.Put(v)
 	}
-	sh.mu.RUnlock()
 	return ok
 }
 
-// ScanShard hands shard i's rows to fn as contiguous runs, all under
-// one hold of the shard's read lock: the dense overlay slab first,
-// then, for a cold store, the mapped base with its masked rows still
-// in place (see Run.Masked). fn returns false to stop. Deletes
-// swap-remove overlay rows, so a scan that releases the lock and comes
-// back may see rows moved; a run is consistent only within its
-// callback. fn must not retain the run or call a mutating Store method.
-func (s *Store) ScanShard(i int, fn func(r Run) bool) {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if !fn(sh.overlayRun(s.dim)) || sh.base == nil {
-		return
-	}
-	fn(sh.base.run(s.dim))
+// Scan runs fn under one hold of the store's read lock, handing it the
+// store's rows as that hold sees them: contiguous runs (a cold store's
+// mapped base with its masked rows still in place, see Run.Masked, then
+// the dense slab), and any row by number. Deletes swap-remove slab
+// rows, so a row number taken under one hold means nothing under the
+// next. fn must not retain anything it was handed or call any Store
+// method: the lock is held, and a read lock taken again while a writer
+// waits deadlocks.
+func (s *Store) Scan(fn func(rs Rows)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn(Rows{s})
 }
 
-// RangeShard iterates shard i's live rows under its read lock, stopping
-// when fn returns false. The view passed to fn aliases slab memory and
-// is reused across iterations: fn must not retain it or call any
-// mutating Store method. Iteration order is ScanShard's: the dense slab
-// (insertion order, perturbed by swap-remove deletes), then a cold
-// store's unmasked base rows.
-func (s *Store) RangeShard(i int, fn func(id graph.NodeID, v *VecView) bool) {
+// Range iterates the store's live rows under one hold of its read lock,
+// stopping when fn returns false. The view passed to fn aliases slab
+// memory and is reused across iterations: fn must not retain it or call
+// any Store method. Iteration is in row order (Scan's runs).
+func (s *Store) Range(fn func(id graph.NodeID, v *VecView) bool) {
 	v := getView()
 	defer viewPool.Put(v)
-	s.ScanShard(i, func(r Run) bool {
-		for j, id := range r.IDs {
-			if r.Masked(j) {
-				continue
-			}
-			r.View(j, v)
-			if !fn(id, v) {
-				return false
+	s.Scan(func(rs Rows) {
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for j, id := range r.IDs {
+				if r.Masked(j) {
+					continue
+				}
+				r.View(j, v)
+				if !fn(id, v) {
+					return
+				}
 			}
 		}
-		return true
 	})
-}
-
-// WithShard looks up each of ids (all of which must hash to shard i —
-// see ShardOf) under a single acquisition of the shard's read lock,
-// calling fn(j, v) for every ids[j] that is present. The batch analogue
-// of With for consumers that score many candidates at once (the index j
-// tells them whose candidate it is); the view is reused across calls
-// like RangeShard's.
-func (s *Store) WithShard(i int, ids []graph.NodeID, fn func(j int, v *VecView)) {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v := getView()
-	defer viewPool.Put(v)
-	for j, id := range ids {
-		if slot, inBase, ok := sh.lookupLocked(id); ok {
-			s.fillAt(sh, slot, inBase, v)
-			fn(j, v)
-		}
-	}
 }
 
 // IDs returns all stored node IDs in ascending order.
 func (s *Store) IDs() []graph.NodeID {
-	out := make([]graph.NodeID, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out = append(out, sh.ids...)
-		if b := sh.base; b != nil {
-			for _, id := range b.ids {
-				if !b.maskedBase(id) {
+	s.mu.RLock()
+	out := make([]graph.NodeID, 0, s.lenLocked())
+	out = append(out, s.ids...)
+	if b := s.base; b != nil {
+		for ri := range b.runs {
+			for _, id := range b.runs[ri].ids {
+				if !b.masked(id) {
 					out = append(out, id)
 				}
 			}
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	s.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 
@@ -824,29 +766,23 @@ func viewEqual(a, b *VecView) bool {
 }
 
 // Equal reports whether two stores hold identical contents (same IDs,
-// same precision, bit-identical slab representations), regardless of
-// shard count. It takes read locks shard by shard; quiesce writers for
-// a meaningful answer.
+// same precision, bit-identical slab representations), whatever their
+// layout (RAM or cold, and how a cold base is cut into runs). It holds
+// s's read lock while it reads o's; quiesce writers for a meaningful
+// answer.
 func (s *Store) Equal(o *Store) bool {
+	if s == o {
+		return true // one lock: Range's hold cannot nest o.With's
+	}
 	if s.dim != o.dim || s.prec != o.prec || s.Len() != o.Len() {
 		return false
 	}
 	equal := true
-	for i := range s.shards {
-		s.RangeShard(i, func(id graph.NodeID, v *VecView) bool {
-			ok := o.With(id, func(ov *VecView) {
-				if !viewEqual(v, ov) {
-					equal = false
-				}
-			})
-			if !ok {
-				equal = false
-			}
-			return equal
-		})
-		if !equal {
-			return false
-		}
-	}
-	return true
+	s.Range(func(id graph.NodeID, v *VecView) bool {
+		same := false
+		o.With(id, func(ov *VecView) { same = viewEqual(v, ov) })
+		equal = same
+		return same
+	})
+	return equal
 }

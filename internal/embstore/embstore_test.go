@@ -15,20 +15,19 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 4, F32); err == nil {
+	if _, err := New(0, F32); err == nil {
 		t.Fatal("dim 0 accepted")
 	}
-	s, err := New(3, 0, F32)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := New(3, legacyF64); err == nil {
+		t.Fatal("float64 layout accepted")
 	}
-	if s.NumShards() != DefaultShards {
-		t.Fatalf("shards = %d, want default %d", s.NumShards(), DefaultShards)
+	if _, err := New(3, F32); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestUpsertGetDelete(t *testing.T) {
-	s, err := New(3, 4, F32)
+	s, err := New(3, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +64,10 @@ func TestUpsertGetDelete(t *testing.T) {
 	}
 }
 
-func TestBulkLoadCoversAllRowsAndShards(t *testing.T) {
+func TestBulkLoadCoversAllRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	emb := tensor.Randn(257, 5, 1, rng)
-	s, err := FromMatrix(emb, 8, F32)
+	s, err := FromMatrix(emb, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +85,15 @@ func TestBulkLoadCoversAllRowsAndShards(t *testing.T) {
 			}
 		}
 	}
-	// Every shard should hold something at 257 ids over 8 shards, unless
-	// the hash is badly broken.
-	for sh := 0; sh < s.NumShards(); sh++ {
-		n := 0
-		s.RangeShard(sh, func(graph.NodeID, *VecView) bool { n++; return true })
-		if n == 0 {
-			t.Fatalf("shard %d empty after bulk load of 257 ids", sh)
-		}
+	n := 0
+	s.Range(func(graph.NodeID, *VecView) bool { n++; return true })
+	if n != 257 {
+		t.Fatalf("Range visited %d rows after bulk load of 257 ids", n)
 	}
 }
 
 func TestWithReportsMaintainedNorm(t *testing.T) {
-	s, _ := New(3, 2, F32)
+	s, _ := New(3, F32)
 	_ = s.Upsert(4, []float64{3, 4, 0})
 	var norm float64
 	if !s.With(4, func(v *VecView) { norm = v.Norm }) {
@@ -115,7 +110,7 @@ func TestWithReportsMaintainedNorm(t *testing.T) {
 }
 
 func TestIDsSorted(t *testing.T) {
-	s, _ := New(1, 4, F32)
+	s, _ := New(1, F32)
 	for _, id := range []graph.NodeID{42, 7, 19, 3} {
 		_ = s.Upsert(id, []float64{1})
 	}
@@ -134,7 +129,7 @@ func TestIDsSorted(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	emb := tensor.Randn(50, 4, 1, rng)
-	s, err := FromMatrix(emb, 4, F32)
+	s, err := FromMatrix(emb, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +137,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	_ = s.Upsert(1000, []float64{1, 2, 3, 4})
 
 	path := writeV3(t, s, 0)
-	loaded, _, err := LoadSnapshotV3(path, 7) // different shard count
+	loaded, _, err := LoadSnapshotV3(path, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +156,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Identical contents at the same shard count must serialize to
-	// identical bytes (the section layout is per shard).
+	// Identical contents must serialize to identical bytes.
 	same, _, err := LoadSnapshotV3(path, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +188,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestConcurrentMixedAccess(t *testing.T) {
-	s, _ := New(8, 8, F32)
+	s, _ := New(8, F32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -213,7 +207,7 @@ func TestConcurrentMixedAccess(t *testing.T) {
 				case 2:
 					_ = s.Delete(id)
 				default:
-					s.RangeShard(rng.Intn(8), func(graph.NodeID, *VecView) bool { return true })
+					s.Range(func(graph.NodeID, *VecView) bool { return true })
 				}
 			}
 		}(w)
@@ -221,8 +215,12 @@ func TestConcurrentMixedAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWithShardBatchLookup(t *testing.T) {
-	s, err := New(4, 8, F32)
+// TestScanViewByRow: inside one Scan hold, Rows.View of a run's First+i
+// is that run's row i — the row-addressed read the scan re-rank makes
+// instead of an id lookup — and it survives the slab's swap-remove
+// deletes because each hold numbers the rows afresh.
+func TestScanViewByRow(t *testing.T) {
+	s, err := New(4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,38 +229,32 @@ func TestWithShardBatchLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Group all IDs by shard, then look each group up in one batch.
-	groups := make([][]graph.NodeID, s.NumShards())
-	for i := 0; i < 100; i++ {
-		id := graph.NodeID(i)
-		groups[s.ShardOf(id)] = append(groups[s.ShardOf(id)], id)
+	for i := 0; i < 100; i += 7 {
+		s.Delete(graph.NodeID(i))
 	}
-	seen := make(map[graph.NodeID]float64)
-	for si, ids := range groups {
-		// Include a missing ID: it must be skipped, not panic.
-		batch := append(ids, graph.NodeID(10_000+si))
-		s.WithShard(si, batch, func(j int, v *VecView) {
-			id := batch[j]
-			seen[id] = float64(v.F32[0])
-			if v.Norm != seen[id] {
-				t.Errorf("id %d: norm %g want %g", id, v.Norm, seen[id])
+	seen := 0
+	s.Scan(func(rs Rows) {
+		var v VecView
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for i, id := range r.IDs {
+				rs.View(r.First+i, &v)
+				if v.F32[0] != float32(id) || v.Norm != float64(id) {
+					t.Errorf("row %d (id %d): vec[0] %g, norm %g", r.First+i, id, v.F32[0], v.Norm)
+				}
+				seen++
 			}
-		})
-	}
-	if len(seen) != 100 {
-		t.Fatalf("batch lookup found %d of 100", len(seen))
-	}
-	for id, v := range seen {
-		if v != float64(id) {
-			t.Fatalf("id %d: vec[0] %g", id, v)
 		}
+	})
+	if seen != s.Len() {
+		t.Fatalf("Scan visited %d rows, Len = %d", seen, s.Len())
 	}
 }
 
 // TestSnapshotWatermarkRoundTrip: SaveSnapshotV3 stamps a watermark and
 // every loader hands it back, at the native or a converted precision.
 func TestSnapshotWatermarkRoundTrip(t *testing.T) {
-	s, err := New(2, 4, F32)
+	s, err := New(2, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +272,7 @@ func TestSnapshotWatermarkRoundTrip(t *testing.T) {
 	if !loaded.Equal(s) {
 		t.Fatal("contents changed across watermarked round trip")
 	}
-	if _, wm, err = LoadSnapshotV3At(path, 2, SQ8); err != nil || wm != 12345 {
+	if _, wm, err = LoadSnapshotV3At(path, SQ8); err != nil || wm != 12345 {
 		t.Fatalf("converted load: watermark %d (err %v), want 12345", wm, err)
 	}
 }
@@ -304,17 +296,17 @@ func TestApplyWAL(t *testing.T) {
 			}
 		}
 	}
-	want, _ := New(2, 4, F32)
+	want, _ := New(2, F32)
 	_ = want.Upsert(2, []float64{5, 5})
 
-	once, _ := New(2, 4, F32)
+	once, _ := New(2, F32)
 	apply(once, 0)
 	if !once.Equal(want) {
 		t.Fatal("ApplyWAL diverged from direct mutation")
 	}
 	// A store already holding records 1-2 reconverges when the full log
 	// replays over it (snapshot bleed-in case).
-	bled, _ := New(2, 3, F32)
+	bled, _ := New(2, F32)
 	apply(bled, 0)
 	apply(bled, 0)
 	if !bled.Equal(want) {
@@ -328,8 +320,8 @@ func TestApplyWAL(t *testing.T) {
 // TestStoreEqual covers the comparison helper the crash-recovery
 // harness relies on.
 func TestStoreEqual(t *testing.T) {
-	a, _ := New(2, 4, F32)
-	b, _ := New(2, 7, F32) // shard count must not matter
+	a, _ := New(2, F32)
+	b, _ := New(2, F32)
 	for i := graph.NodeID(0); i < 20; i++ {
 		v := []float64{float64(i), -float64(i)}
 		_ = a.Upsert(i, v)
@@ -350,7 +342,7 @@ func TestStoreEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("missing id undetected")
 	}
-	c, _ := New(3, 4, F32)
+	c, _ := New(3, F32)
 	if a.Equal(c) {
 		t.Fatal("dimension mismatch undetected")
 	}

@@ -4,8 +4,8 @@
 // serves the base tier straight out of the page cache, so boot cost is
 // one integrity pass over the file (no heap materialization) and the
 // resident set tracks the access pattern instead of the dataset. WAL
-// applies land in the per-shard heap overlay; Remap folds the overlay
-// away when the rotation path writes a fresh base.
+// applies land in the heap overlay; Remap folds the overlay away when
+// the rotation path writes a fresh base.
 package embstore
 
 import (
@@ -22,7 +22,8 @@ import (
 // Vector-slab sections are advised MADV_RANDOM: re-rank touches
 // arbitrary rows and sequential readahead would just evict hotter
 // pages. A legacy float64 snapshot cannot be served in place:
-// ErrF64Snapshot.
+// ErrF64Snapshot. A file written while the store was striped over lock
+// shards is served in place too, one base run per shard.
 func OpenMmap(path string) (*Store, uint64, error) {
 	if !hostLittleEndian {
 		return nil, 0, fmt.Errorf("embstore: v3 snapshots require a little-endian host")
@@ -35,7 +36,7 @@ func OpenMmap(path string) (*Store, uint64, error) {
 		syscall.Munmap(data)
 		return nil, 0, fmt.Errorf("embstore: mmap open %s: %w", path, ErrF64Snapshot)
 	}
-	s, err := New(l.dim, l.shards, l.prec)
+	s, err := New(l.dim, l.prec)
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, 0, err
@@ -97,13 +98,12 @@ func madvise(b []byte, advice int) {
 }
 
 // Remap replaces a cold store's base with the v3 snapshot at path and
-// clears the overlays: the rotation fold. The caller must have written
-// path from this store (same dim/precision/shards) and must hold off
+// clears the overlay: the rotation fold. The caller must have written
+// path from this store (same dim and precision) and must hold off
 // writers for the whole call — the daemon runs it under its applier
 // lock, right after SaveSnapshotV3, so the new base is exactly the
-// pre-fold contents. Readers keep working throughout: each shard flips
-// under its write lock, and the old mapping is released only after
-// every shard has let go of it.
+// pre-fold contents. Readers wait only for the flip itself, under the
+// write lock, and the old mapping is released after it.
 func (s *Store) Remap(path string) error {
 	old := s.cold.Load()
 	if old == nil {
@@ -113,16 +113,16 @@ func (s *Store) Remap(path string) error {
 	if err != nil {
 		return err
 	}
-	if l.dim != s.dim || l.prec != s.prec || l.shards != len(s.shards) {
+	if l.dim != s.dim || l.prec != s.prec {
 		syscall.Munmap(data)
-		return fmt.Errorf("embstore: remap %s: dim/precision/shards %d/%s/%d, store has %d/%s/%d",
-			path, l.dim, l.prec, l.shards, s.dim, s.prec, len(s.shards))
+		return fmt.Errorf("embstore: remap %s: dim/precision %d/%s, store has %d/%s",
+			path, l.dim, l.prec, s.dim, s.prec)
 	}
 	s.attachColdBase(l, data)
 	s.cold.Store(&coldInfo{path: path, data: data, payloadBytes: l.payloadBytes()})
-	// Every shard has cycled through its write lock above, so no reader
-	// still holds a view into the old mapping (views never outlive the
-	// shard lock that produced them).
+	// The flip above held the write lock, so no reader still holds a
+	// view into the old mapping (views never outlive the lock hold that
+	// produced them).
 	return syscall.Munmap(old.data)
 }
 
@@ -134,12 +134,9 @@ func (s *Store) Close() error {
 	if old == nil {
 		return nil
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.base = nil
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.base = nil
+	s.mu.Unlock()
 	return syscall.Munmap(old.data)
 }
 

@@ -37,7 +37,7 @@ func maxLaneErr(p Precision, v *VecView, orig []float64) float64 {
 // swap-remove correctly, for every layout.
 func TestPrecisionRoundTrip(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
-		if _, err := New(9, 4, legacyF64); err == nil {
+		if _, err := New(9, legacyF64); err == nil {
 			t.Fatal("New built a float64 store")
 		}
 	})
@@ -45,7 +45,7 @@ func TestPrecisionRoundTrip(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			const dim, n = 9, 137
-			s, err := New(dim, 4, p)
+			s, err := New(dim, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +127,11 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	})
 	for _, p := range allPrecisions {
 		t.Run(p.String(), func(t *testing.T) {
-			s, err := FromMatrix(emb, 4, p)
+			s, err := FromMatrix(emb, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, _, err := LoadSnapshotV3(writeV3(t, s, 0), 7) // different shard count on purpose
+			loaded, _, err := LoadSnapshotV3(writeV3(t, s, 0), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ type sourceRow struct {
 	norm   float64
 }
 
-// legacyF64Fixture returns testdata/f64.snap — a one-shard float64 v3
+// legacyF64Fixture returns testdata/f64.snap — a one-run float64 v3
 // snapshot written by SaveSnapshotV3 at the last commit whose stores
 // could be f64 — and the rows upserted into it (testdata/f64.json, in
 // the file's ascending-id order), one of them the zero vector.
@@ -187,10 +187,10 @@ func legacyF64Fixture(t testing.TB) (string, []sourceRow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.prec != legacyF64 || l.shards != 1 || l.count != uint64(len(rows)) || l.watermark != legacyF64Watermark {
-		t.Fatalf("fixture header: precision tag %d, %d shards, %d rows, watermark %d", int(l.prec), l.shards, l.count, l.watermark)
+	if l.prec != legacyF64 || l.runs != 1 || l.count != uint64(len(rows)) || l.watermark != legacyF64Watermark {
+		t.Fatalf("fixture header: precision tag %d, %d runs, %d rows, watermark %d", int(l.prec), l.runs, l.count, l.watermark)
 	}
-	idsSec, _, normSec := l.shardSections(0)
+	idsSec, _, normSec := l.runSections(0)
 	ids := castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length])
 	norms := castSlice[float64](data[normSec.off : normSec.off+normSec.length])
 	for i := range rows {
@@ -221,7 +221,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 	sources := []source{{"f64", fixture, legacyF64Watermark, fixtureRows,
 		func(graph.NodeID, []float64) float64 { return 0 }}}
 	for _, from := range allPrecisions {
-		src, err := FromMatrix(emb, 4, from)
+		src, err := FromMatrix(emb, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,13 +238,13 @@ func TestCrossPrecisionLoad(t *testing.T) {
 	}
 	for _, src := range sources {
 		t.Run(src.name+"->f64", func(t *testing.T) {
-			if _, _, err := LoadSnapshotV3At(src.path, 4, legacyF64); err == nil {
+			if _, _, err := LoadSnapshotV3At(src.path, legacyF64); err == nil {
 				t.Fatal("loaded into a float64 store")
 			}
 		})
 		for _, to := range allPrecisions {
 			t.Run(src.name+"->"+to.String(), func(t *testing.T) {
-				dst, wm, err := LoadSnapshotV3At(src.path, 4, to)
+				dst, wm, err := LoadSnapshotV3At(src.path, to)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 }
 
 // TestCorruptSnapshotRejected: structurally inconsistent images — a
-// sidecar or payload whose length disagrees with its shard's id count,
+// sidecar or payload whose length disagrees with its run's id count,
 // an unknown version or precision, a zero dim — must fail loudly even
 // when every CRC has been recomputed to match (so the structural
 // checks, not the checksums, are what refuses them), as must a
@@ -292,7 +292,7 @@ func TestCrossPrecisionLoad(t *testing.T) {
 func TestCorruptSnapshotRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	emb := tensor.Randn(20, 4, 1, rng)
-	src, err := FromMatrix(emb, 2, SQ8)
+	src, err := FromMatrix(emb, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// entry returns the offset of the table entry of shard 0's section of
+	// entry returns the offset of the table entry of run 0's section of
 	// the given kind.
 	entry := func(kind v3Kind) int {
 		for i, sec := range layout.sections {
-			if sec.kind == kind && sec.shard == 0 {
+			if sec.kind == kind && sec.run == 0 {
 				return int(layout.tableOff) + i*v3EntrySize
 			}
 		}
@@ -387,8 +387,8 @@ func TestParsePrecision(t *testing.T) {
 func TestEqualAcrossPrecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	emb := tensor.Randn(10, 4, 1, rng)
-	a, _ := FromMatrix(emb, 2, F32)
-	b, _ := FromMatrix(emb, 2, SQ8)
+	a, _ := FromMatrix(emb, F32)
+	b, _ := FromMatrix(emb, SQ8)
 	if a.Equal(b) {
 		t.Fatal("f32 store Equal sq8 store")
 	}

@@ -14,24 +14,25 @@
 //	  [8:12)  version u32 = 3
 //	  [12:16) dim u32
 //	  [16:20) precision u32 (Precision enum; 0 = legacy float64)
-//	  [20:24) shard count u32
+//	  [20:24) run count u32 (1; files written while the store was
+//	          striped over lock shards have one run per shard)
 //	  [24:32) vector count u64
 //	  [32:40) WAL watermark u64
 //	  [40:44) section alignment u32 = 4096
-//	  [44:48) section count u32 (= 3 × shards)
+//	  [44:48) section count u32 (= 3 × runs)
 //	  [48:56) section table offset u64
 //	  [56:60) reserved u32 = 0
 //	  [60:64) CRC32C of bytes [0:60)
 //	sections, each padded to the section alignment:
-//	  per shard, in shard order: ids | payload | norms (f32) or sq8
-//	  sidecar (sq8)
+//	  per run, in run order: ids | payload | norms (f32) or sq8 sidecar
+//	  (sq8)
 //	section table: sectionCount × 40 B entries, then CRC32C of the
 //	  entry bytes
-//	  entry: kind u32 | shard u32 | rows u64 | offset u64 | length u64 |
+//	  entry: kind u32 | run u32 | rows u64 | offset u64 | length u64 |
 //	         CRC32C u32 | reserved u32
 //
 // Sections hold the slab representations verbatim: ids are ascending
-// uint32 per shard (so the mmap loader resolves membership by binary
+// uint32 per run (so the mmap loader resolves membership by binary
 // search instead of materializing an id→slot map), payload is the
 // native-precision row data, norms are float64, and the sq8 sidecar is
 // the 32-byte sq8Meta record. 4096-byte alignment makes every cast
@@ -43,6 +44,7 @@ package embstore
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -163,7 +165,7 @@ func v3RowBytes(k v3Kind, prec Precision, dim int, rows uint64) (uint64, bool) {
 
 type v3Section struct {
 	kind   v3Kind
-	shard  uint32
+	run    uint32
 	rows   uint64
 	off    uint64
 	length uint64
@@ -173,19 +175,19 @@ type v3Section struct {
 type v3Layout struct {
 	dim       int
 	prec      Precision
-	shards    int
+	runs      int
 	count     uint64
 	watermark uint64
 	tableOff  uint64
 	sections  []v3Section
 }
 
-// shardSections groups a shard's sections by kind: [ids, payload,
+// runSections groups a run's sections by kind: [ids, payload,
 // norms-or-meta].
-func (l *v3Layout) shardSections(shard int) (ids, payload, extra *v3Section) {
+func (l *v3Layout) runSections(run int) (ids, payload, extra *v3Section) {
 	for i := range l.sections {
 		sec := &l.sections[i]
-		if int(sec.shard) != shard {
+		if int(sec.run) != run {
 			continue
 		}
 		switch sec.kind {
@@ -239,7 +241,7 @@ func parseV3(data []byte) (*v3Layout, error) {
 	l := &v3Layout{
 		dim:       int(le32(data, 12)),
 		prec:      Precision(le32(data, 16)),
-		shards:    int(le32(data, 20)),
+		runs:      int(le32(data, 20)),
 		count:     le64(data, 24),
 		watermark: le64(data, 32),
 		tableOff:  le64(data, 48),
@@ -250,15 +252,15 @@ func parseV3(data []byte) (*v3Layout, error) {
 	if l.prec != legacyF64 && l.prec != F32 && l.prec != SQ8 {
 		return fail("unknown precision %d", int(l.prec))
 	}
-	if l.shards < 1 || l.shards > 1<<16 {
-		return fail("shard count %d out of range", l.shards)
+	if l.runs < 1 || l.runs > 1<<16 {
+		return fail("run count %d out of range", l.runs)
 	}
 	if a := le32(data, 40); a != v3SectionAlign {
 		return fail("section alignment %d, want %d", a, v3SectionAlign)
 	}
 	secCount := le32(data, 44)
-	if secCount != uint32(3*l.shards) {
-		return fail("%d sections for %d shards, want %d", secCount, l.shards, 3*l.shards)
+	if secCount != uint32(3*l.runs) {
+		return fail("%d sections for %d runs, want %d", secCount, l.runs, 3*l.runs)
 	}
 	tableLen := uint64(secCount)*v3EntrySize + 4
 	if l.tableOff < v3HeaderSize || l.tableOff%8 != 0 ||
@@ -271,23 +273,23 @@ func parseV3(data []byte) (*v3Layout, error) {
 		return fail("section table CRC mismatch")
 	}
 	l.sections = make([]v3Section, secCount)
-	// seen[shard] bit-tracks which kinds that shard has contributed; a
-	// valid file has exactly ids+payload+extra per shard.
-	seen := make([]uint8, l.shards)
+	// seen[run] bit-tracks which kinds that run has contributed; a
+	// valid file has exactly ids+payload+extra per run.
+	seen := make([]uint8, l.runs)
 	var total uint64
-	var rowsPerShard = make([]uint64, l.shards)
+	var rowsPerRun = make([]uint64, l.runs)
 	for i := range l.sections {
 		e := entries[i*v3EntrySize:]
 		sec := v3Section{
 			kind:   v3Kind(le32(e, 0)),
-			shard:  le32(e, 4),
+			run:    le32(e, 4),
 			rows:   le64(e, 8),
 			off:    le64(e, 16),
 			length: le64(e, 24),
 			crc:    le32(e, 32),
 		}
-		if int(sec.shard) >= l.shards {
-			return fail("section %d: shard %d out of range", i, sec.shard)
+		if int(sec.run) >= l.runs {
+			return fail("section %d: run %d out of range", i, sec.run)
 		}
 		want, ok := v3RowBytes(sec.kind, l.prec, l.dim, sec.rows)
 		if !ok || sec.rows > 1<<40 {
@@ -309,24 +311,24 @@ func parseV3(data []byte) (*v3Layout, error) {
 		default:
 			bit = 4
 		}
-		if seen[sec.shard]&bit != 0 {
-			return fail("section %d: duplicate kind %d for shard %d", i, sec.kind, sec.shard)
+		if seen[sec.run]&bit != 0 {
+			return fail("section %d: duplicate kind %d for run %d", i, sec.kind, sec.run)
 		}
-		seen[sec.shard] |= bit
+		seen[sec.run] |= bit
 		if sec.kind == v3KindIDs {
-			rowsPerShard[sec.shard] = sec.rows
+			rowsPerRun[sec.run] = sec.rows
 			total += sec.rows
 		}
 		l.sections[i] = sec
 	}
-	for sh, bits := range seen {
+	for run, bits := range seen {
 		if bits != 7 {
-			return fail("shard %d is missing sections (have mask %03b)", sh, bits)
+			return fail("run %d is missing sections (have mask %03b)", run, bits)
 		}
 	}
 	for i := range l.sections {
-		if sec := &l.sections[i]; sec.rows != rowsPerShard[sec.shard] {
-			return fail("section %d: %d rows, ids section has %d", i, sec.rows, rowsPerShard[sec.shard])
+		if sec := &l.sections[i]; sec.rows != rowsPerRun[sec.run] {
+			return fail("section %d: %d rows, ids section has %d", i, sec.rows, rowsPerRun[sec.run])
 		}
 	}
 	if total != l.count {
@@ -336,7 +338,7 @@ func parseV3(data []byte) (*v3Layout, error) {
 }
 
 // verifySections checks every section's CRC32C against the image and
-// that each shard's id section is strictly ascending (the mmap loader
+// that each run's id section is strictly ascending (the mmap loader
 // binary-searches them). O(file) reads — callers on an mmap image
 // should advise sequential first and drop the pages after.
 func (l *v3Layout) verifySections(data []byte) error {
@@ -344,14 +346,14 @@ func (l *v3Layout) verifySections(data []byte) error {
 		sec := &l.sections[i]
 		b := data[sec.off : sec.off+sec.length]
 		if got := crc32.Checksum(b, v3CRC); got != sec.crc {
-			return fmt.Errorf("embstore: v3 snapshot: section %d (kind %d, shard %d) CRC mismatch (got %08x, stored %08x)",
-				i, sec.kind, sec.shard, got, sec.crc)
+			return fmt.Errorf("embstore: v3 snapshot: section %d (kind %d, run %d) CRC mismatch (got %08x, stored %08x)",
+				i, sec.kind, sec.run, got, sec.crc)
 		}
 		if sec.kind == v3KindIDs {
 			ids := castSlice[graph.NodeID](b)
 			for r := 1; r < len(ids); r++ {
 				if ids[r] <= ids[r-1] {
-					return fmt.Errorf("embstore: v3 snapshot: shard %d ids not strictly ascending at row %d", sec.shard, r)
+					return fmt.Errorf("embstore: v3 snapshot: run %d ids not strictly ascending at row %d", sec.run, r)
 				}
 			}
 		}
@@ -359,42 +361,50 @@ func (l *v3Layout) verifySections(data []byte) error {
 	return nil
 }
 
-// rowRef locates one live row of a shard for the snapshot writer.
+// rowRef locates one live row for the snapshot writer.
 type rowRef struct {
-	id     graph.NodeID
-	slot   int32
-	inBase bool
+	id  graph.NodeID
+	row int
 }
 
-// sortedRowsLocked returns every live row of the shard in ascending id
-// order — the merge of the (sorted copy of the) overlay and the base's
-// unmasked rows. The mask invariant (an overlay id is never live in
-// the base) makes this a strict two-way merge. Caller holds sh.mu.
-func (sh *shard) sortedRowsLocked(dst []rowRef) []rowRef {
-	dst = dst[:0]
-	ov := make([]graph.NodeID, len(sh.ids))
-	copy(ov, sh.ids)
-	slices.Sort(ov)
-	var base []graph.NodeID
-	if sh.base != nil {
-		base = sh.base.ids
+func cmpRowRef(a, b rowRef) int { return cmp.Compare(a.id, b.id) }
+
+// sortedRowsLocked returns every live row in ascending id order: the
+// merge of the (sorted copy of the) slab and the base's unmasked rows.
+// The mask invariant (a slab id is never live in the base) makes this a
+// strict two-way merge. Caller holds s.mu.
+func (s *Store) sortedRowsLocked() []rowRef {
+	first := s.overlayFirst()
+	ov := make([]rowRef, len(s.ids))
+	for slot, id := range s.ids {
+		ov[slot] = rowRef{id: id, row: first + slot}
 	}
-	bi := 0
-	appendBase := func(limit graph.NodeID, all bool) {
-		for bi < len(base) && (all || base[bi] < limit) {
-			id := base[bi]
-			if !sh.base.maskedBase(id) {
-				dst = append(dst, rowRef{id: id, slot: int32(bi), inBase: true})
+	slices.SortFunc(ov, cmpRowRef)
+	b := s.base
+	if b == nil {
+		return ov
+	}
+	base := make([]rowRef, 0, b.rows-b.deadN)
+	for ri := range b.runs {
+		r := &b.runs[ri]
+		for i, id := range r.ids {
+			if !b.masked(id) {
+				base = append(base, rowRef{id: id, row: r.first + i})
 			}
-			bi++
 		}
 	}
-	for _, id := range ov {
-		appendBase(id, false)
-		dst = append(dst, rowRef{id: id, slot: int32(sh.slot[id])})
+	if len(b.runs) > 1 {
+		slices.SortFunc(base, cmpRowRef) // an older file: each run sorted, not the runs together
 	}
-	appendBase(0, true)
-	return dst
+	out := make([]rowRef, 0, len(ov)+len(base))
+	for len(ov) > 0 && len(base) > 0 {
+		if ov[0].id < base[0].id {
+			out, ov = append(out, ov[0]), ov[1:]
+		} else {
+			out, base = append(out, base[0]), base[1:]
+		}
+	}
+	return append(append(out, ov...), base...)
 }
 
 // v3Writer tracks the write offset and per-section CRC over a buffered
@@ -437,10 +447,10 @@ func (vw *v3Writer) pad() {
 // the image, which replay-idempotence makes harmless. The header lands
 // last — a zero placeholder goes out first and is patched by seeking
 // back once every section CRC is known — so a torn write is never
-// parseable. Each shard is serialized under one acquisition of its
+// parseable. The store is serialized as one run under one hold of its
 // read lock (a concurrent upsert is either fully included or fully
-// absent; quiesce writers for a point-in-time image), and cold stores
-// fold their overlay over the mapped base as they serialize.
+// absent), and a cold store folds its overlay over the mapped base as
+// it serializes.
 func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("embstore: v3 snapshots require a little-endian host")
@@ -449,14 +459,10 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 	vw.write(make([]byte, v3HeaderSize))
 	vw.pad()
 
-	sections := make([]v3Section, 0, 3*len(s.shards))
-	var total uint64
-	var rows []rowRef
-	var norms []float64
-	var metas []sq8Meta
-	begin := func(kind v3Kind, shard, n int) *v3Section {
+	sections := make([]v3Section, 0, 3)
+	begin := func(kind v3Kind, n int) *v3Section {
 		vw.crc = 0
-		sections = append(sections, v3Section{kind: kind, shard: uint32(shard), rows: uint64(n), off: vw.off})
+		sections = append(sections, v3Section{kind: kind, rows: uint64(n), off: vw.off})
 		return &sections[len(sections)-1]
 	}
 	end := func(sec *v3Section) {
@@ -464,84 +470,64 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 		sec.crc = vw.crc
 		vw.pad()
 	}
-	dim := s.dim
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		rows = sh.sortedRowsLocked(rows)
-		n := len(rows)
-		total += uint64(n)
+	s.mu.RLock()
+	rows := s.sortedRowsLocked()
+	n := len(rows)
 
-		sec := begin(v3KindIDs, i, n)
-		for _, r := range rows {
-			var idb [4]byte
-			putLE32(idb[:], 0, uint32(r.id))
-			vw.write(idb[:])
-		}
-		end(sec)
-
-		sec = begin(v3KindPayload, i, n)
-		for _, r := range rows {
-			slot := int(r.slot)
-			switch s.prec {
-			case F32:
-				src := sh.vecs32
-				if r.inBase {
-					src = sh.base.vecs32
-				}
-				vw.write(sliceBytes(src[slot*dim : (slot+1)*dim]))
-			case SQ8:
-				src := sh.codes
-				if r.inBase {
-					src = sh.base.codes
-				}
-				vw.write(sliceBytes(src[slot*dim : (slot+1)*dim]))
-			}
-		}
-		end(sec)
-
-		if s.prec == SQ8 {
-			metas = metas[:0]
-			for _, r := range rows {
-				if r.inBase {
-					metas = append(metas, sh.base.meta[r.slot])
-				} else {
-					metas = append(metas, sh.meta[r.slot])
-				}
-			}
-			// Bytes 28–31 of a record (after codeSum, layout asserted
-			// above) are padding no field covers: in memory they hold
-			// whatever the allocator or an older file left there. Zero
-			// them so two saves of one store are byte-identical.
-			raw := sliceBytes(metas)
-			for o := 28; o < len(raw); o += 32 {
-				clear(raw[o : o+4])
-			}
-			sec = begin(v3KindMeta, i, n)
-			vw.write(raw)
-			end(sec)
-		} else {
-			norms = norms[:0]
-			for _, r := range rows {
-				if r.inBase {
-					norms = append(norms, sh.base.norms[r.slot])
-				} else {
-					norms = append(norms, sh.norms[r.slot])
-				}
-			}
-			sec = begin(v3KindNorms, i, n)
-			vw.write(sliceBytes(norms))
-			end(sec)
-		}
-		sh.mu.RUnlock()
+	sec := begin(v3KindIDs, n)
+	for _, r := range rows {
+		var idb [4]byte
+		putLE32(idb[:], 0, uint32(r.id))
+		vw.write(idb[:])
 	}
+	end(sec)
+
+	var v VecView
+	sec = begin(v3KindPayload, n)
+	for _, r := range rows {
+		s.viewRow(r.row, &v)
+		if s.prec == F32 {
+			vw.write(sliceBytes(v.F32))
+		} else {
+			vw.write(sliceBytes(v.Code))
+		}
+	}
+	end(sec)
+
+	if s.prec == SQ8 {
+		metas := make([]sq8Meta, n)
+		for i, r := range rows {
+			s.viewRow(r.row, &v)
+			metas[i] = sq8Meta{Scale: v.Scale, Offset: v.Offset, Norm: v.Norm, CodeSum: v.CodeSum}
+		}
+		// Bytes 28–31 of a record (after codeSum, layout asserted
+		// above) are padding no field covers. Zero them so two saves of
+		// one store are byte-identical.
+		raw := sliceBytes(metas)
+		for o := 28; o < len(raw); o += 32 {
+			clear(raw[o : o+4])
+		}
+		sec = begin(v3KindMeta, n)
+		vw.write(raw)
+		end(sec)
+	} else {
+		norms := make([]float64, n)
+		for i, r := range rows {
+			s.viewRow(r.row, &v)
+			norms[i] = v.Norm
+		}
+		sec = begin(v3KindNorms, n)
+		vw.write(sliceBytes(norms))
+		end(sec)
+	}
+	s.mu.RUnlock()
 
 	tableOff := vw.off
 	table := make([]byte, len(sections)*v3EntrySize+4)
 	for i, sec := range sections {
 		e := table[i*v3EntrySize:]
 		putLE32(e, 0, uint32(sec.kind))
-		putLE32(e, 4, sec.shard)
+		putLE32(e, 4, sec.run)
 		putLE64(e, 8, sec.rows)
 		putLE64(e, 16, sec.off)
 		putLE64(e, 24, sec.length)
@@ -561,8 +547,8 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 	putLE32(hdr, 8, v3Version)
 	putLE32(hdr, 12, uint32(s.dim))
 	putLE32(hdr, 16, uint32(s.prec))
-	putLE32(hdr, 20, uint32(len(s.shards)))
-	putLE64(hdr, 24, total)
+	putLE32(hdr, 20, 1)
+	putLE64(hdr, 24, uint64(n))
 	putLE64(hdr, 32, watermark)
 	putLE32(hdr, 40, v3SectionAlign)
 	putLE32(hdr, 44, uint32(len(sections)))
@@ -580,9 +566,11 @@ func (s *Store) SaveSnapshotV3(ws io.WriteSeeker, watermark uint64) error {
 // LoadSnapshotV3 reads a v3 snapshot into a heap-resident store at the
 // snapshot's native precision, returning the WAL watermark it was
 // stamped with. A legacy float64 snapshot has no native store:
-// ErrF64Snapshot.
-func LoadSnapshotV3(path string, shards int) (*Store, uint64, error) {
-	return loadSnapshotV3(path, shards, 0)
+// ErrF64Snapshot. The second argument is ignored: it was the lock-shard
+// count of a store that is one slab now, and it stays only until the
+// callers that pass DefaultShards drop it.
+func LoadSnapshotV3(path string, _ int) (*Store, uint64, error) {
+	return loadSnapshotV3(path, 0)
 }
 
 // LoadSnapshotV3At is LoadSnapshotV3 at an explicit target precision
@@ -592,16 +580,16 @@ func LoadSnapshotV3(path string, shards int) (*Store, uint64, error) {
 // carrying the original norm along — the convert-on-boot path that
 // lets an f32 snapshot seed an sq8 daemon (and vice versa), and the
 // only way in for a legacy float64 one.
-func LoadSnapshotV3At(path string, shards int, prec Precision) (*Store, uint64, error) {
+func LoadSnapshotV3At(path string, prec Precision) (*Store, uint64, error) {
 	if prec != F32 && prec != SQ8 {
 		return nil, 0, fmt.Errorf("embstore: v3 load: unknown precision %d (want F32 or SQ8)", prec)
 	}
-	return loadSnapshotV3(path, shards, prec)
+	return loadSnapshotV3(path, prec)
 }
 
 // loadSnapshotV3 loads at target; the zero target is the snapshot's own
-// precision.
-func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, error) {
+// precision. Every run of the file lands in the one slab.
+func loadSnapshotV3(path string, target Precision) (*Store, uint64, error) {
 	if !hostLittleEndian {
 		return nil, 0, fmt.Errorf("embstore: v3 snapshots require a little-endian host")
 	}
@@ -622,17 +610,18 @@ func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, 
 		}
 		target = l.prec
 	}
-	s, err := New(l.dim, shards, target)
+	s, err := New(l.dim, target)
 	if err != nil {
 		return nil, 0, err
 	}
+	s.reserveLocked(int(l.count)) // s is not shared yet; the sections bound the count
 	dim := l.dim
 	var buf []float64
 	if target != l.prec {
 		buf = make([]float64, dim)
 	}
-	for shard := 0; shard < l.shards; shard++ {
-		idsSec, paySec, extraSec := l.shardSections(shard)
+	for run := 0; run < l.runs; run++ {
+		idsSec, paySec, extraSec := l.runSections(run)
 		ids := castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length])
 		pay := data[paySec.off : paySec.off+paySec.length]
 		extra := data[extraSec.off : extraSec.off+extraSec.length]
@@ -641,19 +630,16 @@ func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, 
 			row := pay[r*rowB : (r+1)*rowB]
 			if target == l.prec {
 				// Lossless path: move the disk representation straight into
-				// the slabs, preserving codes and sidecars bit for bit.
-				sh := s.shardFor(id)
-				sh.mu.Lock()
-				slot := sh.ensureSlot(s, id)
+				// the slab, preserving codes and sidecars bit for bit.
+				slot := s.ensureSlot(id)
 				switch l.prec {
 				case F32:
-					copy(sh.vecs32[slot*dim:(slot+1)*dim], castSlice[float32](row))
-					sh.norms[slot] = castSlice[float64](extra)[r]
+					copy(s.vecs32[slot*dim:(slot+1)*dim], castSlice[float32](row))
+					s.norms[slot] = castSlice[float64](extra)[r]
 				case SQ8:
-					copy(sh.codes[slot*dim:(slot+1)*dim], castSlice[int8](row))
-					sh.meta[slot] = castSlice[sq8Meta](extra)[r]
+					copy(s.codes[slot*dim:(slot+1)*dim], castSlice[int8](row))
+					s.meta[slot] = castSlice[sq8Meta](extra)[r]
 				}
-				sh.mu.Unlock()
 				continue
 			}
 			var norm float64
@@ -680,38 +666,40 @@ func loadSnapshotV3(path string, shards int, target Precision) (*Store, uint64, 
 	return s, l.watermark, nil
 }
 
-// attachColdBase points every shard's base at the mapped image and
-// resets the overlays: the structural half of an mmap open (OpenMmap,
-// where the locks are uncontended) and of a rotation fold (Remap,
-// where each shard flips under its write lock while readers keep
-// working). The caller owns the lifetime of data.
+// attachColdBase points the store's base at the mapped image, one run
+// per section triple, and empties the overlay: the structural half of
+// an mmap open (OpenMmap, where the lock is uncontended) and of a
+// rotation fold (Remap, where the store flips under its write lock
+// while readers wait at most for it). The caller owns the lifetime of
+// data.
 func (s *Store) attachColdBase(l *v3Layout, data []byte) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		idsSec, paySec, extraSec := l.shardSections(i)
-		b := &baseSection{
-			ids: castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length]),
-		}
+	b := &coldBase{runs: make([]baseRun, l.runs)}
+	for i := range b.runs {
+		idsSec, paySec, extraSec := l.runSections(i)
+		r := &b.runs[i]
+		r.first = b.rows
+		r.ids = castSlice[graph.NodeID](data[idsSec.off : idsSec.off+idsSec.length])
 		pay := data[paySec.off : paySec.off+paySec.length]
 		extra := data[extraSec.off : extraSec.off+extraSec.length]
 		switch s.prec {
 		case F32:
-			b.vecs32 = castSlice[float32](pay)
-			b.norms = castSlice[float64](extra)
+			r.vecs32 = castSlice[float32](pay)
+			r.norms = castSlice[float64](extra)
 		case SQ8:
-			b.codes = castSlice[int8](pay)
-			b.meta = castSlice[sq8Meta](extra)
+			r.codes = castSlice[int8](pay)
+			r.meta = castSlice[sq8Meta](extra)
 		}
-		sh.base = b
-		clear(sh.slot)
-		sh.ids = sh.ids[:0]
-		sh.vecs32 = sh.vecs32[:0]
-		sh.codes = sh.codes[:0]
-		sh.norms = sh.norms[:0]
-		sh.meta = sh.meta[:0]
-		sh.mu.Unlock()
+		b.rows += len(r.ids)
 	}
+	s.mu.Lock()
+	s.base = b
+	clear(s.slot)
+	s.ids = s.ids[:0]
+	s.vecs32 = s.vecs32[:0]
+	s.codes = s.codes[:0]
+	s.norms = s.norms[:0]
+	s.meta = s.meta[:0]
+	s.mu.Unlock()
 }
 
 // payloadBytes sums the vector-slab section lengths — the bytes

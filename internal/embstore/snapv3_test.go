@@ -2,6 +2,7 @@ package embstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 func gid(id uint32) graph.NodeID { return graph.NodeID(id) }
 
 // fillRandom populates s with n random vectors under ids 0..n-1 (plus
-// a few sparse high ids so shard occupancy is uneven) and returns the
+// a few sparse high ids so the ids are not dense) and returns the
 // rng-seeded source for reproducibility.
 func fillRandom(t testing.TB, s *Store, n int, seed int64) {
 	t.Helper()
@@ -50,12 +51,40 @@ func writeV3(t testing.TB, s *Store, watermark uint64) string {
 	return path
 }
 
+// legacyShardedFixture returns testdata/sq8shards.snap — a dim-8 sq8
+// v3 snapshot in four runs, written by SaveSnapshotV3 while the store
+// was striped over four lock shards, stamped with watermark 11 — and a
+// store built fresh from the rows upserted into it
+// (testdata/sq8shards.json, in upsert order, one of them the zero
+// vector). sq8 encoding is deterministic, so the two agree bit for bit.
+func legacyShardedFixture(t testing.TB) (string, *Store) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "sq8shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []sourceRow
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(8, SQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := want.Upsert(r.ID, r.Vector); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return filepath.Join("testdata", "sq8shards.snap"), want
+}
+
 func TestV3RoundTrip(t *testing.T) {
 	// A legacy float64 image round-trips through its one way in: converted
 	// on load, it saves as an ordinary f32 snapshot, watermark kept.
 	t.Run("f64", func(t *testing.T) {
 		path, rows := legacyF64Fixture(t)
-		s, wm, err := LoadSnapshotV3At(path, 5, F32)
+		s, wm, err := LoadSnapshotV3At(path, F32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +101,7 @@ func TestV3RoundTrip(t *testing.T) {
 	})
 	for _, prec := range allPrecisions {
 		t.Run(prec.String(), func(t *testing.T) {
-			s, err := New(7, 5, prec)
+			s, err := New(7, prec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,8 +110,7 @@ func TestV3RoundTrip(t *testing.T) {
 			s.Delete(gid(250))
 			path := writeV3(t, s, 42)
 
-			// Reload at a different shard count: contents must match
-			// bit for bit regardless of sharding.
+			// Reload: contents must match bit for bit.
 			got, wm, err := LoadSnapshotV3(path, 9)
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +126,7 @@ func TestV3RoundTrip(t *testing.T) {
 }
 
 func TestV3EmptyStore(t *testing.T) {
-	s, err := New(4, 3, SQ8)
+	s, err := New(4, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +145,7 @@ func TestV3CrossPrecisionLoad(t *testing.T) {
 	// are the original vectors, bit for bit.
 	path, rows := legacyF64Fixture(t)
 	for _, target := range allPrecisions {
-		got, _, err := LoadSnapshotV3At(path, 4, target)
+		got, _, err := LoadSnapshotV3At(path, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +154,7 @@ func TestV3CrossPrecisionLoad(t *testing.T) {
 		}
 		// The converted store must equal a direct conversion through
 		// the upsert path.
-		want, _ := New(len(rows[0].Vector), 4, target)
+		want, _ := New(len(rows[0].Vector), target)
 		for _, row := range rows {
 			if err := want.upsertNorm(row.ID, row.Vector, row.norm); err != nil {
 				t.Fatal(err)
@@ -161,7 +189,7 @@ func corruptV3(t *testing.T, path string, off int64) string {
 // demands: a bit flip in the header, the section table, and every
 // section body must be rejected at open — by both loaders.
 func TestV3CorruptionRejected(t *testing.T) {
-	s, err := New(4, 2, SQ8)
+	s, err := New(4, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +260,10 @@ func TestV3CorruptionRejected(t *testing.T) {
 
 // FuzzV3Parse hammers the header/section-table decoder: arbitrary
 // bytes must never panic, and anything parseV3 accepts must survive
-// verifySections without faulting.
+// verifySections without faulting. The seeds are a fresh one-run file,
+// its truncations, and the checked-in four-run legacy file.
 func FuzzV3Parse(f *testing.F) {
-	s, err := New(3, 2, SQ8)
+	s, err := New(3, SQ8)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -257,6 +286,11 @@ func FuzzV3Parse(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:v3HeaderSize])
 	f.Add([]byte(v3Magic))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "sq8shards.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy) // a multi-run table: the writer emits one run
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := parseV3(data)
 		if err != nil {
@@ -267,7 +301,7 @@ func FuzzV3Parse(f *testing.F) {
 }
 
 func BenchmarkV3Save(b *testing.B) {
-	s, err := New(64, 0, SQ8)
+	s, err := New(64, SQ8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +324,7 @@ func BenchmarkV3Save(b *testing.B) {
 // even when the padding after each in-memory sq8 sidecar record holds
 // stray bytes.
 func TestV3SaveDeterministic(t *testing.T) {
-	s, err := New(7, 5, SQ8)
+	s, err := New(7, SQ8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +333,9 @@ func TestV3SaveDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range s.shards {
-		raw := sliceBytes(s.shards[i].meta)
-		for o := 28; o < len(raw); o += 32 {
-			copy(raw[o:o+4], []byte{0xde, 0xad, 0xbe, 0xef})
-		}
+	raw := sliceBytes(s.meta)
+	for o := 28; o < len(raw); o += 32 {
+		copy(raw[o:o+4], []byte{0xde, 0xad, 0xbe, 0xef})
 	}
 	b, err := os.ReadFile(writeV3(t, s, 9))
 	if err != nil {
