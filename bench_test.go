@@ -5,8 +5,8 @@
 //
 //	go test -bench . -benchtime 1x
 //
-// reprints the whole evaluation. cmd/experiments runs the same code at the
-// Full preset for the numbers recorded in EXPERIMENTS.md.
+// reprints the whole evaluation. `go run ./cmd/experiments -preset full`
+// runs the same code at the Full preset.
 package ehnabench
 
 import (

@@ -3,9 +3,11 @@ package ehna
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ehna/internal/ag"
+	"ehna/internal/datagen"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/walk"
@@ -453,6 +455,48 @@ func BenchmarkEdgeLossBackward(b *testing.B) {
 		loss := m.EdgeLoss(tp, edges[i%len(edges)], rng)
 		tp.Backward(loss)
 	}
+}
+
+// trainEpochGraph is the benchmark harness's train_epoch graph: the
+// Digg analogue (datagen.Social) cut to its chronologically first edges
+// edges, two edges per node and at least 20 nodes, the generator asked
+// for twice as many edges until enough survive its duplicate drop.
+func trainEpochGraph(b *testing.B, edges int, seed int64) *graph.Temporal {
+	b.Helper()
+	cfg := datagen.DefaultSocialConfig()
+	cfg.Nodes, cfg.Seed = max(20, edges/2), seed
+	for cfg.Edges = 2 * edges; ; cfg.Edges *= 2 {
+		g, err := datagen.Social(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NumEdges() >= edges {
+			kept := 0
+			return g.FilterEdges(func(graph.Edge) bool { kept++; return kept <= edges })
+		}
+	}
+}
+
+// BenchmarkTrainEpoch is the in-process twin of the harness's
+// train_epoch workload: one TrainEpoch per op over its 55-edge graph at
+// DefaultConfig, one model trained on across ops, on one CPU. Its
+// -cpuprofile attributes an epoch to kernels, which the traced harness
+// cannot: its per-edge spans each pay for a fresh tape.
+func BenchmarkTrainEpoch(b *testing.B) {
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	g := trainEpochGraph(b, 55, 1)
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	m, err := NewModel(g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainEpoch()
+	}
+	b.ReportMetric(float64(b.N*g.NumEdges())/b.Elapsed().Seconds(), "edges/s")
 }
 
 func TestParallelTrainingMatchesSerialShape(t *testing.T) {

@@ -54,7 +54,8 @@ func Quick() Settings {
 	}
 }
 
-// Full returns the settings used for the recorded EXPERIMENTS.md numbers.
+// Full returns the settings of the paper-scale run,
+// `go run ./cmd/experiments -preset full`.
 func Full() Settings {
 	return Settings{
 		Scale: 0.08, Dim: 16, Seed: 1, Repeats: 5, Workers: 1,

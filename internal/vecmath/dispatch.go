@@ -27,7 +27,9 @@
 // ways).
 //
 // Three kernel sets exist on amd64 only and serve training, not
-// serving: the GEMM tiles (gemm.go; float64 4×8 and float32 4×16), the
+// serving: the GEMM tiles (gemm.go; float64 4×8, float32 4×16 and, on
+// CPUs with AVX-512F, float32 4×32 — a body inside the avx2 backend
+// like the VNNI one, picked by the same probe), the
 // float32 block activations (activ.go) and the LSTM's backward gate
 // arithmetic (lstm.go). They check simd64 behind the trainAsm build
 // constant, so arm64 — whose simd64 means NEON Dot/SqDist — takes their

@@ -17,6 +17,9 @@ var (
 	// The survivor kernels' AVX512-VNNI bodies; only ever set beside
 	// simdSym.
 	simdVNNI bool
+	// The float32 GEMM's 4×32 AVX-512F tile; only ever set beside
+	// simd64.
+	simd512 bool
 
 	backendName = "scalar"
 )
@@ -30,6 +33,7 @@ func init() {
 	}
 	simd64, simd32, simdSQ8, simdSym, simdEnc = true, true, true, true, true
 	simdVNNI = cpuHasAVX512VNNI()
+	simd512 = cpuHasAVX512F()
 	backendName = "avx2"
 }
 

@@ -27,8 +27,12 @@ func TestBackendMatchesCPU(t *testing.T) {
 			t.Errorf("%s = %v, want %v for backend %q", name, flag, on, want)
 		}
 	}
-	// The VNNI body is a choice inside the avx2 backend, not a backend.
+	// The VNNI body and the ZMM GEMM tile are choices inside the avx2
+	// backend, not backends.
 	if wantVNNI := on && cpuHasAVX512VNNI(); simdVNNI != wantVNNI {
 		t.Errorf("simdVNNI = %v, want %v (avx2 backend %v, VNNI probe %v)", simdVNNI, wantVNNI, on, cpuHasAVX512VNNI())
+	}
+	if want512 := on && cpuHasAVX512F(); simd512 != want512 {
+		t.Errorf("simd512 = %v, want %v (avx2 backend %v, AVX512F probe %v)", simd512, want512, on, cpuHasAVX512F())
 	}
 }

@@ -17,6 +17,7 @@ var (
 	simdEnc bool // no NEON implementation yet
 
 	simdVNNI bool // amd64 only
+	simd512  bool // amd64 only
 
 	backendName = "scalar"
 )

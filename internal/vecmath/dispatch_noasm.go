@@ -13,6 +13,7 @@ const (
 	simdEnc = false
 
 	simdVNNI = false
+	simd512  = false
 )
 
 var backendName = "scalar"

@@ -19,10 +19,12 @@ package vecmath
 // GemmNN32 and GemmTN32 are the same two products in float32, the
 // LSTM's compute precision: the AVX2 tile is 4×16 (eight YMM
 // accumulators of eight lanes), so each byte of B it loads feeds twice
-// the multiply-adds of the float64 tile, and the portable kernel is the
-// same generic Go loop. Every element of C is accumulated in k order by one
-// body chosen by its column alone, so a row's result never depends on
-// which other rows share the call.
+// the multiply-adds of the float64 tile; on AVX-512F a 4×32 tile of
+// eight ZMM accumulators takes every whole 32 columns and the 4×16 tile
+// the 16 left over. The portable kernel is the same generic Go loop.
+// Every element of C is accumulated in k order by one body chosen by
+// its column alone, so a row's result never depends on which other
+// rows share the call.
 
 // GemmNN computes C += A·B for A m×k, B k×n, C m×n.
 func GemmNN(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, m, n, k int) {
@@ -105,7 +107,9 @@ func GemmTN32(c []float32, ldc int, a []float32, lda int, b []float32, ldb int, 
 	gemm32(c, ldc, a, 1, lda, b, ldb, m, n, k)
 }
 
-// gemm32 is gemm in float32 on the 4×16 tile.
+// gemm32 is gemm in float32: columns [0, n&^31) on the 4×32 AVX-512F
+// tile where the CPU has it, the rest of [0, n&^15) on the 4×16 AVX2
+// tile, and the last columns in Go.
 func gemm32(c []float32, ldc int, a []float32, rsa, csa int, b []float32, ldb int, m, n, k int) {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return
@@ -116,14 +120,23 @@ func gemm32(c []float32, ldc int, a []float32, rsa, csa int, b []float32, ldb in
 	_ = c[(m-1)*ldc+n-1]
 	_ = a[(m-1)*rsa+(k-1)*csa]
 	_ = b[(k-1)*ldb+n-1]
+	gemm32Bodies(c, ldc, a, rsa, csa, b, ldb, m, n, k, simd512)
+}
 
-	done := 0
+// gemm32Bodies is gemm32 past its bounds checks, with the ZMM tile
+// allowed or not. Both tiles run each column's FMAs in k order, so the
+// two choices write the same bits.
+func gemm32Bodies(c []float32, ldc int, a []float32, rsa, csa int, b []float32, ldb int, m, n, k int, zmm bool) {
+	done, wide := 0, 0 // columns finished by the YMM and ZMM tiles
 	if trainAsm && simd64 {
 		done = n &^ 15
-		var spill [16]float32
+		if zmm {
+			wide = n &^ 31
+		}
+		var spill [32]float32
 		for i := 0; i < m; i += 4 {
 			r1, r2, r3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
-			for j := 0; j < done; j += 16 {
+			for j := 0; j < done; {
 				c1, c2, c3 := &spill[0], &spill[0], &spill[0]
 				if i+1 < m {
 					c1 = &c[r1*ldc+j]
@@ -134,8 +147,16 @@ func gemm32(c []float32, ldc int, a []float32, rsa, csa int, b []float32, ldb in
 				if i+3 < m {
 					c3 = &c[r3*ldc+j]
 				}
-				gemmTile4x16(k, &a[i*rsa], &a[r1*rsa], &a[r2*rsa], &a[r3*rsa], csa,
-					&b[j], ldb, &c[i*ldc+j], c1, c2, c3)
+				// Direct calls: through a func value, spill would escape.
+				if j < wide {
+					gemmTile4x32(k, &a[i*rsa], &a[r1*rsa], &a[r2*rsa], &a[r3*rsa], csa,
+						&b[j], ldb, &c[i*ldc+j], c1, c2, c3)
+					j += 32
+				} else {
+					gemmTile4x16(k, &a[i*rsa], &a[r1*rsa], &a[r2*rsa], &a[r3*rsa], csa,
+						&b[j], ldb, &c[i*ldc+j], c1, c2, c3)
+					j += 16
+				}
 			}
 		}
 	}

@@ -150,3 +150,80 @@ tile32_store:
 	VMOVUPS Y7, 32(DI)
 	VZEROUPPER
 	RET
+
+// func gemmTile4x32(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, c0, c1, c2, c3 *float32)
+//
+// gemmTile4x16 on AVX-512F: the same eight accumulators, now ZMM, hold
+// a 4×32 tile, so each FMA does sixteen multiply-adds. Every lane runs
+// the same fused multiply-add chain in k order as the YMM tile's, so
+// the two tiles write the same bits.
+#define STEP512 \
+	VMOVUPS      (SI), Z8; \
+	VMOVUPS      64(SI), Z9; \
+	VBROADCASTSS (R8)(R14*1), Z10; \
+	VBROADCASTSS (R9)(R14*1), Z11; \
+	VBROADCASTSS (R10)(R14*1), Z12; \
+	VBROADCASTSS (R11)(R14*1), Z13; \
+	VFMADD231PS  Z8, Z10, Z0; \
+	VFMADD231PS  Z9, Z10, Z1; \
+	VFMADD231PS  Z8, Z11, Z2; \
+	VFMADD231PS  Z9, Z11, Z3; \
+	VFMADD231PS  Z8, Z12, Z4; \
+	VFMADD231PS  Z9, Z12, Z5; \
+	VFMADD231PS  Z8, Z13, Z6; \
+	VFMADD231PS  Z9, Z13, Z7; \
+	ADDQ         R12, R14; \
+	ADDQ         R13, SI
+
+TEXT ·gemmTile4x32(SB), NOSPLIT, $0-96
+	MOVQ k+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ csa+40(FP), R12
+	SHLQ $2, R12
+	MOVQ b+48(FP), SI
+	MOVQ ldb+56(FP), R13
+	SHLQ $2, R13
+	MOVQ c0+64(FP), AX
+	MOVQ c1+72(FP), BX
+	MOVQ c2+80(FP), DX
+	MOVQ c3+88(FP), DI
+	XORQ R14, R14
+
+	VMOVUPS (AX), Z0
+	VMOVUPS 64(AX), Z1
+	VMOVUPS (BX), Z2
+	VMOVUPS 64(BX), Z3
+	VMOVUPS (DX), Z4
+	VMOVUPS 64(DX), Z5
+	VMOVUPS (DI), Z6
+	VMOVUPS 64(DI), Z7
+
+	MOVQ CX, R15
+	SHRQ $1, R15
+	JZ   tile512_odd
+
+tile512_loop:
+	STEP512
+	STEP512
+	DECQ R15
+	JNZ  tile512_loop
+
+tile512_odd:
+	TESTQ $1, CX
+	JZ    tile512_store
+	STEP512
+
+tile512_store:
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, 64(AX)
+	VMOVUPS Z2, (BX)
+	VMOVUPS Z3, 64(BX)
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, 64(DX)
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	VZEROUPPER
+	RET

@@ -187,17 +187,27 @@ type gemm32Case struct {
 	a, b, c                []float32
 }
 
-// run applies the dispatched kernel (the AVX2 tile where it is active)
-// or, with portable set, the Go kernel alone, to a copy of C.
-func (g gemm32Case) run(portable bool) []float32 {
+// gemm32Body names one float32 body a case can run.
+type gemm32Body int
+
+const (
+	dispatched gemm32Body = iota // GemmNN32/GemmTN32: the ZMM tile where the CPU has it
+	ymmTiles                     // the same with the ZMM tile disallowed: the AVX2 4×16 tile
+	goKernel                     // the portable kernel alone
+)
+
+// run applies one body to a copy of C.
+func (g gemm32Case) run(body gemm32Body) []float32 {
 	c := append([]float32(nil), g.c...)
 	rsa, csa := g.lda, 1
 	if g.trans {
 		rsa, csa = 1, g.lda
 	}
 	switch {
-	case portable:
+	case body == goKernel:
 		gemmGo(c, g.ldc, g.a, rsa, csa, g.b, g.ldb, g.m, 0, g.n, g.k)
+	case body == ymmTiles:
+		gemm32Bodies(c, g.ldc, g.a, rsa, csa, g.b, g.ldb, g.m, g.n, g.k, false)
 	case g.trans:
 		GemmTN32(c, g.ldc, g.a, g.lda, g.b, g.ldb, g.m, g.n, g.k)
 	default:
@@ -209,7 +219,9 @@ func (g gemm32Case) run(portable bool) []float32 {
 // check holds both bodies to the product computed in float64 within
 // the rounding bound of a k-term float32 dot product added to C,
 // (k+2)·2⁻²⁴·(|c| + Σ|a·b|), whatever order or fusing either body
-// uses, and checks that neither writes outside the m×n block.
+// uses, and checks that neither writes outside the m×n block. Where
+// the ZMM tile runs, the dispatched result must also equal the AVX2
+// tiles' bit for bit.
 func (g gemm32Case) check(t *testing.T) {
 	t.Helper()
 	at := func(i, p int) float64 {
@@ -218,7 +230,10 @@ func (g gemm32Case) check(t *testing.T) {
 		}
 		return float64(g.a[i*g.lda+p])
 	}
-	tile, port := g.run(false), g.run(true)
+	tile, port := g.run(dispatched), g.run(goKernel)
+	if simd512 {
+		g.checkBits(t, tile, g.run(ymmTiles))
+	}
 	for i := 0; i <= g.m && i*g.ldc < len(g.c); i++ {
 		for j := 0; j < g.ldc && i*g.ldc+j < len(g.c); j++ {
 			x := i*g.ldc + j
@@ -243,6 +258,17 @@ func (g gemm32Case) check(t *testing.T) {
 					t.Fatalf("%v (%s) at (%d,%d): %v, float64 product %v, |Δ| %g > %g", g.shape(), body.name, i, j, body.got, want, d, bound)
 				}
 			}
+		}
+	}
+}
+
+// checkBits fails unless got (the dispatched body) and want (the AVX2
+// tiles) hold the same bits everywhere.
+func (g gemm32Case) checkBits(t *testing.T, got, want []float32) {
+	t.Helper()
+	for x := range got {
+		if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
+			t.Fatalf("%v at (%d,%d): 4×32 tile wrote %v, 4×16 tile %v", g.shape(), x/g.ldc, x%g.ldc, got[x], want[x])
 		}
 	}
 }
@@ -272,16 +298,29 @@ func newGemm32Case(rng *rand.Rand, m, n, k int, trans bool) gemm32Case {
 	return g
 }
 
+// gemm32BodiesRun names the bodies the dispatcher runs on this CPU.
+func gemm32BodiesRun() string {
+	switch {
+	case trainAsm && simd64 && simd512:
+		return "avx512 4×32 + avx2 4×16 + go"
+	case trainAsm && simd64:
+		return "avx2 4×16 + go"
+	}
+	return "go"
+}
+
 // TestGemm32BodiesMatch runs the float32 products over every row count
 // mod 4 (partial tiles of one to three rows), every column count mod
-// 16 (the Go columns beside the tile) and k tails from 0 up, NN and TN:
+// 32 up to 96 (the 4×32 tile, the 16-column remainder on the 4×16 tile
+// and the Go columns beside them) and k tails from 0 up, NN and TN:
 // the dispatched body and the Go kernel each stay within the float32
-// rounding bound of the float64 product.
+// rounding bound of the float64 product, and on AVX-512F the
+// dispatched body equals the AVX2 tiles bit for bit.
 func TestGemm32BodiesMatch(t *testing.T) {
-	t.Logf("dispatched body: %s (float32 tile active: %v)", Backend(), trainAsm && simd64)
+	t.Logf("dispatched bodies: %s", gemm32BodiesRun())
 	rng := rand.New(rand.NewSource(3))
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
-		for n := 1; n <= 50; n++ {
+		for n := 1; n <= 97; n++ {
 			for _, k := range []int{0, 1, 2, 3, 7, 16, 33} {
 				for _, trans := range []bool{false, true} {
 					newGemm32Case(rng, m, n, k, trans).check(t)
@@ -291,24 +330,47 @@ func TestGemm32BodiesMatch(t *testing.T) {
 	}
 }
 
-// FuzzGemm32 drives both bodies with fuzzed shapes and values: byte 0
-// picks m (1–12), byte 1 n (1–48), byte 2 k (0–40) and the transpose,
-// and the rest are the operands' values as signed bytes scaled by a
-// power of two the next byte picks, so magnitudes span 2⁻²⁰ to 2²⁰.
+// TestGemm32WideTileMatchesAVX2 holds the 4×32 tile to the 4×16 one
+// bit for bit at the LSTM's own shapes, where a column's chain runs
+// to k = 700 (the weight gradient); it skips on CPUs without AVX-512F.
+func TestGemm32WideTileMatchesAVX2(t *testing.T) {
+	if !(trainAsm && simd64 && simd512) {
+		t.Skipf("no AVX-512F tile on this CPU/backend (dispatched bodies: %s)", gemm32BodiesRun())
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, s := range []struct {
+		m, n, k int
+		trans   bool
+	}{
+		{70, 128, 32, false}, {700, 128, 32, false}, {70, 32, 128, false},
+		{700, 32, 128, false}, {33, 128, 700, true}, {71, 112, 45, true},
+	} {
+		g := newGemm32Case(rng, s.m, s.n, s.k, s.trans)
+		g.checkBits(t, g.run(dispatched), g.run(ymmTiles))
+	}
+}
+
+// FuzzGemm32 drives the bodies with fuzzed shapes and values: byte 0
+// picks m (1–12), byte 1 n (1–96), byte 2 k (0–40) and the transpose,
+// and the rest are the operands' values as signed bytes plus a third
+// (so that products and sums round, and a body that rounds differently
+// shows), scaled by a power of two the next byte picks, so magnitudes
+// span 2⁻²⁰ to 2²⁰.
 func FuzzGemm32(f *testing.F) {
 	f.Add([]byte{3, 17, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{0, 15, 64 + 31, 0x80, 0x7f, 0xff, 0x01})
 	f.Add([]byte{11, 47, 39, 20, 200, 13, 77})
+	f.Add([]byte{6, 79, 64 + 40, 3, 9, 250, 128, 77})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		m, n, k := 1+int(data[0])%12, 1+int(data[1])%48, int(data[2])%41
+		m, n, k := 1+int(data[0])%12, 1+int(data[1])%96, int(data[2])%41
 		trans := data[2]&64 != 0
 		vals, scale := data[3:], math.Ldexp(1, int(data[3])%41-20)
 		next := 0
 		value := func() float32 {
-			v := float64(int8(vals[next%len(vals)])) * scale
+			v := (float64(int8(vals[next%len(vals)])) + 1.0/3) * scale
 			next++
 			return float32(v)
 		}

@@ -20,6 +20,12 @@ func gemmTile4x8(k int, a0, a1, a2, a3 *float64, csa int, b *float64, ldb int, c
 //go:noescape
 func gemmTile4x16(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, c0, c1, c2, c3 *float32)
 
+// gemmTile4x32 is gemmTile4x16 over thirty-two columns, on AVX-512F;
+// callers check simd512.
+//
+//go:noescape
+func gemmTile4x32(k int, a0, a1, a2, a3 *float32, csa int, b *float32, ldb int, c0, c1, c2, c3 *float32)
+
 // sigmoid32AVX2 and tanh32AVX2 (activ_amd64.s) take equal-length
 // slices of any length, dst the same as src or disjoint from it.
 //
