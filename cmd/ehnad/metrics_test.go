@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strconv"
@@ -333,5 +335,36 @@ func TestMetricsCatalogMatchesREADME(t *testing.T) {
 				t.Errorf("/metrics emits %s, which README's metrics catalog does not name", name)
 			}
 		}
+	}
+}
+
+// readmePath matches a repository path README names: one starting at
+// cmd/, internal/, scripts/ or examples/, optionally written ./cmd/…,
+// that begins a word (so bench/cmd/… or a URL's /internal/ never match).
+var readmePath = regexp.MustCompile("(?:^|[\\s`(\"'\\[])(?:\\./)?((?:cmd|internal|scripts|examples)/[\\w.\\-/]*)")
+
+// TestREADMEPathsExist fails when README names a path under cmd/,
+// internal/, scripts/ or examples/ that is not in the tree, so a
+// deleted binary, package or script cannot stay documented.
+func TestREADMEPathsExist(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, m := range readmePath.FindAllStringSubmatch(string(readme), -1) {
+		// A sentence's full stop, "internal/..." and "examples/*" name
+		// the directory before them.
+		p := strings.TrimRight(m[1], "./")
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		if _, err := os.Stat(filepath.Join("../..", p)); err != nil {
+			t.Errorf("README names %s, which is not in the tree", p)
+		}
+	}
+	if len(seen) < 20 {
+		t.Fatalf("found %d paths in README", len(seen))
 	}
 }

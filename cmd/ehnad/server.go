@@ -246,8 +246,9 @@ func trimSelf(results []ann.Result, self *graph.NodeID, k int) []ann.Result {
 
 // maxBodyBytes bounds the body of a /v1/neighbors, /v1/upsert or
 // /v1/delete request; reading past it fails the request with 413. The
-// largest body a caller in this repository sends is an ehnad-loadgen
-// -preload batch of 512 updates: ~0.7 MB at dim 64, ~5.6 MB at dim 512.
+// largest body a caller in this repository sends is a bench/ read_batch
+// request of 32 raw-vector queries at dim 64, ~40 KB; a batch of 512
+// updates would still fit at dim 512 (~5.6 MB).
 const maxBodyBytes = 32 << 20
 
 // limitBody is r's body, cut off at maxBodyBytes.

@@ -143,9 +143,9 @@ boot):
 booting from the saved graph instead of rebuilding it:
   go run ./cmd/ehnad -snapshot %s -hnsw-graph %s
 
-durably — writes WAL-logged before apply, snapshots rotated, HNSW
-tombstones compacted in the background (the -snapshot seed is only
-read on the first boot; afterwards %s recovers everything):
+durably — writes WAL-logged before apply, snapshots rotated (the
+-snapshot seed is only read on the first boot; afterwards %s
+recovers everything):
   go run ./cmd/ehnad -snapshot %s -index hnsw -wal %s
 
 beyond RAM — mmap the snapshot instead of copying it onto the
@@ -162,11 +162,8 @@ then query:
   curl -s -X POST localhost:8080/v1/delete -d '{"id":900000}'
   curl -s localhost:8080/v1/export > backup.snap
 
-watch it (Prometheus text format), then prove it holds under open-loop
-load with an SLO gate (exit code 0 = pass):
+watch it (Prometheus text format):
   curl -s localhost:8080/metrics
-  go run ./cmd/ehnad-loadgen -rate 2000 -duration 30s -read-frac 0.9 \
-      -slo "p99<5ms,errors<1%%" -json bench.json
 
 scale out: two shards behind the scatter-gather router, shard a
 replicated by a WAL-shipping follower that auto-promotes on leader

@@ -597,6 +597,24 @@ func (m *Model) Train() []float64 {
 	return losses
 }
 
+// EvalLoss computes the mean hinge loss over the given edges WITHOUT
+// updating any parameters — a validation metric for held-out (future)
+// edges. The walks and negative draws use a fixed seed so repeated calls
+// are comparable.
+func (m *Model) EvalLoss(edges []graph.Edge) float64 {
+	if len(edges) == 0 {
+		return 0
+	}
+	rng := rand.New(rand.NewSource(m.cfg.Seed + 104729))
+	tp := ag.NewNoGrad()
+	var total float64
+	for _, e := range edges {
+		tp.Reset()
+		total += ag.Value(m.EdgeLoss(tp, e, rng))
+	}
+	return total / float64(len(edges))
+}
+
 // InferAll runs the paper's final aggregation pass: each node is aggregated
 // at the time of its most recent edge and the readout becomes its final
 // embedding (e_x = z_x). Nodes without any edge fall back to the

@@ -555,33 +555,6 @@ func TestParallelTrainingSeparatesCommunities(t *testing.T) {
 	}
 }
 
-func TestNearestNeighbors(t *testing.T) {
-	emb := tensor.FromRows([][]float64{
-		{0, 0}, {1, 0}, {0, 3}, {5, 5},
-	})
-	nbs, err := NearestNeighbors(emb, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbs) != 2 || nbs[0].ID != 1 || nbs[1].ID != 2 {
-		t.Fatalf("neighbors %+v", nbs)
-	}
-	if nbs[0].SqDist != 1 || nbs[1].SqDist != 9 {
-		t.Fatalf("distances %+v", nbs)
-	}
-	// k larger than candidates clamps.
-	nbs, err = NearestNeighbors(emb, 0, 10)
-	if err != nil || len(nbs) != 3 {
-		t.Fatalf("clamp: %d err %v", len(nbs), err)
-	}
-	if _, err := NearestNeighbors(emb, 9, 1); err == nil {
-		t.Fatal("out-of-range id accepted")
-	}
-	if _, err := NearestNeighbors(emb, 0, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
 func TestEvalLossDeterministicAndDecreases(t *testing.T) {
 	g := twoCommunityGraph(t)
 	train, held, err := g.SplitByTime(0.2)

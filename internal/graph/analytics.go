@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -20,25 +19,6 @@ func (g *Temporal) Snapshot(t float64) *Temporal {
 	}
 	out.Build()
 	return out
-}
-
-// Snapshots partitions the time span into k equal windows and returns the
-// cumulative snapshot at the end of each window.
-func (g *Temporal) Snapshots(k int) ([]*Temporal, error) {
-	g.mustBuilt()
-	if k < 1 {
-		return nil, fmt.Errorf("graph: need ≥ 1 snapshot, got %d", k)
-	}
-	lo, hi, ok := g.TimeSpan()
-	if !ok {
-		return nil, fmt.Errorf("graph: empty graph has no snapshots")
-	}
-	out := make([]*Temporal, k)
-	for i := 1; i <= k; i++ {
-		cut := lo + (hi-lo)*float64(i)/float64(k)
-		out[i-1] = g.Snapshot(cut)
-	}
-	return out, nil
 }
 
 // ConnectedComponents labels every node with a component id (0-based,
@@ -83,34 +63,6 @@ func (g *Temporal) NumComponents() int {
 		}
 	}
 	return max + 1
-}
-
-// ClusteringCoefficient returns the local clustering coefficient of u:
-// the fraction of pairs of distinct neighbors that are themselves linked.
-// Parallel edges count once. Nodes with < 2 distinct neighbors return 0.
-func (g *Temporal) ClusteringCoefficient(u NodeID) float64 {
-	g.mustBuilt()
-	seen := make(map[NodeID]bool)
-	for _, he := range g.adj[u] {
-		seen[he.To] = true
-	}
-	nbrs := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		nbrs = append(nbrs, v)
-	}
-	if len(nbrs) < 2 {
-		return 0
-	}
-	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-	links := 0
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if g.HasEdge(nbrs[i], nbrs[j]) {
-				links++
-			}
-		}
-	}
-	return 2 * float64(links) / (float64(len(nbrs)) * float64(len(nbrs)-1))
 }
 
 // TemporalStats summarizes the temporal texture of the network.
@@ -189,23 +141,6 @@ func (g *Temporal) ComputeTemporalStats() (TemporalStats, bool) {
 	}
 	st.RepeatEdgeFraction = float64(repeats) / float64(len(g.edges))
 	return st, true
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with exactly d
-// incident temporal edges, up to the max degree.
-func (g *Temporal) DegreeHistogram() []int {
-	g.mustBuilt()
-	max := 0
-	for i := range g.adj {
-		if len(g.adj[i]) > max {
-			max = len(g.adj[i])
-		}
-	}
-	counts := make([]int, max+1)
-	for i := range g.adj {
-		counts[len(g.adj[i])]++
-	}
-	return counts
 }
 
 // GiniDegree returns the Gini coefficient of the degree distribution, a

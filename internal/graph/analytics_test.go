@@ -26,34 +26,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshots(t *testing.T) {
-	g := tiny(t)
-	snaps, err := g.Snapshots(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 4 {
-		t.Fatalf("%d snapshots", len(snaps))
-	}
-	// Cumulative: edge counts non-decreasing, last = all.
-	for i := 1; i < 4; i++ {
-		if snaps[i].NumEdges() < snaps[i-1].NumEdges() {
-			t.Fatal("snapshots not cumulative")
-		}
-	}
-	if snaps[3].NumEdges() != g.NumEdges() {
-		t.Fatal("final snapshot incomplete")
-	}
-	if _, err := g.Snapshots(0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	empty := NewTemporal(2)
-	empty.Build()
-	if _, err := empty.Snapshots(2); err == nil {
-		t.Fatal("empty graph accepted")
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewTemporal(6)
 	_ = g.AddEdge(0, 1, 1, 1)
@@ -72,37 +44,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if g.NumComponents() != 3 {
 		t.Fatalf("NumComponents %d want 3", g.NumComponents())
-	}
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	// Triangle: coefficient 1 everywhere.
-	tri := NewTemporal(3)
-	_ = tri.AddEdge(0, 1, 1, 1)
-	_ = tri.AddEdge(1, 2, 1, 2)
-	_ = tri.AddEdge(0, 2, 1, 3)
-	tri.Build()
-	if c := tri.ClusteringCoefficient(0); c != 1 {
-		t.Fatalf("triangle coefficient %g", c)
-	}
-	// Star center: 0.
-	star := NewTemporal(4)
-	_ = star.AddEdge(0, 1, 1, 1)
-	_ = star.AddEdge(0, 2, 1, 2)
-	_ = star.AddEdge(0, 3, 1, 3)
-	star.Build()
-	if c := star.ClusteringCoefficient(0); c != 0 {
-		t.Fatalf("star coefficient %g", c)
-	}
-	// Leaf (single neighbor): 0 by convention.
-	if c := star.ClusteringCoefficient(1); c != 0 {
-		t.Fatalf("leaf coefficient %g", c)
-	}
-	// Parallel edges count once: duplicate the triangle edge.
-	_ = tri.AddEdge(0, 1, 1, 4)
-	tri.Build()
-	if c := tri.ClusteringCoefficient(2); c != 1 {
-		t.Fatalf("parallel-edge coefficient %g", c)
 	}
 }
 
@@ -152,24 +93,6 @@ func TestBurstRatioDetectsBurst(t *testing.T) {
 	sb, _ := mk(true).ComputeTemporalStats()
 	if sb.BurstRatio < 2*su.BurstRatio {
 		t.Fatalf("burst %g vs uniform %g", sb.BurstRatio, su.BurstRatio)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := NewTemporal(4)
-	_ = g.AddEdge(0, 1, 1, 1)
-	_ = g.AddEdge(0, 2, 1, 2)
-	g.Build() // degrees: 2,1,1,0
-	h := g.DegreeHistogram()
-	if h[0] != 1 || h[1] != 2 || h[2] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != g.NumNodes() {
-		t.Fatal("histogram does not cover all nodes")
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -10,8 +9,7 @@ import (
 // Histogram bucket geometry: 8 sub-buckets per power of two over the
 // full non-negative int64 range. Bucket width is at most 1/8 of the
 // bucket's lower bound, so any quantile read off the buckets is within
-// ~12.5% of the exact sample quantile — tight enough to gate p99
-// regressions without storing samples.
+// ~12.5% of the exact sample quantile, without storing samples.
 const (
 	histSubBits    = 3
 	histSubBuckets = 1 << histSubBits
@@ -61,8 +59,8 @@ const (
 
 // Histogram is a fixed-size log-bucketed distribution. Observe is a
 // handful of atomic adds into preallocated arrays: lock-free,
-// allocation-free, safe on the search hot path. Quantiles are read
-// through Snapshot, never on the write path.
+// allocation-free, safe on the search hot path. Readers go through
+// Snapshot, never on the write path.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
@@ -97,8 +95,7 @@ func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(s
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// HistSnapshot is a point-in-time copy of a histogram. Snapshots merge
-// by addition, so per-worker recordings combine exactly.
+// HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Count   uint64
 	Sum     int64
@@ -117,71 +114,6 @@ func (h *Histogram) Snapshot(s *HistSnapshot) {
 	for i := range s.Buckets {
 		s.Buckets[i] = h.counts[i].Load()
 	}
-}
-
-// Merge adds o's observations into s.
-func (s *HistSnapshot) Merge(o *HistSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Quantile estimates the p-quantile (p in [0,1]) of the recorded
-// values, interpolating linearly inside the target bucket. The
-// estimate is within one bucket width (≤ ~12.5% relative) of the exact
-// sample quantile. Returns 0 for an empty snapshot.
-func (s *HistSnapshot) Quantile(p float64) int64 {
-	total := uint64(0)
-	for _, c := range s.Buckets {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo, hi := bucketBounds(i)
-			frac := float64(rank-cum) / float64(c)
-			v := int64(float64(lo) + frac*float64(hi-lo))
-			// The true maximum is tracked exactly; never report a
-			// bucket-upper estimate past it (matters for p999 and for
-			// single-observation histograms).
-			if v > s.Max {
-				v = s.Max
-			}
-			return v
-		}
-		cum += c
-	}
-	// Unreachable: rank ≤ total by construction.
-	return s.Max
-}
-
-// Mean returns the average recorded value (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // CountAtMost returns how many observations were ≤ v — the cumulative

@@ -13,8 +13,7 @@
 //   - Histograms must answer tail-quantile questions (p50/p90/p99/p999)
 //     without storing samples: buckets are log-spaced (8 sub-buckets
 //     per power of two, ≤ 12.5% relative width) over the full int64
-//     range, and snapshots are plain arrays that merge by addition, so
-//     a load generator can combine per-worker recordings exactly.
+//     range, and a snapshot is a plain array copy.
 //   - Exposition must be boring: stable ordering (registration order),
 //     HELP/TYPE pairs per family, standard counter/gauge/histogram
 //     text syntax a Prometheus scraper parses as-is.

@@ -34,8 +34,8 @@ var registerRuntimeOnce sync.Once
 // default registry (once; later calls are no-ops): goroutine count,
 // heap and sys bytes, GC pause total and cycle count, GOMAXPROCS, and
 // a constant build_info series carrying the Go version and main-module
-// version so loadgen runs can correlate tail latency with GC and pin
-// which build produced them.
+// version, so a scrape can correlate tail latency with GC and pin
+// which build produced it.
 func RegisterRuntime() {
 	registerRuntimeOnce.Do(func() {
 		r := Default()

@@ -135,22 +135,3 @@ func (s *Negative) Draw(rng *rand.Rand, exclude ...graph.NodeID) graph.NodeID {
 	}
 	return v
 }
-
-// Reservoir fills out with a uniform sample of k items from a stream of n
-// indices [0, n), using Vitter's algorithm R. Returns min(k, n) indices.
-func Reservoir(n, k int, rng *rand.Rand) []int {
-	if k > n {
-		k = n
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := rng.Intn(i + 1)
-		if j < k {
-			out[j] = i
-		}
-	}
-	return out
-}

@@ -182,42 +182,6 @@ func TestNegativeSamplerBoundedRejection(t *testing.T) {
 	_ = s.Draw(rng, 0, 1) // must not hang
 }
 
-func TestReservoir(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	got := Reservoir(5, 10, rng)
-	if len(got) != 5 {
-		t.Fatalf("k>n must clamp: len %d", len(got))
-	}
-	got = Reservoir(100, 10, rng)
-	if len(got) != 10 {
-		t.Fatalf("len %d want 10", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid or duplicate sample %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	counts := make([]int, 10)
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		for _, v := range Reservoir(10, 3, rng) {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * 3 / 10
-	for i, c := range counts {
-		if math.Abs(float64(c)-want)/want > 0.05 {
-			t.Fatalf("index %d count %d want ~%g", i, c, want)
-		}
-	}
-}
-
 func BenchmarkAliasDraw(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := make([]float64, 10000)

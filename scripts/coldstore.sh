@@ -7,9 +7,10 @@
 #       of dataset size (boot_s is printed for the log),
 #   (b) quality holds: mean recall@10 over the truth queries clears
 #       MIN_RECALL (ehnad-mkstore -check is the gate),
-#   (c) a read-only open-loop pass completes with zero errors, and
+#   (c) a read pass — READS single-id queries over ids spread across
+#       the store, one curl -sf each — completes with zero errors, and
 #   (d) RSS stays bounded: process.resident_bytes from /healthz must
-#       stay under RSS_BUDGET_MB after the load pass. The budget bounds
+#       stay under RSS_BUDGET_MB after the read pass. The budget bounds
 #       the whole process (Go heap + HNSW graph + resident pages of the
 #       mapping); the mapped slab itself is reclaimable page cache, and
 #       the drill prints mapped vs resident so regressions in either
@@ -19,15 +20,14 @@
 # exactly what mmap-mode spends freely by design. The RSS gate reads
 # the daemon's own /proc-backed gauge instead.
 #
-# Tunables (env): NODES DIM RATE DURATION MIN_RECALL RSS_BUDGET_MB
+# Tunables (env): NODES DIM READS MIN_RECALL RSS_BUDGET_MB
 #                 EF_SEARCH HNSW_M EF_CONSTRUCTION
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 nodes="${NODES:-200000}"
 dim="${DIM:-64}"
-rate="${RATE:-300}"
-duration="${DURATION:-5s}"
+reads="${READS:-1000}"
 min_recall="${MIN_RECALL:-0.95}"
 rss_budget_mb="${RSS_BUDGET_MB:-512}"
 # Isotropic Gaussian dim-64 data is HNSW's hardest case (no cluster
@@ -52,7 +52,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$workdir/ehnad" ./cmd/ehnad
-go build -o "$workdir/ehnad-loadgen" ./cmd/ehnad-loadgen
 go build -o "$workdir/ehnad-mkstore" ./cmd/ehnad-mkstore
 
 echo "== artifacts: $nodes × dim-$dim sq8 + hnsw graph + exact truth =="
@@ -88,14 +87,18 @@ echo "== recall gate: mean recall@10 over the truth queries =="
 "$workdir/ehnad-mkstore" -check "$workdir/data" -target "http://$addr" \
   -min-recall "$min_recall"
 
-echo "== read-only open-loop pass: ${rate}/s for $duration =="
-"$workdir/ehnad-loadgen" -target "http://$addr" -read-frac 1 \
-  -rate "$rate" -duration "$duration" \
-  -json "$workdir/report.json"
-errors="$(grep -o '"errors":[[:space:]]*[0-9]*' "$workdir/report.json" | head -1 | grep -o '[0-9]*$')"
-[ "$errors" = "0" ] || { echo "coldstore: load pass saw $errors errors, want 0" >&2; exit 1; }
+echo "== read pass: $reads single-id queries spread over $nodes ids =="
+# curl -f fails on any status >= 400 or a refused connection, and the
+# first failure stops the drill: finishing the loop is the zero-errors
+# gate.
+for i in $(seq 0 $((reads - 1))); do
+  id=$((i * nodes / reads))
+  curl -sf -o /dev/null -X POST "http://$addr/v1/neighbors" -d "{\"id\":$id,\"k\":10}" ||
+    { echo "coldstore: read of id $id failed" >&2; exit 1; }
+done
+echo "read pass: $reads queries, 0 errors"
 
-echo "== RSS gate: resident_bytes < ${rss_budget_mb}MB after load =="
+echo "== RSS gate: resident_bytes < ${rss_budget_mb}MB after the read pass =="
 health="$(curl -sf "http://$addr/healthz")"
 rss="$(healthz_num resident_bytes)"
 mapped_res="$(healthz_num mapped_resident_bytes)"
