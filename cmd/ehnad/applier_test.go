@@ -187,7 +187,7 @@ func TestExportWithoutWALHoldsWholeBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4}, store, ann.NewExact(store, ann.Cosine))
+	srv := newServer(serverConfig{index: testIndexOptions("exact")}, store, ann.NewExact(store, ann.Cosine))
 	ts := httptest.NewServer(srv.handler())
 	defer func() { ts.Close(); srv.close() }()
 

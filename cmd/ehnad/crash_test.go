@@ -42,8 +42,6 @@ func crashTestConfig(walDir string) serverConfig {
 	return serverConfig{
 		dim:              crashDim,
 		index:            testIndexOptions("hnsw"),
-		maxBatch:         16,
-		window:           0,
 		walDir:           walDir,
 		fsync:            "always",
 		snapshotInterval: 0,
@@ -55,7 +53,7 @@ func crashTestConfig(walDir string) serverConfig {
 // full daemon stack over the WAL directory in EHNAD_WAL, prints the
 // listen address, and runs the production serve loop — so a SIGKILL
 // exercises the no-shutdown path and a SIGTERM exercises the real
-// graceful drain (batcher close, WAL fsync, final snapshot pair).
+// graceful drain (in-flight HTTP, WAL fsync, final snapshot pair).
 func TestCrashDaemonHelper(t *testing.T) {
 	if os.Getenv("EHNAD_CRASH_HELPER") != "1" {
 		t.Skip("helper-process entry point; driven by TestCrashRecoveryE2E and TestGracefulSIGTERM")

@@ -5,11 +5,13 @@ package main
 // accept, not start a daemon in some fallback configuration.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 
 	"ehna/internal/embstore"
@@ -58,7 +60,7 @@ func TestBootFlagErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, `unknown index "`+removed+`" (want exact or hnsw)`) {
 		t.Errorf("-index %s: exit %d, stderr %q; want a boot error naming exact and hnsw", removed, code, stderr)
 	}
-	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed", "-model", "-shards"} {
+	for _, gone := range []string{"-tables", "-bits", "-probes", "-queue-depth", "-seed", "-model", "-shards", "-max-batch"} {
 		code, stderr := runMain(t, append(boot, gone, "8")...)
 		if code == 0 || !strings.Contains(stderr, "flag provided but not defined: "+gone) {
 			t.Errorf("%s: exit %d, stderr %q; want an undefined-flag boot error", gone, code, stderr)
@@ -75,7 +77,7 @@ func TestBootFlagErrors(t *testing.T) {
 		t.Errorf("no source: exit %d, stderr %q; want a boot error naming -snapshot and -dim", code, stderr)
 	}
 
-	// The flag surface is pinned: 23 flags, -index defaulting to hnsw,
+	// The flag surface is pinned: 22 flags, -index defaulting to hnsw,
 	// -precision offering f32 and sq8 only.
 	_, usage := runMain(t, "-h")
 	var flags []string
@@ -84,14 +86,56 @@ func TestBootFlagErrors(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if len(flags) != 23 {
-		t.Errorf("ehnad -h lists %d flags, want 23: %v", len(flags), flags)
+	if len(flags) != 22 {
+		t.Errorf("ehnad -h lists %d flags, want 22: %v", len(flags), flags)
 	}
 	if !strings.Contains(usage, "vector slab precision: f32 (float32 rows) or sq8") || strings.Contains(usage, "f64") {
 		t.Errorf("ehnad -h does not show -precision as f32 or sq8 with no f64:\n%s", usage)
 	}
 	if !strings.Contains(usage, "ann index: exact or hnsw (default \"hnsw\")") {
 		t.Errorf("ehnad -h does not show -index defaulting to hnsw:\n%s", usage)
+	}
+}
+
+// benchServingFlags is bench/serve.go's servingFlags, copied verbatim
+// (its efSearch is 192): every daemon the benchmark runs boots with
+// them.
+var benchServingFlags = []string{
+	"-index", "hnsw", "-precision", "sq8", "-metric", "cosine", "-ef-search", "192",
+	"-batch-window", "0", "-snapshot-interval", "0", "-compact-at", "0",
+}
+
+// TestBootWithBenchmarkFlags boots main() with the benchmark's flags and
+// expects it to start listening and drain cleanly on SIGTERM, so that
+// deleting a flag the benchmark passes fails here and not in a
+// benchmark run.
+func TestBootWithBenchmarkFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a process; skipped under -short")
+	}
+	args := append([]string{"-addr", "127.0.0.1:0", "-dim", "4"}, benchServingFlags...)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainHelper$")
+	cmd.Env = append(os.Environ(), "EHNAD_MAIN_ARGS="+strings.Join(args, "\x1f"))
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	var out strings.Builder
+	lines := bufio.NewScanner(stderr)
+	for lines.Scan() {
+		out.WriteString(lines.Text() + "\n")
+		if strings.Contains(lines.Text(), "ehnad: listening on") {
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cmd.Wait(); err != nil || !strings.Contains(out.String(), "ehnad: shutdown complete") {
+		t.Fatalf("ehnad %s: %v; want a clean start and drain, stderr:\n%s", strings.Join(args, " "), err, out.String())
 	}
 }
 

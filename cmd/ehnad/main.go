@@ -1,12 +1,11 @@
 // Command ehnad is the online embedding-serving daemon: it loads a
-// snapshot of trained embeddings into a sharded in-memory store, builds
-// an ANN index over it, and answers HTTP/JSON queries.
+// snapshot of trained embeddings into an in-memory (or mapped) store,
+// builds an ANN index over it, and answers HTTP/JSON queries.
 //
 // Endpoints:
 //
-//	POST /v1/neighbors       top-k similar nodes, by stored id or raw vector;
-//	                         single queries are micro-batched server-side,
-//	                         "queries":[...] batches explicitly
+//	POST /v1/neighbors       top-k similar nodes, by stored id or raw vector,
+//	                         one query or a "queries":[...] batch
 //	POST /v1/score           pairwise link-prediction score under a Table II
 //	                         edge operator (hadamard sum = dot product)
 //	POST /v1/upsert          insert/replace vectors (logged when there is a WAL,
@@ -109,8 +108,7 @@ func main() {
 		efSearch  = flag.Int("ef-search", 64, "hnsw: query-time beam width (recall/latency dial)")
 		hnswGraph = flag.String("hnsw-graph", "", "hnsw: graph snapshot path — loaded if present (boot without rebuild), written after a fresh build otherwise")
 		metric    = flag.String("metric", "cosine", "similarity metric: cosine or dot")
-		maxBatch  = flag.Int("max-batch", 64, "micro-batcher: max coalesced queries")
-		window    = flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher: gather window (0 disables)")
+		_         = flag.Duration("batch-window", 0, "ignored; a single query is searched on its own request")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for live profiling")
 		walDir    = flag.String("wal", "", "write-ahead-log directory: makes writes durable and enables snapshot rotation")
 		fsync     = flag.String("fsync", "always", "wal fsync policy: always (group commit, crash-safe), never, or a flush interval like 100ms")
@@ -118,7 +116,7 @@ func main() {
 		_         = flag.Float64("compact-at", 0, "ignored; dead slots are reused in place")
 		deadline  = flag.Duration("default-deadline", 2*time.Second, "per-request time budget when the client sends none (deadline_ms field or X-Ehnad-Deadline-Ms header override; 0 disables)")
 		inflight  = flag.Int("max-inflight", 256, "max concurrently served /v1/neighbors requests; excess sheds with 429 (0 = unlimited)")
-		efFloor   = flag.Int("ef-floor", 16, "hnsw: lowest ef-search the overload degrader may shrink the beam to under sustained queue pressure (0 disables adaptation)")
+		efFloor   = flag.Int("ef-floor", 16, "hnsw: lowest ef-search the overload degrader may shrink the beam to while -max-inflight stays over 3/4 full (0 disables adaptation)")
 		faultSpec = flag.String("fault", "", `wal fault-injection spec for chaos drills, e.g. "sync:after=100,count=3;write:enospc,p=0.01,seed=7" (see internal/faultfs)`)
 		follow    = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal): bootstrap from its /v1/export if the WAL dir is empty, tail its /v1/repl/stream, refuse writes until promoted via /v1/admin/promote")
 	)
@@ -155,8 +153,6 @@ func main() {
 			efSearch:       *efSearch,
 			graphPath:      *hnswGraph,
 		},
-		maxBatch:         *maxBatch,
-		window:           *window,
 		pprof:            *pprofOn,
 		walDir:           *walDir,
 		fsync:            *fsync,
@@ -182,7 +178,6 @@ func main() {
 	if *pprofOn {
 		log.Printf("ehnad: pprof mounted at %s/debug/pprof/", *addr)
 	}
-	log.Printf("ehnad: listening on %s", *addr)
 	if err := runDaemon(srv, ln); err != nil {
 		srv.close()
 		log.Fatalf("ehnad: %v", err)
@@ -191,15 +186,18 @@ func main() {
 
 // runDaemon serves srv on ln until SIGTERM/SIGINT, then exits
 // gracefully: stop accepting and drain in-flight HTTP (readiness flips
-// not-ready first, so balancers stop routing), drain the micro-batcher,
-// fsync the WAL, and rotate a final snapshot pair if the node was
-// serving, so the next boot replays zero records. Shared with the
-// crash-test helper so the signal path under test is the production one.
+// not-ready first, so balancers stop routing), fsync the WAL, and
+// rotate a final snapshot pair if the node was serving, so the next
+// boot replays zero records. Shared with the crash-test helper so the
+// signal path under test is the production one.
 func runDaemon(srv *server, ln net.Listener) error {
 	httpSrv := &http.Server{Handler: srv.handler()}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	// Logged after Notify: a SIGTERM sent once this line is out drains
+	// the daemon instead of killing it.
+	log.Printf("ehnad: listening on %s", ln.Addr())
 	go func() {
 		left := srv.dur.node.drain("signal: " + (<-sig).String())
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -225,8 +223,6 @@ type serverConfig struct {
 	precision embstore.Precision // zero: follow the base snapshot, f32 for a new store
 	storeMode string             // "" or "ram" (heap slabs) | "mmap" (mapped v3 base + overlay)
 	index     indexOptions
-	maxBatch  int
-	window    time.Duration
 	pprof     bool
 
 	walDir           string

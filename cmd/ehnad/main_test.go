@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"ehna/internal/ann"
 	"ehna/internal/cluster"
@@ -43,7 +41,7 @@ func newTestServer(t *testing.T, store *embstore.Store, indexKind string) (*serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(serverConfig{index: testIndexOptions(indexKind), maxBatch: 64, window: time.Millisecond}, store, index)
+	srv := newServer(serverConfig{index: testIndexOptions(indexKind)}, store, index)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 	return srv, ts
@@ -73,8 +71,9 @@ func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 }
 
 type neighborsResponse struct {
-	Results []ann.Result   `json:"results"`
-	Batches [][]ann.Result `json:"batches"`
+	Results  []ann.Result   `json:"results"`
+	Batches  [][]ann.Result `json:"batches"`
+	Degraded bool           `json:"degraded"`
 }
 
 var trained struct {
@@ -221,7 +220,7 @@ func TestOversizeBodyIs413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(serverConfig{index: opts, maxBatch: 64, window: time.Millisecond}, store, index)
+	srv := newServer(serverConfig{index: opts}, store, index)
 	t.Cleanup(srv.close)
 	h := srv.handler()
 	for _, route := range []struct{ path, prefix, small string }{
@@ -349,9 +348,9 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestConcurrentNeighborsThroughBatcher hammers the single-query path so
-// the micro-batcher actually coalesces, and checks every reply matches
-// the unbatched answer.
+// TestConcurrentNeighborsThroughBatcher hammers the single-query path
+// with concurrent requests, each searched on its own handler, and
+// checks every reply matches the index's answer.
 func TestConcurrentNeighborsThroughBatcher(t *testing.T) {
 	store, _ := trainedStore(t)
 	srv, ts := newTestServer(t, store, "exact")
@@ -372,7 +371,7 @@ func TestConcurrentNeighborsThroughBatcher(t *testing.T) {
 				return
 			}
 			if len(resp.Results) != 4 || resp.Results[0].ID != want[0].ID {
-				errs <- fmt.Errorf("batched result %v != %v", resp.Results, want)
+				errs <- fmt.Errorf("result %v != %v", resp.Results, want)
 			}
 		}()
 	}
@@ -380,34 +379,6 @@ func TestConcurrentNeighborsThroughBatcher(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestBatcherShutdownUnblocksCallers closes the batcher while requests
-// are in flight and checks no do() caller hangs.
-func TestBatcherShutdownUnblocksCallers(t *testing.T) {
-	store, _ := trainedStore(t)
-	index := ann.NewExact(store, ann.Cosine)
-	b := newBatcher(index, 64, 50*time.Millisecond, 0, nil)
-	q := mustGet(t, store, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Either a real result (flushed before close) or errShutdown —
-			// never a hang.
-			_, buf, _, _ := b.do(context.Background(), q, 3)
-			buf.release()
-		}()
-	}
-	b.close()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("do() callers still blocked after batcher close")
 	}
 }
 
@@ -691,8 +662,6 @@ func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	cfg := serverConfig{
 		snapshot: seedPath,
 		index:    testIndexOptions("hnsw"),
-		maxBatch: 16,
-		window:   time.Millisecond,
 		walDir:   walDir,
 		fsync:    "never", // this test is about replay, not fsync
 	}

@@ -6,8 +6,8 @@
 //     cumulative, so several servers in one test process can share
 //     them harmlessly.
 //   - Each server owns a private registry of instance gauges (store
-//     shape, graph shape, WAL/snapshot state, batcher queue
-//     depth) and its per-endpoint HTTP series. Gauges describe *this*
+//     shape, graph shape, WAL/snapshot state, in-flight requests)
+//     and its per-endpoint HTTP series. Gauges describe *this*
 //     server, so they cannot live on a process-wide registry without
 //     two test servers clobbering each other.
 //
@@ -28,27 +28,10 @@ import (
 
 // Daemon-level histograms and counters on the process-wide registry.
 var (
-	batchSizeHist = obs.Default().SizeHistogram("ehnad_batch_size",
-		"Queries coalesced per micro-batcher flush.")
-	batchFlushHist = obs.Default().Histogram("ehnad_batch_flush_seconds",
-		"Latency of one micro-batcher flush (batched SearchInto pass).")
 	snapshotHist = obs.Default().Histogram("ehnad_snapshot_seconds",
 		"Duration of one snapshot rotation (WAL rotate + store/graph save).")
-
-	// The overload-control plane: admission decisions and queue waits.
-	queueWaitHist = obs.Default().Histogram("ehnad_queue_wait_seconds",
-		"Time a neighbor query waited for a micro-batch slot before its search began.")
-	acceptedTotal = obs.Default().Counter("ehnad_requests_accepted_total",
-		"Neighbor queries admitted to a search batch.")
-	shedHelp      = "Requests refused at admission, by reason."
-	shedQueueFull = obs.Default().Counter("ehnad_requests_shed_total", shedHelp,
-		obs.L("reason", "queue_full"))
-	shedDeadline = obs.Default().Counter("ehnad_requests_shed_total", shedHelp,
-		obs.L("reason", "deadline"))
-	shedInflight = obs.Default().Counter("ehnad_requests_shed_total", shedHelp,
-		obs.L("reason", "inflight"))
-	expiredInQueue = obs.Default().Counter("ehnad_requests_expired_total",
-		"Requests whose deadline passed while queued; answered without searching.")
+	shedInflight = obs.Default().Counter("ehnad_requests_shed_total",
+		"Requests refused at admission, by reason.", obs.L("reason", "inflight"))
 )
 
 // serverMetrics is one server instance's registry plus the helpers the
@@ -64,7 +47,7 @@ func (m *serverMetrics) gauge(name string) float64 {
 }
 
 // newServerMetrics builds the per-server registry and registers the
-// store/index/batcher gauges. Durability gauges join later, once the
+// store/index/admission gauges. Durability gauges join later, once the
 // WAL layer exists (buildServer calls durable.registerMetrics).
 func newServerMetrics(s *server) *serverMetrics {
 	obs.RegisterRuntime() // idempotent; runtime + build info on the default registry
@@ -110,14 +93,12 @@ func newServerMetrics(s *server) *serverMetrics {
 	// left set, unexpected hardware).
 	r.Gauge("ehnad_kernel_backend", "Active vecmath kernel backend (identity in the backend label).",
 		obs.L("backend", vecmath.Backend())).Set(1)
-	r.GaugeFunc("ehnad_batch_queue_depth", "Neighbor queries waiting for a micro-batch slot.",
-		func() float64 { return float64(len(s.batch.in)) })
-	r.GaugeFunc("ehnad_batch_queue_capacity", "Micro-batcher admission queue capacity (a full queue sheds).",
-		func() float64 { return float64(cap(s.batch.in)) })
+	r.GaugeFunc("ehnad_inflight_requests", "/v1/neighbors requests holding a -max-inflight slot (0 when uncapped).",
+		func() float64 { return float64(len(s.inflight)) })
 	r.GaugeFunc("ehnad_ef_search_current", "ef-search the degrader currently applies (0 = degrader inactive).",
-		func() float64 { return float64(s.batch.deg.efNow()) })
+		func() float64 { return float64(s.deg.efNow()) })
 	r.GaugeFunc("ehnad_degraded", "1 while searches run below the configured ef-search beam.",
-		func() float64 { return one(s.batch.deg.degradedNow()) })
+		func() float64 { return one(s.deg.degradedNow()) })
 
 	// Graph gauges report zero when the index is not HNSW.
 	h, _ := s.index.(*ann.HNSW)

@@ -115,8 +115,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, body, "ehnad_graph_nodes"); int(v) != store.Len() {
 		t.Errorf("ehnad_graph_nodes = %v, want %d", v, store.Len())
 	}
-	if v := metricValue(t, body, "ehnad_batch_queue_depth"); v != 0 {
-		t.Errorf("idle queue depth = %v, want 0", v)
+	if v := metricValue(t, body, "ehnad_inflight_requests"); v != 0 {
+		t.Errorf("idle in-flight requests = %v, want 0", v)
 	}
 	// Library metrics ride the default registry: the query above must
 	// have bumped the hnsw counter and both stage histograms, and the
@@ -128,8 +128,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ehnad_ann_mutation_seconds_count{phase="detach"}`,
 		`ehnad_ann_mutation_seconds_count{phase="discover"}`,
 		`ehnad_ann_mutation_seconds_count{phase="wire"}`,
-		"ehnad_batch_size_count",
-		"ehnad_batch_flush_seconds_count",
 	} {
 		if v := metricValue(t, body, series); v < 1 {
 			t.Errorf("%s = %v, want >= 1", series, v)

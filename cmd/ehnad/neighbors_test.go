@@ -2,7 +2,7 @@ package main
 
 // Tests for /v1/neighbors on the wire codec: allocations per batch
 // request, the 500 an unencodable score earns, and the lifetime rule
-// between the pooled request slab and the micro-batcher.
+// between the pooled request slab and a single query's search.
 
 import (
 	"bytes"
@@ -51,16 +51,27 @@ func batchBody(seed int64, n, dim int) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, `{"vector":[`...)
-		for j := 0; j < dim; j++ {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendFloat(b, rng.NormFloat64(), 'g', -1, 64)
-		}
-		b = append(b, "]}"...)
+		b = append(appendVector(append(b, `{"vector":`...), rng, dim), '}')
 	}
 	return append(b, "]}"...)
+}
+
+// singleBody is one raw-vector query, as write_mixed's reads send it.
+func singleBody(seed int64, dim int) []byte {
+	b := appendVector([]byte(`{"k":10,"vector":`), rand.New(rand.NewSource(seed)), dim)
+	return append(b, '}')
+}
+
+// appendVector appends a JSON array of dim Gaussian coordinates.
+func appendVector(b []byte, rng *rand.Rand, dim int) []byte {
+	b = append(b, '[')
+	for j := 0; j < dim; j++ {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, rng.NormFloat64(), 'g', -1, 64)
+	}
+	return append(b, ']')
 }
 
 // sq8Handler is the daemon's handler over an sq8 HNSW graph small
@@ -73,7 +84,7 @@ func sq8Handler(t testing.TB, n, dim int) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(serverConfig{index: opts, maxBatch: 64, window: time.Millisecond}, store, index)
+	srv := newServer(serverConfig{index: opts}, store, index)
 	t.Cleanup(srv.close)
 	return srv.handler()
 }
@@ -114,10 +125,18 @@ func TestNeighborsBatchAllocs(t *testing.T) {
 }
 
 func BenchmarkNeighborsHandler32(b *testing.B) {
+	benchmarkNeighborsHandler(b, batchBody(1, 32, 64))
+}
+
+func BenchmarkNeighborsHandlerSingle(b *testing.B) {
+	benchmarkNeighborsHandler(b, singleBody(1, 64))
+}
+
+// benchmarkNeighborsHandler serves body through the daemon's handler
+// over the read_batch shape (5000×64 sq8, one CPU).
+func benchmarkNeighborsHandler(b *testing.B, body []byte) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const dim = 64
-	h := sq8Handler(b, 5000, dim)
-	body := batchBody(1, 32, dim)
+	h := sq8Handler(b, 5000, 64)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -155,7 +174,7 @@ func (n nanIndex) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]a
 // body.
 func TestNeighborsUnencodableScoreIs500(t *testing.T) {
 	store, _ := trainedStore(t)
-	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4}, store, nanIndex{ann.NewExact(store, ann.Cosine)})
+	srv := newServer(serverConfig{index: testIndexOptions("exact")}, store, nanIndex{ann.NewExact(store, ann.Cosine)})
 	defer srv.close()
 	h := srv.handler()
 	for name, body := range map[string]string{
@@ -182,7 +201,7 @@ type stallIndex struct {
 func (si *stallIndex) SearchInto(ctx context.Context, dst []ann.Result, q []float64, k int) ([]ann.Result, error) {
 	want := q[0]
 	si.entered <- struct{}{}
-	<-si.gate // ignores ctx on purpose: the vector outlives the handler
+	<-si.gate // ignores ctx on purpose: the search outlives the deadline
 	for _, x := range q {
 		if x != want {
 			si.corrupted.Add(1)
@@ -193,14 +212,15 @@ func (si *stallIndex) SearchInto(ctx context.Context, dst []ann.Result, q []floa
 	return si.Index.SearchInto(ctx, dst, q, k)
 }
 
-// TestSingleQueryVectorOutlivesDeadline is the slab lifetime rule: the
-// batcher can still hold a single query's vector after do() returned on
-// the request's deadline and the handler released its body, so that
-// vector must never come from the pool batch requests recycle. Each
-// round stalls one single query in the index, lets its deadline expire,
-// drives batch requests through the pooled decoder, then lets the
-// stalled search read its vector. Under -race a pooled vector is a
-// reported race; without it, a corrupted one.
+// TestSingleQueryVectorOutlivesDeadline is the slab lifetime rule: a
+// single query's vector lives in the request body's pooled slab, so the
+// handler must hold the body until its search has returned, deadline or
+// not. Each round stalls one single query in the index past its
+// deadline, checks no answer comes before the search returns, drives
+// batch requests through the pooled decoder meanwhile, then lets the
+// stalled search read its vector and expects the 503 only after that.
+// Under -race a body released early is a reported race; without it, a
+// corrupted vector.
 func TestSingleQueryVectorOutlivesDeadline(t *testing.T) {
 	const dim = 16
 	store := gaussianStore(t, 200, dim, embstore.F32)
@@ -208,27 +228,32 @@ func TestSingleQueryVectorOutlivesDeadline(t *testing.T) {
 		Index:   ann.NewExact(store, ann.Cosine),
 		entered: make(chan struct{}), checked: make(chan struct{}), gate: make(chan struct{}),
 	}
-	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 1}, store, si)
+	srv := newServer(serverConfig{index: testIndexOptions("exact")}, store, si)
 	defer srv.close()
 	h := srv.handler()
 	for round := 1; round <= 5; round++ {
 		single := []byte(`{"k":3,"deadline_ms":20,"vector":[` +
 			strings.TrimSuffix(strings.Repeat(strconv.Itoa(round)+",", dim), ",") + `]}`)
-		done := make(chan int)
+		done := make(chan int, 1)
 		go func() { done <- serveNeighbors(h, single).Code }()
 		<-si.entered
-		if code := <-done; code != http.StatusServiceUnavailable {
-			t.Fatalf("round %d: stalled single query answered %d, want 503 at its deadline", round, code)
-		}
 		for j := 0; j < 8; j++ {
 			if rec := serveNeighbors(h, batchBody(int64(round*100+j), 8, dim)); rec.Code != http.StatusOK {
 				t.Fatalf("round %d: batch status %d: %s", round, rec.Code, rec.Body)
 			}
 		}
+		select {
+		case code := <-done:
+			t.Fatalf("round %d: stalled single query answered %d before its search returned", round, code)
+		case <-time.After(40 * time.Millisecond): // well past its 20 ms deadline
+		}
 		si.gate <- struct{}{}
 		<-si.checked
+		if code := <-done; code != http.StatusServiceUnavailable {
+			t.Fatalf("round %d: stalled single query answered %d, want 503 for its lapsed deadline", round, code)
+		}
 	}
 	if n := si.corrupted.Load(); n > 0 {
-		t.Fatalf("%d stalled single-query vectors were overwritten after their handler returned", n)
+		t.Fatalf("%d stalled single-query vectors were overwritten before their search returned", n)
 	}
 }

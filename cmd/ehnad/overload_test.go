@@ -1,18 +1,18 @@
 package main
 
-// Tests for the overload-control plane: admission shedding (queue
-// full, predicted deadline miss, inflight cap), deadline expiry in the
-// batcher queue, graceful degradation of the ef-search beam, readiness
-// semantics, and the fault-injected read-only mode end to end.
+// Tests for the overload-control plane: the inflight cap's shed, the
+// deadline a request carries into its search, graceful degradation of
+// the ef-search beam, readiness semantics, and the fault-injected
+// read-only mode end to end.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,13 +28,16 @@ func jsonDecode(resp *http.Response, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// blockingIndex gates SearchInto so a test can hold a flush mid-search
-// deterministically: each call announces itself on entered, then waits
-// for the gate (or its context).
+// blockingIndex gates SearchInto so a test can hold a search in front
+// of the index deterministically: each call announces itself on
+// entered, waits for the gate or its context, and then searches. A
+// context that ended first reaches the index, which answers its error
+// without searching; expired counts those calls.
 type blockingIndex struct {
 	ann.Index
 	entered chan struct{}
 	gate    chan struct{}
+	expired atomic.Int32
 }
 
 func newBlockingIndex(inner ann.Index) *blockingIndex {
@@ -46,182 +49,35 @@ func (bi *blockingIndex) SearchInto(ctx context.Context, dst []ann.Result, q []f
 	select {
 	case <-bi.gate:
 	case <-ctx.Done():
-		return dst, ctx.Err()
+		bi.expired.Add(1)
 	}
 	return bi.Index.SearchInto(ctx, dst, q, k)
 }
 
-// TestBatcherNeverSearchesExpiredRequest queues a request whose
-// deadline lapses before the gather window closes: the caller gets its
-// context error promptly, and the flush accounts the request as
-// expired-in-queue instead of searching it.
-func TestBatcherNeverSearchesExpiredRequest(t *testing.T) {
-	store, _ := trainedStore(t)
-	index := ann.NewExact(store, ann.Cosine)
-	before := expiredInQueue.Load()
-	b := newBatcher(index, 4, 80*time.Millisecond, 0, nil)
-	defer b.close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, buf, _, err := b.do(ctx, mustGet(t, store, 0), 3)
-	buf.release()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("do() = %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 60*time.Millisecond {
-		t.Errorf("do() held the caller %v; must return at its own deadline, not the flush", waited)
-	}
-	// The flush (at the 80ms window) must skip the corpse.
-	deadline := time.Now().Add(2 * time.Second)
-	for expiredInQueue.Load() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("expired request was never accounted by the flush")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestBatcherShedsOnFullQueue fills the admission queue behind a
-// search held open by the gate and checks the next arrival is refused
-// immediately with errOverloaded.
-func TestBatcherShedsOnFullQueue(t *testing.T) {
+// TestExpiredRequestNeverSearched holds a single query in front of the
+// index until its deadline has passed: the client gets a 503, the
+// index is handed the expired context, and it answers without
+// searching — the exact index's query counter does not move.
+func TestExpiredRequestNeverSearched(t *testing.T) {
 	store, _ := trainedStore(t)
 	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	before := shedQueueFull.Load()
-	b := newBatcher(bi, 1, 0, 1, nil) // one searching, one queued, rest shed
-	defer b.close()
-	q := mustGet(t, store, 0)
+	srv := newServer(serverConfig{index: testIndexOptions("exact")}, store, bi)
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(func() { ts.Close(); srv.close() })
+	defer close(bi.gate)
 
-	done := make(chan error, 2)
-	submit := func() {
-		_, buf, _, err := b.do(context.Background(), q, 3)
-		buf.release()
-		done <- err
+	const searched = `ehnad_ann_queries_total{index="exact"}`
+	before := metricValue(t, scrapeMetrics(t, ts.URL), searched)
+	status, body := postJSON(t, ts.URL+"/v1/neighbors", map[string]any{"id": 0, "k": 3, "deadline_ms": 20}, nil)
+	if status != http.StatusServiceUnavailable || !strings.Contains(body, "deadline exceeded") {
+		t.Fatalf("expired request answered %d (%s), want a 503 naming the deadline", status, body)
 	}
-	go submit()
-	<-bi.entered // first request is mid-search; queue is empty again
-
-	go submit() // parks in the queue (capacity 1)
-	waitUntil := time.Now().Add(2 * time.Second)
-	for len(b.in) != 1 {
-		if time.Now().After(waitUntil) {
-			t.Fatal("second request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
+	<-bi.entered
+	if n := bi.expired.Load(); n != 1 {
+		t.Fatalf("the index was handed %d expired contexts, want 1", n)
 	}
-
-	_, buf, _, err := b.do(context.Background(), q, 3)
-	buf.release()
-	if !errors.Is(err, errOverloaded) {
-		t.Fatalf("third request got %v, want errOverloaded", err)
-	}
-	if got := shedQueueFull.Load(); got != before+1 {
-		t.Errorf("shed counter moved %d, want 1", got-before)
-	}
-
-	close(bi.gate) // release; both held requests must complete
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("held request %d failed: %v", i, err)
-			}
-		case <-bi.entered:
-			i-- // second flush entering the index, not a completion
-		case <-time.After(5 * time.Second):
-			t.Fatal("held requests never completed after the gate opened")
-		}
-	}
-}
-
-// TestBatcherShedsOnPredictedDeadlineMiss seeds the flush-cost EWMA so
-// the predicted queue wait dwarfs the request's budget: with work
-// already queued, admission must refuse up front rather than queue
-// doomed work — but an empty queue always admits a probe, so a stale
-// (storm-inflated) EWMA cannot shed forever: the probe's flush
-// re-measures the real cost.
-func TestBatcherShedsOnPredictedDeadlineMiss(t *testing.T) {
-	store, _ := trainedStore(t)
-	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	b := newBatcher(bi, 4, 0, 0, nil)
-	defer b.close()
-	b.flushNs.Store(int64(500 * time.Millisecond)) // pretend flushes are slow
-	q := mustGet(t, store, 0)
-
-	done := make(chan error, 3)
-	submit := func() {
-		_, buf, _, err := b.do(context.Background(), q, 3)
-		buf.release()
-		done <- err
-	}
-	go submit()
-	<-bi.entered // first request mid-search; the queue is empty again
-	go submit()  // parks in the queue, so predictive shed is armed
-	waitUntil := time.Now().Add(2 * time.Second)
-	for len(b.in) != 1 {
-		if time.Now().After(waitUntil) {
-			t.Fatal("second request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	before := shedDeadline.Load()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, buf, _, err := b.do(ctx, q, 3)
-	buf.release()
-	if !errors.Is(err, errOverloaded) {
-		t.Fatalf("do() = %v, want errOverloaded", err)
-	}
-	if got := shedDeadline.Load(); got != before+1 {
-		t.Errorf("deadline-shed counter moved %d, want 1", got-before)
-	}
-
-	// Without a deadline the same request must be admitted even with
-	// the queue occupied.
-	go submit()
-	waitUntil = time.Now().Add(2 * time.Second)
-	for len(b.in) != 2 {
-		if time.Now().After(waitUntil) {
-			t.Fatal("unbounded request never admitted to the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	close(bi.gate)
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("held request %d failed: %v", i, err)
-			}
-		case <-bi.entered:
-			i-- // a later flush entering the index, not a completion
-		case <-time.After(5 * time.Second):
-			t.Fatal("held requests never completed after the gate opened")
-		}
-	}
-
-	// Probe rule: the queue is empty now, so a deadline the stale EWMA
-	// says is unmeetable must still be admitted — and its (fast) flush
-	// must drag the EWMA back toward reality.
-	ewmaBefore := b.flushNs.Load()
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel2()
-	if _, buf, _, err := b.do(ctx2, q, 3); err != nil {
-		t.Fatalf("empty-queue probe refused: %v", err)
-	} else {
-		buf.release()
-	}
-	recoverBy := time.Now().Add(2 * time.Second)
-	for b.flushNs.Load() >= ewmaBefore {
-		if time.Now().After(recoverBy) {
-			t.Fatalf("EWMA %v never decayed from %v after the probe flush",
-				time.Duration(b.flushNs.Load()), time.Duration(ewmaBefore))
-		}
-		time.Sleep(time.Millisecond)
+	if after := metricValue(t, scrapeMetrics(t, ts.URL), searched); after != before {
+		t.Fatalf("%s moved %v → %v: the expired request was searched", searched, before, after)
 	}
 }
 
@@ -296,12 +152,111 @@ func TestDegraderShrinksAndRestores(t *testing.T) {
 	}
 }
 
+// TestDegraderUnderConcurrentAdmissions holds concurrent requests
+// in the index until they fill -max-inflight past its ¾ watermark: the
+// admissions past it halve ef-search, and both /healthz and the
+// responses admitted after the halving say degraded. Once they drain,
+// light traffic admitted below the ¼ watermark restores the beam. Run
+// it under -race: handlers sample the degrader concurrently.
+func TestDegraderUnderConcurrentAdmissions(t *testing.T) {
+	store, _ := trainedStore(t)
+	h, err := ann.BuildHNSW(store, ann.HNSWConfig{M: 8, EfConstruction: 64, EfSearch: 64, Seed: 1, Metric: ann.Cosine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 16 // high 12, low 4
+	srv := newServer(serverConfig{index: testIndexOptions("hnsw"), maxInflight: capacity, efFloor: 16}, store, h)
+	bi := newBlockingIndex(h)
+	srv.index = bi
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(func() { ts.Close(); srv.close() })
+	release := sync.OnceFunc(func() { close(bi.gate) })
+	t.Cleanup(release) // a failed check must not leave ts.Close waiting on held requests
+
+	healthz := func() (degraded bool, ef int) {
+		var out struct {
+			Degraded bool `json:"degraded"`
+			EfSearch int  `json:"ef_search_current"`
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonDecode(resp, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Degraded, out.EfSearch
+	}
+	// query is safe off the test's goroutine: a transport or decode
+	// failure reads as status 0.
+	query := func() (int, neighborsResponse) {
+		var out neighborsResponse
+		resp, err := http.Post(ts.URL+"/v1/neighbors", "application/json", strings.NewReader(`{"id":0,"k":3}`))
+		if err != nil || jsonDecode(resp, &out) != nil {
+			return 0, out
+		}
+		return resp.StatusCode, out
+	}
+
+	// Admit one at a time, so admission i samples occupancy i: the five
+	// past the high watermark (12…16) sustain pressure past
+	// degradeSustain, and the fourth of them halves the beam.
+	type answer struct {
+		status   int
+		degraded bool
+	}
+	answers := make(chan answer, capacity)
+	for i := 0; i < capacity; i++ {
+		go func() {
+			status, resp := query()
+			answers <- answer{status, resp.Degraded}
+		}()
+		<-bi.entered
+	}
+	if degraded, ef := healthz(); !degraded || ef != 32 {
+		t.Fatalf("at full occupancy: degraded=%v ef=%d, want true/32", degraded, ef)
+	}
+	if got := h.Config().EfSearch; got != 32 {
+		t.Fatalf("live graph ef-search %d, want 32", got)
+	}
+	release()
+	flagged := 0
+	for i := 0; i < capacity; i++ {
+		a := <-answers
+		if a.status != http.StatusOK {
+			t.Fatalf("held request answered %d, want 200", a.status)
+		}
+		if a.degraded {
+			flagged++
+		}
+	}
+	if flagged != 2 {
+		t.Errorf("%d responses said degraded, want the 2 admitted after the halving", flagged)
+	}
+
+	// Drained: each light request samples occupancy 1, and the
+	// degradeSustain-th of them doubles the beam back before it searches.
+	for i := 1; i <= degradeSustain; i++ {
+		status, resp := query()
+		<-bi.entered
+		if want := i < degradeSustain; status != http.StatusOK || resp.Degraded != want {
+			t.Fatalf("light request %d: status %d degraded=%v, want 200/%v", i, status, resp.Degraded, want)
+		}
+	}
+	if degraded, ef := healthz(); degraded || ef != 64 {
+		t.Fatalf("after the admissions drained: degraded=%v ef=%d, want false/64", degraded, ef)
+	}
+	if got := h.Config().EfSearch; got != 64 {
+		t.Fatalf("live graph ef-search %d after recovery, want 64", got)
+	}
+}
+
 // TestInflightLimitSheds holds one request mid-search and checks the
 // next is refused at the concurrency cap with 429 + Retry-After.
 func TestInflightLimitSheds(t *testing.T) {
 	store, _ := trainedStore(t)
 	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4, maxInflight: 1}, store, bi)
+	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxInflight: 1}, store, bi)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 
@@ -313,12 +268,6 @@ func TestInflightLimitSheds(t *testing.T) {
 	}()
 	<-bi.entered // first request holds the only inflight slot
 
-	// Seed the flush-cost EWMA so the shed's Retry-After must reflect
-	// the batcher's predicted wait (3s × 1 flush ahead), pinning that
-	// the inflight path shares the backoff arithmetic with every other
-	// shed path instead of hardcoding one second.
-	srv.batch.flushNs.Store(int64(3 * time.Second))
-
 	resp, err := http.Post(ts.URL+"/v1/neighbors", "application/json",
 		strings.NewReader(`{"id":0,"k":3}`))
 	if err != nil {
@@ -328,10 +277,9 @@ func TestInflightLimitSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second request got %d, want 429", resp.StatusCode)
 	}
-	if got, want := resp.Header.Get("Retry-After"), strconv.Itoa(retrySeconds(srv.batch.predictedWait())); got != want {
-		t.Errorf("429 Retry-After = %q, want the predicted wait %q", got, want)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want 1", got)
 	}
-	srv.batch.flushNs.Store(0) // don't let the seeded EWMA shed the held request's successors
 
 	close(bi.gate)
 	if status := <-first; status != http.StatusOK {
@@ -345,7 +293,7 @@ func TestInflightLimitSheds(t *testing.T) {
 func TestNeighborsDeadline(t *testing.T) {
 	store, _ := trainedStore(t)
 	bi := newBlockingIndex(ann.NewExact(store, ann.Cosine))
-	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxBatch: 4}, store, bi)
+	srv := newServer(serverConfig{index: testIndexOptions("exact")}, store, bi)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
 	defer close(bi.gate) // unwedge any search still parked at exit
@@ -366,10 +314,6 @@ func TestNeighborsDeadline(t *testing.T) {
 		t.Fatalf("deadline_ms request got %d (%s), want 503", status, body)
 	}
 	drainEntered()
-	// The stalled flush above seeded the flush-cost EWMA; zero it so the
-	// header request exercises the accepted-then-expired 503 path rather
-	// than being predictively shed at admission (a legitimate 429).
-	srv.batch.flushNs.Store(0)
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/neighbors",
 		strings.NewReader(`{"id":0,"k":3}`))

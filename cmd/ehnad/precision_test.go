@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"ehna/internal/ann"
 	"ehna/internal/cluster"
@@ -28,8 +27,6 @@ func walConfigAt(walDir string, prec embstore.Precision, dim int) serverConfig {
 		dim:       dim,
 		precision: prec,
 		index:     testIndexOptions("hnsw"),
-		maxBatch:  16,
-		window:    time.Millisecond,
 		walDir:    walDir,
 		fsync:     "never", // these tests are about precision, not fsync
 	}

@@ -26,12 +26,12 @@ import (
 	"ehna/internal/vecmath"
 )
 
-// server wires the embedding store, the ANN index, the applier and the
-// micro-batcher behind the HTTP/JSON API.
+// server wires the embedding store, the ANN index and the applier
+// behind the HTTP/JSON API.
 type server struct {
 	store     *embstore.Store
 	index     ann.Index // searches; mutations go through dur
-	batch     *batcher
+	deg       *degrader // nil unless -index hnsw with -ef-floor and -max-inflight
 	indexName string
 	started   time.Time
 	pprof     bool           // mount net/http/pprof on the mux (-pprof)
@@ -61,12 +61,9 @@ func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server
 	if cfg.maxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.maxInflight)
 	}
-	queueDepth := 4 * cfg.maxBatch
-	var deg *degrader
-	if h, ok := index.(*ann.HNSW); ok && cfg.efFloor > 0 {
-		deg = newDegrader(h, h.Config().EfSearch, cfg.efFloor, queueDepth)
+	if h, ok := index.(*ann.HNSW); ok {
+		s.deg = newDegrader(h, h.Config().EfSearch, cfg.efFloor, cfg.maxInflight)
 	}
-	s.batch = newBatcher(s.index, cfg.maxBatch, cfg.window, queueDepth, deg)
 	s.metrics = newServerMetrics(s)
 	return s
 }
@@ -75,14 +72,13 @@ func newServer(cfg serverConfig, store *embstore.Store, index ann.Index) *server
 // replays the WAL suffix). Idempotent.
 func (s *server) close() { s.teardown(false) }
 
-// teardown stops the replica, the batcher and the log, rotating a final
+// teardown stops the replica and the log, rotating a final
 // snapshot pair first when asked. The first call wins.
 func (s *server) teardown(finalSnapshot bool) {
 	s.closeOnce.Do(func() {
 		if s.repl != nil {
 			s.repl.stop() // stop applying before the WAL goes away
 		}
-		s.batch.close()
 		s.dur.close(finalSnapshot)
 	})
 }
@@ -140,21 +136,19 @@ func (s *server) requestCtx(r *http.Request, deadlineMS int) (context.Context, c
 }
 
 // acquire claims an inflight slot, shedding with 429 when the server
-// is at -max-inflight. Returns false when the response is written.
+// is at -max-inflight, and feeds the occupancy it admitted at to the
+// degrader. Returns false when the response is written.
 func (s *server) acquire(w http.ResponseWriter) bool {
 	if s.inflight == nil {
 		return true
 	}
 	select {
 	case s.inflight <- struct{}{}:
+		s.deg.sample(len(s.inflight))
 		return true
 	default:
 		shedInflight.Inc()
-		// Same backoff hint as every other shed path: the batcher's
-		// predicted queue wait, not a hardcoded constant — under a real
-		// overload one second is exactly long enough to rejoin the
-		// stampede that caused the shed.
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(s.batch.predictedWait())))
+		w.Header().Set("Retry-After", "1")
 		cluster.WriteError(w, http.StatusTooManyRequests, "server at -max-inflight capacity")
 		return false
 	}
@@ -166,8 +160,8 @@ func (s *server) release() {
 	}
 }
 
-// retrySeconds converts the batcher's predicted queue wait into a
-// Retry-After value: at least 1s (the header's resolution), rounded up.
+// retrySeconds converts a wait into a Retry-After value: at least 1s
+// (the header's resolution), rounded up.
 func retrySeconds(wait time.Duration) int {
 	secs := int((wait + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -177,21 +171,15 @@ func retrySeconds(wait time.Duration) int {
 }
 
 // writeSearchError maps a failed search onto the overload contract:
-// 429 for work refused cheaply at admission (retry after backoff),
-// 503 for work accepted but not finished (deadline, shutdown), 500
+// 503 for work accepted but not finished (deadline, client gone), 500
 // for genuine faults.
-func (s *server) writeSearchError(w http.ResponseWriter, err error) {
+func writeSearchError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, errOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(s.batch.predictedWait())))
-		cluster.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		cluster.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded before the search completed")
 	case errors.Is(err, context.Canceled):
 		// The client is gone; the status code is for the access log.
 		cluster.WriteError(w, http.StatusServiceUnavailable, "request canceled")
-	case errors.Is(err, errShutdown):
-		cluster.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		cluster.WriteError(w, http.StatusInternalServerError, "search: %v", err)
 	}
@@ -210,8 +198,8 @@ func (s *server) resolve(q cluster.NeighborQuery, defK int) (vec []float64, k in
 		return nil, 0, nil, fmt.Errorf("query has both id and vector")
 	case q.Vector != nil:
 		// Reject wrong-dim vectors here (a 400) rather than inside the
-		// batched search, where one bad query would fail — with a 500 —
-		// every request coalesced into the same batch.
+		// search, where a batch's one bad query would fail — with a 500 —
+		// the whole batch.
 		if len(q.Vector) != s.store.Dim() {
 			return nil, 0, nil, fmt.Errorf("vector has %d dims, store has %d", len(q.Vector), s.store.Dim())
 		}
@@ -280,10 +268,8 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	// The batch path's vectors live in the body's pooled slab, so it is
-	// released only after the search and the ack's encode have returned.
-	// The single query's vector is not in it: the batcher may still hold
-	// that one after do() has returned on this request's deadline.
+	// The query vectors live in the body's pooled slab, so it is released
+	// only after the search and the ack's encode have returned.
 	defer body.Release()
 	req := &body.Req
 	ctx, cancel, err := s.requestCtx(r, req.DeadlineMS)
@@ -306,17 +292,24 @@ func (s *server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if self != nil {
 		ask++
 	}
-	results, buf, degraded, err := s.batch.do(ctx, vec, ask)
+	degraded := s.deg.degradedNow()
+	buf := resultPool.Get().(*[]ann.Result)
+	results, err := s.index.SearchInto(ctx, (*buf)[:0], vec, ask)
 	if err != nil {
-		s.writeSearchError(w, err)
+		writeSearchError(w, err)
 		return
 	}
 	cluster.WriteJSON(w, http.StatusOK, cluster.NeighborsAck{
 		Results:      trimSelf(results, self, k),
 		SearchStatus: cluster.SearchStatus{Degraded: degraded},
 	})
-	buf.release() // results must not be touched past this point
+	*buf = results // keep the (possibly grown) buffer
+	resultPool.Put(buf)
 }
+
+// resultPool holds single queries' result buffers, so a warm query
+// path allocates none.
+var resultPool = sync.Pool{New: func() any { return new([]ann.Result) }}
 
 // batchScratch is one client batch's per-query working state, pooled
 // like the request body. It goes back to the pool only after
@@ -350,8 +343,7 @@ func (sc *batchScratch) release() {
 }
 
 // handleNeighborsBatch answers an explicit client-side batch in one
-// SearchBatch pass, bypassing the micro-batcher (the client already
-// batched).
+// SearchBatch pass.
 func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter, req *cluster.NeighborsRequest) {
 	defK := req.K
 	if defK <= 0 {
@@ -378,7 +370,7 @@ func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter
 	}
 	results, err := s.index.SearchBatch(ctx, qs, maxK)
 	if err != nil {
-		s.writeSearchError(w, err)
+		writeSearchError(w, err)
 		return
 	}
 	for i, res := range results {
@@ -386,7 +378,7 @@ func (s *server) handleNeighborsBatch(ctx context.Context, w http.ResponseWriter
 	}
 	cluster.WriteJSON(w, http.StatusOK, cluster.NeighborsBatchAck{
 		Batches:      results,
-		SearchStatus: cluster.SearchStatus{Degraded: s.batch.deg.degradedNow()},
+		SearchStatus: cluster.SearchStatus{Degraded: s.deg.degradedNow()},
 	})
 }
 
@@ -696,9 +688,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"slab_bytes_per_vector": int(g("ehnad_store_bytes_per_vector")),
 		}
 	}
-	if s.batch.deg != nil {
-		out["degraded"] = s.batch.deg.degradedNow()
-		out["ef_search_current"] = s.batch.deg.efNow()
+	if s.deg != nil {
+		out["degraded"] = s.deg.degradedNow()
+		out["ef_search_current"] = s.deg.efNow()
 	}
 	if s.dur.hasLog() {
 		out["durability"] = s.dur.healthz(s.metrics)

@@ -199,7 +199,7 @@ func TestReadyzReasonsPerState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := serverConfig{index: testIndexOptions("exact"), maxBatch: 4, follow: follow}
+			cfg := serverConfig{index: testIndexOptions("exact"), follow: follow}
 			srv := newServer(cfg, store, ann.NewExact(store, ann.Cosine))
 			tc.steps(&srv.dur.node)
 			rec := httptest.NewRecorder()

@@ -404,7 +404,7 @@ func (e *Exact) SearchBatch(ctx context.Context, qs [][]float64, k int) ([][]Res
 // ParallelFor runs fn(i) for every i in [0, n) across min(GOMAXPROCS,
 // n) workers pulling from a shared atomic cursor; n ≤ 1 (or a single
 // CPU) runs inline with no goroutines. The one fan-out primitive behind
-// batch queries, HNSW bulk builds and the daemon's batcher flushes.
+// batch queries and HNSW bulk builds.
 func ParallelFor(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

@@ -293,11 +293,9 @@ func readAll(b []byte, r io.Reader, size int64) ([]byte, error) {
 
 // NeighborsBody is a /v1/neighbors request read off the wire, with the
 // pooled memory it was decoded into: the raw body, and one slab holding
-// every "queries" vector back to back. Release hands the memory back;
-// nothing reachable from Req may be used after it, except Req.Vector.
-// The single query's vector is always a fresh allocation, because a
-// daemon's micro-batcher can still hold it after the handler that asked
-// has given up on its deadline and returned.
+// the single query's vector and every "queries" vector back to back.
+// Release hands the memory back; nothing reachable from Req may be used
+// after it.
 type NeighborsBody struct {
 	Req NeighborsRequest
 
@@ -305,6 +303,7 @@ type NeighborsBody struct {
 	slab    []float64
 	queries []NeighborQuery
 	spans   []span // queries[i]'s vector in slab; n < 0 for none
+	vector  span   // Req.Vector in slab; n < 0 for none
 }
 
 // span locates one list in a slab.
@@ -370,7 +369,7 @@ func (nb *NeighborsBody) decodeFast() bool {
 	if cap(nb.queries) == 0 {
 		nb.queries = make([]NeighborQuery, 0, 32)
 	}
-	nb.slab, nb.queries, nb.spans = nb.slab[:0], nb.queries[:0], nb.spans[:0]
+	nb.slab, nb.queries, nb.spans, nb.vector = nb.slab[:0], nb.queries[:0], nb.spans[:0], span{n: -1}
 	b := nb.buf
 	_, ok := scanObject(b, skipWS(b, 0), func(key []byte, i int) (bit, end int, ok bool) {
 		switch string(key) {
@@ -381,12 +380,9 @@ func (nb *NeighborsBody) decodeFast() bool {
 			nb.Req.DeadlineMS, end, ok = scanInt(b, i)
 			return keyDeadline, end, ok
 		case "vector":
-			off := len(nb.slab)
-			if nb.slab, end, ok = scanVector(b, i, nb.slab); ok {
-				nb.Req.Vector = make([]float64, len(nb.slab)-off)
-				copy(nb.Req.Vector, nb.slab[off:])
-				nb.slab = nb.slab[:off]
-			}
+			nb.vector.off = len(nb.slab)
+			nb.slab, end, ok = scanVector(b, i, nb.slab)
+			nb.vector.n = len(nb.slab) - nb.vector.off
 			return keyVector, end, ok
 		case "queries":
 			end, ok = scanArray(b, i, nb.scanQuery)
@@ -404,6 +400,9 @@ func (nb *NeighborsBody) decodeFast() bool {
 		if s.n >= 0 {
 			nb.queries[qi].Vector = nb.slab[s.off : s.off+s.n : s.off+s.n]
 		}
+	}
+	if v := nb.vector; v.n >= 0 {
+		nb.Req.Vector = nb.slab[v.off : v.off+v.n : v.off+v.n]
 	}
 	return true
 }

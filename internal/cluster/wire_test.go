@@ -228,9 +228,9 @@ func TestUpsertRequestMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestDecodeSlabLayout pins what the handlers rely on: batch vectors
-// are capacity-limited windows of one slab, the single vector is not in
-// it, and empty lists decode non-nil.
+// TestDecodeSlabLayout pins what the handlers rely on: the single
+// vector and the batch vectors are capacity-limited windows of one
+// slab, and empty lists decode non-nil.
 func TestDecodeSlabLayout(t *testing.T) {
 	nb, err := ReadNeighborsRequest(strings.NewReader(
 		`{"vector":[9,9],"queries":[{"vector":[1,2]},{"vector":[]},{"vector":[3]}]}`), -1)
@@ -239,14 +239,14 @@ func TestDecodeSlabLayout(t *testing.T) {
 	}
 	defer nb.Release()
 	qs := nb.Req.Queries
-	if &qs[0].Vector[0] != &nb.slab[0] || &qs[2].Vector[0] != &nb.slab[2] {
-		t.Error("batch vectors are not windows of the slab")
+	if &nb.Req.Vector[0] != &nb.slab[0] || &qs[0].Vector[0] != &nb.slab[2] || &qs[2].Vector[0] != &nb.slab[4] {
+		t.Error("the vectors are not windows of the slab")
 	}
-	if cap(qs[0].Vector) != 2 || qs[1].Vector == nil || cap(qs[1].Vector) != 0 {
-		t.Errorf("vector capacities %d/%d, nil %v", cap(qs[0].Vector), cap(qs[1].Vector), qs[1].Vector == nil)
+	if cap(nb.Req.Vector) != 2 || cap(qs[0].Vector) != 2 || qs[1].Vector == nil || cap(qs[1].Vector) != 0 {
+		t.Errorf("vector capacities %d/%d/%d, nil %v", cap(nb.Req.Vector), cap(qs[0].Vector), cap(qs[1].Vector), qs[1].Vector == nil)
 	}
-	if len(nb.slab) != 3 {
-		t.Errorf("slab holds %d coordinates, want only the 3 batch ones", len(nb.slab))
+	if len(nb.slab) != 5 {
+		t.Errorf("slab holds %d coordinates, want the 2 single and 3 batch ones", len(nb.slab))
 	}
 	if reuse(make([]float64, 0, maxPooledBytes/8+1)) != nil || reuse(make([]byte, 0, maxPooledBytes)) == nil {
 		t.Error("reuse does not cut at maxPooledBytes")

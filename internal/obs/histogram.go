@@ -65,7 +65,6 @@ type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Int64
-	max    atomic.Int64
 	u      unit
 }
 
@@ -81,12 +80,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }
 
 // ObserveSince records the nanoseconds elapsed since start.
@@ -99,7 +92,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 type HistSnapshot struct {
 	Count   uint64
 	Sum     int64
-	Max     int64
 	Buckets [histBuckets]uint64
 }
 
@@ -110,7 +102,6 @@ type HistSnapshot struct {
 func (h *Histogram) Snapshot(s *HistSnapshot) {
 	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
 	for i := range s.Buckets {
 		s.Buckets[i] = h.counts[i].Load()
 	}

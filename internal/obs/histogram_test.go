@@ -69,8 +69,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	if bucketSum != workers*per {
 		t.Fatalf("bucket sum %d, want %d", bucketSum, workers*per)
 	}
-	if s.Max != workers*per-1 {
-		t.Fatalf("max %d, want %d", s.Max, workers*per-1)
+	if want := int64(workers*per) * (workers*per - 1) / 2; s.Sum != want {
+		t.Fatalf("sum %d, want %d", s.Sum, want)
 	}
 }
 
