@@ -150,41 +150,6 @@ func BenchmarkExtensionOperatorCombo(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheapNegatives measures the design choice the README
-// calls out ("Departures from the paper"): routing negatives through the cheap neighborhood-mean
-// fallback is faster per epoch but lets the model separate aggregation
-// pathways instead of nodes (the reported F1 gap shows the cost).
-func BenchmarkAblationCheapNegatives(b *testing.B) {
-	s := quick()
-	for i := 0; i < b.N; i++ {
-		faithful, err := experiments.RunAblationCheapNegatives(s, datagen.Digg, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cheap, err := experiments.RunAblationCheapNegatives(s, datagen.Digg, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(faithful, "faithful_F1")
-		b.ReportMetric(cheap, "cheap_F1")
-	}
-}
-
-// BenchmarkAblationWorkers measures the parallel-training speedup of the
-// shadow-replica trainer (workers=1 vs workers=4).
-func BenchmarkAblationWorkers(b *testing.B) {
-	s := quick()
-	for i := 0; i < b.N; i++ {
-		t1, t4, err := experiments.RunWorkerScaling(s, datagen.Digg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(t1, "serial_s")
-		b.ReportMetric(t4, "workers4_s")
-		b.ReportMetric(t1/t4, "speedup_x")
-	}
-}
-
 // servingDim is the embedding width for the serving-path benchmarks,
 // matching the EHNA default.
 const servingDim = 32
@@ -261,7 +226,9 @@ func cosineTopK(emb *tensor.Matrix, q []float64, k int) []graph.NodeID {
 	ids := make([]graph.NodeID, emb.Rows)
 	for i := range ids {
 		ids[i] = graph.NodeID(i)
-		cos[i] = vecmath.CosineWithNorms(q, emb.Row(i), qn, vecmath.Norm(emb.Row(i)))
+		if rn := vecmath.Norm(emb.Row(i)); qn != 0 && rn != 0 {
+			cos[i] = vecmath.Dot(q, emb.Row(i)) / (qn * rn)
+		}
 	}
 	sort.Slice(ids, func(a, b int) bool { return cos[ids[a]] > cos[ids[b]] })
 	return ids[:k]

@@ -8,6 +8,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,7 +20,6 @@ import (
 	"ehna/internal/ann"
 	"ehna/internal/cluster"
 	"ehna/internal/faultfs"
-	"ehna/internal/graph"
 )
 
 // jsonDecode decodes and closes one response body.
@@ -259,12 +259,21 @@ func TestInflightLimitSheds(t *testing.T) {
 	srv := newServer(serverConfig{index: testIndexOptions("exact"), maxInflight: 1}, store, bi)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() { ts.Close(); srv.close() })
+	release := sync.OnceFunc(func() { close(bi.gate) })
+	t.Cleanup(release) // a failed check must not leave ts.Close waiting on the held request
 
-	id := graph.NodeID(store.IDs()[0])
+	// The held request runs off the test's goroutine, so a transport
+	// failure reads as status 0 rather than calling t.Fatal there.
+	body := fmt.Sprintf(`{"id":%d,"k":3}`, store.IDs()[0])
 	first := make(chan int, 1)
 	go func() {
-		status, _ := postJSON(t, ts.URL+"/v1/neighbors", map[string]any{"id": id, "k": 3}, nil)
-		first <- status
+		resp, err := http.Post(ts.URL+"/v1/neighbors", "application/json", strings.NewReader(body))
+		if err != nil {
+			first <- 0
+			return
+		}
+		resp.Body.Close()
+		first <- resp.StatusCode
 	}()
 	<-bi.entered // first request holds the only inflight slot
 
@@ -281,7 +290,7 @@ func TestInflightLimitSheds(t *testing.T) {
 		t.Errorf("429 Retry-After = %q, want 1", got)
 	}
 
-	close(bi.gate)
+	release()
 	if status := <-first; status != http.StatusOK {
 		t.Fatalf("held request finished %d, want 200", status)
 	}

@@ -577,22 +577,6 @@ func (t *Tape) StackRows(rows []*Node) *Node {
 	return n
 }
 
-// SumAll returns the 1×1 sum of all elements of x.
-func (t *Tape) SumAll(x *Node) *Node {
-	n := t.node(1, 1, x.needs)
-	n.Value.Data[0] = x.Value.Sum()
-	if n.needs {
-		n.back = func(n *Node) {
-			g := n.grad.Data[0]
-			xg := x.Grad()
-			for i := range xg.Data {
-				xg.Data[i] += g
-			}
-		}
-	}
-	return n
-}
-
 // SumSquares returns the 1×1 sum of squared elements of x.
 func (t *Tape) SumSquares(x *Node) *Node {
 	n := t.node(1, 1, x.needs)
@@ -666,16 +650,6 @@ func Value(n *Node) float64 {
 		panic("ag: Value expects a 1×1 node")
 	}
 	return n.Value.Data[0]
-}
-
-// IsFinite reports whether every element of the node's value is finite.
-func IsFinite(n *Node) bool {
-	for _, v := range n.Value.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // ConcatScalars concatenates 1×1 nodes into a single 1×n row (used to

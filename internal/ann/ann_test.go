@@ -29,7 +29,10 @@ func (m Metric) score(q, v []float64, qNorm, vNorm float64) float64 {
 	if m == DotProduct {
 		return vecmath.Dot(q, v)
 	}
-	return vecmath.CosineWithNorms(q, v, qNorm, vNorm)
+	if qNorm == 0 || vNorm == 0 {
+		return 0
+	}
+	return vecmath.Dot(q, v) / (qNorm * vNorm)
 }
 
 // bruteTopK is the one float64 brute force every test's ground truth

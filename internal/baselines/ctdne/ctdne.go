@@ -22,12 +22,6 @@ type Config struct {
 	SGNS               skipgram.Config
 }
 
-// DefaultConfig mirrors the paper's setup (window count matched to
-// node2vec, uniform sampling).
-func DefaultConfig() Config {
-	return Config{WalksPerEdgeFactor: 1, WalkLen: 80, SGNS: skipgram.DefaultConfig()}
-}
-
 // Validate reports a descriptive error for nonsensical configurations.
 func (c Config) Validate() error {
 	if c.WalksPerEdgeFactor <= 0 {

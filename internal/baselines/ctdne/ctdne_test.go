@@ -16,12 +16,12 @@ func smallConfig() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := smallConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{WalksPerEdgeFactor: 0, WalkLen: 2, SGNS: skipgram.DefaultConfig()},
-		{WalksPerEdgeFactor: 1, WalkLen: 1, SGNS: skipgram.DefaultConfig()},
+		{WalksPerEdgeFactor: 0, WalkLen: 2, SGNS: smallConfig().SGNS},
+		{WalksPerEdgeFactor: 1, WalkLen: 1, SGNS: smallConfig().SGNS},
 		{WalksPerEdgeFactor: 1, WalkLen: 2, SGNS: skipgram.Config{}},
 	}
 	for i, c := range bad {

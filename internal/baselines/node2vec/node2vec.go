@@ -23,11 +23,6 @@ type Config struct {
 	SGNS     skipgram.Config
 }
 
-// DefaultConfig mirrors the paper's settings.
-func DefaultConfig() Config {
-	return Config{P: 1, Q: 1, NumWalks: 10, WalkLen: 80, SGNS: skipgram.DefaultConfig()}
-}
-
 // Validate reports a descriptive error for nonsensical configurations.
 func (c Config) Validate() error {
 	if c.P <= 0 || c.Q <= 0 {

@@ -16,14 +16,14 @@ func smallConfig() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := smallConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{P: 0, Q: 1, NumWalks: 1, WalkLen: 2, SGNS: skipgram.DefaultConfig()},
-		{P: 1, Q: 0, NumWalks: 1, WalkLen: 2, SGNS: skipgram.DefaultConfig()},
-		{P: 1, Q: 1, NumWalks: 0, WalkLen: 2, SGNS: skipgram.DefaultConfig()},
-		{P: 1, Q: 1, NumWalks: 1, WalkLen: 1, SGNS: skipgram.DefaultConfig()},
+		{P: 0, Q: 1, NumWalks: 1, WalkLen: 2, SGNS: smallConfig().SGNS},
+		{P: 1, Q: 0, NumWalks: 1, WalkLen: 2, SGNS: smallConfig().SGNS},
+		{P: 1, Q: 1, NumWalks: 0, WalkLen: 2, SGNS: smallConfig().SGNS},
+		{P: 1, Q: 1, NumWalks: 1, WalkLen: 1, SGNS: smallConfig().SGNS},
 		{P: 1, Q: 1, NumWalks: 1, WalkLen: 2, SGNS: skipgram.Config{}},
 	}
 	for i, c := range bad {

@@ -199,13 +199,6 @@ func NewModel(g *graph.Temporal, cfg Config) (*Model, error) {
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Graph returns the training graph.
-func (m *Model) Graph() *graph.Temporal { return m.g }
-
-// NumParams returns the number of trainable network scalars (excluding the
-// embedding table).
-func (m *Model) NumParams() int { return m.params.Count() }
-
 // timeWeight is the stabilized reciprocal interaction-recency factor
 // 1/(1+Σt) used by both attention levels. The +1 guards walks whose edges
 // all carry normalized timestamp 0 and bounds the coefficient for very

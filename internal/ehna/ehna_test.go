@@ -9,9 +9,21 @@ import (
 	"ehna/internal/ag"
 	"ehna/internal/datagen"
 	"ehna/internal/graph"
+	"ehna/internal/nn"
 	"ehna/internal/tensor"
 	"ehna/internal/walk"
 )
+
+// touchedRows counts the embedding rows that hold gradient.
+func touchedRows(e *nn.Embedding) int {
+	n := 0
+	for id := 0; id < e.W.Rows; id++ {
+		if e.RowGrad(id) != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // smallConfig returns a configuration sized for unit tests.
 func smallConfig() Config {
@@ -92,13 +104,10 @@ func TestModelAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Graph() != g {
-		t.Fatal("Graph accessor")
-	}
 	if m.Config().Dim != 8 {
 		t.Fatal("Config accessor")
 	}
-	if m.NumParams() == 0 {
+	if len(m.params.List()) == 0 {
 		t.Fatal("no trainable parameters registered")
 	}
 	if m.RawEmbeddings().Rows != 10 || m.RawEmbeddings().Cols != 8 {
@@ -146,8 +155,10 @@ func TestAggregateShapeAndNorm(t *testing.T) {
 	if n := tensor.L2NormVec(z.Value.Data); math.Abs(n-1) > 1e-9 {
 		t.Fatalf("readout not normalized: ‖z‖ = %g", n)
 	}
-	if !ag.IsFinite(z) {
-		t.Fatal("non-finite readout")
+	for _, v := range z.Value.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatal("non-finite readout")
+		}
 	}
 }
 
@@ -325,7 +336,7 @@ func TestGradientsFlowToAllParams(t *testing.T) {
 	if zero > 4 {
 		t.Fatalf("%d of %d parameters received no gradient", zero, len(m.params.List()))
 	}
-	if m.emb.TouchedRows() == 0 {
+	if touchedRows(m.emb) == 0 {
 		t.Fatal("embedding table received no gradient")
 	}
 }
@@ -660,9 +671,9 @@ func TestEvalAndInferLeaveNoGradient(t *testing.T) {
 	}
 	m.EvalLoss(g.Edges())
 	m.InferAll()
-	if m.emb.TouchedRows() != 0 || m.params.GradNorm() != 0 {
+	if touchedRows(m.emb) != 0 || m.params.GradNorm() != 0 {
 		t.Fatalf("forward-only passes left gradient: %d embedding rows, parameter norm %g",
-			m.emb.TouchedRows(), m.params.GradNorm())
+			touchedRows(m.emb), m.params.GradNorm())
 	}
 }
 

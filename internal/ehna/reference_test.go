@@ -89,7 +89,7 @@ func refReadout(m *Model, tp *ag.Tape, H, ex *ag.Node) *ag.Node {
 }
 
 func refAggregate(m *Model, tp *ag.Tape, x graph.NodeID, tTarget float64, rng *rand.Rand) *ag.Node {
-	walks := m.walker.Walks(x, tTarget, rng)
+	walks := m.walker.WalksScratch(new(walk.Scratch), x, tTarget, rng)
 	ex := m.emb.Lookup(tp, []int{int(x)})
 	if m.cfg.SingleLevel {
 		var ids []int

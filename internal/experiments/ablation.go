@@ -68,36 +68,3 @@ func RunAblation(s Settings, datasets []datagen.Dataset) (*AblationResult, error
 	}
 	return res, nil
 }
-
-// RunAblationCheapNegatives evaluates the F1 (Weighted-L2) of EHNA with
-// negatives aggregated faithfully vs through the cheap fallback — the
-// negative-aggregation design ablation recorded in the README
-// ("Departures from the paper").
-func RunAblationCheapNegatives(s Settings, dataset datagen.Dataset, cheap bool) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	full, err := datagen.Generate(dataset, s.Scale, s.Seed)
-	if err != nil {
-		return 0, err
-	}
-	train, held, err := full.SplitByTime(0.2)
-	if err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(s.Seed + 600))
-	data, err := eval.BuildLinkPredData(full, held, rng)
-	if err != nil {
-		return 0, err
-	}
-	m := s.EHNAMethod("EHNA", func(c *ehna.Config) { c.CheapNegatives = cheap })
-	emb, err := m.Embed(train, s.Seed)
-	if err != nil {
-		return 0, err
-	}
-	mt, err := EvalOperator(emb, data, eval.WeightedL2, s.Repeats, s.Seed)
-	if err != nil {
-		return 0, err
-	}
-	return mt.F1, nil
-}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ehna/internal/datagen"
-	"ehna/internal/ehna"
 )
 
 // EfficiencyResult reproduces Table VIII: wall-clock seconds per training
@@ -62,35 +61,4 @@ func RunEfficiency(s Settings, datasets []datagen.Dataset) (*EfficiencyResult, e
 		}
 	}
 	return res, nil
-}
-
-// RunWorkerScaling times one EHNA epoch serial vs with 4 workers,
-// returning (serialSeconds, parallelSeconds).
-func RunWorkerScaling(s Settings, dataset datagen.Dataset) (serialSec, parallelSec float64, err error) {
-	if err := s.Validate(); err != nil {
-		return 0, 0, err
-	}
-	g, err := datagen.Generate(dataset, s.Scale, s.Seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	run := func(workers int) (float64, error) {
-		cfg := s.EHNAConfig()
-		cfg.Epochs = 1
-		cfg.Workers = workers
-		m, err := ehna.NewModel(g, cfg)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		m.TrainEpoch()
-		return time.Since(start).Seconds(), nil
-	}
-	if serialSec, err = run(1); err != nil {
-		return 0, 0, err
-	}
-	if parallelSec, err = run(4); err != nil {
-		return 0, 0, err
-	}
-	return serialSec, parallelSec, nil
 }

@@ -16,11 +16,6 @@ type Metrics struct {
 	AUC, F1, Precision, Recall float64
 }
 
-// LinkPredCell is one (operator, method) cell.
-type LinkPredCell struct {
-	Metrics
-}
-
 // LinkPredResult holds one dataset's link-prediction table
 // (the analogue of one of Tables III–VI).
 type LinkPredResult struct {
@@ -155,21 +150,6 @@ func subset(X *tensor.Matrix, y []int, idx []int) (*tensor.Matrix, []int) {
 		labels[i] = y[j]
 	}
 	return out, labels
-}
-
-// BestBaseline returns the strongest non-EHNA method name for a metric in
-// one operator row (diagnostics for the report printer).
-func (r *LinkPredResult) BestBaseline(op eval.Operator, get func(Metrics) float64) string {
-	best, name := -1.0, ""
-	for _, m := range r.Methods {
-		if m == "EHNA" {
-			continue
-		}
-		if v := get(r.Cells[op][m]); v > best {
-			best, name = v, m
-		}
-	}
-	return name
 }
 
 // nonIsolatedNodes is shared by runners needing node samples.

@@ -22,7 +22,6 @@
 package faultfs
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -398,9 +397,6 @@ func applyParam(r *Rule, kv string) error {
 	}
 	return nil
 }
-
-// IsDiskFull reports whether err is an out-of-space condition.
-func IsDiskFull(err error) bool { return errors.Is(err, syscall.ENOSPC) }
 
 // WriteFileAtomic publishes a file so that readers — and a reboot after
 // power loss — see the old content or the complete new one, never a

@@ -47,11 +47,11 @@ func TestENOSPCWrite(t *testing.T) {
 		t.Fatalf("first write: %v", err)
 	}
 	_, err := f.Write([]byte("boom"))
-	if !IsDiskFull(err) {
+	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("second write: err=%v, want ENOSPC", err)
 	}
 	// The injected error is persistent (count=0): every later write fails.
-	if _, err := f.Write([]byte("still")); !IsDiskFull(err) {
+	if _, err := f.Write([]byte("still")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("third write: err=%v, want ENOSPC", err)
 	}
 }

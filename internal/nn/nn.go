@@ -72,40 +72,10 @@ func (ps *Params) ClipGradNorm(max float64) float64 {
 	return norm
 }
 
-// Count returns the total number of scalar parameters.
-func (ps *Params) Count() int {
-	n := 0
-	for _, p := range ps.list {
-		n += len(p.W.Data)
-	}
-	return n
-}
-
 // XavierInit returns a rows×cols matrix with Glorot-uniform entries.
 func XavierInit(rows, cols int, rng *rand.Rand) *tensor.Matrix {
 	limit := math.Sqrt(6.0 / float64(rows+cols))
 	return tensor.Uniform(rows, cols, -limit, limit, rng)
-}
-
-// Dense is a fully connected layer: y = x·W + b.
-type Dense struct {
-	W, B *Param
-}
-
-// NewDense returns a Dense layer with Xavier-initialized weights.
-func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
-	return &Dense{
-		W: NewParam(name+".W", XavierInit(in, out, rng)),
-		B: NewParam(name+".b", tensor.New(1, out)),
-	}
-}
-
-// Register adds the layer's parameters to ps.
-func (d *Dense) Register(ps *Params) { ps.Add(d.W, d.B) }
-
-// Forward applies the layer to x (n×in) producing n×out.
-func (d *Dense) Forward(tp *ag.Tape, x *ag.Node) *ag.Node {
-	return tp.AddRowBroadcast(tp.MatMul(x, d.W.Node(tp)), d.B.Node(tp))
 }
 
 // LSTMCell is a single LSTM layer processing one timestep at a time.
@@ -300,9 +270,6 @@ func (e *Embedding) ZeroGrad() {
 	}
 }
 
-// TouchedRows returns how many rows currently hold gradient (test hook).
-func (e *Embedding) TouchedRows() int { return len(e.grads) }
-
 // RowGrad returns the gradient accumulated for row id, nil if the row
 // is untouched (test hook).
 func (e *Embedding) RowGrad(id int) []float64 { return e.grads[id] }
@@ -355,11 +322,6 @@ func (o *Adam) Step(ps *Params) {
 // without data races; MergeGradsInto folds them back.
 func (p *Param) Shadow() *Param {
 	return &Param{Name: p.Name, W: p.W, G: tensor.New(p.W.Rows, p.W.Cols)}
-}
-
-// Shadow returns a layer view sharing weights with a private gradient.
-func (d *Dense) Shadow() *Dense {
-	return &Dense{W: d.W.Shadow(), B: d.B.Shadow()}
 }
 
 // Shadow returns a cell view sharing weights with private gradients.

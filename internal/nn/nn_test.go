@@ -9,6 +9,44 @@ import (
 	"ehna/internal/tensor"
 )
 
+// Dense is a fully connected layer: y = x·W + b.
+type Dense struct {
+	W, B *Param
+}
+
+// NewDense returns a Dense layer with Xavier-initialized weights.
+func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
+	return &Dense{
+		W: NewParam(name+".W", XavierInit(in, out, rng)),
+		B: NewParam(name+".b", tensor.New(1, out)),
+	}
+}
+
+// Register adds the layer's parameters to ps.
+func (d *Dense) Register(ps *Params) { ps.Add(d.W, d.B) }
+
+// Forward applies the layer to x (n×in) producing n×out.
+func (d *Dense) Forward(tp *ag.Tape, x *ag.Node) *ag.Node {
+	return tp.AddRowBroadcast(tp.MatMul(x, d.W.Node(tp)), d.B.Node(tp))
+}
+
+// Shadow returns a layer view sharing weights with a private gradient.
+func (d *Dense) Shadow() *Dense {
+	return &Dense{W: d.W.Shadow(), B: d.B.Shadow()}
+}
+
+// Count returns the total number of scalar parameters.
+func (ps *Params) Count() int {
+	n := 0
+	for _, p := range ps.list {
+		n += len(p.W.Data)
+	}
+	return n
+}
+
+// touchedRows returns how many rows of e currently hold gradient.
+func touchedRows(e *Embedding) int { return len(e.grads) }
+
 func TestParamNodeAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := NewParam("w", tensor.Randn(2, 2, 1, rng))
@@ -361,11 +399,11 @@ func TestEmbeddingLookupAndStep(t *testing.T) {
 	tp := ag.New()
 	x := e.Lookup(tp, []int{2, 5, 2})
 	tp.Backward(tp.SumSquares(x))
-	if e.TouchedRows() != 2 {
-		t.Fatalf("touched %d rows, want 2", e.TouchedRows())
+	if touchedRows(e) != 2 {
+		t.Fatalf("touched %d rows, want 2", touchedRows(e))
 	}
 	e.Step(0.1)
-	if e.TouchedRows() != 0 {
+	if touchedRows(e) != 0 {
 		t.Fatal("Step must clear accumulators")
 	}
 	// Row 2 was used twice: grad = 2*2*w; row 5 once: 2*w; row 0 untouched.
@@ -573,11 +611,11 @@ func TestEmbeddingShadowAndMerge(t *testing.T) {
 	tp := ag.New()
 	x := s.Lookup(tp, []int{1, 3})
 	tp.Backward(tp.SumSquares(x))
-	if s.TouchedRows() != 2 || e.TouchedRows() != 0 {
-		t.Fatalf("gradient isolation broken: shadow %d main %d", s.TouchedRows(), e.TouchedRows())
+	if touchedRows(s) != 2 || touchedRows(e) != 0 {
+		t.Fatalf("gradient isolation broken: shadow %d main %d", touchedRows(s), touchedRows(e))
 	}
 	s.MergeGradsInto(e)
-	if e.TouchedRows() != 2 || s.TouchedRows() != 0 {
-		t.Fatalf("merge failed: shadow %d main %d", s.TouchedRows(), e.TouchedRows())
+	if touchedRows(e) != 2 || touchedRows(s) != 0 {
+		t.Fatalf("merge failed: shadow %d main %d", touchedRows(s), touchedRows(e))
 	}
 }

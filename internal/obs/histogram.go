@@ -6,69 +6,40 @@ import (
 	"time"
 )
 
-// Histogram bucket geometry: 8 sub-buckets per power of two over the
-// full non-negative int64 range. Bucket width is at most 1/8 of the
-// bucket's lower bound, so any quantile read off the buckets is within
-// ~12.5% of the exact sample quantile, without storing samples.
+// Histogram bucket geometry: one bucket per exposition bound, the
+// powers of four 2^10 … 2^34 ns (≈1µs to ≈17s), plus an overflow
+// bucket. Bucket i holds the observations v with bound(i-1) < v ≤
+// bound(i), so a cumulative sum over buckets is exactly the inclusive
+// ≤ count a Prometheus le series exposes.
 const (
-	histSubBits    = 3
-	histSubBuckets = 1 << histSubBits
-	// Values 0..7 get exact buckets 0..7; above that each power of two
-	// [2^e, 2^(e+1)) splits into 8, for e in [3, 62] (int64 values
-	// never reach exponent 63). The last bucket's upper bound is
-	// exactly MaxInt64.
-	histBuckets = (63-histSubBits)*histSubBuckets + histSubBuckets
+	histMinExp  = 10
+	histBounds  = 13
+	histBuckets = histBounds + 1
 )
 
-// bucketIndex maps a value to its bucket (negatives clamp to 0).
+// bucketBound returns bucket i's inclusive upper bound in nanoseconds.
+func bucketBound(i int) int64 { return 1 << (histMinExp + 2*i) }
+
+// bucketIndex maps a value to its bucket: the first bound ≥ v, or the
+// overflow bucket past the last. Values ≤ 2^10 (negatives too) land in
+// bucket 0.
 func bucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
+	if v <= 1<<histMinExp {
+		return 0
 	}
-	u := uint64(v)
-	if u < histSubBuckets {
-		return int(u)
-	}
-	exp := bits.Len64(u) - 1 // ≥ histSubBits
-	return (exp-histSubBits+1)<<histSubBits + int((u>>(exp-histSubBits))&(histSubBuckets-1))
+	// v ≤ 2^k exactly when bits.Len64(v-1) ≤ k.
+	return min((bits.Len64(uint64(v-1))-histMinExp+1)/2, histBounds)
 }
 
-// bucketBounds returns the inclusive [lower, upper] value range of
-// bucket i. The topmost buckets clamp to MaxInt64.
-func bucketBounds(i int) (lower, upper int64) {
-	if i < histSubBuckets {
-		return int64(i), int64(i)
-	}
-	exp := i>>histSubBits + histSubBits - 1
-	m := uint64(i & (histSubBuckets - 1))
-	shift := uint(exp - histSubBits)
-	lo := (histSubBuckets + m) << shift
-	hi := lo + (uint64(1) << shift) - 1
-	return int64(lo), int64(hi)
-}
-
-// unit selects how a histogram's raw int64 observations are exposed.
-type unit int
-
-const (
-	// unitSeconds: observations are nanoseconds, exposed as seconds.
-	unitSeconds unit = iota
-	// unitCount: observations are unitless integers, exposed as-is.
-	unitCount
-)
-
-// Histogram is a fixed-size log-bucketed distribution. Observe is a
-// handful of atomic adds into preallocated arrays: lock-free,
-// allocation-free, safe on the search hot path. Readers go through
-// Snapshot, never on the write path.
+// Histogram is a fixed-size log-bucketed latency distribution over
+// nanosecond observations. Observe is a handful of atomic adds into
+// preallocated arrays: lock-free, allocation-free, safe on the search
+// hot path. Readers go through Snapshot, never on the write path.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Int64
-	u      unit
 }
-
-func newHistogram(u unit) *Histogram { return &Histogram{u: u} }
 
 // Observe records one value. Negative values clamp to zero (durations
 // from a monotonic clock are never negative; a clamped zero is less
@@ -107,19 +78,14 @@ func (h *Histogram) Snapshot(s *HistSnapshot) {
 	}
 }
 
-// CountAtMost returns how many observations were ≤ v — the cumulative
-// count the Prometheus _bucket series expose. Exact whenever v is a
-// bucket upper bound (the exposition bounds are chosen so it is).
+// CountAtMost returns how many observations were ≤ v, the cumulative
+// count the Prometheus _bucket series expose. It is exact when v is a
+// bucket bound (the exposition reads no other); between bounds it
+// counts up to the largest bound ≤ v.
 func (s *HistSnapshot) CountAtMost(v int64) uint64 {
 	var n uint64
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		_, hi := bucketBounds(i)
-		if hi <= v {
-			n += c
-		}
+	for i := 0; i < histBounds && bucketBound(i) <= v; i++ {
+		n += s.Buckets[i]
 	}
 	return n
 }

@@ -10,10 +10,10 @@
 //     preallocated storage — no locks, no allocations, no branches on
 //     shared mutable state — so the zero-alloc SearchInto guarantee
 //     (ann's TestSearchIntoZeroAlloc) survives instrumentation.
-//   - Histograms must answer tail-quantile questions (p50/p90/p99/p999)
-//     without storing samples: buckets are log-spaced (8 sub-buckets
-//     per power of two, ≤ 12.5% relative width) over the full int64
-//     range, and a snapshot is a plain array copy.
+//   - Histograms store no samples: one counter per exposition bound
+//     (the 13 powers of four from 2^10 to 2^34 ns, ≈1µs to ≈17s) plus
+//     an overflow counter, each bound an inclusive le as Prometheus
+//     defines it, and a snapshot is a plain array copy.
 //   - Exposition must be boring: stable ordering (registration order),
 //     HELP/TYPE pairs per family, standard counter/gauge/histogram
 //     text syntax a Prometheus scraper parses as-is.
@@ -270,21 +270,11 @@ func (r *Registry) GaugeValue(name string, labels ...Label) (float64, bool) {
 // Histogram returns the duration histogram registered under (name,
 // labels): observations are nanoseconds, exposition is in seconds.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.histogram(name, help, unitSeconds, labels)
-}
-
-// SizeHistogram returns a unitless histogram (batch sizes, counts):
-// observations and exposition share the raw integer scale.
-func (r *Registry) SizeHistogram(name, help string, labels ...Label) *Histogram {
-	return r.histogram(name, help, unitCount, labels)
-}
-
-func (r *Registry) histogram(name, help string, u unit, labels []Label) *Histogram {
 	c := r.register(name, help, kindHistogram, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c.hist == nil {
-		c.hist = newHistogram(u)
+		c.hist = new(Histogram)
 	}
 	return c.hist
 }

@@ -22,10 +22,12 @@ func TestPromExpositionGolden(t *testing.T) {
 	g := r.Gauge("test_nodes", "Vectors resident.")
 	g.Set(100000)
 	r.GaugeFunc("test_ratio", "A computed ratio.", func() float64 { return 0.25 })
-	h := r.SizeHistogram("test_batch_size", "Coalesced batch sizes.")
-	h.Observe(1)
-	h.Observe(3)
-	h.Observe(700)
+	// 0 and exactly 2^20 ns count in le="0.001048576" (le is ≤);
+	// 2^20+1 ns counts only from the next bound up.
+	h := r.Histogram("test_latency_seconds", "Request latency.")
+	h.Observe(0)
+	h.Observe(1 << 20)
+	h.Observe(1<<20 + 1)
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -41,24 +43,24 @@ test_nodes 100000
 # HELP test_ratio A computed ratio.
 # TYPE test_ratio gauge
 test_ratio 0.25
-# HELP test_batch_size Coalesced batch sizes.
-# TYPE test_batch_size histogram
-test_batch_size_bucket{le="1"} 1
-test_batch_size_bucket{le="2"} 1
-test_batch_size_bucket{le="4"} 2
-test_batch_size_bucket{le="8"} 2
-test_batch_size_bucket{le="16"} 2
-test_batch_size_bucket{le="32"} 2
-test_batch_size_bucket{le="64"} 2
-test_batch_size_bucket{le="128"} 2
-test_batch_size_bucket{le="256"} 2
-test_batch_size_bucket{le="512"} 2
-test_batch_size_bucket{le="1024"} 3
-test_batch_size_bucket{le="2048"} 3
-test_batch_size_bucket{le="4096"} 3
-test_batch_size_bucket{le="+Inf"} 3
-test_batch_size_sum 704
-test_batch_size_count 3
+# HELP test_latency_seconds Request latency.
+# TYPE test_latency_seconds histogram
+test_latency_seconds_bucket{le="1.024e-06"} 1
+test_latency_seconds_bucket{le="4.096e-06"} 1
+test_latency_seconds_bucket{le="1.6384e-05"} 1
+test_latency_seconds_bucket{le="6.5536e-05"} 1
+test_latency_seconds_bucket{le="0.000262144"} 1
+test_latency_seconds_bucket{le="0.001048576"} 2
+test_latency_seconds_bucket{le="0.004194304"} 3
+test_latency_seconds_bucket{le="0.016777216"} 3
+test_latency_seconds_bucket{le="0.067108864"} 3
+test_latency_seconds_bucket{le="0.268435456"} 3
+test_latency_seconds_bucket{le="1.073741824"} 3
+test_latency_seconds_bucket{le="4.294967296"} 3
+test_latency_seconds_bucket{le="17.179869184"} 3
+test_latency_seconds_bucket{le="+Inf"} 3
+test_latency_seconds_sum 0.002097153
+test_latency_seconds_count 3
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

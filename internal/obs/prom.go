@@ -6,33 +6,6 @@ import (
 	"strconv"
 )
 
-// Exposition bucket bounds. The internal histograms keep full 8-per-
-// octave resolution for quantile estimation; the Prometheus text
-// output coarsens to one bound per two octaves so a scrape stays
-// compact. Every bound is an exact internal bucket upper edge + 1 - 1
-// (a power of two minus nothing — i.e. bounds align with octave
-// boundaries), so the cumulative counts are exact, not interpolated.
-var (
-	// promSecondsBounds are nanosecond bounds from ~1µs to ~17s.
-	promSecondsBounds = []int64{
-		1 << 10, // 1.024µs
-		1 << 12, // 4.1µs
-		1 << 14, // 16.4µs
-		1 << 16, // 65.5µs
-		1 << 18, // 262µs
-		1 << 20, // 1.05ms
-		1 << 22, // 4.2ms
-		1 << 24, // 16.8ms
-		1 << 26, // 67.1ms
-		1 << 28, // 268ms
-		1 << 30, // 1.07s
-		1 << 32, // 4.3s
-		1 << 34, // 17.2s
-	}
-	// promCountBounds cover unitless sizes (batch sizes, queue depths).
-	promCountBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-)
-
 // WriteProm renders the registry in Prometheus text format: families
 // in registration order, HELP/TYPE once per family, children in
 // registration order. The output is deterministic for a fixed
@@ -80,7 +53,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				bw.WriteByte('\n')
 			case kindHistogram:
 				c.hist.Snapshot(&snap)
-				writePromHistogram(bw, f.name, c.labels, c.hist.u, &snap)
+				writePromHistogram(bw, f.name, c.labels, &snap)
 			}
 		}
 	}
@@ -88,25 +61,19 @@ func (r *Registry) WriteProm(w io.Writer) error {
 }
 
 // writePromHistogram renders one histogram child: cumulative _bucket
-// series over the unit's fixed bounds, then _sum and _count.
-func writePromHistogram(bw *bufio.Writer, name, labels string, u unit, s *HistSnapshot) {
-	bounds := promSecondsBounds
-	if u == unitCount {
-		bounds = promCountBounds
-	}
-	for _, b := range bounds {
-		writeBucketLine(bw, name, labels, formatBound(b, u), s.CountAtMost(b))
+// series over the bucket bounds in seconds (each le inclusive, as
+// Prometheus defines it), then _sum and _count.
+func writePromHistogram(bw *bufio.Writer, name, labels string, s *HistSnapshot) {
+	for i := 0; i < histBounds; i++ {
+		b := bucketBound(i)
+		writeBucketLine(bw, name, labels, formatFloat(float64(b)/1e9), s.CountAtMost(b))
 	}
 	writeBucketLine(bw, name, labels, "+Inf", s.Count)
 	bw.WriteString(name)
 	bw.WriteString("_sum")
 	bw.WriteString(labels)
 	bw.WriteByte(' ')
-	if u == unitSeconds {
-		bw.WriteString(formatFloat(float64(s.Sum) / 1e9))
-	} else {
-		bw.WriteString(strconv.FormatInt(s.Sum, 10))
-	}
+	bw.WriteString(formatFloat(float64(s.Sum) / 1e9))
 	bw.WriteByte('\n')
 	bw.WriteString(name)
 	bw.WriteString("_count")
@@ -135,14 +102,6 @@ func writeBucketLine(bw *bufio.Writer, name, labels, le string, count uint64) {
 	bw.WriteByte(' ')
 	bw.WriteString(strconv.FormatUint(count, 10))
 	bw.WriteByte('\n')
-}
-
-// formatBound renders a bucket bound in the exposition unit.
-func formatBound(b int64, u unit) string {
-	if u == unitSeconds {
-		return formatFloat(float64(b) / 1e9)
-	}
-	return strconv.FormatInt(b, 10)
 }
 
 // formatFloat renders a float the shortest way that round-trips.

@@ -71,15 +71,6 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// MustAlias is NewAlias that panics on error; for weights known valid.
-func MustAlias(weights []float64) *Alias {
-	a, err := NewAlias(weights)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Draw samples one index.
 func (a *Alias) Draw(rng *rand.Rand) int {
 	i := rng.Intn(len(a.prob))

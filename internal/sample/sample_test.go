@@ -9,6 +9,15 @@ import (
 	"ehna/internal/graph"
 )
 
+// MustAlias is NewAlias that panics on error; for weights known valid.
+func MustAlias(weights []float64) *Alias {
+	a, err := NewAlias(weights)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func TestNewAliasValidation(t *testing.T) {
 	if _, err := NewAlias(nil); err == nil {
 		t.Fatal("empty weights accepted")

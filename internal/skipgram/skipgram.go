@@ -51,11 +51,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DefaultConfig returns the baselines' settings from Section V-C.
-func DefaultConfig() Config {
-	return Config{Dim: 128, Window: 10, Negatives: 5, LR: 0.025, Epochs: 1}
-}
-
 // Model holds the two SGNS matrices. Emb ("input" vectors) is the final
 // node representation; Ctx holds the context ("output") vectors.
 type Model struct {

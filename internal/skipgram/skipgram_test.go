@@ -9,6 +9,21 @@ import (
 	"ehna/internal/tensor"
 )
 
+// uniformNoise is a negative-sampling distribution over n equally
+// likely nodes.
+func uniformNoise(tb testing.TB, n int) *sample.Alias {
+	tb.Helper()
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	a, err := sample.NewAlias(w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Dim: 0, Window: 1, Negatives: 1, LR: 0.1, Epochs: 1},
@@ -22,13 +37,13 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := (Config{Dim: 128, Window: 10, Negatives: 5, LR: 0.025, Epochs: 1}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTrainInputValidation(t *testing.T) {
-	noise := sample.MustAlias([]float64{1, 1})
+	noise := uniformNoise(t, 2)
 	cfg := Config{Dim: 4, Window: 2, Negatives: 2, LR: 0.1, Epochs: 1}
 	if _, err := Train(nil, 2, noise, cfg, 1); err == nil {
 		t.Fatal("empty sequences accepted")
@@ -76,7 +91,7 @@ func twoCliqueSequences(rng *rand.Rand, n int) [][]graph.NodeID {
 func TestTrainSeparatesCommunities(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	seqs := twoCliqueSequences(rng, 400)
-	noise := sample.MustAlias([]float64{1, 1, 1, 1, 1, 1})
+	noise := uniformNoise(t, 6)
 	cfg := Config{Dim: 16, Window: 4, Negatives: 5, LR: 0.08, Epochs: 15, Workers: 1}
 	m, err := Train(seqs, 6, noise, cfg, 3)
 	if err != nil {
@@ -110,7 +125,7 @@ func TestTrainSeparatesCommunities(t *testing.T) {
 func TestTrainDeterministicSingleWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	seqs := twoCliqueSequences(rng, 50)
-	noise := sample.MustAlias([]float64{1, 1, 1, 1, 1, 1})
+	noise := uniformNoise(t, 6)
 	cfg := Config{Dim: 8, Window: 3, Negatives: 3, LR: 0.05, Epochs: 1, Workers: 1}
 	m1, err := Train(seqs, 6, noise, cfg, 7)
 	if err != nil {
@@ -157,7 +172,7 @@ func TestDegreeNoise(t *testing.T) {
 func BenchmarkTrainEpoch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	seqs := twoCliqueSequences(rng, 200)
-	noise := sample.MustAlias([]float64{1, 1, 1, 1, 1, 1})
+	noise := uniformNoise(b, 6)
 	cfg := Config{Dim: 64, Window: 5, Negatives: 5, LR: 0.025, Epochs: 1, Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

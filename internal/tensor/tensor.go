@@ -119,41 +119,6 @@ func sameShape(a, b *Matrix) {
 	}
 }
 
-// MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes out = a·b without allocating. out must not alias a or b.
-func MatMulInto(out, a, b *Matrix) {
-	out.Zero()
-	MatMulAddInto(out, a, b)
-}
-
-// MatMulAddInto computes out += a·b without allocating. out must not
-// alias a or b.
-func MatMulAddInto(out, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			vecmath.Axpy(orow, av, b.Data[k*n:(k+1)*n])
-		}
-	}
-}
-
 // MatMulATransposed returns aᵀ·b where a is given untransposed.
 func MatMulATransposed(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
@@ -198,45 +163,6 @@ func AddMatMulBT(out, a, b *Matrix) {
 	vecmath.GemmNT(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Rows, out.Cols, a.Cols)
 }
 
-// Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
-	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Sub returns a − b.
-func Sub(a, b *Matrix) *Matrix {
-	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * s
-	}
-	return out
-}
-
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Matrix) {
 	sameShape(a, b)
@@ -252,22 +178,6 @@ func AxpyInPlace(a *Matrix, s float64, b *Matrix) {
 // ScaleInPlace computes m *= s.
 func ScaleInPlace(m *Matrix, s float64) {
 	vecmath.ScaleInPlace(m.Data, s)
-}
-
-// AddRowBroadcast returns m with the 1×cols row vector bias added to every row.
-func AddRowBroadcast(m, bias *Matrix) *Matrix {
-	if bias.Rows != 1 || bias.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowBroadcast bias %dx%d for %dx%d", bias.Rows, bias.Cols, m.Rows, m.Cols))
-	}
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for j, v := range mrow {
-			orow[j] = v + bias.Data[j]
-		}
-	}
-	return out
 }
 
 // SigmoidScalar is the numerically stable logistic function.
@@ -328,12 +238,6 @@ func (m *Matrix) Sum() float64 {
 	return s
 }
 
-// Dot returns the inner product of two equal-shape matrices flattened.
-func Dot(a, b *Matrix) float64 {
-	sameShape(a, b)
-	return vecmath.Dot(a.Data, b.Data)
-}
-
 // DotVec returns the inner product of two equal-length vectors.
 // It is a thin veneer over vecmath.Dot, kept for callers that already
 // import tensor.
@@ -354,28 +258,6 @@ func ConcatCols(a, b *Matrix) *Matrix {
 	for i := 0; i < a.Rows; i++ {
 		copy(out.Row(i)[:a.Cols], a.Row(i))
 		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
-// StackRows returns the matrices stacked vertically. All must share Cols.
-func StackRows(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("tensor: StackRows cols %d != %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	r := 0
-	for _, m := range ms {
-		copy(out.Data[r*cols:], m.Data)
-		r += m.Rows
 	}
 	return out
 }

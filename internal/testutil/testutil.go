@@ -32,22 +32,6 @@ func TwoCommunities(half int, p float64, seed int64) *graph.Temporal {
 	return g
 }
 
-// RandomTemporal returns an Erdős–Rényi style temporal graph with m edge
-// attempts over n nodes and uniform timestamps in [0, 1].
-func RandomTemporal(n, m int, seed int64) *graph.Temporal {
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.NewTemporal(n)
-	for i := 0; i < m; i++ {
-		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		mustAdd(g, u, v, rng.Float64())
-	}
-	g.Build()
-	return g
-}
-
 func mustAdd(g *graph.Temporal, u, v graph.NodeID, t float64) {
 	if err := g.AddEdge(u, v, 1, t); err != nil {
 		panic(err)

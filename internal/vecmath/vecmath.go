@@ -163,17 +163,6 @@ func sqDistScalar(a, b []float64) float64 {
 	return s
 }
 
-// CosineWithNorms returns the cosine similarity of a and b given their
-// precomputed L2 norms (0 when either norm is 0). Callers that score
-// one query against many candidates compute the query norm once and
-// thread it through, instead of recomputing it per candidate.
-func CosineWithNorms(a, b []float64, aNorm, bNorm float64) float64 {
-	if aNorm == 0 || bNorm == 0 {
-		return 0
-	}
-	return Dot(a, b) / (aNorm * bNorm)
-}
-
 // Sigmoid is the numerically stable logistic function.
 func Sigmoid(x float64) float64 {
 	if x >= 0 {

@@ -68,16 +68,6 @@ func TestKernelsMatchReference(t *testing.T) {
 			t.Fatalf("SqDist n=%d: got %g want %g", n, got, want)
 		}
 
-		na, nb := Norm(a), Norm(b)
-		gotCos := CosineWithNorms(a, b, na, nb)
-		var wantCos float64
-		if na != 0 && nb != 0 {
-			wantCos = refDot(a, b) / (na * nb)
-		}
-		if !close12(gotCos, wantCos) {
-			t.Fatalf("CosineWithNorms n=%d: got %g want %g", n, gotCos, wantCos)
-		}
-
 		// Axpy vs reference.
 		alpha := rng.NormFloat64()
 		dst := append([]float64(nil), a...)
@@ -249,7 +239,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		sink += SquaredL2(a)
 		sink += Norm(b)
 		sink += SqDist(a, b)
-		sink += CosineWithNorms(a, b, 1, 1)
 		Axpy(dst, 0.5, a)
 		Add(dst, b)
 		ScaleInPlace(dst, 0.99)

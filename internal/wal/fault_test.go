@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
@@ -118,7 +119,7 @@ func TestENOSPCMidStream(t *testing.T) {
 	var sawENOSPC bool
 	for i := 0; i < 4; i++ {
 		if _, err := l.Append(OpUpsert, graph.NodeID(100+i), big); err != nil {
-			if !faultfs.IsDiskFull(err) {
+			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("append: err=%v, want ENOSPC", err)
 			}
 			sawENOSPC = true
@@ -142,6 +143,54 @@ func TestENOSPCMidStream(t *testing.T) {
 	defer l2.Close()
 	if _, err := l2.Append(OpUpsert, 2000, []float64{3}); err != nil {
 		t.Fatalf("append after space freed: %v", err)
+	}
+}
+
+// TestReadFaultIsNotATornTail injects one read EIO into the active
+// segment: Open and ReplayFS must return it rather than take the
+// unread records for a torn tail, and Open must not truncate them.
+func TestReadFaultIsNotATornTail(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	l, err := Open(dir, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if acked, err := appendUntilFault(t, l, 10); err != nil || acked != 10 {
+		t.Fatalf("appends: acked %d, err %v", acked, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, err %v", segs, err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	want := size()
+
+	inj := faultfs.New(nil)
+	inj.Add(faultfs.Rule{Op: faultfs.OpRead, Path: ".wal", Count: 1})
+	if l, err := Open(dir, Options{Sync: SyncAlways, FS: inj}); !errors.Is(err, syscall.EIO) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open under a read fault: err=%v, want EIO", err)
+	}
+	if got := size(); got != want {
+		t.Fatalf("Open under a read fault cut the segment from %d to %d bytes", want, got)
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpRead, Path: ".wal", Count: 1})
+	if info, err := ReplayFS(inj, dir, 0, func(Record) error { return nil }); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("ReplayFS under a read fault: info=%+v err=%v, want EIO", info, err)
+	}
+	if seqs := replaySeqs(t, dir); len(seqs) != 10 {
+		t.Fatalf("clean replay after the fault: %d records, want 10", len(seqs))
 	}
 }
 

@@ -1,71 +1,69 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"math"
 	"testing"
-
-	"ehna/internal/graph"
 )
 
-// FuzzWALDecode throws arbitrary bytes at the frame decoder. The
-// contract under attack: DecodeRecord never panics, every failure is a
-// clean ErrTorn or ErrCorrupt, a successful decode consumes a sane
-// byte count, and re-encoding a decoded record reproduces the input
-// frame bit-exactly (so replay→rewrite cycles cannot drift).
+// FuzzWALDecode throws arbitrary bytes at the frame Decoder, the one
+// reader that boot replay, Open and the replication client all run,
+// and decodes every frame of the input. The contract under attack:
+// Decode never panics, the stream ends in io.EOF exactly at the end of
+// the input or in a clean ErrTorn or ErrCorrupt, and every decoded
+// record re-encodes to exactly the bytes it was decoded from (so
+// replay→rewrite cycles cannot drift).
 func FuzzWALDecode(f *testing.F) {
+	upsert := AppendRecord(nil, Record{Seq: 1, Op: OpUpsert, ID: 3, Vec: []float64{1, -2.5, math.Inf(1)}})
+	del := AppendRecord(nil, Record{Seq: 42, Op: OpDelete, ID: 0})
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
-	f.Add(AppendRecord(nil, Record{Seq: 1, Op: OpUpsert, ID: 3, Vec: []float64{1, -2.5, math.Inf(1)}}))
-	f.Add(AppendRecord(nil, Record{Seq: 42, Op: OpDelete, ID: 0}))
+	f.Add(upsert)
+	f.Add(del)
 	truncated := AppendRecord(nil, Record{Seq: 2, Op: OpUpsert, ID: 9, Vec: []float64{3}})
 	f.Add(truncated[:len(truncated)-3])
 	badCRC := AppendRecord(nil, Record{Seq: 7, Op: OpDelete, ID: 1})
 	badCRC[5] ^= 0x80
 	f.Add(badCRC)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3})
+	f.Add(append(append([]byte{}, upsert...), del...))
+	f.Add(append(append([]byte{}, del...), truncated[:len(truncated)-3]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := DecodeRecord(data)
-		if err != nil {
-			if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("unclassified decode error: %v", err)
+		dec := NewDecoder(bytes.NewReader(data))
+		off := 0
+		for {
+			rec, err := dec.Decode()
+			if err == io.EOF {
+				if off != len(data) {
+					t.Fatalf("clean end at byte %d of %d", off, len(data))
+				}
+				return
 			}
-			return
-		}
-		if n < frameHeader+payloadMin || n > len(data) {
-			t.Fatalf("decoded %d bytes of a %d-byte input", n, len(data))
-		}
-		if rec.Op != OpUpsert && rec.Op != OpDelete {
-			t.Fatalf("decoded impossible op %d", rec.Op)
-		}
-		if rec.Op == OpDelete && rec.Vec != nil {
-			t.Fatal("delete decoded with a vector")
-		}
-		// Round trip: the frame must re-encode to exactly the bytes it
-		// was decoded from.
-		reenc := AppendRecord(nil, rec)
-		if len(reenc) != n {
-			t.Fatalf("re-encoded to %d bytes, decoded from %d", len(reenc), n)
-		}
-		for i := range reenc {
-			if reenc[i] != data[i] {
-				t.Fatalf("re-encoded frame differs at byte %d", i)
+			if err != nil {
+				if !errors.Is(err, ErrTorn) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("unclassified decode error: %v", err)
+				}
+				return
 			}
-		}
-		// And decode back to an identical record.
-		again, n2, err := DecodeRecord(reenc)
-		if err != nil || n2 != n {
-			t.Fatalf("re-decode: n=%d err=%v", n2, err)
-		}
-		if again.Seq != rec.Seq || again.Op != rec.Op || again.ID != rec.ID || len(again.Vec) != len(rec.Vec) {
-			t.Fatalf("re-decode mismatch: %+v vs %+v", again, rec)
-		}
-		for i := range rec.Vec {
-			if math.Float64bits(again.Vec[i]) != math.Float64bits(rec.Vec[i]) {
-				t.Fatalf("vec[%d] bits changed across round trip", i)
+			if rec.Op != OpUpsert && rec.Op != OpDelete {
+				t.Fatalf("decoded impossible op %d", rec.Op)
 			}
+			if rec.Op == OpDelete && rec.Vec != nil {
+				t.Fatal("delete decoded with a vector")
+			}
+			// Round trip: the frame must re-encode to exactly the bytes
+			// it was decoded from.
+			reenc := AppendRecord(nil, rec)
+			if int64(len(reenc)) != frameLen(rec) || off+len(reenc) > len(data) {
+				t.Fatalf("frame of %d bytes at offset %d of a %d-byte input", len(reenc), off, len(data))
+			}
+			if !bytes.Equal(reenc, data[off:off+len(reenc)]) {
+				t.Fatalf("re-encoded frame at offset %d differs from its input", off)
+			}
+			off += len(reenc)
 		}
-		_ = graph.NodeID(rec.ID)
 	})
 }

@@ -128,32 +128,6 @@ func AppendRecord(dst []byte, r Record) []byte {
 	return dst
 }
 
-// DecodeRecord decodes the first frame of b, returning the record and
-// the number of bytes consumed. A frame that runs past the end of b
-// yields ErrTorn; a structurally invalid one yields ErrCorrupt. The
-// record's vector is freshly allocated (it does not alias b).
-func DecodeRecord(b []byte) (Record, int, error) {
-	if len(b) < frameHeader {
-		return Record{}, 0, fmt.Errorf("%w: %d-byte header fragment", ErrTorn, len(b))
-	}
-	n := int(binary.LittleEndian.Uint32(b[0:4]))
-	if n < payloadMin || n > payloadMax {
-		return Record{}, 0, fmt.Errorf("%w: payload length %d outside [%d,%d]", ErrCorrupt, n, payloadMin, payloadMax)
-	}
-	if len(b) < frameHeader+n {
-		return Record{}, 0, fmt.Errorf("%w: %d of %d payload bytes", ErrTorn, len(b)-frameHeader, n)
-	}
-	p := b[frameHeader : frameHeader+n]
-	if got, want := crc32.Checksum(p, castagnoli), binary.LittleEndian.Uint32(b[4:8]); got != want {
-		return Record{}, 0, fmt.Errorf("%w: crc %08x, want %08x", ErrCorrupt, got, want)
-	}
-	r, err := decodePayload(p)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return r, frameHeader + n, nil
-}
-
 // decodePayload decodes a length-sane, CRC-validated payload.
 func decodePayload(p []byte) (Record, error) {
 	n := len(p)
@@ -322,58 +296,34 @@ func listSegments(fsys faultfs.FS, dir string) ([]sealedSeg, error) {
 
 // scanSegment walks every frame of one segment file, calling fn for
 // each record, and returns the byte offset and sequence number after
-// the last valid record. A torn or corrupt tail is reported via torn
-// (with the offset where it starts), not as an error; fn errors abort.
+// the last valid record. A torn or corrupt tail, or a sequence break, is
+// reported via torn (with the offset where it starts), not as an error;
+// read errors and fn errors abort.
 func scanSegment(fsys faultfs.FS, path string, firstSeq uint64, fn func(Record) error) (end int64, last uint64, torn bool, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var (
-		off    int64
-		expect = firstSeq
-		hdr    [frameHeader]byte
-		buf    []byte
-	)
+	dec := NewDecoder(bufio.NewReaderSize(f, 1<<20))
 	last = firstSeq - 1
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return off, last, false, nil // clean end
-			}
-			return off, last, true, nil // header fragment: torn
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n < payloadMin || n > payloadMax {
-			return off, last, true, nil
-		}
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return off, last, true, nil
-		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return off, last, true, nil
-		}
-		rec, derr := decodePayload(buf)
-		if derr != nil {
-			return off, last, true, nil
-		}
-		if rec.Seq != expect {
-			return off, last, true, nil // sequence break: treat as tail
+		rec, err := dec.Decode()
+		switch {
+		case err == io.EOF:
+			return end, last, false, nil
+		case errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt) || err == nil && rec.Seq != last+1:
+			return end, last, true, nil
+		case err != nil:
+			return end, last, false, fmt.Errorf("wal: %s: reading the frame at offset %d: %w", path, end, err)
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return off, last, false, err
+				return end, last, false, err
 			}
 		}
-		off += int64(frameHeader + n)
+		end += frameLen(rec)
 		last = rec.Seq
-		expect++
 	}
 }
 

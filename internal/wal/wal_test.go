@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -562,8 +563,9 @@ func TestEncodeDecodeIdentity(t *testing.T) {
 	for _, r := range recs {
 		buf = AppendRecord(buf, r)
 	}
+	dec := NewDecoder(bytes.NewReader(buf))
 	for i, want := range recs {
-		got, n, err := DecodeRecord(buf)
+		got, err := dec.Decode()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -575,10 +577,9 @@ func TestEncodeDecodeIdentity(t *testing.T) {
 				t.Fatalf("record %d vec[%d] bits differ", i, j)
 			}
 		}
-		buf = buf[n:]
 	}
-	if len(buf) != 0 {
-		t.Fatalf("%d trailing bytes", len(buf))
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 	if !bytes.Equal(AppendRecord(nil, recs[1]), AppendRecord(nil, recs[1])) {
 		t.Fatal("encoding is not deterministic")

@@ -103,24 +103,16 @@ func NewTemporalWalker(g *graph.Temporal, cfg TemporalConfig) (*TemporalWalker, 
 // Config returns the walker's configuration.
 func (w *TemporalWalker) Config() TemporalConfig { return w.cfg }
 
-// Walks generates cfg.NumWalks temporal random walks from x for analyzing
-// an edge formed at time tTarget. Each walk visits only relevant nodes
-// (Definition 2): traversed edges have non-increasing timestamps ≤ tTarget
-// walking away from x. A walk terminates early when no relevant neighbor
-// exists. Walks of length 1 (the bare source) are still returned so the
-// aggregation layer always has k inputs.
-func (w *TemporalWalker) Walks(x graph.NodeID, tTarget float64, rng *rand.Rand) []Walk {
-	out := make([]Walk, w.cfg.NumWalks)
-	var weights []float64
-	for i := range out {
-		w.oneInto(&out[i], x, tTarget, rng, &weights)
-	}
-	return out
-}
-
-// WalksScratch is Walks generating into pooled buffers: the returned
-// slice and the Nodes/Times of each walk are owned by s and are only
-// valid until the next WalksScratch call on s (or PutScratch).
+// WalksScratch generates cfg.NumWalks temporal random walks from x for
+// analyzing an edge formed at time tTarget. Each walk visits only
+// relevant nodes (Definition 2): traversed edges have non-increasing
+// timestamps ≤ tTarget walking away from x. A walk terminates early
+// when no relevant neighbor exists. Walks of length 1 (the bare source)
+// are still returned so the aggregation layer always has k inputs.
+//
+// The returned slice and the Nodes/Times of each walk are owned by s
+// and are only valid until the next WalksScratch call on s (or
+// PutScratch).
 func (w *TemporalWalker) WalksScratch(s *Scratch, x graph.NodeID, tTarget float64, rng *rand.Rand) []Walk {
 	for i := 0; i < w.cfg.NumWalks; i++ {
 		w.oneInto(s.slot(i), x, tTarget, rng, &s.weights)

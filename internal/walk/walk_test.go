@@ -36,6 +36,11 @@ func clique(t *testing.T, n int) *graph.Temporal {
 	return g
 }
 
+// Walks returns walks the caller owns: WalksScratch into a fresh Scratch.
+func (w *TemporalWalker) Walks(x graph.NodeID, tTarget float64, rng *rand.Rand) []Walk {
+	return w.WalksScratch(new(Scratch), x, tTarget, rng)
+}
+
 func TestTemporalConfigValidate(t *testing.T) {
 	bad := []TemporalConfig{
 		{P: 0, Q: 1, NumWalks: 1, WalkLen: 1},
