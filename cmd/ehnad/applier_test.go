@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -287,12 +288,16 @@ func TestSnapshotKeepsGraphParameters(t *testing.T) {
 	if status, raw := postJSON(t, ts.URL+"/v1/admin/snapshot", map[string]any{}, nil); status != http.StatusOK {
 		t.Fatalf("snapshot rotation: status %d: %s", status, raw)
 	}
-	f, err := os.Open(cfg.index.graphPath)
+	b, err := os.ReadFile(cfg.index.graphPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	written, err := ann.LoadHNSWGraph(f, srv.store)
+	// The pair as a reboot reads it.
+	rotated, _, err := embstore.LoadSnapshotV3(walSnapshotV3Path(dir), embstore.DefaultShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := ann.LoadHNSWGraph(bytes.NewReader(b), rotated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +305,8 @@ func TestSnapshotKeepsGraphParameters(t *testing.T) {
 		t.Fatalf("rotated graph file has M=%d ef-construction=%d ef-search=%d, want 8/100/17",
 			got.M, got.EfConstruction, got.EfSearch)
 	}
-	if alive, tombs, _ := written.Stats(); alive != n-3 || tombs != 0 {
-		t.Fatalf("rotated graph file has %d nodes, %d tombstones; want %d, 0", alive, tombs, n-3)
+	// The header's slot count (bytes 28–32) counts tombstones too.
+	if alive, _, _ := written.Stats(); alive != n-3 || binary.LittleEndian.Uint32(b[28:]) != uint32(n-3) {
+		t.Fatalf("rotated graph file has %d nodes in %d slots; want %d, no tombstone", alive, binary.LittleEndian.Uint32(b[28:]), n-3)
 	}
 }

@@ -355,10 +355,16 @@ func (d *durable) snapshot() (uint64, error) {
 		}
 		if d.store.Cold() {
 			// Writers are stalled under d.mu (the applier lock), which is
-			// exactly the quiescence Remap's contract asks for. A failed
-			// fold is survivable: the old base keeps serving and the
-			// overlay simply persists until the next rotation.
-			if err := d.store.Remap(d.snapPath); err != nil {
+			// exactly the quiescence Remap's contract asks for. The fold
+			// renumbers every store row, so a graph re-slots with it, under
+			// its own write lock. A failed fold is survivable: the old base
+			// keeps serving and the overlay simply persists until the next
+			// rotation.
+			remap := d.store.Remap
+			if h, ok := d.index.(*ann.HNSW); ok {
+				remap = h.Remap
+			}
+			if err := remap(d.snapPath); err != nil {
 				log.Printf("ehnad: overlay fold: remap %s: %v (serving continues on the previous base)", d.snapPath, err)
 			}
 		}

@@ -70,9 +70,8 @@
 // on load (or picks the layout of a new store). A float64 snapshot
 // written by an older version converts to f32. WAL records always
 // carry full-precision vectors, so durability semantics are unchanged.
-// /healthz reports precision and bytes_per_vector (and, with -index
-// hnsw, graph.slab_bytes_per_vector: the graph slab's copy of each
-// stored row costs the same bytes again per graph slot).
+// /healthz reports precision and bytes_per_vector, the one copy of each
+// vector: an hnsw graph reads the store's rows.
 package main
 
 import (

@@ -629,9 +629,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"nodes":  int(g("ehnad_store_nodes")),
 		"dim":    int(g("ehnad_store_dim")),
 		// The compressed-plane dials: slab precision and the resulting
-		// per-vector store footprint (payload + sidecars). With -index
-		// hnsw the graph's slab holds a copy of each stored row, adding
-		// graph.slab_bytes_per_vector (reported below) per graph slot.
+		// per-vector store footprint (payload + sidecars), the only copy
+		// of each vector: an hnsw graph reads the store's rows.
 		"precision":        s.store.Precision().String(),
 		"bytes_per_vector": int(g("ehnad_store_bytes_per_vector")),
 		"index":            s.indexName,
@@ -675,17 +674,13 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if _, ok := s.index.(*ann.HNSW); ok {
-		// Tombstones are the slots deletes freed and no insert has
-		// reused yet.
+		// Tombstones are the store rows deletes and base overwrites
+		// freed and no insert has reused yet (a fold clears a cold
+		// store's).
 		out["graph"] = map[string]any{
 			"nodes":      int(g("ehnad_graph_nodes")),
 			"tombstones": int(g("ehnad_graph_tombstones")),
 			"layers":     int(g("ehnad_graph_layers")),
-			// The graph keeps a slot-indexed copy of every stored row (the
-			// price of lock-free beam scoring) in the store's own layout,
-			// so this is the store's bytes_per_vector, and total vector
-			// memory is nodes×bytes_per_vector + (nodes+tombstones)×this.
-			"slab_bytes_per_vector": int(g("ehnad_store_bytes_per_vector")),
 		}
 	}
 	if s.deg != nil {

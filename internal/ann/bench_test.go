@@ -289,7 +289,7 @@ func BenchmarkScanCrossover(b *testing.B) {
 // BenchmarkInsertCrossover is the table insertCrossover was set from:
 // an insert's neighbor discovery — what runs under the read lock, for
 // a node on layer 0 only, as 15 in 16 are — by the efConstruction-wide
-// beam and by the slab sweep, at two graph sizes and at the plan's own
+// beam and by the row sweep, at two graph sizes and at the plan's own
 // threshold, µs per insert on one CPU at the default config
 // (ef-construction 200, M 16). The sweep's cost is linear in slots and
 // the beam's nearly flat; insertPlan must cut over while the sweep is
@@ -304,7 +304,7 @@ func BenchmarkInsertCrossover(b *testing.B) {
 		vecs := make([][]float64, probes)
 		for i := range vecs {
 			var v embstore.VecView
-			h.slabView(probeSlot(i, n), &v)
+			h.store.Rows().View(int(probeSlot(i, n)), &v)
 			vecs[i] = make([]float64, benchDim)
 			v.DequantizeInto(vecs[i])
 		}

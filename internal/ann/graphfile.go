@@ -1,8 +1,7 @@
 // The HNSW graph file: what SaveGraph writes and LoadHNSWGraph reads, so
 // a daemon boots over a prebuilt graph instead of rebuilding it. It
 // holds link structure only; the vectors live in the embstore snapshot
-// beside it, and the loader mirrors them into the graph slab from the
-// store.
+// beside it, and the graph reads them from the store.
 //
 // Layout (all integers little-endian; like the v3 store snapshot, the
 // file is read straight into slice memory, so big-endian hosts are
@@ -41,9 +40,10 @@
 // SaveGraph writes the live slots only, renumbered in slot order, so a
 // file it writes holds no tombstone; over a graph without tombstones
 // the renumbering is the identity and the file is what the graph holds
-// byte for byte. Files from versions that wrote tombstones still load:
-// their dead slots go on the free list, for inserts to reuse, and links
-// to them above layer 0 are dropped.
+// byte for byte. The loader moves each live slot to its id's row in the
+// store (a snapshot is written in id order, whatever order the rows
+// had) and maps the links along (reslotLocked); links to the dead slots
+// of files from versions that wrote tombstones are dropped.
 package ann
 
 import (
@@ -54,13 +54,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
-	"slices"
 	"unsafe"
 
 	"ehna/internal/embstore"
 	"ehna/internal/graph"
-	"ehna/internal/vecmath"
 )
 
 const (
@@ -273,11 +272,12 @@ func (h *HNSW) SaveGraph(w io.Writer) error {
 // LoadHNSWGraph reconstructs a graph written by SaveGraph over store,
 // which must hold exactly the vectors the graph indexes (the embstore
 // snapshot saved alongside it): live slots and stored ids must be the
-// same set, one slot per id. Corruption — a CRC mismatch, a truncated
-// section, a link outside the slot table or to a layer its target does
-// not occupy, a degree over the cap, an entry point off the top layer —
-// is rejected here rather than crashing the first query; a gob snapshot
-// from an older version is refused with ErrGobGraph.
+// same set, one slot per id, and each lands at its id's store row.
+// Corruption — a CRC mismatch, a truncated section, a link outside the
+// slot table or to a layer its target does not occupy, a degree over
+// the cap, an entry point off the top layer — is rejected here rather
+// than crashing the first query; a gob snapshot from an older version
+// is refused with ErrGobGraph.
 func LoadHNSWGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 	h, err := loadGraph(r, store)
 	if err != nil {
@@ -334,19 +334,14 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 		return nil, fmt.Errorf("section CRC mismatch (got %08x, stored %08x)", got, stored)
 	}
 
-	// Headroom like append's, so the first inserts after boot do not
-	// re-copy the node table and the slab.
-	capSlots := g.slots + g.slots/4
-	h.nodes = make([]hnswNode, g.slots, capSlots)
-	h.aliveBits = make([]uint64, (g.slots+63)/64, (capSlots+63)/64)
-	h.gen = make([]uint32, g.slots, capSlots)
-	h.upper = make([]uint32, 0, max(g.layers-g.alive, 0)) // a bound on the live slots above layer 0
+	// The file's nodes in its slot numbering, kept when it is the store's.
+	nodes := make([]hnswNode, g.slots, g.slots+g.slots/4)
 	headers := make([][]uint32, g.layers)
 	// lastList[nb] is 1 + the index (into degrees) of the last list
 	// that linked to nb: the duplicate-link check without a set per list.
 	lastList := make([]int, g.slots)
 	di, li := 0, 0
-	for s := range h.nodes {
+	for s := range nodes {
 		nl, live := int(levels[s]&^graphLive), levels[s]&graphLive != 0
 		if nl > hnswMaxLevel+1 || nl > g.layers-di {
 			return nil, fmt.Errorf("slot %d: %d layers overrun the %d in the degrees section", s, nl, g.layers)
@@ -354,7 +349,7 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 		if live && nl == 0 {
 			return nil, fmt.Errorf("live slot %d has no layers", s)
 		}
-		n := &h.nodes[s]
+		n := &nodes[s]
 		n.id, n.alive = ids[s], live
 		if nl > 0 {
 			n.links = headers[di : di+nl : di+nl]
@@ -383,77 +378,100 @@ func loadGraph(r io.Reader, store *embstore.Store) (*HNSW, error) {
 				}
 				lastList[nb] = di
 			}
-			if l > 0 {
-				// A tombstone goes on the free list, and a link to it above
-				// layer 0 would lead to its next occupant (cutUpperLocked).
-				n.links[l] = slices.DeleteFunc(list, func(nb uint32) bool { return levels[nb]&graphLive == 0 })
-			}
-		}
-		if live {
-			if nl > 1 {
-				h.upper = append(h.upper, uint32(s))
-			}
-			h.slotOf[n.id] = uint32(s)
-			h.alive++
-			if len(h.slotOf) != h.alive { // the id was live in an earlier slot
-				return nil, fmt.Errorf("node %d is live in two slots (the second is %d)", n.id, s)
-			}
-			h.aliveBits[s>>6] |= 1 << (s & 63)
-		} else {
-			h.free = append(h.free, uint32(s))
 		}
 	}
 	if di != g.layers || li != g.links {
 		return nil, fmt.Errorf("slots use %d of %d layers and %d of %d links", di, g.layers, li, g.links)
 	}
-	if h.alive != g.alive {
-		return nil, fmt.Errorf("%d live slots, header says %d", h.alive, g.alive)
-	}
 	// The search descent starts at maxLevel, so the entry point must be
 	// live and occupy exactly that layer.
-	if g.entry >= 0 && (!h.nodes[g.entry].alive || len(h.nodes[g.entry].links) != g.maxLevel+1) {
-		return nil, fmt.Errorf("entry slot %d has %d layers, max level %d", g.entry, len(h.nodes[g.entry].links), g.maxLevel)
+	if g.entry >= 0 && (!nodes[g.entry].alive || len(nodes[g.entry].links) != g.maxLevel+1) {
+		return nil, fmt.Errorf("entry slot %d has %d layers, max level %d", g.entry, len(nodes[g.entry].links), g.maxLevel)
 	}
-	h.entry, h.maxLevel = g.entry, g.maxLevel
-	if err := h.mirrorSlab(capSlots); err != nil {
+	h.maxLevel = g.maxLevel
+	if err := h.reslotLocked(nodes, g.entry); err != nil {
 		return nil, err
+	}
+	if h.alive != g.alive {
+		return nil, fmt.Errorf("%d live slots, header says %d", h.alive, g.alive)
 	}
 	return h, nil
 }
 
-// mirrorSlab fills the graph slab from the store — one Range pass, each
-// stored row copied bit for bit into the row of the slot that indexes
-// its id — and so also checks that the stored ids are exactly the live
-// slots' ids (the caller made the counts match and the live ids
-// distinct). Tombstoned slots get zero rows. Rows get capRows of
-// capacity.
-func (h *HNSW) mirrorSlab(capRows int) error {
-	rows, dim := len(h.nodes), h.dim
-	switch h.prec {
-	case embstore.F32:
-		h.vecs32 = make([]float32, rows*dim, capRows*dim)
-		h.norms = make([]float64, rows, capRows)
-	case embstore.SQ8:
-		h.codes = make([]int8, rows*dim, capRows*dim)
-		h.side = make([]vecmath.SQ8Sidecar, rows, capRows)
-	}
-	var stray graph.NodeID
-	strayFound, mirrored := false, 0
-	h.store.Range(func(id graph.NodeID, v *embstore.VecView) bool {
-		slot, ok := h.slotOf[id]
-		if !ok {
-			stray, strayFound = id, true
-			return false
+// reslotLocked makes slot s the node in store row s: it moves each live
+// node of nodes (numbered some other way: a file's slots, or the
+// graph's own before Remap) to its id's row, and maps every link and
+// entry along, dropping links to dead slots. Each live id must be in the
+// store, once; the caller made the counts match. Caller holds h.mu for
+// writing, or owns a graph still being loaded.
+func (h *HNSW) reslotLocked(nodes []hnswNode, entry int) error {
+	rows := h.store.Rows().Len()
+	capRows := rows + rows/4 // headroom for the first inserts after boot
+	h.aliveBits = make([]uint64, (rows+63)/64, (capRows+63)/64)
+	h.gen = make([]uint32, rows, capRows)
+	h.pruned = nil
+	h.upper = h.upper[:0]
+	h.alive = 0
+	const noRow = math.MaxUint32
+	to := make([]uint32, len(nodes))
+	moved := len(nodes) != rows // some slot or link changes its number
+	for s := range nodes {
+		n := &nodes[s]
+		to[s] = noRow
+		if !n.alive {
+			moved = true
+			continue
 		}
-		h.setSlabRow(slot, v)
-		mirrored++
-		return true
-	})
-	if strayFound {
-		return fmt.Errorf("store holds node %d, which the graph does not index (snapshot mismatch)", stray)
+		row, ok := h.store.Row(n.id)
+		switch {
+		case !ok:
+			return fmt.Errorf("graph indexes node %d, which the store does not hold (snapshot mismatch)", n.id)
+		case h.aliveBit(uint32(row)):
+			return fmt.Errorf("node %d is live in two slots (the second is %d)", n.id, s)
+		}
+		to[s], moved = uint32(row), moved || row != s
+		h.aliveBits[row>>6] |= 1 << (row & 63)
+		h.alive++
+		if len(n.links) > 1 {
+			h.upper = append(h.upper, uint32(row))
+		}
 	}
-	if mirrored != h.alive {
-		return fmt.Errorf("graph indexes %d nodes, store holds %d of them (snapshot mismatch)", h.alive, mirrored)
+	h.entry = entry
+	if !moved { // every slot is live and already its node's row
+		h.nodes = nodes
+		return nil
+	}
+	h.nodes = make([]hnswNode, rows, capRows)
+	for s, row := range to {
+		if row != noRow {
+			h.nodes[row] = nodes[s]
+		}
+	}
+	for r := range h.nodes {
+		for l, list := range h.nodes[r].links {
+			kept := list[:0]
+			for _, nb := range list {
+				if to[nb] != noRow {
+					kept = append(kept, to[nb])
+				}
+			}
+			h.nodes[r].links[l] = kept
+		}
+	}
+	if entry >= 0 {
+		h.entry = int(to[entry])
 	}
 	return nil
+}
+
+// Remap is embstore.Store.Remap with the graph re-slotted onto the
+// store's new rows, under the graph's write lock: searches wait for the
+// fold. Writers must be held off, as for the store's Remap.
+func (h *HNSW) Remap(path string) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.store.Remap(path); err != nil {
+		return err
+	}
+	return h.reslotLocked(h.nodes, h.entry)
 }

@@ -17,79 +17,53 @@ import (
 )
 
 // sameStructure fails unless got holds want's live graph as SaveGraph
-// writes it: want's live slots in slot order, renumbered from 0, each
-// with its id and layer count, its links to live slots through the same
-// renumbering, and the entry and max level; got holds
-// no tombstone. Over a graph without tombstones that is want slot for
-// slot.
+// writes it and LoadHNSWGraph re-slots it over got's store: the same
+// live ids, each at its id's store row with its layer count, its links
+// to live nodes in order and mapped the same way, and the same entry
+// (mapped) and max level.
 func sameStructure(t *testing.T, want, got *HNSW) {
 	t.Helper()
 	want.mu.RLock()
 	defer want.mu.RUnlock()
 	got.mu.RLock()
 	defer got.mu.RUnlock()
-	newSlot := make([]uint32, len(want.nodes))
-	var live []uint32
-	for s := range want.nodes {
-		if want.nodes[s].alive {
-			newSlot[s] = uint32(len(live))
-			live = append(live, uint32(s))
+	gotSlot := func(s uint32) uint32 {
+		t.Helper()
+		row, ok := got.store.Row(want.nodes[s].id)
+		if !ok {
+			t.Fatalf("saved id %d is not in the loaded graph's store", want.nodes[s].id)
 		}
+		return uint32(row)
 	}
 	entry := want.entry
 	if entry >= 0 {
-		entry = int(newSlot[entry])
+		entry = int(gotSlot(uint32(entry)))
 	}
-	if len(got.nodes) != len(live) || got.alive != want.alive || got.entry != entry || got.maxLevel != want.maxLevel {
-		t.Fatalf("loaded %d slots (%d live), entry %d at level %d; saved %d live slots, entry %d (renumbered) at level %d",
-			len(got.nodes), got.alive, got.entry, got.maxLevel, len(live), entry, want.maxLevel)
+	if got.alive != want.alive || got.entry != entry || got.maxLevel != want.maxLevel {
+		t.Fatalf("loaded %d live slots, entry %d at level %d; saved %d live slots, entry %d (mapped) at level %d",
+			got.alive, got.entry, got.maxLevel, want.alive, entry, want.maxLevel)
 	}
-	for i, s := range live {
-		w, g := &want.nodes[s], &got.nodes[i]
-		if g.id != w.id || !g.alive || !got.aliveBit(uint32(i)) || len(g.links) != len(w.links) {
+	for s := range want.nodes {
+		w := &want.nodes[s]
+		if !w.alive {
+			continue
+		}
+		i := gotSlot(uint32(s))
+		g := &got.nodes[i]
+		if g.id != w.id || !g.alive || !got.aliveBit(i) || len(g.links) != len(w.links) {
 			t.Fatalf("slot %d (saved slot %d): loaded id %d alive %v (bit %v) with %d layers, saved id %d with %d layers",
-				i, s, g.id, g.alive, got.aliveBit(uint32(i)), len(g.links), w.id, len(w.links))
+				i, s, g.id, g.alive, got.aliveBit(i), len(g.links), w.id, len(w.links))
 		}
 		for l, links := range w.links {
 			var mapped []uint32
 			for _, nb := range links {
 				if want.aliveBit(nb) {
-					mapped = append(mapped, newSlot[nb])
+					mapped = append(mapped, gotSlot(nb))
 				}
 			}
 			if !slices.Equal(g.links[l], mapped) {
-				t.Fatalf("slot %d (saved slot %d) layer %d: loaded links %v, saved %v renumbered", i, s, l, g.links[l], mapped)
+				t.Fatalf("slot %d (saved slot %d) layer %d: loaded links %v, saved %v mapped", i, s, l, g.links[l], mapped)
 			}
-		}
-	}
-}
-
-// slabMirrorsStore fails unless every live slot's slab row is its id's
-// stored row bit for bit, and, with deadZero (a loaded graph, whose
-// tombstones were never placed), every tombstoned row is zero.
-func slabMirrorsStore(t *testing.T, h *HNSW, deadZero bool) {
-	t.Helper()
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	for s := range h.nodes {
-		if !h.nodes[s].alive && !deadZero {
-			continue
-		}
-		var row embstore.VecView
-		h.slabView(uint32(s), &row)
-		want := embstore.VecView{F32: make([]float32, len(row.F32)), Code: make([]int8, len(row.Code))}
-		if h.nodes[s].alive && !h.store.With(h.nodes[s].id, func(v *embstore.VecView) {
-			want = *v
-			want.F32, want.Code = slices.Clone(v.F32), slices.Clone(v.Code)
-		}) {
-			t.Fatalf("slot %d: live id %d not in the store", s, h.nodes[s].id)
-		}
-		same := slices.Equal(row.F32, want.F32) && slices.Equal(row.Code, want.Code) && row.Norm == want.Norm
-		if h.prec == embstore.SQ8 {
-			same = same && row.CodeSum == want.CodeSum && row.Scale == want.Scale && row.Offset == want.Offset
-		}
-		if !same {
-			t.Fatalf("slot %d (alive %v): slab row %+v, store row %+v", s, h.nodes[s].alive, row, want)
 		}
 	}
 }
@@ -266,7 +240,7 @@ func TestHNSWLoadRejectsCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := LoadHNSWGraph(bytes.NewReader(base.b), other); err == nil || !strings.Contains(err.Error(), "does not index") {
+	if _, err := LoadHNSWGraph(bytes.NewReader(base.b), other); err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Errorf("graph over a store of other ids: err = %v", err)
 	}
 }
@@ -275,15 +249,18 @@ func TestHNSWLoadRejectsCorrupt(t *testing.T) {
 // checksums recomputed so the mutation reaches the structural checks —
 // must never panic the loader or read past the input, and any file it
 // accepts must be a sound graph over the store: the mutation-test
-// invariant walk, a slab that mirrors the store, and a working search.
+// invariant walk (every live slot its id's store row) and a working
+// search. One seed numbers its slots in another order than the store's
+// rows, so the loader must re-slot every node and link.
 func FuzzLoadHNSWGraph(f *testing.F) {
 	s := randomStore(f, 40, 4, 21)
 	h := mustHNSW(f, s, DefaultHNSWConfig())
-	h.Remove(3) // a tombstone; the store drops the id too
+	h.Remove(3) // a tombstone; the store frees the row
 	valid := saveGraphFile(f, h).b
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:graphHeaderSize])
+	f.Add(saveGraphFile(f, mustHNSW(f, reversedStore(f, s), DefaultHNSWConfig())).b)
 	q := []float64{1, 0.5, -0.25, 0}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, b := range [][]byte{data, reseal(slices.Clone(data))} {
@@ -292,12 +269,29 @@ func FuzzLoadHNSWGraph(f *testing.F) {
 				continue
 			}
 			checkGraphInvariants(t, g)
-			slabMirrorsStore(t, g, true)
 			if _, err := g.Search(q, 5); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// reversedStore returns a store of s's ids and vectors with its rows in
+// descending id order, the reverse of s's (a store built in id order).
+func reversedStore(tb testing.TB, s *embstore.Store) *embstore.Store {
+	tb.Helper()
+	out, err := embstore.New(s.Dim(), s.Precision())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := s.IDs()
+	for i := len(ids) - 1; i >= 0; i-- {
+		vec, _ := s.Get(ids[i])
+		if err := out.Upsert(ids[i], vec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestLoadHNSWGraphAllocs pins the loader's allocation count: a fixed
@@ -320,9 +314,9 @@ func TestLoadHNSWGraphAllocs(t *testing.T) {
 
 // TestSaveGraphDropsTombstones: a graph churned by deletes, overwrites
 // and new ids saves as a tombstone-free file. The reloaded graph holds
-// the same live ids and no tombstone, each id keeps its neighbor ids
-// minus the tombstones, and it answers a fixed query set
-// exactly as the graph it was saved from.
+// the same live ids, its only tombstones are the store's freed rows,
+// each id keeps its neighbor ids minus the tombstones, and it answers a
+// fixed query set exactly as the graph it was saved from.
 func TestSaveGraphDropsTombstones(t *testing.T) {
 	const n, dim = 1000, 16
 	store, err := embstore.New(dim, embstore.SQ8)
@@ -333,8 +327,6 @@ func TestSaveGraphDropsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every slab row is its id's stored row, so the reloaded slab scores
-	// bit for bit alike.
 	rng := rand.New(rand.NewSource(97))
 	for i := 0; i < n; i++ {
 		if err := h.Add(graph.NodeID(i), randVec(rng, make([]float64, dim))); err != nil {
@@ -352,7 +344,7 @@ func TestSaveGraphDropsTombstones(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Remove(graph.NodeID(rng.Intn(n)))
 	}
-	slabMirrorsStore(t, h, false)
+	checkGraphInvariants(t, h)
 
 	// neighbors maps each live id to its neighbor ids per layer, counting
 	// the links that lead nowhere and are left out.
@@ -393,8 +385,12 @@ func TestSaveGraphDropsTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotAlive, gotTombs, _ := loaded.Stats(); gotAlive != alive || gotTombs != 0 {
-		t.Fatalf("reloaded %d live nodes and %d tombstones; saved %d live nodes beside %d tombstones", gotAlive, gotTombs, alive, tombs)
+	if saved := binary.LittleEndian.Uint32(buf.Bytes()[28:]); int(saved) != alive {
+		t.Fatalf("the file holds %d slots for %d live nodes", saved, alive)
+	}
+	freed := store.Rows().Len() - store.Len()
+	if gotAlive, gotTombs, _ := loaded.Stats(); gotAlive != alive || gotTombs != freed {
+		t.Fatalf("reloaded %d live nodes and %d tombstones over %d freed rows; saved %d live nodes beside %d tombstones", gotAlive, gotTombs, freed, alive, tombs)
 	}
 	got, gotDropped := neighbors(loaded)
 	if gotDropped != 0 {
@@ -410,7 +406,6 @@ func TestSaveGraphDropsTombstones(t *testing.T) {
 	}
 	sameStructure(t, h, loaded)
 	checkGraphInvariants(t, loaded)
-	slabMirrorsStore(t, loaded, true)
 	for qi := 0; qi < 50; qi++ {
 		q := randVec(rng, make([]float64, dim))
 		a, err := beamOf{h}.Search(q, 10)
@@ -473,10 +468,9 @@ func graphFileWithTombstones(h *HNSW) []byte {
 }
 
 // TestLoadGraphWithTombstones: a graph file that holds tombstoned slots,
-// as versions before slot reuse wrote them, still loads slot for slot.
-// Its dead slots wait on the free list, the links to them above layer 0
-// that those versions left are dropped, and the next inserts reuse the
-// slots.
+// as versions before slot reuse wrote them, still loads. Its dead slots
+// have no row to go to, so the links to them that those versions left
+// are dropped, and the next inserts take the store's freed rows.
 func TestLoadGraphWithTombstones(t *testing.T) {
 	s := randomStore(t, 300, 8, 23)
 	h := mustHNSW(t, s, DefaultHNSWConfig())
@@ -486,6 +480,10 @@ func TestLoadGraphWithTombstones(t *testing.T) {
 	// A one-way link above layer 0 to a tombstone, as no repair rewrote
 	// it.
 	h.mu.Lock()
+	dead := uint32(0)
+	for h.aliveBit(dead) {
+		dead++
+	}
 	up := h.upper[0]
 	for _, u := range h.upper {
 		if len(h.nodes[u].links[1]) < len(h.nodes[up].links[1]) {
@@ -493,9 +491,9 @@ func TestLoadGraphWithTombstones(t *testing.T) {
 		}
 	}
 	if l := h.nodes[up].links[1]; len(l) < h.cfg.M {
-		h.nodes[up].links[1] = append(l, h.free[0])
+		h.nodes[up].links[1] = append(l, dead)
 	} else {
-		l[0] = h.free[0]
+		l[0] = dead
 	}
 	h.mu.Unlock()
 	loaded, err := LoadHNSWGraph(bytes.NewReader(graphFileWithTombstones(h)), s)
@@ -506,7 +504,7 @@ func TestLoadGraphWithTombstones(t *testing.T) {
 	if _, got, _ := loaded.Stats(); got != tombs || len(loaded.nodes) != len(h.nodes) {
 		t.Fatalf("loaded %d slots with %d tombstones, saved %d with %d", len(loaded.nodes), got, len(h.nodes), tombs)
 	}
-	checkGraphInvariants(t, loaded) // the free list is exactly the dead slots
+	checkGraphInvariants(t, loaded)
 	if !bytes.Equal(saveGraphFile(t, loaded).b, saveGraphFile(t, h).b) {
 		t.Fatal("the loaded graph's live part differs from the saved graph's")
 	}

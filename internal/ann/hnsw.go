@@ -11,16 +11,16 @@
 // epoch-stamped visited array, the beam — one best-first list with an
 // expanded mark per entry — and the narrowed/quantized query context)
 // lives in a pooled scratch, the query norm is computed once per query,
-// and candidate vectors are read straight out of the graph-resident
-// slot-indexed slab — a copy of the store's rows, with no id→slot map
-// lookups or store locks per expansion — so SearchInto is
-// allocation-free in steady state. Over sq8 slabs the beam widens to at
-// least rerank·k; on SIMD backends it scores candidates with the
-// symmetric int8×int8 kernel, by the scanner's own first-stage score
-// (filterScore; the query is quantized and factored once per search),
-// and the beam's survivors are re-ranked asymmetrically, while on scalar
-// backends every candidate is scored with the asymmetric LUT kernel
-// directly (see queryCtx.init for why that is the scalar optimum).
+// and candidate vectors are read straight out of the store by row (a
+// node's slot is its store row: no id lookup, no store lock), so
+// SearchInto is allocation-free in steady state. Over sq8 stores the
+// beam widens to at least rerank·k; on SIMD backends it scores
+// candidates with the symmetric int8×int8 kernel, by the scanner's own
+// first-stage score (filterScore; the query is quantized and factored
+// once per search), and the beam's survivors are re-ranked
+// asymmetrically, while on scalar backends every candidate is scored
+// with the asymmetric LUT kernel directly (see queryCtx.init for why
+// that is the scalar optimum).
 // Reads have a second plan for small sq8 stores (scanPlan, scan.go):
 // SearchInto answers a single query, and SearchBatch four queries at a
 // time, by one blocked scan of the store instead of a beam each.
@@ -28,29 +28,30 @@
 // Mutability: Add inserts online (discovery under the read lock, link
 // mutation under the write lock, so concurrent searches keep running
 // through an insert's expensive phase). Discovery on layer 0 of a small
-// sq8 graph is a sweep of the slab rather than a beam (insertPlan,
-// scan.go), and yields exactly the links an exact top-efConstruction
-// search would. A sweep can pick a slot whose own insert has not wired
-// it yet, so wiring merges into the links a node already holds instead
-// of replacing them. Remove tombstones the slot and
-// repairs the hole by offering the victim's neighbors to one another
-// (see detachLocked — work proportional to the links removed), falling
-// back to a fresh entry point when the entry node itself is removed.
-// The tombstoned slot goes on a free list, and the next insert — an
-// overwrite of the same id included — takes it over in place, so under
-// churn the slot count stays at the peak live count. Links into the
-// slot that no repair rewrote are cut above layer 0, where its next
-// occupant might not sit; on layer 0 they carry over to that occupant.
-// Neighbor selection and repair score slab rows against each other at
-// the slab's own precision (pairScore); nothing is dequantized, and on
-// sq8 slabs it is the scanner's own score (filterScore). A
+// sq8 graph is a sweep of the store's rows rather than a beam
+// (insertPlan, scan.go), and yields exactly the links an exact
+// top-efConstruction search would. A sweep can pick a slot whose own
+// insert has not wired it yet, so wiring merges into the links a node
+// already holds instead of replacing them. Remove tombstones the slot
+// and repairs the hole by offering the victim's neighbors to one
+// another (see detachLocked — work proportional to the links removed),
+// falling back to a fresh entry point when the entry node itself is
+// removed. The store frees the row, and hands it to its next new id (an
+// overwrite keeps its row), so under churn the slot count stays at the
+// store's peak live count. Links into the slot that no repair rewrote
+// are cut above layer 0, where its next occupant might not sit; on
+// layer 0 they carry over to that occupant. Neighbor selection and
+// repair score store rows against each other at the store's own
+// precision (pairScore); nothing is dequantized, and on sq8 stores it
+// is the scanner's own score (filterScore). A
 // layer-0 prune keeps the previous prune's verdicts on the links that
 // are still there and judges only what changed (pruneLocked), with the
 // same result as a prune from scratch.
-// Build inserts a whole store snapshot in groups of four (insertGroup:
-// one four-lane sweep serves the group's layer-0 discovery), the groups
-// in parallel with per-worker scratch; on one CPU it builds byte for
-// byte the graph of inserting the ids one at a time.
+// Build inserts a whole store snapshot in row order, in groups of four
+// (insertGroup: one four-lane sweep serves the group's layer-0
+// discovery), the groups in parallel with per-worker scratch; on one
+// CPU it builds byte for byte the graph of inserting the rows one at a
+// time.
 // SaveGraph/LoadHNSWGraph write and read the graph structure as
 // one flat, CRC32C-checked file (graphfile.go) so a daemon can boot
 // without paying the build again.
@@ -121,37 +122,29 @@ func (c *HNSWConfig) fill() error {
 // a legitimate draw this high is ≈ 2^-32.
 const hnswMaxLevel = 32
 
-// hnswNode is one graph vertex. A node keeps its slot while it lives,
-// so link lists can store bare slot numbers. Tombstoned slots
-// (alive=false) keep id for bookkeeping but drop their links, and wait
-// on the free list for the next insert to take them over.
+// hnswNode is one graph vertex. Its slot is its store row, which it
+// keeps while it lives, so link lists can store bare slot numbers.
+// Tombstoned slots (alive=false) keep id for bookkeeping but drop their
+// links, and wait for the store to hand the row to a new id.
 type hnswNode struct {
 	id    graph.NodeID
 	alive bool
 	links [][]uint32 // layer → neighbor slots; len(links) == level+1
 }
 
-// HNSW is the graph index over an embstore. The store remains the
-// source of truth for vectors (Get/export/fallback read it); the graph
-// holds the link structure plus a slot-indexed copy of every live
-// vector's stored row — the graph-resident slab. Beam expansions score
-// straight out of that slab by graph slot, under the graph lock they
-// already hold: no id→slot map lookup and no store lock per expansion
-// (profiling showed those costing more than the distance kernels
-// themselves). A slab row is its id's stored row bit for bit, in the
-// store's layout (an sq8 row is its 1-byte lanes and the store's
-// 32-byte vecmath.SQ8Sidecar), copied from the store whenever a node is
-// placed (Add, Build, graph load), so a built, a loaded and a
-// live-added graph score alike. The memory price of the copy is one
-// BytesPerVector per graph slot, and a tombstoned slot's row is
-// overwritten by the insert that reuses the slot.
+// HNSW is the graph index over an embstore, which holds the only copy of
+// the vectors; slot s of the graph is the node in store row s. Beam
+// expansions score straight out of the store by row (Store.Rows), under
+// the graph lock they already hold: no id lookup and no store lock per
+// expansion (profiling showed those costing more than the kernels).
 //
 // Safe for concurrent use: searches share the read lock, mutations
 // take the write lock, and Add holds the write lock only for its cheap
 // bookkeeping and link-wiring phases — neighbor discovery (the
-// expensive part) runs under the read lock alongside queries. Slab
-// rows are written in Add's bookkeeping phase (write lock), so under
-// the read lock every slot ≤ len(nodes) has a stable row.
+// expensive part) runs under the read lock alongside queries. While a
+// graph indexes a store, a store row is written, freed, reused or
+// renumbered only under the graph's write lock (Add and Remove in their
+// bookkeeping, Remap), so under the read lock every slot's row is stable.
 type HNSW struct {
 	store    *embstore.Store
 	levelMul float64 // 1/ln(M): geometric level distribution parameter
@@ -159,19 +152,17 @@ type HNSW struct {
 	prec     embstore.Precision
 	dim      int
 
-	mu       sync.RWMutex
-	cfg      HNSWConfig // EfSearch mutable via SetEfSearch
+	mu  sync.RWMutex
+	cfg HNSWConfig // EfSearch mutable via SetEfSearch
+	// nodes[s] is the node in store row s. It reaches the highest row the
+	// graph has placed (a loaded graph: every row), and a row it does not
+	// index is a dead slot.
 	nodes    []hnswNode
-	slotOf   map[graph.NodeID]uint32 // alive slots only
-	entry    int                     // entry-point slot; -1 when empty
-	maxLevel int                     // level of entry; -1 when empty
+	entry    int // entry-point slot; -1 when empty
+	maxLevel int // level of entry; -1 when empty
 	alive    int
 	rng      *rand.Rand // level draws; guarded by mu
 
-	// free holds the tombstoned slots, the next one to reuse last:
-	// detachLocked pushes, placeLocked pops. Its length is the tombstone
-	// count.
-	free []uint32
 	// upper holds the live slots above layer 0, in no order: the lists
 	// detachLocked cuts a freed slot out of.
 	upper []uint32
@@ -183,14 +174,6 @@ type HNSW struct {
 	// the bitmap is 1/384th the size and stays L1-resident. Mutated
 	// only where nodes[s].alive is (Add, detachLocked, graph load).
 	aliveBits []uint64
-
-	// The slot-indexed vector slab: row s is nodes[s]'s stored row.
-	// Exactly one family is populated, per precision. Tombstoned slots
-	// keep their dead rows until a placement reuses them.
-	vecs32 []float32            // F32
-	norms  []float64            // F32 per-row norms
-	codes  []int8               // SQ8
-	side   []vecmath.SQ8Sidecar // SQ8 per-row sidecar (norm included)
 
 	// pruned[s] records slot s's last layer-0 prune, so the next one can
 	// reuse its verdicts (pruneLocked). Slots past its end have none.
@@ -229,7 +212,6 @@ func NewHNSW(store *embstore.Store, cfg HNSWConfig) (*HNSW, error) {
 		fallback: NewExact(store, cfg.Metric),
 		prec:     store.Precision(),
 		dim:      store.Dim(),
-		slotOf:   make(map[graph.NodeID]uint32, store.Len()),
 		entry:    -1,
 		maxLevel: -1,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -438,45 +420,6 @@ func (sc *hnswScratch) bumpEpoch(n int) {
 	}
 }
 
-// growSlabLocked appends a zero row to the slab, for the slot
-// placeLocked just added. Caller holds h.mu for writing.
-func (h *HNSW) growSlabLocked() {
-	switch h.prec {
-	case embstore.F32:
-		h.vecs32 = extendSlab(h.vecs32, h.dim)
-		h.norms = append(h.norms, 0)
-	case embstore.SQ8:
-		h.codes = extendSlab(h.codes, h.dim)
-		h.side = append(h.side, vecmath.SQ8Sidecar{})
-	}
-}
-
-// setSlabRow copies v, a stored row, into slot's slab row bit for bit.
-// Caller holds h.mu for writing, or owns a graph still being loaded.
-func (h *HNSW) setSlabRow(slot uint32, v *embstore.VecView) {
-	lo := int(slot) * h.dim
-	switch h.prec {
-	case embstore.F32:
-		copy(h.vecs32[lo:lo+h.dim], v.F32)
-		h.norms[slot] = v.Norm
-	case embstore.SQ8:
-		copy(h.codes[lo:lo+h.dim], v.Code)
-		h.side[slot] = vecmath.SQ8Sidecar{Scale: v.Scale, Offset: v.Offset, Norm: v.Norm, CodeSum: v.CodeSum}
-	}
-}
-
-// extendSlab grows s by n zero elements (embstore keeps its own copy
-// of this helper next to its slabs). The reused-capacity path must
-// clear explicitly: spare capacity may hold stale row bytes.
-func extendSlab[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		s = s[: len(s)+n : cap(s)]
-		clear(s[len(s)-n:])
-		return s
-	}
-	return append(s, make([]T, n)...)
-}
-
 // aliveBit reads slot's liveness from the dense bitmap. Caller holds
 // h.mu; the bitmap covers every allocated slot by construction.
 func (h *HNSW) aliveBit(slot uint32) bool {
@@ -496,71 +439,81 @@ func (h *HNSW) setAliveBit(slot uint32, v bool) {
 	}
 }
 
-// slabView points v at slot's slab row. Caller holds h.mu (read or
-// write); rows exist for every allocated slot by construction.
-func (h *HNSW) slabView(slot uint32, v *embstore.VecView) {
-	lo := int(slot) * h.dim
-	switch h.prec {
-	case embstore.F32:
-		v.F32 = h.vecs32[lo : lo+h.dim]
-		v.Norm = h.norms[slot]
-	case embstore.SQ8:
-		s := &h.side[slot]
-		v.Code = h.codes[lo : lo+h.dim]
-		v.Scale, v.Offset, v.CodeSum, v.Norm = s.Scale, s.Offset, s.CodeSum, s.Norm
-	}
-}
-
 // scoreSlot is the beam's score of slot against the query qc, read
-// straight off the graph slab; it scores entry points and candidates
-// alike. Over sq8 slabs on SIMD backends (qc.sym) it is the first-stage
-// score, bit for bit the scanner's for the same query and row:
-// filterScore over the row's factors and the query's, which init
+// straight off the slot's store row; it scores entry points and
+// candidates alike. Over sq8 stores on SIMD backends (qc.sym) it is the
+// first-stage score, bit for bit the scanner's for the same query and
+// row: filterScore over the row's factors and the query's, which init
 // computed once. Everywhere else it is scoreView at full query
 // precision. Caller holds h.mu.
 func (h *HNSW) scoreSlot(qc *queryCtx, slot uint32) float64 {
+	rows := h.store.Rows()
 	if !qc.sym {
 		var v embstore.VecView
-		h.slabView(slot, &v)
+		rows.View(int(slot), &v)
 		return h.cfg.Metric.scoreView(qc, &v)
 	}
-	lo := int(slot) * h.dim
-	off, scale, sum := vecmath.SQ8RowFactor(h.side[slot], h.cfg.Metric != DotProduct)
-	return filterScore(off, sum, scale, qc.a, qc.b, qc.c, vecmath.DotSQ8SymCodes(qc.sq8q.Code, h.codes[lo:lo+h.dim]))
+	code, side := rows.SQ8(int(slot))
+	off, scale, sum := vecmath.SQ8RowFactor(*side, h.cfg.Metric != DotProduct)
+	return filterScore(off, sum, scale, qc.a, qc.b, qc.c, vecmath.DotSQ8SymCodes(qc.sq8q.Code, code))
 }
 
 // rerankSlot is the second stage for one first-stage survivor: slot's
-// slab row re-scored with the asymmetric full-precision-query kernel
+// store row re-scored with the asymmetric full-precision-query kernel
 // and pushed, under its id, into top. Caller holds h.mu.
 func (h *HNSW) rerankSlot(qc *queryCtx, top *topK, slot uint32) {
 	var v embstore.VecView
-	h.slabView(slot, &v)
+	h.store.Rows().View(int(slot), &v)
 	top.push(hit{ID: h.nodes[slot].id, Score: h.cfg.Metric.scoreView(qc, &v)})
 }
 
-// pairScore scores slab rows a and b against each other in the slab's
-// own precision: on sq8 rows the scanner's score (filterScore) with a
-// as the pivot and b as the row, on f32 rows Dot32, cosine through the
-// stored norms. It is what neighbor selection, pruning and detach
-// repair compare candidates with, and what the insert sweep scores by,
-// bit for bit: both operands already live in the slab, so nothing is
-// dequantized or re-encoded. The sq8 form is not symmetric in a and b,
-// so callers keep their argument order. Caller holds h.mu.
-func (h *HNSW) pairScore(a, b uint32) float64 {
-	la, lb := int(a)*h.dim, int(b)*h.dim
+// pairPivot is row a's side of pairScore, read once for a loop over b.
+type pairPivot struct {
+	code    []int8
+	a, b, c float64
+	f32     []float32
+	norm    float64
+}
+
+// pivot sets p to store row a's pairPivot. Caller holds h.mu.
+func (h *HNSW) pivot(p *pairPivot, a uint32) {
+	rows := h.store.Rows()
+	if h.prec == embstore.SQ8 {
+		code, sd := rows.SQ8(int(a))
+		p.code = code
+		p.a, p.b, p.c = sq8Factors(h.dim, sd.Scale, sd.Offset, sd.CodeSum, sd.Norm, h.cfg.Metric != DotProduct)
+		return
+	}
+	var v embstore.VecView
+	rows.View(int(a), &v)
+	p.f32, p.norm = v.F32, v.Norm
+}
+
+// pairScore scores store rows a (as its pivot p) and b against each
+// other in the store's own precision: on sq8 rows the scanner's score
+// (filterScore) with a as the pivot and b as the row, on f32 rows
+// Dot32, cosine through the stored norms. It is what neighbor
+// selection, pruning and detach repair compare candidates with, and
+// what the insert sweep scores by, bit for bit: both operands are
+// stored rows, so nothing is dequantized or re-encoded. The sq8 form is
+// not symmetric in a and b, so callers keep their argument order.
+// Caller holds h.mu.
+func (h *HNSW) pairScore(p *pairPivot, b uint32) float64 {
+	rows := h.store.Rows()
 	cosine := h.cfg.Metric != DotProduct
 	if h.prec == embstore.SQ8 {
-		sa := &h.side[a]
-		qa, qb, qc := sq8Factors(h.dim, sa.Scale, sa.Offset, sa.CodeSum, sa.Norm, cosine)
-		off, scale, sum := vecmath.SQ8RowFactor(h.side[b], cosine)
-		return filterScore(off, sum, scale, qa, qb, qc, vecmath.DotSQ8SymCodes(h.codes[la:la+h.dim], h.codes[lb:lb+h.dim]))
+		code, sd := rows.SQ8(int(b))
+		off, scale, sum := vecmath.SQ8RowFactor(*sd, cosine)
+		return filterScore(off, sum, scale, p.a, p.b, p.c, vecmath.DotSQ8SymCodes(p.code, code))
 	}
-	dot := vecmath.Dot32(h.vecs32[la:la+h.dim], h.vecs32[lb:lb+h.dim])
+	var v embstore.VecView
+	rows.View(int(b), &v)
+	dot := vecmath.Dot32(p.f32, v.F32)
 	if !cosine {
 		return dot
 	}
-	if na, nb := h.norms[a], h.norms[b]; na != 0 && nb != 0 {
-		return dot / (na * nb)
+	if p.norm != 0 && v.Norm != 0 {
+		return dot / (p.norm * v.Norm)
 	}
 	return 0
 }
@@ -601,7 +554,7 @@ func (sc *hnswScratch) push(slot uint32, score float64, ef int) {
 
 // scorePendingBeam scores sc.pending into the beam (see push). This is
 // the query beam's hot loop; profiles show it bound by memory latency
-// and per-candidate overhead, not kernel arithmetic, so over sq8 slabs
+// and per-candidate overhead, not kernel arithmetic, so over sq8 stores
 // on SIMD backends (sc.ctx.sym) it first pre-touches every pending row:
 // the candidates' cache misses issue back-to-back and resolve in
 // parallel instead of serializing one score call at a time. Caller
@@ -609,11 +562,11 @@ func (sc *hnswScratch) push(slot uint32, score float64, ef int) {
 func (h *HNSW) scorePendingBeam(sc *hnswScratch, ef int) {
 	qc := &sc.ctx
 	if qc.sym {
-		dim := h.dim
+		rows := h.store.Rows()
 		var touch int32
 		for _, slot := range sc.pending {
-			lo := int(slot) * dim
-			touch ^= int32(h.codes[lo]) ^ int32(h.codes[lo+dim-1]) ^ h.side[slot].CodeSum
+			code, side := rows.SQ8(int(slot))
+			touch ^= int32(code[0]) ^ int32(code[len(code)-1]) ^ side.CodeSum
 		}
 		sc.touch = touch
 	}
@@ -704,8 +657,13 @@ func (sc *hnswScratch) gatherWork(self uint32) {
 // directions instead of bunching them in the nearest cluster. Caller
 // holds h.mu.
 func (h *HNSW) diverse(c scoredNode, kept []uint32) bool {
+	if len(kept) == 0 {
+		return true
+	}
+	var p pairPivot
+	h.pivot(&p, c.slot)
 	for _, k := range kept {
-		if h.pairScore(c.slot, k) > c.score {
+		if h.pairScore(&p, k) > c.score {
 			return false
 		}
 	}
@@ -760,7 +718,7 @@ const (
 )
 
 // pruneLocked re-selects slot u's links at layer down to the degree
-// cap, scoring them against u's own slab row and dropping dead links
+// cap, scoring them against u's own store row and dropping dead links
 // along the way: selectNeighbors over them, sorted by score against u.
 // Caller holds h.mu for writing.
 //
@@ -785,6 +743,8 @@ func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 	}
 	old, kept := int(rec.size), int(rec.kept)
 	changed := false // the kept set differs from the previous prune's
+	var p pairPivot
+	h.pivot(&p, u)
 	sc.work = sc.work[:0]
 	for i, nb := range links {
 		was := uint32(wasNew)
@@ -798,7 +758,7 @@ func (h *HNSW) pruneLocked(u uint32, layer int, sc *hnswScratch) {
 			was = wasNew
 		}
 		if nb != u && h.aliveBit(nb) {
-			sc.work = append(sc.work, scoredNode{slot: nb, was: was, score: h.pairScore(u, nb)})
+			sc.work = append(sc.work, scoredNode{slot: nb, was: was, score: h.pairScore(&p, nb)})
 		} else if was == wasKept {
 			changed = true // a kept link died
 		}
@@ -917,35 +877,34 @@ func (h *HNSW) insert(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bo
 	return nil
 }
 
-// placeLocked is insert's bookkeeping: the store upsert, the tombstone
-// of any prior slot for id, the level draw, and the new node's slot —
-// the last one freed if any (an overwrite's own, just detached), else a
-// new one — with its slab row copied from the store, its liveness and
-// its generation. An id the store does not hold is an error, and its
-// slot stays free. Caller holds h.mu for writing.
+// placeLocked is insert's bookkeeping: the store upsert (or, without
+// upsert, the lookup of id's row), the tombstone of id's previous slot,
+// the level draw, and the node at the slot of its row, with its
+// liveness and generation. An id the store does not hold is an error.
+// Caller holds h.mu for writing.
 func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upsert bool) (slot uint32, level int, err error) {
+	old, indexed := h.indexedSlot(id)
+	var row int
 	if upsert {
-		if err := h.store.Upsert(id, vec); err != nil {
-			return 0, 0, err
-		}
+		row, err = h.store.UpsertRow(id, vec)
+	} else if r, ok := h.store.Row(id); ok {
+		row = r
+	} else {
+		err = fmt.Errorf("ann: hnsw: node %d is not in the store", id)
 	}
-	if old, ok := h.slotOf[id]; ok {
+	if err != nil {
+		return 0, 0, err
+	}
+	if indexed {
 		h.detachLocked(old, sc)
 	}
 	level = h.randomLevelLocked()
-	if n := len(h.free); n > 0 {
-		slot, h.free = h.free[n-1], h.free[:n-1]
-		h.setPruned(slot, pruneRecord{})
-	} else {
-		slot = uint32(len(h.nodes))
+	slot = uint32(row)
+	for len(h.nodes) <= row {
 		h.nodes = append(h.nodes, hnswNode{})
 		h.gen = append(h.gen, 0)
-		h.growSlabLocked()
 	}
-	if !h.store.With(id, func(v *embstore.VecView) { h.setSlabRow(slot, v) }) {
-		h.free = append(h.free, slot)
-		return 0, 0, fmt.Errorf("ann: hnsw: node %d is not in the store", id)
-	}
+	h.setPruned(slot, pruneRecord{})
 	h.nodes[slot] = hnswNode{id: id, alive: true, links: make([][]uint32, level+1)}
 	h.setAliveBit(slot, true)
 	h.placements++
@@ -953,9 +912,15 @@ func (h *HNSW) placeLocked(id graph.NodeID, vec []float64, sc *hnswScratch, upse
 	if level > 0 {
 		h.upper = append(h.upper, slot)
 	}
-	h.slotOf[id] = slot
 	h.alive++
 	return slot, level, nil
+}
+
+// indexedSlot returns the slot the graph indexes id at: its store row,
+// if that slot is live. Caller holds h.mu.
+func (h *HNSW) indexedSlot(id graph.NodeID) (uint32, bool) {
+	row, ok := h.store.Row(id)
+	return uint32(row), ok && row < len(h.nodes) && h.aliveBit(uint32(row))
 }
 
 // wireLocked links the node placed at slot as generation gen to its
@@ -1055,8 +1020,8 @@ func (h *HNSW) occupies(slot uint32, layer int) bool {
 	return h.aliveBit(slot) && len(h.nodes[slot].links) > layer
 }
 
-// detachLocked tombstones slot, repairs the hole it leaves and frees
-// the slot for reuse. Repair costs in proportion to the links removed:
+// detachLocked tombstones slot and repairs the hole it leaves. Repair
+// costs in proportion to the links removed:
 // on each layer the victim's alive neighbors are scored against its
 // other links in one pass, and each neighbor's list is rewritten once,
 // never re-selected (repairLocked). Links into the slot above layer 0
@@ -1073,10 +1038,6 @@ func (h *HNSW) detachLocked(slot uint32, sc *hnswScratch) {
 	n.alive = false
 	h.setAliveBit(slot, false)
 	h.alive--
-	h.free = append(h.free, slot)
-	if cur, ok := h.slotOf[n.id]; ok && cur == slot {
-		delete(h.slotOf, n.id)
-	}
 	links := n.links
 	n.links = nil
 	if len(links) > 1 {
@@ -1130,7 +1091,7 @@ func (h *HNSW) cutUpperLocked(slot uint32, layers int) {
 // every list to mend is scored against the block in one survivor-kernel
 // pass per four of them, with −Inf floors so every row comes back: the
 // same filterScore over the same factors and code dots, so the scores
-// are pairScore's bit for bit. f32 slabs and scalar backends score by a
+// are pairScore's bit for bit. f32 stores and scalar backends score by a
 // plain pairScore loop instead. Caller holds h.mu for writing.
 func (h *HNSW) repairLocked(orphans []uint32, layer int, sc *hnswScratch) {
 	m := h.maxConn(layer)
@@ -1150,19 +1111,23 @@ func (h *HNSW) repairLocked(orphans []uint32, layer int, sc *hnswScratch) {
 	dim, n := h.dim, len(sc.orphans)
 	sc.scores = resize(sc.scores, n)
 	if h.prec != embstore.SQ8 || !vecmath.HasSQ8Sym() {
+		var p pairPivot
 		for _, u := range sc.relist {
+			h.pivot(&p, u)
 			for r, c := range sc.orphans {
-				sc.scores[r] = h.pairScore(u, c)
+				sc.scores[r] = h.pairScore(&p, c)
 			}
 			h.relinkLocked(u, layer, sc)
 		}
 		return
 	}
 	cosine := h.cfg.Metric != DotProduct
+	rows := h.store.Rows()
 	sc.block, sc.blockSide = resize(sc.block, n*dim), resize(sc.blockSide, n)
 	for r, c := range sc.orphans {
-		copy(sc.block[r*dim:(r+1)*dim], h.codes[int(c)*dim:int(c+1)*dim])
-		sc.blockSide[r] = h.side[c]
+		code, side := rows.SQ8(int(c))
+		copy(sc.block[r*dim:(r+1)*dim], code)
+		sc.blockSide[r] = *side
 	}
 	sc.factors = resize(sc.factors, 3*scanBlockRows)
 	rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
@@ -1172,9 +1137,9 @@ func (h *HNSW) repairLocked(orphans []uint32, layer int, sc *hnswScratch) {
 	for lo := 0; lo < len(sc.relist); lo += scanGroup {
 		group := sc.relist[lo:min(lo+scanGroup, len(sc.relist))]
 		for j, u := range group { // unused kernel lanes keep stale codes, their dots unread
-			sd := &h.side[u]
+			code, sd := rows.SQ8(int(u))
 			g.A[j], g.B[j], g.C[j] = sq8Factors(dim, sd.Scale, sd.Offset, sd.CodeSum, sd.Norm, cosine)
-			g.Set(j, h.codes[int(u)*dim:int(u+1)*dim])
+			g.Set(j, code)
 		}
 		_, stride := survivors(sc.acc[:], sc.surv[:n], g, len(group), sc.block, rowOff, rowSum, rowScale)
 		for j, u := range group {
@@ -1304,11 +1269,12 @@ func (h *HNSW) pickEntryLocked() {
 
 // Remove tombstones the node in the graph (repairing its neighborhood)
 // and deletes the vector from the store, atomically with respect to
-// other mutations. The next insert reuses the tombstoned slot.
+// other mutations. The store frees the row, and the next new id takes
+// over the tombstoned slot with it.
 func (h *HNSW) Remove(id graph.NodeID) bool {
 	sc := hnswScratchPool.Get().(*hnswScratch)
 	h.mu.Lock()
-	slot, ok := h.slotOf[id]
+	slot, ok := h.indexedSlot(id)
 	if ok {
 		h.detachLocked(slot, sc)
 	}
@@ -1319,14 +1285,24 @@ func (h *HNSW) Remove(id graph.NodeID) bool {
 }
 
 // Build indexes every vector already in the store, in groups of
-// scanGroup consecutive ids (insertGroup) fanned out over a ParallelFor
+// scanGroup consecutive rows (insertGroup) fanned out over a ParallelFor
 // worker pool with pooled per-worker scratch. Discovery (the expensive
 // phase) runs under the shared read lock, so workers overlap; only the
 // link-wiring critical sections serialize. On one CPU the groups run in
-// order, and the graph is byte for byte the one inserting the ids one
-// at a time would build.
+// order, and the graph is byte for byte the one inserting the rows one
+// at a time, in row order, would build.
 func (h *HNSW) Build() error {
-	ids := h.store.IDs()
+	var ids []graph.NodeID // in row order
+	h.store.Scan(func(rs embstore.Rows) {
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for i, id := range r.IDs {
+				if !r.Masked(i) {
+					ids = append(ids, id)
+				}
+			}
+		}
+	})
 	ParallelFor((len(ids)+scanGroup-1)/scanGroup, func(g int) {
 		sc := hnswScratchPool.Get().(*hnswScratch)
 		h.insertGroup(sc, ids[g*scanGroup:min((g+1)*scanGroup, len(ids))])
@@ -1348,19 +1324,18 @@ type groupMember struct {
 }
 
 // insertGroup is Build's insert of up to scanGroup ids already in the
-// store: the work of an insert per id, in order, with their layer-0
-// sweeps done together. All of them are placed first (slots, level
-// draws and slab rows in id order); one sweepSelect over the slab then
-// fills one lane per swept member, lane j seeing only the rows below its
-// own slot — exactly the rows that existed when an insert of it alone
-// would have swept. Each member then takes, in slot order, its
-// insertPlan decision at the slot count it would have seen, its beams
-// (run after the earlier members are wired, as they would have been),
-// and its wiring. The lane limits need the members in consecutive
-// appended slots, so a group holding an id the graph already indexes
-// (its detach would tombstone a slot the earlier members must still
-// see), or placed while slots wait for reuse, falls back to one insert
-// per id.
+// store, in row order: the work of an insert per id, in order, with
+// their layer-0 sweeps done together. All of them are placed first
+// (slots and level draws in row order); one sweepSelect over the rows
+// then fills one lane per swept member, lane j seeing only the rows
+// below its own slot — exactly the slots that were live when an insert
+// of it alone would have swept. Each member then takes, in slot order,
+// its insertPlan decision at the slot count it would have seen, its
+// beams (run after the earlier members are wired, as they would have
+// been), and its wiring. The lane limits need the members' rows in
+// ascending order past every slot the graph covers, so a group that has
+// one below (an id the graph already indexes, or a row under one that
+// another worker's group placed first) falls back to one insert per id.
 func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 	dim := h.dim
 	sc.vbuf = resize(sc.vbuf, scanGroup*dim)
@@ -1379,10 +1354,12 @@ func (h *HNSW) insertGroup(sc *hnswScratch, ids []graph.NodeID) {
 	}
 
 	h.mu.Lock()
-	serial := len(h.free) > 0
+	serial, next := false, len(h.nodes)
 	for _, m := range members {
-		_, indexed := h.slotOf[m.id]
-		serial = serial || indexed
+		if row, ok := h.store.Row(m.id); ok {
+			serial = serial || row < next
+			next = row + 1
+		}
 	}
 	if serial {
 		h.mu.Unlock()
@@ -1525,7 +1502,7 @@ func (h *HNSW) searchBeam(ctx context.Context, dst []Result, q []float64, k int)
 	}
 	// The beam is the candidate stage; the re-rank trims it to the final
 	// top-k — re-scoring each survivor with the asymmetric kernel when
-	// the beam ranked with the symmetric one (slab rows are still at
+	// the beam ranked with the symmetric one (store rows are still at
 	// hand under the read lock), reusing the beam scores otherwise.
 	rerankStart := time.Now()
 	annStageHNSWCand.Observe(int64(rerankStart.Sub(start)))

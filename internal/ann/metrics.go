@@ -28,7 +28,7 @@ import (
 // The mutation histogram splits a graph write the way insert does:
 // "detach" is tombstoning a slot and repairing its neighbors' lists
 // (an overwrite's or a delete's extra cost, under the write lock),
-// "discover" the beam searches or slab sweep and neighbor selection
+// "discover" the beam searches or row sweep and neighbor selection
 // under the read lock, "wire" linking the new node in and pruning neighbors pushed
 // over their cap. discover and wire include the wait for their lock.
 var (

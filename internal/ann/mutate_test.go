@@ -20,8 +20,8 @@ import (
 // checkGraphInvariants asserts the structural contract every mutation
 // must leave behind, at every layer: degree within the cap, no
 // self-link, no duplicate, every link inside the slot table, the entry
-// alive and on the top layer, slotOf a bijection onto the alive slots,
-// the free list exactly the dead slots and upper exactly the live ones
+// alive and on the top layer, each live slot its id's store row and
+// every live store row a live slot, and upper exactly the live slots
 // above layer 0. Above layer 0 every link leads to a live node on the
 // layer; on layer 0 a one-way link no repair rewrote may still name a
 // tombstone.
@@ -39,8 +39,8 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 			continue
 		}
 		alive++
-		if got, ok := h.slotOf[n.id]; !ok || int(got) != s {
-			t.Fatalf("slot %d: alive with id %d but slotOf = %d, %v", s, n.id, got, ok)
+		if row, ok := h.store.Row(n.id); !ok || row != s {
+			t.Fatalf("slot %d: alive with id %d, whose store row is %d (%v)", s, n.id, row, ok)
 		}
 		if len(n.links) == 0 {
 			t.Fatalf("slot %d: alive without layers", s)
@@ -65,19 +65,19 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 			}
 		}
 	}
-	if alive != h.alive || alive != len(h.slotOf) {
-		t.Fatalf("%d alive slots, h.alive %d, %d slotOf entries", alive, h.alive, len(h.slotOf))
+	if alive != h.alive {
+		t.Fatalf("%d alive slots, h.alive %d", alive, h.alive)
 	}
-	freed := make(map[uint32]bool, len(h.free))
-	for _, s := range h.free {
-		if h.nodes[s].alive || freed[s] {
-			t.Fatalf("free list holds slot %d twice or alive", s)
+	h.store.Scan(func(rs embstore.Rows) {
+		for ri := 0; ri < rs.Runs(); ri++ {
+			r := rs.Run(ri)
+			for i, id := range r.IDs {
+				if s := r.First + i; !r.Masked(i) && (s >= len(h.nodes) || !h.nodes[s].alive || h.nodes[s].id != id) {
+					t.Fatalf("store row %d holds id %d, which its slot does not index", s, id)
+				}
+			}
 		}
-		freed[s] = true
-	}
-	if len(freed) != len(h.nodes)-alive {
-		t.Fatalf("%d slots on the free list, %d dead", len(freed), len(h.nodes)-alive)
-	}
+	})
 	upper := 0
 	for _, s := range h.upper {
 		if !h.occupies(s, 1) {
@@ -103,12 +103,20 @@ func checkGraphInvariants(t *testing.T, h *HNSW) {
 	}
 }
 
+// pairScoreOf is pairScore of store rows a and b. Caller holds h.mu.
+func pairScoreOf(h *HNSW, a, b uint32) float64 {
+	var p pairPivot
+	h.pivot(&p, a)
+	return h.pairScore(&p, b)
+}
+
 // TestHNSWOverwriteChurn is the gate on cheap overwrites and slot
 // reuse: every stored id is overwritten three times over with fresh
 // random vectors (the write_mixed shape: 5000×64 sq8 searched at ef
 // 192), then a fifth of the ids are deleted and as many new ids added.
-// Each insert takes over a freed slot, so the graph never holds more
-// slots than its peak live count, and the bounded detach repair must
+// Each insert takes over a freed slot — an overwrite its own, a new id
+// the row the store freed last — so the graph never holds more slots
+// than its peak live count, and the bounded detach repair must
 // leave a graph that is structurally sound and as good as one freshly
 // built over the same final store. Recall is against the float64
 // ranking of the final vectors, so both graphs' numbers include what
@@ -130,12 +138,13 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 	deletes := n / 5
 	final := sourceMatrix(n+deletes, dim) // row i: the last vector written for node i
 	var reuses, sampled, stranded, strandedUpper int
+	var freed []uint32 // the deletes' slots, the next one to reuse last
 	add := func(id graph.NodeID) {
 		t.Helper()
 		h.mu.RLock()
-		slot, ok := h.slotOf[id]
-		if !ok && len(h.free) > 0 {
-			slot, ok = h.free[len(h.free)-1], true
+		slot, ok := h.indexedSlot(id)
+		if !ok && len(freed) > 0 {
+			slot, ok, freed = freed[len(freed)-1], true, freed[:len(freed)-1]
 		}
 		if ok && reuses%10 == 0 {
 			all, upper := strandedInLinks(h, slot)
@@ -147,6 +156,9 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 		h.mu.RUnlock()
 		if err := h.Add(id, randVec(rng, final.Row(int(id)))); err != nil {
 			t.Fatal(err)
+		}
+		if got, _ := h.indexedSlot(id); ok && got != slot {
+			t.Fatalf("id %d placed at slot %d, not the reused slot %d", id, got, slot)
 		}
 	}
 	for i := 0; i < 3*n; i++ {
@@ -161,6 +173,8 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 	live := make([]graph.NodeID, 0, n)
 	for i, id := range rng.Perm(n) {
 		if i < deletes {
+			slot, _ := h.indexedSlot(graph.NodeID(id))
+			freed = append(freed, slot)
 			if !h.Remove(graph.NodeID(id)) {
 				t.Fatalf("Remove(%d) = false", id)
 			}
@@ -312,7 +326,7 @@ func repairOracle(h *HNSW, victim uint32) (want map[repairKey][]uint32, best, wa
 				var cands []scoredNode
 				for _, c := range orphans {
 					if alive(c) && c != u && !slices.Contains(list, c) {
-						cands = append(cands, scoredNode{slot: c, score: h.pairScore(u, c)})
+						cands = append(cands, scoredNode{slot: c, score: pairScoreOf(h, u, c)})
 					}
 				}
 				slices.SortFunc(cands, scoredCmp)
@@ -330,7 +344,7 @@ func repairOracle(h *HNSW, victim uint32) (want map[repairKey][]uint32, best, wa
 						}
 						diverse := true
 						for _, k := range list {
-							diverse = diverse && h.pairScore(c.slot, k) <= c.score
+							diverse = diverse && pairScoreOf(h, c.slot, k) <= c.score
 						}
 						if diverse {
 							list = append(list, c.slot)
@@ -371,7 +385,7 @@ func TestRepairMatchesOracle(t *testing.T) {
 					op := rng.Intn(3)
 					randVec(rng, vec)
 					h.mu.Lock()
-					slot, ok := h.slotOf[id]
+					slot, ok := h.indexedSlot(id)
 					if ok && op < 2 {
 						want, b, w := repairOracle(h, slot)
 						lists, best, walks = lists+len(want), best+b, walks+w
@@ -429,7 +443,7 @@ func TestPairScoreMatchesReference(t *testing.T) {
 			rows, norms := make([][]float64, n), make([]float64, n)
 			for s := range rows {
 				var v embstore.VecView
-				h.slabView(uint32(s), &v)
+				h.store.Rows().View(s, &v)
 				rows[s], norms[s] = make([]float64, dim), v.Norm
 				v.DequantizeInto(rows[s])
 			}
@@ -443,7 +457,7 @@ func TestPairScoreMatchesReference(t *testing.T) {
 					if metric == Cosine {
 						want, scale = want/scale, 1
 					}
-					if got := h.pairScore(a, b); math.Abs(got-want) > tc.tol*scale {
+					if got := pairScoreOf(h, a, b); math.Abs(got-want) > tc.tol*scale {
 						t.Fatalf("%v/%v pairScore(%d,%d) = %.12g, reference %.12g", tc.prec, metric, a, b, got, want)
 					}
 				}
@@ -461,7 +475,7 @@ func TestPairScoreMatchesReference(t *testing.T) {
 func exactDiscovery(h *HNSW, slot uint32, limit int) (sel []uint32, cands []scoredNode, short bool) {
 	for s := 0; s < limit; s++ {
 		if s := uint32(s); s != slot && h.aliveBit(s) {
-			cands = append(cands, scoredNode{slot: s, score: h.pairScore(slot, s)})
+			cands = append(cands, scoredNode{slot: s, score: pairScoreOf(h, slot, s)})
 		}
 	}
 	slices.SortFunc(cands, scoredCmp)
@@ -516,14 +530,25 @@ func checkSweptPools(t *testing.T, label string, h *HNSW, pivots []uint32, limit
 // under several ids), nodes that also occupy upper layers, inserts
 // whose narrow pool falls short and is widened, and the rows that test
 // the sweep's filter margin: zero vectors, constant vectors (sq8 scale
-// 0), and vectors of magnitude 1e-6 and 1e6.
+// 0), and vectors of magnitude 1e-6 and 1e6; and over a cold store too,
+// where the rows come in two runs.
 func TestSweepDiscoveryIsExact(t *testing.T) {
 	needScan(t)
-	for _, metric := range []Metric{Cosine, DotProduct} {
+	for _, tc := range []struct {
+		metric Metric
+		cold   bool // a mapped base under an overlay: the sweep crosses two runs
+	}{{Cosine, false}, {DotProduct, false}, {Cosine, true}} {
+		if tc.cold && runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+			continue
+		}
 		const n, adds, dim = 1500, 540, 16
 		cfg := DefaultHNSWConfig()
-		cfg.Metric = metric
-		h := mustHNSW(t, buildStoreAt(t, n, dim, embstore.SQ8), cfg)
+		cfg.Metric = tc.metric
+		store, metric := buildStoreAt(t, n, dim, embstore.SQ8), fmt.Sprint(tc.metric)
+		if tc.cold {
+			store, metric = coldStoreOf(t, store), metric+"/cold"
+		}
+		h := mustHNSW(t, store, cfg)
 		rng := rand.New(rand.NewSource(61))
 		twin := randVec(rng, make([]float64, dim))
 		var upper, short, tied int
@@ -555,7 +580,7 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			h.mu.RLock()
-			slot := h.slotOf[id]
+			slot, _ := h.indexedSlot(id)
 			if !insertPlan(h.prec, true, len(h.nodes), cfg.EfConstruction, cfg.M) {
 				t.Fatalf("%d slots: the insert plan no longer sweeps", len(h.nodes))
 			}
@@ -581,7 +606,7 @@ func TestSweepDiscoveryIsExact(t *testing.T) {
 				short++
 			}
 			for j := 1; j < len(want); j++ {
-				if h.pairScore(slot, want[j]) == h.pairScore(slot, want[j-1]) {
+				if pairScoreOf(h, slot, want[j]) == pairScoreOf(h, slot, want[j-1]) {
 					tied++
 					break
 				}
@@ -684,7 +709,7 @@ func TestFilterScoreIsPairScore(t *testing.T) {
 						t.Fatalf("%v: pivot %d's pool holds %d of the %d other rows", metric, pivots[j], len(pool), n-1)
 					}
 					for _, c := range pool {
-						if want := h.pairScore(pivots[j], c.slot); math.Float64bits(c.score) != math.Float64bits(want) {
+						if want := pairScoreOf(h, pivots[j], c.slot); math.Float64bits(c.score) != math.Float64bits(want) {
 							t.Fatalf("%v, %d lanes: pivot %d, row %d: the sweep scores %v, pairScore %v", metric, lanes, pivots[j], c.slot, c.score, want)
 						}
 					}
@@ -705,7 +730,8 @@ func TestFilterScoreIsPairScore(t *testing.T) {
 				t.Fatalf("%v: query %d's scan pool holds %d of %d rows", metric, qi, len(pools[qi]), n)
 			}
 			for _, r := range pools[qi] {
-				if got := h.scoreSlot(&qc, h.slotOf[r.ID]); math.Float64bits(got) != math.Float64bits(r.Score) {
+				slot, _ := h.indexedSlot(r.ID)
+				if got := h.scoreSlot(&qc, slot); math.Float64bits(got) != math.Float64bits(r.Score) {
 					t.Fatalf("%v: query %d, id %d: scoreSlot %v, the scanner's first stage %v", metric, qi, r.ID, got, r.Score)
 				}
 			}
@@ -900,8 +926,9 @@ func TestWireSkipsReusedSlot(t *testing.T) {
 		if top < 1 {
 			t.Fatalf("X discovered links up to layer %d only: nothing above the occupant's layers to overrun", top)
 		}
-		// Phase 2: a Remove of X frees the slot.
+		// Phase 2: a Remove of X frees the slot (the store frees its row).
 		h.detachLocked(slot, sx)
+		h.store.Delete(x)
 		// Phase 3: the occupant takes the slot over, below X's level.
 		for occLevel := level; occLevel >= level; {
 			s, l, err := h.placeLocked(occupant, randVec(rng, make([]float64, dim)), so, true)

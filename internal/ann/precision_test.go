@@ -1,16 +1,13 @@
 package ann
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
-	"ehna/internal/vecmath"
 )
 
 // recallVsF64 loads an embedding matrix into a store at prec, runs nq
@@ -117,50 +114,6 @@ func TestPrecisionMutability(t *testing.T) {
 						t.Fatalf("%s/%s search returned nothing over a populated store", name, prec)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestSlabBytesPerVector: a graph slab row is the store's record, so a
-// built, a loaded and a live-added graph each hold
-// Precision.BytesPerVector(dim) slab bytes per slot, at both
-// precisions — the figure /healthz reports as
-// graph.slab_bytes_per_vector.
-func TestSlabBytesPerVector(t *testing.T) {
-	const n, dim = 300, 24
-	for _, prec := range allPrecisions {
-		built := mustHNSW(t, buildStoreAt(t, n, dim, prec), DefaultHNSWConfig())
-		var buf bytes.Buffer
-		if err := built.SaveGraph(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := LoadHNSWGraph(bytes.NewReader(buf.Bytes()), built.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		added, err := NewHNSW(buildStoreAt(t, 0, dim, prec), DefaultHNSWConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < n; i++ {
-			if err := added.Add(graph.NodeID(i), randVec(rng, make([]float64, dim))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, g := range []struct {
-			name string
-			h    *HNSW
-		}{{"built", built}, {"loaded", loaded}, {"added", added}} {
-			h := g.h
-			h.mu.RLock()
-			got := len(h.vecs32)*int(unsafe.Sizeof(float32(0))) + len(h.norms)*int(unsafe.Sizeof(float64(0))) +
-				len(h.codes) + len(h.side)*int(unsafe.Sizeof(vecmath.SQ8Sidecar{}))
-			slots := len(h.nodes)
-			h.mu.RUnlock()
-			if want := prec.BytesPerVector(dim) * slots; got != want {
-				t.Errorf("%v %s graph: %d slab bytes over %d slots, want %d (%d per slot)", prec, g.name, got, slots, want, prec.BytesPerVector(dim))
 			}
 		}
 	}

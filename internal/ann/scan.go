@@ -17,10 +17,10 @@
 // (BenchmarkExactSearchInto), where a beam pays ~58 ns per row it
 // visits (beam upkeep, random slab reads).
 //
-// The scanner reads the store, which is the truth, never the graph's
-// copy of its rows: embstore.Store.Scan hands it the store's contiguous
-// runs (a cold store's mapped base, and the dense slab), and it walks
-// them scanBlockRows rows at a time. A batch is cut into tasks of up to
+// The scanner reads the store under the store's own lock:
+// embstore.Store.Scan hands it the store's contiguous runs (a cold
+// store's mapped base, and the slab), and it walks them scanBlockRows
+// rows at a time. A batch is cut into tasks of up to
 // scanTaskQueries queries, one pass over the store each; a task
 // computes a block's row factors once and runs each of its groups of
 // four over the block while the block is in L1. On backends with the
@@ -31,32 +31,29 @@
 // entry carries the store row it was read from, so the re-rank reads
 // each candidate by row, with no id lookup. Everywhere else (f32
 // stores, scalar backends) each row is scored once at full query
-// precision inside the same block loop. A cold base row that an
-// overwrite or a delete has masked is scored like any other and dropped
-// only if it reaches a query's floor.
+// precision inside the same block loop. A dead row (a masked base row,
+// or a freed slab row) is scored like any other and dropped only if it
+// reaches a query's floor.
 //
 // Locking: a task holds the store's read lock once, for its scan and
 // its re-rank together, so it answers from one consistent image: no id
 // enters a pool twice, and the rows the pools name are the rows the
-// re-rank reads (store slabs swap-remove on delete, so a row number
-// means nothing once the lock is let go). A writer waits for at most
-// one task, up to scanTaskQueries queries; on the beam path it waits a
+// re-rank reads (a freed row may go to another id, and a fold renumbers
+// every row, once the lock is let go). A writer waits for at most one
+// task, up to scanTaskQueries queries; on the beam path it waits a
 // whole beam on the graph's lock. The task takes no other store lock
 // inside the hold: a read lock taken again while a writer waits
 // deadlocks.
 //
-// Inserts have a sweep plan of their own (insertPlan), over the graph's
-// slab by slot rather than the store by id, because neighbor selection
-// works in slots: an insert's layer-0 neighbors come from one sweep of
-// the slab (sweepSelect) instead of an efConstruction-wide beam, which
-// visits thousands of rows one by one. Build places four nodes at a
-// time and fills all four lanes of the kernel with their rows; a live
-// Add sweeps with one lane. The slab's rows are the store's, and the
-// kernel's score is pairScore bit for bit (filterScore is the one sq8
-// symmetric score), so the graph is link for link that of an exact
-// search for the top efConstruction candidates. A sweep runs inside the
-// insert's one read-lock hold for discovery, as the beam it replaces
-// did.
+// Inserts have a sweep plan of their own (insertPlan): an insert's
+// layer-0 neighbors come from one sweep of the store's rows
+// (sweepSelect), read as the beam reads them, under the graph's lock
+// (see HNSW), instead of an efConstruction-wide beam. Build places four nodes at a time and fills all four lanes of the
+// kernel with their rows; a live Add sweeps with one lane. The kernel's
+// score is pairScore bit for bit (filterScore is the one sq8 symmetric
+// score), so the graph is link for link that of an exact search for the
+// top efConstruction candidates. A sweep runs inside the insert's one
+// read-lock hold for discovery, as the beam it replaces did.
 package ann
 
 import (
@@ -141,9 +138,9 @@ func scanPlan(prec embstore.Precision, symSIMD bool, queries, rows, ef, kk, m in
 }
 
 // insertPlan is the same decision for an insert's layer-0 neighbor
-// discovery: sweep the slab (sweepSelect) over sq8 slabs on SIMD
-// backends while it holds at most insertCrossover · efConstruction · M
-// slots, run the efConstruction-wide beam otherwise.
+// discovery: sweep the rows (sweepSelect) over sq8 stores on SIMD
+// backends while the graph holds at most insertCrossover ·
+// efConstruction · M slots, run the efConstruction-wide beam otherwise.
 func insertPlan(prec embstore.Precision, symSIMD bool, slots, efc, m int) bool {
 	return prec == embstore.SQ8 && symSIMD && slots <= insertCrossover*efc*m
 }
@@ -197,14 +194,14 @@ func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
 // sweepPool leaves in each lane's pool the width best alive rows below
 // its limit other than its pivot, by pairScore against the pivot, in
 // scoredCmp order: descending score, ties to the lower slot. One
-// vecmath.Sym4Survivors pass over the slab serves all the lanes.
+// vecmath.Sym4Survivors pass over the store's runs serves all the lanes.
 //
 // The kernel scores every row as pairScore does, bit for bit: the same
 // filterScore over the same row factors (vecmath.SQ8RowFactors, hoisted
 // per block), pivot factors (sq8Factors, per lane) and code dot. Each
-// lane's pool is a topK over slots, whose order is scoredCmp's, and the
-// kernel turns away a block's rows against each lane's worst pooled
-// score as it stood at the block's start. Floors only rise and rows
+// lane's pool is a topK over slots (store rows), whose order is
+// scoredCmp's, and the kernel turns away a block's rows against each
+// lane's worst pooled score as it stood at the block's start. Floors only rise and rows
 // come in slot order, so a row it turns away could not have entered,
 // and the rows it returns are pushed against the pool as it now stands:
 // each pool is exactly what scoring every row would give. Caller holds
@@ -212,42 +209,47 @@ func (h *HNSW) sweepSelect(sc *hnswScratch, lanes []sweepLane) {
 func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 	dim, end := h.dim, 0
 	cosine := h.cfg.Metric != DotProduct
+	rows := h.store.Rows()
 	g := &sc.group
 	sc.factors = resize(sc.factors, 3*scanBlockRows)
 	for j := range lanes { // unused kernel lanes keep stale codes and a +Inf floor
 		ln := &lanes[j]
 		ln.top.reset(width)
-		sd := &h.side[ln.slot]
+		code, sd := rows.SQ8(int(ln.slot))
 		g.A[j], g.B[j], g.C[j] = sq8Factors(dim, sd.Scale, sd.Offset, sd.CodeSum, sd.Norm, cosine)
-		g.Set(j, h.codes[int(ln.slot)*dim:int(ln.slot+1)*dim])
+		g.Set(j, code)
 		end = max(end, ln.limit)
 	}
 	for j := len(lanes); j < scanGroup; j++ {
 		g.Floor[j] = math.Inf(1)
 	}
-	for lo := 0; lo < end; lo += scanBlockRows {
-		hi := min(lo+scanBlockRows, end)
-		n := hi - lo
-		rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
-		vecmath.SQ8RowFactors(rowOff, rowScale, rowSum, h.side[lo:hi], cosine)
-		for j := range lanes {
-			g.Floor[j] = lanes[j].top.floor()
-			if lo >= lanes[j].limit {
-				g.Floor[j] = math.Inf(1)
-			}
-		}
-		ns, stride := survivors(sc.acc[:], sc.surv[:n], g, len(lanes), h.codes[lo*dim:hi*dim], rowOff, rowSum, rowScale)
-		for _, e := range sc.surv[:ns] {
-			r := int(e >> 4)
-			s := uint32(lo + r)
-			for m := e & (1<<len(lanes) - 1); m != 0; m &= m - 1 {
-				j := bits.TrailingZeros32(m)
-				ln := &lanes[j]
-				if int(s) >= ln.limit || s == ln.slot || !h.aliveBit(s) {
-					continue
+	for ri := 0; ri < rows.Runs(); ri++ {
+		run := rows.Run(ri)
+		runEnd := min(end, run.First+len(run.IDs))
+		for lo := run.First; lo < runEnd; lo += scanBlockRows {
+			hi := min(lo+scanBlockRows, runEnd)
+			n, i := hi-lo, lo-run.First
+			rowOff, rowScale, rowSum := sc.factors[:n], sc.factors[scanBlockRows:scanBlockRows+n], sc.factors[2*scanBlockRows:2*scanBlockRows+n]
+			vecmath.SQ8RowFactors(rowOff, rowScale, rowSum, run.Sidecars(i, i+n), cosine)
+			for j := range lanes {
+				g.Floor[j] = lanes[j].top.floor()
+				if lo >= lanes[j].limit {
+					g.Floor[j] = math.Inf(1)
 				}
-				score := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], sc.acc[stride*r+j])
-				ln.top.push(hit{ID: graph.NodeID(s), Score: score})
+			}
+			ns, stride := survivors(sc.acc[:], sc.surv[:n], g, len(lanes), run.Codes[i*dim:(i+n)*dim], rowOff, rowSum, rowScale)
+			for _, e := range sc.surv[:ns] {
+				r := int(e >> 4)
+				s := uint32(lo + r)
+				for m := e & (1<<len(lanes) - 1); m != 0; m &= m - 1 {
+					j := bits.TrailingZeros32(m)
+					ln := &lanes[j]
+					if int(s) >= ln.limit || s == ln.slot || !h.aliveBit(s) {
+						continue
+					}
+					score := filterScore(rowOff[r], rowSum[r], rowScale[r], g.A[j], g.B[j], g.C[j], sc.acc[stride*r+j])
+					ln.top.push(hit{ID: graph.NodeID(s), Score: score})
+				}
 			}
 		}
 	}
@@ -263,7 +265,7 @@ func (h *HNSW) sweepPool(sc *hnswScratch, lanes []sweepLane, width int) {
 // filterScore is the one sq8 symmetric score, from a row's factors
 // (vecmath.SQ8RowFactor), a query's or a pivot's (sq8Factors) and their
 // code dot: the scanner's first stage and the beam (scoreSlot) rank
-// queries by it, and pairScore and the insert sweep score slab rows
+// queries by it, and pairScore and the insert sweep score store rows
 // against each other by it.
 //
 // Each product is converted explicitly, which the Go spec says rounds

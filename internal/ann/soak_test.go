@@ -190,8 +190,8 @@ func TestChurnSoak(t *testing.T) {
 	}
 
 	// Quiesce: delete every churned id. The graph must index exactly the
-	// store, hold no more slots than its peak live count, and keep every
-	// tombstone on its free list.
+	// store, hold no more slots than its peak live count, and its
+	// tombstones must be the store's freed rows.
 	for id := graph.NodeID(churnIDBase); id < graph.NodeID(churnIDBase+churnIDs); id++ {
 		h.Remove(id)
 	}
@@ -201,14 +201,14 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatalf("final graph: %d alive, store %d, want %d", alive, store.Len(), nStable)
 	}
 	h.mu.RLock()
-	slots, free := len(h.nodes), len(h.free)
+	slots, free := len(h.nodes), store.Rows().Len()-store.Len()
 	h.mu.RUnlock()
 	t.Logf("after the churn: %d slots, peak live %d, %d tombstones", slots, peak, tombs)
 	if slots > peak {
 		t.Fatalf("%d slots, more than the peak live count %d", slots, peak)
 	}
 	if free != tombs {
-		t.Fatalf("%d slots on the free list, %d tombstones", free, tombs)
+		t.Fatalf("%d freed store rows, %d tombstones", free, tombs)
 	}
 	for qi := range queryVecs {
 		got, err := beamOf{h}.Search(queryVecs[qi], k)

@@ -53,16 +53,6 @@ type Config struct {
 	DisableAttention bool // EHNA-NA: uniform attention at both levels
 	SingleLevel      bool // EHNA-SL: one single-layer LSTM, no two-level aggregation
 
-	// CheapNegatives routes every negative sample through the GraphSAGE-
-	// style neighborhood-mean fallback instead of the full walk
-	// aggregation. This is markedly faster but unsound as a default: the
-	// model can then separate the two aggregation *pathways* instead of
-	// the nodes (positives cluster at one point, fallback readouts at the
-	// antipode) and the loss collapses. Following the paper, the default
-	// aggregates negatives through their historical neighborhoods whenever
-	// they have one, falling back only for history-less nodes.
-	CheapNegatives bool
-
 	// FallbackSamples caps the 1-hop/2-hop neighbors drawn by the
 	// GraphSAGE-style fallback aggregation.
 	FallbackSamples int
@@ -293,10 +283,10 @@ func (b *batch) addFallback(m *Model, u graph.NodeID, rng *rand.Rand) {
 }
 
 // addNegative adds a negative sample u: through its walks when u has
-// history at tTarget (the paper's rule), otherwise — or always, under
-// CheapNegatives — through the neighborhood-mean fallback.
+// history at tTarget (the paper's rule), otherwise through the
+// neighborhood-mean fallback.
 func (b *batch) addNegative(m *Model, u graph.NodeID, tTarget float64, rng *rand.Rand) {
-	if !m.cfg.CheapNegatives && m.g.DegreeBefore(u, tTarget) > 0 {
+	if m.g.DegreeBefore(u, tTarget) > 0 {
 		b.addWalks(m, u, tTarget, rng)
 	} else {
 		b.addFallback(m, u, rng)

@@ -206,7 +206,6 @@ func TestEdgeLossFiniteAndNonNegative(t *testing.T) {
 		func(c *Config) { c.SingleLevel = true },
 		func(c *Config) { c.Walk.Static = true },
 		func(c *Config) { c.Bidirectional = true },
-		func(c *Config) { c.CheapNegatives = true },
 	} {
 		cfg := smallConfig()
 		variant(&cfg)

@@ -138,7 +138,7 @@ func refEdgeLoss(m *Model, tp *ag.Tape, e graph.Edge, rng *rand.Rand) *ag.Node {
 	hinge := func(anchor *ag.Node) {
 		u := m.neg.Draw(rng, e.U, e.V)
 		var zu *ag.Node
-		if !m.cfg.CheapNegatives && m.g.DegreeBefore(u, e.Time) > 0 {
+		if m.g.DegreeBefore(u, e.Time) > 0 {
 			zu = refAggregate(m, tp, u, e.Time, rng)
 		} else {
 			zu = refFallback(m, tp, u, rng)

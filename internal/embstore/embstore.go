@@ -199,17 +199,16 @@ type baseRun struct {
 
 // coldBase is the immutable half of a cold store: the mapped snapshot's
 // rows. Mutations never touch them — an upsert lands in the overlay
-// slab and masks the base row via dead, a delete just masks — so the
-// mapping stays clean and the overlay folds into a fresh base at the
-// next snapshot rotation. A snapshot this version writes has one run.
-// One written by a version that striped the store over lock shards has
-// one run per shard, and an id's run is the shard that version placed
-// it in (legacyRun).
+// slab and masks the base row (its dead bit), a delete just masks — so
+// the mapping stays clean and the overlay folds into a fresh base at
+// the next snapshot rotation. A snapshot this version writes has one
+// run. One written by a version that striped the store over lock shards
+// has one run per shard, and an id's run is the shard that version
+// placed it in (legacyRun).
 type coldBase struct {
 	runs  []baseRun
-	rows  int                       // rows across all runs, masked ones included
-	dead  map[graph.NodeID]struct{} // masked rows (deleted or overridden by the overlay)
-	deadN int
+	rows  int // rows across all runs, masked ones included
+	deadN int // masked rows (deleted or overridden by the overlay)
 }
 
 // legacyRun is the placement hash of the versions that striped the
@@ -224,31 +223,12 @@ func legacyRun(id graph.NodeID, n int) int {
 	return int(x % uint32(n))
 }
 
-// find returns the run that holds id, if any row does, and id's index
-// in it; masked rows are found too.
-func (b *coldBase) find(id graph.NodeID) (*baseRun, int, bool) {
+// find returns the store row of id's base row, if any run holds id;
+// masked rows are found too.
+func (b *coldBase) find(id graph.NodeID) (int, bool) {
 	r := &b.runs[legacyRun(id, len(b.runs))]
 	i, found := slices.BinarySearch(r.ids, id)
-	return r, i, found
-}
-
-// masked reports whether id's base row is masked.
-func (b *coldBase) masked(id graph.NodeID) bool {
-	_, masked := b.dead[id]
-	return masked
-}
-
-// mask hides id's base row, reporting whether it had a live one.
-func (b *coldBase) mask(id graph.NodeID) bool {
-	if _, _, found := b.find(id); !found || b.masked(id) {
-		return false
-	}
-	if b.dead == nil {
-		b.dead = make(map[graph.NodeID]struct{})
-	}
-	b.dead[id] = struct{}{}
-	b.deadN++
-	return true
+	return r.first + i, found
 }
 
 // run returns the run holding store row row (< b.rows).
@@ -265,16 +245,24 @@ func (b *coldBase) run(row int) *baseRun {
 // construction. Methods are safe for concurrent use.
 //
 // Its rows are numbered: a cold store's base rows first, run by run,
-// then the overlay slab's, so slot i of the slab is row base.rows+i.
-// Deletes swap-remove slab rows, so a row number means something only
-// within one hold of the lock (see Scan).
+// then the overlay slab's, so slot i of the slab is row base.rows+i. A
+// row keeps its number while it lives. A delete marks it dead (a bit
+// per row: a deleted id can come back in another row) and frees a slab
+// row for the next new id; an overwrite rewrites a slab row in place
+// and masks a base row. Only Remap renumbers rows.
+//
+// While an HNSW graph indexes the store, a row is written, freed,
+// reused or renumbered only under the graph's write lock, so the graph
+// reads rows through Rows without the store's lock.
 type Store struct {
 	dim  int
 	prec Precision
 
 	mu   sync.RWMutex
 	slab                      // the store; a cold store's overlay
-	slot map[graph.NodeID]int // id → slab slot
+	slot map[graph.NodeID]int // id → slab slot, live rows only
+	free []int                // freed slab slots, the next one to reuse last
+	dead []uint64             // bit per store row: a masked base row or a freed slab row
 	base *coldBase            // cold stores: the mapped snapshot
 
 	// cold is non-nil for mmap-backed stores (see OpenMmap): it owns
@@ -331,7 +319,7 @@ func (s *Store) OverlayStats() (vectors int, bytes int64, masked int) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	vectors = len(s.ids)
+	vectors = len(s.ids) - len(s.free)
 	if s.base != nil {
 		masked = s.base.deadN
 	}
@@ -398,7 +386,7 @@ func (s *Store) Len() int {
 }
 
 func (s *Store) lenLocked() int {
-	n := len(s.ids)
+	n := len(s.ids) - len(s.free)
 	if b := s.base; b != nil {
 		n += b.rows - b.deadN
 	}
@@ -415,18 +403,18 @@ func (s *Store) overlayFirst() int {
 
 // Run is one contiguous run of the store's rows, as Rows hands it out:
 // a run of a cold store's mapped base, or the dense slab. Row i is node
-// IDs[i] and store row First+i; an sq8 run's codes are Codes (row i at
-// [i·dim, (i+1)·dim)), and every row's sidecars are read through
-// Sidecars or View. The slices alias slab or mapping memory: valid only
-// under the lock hold the Run was handed out under, never to be
-// retained or written.
+// IDs[i] and store row First+i, unless it is Masked; an sq8 run's codes
+// are Codes (row i at [i·dim, (i+1)·dim)), and every row's sidecars are
+// read through Sidecars or View. The slices alias slab or mapping
+// memory: valid only under the lock hold the Run was handed out under,
+// never to be retained or written.
 type Run struct {
 	IDs   []graph.NodeID
 	Codes []int8 // SQ8 codes
 	First int    // the store row of row 0
 
 	sl   *slab
-	dead map[graph.NodeID]struct{} // base runs: rows masked by the overlay or a delete
+	dead []uint64 // the store's dead bits, by store row
 	dim  int
 }
 
@@ -437,16 +425,28 @@ func (r *Run) Sidecars(lo, hi int) []vecmath.SQ8Sidecar {
 	return r.sl.meta[lo:hi]
 }
 
-// Masked reports whether row i is hidden: a base row that a delete or
-// an overlay upsert has superseded. Overlay rows never are. The probe
-// is a map lookup, so scans ask it only of rows that would enter a
-// result.
-func (r *Run) Masked(i int) bool {
-	if len(r.dead) == 0 {
-		return false
+// Masked reports whether row i is dead: a base row that a delete or an
+// overlay upsert has superseded, or a freed slab row (its IDs entry is
+// the id it last held).
+func (r *Run) Masked(i int) bool { return bitSet(r.dead, r.First+i) }
+
+// bitSet reports bit i of b; bits past its end are clear.
+func bitSet(b []uint64, i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+// setBit sets bit i of b to v, growing b to cover it.
+func setBit(b []uint64, i int, v bool) []uint64 {
+	for i>>6 >= len(b) {
+		b = append(b, 0)
 	}
-	_, masked := r.dead[r.IDs[i]]
-	return masked
+	if v {
+		b[i>>6] |= 1 << (i & 63)
+	} else {
+		b[i>>6] &^= 1 << (i & 63)
+	}
+	return b
 }
 
 // View points v at row i. Only the fields of the run's precision are
@@ -456,9 +456,17 @@ func (r *Run) Masked(i int) bool {
 func (r *Run) View(i int, v *VecView) { r.sl.view(v, r.dim, i) }
 
 // Rows is the store as one hold of its read lock sees it: its runs,
-// and any row by number. It is handed to Scan's callback and valid only
-// inside it.
+// and any row by number. Scan hands it to its callback, valid only
+// inside it; Store.Rows hands it to a caller that holds writers off
+// itself.
 type Rows struct{ s *Store }
+
+// Rows returns the store's rows without taking its lock, for a caller
+// that holds writers off itself (an HNSW graph, see Store).
+func (s *Store) Rows() Rows { return Rows{s} }
+
+// Len returns the number of store rows, dead ones included.
+func (rs Rows) Len() int { return rs.s.overlayFirst() + len(rs.s.ids) }
 
 // Runs returns the number of runs: a cold store's base runs, then the
 // slab.
@@ -474,23 +482,40 @@ func (rs Rows) Run(i int) Run {
 	s := rs.s
 	if b := s.base; b != nil && i < len(b.runs) {
 		r := &b.runs[i]
-		return Run{IDs: r.ids, Codes: r.codes, First: r.first, sl: &r.slab, dead: b.dead, dim: s.dim}
+		return Run{IDs: r.ids, Codes: r.codes, First: r.first, sl: &r.slab, dead: s.dead, dim: s.dim}
 	}
-	return Run{IDs: s.ids, Codes: s.codes, First: s.overlayFirst(), sl: &s.slab, dim: s.dim}
+	return Run{IDs: s.ids, Codes: s.codes, First: s.overlayFirst(), sl: &s.slab, dead: s.dead, dim: s.dim}
 }
 
 // View points v at store row row, as Run.View does: the re-rank of a
 // scan reads the rows its pools name without an id lookup.
 func (rs Rows) View(row int, v *VecView) { rs.s.viewRow(row, v) }
 
+// SQ8 returns an sq8 store's row row: its codes and its sidecar, both
+// aliasing the store.
+func (rs Rows) SQ8(row int) ([]int8, *vecmath.SQ8Sidecar) {
+	sl, i := rs.s.locate(row)
+	lo := i * rs.s.dim
+	return sl.codes[lo : lo+rs.s.dim], &sl.meta[i]
+}
+
 // viewRow points v at store row row. Caller holds s.mu.
 func (s *Store) viewRow(row int, v *VecView) {
-	if b := s.base; b != nil && row < b.rows {
-		r := b.run(row)
-		r.view(v, s.dim, row-r.first)
-		return
+	sl, i := s.locate(row)
+	sl.view(v, s.dim, i)
+}
+
+// locate returns the slab that holds store row row, and the row's index
+// in it. Caller holds s.mu.
+func (s *Store) locate(row int) (*slab, int) {
+	if b := s.base; b != nil {
+		if row < b.rows {
+			r := b.run(row)
+			return &r.slab, row - r.first
+		}
+		row -= b.rows
 	}
-	s.view(v, s.dim, row-s.overlayFirst())
+	return &s.slab, row
 }
 
 // lookupLocked finds id's store row: in the slab first (it wins by the
@@ -499,58 +524,70 @@ func (s *Store) lookupLocked(id graph.NodeID) (row int, ok bool) {
 	if slot, ok := s.slot[id]; ok {
 		return s.overlayFirst() + slot, true
 	}
-	b := s.base
-	if b == nil {
-		return 0, false
-	}
-	r, i, found := b.find(id)
-	if !found || b.masked(id) {
-		return 0, false
-	}
-	return r.first + i, true
+	return s.baseRowLocked(id)
 }
 
-// extend grows s by n zero elements. The reused-capacity path must
-// clear explicitly: after a swap-remove shrink the spare capacity
-// still holds the deleted row's bytes.
-func extend[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		s = s[: len(s)+n : cap(s)]
-		clear(s[len(s)-n:])
-		return s
+// baseRowLocked finds id's live base row. Caller holds s.mu.
+func (s *Store) baseRowLocked(id graph.NodeID) (row int, ok bool) {
+	if s.base == nil {
+		return 0, false
 	}
-	return append(s, make([]T, n)...)
+	row, found := s.base.find(id)
+	return row, found && !bitSet(s.dead, row)
 }
 
-// ensureSlot returns id's slab slot, appending a fresh zero row when
-// the id is new. Caller holds s.mu.
+// Row returns id's store row, if the store holds id.
+func (s *Store) Row(id graph.NodeID) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.lookupLocked(id)
+}
+
+// maskBaseLocked hides id's base row, reporting whether it had a live
+// one. Caller holds s.mu for writing.
+func (s *Store) maskBaseLocked(id graph.NodeID) bool {
+	row, live := s.baseRowLocked(id)
+	if live {
+		s.dead = setBit(s.dead, row, true)
+		s.base.deadN++
+	}
+	return live
+}
+
+// ensureSlot returns id's slab slot: for a new id the last freed slot,
+// else a fresh row, which its caller writes whole. Caller holds s.mu
+// for writing.
 func (s *Store) ensureSlot(id graph.NodeID) int {
 	slot, ok := s.slot[id]
 	if ok {
 		return slot
 	}
-	slot = len(s.ids)
-	s.slot[id] = slot
-	s.ids = append(s.ids, id)
-	switch s.prec {
-	case F32:
-		s.vecs32 = extend(s.vecs32, s.dim)
-		s.norms = append(s.norms, 0)
-	case SQ8:
-		s.codes = extend(s.codes, s.dim)
-		s.meta = append(s.meta, sq8Meta{})
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+		s.ids[slot] = id
+		s.dead = setBit(s.dead, s.overlayFirst()+slot, false)
+	} else {
+		slot = len(s.ids)
+		s.ids = append(s.ids, id)
+		switch s.prec {
+		case F32:
+			s.vecs32 = append(s.vecs32, make([]float32, s.dim)...)
+			s.norms = append(s.norms, 0)
+		case SQ8:
+			s.codes = append(s.codes, make([]int8, s.dim)...)
+			s.meta = append(s.meta, sq8Meta{})
+		}
 	}
+	s.slot[id] = slot
 	return slot
 }
 
 // upsertLocked inserts or replaces id's vector, narrowing/quantizing
-// per the store precision. norm is the caller's L2 norm of vec (the
-// original full-precision value the cosine path divides by). Caller
-// holds s.mu.
-func (s *Store) upsertLocked(id graph.NodeID, vec []float64, norm float64) {
-	if s.base != nil {
-		s.base.mask(id)
-	}
+// per the store precision, and returns its store row. norm is the
+// caller's L2 norm of vec (the original full-precision value the cosine
+// path divides by). Caller holds s.mu for writing.
+func (s *Store) upsertLocked(id graph.NodeID, vec []float64, norm float64) int {
+	s.maskBaseLocked(id)
 	slot := s.ensureSlot(id)
 	dim := s.dim
 	switch s.prec {
@@ -561,6 +598,7 @@ func (s *Store) upsertLocked(id graph.NodeID, vec []float64, norm float64) {
 		scale, offset, codeSum := vecmath.EncodeSQ8(vec, s.codes[slot*dim:(slot+1)*dim])
 		s.meta[slot] = sq8Meta{Scale: scale, Offset: offset, Norm: norm, CodeSum: codeSum}
 	}
+	return s.overlayFirst() + slot
 }
 
 // BulkLoad upserts row i of emb as node ID i for every row. It panics on
@@ -598,58 +636,41 @@ func (s *Store) reserveLocked(extra int) {
 // Upsert inserts or replaces the vector for id. The vector is copied
 // (and narrowed/quantized per the store precision).
 func (s *Store) Upsert(id graph.NodeID, vec []float64) error {
+	_, err := s.UpsertRow(id, vec)
+	return err
+}
+
+// UpsertRow is Upsert reporting the store row id's vector now occupies.
+func (s *Store) UpsertRow(id graph.NodeID, vec []float64) (int, error) {
 	return s.upsertNorm(id, vec, vecmath.Norm(vec))
 }
 
-// upsertNorm is Upsert with a caller-supplied norm: the snapshot
+// upsertNorm is UpsertRow with a caller-supplied norm: the snapshot
 // conversion path threads the original-vector norm through so a
 // narrowed store still divides by the exact denominator.
-func (s *Store) upsertNorm(id graph.NodeID, vec []float64, norm float64) error {
+func (s *Store) upsertNorm(id graph.NodeID, vec []float64, norm float64) (int, error) {
 	if len(vec) != s.dim {
-		return fmt.Errorf("embstore: upsert of %d-dim vector into %d-dim store", len(vec), s.dim)
+		return 0, fmt.Errorf("embstore: upsert of %d-dim vector into %d-dim store", len(vec), s.dim)
 	}
 	s.mu.Lock()
-	s.upsertLocked(id, vec, norm)
+	row := s.upsertLocked(id, vec, norm)
 	s.mu.Unlock()
-	return nil
+	return row, nil
 }
 
-// Delete removes id, reporting whether it was present. The last vector
-// of the slab is swapped into the vacated slot so scans stay dense.
+// Delete removes id, reporting whether it was present. A slab row is
+// marked dead and freed for the next new id; a base row (the mapping is
+// read-only) is masked.
 func (s *Store) Delete(id graph.NodeID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot, ok := s.slot[id]
 	if !ok {
-		// Not in the slab: a live base row is deleted by masking it (the
-		// mapping is read-only).
-		return s.base != nil && s.base.mask(id)
-	}
-	dim := s.dim
-	last := len(s.ids) - 1
-	if slot != last {
-		movedID := s.ids[last]
-		s.ids[slot] = movedID
-		switch s.prec {
-		case F32:
-			copy(s.vecs32[slot*dim:(slot+1)*dim], s.vecs32[last*dim:(last+1)*dim])
-			s.norms[slot] = s.norms[last]
-		case SQ8:
-			copy(s.codes[slot*dim:(slot+1)*dim], s.codes[last*dim:(last+1)*dim])
-			s.meta[slot] = s.meta[last]
-		}
-		s.slot[movedID] = slot
-	}
-	s.ids = s.ids[:last]
-	switch s.prec {
-	case F32:
-		s.vecs32 = s.vecs32[:last*dim]
-		s.norms = s.norms[:last]
-	case SQ8:
-		s.codes = s.codes[:last*dim]
-		s.meta = s.meta[:last]
+		return s.maskBaseLocked(id)
 	}
 	delete(s.slot, id)
+	s.free = append(s.free, slot)
+	s.dead = setBit(s.dead, s.overlayFirst()+slot, true)
 	return true
 }
 
@@ -683,10 +704,11 @@ func (s *Store) With(id graph.NodeID, fn func(v *VecView)) bool {
 
 // Scan runs fn under one hold of the store's read lock, handing it the
 // store's rows as that hold sees them: contiguous runs (a cold store's
-// mapped base with its masked rows still in place, see Run.Masked, then
-// the dense slab), and any row by number. Deletes swap-remove slab
-// rows, so a row number taken under one hold means nothing under the
-// next. fn must not retain anything it was handed or call any Store
+// mapped base, then the slab, dead rows still in place, see
+// Run.Masked), and any row by number. A freed row goes to the next new
+// id and Remap renumbers every row, so a row number taken under one
+// hold names the same vector under the next only if no write came
+// between. fn must not retain anything it was handed or call any Store
 // method: the lock is held, and a read lock taken again while a writer
 // waits deadlocks.
 func (s *Store) Scan(fn func(rs Rows)) {
@@ -722,19 +744,24 @@ func (s *Store) Range(fn func(id graph.NodeID, v *VecView) bool) {
 func (s *Store) IDs() []graph.NodeID {
 	s.mu.RLock()
 	out := make([]graph.NodeID, 0, s.lenLocked())
-	out = append(out, s.ids...)
-	if b := s.base; b != nil {
-		for ri := range b.runs {
-			for _, id := range b.runs[ri].ids {
-				if !b.masked(id) {
-					out = append(out, id)
-				}
-			}
-		}
-	}
+	s.eachLiveLocked(func(id graph.NodeID, _ int) { out = append(out, id) })
 	s.mu.RUnlock()
 	slices.Sort(out)
 	return out
+}
+
+// eachLiveLocked calls fn with every live row's id and store row, in row
+// order. Caller holds s.mu.
+func (s *Store) eachLiveLocked(fn func(id graph.NodeID, row int)) {
+	rs := Rows{s}
+	for ri := 0; ri < rs.Runs(); ri++ {
+		r := rs.Run(ri)
+		for i, id := range r.IDs {
+			if !r.Masked(i) {
+				fn(id, r.First+i)
+			}
+		}
+	}
 }
 
 // ApplyWAL applies one write-ahead-log record to the store: the replay

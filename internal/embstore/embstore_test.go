@@ -217,37 +217,72 @@ func TestConcurrentMixedAccess(t *testing.T) {
 
 // TestScanViewByRow: inside one Scan hold, Rows.View of a run's First+i
 // is that run's row i — the row-addressed read the scan re-rank makes
-// instead of an id lookup — and it survives the slab's swap-remove
-// deletes because each hold numbers the rows afresh.
+// instead of an id lookup — and every row keeps its number across
+// deletes: a delete marks its row dead (Masked) and frees it, and the
+// next new ids take the freed rows, the last freed first, before the
+// slab grows, so it never holds more rows than its peak live count.
 func TestScanViewByRow(t *testing.T) {
 	s, err := New(4, F32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := s.Upsert(graph.NodeID(i), []float64{float64(i), 0, 0, 0}); err != nil {
-			t.Fatal(err)
+		row, err := s.UpsertRow(graph.NodeID(i), []float64{float64(i), 0, 0, 0})
+		if err != nil || row != i {
+			t.Fatalf("upsert of id %d: row %d, %v", i, row, err)
 		}
 	}
+	var freed []int
 	for i := 0; i < 100; i += 7 {
 		s.Delete(graph.NodeID(i))
+		freed = append(freed, i)
 	}
-	seen := 0
-	s.Scan(func(rs Rows) {
-		var v VecView
-		for ri := 0; ri < rs.Runs(); ri++ {
-			r := rs.Run(ri)
-			for i, id := range r.IDs {
-				rs.View(r.First+i, &v)
-				if v.F32[0] != float32(id) || v.Norm != float64(id) {
-					t.Errorf("row %d (id %d): vec[0] %g, norm %g", r.First+i, id, v.F32[0], v.Norm)
+	check := func() {
+		t.Helper()
+		seen := 0
+		s.Scan(func(rs Rows) {
+			var v VecView
+			for ri := 0; ri < rs.Runs(); ri++ {
+				r := rs.Run(ri)
+				for i, id := range r.IDs {
+					if r.Masked(i) {
+						if row, ok := s.lookupLocked(id); ok && row == r.First+i {
+							t.Errorf("row %d is dead but its last id %d is still live there", row, id)
+						}
+						continue
+					}
+					rs.View(r.First+i, &v)
+					if v.F32[0] != float32(id) || v.Norm != float64(id) {
+						t.Errorf("row %d (id %d): vec[0] %g, norm %g", r.First+i, id, v.F32[0], v.Norm)
+					}
+					if row, ok := s.lookupLocked(id); !ok || row != r.First+i {
+						t.Errorf("id %d: Row %d, %v; scanned at row %d", id, row, ok, r.First+i)
+					}
+					seen++
 				}
-				seen++
 			}
+			if rs.Len() != 100 {
+				t.Errorf("%d rows, want the peak live count 100", rs.Len())
+			}
+		})
+		if seen != s.Len() || seen != len(s.IDs()) {
+			t.Fatalf("Scan visited %d live rows, Len = %d, %d IDs", seen, s.Len(), len(s.IDs()))
 		}
-	})
-	if seen != s.Len() {
-		t.Fatalf("Scan visited %d rows, Len = %d", seen, s.Len())
+	}
+	check()
+	for i := 1; i < 100; i += 7 { // survivors keep their rows
+		if row, ok := s.Row(graph.NodeID(i)); !ok || row != i {
+			t.Fatalf("id %d moved to row %d (%v) after unrelated deletes", i, row, ok)
+		}
+	}
+	for id := 1000; len(freed) > 0; id++ {
+		want := freed[len(freed)-1]
+		freed = freed[:len(freed)-1]
+		row, err := s.UpsertRow(graph.NodeID(id), []float64{float64(id), 0, 0, 0})
+		if err != nil || row != want {
+			t.Fatalf("new id %d: row %d, %v; want the last freed row %d", id, row, err, want)
+		}
+		check()
 	}
 }
 

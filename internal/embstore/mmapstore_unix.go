@@ -103,7 +103,9 @@ func madvise(b []byte, advice int) {
 // writers for the whole call — the daemon runs it under its applier
 // lock, right after SaveSnapshotV3, so the new base is exactly the
 // pre-fold contents. Readers wait only for the flip itself, under the
-// write lock, and the old mapping is released after it.
+// write lock, and the old mapping is released after it. The flip
+// renumbers every row, so a store an HNSW graph indexes is folded
+// through the graph's Remap, which re-slots the graph with it.
 func (s *Store) Remap(path string) error {
 	old := s.cold.Load()
 	if old == nil {

@@ -33,8 +33,8 @@ func maxLaneErr(p Precision, v *VecView, orig []float64) float64 {
 }
 
 // TestPrecisionRoundTrip: upsert → Get reconstructs within the
-// precision's lane bound, norms carry the original value, deletes
-// swap-remove correctly, for every layout.
+// precision's lane bound, norms carry the original value, and deletes
+// leave the other rows intact, for every layout.
 func TestPrecisionRoundTrip(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
 		if _, err := New(9, legacyF64); err == nil {

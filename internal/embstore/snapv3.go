@@ -369,42 +369,13 @@ type rowRef struct {
 
 func cmpRowRef(a, b rowRef) int { return cmp.Compare(a.id, b.id) }
 
-// sortedRowsLocked returns every live row in ascending id order: the
-// merge of the (sorted copy of the) slab and the base's unmasked rows.
-// The mask invariant (a slab id is never live in the base) makes this a
-// strict two-way merge. Caller holds s.mu.
+// sortedRowsLocked returns every live row in ascending id order. Caller
+// holds s.mu.
 func (s *Store) sortedRowsLocked() []rowRef {
-	first := s.overlayFirst()
-	ov := make([]rowRef, len(s.ids))
-	for slot, id := range s.ids {
-		ov[slot] = rowRef{id: id, row: first + slot}
-	}
-	slices.SortFunc(ov, cmpRowRef)
-	b := s.base
-	if b == nil {
-		return ov
-	}
-	base := make([]rowRef, 0, b.rows-b.deadN)
-	for ri := range b.runs {
-		r := &b.runs[ri]
-		for i, id := range r.ids {
-			if !b.masked(id) {
-				base = append(base, rowRef{id: id, row: r.first + i})
-			}
-		}
-	}
-	if len(b.runs) > 1 {
-		slices.SortFunc(base, cmpRowRef) // an older file: each run sorted, not the runs together
-	}
-	out := make([]rowRef, 0, len(ov)+len(base))
-	for len(ov) > 0 && len(base) > 0 {
-		if ov[0].id < base[0].id {
-			out, ov = append(out, ov[0]), ov[1:]
-		} else {
-			out, base = append(out, base[0]), base[1:]
-		}
-	}
-	return append(append(out, ov...), base...)
+	out := make([]rowRef, 0, s.lenLocked())
+	s.eachLiveLocked(func(id graph.NodeID, row int) { out = append(out, rowRef{id: id, row: row}) })
+	slices.SortFunc(out, cmpRowRef)
+	return out
 }
 
 // v3Writer tracks the write offset and per-section CRC over a buffered
@@ -655,7 +626,7 @@ func loadSnapshotV3(path string, target Precision) (*Store, uint64, error) {
 				vecmath.DecodeSQ8(buf, castSlice[int8](row), m.Scale, m.Offset)
 				norm = m.Norm
 			}
-			if err := s.upsertNorm(id, buf, norm); err != nil {
+			if _, err := s.upsertNorm(id, buf, norm); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -670,8 +641,9 @@ func loadSnapshotV3(path string, target Precision) (*Store, uint64, error) {
 // per section triple, and empties the overlay: the structural half of
 // an mmap open (OpenMmap, where the lock is uncontended) and of a
 // rotation fold (Remap, where the store flips under its write lock
-// while readers wait at most for it). The caller owns the lifetime of
-// data.
+// while readers wait at most for it). Every row is renumbered: the base
+// rows in the file's order, and no slab row. The caller owns the
+// lifetime of data.
 func (s *Store) attachColdBase(l *v3Layout, data []byte) {
 	b := &coldBase{runs: make([]baseRun, l.runs)}
 	for i := range b.runs {
@@ -694,6 +666,7 @@ func (s *Store) attachColdBase(l *v3Layout, data []byte) {
 	s.mu.Lock()
 	s.base = b
 	clear(s.slot)
+	s.free, s.dead = s.free[:0], nil
 	s.ids = s.ids[:0]
 	s.vecs32 = s.vecs32[:0]
 	s.codes = s.codes[:0]

@@ -156,7 +156,7 @@ func TestV3CrossPrecisionLoad(t *testing.T) {
 		// the upsert path.
 		want, _ := New(len(rows[0].Vector), target)
 		for _, row := range rows {
-			if err := want.upsertNorm(row.ID, row.Vector, row.norm); err != nil {
+			if _, err := want.upsertNorm(row.ID, row.Vector, row.norm); err != nil {
 				t.Fatal(err)
 			}
 		}

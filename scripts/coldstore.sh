@@ -11,10 +11,12 @@
 #       the store, one curl -sf each — completes with zero errors, and
 #   (d) RSS stays bounded: process.resident_bytes from /healthz must
 #       stay under RSS_BUDGET_MB after the read pass. The budget bounds
-#       the whole process (Go heap + HNSW graph + resident pages of the
-#       mapping); the mapped slab itself is reclaimable page cache, and
-#       the drill prints mapped vs resident so regressions in either
-#       are visible in the CI log.
+#       the whole process (Go heap, where the HNSW graph keeps its links
+#       but no vectors, + resident pages of the mapping); the mapped
+#       slab itself is reclaimable page cache, and the drill prints
+#       mapped vs resident, and resident minus mapped (what the heap and
+#       the binary hold), so regressions in either are visible in the CI
+#       log.
 #
 # ulimit -v is deliberately NOT used: it caps address space, which is
 # exactly what mmap-mode spends freely by design. The RSS gate reads
@@ -104,6 +106,7 @@ rss="$(healthz_num resident_bytes)"
 mapped_res="$(healthz_num mapped_resident_bytes)"
 [ -n "$rss" ] || { echo "coldstore: /healthz carries no process.resident_bytes" >&2; exit 1; }
 echo "resident_bytes=$rss mapped_resident_bytes=$mapped_res budget=$((rss_budget_mb * 1024 * 1024))"
+echo "resident_minus_mapped_bytes=$((rss - ${mapped_res:-0}))"
 if [ "$rss" -ge $((rss_budget_mb * 1024 * 1024)) ]; then
   echo "coldstore: RSS $rss exceeds budget ${rss_budget_mb}MB" >&2
   exit 1
