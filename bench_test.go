@@ -10,6 +10,7 @@
 package ehnabench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -196,7 +197,7 @@ func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.St
 	// precision is charged for what it lost.
 	var approx, truth [][]graph.NodeID
 	for qi := 0; qi < 20; qi++ {
-		ar, err := idx.Search(emb.Row(qi), k)
+		ar, err := idx.SearchInto(context.Background(), nil, emb.Row(qi), k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func benchANN(b *testing.B, n int, prec embstore.Precision, mk func(*embstore.St
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Search(emb.Row(i%n), k); err != nil {
+		if _, err := idx.SearchInto(context.Background(), nil, emb.Row(i%n), k); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -133,11 +134,11 @@ func TestOneApplierEveryPath(t *testing.T) {
 			t.Errorf("%s store differs from the no-WAL daemon's (%d vs %d nodes)", name, srv.store.Len(), plain.store.Len())
 		}
 		for i, q := range probes {
-			want, err := plain.index.Search(q, 5)
+			want, err := plain.index.SearchInto(context.Background(), nil, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := srv.index.Search(q, 5)
+			got, err := srv.index.SearchInto(context.Background(), nil, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -277,7 +278,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 	for _, id := range srv.store.IDs() {
 		q, _ := srv.store.Get(id)
-		top, err := srv.index.Search(q, 1)
+		top, err := srv.index.SearchInto(context.Background(), nil, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

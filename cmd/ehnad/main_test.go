@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -354,7 +355,7 @@ func TestHealthz(t *testing.T) {
 func TestConcurrentNeighborsThroughBatcher(t *testing.T) {
 	store, _ := trainedStore(t)
 	srv, ts := newTestServer(t, store, "exact")
-	want, err := srv.index.Search(mustGet(t, store, 5), 4)
+	want, err := srv.index.SearchInto(context.Background(), nil, mustGet(t, store, 5), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,11 +471,11 @@ func TestHNSWGraphSnapshotBoot(t *testing.T) {
 	}
 	for qi := graph.NodeID(0); qi < 10; qi++ {
 		q := mustGet(t, store, qi)
-		want, err := built.Search(q, 5)
+		want, err := built.SearchInto(context.Background(), nil, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Search(q, 5)
+		got, err := loaded.SearchInto(context.Background(), nil, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

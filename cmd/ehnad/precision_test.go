@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -146,7 +147,7 @@ func TestCrossPrecisionBoot(t *testing.T) {
 	var approx, exact [][]graph.NodeID
 	for qi := 0; qi < 25; qi++ {
 		q := emb.Row(qi * 17 % n)
-		ar, err := srv2.index.Search(q, k)
+		ar, err := srv2.index.SearchInto(context.Background(), nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,7 +160,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 				for i := range q {
 					q[i] = rng.NormFloat64()
 				}
-				want, err := idx.Search(q, 7)
+				want, err := idx.SearchInto(context.Background(), nil, q, 7)
 				if err != nil {
 					t.Fatal(err)
 				}

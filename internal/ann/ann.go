@@ -192,11 +192,10 @@ type Index interface {
 	Add(id graph.NodeID, vec []float64) error
 	// Remove deletes a vector, reporting whether it was present.
 	Remove(id graph.NodeID) bool
-	// Search returns up to k results most similar to q, sorted by
-	// descending score (ties broken by ascending ID).
-	Search(q []float64, k int) ([]Result, error)
-	// SearchInto is Search writing into dst (grown as needed and
-	// returned re-sliced): the zero-allocation single-query path. The
+	// SearchInto returns up to k results most similar to q, sorted by
+	// descending score (ties broken by ascending ID), in dst (grown as
+	// needed and returned re-sliced): the zero-allocation single-query
+	// path. The
 	// context is polled cooperatively at beam-expansion granularity; a
 	// canceled or expired query stops scanning promptly and returns
 	// ctx.Err() so abandoned requests stop burning CPU.

@@ -149,10 +149,10 @@ func TestExactSearchBatchMatchesSearch(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	s := randomStore(t, 10, 4, 5)
 	for _, idx := range []Index{NewExact(s, Cosine), mustHNSW(t, s, DefaultHNSWConfig())} {
-		if _, err := idx.Search([]float64{1, 2}, 3); err == nil {
+		if _, err := idx.SearchInto(context.Background(), nil, []float64{1, 2}, 3); err == nil {
 			t.Fatal("wrong-dim query accepted")
 		}
-		if _, err := idx.Search([]float64{1, 2, 3, 4}, 0); err == nil {
+		if _, err := idx.SearchInto(context.Background(), nil, []float64{1, 2, 3, 4}, 0); err == nil {
 			t.Fatal("k=0 accepted")
 		}
 	}
@@ -161,7 +161,7 @@ func TestSearchValidation(t *testing.T) {
 func TestKLargerThanStore(t *testing.T) {
 	s := randomStore(t, 5, 4, 6)
 	for _, idx := range []Index{NewExact(s, Cosine), mustHNSW(t, s, DefaultHNSWConfig())} {
-		got, err := idx.Search([]float64{1, 0, 0, 0}, 50)
+		got, err := idx.SearchInto(context.Background(), nil, []float64{1, 0, 0, 0}, 50)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func recallVsExact(t testing.TB, src *tensor.Matrix, idx Index, queries *tensor.
 	var approx, truth [][]graph.NodeID
 	for qi := 0; qi < nq; qi++ {
 		q := queries.Row(qi)
-		ar, err := idx.Search(q, k)
+		ar, err := idx.SearchInto(context.Background(), nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -199,7 +200,7 @@ func TestHNSWOverwriteChurn(t *testing.T) {
 		var approx, truth [][]graph.NodeID
 		for qi := 0; qi < nq; qi++ {
 			q := queries.Row(qi)
-			got, err := idx.Search(q, k)
+			got, err := idx.SearchInto(context.Background(), nil, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func recallVsF64(t *testing.T, n, dim, nq int, prec embstore.Precision,
 	var approx, exact [][]graph.NodeID
 	for qi := 0; qi < nq; qi++ {
 		q := emb.Row(qi * (n / nq) % n)
-		ar, err := idx.Search(q, k)
+		ar, err := idx.SearchInto(context.Background(), nil, q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestPrecisionMutability(t *testing.T) {
 				case 1:
 					idx.Remove(id)
 				default:
-					rs, err := idx.Search(vec, 5)
+					rs, err := idx.SearchInto(context.Background(), nil, vec, 5)
 					if err != nil {
 						t.Fatalf("%s/%s search: %v", name, prec, err)
 					}

@@ -29,6 +29,14 @@ import (
 //	POST /v1/admin/promote — leave follower mode; returns the applied
 //	       watermark the new leader starts serving writes from.
 
+const (
+	// replPollInterval is the pause after an empty round.
+	replPollInterval = 200 * time.Millisecond
+	// replBatchMax bounds the records per Apply call, so one huge
+	// catch-up stream doesn't hold the applier lock for its entirety.
+	replBatchMax = 256
+)
+
 var (
 	replRecords = obs.Default().Counter("ehnad_repl_records_total",
 		"WAL records received and applied from the replication stream.")
@@ -60,14 +68,6 @@ type ReplClient struct {
 	// snapshot watermark. Absent or failing, the client backs off and
 	// retries — re-bootstrapping is the daemon's call, not ours.
 	OnGap func(leaderWatermark uint64) error
-	// Client is the HTTP client (default: a dedicated one with no
-	// overall timeout; the server long-polls).
-	Client *http.Client
-	// PollInterval is the pause after an empty round (default 200ms).
-	PollInterval time.Duration
-	// BatchMax bounds records per Apply call (default 256), so one huge
-	// catch-up stream doesn't hold the applier lock for its entirety.
-	BatchMax int
 	// Logf, when set, receives replication lifecycle messages.
 	Logf func(format string, args ...any)
 
@@ -88,14 +88,8 @@ func (rc *ReplClient) logf(format string, args ...any) {
 // protocol divergence and apply failures all back off and resume from
 // the applied watermark; the loop never skips or reorders records.
 func (rc *ReplClient) Run(ctx context.Context) {
-	client := rc.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	poll := rc.PollInterval
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
+	// A dedicated client with no overall timeout: the server long-polls.
+	client := &http.Client{}
 	for ctx.Err() == nil {
 		n, err := rc.round(ctx, client)
 		if err != nil {
@@ -104,7 +98,7 @@ func (rc *ReplClient) Run(ctx context.Context) {
 			}
 			replErrors.Inc()
 			rc.logf("cluster: replication from %s: %v", rc.Leader, err)
-			if !sleepCtx(ctx, poll) {
+			if !sleepCtx(ctx, replPollInterval) {
 				return
 			}
 			continue
@@ -112,7 +106,7 @@ func (rc *ReplClient) Run(ctx context.Context) {
 		if n == 0 {
 			// Caught up; the server already long-polled before answering
 			// empty, so this pause only bounds the reconnect rate.
-			if !sleepCtx(ctx, poll) {
+			if !sleepCtx(ctx, replPollInterval) {
 				return
 			}
 		}
@@ -158,10 +152,6 @@ func (rc *ReplClient) round(ctx context.Context, client *http.Client) (int, erro
 		return 0, fmt.Errorf("stream status %s", resp.Status)
 	}
 
-	batchMax := rc.BatchMax
-	if batchMax <= 0 {
-		batchMax = 256
-	}
 	dec := wal.NewDecoder(resp.Body)
 	var (
 		batch   []wal.Record
@@ -205,7 +195,7 @@ func (rc *ReplClient) round(ctx context.Context, client *http.Client) (int, erro
 		}
 		next++
 		batch = append(batch, rec)
-		if len(batch) >= batchMax {
+		if len(batch) >= replBatchMax {
 			if err := flush(); err != nil {
 				return applied, err
 			}

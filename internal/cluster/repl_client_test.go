@@ -67,16 +67,19 @@ func (s *stubLeader) stream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TestReplClientCatchUpAndTail streams an existing history, then new
-// appends, and checks the follower applies every record exactly once
-// in order with leader seqs preserved.
+// TestReplClientCatchUpAndTail streams an existing history longer than
+// replBatchMax, then new appends, and checks the follower applies every
+// record exactly once in order with leader seqs preserved, in Apply
+// calls of at most replBatchMax records.
 func TestReplClientCatchUpAndTail(t *testing.T) {
 	leader := newStubLeader()
 	defer leader.srv.Close()
-	leader.append(100)
+	const history = 2*replBatchMax + 100
+	leader.append(history)
 
 	var mu sync.Mutex
 	var applied []wal.Record
+	var calls []int // records per Apply call
 	watermark := func() uint64 {
 		mu.Lock()
 		defer mu.Unlock()
@@ -90,13 +93,12 @@ func TestReplClientCatchUpAndTail(t *testing.T) {
 		Apply: func(recs []wal.Record) error {
 			mu.Lock()
 			applied = append(applied, recs...)
+			calls = append(calls, len(recs))
 			mu.Unlock()
 			return nil
 		},
-		Applied:      watermark,
-		PollInterval: 10 * time.Millisecond,
-		BatchMax:     16, // force multiple Apply calls per round
-		Logf:         t.Logf,
+		Applied: watermark,
+		Logf:    t.Logf,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -114,24 +116,32 @@ func TestReplClientCatchUpAndTail(t *testing.T) {
 			}
 		}
 	}
-	waitFor(100)
+	waitFor(history)
 	leader.append(37)
-	waitFor(137)
+	waitFor(history + 37)
 	cancel()
 	<-done
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(applied) != 137 {
-		t.Fatalf("applied %d records, want 137 (duplicates or drops)", len(applied))
+	if len(applied) != history+37 {
+		t.Fatalf("applied %d records, want %d (duplicates or drops)", len(applied), history+37)
+	}
+	if len(calls) < 2 {
+		t.Fatalf("%d Apply calls for %d records, want at least 2", len(calls), len(applied))
+	}
+	for i, n := range calls {
+		if n > replBatchMax {
+			t.Fatalf("Apply call %d got %d records, more than replBatchMax %d", i, n, replBatchMax)
+		}
 	}
 	for i, r := range applied {
 		if r.Seq != uint64(i+1) {
 			t.Fatalf("applied[%d].Seq = %d, want %d", i, r.Seq, i+1)
 		}
 	}
-	if rc.LeaderSeq() != 137 {
-		t.Fatalf("LeaderSeq = %d, want 137", rc.LeaderSeq())
+	if rc.LeaderSeq() != history+37 {
+		t.Fatalf("LeaderSeq = %d, want %d", rc.LeaderSeq(), history+37)
 	}
 }
 
@@ -158,8 +168,7 @@ func TestReplClientGapSignalsBootstrap(t *testing.T) {
 			}
 			return nil
 		},
-		PollInterval: 10 * time.Millisecond,
-		Logf:         t.Logf,
+		Logf: t.Logf,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -40,9 +40,6 @@ type RouterConfig struct {
 	// AutoFailover lets the health loop promote the most-caught-up
 	// healthy endpoint of a shard whose leader is down.
 	AutoFailover bool
-	// Client is the HTTP client for shard calls (default: dedicated,
-	// no overall timeout — per-request contexts bound every call).
-	Client *http.Client
 	// Logf, when set, receives router lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -99,10 +96,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
 	}
-	rt := &Router{cfg: cfg, client: cfg.Client}
-	if rt.client == nil {
-		rt.client = &http.Client{}
-	}
+	// The shard calls' client is dedicated and has no overall timeout:
+	// per-request contexts bound every call.
+	rt := &Router{cfg: cfg, client: &http.Client{}}
 	for _, spec := range cfg.Map.Shards {
 		ss := &shardState{name: spec.Name}
 		for _, u := range spec.Endpoints {

@@ -186,9 +186,6 @@ func NewModel(g *graph.Temporal, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // timeWeight is the stabilized reciprocal interaction-recency factor
 // 1/(1+Σt) used by both attention levels. The +1 guards walks whose edges
 // all carry normalized timestamp 0 and bounds the coefficient for very
@@ -620,7 +617,3 @@ func (m *Model) InferAll() *tensor.Matrix {
 	}
 	return out
 }
-
-// RawEmbeddings exposes the current embedding table (pre-readout), mainly
-// for tests and diagnostics.
-func (m *Model) RawEmbeddings() *tensor.Matrix { return m.emb.W }

@@ -14,6 +14,13 @@ import (
 	"ehna/internal/walk"
 )
 
+// Config returns the model's configuration.
+func (m *Model) Config() Config { return m.cfg }
+
+// RawEmbeddings exposes the current embedding table (pre-readout), for
+// tests.
+func (m *Model) RawEmbeddings() *tensor.Matrix { return m.emb.W }
+
 // touchedRows counts the embedding rows that hold gradient.
 func touchedRows(e *nn.Embedding) int {
 	n := 0

@@ -140,14 +140,6 @@ func (s *Store) EncodeQuery(q []float64, dst *SQ8Query) {
 	dst.Scale, dst.Offset, dst.CodeSum = vecmath.EncodeSQ8(q, dst.Code)
 }
 
-// Dim returns the vector's dimensionality.
-func (v *VecView) Dim() int {
-	if v.F32 != nil {
-		return len(v.F32)
-	}
-	return len(v.Code)
-}
-
 // DequantizeInto reconstructs the vector into dst (len must equal
 // Dim): a widening for F32, an SQ8 decode otherwise.
 func (v *VecView) DequantizeInto(dst []float64) {

@@ -17,6 +17,14 @@ import (
 	"ehna/internal/vecmath"
 )
 
+// Dim returns the vector's dimensionality.
+func (v *VecView) Dim() int {
+	if v.F32 != nil {
+		return len(v.F32)
+	}
+	return len(v.Code)
+}
+
 var allPrecisions = []Precision{F32, SQ8}
 
 // maxLaneErr is the acceptable |stored − original| per lane for a

@@ -181,15 +181,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct predictions.
-func (c Confusion) Accuracy() float64 {
-	n := c.TP + c.FP + c.TN + c.FN
-	if n == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(n)
-}
-
 // ErrorReduction is the paper's comparison statistic
 // ((1−them) − (1−us)) / (1−them): the fraction of the best baseline's error
 // eliminated by our method. Negative when ours is worse.

@@ -165,14 +165,11 @@ func TestConfusionMetrics(t *testing.T) {
 	if math.Abs(c.F1()-2.0/3) > 1e-12 {
 		t.Fatal("f1")
 	}
-	if math.Abs(c.Accuracy()-0.6) > 1e-12 {
-		t.Fatal("accuracy")
-	}
 }
 
 func TestConfusionDegenerate(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Fatal("empty confusion must yield zeros")
 	}
 	if _, err := Confuse([]int{1}, []int{1, 0}); err == nil {

@@ -7,7 +7,6 @@ import (
 	"ehna/internal/classify"
 	"ehna/internal/datagen"
 	"ehna/internal/eval"
-	"ehna/internal/graph"
 	"ehna/internal/tensor"
 )
 
@@ -150,15 +149,4 @@ func subset(X *tensor.Matrix, y []int, idx []int) (*tensor.Matrix, []int) {
 		labels[i] = y[j]
 	}
 	return out, labels
-}
-
-// nonIsolatedNodes is shared by runners needing node samples.
-func nonIsolatedNodes(g *graph.Temporal) []graph.NodeID {
-	var out []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		if g.Degree(graph.NodeID(v)) > 0 {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out
 }

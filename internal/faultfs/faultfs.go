@@ -162,13 +162,6 @@ func (in *Injector) Clear() {
 	in.mu.Unlock()
 }
 
-// Injected reports how many operations have had a fault injected.
-func (in *Injector) Injected() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.injected
-}
-
 // check decides whether op on path should fault. It returns the
 // matched rule when the fault fires.
 func (in *Injector) check(op Op, path string) *rule {

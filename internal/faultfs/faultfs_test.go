@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// Injected reports how many operations have had a fault injected.
+func (in *Injector) Injected() uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.injected
+}
+
 func tmpFile(t *testing.T, fs FS) File {
 	t.Helper()
 	f, err := fs.OpenFile(filepath.Join(t.TempDir(), "x"), os.O_CREATE|os.O_RDWR, 0o644)

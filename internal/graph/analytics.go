@@ -5,22 +5,6 @@ import (
 	"sort"
 )
 
-// Snapshot returns the static graph of all edges with Time ≤ t as a new
-// built Temporal graph (the snapshot view used by the segment-based
-// dynamic embedding methods the paper compares against, Section II).
-func (g *Temporal) Snapshot(t float64) *Temporal {
-	g.mustBuilt()
-	out := NewTemporal(g.n)
-	for _, e := range g.edges {
-		if e.Time > t {
-			break // edges are time-sorted
-		}
-		out.edges = append(out.edges, e)
-	}
-	out.Build()
-	return out
-}
-
 // ConnectedComponents labels every node with a component id (0-based,
 // ordered by first appearance) ignoring edge times. Isolated nodes get
 // their own components.

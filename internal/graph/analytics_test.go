@@ -7,25 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSnapshot(t *testing.T) {
-	g := tiny(t)
-	snap := g.Snapshot(2013)
-	// Edges at 2011 (×2), 2012 (×2), 2013 (×1) = 5.
-	if snap.NumEdges() != 5 {
-		t.Fatalf("snapshot edges %d want 5", snap.NumEdges())
-	}
-	if snap.NumNodes() != g.NumNodes() {
-		t.Fatal("snapshot must keep the node universe")
-	}
-	// Snapshot at -inf is empty, at +inf is everything.
-	if g.Snapshot(2000).NumEdges() != 0 {
-		t.Fatal("pre-history snapshot not empty")
-	}
-	if g.Snapshot(3000).NumEdges() != g.NumEdges() {
-		t.Fatal("full snapshot incomplete")
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := NewTemporal(6)
 	_ = g.AddEdge(0, 1, 1, 1)
@@ -122,35 +103,6 @@ func TestGiniDegree(t *testing.T) {
 	}
 }
 
-// Property: Snapshot(t) contains exactly the edges with Time ≤ t.
-func TestPropertySnapshotFilter(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(10)
-		g := NewTemporal(n)
-		for i := 0; i < 40; i++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			_ = g.AddEdge(u, v, 1, rng.Float64())
-		}
-		g.Build()
-		cut := rng.Float64()
-		snap := g.Snapshot(cut)
-		want := 0
-		for _, e := range g.Edges() {
-			if e.Time <= cut {
-				want++
-			}
-		}
-		return snap.NumEdges() == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: component labels are consistent with edge connectivity.
 func TestPropertyComponentsRespectEdges(t *testing.T) {
 	f := func(seed int64) bool {
@@ -193,8 +145,8 @@ func TestFilterEdgesAndWindow(t *testing.T) {
 	if filtered.Degree(1) != 0 {
 		t.Fatal("node 1 should be isolated after filtering")
 	}
-	// Window keeps only mid-range years.
-	win := g.Window(2013, 2016)
+	// A time window keeps only mid-range years.
+	win := g.FilterEdges(func(e Edge) bool { return e.Time >= 2013 && e.Time <= 2016 })
 	for _, e := range win.Edges() {
 		if e.Time < 2013 || e.Time > 2016 {
 			t.Fatalf("edge at %g escaped window", e.Time)

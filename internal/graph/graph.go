@@ -200,16 +200,6 @@ func (g *Temporal) NormalizeTimes() {
 	}
 }
 
-// Clone returns a deep copy of the graph (built iff g is built).
-func (g *Temporal) Clone() *Temporal {
-	c := NewTemporal(g.n)
-	c.edges = append([]Edge(nil), g.edges...)
-	if g.built {
-		c.Build()
-	}
-	return c
-}
-
 // SplitByTime partitions the chronologically sorted edges into a training
 // graph holding the earliest (1−testFrac) fraction and the held-out most
 // recent edges — the link-prediction protocol of Section V-E ("we remove
@@ -350,10 +340,4 @@ func (g *Temporal) FilterEdges(keep func(Edge) bool) *Temporal {
 	}
 	out.Build()
 	return out
-}
-
-// Window returns the subgraph of edges with lo ≤ Time ≤ hi, the sliding-
-// window view used when old interactions should stop influencing walks.
-func (g *Temporal) Window(lo, hi float64) *Temporal {
-	return g.FilterEdges(func(e Edge) bool { return e.Time >= lo && e.Time <= hi })
 }

@@ -185,19 +185,6 @@ func TestNormalizeTimes(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := tiny(t)
-	c := g.Clone()
-	if c.NumEdges() != g.NumEdges() || c.NumNodes() != g.NumNodes() {
-		t.Fatal("clone size mismatch")
-	}
-	_ = c.AddEdge(1, 8, 1, 2020)
-	c.Build()
-	if g.NumEdges() == c.NumEdges() {
-		t.Fatal("clone shares edge storage")
-	}
-}
-
 func TestSplitByTime(t *testing.T) {
 	g := tiny(t)
 	train, held, err := g.SplitByTime(0.25)

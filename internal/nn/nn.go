@@ -1,7 +1,7 @@
 // Package nn provides neural-network building blocks on top of the ag
 // autodiff tape: parameter registry, dense layers, a stacked LSTM, a
 // normalization layer, an embedding table with sparse gradients, and the
-// SGD/Adam optimizers with global-norm gradient clipping.
+// Adam optimizer with global-norm gradient clipping.
 package nn
 
 import (
@@ -161,15 +161,6 @@ func (s *StackedLSTM) Register(ps *Params) {
 	}
 }
 
-// Forward consumes seq (T×in, one row per timestep, batch size 1) and
-// returns the top layer's final hidden state (1×hidden).
-func (s *StackedLSTM) Forward(tp *ag.Tape, seq *ag.Node) *ag.Node {
-	if seq.Value.Rows == 0 {
-		panic("nn: StackedLSTM on empty sequence")
-	}
-	return s.ForwardBatch(tp, seq, nil, seq.Value.Rows)
-}
-
 // ForwardBatch consumes a time-major batch of n sequences of up to T
 // steps (x is (T·n)×in, row t·n+r being step t of sequence r, which has
 // lens[r] real steps; nil lens means all have T) and returns the top
@@ -231,9 +222,6 @@ func NewEmbedding(n, d int, rng *rand.Rand) *Embedding {
 	}
 }
 
-// Dim returns the embedding dimensionality.
-func (e *Embedding) Dim() int { return e.W.Cols }
-
 // Len returns the number of rows (vocabulary size).
 func (e *Embedding) Len() int { return e.W.Rows }
 
@@ -273,19 +261,6 @@ func (e *Embedding) ZeroGrad() {
 // RowGrad returns the gradient accumulated for row id, nil if the row
 // is untouched (test hook).
 func (e *Embedding) RowGrad(id int) []float64 { return e.grads[id] }
-
-// SGD is stochastic gradient descent with optional weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step updates all parameters in ps from their gradients.
-func (o *SGD) Step(ps *Params) {
-	for _, p := range ps.List() {
-		vecmath.SgdStep(p.W.Data, p.G.Data, o.LR, o.WeightDecay)
-	}
-}
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {

@@ -56,9 +56,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveSince records the nanoseconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(int64(time.Since(start))) }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
 	Count   uint64

@@ -18,7 +18,7 @@
 // Length mismatches are programmer errors and panic, mirroring
 // internal/tensor and slice indexing.
 //
-// Fused kernels (SgnsUpdate, SgdStep, AdamStep, Score*) fold what used
+// Fused kernels (SgnsUpdate, AdamStep, Score*) fold what used
 // to be two or three passes over the operands into one, halving memory
 // traffic on the training hot paths.
 package vecmath
@@ -211,22 +211,6 @@ func SgnsUpdate(v, ctx, grad []float64, label, lr float64) float64 {
 		ctx[i] = c + g*v[i]
 	}
 	return score
-}
-
-// SgdStep applies one SGD update w -= lr·(g + weightDecay·w) in a
-// single fused pass.
-func SgdStep(w, g []float64, lr, weightDecay float64) {
-	if len(w) != len(g) {
-		panic("vecmath: SgdStep length mismatch")
-	}
-	g = g[:len(w)]
-	if weightDecay == 0 {
-		Axpy(w, -lr, g)
-		return
-	}
-	for i := range w {
-		w[i] -= lr * (g[i] + weightDecay*w[i])
-	}
 }
 
 // AdamStep applies one Adam update (Kingma & Ba) over the parameter w

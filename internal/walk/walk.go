@@ -100,9 +100,6 @@ func NewTemporalWalker(g *graph.Temporal, cfg TemporalConfig) (*TemporalWalker, 
 	return &TemporalWalker{g: g, cfg: cfg}, nil
 }
 
-// Config returns the walker's configuration.
-func (w *TemporalWalker) Config() TemporalConfig { return w.cfg }
-
 // WalksScratch generates cfg.NumWalks temporal random walks from x for
 // analyzing an edge formed at time tTarget. Each walk visits only
 // relevant nodes (Definition 2): traversed edges have non-increasing

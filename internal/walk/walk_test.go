@@ -8,6 +8,9 @@ import (
 	"ehna/internal/graph"
 )
 
+// Config returns the walker's configuration.
+func (w *TemporalWalker) Config() TemporalConfig { return w.cfg }
+
 // chain builds 0-1-2-3-4 with strictly increasing edge times 1,2,3,4.
 func chain(t *testing.T) *graph.Temporal {
 	t.Helper()
